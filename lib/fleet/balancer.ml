@@ -12,9 +12,6 @@ type t = {
   guard : float;
 }
 
-let of_assignment ?(guard = neg_infinity) policy =
-  { name = policy.Sim.Policy.assignment_name; policy; guard }
-
 let round_robin () =
   let next = ref 0 in
   {
@@ -25,12 +22,21 @@ let round_robin () =
         Sim.Policy.assignment_name = "round-robin";
         choose =
           (fun ~idle ~core_classes:_ ~core_temperatures:_ ->
-            match idle with
-            | [] -> None
-            | _ ->
-                let pick = List.nth idle (!next mod List.length idle) in
-                incr next;
-                Some pick);
+            (* The [next mod n]-th candidate in ascending index order. *)
+            let n = ref 0 in
+            for k = 0 to Array.length idle - 1 do
+              if idle.(k) then incr n
+            done;
+            if !n = 0 then None
+            else begin
+              let skip = ref (!next mod !n) and pick = ref 0 in
+              while !skip > 0 || not idle.(!pick) do
+                if idle.(!pick) then decr skip;
+                incr pick
+              done;
+              incr next;
+              Some !pick
+            end);
       };
   }
 

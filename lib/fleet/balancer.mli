@@ -2,7 +2,8 @@
 
     The same policy interface the engine uses at core scope
     ({!Sim.Policy.assignment}) — applied at chip scope: [idle] is the
-    list of eligible chips, [core_temperatures] the fleet's per-chip
+    fleet's eligibility mask, one cell per chip and [true] for a chip
+    outside the guard band; [core_temperatures] the fleet's per-chip
     hottest-core readings, [core_classes] the chip classes.  The
     [guard] band decides eligibility: a chip whose thermal headroom
     [tmax - hottest_core] is at or below [guard] is in guard-band
@@ -18,10 +19,6 @@ type t = {
       (** Headroom (degrees C) at or below which a chip is ineligible.
           [neg_infinity] = every chip is always eligible. *)
 }
-
-val of_assignment : ?guard:float -> Sim.Policy.assignment -> t
-(** Lift any core-scope assignment policy to chip scope.  [guard]
-    defaults to [neg_infinity]. *)
 
 val round_robin : unit -> t
 (** Thermally-blind baseline: rotate across eligible chips (all chips

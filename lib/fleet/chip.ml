@@ -31,6 +31,7 @@ type t = {
   mutable temp : Vec.t;
   mutable temp_next : Vec.t;
   running : bool array;
+  idle : bool array;  (* the assignment's candidate mask, see [dispatch] *)
   remaining : float array;
   frequencies : Vec.t;
   progress : Vec.t;  (* dt * f / fmax per core, cached per epoch *)
@@ -95,6 +96,7 @@ let create ?(config = Sim.Engine.default_config) ~machine ~controller
     temp = Vec.create n_nodes t0;
     temp_next = Vec.zeros n_nodes;
     running = Array.make n_cores false;
+    idle = Array.make n_cores false;
     remaining = Array.make n_cores 0.0;
     frequencies = Vec.zeros n_cores;
     progress = Vec.zeros n_cores;
@@ -220,19 +222,16 @@ let observe t time =
     queued_work = work;
   }
 
-let idle_list t =
-  let acc = ref [] in
-  for c = t.n_cores - 1 downto 0 do
-    if not t.running.(c) then acc := c :: !acc
-  done;
-  !acc
-
 let dispatch t time =
   Sim.Machine.core_temperatures_into t.machine t.temp ~dst:t.core_temp;
+  (* Filled once per dispatch chain; each pick clears its own cell. *)
+  for c = 0 to t.n_cores - 1 do
+    t.idle.(c) <- not t.running.(c)
+  done;
   let continue = ref true in
   while !continue && t.q_head < t.q_arrived && t.n_running < t.n_cores do
     match
-      t.assignment.Sim.Policy.choose ~idle:(idle_list t)
+      t.assignment.Sim.Policy.choose ~idle:t.idle
         ~core_classes:t.machine.Sim.Machine.platform.Sim.Platform.assignment
         ~core_temperatures:t.core_temp
     with
@@ -243,6 +242,7 @@ let dispatch t time =
         let k = t.q_head land t.q_mask in
         t.q_head <- t.q_head + 1;
         t.running.(c) <- true;
+        t.idle.(c) <- false;
         t.n_running <- t.n_running + 1;
         t.remaining.(c) <- t.q_wrk.(k);
         (* The arrival gate in [step_once] guarantees

@@ -72,32 +72,47 @@ let run ?(config = default_config) ?domains ~balancer ~chip trace =
      re-sorted by arrival before each window so per-chip submission
      order stays non-decreasing. *)
   let backlog = ref [] in
-  let eligible () =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if tmax -. shadow.(i) > balancer.Balancer.guard then acc := i :: !acc
-    done;
-    !acc
+  (* The balancer's candidate mask: [eligible.(i)] is whether chip [i]
+     is outside the guard band at its current shadow reading, and
+     [n_eligible] counts the [true] cells.  Shadows only move in
+     [refresh] and [submit_to], so those two keep the mask exact
+     instead of every routed task rebuilding it. *)
+  let eligible = Array.make n false in
+  let n_eligible = ref 0 in
+  let is_eligible i = tmax -. shadow.(i) > balancer.Balancer.guard in
+  let refresh () =
+    shadow_refresh chips shadow;
+    n_eligible := 0;
+    for i = 0 to n - 1 do
+      let e = is_eligible i in
+      eligible.(i) <- e;
+      if e then incr n_eligible
+    done
   in
   let submit_to i ~arrival ~work =
     Chip.submit chips.(i) ~arrival ~work;
     shadow.(i) <- shadow.(i) +. (config.thermal_penalty *. work);
+    (* The bump can push the chip into the guard band. *)
+    let e = is_eligible i in
+    if e <> eligible.(i) then begin
+      eligible.(i) <- e;
+      if e then incr n_eligible else decr n_eligible
+    end;
     incr routed
   in
+  let hold ~arrival ~work =
+    backlog := (arrival, work) :: !backlog;
+    incr held
+  in
   let route_one ~arrival ~work =
-    match eligible () with
-    | [] ->
-        backlog := (arrival, work) :: !backlog;
-        incr held
-    | idle -> (
-        match
-          balancer.Balancer.policy.Sim.Policy.choose ~idle
-            ~core_classes:chip_classes ~core_temperatures:shadow
-        with
-        | Some i -> submit_to i ~arrival ~work
-        | None ->
-            backlog := (arrival, work) :: !backlog;
-            incr held)
+    if !n_eligible = 0 then hold ~arrival ~work
+    else
+      match
+        balancer.Balancer.policy.Sim.Policy.choose ~idle:eligible
+          ~core_classes:chip_classes ~core_temperatures:shadow
+      with
+      | Some i -> submit_to i ~arrival ~work
+      | None -> hold ~arrival ~work
   in
   let horizon = trace.Workload.Trace.horizon in
   let k =
@@ -106,7 +121,7 @@ let run ?(config = default_config) ?domains ~balancer ~chip trace =
   let slices = Workload.Trace.windows trace ~k in
   Parallel.Pool.with_pool ?domains (fun pool ->
       for w = 0 to k - 1 do
-        shadow_refresh chips shadow;
+        refresh ();
         if config.migrate then
           for i = 0 to n - 1 do
             if tmax -. shadow.(i) <= balancer.Balancer.guard then begin
@@ -143,7 +158,7 @@ let run ?(config = default_config) ?domains ~balancer ~chip trace =
       (match !backlog with
       | [] -> ()
       | leftovers ->
-          shadow_refresh chips shadow;
+          refresh ();
           List.iter
             (fun (arrival, work) ->
               let best = ref 0 in

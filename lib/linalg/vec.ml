@@ -83,7 +83,7 @@ let max x =
   if dim x = 0 then invalid_arg "Vec.max: empty vector";
   Array.fold_left Float.max x.(0) x
 
-let argmax x =
+let argmax (x : t) =
   if dim x = 0 then invalid_arg "Vec.argmax: empty vector";
   let best = ref 0 in
   for i = 1 to dim x - 1 do
@@ -91,7 +91,7 @@ let argmax x =
   done;
   !best
 
-let argmin x =
+let argmin (x : t) =
   if dim x = 0 then invalid_arg "Vec.argmin: empty vector";
   let best = ref 0 in
   for i = 1 to dim x - 1 do

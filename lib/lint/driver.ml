@@ -14,6 +14,7 @@ let all_keys =
     "units";
     "capture";
     "cross-domain";
+    "poly-compare";
   ]
 
 let base_checkers =
@@ -24,7 +25,7 @@ let checkers ?manifest () =
   @ match manifest with None -> [] | Some m -> [ Alloc_free.checker m ]
 
 let typed_checkers ?units () =
-  Capture.checker
+  Capture.checker :: Poly_compare.checker
   :: (match units with None -> [] | Some u -> [ Units.checker u ])
 
 let parse_structure ~path text =

@@ -25,7 +25,7 @@ type t = {
   mutable n_pruned : int;
 }
 
-let strictly_increasing a =
+let strictly_increasing (a : float array) =
   let ok = ref true in
   for i = 1 to Array.length a - 1 do
     if a.(i) <= a.(i - 1) then ok := false

@@ -8,7 +8,7 @@ type t = {
   cells : cell array array;
 }
 
-let strictly_increasing a =
+let strictly_increasing (a : float array) =
   let ok = ref true in
   for i = 1 to Array.length a - 1 do
     if a.(i) <= a.(i - 1) then ok := false
@@ -201,12 +201,12 @@ let of_csv text =
         | _ -> failwith "Table.of_csv: malformed line")
       lines
   in
-  let uniq_sorted xs =
+  let uniq_sorted (xs : float list) =
     List.sort_uniq compare xs |> Array.of_list
   in
   let tstarts = uniq_sorted (List.map (fun (t, _, _) -> t) parsed) in
   let ftargets = uniq_sorted (List.map (fun (_, f, _) -> f) parsed) in
-  let find a x =
+  let find a (x : float) =
     let rec go i = if a.(i) = x then i else go (i + 1) in
     go 0
   in

@@ -110,7 +110,7 @@ let u32_le bytes off =
   lor (Char.code (Bigarray.Array1.get bytes (off + 2)) lsl 16)
   lor (Char.code (Bigarray.Array1.get bytes (off + 3)) lsl 24)
 
-let strictly_increasing a =
+let strictly_increasing (a : float array) =
   let ok = ref true in
   for i = 1 to Array.length a - 1 do
     if a.(i) <= a.(i - 1) then ok := false

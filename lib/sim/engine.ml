@@ -157,25 +157,26 @@ let run ?(config = default_config) ?(probes = []) (machine : Machine.t)
   (* Count of [true] entries in [running], so the per-step dispatch
      guard is a single compare instead of a scan. *)
   let n_running = ref 0 in
-  let idle_list () =
-    let acc = ref [] in
-    for c = n_cores - 1 downto 0 do
-      if not running.(c) then acc := c :: !acc
-    done;
-    !acc
-  in
+  (* The assignment policy's candidate mask: [idle.(c)] is
+     [not running.(c)] while a dispatch chain runs. *)
+  let idle = Array.make n_cores false in
   (* Dispatch queued tasks onto idle cores; the assignment policy may
      defer (thermally-aware admission control).  Only entered when the
      queue is non-empty and a core is idle, so the common steady-state
-     step never pays its list allocation. *)
+     step never pays for the temperature extraction or the mask
+     fill. *)
   let dispatch time =
     (* The core temperatures cannot change between dispatches within a
-       step, so one extraction serves the whole chain. *)
+       step, so one extraction serves the whole chain; likewise the
+       mask is filled once and each pick clears its own cell. *)
     Machine.core_temperatures_into machine !temp ~dst:core_temp;
+    for c = 0 to n_cores - 1 do
+      idle.(c) <- not running.(c)
+    done;
     let continue = ref true in
     while !continue && !q_head < !q_tail && !n_running < n_cores do
       match
-        assignment.Policy.choose ~idle:(idle_list ()) ~core_classes
+        assignment.Policy.choose ~idle ~core_classes
           ~core_temperatures:core_temp
       with
       | None -> continue := false
@@ -185,6 +186,7 @@ let run ?(config = default_config) ?(probes = []) (machine : Machine.t)
           let k = !q_head in
           incr q_head;
           running.(c) <- true;
+          idle.(c) <- false;
           incr n_running;
           remaining.(c) <- works.(k);
           Stats.record_waiting stats (Float.max 0.0 (time -. arrivals.(k)))
@@ -373,13 +375,9 @@ let run_reference ?(config = default_config) (machine : Machine.t) controller
   let stats = Stats.create ~n_cores ~tmax:config.tmax () in
   let migrations = ref 0 in
   let deadline = trace.Workload.Trace.horizon +. config.drain_limit in
-  let idle_cores () =
-    let acc = ref [] in
-    for c = n_cores - 1 downto 0 do
-      if cores.(c).remaining = None then acc := c :: !acc
-    done;
-    !acc
-  in
+  (* A fresh candidate mask per dispatch: allocation is fine in the
+     oracle. *)
+  let idle_cores () = Array.map (fun c -> c.remaining = None) cores in
   let queued_work () =
     let backlog = Queue.fold (fun acc t -> acc +. t.Workload.Task.work) 0.0 queue in
     Array.fold_left
@@ -467,7 +465,7 @@ let run_reference ?(config = default_config) (machine : Machine.t) controller
     let rec dispatch () =
       if not (Queue.is_empty queue) then
         match idle_cores () with
-        | [] -> ()
+        | idle when not (Array.exists Fun.id idle) -> ()
         | idle -> (
             let core_temperatures = Machine.core_temperatures machine !temp in
             match

@@ -16,29 +16,56 @@ type controller = { controller_name : string; decide : observation -> Vec.t }
 type assignment = {
   assignment_name : string;
   choose :
-    idle:int list ->
+    idle:bool array ->
     core_classes:int array ->
     core_temperatures:Vec.t ->
     int option;
 }
 
-let coldest ~idle ~core_temperatures =
-  match idle with
-  | [] -> invalid_arg "Policy: no idle core"
-  | c :: rest ->
-      List.fold_left
-        (fun best k ->
-          if core_temperatures.(k) < core_temperatures.(best) then k else best)
-        c rest
+(* The mask scans below are listed in lint.manifest.  Every comparison
+   reads a [Vec.t] cell, so it compiles to a float compare on unboxed
+   values; left polymorphic, [<] would become [caml_lessthan] over a
+   boxed copy of every temperature it reads.  Each scan walks the mask
+   in ascending index order and keeps the first strict minimum, so
+   ties and NaNs resolve exactly as the old fold over an ascending
+   index list did. *)
+
+let coldest ~(idle : bool array) ~(core_temperatures : Vec.t) =
+  let best = ref (-1) in
+  for k = 0 to Array.length idle - 1 do
+    if
+      Array.unsafe_get idle k
+      && (!best < 0 || core_temperatures.(k) < core_temperatures.(!best))
+    then best := k
+  done;
+  if !best < 0 then invalid_arg "Policy: no idle core";
+  !best
+
+(* Coldest candidate of class [cls], or [-1] when none is idle. *)
+let coldest_of_class ~(idle : bool array) ~(core_classes : int array) ~cls
+    ~(core_temperatures : Vec.t) =
+  let best = ref (-1) in
+  for k = 0 to Array.length idle - 1 do
+    if
+      Array.unsafe_get idle k
+      && core_classes.(k) = cls
+      && (!best < 0 || core_temperatures.(k) < core_temperatures.(!best))
+    then best := k
+  done;
+  !best
 
 let first_idle =
   {
     assignment_name = "first-idle";
     choose =
       (fun ~idle ~core_classes:_ ~core_temperatures:_ ->
-        match idle with
-        | [] -> invalid_arg "Policy.first_idle: no idle core"
-        | c :: rest -> Some (List.fold_left Stdlib.min c rest));
+        let k = ref 0 in
+        let n = Array.length idle in
+        while !k < n && not (Array.unsafe_get idle !k) do
+          incr k
+        done;
+        if !k = n then invalid_arg "Policy.first_idle: no idle core";
+        Some !k);
   }
 
 let coolest_first =
@@ -63,9 +90,8 @@ let prefer_class ~cls =
     assignment_name = Printf.sprintf "class%d-first" cls;
     choose =
       (fun ~idle ~core_classes ~core_temperatures ->
-        match List.filter (fun c -> core_classes.(c) = cls) idle with
-        | [] -> Some (coldest ~idle ~core_temperatures)
-        | preferred -> Some (coldest ~idle:preferred ~core_temperatures));
+        let c = coldest_of_class ~idle ~core_classes ~cls ~core_temperatures in
+        if c >= 0 then Some c else Some (coldest ~idle ~core_temperatures));
   }
 
 let clamp ~fmax f = Float.min fmax (Float.max 0.0 f)

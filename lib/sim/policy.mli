@@ -40,14 +40,22 @@ type controller = {
 type assignment = {
   assignment_name : string;
   choose :
-    idle:int list ->
+    idle:bool array ->
     core_classes:int array ->
     core_temperatures:Vec.t ->
     int option;
-      (** Pick one of the [idle] core indices (non-empty), or [None]
-          to defer dispatch to a later step (thermally-aware admission
-          control).  [core_classes] gives each core's platform class
-          index (all zeros on a homogeneous machine; read-only). *)
+      (** Pick a candidate core, or [None] to defer dispatch to a
+          later step (thermally-aware admission control).  [idle] is
+          a mask with one cell per core: cell [k] is [true] when core
+          [k] is a candidate, and at least one cell is [true].  The
+          caller owns the mask and refills it in place between calls,
+          so a policy reads it and must neither write it nor keep it.
+          The answer must be an index whose cell is [true].
+          [core_classes] gives each core's platform class index (all
+          zeros on a homogeneous machine); like [core_temperatures]
+          it is read-only.  The built-in policies scan the mask in
+          ascending index order and allocate nothing but the
+          returned [Some]. *)
 }
 
 val first_idle : assignment

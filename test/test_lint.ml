@@ -411,6 +411,39 @@ let test_capture_atomic_is_sanctioned () =
         (* lint: domain-safety shared counter, atomic by construction *)\n\
         let rows n = Parallel.Pool.map_rows (fun i -> Atomic.incr hits; i) n\n")
 
+let test_poly_compare_seeded_fixture () =
+  let findings =
+    lint ~path:"lib/poly_compare_bad.ml" ~typed:`Infer
+      (read_fixture "poly_compare_bad.ml")
+  in
+  check_counts ~msg:"seeded polymorphic compare" [ ("poly-compare", 1) ]
+    findings;
+  Alcotest.(check int) "on the marked line" 12
+    (List.hd findings).Lint.Finding.line
+
+let test_poly_compare_annotated_is_clean () =
+  check_counts ~msg:"an annotated operand specializes the compare" []
+    (lint ~path:"lib/pc_ok.ml" ~typed:`Infer
+       "let coldest idle (temps : float array) =
+       \  List.fold_left
+       \    (fun best k -> if temps.(k) < temps.(best) then k else best)
+       \    (List.hd idle) idle
+        let sorted (xs : float list) = List.sort compare xs
+")
+
+let test_poly_compare_suppression () =
+  check_counts ~msg:"suppression silences the typed finding" []
+    (lint ~path:"lib/pc_generic.ml" ~typed:`Infer
+       "(* lint: poly-compare fixture: generic over any ordered key *)
+        let smaller a b = if a < b then a else b
+")
+
+let test_poly_compare_lib_only () =
+  check_counts ~msg:"outside lib/ the generic compare is not flagged" []
+    (lint ~path:"bin/pc_generic.ml" ~typed:`Infer
+       "let smaller a b = if a < b then a else b
+")
+
 (* End-to-end: a fixture tree with both seeded files drives the
    non-zero exit through [run_repo], the path the CLI takes. *)
 let test_run_repo_typed_fixture_tree () =
@@ -525,6 +558,16 @@ let () =
             test_capture_clean_closure;
           Alcotest.test_case "atomic is sanctioned" `Quick
             test_capture_atomic_is_sanctioned;
+        ] );
+      ( "poly-compare",
+        [
+          Alcotest.test_case "seeded fixture" `Quick
+            test_poly_compare_seeded_fixture;
+          Alcotest.test_case "annotated site is clean" `Quick
+            test_poly_compare_annotated_is_clean;
+          Alcotest.test_case "suppression" `Quick test_poly_compare_suppression;
+          Alcotest.test_case "library code only" `Quick
+            test_poly_compare_lib_only;
         ] );
       ( "driver",
         [

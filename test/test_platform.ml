@@ -363,8 +363,9 @@ let test_prefer_class () =
   let temps = [| 40.0; 90.0; 50.0; 60.0; 80.0; 70.0; 85.0; 75.0 |] in
   let pick cls idle =
     match
-      (Sim.Policy.prefer_class ~cls).Sim.Policy.choose ~idle ~core_classes
-        ~core_temperatures:temps
+      (Sim.Policy.prefer_class ~cls).Sim.Policy.choose
+        ~idle:(Policy_reference.mask_of ~n:8 idle)
+        ~core_classes ~core_temperatures:temps
     with
     | Some c -> c
     | None -> Alcotest.fail "expected a dispatch decision"

@@ -77,12 +77,13 @@ let get_pick = function
   | None -> Alcotest.fail "expected a dispatch decision"
 
 let homogeneous_classes n = Array.make n 0
+let mask n idle = Policy_reference.mask_of ~n idle
 
 let test_first_idle_lowest () =
   let pick = Sim.Policy.first_idle.Sim.Policy.choose in
   check_int "lowest" 1
     (get_pick
-       (pick ~idle:[ 3; 1; 5 ] ~core_classes:(homogeneous_classes 8)
+       (pick ~idle:(mask 8 [ 3; 1; 5 ]) ~core_classes:(homogeneous_classes 8)
           ~core_temperatures:(Vec.zeros 8)))
 
 let test_coolest_first () =
@@ -90,12 +91,12 @@ let test_coolest_first () =
   let pick = Sim.Policy.coolest_first.Sim.Policy.choose in
   check_int "coolest among idle" 3
     (get_pick
-       (pick ~idle:[ 0; 2; 3; 4 ] ~core_classes:(homogeneous_classes 8)
+       (pick ~idle:(mask 8 [ 0; 2; 3; 4 ]) ~core_classes:(homogeneous_classes 8)
           ~core_temperatures:temps));
   check_int "coolest overall" 3
     (get_pick
        (pick
-          ~idle:[ 0; 1; 2; 3; 4; 5; 6; 7 ]
+          ~idle:(Array.make 8 true)
           ~core_classes:(homogeneous_classes 8) ~core_temperatures:temps))
 
 let test_cool_headroom_defers () =
@@ -104,12 +105,106 @@ let test_cool_headroom_defers () =
   let pick = policy.Sim.Policy.choose in
   check_int "dispatches below threshold" 2
     (get_pick
-       (pick ~idle:[ 0; 1; 2; 3 ] ~core_classes:(homogeneous_classes 4)
+       (pick ~idle:(Array.make 4 true) ~core_classes:(homogeneous_classes 4)
           ~core_temperatures:temps));
   check_bool "defers when all hot" true
-    (pick ~idle:[ 0; 1; 3 ] ~core_classes:(homogeneous_classes 4)
+    (pick ~idle:(mask 4 [ 0; 1; 3 ]) ~core_classes:(homogeneous_classes 4)
        ~core_temperatures:temps
     = None)
+
+(* The mask policies against the list-based originals they replaced
+   (test/policy_reference.ml): random masks of 1-130 cells with at
+   least one candidate, random class vectors, and temperatures drawn
+   partly from a small pool so ties, NaNs and signed zeros occur. *)
+
+let temperature_pool = [| 40.0; 40.0; 55.5; 85.0; 85.0; Float.nan; 0.0; -0.0 |]
+
+let gen_mask n =
+  QCheck2.Gen.(
+    let* forced = int_range 0 (n - 1) in
+    let+ bits = array_size (return n) bool in
+    Array.mapi (fun k b -> b || k = forced) bits)
+
+let gen_policy_case =
+  QCheck2.Gen.(
+    let* n = int_range 1 130 in
+    let* mask = gen_mask n in
+    let* classes = array_size (return n) (int_range 0 2) in
+    let* temps =
+      array_size (return n)
+        (oneof [ oneofa temperature_pool; float_range 20.0 110.0 ])
+    in
+    let* cls = int_range 0 2 in
+    let+ threshold = oneofa [| 50.0; 85.0; 90.0; Float.nan; infinity |] in
+    (mask, classes, temps, cls, threshold))
+
+let print_policy_case (mask, classes, temps, cls, threshold) =
+  Printf.sprintf "mask=[%s] classes=[%s] temps=[%s] cls=%d threshold=%g"
+    (String.concat ";"
+       (Array.to_list (Array.map (fun b -> if b then "1" else "0") mask)))
+    (String.concat ";" (Array.to_list (Array.map string_of_int classes)))
+    (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") temps)))
+    cls threshold
+
+let prop_mask_policies_match_reference =
+  QCheck2.Test.make ~name:"policy: mask choice equals the list reference"
+    ~count:500 ~print:print_policy_case gen_policy_case
+    (fun (mask, core_classes, core_temperatures, cls, threshold) ->
+      let idle = Policy_reference.list_of_mask mask in
+      let agree (p : Sim.Policy.assignment) reference =
+        p.Sim.Policy.choose ~idle:mask ~core_classes ~core_temperatures
+        = reference ~idle ~core_classes ~core_temperatures
+      in
+      agree Sim.Policy.first_idle Policy_reference.first_idle
+      && agree Sim.Policy.coolest_first Policy_reference.coolest_first
+      && agree
+           (Sim.Policy.cool_headroom ~threshold)
+           (Policy_reference.cool_headroom ~threshold)
+      && agree (Sim.Policy.prefer_class ~cls) (Policy_reference.prefer_class ~cls))
+
+let prop_round_robin_matches_reference =
+  QCheck2.Test.make
+    ~name:"policy: round-robin mask sequence equals the list reference"
+    ~count:200
+    QCheck2.Gen.(
+      let* n = int_range 1 130 in
+      list_size (int_range 1 40) (gen_mask n))
+    (fun masks ->
+      let rr = (Fleet.Balancer.round_robin ()).Fleet.Balancer.policy in
+      let reference = Policy_reference.round_robin () in
+      List.for_all
+        (fun mask ->
+          let n = Array.length mask in
+          let core_classes = Array.make n 0 and core_temperatures = Vec.zeros n in
+          rr.Sim.Policy.choose ~idle:mask ~core_classes ~core_temperatures
+          = reference
+              ~idle:(Policy_reference.list_of_mask mask)
+              ~core_classes ~core_temperatures)
+        masks)
+
+(* A fleet-sized scan reads every candidate temperature; specialized to
+   floats it allocates only the returned [Some] (2 words), where the
+   generic compare boxed each temperature it read. *)
+let test_coolest_first_allocation () =
+  let n = 120 in
+  let idle = Array.init n (fun k -> k mod 3 <> 0) in
+  let core_temperatures =
+    Array.init n (fun k -> 40.0 +. float_of_int ((k * 37) mod 50))
+  in
+  let core_classes = Array.make n 0 in
+  let choose = Sim.Policy.coolest_first.Sim.Policy.choose in
+  let calls = 10_000 in
+  ignore (choose ~idle ~core_classes ~core_temperatures);
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore
+      (Sys.opaque_identity (choose ~idle ~core_classes ~core_temperatures))
+  done;
+  (* The second [Gc.minor_words] boxes its result: 2 words in total. *)
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  check_bool
+    (Printf.sprintf "%.3f minor words per call, at most the Some" per_call)
+    true (per_call <= 2.001)
 
 let test_workload_following_clamps () =
   let c = Sim.Policy.workload_following ~fmax:1e9 in
@@ -591,6 +686,10 @@ let () =
             test_cool_headroom_defers;
           Alcotest.test_case "workload following clamps" `Quick
             test_workload_following_clamps;
+          Alcotest.test_case "coolest-first allocates only its answer"
+            `Quick test_coolest_first_allocation;
+          QCheck_alcotest.to_alcotest prop_mask_policies_match_reference;
+          QCheck_alcotest.to_alcotest prop_round_robin_matches_reference;
         ] );
       ( "stats",
         [
