@@ -1,4 +1,4 @@
-.PHONY: ci build test lint lint-baseline bench bench-compare clean
+.PHONY: ci build test lint bench bench-compare clean
 
 # Everything the tier-1 gate runs: full build, then the test suites.
 # `dune runtest` also executes the benchmarks in fast mode
@@ -58,17 +58,15 @@ bench:
 
 # Benchmark this working tree against REV (default HEAD) with the
 # end-to-end harness in benchmark/: W names the workloads, SEEDS the
-# trace seeds, SECS the seconds per run.  REV builds in a temporary
-# git worktree outside the repository; the two trees alternate seed by
-# seed, flipping which runs first, and `protemp_bench.exe compare`
-# prints the verdicts.  Result files stay in a temporary directory.
+# trace seeds; unset ones take the defaults in scripts/bench-compare.sh.
+# Each run lasts the harness's own default length.  REV builds in a
+# temporary git worktree outside the repository; the two trees
+# alternate seed by seed, flipping which runs first, and
+# `protemp_bench.exe compare` prints the verdicts.  Result files stay
+# in a temporary directory.
 #   make bench-compare W=fleet.serve SEEDS="2008 2009 2010"
-REV ?= HEAD
-W ?= fleet.serve
-SEEDS ?= 2008 2009 2010 2011 2012 2013 2014 2015 2016 2017
-SECS ?= 10
 bench-compare:
-	bash scripts/bench-compare.sh "$(REV)" "$(SECS)" "$(W)" "$(SEEDS)"
+	bash scripts/bench-compare.sh "$(REV)" "$(W)" "$(SEEDS)"
 
 clean:
 	dune clean

@@ -15,7 +15,10 @@
    passed as a value, and flags it when the first parameter of its
    instantiated type is a type variable.  Uses that resolve anywhere
    else ([Float.min], a local [( < )]) are not Stdlib's and are left
-   alone. *)
+   alone.  Only a bare type variable is flagged: a compare on a
+   structured type such as ['a list] is generic at every instance (the
+   compiler specializes base types only), so no annotation would
+   change it. *)
 
 open Typedtree
 

@@ -22,11 +22,12 @@ type assignment = {
     int option;
 }
 
-(* The mask scans below are listed in lint.manifest.  Every comparison
-   reads a [Vec.t] cell, so it compiles to a float compare on unboxed
-   values; left polymorphic, [<] would become [caml_lessthan] over a
-   boxed copy of every temperature it reads.  Each scan walks the mask
-   in ascending index order and keeps the first strict minimum, so
+(* [coldest] is listed in lint.manifest.  Every comparison in the mask
+   scans below reads a [Vec.t] cell, so it compiles to a float compare
+   on unboxed values; left polymorphic, [<] would become
+   [caml_lessthan] over a boxed copy of every temperature it reads.
+   Each scan walks the mask in ascending index order and keeps the
+   first strict minimum, so
    ties and NaNs resolve exactly as the old fold over an ascending
    index list did. *)
 
@@ -39,19 +40,6 @@ let coldest ~(idle : bool array) ~(core_temperatures : Vec.t) =
     then best := k
   done;
   if !best < 0 then invalid_arg "Policy: no idle core";
-  !best
-
-(* Coldest candidate of class [cls], or [-1] when none is idle. *)
-let coldest_of_class ~(idle : bool array) ~(core_classes : int array) ~cls
-    ~(core_temperatures : Vec.t) =
-  let best = ref (-1) in
-  for k = 0 to Array.length idle - 1 do
-    if
-      Array.unsafe_get idle k
-      && core_classes.(k) = cls
-      && (!best < 0 || core_temperatures.(k) < core_temperatures.(!best))
-    then best := k
-  done;
   !best
 
 let first_idle =
@@ -89,9 +77,24 @@ let prefer_class ~cls =
   {
     assignment_name = Printf.sprintf "class%d-first" cls;
     choose =
-      (fun ~idle ~core_classes ~core_temperatures ->
-        let c = coldest_of_class ~idle ~core_classes ~cls ~core_temperatures in
-        if c >= 0 then Some c else Some (coldest ~idle ~core_temperatures));
+      (fun ~idle ~(core_classes : int array) ~(core_temperatures : Vec.t) ->
+        (* One pass finds both the coldest candidate of class [cls] and
+           the coldest overall, the fallback when no candidate is of
+           that class. *)
+        let best = ref (-1) and best_cls = ref (-1) in
+        for k = 0 to Array.length idle - 1 do
+          if Array.unsafe_get idle k then begin
+            if !best < 0 || core_temperatures.(k) < core_temperatures.(!best)
+            then best := k;
+            if
+              core_classes.(k) = cls
+              && (!best_cls < 0
+                 || core_temperatures.(k) < core_temperatures.(!best_cls))
+            then best_cls := k
+          end
+        done;
+        if !best < 0 then invalid_arg "Policy: no idle core";
+        Some (if !best_cls >= 0 then !best_cls else !best));
   }
 
 let clamp ~fmax f = Float.min fmax (Float.max 0.0 f)

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Benchmark the working tree against a git revision, seed by seed:
 #
-#   scripts/bench-compare.sh REV SECONDS "WORKLOADS" "SEEDS"
+#   scripts/bench-compare.sh [REV] ["WORKLOADS"] ["SEEDS"]
 #   (usually through `make bench-compare W=fleet.serve SEEDS="2008 2009"`)
+#
+# An empty or missing argument takes its default: REV HEAD, workload
+# fleet.serve, seeds 2008-2017.  Every run lasts protemp_bench's
+# default length, the benchmark's run_seconds, on both sides.
 #
 # REV is checked out into a temporary git worktree outside the
 # repository and both trees build benchmark/protemp_bench.exe from
@@ -14,9 +18,8 @@
 # the temporary directory printed at the end, never in the repository.
 set -euo pipefail
 rev=${1:-HEAD}
-secs=${2:-10}
-workloads=${3:-fleet.serve}
-seeds=${4:-2008 2009 2010 2011 2012 2013 2014 2015 2016 2017}
+workloads=${2:-fleet.serve}
+seeds=${3:-2008 2009 2010 2011 2012 2013 2014 2015 2016 2017}
 
 repo=$(git rev-parse --show-toplevel)
 base_rev=$(git -C "$repo" rev-parse --verify "$rev^{commit}")
@@ -45,7 +48,7 @@ run() {
   local name="$results/$side-$workload-$seed-$pair"
   echo "  $side $workload seed $seed" >&2
   if ! (cd "$tree" && ./_build/default/benchmark/protemp_bench.exe run \
-      --workload "$workload" --seed "$seed" --seconds "$secs" --trace 0 \
+      --workload "$workload" --seed "$seed" --trace 0 \
       --out "$name.json" >/dev/null 2>"$name.log"); then
     echo "run failed: $side $workload seed $seed (see $name.log)" >&2
     tail -5 "$name.log" >&2
