@@ -55,6 +55,28 @@ let make_layout (spec : Spec.t) ~n_cores =
    where S_k = sum_{l<k} A^l.  We accumulate S_k step by step and emit
    constraints at the stride points. *)
 
+(* Upper ends of the normalized boxes [0 <= fhat <= f_box] and
+   [0 <= phat <= p_box].  They are relaxed a fraction of a percent so
+   that a demand of exactly fmax keeps a strict interior for the
+   barrier; extraction clamps back to fmax, which only lowers power,
+   so the thermal guarantee (computed at the relaxed powers) still
+   holds.  [p_box] also bounds the thermal-row filter below. *)
+let f_box = 1.002
+let p_box = 1.005
+
+(* A thermal row [base + q.phat <= tmax] whose largest value over the
+   power box, [base + sum_j max(q_j, 0) * p_box], stays below
+   [tmax * (1 - implied_margin)] holds at every point the box rows
+   admit, so it is implied and never emitted.  The relative margin
+   keeps every row within rounding (or within the solver's tolerance
+   on the box rows) of binding. *)
+let implied_margin = 1e-6
+
+let box_implies_row ~tmax ~base q =
+  let worst = ref base in
+  Array.iter (fun c -> if c > 0.0 then worst := !worst +. (c *. p_box)) q;
+  !worst < tmax *. (1.0 -. implied_margin)
+
 let stride_steps ~steps ~stride =
   let rec go k acc =
     if k > steps then acc else go (k + stride) (k :: acc)
@@ -145,16 +167,11 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
       (Quad.add
          (Quad.square_of_affine (Quad.linear_part f_var) 0.0)
          (Quad.scale (-1.0) p_var));
-    (* 0 <= f <= 1.002 and 0 <= p <= 1.005: the upper boxes are
-       relaxed a fraction of a percent so that a demand of exactly
-       fmax keeps a strict interior for the barrier; extraction clamps
-       back to fmax, which only lowers power, so the thermal guarantee
-       (computed at the relaxed powers) still holds. *)
+    (* 0 <= f <= f_box and 0 <= p <= p_box *)
     add_pre (Quad.scale (-1.0) f_var);
-    add_pre (Quad.add_constant f_var (-1.002));
-    (* 0 <= p <= 1.005 *)
+    add_pre (Quad.add_constant f_var (-.f_box));
     add_pre (Quad.scale (-1.0) p_var);
-    add_pre (Quad.add_constant p_var (-1.005))
+    add_pre (Quad.add_constant p_var (-.p_box))
   done;
   (* Throughput direction: sum over cores of f, in units of the chip
      reference frequency — coefficient [core_fmax.(j) / fref] per
@@ -220,11 +237,13 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
           let base = Mat.get base_traj k node in
           (* base + q.p <= tmax, stated in units of tmax so every
              constraint family has O(1) coefficients (the barrier's
-             Newton systems are ill-conditioned otherwise). *)
-          add
-            (Quad.affine
-               (Vec.scale (1.0 /. tmax) q)
-               ((base -. tmax) /. tmax));
+             Newton systems are ill-conditioned otherwise).  Rows the
+             power box already implies are left out. *)
+          if not (box_implies_row ~tmax ~base q) then
+            add
+              (Quad.affine
+                 (Vec.scale (1.0 /. tmax) q)
+                 ((base -. tmax) /. tmax));
           (* Gradient bookkeeping (core nodes only). *)
           if
             layout.bounds_offset <> None

@@ -26,6 +26,13 @@
     over-approximation — while needing O(mn) instead of O(mn^2)
     constraints.
 
+    A thermal row is emitted only when some point of the power box
+    [0 <= p_i/pmax <= 1.005] could reach [tmax] on it (to a relative
+    margin of 1e-6): every other row is implied by the box rows, which
+    stay in the problem, so the feasible set is unchanged.  At stride 4
+    on the Niagara model that keeps 144 of 1071 thermal rows at 27 C
+    and 504 at 100 C.
+
     Variables are normalized ([f/fmax], [p/pmax], [t/tmax]) so the
     barrier solver operates on a well-conditioned unit box. *)
 

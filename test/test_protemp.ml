@@ -836,12 +836,118 @@ let prop_table_lookup_semantics =
           | Some g -> Vec.approx_equal ~tol:1.0 f g
           | None -> false))
 
+(* ------------------------------------------------------------------ *)
+(* Thermal-row filter: the model leaves out the Eq. 3 rows the power
+   box already implies; test/model_reference.ml is the builder that
+   emits them all. *)
+
+let biglittle = lazy (Sim.Machine.biglittle ())
+
+(* Thermal rows are what follows the power-law and box rows (five per
+   frequency variable) and the floor, in a spec without gradient. *)
+let emitted_thermal_rows (built : Protemp.Model.built) =
+  Array.length built.Protemp.Model.problem.Convex.Barrier.constraints
+  - ((5 * built.Protemp.Model.layout.Protemp.Model.n_f) + 1)
+
+let holds (problem : Convex.Barrier.problem) x =
+  Array.for_all
+    (fun c -> Convex.Quad.eval c x <= 0.0)
+    problem.Convex.Barrier.constraints
+
+let prop_filter_keeps_feasible_set =
+  QCheck2.Test.make
+    ~name:"model: filtered rows hold iff every thermal row holds on the box"
+    ~count:40
+    QCheck2.Gen.(
+      triple bool (float_range 27.0 100.0)
+        (array_size (pure 8) (pair (float_range 0.0 1.0) (float_range 0.0 1.005))))
+    (fun (big, tstart, point) ->
+      let machine = Lazy.force (if big then biglittle else machine) in
+      let built =
+        Protemp.Model.build ~machine ~spec:fast_spec ~tstart ~ftarget:1e8
+      in
+      let reference =
+        Model_reference.build ~machine ~spec:fast_spec ~tstart ~ftarget:1e8
+      in
+      let layout = built.Protemp.Model.layout in
+      let x = Vec.zeros layout.Protemp.Model.dim in
+      (* Points on the power law's feasible side ([fhat <= sqrt phat]),
+         so the thermal rows alone decide. *)
+      Array.iteri
+        (fun j (u, p) ->
+          x.(layout.Protemp.Model.f_offset + j) <- u *. Float.min 1.0 (sqrt p);
+          x.(layout.Protemp.Model.p_offset + j) <- p)
+        point;
+      holds built.Protemp.Model.problem x
+      = holds reference.Protemp.Model.problem x)
+
+let test_filter_pinned_counts () =
+  let m = Lazy.force machine in
+  List.iter
+    (fun (tstart, kept) ->
+      let built =
+        Protemp.Model.build ~machine:m ~spec:fast_spec ~tstart ~ftarget:5e8
+      in
+      check_int "reference rows" 1071 (Model_reference.thermal_rows built);
+      check_int
+        (Printf.sprintf "rows kept at %.0f C" tstart)
+        kept (emitted_thermal_rows built))
+    [ (27.0, 144); (100.0, 504) ]
+
+let test_filter_same_optimum () =
+  List.iter
+    (fun (machine, tstart, ftarget) ->
+      let machine = Lazy.force machine in
+      let solve built =
+        match Protemp.Model.solve built with
+        | Protemp.Model.Feasible s -> s
+        | Protemp.Model.Infeasible -> Alcotest.fail "expected feasible"
+      in
+      let s =
+        solve (Protemp.Model.build ~machine ~spec:fast_spec ~tstart ~ftarget)
+      in
+      let r =
+        solve (Model_reference.build ~machine ~spec:fast_spec ~tstart ~ftarget)
+      in
+      let obj (s : Protemp.Model.solution) =
+        s.Protemp.Model.raw.Convex.Solve.objective_value
+      in
+      let rel = Float.abs (obj s -. obj r) /. Float.abs (obj r) in
+      check_bool
+        (Printf.sprintf "objective %.9g vs %.9g (rel %.2g) at %.0f C"
+           (obj s) (obj r) rel tstart)
+        true (rel <= 2e-6);
+      let peak =
+        Protemp.Guarantee.window_peak ~machine
+          ~dfs_period:fast_spec.Protemp.Spec.dfs_period ~tstart
+          ~frequencies:s.Protemp.Model.frequencies
+      in
+      (* Rows hold to the conic's feasibility tolerance (1e-7, in
+         units of tmax), so a binding cell may overshoot by a few 1e-5
+         C: the unfiltered solve at 85 C peaks at 100.0000244 C, the
+         filtered one at 100.0000264 C. *)
+      let tmax = fast_spec.Protemp.Spec.tmax in
+      check_bool
+        (Printf.sprintf "window peak %.7f C within tmax" peak)
+        true (peak <= tmax +. (1e-6 *. tmax)))
+    [
+      (* A slack cell, then cells just inside the frontier, where the
+         thermal rows bind. *)
+      (machine, 40.0, 5e8);
+      (machine, 85.0, 8.6e8);
+      (machine, 95.0, 8.2e8);
+      (biglittle, 45.0, 6e8);
+      (biglittle, 70.0, 7.3e8);
+      (biglittle, 90.0, 7.1e8);
+    ]
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_never_exceeds_tmax;
       prop_table_lookup_semantics;
       prop_table_csv_roundtrip_exact;
+      prop_filter_keeps_feasible_set;
     ]
 
 let () =
@@ -925,6 +1031,11 @@ let () =
             test_online_zero_fault_bit_identical;
           Alcotest.test_case "margin validation" `Quick
             test_online_margin_validation;
+        ] );
+      ( "row filter",
+        [
+          Alcotest.test_case "pinned counts" `Quick test_filter_pinned_counts;
+          Alcotest.test_case "same optimum" `Slow test_filter_same_optimum;
         ] );
       ( "guarantee",
         [
