@@ -16,7 +16,7 @@ type t = {
   bt_sizes : int array;
   bt_off : int array;  (* length K+1; bt_off.(K) = n *)
   bt_blk : int array;  (* length n; block index of each row *)
-  bt_l : Mat.t;
+  bt_l : float array;  (* the factor, row-major n x n *)
 }
 
 let preallocate sizes =
@@ -40,41 +40,60 @@ let preallocate sizes =
     done
   done;
   { bt_sizes = Array.copy sizes; bt_off = off; bt_blk = blk;
-    bt_l = Mat.zeros n n }
+    bt_l = Array.make (n * n) 0.0 }
 
 let dim t = Array.length t.bt_blk
 
 let sizes t = Array.copy t.bt_sizes
 
-(* Only already-written entries of the factor are read, so a
+let factor t =
+  let n = dim t in
+  Mat.init n n (fun i j -> t.bt_l.((i * n) + j))
+
+let check_input name t a =
+  if Mat.rows a <> dim t || Mat.cols a <> dim t then
+    invalid_arg ("Block_tridiag." ^ name ^ ": dimension mismatch")
+
+(* The dimensions are checked once by the callers, so every read and
+   write below is in range: indices stay in [0, n) and [blk]/[off]
+   have the lengths [preallocate] gave them.
+
+   Only already-written entries of the factor are read, so a
    half-finished factor from a failed attempt never leaks into the
    next one (same contract as Chol.factorize_attempt_into). *)
-let factorize_attempt_into t ~jitter a =
+let attempt t ~jitter a =
   let n = Array.length t.bt_blk in
   let l = t.bt_l and off = t.bt_off and blk = t.bt_blk in
+  let a = Mat.data a in
   for i = 0 to n - 1 do
-    let bi = blk.(i) in
-    let lo = if bi = 0 then 0 else off.(bi - 1) in
+    let bi = Array.unsafe_get blk i in
+    let lo = if bi = 0 then 0 else Array.unsafe_get off (bi - 1) in
+    let ri = i * n in
     for j = lo to i do
-      let acc = ref (Mat.get a i j +. if i = j then jitter else 0.0) in
+      let rj = j * n in
+      let acc =
+        ref (Array.unsafe_get a (ri + j) +. if i = j then jitter else 0.0)
+      in
       for k = lo to j - 1 do
-        acc := !acc -. (Mat.get l i k *. Mat.get l j k)
+        acc :=
+          !acc -. (Array.unsafe_get l (ri + k) *. Array.unsafe_get l (rj + k))
       done;
       if i = j then begin
         (* lint: alloc-free the exception payload allocates only on the abandoned attempt *)
         if !acc <= 0.0 then raise (Chol.Not_positive_definite i);
-        Mat.set l i i (sqrt !acc)
+        Array.unsafe_set l (ri + i) (sqrt !acc)
       end
-      else Mat.set l i j (!acc /. Mat.get l j j)
+      else Array.unsafe_set l (ri + j) (!acc /. Array.unsafe_get l (rj + j))
     done
   done
 
+let factorize_attempt_into t ~jitter a =
+  check_input "factorize_attempt_into" t a;
+  attempt t ~jitter a
+
 let factorize_jittered_into ?initial ?(growth = 10.0) ?(max_tries = 20) t a =
-  if not (Mat.is_square a) then
-    invalid_arg "Block_tridiag.factorize_jittered_into: not square";
-  if Mat.rows a <> dim t then
-    invalid_arg "Block_tridiag.factorize_jittered_into: dimension mismatch";
-  match factorize_attempt_into t ~jitter:0.0 a with
+  check_input "factorize_jittered_into" t a;
+  match attempt t ~jitter:0.0 a with
   | () -> (0.0, 1)
   | exception Chol.Not_positive_definite _ ->
       let n = dim t in
@@ -88,15 +107,15 @@ let factorize_jittered_into ?initial ?(growth = 10.0) ?(max_tries = 20) t a =
       let initial =
         match initial with Some x -> x | None -> 1e-10 *. diag_scale
       in
-      let rec attempt jitter tries =
+      let rec retry jitter tries =
         if tries > max_tries then raise (Chol.Not_positive_definite (-1))
         else
-          match factorize_attempt_into t ~jitter a with
+          match attempt t ~jitter a with
           | () -> (jitter, tries + 1)
           | exception Chol.Not_positive_definite _ ->
-              attempt (jitter *. growth) (tries + 1)
+              retry (jitter *. growth) (tries + 1)
       in
-      attempt initial 1
+      retry initial 1
 
 let solve_factorized_into t b ~dst =
   let n = Array.length t.bt_blk in
@@ -110,22 +129,28 @@ let solve_factorized_into t b ~dst =
   (* L y = b, in place: dst.(i) only reads already-overwritten slots,
      and only in-band columns of row i. *)
   for i = 0 to n - 1 do
-    let bi = blk.(i) in
-    let lo = if bi = 0 then 0 else off.(bi - 1) in
-    let acc = ref dst.(i) in
+    let bi = Array.unsafe_get blk i in
+    let lo = if bi = 0 then 0 else Array.unsafe_get off (bi - 1) in
+    let ri = i * n in
+    let acc = ref (Array.unsafe_get dst i) in
     for j = lo to i - 1 do
-      acc := !acc -. (Mat.get l i j *. dst.(j))
+      acc := !acc -. (Array.unsafe_get l (ri + j) *. Array.unsafe_get dst j)
     done;
-    dst.(i) <- !acc /. Mat.get l i i
+    Array.unsafe_set dst i (!acc /. Array.unsafe_get l (ri + i))
   done;
   (* L^T x = y, in place, descending; row i only meets rows up to the
      end of block bi + 1. *)
   for i = n - 1 downto 0 do
-    let bi = blk.(i) in
-    let hi = (if bi + 1 >= nblocks then off.(nblocks) else off.(bi + 2)) - 1 in
-    let acc = ref dst.(i) in
+    let bi = Array.unsafe_get blk i in
+    let hi =
+      (if bi + 1 >= nblocks then Array.unsafe_get off nblocks
+       else Array.unsafe_get off (bi + 2))
+      - 1
+    in
+    let acc = ref (Array.unsafe_get dst i) in
     for j = i + 1 to hi do
-      acc := !acc -. (Mat.get l j i *. dst.(j))
+      acc :=
+        !acc -. (Array.unsafe_get l ((j * n) + i) *. Array.unsafe_get dst j)
     done;
-    dst.(i) <- !acc /. Mat.get l i i
+    Array.unsafe_set dst i (!acc /. Array.unsafe_get l ((i * n) + i))
   done

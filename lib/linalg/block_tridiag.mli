@@ -20,7 +20,9 @@
     buffer with any garbage outside the band.  Jitter and retry
     semantics mirror {!Chol} (including {!Chol.Not_positive_definite}
     on failure), and the factor is preallocated for the solver's
-    allocation-free hot path. *)
+    allocation-free hot path: it is a flat row-major array, the
+    dimensions are checked once per call and the inner loops run
+    without bounds checks. *)
 
 type t
 (** A preallocated block-tridiagonal factor workspace. *)
@@ -37,9 +39,14 @@ val dim : t -> int
 val sizes : t -> int array
 (** The block partition (a copy). *)
 
+val factor : t -> Mat.t
+(** A copy of the factor [L]: its in-band lower entries, zero
+    elsewhere.  Meaningful after a successful factorization. *)
+
 val factorize_attempt_into : t -> jitter:float -> Mat.t -> unit
 (** One factorization attempt of [a + jitter*I] into the preallocated
     factor, reading only in-band entries of [a]'s lower triangle.
+    [a] must be {!dim} x {!dim} ([Invalid_argument] otherwise).
     Raises {!Chol.Not_positive_definite} on a failed pivot, leaving
     the factor's contents unspecified.  Allocation-free. *)
 

@@ -50,6 +50,8 @@ let set m i j x =
   check_bounds "set" m i j;
   m.data.((i * m.cols) + j) <- x
 
+let data m = m.data
+
 let row m i =
   if i < 0 || i >= m.rows then invalid_arg "Mat.row: out of range";
   Array.sub m.data (i * m.cols) m.cols

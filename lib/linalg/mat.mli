@@ -32,6 +32,13 @@ val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
+
+val data : t -> float array
+(** The row-major storage itself, entry [(i, j)] at [i * cols + j]:
+    shared, not copied, so writes to it write the matrix.  For kernels
+    that check the dimensions once and then index it directly, without
+    a boxed call per entry. *)
+
 val row : t -> int -> Vec.t
 val col : t -> int -> Vec.t
 val diag : t -> Vec.t

@@ -564,6 +564,150 @@ let test_block_tridiag_singular_leading_block () =
   check_bool "solves the jittered system" true
     (Vec.approx_equal ~tol:1e-8 x (Lu.solve shifted b))
 
+(* The kernel before the factor became a flat array: the same
+   recurrences, in the same arithmetic order, through bounds-checked
+   [Mat.get]/[Mat.set].  Kept as the bit-identity oracle. *)
+module Mat_kernel = struct
+  type t = { off : int array; blk : int array; l : Mat.t }
+
+  let preallocate sizes =
+    let k = Array.length sizes in
+    let off = Array.make (k + 1) 0 in
+    for b = 0 to k - 1 do
+      off.(b + 1) <- off.(b) + sizes.(b)
+    done;
+    { off; blk = block_of_index sizes; l = Mat.zeros off.(k) off.(k) }
+
+  let attempt t ~jitter a =
+    let n = Array.length t.blk in
+    let l = t.l and off = t.off and blk = t.blk in
+    for i = 0 to n - 1 do
+      let bi = blk.(i) in
+      let lo = if bi = 0 then 0 else off.(bi - 1) in
+      for j = lo to i do
+        let acc = ref (Mat.get a i j +. if i = j then jitter else 0.0) in
+        for k = lo to j - 1 do
+          acc := !acc -. (Mat.get l i k *. Mat.get l j k)
+        done;
+        if i = j then begin
+          if !acc <= 0.0 then raise (Chol.Not_positive_definite i);
+          Mat.set l i i (sqrt !acc)
+        end
+        else Mat.set l i j (!acc /. Mat.get l j j)
+      done
+    done
+
+  let factorize_jittered t a =
+    match attempt t ~jitter:0.0 a with
+    | () -> (0.0, 1)
+    | exception Chol.Not_positive_definite _ ->
+        let diag_scale =
+          let acc = ref 1.0 in
+          for i = 0 to Mat.rows a - 1 do
+            acc := Float.max !acc (Float.abs (Mat.get a i i))
+          done;
+          !acc
+        in
+        let rec retry jitter tries =
+          if tries > 20 then raise (Chol.Not_positive_definite (-1))
+          else
+            match attempt t ~jitter a with
+            | () -> (jitter, tries + 1)
+            | exception Chol.Not_positive_definite _ ->
+                retry (jitter *. 10.0) (tries + 1)
+        in
+        retry (1e-10 *. diag_scale) 1
+
+  let solve t b ~dst =
+    let n = Array.length t.blk in
+    let l = t.l and off = t.off and blk = t.blk in
+    let nblocks = Array.length off - 1 in
+    Vec.blit ~src:b ~dst;
+    for i = 0 to n - 1 do
+      let bi = blk.(i) in
+      let lo = if bi = 0 then 0 else off.(bi - 1) in
+      let acc = ref dst.(i) in
+      for j = lo to i - 1 do
+        acc := !acc -. (Mat.get l i j *. dst.(j))
+      done;
+      dst.(i) <- !acc /. Mat.get l i i
+    done;
+    for i = n - 1 downto 0 do
+      let bi = blk.(i) in
+      let hi = (if bi + 1 >= nblocks then off.(nblocks) else off.(bi + 2)) - 1 in
+      let acc = ref dst.(i) in
+      for j = i + 1 to hi do
+        acc := !acc -. (Mat.get l j i *. dst.(j))
+      done;
+      dst.(i) <- !acc /. Mat.get l i i
+    done
+end
+
+let same_bits name a b =
+  check_bool name true
+    (Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b)
+
+let test_block_tridiag_bit_identical () =
+  let st = mk_rand 71 in
+  List.iteri
+    (fun case (sizes, singular_lead) ->
+      let a = random_block_banded st sizes in
+      if singular_lead then
+        for i = 0 to sizes.(0) - 1 do
+          for j = 0 to sizes.(0) - 1 do
+            Mat.set a i j 0.0
+          done
+        done;
+      let n = Mat.rows a in
+      let flat = Block_tridiag.preallocate sizes in
+      let old = Mat_kernel.preallocate sizes in
+      let jitter, tries = Block_tridiag.factorize_jittered_into flat a in
+      let jitter', tries' = Mat_kernel.factorize_jittered old a in
+      let name what = Printf.sprintf "case %d: %s" case what in
+      check_int (name "attempts") tries' tries;
+      same_bits (name "jitter") [| jitter' |] [| jitter |];
+      if singular_lead then check_bool (name "retried") true (tries > 1);
+      same_bits (name "factor")
+        (Array.concat (Array.to_list (Mat.to_rows old.Mat_kernel.l)))
+        (Array.concat (Array.to_list (Mat.to_rows (Block_tridiag.factor flat))));
+      let b = random_vec st n in
+      let x = Vec.zeros n and x' = Vec.zeros n in
+      Block_tridiag.solve_factorized_into flat b ~dst:x;
+      Mat_kernel.solve old b ~dst:x';
+      same_bits (name "solve") x' x)
+    [
+      ([| 3; 4; 2; 3 |], false);
+      ([| 8; 8 |], false);
+      ([| 8; 8; 2 |], false);
+      (Array.make 7 1, false);
+      ([| 5 |], false);
+      ([| 3; 4; 2 |], true);
+    ]
+
+let test_block_tridiag_allocation_free () =
+  let st = mk_rand 73 in
+  let sizes = [| 8; 8; 2 |] in
+  let a = random_block_banded st sizes in
+  let n = Mat.rows a in
+  let fac = Block_tridiag.preallocate sizes in
+  let b = random_vec st n and x = Vec.zeros n in
+  ignore (Block_tridiag.factorize_jittered_into fac a);
+  Block_tridiag.solve_factorized_into fac b ~dst:x;
+  let pairs = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to pairs do
+    ignore (Block_tridiag.factorize_jittered_into fac a);
+    Block_tridiag.solve_factorized_into fac b ~dst:x
+  done;
+  (* The second [Gc.minor_words] boxes its result: 2 words in total. *)
+  let words = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "%.0f minor words for %d factorize + solve pairs" words
+       pairs)
+    true (words <= 2.0)
+
 let test_block_tridiag_rejects_bad_partition () =
   check_bool "zero block size" true
     (try
@@ -773,6 +917,10 @@ let () =
             test_block_tridiag_singular_leading_block;
           Alcotest.test_case "rejects bad partition" `Quick
             test_block_tridiag_rejects_bad_partition;
+          Alcotest.test_case "bit-identical to the Mat kernel" `Quick
+            test_block_tridiag_bit_identical;
+          Alcotest.test_case "factorize and solve allocate nothing" `Quick
+            test_block_tridiag_allocation_free;
         ] );
       ( "sparse",
         [
