@@ -15,7 +15,9 @@
 # on a small rack: zero violations under the shared guard-banded
 # store, bit-identical aggregates across domain counts, and
 # coolest-headroom strictly beating round-robin on the hot-aisle
-# scenario.  The table_store suite also pins the serving
+# scenario.  The paper-claim harness (bench/main.exe, fast mode)
+# exits non-zero if any of its 18 figure-shape and Sec. 5.1 claims
+# fails.  The table_store suite also pins the serving
 # format against test/table_store_header.golden: a format/version
 # change must update that committed header consciously or ci fails.
 # `dune runtest` additionally self-lints the
@@ -38,14 +40,14 @@ test:
 # stable id is in lint.baseline are reported but don't fail.  Exits
 # non-zero on any unsuppressed, unbaselined finding.
 lint:
-	dune build @lib/check @bin/check
+	dune build @lib/check @bin/check @benchmark/check
 	dune exec bin/protemp_cli.exe -- lint --manifest lint.manifest \
 	  --units units.manifest --baseline lint.baseline
 
 # Regenerate the baseline: acknowledge every current finding by id.
 # Review the diff — a grown baseline is a consciously accepted debt.
 lint-baseline:
-	dune build @lib/check @bin/check
+	dune build @lib/check @bin/check @benchmark/check
 	dune exec bin/protemp_cli.exe -- lint --manifest lint.manifest \
 	  --units units.manifest --baseline lint.baseline --update-baseline
 

@@ -2,12 +2,13 @@
    evaluation (Figs. 1-2 and 6-11 — the paper has no numbered tables)
    plus the in-text Sec. 5.1 timing claim, and the ablations listed in
    DESIGN.md Sec. 7.  Each experiment prints the same rows/series the
-   paper plots; a Bechamel micro-benchmark of each experiment's
-   computational kernel runs at the end.
+   paper plots, and each claim prints a PASS or FAIL line; the process
+   exits 1 if any claim fails, so `dune runtest` (which runs the fast
+   mode) gates the reproduction.
 
-   Run with:  dune exec bench/main.exe          (full, ~5-10 minutes)
+   Run with:  dune exec bench/main.exe          (full size)
               PROTEMP_BENCH_FAST=1 dune exec bench/main.exe   (smaller
-              traces and grids, ~2 minutes; shapes unchanged) *)
+              traces and grids, a few seconds; shapes unchanged) *)
 
 open Linalg
 
@@ -18,7 +19,12 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "=================================================================\n%!"
 
+let claims = ref 0
+let failed = ref 0
+
 let claim name ok =
+  incr claims;
+  if not ok then incr failed;
   Printf.printf "  [%s] %s\n%!" (if ok then "PASS" else "FAIL") name
 
 (* ------------------------------------------------------------------ *)
@@ -618,84 +624,6 @@ let abl_barrier_mu () =
     \   mu = 2 is the library default for this reason)\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel kernels: the computational core of each experiment. *)
-
-let kernel_tests () =
-  let open Bechamel in
-  let small_trace =
-    Workload.Trace.generate ~seed:7L ~n_tasks:1000 Workload.Mix.web
-  in
-  let thermal = machine.Sim.Machine.thermal in
-  let t_amb = Vec.create machine.Sim.Machine.n_nodes 27.0 in
-  let full_power =
-    Sim.Machine.power_vector machine
-      ~frequencies:(Vec.create 8 fmax)
-      ~busy:(Array.make 8 true)
-  in
-  let fast_spec = { spec with Protemp.Spec.constraint_stride = 8 } in
-  let tbl = Lazy.force table in
-  [
-    Test.make ~name:"fig1/2: one DFS window of thermal stepping"
-      (Staged.stage (fun () ->
-           let t = ref t_amb in
-           for _ = 1 to 250 do
-             t := Thermal.Rc_model.step_temperature thermal !t full_power
-           done;
-           !t));
-    Test.make ~name:"fig6/7: full-system simulation (1k tasks)"
-      (Staged.stage (fun () ->
-           run_sim (Protemp.Basic_dfs.create ~fmax ()) small_trace));
-    Test.make ~name:"fig8/11: pro-temp controlled simulation (1k tasks)"
-      (Staged.stage (fun () ->
-           run_sim (Protemp.Controller.create ~table:tbl) small_trace));
-    Test.make ~name:"fig9/10: frontier solve (uniform, stride 8)"
-      (Staged.stage (fun () ->
-           Protemp.Model.solve_frontier
-             (Protemp.Model.build_frontier ~machine
-                ~spec:
-                  { fast_spec with Protemp.Spec.variant = Protemp.Spec.Uniform }
-                ~tstart:57.0)));
-    Test.make ~name:"s5.1: one Eq.3 solve (stride 8)"
-      (Staged.stage (fun () ->
-           Protemp.Model.solve
-             (Protemp.Model.build ~machine ~spec:fast_spec ~tstart:55.0
-                ~ftarget:6e8)));
-    Test.make ~name:"phase2: table lookup"
-      (Staged.stage (fun () ->
-           Protemp.Table.lookup tbl ~temperature:83.0 ~required:6.3e8));
-    Test.make ~name:"substrate: trace generation (10k tasks)"
-      (Staged.stage (fun () ->
-           Workload.Trace.generate ~seed:3L ~n_tasks:10_000
-             Workload.Mix.paper_mix));
-    Test.make ~name:"substrate: exact expm propagator build"
-      (Staged.stage (fun () ->
-           Thermal.Transient.exact_propagator (Thermal.Niagara.model ())
-             ~dt:0.1));
-  ]
-
-let run_kernels () =
-  section "Bechamel micro-benchmarks (per-experiment kernels)";
-  let open Bechamel in
-  let cfg =
-    Benchmark.cfg ~limit:20 ~quota:(Time.second 1.5) ~stabilize:false
-      ~kde:None ()
-  in
-  let grouped = Test.make_grouped ~name:"protemp" (kernel_tests ()) in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
-  List.iter
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some (t :: _) -> Printf.printf "  %-55s %12.3f ms/run\n" name (t /. 1e6)
-      | Some [] | None -> Printf.printf "  %-55s (no estimate)\n" name)
-    (List.sort compare rows);
-  Printf.printf "%!"
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Printf.printf "Pro-Temp experiment harness%s\n"
@@ -723,5 +651,5 @@ let () =
   abl_sparse_scaling ();
   abl_online_vs_table ();
   abl_barrier_mu ();
-  run_kernels ();
-  Printf.printf "\nDone.\n"
+  Printf.printf "\n%d of %d paper claims pass.\n" (!claims - !failed) !claims;
+  if !failed > 0 then exit 1

@@ -839,7 +839,9 @@ let lint_cmd =
     Arg.(
       value & opt dir "."
       & info [ "root" ] ~docv:"DIR"
-          ~doc:"Repository root; lib/, bin/ and bench/ under it are linted.")
+          ~doc:
+            "Repository root; lib/, bin/, bench/ and benchmark/ under it \
+             are linted.")
   in
   let run json manifest units baseline update_baseline no_typed root =
     let default_path name = function

@@ -158,7 +158,7 @@ let manifest_unknown_files manifest ~seen =
         ])
     manifest.Manifest.entries
 
-let default_dirs = [ "lib"; "bin"; "bench" ]
+let default_dirs = [ "lib"; "bin"; "bench"; "benchmark" ]
 
 (* cmt source keys may be repo-relative (dune's layout) or longer
    paths; accept an exact match or a unique "/"-suffix match. *)

@@ -34,7 +34,7 @@ val manifest_unknown_files :
   Manifest.t -> seen:string list -> Finding.t list
 
 (** The directories {!run_repo} walks by default:
-    [lib], [bin], [bench]. *)
+    [lib], [bin], [bench], [benchmark]. *)
 val default_dirs : string list
 
 type result = {

@@ -60,7 +60,7 @@ let make_layout (spec : Spec.t) ~n_cores =
    that a demand of exactly fmax keeps a strict interior for the
    barrier; extraction clamps back to fmax, which only lowers power,
    so the thermal guarantee (computed at the relaxed powers) still
-   holds.  [p_box] also bounds the thermal-row filter below. *)
+   holds.  The thermal-row filter below reads [p_box] too. *)
 let f_box = 1.002
 let p_box = 1.005
 
@@ -167,7 +167,6 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
       (Quad.add
          (Quad.square_of_affine (Quad.linear_part f_var) 0.0)
          (Quad.scale (-1.0) p_var));
-    (* 0 <= f <= f_box and 0 <= p <= p_box *)
     add_pre (Quad.scale (-1.0) f_var);
     add_pre (Quad.add_constant f_var (-.f_box));
     add_pre (Quad.scale (-1.0) p_var);
