@@ -122,7 +122,8 @@ let rows (built : Protemp.Model.built) =
 
 (* The unfiltered instance: [Model.build]'s, with every thermal row
    restored.  The floor row is the filtered build's own (it sits right
-   after the power-law and box rows in both). *)
+   after the power-law and box rows in both); the frontier fields,
+   which only the barrier fallback reads, stay the filtered build's. *)
 let build ~machine ~spec ~tstart ~ftarget =
   let built = Protemp.Model.build ~machine ~spec ~tstart ~ftarget in
   let pre, post = rows built in
@@ -142,12 +143,3 @@ let build ~machine ~spec ~tstart ~ftarget =
            ~constraints:problem.Barrier.constraints);
     conic = lazy (Conic.of_barrier problem);
   }
-
-(* Thermal rows of the unfiltered builder: every node at every
-   constrained step. *)
-let thermal_rows (built : Protemp.Model.built) =
-  let ks =
-    stride_steps ~steps:built.Protemp.Model.steps
-      ~stride:built.Protemp.Model.spec.Protemp.Spec.constraint_stride
-  in
-  List.length (List.sort_uniq compare ks) * built.Protemp.Model.machine.Sim.Machine.n_nodes

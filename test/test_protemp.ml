@@ -888,7 +888,10 @@ let test_filter_pinned_counts () =
       let built =
         Protemp.Model.build ~machine:m ~spec:fast_spec ~tstart ~ftarget:5e8
       in
-      check_int "reference rows" 1071 (Model_reference.thermal_rows built);
+      check_int "reference rows" 1071
+        (emitted_thermal_rows
+           (Model_reference.build ~machine:m ~spec:fast_spec ~tstart
+              ~ftarget:5e8));
       check_int
         (Printf.sprintf "rows kept at %.0f C" tstart)
         kept (emitted_thermal_rows built))
