@@ -1035,7 +1035,7 @@ let () =
           Alcotest.test_case "margin validation" `Quick
             test_online_margin_validation;
         ] );
-      ( "row filter",
+      ( "row_filter",
         [
           Alcotest.test_case "pinned counts" `Quick test_filter_pinned_counts;
           Alcotest.test_case "same optimum" `Slow test_filter_same_optimum;
