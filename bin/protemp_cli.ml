@@ -36,6 +36,18 @@ let spec_of ~uniform ~gradient ~stride =
 
 (* ----- shared options ----- *)
 
+(* Float flags that feed the model fail closed: NaN and infinities are
+   a usage error (exit 124) at parse time, never a spec whose every
+   comparison is false and whose table is silently all-infeasible. *)
+let finite =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Float.is_finite x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a finite number" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"FLOAT" (parse, Arg.conv_printer Arg.float)
+
 let platform =
   Arg.(
     value
@@ -52,7 +64,7 @@ let uniform =
 let gradient =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some finite) None
     & info [ "gradient" ] ~docv:"WEIGHT"
         ~doc:"Enable the Eq. 4-5 gradient term with this weight.")
 
@@ -65,7 +77,7 @@ let stride =
 let tstart =
   Arg.(
     required
-    & opt (some float) None
+    & opt (some finite) None
     & info [ "tstart" ] ~docv:"CELSIUS" ~doc:"Starting temperature.")
 
 let solver =
@@ -88,7 +100,7 @@ let solve_cmd =
   let ftarget =
     Arg.(
       required
-      & opt (some float) None
+      & opt (some finite) None
       & info [ "ftarget" ] ~docv:"MHZ" ~doc:"Required average frequency.")
   in
   let run platform uniform gradient stride tstart ftarget =
@@ -149,13 +161,13 @@ let table_cmd =
   let tstarts =
     Arg.(
       value
-      & opt (list float) (Array.to_list Protemp.Offline.default_tstarts)
+      & opt (list finite) (Array.to_list Protemp.Offline.default_tstarts)
       & info [ "tstarts" ] ~docv:"T1,T2,..." ~doc:"Row temperatures.")
   in
   let ftargets =
     Arg.(
       value
-      & opt (list float)
+      & opt (list finite)
           (List.map hz_to_mhz
              (Array.to_list Protemp.Offline.default_ftargets))
       & info [ "ftargets" ] ~docv:"MHZ1,MHZ2,..." ~doc:"Column targets (MHz).")
@@ -171,7 +183,7 @@ let table_cmd =
   in
   let margin =
     Arg.(
-      value & opt float 0.0
+      value & opt finite 0.0
       & info [ "margin" ] ~docv:"C"
           ~doc:
             "Guard band in degrees C: certify every cell against tmax - \
@@ -181,34 +193,38 @@ let table_cmd =
   let run platform uniform gradient stride tstarts ftargets domains margin
       solver out =
     let spec = spec_of ~uniform ~gradient ~stride in
-    let spec =
-      (* Bit-exact: 0.0 is the flag default meaning "no margin". *)
-      if Float.equal margin 0.0 then spec
-      else if margin < 0.0 || margin >= spec.Protemp.Spec.tmax then
-        failwith "margin must be in [0, tmax)"
-      else
-        { spec with Protemp.Spec.tmax = spec.Protemp.Spec.tmax -. margin }
-    in
-    let table =
-      Protemp.Offline.sweep ~solver ~machine:(machine_of platform) ~spec
-        ?domains
-        ~tstarts:(Array.of_list tstarts)
-        ~ftargets:(Array.of_list (List.map mhz_to_hz ftargets))
-        ~on_progress:(fun p ->
-          Printf.eprintf "(%.0f C, %.0f MHz): %s\n%!" p.Protemp.Offline.tstart
-            (hz_to_mhz p.Protemp.Offline.ftarget)
-            (match p.Protemp.Offline.outcome with
-            | `Feasible -> "ok"
-            | `Infeasible -> "infeasible"
-            | `Pruned -> "pruned"))
-        ()
-    in
-    let oc = open_out out in
-    output_string oc (Protemp.Table.to_csv table);
-    close_out oc;
-    Format.printf "%a@." Protemp.Table.pp table;
-    Printf.printf "written to %s\n" out;
-    0
+    let tmax = spec.Protemp.Spec.tmax in
+    if not (margin >= 0.0 && margin < tmax) then begin
+      Printf.eprintf "protemp table: --margin must be in [0, %g)\n" tmax;
+      Cmd.Exit.cli_error
+    end
+    else begin
+      let spec =
+        (* Bit-exact: 0.0 is the flag default meaning "no margin". *)
+        if Float.equal margin 0.0 then spec
+        else { spec with Protemp.Spec.tmax = tmax -. margin }
+      in
+      let table =
+        Protemp.Offline.sweep ~solver ~machine:(machine_of platform) ~spec
+          ?domains
+          ~tstarts:(Array.of_list tstarts)
+          ~ftargets:(Array.of_list (List.map mhz_to_hz ftargets))
+          ~on_progress:(fun p ->
+            Printf.eprintf "(%.0f C, %.0f MHz): %s\n%!" p.Protemp.Offline.tstart
+              (hz_to_mhz p.Protemp.Offline.ftarget)
+              (match p.Protemp.Offline.outcome with
+              | `Feasible -> "ok"
+              | `Infeasible -> "infeasible"
+              | `Pruned -> "pruned"))
+          ()
+      in
+      let oc = open_out out in
+      output_string oc (Protemp.Table.to_csv table);
+      close_out oc;
+      Format.printf "%a@." Protemp.Table.pp table;
+      Printf.printf "written to %s\n" out;
+      0
+    end
   in
   Cmd.v
     (Cmd.info "table" ~doc:"Run the Phase-1 sweep and store the table.")
@@ -309,7 +325,7 @@ let simulate_cmd =
   in
   let margin =
     Arg.(
-      value & opt float 0.0
+      value & opt finite 0.0
       & info [ "margin" ] ~docv:"C"
           ~doc:
             "Guard band in degrees C (online only): solve against tmax - \
@@ -318,7 +334,7 @@ let simulate_cmd =
   let sensor_noise =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite) None
       & info [ "sensor-noise" ] ~docv:"MAG"
           ~doc:
             "Inject uniform [-MAG, +MAG] degrees C sensor noise on every \
@@ -341,7 +357,7 @@ let simulate_cmd =
   let stuck_at =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite) None
       & info [ "stuck-at" ] ~docv:"TEMP"
           ~doc:
             "Reading reported by the stuck sensor; omitted, it freezes at \
@@ -511,7 +527,7 @@ let campaign_cmd =
   let noise_axis =
     Arg.(
       value
-      & opt (list float) []
+      & opt (list finite) []
       & info [ "sensor-noise" ] ~docv:"MAG1,MAG2,..."
           ~doc:
             "Add fault-axis coordinates with uniform sensor noise of these \
@@ -677,7 +693,7 @@ let fleet_cmd =
   in
   let guard =
     Arg.(
-      value & opt float 0.0
+      value & opt finite 0.0
       & info [ "guard" ] ~docv:"C"
           ~doc:
             "Guard band in degrees C: chips within this headroom of tmax are \
@@ -685,7 +701,7 @@ let fleet_cmd =
   in
   let penalty =
     Arg.(
-      value & opt float 50.0
+      value & opt finite 50.0
       & info [ "penalty" ] ~docv:"C_PER_S"
           ~doc:
             "Shadow warming per second of routed work, so one window's tasks \
@@ -693,7 +709,7 @@ let fleet_cmd =
   in
   let window =
     Arg.(
-      value & opt float 0.1
+      value & opt finite 0.1
       & info [ "window" ] ~docv:"SECONDS" ~doc:"Routing window length.")
   in
   let migrate =

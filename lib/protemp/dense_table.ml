@@ -34,8 +34,9 @@ let strictly_increasing (a : float array) =
 
 let create ?solver ?options ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets
     () =
-  if margin < 0.0 then invalid_arg "Dense_table.create: negative margin";
-  if margin >= spec.Spec.tmax then
+  if not (Float.is_finite margin && margin >= 0.0) then
+    invalid_arg "Dense_table.create: margin must be finite and non-negative";
+  if not (margin < spec.Spec.tmax) then
     invalid_arg "Dense_table.create: margin leaves no thermal envelope";
   if Array.length tstarts = 0 || Array.length ftargets = 0 then
     invalid_arg "Dense_table.create: empty axis";

@@ -32,9 +32,9 @@ val create :
 (** An empty memoized grid.  [margin] (default [0.0]) tightens the
     spec's [tmax] once, so solved cells and the interpolation repair
     pass certify against the same guard-banded envelope; raises
-    [Invalid_argument] when negative, at least [tmax], or when an axis
-    is empty or not strictly increasing.  [solver] defaults to
-    {!Model.solve}'s default ([`Conic]).
+    [Invalid_argument] when negative, not finite (NaN included), at
+    least [tmax], or when an axis is empty or not strictly increasing.
+    [solver] defaults to {!Model.solve}'s default ([`Conic]).
 
     A [t] memoizes in place and is {e not} safe for concurrent
     mutation from several domains — {!fill} parallelizes internally

@@ -52,8 +52,38 @@ let make_layout (spec : Spec.t) ~n_cores =
 
 (* Affine coefficient of normalized core power j on the temperature of
    node [node] at step [k] is  S_k[node, core_j] * b[core_j] * pmax,
-   where S_k = sum_{l<k} A^l.  We accumulate S_k step by step and emit
-   constraints at the stride points. *)
+   where S_k = sum_{l<k} A^l.  Only the core columns of S_k are ever
+   read, so we carry those alone — X_k, the core columns of A^k, with
+   X_0 the unit columns at [core_nodes] — accumulate S_k step by step
+   and emit constraints at the stride points. *)
+
+(* One step of that recurrence: [s += x], then [y = A x], with [x],
+   [y] and [s] holding [nc] columns row-major ([n] rows of [nc]) and
+   [a] the row-major [n x n] step matrix.  Each entry of [y] sums its
+   products over the inner index in ascending order from 0.0, skipping
+   exact zeros of [a] — [Mat.matmul]'s order — so [s] and [y] are
+   bit-identical to the core columns of [S_k] and [A^k] computed with
+   full matrix products. *)
+let step_core_columns ~a ~n ~nc ~x ~y ~s =
+  for idx = 0 to (n * nc) - 1 do
+    s.(idx) <- s.(idx) +. x.(idx)
+  done;
+  for i = 0 to n - 1 do
+    let row = i * nc in
+    for j = 0 to nc - 1 do
+      y.(row + j) <- 0.0
+    done;
+    for k = 0 to n - 1 do
+      let aik = a.((i * n) + k) in
+      (* lint: float-equality exact-zero skip, Mat.matmul's order *)
+      if aik <> 0.0 then begin
+        let src = k * nc in
+        for j = 0 to nc - 1 do
+          y.(row + j) <- y.(row + j) +. (aik *. x.(src + j))
+        done
+      end
+    done
+  done
 
 (* Upper ends of the normalized boxes [0 <= fhat <= f_box] and
    [0 <= phat <= p_box].  They are relaxed a fraction of a percent so
@@ -87,7 +117,7 @@ let stride_steps ~steps ~stride =
 
 (* Everything in the models of Eqs. 3-5 except the throughput floor
    (and the choice of objective) depends only on [(machine, spec, t0)]
-   — the matrix-power products S_k, the base trajectory and every
+   — the core-column sums S_k, the base trajectory and every
    thermal, power-law, box and gradient row are shared by all
    [ftarget] columns of a table row.  [prepared] is that shared
    context, computed once; {!instantiate} then builds one [ftarget]
@@ -199,38 +229,45 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
     in
     traj.Thermal.Transient.temperatures
   in
-  (* Thermal constraints: accumulate S_k and A^k. *)
+  (* Thermal constraints: accumulate the core columns of S_k and A^k
+     in buffers allocated once; the step loop itself allocates only
+     the rows it emits. *)
   let post = ref [] in
   let add c = post := c :: !post in
   let ks = stride_steps ~steps ~stride:spec.Spec.constraint_stride in
   let ks = List.sort_uniq compare ks in
   let tmax = spec.Spec.tmax in
   let b = thermal.Thermal.Rc_model.injection in
+  let a = Mat.data thermal.Thermal.Rc_model.step in
   let grad_rows = ref [] in
-  let s_k = ref (Mat.zeros n_nodes n_nodes) in
-  let a_pow = ref (Mat.identity n_nodes) in
+  let s_k = Array.make (n_nodes * n_cores) 0.0 in
+  let x = ref (Array.make (n_nodes * n_cores) 0.0) in
+  let y = ref (Array.make (n_nodes * n_cores) 0.0) in
+  Array.iteri (fun j cn -> !x.((cn * n_cores) + j) <- 1.0) core_nodes;
   let next_ks = ref ks in
   for k = 1 to steps do
-    (* S_k = S_{k-1} + A^{k-1} *)
-    Mat.add_into ~dst:!s_k !a_pow;
-    a_pow := Mat.matmul thermal.Thermal.Rc_model.step !a_pow;
+    (* S_k = S_{k-1} + A^{k-1}, then A^k = A A^{k-1}. *)
+    step_core_columns ~a ~n:n_nodes ~nc:n_cores ~x:!x ~y:!y ~s:s_k;
+    let prev = !x in
+    x := !y;
+    y := prev;
     match !next_ks with
     | k' :: rest when k' = k ->
         next_ks := rest;
         for node = 0 to n_nodes - 1 do
           (* Coefficients of normalized core powers on this node. *)
           let q = Vec.zeros dim in
+          let row = node * n_cores in
           (match spec.Spec.variant with
           | Spec.Variable ->
               Array.iteri
                 (fun j cn ->
-                  q.(layout.p_offset + j) <-
-                    Mat.get !s_k node cn *. b.(cn) *. pmax.(j))
+                  q.(layout.p_offset + j) <- s_k.(row + j) *. b.(cn) *. pmax.(j))
                 core_nodes
           | Spec.Uniform ->
               let acc = ref 0.0 in
-              Array.iter
-                (fun cn -> acc := !acc +. (Mat.get !s_k node cn *. b.(cn)))
+              Array.iteri
+                (fun j cn -> acc := !acc +. (s_k.(row + j) *. b.(cn)))
                 core_nodes;
               q.(layout.p_offset) <- !acc *. pmax.(0));
           let base = Mat.get base_traj k node in

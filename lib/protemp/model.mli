@@ -18,7 +18,16 @@
     temperature at step [k] is an {e affine} function of the power
     vector; the recurrence is eliminated up front, leaving one linear
     constraint per (step, node) pair, quadratic power-law constraints
-    and a linear objective — a convex QCQP solved by {!Convex.Solve}.
+    and a linear objective — a convex QCQP, solved by default with the
+    primal-dual conic method of {!Convex.Conic} ({!solve}).  The
+    coefficient of core [j]'s power on node [i] at step [k] is
+    [S_k[i, core_j] b_j] with [S_k = sum_{l<k} A^l]; only those
+    [n_cores] columns are ever read, so they are carried by a
+    recurrence on the core columns alone ([X_0] the unit columns at
+    the core nodes, [X_k = A X_{k-1}], [S_k += X_{k-1}]) in buffers
+    allocated once per {!prepare}, never as full [n x n] powers.  Its
+    sums run in [Mat.matmul]'s order, so every coefficient is
+    bit-identical to the matrix-power construction.
     The gradient term is encoded with two auxiliary variables
     [u >= t_{k,i}/tmax >= l] ranging over all steps and cores, so
     [u - l] bounds the spread across the whole window; this dominates
@@ -34,7 +43,7 @@
     and 504 at 100 C.
 
     Variables are normalized ([f/fmax], [p/pmax], [t/tmax]) so the
-    barrier solver operates on a well-conditioned unit box. *)
+    solvers operate on a well-conditioned unit box. *)
 
 open Linalg
 
@@ -86,11 +95,13 @@ val conic_blocks : layout -> int array
 
 type prepared
 (** The [(machine, spec, t0)]-dependent part of a model: the
-    matrix-power products, base trajectory and every constraint except
-    the throughput floor.  Building it costs as much as one {!build};
-    each further {!instantiate} at a new [ftarget] is then almost
-    free.  The offline sweep prepares once per table row and
-    instantiates once per column. *)
+    core-column sums [S_k], base trajectory and every constraint
+    except the throughput floor.  Building it costs one pass of the
+    core-column recurrence over the window plus the rows it emits —
+    nearly all of a {!build}, whose solver forms are lazy; each
+    further {!instantiate} at a new [ftarget] is then almost free.
+    The offline sweep prepares once per table row and instantiates
+    once per column. *)
 
 val prepare :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> prepared

@@ -33,8 +33,9 @@ type t = {
 let next_id = Atomic.make 0
 
 let create ?solver ?options ?fallback ?(margin = 0.0) ~machine ~spec () =
-  if margin < 0.0 then invalid_arg "Online.create: negative margin";
-  if margin >= spec.Spec.tmax then
+  if not (Float.is_finite margin && margin >= 0.0) then
+    invalid_arg "Online.create: margin must be finite and non-negative";
+  if not (margin < spec.Spec.tmax) then
     invalid_arg "Online.create: margin leaves no thermal envelope";
   let spec = { spec with Spec.tmax = spec.Spec.tmax -. margin } in
   let name =

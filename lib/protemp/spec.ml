@@ -22,15 +22,24 @@ let default =
 let with_gradient ?cap ?(weight = 1.0) spec =
   { spec with gradient = Some { weight; cap } }
 
+(* Every check is phrased so that it fails on NaN: a comparison with
+   NaN is false, so [not (x > 0.0)] rejects it where [x <= 0.0] would
+   let it through to an all-infeasible model. *)
+let positive x = Float.is_finite x && x > 0.0
+
 let validate spec =
-  if spec.tmax <= 0.0 then invalid_arg "Spec: non-positive tmax";
-  if spec.dfs_period <= 0.0 then invalid_arg "Spec: non-positive dfs_period";
+  if not (positive spec.tmax) then
+    invalid_arg "Spec: tmax must be finite and positive";
+  if not (positive spec.dfs_period) then
+    invalid_arg "Spec: dfs_period must be finite and positive";
   if spec.constraint_stride < 1 then
     invalid_arg "Spec: constraint_stride must be at least 1";
   match spec.gradient with
   | None -> ()
   | Some g ->
-      if g.weight < 0.0 then invalid_arg "Spec: negative gradient weight";
+      if not (Float.is_finite g.weight && g.weight >= 0.0) then
+        invalid_arg "Spec: gradient weight must be finite and non-negative";
       (match g.cap with
-      | Some c when c <= 0.0 -> invalid_arg "Spec: non-positive gradient cap"
+      | Some c when not (positive c) ->
+          invalid_arg "Spec: gradient cap must be finite and positive"
       | Some _ | None -> ())

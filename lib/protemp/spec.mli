@@ -37,4 +37,7 @@ val with_gradient : ?cap:float -> ?weight:float -> t -> t
 (** Enable the Eq. 4-5 gradient extension (default weight 1.0). *)
 
 val validate : t -> unit
-(** Raises [Invalid_argument] on nonsensical values. *)
+(** Raises [Invalid_argument] on nonsensical values: a [tmax],
+    [dfs_period] or gradient cap that is not finite and positive, a
+    gradient weight that is not finite and non-negative (NaN and
+    infinities included), or a stride below 1. *)

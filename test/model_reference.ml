@@ -1,10 +1,11 @@
-(* The Eq. 3 builder before the thermal-row filter, kept as the oracle
-   for the filter's tests (the same role [Policy_reference] plays for
-   the placement scans): it emits one thermal row for every node at
-   every constrained step, whether or not the power box already
-   implies it.  Everything else — layout, machine, window — is taken
-   from {!Protemp.Model.build}, and the constraint order is the
-   model's: power-law and box rows, the throughput floor, then the
+(* The Eq. 3 builder before the thermal-row filter and the core-column
+   recurrence, kept as the oracle for their tests (the same role
+   [Policy_reference] plays for the placement scans): it forms the
+   full matrix powers A^k with [Mat.matmul] and emits one thermal row
+   for every node at every constrained step, whether or not the power
+   box already implies it.  Everything else — layout, machine, window
+   — is taken from {!Protemp.Model.build}, and the constraint order is
+   the model's: power-law and box rows, the throughput floor, then the
    thermal and gradient rows. *)
 
 open Linalg
@@ -13,14 +14,25 @@ open Convex
 let f_box = 1.002
 let p_box = 1.005
 
+(* The model's row filter, restated: with [~filter:true] the reference
+   leaves out the same implied rows, so its thermal rows can be
+   compared with the model's one for one. *)
+let implied_margin = 1e-6
+
+let box_implies_row ~tmax ~base q =
+  let worst = ref base in
+  Array.iter (fun c -> if c > 0.0 then worst := !worst +. (c *. p_box)) q;
+  !worst < tmax *. (1.0 -. implied_margin)
+
 let stride_steps ~steps ~stride =
   let rec go k acc = if k > steps then acc else go (k + stride) (k :: acc) in
   let ks = go stride [] in
   if List.mem steps ks then ks else steps :: ks
 
 (* Power-law and box rows (before the floor), and the thermal and
-   gradient rows (after it), of [built]'s instance. *)
-let rows (built : Protemp.Model.built) =
+   gradient rows (after it), of [built]'s instance; [filter] drops the
+   thermal rows the power box implies. *)
+let rows ~filter (built : Protemp.Model.built) =
   let machine = built.Protemp.Model.machine in
   let spec = built.Protemp.Model.spec in
   let layout = built.Protemp.Model.layout in
@@ -81,9 +93,10 @@ let rows (built : Protemp.Model.built) =
                 core_nodes;
               q.(p_offset) <- !acc *. pmax.(0));
           let base = Mat.get base_traj k node in
-          post :=
-            Quad.affine (Vec.scale (1.0 /. tmax) q) ((base -. tmax) /. tmax)
-            :: !post;
+          if not (filter && box_implies_row ~tmax ~base q) then
+            post :=
+              Quad.affine (Vec.scale (1.0 /. tmax) q) ((base -. tmax) /. tmax)
+              :: !post;
           if
             layout.Protemp.Model.bounds_offset <> None
             && Array.exists (fun cn -> cn = node) core_nodes
@@ -120,13 +133,14 @@ let rows (built : Protemp.Model.built) =
   | Some _, None | None, Some _ -> assert false);
   (Array.of_list (List.rev !pre), Array.of_list (List.rev !post))
 
-(* The unfiltered instance: [Model.build]'s, with every thermal row
-   restored.  The floor row is the filtered build's own (it sits right
-   after the power-law and box rows in both); the frontier fields,
-   which only the barrier fallback reads, stay the filtered build's. *)
-let build ~machine ~spec ~tstart ~ftarget =
+(* [Model.build]'s instance with its rows rebuilt by the reference:
+   by default unfiltered, every thermal row restored.  The floor row
+   is the model's own (it sits right after the power-law and box rows
+   in both); the frontier fields, which only the barrier fallback
+   reads, stay the model's. *)
+let build ?(filter = false) ~machine ~spec ~tstart ~ftarget () =
   let built = Protemp.Model.build ~machine ~spec ~tstart ~ftarget in
-  let pre, post = rows built in
+  let pre, post = rows ~filter built in
   let floor = built.Protemp.Model.problem.Barrier.constraints.(Array.length pre) in
   let problem =
     {

@@ -32,6 +32,10 @@ let test_create_validation () =
     (bad (fun () ->
          D.create ~margin:(-1.0) ~machine:m ~spec:fast_spec
            ~tstarts:cool_tstarts ~ftargets:cool_ftargets ()));
+  check_bool "nan margin" true
+    (bad (fun () ->
+         D.create ~margin:Float.nan ~machine:m ~spec:fast_spec
+           ~tstarts:cool_tstarts ~ftargets:cool_ftargets ()));
   check_bool "margin swallows envelope" true
     (bad (fun () ->
          D.create ~margin:fast_spec.Protemp.Spec.tmax ~machine:m

@@ -28,6 +28,20 @@ let test_spec_validation () =
     (bad { Protemp.Spec.default with Protemp.Spec.tmax = -1.0 });
   check_bool "zero stride" true
     (bad { Protemp.Spec.default with Protemp.Spec.constraint_stride = 0 });
+  (* Every comparison with NaN is false, so each check must be phrased
+     to fail on it. *)
+  List.iter
+    (fun x ->
+      let d = Protemp.Spec.default in
+      let label what = Printf.sprintf "%s %h" what x in
+      check_bool (label "tmax") true (bad { d with Protemp.Spec.tmax = x });
+      check_bool (label "dfs_period") true
+        (bad { d with Protemp.Spec.dfs_period = x });
+      check_bool (label "gradient weight") true
+        (bad (Protemp.Spec.with_gradient ~weight:x d));
+      check_bool (label "gradient cap") true
+        (bad (Protemp.Spec.with_gradient ~cap:x d)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
   check_bool "default ok" true
     (match Protemp.Spec.validate Protemp.Spec.default with
     | () -> true
@@ -678,6 +692,8 @@ let test_online_margin_validation () =
     | exception Invalid_argument _ -> true
   in
   check_bool "negative margin" true (bad (-1.0));
+  check_bool "nan margin" true (bad Float.nan);
+  check_bool "infinite margin" true (bad Float.infinity);
   check_bool "margin swallows the envelope" true
     (bad fast_spec.Protemp.Spec.tmax);
   check_bool "sane margin accepted" true (not (bad 5.0))
@@ -867,7 +883,7 @@ let prop_filter_keeps_feasible_set =
         Protemp.Model.build ~machine ~spec:fast_spec ~tstart ~ftarget:1e8
       in
       let reference =
-        Model_reference.build ~machine ~spec:fast_spec ~tstart ~ftarget:1e8
+        Model_reference.build ~machine ~spec:fast_spec ~tstart ~ftarget:1e8 ()
       in
       let layout = built.Protemp.Model.layout in
       let x = Vec.zeros layout.Protemp.Model.dim in
@@ -891,7 +907,7 @@ let test_filter_pinned_counts () =
       check_int "reference rows" 1071
         (emitted_thermal_rows
            (Model_reference.build ~machine:m ~spec:fast_spec ~tstart
-              ~ftarget:5e8));
+              ~ftarget:5e8 ()));
       check_int
         (Printf.sprintf "rows kept at %.0f C" tstart)
         kept (emitted_thermal_rows built))
@@ -910,7 +926,7 @@ let test_filter_same_optimum () =
         solve (Protemp.Model.build ~machine ~spec:fast_spec ~tstart ~ftarget)
       in
       let r =
-        solve (Model_reference.build ~machine ~spec:fast_spec ~tstart ~ftarget)
+        solve (Model_reference.build ~machine ~spec:fast_spec ~tstart ~ftarget ())
       in
       let obj (s : Protemp.Model.solution) =
         s.Protemp.Model.raw.Convex.Solve.objective_value
@@ -943,6 +959,115 @@ let test_filter_same_optimum () =
       (biglittle, 70.0, 7.3e8);
       (biglittle, 90.0, 7.1e8);
     ]
+
+(* Core-column recurrence: [Model.prepare] builds the thermal rows from
+   the core columns of A^k alone; test/model_reference.ml still forms
+   every A^k with [Mat.matmul]. *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_row a b =
+  let open Convex.Quad in
+  dim a = dim b
+  && is_affine a = is_affine b
+  && Array.for_all2 same_bits (Mat.data (hess a)) (Mat.data (hess b))
+  && Array.for_all2 same_bits (linear_part a) (linear_part b)
+  && same_bits (constant_part a) (constant_part b)
+
+let test_prepare_bit_identical () =
+  let niagara = Lazy.force machine and big = Lazy.force biglittle in
+  let stride n spec = { spec with Protemp.Spec.constraint_stride = n } in
+  let gradient = Protemp.Spec.with_gradient ~weight:0.5 ~cap:20.0 in
+  let uniform spec = { spec with Protemp.Spec.variant = Protemp.Spec.Uniform } in
+  let d = Protemp.Spec.default in
+  List.iter
+    (fun (name, machine, spec) ->
+      List.iter
+        (fun tstart ->
+          let built =
+            Protemp.Model.instantiate
+              (Protemp.Model.prepare ~machine ~spec ~tstart)
+              ~ftarget:5e8
+          in
+          let reference =
+            Model_reference.build ~filter:true ~machine ~spec ~tstart
+              ~ftarget:5e8 ()
+          in
+          let rows (b : Protemp.Model.built) =
+            b.Protemp.Model.problem.Convex.Barrier.constraints
+          in
+          let label = Printf.sprintf "%s at %.0f C" name tstart in
+          check_int (label ^ ": rows") (Array.length (rows reference))
+            (Array.length (rows built));
+          Array.iteri
+            (fun i r ->
+              if not (same_row r (rows reference).(i)) then
+                Alcotest.failf "%s: row %d differs from the matmul oracle"
+                  label i)
+            (rows built))
+        [ 27.0; 60.0; 85.0; 100.0 ])
+    [
+      ("niagara variable stride 1", niagara, d);
+      ("niagara variable stride 4", niagara, stride 4 d);
+      ("niagara uniform stride 1", niagara, uniform d);
+      ("niagara uniform stride 4", niagara, stride 4 (uniform d));
+      ("niagara gradient stride 4", niagara, stride 4 (gradient d));
+      ("biglittle variable stride 1", big, d);
+      ("biglittle variable stride 4", big, stride 4 d);
+      ("biglittle gradient stride 1", big, gradient d);
+    ]
+
+(* Words allocated by [f ()], minor and major: an 18x18 matrix is
+   allocated straight on the major heap, which [Gc.minor_words] alone
+   would miss.  The counters also pick up words the collector itself
+   allocates when a slice happens to run inside [f], which only ever
+   adds, so the least of five runs is taken. *)
+let allocated_words f =
+  let once () =
+    let minor0, promoted0, major0 = Gc.counters () in
+    ignore (Sys.opaque_identity (f ()));
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  List.fold_left Float.min infinity (List.init 5 (fun _ -> once ()))
+
+let test_prepare_allocation_flat () =
+  let machine = Lazy.force machine in
+  let thermal = machine.Sim.Machine.thermal in
+  let dt = thermal.Thermal.Rc_model.dt in
+  let t0 = Vec.create machine.Sim.Machine.n_nodes 60.0 in
+  (* One constrained step (the window's end) and a tmax no row can
+     reach, so every window emits the same rows — none — and what is
+     left besides the base trajectory is the recurrence's own cost. *)
+  let words steps =
+    let spec =
+      {
+        Protemp.Spec.default with
+        Protemp.Spec.tmax = 1e9;
+        dfs_period = float_of_int steps *. dt;
+        constraint_stride = 1_000_000;
+      }
+    in
+    let prepared =
+      allocated_words (fun () ->
+          Protemp.Model.prepare_with_profile ~machine ~spec ~t0)
+    in
+    let trajectory =
+      allocated_words (fun () ->
+          Thermal.Transient.simulate thermal ~t0 ~steps ~power:(fun _ ->
+              machine.Sim.Machine.fixed_power))
+    in
+    prepared -. trajectory
+  in
+  (* Forming A^k with [Mat.matmul] costs ~1400 words a step; one
+     boxed float a step would add ~2900 words by 1000 steps. *)
+  let short = words 50 in
+  List.iter
+    (fun steps ->
+      check_float 64.0
+        (Printf.sprintf "words besides the trajectory, %d vs 50 steps" steps)
+        short (words steps))
+    [ 250; 1000 ]
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -1039,6 +1164,13 @@ let () =
         [
           Alcotest.test_case "pinned counts" `Quick test_filter_pinned_counts;
           Alcotest.test_case "same optimum" `Slow test_filter_same_optimum;
+        ] );
+      ( "prepare",
+        [
+          Alcotest.test_case "bit-identical to the matmul oracle" `Quick
+            test_prepare_bit_identical;
+          Alcotest.test_case "allocation flat in window length" `Quick
+            test_prepare_allocation_flat;
         ] );
       ( "guarantee",
         [
