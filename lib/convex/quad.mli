@@ -2,9 +2,8 @@
 
     A value represents [f(x) = 1/2 x^T P x + q^T x + r] over [R^n],
     with [P] symmetric (possibly absent, meaning the function is
-    affine).  This is the standard form every disciplined-convex
-    expression of {!Expr} compiles to, and the form the barrier solver
-    consumes. *)
+    affine).  Problems are posed directly in this form, which the
+    barrier solver consumes. *)
 
 open Linalg
 

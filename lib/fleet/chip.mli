@@ -1,88 +1,6 @@
-(** One simulated chip inside a fleet: a resumable [Sim.Engine].
+(** The fleet's chip: {!Sim.Chip}, the simulator's resumable step
+    loop, under the name the fleet layer has always used. *)
 
-    A chip holds the engine's preallocated stepping state (compiled
-    thermal stepper, ping-pong temperature buffers, ring task queue)
-    but exposes it incrementally: the fleet {!submit}s tasks between
-    routing windows and {!advance}s the chip's clock in slices.  The
-    per-step operation sequence is copied from [Sim.Engine.run]
-    expression for expression, so a one-chip fleet fed a whole trace
-    produces statistics bit-identical to the engine (golden-tested).
-
-    Chips are single-threaded values: the fleet advances disjoint
-    chips on different pool domains, which is safe because a chip
-    shares no mutable state with any other (controllers reading one
-    {!Protemp.Table_store} share only its immutable mapping). *)
-
-type t
-
-val create :
-  ?config:Sim.Engine.config ->
-  machine:Sim.Machine.t ->
-  controller:Sim.Policy.controller ->
-  assignment:Sim.Policy.assignment ->
-  unit ->
-  t
-(** [config] defaults to [Sim.Engine.default_config]; its
-    [drain_limit] is ignored (the fleet decides when to stop
-    draining).  The controller and assignment may be stateful — build
-    one per chip. *)
-
-val submit : t -> arrival:float -> work:float -> unit
-(** Enqueue a task.  Tasks become visible to the dispatcher once the
-    chip's clock reaches [arrival] (an [arrival] already in the past
-    is picked up on the next step).  Submissions should arrive in
-    non-decreasing [arrival] order — the arrival gate scans the queue
-    in submission order and stops at the first future task, so an
-    out-of-order submission is only picked up when its predecessor
-    arrives (never lost, but delayed).  The fleet's window routing
-    preserves the order.  Raises [Invalid_argument] on NaN or negative
-    work. *)
-
-val advance : t -> until:float -> unit
-(** Step the chip until its clock reaches [until] (first step time
-    [>= until] is left unexecuted), whether or not tasks remain. *)
-
-val drain : t -> deadline:float -> unit
-(** Step until every submitted task has completed or the clock passes
-    [deadline] — the engine's end-of-trace stop condition. *)
-
-val finalize : t -> unit
-(** Flush the accumulated energy into the chip's stats, once (the
-    engine's end-of-run [record_energy]).  Idempotent.  Call after the
-    final {!drain}, before reading {!stats}. *)
-
-val take_queued : t -> max:int -> (float * float) array
-(** Remove up to [max] undispatched tasks from the back of the queue
-    (latest arrivals) and return them as [(arrival, work)] pairs in
-    ascending arrival order — the fleet's migration primitive.
-    Already-running tasks are never taken. *)
-
-val time : t -> float
-(** Current clock, seconds ([steps * dt]). *)
-
-val max_core_temperature : t -> float
-(** Hottest core right now — the fleet balancer's routing signal.
-    Allocation-free (lint.manifest). *)
-
-val stats : t -> Sim.Stats.t
-val n_cores : t -> int
-
-val tmax : t -> float
-(** The thermal threshold the chip was configured with — the
-    reference for the fleet's headroom computations. *)
-
-val submitted : t -> int
-(** Tasks submitted and not subsequently taken back. *)
-
-val completed : t -> int
-
-val unfinished : t -> int
-(** [submitted - completed]. *)
-
-val queued : t -> int
-(** Tasks waiting (arrived or pending), excluding running ones. *)
-
-val migrations : t -> int
-(** Core-level migrations performed by the chip's own epoch logic
-    (when [config.migration] is on) — distinct from fleet-level task
-    migration. *)
+include module type of struct
+  include Sim.Chip
+end

@@ -59,9 +59,14 @@ let shadow_refresh chips shadow =
 let run ?(config = default_config) ?domains ~balancer ~chip trace =
   let started = Unix.gettimeofday () in
   if config.n_chips <= 0 then invalid_arg "Cluster.run: need at least one chip";
-  if config.window <= 0.0 then invalid_arg "Cluster.run: non-positive window";
-  if config.thermal_penalty < 0.0 then
-    invalid_arg "Cluster.run: negative thermal penalty";
+  (* Phrased so NaN fails too; an infinite window or drain limit would
+     never end the run. *)
+  if not (config.window > 0.0 && Float.is_finite config.window) then
+    invalid_arg "Cluster.run: window must be positive and finite";
+  if not (config.thermal_penalty >= 0.0 && Float.is_finite config.thermal_penalty)
+  then invalid_arg "Cluster.run: thermal penalty must be non-negative and finite";
+  if not (Float.is_finite config.drain_limit) then
+    invalid_arg "Cluster.run: non-finite drain limit";
   let n = config.n_chips in
   let chips = Array.init n chip in
   let tmax = Chip.tmax chips.(0) in

@@ -68,4 +68,6 @@ val run :
     {!Parallel.Pool.create}; the result is bit-identical for any
     value.  Leftover held tasks are force-routed to the
     most-headroom chip at the end of the stream, so every task is
-    eventually submitted. *)
+    eventually submitted.  Raises [Invalid_argument] on [n_chips <= 0],
+    a window that is not positive and finite, a negative or non-finite
+    [thermal_penalty], or a non-finite [drain_limit]. *)

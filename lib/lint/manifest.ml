@@ -3,7 +3,7 @@
 
      # comment
      lib/sim/stats.ml record_step_nodes
-     lib/sim/engine.ml run.step_once
+     lib/sim/chip.ml run_loop.step_once
 
    The first field is the repo-relative file, the second a dotted
    binding path: toplevel [let]s, [module M = struct ... end] members,

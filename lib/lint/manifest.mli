@@ -2,7 +2,7 @@
     whose bodies must contain no syntactic allocation site.
 
     Line format: [FILE DOTTED.PATH], e.g.
-    [lib/sim/engine.ml run.step_once].  ['#'] starts a comment.  Path
+    [lib/sim/chip.ml run_loop.step_once].  ['#'] starts a comment.  Path
     segments name toplevel [let]s, members of literal
     [module M = struct ... end], and — after the first value segment —
     nested [let ... in] bindings. *)

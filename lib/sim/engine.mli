@@ -1,33 +1,27 @@
-(** The discrete-time full-system simulator.
+(** The discrete-time full-system simulator: one {!Chip} fed a whole
+    trace.
 
-    Co-simulates task arrival/assignment/execution with the thermal
-    network at the thermal step (0.4 ms for the Niagara machine),
-    invoking the DFS controller every [dfs_period] (100 ms), exactly
-    as the paper's evaluation infrastructure does.  The run ends when
-    the whole trace has been executed, or at the drain deadline for
-    controllers too slow to ever finish. *)
+    Runs the trace on a fresh chip until every task has executed, or
+    until the drain deadline ([horizon + drain_limit]) for controllers
+    too slow to ever finish.  The step loop, its allocation discipline
+    and its validation of controller output live in {!Chip}; this
+    module adds the whole-run result and the reference oracle. *)
 
 open Linalg
 
-type config = {
-  dfs_period : float;  (** Seconds between controller invocations. *)
-  tmax : float;  (** Threshold used for violation statistics. *)
+type config = Chip.config = {
+  dfs_period : float;
+  tmax : float;
   t_initial : float option;
-      (** Initial temperature of every node; defaults to the thermal
-          model's ambient. *)
   drain_limit : float;
-      (** Extra simulated seconds allowed after the last arrival
-          before giving up on stragglers. *)
   migration : bool;
-      (** Move tasks off stopped cores onto the coolest idle running
-          core at each DFS boundary — the task-migration policy class
-          the paper cites as composable with Pro-Temp.  Off by
-          default. *)
 }
+(** {!Chip.config}, re-exported so callers can write
+    [{ Engine.default_config with ... }]; [drain_limit] sets {!run}'s
+    drain deadline. *)
 
 val default_config : config
-(** [dfs_period = 0.1], [tmax = 100.0], ambient start,
-    [drain_limit = 60.0], migration off. *)
+(** {!Chip.default_config}. *)
 
 type result = {
   stats : Stats.t;
@@ -47,14 +41,9 @@ val run :
 (** Controller output is validated every epoch: a frequency vector of
     the wrong dimension or containing NaN raises [Invalid_argument];
     finite entries are clamped into [[0, fmax]], so a buggy controller
-    can neither overclock the cores nor drive them negative.
-
-    The step loop is allocation-free in the steady state: temperature
-    ping-pong buffers, power and core-temperature scratch vectors and
-    per-core run state are all preallocated, and the thermal
-    recurrence runs through {!Thermal.Rc_model.compile_stepper}.
-    Allocation only happens at cold edges (arrivals, epoch
-    boundaries, dispatch).
+    can neither overclock the cores nor drive them negative.  A
+    non-finite [config] entry raises [Invalid_argument] before the
+    first step ({!Chip.create}).
 
     [probes] observe the run ({!Probe.t}): each epoch callback fires
     at every DFS boundary with what the controller saw and decided,
@@ -79,7 +68,7 @@ val run_reference :
   Policy.assignment ->
   Workload.Trace.t ->
   result
-(** The straightforward implementation {!run} was refactored from; it
-    allocates freely in the step loop but is semantically identical —
+(** The straightforward implementation {!Chip}'s step loop was
+    refactored from; it allocates freely in the step loop but is semantically identical —
     a golden test asserts both produce bit-for-bit equal {!Stats.t}.
     Kept as the differential-testing oracle and benchmark baseline. *)

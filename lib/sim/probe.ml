@@ -80,6 +80,8 @@ type audit = {
 }
 
 let thermal_audit ~tmax () =
+  if not (Float.is_finite tmax) then
+    invalid_arg "Probe.thermal_audit: non-finite tmax";
   let steps = ref 0 in
   let violating = ref 0 in
   let worst = ref 0.0 in

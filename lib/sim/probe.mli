@@ -80,7 +80,8 @@ type audit = {
 
 val thermal_audit : tmax:float -> unit -> t * (unit -> audit)
 (** Watches every step for cores above [tmax] — the run-time
-    counterpart of the offline {!Protemp.Guarantee} audit. *)
+    counterpart of the offline {!Protemp.Guarantee} audit.  Raises
+    [Invalid_argument] on a non-finite [tmax]. *)
 
 val jsonl : ?every:int -> out_channel -> t
 (** Streams one JSON object per sampled step

@@ -63,6 +63,9 @@ type t = {
 
 let create ?(bands = paper_bands) ~n_cores ~tmax () =
   if n_cores <= 0 then invalid_arg "Stats.create: non-positive cores";
+  (* A violation is [hottest > tmax], which a NaN threshold never
+     satisfies: the guarantee would pass whatever the temperatures. *)
+  if not (Float.is_finite tmax) then invalid_arg "Stats.create: non-finite tmax";
   {
     bands = Array.of_list bands;
     band_lo = Array.of_list (List.map (fun b -> b.lo) bands);

@@ -15,6 +15,9 @@ val paper_bands : band list
 type t
 
 val create : ?bands:band list -> n_cores:int -> tmax:float -> unit -> t
+(** Raises [Invalid_argument] on [n_cores <= 0] or a non-finite
+    [tmax]: a violation is [hottest > tmax], which no temperature
+    satisfies against NaN. *)
 
 (** {1 Recording (used by the engine)} *)
 

@@ -1,6 +1,6 @@
-(* Tests for the convex optimization substrate: quadratic forms, the
-   DCP layer, Newton, the barrier method, phase-I, KKT certificates,
-   LP corner cases and bisection. *)
+(* Tests for the convex optimization substrate: quadratic forms,
+   Newton, the barrier method, phase-I, KKT certificates and LP corner
+   cases. *)
 
 open Linalg
 open Convex
@@ -75,57 +75,6 @@ let test_quad_grad_finite_difference () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Expr (DCP layer) *)
-
-let test_expr_curvature () =
-  let x = Expr.var 2 0 in
-  check_bool "var affine" true (Expr.curvature x = Expr.Affine);
-  check_bool "square convex" true (Expr.curvature (Expr.square x) = Expr.Convex);
-  check_bool "neg square concave" true
-    (Expr.curvature (Expr.neg (Expr.square x)) = Expr.Concave);
-  check_bool "scale by negative flips" true
-    (Expr.curvature (Expr.scale (-2.0) (Expr.square x)) = Expr.Concave)
-
-let test_expr_rejects_non_dcp () =
-  let x = Expr.var 1 0 in
-  let sq = Expr.square x in
-  check_bool "square of convex rejected" true
-    (match Expr.square sq with
-    | _ -> false
-    | exception Expr.Non_dcp _ -> true);
-  check_bool "convex+concave rejected" true
-    (match Expr.add sq (Expr.neg sq) with
-    | _ -> false
-    | exception Expr.Non_dcp _ -> true);
-  check_bool "convex rhs of leq rejected" true
-    (match Expr.leq x sq with
-    | _ -> false
-    | exception Expr.Non_dcp _ -> true);
-  check_bool "concave minimize rejected" true
-    (match Expr.minimize (Expr.neg sq) [] with
-    | _ -> false
-    | exception Expr.Non_dcp _ -> true)
-
-let test_expr_eval () =
-  let n = 3 in
-  let e =
-    Expr.add
-      (Expr.sum_squares [ Expr.var n 0; Expr.var n 1 ])
-      (Expr.scale 2.0 (Expr.var n 2))
-  in
-  check_float 1e-12 "eval" (1.0 +. 4.0 +. 6.0) (Expr.eval e [| 1.0; 2.0; 3.0 |])
-
-let test_expr_quad_form () =
-  let p = Mat.of_diag [| 2.0; 4.0 |] in
-  let e = Expr.quad_form p in
-  check_float 1e-12 "eval" (1.0 +. 2.0) (Expr.eval e [| 1.0; 1.0 |]);
-  let neg = Mat.of_diag [| -1.0; 1.0 |] in
-  check_bool "indefinite rejected" true
-    (match Expr.quad_form neg with
-    | _ -> false
-    | exception Expr.Non_dcp _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* Newton *)
 
 let quad_bowl_oracle p q =
@@ -191,15 +140,18 @@ let test_newton_rejects_bad_start () =
 (* ------------------------------------------------------------------ *)
 (* Barrier on problems with known solutions *)
 
+(* The box [lo <= x_i <= hi] as two [q(x) <= 0] rows. *)
+let box_rows n i ~lo ~hi =
+  let e = Vec.zeros n in
+  e.(i) <- 1.0;
+  [ Quad.affine (Array.map Float.neg e) lo; Quad.affine e (-.hi) ]
+
 let test_barrier_box_lp () =
   (* minimize x0 + x1 s.t. 0 <= xi <= 1: optimum (0,0), value 0. *)
   let n = 2 in
   let constraints =
     Array.of_list
-      (List.concat_map
-         (fun i ->
-           List.map Expr.constr_quad (Expr.box n i ~lo:0.0 ~hi:1.0))
-         [ 0; 1 ])
+      (List.concat_map (fun i -> box_rows n i ~lo:0.0 ~hi:1.0) [ 0; 1 ])
   in
   let p =
     { Barrier.objective = Quad.affine [| 1.0; 1.0 |] 0.0; constraints }
@@ -776,26 +728,6 @@ let test_simplex_degenerate () =
   | Simplex.Unbounded | Simplex.Infeasible -> Alcotest.fail "expected optimal"
 
 (* ------------------------------------------------------------------ *)
-(* Bisect *)
-
-let test_bisect_threshold () =
-  let r = Bisect.max_feasible ~tol:1e-9 ~lo:0.0 ~hi:10.0 (fun x -> x <= 3.7) in
-  (match r.Bisect.best_feasible with
-  | Some v -> check_float 1e-6 "threshold" 3.7 v
-  | None -> Alcotest.fail "expected feasible");
-  check_bool "probes logarithmic" true (r.Bisect.probes < 50)
-
-let test_bisect_all_infeasible () =
-  let r = Bisect.max_feasible ~lo:0.0 ~hi:1.0 (fun _ -> false) in
-  check_bool "none" true (r.Bisect.best_feasible = None);
-  check_bool "lo infeasible" true (r.Bisect.first_infeasible = Some 0.0)
-
-let test_bisect_all_feasible () =
-  let r = Bisect.max_feasible ~lo:0.0 ~hi:1.0 (fun _ -> true) in
-  check_bool "hi feasible" true (r.Bisect.best_feasible = Some 1.0);
-  check_bool "none infeasible" true (r.Bisect.first_infeasible = None)
-
-(* ------------------------------------------------------------------ *)
 (* Property tests *)
 
 (* Random convex QP with box constraints: the barrier optimum must
@@ -893,61 +825,24 @@ let prop_simplex_matches_barrier =
       | Simplex.Infeasible, Linprog.Infeasible _ -> true
       | _, _ -> false)
 
-(* Random affine expressions: the DCP layer's compilation to Quad must
-   agree with direct evaluation, and squares must evaluate to squares. *)
-let random_affine st n =
-  let q = random_vec st n in
-  let r = Random.State.float st 2.0 -. 1.0 in
-  (Expr.affine_of q r, q, r)
-
-let prop_expr_eval_matches_quad =
-  QCheck2.Test.make ~name:"expr: eval agrees with compiled quad" ~count:100
-    qp_gen (fun (n, seed) ->
-      let st = mk_rand seed in
-      let e1, _, _ = random_affine st n in
-      let e2, _, _ = random_affine st n in
-      let expr = Expr.add (Expr.square e1) (Expr.scale 3.0 e2) in
-      let x = random_vec st n in
-      Float.abs (Expr.eval expr x -. Quad.eval (Expr.to_quad expr) x) < 1e-9)
-
-let prop_expr_square_is_square =
-  QCheck2.Test.make ~name:"expr: square evaluates to the square" ~count:100
-    qp_gen (fun (n, seed) ->
-      let st = mk_rand seed in
-      let e, q, r = random_affine st n in
-      let x = random_vec st n in
-      let v = Vec.dot q x +. r in
-      Float.abs (Expr.eval (Expr.square e) x -. (v *. v)) < 1e-9)
-
-let prop_expr_curvature_closed =
-  (* Sums and nonnegative scalings of convex expressions stay convex,
-     and their compiled Hessians are PSD. *)
-  QCheck2.Test.make ~name:"expr: convex compositions have PSD Hessians"
-    ~count:60 qp_gen (fun (n, seed) ->
-      let st = mk_rand seed in
-      let e1, _, _ = random_affine st n in
-      let e2, _, _ = random_affine st n in
-      let c = Random.State.float st 3.0 in
-      let expr = Expr.add (Expr.scale c (Expr.square e1)) (Expr.square e2) in
-      Expr.curvature expr = Expr.Convex
-      && Quad.hess_is_psd (Expr.to_quad expr))
-
-(* End-to-end through the DCP layer: a least-squares-with-box problem
-   posed with Expr, solved by the barrier, checked against the
-   projection. *)
-let test_expr_to_solver_end_to_end () =
+(* A least-squares-with-box problem through the two-phase driver,
+   checked against the projection. *)
+let test_solve_box_least_squares () =
   let n = 3 in
   (* minimize sum_i (x_i - 2)^2 s.t. 0 <= x_i <= 1: optimum (1,1,1). *)
   let terms =
     List.init n (fun i ->
-        Expr.square (Expr.sub (Expr.var n i) (Expr.const n 2.0)))
+        let e = Vec.zeros n in
+        e.(i) <- 1.0;
+        Quad.square_of_affine e (-2.0))
   in
-  let obj = List.fold_left Expr.add (List.hd terms) (List.tl terms) in
-  let constrs =
-    List.concat_map (fun i -> Expr.box n i ~lo:0.0 ~hi:1.0) (List.init n Fun.id)
+  let objective = List.fold_left Quad.add (List.hd terms) (List.tl terms) in
+  let constraints =
+    Array.of_list
+      (List.concat_map (fun i -> box_rows n i ~lo:0.0 ~hi:1.0)
+         (List.init n Fun.id))
   in
-  let problem = Expr.minimize obj constrs in
-  match Solve.solve problem ~start:(Vec.create n 0.5) with
+  match Solve.solve { Barrier.objective; constraints } ~start:(Vec.create n 0.5) with
   | Solve.Optimal s ->
       check_bool "projection" true
         (Vec.approx_equal ~tol:1e-4 s.Solve.x (Vec.create n 1.0))
@@ -957,8 +852,7 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_barrier_kkt; prop_barrier_beats_random_feasible;
       prop_phase1_consistent; prop_simplex_matches_barrier;
-      prop_expr_eval_matches_quad; prop_expr_square_is_square;
-      prop_expr_curvature_closed; prop_compiled_oracle_matches_naive;
+      prop_compiled_oracle_matches_naive;
       prop_compiled_max_step_is_the_wall;
       prop_compiled_backend_same_optimum ]
 
@@ -976,15 +870,6 @@ let () =
           Alcotest.test_case "extend" `Quick test_quad_extend;
           Alcotest.test_case "gradient vs finite differences" `Quick
             test_quad_grad_finite_difference;
-        ] );
-      ( "expr",
-        [
-          Alcotest.test_case "curvature tracking" `Quick test_expr_curvature;
-          Alcotest.test_case "rejects non-DCP" `Quick test_expr_rejects_non_dcp;
-          Alcotest.test_case "evaluation" `Quick test_expr_eval;
-          Alcotest.test_case "quad_form" `Quick test_expr_quad_form;
-          Alcotest.test_case "end-to-end through the solver" `Quick
-            test_expr_to_solver_end_to_end;
         ] );
       ( "newton",
         [
@@ -1023,6 +908,8 @@ let () =
       ( "solve",
         [
           Alcotest.test_case "end to end" `Quick test_solve_end_to_end;
+          Alcotest.test_case "box least squares" `Quick
+            test_solve_box_least_squares;
           Alcotest.test_case "reports infeasible" `Quick
             test_solve_reports_infeasible;
         ] );
@@ -1056,12 +943,6 @@ let () =
           Alcotest.test_case "unbounded" `Quick test_simplex_unbounded;
           Alcotest.test_case "degenerate (Bland)" `Quick
             test_simplex_degenerate;
-        ] );
-      ( "bisect",
-        [
-          Alcotest.test_case "finds threshold" `Quick test_bisect_threshold;
-          Alcotest.test_case "all infeasible" `Quick test_bisect_all_infeasible;
-          Alcotest.test_case "all feasible" `Quick test_bisect_all_feasible;
         ] );
       ("properties", props);
     ]

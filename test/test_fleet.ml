@@ -1,5 +1,6 @@
 (* Tests for the fleet layer: exact trace partitioning, the
-   waiting-time sketch and merge, the chip/engine golden equivalence,
+   waiting-time sketch and merge, the chip/engine golden equivalence
+   (whole trace and arbitrary slicing), the steady slice's allocation,
    domain-count invariance, chip-level fault composition, and the
    thermal-aware balancer. *)
 
@@ -278,6 +279,112 @@ let test_take_queued () =
   check_int "one left" 1 (Fleet.Chip.queued c);
   check_int "submitted adjusted" 1 (Fleet.Chip.submitted c)
 
+(* A chip stepped through arbitrary slices — boundaries mid-epoch, on
+   an epoch boundary, repeated (zero-length) or behind the clock — then
+   drained must be the engine run on the same trace, bit for bit:
+   slicing moves only where the loop pauses, never what a step does.
+   Boundaries stay within the engine's run, since [advance] steps on
+   after the last completion where the engine would have stopped. *)
+let prop_slices_match_engine =
+  QCheck2.Test.make ~name:"chip: any slicing then drain = Engine.run"
+    ~count:25
+    QCheck2.Gen.(
+      pair (int_range 1 1000)
+        (list_size (int_range 0 12)
+           (pair (int_range 0 3) (float_bound_inclusive 1.0))))
+    (fun (seed, cuts) ->
+      let m = Lazy.force machine in
+      let trace =
+        Trace.generate ~seed:(Int64.of_int seed) ~n_tasks:120 Mix.web
+      in
+      let controller () = Sim.Policy.workload_following ~fmax:1e9 in
+      let engine = Sim.Engine.run m (controller ()) Sim.Policy.first_idle trace in
+      let config = Sim.Engine.default_config in
+      (* The engine's clock when it stopped, as the chip computes it. *)
+      let t_end =
+        float_of_int (Sim.Stats.total_steps engine.Sim.Engine.stats)
+        *. m.Sim.Machine.thermal.Thermal.Rc_model.dt
+      in
+      let chip =
+        Fleet.Chip.create ~machine:m ~controller:(controller ())
+          ~assignment:Sim.Policy.first_idle ()
+      in
+      Fleet.Chip.submit_trace chip trace;
+      let until = ref 0.0 in
+      List.iter
+        (fun (kind, f) ->
+          (match kind with
+          | 0 -> () (* the previous boundary again: a zero-length slice *)
+          | 1 ->
+              let period = config.Sim.Engine.dfs_period in
+              until := Float.min t_end (Float.round (f *. t_end /. period) *. period)
+          | _ -> until := f *. t_end);
+          Fleet.Chip.advance chip ~until:!until)
+        cuts;
+      Fleet.Chip.drain chip
+        ~deadline:(trace.Trace.horizon +. config.Sim.Engine.drain_limit);
+      Fleet.Chip.finalize chip;
+      Sim.Stats.equal engine.Sim.Engine.stats (Fleet.Chip.stats chip)
+      && engine.Sim.Engine.unfinished = Fleet.Chip.unfinished chip)
+
+let test_advance_zero_alloc_steady_state () =
+  (* One long task dispatched at step 0 under a single epoch: after the
+     first slice nothing arrives, dispatches or crosses an epoch, so a
+     slice of 1000 steps must allocate exactly what a slice of 500
+     does — nothing per step. *)
+  let config =
+    { Sim.Engine.default_config with Sim.Engine.dfs_period = 100.0 }
+  in
+  let chip =
+    Fleet.Chip.create ~config ~machine:(Lazy.force machine)
+      ~controller:(Sim.Policy.fixed_frequency ~fmax:1e9 8e8)
+      ~assignment:Sim.Policy.first_idle ()
+  in
+  Fleet.Chip.submit chip ~arrival:0.0 ~work:100.0;
+  Fleet.Chip.advance chip ~until:0.01;
+  check_int "the task is running" 0 (Fleet.Chip.queued chip);
+  let words ~until =
+    let before = Gc.minor_words () in
+    Fleet.Chip.advance chip ~until;
+    Gc.minor_words () -. before
+  in
+  (* 0.4 ms steps: 0.01 -> 0.21 is 500 steps, 0.21 -> 0.61 is 1000. *)
+  let short = words ~until:0.21 in
+  let long = words ~until:0.61 in
+  check_float 0.0 "extra minor words for 500 extra steps" 0.0 (long -. short);
+  check_int "still running" 0 (Fleet.Chip.completed chip)
+
+let test_non_finite_config_rejected () =
+  (* The same guarantee gap as in the engine: a NaN tmax counted zero
+     violations, and a NaN window or penalty passed the sign checks. *)
+  let raises_with config =
+    raises_invalid (fun () ->
+        Fleet.Cluster.run ~config ~domains:1
+          ~balancer:(Fleet.Balancer.round_robin ())
+          ~chip:(fun _ -> plain_chip ())
+          (Lazy.force fleet_trace))
+  in
+  let base = Fleet.Cluster.default_config in
+  List.iter
+    (fun x ->
+      let name = Printf.sprintf " %g" x in
+      check_bool ("chip tmax" ^ name) true
+        (raises_invalid (fun () ->
+             Fleet.Chip.create
+               ~config:{ Sim.Engine.default_config with Sim.Engine.tmax = x }
+               ~machine:(Lazy.force machine)
+               ~controller:(Sim.Policy.fixed_frequency ~fmax:1e9 8e8)
+               ~assignment:Sim.Policy.first_idle ()));
+      check_bool ("window" ^ name) true
+        (raises_with { base with Fleet.Cluster.window = x });
+      check_bool ("thermal_penalty" ^ name) true
+        (raises_with { base with Fleet.Cluster.thermal_penalty = x });
+      check_bool ("drain_limit" ^ name) true
+        (raises_with { base with Fleet.Cluster.drain_limit = x }))
+    [ Float.nan; Float.infinity ];
+  check_bool "drain deadline NaN" true
+    (raises_invalid (fun () -> Fleet.Chip.drain (plain_chip ()) ~deadline:Float.nan))
+
 (* The heterogeneous rack: odd chips sit in a hot aisle (fixed power
    scaled up, so they idle near 87 C instead of 37 C), even chips in a
    cool one.  Under the fair-share split of round-robin the hot-aisle
@@ -357,6 +464,11 @@ let () =
           Alcotest.test_case "chip-level faults compose" `Quick
             test_chip_fault_composition;
           Alcotest.test_case "take_queued" `Quick test_take_queued;
+          QCheck_alcotest.to_alcotest prop_slices_match_engine;
+          Alcotest.test_case "steady slice allocates nothing" `Quick
+            test_advance_zero_alloc_steady_state;
+          Alcotest.test_case "non-finite config rejected" `Quick
+            test_non_finite_config_rejected;
           Alcotest.test_case "coolest beats round-robin" `Quick
             test_balancer_beats_round_robin;
         ] );

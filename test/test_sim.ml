@@ -397,6 +397,49 @@ let test_probe_requires_callback () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+let test_engine_rejects_non_finite_config () =
+  (* A NaN tmax silently counted zero violations (a violation is
+     [hottest > tmax]); a NaN drain limit made the deadline NaN, so a
+     stalled run never stopped on it.  Every non-finite entry must be
+     refused before the first step. *)
+  let m = Lazy.force machine in
+  let trace = small_trace 10 in
+  let base = Sim.Engine.default_config in
+  let rejected config =
+    match
+      Sim.Engine.run ~config m (Lazy.force fast_controller)
+        Sim.Policy.first_idle trace
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun x ->
+      let name = Printf.sprintf "%g" x in
+      check_bool ("tmax " ^ name) true
+        (rejected { base with Sim.Engine.tmax = x });
+      check_bool ("dfs_period " ^ name) true
+        (rejected { base with Sim.Engine.dfs_period = x });
+      check_bool ("drain_limit " ^ name) true
+        (rejected { base with Sim.Engine.drain_limit = x });
+      check_bool ("t_initial " ^ name) true
+        (rejected { base with Sim.Engine.t_initial = Some x }))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  check_bool "finite config still runs" false (rejected base)
+
+let test_stats_rejects_non_finite_tmax () =
+  List.iter
+    (fun tmax ->
+      check_bool (Printf.sprintf "Stats.create tmax %g" tmax) true
+        (match Sim.Stats.create ~n_cores:2 ~tmax () with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      check_bool (Printf.sprintf "thermal_audit tmax %g" tmax) true
+        (match Sim.Probe.thermal_audit ~tmax () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let test_engine_temperatures_stay_physical () =
   let m = Lazy.force machine in
   let trace = small_trace 1000 in
@@ -696,6 +739,8 @@ let () =
           Alcotest.test_case "bands" `Quick test_stats_bands_sum_to_one;
           Alcotest.test_case "gradient" `Quick test_stats_gradient;
           Alcotest.test_case "waiting" `Quick test_stats_waiting;
+          Alcotest.test_case "non-finite tmax rejected" `Quick
+            test_stats_rejects_non_finite_tmax;
         ] );
       ( "engine",
         [
@@ -717,6 +762,8 @@ let () =
             test_engine_clamps_overdriven_controller;
           Alcotest.test_case "NaN frequency rejected" `Quick
             test_engine_rejects_nan_frequency;
+          Alcotest.test_case "non-finite config rejected" `Quick
+            test_engine_rejects_non_finite_config;
           Alcotest.test_case "migration rescues stalled tasks" `Quick
             test_engine_migration_rescues_stalled_tasks;
           Alcotest.test_case "cool-headroom defers dispatch" `Quick
