@@ -106,10 +106,10 @@ let sweep_row ?solver ?options ?backend ~machine ~spec ~ftargets ~warm_starts
 
 (* Warm starts default on: the conic solver seeds the homogeneous
    embedding from the neighbouring column's primal optimum at a
-   reduced initial mu, which BENCH_sweep measures as a solid win over
-   cold starts (warm_vs_cold well under 0.8).  (On the reference
-   barrier path the effect stays within noise — the start hint already
-   skips phase I on almost every cell.) *)
+   reduced initial mu, which saves conic factorizations against cold
+   starts (531 vs 624 on the paper's 6x10 grid at stride 2).  (On the
+   reference barrier path the effect stays within noise — the start
+   hint already skips phase I on almost every cell.) *)
 let sweep_with_stats ?solver ?options ?backend ?domains ?(warm_starts = true)
     ?(tstarts = default_tstarts) ?(ftargets = default_ftargets) ?on_progress
     ~machine ~spec () =

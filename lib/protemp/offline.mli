@@ -62,8 +62,8 @@ val sweep :
     sequential loop on the calling domain.  [warm_starts] (default
     [true]) seeds each solve from the previous column's optimum — a
     measured win for the conic solver, which restarts the homogeneous
-    embedding from the seed at a reduced initial mu (BENCH_sweep's
-    [warm_vs_cold] ratio); on the barrier path it stays within noise
+    embedding from the seed at a reduced initial mu (fewer conic
+    factorizations than cold); on the barrier path it stays within noise
     of cold and exists for measurement.  [backend] selects the barrier
     oracle (default [`Compiled]); the [`Reference] path exists for
     differential testing.  With [domains > 1], [on_progress] is

@@ -18,6 +18,9 @@ let strictly_increasing (a : float array) =
 let make ~tstarts ~ftargets cells =
   if Array.length tstarts = 0 || Array.length ftargets = 0 then
     invalid_arg "Table.make: empty axis";
+  if not (Array.for_all Float.is_finite tstarts
+          && Array.for_all Float.is_finite ftargets)
+  then invalid_arg "Table.make: non-finite axis value";
   if not (strictly_increasing tstarts) then
     invalid_arg "Table.make: tstarts not strictly increasing";
   if not (strictly_increasing ftargets) then
@@ -29,9 +32,11 @@ let make ~tstarts ~ftargets cells =
       if Array.length row <> Array.length ftargets then
         invalid_arg "Table.make: column count mismatch")
     cells;
-  (* Every feasible cell must carry one frequency per core — the same
-     core count across the whole table, or a controller driving an
-     n-core machine could hand the engine a short vector. *)
+  (* Every feasible cell must carry one finite, non-negative frequency
+     per core — the same core count across the whole table, or a
+     controller driving an n-core machine could hand the engine a
+     short vector; an infinite entry would be clamped to the core's
+     ceiling and run it flat out. *)
   let n_cores = ref (-1) in
   Array.iter
     (Array.iter (function
@@ -41,7 +46,9 @@ let make ~tstarts ~ftargets cells =
           if d = 0 then invalid_arg "Table.make: empty frequency vector";
           if !n_cores < 0 then n_cores := d
           else if d <> !n_cores then
-            invalid_arg "Table.make: cell dimension mismatch"))
+            invalid_arg "Table.make: cell dimension mismatch";
+          if not (Array.for_all (fun x -> Float.is_finite x && x >= 0.0) f)
+          then invalid_arg "Table.make: non-finite or negative frequency"))
     cells;
   { tstarts; ftargets; cells }
 
@@ -191,12 +198,20 @@ let of_csv text =
               try float_of_string x
               with Failure _ -> failwith ("Table.of_csv: bad number " ^ x)
             in
+            (* Axis values are matched exactly below, and NaN matches
+               nothing. *)
+            let axis x =
+              let v = fs x in
+              if not (Float.is_finite v) then
+                failwith ("Table.of_csv: non-finite axis value " ^ x);
+              v
+            in
             match rest with
-            | [ "infeasible" ] -> (fs tstart, fs ftarget, Infeasible)
+            | [ "infeasible" ] -> (axis tstart, axis ftarget, Infeasible)
             | [] -> failwith "Table.of_csv: missing cell payload"
             | freqs ->
-                ( fs tstart,
-                  fs ftarget,
+                ( axis tstart,
+                  axis ftarget,
                   Frequencies (Array.of_list (List.map fs freqs)) ))
         | _ -> failwith "Table.of_csv: malformed line")
       lines

@@ -18,10 +18,11 @@ type t
 
 val make :
   tstarts:float array -> ftargets:float array -> cell array array -> t
-(** [tstarts] and [ftargets] must be strictly increasing;
+(** [tstarts] and [ftargets] must be finite and strictly increasing;
     [cells.(i).(j)] corresponds to [tstarts.(i)], [ftargets.(j)].
     Every [Frequencies] cell must hold the same (non-zero) number of
-    cores.  Raises [Invalid_argument] on shape, dimension or ordering
+    cores, each a finite, non-negative frequency.  Raises
+    [Invalid_argument] on shape, dimension, ordering or value
     errors. *)
 
 val tstarts : t -> float array
@@ -74,8 +75,8 @@ val to_csv : t -> string
 
 val of_csv : string -> t
 (** Inverse of {!to_csv} (axes are matched exactly — no rounding
-    tolerance).  Raises [Failure] on malformed input or a duplicated
-    [(tstart, ftarget)] cell, [Invalid_argument] when the parsed cells
-    disagree on the core count. *)
+    tolerance).  Raises [Failure] on malformed input, a non-finite
+    axis value or a duplicated [(tstart, ftarget)] cell,
+    [Invalid_argument] when the parsed cells fail {!make}'s checks. *)
 
 val pp : Format.formatter -> t -> unit

@@ -27,6 +27,9 @@ let file_bytes ~rows ~cols ~cores =
 (* ------------------------------------------------------------------ *)
 (* Writing *)
 
+(* What every served frequency and every recorded ceiling must be. *)
+let valid_frequency f = Float.is_finite f && f >= 0.0
+
 let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 let add_f64 buf x = Buffer.add_int64_le buf (Int64.bits_of_float x)
 
@@ -41,11 +44,8 @@ let serialize ?core_fmax table =
     | Some a ->
         if Array.length a <> cores then
           invalid_arg "Table_store.serialize: core_fmax length mismatch";
-        Array.iter
-          (fun f ->
-            if not (f >= 0.0) then
-              invalid_arg "Table_store.serialize: negative or NaN core fmax")
-          a;
+        if not (Array.for_all valid_frequency a) then
+          invalid_arg "Table_store.serialize: non-finite or negative core fmax";
         a
   in
   let buf = Buffer.create (file_bytes ~rows ~cols ~cores) in
@@ -117,6 +117,15 @@ let strictly_increasing (a : float array) =
   done;
   !ok
 
+(* Bit [(i * cols) + j] of the bitmap, set when the cell is
+   infeasible; open_file's cell check and the lookups share it. *)
+let infeasible_bit t i j =
+  let k = (i * t.n_cols) + j in
+  let byte =
+    Char.code (Bigarray.Array1.get t.bytes_view (t.bitmap_off + (k lsr 3)))
+  in
+  byte land (1 lsl (k land 7)) <> 0
+
 let open_file path =
   if Sys.big_endian then
     corrupt path "big-endian host: the little-endian float view cannot be \
@@ -172,27 +181,49 @@ let open_file path =
         Array.init n_cores (fun c ->
             Bigarray.Array1.get view (1 + n_rows + n_cols + c))
       in
+      if not (Array.for_all Float.is_finite tstarts
+              && Array.for_all Float.is_finite ftargets)
+      then corrupt path "non-finite axis value";
       if not (strictly_increasing tstarts) then
         corrupt path "tstart axis not strictly increasing";
       if not (strictly_increasing ftargets) then
         corrupt path "ftarget axis not strictly increasing";
-      Array.iter
-        (fun f ->
-          if not (f >= 0.0) then
-            corrupt path "negative or NaN per-core fmax")
-        core_fmax;
-      {
-        n_rows;
-        n_cols;
-        n_cores;
-        tstarts;
-        ftargets;
-        core_fmax;
-        view;
-        cells_base = 1 + n_rows + n_cols + n_cores;
-        bytes_view;
-        bitmap_off = size - bitmap_bytes ~rows:n_rows ~cols:n_cols;
-      })
+      if not (Array.for_all valid_frequency core_fmax) then
+        corrupt path "non-finite or negative per-core fmax";
+      let t =
+        {
+          n_rows;
+          n_cols;
+          n_cores;
+          tstarts;
+          ftargets;
+          core_fmax;
+          view;
+          cells_base = 1 + n_rows + n_cols + n_cores;
+          bytes_view;
+          bitmap_off = size - bitmap_bytes ~rows:n_rows ~cols:n_cols;
+        }
+      in
+      (* Every cell the bitmap marks feasible is served as is, so each
+         of its frequencies must be one the engine can run; a feasible
+         cell needs at least one core to carry them. *)
+      for i = 0 to n_rows - 1 do
+        for j = 0 to n_cols - 1 do
+          if not (infeasible_bit t i j) then begin
+            if n_cores = 0 then corrupt path "feasible cell with no cores";
+            let base = t.cells_base + (((i * n_cols) + j) * n_cores) in
+            for c = 0 to n_cores - 1 do
+              if not (valid_frequency (Bigarray.Array1.get view (base + c)))
+              then
+                corrupt path
+                  (Printf.sprintf
+                     "cell (%d, %d) holds a non-finite or negative frequency"
+                     i j)
+            done
+          end
+        done
+      done;
+      t)
 
 let n_rows t = t.n_rows
 let n_cols t = t.n_cols
@@ -229,13 +260,6 @@ let col_start t required =
     done;
     !lo
   end
-
-let infeasible_bit t i j =
-  let k = (i * t.n_cols) + j in
-  let byte =
-    Char.code (Bigarray.Array1.get t.bytes_view (t.bitmap_off + (k lsr 3)))
-  in
-  byte land (1 lsl (k land 7)) <> 0
 
 let cell_into t i j ~into =
   if i < 0 || i >= t.n_rows || j < 0 || j >= t.n_cols then

@@ -50,7 +50,7 @@ val serialize : ?core_fmax:float array -> Table.t -> string
     [n_cores = 0].  [core_fmax] (one ceiling per core, e.g.
     [Sim.Machine.core_fmax]) defaults to all zeros, meaning the
     writing platform was unknown; raises [Invalid_argument] on a
-    length mismatch or a negative/NaN entry. *)
+    length mismatch or a non-finite or negative entry. *)
 
 val write : ?core_fmax:float array -> Table.t -> string -> unit
 (** [write table path] writes {!serialize}'s image atomically enough
@@ -62,8 +62,10 @@ type t
 
 val open_file : string -> t
 (** Map [path] read-only and validate it: magic, version, declared
-    dimensions vs file size, the float-view sentinel, and strictly
-    increasing axes.  Raises [Failure] with a descriptive message on
+    dimensions vs file size, the float-view sentinel, finite and
+    strictly increasing axes, finite non-negative per-core ceilings,
+    and finite non-negative frequencies in every feasible cell (which
+    needs [n_cores > 0]).  Raises [Failure] with a descriptive message on
     truncated, corrupt, wrong-version or wrong-endianness images.
     The file descriptor is closed before returning (the mapping keeps
     the pages alive). *)

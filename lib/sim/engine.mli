@@ -5,7 +5,7 @@
     until the drain deadline ([horizon + drain_limit]) for controllers
     too slow to ever finish.  The step loop, its allocation discipline
     and its validation of controller output live in {!Chip}; this
-    module adds the whole-run result and the reference oracle. *)
+    module adds the whole-run result. *)
 
 open Linalg
 
@@ -60,15 +60,3 @@ val run_recorded :
 (** {!run} with a {!Probe.recorder} and a {!Probe.frequency_log}
     attached: the per-epoch temperature series and controller
     decisions that the paper's time-series figures plot. *)
-
-val run_reference :
-  ?config:config ->
-  Machine.t ->
-  Policy.controller ->
-  Policy.assignment ->
-  Workload.Trace.t ->
-  result
-(** The straightforward implementation {!Chip}'s step loop was
-    refactored from; it allocates freely in the step loop but is semantically identical —
-    a golden test asserts both produce bit-for-bit equal {!Stats.t}.
-    Kept as the differential-testing oracle and benchmark baseline. *)

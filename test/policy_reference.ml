@@ -1,6 +1,6 @@
 (* The list-based assignment policies the mask scans replaced, kept as
    the oracle for the qcheck equivalence properties (the same role
-   [Engine.run_reference] plays for the engine).  Each takes the
+   [Engine_reference] plays for the engine).  Each takes the
    candidates as an index list and folds it front to back; a mask
    maps to the ascending list of its [true] cells. *)
 

@@ -80,7 +80,9 @@ let sweep ?on_progress ~domains ~warm_starts () =
   Protemp.Offline.sweep ~machine:(Lazy.force machine) ~spec:fast_spec ~domains
     ~warm_starts ~tstarts ~ftargets ?on_progress ()
 
-let tables_equal ?(tol = 1e-9) a b =
+(* Tolerances are in Hz.  [mean_tol] bounds the difference of the cell
+   means, [tol] every per-core entry. *)
+let tables_equal ?(tol = 1e-9) ?(mean_tol = tol) a b =
   let ta = Protemp.Table.tstarts a and fa = Protemp.Table.ftargets a in
   Protemp.Table.tstarts b = ta
   && Protemp.Table.ftargets b = fa
@@ -91,7 +93,8 @@ let tables_equal ?(tol = 1e-9) a b =
              match (Protemp.Table.cell a i j, Protemp.Table.cell b i j) with
              | Protemp.Table.Infeasible, Protemp.Table.Infeasible -> true
              | Protemp.Table.Frequencies x, Protemp.Table.Frequencies y ->
-                 Linalg.Vec.approx_equal ~tol x y
+                 abs_float (Linalg.Vec.mean x -. Linalg.Vec.mean y) <= mean_tol
+                 && Linalg.Vec.approx_equal ~tol x y
              | Protemp.Table.Infeasible, Protemp.Table.Frequencies _
              | Protemp.Table.Frequencies _, Protemp.Table.Infeasible -> false)
            (Array.init (Array.length fa) Fun.id))
@@ -183,6 +186,76 @@ let test_sweep_backends_agree () =
     true
     (audit.Protemp.Guarantee.worst_margin >= -1e-9)
 
+(* Conic against barrier.  The two solvers must agree on the optimum
+   — the mean frequency, pinned by the binding throughput floor and
+   the strictly convex power objective — to 1e-6 fmax.  The per-core
+   split sits in a nearly flat valley (cores couple only through the
+   shared floor and thermal rows), where two independent algorithms
+   land within 1e-4 fmax of each other. *)
+let solver_spec =
+  { Protemp.Spec.default with Protemp.Spec.constraint_stride = 4 }
+
+let solvers_agree ~machine ~tstarts ~ftargets =
+  let sweep solver =
+    Protemp.Offline.sweep ~machine ~spec:solver_spec ~solver ~domains:1
+      ~warm_starts:false ~tstarts ~ftargets ()
+  in
+  let fmax = machine.Sim.Machine.fmax in
+  let conic = sweep `Conic and barrier = sweep `Barrier in
+  check_bool "conic and barrier tables agree" true
+    (tables_equal ~mean_tol:(1e-6 *. fmax) ~tol:(1e-4 *. fmax) barrier conic);
+  (conic, barrier)
+
+let test_solvers_agree_niagara () =
+  ignore
+    (solvers_agree ~machine:(Lazy.force machine) ~tstarts:[| 27.0; 85.0 |]
+       ~ftargets:[| 2e8; 5e8; 8e8 |])
+
+(* The README quickstart cell, solved both ways. *)
+let test_solvers_agree_quickstart () =
+  let conic, _ =
+    solvers_agree ~machine:(Lazy.force machine) ~tstarts:[| 85.0 |]
+      ~ftargets:[| 600e6 |]
+  in
+  match Protemp.Table.cell conic 0 0 with
+  | Protemp.Table.Frequencies _ -> ()
+  | Protemp.Table.Infeasible ->
+      Alcotest.fail "quickstart cell expected feasible"
+
+(* The same agreement on the asymmetric big.LITTLE machine, where
+   per-core frequency bounds and power laws flow through both solver
+   backends: every stored frequency stays under its own core's
+   ceiling, and the grid is not trivially all-infeasible. *)
+let test_solvers_agree_biglittle () =
+  let m = Sim.Machine.biglittle () in
+  let conic, barrier =
+    solvers_agree ~machine:m ~tstarts:[| 50.0; 80.0 |]
+      ~ftargets:[| 1e8; 3e8 |]
+  in
+  let feasible = ref 0 in
+  List.iter
+    (fun table ->
+      Array.iteri
+        (fun i _ ->
+          Array.iteri
+            (fun j _ ->
+              match Protemp.Table.cell table i j with
+              | Protemp.Table.Infeasible -> ()
+              | Protemp.Table.Frequencies f ->
+                  incr feasible;
+                  Array.iteri
+                    (fun c hz ->
+                      check_bool
+                        (Printf.sprintf "cell (%d, %d) core %d under its fmax"
+                           i j c)
+                        true
+                        (hz <= m.Sim.Machine.core_fmax.(c) +. 1e-3))
+                    f)
+            (Protemp.Table.ftargets table))
+        (Protemp.Table.tstarts table))
+    [ conic; barrier ];
+  check_bool "some cell feasible" true (!feasible > 0)
+
 (* The aggregated work counters are a pure function of the grid — the
    same whichever domain count runs it. *)
 let test_sweep_stats_domain_invariant () =
@@ -253,6 +326,12 @@ let () =
             test_sweep_warm_started_cells_keep_guarantee;
           Alcotest.test_case "warm start direct" `Slow test_warm_start_direct;
           Alcotest.test_case "backends agree" `Slow test_sweep_backends_agree;
+          Alcotest.test_case "solvers agree (niagara)" `Slow
+            test_solvers_agree_niagara;
+          Alcotest.test_case "solvers agree (quickstart cell)" `Slow
+            test_solvers_agree_quickstart;
+          Alcotest.test_case "solvers agree (big.LITTLE)" `Slow
+            test_solvers_agree_biglittle;
           Alcotest.test_case "stats domain-count invariant" `Slow
             test_sweep_stats_domain_invariant;
           Alcotest.test_case "instantiate matches build" `Slow

@@ -237,7 +237,7 @@ let test_biglittle_engine_matches_reference () =
   let mk () = Sim.Policy.workload_following ~fmax:m.Sim.Machine.fmax in
   let fresh = Sim.Engine.run m (mk ()) Sim.Policy.coolest_first trace in
   let oracle =
-    Sim.Engine.run_reference m (mk ()) Sim.Policy.coolest_first trace
+    Engine_reference.run m (mk ()) Sim.Policy.coolest_first trace
   in
   check_bool "stats bit-for-bit" true
     (Sim.Stats.equal fresh.Sim.Engine.stats oracle.Sim.Engine.stats);

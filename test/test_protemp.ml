@@ -207,6 +207,43 @@ let test_table_csv_rejects_duplicates () =
     | _ -> false
     | exception Failure _ -> true)
 
+(* An infinite cell would be clamped to the core's ceiling and run it
+   flat out; a NaN axis value matches no exact lookup.  Both kinds of
+   input fail closed, in [make] and through [of_csv]. *)
+let test_table_rejects_non_finite () =
+  let make_fails ~tstarts ~ftargets cell =
+    match Protemp.Table.make ~tstarts ~ftargets [| [| cell |] |] with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let cell x = Protemp.Table.Frequencies [| 1e8; x |] in
+  check_bool "NaN tstart" true
+    (make_fails ~tstarts:[| Float.nan |] ~ftargets:[| 1e8 |] (cell 1e8));
+  check_bool "infinite ftarget" true
+    (make_fails ~tstarts:[| 50.0 |] ~ftargets:[| infinity |] (cell 1e8));
+  List.iter
+    (fun x ->
+      check_bool (Printf.sprintf "cell %g" x) true
+        (make_fails ~tstarts:[| 50.0 |] ~ftargets:[| 1e8 |] (cell x)))
+    [ infinity; neg_infinity; Float.nan; -1.0 ];
+  let csv_fails line =
+    match Protemp.Table.of_csv line with
+    | _ -> None
+    | exception Failure msg -> Some msg
+    | exception Invalid_argument msg -> Some msg
+  in
+  List.iter
+    (fun line ->
+      check_bool line true (csv_fails line <> None))
+    [ "50,1e8,1e8,inf"; "50,1e8,nan,1e8"; "50,1e8,-5,1e8"; "inf,1e8,1e8,1e8" ];
+  match csv_fails "nan,1e8,1e8,1e8" with
+  | Some msg ->
+      check_bool
+        (Printf.sprintf "NaN tstart reported by of_csv: %s" msg)
+        true
+        (String.length msg >= 13 && String.sub msg 0 13 = "Table.of_csv:")
+  | None -> Alcotest.fail "NaN tstart accepted"
+
 let test_table_make_validates_cell_dimensions () =
   let bad cells =
     match
@@ -1106,6 +1143,8 @@ let () =
             test_table_csv_rejects_duplicates;
           Alcotest.test_case "cell dimension validation" `Quick
             test_table_make_validates_cell_dimensions;
+          Alcotest.test_case "non-finite input rejected" `Quick
+            test_table_rejects_non_finite;
         ] );
       ( "model",
         [

@@ -583,7 +583,7 @@ let check_matches_reference name config mk_controller assignment trace =
      so each run gets a fresh one. *)
   let fresh = Sim.Engine.run ~config m (mk_controller ()) assignment trace in
   let oracle =
-    Sim.Engine.run_reference ~config m (mk_controller ()) assignment trace
+    Engine_reference.run ~config m (mk_controller ()) assignment trace
   in
   check_bool (name ^ ": stats bit-for-bit") true
     (Sim.Stats.equal fresh.Sim.Engine.stats oracle.Sim.Engine.stats);
@@ -632,6 +632,66 @@ let test_engine_matches_reference_with_migration () =
       Sim.Policy.first_idle (small_trace 200)
   in
   check_bool "migration path exercised" true (migrations > 0)
+
+(* The steady trace, also the speed gate's input below: one task that
+   outlives the run, so every cold edge (arrivals, dispatch,
+   completions) stays out of the loop and only the pure step path runs
+   until the 8 s drain deadline. *)
+let steady_trace =
+  let task =
+    { Workload.Task.id = 0; arrival = 0.0; work = 1e6; benchmark = Web }
+  in
+  { Workload.Trace.tasks = [| task |]; mix_name = "steady"; horizon = 0.0 }
+
+let steady_config =
+  { Sim.Engine.default_config with Sim.Engine.drain_limit = 8.0 }
+
+let fixed_fmax () = Sim.Policy.fixed_frequency ~fmax:1e9 1e9
+
+let test_engine_matches_reference_steady () =
+  ignore
+    (check_matches_reference "steady" steady_config fixed_fmax
+       Sim.Policy.first_idle steady_trace)
+
+(* The paper's workload shape: arrivals, dispatch and epoch decisions
+   mixed into the step stream. *)
+let test_engine_matches_reference_web_trace () =
+  let trace =
+    Workload.Trace.generate ~seed:42L ~n_tasks:6000 Workload.Mix.web
+  in
+  ignore
+    (check_matches_reference "web trace" Sim.Engine.default_config fixed_fmax
+       Sim.Policy.first_idle trace)
+
+(* The step-loop speed gate: on the steady trace the chip's loop must
+   run at least 3x faster than the oracle it was refactored from.
+   Runs interleave and each side keeps its best of three, so a burst
+   of host noise cannot land on one side only. *)
+let test_engine_steady_speedup () =
+  let m = Lazy.force machine in
+  let time run =
+    let t0 = Unix.gettimeofday () in
+    ignore (run ());
+    Unix.gettimeofday () -. t0
+  in
+  let fresh () =
+    Sim.Engine.run ~config:steady_config m (fixed_fmax ())
+      Sim.Policy.first_idle steady_trace
+  and oracle () =
+    Engine_reference.run ~config:steady_config m (fixed_fmax ())
+      Sim.Policy.first_idle steady_trace
+  in
+  ignore (time fresh);
+  ignore (time oracle);
+  let best_fresh = ref infinity and best_oracle = ref infinity in
+  for _ = 1 to 3 do
+    best_fresh := Float.min !best_fresh (time fresh);
+    best_oracle := Float.min !best_oracle (time oracle)
+  done;
+  let speedup = !best_oracle /. !best_fresh in
+  check_bool
+    (Printf.sprintf "steady-state speedup %.2fx >= 3x" speedup)
+    true (speedup >= 3.0)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation discipline *)
@@ -786,6 +846,12 @@ let () =
             test_engine_matches_reference_golden;
           Alcotest.test_case "matches reference with migration" `Quick
             test_engine_matches_reference_with_migration;
+          Alcotest.test_case "matches reference on the steady trace" `Quick
+            test_engine_matches_reference_steady;
+          Alcotest.test_case "matches reference on the web trace" `Quick
+            test_engine_matches_reference_web_trace;
+          Alcotest.test_case "steady state 3x the reference" `Slow
+            test_engine_steady_speedup;
           Alcotest.test_case "steady-state step allocates nothing" `Quick
             test_engine_zero_alloc_steady_state;
         ] );
