@@ -270,10 +270,11 @@ let with_constraint_constant t ~index value =
 (* The three G kernels below account for the bulk of a solve (every
    iteration walks the nnz row pack around fifteen times), so they
    use unchecked array access — the only place in the library that
-   does.  The indices are safe by construction of pack_rows: for row
-   [i], [gdata]/[goff] entries lie in [goff.(i), goff.(i+1)) within
-   [0, nnz), and the column window [glo.(i), glo.(i) + len) lies
-   within [0, n); both are fixed at pack time and never mutated.
+   does.  The indices are safe by construction of pack_rows (and of
+   pack_working_set, which copies whole rows of such a pack): for row
+   [i < n_rows t], [gdata]/[goff] entries lie in
+   [goff.(i), goff.(i+1)) within [0, nnz), and the column window
+   [glo.(i), glo.(i) + len) lies within [0, n).
 
    Each kernel special-cases rows of exactly eight entries with a
    hand-unrolled body.  In the thermal models the per-node
@@ -286,7 +287,7 @@ let with_constraint_constant t ~index value =
 (* dst := G x *)
 let g_mulvec t x ~dst =
   let gd = t.gdata and off = t.goff and lo = t.glo in
-  for i = 0 to Array.length lo - 1 do
+  for i = 0 to n_rows t - 1 do
     let s = Array.unsafe_get off i in
     let e = Array.unsafe_get off (i + 1) in
     let l = Array.unsafe_get lo i in
@@ -321,7 +322,7 @@ let g_mulvec t x ~dst =
 let g_tmulvec t v ~dst =
   Vec.fill dst 0.0;
   let gd = t.gdata and off = t.goff and lo = t.glo in
-  for i = 0 to Array.length lo - 1 do
+  for i = 0 to n_rows t - 1 do
     let vi = Array.unsafe_get v i in
     let s = Array.unsafe_get off i in
     let e = Array.unsafe_get off (i + 1) in
@@ -364,7 +365,7 @@ let g_tmulvec t v ~dst =
 (* marr (flat n x n, upper triangle) += G' diag(d) G *)
 let g_syrk t d ~marr =
   let gd = t.gdata and off = t.goff and lo = t.glo and n = t.n in
-  for i = 0 to Array.length lo - 1 do
+  for i = 0 to n_rows t - 1 do
     let s = Array.unsafe_get off i in
     let e = Array.unsafe_get off (i + 1) in
     let l = Array.unsafe_get lo i in
@@ -471,6 +472,18 @@ let g_syrk t d ~marr =
       done
   done
 
+(* The value G_i x - h_i of row [i] at [x]: on an of_barrier instance,
+   orthant row i is the i-th affine constraint and this is its value
+   q'x + r.  Inlined, so the float it returns is never boxed. *)
+let[@inline] row_value t i x =
+  let gd = t.gdata and s = t.goff.(i) and e = t.goff.(i + 1) in
+  let sh = t.glo.(i) - s in
+  let acc = ref 0.0 in
+  for k = s to e - 1 do
+    acc := !acc +. (gd.(k) *. x.(sh + k))
+  done;
+  !acc -. t.hi.(i)
+
 (* ------------------------------------------------------------------ *)
 (* Options, stats                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -545,17 +558,21 @@ type kkt_fact = Fact_dense of Chol.t | Fact_blocks of Block_tridiag.t
 
 type ws = {
   mutable t : t;
+  (* Every array below of one entry per cone row (or per orthant row)
+     holds [cap] entries: enough for the largest working set solved so
+     far (reserve_rows), not necessarily for all of [full]. *)
+  mutable cap : int;
   (* iterate (internal row order) *)
   x : Vec.t;
   y : Vec.t;
-  z : Vec.t;
-  s : Vec.t;
+  mutable z : Vec.t;
+  mutable s : Vec.t;
   mutable tau : float;
   mutable kappa : float;
   (* residuals *)
   rx : Vec.t;
   ry : Vec.t;
-  rz : Vec.t;
+  mutable rz : Vec.t;
   mutable rt : float;
   mutable mu : float;
   mutable norm_rz : float;  (* |rz|_inf, fused into the rz pass *)
@@ -563,21 +580,21 @@ type ws = {
   mutable hz_dot : float;  (* h'z, fused into the rz pass *)
   mutable refine_passes : int;
   (* Nesterov-Todd scaling *)
-  w_o : Vec.t;  (* orthant sqrt(s/z) *)
-  w2inv_o : Vec.t;  (* orthant z/s *)
-  dweights : Vec.t;  (* syrk weights, one per internal row *)
+  mutable w_o : Vec.t;  (* orthant sqrt(s/z) *)
+  mutable w2inv_o : Vec.t;  (* orthant z/s *)
+  mutable dweights : Vec.t;  (* syrk weights, one per internal row *)
   wbar : Vec.t;  (* 3 per SOC block: the unit-hyperboloid point *)
   eta : Vec.t;  (* 1 per SOC block *)
-  lam : Vec.t;  (* scaled point lambda = W z *)
+  mutable lam : Vec.t;  (* scaled point lambda = W z *)
   (* KKT *)
   marr : float array;  (* flat n x n accumulator for G' W^-2 G *)
   m_mat : Mat.t;
   fact : kkt_fact;
   bvec : Vec.t;  (* n: SOC rank-one row G_k' (J wbar) *)
   (* per-iteration precomputations for the tau recovery *)
-  w2h : Vec.t;  (* W^-2 h *)
+  mutable w2h : Vec.t;  (* W^-2 h *)
   gw2h : Vec.t;  (* G' W^-2 h *)
-  gu1x : Vec.t;  (* G u1x *)
+  mutable gu1x : Vec.t;  (* G u1x *)
   mutable cbh1 : float;  (* c'u1x + b'u1y + h'u1z *)
   (* equality (Schur) path, used only when p > 0 *)
   schur : Mat.t;
@@ -591,32 +608,31 @@ type ws = {
   u2y : Vec.t;
   dx : Vec.t;
   dy : Vec.t;
-  dz : Vec.t;
-  ds : Vec.t;
+  mutable dz : Vec.t;
+  mutable ds : Vec.t;
   mutable dtau : float;
   mutable dkappa : float;
   (* affine (predictor) quantities kept for the corrector *)
-  dsa : Vec.t;  (* W^-1 ds_aff *)
-  dza : Vec.t;  (* W dz_aff *)
+  mutable dsa : Vec.t;  (* W^-1 ds_aff *)
+  mutable dza : Vec.t;  (* W dz_aff *)
   mutable dtau_a : float;
   mutable dkappa_a : float;
   (* RHS and scratch *)
   rhsn : Vec.t;
   byv : Vec.t;
-  bzv : Vec.t;
-  rhs5 : Vec.t;
-  dst_s : Vec.t;  (* lambda \ rhs5 *)
+  mutable bzv : Vec.t;
+  mutable dst_s : Vec.t;  (* lambda \ rhs5 *)
   tmp_n : Vec.t;
-  tmp_q : Vec.t;
-  tmp_q2 : Vec.t;
+  mutable tmp_q : Vec.t;
+  mutable tmp_q2 : Vec.t;
   tmp_p : Vec.t;
   ref_n : Vec.t;
   cor_n : Vec.t;
   (* best iterate seen so far (by residual/gap merit) *)
   best_x : Vec.t;
   best_y : Vec.t;
-  best_s : Vec.t;
-  best_z : Vec.t;
+  mutable best_s : Vec.t;
+  mutable best_z : Vec.t;
   mutable best_tau : float;
   mutable best_kappa : float;
   mutable best_merit : float;
@@ -625,11 +641,25 @@ type ws = {
   mutable norm_c : float;
   mutable norm_b : float;
   mutable norm_h : float;
+  (* Working set.  [full] is the instance handed to the current solve;
+     [t] is [full] itself, or its restriction to the working set packed
+     into the [w_*] buffers ([cap] rows, [w_gdata] grown likewise). *)
+  mutable full : t;
+  mutable opt_lo : int;  (* orthant rows [opt_lo, opt_hi) are optional *)
+  mutable opt_hi : int;
+  in_set : Bytes.t;  (* per orthant row of [full]: '\001' if in the set *)
+  sub_row : int array;  (* orthant row of [full] -> row of [t], or -1 *)
+  mutable w_gdata : float array;
+  mutable w_goff : int array;
+  mutable w_glo : int array;
+  mutable w_hi : Vec.t;
+  mutable w_orth_ext : int array;
 }
 
-let make_ws t options =
+(* A workspace for [t] with room for [cap] cone rows. *)
+let make_ws t options ~cap =
   let n = t.n and p = t.p in
-  let q = n_rows t in
+  let q = cap in
   let fact =
     match options.kkt with
     | `Dense -> Fact_dense (Chol.preallocate n)
@@ -640,12 +670,13 @@ let make_ws t options =
   in
   {
     t;
+    cap;
     x = Vec.zeros n; y = Vec.zeros p; z = Vec.zeros q; s = Vec.zeros q;
     tau = 1.0; kappa = 1.0;
     rx = Vec.zeros n; ry = Vec.zeros p; rz = Vec.zeros q;
     rt = 0.0; mu = 1.0; norm_rz = 0.0; gap_sz = 0.0; hz_dot = 0.0;
     refine_passes = 1;
-    w_o = Vec.zeros t.mo; w2inv_o = Vec.zeros t.mo;
+    w_o = Vec.zeros q; w2inv_o = Vec.zeros q;
     dweights = Vec.zeros q;
     wbar = Vec.zeros (3 * t.nsoc); eta = Vec.zeros t.nsoc;
     lam = Vec.zeros q;
@@ -664,7 +695,7 @@ let make_ws t options =
     dsa = Vec.zeros q; dza = Vec.zeros q;
     dtau_a = 0.0; dkappa_a = 0.0;
     rhsn = Vec.zeros n; byv = Vec.zeros p; bzv = Vec.zeros q;
-    rhs5 = Vec.zeros q; dst_s = Vec.zeros q;
+    dst_s = Vec.zeros q;
     tmp_n = Vec.zeros n; tmp_q = Vec.zeros q; tmp_q2 = Vec.zeros q;
     tmp_p = Vec.zeros p;
     ref_n = Vec.zeros n; cor_n = Vec.zeros n;
@@ -674,27 +705,131 @@ let make_ws t options =
     stall_count = 0;
     norm_c = (if n = 0 then 0.0 else Vec.norm_inf t.c);
     norm_b = (if p = 0 then 0.0 else Vec.norm_inf t.b);
-    norm_h = (if q = 0 then 0.0 else Vec.norm_inf t.hi);
+    norm_h = (if n_rows t = 0 then 0.0 else Vec.norm_inf t.hi);
+    full = t;
+    opt_lo = 0;
+    opt_hi = 0;
+    in_set = Bytes.make t.mo '\001';
+    sub_row = Array.init t.mo (fun i -> i);
+    w_gdata = [||];
+    w_goff = Array.make (q + 1) 0;
+    w_glo = Array.make q 0;
+    w_hi = Vec.zeros q;
+    w_orth_ext = Array.make q 0;
   }
 
 type workspace = ws
 
+(* A workspace starts with no row capacity: its first solve sizes it
+   for that solve's working set. *)
 let make_workspace ?(kkt = `Dense) t =
-  make_ws t { default_options with kkt }
+  make_ws t { default_options with kkt } ~cap:0
+
+(* Make room for [rows] cone rows.  Called before a solve, when every
+   row-shaped array is about to be overwritten, so nothing is copied.
+   A working set that outgrows the capacity gets a quarter more than
+   it needs (at most all of [full]'s rows), so a growing sequence of
+   sets reallocates a logarithmic number of times.  Not double: the
+   hot rows of a guard-banded table need sets near the full size, and
+   with the packed-row buffers a doubled workspace would outgrow a
+   full-size one. *)
+let reserve_rows st rows =
+  if rows > st.cap then begin
+    let q = Int.min (n_rows st.full) (rows + (rows / 4)) in
+    st.cap <- q;
+    st.z <- Vec.zeros q; st.s <- Vec.zeros q; st.rz <- Vec.zeros q;
+    st.w_o <- Vec.zeros q; st.w2inv_o <- Vec.zeros q;
+    st.dweights <- Vec.zeros q; st.lam <- Vec.zeros q;
+    st.w2h <- Vec.zeros q; st.gu1x <- Vec.zeros q;
+    st.dz <- Vec.zeros q; st.ds <- Vec.zeros q;
+    st.dsa <- Vec.zeros q; st.dza <- Vec.zeros q;
+    st.bzv <- Vec.zeros q; st.dst_s <- Vec.zeros q;
+    st.tmp_q <- Vec.zeros q; st.tmp_q2 <- Vec.zeros q;
+    st.best_s <- Vec.zeros q; st.best_z <- Vec.zeros q;
+    st.w_goff <- Array.make (q + 1) 0;
+    st.w_glo <- Array.make q 0;
+    st.w_hi <- Vec.zeros q;
+    st.w_orth_ext <- Array.make q 0
+  end
+
+(* The working set's cone rows and stored G entries. *)
+let working_set_size st t =
+  let rows = ref (3 * t.nsoc) in
+  let nnz = ref (t.goff.(n_rows t) - t.goff.(t.mo)) in
+  for i = 0 to t.mo - 1 do
+    if Bytes.get st.in_set i <> '\000' then begin
+      incr rows;
+      nnz := !nnz + t.goff.(i + 1) - t.goff.(i)
+    end
+  done;
+  (!rows, !nnz)
+
+(* Pack the working-set restriction of [t] into the workspace's
+   buffers: the member orthant rows in order, then every SOC block,
+   each row's stripe copied as is.  Returns the restriction's orthant
+   row count and records where each orthant row of [t] went. *)
+let pack_working_set st t =
+  let mo = ref 0 and nz = ref 0 in
+  for i = 0 to n_rows t - 1 do
+    if i >= t.mo || Bytes.unsafe_get st.in_set i <> '\000' then begin
+      let r = !mo + (if i < t.mo then 0 else i - t.mo) in
+      let s = t.goff.(i) in
+      let len = t.goff.(i + 1) - s in
+      Array.blit t.gdata s st.w_gdata !nz len;
+      st.w_goff.(r) <- !nz;
+      st.w_glo.(r) <- t.glo.(i);
+      st.w_hi.(r) <- t.hi.(i);
+      nz := !nz + len;
+      if i < t.mo then begin
+        st.w_orth_ext.(r) <- t.orth_ext.(i);
+        st.sub_row.(i) <- r;
+        incr mo
+      end
+    end
+    else st.sub_row.(i) <- -1
+  done;
+  st.w_goff.(!mo + (3 * t.nsoc)) <- !nz;
+  !mo
+
+let same_shape a b = a.n = b.n && a.p = b.p && a.mo = b.mo && a.nsoc = b.nsoc
+
+let norm_inf_rows v q =
+  let m = ref 0.0 in
+  for j = 0 to q - 1 do
+    m := Float.max !m (Float.abs v.(j))
+  done;
+  !m
 
 (* Re-point a preallocated workspace at a (structurally identical)
-   instance: everything array-shaped is overwritten by the first
-   iteration, so only the instance pointer, the problem norms, and the
+   instance, restricted to the working set when one is in force:
+   everything array-shaped is overwritten by the first iteration, so
+   only the instance pointer, the problem norms, and the
    cross-iteration scalars need resetting. *)
 let rebind_ws st t =
-  if
-    st.t.n <> t.n || st.t.p <> t.p || st.t.mo <> t.mo
-    || st.t.nsoc <> t.nsoc
-  then invalid_arg "Conic.solve: workspace shape mismatch";
-  st.t <- t;
+  if not (same_shape st.full t) then
+    invalid_arg "Conic.solve: workspace shape mismatch";
+  st.full <- t;
+  if st.opt_lo < st.opt_hi then begin
+    let rows, nnz = working_set_size st t in
+    reserve_rows st rows;
+    if nnz > Array.length st.w_gdata then
+      st.w_gdata <- Array.make (Int.min t.goff.(n_rows t) (nnz + (nnz / 4))) 0.0;
+    let mo = pack_working_set st t in
+    st.t <-
+      { t with mo; gdata = st.w_gdata; goff = st.w_goff; glo = st.w_glo;
+               hi = st.w_hi; orth_ext = st.w_orth_ext }
+  end
+  else begin
+    reserve_rows st (n_rows t);
+    for i = 0 to t.mo - 1 do
+      st.sub_row.(i) <- i
+    done;
+    st.t <- t
+  end;
+  let t = st.t in
   st.norm_c <- (if t.n = 0 then 0.0 else Vec.norm_inf t.c);
   st.norm_b <- (if t.p = 0 then 0.0 else Vec.norm_inf t.b);
-  st.norm_h <- (if n_rows t = 0 then 0.0 else Vec.norm_inf t.hi);
+  st.norm_h <- norm_inf_rows t.hi (n_rows t);
   st.refine_passes <- 1;
   st.mu <- 1.0;
   st.best_tau <- 1.0;
@@ -754,7 +889,7 @@ let g_tmulvec_w2inv st v ~dst =
   Vec.fill dst 0.0;
   let gd = t.gdata and off = t.goff and lo = t.glo in
   let w2 = st.w2inv_o and tq = st.tmp_q and mo = t.mo in
-  for i = 0 to Array.length lo - 1 do
+  for i = 0 to n_rows t - 1 do
     let vi =
       if i < mo then Array.unsafe_get w2 i *. Array.unsafe_get v i
       else Array.unsafe_get tq i
@@ -1331,7 +1466,8 @@ let init_cold st =
    of placed on the central path: an orthant row takes the seed
    multiplier floored at mu0 / s_i (so inactive rows still sit on the
    central path at mu0 rather than contributing huge s_i z_i
-   products), and an Epi_square block's full dual is pinned by
+   products; a row outside the working set has no dual to seed), and
+   an Epi_square block's full dual is pinned by
    complementarity — z = 2 lam (v, u, -w) up to the internal rotation
    — from its single seed multiplier lam and the lift values already
    in s.  The pair then starts (approximately) complementary and
@@ -1365,7 +1501,8 @@ let init_warm st seed ~dual ~mu0 =
           let l = lam.(j) in
           match dm with
           | Dual_orth i ->
-              st.z.(i) <- Float.max l (mu0 /. st.s.(i))
+              let i = st.sub_row.(i) in
+              if i >= 0 then st.z.(i) <- Float.max l (mu0 /. st.s.(i))
           | Dual_soc k ->
               let r0 = t.mo + (3 * k) in
               let s0 = st.s.(r0) and s1 = st.s.(r0 + 1) in
@@ -1398,12 +1535,19 @@ let init_warm st seed ~dual ~mu0 =
   st.kappa <- mu0
 
 (* Rotate the internal slack/dual back to the caller's row order and
-   tau-normalize everything into a solution record. *)
+   tau-normalize everything into a solution record.  The record has
+   the shape of the full instance: an orthant row outside the working
+   set gets a zero dual and its true slack h - G x. *)
 let extract_solution st ~iterations =
-  let t = st.t in
-  let q = t.mo + (3 * t.nsoc) in
+  let t = st.t and full = st.full in
+  let q = n_rows t in
   let inv_tau = 1.0 /. st.tau in
-  let s = Vec.zeros q and z = Vec.zeros q in
+  let x = Vec.scale inv_tau st.x in
+  let s = Vec.zeros (n_rows full) and z = Vec.zeros (n_rows full) in
+  if t != full then
+    for i = 0 to full.mo - 1 do
+      if st.sub_row.(i) < 0 then s.(full.orth_ext.(i)) <- -.row_value full i x
+    done;
   for i = 0 to t.mo - 1 do
     let e = t.orth_ext.(i) in
     s.(e) <- st.s.(i) *. inv_tau;
@@ -1418,13 +1562,17 @@ let extract_solution st ~iterations =
     z.(e + 1) <- inv_sqrt2 *. (st.z.(r0) -. st.z.(r0 + 1)) *. inv_tau;
     z.(e + 2) <- st.z.(r0 + 2) *. inv_tau
   done;
+  let gap = ref 0.0 in
+  for j = 0 to q - 1 do
+    gap := !gap +. (st.s.(j) *. st.z.(j))
+  done;
   {
-    x = Vec.scale inv_tau st.x;
+    x;
     y = Vec.scale inv_tau st.y;
     s;
     z;
     objective_value = (Vec.dot t.c st.x *. inv_tau) +. t.obj_const;
-    gap = Vec.dot st.s st.z *. inv_tau *. inv_tau;
+    gap = !gap *. inv_tau *. inv_tau;
     iterations;
   }
 
@@ -1473,10 +1621,11 @@ let check_termination ?(tol_scale = 1.0) st options ~iterations =
         end
       in
       (* G x + s = rz + h tau *)
-      Vec.blit ~src:st.rz ~dst:st.tmp_q;
-      Vec.axpy_into ~dst:st.tmp_q st.tau t.hi;
-      Float.max ax (Vec.norm_inf st.tmp_q)
-      /. (Float.max 1.0 st.norm_h *. -.cx)
+      let gxs = ref 0.0 in
+      for j = 0 to n_rows t - 1 do
+        gxs := Float.max !gxs (Float.abs (st.rz.(j) +. (st.tau *. t.hi.(j))))
+      done;
+      Float.max ax !gxs /. (Float.max 1.0 st.norm_h *. -.cx)
     end
     else infinity
   in
@@ -1540,6 +1689,56 @@ let finish_unknown st options ~iterations =
   | None -> Unknown (extract_solution st ~iterations)
 
 (* ------------------------------------------------------------------ *)
+(* Working set                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The affine constraints [first, last) of an of_barrier instance are
+   the orthant rows [i0, i0 + last - first): of_barrier emits orthant
+   rows in constraint order. *)
+let restrict ws t ~first ~last =
+  if Array.length t.duals_map = 0 then
+    invalid_arg "Conic.restrict: not an of_barrier instance";
+  if not (same_shape ws.full t) then
+    invalid_arg "Conic.restrict: workspace shape mismatch";
+  if first < 0 || last > Array.length t.duals_map then
+    invalid_arg "Conic.restrict: range out of bounds";
+  Bytes.fill ws.in_set 0 t.mo '\001';
+  if first >= last then begin
+    ws.opt_lo <- 0;
+    ws.opt_hi <- 0
+  end
+  else begin
+    let orth j =
+      match t.duals_map.(j) with
+      | Dual_orth i -> i
+      | Dual_soc _ -> invalid_arg "Conic.restrict: constraint is not affine"
+    in
+    for j = first to last - 1 do
+      ignore (orth j)
+    done;
+    let i0 = orth first in
+    ws.opt_lo <- i0;
+    ws.opt_hi <- i0 + (last - first);
+    Bytes.fill ws.in_set i0 (last - first) '\000'
+  end
+
+(* The working-set update, in one pass over the optional rows outside
+   the set: each whose value at [x] is not <= above — a NaN value
+   included — joins it. *)
+let admit ws t x ~above =
+  if not (same_shape ws.full t) then
+    invalid_arg "Conic.admit: workspace shape mismatch";
+  if Vec.dim x <> t.n then invalid_arg "Conic.admit: point dimension mismatch";
+  let added = ref 0 in
+  for i = ws.opt_lo to ws.opt_hi - 1 do
+    if Bytes.get ws.in_set i = '\000' && not (row_value t i x <= above) then begin
+      Bytes.set ws.in_set i '\001';
+      incr added
+    end
+  done;
+  !added
+
+(* ------------------------------------------------------------------ *)
 (* Main loop                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1558,15 +1757,13 @@ let take_step st alpha =
   st.tau <- st.tau +. (alpha *. st.dtau);
   st.kappa <- st.kappa +. (alpha *. st.dkappa)
 
-let debug = Sys.getenv_opt "CONIC_DEBUG" <> None
-
 let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
   let st =
     match ws with
     | Some st ->
         rebind_ws st t;
         st
-    | None -> make_ws t options
+    | None -> make_ws t options ~cap:(n_rows t)
   in
   let iterations = ref 0 in
   let predictor_steps = ref 0 and corrector_steps = ref 0 in
@@ -1650,12 +1847,6 @@ let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
                let alpha_max = corrector_step st ~sigma in
                incr corrector_steps;
                let alpha = Float.min (options.step_frac *. alpha_max) 1.0 in
-               if debug then
-                 Format.eprintf
-                   "it %d: mu=%.3e tau=%.3e kap=%.3e a_aff=%.3e sig=%.3e \
-                    a=%.3e rx=%.3e rz=%.3e rt=%.3e@."
-                   !iterations st.mu st.tau st.kappa alpha_aff sigma alpha
-                   (Vec.norm_inf st.rx) (Vec.norm_inf st.rz) st.rt;
                if alpha < 1e-10 || not (Float.is_finite alpha) then
                  give_up ()
                else take_step st alpha

@@ -135,19 +135,23 @@ type status =
           reference barrier path. *)
 
 type workspace
-(** Preallocated solver state (iterate, scalings, KKT factors) — about
-    a megabyte for the thermal cells, and the dominant per-solve
-    allocation when solves take a few milliseconds. *)
+(** Preallocated solver state (iterate, scalings, KKT factors), the
+    dominant per-solve allocation when solves take a few
+    milliseconds, plus a {e working set}: the subset of the
+    instance's constraints a {!solve} on the workspace takes part in
+    (see {!restrict}).  A new workspace's working set is every
+    constraint. *)
 
 val make_workspace : ?kkt:kkt -> t -> workspace
 (** [make_workspace ?kkt t] preallocates a workspace reusable across
     {!solve} calls on [t] or any structurally identical instance (same
     dimensions and cone layout — e.g. the sweep's per-column
-    {!with_constraint_constant} re-targets).  The workspace fixes the
-    factorization backend ([kkt] defaults to [`Dense]); a [solve] that
-    is handed a workspace ignores [options.kkt].  A workspace serves
-    one solve at a time: share instances across domains, not
-    workspaces. *)
+    {!with_constraint_constant} re-targets).  Its buffers are sized
+    for all of [t]'s rows, so every working set of [t] is solved in
+    place.  The workspace fixes the factorization backend ([kkt]
+    defaults to [`Dense]); a [solve] that is handed a workspace
+    ignores [options.kkt].  A workspace serves one solve at a time:
+    share instances across domains, not workspaces. *)
 
 val solve :
   ?options:options -> ?warm:Vec.t -> ?warm_dual:Vec.t ->
@@ -161,7 +165,28 @@ val solve :
     (approximately) complementary pair instead of the central path.
     [stats_into] accumulates work counters across solves.  [ws]
     reuses a preallocated {!workspace} instead of allocating one
-    ([Invalid_argument] on shape mismatch). *)
+    ([Invalid_argument] on shape mismatch), and solves [t] restricted
+    to the workspace's working set: the result then has the shape of
+    [t], with a zero dual ([z]) and the true slack [h - G x] ([s]) on
+    every row outside the set — so an optimum that satisfies those
+    rows is an optimum of [t], and a primal-infeasibility certificate
+    is one for [t] as it stands. *)
+
+val restrict : workspace -> t -> first:int -> last:int -> unit
+(** [restrict ws t ~first ~last] makes the affine constraints
+    [first .. last - 1] of the {!of_barrier} instance [t] optional:
+    the working set of [ws] becomes every other constraint, and an
+    optional one enters only through {!admit}.  [first >= last]
+    restores the full instance.  [Invalid_argument] if [t] is not an
+    {!of_barrier} instance of the workspace's shape, the range is out
+    of bounds, or it holds a quadratic constraint. *)
+
+val admit : workspace -> t -> Vec.t -> above:float -> int
+(** [admit ws t x ~above] evaluates every affine constraint of [t] at
+    [x] ([q'x + r], one pass over the packed rows) and adds to the
+    working set each optional constraint whose value is not [<= above]
+    — a NaN value included.  Returns how many joined.  Allocates
+    nothing. *)
 
 val constraint_duals : t -> solution -> Vec.t
 (** Multipliers of the original {!Barrier.problem} constraints (the

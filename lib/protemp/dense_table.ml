@@ -25,10 +25,11 @@ type t = {
   mutable n_pruned : int;
 }
 
-let strictly_increasing (a : float array) =
-  let ok = ref true in
+(* Finite and strictly increasing; written so that a NaN fails. *)
+let finite_increasing (a : float array) =
+  let ok = ref (Array.for_all Float.is_finite a) in
   for i = 1 to Array.length a - 1 do
-    if a.(i) <= a.(i - 1) then ok := false
+    if not (a.(i) > a.(i - 1)) then ok := false
   done;
   !ok
 
@@ -40,10 +41,11 @@ let create ?solver ?options ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets
     invalid_arg "Dense_table.create: margin leaves no thermal envelope";
   if Array.length tstarts = 0 || Array.length ftargets = 0 then
     invalid_arg "Dense_table.create: empty axis";
-  if not (strictly_increasing tstarts) then
-    invalid_arg "Dense_table.create: tstarts not strictly increasing";
-  if not (strictly_increasing ftargets) then
-    invalid_arg "Dense_table.create: ftargets not strictly increasing";
+  if not (finite_increasing tstarts) then
+    invalid_arg "Dense_table.create: tstarts not finite and strictly increasing";
+  if not (finite_increasing ftargets) then
+    invalid_arg
+      "Dense_table.create: ftargets not finite and strictly increasing";
   let spec = { spec with Spec.tmax = spec.Spec.tmax -. margin } in
   Spec.validate spec;
   let rows = Array.length tstarts and cols = Array.length ftargets in
@@ -102,7 +104,10 @@ let prepared_for t i =
 (* One conic workspace per row, created on first conic solve of that
    row — the per-column instances share their structure (only the
    throughput-floor constant moves), and reallocating the solver state
-   per cell is measurable against millisecond solves. *)
+   per cell is measurable against sub-millisecond solves.  Model.solve
+   keeps each cell's working set of thermal rows in it, and it grows
+   only to the largest working set the row solves, a few dozen rows
+   against the hundreds of the full problem. *)
 let workspace_for t i (built : Model.built) =
   match t.solver with
   | Some `Barrier -> None

@@ -33,7 +33,8 @@ val create :
     spec's [tmax] once, so solved cells and the interpolation repair
     pass certify against the same guard-banded envelope; raises
     [Invalid_argument] when negative, not finite (NaN included), at
-    least [tmax], or when an axis is empty or not strictly increasing.
+    least [tmax], or when an axis is empty, holds a non-finite value,
+    or is not strictly increasing.
     [solver] defaults to {!Model.solve}'s default ([`Conic]).
 
     A [t] memoizes in place and is {e not} safe for concurrent

@@ -222,6 +222,8 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
      power only), from the start temperature profile. *)
   if Vec.dim t0 <> n_nodes then
     invalid_arg "Model.build: initial temperature profile length mismatch";
+  if not (Array.for_all Float.is_finite t0) then
+    invalid_arg "Model.build: non-finite start temperature";
   let base_traj =
     let traj =
       Thermal.Transient.simulate thermal ~t0 ~steps ~power:(fun _ ->
@@ -394,7 +396,8 @@ let prepare_with_profile ~machine ~spec ~t0 =
 
 let instantiate p ~ftarget =
   let fmax = p.p_machine.Sim.Machine.fmax in
-  if ftarget < 0.0 || ftarget > fmax then
+  (* Written so that a NaN target fails too. *)
+  if not (ftarget >= 0.0 && ftarget <= fmax) then
     invalid_arg "Model.build: ftarget outside [0, fmax]";
   let floor_const = float_of_int p.p_layout.n_cores *. (ftarget /. fmax) in
   let floor = Quad.affine p.total_f_coeffs floor_const in
@@ -695,7 +698,8 @@ let solve_barrier ?options ?(backend = `Compiled) ?stats_into ?start built =
    occur for a well-posed cell (the objective is bounded below on the
    box), and [Unknown] means the iterate stalled before any
    certificate: both fall back to the reference barrier path rather
-   than guessing. *)
+   than guessing.  [s] has the full instance's shape, so the dual is
+   zero on every row the working set left out. *)
 let raw_of_conic built t (s : Convex.Conic.solution) =
   let dual = Convex.Conic.constraint_duals t s in
   {
@@ -709,8 +713,36 @@ let raw_of_conic built t (s : Convex.Conic.solution) =
     stats = Convex.Barrier.stats_zero;
   }
 
-let solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start ?start_dual
-    built =
+(* The rows a conic solve may leave out of its working set: the
+   thermal and gradient rows after the floor, which prepare_internal
+   emits at [5 n_f + 1] (one power law and four box rows per frequency
+   variable, then the floor).  The gradient variant's last three rows
+   (0 <= l, u <= 2, l <= u), four with the cap, always stay in: without
+   them the spread term of the objective is unbounded below. *)
+let optional_rows built =
+  let m = Array.length built.problem.Convex.Barrier.constraints in
+  let tail =
+    match built.spec.Spec.gradient with
+    | None -> 0
+    | Some { Spec.cap = None; _ } -> 3
+    | Some { Spec.cap = Some _; _ } -> 4
+  in
+  ((5 * built.layout.n_f) + 1, m - tail)
+
+(* An optional row within this much of binding at the warm seed, in
+   units of tmax (1 C at tmax = 100 C), starts in the working set.
+   Fill time is flat for thresholds from 1e-3 to 5e-2. *)
+let seed_slack = 1e-2
+
+(* Constraint generation over the optional rows: solve on the working
+   set, evaluate every row at the optimum, admit the violated ones and
+   re-solve warm from that optimum until none is.  The working-set
+   problem is a relaxation of the cell, so an optimum that satisfies
+   every row is the cell's optimum (its dual, zero off the set, is a
+   KKT certificate for the full problem), and an infeasible working
+   set proves the cell infeasible.  Work counters add up over the
+   rounds; the outcome counters count the cell once. *)
+let solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start built =
   let t = Lazy.force built.conic in
   let options =
     match conic_options with
@@ -721,29 +753,48 @@ let solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start ?start_dual
           Convex.Conic.kkt = `Blocks (conic_blocks built.layout);
         }
   in
+  let ws =
+    match conic_ws with
+    | Some ws -> ws
+    | None -> Convex.Conic.make_workspace ~kkt:options.Convex.Conic.kkt t
+  in
+  let first, last = optional_rows built in
+  Convex.Conic.restrict ws t ~first ~last;
   let warm =
     match start with
-    | Some x when Vec.dim x = built.layout.dim -> Some x
+    | Some x when Vec.dim x = built.layout.dim ->
+        ignore (Convex.Conic.admit ws t x ~above:(-.seed_slack));
+        Some x
     | Some _ | None -> None
   in
-  let warm_dual = match warm with Some _ -> start_dual | None -> None in
-  match
-    Convex.Conic.solve ~options ?warm ?warm_dual
-      ?stats_into:conic_stats_into ?ws:conic_ws t
-  with
+  let stats = ref Convex.Conic.stats_zero in
+  let rec round warm rounds =
+    match Convex.Conic.solve ~options ?warm ~stats_into:stats ~ws t with
+    | Convex.Conic.Optimal s
+      when Convex.Conic.admit ws t s.Convex.Conic.x ~above:0.0 > 0 ->
+        round (Some s.Convex.Conic.x) (rounds + 1)
+    | status -> (status, rounds)
+  in
+  let status, rounds = round warm 1 in
+  (match conic_stats_into with
+  | Some acc ->
+      acc :=
+        Convex.Conic.stats_add !acc
+          { !stats with optimal = !stats.Convex.Conic.optimal - (rounds - 1) }
+  | None -> ());
+  match status with
   | Convex.Conic.Optimal s ->
       `Done (Feasible (solution_of_x built (raw_of_conic built t s)))
   | Convex.Conic.Primal_infeasible _ -> `Done Infeasible
   | Convex.Conic.Dual_infeasible _ | Convex.Conic.Unknown _ -> `Fallback
 
 let solve ?(solver = `Conic) ?options ?conic_options ?backend ?stats_into
-    ?conic_stats_into ?conic_ws ?start ?start_dual built =
+    ?conic_stats_into ?conic_ws ?start built =
   match solver with
   | `Barrier -> solve_barrier ?options ?backend ?stats_into ?start built
   | `Conic -> (
       match
-        solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start
-          ?start_dual built
+        solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start built
       with
       | `Done outcome -> outcome
       | `Fallback ->

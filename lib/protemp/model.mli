@@ -40,7 +40,10 @@
     margin of 1e-6): every other row is implied by the box rows, which
     stay in the problem, so the feasible set is unchanged.  At stride 4
     on the Niagara model that keeps 144 of 1071 thermal rows at 27 C
-    and 504 at 100 C.
+    and 504 at 100 C.  The conic {!solve} goes further and works on a
+    working set of those rows, grown by constraint generation until
+    the optimum satisfies every row, because at the optimum only a few
+    of them bind.
 
     Variables are normalized ([f/fmax], [p/pmax], [t/tmax]) so the
     solvers operate on a well-conditioned unit box. *)
@@ -105,17 +108,19 @@ type prepared
 
 val prepare :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> prepared
-(** Raises [Invalid_argument] for an invalid spec or a window shorter
-    than one thermal step. *)
+(** Raises [Invalid_argument] for an invalid spec, a [tstart] that is
+    not finite, or a window shorter than one thermal step. *)
 
 val prepare_with_profile :
   machine:Sim.Machine.t -> spec:Spec.t -> t0:Vec.t -> prepared
+(** Like {!prepare}; raises [Invalid_argument] when [t0] has the wrong
+    length or a non-finite entry. *)
 
 val instantiate : prepared -> ftarget:float -> built
 (** Splice the throughput floor for [ftarget] into the prepared
     context.  The result is identical, constraint for constraint, to
     the corresponding {!build}.  Raises [Invalid_argument] for
-    [ftarget] outside [[0, fmax]]. *)
+    [ftarget] outside [[0, fmax]], NaN included. *)
 
 val frontier_of_prepared : prepared -> built
 (** The {!build_frontier} instance of a prepared context. *)
@@ -123,8 +128,9 @@ val frontier_of_prepared : prepared -> built
 val build :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> ftarget:float ->
   built
-(** Raises [Invalid_argument] for [ftarget] outside [[0, fmax]] or a
-    window shorter than one thermal step. *)
+(** Raises [Invalid_argument] for [ftarget] outside [[0, fmax]] (NaN
+    included), a [tstart] that is not finite, or a window shorter than
+    one thermal step. *)
 
 val build_frontier :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> built
@@ -171,7 +177,6 @@ val solve :
   ?conic_stats_into:Convex.Conic.stats ref ->
   ?conic_ws:Convex.Conic.workspace ->
   ?start:Vec.t ->
-  ?start_dual:Vec.t ->
   built ->
   outcome
 (** Solve an Eq. 3/5 instance.
@@ -179,21 +184,39 @@ val solve :
     [solver] picks the algorithm (default [`Conic]): the primal-dual
     predictor-corrector method of {!Convex.Conic} on the homogeneous
     self-dual embedding, with the block-tridiagonal factorization from
-    {!conic_blocks}, [start] as a primal warm seed, and [start_dual]
-    (a neighbouring solution's [raw.dual], used only together with
-    [start]) seeding the cone dual as well.  No feasible
+    {!conic_blocks} and [start] as a primal warm seed.  No feasible
     point is needed — an infeasible cell ends with a
     primal-infeasibility certificate, so the frontier climb never
-    runs.  In the two residual conic outcomes (dual-infeasibility
+    runs.
+
+    The conic path solves on a {e working set} of rows: the box rows,
+    the power-law cones, the throughput floor and the gradient bounds
+    always, plus the thermal and gradient rows that [start] (when
+    given) brings within 1e-2 tmax of binding — a cold solve starts
+    with none of them.  After each solve every row is evaluated at the
+    optimum in one pass; the violated ones join the set and the cell
+    is re-solved warm from that optimum, until none is violated.  The
+    working-set problem is a relaxation, so its final optimum is the
+    cell's optimum and [raw.dual], zero on the rows left out, is a KKT
+    certificate for the full [problem]; an infeasible working set
+    proves the cell infeasible.  At the optimum only a handful of the
+    hundreds of thermal rows bind, so a cell usually finishes in one
+    round on a few dozen rows.
+
+    In the two residual conic outcomes (dual-infeasibility
     certificate, which a well-posed cell cannot produce, and a stalled
-    [Unknown]) the call falls back to the [`Barrier] path below, so
-    the result is always grounded in one of the two solvers.
-    [conic_options] overrides the conic defaults ({b including} the
-    [`Blocks] factorization — pass [kkt] explicitly when setting it);
-    [conic_stats_into] accumulates conic work counters, whose
-    certificate-outcome fields also count the fallbacks; [conic_ws]
-    reuses a preallocated solver workspace across the solves of a
-    sweep row (see {!Convex.Conic.make_workspace}).
+    [Unknown]) the call falls back to the [`Barrier] path below on the
+    full problem, so the result is always grounded in one of the two
+    solvers.  [conic_options] overrides the conic defaults ({b
+    including} the [`Blocks] factorization — pass [kkt] explicitly
+    when setting it); [conic_stats_into] accumulates conic work
+    counters over every round, while its certificate-outcome fields
+    count each call once (fallbacks included).  [conic_ws] is the
+    solver workspace the rounds run in: one made by
+    {!Convex.Conic.make_workspace} for any instance of the same
+    prepared row holds the working set and grows to the largest one
+    solved, so a sweep row reuses it across its cells; without it each
+    call makes its own.
 
     With [~solver:`Barrier] (the reference path): feasibility is
     established structurally — if the start point is not strictly

@@ -658,6 +658,78 @@ let test_conic_workspace_reuse () =
        false
      with Invalid_argument _ -> true)
 
+(* The epigraph problem plus two more affine rows: x1 <= 3, never
+   binding, and -x0 - 1 <= 0, which cuts the epigraph optimum off.
+   Optimum x0 = -1, value -1. *)
+let working_set_problem () =
+  let p = epigraph_problem () in
+  {
+    p with
+    Barrier.constraints =
+      Array.append p.Barrier.constraints
+        [| Quad.affine [| 0.0; 1.0 |] (-3.0); Quad.affine [| -1.0; 0.0 |] (-1.0) |];
+  }
+
+let test_conic_working_set () =
+  let t = Conic.of_barrier (working_set_problem ()) in
+  let ws = Conic.make_workspace t in
+  let solve () =
+    match Conic.solve ~ws t with
+    | Conic.Optimal s -> s
+    | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st
+  in
+  (* Constraints 2 and 3 (orthant rows 1 and 2) become optional. *)
+  Conic.restrict ws t ~first:2 ~last:4;
+  let relaxed = solve () in
+  check_float 1e-6 "the relaxation's optimum" (-.sqrt 2.0)
+    relaxed.Conic.objective_value;
+  let duals = Conic.constraint_duals t relaxed in
+  check_int "duals of the full shape" 4 (Vec.dim duals);
+  check_float 0.0 "no dual off the set" 0.0 duals.(2);
+  check_float 0.0 "no dual off the set" 0.0 duals.(3);
+  check_float 1e-6 "true slack off the set" (1.0 -. sqrt 2.0)
+    relaxed.Conic.s.(2);
+  check_int "the violated row joins" 1
+    (Conic.admit ws t relaxed.Conic.x ~above:0.0);
+  check_int "once" 0 (Conic.admit ws t relaxed.Conic.x ~above:0.0);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Conic.admit ws t relaxed.Conic.x ~above:0.0));
+  check_float 0.0 "the row-value pass allocates nothing" 0.0
+    (Gc.minor_words () -. w0);
+  let final = solve () in
+  check_float 1e-6 "the full problem's optimum" (-1.0)
+    final.Conic.objective_value;
+  (match Conic.solve t with
+  | Conic.Optimal s ->
+      check_float 1e-6 "as the all-rows solve" s.Conic.objective_value
+        final.Conic.objective_value
+  | st -> Alcotest.failf "all rows: expected optimal, got %a" Conic.pp_status st);
+  check_float 0.0 "the slack row stays out" 0.0
+    (Conic.constraint_duals t final).(2);
+  (* A row whose value is NaN is not known to hold: it joins. *)
+  Conic.restrict ws t ~first:2 ~last:4;
+  check_int "NaN rows join" 2
+    (Conic.admit ws t [| Float.nan; Float.nan |] ~above:0.0);
+  Conic.restrict ws t ~first:2 ~last:4;
+  check_int "a seed threshold admits rows within it" 1
+    (Conic.admit ws t [| -0.95; 1.0 |] ~above:(-0.1));
+  Conic.restrict ws t ~first:0 ~last:0;
+  check_float 1e-6 "an empty range restores the full problem" (-1.0)
+    (solve ()).Conic.objective_value;
+  let rejected f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  check_bool "a quadratic row cannot be optional" true
+    (rejected (fun () -> Conic.restrict ws t ~first:0 ~last:2));
+  check_bool "range out of bounds" true
+    (rejected (fun () -> Conic.restrict ws t ~first:2 ~last:5));
+  check_bool "raw instances have no constraint order" true
+    (rejected (fun () ->
+         let b = box_lp_conic () in
+         Conic.restrict (Conic.make_workspace b) b ~first:0 ~last:1));
+  check_bool "point dimension" true
+    (rejected (fun () -> Conic.admit ws t [| 0.0 |] ~above:0.0))
+
 (* ------------------------------------------------------------------ *)
 (* Linprog *)
 
@@ -929,6 +1001,7 @@ let () =
             test_conic_warm_start_and_stats;
           Alcotest.test_case "workspace reuse" `Quick
             test_conic_workspace_reuse;
+          Alcotest.test_case "working set" `Quick test_conic_working_set;
         ] );
       ( "linprog",
         [

@@ -47,7 +47,25 @@ let test_create_validation () =
   check_bool "empty axis" true
     (bad (fun () ->
          D.create ~machine:m ~spec:fast_spec ~tstarts:cool_tstarts
-           ~ftargets:[||] ()))
+           ~ftargets:[||] ()));
+  (* Every comparison with NaN is false: a NaN between two increasing
+     values would pass an [a.(i) <= a.(i-1)] test. *)
+  List.iter
+    (fun x ->
+      let label what = Printf.sprintf "%s %h" what x in
+      check_bool (label "tstarts holding") true
+        (bad (fun () ->
+             D.create ~machine:m ~spec:fast_spec ~tstarts:[| 60.0; x; 95.0 |]
+               ~ftargets:cool_ftargets ()));
+      check_bool (label "ftargets holding") true
+        (bad (fun () ->
+             D.create ~machine:m ~spec:fast_spec ~tstarts:cool_tstarts
+               ~ftargets:[| 1e8; x; 5e8 |] ())))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  check_bool "infinite last ftarget" true
+    (bad (fun () ->
+         D.create ~machine:m ~spec:fast_spec ~tstarts:cool_tstarts
+           ~ftargets:[| 1e8; 5e8; Float.infinity |] ()))
 
 let test_cell_matches_solve_point () =
   let m = Lazy.force machine in

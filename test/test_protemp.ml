@@ -420,6 +420,38 @@ let test_model_rejects_bad_ftarget () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* A non-finite start temperature or target must fail at construction:
+   every comparison with NaN is false, so a NaN left in would pass the
+   range checks, and the solver's row checks, unnoticed. *)
+let test_model_rejects_non_finite () =
+  let m = Lazy.force machine in
+  let rejected f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun x ->
+      let label what = Printf.sprintf "%s %h" what x in
+      check_bool (label "tstart") true
+        (rejected (fun () ->
+             Protemp.Model.build ~machine:m ~spec:fast_spec ~tstart:x
+               ~ftarget:5e8));
+      check_bool (label "prepare tstart") true
+        (rejected (fun () ->
+             Protemp.Model.prepare ~machine:m ~spec:fast_spec ~tstart:x));
+      let t0 = Vec.create m.Sim.Machine.n_nodes 60.0 in
+      t0.(3) <- x;
+      check_bool (label "profile entry") true
+        (rejected (fun () ->
+             Protemp.Model.prepare_with_profile ~machine:m ~spec:fast_spec ~t0)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  let p = Protemp.Model.prepare ~machine:m ~spec:fast_spec ~tstart:40.0 in
+  check_bool "nan ftarget" true
+    (rejected (fun () -> Protemp.Model.instantiate p ~ftarget:Float.nan));
+  check_bool "nan ftarget through build" true
+    (rejected (fun () ->
+         Protemp.Model.build ~machine:m ~spec:fast_spec ~tstart:40.0
+           ~ftarget:Float.nan))
+
 (* ------------------------------------------------------------------ *)
 (* Offline *)
 
@@ -950,28 +982,48 @@ let test_filter_pinned_counts () =
         kept (emitted_thermal_rows built))
     [ (27.0, 144); (100.0, 504) ]
 
+(* The all-rows oracle: one conic solve of every row of [built.problem]
+   at once, with no working set — what [Model.solve] computed before it
+   solved on the rows that bind. *)
+let all_rows_solve (built : Protemp.Model.built) =
+  let options =
+    {
+      Convex.Conic.default_options with
+      Convex.Conic.kkt =
+        `Blocks (Protemp.Model.conic_blocks built.Protemp.Model.layout);
+    }
+  in
+  Convex.Conic.solve ~options
+    (Convex.Conic.of_barrier built.Protemp.Model.problem)
+
+(* The filtered model, solved by [Model.solve] on its working set,
+   against the all-rows solve of the unfiltered reference. *)
 let test_filter_same_optimum () =
   List.iter
     (fun (machine, tstart, ftarget) ->
       let machine = Lazy.force machine in
-      let solve built =
-        match Protemp.Model.solve built with
+      let s =
+        match
+          Protemp.Model.solve
+            (Protemp.Model.build ~machine ~spec:fast_spec ~tstart ~ftarget)
+        with
         | Protemp.Model.Feasible s -> s
         | Protemp.Model.Infeasible -> Alcotest.fail "expected feasible"
       in
-      let s =
-        solve (Protemp.Model.build ~machine ~spec:fast_spec ~tstart ~ftarget)
+      let reference =
+        Model_reference.build ~machine ~spec:fast_spec ~tstart ~ftarget ()
       in
       let r =
-        solve (Model_reference.build ~machine ~spec:fast_spec ~tstart ~ftarget ())
+        match all_rows_solve reference with
+        | Convex.Conic.Optimal r -> r.Convex.Conic.objective_value
+        | st ->
+            Alcotest.failf "all-rows reference: %a" Convex.Conic.pp_status st
       in
-      let obj (s : Protemp.Model.solution) =
-        s.Protemp.Model.raw.Convex.Solve.objective_value
-      in
-      let rel = Float.abs (obj s -. obj r) /. Float.abs (obj r) in
+      let obj = s.Protemp.Model.raw.Convex.Solve.objective_value in
+      let rel = Float.abs (obj -. r) /. Float.abs r in
       check_bool
-        (Printf.sprintf "objective %.9g vs %.9g (rel %.2g) at %.0f C"
-           (obj s) (obj r) rel tstart)
+        (Printf.sprintf "objective %.9g vs %.9g (rel %.2g) at %.0f C" obj r
+           rel tstart)
         true (rel <= 2e-6);
       let peak =
         Protemp.Guarantee.window_peak ~machine
@@ -980,8 +1032,7 @@ let test_filter_same_optimum () =
       in
       (* Rows hold to the conic's feasibility tolerance (1e-7, in
          units of tmax), so a binding cell may overshoot by a few 1e-5
-         C: the unfiltered solve at 85 C peaks at 100.0000244 C, the
-         filtered one at 100.0000264 C. *)
+         C. *)
       let tmax = fast_spec.Protemp.Spec.tmax in
       check_bool
         (Printf.sprintf "window peak %.7f C within tmax" peak)
@@ -996,6 +1047,119 @@ let test_filter_same_optimum () =
       (biglittle, 70.0, 7.3e8);
       (biglittle, 90.0, 7.1e8);
     ]
+
+(* Working set: [Model.solve] against the all-rows oracle on random
+   cells of every variant, cold or warm from the cell one column down.
+   The two must reach the same verdict and objective.  The thermal and
+   gradient rows — the ones the working set may leave out — must hold
+   at the returned point to 1e-7 (in units of tmax), and the returned
+   dual, zero off the working set, must be a KKT certificate for the
+   full problem.
+
+   The rows that are always in the set (box, floor) get the bound the
+   conic itself accepts a solution at, the same for the oracle: a
+   residual of [feas_tol] relative to [max(1, |h|_inf)], relaxed 100x
+   when the endgame stalls (Conic.finish_unknown).  The floor constant
+   is up to [n_cores], so on an 8-core chip that is up to 8e-5
+   absolute.  Stationarity
+   of [Kkt.residuals] also carries the epigraph lift's complementarity
+   defect (about 3e-4 at worst for the oracle on these cells), so it
+   gets the 1e-3 the barrier's KKT tests use. *)
+let working_set_spec ~big ~variant ~stride =
+  let d = { Protemp.Spec.default with Protemp.Spec.constraint_stride = stride } in
+  match variant with
+  | 0 -> d
+  | 1 when not big -> { d with Protemp.Spec.variant = Protemp.Spec.Uniform }
+  | 1 -> d (* big.LITTLE has no uniform variant *)
+  | 2 -> Protemp.Spec.with_gradient ~weight:0.5 ~cap:20.0 d
+  | _ -> Protemp.Spec.with_gradient ~weight:0.5 d
+
+let prop_working_set =
+  QCheck2.Test.make ~name:"working_set: same optimum as the all-rows solve"
+    ~count:40
+    ~print:(fun (big, variant, stride, tstart, frac, warm) ->
+      Printf.sprintf "%s variant %d stride %d tstart %.3f ftarget %.4f fmax %s"
+        (if big then "biglittle" else "niagara")
+        variant stride tstart frac
+        (if warm then "warm" else "cold"))
+    QCheck2.Gen.(
+      tup6 bool (int_range 0 3) (oneofl [ 1; 4 ]) (float_range 27.0 100.0)
+        (float_range 0.05 1.0) bool)
+    (fun (big, variant, stride, tstart, frac, warm) ->
+      let machine = Lazy.force (if big then biglittle else machine) in
+      let spec = working_set_spec ~big ~variant ~stride in
+      let fmax = machine.Sim.Machine.fmax in
+      let prepared = Protemp.Model.prepare ~machine ~spec ~tstart in
+      let start =
+        if not warm then None
+        else
+          match
+            Protemp.Model.solve
+              (Protemp.Model.instantiate prepared
+                 ~ftarget:(Float.max 0.0 (frac -. 0.05) *. fmax))
+          with
+          | Protemp.Model.Feasible n -> Some n.Protemp.Model.raw.Convex.Solve.x
+          | Protemp.Model.Infeasible -> None
+      in
+      let built = Protemp.Model.instantiate prepared ~ftarget:(frac *. fmax) in
+      let rows = built.Protemp.Model.problem.Convex.Barrier.constraints in
+      let o = Convex.Conic.default_options in
+      match (Protemp.Model.solve ?start built, all_rows_solve built) with
+      | Protemp.Model.Infeasible, Convex.Conic.Primal_infeasible _ -> true
+      | Protemp.Model.Feasible s, Convex.Conic.Optimal r ->
+          let raw = s.Protemp.Model.raw in
+          let x = raw.Convex.Solve.x in
+          let obj = raw.Convex.Solve.objective_value in
+          let ref_obj = r.Convex.Conic.objective_value in
+          (* Thermal and gradient rows follow the power-law and box rows
+             (five per frequency variable) and the floor. *)
+          let first_post = (5 * built.Protemp.Model.layout.Protemp.Model.n_f) + 1 in
+          let worst ~from =
+            let w = ref neg_infinity in
+            Array.iteri
+              (fun j c ->
+                if j >= from && Convex.Quad.is_affine c then
+                  w := Float.max !w (Convex.Quad.eval c x))
+              rows;
+            !w
+          in
+          let h_max =
+            Array.fold_left
+              (fun acc c -> Float.max acc (Float.abs (Convex.Quad.constant_part c)))
+              1.0 rows
+          in
+          let accepted = 100.0 *. o.Convex.Conic.feas_tol *. h_max in
+          let k =
+            Convex.Kkt.residuals built.Protemp.Model.problem x raw.Convex.Solve.dual
+          in
+          if
+            Float.abs (obj -. ref_obj) > 2e-6 *. Float.max 1.0 (Float.abs obj)
+          then
+            QCheck2.Test.fail_reportf "objective %.12g, all-rows %.12g" obj
+              ref_obj
+          else if worst ~from:first_post > 1e-7 then
+            QCheck2.Test.fail_reportf "a thermal or gradient row is at %.3g"
+              (worst ~from:first_post)
+          else if worst ~from:0 > accepted then
+            QCheck2.Test.fail_reportf "an affine row is at %.3g > %.3g"
+              (worst ~from:0) accepted
+          else if
+            not
+              (k.Convex.Kkt.primal_infeasibility <= accepted
+              && k.Convex.Kkt.dual_infeasibility <= 0.0
+              && k.Convex.Kkt.complementarity
+                 <= 100.0 *. o.Convex.Conic.gap_rel_tol
+                    *. Float.max 1.0 (Float.abs obj)
+              && k.Convex.Kkt.stationarity <= 1e-3)
+          then
+            QCheck2.Test.fail_reportf "KKT residuals: %a" Convex.Kkt.pp k
+          else true
+      | _, (Convex.Conic.Unknown _ | Convex.Conic.Dual_infeasible _) ->
+          (* The oracle stalled and has no verdict to compare with. *)
+          QCheck2.assume_fail ()
+      | Protemp.Model.Feasible _, st | Protemp.Model.Infeasible, st ->
+          QCheck2.Test.fail_reportf "verdicts differ: all-rows %a"
+            Convex.Conic.pp_status st)
 
 (* Core-column recurrence: [Model.prepare] builds the thermal rows from
    the core columns of A^k alone; test/model_reference.ml still forms
@@ -1113,6 +1277,7 @@ let props =
       prop_table_lookup_semantics;
       prop_table_csv_roundtrip_exact;
       prop_filter_keeps_feasible_set;
+      prop_working_set;
     ]
 
 let () =
@@ -1160,6 +1325,8 @@ let () =
             test_model_gradient_variant_reports_spread;
           Alcotest.test_case "rejects bad ftarget" `Quick
             test_model_rejects_bad_ftarget;
+          Alcotest.test_case "rejects non-finite inputs" `Quick
+            test_model_rejects_non_finite;
         ] );
       ( "offline",
         [
