@@ -19,7 +19,10 @@ let window_peak ~machine ~dfs_period ~tstart ~frequencies =
 
 let uniform_table ~machine ~(spec : Spec.t) ?(margin = 0.0) ~tstarts ~ftargets
     () =
-  if margin < 0.0 then invalid_arg "Guarantee.uniform_table: negative margin";
+  (* Written so that a NaN margin fails too. *)
+  if not (Float.is_finite margin && margin >= 0.0) then
+    invalid_arg
+      "Guarantee.uniform_table: margin must be finite and non-negative";
   if margin >= spec.Spec.tmax then
     invalid_arg "Guarantee.uniform_table: margin leaves no envelope";
   let cap = spec.Spec.tmax -. margin in

@@ -40,8 +40,8 @@ val uniform_table :
     stored entry carries the same simulate-and-check certificate the
     audit uses — which makes this the cheap way to build guard-banded
     ([margin > 0]) reference tables for fault experiments.  [margin]
-    defaults to [0.0]; raises [Invalid_argument] when negative or at
-    least [tmax]. *)
+    defaults to [0.0]; raises [Invalid_argument] when negative, not
+    finite (NaN included) or at least [tmax]. *)
 
 type audit = {
   cells_checked : int;

@@ -52,38 +52,26 @@ let make_layout (spec : Spec.t) ~n_cores =
 
 (* Affine coefficient of normalized core power j on the temperature of
    node [node] at step [k] is  S_k[node, core_j] * b[core_j] * pmax,
-   where S_k = sum_{l<k} A^l.  Only the core columns of S_k are ever
-   read, so we carry those alone — X_k, the core columns of A^k, with
-   X_0 the unit columns at [core_nodes] — accumulate S_k step by step
-   and emit constraints at the stride points. *)
-
-(* One step of that recurrence: [s += x], then [y = A x], with [x],
-   [y] and [s] holding [nc] columns row-major ([n] rows of [nc]) and
-   [a] the row-major [n x n] step matrix.  Each entry of [y] sums its
-   products over the inner index in ascending order from 0.0, skipping
-   exact zeros of [a] — [Mat.matmul]'s order — so [s] and [y] are
-   bit-identical to the core columns of [S_k] and [A^k] computed with
-   full matrix products. *)
-let step_core_columns ~a ~n ~nc ~x ~y ~s =
-  for idx = 0 to (n * nc) - 1 do
-    s.(idx) <- s.(idx) +. x.(idx)
-  done;
-  for i = 0 to n - 1 do
-    let row = i * nc in
-    for j = 0 to nc - 1 do
-      y.(row + j) <- 0.0
-    done;
-    for k = 0 to n - 1 do
-      let aik = a.((i * n) + k) in
-      (* lint: float-equality exact-zero skip, Mat.matmul's order *)
-      if aik <> 0.0 then begin
-        let src = k * nc in
-        for j = 0 to nc - 1 do
-          y.(row + j) <- y.(row + j) +. (aik *. x.(src + j))
-        done
-      end
-    done
-  done
+   where S_k = sum_{l<k} A^l.  The core columns of S_k at the stride
+   points depend only on the machine and the window, so they come
+   from the machine's shared {!Sim.Machine.window_response}; a row's
+   prepare only scales them.  [row_coefficients] writes the
+   coefficients of the normalized core powers on one node at one
+   stride point into [q], whose [sums] entries start at [off]; the
+   entries of [q] it does not write keep their value. *)
+let row_coefficients ~(variant : Spec.variant) ~sums ~off ~b ~pmax
+    ~core_nodes ~p_offset q =
+  match variant with
+  | Spec.Variable ->
+      for j = 0 to Array.length core_nodes - 1 do
+        q.(p_offset + j) <- sums.(off + j) *. b.(core_nodes.(j)) *. pmax.(j)
+      done
+  | Spec.Uniform ->
+      let acc = ref 0.0 in
+      for j = 0 to Array.length core_nodes - 1 do
+        acc := !acc +. (sums.(off + j) *. b.(core_nodes.(j)))
+      done;
+      q.(p_offset) <- !acc *. pmax.(0)
 
 (* Upper ends of the normalized boxes [0 <= fhat <= f_box] and
    [0 <= phat <= p_box].  They are relaxed a fraction of a percent so
@@ -104,22 +92,18 @@ let implied_margin = 1e-6
 
 let box_implies_row ~tmax ~base q =
   let worst = ref base in
-  Array.iter (fun c -> if c > 0.0 then worst := !worst +. (c *. p_box)) q;
+  for i = 0 to Array.length q - 1 do
+    let c = q.(i) in
+    if c > 0.0 then worst := !worst +. (c *. p_box)
+  done;
   !worst < tmax *. (1.0 -. implied_margin)
-
-let stride_steps ~steps ~stride =
-  let rec go k acc =
-    if k > steps then acc else go (k + stride) (k :: acc)
-  in
-  let ks = go stride [] in
-  (* Always constrain the end of the window. *)
-  if List.mem steps ks then ks else steps :: ks
 
 (* Everything in the models of Eqs. 3-5 except the throughput floor
    (and the choice of objective) depends only on [(machine, spec, t0)]
-   — the core-column sums S_k, the base trajectory and every
-   thermal, power-law, box and gradient row are shared by all
-   [ftarget] columns of a table row.  [prepared] is that shared
+   — the base trajectory and every thermal, power-law, box and
+   gradient row are shared by all [ftarget] columns of a table row
+   (the core-column sums S_k depend on the machine and window alone,
+   and are shared by every row).  [prepared] is that shared
    context, computed once; {!instantiate} then builds one [ftarget]
    instance by splicing in the single floor constraint.
 
@@ -218,77 +202,60 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
     | Spec.Uniform -> q.(layout.f_offset) <- -.float_of_int n_cores);
     q
   in
-  (* Base trajectory: the window with zero core power (fixed non-core
-     power only), from the start temperature profile. *)
   if Vec.dim t0 <> n_nodes then
     invalid_arg "Model.build: initial temperature profile length mismatch";
   if not (Array.for_all Float.is_finite t0) then
     invalid_arg "Model.build: non-finite start temperature";
-  let base_traj =
-    let traj =
-      Thermal.Transient.simulate thermal ~t0 ~steps ~power:(fun _ ->
-          machine.Sim.Machine.fixed_power)
-    in
-    traj.Thermal.Transient.temperatures
-  in
-  (* Thermal constraints: accumulate the core columns of S_k and A^k
-     in buffers allocated once; the step loop itself allocates only
-     the rows it emits. *)
+  (* Thermal constraints.  The base trajectory — the window with zero
+     core power (fixed non-core power only) from [t0] — is stepped in
+     two ping-pong vectors, with [Transient.simulate]'s arithmetic, and
+     read only at the stride points: the full (steps + 1) x n_nodes
+     trajectory is never stored.  At each stride point one scratch [q]
+     is refilled per node from the machine's window response; only
+     the rows emitted are allocated, and the gradient variant keeps a
+     copy of [q] for the core nodes. *)
   let post = ref [] in
   let add c = post := c :: !post in
-  let ks = stride_steps ~steps ~stride:spec.Spec.constraint_stride in
-  let ks = List.sort_uniq compare ks in
+  let response =
+    Sim.Machine.window_response machine ~steps
+      ~stride:spec.Spec.constraint_stride
+  in
+  let ks = response.Sim.Machine.ks and sums = response.Sim.Machine.sums in
   let tmax = spec.Spec.tmax in
   let b = thermal.Thermal.Rc_model.injection in
-  let a = Mat.data thermal.Thermal.Rc_model.step in
+  let fixed_power = machine.Sim.Machine.fixed_power in
   let grad_rows = ref [] in
-  let s_k = Array.make (n_nodes * n_cores) 0.0 in
-  let x = ref (Array.make (n_nodes * n_cores) 0.0) in
-  let y = ref (Array.make (n_nodes * n_cores) 0.0) in
-  Array.iteri (fun j cn -> !x.((cn * n_cores) + j) <- 1.0) core_nodes;
-  let next_ks = ref ks in
+  let q = Vec.zeros dim in
+  let t = ref (Vec.copy t0) and next = ref (Vec.zeros n_nodes) in
+  let r = ref 0 in
   for k = 1 to steps do
-    (* S_k = S_{k-1} + A^{k-1}, then A^k = A A^{k-1}. *)
-    step_core_columns ~a ~n:n_nodes ~nc:n_cores ~x:!x ~y:!y ~s:s_k;
-    let prev = !x in
-    x := !y;
-    y := prev;
-    match !next_ks with
-    | k' :: rest when k' = k ->
-        next_ks := rest;
-        for node = 0 to n_nodes - 1 do
-          (* Coefficients of normalized core powers on this node. *)
-          let q = Vec.zeros dim in
-          let row = node * n_cores in
-          (match spec.Spec.variant with
-          | Spec.Variable ->
-              Array.iteri
-                (fun j cn ->
-                  q.(layout.p_offset + j) <- s_k.(row + j) *. b.(cn) *. pmax.(j))
-                core_nodes
-          | Spec.Uniform ->
-              let acc = ref 0.0 in
-              Array.iteri
-                (fun j cn -> acc := !acc +. (s_k.(row + j) *. b.(cn)))
-                core_nodes;
-              q.(layout.p_offset) <- !acc *. pmax.(0));
-          let base = Mat.get base_traj k node in
-          (* base + q.p <= tmax, stated in units of tmax so every
-             constraint family has O(1) coefficients (the barrier's
-             Newton systems are ill-conditioned otherwise).  Rows the
-             power box already implies are left out. *)
-          if not (box_implies_row ~tmax ~base q) then
-            add
-              (Quad.affine
-                 (Vec.scale (1.0 /. tmax) q)
-                 ((base -. tmax) /. tmax));
-          (* Gradient bookkeeping (core nodes only). *)
-          if
-            layout.bounds_offset <> None
-            && Array.exists (fun cn -> cn = node) core_nodes
-          then grad_rows := (q, base) :: !grad_rows
-        done
-    | _ :: _ | [] -> ()
+    Thermal.Rc_model.step_temperature_into thermal !t fixed_power ~dst:!next;
+    let prev = !t in
+    t := !next;
+    next := prev;
+    (* The last stride point is [steps], so [r] runs past the end of
+       [ks] only as the loop ends. *)
+    if ks.(!r) = k then begin
+      for node = 0 to n_nodes - 1 do
+        row_coefficients ~variant:spec.Spec.variant ~sums
+          ~off:(((!r * n_nodes) + node) * n_cores)
+          ~b ~pmax ~core_nodes ~p_offset:layout.p_offset q;
+        let base = !t.(node) in
+        (* base + q.p <= tmax, stated in units of tmax so every
+           constraint family has O(1) coefficients (the barrier's
+           Newton systems are ill-conditioned otherwise).  Rows the
+           power box already implies are left out. *)
+        if not (box_implies_row ~tmax ~base q) then
+          add
+            (Quad.affine (Vec.scale (1.0 /. tmax) q) ((base -. tmax) /. tmax));
+        (* Gradient bookkeeping (core nodes only). *)
+        if
+          layout.bounds_offset <> None
+          && Array.exists (fun cn -> cn = node) core_nodes
+        then grad_rows := (Vec.copy q, base) :: !grad_rows
+      done;
+      incr r
+    end
   done;
   (* Gradient variant: t_{k,i}/tmax in [l, u] for all core rows, plus
      bounds keeping phase I bounded and the optional hard cap. *)

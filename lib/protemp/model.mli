@@ -22,12 +22,14 @@
     primal-dual conic method of {!Convex.Conic} ({!solve}).  The
     coefficient of core [j]'s power on node [i] at step [k] is
     [S_k[i, core_j] b_j] with [S_k = sum_{l<k} A^l]; only those
-    [n_cores] columns are ever read, so they are carried by a
-    recurrence on the core columns alone ([X_0] the unit columns at
-    the core nodes, [X_k = A X_{k-1}], [S_k += X_{k-1}]) in buffers
-    allocated once per {!prepare}, never as full [n x n] powers.  Its
-    sums run in [Mat.matmul]'s order, so every coefficient is
-    bit-identical to the matrix-power construction.
+    [n_cores] columns are ever read.  They depend on the machine, the
+    window and the stride but not on the start temperature, so they
+    are the machine's {!Sim.Machine.window_response}: computed once
+    per [(machine, steps, stride)] by a recurrence on the core columns
+    alone and shared by every row, every domain and every caller.  A
+    {!prepare} only scales them, in one scratch row per (step, node),
+    in the same floating-point order as the matrix-power
+    construction, to which every coefficient is bit-identical.
     The gradient term is encoded with two auxiliary variables
     [u >= t_{k,i}/tmax >= l] ranging over all steps and cores, so
     [u - l] bounds the spread across the whole window; this dominates
@@ -97,14 +99,17 @@ val conic_blocks : layout -> int array
     present.  Pass as [`Blocks] to {!Convex.Conic}. *)
 
 type prepared
-(** The [(machine, spec, t0)]-dependent part of a model: the
-    core-column sums [S_k], base trajectory and every constraint
-    except the throughput floor.  Building it costs one pass of the
-    core-column recurrence over the window plus the rows it emits —
-    nearly all of a {!build}, whose solver forms are lazy; each
-    further {!instantiate} at a new [ftarget] is then almost free.
-    The offline sweep prepares once per table row and instantiates
-    once per column. *)
+(** The [(machine, spec, t0)]-dependent part of a model: the base
+    trajectory and every constraint except the throughput floor.
+    Building it costs one pass of the base trajectory over the window
+    (stepped in two vectors, never stored whole), one pass over the
+    machine's shared {!Sim.Machine.window_response} (computed on the
+    machine's first prepare at that window and stride, and read by
+    every later one) and the rows it emits — nearly all of a
+    {!build}, whose solver forms are lazy; each further
+    {!instantiate} at a new [ftarget] is then almost free.  The
+    offline sweep prepares once per table row and instantiates once
+    per column. *)
 
 val prepare :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> prepared

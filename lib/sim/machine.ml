@@ -1,5 +1,14 @@
 open Linalg
 
+type window_response = {
+  steps : int;
+  stride : int;
+  ks : int array;
+  sums : float array;
+}
+
+type response_cache = window_response list Atomic.t
+
 type t = {
   thermal : Thermal.Rc_model.discrete;
   n_nodes : int;
@@ -12,6 +21,7 @@ type t = {
   core_pmax : float array;
   core_exponent : float array;
   core_idle : float array;
+  responses : response_cache;
 }
 
 let make_platform ~thermal ~core_nodes ~fixed_power ~platform () =
@@ -39,13 +49,17 @@ let make_platform ~thermal ~core_nodes ~fixed_power ~platform () =
     core_pmax = Platform.core_pmax platform;
     core_exponent = Platform.core_exponent platform;
     core_idle = Platform.core_idle_activity platform;
+    responses = Atomic.make [];
   }
 
 let make ?(idle_activity = 0.3) ~thermal ~core_nodes ~fixed_power ~fmax
     ~core_pmax () =
-  if fmax <= 0.0 then invalid_arg "Machine.make: non-positive fmax";
-  if core_pmax <= 0.0 then invalid_arg "Machine.make: non-positive core_pmax";
-  if idle_activity < 0.0 || idle_activity > 1.0 then
+  (* Written so that NaN fails every guard too. *)
+  if not (Float.is_finite fmax && fmax > 0.0) then
+    invalid_arg "Machine.make: fmax must be finite and positive";
+  if not (Float.is_finite core_pmax && core_pmax > 0.0) then
+    invalid_arg "Machine.make: core_pmax must be finite and positive";
+  if not (idle_activity >= 0.0 && idle_activity <= 1.0) then
     invalid_arg "Machine.make: idle_activity outside [0,1]";
   if Array.length core_nodes = 0 then
     invalid_arg "Machine.make: no core nodes";
@@ -166,3 +180,94 @@ let core_temperatures_into m t ~dst =
   for c = 0 to m.n_cores - 1 do
     Array.unsafe_set dst c (Array.unsafe_get t (Array.unsafe_get core_nodes c))
   done
+
+(* The window response: the coefficient of core [j]'s power on node
+   [i] at step [k] of a window is [S_k[i, core_j] b_j] with
+   [S_k = sum_{l<k} A^l].  Only the core columns of [S_k] are ever
+   read, so we carry those alone — [X_k], the core columns of [A^k],
+   with [X_0] the unit columns at [core_nodes] — accumulate [S_k] step
+   by step and keep a snapshot at each stride point. *)
+
+(* One step of that recurrence: [s += x], then [y = A x], with [x],
+   [y] and [s] holding [nc] columns row-major ([n] rows of [nc]) and
+   [a] the row-major [n x n] step matrix.  Each entry of [y] sums its
+   products over the inner index in ascending order from 0.0, skipping
+   exact zeros of [a] — [Mat.matmul]'s order — so [s] and [y] are
+   bit-identical to the core columns of [S_k] and [A^k] computed with
+   full matrix products. *)
+let step_core_columns ~a ~n ~nc ~x ~y ~s =
+  for idx = 0 to (n * nc) - 1 do
+    s.(idx) <- s.(idx) +. x.(idx)
+  done;
+  for i = 0 to n - 1 do
+    let row = i * nc in
+    for j = 0 to nc - 1 do
+      y.(row + j) <- 0.0
+    done;
+    for k = 0 to n - 1 do
+      let aik = a.((i * n) + k) in
+      (* lint: float-equality exact-zero skip, Mat.matmul's order *)
+      if aik <> 0.0 then begin
+        let src = k * nc in
+        for j = 0 to nc - 1 do
+          y.(row + j) <- y.(row + j) +. (aik *. x.(src + j))
+        done
+      end
+    done
+  done
+
+(* Every [stride]-th step of the window, ascending, and always its
+   last step. *)
+let stride_points ~steps ~stride =
+  let on_grid = steps / stride in
+  let n = if on_grid * stride = steps then on_grid else on_grid + 1 in
+  Array.init n (fun i -> if i < on_grid then (i + 1) * stride else steps)
+
+let compute_response m ~steps ~stride =
+  let n = m.n_nodes and nc = m.n_cores in
+  let width = n * nc in
+  let ks = stride_points ~steps ~stride in
+  let sums = Array.make (Array.length ks * width) 0.0 in
+  let a = Mat.data m.thermal.Thermal.Rc_model.step in
+  let s = Array.make width 0.0 in
+  let x = ref (Array.make width 0.0) in
+  let y = ref (Array.make width 0.0) in
+  Array.iteri (fun j cn -> !x.((cn * nc) + j) <- 1.0) m.core_nodes;
+  let next = ref 0 in
+  for k = 1 to steps do
+    (* S_k = S_{k-1} + A^{k-1}, then A^k = A A^{k-1}. *)
+    step_core_columns ~a ~n ~nc ~x:!x ~y:!y ~s;
+    let prev = !x in
+    x := !y;
+    y := prev;
+    if ks.(!next) = k then begin
+      Array.blit s 0 sums (!next * width) width;
+      (* The last stride point is [steps], so [next] runs past the
+         end only as the loop ends. *)
+      incr next
+    end
+  done;
+  { steps; stride; ks; sums }
+
+(* Computed without a lock and published with [compare_and_set]: a
+   domain that loses the race finds the winner's response in the list
+   and drops its own, which is identical bit for bit, so what a
+   caller reads never depends on which domain computed it. *)
+let window_response m ~steps ~stride =
+  if steps < 1 then invalid_arg "Machine.window_response: steps below 1";
+  if stride < 1 then invalid_arg "Machine.window_response: stride below 1";
+  let find = List.find_opt (fun r -> r.steps = steps && r.stride = stride) in
+  match find (Atomic.get m.responses) with
+  | Some r -> r
+  | None ->
+      let fresh = compute_response m ~steps ~stride in
+      let rec publish () =
+        let seen = Atomic.get m.responses in
+        match find seen with
+        | Some r -> r
+        | None ->
+            if Atomic.compare_and_set m.responses seen (fresh :: seen) then
+              fresh
+            else publish ()
+      in
+      publish ()

@@ -6,11 +6,41 @@
     laws — the paper's Eq. 2, generalized by {!Platform} to
     heterogeneous core classes.  The flattened per-core arrays below
     are derived from the platform once at construction so the
-    stepping hot path never chases the class indirection. *)
+    stepping hot path never chases the class indirection.
+
+    A machine also carries its {!window_response}s: the thermal
+    network's response to core power over a control window, computed
+    once per window shape and shared by every model built on the
+    machine.  The type is [private] so that a machine is only ever
+    made by {!make} or {!make_platform}: a copy with another thermal
+    model or power law could otherwise carry a response that no
+    longer matches it. *)
 
 open Linalg
 
-type t = {
+type window_response = {
+  steps : int;  (** Thermal steps in the window. *)
+  stride : int;  (** Steps between constrained points. *)
+  ks : int array;
+      (** The window's stride points, ascending: every [stride]-th
+          step and always the last step [steps]. *)
+  sums : float array;
+      (** The core columns of [S_k = sum_{l<k} A^l] ([A] the step
+          matrix) at each stride point, flat: [S_{ks.(r)}[i, core_j]]
+          is at [((r * n_nodes) + i) * n_cores + j].  Shared by every
+          caller, so never written to. *)
+}
+(** The response of the thermal network to core power over a window:
+    holding the core powers [p] for [k] steps from a start profile
+    adds [sum_j S_k[i, core_j] b_{core_j} p_j] to node [i]'s
+    temperature ([b] the injection vector).  For Niagara at stride 4
+    that is [63 x 17 x 8] floats, 69 kB. *)
+
+type response_cache
+(** The responses computed so far for a machine, keyed on
+    [(steps, stride)]; see {!window_response}. *)
+
+type t = private {
   thermal : Thermal.Rc_model.discrete;
   n_nodes : int;
   n_cores : int;
@@ -30,6 +60,8 @@ type t = {
           convex model's all-cores-busy assumption stays an upper
           bound (this is what makes the Pro-Temp guarantee carry over
           to the simulation). *)
+  responses : response_cache;
+      (** The {!window_response}s computed so far; starts empty. *)
 }
 
 val make :
@@ -44,7 +76,9 @@ val make :
 (** The homogeneous constructor: every core shares one quadratic
     power law — exactly the machine the paper models, and bit-for-bit
     the machine this library simulated before platforms existed.
-    Validates shapes and ranges ([Invalid_argument] otherwise).
+    Validates shapes and ranges ([Invalid_argument] otherwise): [fmax]
+    and [core_pmax] must be finite and positive and [idle_activity]
+    in [[0, 1]], so NaN and infinities are rejected.
     [idle_activity] defaults to 0.3. *)
 
 val make_platform :
@@ -66,6 +100,20 @@ val biglittle : unit -> t
 (** The asymmetric 4 big + 4 little platform of {!Thermal.Biglittle}:
     two core classes with different ceilings, peak powers and
     power-law exponents. *)
+
+val window_response : t -> steps:int -> stride:int -> window_response
+(** The machine's response over a [steps]-step window at [stride],
+    computed on the first request and shared by every later one, from
+    any domain: the same [(steps, stride)] returns the physically
+    same record.  Its core columns come from a recurrence on the core
+    columns alone ([X_0] the unit columns at the core nodes,
+    [X_k = A X_{k-1}], [S_k += X_{k-1}]), never from full [n x n]
+    powers, and sum in [Mat.matmul]'s order, so every entry is
+    bit-identical to the matrix-power construction.  A domain that
+    computes a response concurrently with another publishes it with
+    [Atomic.compare_and_set]; the loser drops its copy, which is
+    identical bit for bit.  Raises [Invalid_argument] when [steps] or
+    [stride] is below 1. *)
 
 val core_power : t -> core:int -> frequency:float -> busy:bool -> float
 (** Power of core [core] at [frequency]:

@@ -8,12 +8,18 @@ type cls = {
 
 type t = { classes : cls array; assignment : int array }
 
+(* Every guard is written so that NaN fails it too. *)
+let positive x = Float.is_finite x && x > 0.0
+
 let validate_cls c =
   if c.class_name = "" then invalid_arg "Platform: empty class name";
-  if c.fmax <= 0.0 then invalid_arg "Platform: non-positive fmax";
-  if c.pmax <= 0.0 then invalid_arg "Platform: non-positive pmax";
-  if c.exponent < 1.0 then invalid_arg "Platform: power exponent below 1";
-  if c.idle_activity < 0.0 || c.idle_activity > 1.0 then
+  if not (positive c.fmax) then
+    invalid_arg "Platform: fmax must be finite and positive";
+  if not (positive c.pmax) then
+    invalid_arg "Platform: pmax must be finite and positive";
+  if not (Float.is_finite c.exponent && c.exponent >= 1.0) then
+    invalid_arg "Platform: power exponent must be finite and at least 1";
+  if not (c.idle_activity >= 0.0 && c.idle_activity <= 1.0) then
     invalid_arg "Platform: idle_activity outside [0,1]"
 
 let make ~classes ~assignment =

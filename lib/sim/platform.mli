@@ -31,9 +31,10 @@ type t = {
 }
 
 val make : classes:cls array -> assignment:int array -> t
-(** Validates every class (positive [fmax]/[pmax], [exponent >= 1],
-    [idle_activity] in [[0, 1]]) and every assignment index; raises
-    [Invalid_argument] otherwise.  Arrays are copied. *)
+(** Validates every class (finite positive [fmax]/[pmax], finite
+    [exponent >= 1], [idle_activity] in [[0, 1]]; NaN fails each) and
+    every assignment index; raises [Invalid_argument] otherwise.
+    Arrays are copied. *)
 
 val homogeneous :
   ?class_name:string ->

@@ -125,9 +125,11 @@ let max_monotone_dt m =
   !best
 
 let discretize m ~dt =
-  if dt <= 0.0 then invalid_arg "Rc_model.discretize: non-positive dt";
+  (* Written so that NaN fails both guards too. *)
+  if not (Float.is_finite dt && dt > 0.0) then
+    invalid_arg "Rc_model.discretize: dt must be finite and positive";
   let limit = max_monotone_dt m in
-  if dt > limit then
+  if not (dt <= limit) then
     invalid_arg
       (Printf.sprintf
          "Rc_model.discretize: dt=%g exceeds the monotone limit %g" dt limit);

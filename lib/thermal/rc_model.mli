@@ -78,7 +78,8 @@ val max_monotone_dt : t -> float
     guarantee rests on). *)
 
 val discretize : t -> dt:float -> discrete
-(** Raises [Invalid_argument] if [dt] exceeds {!max_monotone_dt}. *)
+(** Raises [Invalid_argument] if [dt] is not finite and positive (NaN
+    included) or exceeds {!max_monotone_dt}. *)
 
 val step_temperature : discrete -> Vec.t -> Vec.t -> Vec.t
 (** [step_temperature d t p] is one application of the recurrence. *)

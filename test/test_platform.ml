@@ -428,6 +428,41 @@ let test_integral_feedback_respects_per_core_caps () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Every comparison with NaN is false, so a guard written as
+   [x <= 0.0 -> reject] lets NaN through; each class parameter must
+   fail closed on NaN and on infinities. *)
+let test_platform_rejects_non_finite () =
+  let cls =
+    {
+      Sim.Platform.class_name = "c";
+      fmax = 1e9;
+      pmax = 4.0;
+      exponent = 2.0;
+      idle_activity = 0.3;
+    }
+  in
+  let rejects name c =
+    check_bool name true
+      (match Sim.Platform.make ~classes:[| c |] ~assignment:[| 0 |] with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun v ->
+      let s = Printf.sprintf "%g" v in
+      rejects ("fmax " ^ s) { cls with Sim.Platform.fmax = v };
+      rejects ("pmax " ^ s) { cls with Sim.Platform.pmax = v };
+      rejects ("exponent " ^ s) { cls with Sim.Platform.exponent = v };
+      rejects ("idle_activity " ^ s)
+        { cls with Sim.Platform.idle_activity = v })
+    [ Float.nan; Float.infinity ];
+  check_bool "homogeneous nan fmax" true
+    (match
+       Sim.Platform.homogeneous ~n_cores:2 ~fmax:Float.nan ~pmax:4.0 ()
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let props =
   List.map QCheck_alcotest.to_alcotest [ prop_degenerate_power_bitidentical ]
 
@@ -435,7 +470,11 @@ let () =
   Alcotest.run "platform"
     [
       ( "platform",
-        [ Alcotest.test_case "validation" `Quick test_platform_validation ] );
+        [
+          Alcotest.test_case "validation" `Quick test_platform_validation;
+          Alcotest.test_case "rejects non-finite parameters" `Quick
+            test_platform_rejects_non_finite;
+        ] );
       ( "degenerate",
         [
           Alcotest.test_case "power bit-identical" `Quick

@@ -767,6 +767,25 @@ let test_online_margin_validation () =
     (bad fast_spec.Protemp.Spec.tmax);
   check_bool "sane margin accepted" true (not (bad 5.0))
 
+(* A NaN margin used to pass [margin < 0.0] and [margin >= tmax] and
+   silently certify nothing: every cell came out infeasible. *)
+let test_guarantee_margin_validation () =
+  let m = Lazy.force machine in
+  let bad margin =
+    match
+      Protemp.Guarantee.uniform_table ~machine:m ~spec:fast_spec ~margin
+        ~tstarts:[| 60.0 |] ~ftargets:[| 1e8 |] ()
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "negative margin" true (bad (-1.0));
+  check_bool "nan margin" true (bad Float.nan);
+  check_bool "infinite margin" true (bad Float.infinity);
+  check_bool "margin swallows the envelope" true
+    (bad fast_spec.Protemp.Spec.tmax);
+  check_bool "sane margin accepted" true (not (bad 5.0))
+
 (* The headline property: Pro-Temp never exceeds tmax, on random
    traces. *)
 let prop_never_exceeds_tmax =
@@ -1175,48 +1194,150 @@ let same_row a b =
   && Array.for_all2 same_bits (linear_part a) (linear_part b)
   && same_bits (constant_part a) (constant_part b)
 
+(* [Model.prepare]'s rows at [tstart] against the matmul oracle's,
+   bit for bit. *)
+let check_prepare_matches_oracle name ~machine ~spec ~tstart =
+  let built =
+    Protemp.Model.instantiate
+      (Protemp.Model.prepare ~machine ~spec ~tstart)
+      ~ftarget:5e8
+  in
+  let reference =
+    Model_reference.build ~filter:true ~machine ~spec ~tstart ~ftarget:5e8 ()
+  in
+  let rows (b : Protemp.Model.built) =
+    b.Protemp.Model.problem.Convex.Barrier.constraints
+  in
+  let label = Printf.sprintf "%s at %.0f C" name tstart in
+  check_int (label ^ ": rows") (Array.length (rows reference))
+    (Array.length (rows built));
+  Array.iteri
+    (fun i r ->
+      if not (same_row r (rows reference).(i)) then
+        Alcotest.failf "%s: row %d differs from the matmul oracle" label i)
+    (rows built)
+
+let with_stride n spec = { spec with Protemp.Spec.constraint_stride = n }
+let gradient_spec = Protemp.Spec.with_gradient ~weight:0.5 ~cap:20.0
+
+let uniform_spec spec =
+  { spec with Protemp.Spec.variant = Protemp.Spec.Uniform }
+
 let test_prepare_bit_identical () =
   let niagara = Lazy.force machine and big = Lazy.force biglittle in
-  let stride n spec = { spec with Protemp.Spec.constraint_stride = n } in
-  let gradient = Protemp.Spec.with_gradient ~weight:0.5 ~cap:20.0 in
-  let uniform spec = { spec with Protemp.Spec.variant = Protemp.Spec.Uniform } in
   let d = Protemp.Spec.default in
   List.iter
     (fun (name, machine, spec) ->
       List.iter
-        (fun tstart ->
-          let built =
-            Protemp.Model.instantiate
-              (Protemp.Model.prepare ~machine ~spec ~tstart)
-              ~ftarget:5e8
-          in
-          let reference =
-            Model_reference.build ~filter:true ~machine ~spec ~tstart
-              ~ftarget:5e8 ()
-          in
-          let rows (b : Protemp.Model.built) =
-            b.Protemp.Model.problem.Convex.Barrier.constraints
-          in
-          let label = Printf.sprintf "%s at %.0f C" name tstart in
-          check_int (label ^ ": rows") (Array.length (rows reference))
-            (Array.length (rows built));
-          Array.iteri
-            (fun i r ->
-              if not (same_row r (rows reference).(i)) then
-                Alcotest.failf "%s: row %d differs from the matmul oracle"
-                  label i)
-            (rows built))
+        (fun tstart -> check_prepare_matches_oracle name ~machine ~spec ~tstart)
         [ 27.0; 60.0; 85.0; 100.0 ])
     [
       ("niagara variable stride 1", niagara, d);
-      ("niagara variable stride 4", niagara, stride 4 d);
-      ("niagara uniform stride 1", niagara, uniform d);
-      ("niagara uniform stride 4", niagara, stride 4 (uniform d));
-      ("niagara gradient stride 4", niagara, stride 4 (gradient d));
+      ("niagara variable stride 4", niagara, with_stride 4 d);
+      ("niagara uniform stride 1", niagara, uniform_spec d);
+      ("niagara uniform stride 4", niagara, with_stride 4 (uniform_spec d));
+      ("niagara gradient stride 4", niagara, with_stride 4 (gradient_spec d));
       ("biglittle variable stride 1", big, d);
-      ("biglittle variable stride 4", big, stride 4 d);
-      ("biglittle gradient stride 1", big, gradient d);
+      ("biglittle variable stride 4", big, with_stride 4 d);
+      ("biglittle gradient stride 1", big, gradient_spec d);
     ]
+
+(* The window response is computed once per (machine, steps, stride)
+   and shared: a second request returns the very same record, while
+   another stride, another window or another machine gets its own. *)
+let test_window_response_shared () =
+  let niagara = Sim.Machine.niagara () and big = Sim.Machine.biglittle () in
+  let dt = niagara.Sim.Machine.thermal.Thermal.Rc_model.dt in
+  let steps_of period = int_of_float (Float.round (period /. dt)) in
+  let steps = steps_of Protemp.Spec.default.Protemp.Spec.dfs_period in
+  let response m ~steps ~stride =
+    Sim.Machine.window_response m ~steps ~stride
+  in
+  let r = response niagara ~steps ~stride:4 in
+  check_bool "a second request returns the same record" true
+    (r == response niagara ~steps ~stride:4);
+  let other_stride = response niagara ~steps ~stride:1 in
+  check_bool "another stride: another record" true (other_stride != r);
+  check_int "stride 1 keeps every step" steps
+    (Array.length other_stride.Sim.Machine.ks);
+  check_int "stride 4 keeps every 4th step and the last" 63
+    (Array.length r.Sim.Machine.ks);
+  let other_window = response niagara ~steps:(steps_of 0.05) ~stride:4 in
+  check_bool "another dfs_period: another record" true (other_window != r);
+  check_int "a half window ends at its own last step" (steps_of 0.05)
+    other_window.Sim.Machine.ks.(Array.length other_window.Sim.Machine.ks - 1);
+  let other_machine = response big ~steps ~stride:4 in
+  check_bool "another machine: another record" true (other_machine != r);
+  check_bool "another machine: other sums" false
+    (Array.length other_machine.Sim.Machine.sums
+     = Array.length r.Sim.Machine.sums
+    && Array.for_all2 same_bits other_machine.Sim.Machine.sums
+         r.Sim.Machine.sums);
+  check_bool "the first record is still the one served" true
+    (r == response niagara ~steps ~stride:4);
+  check_bool "another stride is served from the cache too" true
+    (other_stride == response niagara ~steps ~stride:1);
+  (* A second Niagara instance computes its own copy, bit for bit the
+     same: the response is a function of the machine's data alone. *)
+  let fresh = response (Sim.Machine.niagara ()) ~steps ~stride:4 in
+  check_bool "a fresh machine computes its own record" true (fresh != r);
+  check_bool "the same stride points" true
+    (fresh.Sim.Machine.ks = r.Sim.Machine.ks);
+  check_bool "bit-identical sums" true
+    (Array.for_all2 same_bits fresh.Sim.Machine.sums r.Sim.Machine.sums)
+
+(* With both responses warm, prepares that alternate between two
+   machines must each read their own machine's response: every row
+   stays bit-identical to the oracle, for every variant at stride 1
+   and 4. *)
+let test_prepare_alternating_machines () =
+  let niagara = Lazy.force machine and big = Lazy.force biglittle in
+  let d = Protemp.Spec.default in
+  List.iter
+    (fun stride ->
+      List.iter
+        (fun pair ->
+          for round = 1 to 2 do
+            List.iter
+              (fun (name, machine, spec) ->
+                check_prepare_matches_oracle
+                  (Printf.sprintf "%s stride %d, round %d" name stride round)
+                  ~machine ~spec:(with_stride stride spec) ~tstart:60.0)
+              pair
+          done)
+        [
+          [
+            ("niagara variable", niagara, d); ("biglittle variable", big, d);
+          ];
+          [
+            ("niagara gradient", niagara, gradient_spec d);
+            ("biglittle gradient", big, gradient_spec d);
+          ];
+          (* The uniform variant needs a single-class platform, so
+             big.LITTLE's variable rows alternate with it. *)
+          [
+            ("niagara uniform", niagara, uniform_spec d);
+            ("biglittle variable", big, d);
+          ];
+        ])
+    [ 1; 4 ]
+
+(* Two domains filling rows of a fresh machine race to compute its
+   response; the loser's copy is dropped, and the grid is byte for
+   byte the one-domain grid. *)
+let test_fill_fresh_machine_domains () =
+  let csv domains =
+    let machine = Sim.Machine.niagara () in
+    let dt =
+      Protemp.Dense_table.create ~machine ~spec:fast_spec
+        ~tstarts:[| 40.0; 60.0; 85.0; 95.0 |]
+        ~ftargets:[| 3e8; 6e8; 9e8 |] ()
+    in
+    ignore (Protemp.Dense_table.fill ~domains dt);
+    Protemp.Table.to_csv (Protemp.Dense_table.to_table dt)
+  in
+  Alcotest.(check string) "fresh machine: 2 domains = 1 domain" (csv 1)
+    (csv 2)
 
 (* Words allocated by [f ()], minor and major: an 18x18 matrix is
    allocated straight on the major heap, which [Gc.minor_words] alone
@@ -1234,13 +1355,13 @@ let allocated_words f =
 
 let test_prepare_allocation_flat () =
   let machine = Lazy.force machine in
-  let thermal = machine.Sim.Machine.thermal in
-  let dt = thermal.Thermal.Rc_model.dt in
+  let dt = machine.Sim.Machine.thermal.Thermal.Rc_model.dt in
   let t0 = Vec.create machine.Sim.Machine.n_nodes 60.0 in
   (* One constrained step (the window's end) and a tmax no row can
-     reach, so every window emits the same rows — none — and what is
-     left besides the base trajectory is the recurrence's own cost. *)
-  let words steps =
+     reach, so every window emits the same rows — none.  With the
+     machine's response warm, what is left of a prepare is the base
+     trajectory's step loop, which stores nothing per step. *)
+  let prepared steps =
     let spec =
       {
         Protemp.Spec.default with
@@ -1249,26 +1370,29 @@ let test_prepare_allocation_flat () =
         constraint_stride = 1_000_000;
       }
     in
-    let prepared =
-      allocated_words (fun () ->
-          Protemp.Model.prepare_with_profile ~machine ~spec ~t0)
-    in
-    let trajectory =
-      allocated_words (fun () ->
-          Thermal.Transient.simulate thermal ~t0 ~steps ~power:(fun _ ->
-              machine.Sim.Machine.fixed_power))
-    in
-    prepared -. trajectory
+    allocated_words (fun () ->
+        Protemp.Model.prepare_with_profile ~machine ~spec ~t0)
   in
-  (* Forming A^k with [Mat.matmul] costs ~1400 words a step; one
-     boxed float a step would add ~2900 words by 1000 steps. *)
-  let short = words 50 in
+  (* The response itself, on a fresh machine every time: the
+     recurrence allocates its buffers once, plus one snapshot. *)
+  let response steps =
+    allocated_words (fun () ->
+        Sim.Machine.window_response (Sim.Machine.niagara ()) ~steps
+          ~stride:1_000_000)
+  in
+  (* Storing the trajectory costs n_nodes + 1 words a step, forming
+     A^k with [Mat.matmul] ~1400 and one boxed float a step would add
+     ~2900 words by 1000 steps. *)
   List.iter
-    (fun steps ->
-      check_float 64.0
-        (Printf.sprintf "words besides the trajectory, %d vs 50 steps" steps)
-        short (words steps))
-    [ 250; 1000 ]
+    (fun (name, words) ->
+      let short = words 50 in
+      List.iter
+        (fun steps ->
+          check_float 64.0
+            (Printf.sprintf "%s, %d vs 50 steps" name steps)
+            short (words steps))
+        [ 250; 1000 ])
+    [ ("prepare words", prepared); ("response words", response) ]
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -1377,11 +1501,19 @@ let () =
             test_prepare_bit_identical;
           Alcotest.test_case "allocation flat in window length" `Quick
             test_prepare_allocation_flat;
+          Alcotest.test_case "window response shared" `Quick
+            test_window_response_shared;
+          Alcotest.test_case "alternating machines bit-identical" `Quick
+            test_prepare_alternating_machines;
+          Alcotest.test_case "fresh machine, 1 vs 2 domains" `Quick
+            test_fill_fresh_machine_domains;
         ] );
       ( "guarantee",
         [
           Alcotest.test_case "window peak cooling" `Quick
             test_guarantee_window_peak_cooling;
+          Alcotest.test_case "margin validation" `Quick
+            test_guarantee_margin_validation;
           Alcotest.test_case "table audit" `Slow test_guarantee_audit_table;
           Alcotest.test_case "guard band absorbs faults" `Slow
             test_guard_band_absorbs_faults;

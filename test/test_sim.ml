@@ -69,6 +69,29 @@ let test_machine_validation () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* NaN passes any guard written as [x <= 0.0 -> reject]; the
+   homogeneous constructor must reject NaN and infinite parameters
+   before they reach the platform. *)
+let test_machine_rejects_non_finite () =
+  let m = Lazy.force machine in
+  let rejects name ?(idle_activity = 0.3) ?(fmax = 1e9) ?(core_pmax = 4.0) () =
+    check_bool name true
+      (match
+         Sim.Machine.make ~idle_activity ~thermal:m.Sim.Machine.thermal
+           ~core_nodes:m.Sim.Machine.core_nodes
+           ~fixed_power:m.Sim.Machine.fixed_power ~fmax ~core_pmax ()
+       with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun v ->
+      let s = Printf.sprintf "%g" v in
+      rejects ("fmax " ^ s) ~fmax:v ();
+      rejects ("core_pmax " ^ s) ~core_pmax:v ();
+      rejects ("idle_activity " ^ s) ~idle_activity:v ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 (* ------------------------------------------------------------------ *)
 (* Policy *)
 
@@ -780,6 +803,8 @@ let () =
             test_machine_idle_never_exceeds_busy;
           Alcotest.test_case "power vector" `Quick test_machine_power_vector;
           Alcotest.test_case "validation" `Quick test_machine_validation;
+          Alcotest.test_case "rejects non-finite parameters" `Quick
+            test_machine_rejects_non_finite;
         ] );
       ( "policy",
         [

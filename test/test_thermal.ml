@@ -135,6 +135,18 @@ let test_rc_discretize_rejects_large_dt () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* NaN fails no [dt <= 0.0] or [dt > limit] test, so it would build a
+   step matrix of NaNs; infinity is past any limit. *)
+let test_rc_discretize_rejects_non_finite_dt () =
+  let m = Rc_model.build (two_block ()) in
+  List.iter
+    (fun dt ->
+      check_bool (Printf.sprintf "dt %g rejected" dt) true
+        (match Rc_model.discretize m ~dt with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let test_rc_step_matrix_nonnegative () =
   let m = Rc_model.build (two_block ()) in
   let d = Rc_model.discretize m ~dt:(Rc_model.max_monotone_dt m) in
@@ -542,6 +554,8 @@ let () =
             test_rc_discretize_matches_steady;
           Alcotest.test_case "rejects large dt" `Quick
             test_rc_discretize_rejects_large_dt;
+          Alcotest.test_case "rejects non-finite dt" `Quick
+            test_rc_discretize_rejects_non_finite_dt;
           Alcotest.test_case "step matrix nonnegative" `Quick
             test_rc_step_matrix_nonnegative;
           Alcotest.test_case "conductance symmetric" `Quick
