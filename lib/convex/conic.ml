@@ -1007,16 +1007,19 @@ let assemble_m st =
       for j = !lo to !hi - 1 do
         st.bvec.(j) <- 0.0
       done;
-      let add coeff rr =
+      (* bvec += coeff * G_rr for the block's three rows, with
+         coeff = wb0, -wb1, -wb2: inlined, since a local closure would
+         allocate once per block and iteration. *)
+      for rr = r0 to r0 + 2 do
+        let coeff =
+          if rr = r0 then wb0 else if rr = r0 + 1 then -.wb1 else -.wb2
+        in
         let s0 = t.goff.(rr) in
         let sh = t.glo.(rr) - s0 in
         for kk = s0 to t.goff.(rr + 1) - 1 do
           st.bvec.(sh + kk) <- st.bvec.(sh + kk) +. (coeff *. t.gdata.(kk))
         done
-      in
-      add wb0 r0;
-      add (-.wb1) (r0 + 1);
-      add (-.wb2) (r0 + 2);
+      done;
       let e = st.eta.(k) in
       let c2 = 2.0 /. (e *. e) in
       for a = !lo to !hi - 1 do
@@ -1028,9 +1031,12 @@ let assemble_m st =
       done
     end
   done;
+  (* Written straight into the storage: [Mat.set] would box each float
+     across the module boundary. *)
+  let md = Mat.data st.m_mat and marr = st.marr in
   for i = 0 to n - 1 do
     for j = 0 to i do
-      Mat.set st.m_mat i j st.marr.((j * n) + i)
+      Array.unsafe_set md ((i * n) + j) (Array.unsafe_get marr ((j * n) + i))
     done
   done
 
@@ -1191,7 +1197,7 @@ let compute_residuals st =
 (* Largest alpha with v + alpha dv still in the cone, for one SOC
    block: the smallest positive root of
    rho(v + alpha dv) = a alpha^2 + 2 b alpha + c0 (c0 > 0). *)
-let soc_max_step ~v0 ~v1 ~v2 ~d0 ~d1 ~d2 =
+let[@inline] soc_max_step ~v0 ~v1 ~v2 ~d0 ~d1 ~d2 =
   let a = (d0 *. d0) -. (d1 *. d1) -. (d2 *. d2) in
   let b = (v0 *. d0) -. (v1 *. d1) -. (v2 *. d2) in
   let c0 = (v0 *. v0) -. (v1 *. v1) -. (v2 *. v2) in
@@ -1204,11 +1210,13 @@ let soc_max_step ~v0 ~v1 ~v2 ~d0 ~d1 ~d2 =
     else if disc < 0.0 || b >= 0.0 then infinity
     else ((-.b) -. sqrt disc) /. a
 
-(* Largest feasible step for (s, ds), (z, dz), tau and kappa. *)
+(* Largest feasible step for (s, ds), (z, dz), tau and kappa.  The
+   running minimum is a local [ref] that does not escape, so it stays
+   an unboxed register; the tau and kappa bounds are written out
+   rather than through a closure over it, which would box it. *)
 let max_step st =
   let t = st.t in
   let alpha = ref infinity in
-  let bound v d = if d < 0.0 && -.v /. d < !alpha then alpha := -.v /. d in
   let s = st.s and z = st.z and ds = st.ds and dz = st.dz in
   for i = 0 to t.mo - 1 do
     let d = Array.unsafe_get ds i in
@@ -1235,8 +1243,10 @@ let max_step st =
     in
     if a_z < !alpha then alpha := a_z
   done;
-  bound st.tau st.dtau;
-  bound st.kappa st.dkappa;
+  let d = st.dtau in
+  if d < 0.0 && -.st.tau /. d < !alpha then alpha := -.st.tau /. d;
+  let d = st.dkappa in
+  if d < 0.0 && -.st.kappa /. d < !alpha then alpha := -.st.kappa /. d;
   !alpha
 
 (* ------------------------------------------------------------------ *)

@@ -29,11 +29,15 @@
     the normal equations are block-tridiagonal (the thermal models'
     (frequency, power, gradient-bound) order; see {!Block_tridiag}).
 
-    Warm starts seed [x] from a neighbouring solution: the slack is
-    rebuilt as [h - G x] pushed to a margin inside the cone, and the
-    dual is placed on the central path at a reduced [mu], which is
-    what makes sweep-adjacent solves measurably cheaper than cold
-    ones. *)
+    Warm starts seed [x] from a given point: the slack is rebuilt as
+    [h - G x] pushed to a margin inside the cone, and the dual is
+    placed on the central path at a reduced [mu].  That pays when the
+    seed is an optimum of a relaxation of the same instance (a
+    working-set round re-solved after {!admit} added rows).  Seeded
+    from a neighbouring instance's optimum (the next cell of a table
+    sweep) it cost more iterations than the cold central point on the
+    thermal grids, so [Protemp.Model.solve] starts such solves cold
+    and uses the neighbour only to pick the working set. *)
 
 open Linalg
 
@@ -88,10 +92,12 @@ type options = {
   step_frac : float;
       (** Fraction-to-boundary step scaling (default [0.98]). *)
   warm_mu : float;
-      (** Initial complementarity for warm starts (default [3e-3] —
-          sweep-neighbour seeds are near-optimal, and starting the
-          embedding this close is what the warm-start win is made of;
-          cold starts begin at [1]). *)
+      (** Initial complementarity for warm starts (default [3e-3];
+          cold starts begin at [1]).  Small, because a warm seed is
+          expected to be this instance's optimum on fewer rows and so
+          already near-optimal.  A neighbouring instance's optimum is
+          not: started there at this [mu], the iterate needed more
+          iterations than a cold start. *)
   kkt : kkt;  (** Default [`Dense]. *)
 }
 

@@ -64,7 +64,15 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x)
 
-let norm_inf x = Array.fold_left (fun acc xi -> Float.max acc (Float.abs xi)) 0.0 x
+(* A loop, not a fold: the fold's closure boxes its float accumulator
+   on every element, and the conic solver takes this norm of its
+   residuals every iteration. *)
+let norm_inf x =
+  let acc = ref 0.0 in
+  for i = 0 to dim x - 1 do
+    acc := Float.max !acc (Float.abs x.(i))
+  done;
+  !acc
 
 let norm1 x = Array.fold_left (fun acc xi -> acc +. Float.abs xi) 0.0 x
 

@@ -2,9 +2,11 @@ open Linalg
 
 (* A memoized dense grid.  All mutable state lives inside the value
    (never at toplevel): [cells]/[seeds] memoize per cell, [prepared]
-   and [conic_ws] cache the per-row solver contexts, [frontier.(i)] is
-   the smallest column index known infeasible for row [i] ([n_cols]
-   when none) — the data behind the monotone pruning rule.  Counters
+   and [conic_ws] cache the per-row solver contexts of the rows that
+   still have a cell to solve (a complete row drops them),
+   [frontier.(i)] is the smallest column index known infeasible for
+   row [i] ([n_cols] when none) — the data behind the monotone pruning
+   rule.  Counters
    are plain ints mutated on the owning domain only; [fill] workers
    return their counts and the merge happens on the caller. *)
 type t = {
@@ -157,6 +159,15 @@ let solve_cell t ~prepared ~ws ~seed j =
       (Table.Frequencies s.Model.frequencies, Some s.Model.raw.Convex.Solve.x)
   | Model.Infeasible -> (Table.Infeasible, None)
 
+(* A row with every cell memoized never solves again: drop its solver
+   contexts, which dominate a filled grid's live memory (DESIGN.md
+   6p).  Its seeds stay, for on-demand neighbours in other rows. *)
+let release_if_complete t i =
+  if Array.for_all Option.is_some t.cells.(i) then begin
+    t.prepared.(i) <- None;
+    t.conic_ws.(i) <- None
+  end
+
 let cell t i j =
   if i < 0 || i >= n_rows t then invalid_arg "Dense_table.cell: row out of range";
   if j < 0 || j >= n_cols t then
@@ -169,6 +180,7 @@ let cell t i j =
            column <= j, and infeasibility is monotone. *)
         t.cells.(i).(j) <- Some Table.Infeasible;
         t.n_pruned <- t.n_pruned + 1;
+        release_if_complete t i;
         Table.Infeasible
       end
       else begin
@@ -187,6 +199,7 @@ let cell t i j =
         | Table.Infeasible ->
             if j < t.frontier.(i) then t.frontier.(i) <- j
         | Table.Frequencies _ -> ());
+        release_if_complete t i;
         c
       end
 
@@ -201,7 +214,8 @@ type fill_stats = {
 (* One row of a fill: a pure function of the row's pre-fill memo state
    and the frontier snapshot, sequential over columns with the
    previous feasible column's optimum as the warm seed — so the grid a
-   fill produces is bit-identical at any domain count. *)
+   fill produces is bit-identical at any domain count.  The row comes
+   back complete, so its solver contexts are not returned. *)
 let run_row (t : t) ~bound0 i =
   let cols = n_cols t in
   let cells = Array.copy t.cells.(i) in
@@ -264,8 +278,7 @@ let run_row (t : t) ~bound0 i =
               if j < !frontier_i then frontier_i := j
         end
   done;
-  (cells, seeds, !prepared, !ws, !frontier_i, !n_new, !solves, !warm_hits,
-   !pruned, !feasible)
+  (cells, seeds, !frontier_i, !n_new, !solves, !warm_hits, !pruned, !feasible)
 
 let fill ?domains (t : t) =
   let domains =
@@ -282,12 +295,12 @@ let fill ?domains (t : t) =
   in
   let acc = ref { cells = 0; solves = 0; warm_hits = 0; pruned = 0; feasible = 0 } in
   Array.iteri
-    (fun i (cells, seeds, prepared, ws, frontier_i, n_new, solves, warm_hits,
-            pruned, feasible) ->
+    (fun i (cells, seeds, frontier_i, n_new, solves, warm_hits, pruned,
+            feasible) ->
       t.cells.(i) <- cells;
       t.seeds.(i) <- seeds;
-      t.prepared.(i) <- prepared;
-      t.conic_ws.(i) <- ws;
+      t.prepared.(i) <- None;
+      t.conic_ws.(i) <- None;
       t.frontier.(i) <- frontier_i;
       acc :=
         {

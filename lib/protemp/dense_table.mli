@@ -5,15 +5,23 @@
     The paper's table is 6x10; a production deployment wants 100x100+
     grids per floorplan per power-law revision.  A {!t} is a memoized
     grid over [(tstart, ftarget)]: {!cell} solves lazily through the
-    conic solver with a neighbour warm start, a certified-infeasible
-    cell prunes everything hotter {e and} faster through the monotone
-    feasibility frontier, and {!fill} fans the remaining cells across
-    {!Parallel.Pool} with domain-count-invariant results.  {!lookup}
-    serves points {e between} grid cells by bilinear interpolation,
-    with a monotonicity-repair pass that clamps any blend whose
-    {!Guarantee.window_peak} certificate would exceed the envelope
-    back to the paper's discrete rule — so interpolated lookups are
-    never less safe than discrete ones.  (DESIGN.md section 6h.) *)
+    conic solver on a working set seeded by a solved neighbour, a
+    certified-infeasible cell prunes everything hotter {e and} faster
+    through the monotone feasibility frontier, and {!fill} fans the
+    remaining cells across {!Parallel.Pool} with domain-count-invariant
+    results.  {!lookup} serves points {e between} grid cells by
+    bilinear interpolation, with a monotonicity-repair pass that clamps
+    any blend whose {!Guarantee.window_peak} certificate would exceed
+    the envelope back to the paper's discrete rule — so interpolated
+    lookups are never less safe than discrete ones.  (DESIGN.md
+    section 6h.)
+
+    A row holds its solver state (its {!Model.prepared} context and
+    conic workspace) only while it has a cell left to solve: once every
+    cell of the row is memoized, by {!fill} or by {!cell} calls, the
+    state is dropped.  A filled grid keeps only its cells and the
+    neighbour seeds: 29k words on the 74x9 serving grid, against 2.1M
+    with every row's solver state (DESIGN.md section 6p). *)
 
 open Linalg
 
@@ -51,8 +59,9 @@ val cell : t -> int -> int -> Table.cell
     already-solved adjacent cell with the closest [ftarget] (so a
     same-column vertical neighbour beats a horizontal one), falling
     back to a cold start; one {!Convex.Conic.workspace} and one
-    {!Model.prepared} context are reused per row.  If any known
-    infeasible cell sits at or below [(i, j)] on the monotone frontier
+    {!Model.prepared} context are reused per row, and dropped when
+    this call completes the row.  If any known infeasible cell sits at
+    or below [(i, j)] on the monotone frontier
     (cooler row, same-or-slower column), the cell is certified
     infeasible without a solve and counted as pruned.  Raises
     [Invalid_argument] out of range. *)

@@ -659,14 +659,15 @@ let solve_barrier ?options ?(backend = `Compiled) ?stats_into ?start built =
       | Convex.Solve.Infeasible _ -> Infeasible)
 
 (* Conic path: no start hint, no frontier climb — the homogeneous
-   embedding starts cold (or from a primal-only warm seed) and an
-   infeasible cell terminates with a primal-infeasibility certificate
-   instead of a failed climb.  A dual-infeasibility certificate cannot
-   occur for a well-posed cell (the objective is bounded below on the
-   box), and [Unknown] means the iterate stalled before any
-   certificate: both fall back to the reference barrier path rather
-   than guessing.  [s] has the full instance's shape, so the dual is
-   zero on every row the working set left out. *)
+   embedding starts cold (a later working-set round from the previous
+   round's optimum) and an infeasible cell terminates with a
+   primal-infeasibility certificate instead of a failed climb.  A
+   dual-infeasibility certificate cannot occur for a well-posed cell
+   (the objective is bounded below on the box), and [Unknown] means
+   the iterate stalled before any certificate: both fall back to the
+   reference barrier path rather than guessing.  [s] has the full
+   instance's shape, so the dual is zero on every row the working set
+   left out. *)
 let raw_of_conic built t (s : Convex.Conic.solution) =
   let dual = Convex.Conic.constraint_duals t s in
   {
@@ -696,10 +697,13 @@ let optional_rows built =
   in
   ((5 * built.layout.n_f) + 1, m - tail)
 
-(* An optional row within this much of binding at the warm seed, in
-   units of tmax (1 C at tmax = 100 C), starts in the working set.
-   Fill time is flat for thresholds from 1e-3 to 5e-2. *)
-let seed_slack = 1e-2
+(* An optional row within this much of binding at the seed, in units
+   of tmax (1e-4 C at tmax = 100 C), starts in the working set: the
+   rows that bind at the neighbour's optimum, up to the solver's
+   tolerance.  At 1e-2 the set also took rows that bind only at the
+   neighbour, and Niagara's grid ended two more cells Unknown
+   (DESIGN.md 6p). *)
+let seed_slack = 1e-6
 
 (* Constraint generation over the optional rows: solve on the working
    set, evaluate every row at the optimum, admit the violated ones and
@@ -707,8 +711,13 @@ let seed_slack = 1e-2
    problem is a relaxation of the cell, so an optimum that satisfies
    every row is the cell's optimum (its dual, zero off the set, is a
    KKT certificate for the full problem), and an infeasible working
-   set proves the cell infeasible.  Work counters add up over the
-   rounds; the outcome counters count the cell once. *)
+   set proves the cell infeasible.  Round 1 starts from the cold
+   central point even with a seed: the seed only picks the working
+   set.  Started at a neighbour's optimum, the iterate took more
+   iterations than the central point, not fewer (DESIGN.md 6p); a
+   later round's seed is this cell's own optimum on a smaller set, and
+   it stays warm.  Work counters add up over the rounds; the outcome
+   counters count the cell once. *)
 let solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start built =
   let t = Lazy.force built.conic in
   let options =
@@ -727,13 +736,10 @@ let solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start built =
   in
   let first, last = optional_rows built in
   Convex.Conic.restrict ws t ~first ~last;
-  let warm =
-    match start with
-    | Some x when Vec.dim x = built.layout.dim ->
-        ignore (Convex.Conic.admit ws t x ~above:(-.seed_slack));
-        Some x
-    | Some _ | None -> None
-  in
+  (match start with
+  | Some x when Vec.dim x = built.layout.dim ->
+      ignore (Convex.Conic.admit ws t x ~above:(-.seed_slack))
+  | Some _ | None -> ());
   let stats = ref Convex.Conic.stats_zero in
   let rec round warm rounds =
     match Convex.Conic.solve ~options ?warm ~stats_into:stats ~ws t with
@@ -742,7 +748,7 @@ let solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start built =
         round (Some s.Convex.Conic.x) (rounds + 1)
     | status -> (status, rounds)
   in
-  let status, rounds = round warm 1 in
+  let status, rounds = round None 1 in
   (match conic_stats_into with
   | Some acc ->
       acc :=

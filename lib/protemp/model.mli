@@ -189,16 +189,18 @@ val solve :
     [solver] picks the algorithm (default [`Conic]): the primal-dual
     predictor-corrector method of {!Convex.Conic} on the homogeneous
     self-dual embedding, with the block-tridiagonal factorization from
-    {!conic_blocks} and [start] as a primal warm seed.  No feasible
-    point is needed — an infeasible cell ends with a
-    primal-infeasibility certificate, so the frontier climb never
-    runs.
+    {!conic_blocks}.  No feasible point is needed — an infeasible cell
+    ends with a primal-infeasibility certificate, so the frontier
+    climb never runs.
 
     The conic path solves on a {e working set} of rows: the box rows,
     the power-law cones, the throughput floor and the gradient bounds
-    always, plus the thermal and gradient rows that [start] (when
-    given) brings within 1e-2 tmax of binding — a cold solve starts
-    with none of them.  After each solve every row is evaluated at the
+    always, plus the thermal and gradient rows that bind at [start]
+    (when given; within 1e-6 tmax of binding) — without [start] it
+    starts with none of them.  [start] only picks that set: the first
+    solve starts from the conic's cold central point either way, which
+    took fewer iterations than starting the iterate at a neighbouring
+    cell's optimum.  After each solve every row is evaluated at the
     optimum in one pass; the violated ones join the set and the cell
     is re-solved warm from that optimum, until none is violated.  The
     working-set problem is a relaxation, so its final optimum is the

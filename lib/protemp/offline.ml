@@ -83,11 +83,9 @@ let sweep_row ?solver ?options ?backend ~machine ~spec ~ftargets ~warm_starts
                 ~conic_stats_into:cstats ?conic_ws:ws ?start:!warm built
             with
             | Model.Feasible s ->
-                (* Primal-only seeding: the floor shift between columns
-                   moves the active set enough that re-seeding the cone
-                   dual from the neighbour's multipliers measured
-                   slightly worse than the central-path dual at
-                   warm_mu. *)
+                (* The optimum seeds the next column's working set
+                   (Model.solve starts its iterate cold); the
+                   multipliers are not passed on. *)
                 if warm_starts then warm := Some s.Model.raw.Convex.Solve.x;
                 report
                   { tstart; ftarget; outcome = `Feasible;
@@ -103,15 +101,14 @@ let sweep_row ?solver ?options ?backend ~machine ~spec ~ftargets ~warm_starts
   in
   (cells, { solves = !solves; barrier = !bstats; conic = !cstats })
 
-(* Warm starts default on: the conic solver seeds the homogeneous
-   embedding from the neighbouring column's primal optimum at a
-   reduced initial mu, and the cell's working set with the rows near
-   binding there.  Since cells are solved on working sets the saving
-   depends on the grid: on the benchmark's 100x100 Niagara grid a warm
-   solve averages 6.4 iterations against 7.0 cold, but on the paper's
-   6x10 grid at stride 2 warm starts take 594 factorizations against
-   567.  (On the reference barrier path the effect stays within noise
-   — the start hint already skips phase I on almost every cell.) *)
+(* Warm starts default on: the neighbouring column's optimum seeds the
+   cell's working set with the thermal rows binding there, and the
+   conic iterate starts cold.  On the default 9x10 axes at stride 2
+   seeded solves take 820 factorizations against 841 cold; seeding the
+   iterate as well took 907 (DESIGN.md 6p).  (On the reference barrier
+   path the seed is the barrier's start point, and the effect stays
+   within noise — the start hint already skips phase I on almost
+   every cell.) *)
 let sweep_with_stats ?solver ?options ?backend ?domains ?(warm_starts = true)
     ?(tstarts = default_tstarts) ?(ftargets = default_ftargets) ?on_progress
     ~machine ~spec () =

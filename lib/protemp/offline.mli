@@ -60,12 +60,12 @@ val sweep :
     {!Parallel.Pool.default_domains}, i.e. the [PROTEMP_DOMAINS]
     environment variable or the hardware count); [1] runs the classic
     sequential loop on the calling domain.  [warm_starts] (default
-    [true]) seeds each solve from the previous column's optimum: the
-    conic solver restarts the homogeneous embedding from the seed at a
-    reduced initial mu and seeds the cell's working set from it (fewer
-    iterations than cold on the benchmark's dense grids, though not on
-    the paper's 6x10 grid at stride 2; DESIGN.md 6n); on the barrier
-    path it stays within noise of cold and exists for measurement.  [backend] selects the barrier
+    [true]) seeds each solve from the previous column's optimum: on
+    the conic path the seed picks the cell's working set and the
+    iterate starts cold (no more factorizations than cold solves on
+    the default 9x10 axes at stride 2, which [test_parallel] gates;
+    DESIGN.md 6p); on the barrier path it stays within noise of cold
+    and exists for measurement.  [backend] selects the barrier
     oracle (default [`Compiled]); the [`Reference] path exists for
     differential testing.  With [domains > 1], [on_progress] is
     invoked from worker domains — calls are serialized under a mutex,

@@ -730,6 +730,61 @@ let test_conic_working_set () =
   check_bool "point dimension" true
     (rejected (fun () -> Conic.admit ws t [| 0.0 |] ~above:0.0))
 
+(* The conic loop's allocation, measured at run time: the alloc-free
+   lint sees syntactic allocation sites only, not a float boxed across
+   a call.  Workspace solves of fixed Niagara cells (all rows, stride
+   4); the second solve of each cell is counted, after the first has
+   sized the workspace.  The solution record (x, y, s, z, two boxed
+   floats, the record and its constructor) is subtracted, and what is
+   left, per-solve set-up included, is charged to the iterations.
+   Measured 74-78 words an iteration on these cells (the float fields
+   of the workspace record and the boxed results of Vec calls); ~1005
+   while assemble_m boxed every factor entry through Mat.set, max_step
+   allocated a closure and Vec.norm_inf folded with a boxed
+   accumulator. *)
+let conic_words_per_iteration_bound = 100.0
+
+let test_conic_iteration_allocation () =
+  let machine = Sim.Machine.niagara () in
+  let spec = { Protemp.Spec.default with Protemp.Spec.constraint_stride = 4 } in
+  List.iter
+    (fun (tstart, ftarget) ->
+      let built = Protemp.Model.build ~machine ~spec ~tstart ~ftarget in
+      let t = Lazy.force built.Protemp.Model.conic in
+      let ws =
+        Conic.make_workspace
+          ~kkt:(`Blocks (Protemp.Model.conic_blocks built.Protemp.Model.layout))
+          t
+      in
+      ignore (Conic.solve ~ws t);
+      let w0 = Gc.minor_words () in
+      let status = Conic.solve ~ws t in
+      let words = Gc.minor_words () -. w0 in
+      match status with
+      | Conic.Optimal s ->
+          (* A float array above Max_young_wosize (256 words) is
+             allocated in the major heap and never counted here. *)
+          let block v =
+            if Vec.dim v = 0 || Vec.dim v > 256 then 0 else Vec.dim v + 1
+          in
+          let record =
+            block s.Conic.x + block s.Conic.y + block s.Conic.s + block s.Conic.z
+            + (2 * 2) + 8 + 2
+          in
+          let per_iteration =
+            (words -. float_of_int record) /. float_of_int s.Conic.iterations
+          in
+          if per_iteration > conic_words_per_iteration_bound then
+            Alcotest.failf
+              "cell (%g C, %g Hz): %.1f words an iteration over %d iterations \
+               (bound %.0f)"
+              tstart ftarget per_iteration s.Conic.iterations
+              conic_words_per_iteration_bound
+      | st ->
+          Alcotest.failf "cell (%g C, %g Hz): expected optimal, got %a" tstart
+            ftarget Conic.pp_status st)
+    [ (40.0, 6e8); (60.0, 4e8); (85.0, 2e8) ]
+
 (* ------------------------------------------------------------------ *)
 (* Linprog *)
 
@@ -1002,6 +1057,8 @@ let () =
           Alcotest.test_case "workspace reuse" `Quick
             test_conic_workspace_reuse;
           Alcotest.test_case "working set" `Quick test_conic_working_set;
+          Alcotest.test_case "iteration allocation" `Quick
+            test_conic_iteration_allocation;
         ] );
       ( "linprog",
         [

@@ -203,6 +203,101 @@ let test_audit_certifies_grid () =
     true
     (a.Protemp.Guarantee.worst_margin >= 0.0)
 
+(* ------------------------------------------------------------------ *)
+(* Solver-state release *)
+
+(* Words a table holds beyond its machine.  The machine is shared with
+   every caller, and its window-response cache grows on the first
+   prepare, so it is measured at the same moment and taken out. *)
+let table_words dt =
+  Obj.reachable_words (Obj.repr dt)
+  - Obj.reachable_words (Obj.repr (Lazy.force machine))
+
+let axis lo hi n =
+  Array.init n (fun i ->
+      lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
+
+(* The serving grid of the fleet benchmark's smoke: margin 5, 19x9. *)
+let served_dense () =
+  D.create ~margin:5.0 ~machine:(Lazy.force machine) ~spec:fast_spec
+    ~tstarts:(axis 27.0 100.0 19) ~ftargets:(axis 1e8 9e8 9) ()
+
+let test_fill_releases_contexts () =
+  let dt = served_dense () in
+  let rows = Array.length (D.tstarts dt) in
+  (* One cell a row: every row now holds its prepared context and
+     workspace, as every row of a filled table used to. *)
+  for i = 0 to rows - 1 do
+    ignore (D.cell dt i 0)
+  done;
+  let held = table_words dt in
+  ignore (D.fill ~domains:2 dt);
+  let filled = table_words dt in
+  check_bool
+    (Printf.sprintf "filled %d words < 1/10 of the %d with every context"
+       filled held)
+    true
+    (filled * 10 < held)
+
+let test_on_demand_row_releases () =
+  let dt = cool_dense () in
+  let base = table_words dt in
+  ignore (D.cell dt 0 0);
+  let one = table_words dt in
+  check_int "the first cell is cold" 0 (D.stats dt).D.warm_hits;
+  ignore (D.cell dt 0 1);
+  let two = table_words dt in
+  (* The partial row keeps its context: the second cell reuses it (no
+     second prepare), and it is seeded from the first. *)
+  check_int "a later cell of the row is warm" 1 (D.stats dt).D.warm_hits;
+  check_bool
+    (Printf.sprintf "context held: %d words after one cell, %d before" one
+       base)
+    true
+    (one - base > 4 * (two - one));
+  ignore (D.cell dt 0 2);
+  check_int "the last cell is warm too" 2 (D.stats dt).D.warm_hits;
+  let complete = table_words dt in
+  check_bool
+    (Printf.sprintf "row complete: %d words, %d while partial" complete two)
+    true
+    (4 * (complete - base) < two - base)
+
+let test_serving_after_release () =
+  let dt = cool_dense () in
+  let points =
+    List.concat_map
+      (fun temperature ->
+        List.map (fun required -> (temperature, required)) [ 1.5e8; 3e8; 5e8; 7.5e8 ])
+      [ 55.0; 62.0; 81.0; 90.0 ]
+  in
+  let serve () =
+    List.map
+      (fun (temperature, required) ->
+        (D.lookup dt ~temperature ~required, D.discrete dt ~temperature ~required))
+      points
+  in
+  (* Served on demand while rows are partial and hold their contexts,
+     then again after a fill has completed and released every row. *)
+  let before = serve () in
+  ignore (D.fill dt);
+  let solves = (D.stats dt).D.solves and words = table_words dt in
+  let after = serve () in
+  check_bool "lookup and discrete unchanged" true (before = after);
+  check_int "no solve after the fill" solves (D.stats dt).D.solves;
+  check_int "no context re-created" words (table_words dt);
+  let table = D.to_table dt in
+  List.iter
+    (fun (temperature, required) ->
+      check_bool "discrete is the exported table's rule" true
+        (D.discrete dt ~temperature ~required
+        = Protemp.Table.lookup table ~temperature ~required))
+    points;
+  check_bool "audit is the exported table's" true
+    (D.audit dt
+    = Protemp.Guarantee.audit_table ~machine:(Lazy.force machine)
+        ~spec:fast_spec table)
+
 (* The tentpole safety property: whenever the paper's discrete rule
    would serve a cap-honouring vector, the interpolating lookup's
    served vector honours the cap too — the repair pass may clamp, but
@@ -256,5 +351,14 @@ let () =
             test_lookup_beyond_grid_clamps;
           Alcotest.test_case "whole-grid audit" `Slow test_audit_certifies_grid;
           QCheck_alcotest.to_alcotest prop_interpolation_never_less_safe;
+        ] );
+      ( "release",
+        [
+          Alcotest.test_case "fill releases row contexts" `Slow
+            test_fill_releases_contexts;
+          Alcotest.test_case "on-demand row releases" `Slow
+            test_on_demand_row_releases;
+          Alcotest.test_case "serving after release" `Slow
+            test_serving_after_release;
         ] );
     ]

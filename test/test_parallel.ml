@@ -283,6 +283,25 @@ let test_sweep_stats_domain_invariant () =
   check_int "conic optimal" c1.Convex.Conic.optimal c4.Convex.Conic.optimal;
   check_bool "non-trivial" true (c1.Convex.Conic.iterations > 0)
 
+(* The warm/cold work gate: on the default 9x10 axes at stride 2, a
+   sweep whose cells are seeded from their neighbours' optima may take
+   no more conic factorizations than the same sweep solved cold (820
+   against 841 when the gate went in; 907 against 841 while a seed
+   also set the interior-point iterate, DESIGN.md 6p). *)
+let test_seeded_sweep_no_costlier_than_cold () =
+  let spec = { Protemp.Spec.default with Protemp.Spec.constraint_stride = 2 } in
+  let factorizations warm_starts =
+    let _, s =
+      Protemp.Offline.sweep_with_stats ~machine:(Lazy.force machine) ~spec
+        ~domains:1 ~warm_starts ()
+    in
+    s.Protemp.Offline.conic.Convex.Conic.factorizations
+  in
+  let seeded = factorizations true and cold = factorizations false in
+  check_bool
+    (Printf.sprintf "seeded %d <= cold %d factorizations" seeded cold)
+    true (seeded <= cold)
+
 (* Instantiating from a prepared context must yield the same problem
    as a from-scratch build, so the same optimum. *)
 let test_instantiate_matches_build () =
@@ -334,6 +353,8 @@ let () =
             test_solvers_agree_biglittle;
           Alcotest.test_case "stats domain-count invariant" `Slow
             test_sweep_stats_domain_invariant;
+          Alcotest.test_case "seeded sweep no costlier than cold" `Slow
+            test_seeded_sweep_no_costlier_than_cold;
           Alcotest.test_case "instantiate matches build" `Slow
             test_instantiate_matches_build;
         ] );
