@@ -57,12 +57,16 @@ let table_ftargets =
 
 let table_build_seconds = ref 0.0
 
+(* Phase 1: one Eq. 3 solve per grid cell. *)
+let build_table ~spec ~tstarts ~ftargets =
+  Protemp.Dense_table.to_table
+    (Protemp.Dense_table.create ~machine ~spec ~tstarts ~ftargets ())
+
 let table =
   lazy
     (let t0 = Unix.gettimeofday () in
      let t =
-       Protemp.Offline.sweep ~machine ~spec ~tstarts:table_tstarts
-         ~ftargets:table_ftargets ()
+       build_table ~spec ~tstarts:table_tstarts ~ftargets:table_ftargets
      in
      table_build_seconds := Unix.gettimeofday () -. t0;
      t)
@@ -71,10 +75,8 @@ let gradient_spec = Protemp.Spec.with_gradient ~weight:4.0 spec
 
 let gradient_table =
   lazy
-    (Protemp.Offline.sweep ~machine ~spec:gradient_spec
-       ~tstarts:[| 40.0; 70.0; 100.0 |]
-       ~ftargets:[| 3e8; 5e8; 7e8; 9e8 |]
-       ())
+    (build_table ~spec:gradient_spec ~tstarts:[| 40.0; 70.0; 100.0 |]
+       ~ftargets:[| 3e8; 5e8; 7e8; 9e8 |])
 
 let no_tc () = Protemp.No_tc.create ~fmax
 let basic_dfs () = Protemp.Basic_dfs.create ~fmax ()
@@ -251,7 +253,8 @@ let frontier_solutions variant =
     (fun tstart ->
       let s = { spec with Protemp.Spec.variant } in
       ( tstart,
-        Protemp.Offline.frontier_point ~machine ~spec:s ~tstart () ))
+        Protemp.Model.solve_frontier
+          (Protemp.Model.build_frontier ~machine ~spec:s ~tstart) ))
     frontier_tstarts
 
 let fig9_10_data =
@@ -443,8 +446,7 @@ let abl_stride () =
 let abl_table_resolution () =
   section "Ablation — table grid resolution vs run-time conservatism";
   let coarse =
-    Protemp.Offline.sweep ~machine ~spec ~tstarts:[| 55.0; 100.0 |]
-      ~ftargets:[| 3e8; 7e8 |] ()
+    build_table ~spec ~tstarts:[| 55.0; 100.0 |] ~ftargets:[| 3e8; 7e8 |]
   in
   let run name t =
     let r = run_sim (Protemp.Controller.create ~table:t) trace_mix in

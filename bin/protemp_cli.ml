@@ -132,8 +132,9 @@ let frontier_cmd =
   let run platform uniform gradient stride tstart =
     let spec = spec_of ~uniform ~gradient ~stride in
     match
-      Protemp.Offline.frontier_point ~machine:(machine_of platform) ~spec
-        ~tstart ()
+      Protemp.Model.solve_frontier
+        (Protemp.Model.build_frontier ~machine:(machine_of platform) ~spec
+           ~tstart)
     with
     | Protemp.Model.Infeasible ->
         print_endline "no operation possible from this temperature";
@@ -157,19 +158,25 @@ let out_file =
     & opt (some string) None
     & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output CSV file.")
 
+(* The default table axes: the ambient row, then 30..100 C in steps of
+   10; 100 MHz..1 GHz in steps of 100 MHz. *)
+let default_tstarts =
+  [| 27.0; 30.0; 40.0; 50.0; 60.0; 70.0; 80.0; 90.0; 100.0 |]
+
+let default_ftargets =
+  Array.init 10 (fun i -> float_of_int (i + 1) *. 100.0 *. 1e6)
+
 let table_cmd =
   let tstarts =
     Arg.(
       value
-      & opt (list finite) (Array.to_list Protemp.Offline.default_tstarts)
+      & opt (list finite) (Array.to_list default_tstarts)
       & info [ "tstarts" ] ~docv:"T1,T2,..." ~doc:"Row temperatures.")
   in
   let ftargets =
     Arg.(
       value
-      & opt (list finite)
-          (List.map hz_to_mhz
-             (Array.to_list Protemp.Offline.default_ftargets))
+      & opt (list finite) (List.map hz_to_mhz (Array.to_list default_ftargets))
       & info [ "ftargets" ] ~docv:"MHZ1,MHZ2,..." ~doc:"Column targets (MHz).")
   in
   let domains =
@@ -179,7 +186,7 @@ let table_cmd =
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Solve table rows on N domains (default: PROTEMP_DOMAINS or the \
-             machine's core count; 1 = sequential).")
+             machine's core count; the table is identical for any value).")
   in
   let margin =
     Arg.(
@@ -193,41 +200,33 @@ let table_cmd =
   let run platform uniform gradient stride tstarts ftargets domains margin
       solver out =
     let spec = spec_of ~uniform ~gradient ~stride in
-    let tmax = spec.Protemp.Spec.tmax in
-    if not (margin >= 0.0 && margin < tmax) then begin
-      Printf.eprintf "protemp table: --margin must be in [0, %g)\n" tmax;
-      Cmd.Exit.cli_error
-    end
-    else begin
-      let spec =
-        (* Bit-exact: 0.0 is the flag default meaning "no margin". *)
-        if Float.equal margin 0.0 then spec
-        else { spec with Protemp.Spec.tmax = tmax -. margin }
-      in
-      let table =
-        Protemp.Offline.sweep ~solver ~machine:(machine_of platform) ~spec
-          ?domains
-          ~tstarts:(Array.of_list tstarts)
-          ~ftargets:(Array.of_list (List.map mhz_to_hz ftargets))
-          ~on_progress:(fun p ->
-            Printf.eprintf "(%.0f C, %.0f MHz): %s\n%!" p.Protemp.Offline.tstart
-              (hz_to_mhz p.Protemp.Offline.ftarget)
-              (match p.Protemp.Offline.outcome with
-              | `Feasible -> "ok"
-              | `Infeasible -> "infeasible"
-              | `Pruned -> "pruned"))
-          ()
-      in
-      let oc = open_out out in
-      output_string oc (Protemp.Table.to_csv table);
-      close_out oc;
-      Format.printf "%a@." Protemp.Table.pp table;
-      Printf.printf "written to %s\n" out;
-      0
-    end
+    match
+      Protemp.Dense_table.create ~solver ~margin ~machine:(machine_of platform)
+        ~spec ~tstarts:(Array.of_list tstarts)
+        ~ftargets:(Array.of_list (List.map mhz_to_hz ftargets))
+        ()
+    with
+    | exception Invalid_argument msg ->
+        Printf.eprintf "protemp table: %s\n" msg;
+        Cmd.Exit.cli_error
+    | dense ->
+        let s = Protemp.Dense_table.fill ?domains dense in
+        Printf.eprintf
+          "%d cells: %d solved (%d warm-seeded), %d pruned, %d feasible\n%!"
+          s.Protemp.Dense_table.cells s.Protemp.Dense_table.solves
+          s.Protemp.Dense_table.warm_hits s.Protemp.Dense_table.pruned
+          s.Protemp.Dense_table.feasible;
+        let table = Protemp.Dense_table.to_table dense in
+        let oc = open_out out in
+        output_string oc (Protemp.Table.to_csv table);
+        close_out oc;
+        Format.printf "%a@." Protemp.Table.pp table;
+        Printf.printf "written to %s\n" out;
+        0
   in
   Cmd.v
-    (Cmd.info "table" ~doc:"Run the Phase-1 sweep and store the table.")
+    (Cmd.info "table"
+       ~doc:"Build the Phase-1 table (one Eq. 3 solve per cell) and store it.")
     Term.(
       const run $ platform $ uniform $ gradient $ stride $ tstarts $ ftargets
       $ domains $ margin $ solver $ out_file)

@@ -32,10 +32,11 @@ let () =
      toward feasibility); finer grids only recover a little power. *)
   let spec = { Protemp.Spec.default with Protemp.Spec.constraint_stride = 4 } in
   let table =
-    Protemp.Offline.sweep ~machine ~spec
-      ~tstarts:[| 40.0; 70.0; 100.0 |]
-      ~ftargets:[| 2e8; 4e8; 6e8; 8e8 |]
-      ()
+    Protemp.Dense_table.to_table
+      (Protemp.Dense_table.create ~machine ~spec
+         ~tstarts:[| 40.0; 70.0; 100.0 |]
+         ~ftargets:[| 2e8; 4e8; 6e8; 8e8 |]
+         ())
   in
 
   let contenders =

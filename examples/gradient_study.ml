@@ -64,10 +64,11 @@ let () =
      vs coolest-first assignment. *)
   print_endline "\n=== Run-time spatial gradients (Sec. 5.4) ===";
   let table spec =
-    Protemp.Offline.sweep ~machine ~spec
-      ~tstarts:[| 40.0; 70.0; 100.0 |]
-      ~ftargets:[| 3e8; 5e8; 7e8; 9e8 |]
-      ()
+    Protemp.Dense_table.to_table
+      (Protemp.Dense_table.create ~machine ~spec
+         ~tstarts:[| 40.0; 70.0; 100.0 |]
+         ~ftargets:[| 3e8; 5e8; 7e8; 9e8 |]
+         ())
   in
   let t_plain = table plain in
   let t_grad = table with_gradient in

@@ -28,24 +28,19 @@ let () =
   Printf.printf "(rows solved on %d domain(s); set PROTEMP_DOMAINS to change)\n%!"
     (Parallel.Pool.default_domains ());
   let t0 = Unix.gettimeofday () in
-  let table =
-    Protemp.Offline.sweep ~machine ~spec
+  let dense =
+    Protemp.Dense_table.create ~machine ~spec
       ~tstarts:[| 27.0; 40.0; 55.0; 70.0; 85.0; 100.0 |]
       ~ftargets:(Array.init 9 (fun i -> float_of_int (i + 1) *. 1e8))
-      ~on_progress:(fun p ->
-        match p.Protemp.Offline.outcome with
-        | `Feasible ->
-            Printf.printf "  (%5.1f C, %4.0f MHz) ok    %.1fs\n%!"
-              p.Protemp.Offline.tstart
-              (p.Protemp.Offline.ftarget /. 1e6)
-              p.Protemp.Offline.seconds
-        | `Infeasible ->
-            Printf.printf "  (%5.1f C, %4.0f MHz) infeasible\n%!"
-              p.Protemp.Offline.tstart
-              (p.Protemp.Offline.ftarget /. 1e6)
-        | `Pruned -> ())
       ()
   in
+  let s = Protemp.Dense_table.fill dense in
+  Printf.printf
+    "  %d cells: %d solved (%d warm-seeded), %d pruned, %d feasible\n"
+    s.Protemp.Dense_table.cells s.Protemp.Dense_table.solves
+    s.Protemp.Dense_table.warm_hits s.Protemp.Dense_table.pruned
+    s.Protemp.Dense_table.feasible;
+  let table = Protemp.Dense_table.to_table dense in
   Printf.printf "Table built in %.1f s:\n%!" (Unix.gettimeofday () -. t0);
   Format.printf "%a@.@." Protemp.Table.pp table;
 

@@ -43,13 +43,15 @@ let () =
   List.iter
     (fun tstart ->
       match
-        Protemp.Offline.max_feasible_ftarget ~machine ~spec ~tstart ()
+        Protemp.Model.solve_frontier
+          (Protemp.Model.build_frontier ~machine ~spec ~tstart)
       with
-      | Some f ->
+      | Protemp.Model.Feasible s ->
           Printf.printf
             "From %5.1f C the platform sustains an average of %.0f MHz\n"
-            tstart (f /. 1e6)
-      | None ->
+            tstart
+            (Linalg.Vec.mean s.Protemp.Model.frequencies /. 1e6)
+      | Protemp.Model.Infeasible ->
           Printf.printf "From %5.1f C no operation is possible at all\n"
             tstart)
     [ 40.0; 85.0; 99.0 ]

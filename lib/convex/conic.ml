@@ -1484,7 +1484,7 @@ let init_cold st =
    stationary for the instance the seed came from; that pays off when
    the active set carries over, and loses a few iterations to the
    central-path dual when it does not (the thermal sweep's moving
-   floor is the latter case, so Offline seeds the primal only). *)
+   floor is the latter case, so the table fill seeds the primal only). *)
 let init_warm st seed ~dual ~mu0 =
   let t = st.t in
   Vec.blit ~src:seed ~dst:st.x;

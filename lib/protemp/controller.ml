@@ -2,16 +2,13 @@ open Linalg
 
 let name = "pro-temp"
 
-let create ~table =
-  (* One lookup buffer per controller instance: the engine consumes
-     the decision vector element-by-element at the epoch boundary, so
-     reusing the buffer across epochs keeps the per-epoch table lookup
-     allocation-free (Table.lookup used to [Vec.copy] every hit). *)
-  let buf =
-    match Table.core_count table with
-    | Some n -> Vec.zeros n
-    | None -> Vec.zeros 0
-  in
+let of_store ~store =
+  (* The store is shared (one mmap, page-cache-backed pages) and the
+     lookup buffer is per-controller, so a fleet of chips can all poll
+     one image concurrently with no shared mutable state.  The engine
+     consumes the decision vector at the epoch boundary, so reusing
+     the buffer across epochs keeps every table hit allocation-free. *)
+  let buf = Vec.zeros (Table_store.n_cores store) in
   {
     Sim.Policy.controller_name = name;
     decide =
@@ -23,7 +20,7 @@ let create ~table =
         else if Vec.dim buf <> n then
           invalid_arg "Protemp.Controller: table core count mismatch"
         else if
-          Table.lookup_into table
+          Table_store.lookup_into store
             ~temperature:obs.Sim.Policy.max_core_temperature
             ~required:obs.Sim.Policy.required_frequency ~into:buf
         then buf
@@ -34,27 +31,4 @@ let create ~table =
         end);
   }
 
-let of_store ~store =
-  (* Same decision rule as [create], served from the read-only mapped
-     image: the store is shared (one mmap, page-cache-backed pages),
-     the lookup buffer is per-controller, so a fleet of chips can all
-     poll one image concurrently with no shared mutable state. *)
-  let buf = Vec.zeros (Table_store.n_cores store) in
-  {
-    Sim.Policy.controller_name = name;
-    decide =
-      (fun obs ->
-        let n = Vec.dim obs.Sim.Policy.core_temperatures in
-        if Vec.dim buf = 0 then Vec.zeros n
-        else if Vec.dim buf <> n then
-          invalid_arg "Protemp.Controller: table-store core count mismatch"
-        else if
-          Table_store.lookup_into store
-            ~temperature:obs.Sim.Policy.max_core_temperature
-            ~required:obs.Sim.Policy.required_frequency ~into:buf
-        then buf
-        else begin
-          Vec.fill buf 0.0;
-          buf
-        end);
-  }
+let create ~table = of_store ~store:(Table_store.of_table table)

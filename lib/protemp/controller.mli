@@ -7,14 +7,15 @@
     feasible column) it stops the cores for one window — the
     conservative action the guarantee needs. *)
 
-val create : table:Table.t -> Sim.Policy.controller
-(** The controller is stateless; one table can drive many runs. *)
-
 val of_store : store:Table_store.t -> Sim.Policy.controller
-(** Same decision rule as {!create}, but served allocation-free from a
-    read-only mapped {!Table_store} image.  The store is safe to share:
-    a fleet of chips opens one image and every controller instance
-    keeps only its private lookup buffer. *)
+(** The decision rule served allocation-free by
+    {!Table_store.lookup_into}.  The store is safe to share: a fleet
+    of chips opens one image and every controller instance keeps only
+    its private lookup buffer. *)
+
+val create : table:Table.t -> Sim.Policy.controller
+(** {!of_store} on {!Table_store.of_table}[ table]: the image is built
+    once, and one table can drive many runs. *)
 
 val name : string
 (** "pro-temp". *)

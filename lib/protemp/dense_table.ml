@@ -1,14 +1,19 @@
 open Linalg
 
+type solver_stats = {
+  barrier : Convex.Barrier.stats;
+  conic : Convex.Conic.stats;
+}
+
 (* A memoized dense grid.  All mutable state lives inside the value
    (never at toplevel): [cells]/[seeds] memoize per cell, [prepared]
    and [conic_ws] cache the per-row solver contexts of the rows that
    still have a cell to solve (a complete row drops them),
    [frontier.(i)] is the smallest column index known infeasible for
    row [i] ([n_cols] when none) — the data behind the monotone pruning
-   rule.  Counters
-   are plain ints mutated on the owning domain only; [fill] workers
-   return their counts and the merge happens on the caller. *)
+   rule.  Counters and solver stats are mutated on the owning domain
+   only; [fill] workers return their counts and the merge happens on
+   the caller, in row order. *)
 type t = {
   machine : Sim.Machine.t;
   spec : Spec.t;  (* tmax already tightened by the construction margin *)
@@ -25,6 +30,8 @@ type t = {
   mutable n_solves : int;
   mutable n_warm_hits : int;
   mutable n_pruned : int;
+  mutable barrier_work : Convex.Barrier.stats;
+  mutable conic_work : Convex.Conic.stats;
 }
 
 (* Finite and strictly increasing; written so that a NaN fails. *)
@@ -37,10 +44,7 @@ let finite_increasing (a : float array) =
 
 let create ?solver ?options ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets
     () =
-  if not (Float.is_finite margin && margin >= 0.0) then
-    invalid_arg "Dense_table.create: margin must be finite and non-negative";
-  if not (margin < spec.Spec.tmax) then
-    invalid_arg "Dense_table.create: margin leaves no thermal envelope";
+  let spec = Spec.guard_band ~margin spec in
   if Array.length tstarts = 0 || Array.length ftargets = 0 then
     invalid_arg "Dense_table.create: empty axis";
   if not (finite_increasing tstarts) then
@@ -48,7 +52,6 @@ let create ?solver ?options ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets
   if not (finite_increasing ftargets) then
     invalid_arg
       "Dense_table.create: ftargets not finite and strictly increasing";
-  let spec = { spec with Spec.tmax = spec.Spec.tmax -. margin } in
   Spec.validate spec;
   let rows = Array.length tstarts and cols = Array.length ftargets in
   {
@@ -66,6 +69,8 @@ let create ?solver ?options ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets
     n_solves = 0;
     n_warm_hits = 0;
     n_pruned = 0;
+    barrier_work = Convex.Barrier.stats_zero;
+    conic_work = Convex.Conic.stats_zero;
   }
 
 let tstarts t = Array.copy t.tstarts
@@ -93,37 +98,38 @@ let prune_bound t i =
   done;
   !b
 
-let prepared_for t i =
-  match t.prepared.(i) with
-  | Some p -> p
-  | None ->
-      let p =
-        Model.prepare ~machine:t.machine ~spec:t.spec ~tstart:t.tstarts.(i)
-      in
-      t.prepared.(i) <- Some p;
-      p
-
-(* One conic workspace per row, created on first conic solve of that
-   row — the per-column instances share their structure (only the
+(* A row's solver state, created on first use: its prepared context
+   and, on the conic path, one workspace for the whole row.  The
+   per-column instances share their structure (only the
    throughput-floor constant moves), and reallocating the solver state
    per cell is measurable against sub-millisecond solves.  Model.solve
-   keeps each cell's working set of thermal rows in it, and it grows
-   only to the largest working set the row solves, a few dozen rows
-   against the hundreds of the full problem. *)
-let workspace_for t i (built : Model.built) =
-  match t.solver with
-  | Some `Barrier -> None
-  | Some `Conic | None -> (
-      match t.conic_ws.(i) with
-      | Some _ as w -> w
-      | None ->
-          let w =
-            Convex.Conic.make_workspace
-              ~kkt:(`Blocks (Model.conic_blocks built.Model.layout))
-              (Lazy.force built.Model.conic)
-          in
-          t.conic_ws.(i) <- Some w;
-          t.conic_ws.(i))
+   keeps each cell's working set of thermal rows in the workspace,
+   which grows only to the largest working set the row solves, a few
+   dozen rows against the hundreds of the full problem.  [cell] keeps
+   the state in [t]; a [fill] worker keeps it local to its row.  The
+   refs are written only when the state is created, so a row's solves
+   leave no long-lived garbage behind. *)
+let row_state t i j prepared ws =
+  let p =
+    match !prepared with
+    | Some p -> p
+    | None ->
+        let p =
+          Model.prepare ~machine:t.machine ~spec:t.spec ~tstart:t.tstarts.(i)
+        in
+        prepared := Some p;
+        p
+  in
+  (match (t.solver, !ws) with
+  | Some `Barrier, _ | _, Some _ -> ()
+  | _, None ->
+      let built = Model.instantiate p ~ftarget:t.ftargets.(j) in
+      ws :=
+        Some
+          (Convex.Conic.make_workspace
+             ~kkt:(`Blocks (Model.conic_blocks built.Model.layout))
+             (Lazy.force built.Model.conic)));
+  (p, !ws)
 
 (* The already-solved adjacent cell with the closest [ftarget] —
    vertical neighbours share the column's ftarget exactly, so they
@@ -149,11 +155,12 @@ let neighbour_seed t i j =
   consider i (j + 1);
   !best
 
-let solve_cell t ~prepared ~ws ~seed j =
+(* [barrier] and [conic] accumulate the solve's work counters. *)
+let solve_cell t ~prepared ~ws ~seed ~barrier ~conic j =
   let built = Model.instantiate prepared ~ftarget:t.ftargets.(j) in
   match
-    Model.solve ?solver:t.solver ?options:t.options ?conic_ws:ws ?start:seed
-      built
+    Model.solve ?solver:t.solver ?options:t.options ~stats_into:barrier
+      ~conic_stats_into:conic ?conic_ws:ws ?start:seed built
   with
   | Model.Feasible s ->
       (Table.Frequencies s.Model.frequencies, Some s.Model.raw.Convex.Solve.x)
@@ -184,15 +191,19 @@ let cell t i j =
         Table.Infeasible
       end
       else begin
-        let prepared = prepared_for t i in
-        let built0 = Model.instantiate prepared ~ftarget:t.ftargets.(j) in
-        let ws = workspace_for t i built0 in
+        let p = ref t.prepared.(i) and w = ref t.conic_ws.(i) in
+        let prepared, ws = row_state t i j p w in
+        t.prepared.(i) <- !p;
+        t.conic_ws.(i) <- !w;
         let seed = neighbour_seed t i j in
         t.n_solves <- t.n_solves + 1;
         (match seed with
         | Some _ -> t.n_warm_hits <- t.n_warm_hits + 1
         | None -> ());
-        let c, s = solve_cell t ~prepared ~ws ~seed j in
+        let barrier = ref t.barrier_work and conic = ref t.conic_work in
+        let c, s = solve_cell t ~prepared ~ws ~seed ~barrier ~conic j in
+        t.barrier_work <- !barrier;
+        t.conic_work <- !conic;
         t.cells.(i).(j) <- Some c;
         t.seeds.(i).(j) <- s;
         (match c with
@@ -222,6 +233,8 @@ let run_row (t : t) ~bound0 i =
   let seeds = Array.copy t.seeds.(i) in
   let prepared = ref t.prepared.(i) in
   let ws = ref t.conic_ws.(i) in
+  let barrier = ref Convex.Barrier.stats_zero in
+  let conic = ref Convex.Conic.stats_zero in
   let frontier_i = ref t.frontier.(i) in
   let bound = ref (Stdlib.min bound0 !frontier_i) in
   let warm = ref None in
@@ -239,34 +252,12 @@ let run_row (t : t) ~bound0 i =
           if j < !frontier_i then frontier_i := j
         end
         else begin
-          let p =
-            match !prepared with
-            | Some p -> p
-            | None ->
-                let p =
-                  Model.prepare ~machine:t.machine ~spec:t.spec
-                    ~tstart:t.tstarts.(i)
-                in
-                prepared := Some p;
-                p
-          in
-          let w =
-            match (t.solver, !ws) with
-            | Some `Barrier, _ -> None
-            | _, (Some _ as w) -> w
-            | _, None ->
-                let built = Model.instantiate p ~ftarget:t.ftargets.(j) in
-                let w =
-                  Convex.Conic.make_workspace
-                    ~kkt:(`Blocks (Model.conic_blocks built.Model.layout))
-                    (Lazy.force built.Model.conic)
-                in
-                ws := Some w;
-                !ws
-          in
+          let p, w = row_state t i j prepared ws in
           incr solves;
           (match !warm with Some _ -> incr warm_hits | None -> ());
-          let c, s = solve_cell t ~prepared:p ~ws:w ~seed:!warm j in
+          let c, s =
+            solve_cell t ~prepared:p ~ws:w ~seed:!warm ~barrier ~conic j
+          in
           cells.(j) <- Some c;
           seeds.(j) <- s;
           match c with
@@ -278,7 +269,8 @@ let run_row (t : t) ~bound0 i =
               if j < !frontier_i then frontier_i := j
         end
   done;
-  (cells, seeds, !frontier_i, !n_new, !solves, !warm_hits, !pruned, !feasible)
+  ( cells, seeds, !frontier_i, !n_new, !solves, !warm_hits, !pruned,
+    !feasible, { barrier = !barrier; conic = !conic } )
 
 let fill ?domains (t : t) =
   let domains =
@@ -296,12 +288,14 @@ let fill ?domains (t : t) =
   let acc = ref { cells = 0; solves = 0; warm_hits = 0; pruned = 0; feasible = 0 } in
   Array.iteri
     (fun i (cells, seeds, frontier_i, n_new, solves, warm_hits, pruned,
-            feasible) ->
+            feasible, work) ->
       t.cells.(i) <- cells;
       t.seeds.(i) <- seeds;
       t.prepared.(i) <- None;
       t.conic_ws.(i) <- None;
       t.frontier.(i) <- frontier_i;
+      t.barrier_work <- Convex.Barrier.stats_add t.barrier_work work.barrier;
+      t.conic_work <- Convex.Conic.stats_add t.conic_work work.conic;
       acc :=
         {
           cells = !acc.cells + n_new;
@@ -331,45 +325,16 @@ let stats (t : t) =
     feasible = !feasible;
   }
 
+let solver_stats t = { barrier = t.barrier_work; conic = t.conic_work }
+
 (* ------------------------------------------------------------------ *)
 (* Lookups *)
 
-(* Covering row: smallest tstart >= temperature (binary search). *)
-let row_index t temperature =
-  let ts = t.tstarts in
-  let n = Array.length ts in
-  if ts.(n - 1) < temperature then -1
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if ts.(mid) >= temperature then hi := mid else lo := mid + 1
-    done;
-    !lo
-  end
-
-let col_covering t required =
-  let fa = t.ftargets in
-  let n = Array.length fa in
-  if fa.(n - 1) < required then -1
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if fa.(mid) >= required then hi := mid else lo := mid + 1
-    done;
-    !lo
-  end
-
 let discrete t ~temperature ~required =
-  match row_index t temperature with
+  match Table.covering t.tstarts temperature with
   | -1 -> None
   | row ->
-      let start =
-        match col_covering t required with
-        | -1 -> n_cols t - 1
-        | j -> j
-      in
+      let start = Table.round_up t.ftargets required in
       let rec down j =
         if j < 0 then None
         else
@@ -385,10 +350,10 @@ let lookup t ~temperature ~required =
     | Some d -> `Clamped d
     | None -> `None
   in
-  match row_index t temperature with
+  match Table.covering t.tstarts temperature with
   | -1 -> `None
   | i1 -> (
-      match col_covering t required with
+      match Table.covering t.ftargets required with
       | -1 ->
           (* Requirement beyond the grid: no upper corner to blend
              toward; the discrete rule's round-down applies. *)

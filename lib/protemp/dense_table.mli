@@ -1,10 +1,12 @@
-(** Dense Phase-1 grids as a product: demand-driven cell solving,
-    certified interpolation between grid points, and export to the
-    mmap-able serving format.
+(** Phase 1 (design time): the table builder, with demand-driven cell
+    solving, certified interpolation between grid points, and export
+    to the mmap-able serving format.
 
-    The paper's table is 6x10; a production deployment wants 100x100+
-    grids per floorplan per power-law revision.  A {!t} is a memoized
-    grid over [(tstart, ftarget)]: {!cell} solves lazily through the
+    Every Phase-1 table is built here, from the paper's 6x10 table to
+    the 100x100+ grids a production deployment wants per floorplan
+    per power-law revision: [create ... |> to_table].  A {!t} is a
+    memoized grid over [(tstart, ftarget)], each cell the solution of
+    the Eq. 3 program ({!Model}): {!cell} solves lazily through the
     conic solver on a working set seeded by a solved neighbour, a
     certified-infeasible cell prunes everything hotter {e and} faster
     through the monotone feasibility frontier, and {!fill} fans the
@@ -38,11 +40,11 @@ val create :
   unit ->
   t
 (** An empty memoized grid.  [margin] (default [0.0]) tightens the
-    spec's [tmax] once, so solved cells and the interpolation repair
-    pass certify against the same guard-banded envelope; raises
-    [Invalid_argument] when negative, not finite (NaN included), at
-    least [tmax], or when an axis is empty, holds a non-finite value,
-    or is not strictly increasing.
+    spec's [tmax] once through {!Spec.guard_band}, so solved cells and
+    the interpolation repair pass certify against the same
+    guard-banded envelope.  Raises [Invalid_argument] on a margin
+    {!Spec.guard_band} rejects, or when an axis is empty, holds a
+    non-finite value, or is not strictly increasing.
     [solver] defaults to {!Model.solve}'s default ([`Conic]).
 
     A [t] memoizes in place and is {e not} safe for concurrent
@@ -90,6 +92,19 @@ val stats : t -> fill_stats
 (** Cumulative counters over the whole life of [t] (on-demand calls
     included); [cells] equals {!computed}. *)
 
+type solver_stats = {
+  barrier : Convex.Barrier.stats;
+      (** Barrier-path work: the [`Barrier] solver, and conic
+          fallbacks with their phase-I runs. *)
+  conic : Convex.Conic.stats;
+      (** Conic-path work, with per-solve certificate outcomes. *)
+}
+
+val solver_stats : t -> solver_stats
+(** Cumulative solver work counters over the whole life of [t]
+    ({!cell} calls included).  {!fill} merges its rows in row order,
+    so the counters do not depend on the domain count. *)
+
 val lookup :
   t ->
   temperature:float ->
@@ -104,8 +119,8 @@ val lookup :
     guard-banded) envelope — the repair-pass certificate.  Otherwise
     the result falls back to the paper's discrete rule on the same
     grid and is reported as [`Clamped] (also used when a corner is
-    infeasible or the requirement exceeds the grid).  [`None] mirrors
-    {!Table.lookup}'s [None]: observation hotter than every row, or no
+    infeasible or the requirement exceeds the grid).  [`None] is the
+    discrete rule's miss: observation hotter than every row, or no
     feasible column.  Never less safe than the discrete rule: every
     interpolated vector carries the same simulate-and-check
     certificate the {!Guarantee} audits use. *)

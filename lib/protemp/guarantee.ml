@@ -19,13 +19,7 @@ let window_peak ~machine ~dfs_period ~tstart ~frequencies =
 
 let uniform_table ~machine ~(spec : Spec.t) ?(margin = 0.0) ~tstarts ~ftargets
     () =
-  (* Written so that a NaN margin fails too. *)
-  if not (Float.is_finite margin && margin >= 0.0) then
-    invalid_arg
-      "Guarantee.uniform_table: margin must be finite and non-negative";
-  if margin >= spec.Spec.tmax then
-    invalid_arg "Guarantee.uniform_table: margin leaves no envelope";
-  let cap = spec.Spec.tmax -. margin in
+  let cap = (Spec.guard_band ~margin spec).Spec.tmax in
   let n_cores = machine.Sim.Machine.n_cores in
   let cells =
     Array.map

@@ -40,8 +40,9 @@ val uniform_table :
     stored entry carries the same simulate-and-check certificate the
     audit uses — which makes this the cheap way to build guard-banded
     ([margin > 0]) reference tables for fault experiments.  [margin]
-    defaults to [0.0]; raises [Invalid_argument] when negative, not
-    finite (NaN included) or at least [tmax]. *)
+    defaults to [0.0] and is applied by {!Spec.guard_band}, which
+    raises [Invalid_argument] on a negative, non-finite or
+    envelope-swallowing margin. *)
 
 type audit = {
   cells_checked : int;

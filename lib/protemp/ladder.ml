@@ -59,7 +59,7 @@ let requantize ~floor_of table =
                quantized vector still honours.  Flooring onto the
                ladder can pull the total below [n * ftargets.(j)], and
                a cell left in column [j] would then over-promise
-               through [Table.lookup]; re-labelling keeps every stored
+               through the served lookup; re-labelling keeps every stored
                cell's promise true.  Thermal safety is unaffected: [q]
                is elementwise at most a vector certified for this very
                row. *)

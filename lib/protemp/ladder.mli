@@ -43,7 +43,7 @@ val quantize_table : t -> Table.t -> Table.t
     column whose throughput ([n * ftarget], to a [1e-6] relative
     tolerance) it still delivers.  Flooring can pull a cell's total
     below its original column's promise; leaving it there would make
-    {!Table.lookup} over-promise the achievable average frequency, so
+    the served lookup over-promise the achievable average frequency, so
     such cells are demoted (and dropped to [Infeasible] when they
     cannot honour even the lowest column).  When several source cells
     land on one column the highest-throughput one is kept.  Every

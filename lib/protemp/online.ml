@@ -33,11 +33,7 @@ type t = {
 let next_id = Atomic.make 0
 
 let create ?solver ?options ?fallback ?(margin = 0.0) ~machine ~spec () =
-  if not (Float.is_finite margin && margin >= 0.0) then
-    invalid_arg "Online.create: margin must be finite and non-negative";
-  if not (margin < spec.Spec.tmax) then
-    invalid_arg "Online.create: margin leaves no thermal envelope";
-  let spec = { spec with Spec.tmax = spec.Spec.tmax -. margin } in
+  let spec = Spec.guard_band ~margin spec in
   let name =
     Printf.sprintf "pro-temp-online-%d" (Atomic.fetch_and_add next_id 1 + 1)
   in
@@ -46,16 +42,23 @@ let create ?solver ?options ?fallback ?(margin = 0.0) ~machine ~spec () =
   let n_stops = Atomic.make 0 in
   let n_cores = machine.Sim.Machine.n_cores in
   let stop = Vec.zeros n_cores in
-  (* Per-instance lookup buffer: the engine consumes the decision
-     vector at the epoch boundary, so the allocation-free
-     [Table.lookup_into] can reuse it across fallback epochs. *)
+  (* The fallback table is served as a store image, built once here;
+     the engine consumes the decision vector at the epoch boundary,
+     so one per-instance buffer serves every fallback epoch.  An
+     all-infeasible table never serves, like no table at all. *)
+  let fallback =
+    match fallback with
+    | Some table when Table.core_count table <> None ->
+        Some (Table_store.of_table table)
+    | Some _ | None -> None
+  in
   let fallback_buf = Vec.zeros n_cores in
   let fallback_frequencies obs =
     match fallback with
     | None -> None
-    | Some table ->
+    | Some store ->
         if
-          Table.lookup_into table
+          Table_store.lookup_into store
             ~temperature:obs.Sim.Policy.max_core_temperature
             ~required:obs.Sim.Policy.required_frequency ~into:fallback_buf
         then Some fallback_buf

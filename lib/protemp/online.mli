@@ -62,8 +62,9 @@ val create :
 (** [solver] is passed to every per-period {!Model.solve} (default
     [`Conic]).  [margin] (degrees, default [0.0] — the unguarded controller of
     the paper's idealized sensing) is subtracted from [spec]'s [tmax]
-    before solving; raises [Invalid_argument] when negative, not
-    finite (NaN included) or at least [tmax].  At [margin = 0.0] the controller's decisions are
+    before solving by {!Spec.guard_band}, which raises
+    [Invalid_argument] when it is negative, not finite or at least
+    [tmax].  At [margin = 0.0] the controller's decisions are
     bit-identical to the historical unguarded implementation. *)
 
 val controller : t -> Sim.Policy.controller

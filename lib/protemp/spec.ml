@@ -43,3 +43,12 @@ let validate spec =
       | Some c when not (positive c) ->
           invalid_arg "Spec: gradient cap must be finite and positive"
       | Some _ | None -> ())
+
+(* Every caller's guard band: a sensor error of up to [margin] degrees
+   cannot push a cell certified against [tmax - margin] past [tmax].
+   Phrased so that a NaN margin fails; [tmax -. 0.0] is [tmax]. *)
+let guard_band ~margin spec =
+  if not (Float.is_finite margin && margin >= 0.0 && margin < spec.tmax) then
+    invalid_arg
+      "Spec.guard_band: margin must be finite, non-negative and below tmax";
+  { spec with tmax = spec.tmax -. margin }

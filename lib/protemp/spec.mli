@@ -41,3 +41,10 @@ val validate : t -> unit
     [dfs_period] or gradient cap that is not finite and positive, a
     gradient weight that is not finite and non-negative (NaN and
     infinities included), or a stride below 1. *)
+
+val guard_band : margin:float -> t -> t
+(** [spec] with [tmax] tightened by [margin] degrees: the envelope a
+    guard-banded table or controller certifies against.  Raises
+    [Invalid_argument] when [margin] is negative, not finite (NaN
+    included) or at least [tmax].  [margin = 0.0] returns [tmax]
+    unchanged, bit for bit. *)

@@ -62,83 +62,32 @@ let cell t i j =
     invalid_arg "Table.cell: column out of range";
   t.cells.(i).(j)
 
-(* Both axis searches are binary: the axes are strictly increasing, a
-   control epoch does one row search and every interpolation corner
-   does a column search, and on a 100x100 production grid the old
-   linear scans were O(rows + cols) per lookup. *)
+(* The axis searches behind the paper's run-time rule, shared by every
+   lookup path (Table_store, Dense_table).  Binary: the axes are
+   strictly increasing, and on a 100x100 production grid a linear scan
+   was O(rows + cols) per lookup. *)
 
-(* Smallest [i] with [tstarts.(i) >= temperature]; [-1] when the
-   observation exceeds the hottest row.  Int-returning (no option) so
-   the alloc-free [lookup_into] path can use it directly. *)
-let row_index t temperature =
-  let ts = t.tstarts in
-  let n = Array.length ts in
-  if ts.(n - 1) < temperature then -1
+(* Smallest [i] with [axis.(i) >= x]; [-1] when [x] exceeds the last
+   entry.  Int-returning (no option) so the alloc-free lookup paths
+   can use it directly. *)
+let covering (axis : float array) x =
+  let n = Array.length axis in
+  if axis.(n - 1) < x then -1
   else begin
-    (* Invariant: ts.(hi) >= temperature, every index < lo is
-       < temperature; the answer is in [lo, hi]. *)
+    (* Invariant: axis.(hi) >= x, every index < lo is < x; the answer
+       is in [lo, hi]. *)
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if ts.(mid) >= temperature then hi := mid else lo := mid + 1
+      if axis.(mid) >= x then hi := mid else lo := mid + 1
     done;
     !lo
   end
 
-(* Smallest column with [ftargets.(j) >= required], clamped to the top
-   column when the requirement exceeds the grid — the paper's
-   round-up-then-fall-back starting point. *)
-let col_start t required =
-  let fa = t.ftargets in
-  let n = Array.length fa in
-  if fa.(n - 1) < required then n - 1
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if fa.(mid) >= required then hi := mid else lo := mid + 1
-    done;
-    !lo
-  end
-
-let row_for_temperature t temperature =
-  match row_index t temperature with -1 -> None | i -> Some i
-
-let lookup t ~temperature ~required =
-  match row_index t temperature with
-  | -1 -> None
-  | row ->
-      (* Start from the smallest column satisfying the requirement,
-         then walk down to the first feasible one. *)
-      let start = col_start t required in
-      let rec down j =
-        if j < 0 then None
-        else
-          match t.cells.(row).(j) with
-          | Frequencies f -> Some (Vec.copy f)
-          | Infeasible -> down (j - 1)
-      in
-      down start
-
-(* Allocation-free variant for the online-controller hot path: the
-   same rule as [lookup], but the result is blitted into a
-   caller-owned vector instead of copied into a fresh one. *)
-let lookup_into t ~temperature ~required ~into =
-  let row = row_index t temperature in
-  if row < 0 then false
-  else begin
-    let j = ref (col_start t required) in
-    let found = ref false in
-    while (not !found) && !j >= 0 do
-      (match t.cells.(row).(!j) with
-      | Frequencies f ->
-          Vec.blit ~src:f ~dst:into;
-          found := true
-      | Infeasible -> ());
-      if not !found then decr j
-    done;
-    !found
-  end
+(* [covering], clamped to the last entry when [x] exceeds the axis —
+   the paper's round-up-then-fall-back starting column. *)
+let round_up axis x =
+  match covering axis x with -1 -> Array.length axis - 1 | j -> j
 
 let core_count t =
   let n = ref None in

@@ -2,11 +2,12 @@
 
     Rows are starting temperatures, columns target average
     frequencies; each cell holds the optimal per-core frequency vector
-    or marks infeasibility.  {!lookup} implements the paper's run-time
-    rule: take the row covering the observed maximum temperature, then
-    the column for the required frequency, falling back to "the next
-    lower frequency point that can support the temperature
-    constraints". *)
+    or marks infeasibility.  The paper's run-time rule takes the row
+    covering the observed maximum temperature ({!covering}), then the
+    column for the required frequency ({!round_up}), falling back to
+    "the next lower frequency point that can support the temperature
+    constraints".  Tables are served by {!Table_store.lookup_into},
+    from a mapped image or from {!Table_store.of_table}. *)
 
 open Linalg
 
@@ -29,35 +30,16 @@ val tstarts : t -> float array
 val ftargets : t -> float array
 val cell : t -> int -> int -> cell
 
-val row_for_temperature : t -> float -> int option
-(** Smallest row whose [tstart] is >= the observed temperature —
-    the conservative covering row; [None] when the observation
-    exceeds the hottest row.  Binary search (the axes are strictly
-    increasing). *)
+val covering : float array -> float -> int
+(** [covering axis x]: on a strictly increasing axis, the smallest
+    index whose entry is >= [x]; [-1] when [x] exceeds the last entry.
+    Over the [tstarts] axis this is the conservative covering row of
+    an observed temperature.  Binary search, no allocation. *)
 
-val row_index : t -> float -> int
-(** {!row_for_temperature} without the option: [-1] when the
-    observation exceeds the hottest row.  The allocation-free form
-    used on the controller hot path. *)
-
-val col_start : t -> float -> int
-(** Smallest column whose [ftarget] is >= the requirement, clamped to
-    the top column when the requirement exceeds the grid — the
-    starting point of the paper's round-up-then-fall-back column rule.
-    Binary search. *)
-
-val lookup : t -> temperature:float -> required:float -> Vec.t option
-(** The paper's run-time rule.  Returns [None] when the temperature
-    exceeds every row or no column in the row is feasible (the caller
-    should then stop the cores for a window). *)
-
-val lookup_into :
-  t -> temperature:float -> required:float -> into:Vec.t -> bool
-(** Allocation-free {!lookup}: on success the entry is blitted into
-    [into] and the call returns [true]; [false] is {!lookup}'s [None]
-    and leaves [into] untouched.  Raises [Invalid_argument] when
-    [into]'s length differs from the table's core count.  Listed in
-    [lint.manifest] — the body must stay free of allocation sites. *)
+val round_up : float array -> float -> int
+(** {!covering}, clamped to the last index when [x] exceeds the axis.
+    Over the [ftargets] axis this is the starting column of the
+    paper's round-up-then-fall-back rule. *)
 
 val core_count : t -> int option
 (** Number of cores per feasible cell ([Table.make] enforces it is

@@ -101,8 +101,7 @@ type t = {
   bitmap_off : int;  (* byte offset of the bitmap *)
 }
 
-let corrupt path what =
-  failwith (Printf.sprintf "Table_store.open_file: %s: %s" path what)
+let corrupt where what = failwith (Printf.sprintf "%s: %s" where what)
 
 let u32_le bytes off =
   Char.code (Bigarray.Array1.get bytes off)
@@ -118,7 +117,7 @@ let strictly_increasing (a : float array) =
   !ok
 
 (* Bit [(i * cols) + j] of the bitmap, set when the cell is
-   infeasible; open_file's cell check and the lookups share it. *)
+   infeasible; the image check and the lookups share it. *)
 let infeasible_bit t i j =
   let k = (i * t.n_cols) + j in
   let byte =
@@ -126,104 +125,127 @@ let infeasible_bit t i j =
   in
   byte land (1 lsl (k land 7)) <> 0
 
+(* Validate an image of [size >= header_bytes] bytes held in
+   [bytes_view], with its float payload (from byte 24) viewed by
+   [float_view n_payload]; failures name [where]. *)
+let of_image where ~size bytes_view ~float_view =
+  for i = 0 to 3 do
+    if Bigarray.Array1.get bytes_view i <> magic.[i] then
+      corrupt where "bad magic (not a PTBL image)"
+  done;
+  let v = u32_le bytes_view 4 in
+  (* Version before size: a version mismatch must be reported as such,
+     not as the size error the new layout would imply. *)
+  if v = 1 then
+    corrupt where
+      "format version 1 image (pre-platform, no per-core fmax block); \
+       rebuild it with this writer's version 2 format"
+  else if v <> version then
+    corrupt where (Printf.sprintf "unsupported version %d (expected %d)" v version);
+  let n_rows = u32_le bytes_view 8 in
+  let n_cols = u32_le bytes_view 12 in
+  let n_cores = u32_le bytes_view 16 in
+  if n_rows < 1 || n_cols < 1 || n_cores < 0 then
+    corrupt where "implausible dimensions";
+  if size <> file_bytes ~rows:n_rows ~cols:n_cols ~cores:n_cores then
+    corrupt where
+      (Printf.sprintf "size %d does not match declared %dx%dx%d layout" size
+         n_rows n_cols n_cores);
+  let view =
+    float_view (payload_floats ~rows:n_rows ~cols:n_cols ~cores:n_cores)
+  in
+  (* Exact sentinel check, through the float view: catches a view that
+     decodes the payload differently from the header parser above. *)
+  if not (Float.equal (Bigarray.Array1.get view 0) sentinel) then
+    corrupt where "float-view sentinel mismatch";
+  let tstarts = Array.init n_rows (fun i -> Bigarray.Array1.get view (1 + i)) in
+  let ftargets =
+    Array.init n_cols (fun j -> Bigarray.Array1.get view (1 + n_rows + j))
+  in
+  let core_fmax =
+    Array.init n_cores (fun c ->
+        Bigarray.Array1.get view (1 + n_rows + n_cols + c))
+  in
+  if not (Array.for_all Float.is_finite tstarts
+          && Array.for_all Float.is_finite ftargets)
+  then corrupt where "non-finite axis value";
+  if not (strictly_increasing tstarts) then
+    corrupt where "tstart axis not strictly increasing";
+  if not (strictly_increasing ftargets) then
+    corrupt where "ftarget axis not strictly increasing";
+  if not (Array.for_all valid_frequency core_fmax) then
+    corrupt where "non-finite or negative per-core fmax";
+  let t =
+    {
+      n_rows;
+      n_cols;
+      n_cores;
+      tstarts;
+      ftargets;
+      core_fmax;
+      view;
+      cells_base = 1 + n_rows + n_cols + n_cores;
+      bytes_view;
+      bitmap_off = size - bitmap_bytes ~rows:n_rows ~cols:n_cols;
+    }
+  in
+  (* Every cell the bitmap marks feasible is served as is, so each of
+     its frequencies must be one the engine can run; a feasible cell
+     needs at least one core to carry them. *)
+  for i = 0 to n_rows - 1 do
+    for j = 0 to n_cols - 1 do
+      if not (infeasible_bit t i j) then begin
+        if n_cores = 0 then corrupt where "feasible cell with no cores";
+        let base = t.cells_base + (((i * n_cols) + j) * n_cores) in
+        for c = 0 to n_cores - 1 do
+          if not (valid_frequency (Bigarray.Array1.get view (base + c))) then
+            corrupt where
+              (Printf.sprintf
+                 "cell (%d, %d) holds a non-finite or negative frequency" i j)
+        done
+      end
+    done
+  done;
+  t
+
 let open_file path =
+  let where = "Table_store.open_file: " ^ path in
   if Sys.big_endian then
-    corrupt path "big-endian host: the little-endian float view cannot be \
-                  mapped directly";
+    corrupt where
+      "big-endian host: the little-endian float view cannot be mapped \
+       directly";
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       let size = (Unix.fstat fd).Unix.st_size in
-      if size < header_bytes then corrupt path "truncated header";
+      if size < header_bytes then corrupt where "truncated header";
       let bytes_view =
         Bigarray.array1_of_genarray
           (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
       in
-      for i = 0 to 3 do
-        if Bigarray.Array1.get bytes_view i <> magic.[i] then
-          corrupt path "bad magic (not a PTBL image)"
+      of_image where ~size bytes_view ~float_view:(fun n ->
+          Bigarray.array1_of_genarray
+            (Unix.map_file fd ~pos:(Int64.of_int (header_bytes - 8))
+               Bigarray.float64 Bigarray.c_layout false [| n |])))
+
+(* The image [open_file] would map, held in memory: the payload floats
+   are decoded from the little-endian bytes, so any host serves it. *)
+let of_table table =
+  let image = serialize table in
+  let size = String.length image in
+  let bytes_view =
+    Bigarray.Array1.create Bigarray.char Bigarray.c_layout size
+  in
+  String.iteri (Bigarray.Array1.set bytes_view) image;
+  of_image "Table_store.of_table" ~size bytes_view ~float_view:(fun n ->
+      let view = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+      for k = 0 to n - 1 do
+        Bigarray.Array1.set view k
+          (Int64.float_of_bits
+             (String.get_int64_le image (header_bytes - 8 + (8 * k))))
       done;
-      let v = u32_le bytes_view 4 in
-      (* Version before size: a version mismatch must be reported as
-         such, not as the size error the new layout would imply. *)
-      if v = 1 then
-        corrupt path
-          "format version 1 image (pre-platform, no per-core fmax block); \
-           rebuild it with this writer's version 2 format"
-      else if v <> version then
-        corrupt path (Printf.sprintf "unsupported version %d (expected %d)" v version);
-      let n_rows = u32_le bytes_view 8 in
-      let n_cols = u32_le bytes_view 12 in
-      let n_cores = u32_le bytes_view 16 in
-      if n_rows < 1 || n_cols < 1 || n_cores < 0 then
-        corrupt path "implausible dimensions";
-      if size <> file_bytes ~rows:n_rows ~cols:n_cols ~cores:n_cores then
-        corrupt path
-          (Printf.sprintf "size %d does not match declared %dx%dx%d layout"
-             size n_rows n_cols n_cores);
-      let n_payload = payload_floats ~rows:n_rows ~cols:n_cols ~cores:n_cores in
-      let view =
-        Bigarray.array1_of_genarray
-          (Unix.map_file fd ~pos:(Int64.of_int (header_bytes - 8))
-             Bigarray.float64 Bigarray.c_layout false [| n_payload |])
-      in
-      (* Exact sentinel check, through the float view: catches a
-         mapping that decodes the payload differently from the header
-         parser above. *)
-      if not (Float.equal (Bigarray.Array1.get view 0) sentinel) then
-        corrupt path "float-view sentinel mismatch";
-      let tstarts = Array.init n_rows (fun i -> Bigarray.Array1.get view (1 + i)) in
-      let ftargets =
-        Array.init n_cols (fun j -> Bigarray.Array1.get view (1 + n_rows + j))
-      in
-      let core_fmax =
-        Array.init n_cores (fun c ->
-            Bigarray.Array1.get view (1 + n_rows + n_cols + c))
-      in
-      if not (Array.for_all Float.is_finite tstarts
-              && Array.for_all Float.is_finite ftargets)
-      then corrupt path "non-finite axis value";
-      if not (strictly_increasing tstarts) then
-        corrupt path "tstart axis not strictly increasing";
-      if not (strictly_increasing ftargets) then
-        corrupt path "ftarget axis not strictly increasing";
-      if not (Array.for_all valid_frequency core_fmax) then
-        corrupt path "non-finite or negative per-core fmax";
-      let t =
-        {
-          n_rows;
-          n_cols;
-          n_cores;
-          tstarts;
-          ftargets;
-          core_fmax;
-          view;
-          cells_base = 1 + n_rows + n_cols + n_cores;
-          bytes_view;
-          bitmap_off = size - bitmap_bytes ~rows:n_rows ~cols:n_cols;
-        }
-      in
-      (* Every cell the bitmap marks feasible is served as is, so each
-         of its frequencies must be one the engine can run; a feasible
-         cell needs at least one core to carry them. *)
-      for i = 0 to n_rows - 1 do
-        for j = 0 to n_cols - 1 do
-          if not (infeasible_bit t i j) then begin
-            if n_cores = 0 then corrupt path "feasible cell with no cores";
-            let base = t.cells_base + (((i * n_cols) + j) * n_cores) in
-            for c = 0 to n_cores - 1 do
-              if not (valid_frequency (Bigarray.Array1.get view (base + c)))
-              then
-                corrupt path
-                  (Printf.sprintf
-                     "cell (%d, %d) holds a non-finite or negative frequency"
-                     i j)
-            done
-          end
-        done
-      done;
-      t)
+      view)
 
 let n_rows t = t.n_rows
 let n_cols t = t.n_cols
@@ -234,32 +256,6 @@ let core_fmax t = Array.copy t.core_fmax
 
 (* ------------------------------------------------------------------ *)
 (* Lookups — the serving hot path, allocation-free (lint.manifest) *)
-
-let row_index t temperature =
-  let ts = t.tstarts in
-  let n = Array.length ts in
-  if ts.(n - 1) < temperature then -1
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if ts.(mid) >= temperature then hi := mid else lo := mid + 1
-    done;
-    !lo
-  end
-
-let col_start t required =
-  let fa = t.ftargets in
-  let n = Array.length fa in
-  if fa.(n - 1) < required then n - 1
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if fa.(mid) >= required then hi := mid else lo := mid + 1
-    done;
-    !lo
-  end
 
 let cell_into t i j ~into =
   if i < 0 || i >= t.n_rows || j < 0 || j >= t.n_cols then
@@ -275,25 +271,19 @@ let cell_into t i j ~into =
     true
   end
 
+(* The paper's rule: covering row, round the requirement up, walk down
+   to the first feasible column. *)
 let lookup_into t ~temperature ~required ~into =
   if Array.length into <> t.n_cores then
     invalid_arg "Table_store.lookup_into: core count mismatch";
-  let row = row_index t temperature in
+  let row = Table.covering t.tstarts temperature in
   if row < 0 then false
   else begin
-    let j = ref (col_start t required) in
-    let found = ref false in
-    while (not !found) && !j >= 0 do
-      if infeasible_bit t row !j then decr j
-      else begin
-        let base = t.cells_base + ((((row * t.n_cols) + !j) * t.n_cores)) in
-        for c = 0 to t.n_cores - 1 do
-          into.(c) <- Bigarray.Array1.get t.view (base + c)
-        done;
-        found := true
-      end
+    let j = ref (Table.round_up t.ftargets required) in
+    while !j >= 0 && infeasible_bit t row !j do
+      decr j
     done;
-    !found
+    !j >= 0 && cell_into t row !j ~into
   end
 
 (* ------------------------------------------------------------------ *)

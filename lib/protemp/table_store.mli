@@ -70,6 +70,11 @@ val open_file : string -> t
     The file descriptor is closed before returning (the mapping keeps
     the pages alive). *)
 
+val of_table : Table.t -> t
+(** The image {!open_file} would map for {!serialize}[ table], held in
+    memory (no file): how a heap table is served, e.g. by
+    {!Controller.create}.  Records no per-core ceilings. *)
+
 val n_rows : t -> int
 val n_cols : t -> int
 
@@ -84,14 +89,6 @@ val core_fmax : t -> float array
 (** Per-core frequency ceilings recorded at write time; all zeros
     when the writer did not know the platform.  Fresh copy. *)
 
-val row_index : t -> float -> int
-(** As {!Table.row_index}: conservative covering row, [-1] when the
-    temperature exceeds the hottest row.  Binary search, no
-    allocation. *)
-
-val col_start : t -> float -> int
-(** As {!Table.col_start}. *)
-
 val infeasible_bit : t -> int -> int -> bool
 (** Bitmap test for cell [(i, j)] (unchecked indices: callers
     validate).  No allocation. *)
@@ -102,9 +99,10 @@ val cell_into : t -> int -> int -> into:Vec.t -> bool
     a core-count mismatch.  No allocation. *)
 
 val lookup_into : t -> temperature:float -> required:float -> into:Vec.t -> bool
-(** Exactly {!Table.lookup_into}, served from the mapping: covering
-    row by binary search, round the requirement up to the starting
-    column, walk down to the first feasible cell.  [false] when the
+(** The paper's run-time rule, served from the image: covering row
+    ({!Table.covering}), round the requirement up to the starting
+    column ({!Table.round_up}), walk down to the first feasible cell,
+    whose frequencies are copied into [into].  [false] when the
     temperature exceeds every row or the row has no feasible column.
     Allocation-free (listed in [lint.manifest] and Gc-asserted by the
     tests), so thousands of controllers can poll one shared image. *)

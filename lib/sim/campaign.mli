@@ -4,7 +4,7 @@
     simulations: every controller crossed with every assignment policy
     and every workload scenario.  Those cells are independent, so a
     campaign fans them across a {!Parallel.Pool} — the run-time
-    counterpart of [Protemp.Offline.sweep]'s design-time sweep.
+    counterpart of [Protemp.Dense_table.fill]'s design-time sweep.
 
     Determinism: each cell regenerates its trace from the scenario's
     own seed and builds a fresh controller (and fresh {!Fault} state)

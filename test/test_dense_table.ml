@@ -1,7 +1,8 @@
 (* Tests for the dense-grid pipeline: on-demand memoized cells against
    the one-shot solver, warm-start and frontier-pruning accounting,
-   domain-count-invariant fills, agreement with the offline sweep, and
-   the certified-interpolation safety property. *)
+   domain-count-invariant fills, agreement with cold per-cell solves,
+   the certified-interpolation safety property, and the release of
+   each row's solver state. *)
 
 open Linalg
 module D = Protemp.Dense_table
@@ -67,22 +68,23 @@ let test_create_validation () =
          D.create ~machine:m ~spec:fast_spec ~tstarts:cool_tstarts
            ~ftargets:[| 1e8; 5e8; Float.infinity |] ()))
 
-let test_cell_matches_solve_point () =
-  let m = Lazy.force machine in
+(* One cell solved cold, from scratch. *)
+let cold_solve i j =
+  Protemp.Model.solve
+    (Protemp.Model.build ~machine:(Lazy.force machine) ~spec:fast_spec
+       ~tstart:cool_tstarts.(i) ~ftarget:cool_ftargets.(j))
+
+let test_cell_matches_cold_solve () =
   let dt = cool_dense () in
-  (* First touch of a fresh grid is a cold solve — the same problem
-     solve_point poses. *)
+  (* First touch of a fresh grid is a cold solve of the same problem. *)
   let c = D.cell dt 1 1 in
-  let direct =
-    Protemp.Offline.solve_point ~machine:m ~spec:fast_spec ~tstart:cool_tstarts.(1)
-      ~ftarget:cool_ftargets.(1) ()
-  in
+  let direct = cold_solve 1 1 in
   (match (c, direct) with
   | Protemp.Table.Frequencies f, Protemp.Model.Feasible s ->
       check_bool "frequencies agree" true
         (Vec.approx_equal ~tol:1e4 f s.Protemp.Model.frequencies)
   | Protemp.Table.Infeasible, Protemp.Model.Infeasible -> ()
-  | _ -> Alcotest.fail "on-demand cell disagrees with solve_point");
+  | _ -> Alcotest.fail "on-demand cell disagrees with a cold solve");
   (* Memoized: a second read is free. *)
   let solves = (D.stats dt).D.solves in
   ignore (D.cell dt 1 1);
@@ -115,22 +117,19 @@ let test_fill_domain_invariance () =
   (* Bit-identical grids at 1 vs 4 domains (CSV is %.17g, i.e. exact). *)
   Alcotest.(check string) "domains 1 = domains 4" (csv_at 1) (csv_at 4)
 
+(* The seeded, pruned fill against every cell solved cold and from
+   scratch. *)
 let test_fill_matches_offline_sweep () =
-  let m = Lazy.force machine in
   let dt = cool_dense () in
   ignore (D.fill dt);
   let dense = D.to_table dt in
-  let swept =
-    Protemp.Offline.sweep ~machine:m ~spec:fast_spec ~tstarts:cool_tstarts
-      ~ftargets:cool_ftargets ()
-  in
   for i = 0 to 2 do
     for j = 0 to 2 do
-      match (Protemp.Table.cell dense i j, Protemp.Table.cell swept i j) with
-      | Protemp.Table.Infeasible, Protemp.Table.Infeasible -> ()
-      | Protemp.Table.Frequencies a, Protemp.Table.Frequencies b ->
+      match (Protemp.Table.cell dense i j, cold_solve i j) with
+      | Protemp.Table.Infeasible, Protemp.Model.Infeasible -> ()
+      | Protemp.Table.Frequencies a, Protemp.Model.Feasible b ->
           check_bool (Printf.sprintf "cell (%d,%d)" i j) true
-            (Vec.approx_equal ~tol:1e4 a b)
+            (Vec.approx_equal ~tol:1e4 a b.Protemp.Model.frequencies)
       | _ -> Alcotest.fail (Printf.sprintf "feasibility differs at (%d,%d)" i j)
     done
   done
@@ -175,7 +174,7 @@ let test_lookup_at_grid_point () =
   | `Interpolated v | `Clamped v ->
       check_bool "corner exact" true (Vec.approx_equal ~tol:0.0 corner v)
   | `None -> Alcotest.fail "corner lookup served nothing");
-  (* Hotter than every row mirrors Table.lookup's None. *)
+  (* Hotter than every row: the discrete rule's miss. *)
   check_bool "too hot" true
     (match D.lookup dt ~temperature:96.0 ~required:2e8 with
     | `None -> true
@@ -291,7 +290,7 @@ let test_serving_after_release () =
     (fun (temperature, required) ->
       check_bool "discrete is the exported table's rule" true
         (D.discrete dt ~temperature ~required
-        = Protemp.Table.lookup table ~temperature ~required))
+        = Table_reference.lookup table ~temperature ~required))
     points;
   check_bool "audit is the exported table's" true
     (D.audit dt
@@ -331,7 +330,8 @@ let () =
       ( "cells",
         [
           Alcotest.test_case "create validation" `Quick test_create_validation;
-          Alcotest.test_case "on-demand cell" `Slow test_cell_matches_solve_point;
+          Alcotest.test_case "on-demand cell" `Slow
+            test_cell_matches_cold_solve;
           Alcotest.test_case "frontier pruning" `Slow
             test_frontier_prunes_across_rows;
         ] );

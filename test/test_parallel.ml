@@ -1,7 +1,7 @@
 (* Tests for the domain worker pool and the parallel, warm-started
-   offline sweep: pool semantics (ordering, reuse, exceptions), the
-   domain-count invariance of the table, and the thermal guarantee on
-   warm-started cells. *)
+   Phase-1 table fill (Dense_table): pool semantics (ordering, reuse,
+   exceptions), the domain-count invariance of the table, and the
+   thermal guarantee on warm-started cells. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -76,9 +76,10 @@ let test_parse_domains () =
 let tstarts = [| 40.0; 70.0; 100.0 |]
 let ftargets = [| 3e8; 6e8; 9e8 |]
 
-let sweep ?on_progress ~domains ~warm_starts () =
-  Protemp.Offline.sweep ~machine:(Lazy.force machine) ~spec:fast_spec ~domains
-    ~warm_starts ~tstarts ~ftargets ?on_progress ()
+let sweep ~domains =
+  Protemp.Dense_table.to_table ~domains
+    (Protemp.Dense_table.create ~machine:(Lazy.force machine) ~spec:fast_spec
+       ~tstarts ~ftargets ())
 
 (* Tolerances are in Hz.  [mean_tol] bounds the difference of the cell
    means, [tol] every per-core entry. *)
@@ -100,27 +101,12 @@ let tables_equal ?(tol = 1e-9) ?(mean_tol = tol) a b =
            (Array.init (Array.length fa) Fun.id))
        (Array.init (Array.length ta) Fun.id)
 
-let parallel_table = lazy (sweep ~domains:4 ~warm_starts:true ())
+let parallel_table = lazy (sweep ~domains:4)
 
 let test_sweep_domain_count_invariant () =
-  let seq = sweep ~domains:1 ~warm_starts:true () in
+  let seq = sweep ~domains:1 in
   check_bool "domains=4 equals domains=1" true
     (tables_equal seq (Lazy.force parallel_table))
-
-let test_sweep_reports_every_cell () =
-  let count = ref 0 in
-  let m = Mutex.create () in
-  let _ =
-    sweep ~domains:4 ~warm_starts:true
-      ~on_progress:(fun _ ->
-        Mutex.lock m;
-        incr count;
-        Mutex.unlock m)
-      ()
-  in
-  check_int "one progress report per cell"
-    (Array.length tstarts * Array.length ftargets)
-    !count
 
 let test_sweep_warm_started_cells_keep_guarantee () =
   let audit =
@@ -163,15 +149,29 @@ let test_warm_start_direct () =
             true
             (peak <= fast_spec.Protemp.Spec.tmax +. 1e-9))
 
-(* The compiled barrier backend must produce the same offline table as
-   the reference Quad-walking oracle (to 1e-6 of full scale — the two
-   walk different floating-point paths to the same optimum), and the
-   reference table must pass the same thermal audit. *)
+(* The compiled barrier backend must produce the same table as the
+   reference Quad-walking oracle (to 1e-6 of full scale — the two walk
+   different floating-point paths to the same optimum), and the
+   reference table must pass the same thermal audit.  Every cell is a
+   barrier solve of its own. *)
 let test_sweep_backends_agree () =
   let m = Lazy.force machine in
   let run backend =
-    Protemp.Offline.sweep ~machine:m ~spec:fast_spec ~domains:1 ~backend
-      ~tstarts ~ftargets ()
+    Protemp.Table.make ~tstarts ~ftargets
+      (Array.map
+         (fun tstart ->
+           Array.map
+             (fun ftarget ->
+               match
+                 Protemp.Model.solve ~solver:`Barrier ~backend
+                   (Protemp.Model.build ~machine:m ~spec:fast_spec ~tstart
+                      ~ftarget)
+               with
+               | Protemp.Model.Feasible s ->
+                   Protemp.Table.Frequencies s.Protemp.Model.frequencies
+               | Protemp.Model.Infeasible -> Protemp.Table.Infeasible)
+             ftargets)
+         tstarts)
   in
   let reference = run `Reference and compiled = run `Compiled in
   check_bool "tables agree to 1e-6 fmax" true
@@ -197,8 +197,9 @@ let solver_spec =
 
 let solvers_agree ~machine ~tstarts ~ftargets =
   let sweep solver =
-    Protemp.Offline.sweep ~machine ~spec:solver_spec ~solver ~domains:1
-      ~warm_starts:false ~tstarts ~ftargets ()
+    Protemp.Dense_table.to_table ~domains:1
+      (Protemp.Dense_table.create ~solver ~machine ~spec:solver_spec ~tstarts
+         ~ftargets ())
   in
   let fmax = machine.Sim.Machine.fmax in
   let conic = sweep `Conic and barrier = sweep `Barrier in
@@ -257,16 +258,20 @@ let test_solvers_agree_biglittle () =
   check_bool "some cell feasible" true (!feasible > 0)
 
 (* The aggregated work counters are a pure function of the grid — the
-   same whichever domain count runs it. *)
+   same whichever domain count fills it. *)
 let test_sweep_stats_domain_invariant () =
   let run domains =
-    snd
-      (Protemp.Offline.sweep_with_stats ~machine:(Lazy.force machine)
-         ~spec:fast_spec ~domains ~tstarts ~ftargets ())
+    let dt =
+      Protemp.Dense_table.create ~machine:(Lazy.force machine) ~spec:fast_spec
+        ~tstarts ~ftargets ()
+    in
+    let f = Protemp.Dense_table.fill ~domains dt in
+    (f.Protemp.Dense_table.solves, Protemp.Dense_table.solver_stats dt)
   in
-  let s1 = run 1 and s4 = run 4 in
-  check_int "solves" s1.Protemp.Offline.solves s4.Protemp.Offline.solves;
-  let b1 = s1.Protemp.Offline.barrier and b4 = s4.Protemp.Offline.barrier in
+  let n1, s1 = run 1 and n4, s4 = run 4 in
+  check_int "solves" n1 n4;
+  let b1 = s1.Protemp.Dense_table.barrier
+  and b4 = s4.Protemp.Dense_table.barrier in
   check_int "centerings" b1.Convex.Barrier.centering_steps
     b4.Convex.Barrier.centering_steps;
   check_int "newton" b1.Convex.Barrier.newton_iterations
@@ -275,7 +280,8 @@ let test_sweep_stats_domain_invariant () =
     b4.Convex.Barrier.backtracks;
   check_int "factorizations" b1.Convex.Barrier.factorizations
     b4.Convex.Barrier.factorizations;
-  let c1 = s1.Protemp.Offline.conic and c4 = s4.Protemp.Offline.conic in
+  let c1 = s1.Protemp.Dense_table.conic
+  and c4 = s4.Protemp.Dense_table.conic in
   check_int "conic iterations" c1.Convex.Conic.iterations
     c4.Convex.Conic.iterations;
   check_int "conic factorizations" c1.Convex.Conic.factorizations
@@ -283,21 +289,44 @@ let test_sweep_stats_domain_invariant () =
   check_int "conic optimal" c1.Convex.Conic.optimal c4.Convex.Conic.optimal;
   check_bool "non-trivial" true (c1.Convex.Conic.iterations > 0)
 
-(* The warm/cold work gate: on the default 9x10 axes at stride 2, a
-   sweep whose cells are seeded from their neighbours' optima may take
-   no more conic factorizations than the same sweep solved cold (820
-   against 841 when the gate went in; 907 against 841 while a seed
-   also set the interior-point iterate, DESIGN.md 6p). *)
+(* The warm/cold work gate: on the default 9x10 axes of the CLI's
+   table command, at stride 2, a fill whose cells are seeded from their
+   neighbours' optima may take no more conic factorizations than the
+   same grid solved cold (820 against 841 when the gate went in; 907
+   against 841 while a seed also set the interior-point iterate,
+   DESIGN.md 6p).  The cold reference walks each row like the fill
+   does — one prepared context per row, nothing above the row's first
+   infeasible column — but never passes a seed. *)
 let test_seeded_sweep_no_costlier_than_cold () =
+  let machine = Lazy.force machine in
   let spec = { Protemp.Spec.default with Protemp.Spec.constraint_stride = 2 } in
-  let factorizations warm_starts =
-    let _, s =
-      Protemp.Offline.sweep_with_stats ~machine:(Lazy.force machine) ~spec
-        ~domains:1 ~warm_starts ()
-    in
-    s.Protemp.Offline.conic.Convex.Conic.factorizations
+  let tstarts = [| 27.0; 30.0; 40.0; 50.0; 60.0; 70.0; 80.0; 90.0; 100.0 |] in
+  let ftargets =
+    Array.init 10 (fun i -> float_of_int (i + 1) *. 100.0 *. 1e6)
   in
-  let seeded = factorizations true and cold = factorizations false in
+  let dt = Protemp.Dense_table.create ~machine ~spec ~tstarts ~ftargets () in
+  ignore (Protemp.Dense_table.fill ~domains:1 dt);
+  let seeded =
+    (Protemp.Dense_table.solver_stats dt).Protemp.Dense_table.conic
+      .Convex.Conic.factorizations
+  in
+  let cold = ref Convex.Conic.stats_zero in
+  Array.iter
+    (fun tstart ->
+      let prepared = Protemp.Model.prepare ~machine ~spec ~tstart in
+      let rec walk j =
+        if j < Array.length ftargets then begin
+          let built =
+            Protemp.Model.instantiate prepared ~ftarget:ftargets.(j)
+          in
+          match Protemp.Model.solve ~conic_stats_into:cold built with
+          | Protemp.Model.Feasible _ -> walk (j + 1)
+          | Protemp.Model.Infeasible -> ()
+        end
+      in
+      walk 0)
+    tstarts;
+  let cold = (!cold).Convex.Conic.factorizations in
   check_bool
     (Printf.sprintf "seeded %d <= cold %d factorizations" seeded cold)
     true (seeded <= cold)
@@ -339,8 +368,6 @@ let () =
         [
           Alcotest.test_case "domain-count invariant" `Slow
             test_sweep_domain_count_invariant;
-          Alcotest.test_case "progress covers every cell" `Slow
-            test_sweep_reports_every_cell;
           Alcotest.test_case "warm-started cells keep the guarantee" `Slow
             test_sweep_warm_started_cells_keep_guarantee;
           Alcotest.test_case "warm start direct" `Slow test_warm_start_direct;

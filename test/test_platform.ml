@@ -151,8 +151,9 @@ let test_degenerate_table_identical () =
      the CSVs (%.17g, exact for every double) are string-equal. *)
   let sweep machine =
     Protemp.Table.to_csv
-      (Protemp.Offline.sweep ~domains:1 ~machine ~spec:Protemp.Spec.default
-         ~tstarts:[| 50.0; 80.0 |] ~ftargets:[| 2e8; 5e8 |] ())
+      (Protemp.Dense_table.to_table ~domains:1
+         (Protemp.Dense_table.create ~machine ~spec:Protemp.Spec.default
+            ~tstarts:[| 50.0; 80.0 |] ~ftargets:[| 2e8; 5e8 |] ()))
   in
   check_string "swept table bit-identical" (sweep (Lazy.force niagara))
     (sweep (Lazy.force degenerate))
@@ -295,8 +296,9 @@ let test_biglittle_sweep_and_audit () =
   let m = Lazy.force biglittle in
   let spec = Protemp.Spec.default in
   let table =
-    Protemp.Offline.sweep ~domains:1 ~machine:m ~spec ~tstarts:[| 50.0; 80.0 |]
-      ~ftargets:[| 1e8; 3e8 |] ()
+    Protemp.Dense_table.to_table ~domains:1
+      (Protemp.Dense_table.create ~machine:m ~spec ~tstarts:[| 50.0; 80.0 |]
+         ~ftargets:[| 1e8; 3e8 |] ())
   in
   let feasible = ref 0 in
   Array.iteri

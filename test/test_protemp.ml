@@ -67,6 +67,15 @@ let synthetic_table () =
       [| freqs 2e8; Protemp.Table.Infeasible; Protemp.Table.Infeasible |];
     |]
 
+(* The served rule: the table's in-memory store image, as
+   Controller.create serves it. *)
+let served table ~temperature ~required =
+  let store = Protemp.Table_store.of_table table in
+  let into = Vec.zeros (Protemp.Table_store.n_cores store) in
+  if Protemp.Table_store.lookup_into store ~temperature ~required ~into then
+    Some into
+  else None
+
 let test_table_validation () =
   check_bool "unsorted tstarts" true
     (match
@@ -84,17 +93,16 @@ let test_table_validation () =
     | exception Invalid_argument _ -> true)
 
 let test_table_row_selection () =
-  let t = synthetic_table () in
-  check_bool "below first" true
-    (Protemp.Table.row_for_temperature t 30.0 = Some 0);
-  check_bool "exact" true (Protemp.Table.row_for_temperature t 80.0 = Some 1);
-  check_bool "between" true (Protemp.Table.row_for_temperature t 81.0 = Some 2);
-  check_bool "too hot" true (Protemp.Table.row_for_temperature t 101.0 = None)
+  let ts = Protemp.Table.tstarts (synthetic_table ()) in
+  check_int "below first" 0 (Protemp.Table.covering ts 30.0);
+  check_int "exact" 1 (Protemp.Table.covering ts 80.0);
+  check_int "between" 2 (Protemp.Table.covering ts 81.0);
+  check_int "too hot" (-1) (Protemp.Table.covering ts 101.0)
 
 let test_table_lookup_rounds_up_frequency () =
   let t = synthetic_table () in
   (* required 3e8 at a cool chip: smallest column >= required is 5e8 *)
-  match Protemp.Table.lookup t ~temperature:40.0 ~required:3e8 with
+  match served t ~temperature:40.0 ~required:3e8 with
   | Some f -> check_float 1.0 "rounded up" 5e8 f.(0)
   | None -> Alcotest.fail "expected entry"
 
@@ -102,14 +110,14 @@ let test_table_lookup_falls_back_down () =
   let t = synthetic_table () in
   (* hot row 100: the 5e8 and 8e8 columns are infeasible; fall back to
      the next lower feasible point, 2e8. *)
-  match Protemp.Table.lookup t ~temperature:95.0 ~required:7e8 with
+  match served t ~temperature:95.0 ~required:7e8 with
   | Some f -> check_float 1.0 "fell back" 2e8 f.(0)
   | None -> Alcotest.fail "expected fallback entry"
 
 let test_table_lookup_none_when_too_hot () =
   let t = synthetic_table () in
   check_bool "none" true
-    (Protemp.Table.lookup t ~temperature:120.0 ~required:1e8 = None)
+    (served t ~temperature:120.0 ~required:1e8 = None)
 
 (* The binary searches behind row/column selection, pinned against the
    obvious linear scans on randomized axes. *)
@@ -145,27 +153,34 @@ let test_table_binary_search_matches_linear () =
         done;
         !c
       in
-      check_int "row_index" linear_row (Protemp.Table.row_index t temperature);
-      check_int "col_start" linear_col (Protemp.Table.col_start t required)
+      check_int "covering row" linear_row
+        (Protemp.Table.covering (Protemp.Table.tstarts t) temperature);
+      check_int "round-up column" linear_col
+        (Protemp.Table.round_up (Protemp.Table.ftargets t) required)
     done
   done
 
-(* lookup_into is lookup without the copy: same hit/miss decisions,
-   same vector, written into the caller's buffer. *)
+(* The served lookup_into against the reference rule
+   (test/table_reference.ml): same hit/miss decisions, same vector,
+   written into the caller's buffer. *)
 let test_table_lookup_into_agrees () =
   let t = synthetic_table () in
+  let store = Protemp.Table_store.of_table t in
   let buf = Vec.zeros 8 in
   for it = 0 to 299 do
     let temperature = 20.0 +. (float_of_int (it mod 30) *. 3.7) in
     let required = float_of_int (it mod 12) *. 0.8e8 in
-    match Protemp.Table.lookup t ~temperature ~required with
+    match Table_reference.lookup t ~temperature ~required with
     | Some f ->
         check_bool "hit agrees" true
-          (Protemp.Table.lookup_into t ~temperature ~required ~into:buf
+          (Protemp.Table_store.lookup_into store ~temperature ~required
+             ~into:buf
           && Vec.approx_equal ~tol:0.0 f buf)
     | None ->
         check_bool "miss agrees" true
-          (not (Protemp.Table.lookup_into t ~temperature ~required ~into:buf))
+          (not
+             (Protemp.Table_store.lookup_into store ~temperature ~required
+                ~into:buf))
   done;
   check_bool "core_count" true (Protemp.Table.core_count t = Some 8)
 
@@ -453,14 +468,14 @@ let test_model_rejects_non_finite () =
            ~ftarget:Float.nan))
 
 (* ------------------------------------------------------------------ *)
-(* Offline *)
+(* Phase 1: the design-time table *)
 
 let small_table =
   lazy
-    (Protemp.Offline.sweep ~machine:(Lazy.force machine) ~spec:fast_spec
-       ~tstarts:[| 40.0; 70.0; 100.0 |]
-       ~ftargets:[| 3e8; 6e8; 9e8 |]
-       ())
+    (Protemp.Dense_table.to_table
+       (Protemp.Dense_table.create ~machine:(Lazy.force machine)
+          ~spec:fast_spec ~tstarts:[| 40.0; 70.0; 100.0 |]
+          ~ftargets:[| 3e8; 6e8; 9e8 |] ()))
 
 let test_offline_sweep_shape () =
   let t = Lazy.force small_table in
@@ -490,11 +505,12 @@ let test_offline_monotone_infeasibility () =
 let test_offline_frontier_consistent_with_sweep () =
   let m = Lazy.force machine in
   match
-    Protemp.Offline.max_feasible_ftarget ~machine:m ~spec:fast_spec
-      ~tstart:70.0 ()
+    Protemp.Model.solve_frontier
+      (Protemp.Model.build_frontier ~machine:m ~spec:fast_spec ~tstart:70.0)
   with
-  | None -> Alcotest.fail "expected a frontier"
-  | Some f ->
+  | Protemp.Model.Infeasible -> Alcotest.fail "expected a frontier"
+  | Protemp.Model.Feasible s ->
+      let f = Vec.mean s.Protemp.Model.frequencies in
       (* every feasible cell of the 70-degree row is below the
          frontier *)
       let t = Lazy.force small_table in
@@ -531,6 +547,21 @@ let test_controller_stops_when_too_hot () =
   let c = Protemp.Controller.create ~table:(synthetic_table ()) in
   let f = c.Sim.Policy.decide (obs ~temp:150.0 ~required:3e8) in
   check_float 1e-9 "stopped" 0.0 (Vec.norm_inf f)
+
+(* Controller.create serves through the table's store image: after the
+   first call, every table hit reuses the controller's buffer and
+   allocates nothing. *)
+let test_controller_decide_allocation_free () =
+  let c = Protemp.Controller.create ~table:(synthetic_table ()) in
+  let o = obs ~temp:40.0 ~required:3e8 in
+  ignore (c.Sim.Policy.decide o);
+  let hits = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to hits do
+    ignore (c.Sim.Policy.decide o)
+  done;
+  let words = Gc.minor_words () -. before in
+  check_float 0.0 "minor words per hit" 0.0 (words /. float_of_int hits)
 
 let test_basic_dfs_lag () =
   let c = Protemp.Basic_dfs.create ~threshold:90.0 ~lag_periods:1 ~fmax:1e9 () in
@@ -900,14 +931,14 @@ let prop_table_lookup_semantics =
           tstarts
       in
       let table = Protemp.Table.make ~tstarts ~ftargets cells in
-      match Protemp.Table.lookup table ~temperature ~required with
+      match served table ~temperature ~required with
       | None ->
           (* Legal only when the chip is hotter than every row, or
              every cell of the covering row at or below the ideal
              column is infeasible. *)
           temperature > 100.0
           ||
-          let row = Option.get (Protemp.Table.row_for_temperature table temperature) in
+          let row = Protemp.Table.covering tstarts temperature in
           let ideal =
             let rec go j =
               if j < 2 && ftargets.(j) < required then go (j + 1) else j
@@ -920,7 +951,7 @@ let prop_table_lookup_semantics =
       | Some f ->
           temperature <= 100.0
           &&
-          let row = Option.get (Protemp.Table.row_for_temperature table temperature) in
+          let row = Protemp.Table.covering tstarts temperature in
           let ideal =
             let rec go j =
               if j < 2 && ftargets.(j) < required then go (j + 1) else j
@@ -1466,6 +1497,8 @@ let () =
             test_controller_uses_table;
           Alcotest.test_case "pro-temp stops when too hot" `Quick
             test_controller_stops_when_too_hot;
+          Alcotest.test_case "pro-temp decide allocation-free" `Quick
+            test_controller_decide_allocation_free;
           Alcotest.test_case "basic-dfs lag" `Quick test_basic_dfs_lag;
           Alcotest.test_case "basic-dfs no lag" `Quick test_basic_dfs_no_lag;
           Alcotest.test_case "no-tc follows demand" `Quick

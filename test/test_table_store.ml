@@ -65,7 +65,7 @@ let test_lookup_matches_table () =
   with_store t (fun _path store ->
       let buf = Vec.zeros 2 in
       let agree temperature required =
-        let expected = Protemp.Table.lookup t ~temperature ~required in
+        let expected = Table_reference.lookup t ~temperature ~required in
         let got =
           Protemp.Table_store.lookup_into store ~temperature ~required
             ~into:buf
@@ -399,7 +399,46 @@ let prop_mutated_csv_fails_closed =
           | Some n_cores ->
               serves_only_valid ~tstarts:(Protemp.Table.tstarts t)
                 ~ftargets:(Protemp.Table.ftargets t) ~n_cores
-                (Protemp.Table.lookup_into t)))
+                (Protemp.Table_store.lookup_into
+                   (Protemp.Table_store.of_table t))))
+
+(* Probes at the axis points and anywhere around them, beyond both ends
+   of each axis included. *)
+let gen_probe =
+  QCheck2.Gen.(
+    pair
+      (oneof [ float_range 20.0 110.0; oneofl [ 40.0; 55.0; 70.0; 85.0 ] ])
+      (oneof [ float_range 0.0 5e8; oneofl [ 1e8; 2e8; 3e8; 4e8 ] ]))
+
+(* The in-memory image, the mapped file and the reference rule
+   (test/table_reference.ml) serve the same vector, or all miss. *)
+let prop_served_paths_agree =
+  QCheck2.Test.make ~name:"store: of_table, open_file and the reference agree"
+    ~count:200
+    ~print:(fun (t, probes) ->
+      Protemp.Table.to_csv t
+      ^ String.concat "; "
+          (List.map (fun (x, y) -> Printf.sprintf "(%h, %h)" x y) probes))
+    QCheck2.Gen.(pair gen_table (list_size (int_range 1 20) gen_probe))
+    (fun (table, probes) ->
+      with_store table (fun _path mapped ->
+          let memory = Protemp.Table_store.of_table table in
+          let serve store ~temperature ~required =
+            let into = Vec.zeros (Protemp.Table_store.n_cores store) in
+            if
+              Protemp.Table_store.lookup_into store ~temperature ~required
+                ~into
+            then Some into
+            else None
+          in
+          List.for_all
+            (fun (temperature, required) ->
+              let expected =
+                Table_reference.lookup table ~temperature ~required
+              in
+              serve memory ~temperature ~required = expected
+              && serve mapped ~temperature ~required = expected)
+            probes))
 
 let test_lookup_allocation_free () =
   let t = canonical_table () in
@@ -496,5 +535,6 @@ let () =
             test_lookup_allocation_free;
           Alcotest.test_case "concurrent readers" `Quick
             test_concurrent_readers_share_image;
+          QCheck_alcotest.to_alcotest prop_served_paths_agree;
         ] );
     ]
