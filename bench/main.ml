@@ -364,7 +364,7 @@ let s51 () =
   Printf.printf
     "  one Eq. 3 instance (m = %d steps, %d constraints): %.2f s\n"
     built.Protemp.Model.steps
-    (Array.length built.Protemp.Model.problem.Convex.Barrier.constraints)
+    (Convex.Conic.n_constraints (Lazy.force built.Protemp.Model.conic))
     dt;
   claim "single design point solves in < 2 minutes (paper: < 2 min with CVX)"
     (dt < 120.0 && outcome <> Protemp.Model.Infeasible);
@@ -434,7 +434,7 @@ let abl_stride () =
               ~frequencies:sol.Protemp.Model.frequencies
           in
           Printf.printf "  %8d %12d %10.2f %14.4f\n" stride
-            (Array.length built.Protemp.Model.problem.Convex.Barrier.constraints)
+            (Convex.Conic.n_constraints (Lazy.force built.Protemp.Model.conic))
             dt (100.0 -. peak)
       | Protemp.Model.Infeasible -> Printf.printf "  %8d infeasible\n" stride)
     [ 1; 2; 5; 20 ];
@@ -598,33 +598,6 @@ let abl_online_vs_table () =
     (Sim.Stats.mean_waiting r_online.Sim.Engine.stats
     <= Sim.Stats.mean_waiting r_table.Sim.Engine.stats *. 1.02)
 
-let abl_barrier_mu () =
-  section "Ablation — barrier growth factor mu on a frontier solve";
-  (* The paper's full-resolution uniform-frequency formulation, the
-     case where long-step schedules visibly stall. *)
-  let built =
-    Protemp.Model.build_frontier ~machine
-      ~spec:
-        { Protemp.Spec.default with Protemp.Spec.variant = Protemp.Spec.Uniform }
-      ~tstart:57.0
-  in
-  Printf.printf "  %6s %14s %10s %10s\n" "mu" "frontier (MHz)" "newton" "time (s)";
-  List.iter
-    (fun mu ->
-      let options = { Convex.Barrier.default_options with Convex.Barrier.mu } in
-      let t0 = Unix.gettimeofday () in
-      match Protemp.Model.solve_frontier ~options built with
-      | Protemp.Model.Feasible s ->
-          Printf.printf "  %6.1f %14.0f %10d %10.2f\n" mu
-            (Vec.mean s.Protemp.Model.frequencies /. 1e6)
-            s.Protemp.Model.raw.Convex.Solve.newton_iterations
-            (Unix.gettimeofday () -. t0)
-      | Protemp.Model.Infeasible -> Printf.printf "  %6.1f infeasible?\n" mu)
-    [ 2.0; 5.0; 20.0 ];
-  Printf.printf
-    "  (large steps stall on the thousands of near-parallel thermal rows;\n\
-    \   mu = 2 is the library default for this reason)\n%!"
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -652,6 +625,5 @@ let () =
   abl_migration ();
   abl_sparse_scaling ();
   abl_online_vs_table ();
-  abl_barrier_mu ();
   Printf.printf "\n%d of %d paper claims pass.\n" (!claims - !failed) !claims;
   if !failed > 0 then exit 1

@@ -80,15 +80,6 @@ let tstart =
     & opt (some finite) None
     & info [ "tstart" ] ~docv:"CELSIUS" ~doc:"Starting temperature.")
 
-let solver =
-  Arg.(
-    value
-    & opt (enum [ ("conic", `Conic); ("barrier", `Barrier) ]) `Conic
-    & info [ "solver" ] ~docv:"NAME"
-        ~doc:
-          "Interior-point backend: conic (primal-dual, the default) or \
-           barrier (the reference log-barrier path).")
-
 let print_frequencies f =
   Array.iteri
     (fun i hz -> Printf.printf "P%d %.1f MHz\n" (i + 1) (hz_to_mhz hz))
@@ -197,11 +188,10 @@ let table_cmd =
              margin, so the stored table tolerates bounded sensor error up \
              to the margin at run time.")
   in
-  let run platform uniform gradient stride tstarts ftargets domains margin
-      solver out =
+  let run platform uniform gradient stride tstarts ftargets domains margin out =
     let spec = spec_of ~uniform ~gradient ~stride in
     match
-      Protemp.Dense_table.create ~solver ~margin ~machine:(machine_of platform)
+      Protemp.Dense_table.create ~margin ~machine:(machine_of platform)
         ~spec ~tstarts:(Array.of_list tstarts)
         ~ftargets:(Array.of_list (List.map mhz_to_hz ftargets))
         ()
@@ -229,7 +219,7 @@ let table_cmd =
        ~doc:"Build the Phase-1 table (one Eq. 3 solve per cell) and store it.")
     Term.(
       const run $ platform $ uniform $ gradient $ stride $ tstarts $ ftargets
-      $ domains $ margin $ solver $ out_file)
+      $ domains $ margin $ out_file)
 
 (* ----- validate ----- *)
 
@@ -551,11 +541,11 @@ let campaign_cmd =
       value & flag
       & info [ "online" ]
           ~doc:
-            "Add the online MPC controller (per-period re-solve with the \
-             selected --solver) to the controller grid.")
+            "Add the online MPC controller (a fresh Eq. 3 solve every \
+             period) to the controller grid.")
   in
   let run platform table_file guarded_table_file mixes tasks seed domains
-      noise_axis stale_axis fault_seed online solver =
+      noise_axis stale_axis fault_seed online =
     let machine = machine_of platform in
     let fmax = machine.Sim.Machine.fmax in
     let controllers =
@@ -589,7 +579,7 @@ let campaign_cmd =
           ( "online",
             fun () ->
               Protemp.Online.controller
-                (Protemp.Online.create ~solver ?fallback ~machine ~spec ()) );
+                (Protemp.Online.create ?fallback ~machine ~spec ()) );
         ]
     in
     let faults =
@@ -654,8 +644,7 @@ let campaign_cmd =
           domains.")
     Term.(
       const run $ platform $ table_file $ guarded_table_file $ mixes $ tasks
-      $ seed $ domains $ noise_axis $ stale_axis $ fault_seed $ online
-      $ solver)
+      $ seed $ domains $ noise_axis $ stale_axis $ fault_seed $ online)
 
 (* ----- fleet ----- *)
 

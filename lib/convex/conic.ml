@@ -24,6 +24,8 @@ open Linalg
 
 let inv_sqrt2 = 1.0 /. sqrt 2.0
 
+type problem = { objective : Quad.t; constraints : Quad.t array }
+
 type duals_entry = Dual_orth of int | Dual_soc of int
 
 type t = {
@@ -40,13 +42,14 @@ type t = {
   hi : Vec.t;  (* q, internal row order *)
   orth_ext : int array;  (* external row of internal orthant row i *)
   soc_ext : int array;  (* external offset of internal block k *)
-  (* of_barrier bookkeeping; [||] for make-built instances *)
+  (* of_problem bookkeeping; [||] for make-built instances *)
   duals_map : duals_entry array;
   obj_const : float;
 }
 
 let dim t = t.n
 let n_rows t = t.mo + (3 * t.nsoc)
+let n_constraints t = Array.length t.duals_map
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
@@ -163,7 +166,7 @@ let rank_one_factor pmat =
   done;
   let dmax = Mat.get pmat !imax !imax in
   if dmax <= 0.0 then
-    invalid_arg "Conic.of_barrier: quadratic constraint with no curvature";
+    invalid_arg "Conic.of_problem: quadratic constraint with no curvature";
   let av = Vec.zeros n in
   let ai = sqrt (dmax /. 2.0) in
   av.(!imax) <- ai;
@@ -175,16 +178,16 @@ let rank_one_factor pmat =
     for j = 0 to n - 1 do
       if abs_float (Mat.get pmat i j -. (2.0 *. av.(i) *. av.(j))) > tol
       then
-        invalid_arg "Conic.of_barrier: quadratic constraint is not rank-one"
+        invalid_arg "Conic.of_problem: quadratic constraint is not rank-one"
     done
   done;
   av
 
-let of_barrier (bp : Barrier.problem) =
-  if not (Quad.is_affine bp.Barrier.objective) then
-    invalid_arg "Conic.of_barrier: objective is not affine";
-  let n = Quad.dim bp.Barrier.objective in
-  let cons = bp.Barrier.constraints in
+let of_problem (bp : problem) =
+  if not (Quad.is_affine bp.objective) then
+    invalid_arg "Conic.of_problem: objective is not affine";
+  let n = Quad.dim bp.objective in
+  let cons = bp.constraints in
   let m = Array.length cons in
   let mo = ref 0 and nsoc = ref 0 in
   Array.iter
@@ -244,15 +247,15 @@ let of_barrier (bp : Barrier.problem) =
   let gdata, goff = pack_rows grows in
   {
     n; p = 0; mo; nsoc;
-    c = Quad.linear_part bp.Barrier.objective;
+    c = Quad.linear_part bp.objective;
     a = Mat.zeros 0 n; b = Vec.zeros 0;
     gdata; goff; glo; hi; orth_ext; soc_ext; duals_map;
-    obj_const = Quad.constant_part bp.Barrier.objective;
+    obj_const = Quad.constant_part bp.objective;
   }
 
 let with_constraint_constant t ~index value =
   if Array.length t.duals_map = 0 then
-    invalid_arg "Conic.with_constraint_constant: not an of_barrier instance";
+    invalid_arg "Conic.with_constraint_constant: not an of_problem instance";
   if index < 0 || index >= Array.length t.duals_map then
     invalid_arg "Conic.with_constraint_constant: index out of range";
   match t.duals_map.(index) with
@@ -472,7 +475,7 @@ let g_syrk t d ~marr =
       done
   done
 
-(* The value G_i x - h_i of row [i] at [x]: on an of_barrier instance,
+(* The value G_i x - h_i of row [i] at [x]: on an of_problem instance,
    orthant row i is the i-th affine constraint and this is its value
    q'x + r.  Inlined, so the float it returns is never boxed. *)
 let[@inline] row_value t i x =
@@ -1472,7 +1475,7 @@ let init_cold st =
    kappa = mu0 so the complementarity measure starts at mu0 < 1.
 
    With a dual seed (a neighbouring solve's constraint multipliers,
-   in the of_barrier constraint order), z is rebuilt from it instead
+   in the of_problem constraint order), z is rebuilt from it instead
    of placed on the central path: an orthant row takes the seed
    multiplier floored at mu0 / s_i (so inactive rows still sit on the
    central path at mu0 rather than contributing huge s_i z_i
@@ -1702,12 +1705,12 @@ let finish_unknown st options ~iterations =
 (* Working set                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The affine constraints [first, last) of an of_barrier instance are
-   the orthant rows [i0, i0 + last - first): of_barrier emits orthant
+(* The affine constraints [first, last) of an of_problem instance are
+   the orthant rows [i0, i0 + last - first): of_problem emits orthant
    rows in constraint order. *)
 let restrict ws t ~first ~last =
   if Array.length t.duals_map = 0 then
-    invalid_arg "Conic.restrict: not an of_barrier instance";
+    invalid_arg "Conic.restrict: not an of_problem instance";
   if not (same_shape ws.full t) then
     invalid_arg "Conic.restrict: workspace shape mismatch";
   if first < 0 || last > Array.length t.duals_map then
@@ -1794,7 +1797,8 @@ let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
      boundary, warm-started from the last feasible optimum), and an
      aggressive warm_mu leaves no centrality headroom to recover from
      one.  Rather than surfacing Unknown — which sends Model.solve to
-     the barrier fallback at ten times the cost — restart the same
+     an all-rows retry, and a cell it cannot certify to Infeasible —
+     restart the same
      solve from the cold central point the moment a warm iterate
      stalls (or degenerates: vanishing step, non-finite mu), and only
      then let the usual give-up paths apply.  Iteration counters keep
@@ -1892,7 +1896,7 @@ let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
 let constraint_duals t (sol : solution) =
   let m = Array.length t.duals_map in
   if m = 0 then
-    invalid_arg "Conic.constraint_duals: not an of_barrier instance";
+    invalid_arg "Conic.constraint_duals: not an of_problem instance";
   Vec.init m (fun j ->
       match t.duals_map.(j) with
       | Dual_orth i -> sol.z.(t.orth_ext.(i))

@@ -1,4 +1,5 @@
-(** Primal-dual predictor-corrector conic solver.
+(** Primal-dual predictor-corrector conic solver: the library's one
+    interior-point method.
 
     Solves the conic pair
 
@@ -11,10 +12,10 @@
     where [K] is a product of the cones of {!Cone} (nonnegative
     orthant and rotated-quadratic / power-epigraph blocks), by a
     Mehrotra-style predictor-corrector method on the homogeneous
-    self-dual embedding with Nesterov-Todd scaling.  Unlike the
-    log-barrier path ({!Barrier} + {!Phase1}), no strictly feasible
-    starting point is required, and an infeasible instance terminates
-    with an exact {e certificate} instead of a phase-I failure:
+    self-dual embedding with Nesterov-Todd scaling.  No strictly
+    feasible starting point is required, and every solve that
+    terminates on its own ends with either an optimum or an exact
+    {e certificate}:
 
     - {e primal infeasible}: [(y, z)] with [z in K*],
       [A'y + G'z ~ 0] and [b'y + h'z = -1] — a separating hyperplane
@@ -54,8 +55,14 @@ val make :
     blocks are rotated onto the standard second-order cone internally
     once, here.  [Invalid_argument] on any dimension mismatch. *)
 
-val of_barrier : Barrier.problem -> t
-(** Convert a {!Barrier.problem} whose objective is affine and whose
+type problem = { objective : Quad.t; constraints : Quad.t array }
+(** A convex program [minimize objective(x) subject to
+    constraints_j(x) <= 0], every function a {!Quad.t} of one
+    dimension.  This is the form the thermal models are built in;
+    {!of_problem} packs it into cone rows. *)
+
+val of_problem : problem -> t
+(** Convert a {!problem} whose objective is affine and whose
     non-affine constraints are rank-one quadratics
     [(a'x)^2 + q'x + r <= 0] — exactly the shape of the thermal
     models (affine thermal/box/floor rows plus per-core power-law
@@ -67,17 +74,20 @@ val of_barrier : Barrier.problem -> t
     is not affine or a quadratic constraint is not rank-one. *)
 
 val with_constraint_constant : t -> index:int -> float -> t
-(** For an {!of_barrier} instance: replace the constant term of the
+(** For an {!of_problem} instance: replace the constant term of the
     affine constraint [index] (in the original constraint order),
-    sharing everything but the orthant offset vector — the conic
-    analog of {!Compiled.with_constant}, used to re-target the
-    throughput floor per sweep cell.  [Invalid_argument] if the
-    instance did not come from {!of_barrier} or the constraint is not
-    affine. *)
+    sharing everything but the orthant offset vector, so a table row
+    packs [G] once and re-targets the throughput floor per cell.
+    [Invalid_argument] if the instance did not come from {!of_problem}
+    or the constraint is not affine. *)
 
 val dim : t -> int
 val n_rows : t -> int
 (** Total cone rows (the dimension of [s] and [z]). *)
+
+val n_constraints : t -> int
+(** Constraints of the {!problem} an {!of_problem} instance came from
+    (0 for a {!make} instance). *)
 
 type kkt = [ `Dense | `Blocks of int array ]
 (** Factorization backend for the scaled normal equations
@@ -137,8 +147,10 @@ type status =
       (** Improving ray normalized to [c'x = -1]. *)
   | Unknown of solution
       (** No certificate within the iteration cap; payload is the
-          best (tau-normalized) iterate.  Callers fall back to the
-          reference barrier path. *)
+          best (tau-normalized) iterate.  It proves nothing, so a
+          caller must not serve it: [Protemp.Model.solve] retries
+          once on every row and otherwise reports the cell
+          infeasible. *)
 
 type workspace
 (** Preallocated solver state (iterate, scalings, KKT factors), the
@@ -164,7 +176,7 @@ val solve :
   ?stats_into:stats ref -> ?ws:workspace -> t -> status
 (** [warm] is a primal seed of dimension {!dim} (ignored otherwise),
     typically the previous sweep column's [x].  [warm_dual] —
-    meaningful only alongside [warm], on an {!of_barrier} instance,
+    meaningful only alongside [warm], on an {!of_problem} instance,
     with one entry per original constraint (the {!constraint_duals}
     of a neighbouring solve) — additionally rebuilds the cone dual
     from the seed multipliers, so the solver starts from an
@@ -180,11 +192,11 @@ val solve :
 
 val restrict : workspace -> t -> first:int -> last:int -> unit
 (** [restrict ws t ~first ~last] makes the affine constraints
-    [first .. last - 1] of the {!of_barrier} instance [t] optional:
+    [first .. last - 1] of the {!of_problem} instance [t] optional:
     the working set of [ws] becomes every other constraint, and an
     optional one enters only through {!admit}.  [first >= last]
     restores the full instance.  [Invalid_argument] if [t] is not an
-    {!of_barrier} instance of the workspace's shape, the range is out
+    {!of_problem} instance of the workspace's shape, the range is out
     of bounds, or it holds a quadratic constraint. *)
 
 val admit : workspace -> t -> Vec.t -> above:float -> int
@@ -195,9 +207,9 @@ val admit : workspace -> t -> Vec.t -> above:float -> int
     nothing. *)
 
 val constraint_duals : t -> solution -> Vec.t
-(** Multipliers of the original {!Barrier.problem} constraints (the
+(** Multipliers of the original {!problem} constraints (the
     orthant dual for affine rows, the epigraph block's [u] dual for
     rank-one quadratic rows).  [Invalid_argument] unless the instance
-    came from {!of_barrier}. *)
+    came from {!of_problem}. *)
 
 val pp_status : Format.formatter -> status -> unit

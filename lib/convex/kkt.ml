@@ -7,17 +7,17 @@ type residuals = {
   complementarity : float;
 }
 
-let residuals (p : Barrier.problem) x lambda =
-  let m = Array.length p.Barrier.constraints in
+let residuals (p : Conic.problem) x lambda =
+  let m = Array.length p.Conic.constraints in
   if Vec.dim lambda <> m then invalid_arg "Kkt.residuals: bad dual length";
-  let grad_l = Quad.grad p.Barrier.objective x in
+  let grad_l = Quad.grad p.Conic.objective x in
   Array.iteri
     (fun j c -> Vec.axpy_into ~dst:grad_l lambda.(j) (Quad.grad c x))
-    p.Barrier.constraints;
+    p.Conic.constraints;
   let primal =
     Array.fold_left
       (fun acc c -> Float.max acc (Quad.eval c x))
-      0.0 p.Barrier.constraints
+      0.0 p.Conic.constraints
   in
   let dual =
     Array.fold_left (fun acc l -> Float.max acc (-.l)) 0.0 lambda
@@ -27,7 +27,7 @@ let residuals (p : Barrier.problem) x lambda =
     Array.iteri
       (fun j c ->
         acc := Float.max !acc (Float.abs (lambda.(j) *. Quad.eval c x)))
-      p.Barrier.constraints;
+      p.Conic.constraints;
     !acc
   in
   {

@@ -4,9 +4,9 @@
     [lambda], the residuals measure stationarity
     [||grad f0 + sum lambda_j grad f_j||], primal feasibility
     [max_j f_j(x)]+, dual feasibility [max_j (-lambda_j)]+ and
-    complementary slackness [max_j |lambda_j f_j(x)|].  The barrier
-    method guarantees all four are small at convergence; the tests
-    assert it. *)
+    complementary slackness [max_j |lambda_j f_j(x)|].  They audit a
+    {!Conic} optimum against the {!Conic.problem} it came from, with
+    the duals of {!Conic.constraint_duals}. *)
 
 open Linalg
 
@@ -17,7 +17,7 @@ type residuals = {
   complementarity : float;
 }
 
-val residuals : Barrier.problem -> Vec.t -> Vec.t -> residuals
+val residuals : Conic.problem -> Vec.t -> Vec.t -> residuals
 (** [residuals p x lambda]. *)
 
 val max_residual : residuals -> float

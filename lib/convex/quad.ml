@@ -84,18 +84,6 @@ let grad f x =
   | None -> Vec.copy f.q
   | Some p -> Vec.add (Mat.mul_vec p x) f.q
 
-let eval_with f ~scratch x =
-  if Vec.dim x <> f.n then invalid_arg "Quad.eval_with: dimension mismatch";
-  if Vec.dim scratch <> f.n then invalid_arg "Quad.eval_with: bad scratch";
-  let quad_term =
-    match f.p with
-    | None -> 0.0
-    | Some p ->
-        Mat.mul_vec_into p x ~dst:scratch;
-        0.5 *. Vec.dot x scratch
-  in
-  quad_term +. Vec.dot f.q x +. f.r
-
 let grad_into f x ~dst =
   if Vec.dim x <> f.n then invalid_arg "Quad.grad_into: dimension mismatch";
   if Vec.dim dst <> f.n then invalid_arg "Quad.grad_into: bad destination";
@@ -133,7 +121,6 @@ let hess_is_psd ?(tol = 1e-9) f =
       | exception Chol.Not_positive_definite _ -> false)
 
 let linear_part f = Vec.copy f.q
-let unsafe_linear_part f = f.q
 let constant_part f = f.r
 
 let pp ppf f =

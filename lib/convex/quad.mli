@@ -2,8 +2,9 @@
 
     A value represents [f(x) = 1/2 x^T P x + q^T x + r] over [R^n],
     with [P] symmetric (possibly absent, meaning the function is
-    affine).  Problems are posed directly in this form, which the
-    barrier solver consumes. *)
+    affine).  Problems are posed directly in this form and collected
+    in a {!Conic.problem}, which {!Conic.of_problem} packs into cone
+    rows. *)
 
 open Linalg
 
@@ -49,10 +50,6 @@ val eval : t -> Vec.t -> float
 
 val grad : t -> Vec.t -> Vec.t
 
-val eval_with : t -> scratch:Vec.t -> Vec.t -> float
-(** {!eval} without allocating: [scratch] (dimension [dim f],
-    clobbered) holds the intermediate [P x].  For hot solver loops. *)
-
 val grad_into : t -> Vec.t -> dst:Vec.t -> unit
 (** {!grad} written into [dst] ([dst] must not alias [x]). *)
 
@@ -70,11 +67,6 @@ val hess_is_psd : ?tol:float -> t -> bool
 
 val linear_part : t -> Vec.t
 (** The coefficient vector [q]. *)
-
-val unsafe_linear_part : t -> Vec.t
-(** The internal coefficient vector, without copying — for hot
-    read-only paths (the barrier's gradient accumulation).  Callers
-    must not mutate it. *)
 
 val constant_part : t -> float
 

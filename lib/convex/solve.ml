@@ -6,81 +6,5 @@ type solution = {
   dual : Vec.t;
   gap : float;
   kkt : Kkt.residuals Lazy.t;
-  outer_iterations : int;
-  newton_iterations : int;
-  stats : Barrier.stats;
+  iterations : int;
 }
-
-type status = Optimal of solution | Infeasible of float
-
-let solve ?(options = Barrier.default_options) ?backend ?compiled ?stats_into
-    ?start (p : Barrier.problem) =
-  let n = Quad.dim p.Barrier.objective in
-  let x0 = match start with Some x -> Vec.copy x | None -> Vec.zeros n in
-  let acc = ref Barrier.stats_zero in
-  (* Phase I only needs the sign of the auxiliary optimum, so a much
-     looser duality gap suffices; borderline cells are conservatively
-     reported infeasible. *)
-  let phase1_options =
-    { options with Barrier.gap_tol = Float.max options.Barrier.gap_tol 1e-3 }
-  in
-  let feasible_start =
-    if Barrier.is_strictly_feasible p x0 then `Found x0
-    else
-      match
-        Phase1.find ~options:phase1_options ?backend ~stats_into:acc
-          p.Barrier.constraints x0
-      with
-      | Phase1.Strictly_feasible x -> `Found x
-      | Phase1.Infeasible worst
-        (* Bit-exact: the all-zeros start is a sentinel, not a measure. *)
-        when Float.equal (Vec.norm_inf x0) 0.0 || worst > 1e-2 ->
-          (* A decisive violation, or nothing different to retry
-             from. *)
-          `Infeasible worst
-      | Phase1.Infeasible _ -> (
-          (* A borderline phase-I run from a start far from the
-             analytic center can stall; retry once from the origin
-             before giving up. *)
-          match
-            Phase1.find ~options:phase1_options ?backend ~stats_into:acc
-              p.Barrier.constraints (Vec.zeros n)
-          with
-          | Phase1.Strictly_feasible x -> `Found x
-          | Phase1.Infeasible worst -> `Infeasible worst)
-  in
-  let record () =
-    match stats_into with
-    | Some dst -> dst := Barrier.stats_add !dst !acc
-    | None -> ()
-  in
-  match feasible_start with
-  | `Infeasible worst ->
-      record ();
-      Infeasible worst
-  | `Found x0 ->
-      let r =
-        match compiled with
-        | Some c -> Barrier.solve_compiled ~options c x0
-        | None -> Barrier.solve ~options ?backend p x0
-      in
-      acc := Barrier.stats_add !acc r.Barrier.stats;
-      record ();
-      Optimal
-        {
-          x = r.Barrier.x;
-          objective_value = r.Barrier.objective_value;
-          dual = r.Barrier.dual;
-          gap = r.Barrier.gap;
-          kkt = lazy (Kkt.residuals p r.Barrier.x r.Barrier.dual);
-          outer_iterations = r.Barrier.outer_iterations;
-          newton_iterations = r.Barrier.newton_iterations;
-          stats = !acc;
-        }
-
-let pp_status ppf = function
-  | Optimal s ->
-      Format.fprintf ppf "optimal: obj=%.6g gap=%.2e (%a)" s.objective_value
-        s.gap Kkt.pp (Lazy.force s.kkt)
-  | Infeasible worst ->
-      Format.fprintf ppf "infeasible (best max g = %.3e)" worst

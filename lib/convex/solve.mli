@@ -1,10 +1,6 @@
-(** Two-phase convex solver: the top-level entry point.
-
-    Runs phase-I feasibility ({!Phase1}) when the supplied starting
-    point is not already strictly feasible, then the log-barrier method
-    ({!Barrier}), and reports the outcome with a KKT certificate.  This
-    is the function the Pro-Temp offline phase calls for every
-    [(tstart, ftarget)] design point. *)
+(** The solution record of one Eq. 3 solve, as [Protemp.Model]
+    reports it: the primal optimum, its multipliers in the original
+    {!Conic.problem} constraint order, and a lazy KKT audit. *)
 
 open Linalg
 
@@ -12,36 +8,11 @@ type solution = {
   x : Vec.t;
   objective_value : float;
   dual : Vec.t;
-  gap : float;  (** Guaranteed duality-gap bound. *)
+      (** One multiplier per constraint ({!Conic.constraint_duals}). *)
+  gap : float;  (** Complementarity gap of the conic optimum. *)
   kkt : Kkt.residuals Lazy.t;
       (** KKT residual audit of [(x, dual)], computed on first force —
           sweep-style callers that only read frequencies never pay for
           it. *)
-  outer_iterations : int;
-  newton_iterations : int;
-  stats : Barrier.stats;
-      (** Total work counters, phase I included. *)
+  iterations : int;  (** Interior-point iterations of the last round. *)
 }
-
-type status =
-  | Optimal of solution
-  | Infeasible of float
-      (** Phase I could not find a strictly feasible point; payload is
-          the best achieved [max_j f_j]. *)
-
-val solve :
-  ?options:Barrier.options ->
-  ?backend:Barrier.backend ->
-  ?compiled:Compiled.t ->
-  ?stats_into:Barrier.stats ref ->
-  ?start:Vec.t ->
-  Barrier.problem ->
-  status
-(** [solve p] solves [p].  [start] is a hint (defaults to the origin);
-    it need not be feasible.  [backend] selects the barrier oracle
-    (default [`Compiled]); [compiled] supplies an already-compiled
-    form of [p] for the main solve, skipping recompilation (the caller
-    must ensure it matches [p]).  [stats_into] accumulates work
-    counters across calls, covering infeasible cells too. *)
-
-val pp_status : Format.formatter -> status -> unit

@@ -1,9 +1,9 @@
 (** Cholesky factorization of symmetric positive-definite matrices.
 
-    Used by the interior-point solver for Newton systems (whose KKT
-    Hessians are SPD on the barrier's domain) and by the thermal
-    steady-state solver.  A jittered variant handles Hessians that are
-    only positive semidefinite up to rounding. *)
+    Used by the conic interior-point solver for its scaled normal
+    equations (SPD inside the cone) and by the thermal steady-state
+    solver.  A jittered variant handles matrices that are only
+    positive semidefinite up to rounding. *)
 
 exception Not_positive_definite of int
 (** Raised when a diagonal pivot is non-positive; the payload is the

@@ -139,8 +139,7 @@ let gemv_into ?(trans = false) ?(alpha = 1.0) ?(beta = 0.0) a x ~dst =
 
 (* dst (upper triangle) += A^T diag(d) A, accumulated two rows of A at
    a time so each pass over the n x n destination amortizes twice the
-   row data — the barrier Hessian kernel, replacing m rank-one
-   updates. *)
+   row data, replacing m rank-one updates. *)
 let syrk_scaled_into a d ~dst =
   let m = a.rows and n = a.cols in
   if Vec.dim d <> m then invalid_arg "Mat.syrk_scaled_into: weight mismatch";

@@ -69,8 +69,7 @@ val syrk_scaled_into : t -> Vec.t -> dst:t -> unit
     [dst := dst + a^T * diag(d) * a] on the {e upper triangle only}
     (pair with {!mirror_upper}).  [d] has one weight per row of [a].
     Rows are processed in pairs so the destination traffic is halved
-    relative to [Vec.dim d] rank-one updates — the barrier solver's
-    Hessian kernel. *)
+    relative to [Vec.dim d] rank-one updates. *)
 
 val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec a x] is [a * x]. *)

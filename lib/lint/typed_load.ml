@@ -54,9 +54,15 @@ let index ~root =
         Array.iter
           (fun name ->
             let abs = Filename.concat dir name in
-            if Sys.is_directory abs then begin
-              if name <> "_build" && name <> ".git" then walk abs
-            end
+            (* Test runs create and remove their own _build directories
+               while the self-lint walks the build tree, so the names are
+               skipped before any stat, and an entry that vanished after
+               the readdir is skipped too. *)
+            let is_dir () =
+              try Sys.is_directory abs with Sys_error _ -> false
+            in
+            if name = "_build" || name = ".git" then ()
+            else if is_dir () then walk abs
             else if Filename.check_suffix name ".cmt" then
               match Cmt_format.read_cmt abs with
               | {

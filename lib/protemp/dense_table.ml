@@ -1,10 +1,5 @@
 open Linalg
 
-type solver_stats = {
-  barrier : Convex.Barrier.stats;
-  conic : Convex.Conic.stats;
-}
-
 (* A memoized dense grid.  All mutable state lives inside the value
    (never at toplevel): [cells]/[seeds] memoize per cell, [prepared]
    and [conic_ws] cache the per-row solver contexts of the rows that
@@ -17,8 +12,6 @@ type solver_stats = {
 type t = {
   machine : Sim.Machine.t;
   spec : Spec.t;  (* tmax already tightened by the construction margin *)
-  solver : [ `Conic | `Barrier ] option;
-  options : Convex.Barrier.options option;
   tstarts : float array;
   ftargets : float array;
   cells : Table.cell option array array;
@@ -30,7 +23,6 @@ type t = {
   mutable n_solves : int;
   mutable n_warm_hits : int;
   mutable n_pruned : int;
-  mutable barrier_work : Convex.Barrier.stats;
   mutable conic_work : Convex.Conic.stats;
 }
 
@@ -42,8 +34,7 @@ let finite_increasing (a : float array) =
   done;
   !ok
 
-let create ?solver ?options ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets
-    () =
+let create ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets () =
   let spec = Spec.guard_band ~margin spec in
   if Array.length tstarts = 0 || Array.length ftargets = 0 then
     invalid_arg "Dense_table.create: empty axis";
@@ -57,8 +48,6 @@ let create ?solver ?options ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets
   {
     machine;
     spec;
-    solver;
-    options;
     tstarts = Array.copy tstarts;
     ftargets = Array.copy ftargets;
     cells = Array.make_matrix rows cols None;
@@ -69,7 +58,6 @@ let create ?solver ?options ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets
     n_solves = 0;
     n_warm_hits = 0;
     n_pruned = 0;
-    barrier_work = Convex.Barrier.stats_zero;
     conic_work = Convex.Conic.stats_zero;
   }
 
@@ -99,7 +87,7 @@ let prune_bound t i =
   !b
 
 (* A row's solver state, created on first use: its prepared context
-   and, on the conic path, one workspace for the whole row.  The
+   and one conic workspace for the whole row.  The
    per-column instances share their structure (only the
    throughput-floor constant moves), and reallocating the solver state
    per cell is measurable against sub-millisecond solves.  Model.solve
@@ -120,16 +108,20 @@ let row_state t i j prepared ws =
         prepared := Some p;
         p
   in
-  (match (t.solver, !ws) with
-  | Some `Barrier, _ | _, Some _ -> ()
-  | _, None ->
-      let built = Model.instantiate p ~ftarget:t.ftargets.(j) in
-      ws :=
-        Some
-          (Convex.Conic.make_workspace
-             ~kkt:(`Blocks (Model.conic_blocks built.Model.layout))
-             (Lazy.force built.Model.conic)));
-  (p, !ws)
+  let w =
+    match !ws with
+    | Some w -> w
+    | None ->
+        let built = Model.instantiate p ~ftarget:t.ftargets.(j) in
+        let w =
+          Convex.Conic.make_workspace
+            ~kkt:(`Blocks (Model.conic_blocks built.Model.layout))
+            (Lazy.force built.Model.conic)
+        in
+        ws := Some w;
+        w
+  in
+  (p, w)
 
 (* The already-solved adjacent cell with the closest [ftarget] —
    vertical neighbours share the column's ftarget exactly, so they
@@ -155,12 +147,11 @@ let neighbour_seed t i j =
   consider i (j + 1);
   !best
 
-(* [barrier] and [conic] accumulate the solve's work counters. *)
-let solve_cell t ~prepared ~ws ~seed ~barrier ~conic j =
+(* [conic] accumulates the solve's work counters. *)
+let solve_cell t ~prepared ~ws ~seed ~conic j =
   let built = Model.instantiate prepared ~ftarget:t.ftargets.(j) in
   match
-    Model.solve ?solver:t.solver ?options:t.options ~stats_into:barrier
-      ~conic_stats_into:conic ?conic_ws:ws ?start:seed built
+    Model.solve ~conic_stats_into:conic ~conic_ws:ws ?start:seed built
   with
   | Model.Feasible s ->
       (Table.Frequencies s.Model.frequencies, Some s.Model.raw.Convex.Solve.x)
@@ -200,9 +191,8 @@ let cell t i j =
         (match seed with
         | Some _ -> t.n_warm_hits <- t.n_warm_hits + 1
         | None -> ());
-        let barrier = ref t.barrier_work and conic = ref t.conic_work in
-        let c, s = solve_cell t ~prepared ~ws ~seed ~barrier ~conic j in
-        t.barrier_work <- !barrier;
+        let conic = ref t.conic_work in
+        let c, s = solve_cell t ~prepared ~ws ~seed ~conic j in
         t.conic_work <- !conic;
         t.cells.(i).(j) <- Some c;
         t.seeds.(i).(j) <- s;
@@ -233,7 +223,6 @@ let run_row (t : t) ~bound0 i =
   let seeds = Array.copy t.seeds.(i) in
   let prepared = ref t.prepared.(i) in
   let ws = ref t.conic_ws.(i) in
-  let barrier = ref Convex.Barrier.stats_zero in
   let conic = ref Convex.Conic.stats_zero in
   let frontier_i = ref t.frontier.(i) in
   let bound = ref (Stdlib.min bound0 !frontier_i) in
@@ -256,7 +245,7 @@ let run_row (t : t) ~bound0 i =
           incr solves;
           (match !warm with Some _ -> incr warm_hits | None -> ());
           let c, s =
-            solve_cell t ~prepared:p ~ws:w ~seed:!warm ~barrier ~conic j
+            solve_cell t ~prepared:p ~ws:w ~seed:!warm ~conic j
           in
           cells.(j) <- Some c;
           seeds.(j) <- s;
@@ -270,7 +259,7 @@ let run_row (t : t) ~bound0 i =
         end
   done;
   ( cells, seeds, !frontier_i, !n_new, !solves, !warm_hits, !pruned,
-    !feasible, { barrier = !barrier; conic = !conic } )
+    !feasible, !conic )
 
 let fill ?domains (t : t) =
   let domains =
@@ -288,14 +277,13 @@ let fill ?domains (t : t) =
   let acc = ref { cells = 0; solves = 0; warm_hits = 0; pruned = 0; feasible = 0 } in
   Array.iteri
     (fun i (cells, seeds, frontier_i, n_new, solves, warm_hits, pruned,
-            feasible, work) ->
+            feasible, conic) ->
       t.cells.(i) <- cells;
       t.seeds.(i) <- seeds;
       t.prepared.(i) <- None;
       t.conic_ws.(i) <- None;
       t.frontier.(i) <- frontier_i;
-      t.barrier_work <- Convex.Barrier.stats_add t.barrier_work work.barrier;
-      t.conic_work <- Convex.Conic.stats_add t.conic_work work.conic;
+      t.conic_work <- Convex.Conic.stats_add t.conic_work conic;
       acc :=
         {
           cells = !acc.cells + n_new;
@@ -325,7 +313,7 @@ let stats (t : t) =
     feasible = !feasible;
   }
 
-let solver_stats t = { barrier = t.barrier_work; conic = t.conic_work }
+let solver_stats t = t.conic_work
 
 (* ------------------------------------------------------------------ *)
 (* Lookups *)

@@ -30,8 +30,6 @@ open Linalg
 type t
 
 val create :
-  ?solver:[ `Conic | `Barrier ] ->
-  ?options:Convex.Barrier.options ->
   ?margin:float ->
   machine:Sim.Machine.t ->
   spec:Spec.t ->
@@ -45,7 +43,6 @@ val create :
     guard-banded envelope.  Raises [Invalid_argument] on a margin
     {!Spec.guard_band} rejects, or when an axis is empty, holds a
     non-finite value, or is not strictly increasing.
-    [solver] defaults to {!Model.solve}'s default ([`Conic]).
 
     A [t] memoizes in place and is {e not} safe for concurrent
     mutation from several domains — {!fill} parallelizes internally
@@ -92,17 +89,10 @@ val stats : t -> fill_stats
 (** Cumulative counters over the whole life of [t] (on-demand calls
     included); [cells] equals {!computed}. *)
 
-type solver_stats = {
-  barrier : Convex.Barrier.stats;
-      (** Barrier-path work: the [`Barrier] solver, and conic
-          fallbacks with their phase-I runs. *)
-  conic : Convex.Conic.stats;
-      (** Conic-path work, with per-solve certificate outcomes. *)
-}
-
-val solver_stats : t -> solver_stats
+val solver_stats : t -> Convex.Conic.stats
 (** Cumulative solver work counters over the whole life of [t]
-    ({!cell} calls included).  {!fill} merges its rows in row order,
+    ({!cell} calls included), with one certificate outcome per cell
+    solve ({!Model.solve}).  {!fill} merges its rows in row order,
     so the counters do not depend on the domain count. *)
 
 val lookup :

@@ -12,16 +12,13 @@ type layout = {
 }
 
 type built = {
-  problem : Convex.Barrier.problem;
+  problem : Convex.Conic.problem Lazy.t;
   layout : layout;
   spec : Spec.t;
   initial_temperatures : Vec.t;
   ftarget : float;
   steps : int;
   machine : Sim.Machine.t;
-  frontier_problem : Convex.Barrier.problem Lazy.t;
-  compiled : Convex.Compiled.t Lazy.t;
-  frontier_compiled : Convex.Compiled.t Lazy.t;
   conic : Convex.Conic.t Lazy.t;
 }
 
@@ -76,9 +73,10 @@ let row_coefficients ~(variant : Spec.variant) ~sums ~off ~b ~pmax
 (* Upper ends of the normalized boxes [0 <= fhat <= f_box] and
    [0 <= phat <= p_box].  They are relaxed a fraction of a percent so
    that a demand of exactly fmax keeps a strict interior for the
-   barrier; extraction clamps back to fmax, which only lowers power,
-   so the thermal guarantee (computed at the relaxed powers) still
-   holds.  The thermal-row filter below reads [p_box] too. *)
+   interior-point method; extraction clamps back to fmax, which only
+   lowers power, so the thermal guarantee (computed at the relaxed
+   powers) still holds.  The thermal-row filter below reads [p_box]
+   too. *)
 let f_box = 1.002
 let p_box = 1.005
 
@@ -125,13 +123,6 @@ type prepared = {
   p_machine : Sim.Machine.t;
   p_t0 : Vec.t;
   p_steps : int;
-  p_frontier : Convex.Barrier.problem Lazy.t;
-  (* Compiled (packed-Jacobian) forms, shared by every cell of the
-     row.  [p_compiled] is the power problem with a floor constant of
-     0; {!instantiate} re-offsets it per [ftarget] without repacking
-     the Jacobian. *)
-  p_compiled : Convex.Compiled.t Lazy.t;
-  p_frontier_compiled : Convex.Compiled.t Lazy.t;
   (* Conic form with a floor constant of 0; {!instantiate} re-offsets
      the floor row per [ftarget] without re-packing G. *)
   p_conic : Convex.Conic.t Lazy.t;
@@ -242,8 +233,8 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
           ~b ~pmax ~core_nodes ~p_offset:layout.p_offset q;
         let base = !t.(node) in
         (* base + q.p <= tmax, stated in units of tmax so every
-           constraint family has O(1) coefficients (the barrier's
-           Newton systems are ill-conditioned otherwise).  Rows the
+           constraint family has O(1) coefficients (the interior-point
+           normal equations are ill-conditioned otherwise).  Rows the
            power box already implies are left out. *)
         if not (box_implies_row ~tmax ~base q) then
           add
@@ -258,7 +249,7 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
     end
   done;
   (* Gradient variant: t_{k,i}/tmax in [l, u] for all core rows, plus
-     bounds keeping phase I bounded and the optional hard cap. *)
+     bounds keeping the spread term bounded, and the optional hard cap. *)
   (match (layout.bounds_offset, spec.Spec.gradient) with
   | Some off, Some g ->
       let u = off and l = off + 1 in
@@ -321,31 +312,11 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
     p_machine = machine;
     p_t0 = Vec.copy t0;
     p_steps = steps;
-    (* The frontier problem — maximize the total frequency under the
-       same envelope, no floor — is shared by every cell of the row
-       and forced at most once. *)
-    p_frontier =
-      lazy
-        {
-          Convex.Barrier.objective = Quad.affine total_f_coeffs 0.0;
-          constraints = Array.append pre_floor post_floor;
-        };
-    p_compiled =
-      lazy
-        (Convex.Compiled.make ~objective:power_objective
-           ~constraints:
-             (Array.concat
-                [ pre_floor; [| Quad.affine total_f_coeffs 0.0 |]; post_floor ]));
-    p_frontier_compiled =
-      lazy
-        (Convex.Compiled.make
-           ~objective:(Quad.affine total_f_coeffs 0.0)
-           ~constraints:(Array.append pre_floor post_floor));
     p_conic =
       lazy
-        (Convex.Conic.of_barrier
+        (Convex.Conic.of_problem
            {
-             Convex.Barrier.objective = power_objective;
+             Convex.Conic.objective = power_objective;
              constraints =
                Array.concat
                  [ pre_floor; [| Quad.affine total_f_coeffs 0.0 |]; post_floor ];
@@ -370,24 +341,18 @@ let instantiate p ~ftarget =
   let floor = Quad.affine p.total_f_coeffs floor_const in
   {
     problem =
-      {
-        Convex.Barrier.objective = p.power_objective;
-        constraints =
-          Array.concat [ p.pre_floor; [| floor |]; p.post_floor ];
-      };
+      lazy
+        {
+          Convex.Conic.objective = p.power_objective;
+          constraints =
+            Array.concat [ p.pre_floor; [| floor |]; p.post_floor ];
+        };
     layout = p.p_layout;
     spec = p.p_spec;
     initial_temperatures = p.p_t0;
     ftarget;
     steps = p.p_steps;
     machine = p.p_machine;
-    frontier_problem = p.p_frontier;
-    compiled =
-      lazy
-        (Convex.Compiled.with_constant
-           (Lazy.force p.p_compiled)
-           ~index:(Array.length p.pre_floor) floor_const);
-    frontier_compiled = p.p_frontier_compiled;
     conic =
       lazy
         (Convex.Conic.with_constraint_constant
@@ -395,19 +360,24 @@ let instantiate p ~ftarget =
            ~index:(Array.length p.pre_floor) floor_const);
   }
 
+(* The frontier problem: maximize the total frequency under the same
+   envelope, with no floor. *)
 let frontier_of_prepared p =
+  let problem =
+    {
+      Convex.Conic.objective = Quad.affine p.total_f_coeffs 0.0;
+      constraints = Array.append p.pre_floor p.post_floor;
+    }
+  in
   {
-    problem = Lazy.force p.p_frontier;
+    problem = Lazy.from_val problem;
     layout = p.p_layout;
     spec = p.p_spec;
     initial_temperatures = p.p_t0;
     ftarget = 0.0;
     steps = p.p_steps;
     machine = p.p_machine;
-    frontier_problem = p.p_frontier;
-    compiled = p.p_frontier_compiled;
-    frontier_compiled = p.p_frontier_compiled;
-    conic = lazy (Convex.Conic.of_barrier (Lazy.force p.p_frontier));
+    conic = lazy (Convex.Conic.of_problem problem);
   }
 
 let build ~machine ~spec ~tstart ~ftarget =
@@ -421,45 +391,6 @@ let build_with_profile ~machine ~spec ~t0 ~ftarget =
 
 let build_frontier_with_profile ~machine ~spec ~t0 =
   frontier_of_prepared (prepare_with_profile ~machine ~spec ~t0)
-
-let with_gradient_bounds layout x =
-  (match layout.bounds_offset with
-  | Some off ->
-      x.(off) <- 1.5;
-      x.(off + 1) <- 0.01
-  | None -> ());
-  x
-
-let start_hint built =
-  let layout = built.layout in
-  let machine = built.machine in
-  let core_fmax = machine.Sim.Machine.core_fmax in
-  let x = Vec.zeros layout.dim in
-  for j = 0 to layout.n_f - 1 do
-    (* Per-core normalization: the same demand sits higher on a
-       little core's [0, 1] scale (and may overflow its box, in which
-       case the frontier fallback takes over).  On a single-class
-       platform [core_fmax.(j) = fmax], reproducing the old shared
-       hint bit for bit. *)
-    let fm =
-      match built.spec.Spec.variant with
-      | Spec.Variable -> core_fmax.(j)
-      | Spec.Uniform -> machine.Sim.Machine.fmax
-    in
-    let fhat = Float.min 1.0015 (built.ftarget /. fm +. 0.001) in
-    x.(layout.f_offset + j) <- fhat;
-    x.(layout.p_offset + j) <- Float.min 1.0045 ((fhat *. fhat) +. 0.001)
-  done;
-  with_gradient_bounds layout x
-
-let trivial_start built =
-  let layout = built.layout in
-  let x = Vec.zeros layout.dim in
-  for j = 0 to layout.n_f - 1 do
-    x.(layout.f_offset + j) <- 1e-3;
-    x.(layout.p_offset + j) <- 1e-3
-  done;
-  with_gradient_bounds layout x
 
 type solution = {
   frequencies : Vec.t;
@@ -509,165 +440,8 @@ let solution_of_x built (raw : Convex.Solve.solution) =
     raw;
   }
 
-(* Total frequency in units of the chip reference [fref], matching
-   [total_f_coeffs]: weight [core_fmax.(j) /. fref] per normalized
-   variable.  On a single-class platform the weight is exactly 1.0 and
-   [1.0 *. x] is bitwise [x], so the accumulated sum is unchanged. *)
-let total_fhat built x =
-  let layout = built.layout in
-  match built.spec.Spec.variant with
-  | Spec.Variable ->
-      let core_fmax = built.machine.Sim.Machine.core_fmax in
-      let fref = built.machine.Sim.Machine.fmax in
-      let acc = ref 0.0 in
-      for j = 0 to layout.n_f - 1 do
-        acc := !acc +. (core_fmax.(j) /. fref *. x.(layout.f_offset + j))
-      done;
-      !acc
-  | Spec.Uniform ->
-      float_of_int layout.n_cores *. x.(layout.f_offset)
-
-let add_stats stats_into s =
-  match stats_into with
-  | Some acc -> acc := Convex.Barrier.stats_add !acc s
-  | None -> ()
-
-(* Solve [built.problem] directly (no phase I) with the selected
-   backend; the compiled form is forced on first use and shared by
-   every solve of the same instance. *)
-let barrier_solve ?options ?stop_early ~backend built x0 =
-  match backend with
-  | `Compiled ->
-      Convex.Barrier.solve_compiled ?options ?stop_early
-        (Lazy.force built.compiled) x0
-  | `Reference ->
-      Convex.Barrier.solve ?options ~backend:`Reference ?stop_early
-        built.problem x0
-
-let solve_frontier ?options ?(backend = `Compiled) ?stats_into built =
-  let start = trivial_start built in
-  if not (Convex.Barrier.is_strictly_feasible built.problem start) then
-    (* Even (near-)zero frequencies overheat: the start temperature is
-       already out of the envelope. *)
-    Infeasible
-  else
-    let r = barrier_solve ?options ~backend built start in
-    add_stats stats_into r.Convex.Barrier.stats;
-    let raw =
-      {
-        Convex.Solve.x = r.Convex.Barrier.x;
-        objective_value = r.Convex.Barrier.objective_value;
-        dual = r.Convex.Barrier.dual;
-        gap = r.Convex.Barrier.gap;
-        kkt =
-          lazy
-            (Convex.Kkt.residuals built.problem r.Convex.Barrier.x
-               r.Convex.Barrier.dual);
-        outer_iterations = r.Convex.Barrier.outer_iterations;
-        newton_iterations = r.Convex.Barrier.newton_iterations;
-        stats = r.Convex.Barrier.stats;
-      }
-    in
-    Feasible (solution_of_x built raw)
-
-(* Structural phase I: instead of the generic auxiliary problem (whose
-   centering is fragile on thousands of near-parallel rows), maximize
-   the total frequency under the same envelope, stopping as soon as
-   the throughput floor is strictly cleared.  A frontier iterate that
-   clears the floor is strictly feasible for the power problem.
-
-   [start] warm-starts the climb: barrier iterates are strictly
-   interior, so the previous column's optimum — which already sits at
-   its own (lower) floor — is strictly feasible for the floor-free
-   frontier problem, and the climb only has to cover the gap between
-   consecutive floors instead of starting from zero frequency.  The
-   warm point is first pulled a quarter of the way toward the
-   well-centered trivial start: a neighbouring optimum hugs its
-   binding wall, and centering the log barrier from a near-boundary
-   point costs many damped Newton steps — more than the shortcut
-   saves.  A convex combination of strictly feasible points is
-   strictly feasible, so the blend keeps the warm information while
-   restoring interior margin. *)
-let frontier_barrier_solve ?options ?stop_early ~backend built x0 =
-  match backend with
-  | `Compiled ->
-      Convex.Barrier.solve_compiled ?options ?stop_early
-        (Lazy.force built.frontier_compiled) x0
-  | `Reference ->
-      Convex.Barrier.solve ?options ~backend:`Reference ?stop_early
-        (Lazy.force built.frontier_problem) x0
-
-let feasible_start_via_frontier ?options ?(backend = `Compiled) ?stats_into
-    ?start built =
-  let needed =
-    float_of_int built.layout.n_cores *. built.ftarget
-    /. built.machine.Sim.Machine.fmax
-  in
-  let problem = Lazy.force built.frontier_problem in
-  let feasible x = Convex.Barrier.is_strictly_feasible problem x in
-  let from_trivial () =
-    let triv = trivial_start built in
-    if feasible triv then Some triv else None
-  in
-  let x0 =
-    match start with
-    | Some x when Vec.dim x = built.layout.dim ->
-        let triv = trivial_start built in
-        let blend = Vec.add (Vec.scale 0.75 x) (Vec.scale 0.25 triv) in
-        if feasible blend then Some blend
-        else if feasible x then Some x
-        else from_trivial ()
-    | Some _ | None -> from_trivial ()
-  in
-  match x0 with
-  | None -> None
-  | Some x0 ->
-      let stop_early x = total_fhat built x > needed +. 1e-7 in
-      let r = frontier_barrier_solve ?options ~stop_early ~backend built x0 in
-      add_stats stats_into r.Convex.Barrier.stats;
-      if total_fhat built r.Convex.Barrier.x > needed then
-        Some r.Convex.Barrier.x
-      else None
-
-let solve_barrier ?options ?(backend = `Compiled) ?stats_into ?start built =
-  let strictly_ok x =
-    Vec.dim x = built.layout.dim
-    && Convex.Barrier.is_strictly_feasible built.problem x
-  in
-  let chosen =
-    match start with
-    | Some s when strictly_ok s -> Some s
-    | Some _ | None ->
-        let hint = start_hint built in
-        if strictly_ok hint then Some hint
-        else feasible_start_via_frontier ?options ~backend ?stats_into ?start
-            built
-  in
-  match chosen with
-  | None -> Infeasible
-  | Some s -> (
-      let compiled =
-        match backend with
-        | `Compiled -> Some (Lazy.force built.compiled)
-        | `Reference -> None
-      in
-      match
-        Convex.Solve.solve ?options ~backend ?compiled ?stats_into ~start:s
-          built.problem
-      with
-      | Convex.Solve.Optimal raw -> Feasible (solution_of_x built raw)
-      | Convex.Solve.Infeasible _ -> Infeasible)
-
-(* Conic path: no start hint, no frontier climb — the homogeneous
-   embedding starts cold (a later working-set round from the previous
-   round's optimum) and an infeasible cell terminates with a
-   primal-infeasibility certificate instead of a failed climb.  A
-   dual-infeasibility certificate cannot occur for a well-posed cell
-   (the objective is bounded below on the box), and [Unknown] means
-   the iterate stalled before any certificate: both fall back to the
-   reference barrier path rather than guessing.  [s] has the full
-   instance's shape, so the dual is zero on every row the working set
-   left out. *)
+(* [s] has the full instance's shape, so the dual is zero on every row
+   a working set left out. *)
 let raw_of_conic built t (s : Convex.Conic.solution) =
   let dual = Convex.Conic.constraint_duals t s in
   {
@@ -675,11 +449,35 @@ let raw_of_conic built t (s : Convex.Conic.solution) =
     objective_value = s.Convex.Conic.objective_value;
     dual;
     gap = s.Convex.Conic.gap;
-    kkt = lazy (Convex.Kkt.residuals built.problem s.Convex.Conic.x dual);
-    outer_iterations = s.Convex.Conic.iterations;
-    newton_iterations = s.Convex.Conic.iterations;
-    stats = Convex.Barrier.stats_zero;
+    kkt =
+      lazy
+        (Convex.Kkt.residuals (Lazy.force built.problem) s.Convex.Conic.x dual);
+    iterations = s.Convex.Conic.iterations;
   }
+
+(* An optimum is served; every other status is reported infeasible.  A
+   primal-infeasibility certificate proves it.  A dual-infeasibility
+   certificate cannot occur for a well-posed instance (the objective is
+   bounded on the box), and [Unknown] proves nothing either way, so
+   both take the thermally safe verdict: the controller then falls
+   back to a lower column. *)
+let outcome_of built t (status : Convex.Conic.status) =
+  match status with
+  | Convex.Conic.Optimal s ->
+      Feasible (solution_of_x built (raw_of_conic built t s))
+  | Convex.Conic.Primal_infeasible _ | Convex.Conic.Dual_infeasible _
+  | Convex.Conic.Unknown _ ->
+      Infeasible
+
+let conic_options built =
+  {
+    Convex.Conic.default_options with
+    Convex.Conic.kkt = `Blocks (conic_blocks built.layout);
+  }
+
+let solve_frontier built =
+  let t = Lazy.force built.conic in
+  outcome_of built t (Convex.Conic.solve ~options:(conic_options built) t)
 
 (* The rows a conic solve may leave out of its working set: the
    thermal and gradient rows after the floor, which prepare_internal
@@ -687,8 +485,8 @@ let raw_of_conic built t (s : Convex.Conic.solution) =
    variable, then the floor).  The gradient variant's last three rows
    (0 <= l, u <= 2, l <= u), four with the cap, always stay in: without
    them the spread term of the objective is unbounded below. *)
-let optional_rows built =
-  let m = Array.length built.problem.Convex.Barrier.constraints in
+let optional_rows built t =
+  let m = Convex.Conic.n_constraints t in
   let tail =
     match built.spec.Spec.gradient with
     | None -> 0
@@ -716,62 +514,62 @@ let seed_slack = 1e-6
    set.  Started at a neighbour's optimum, the iterate took more
    iterations than the central point, not fewer (DESIGN.md 6p); a
    later round's seed is this cell's own optimum on a smaller set, and
-   it stays warm.  Work counters add up over the rounds; the outcome
-   counters count the cell once. *)
-let solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start built =
-  let t = Lazy.force built.conic in
-  let options =
-    match conic_options with
-    | Some o -> o
-    | None ->
-        {
-          Convex.Conic.default_options with
-          Convex.Conic.kkt = `Blocks (conic_blocks built.layout);
-        }
+   it stays warm.
+
+   A round that stalls ([Unknown], or a dual-infeasibility certificate
+   a bounded cell cannot have) is retried once, cold, on every row;
+   its status is the call's.  Work counters add up over every solve;
+   the outcome counters count the call once, by its final status. *)
+let count_outcome (status : Convex.Conic.status) (s : Convex.Conic.stats) =
+  let s =
+    {
+      s with
+      optimal = 0;
+      primal_infeasible = 0;
+      dual_infeasible = 0;
+      unknown = 0;
+    }
   in
+  match status with
+  | Convex.Conic.Optimal _ -> { s with optimal = 1 }
+  | Convex.Conic.Primal_infeasible _ -> { s with primal_infeasible = 1 }
+  | Convex.Conic.Dual_infeasible _ -> { s with dual_infeasible = 1 }
+  | Convex.Conic.Unknown _ -> { s with unknown = 1 }
+
+let solve ?conic_stats_into ?conic_ws ?start built =
+  let t = Lazy.force built.conic in
+  let options = conic_options built in
   let ws =
     match conic_ws with
     | Some ws -> ws
     | None -> Convex.Conic.make_workspace ~kkt:options.Convex.Conic.kkt t
   in
-  let first, last = optional_rows built in
+  let first, last = optional_rows built t in
   Convex.Conic.restrict ws t ~first ~last;
   (match start with
   | Some x when Vec.dim x = built.layout.dim ->
       ignore (Convex.Conic.admit ws t x ~above:(-.seed_slack))
   | Some _ | None -> ());
   let stats = ref Convex.Conic.stats_zero in
-  let rec round warm rounds =
+  let rec round warm =
     match Convex.Conic.solve ~options ?warm ~stats_into:stats ~ws t with
     | Convex.Conic.Optimal s
       when Convex.Conic.admit ws t s.Convex.Conic.x ~above:0.0 > 0 ->
-        round (Some s.Convex.Conic.x) (rounds + 1)
-    | status -> (status, rounds)
+        round (Some s.Convex.Conic.x)
+    | status -> status
   in
-  let status, rounds = round None 1 in
+  let status =
+    match round None with
+    | (Convex.Conic.Optimal _ | Convex.Conic.Primal_infeasible _) as status ->
+        status
+    | Convex.Conic.Dual_infeasible _ | Convex.Conic.Unknown _ ->
+        Convex.Conic.restrict ws t ~first:0 ~last:0;
+        Convex.Conic.solve ~options ~stats_into:stats ~ws t
+  in
   (match conic_stats_into with
-  | Some acc ->
-      acc :=
-        Convex.Conic.stats_add !acc
-          { !stats with optimal = !stats.Convex.Conic.optimal - (rounds - 1) }
+  | Some acc -> acc := Convex.Conic.stats_add !acc (count_outcome status !stats)
   | None -> ());
-  match status with
-  | Convex.Conic.Optimal s ->
-      `Done (Feasible (solution_of_x built (raw_of_conic built t s)))
-  | Convex.Conic.Primal_infeasible _ -> `Done Infeasible
-  | Convex.Conic.Dual_infeasible _ | Convex.Conic.Unknown _ -> `Fallback
-
-let solve ?(solver = `Conic) ?options ?conic_options ?backend ?stats_into
-    ?conic_stats_into ?conic_ws ?start built =
-  match solver with
-  | `Barrier -> solve_barrier ?options ?backend ?stats_into ?start built
-  | `Conic -> (
-      match
-        solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start built
-      with
-      | `Done outcome -> outcome
-      | `Fallback ->
-          solve_barrier ?options ?backend ?stats_into ?start built)
+  outcome_of built t status
 
 let predicted_peak built frequencies =
   let machine = built.machine in

@@ -18,7 +18,7 @@
     temperature at step [k] is an {e affine} function of the power
     vector; the recurrence is eliminated up front, leaving one linear
     constraint per (step, node) pair, quadratic power-law constraints
-    and a linear objective — a convex QCQP, solved by default with the
+    and a linear objective — a convex QCQP, solved with the
     primal-dual conic method of {!Convex.Conic} ({!solve}).  The
     coefficient of core [j]'s power on node [i] at step [k] is
     [S_k[i, core_j] b_j] with [S_k = sum_{l<k} A^l]; only those
@@ -48,7 +48,7 @@
     of them bind.
 
     Variables are normalized ([f/fmax], [p/pmax], [t/tmax]) so the
-    solvers operate on a well-conditioned unit box. *)
+    solver operates on a well-conditioned unit box. *)
 
 open Linalg
 
@@ -64,7 +64,12 @@ type layout = {
 }
 
 type built = {
-  problem : Convex.Barrier.problem;
+  problem : Convex.Conic.problem Lazy.t;
+      (** The instance, one {!Convex.Quad.t} per constraint: power-law
+          and box rows, the throughput floor, then the thermal and
+          gradient rows.  No solve reads it — {!solve} works on [conic]
+          — so it is formed only when forced, by the KKT audit of
+          [raw.kkt] or by a caller. *)
   layout : layout;
   spec : Spec.t;
   initial_temperatures : Vec.t;
@@ -73,24 +78,12 @@ type built = {
   ftarget : float;  (** Hz. *)
   steps : int;  (** Thermal steps in the window ([m] in the paper). *)
   machine : Sim.Machine.t;
-  frontier_problem : Convex.Barrier.problem Lazy.t;
-      (** The floor-free companion problem over the same envelope,
-          used as a structural phase I by {!solve}.  Shared — and
-          forced at most once — by every instance made from the same
-          {!prepared} context. *)
-  compiled : Convex.Compiled.t Lazy.t;
-      (** Packed-Jacobian form of [problem].  Instances made from one
-          {!prepared} context share the packed matrix — only the
-          throughput-floor offset differs — so a sweep row compiles
-          once. *)
-  frontier_compiled : Convex.Compiled.t Lazy.t;
-      (** Packed form of the frontier problem, shared like
-          [frontier_problem]. *)
   conic : Convex.Conic.t Lazy.t;
-      (** Conic (orthant + epigraph) form of [problem].  Instances
-          made from one {!prepared} context share the packed cone
-          matrix — only the throughput-floor offset differs — so a
-          sweep row converts once. *)
+      (** Conic (orthant + epigraph) form of [problem], the one form
+          {!solve} and {!solve_frontier} read.  Instances made from
+          one {!prepared} context share the packed cone matrix — only
+          the throughput-floor offset differs — so a sweep row
+          converts once. *)
 }
 
 val conic_blocks : layout -> int array
@@ -152,16 +145,6 @@ val build_with_profile :
 val build_frontier_with_profile :
   machine:Sim.Machine.t -> spec:Spec.t -> t0:Vec.t -> built
 
-val start_hint : built -> Vec.t
-(** A point that satisfies the power-law, box and throughput
-    constraints (thermal feasibility still depends on [tstart]); lets
-    the solver skip phase I whenever the instance is thermally
-    easy. *)
-
-val trivial_start : built -> Vec.t
-(** Near-zero frequencies: strictly feasible for {!build_frontier}
-    whenever the start temperature is inside the envelope at all. *)
-
 type solution = {
   frequencies : Vec.t;  (** Per-core, Hz (expanded for uniform). *)
   core_powers : Vec.t;  (** Per-core, W. *)
@@ -174,85 +157,57 @@ type solution = {
 type outcome = Feasible of solution | Infeasible
 
 val solve :
-  ?solver:[ `Conic | `Barrier ] ->
-  ?options:Convex.Barrier.options ->
-  ?conic_options:Convex.Conic.options ->
-  ?backend:Convex.Barrier.backend ->
-  ?stats_into:Convex.Barrier.stats ref ->
   ?conic_stats_into:Convex.Conic.stats ref ->
   ?conic_ws:Convex.Conic.workspace ->
   ?start:Vec.t ->
   built ->
   outcome
-(** Solve an Eq. 3/5 instance.
+(** Solve an Eq. 3/5 instance with the primal-dual predictor-corrector
+    method of {!Convex.Conic} on the homogeneous self-dual embedding,
+    with the block-tridiagonal factorization from {!conic_blocks}.  No
+    feasible point is needed: an infeasible cell ends with a
+    primal-infeasibility certificate.
 
-    [solver] picks the algorithm (default [`Conic]): the primal-dual
-    predictor-corrector method of {!Convex.Conic} on the homogeneous
-    self-dual embedding, with the block-tridiagonal factorization from
-    {!conic_blocks}.  No feasible point is needed — an infeasible cell
-    ends with a primal-infeasibility certificate, so the frontier
-    climb never runs.
-
-    The conic path solves on a {e working set} of rows: the box rows,
-    the power-law cones, the throughput floor and the gradient bounds
+    The solve runs on a {e working set} of rows: the box rows, the
+    power-law cones, the throughput floor and the gradient bounds
     always, plus the thermal and gradient rows that bind at [start]
     (when given; within 1e-6 tmax of binding) — without [start] it
     starts with none of them.  [start] only picks that set: the first
     solve starts from the conic's cold central point either way, which
     took fewer iterations than starting the iterate at a neighbouring
-    cell's optimum.  After each solve every row is evaluated at the
-    optimum in one pass; the violated ones join the set and the cell
-    is re-solved warm from that optimum, until none is violated.  The
-    working-set problem is a relaxation, so its final optimum is the
-    cell's optimum and [raw.dual], zero on the rows left out, is a KKT
-    certificate for the full [problem]; an infeasible working set
-    proves the cell infeasible.  At the optimum only a handful of the
-    hundreds of thermal rows bind, so a cell usually finishes in one
-    round on a few dozen rows.
+    cell's optimum.  Points of the wrong dimension are ignored.  After
+    each solve every row is evaluated at the optimum in one pass; the
+    violated ones join the set and the cell is re-solved warm from
+    that optimum, until none is violated.  The working-set problem is
+    a relaxation, so its final optimum is the cell's optimum and
+    [raw.dual], zero on the rows left out, is a KKT certificate for
+    the full [problem]; an infeasible working set proves the cell
+    infeasible.  At the optimum only a handful of the hundreds of
+    thermal rows bind, so a cell usually finishes in one round on a
+    few dozen rows.
 
-    In the two residual conic outcomes (dual-infeasibility
-    certificate, which a well-posed cell cannot produce, and a stalled
-    [Unknown]) the call falls back to the [`Barrier] path below on the
-    full problem, so the result is always grounded in one of the two
-    solvers.  [conic_options] overrides the conic defaults ({b
-    including} the [`Blocks] factorization — pass [kkt] explicitly
-    when setting it); [conic_stats_into] accumulates conic work
-    counters over every round, while its certificate-outcome fields
-    count each call once (fallbacks included).  [conic_ws] is the
+    A round that ends without a certificate ([Unknown], or a
+    dual-infeasibility certificate, which a bounded cell cannot have)
+    is retried once, cold, on every row.  An optimum of that solve is
+    served; anything else is reported [Infeasible] — the thermally
+    safe verdict, under which a table falls back to a lower column.
+
+    [conic_stats_into] accumulates the work counters of every solve
+    the call makes, while its certificate-outcome fields count the
+    call once, by its final status: [unknown] counts the cells
+    reported infeasible without a certificate.  [conic_ws] is the
     solver workspace the rounds run in: one made by
     {!Convex.Conic.make_workspace} for any instance of the same
     prepared row holds the working set and grows to the largest one
     solved, so a sweep row reuses it across its cells; without it each
-    call makes its own.
+    call makes its own. *)
 
-    With [~solver:`Barrier] (the reference path): feasibility is
-    established structurally — if the start point is not strictly
-    feasible, the frontier problem is driven until the throughput
-    floor is cleared (or shown unreachable), side-stepping the generic
-    phase I.
-
-    [start] is a warm-start point, typically the previous column's
-    [raw.x] when sweeping [ftarget] upward.  It is used directly when
-    strictly feasible; otherwise it seeds the frontier climb after
-    being blended toward {!trivial_start} to restore interior margin
-    (barrier iterates are strictly interior, so a neighbouring cell's
-    optimum is always strictly feasible for the floor-free frontier
-    problem).  Points of the wrong dimension are ignored.  Warm starts
-    change only the path taken, not the model: every returned solution
-    satisfies the same constraints to the same duality gap.
-
-    [backend] selects the barrier oracle (default [`Compiled], which
-    reuses the row's packed Jacobian); [stats_into] accumulates solver
-    work counters across calls, frontier climbs included. *)
-
-val solve_frontier :
-  ?options:Convex.Barrier.options ->
-  ?backend:Convex.Barrier.backend ->
-  ?stats_into:Convex.Barrier.stats ref ->
-  built ->
-  outcome
-(** Solve a {!build_frontier} instance; the returned solution's
-    [frequencies] sum to the maximal supportable total. *)
+val solve_frontier : built -> outcome
+(** Solve a {!build_frontier} instance: one conic solve on every row.
+    The returned solution's [frequencies] sum to the maximal
+    supportable total.  A primal-infeasibility certificate — the start
+    temperature is already outside the envelope — and a solve that
+    ends without a certificate are both [Infeasible]. *)
 
 val predicted_peak : built -> Vec.t -> float
 (** Peak temperature over the window (any node, any step) when the

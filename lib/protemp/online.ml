@@ -32,7 +32,7 @@ type t = {
 
 let next_id = Atomic.make 0
 
-let create ?solver ?options ?fallback ?(margin = 0.0) ~machine ~spec () =
+let create ?fallback ?(margin = 0.0) ~machine ~spec () =
   let spec = Spec.guard_band ~margin spec in
   let name =
     Printf.sprintf "pro-temp-online-%d" (Atomic.fetch_and_add next_id 1 + 1)
@@ -82,7 +82,7 @@ let create ?solver ?options ?fallback ?(margin = 0.0) ~machine ~spec () =
       Model.build_with_profile ~machine ~spec ~t0:(profile_of obs)
         ~ftarget:obs.Sim.Policy.required_frequency
     in
-    match Model.solve ?solver ?options built with
+    match Model.solve built with
     | Model.Feasible s ->
         Atomic.incr n_solved;
         s.Model.frequencies

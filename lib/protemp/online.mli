@@ -51,16 +51,14 @@ type t
 (** One controller instance with its decision counters. *)
 
 val create :
-  ?solver:[ `Conic | `Barrier ] ->
-  ?options:Convex.Barrier.options ->
   ?fallback:Table.t ->
   ?margin:float ->
   machine:Sim.Machine.t ->
   spec:Spec.t ->
   unit ->
   t
-(** [solver] is passed to every per-period {!Model.solve} (default
-    [`Conic]).  [margin] (degrees, default [0.0] — the unguarded controller of
+(** Every decision is one {!Model.solve} of the window from the
+    measured profile.  [margin] (degrees, default [0.0] — the unguarded controller of
     the paper's idealized sensing) is subtracted from [spec]'s [tmax]
     before solving by {!Spec.guard_band}, which raises
     [Invalid_argument] when it is negative, not finite or at least

@@ -136,24 +136,21 @@ let rows ~filter (built : Protemp.Model.built) =
 (* [Model.build]'s instance with its rows rebuilt by the reference:
    by default unfiltered, every thermal row restored.  The floor row
    is the model's own (it sits right after the power-law and box rows
-   in both); the frontier fields, which only the barrier fallback
-   reads, stay the model's. *)
+   in both). *)
 let build ?(filter = false) ~machine ~spec ~tstart ~ftarget () =
   let built = Protemp.Model.build ~machine ~spec ~tstart ~ftarget in
   let pre, post = rows ~filter built in
-  let floor = built.Protemp.Model.problem.Barrier.constraints.(Array.length pre) in
+  let model = Lazy.force built.Protemp.Model.problem in
   let problem =
     {
-      Barrier.objective = built.Protemp.Model.problem.Barrier.objective;
-      constraints = Array.concat [ pre; [| floor |]; post ];
+      Conic.objective = model.Conic.objective;
+      constraints =
+        Array.concat
+          [ pre; [| model.Conic.constraints.(Array.length pre) |]; post ];
     }
   in
   {
     built with
-    Protemp.Model.problem;
-    compiled =
-      lazy
-        (Compiled.make ~objective:problem.Barrier.objective
-           ~constraints:problem.Barrier.constraints);
-    conic = lazy (Conic.of_barrier problem);
+    Protemp.Model.problem = Lazy.from_val problem;
+    conic = lazy (Conic.of_problem problem);
   }

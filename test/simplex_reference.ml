@@ -1,3 +1,13 @@
+(* A dense primal simplex solver for linear programs: the LP oracle
+   for the conic solver.
+
+   [minimize c'x subject to A x <= b, x >= 0], solved with the
+   standard tableau method and Bland's anti-cycling rule, with a
+   two-phase (auxiliary LP) start when [b] has negative entries.  It
+   shares no code or method with [Convex.Conic], so test_convex checks
+   the two against each other on random LPs.  Raises
+   [Invalid_argument] on shape mismatches. *)
+
 open Linalg
 
 type status =

@@ -1,6 +1,8 @@
-(* Tests for the convex optimization substrate: quadratic forms,
-   Newton, the barrier method, phase-I, KKT certificates and LP corner
-   cases. *)
+(* Tests for the convex optimization substrate: quadratic forms, the
+   conic solver and its certificates, KKT residuals, and the two
+   reference solvers it is checked against — the dense log-barrier
+   method of test/barrier_reference.ml (damped Newton, phase I, the
+   two-phase driver, LPs) and the simplex of test/simplex_reference.ml. *)
 
 open Linalg
 open Convex
@@ -75,14 +77,13 @@ let test_quad_grad_finite_difference () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Newton *)
+(* Damped Newton (the reference barrier's inner loop) *)
 
 let quad_bowl_oracle p q =
   (* f(x) = 1/2 x'Px + q'x *)
   let f = Quad.quadratic p q 0.0 in
   {
-    Newton.value = (fun x -> Some (Quad.eval f x));
-    max_step = None;
+    Barrier_reference.value = (fun x -> Some (Quad.eval f x));
     grad_hess_into =
       (fun x ~g ~h ->
         Vec.blit ~src:(Quad.grad f x) ~dst:g;
@@ -97,48 +98,50 @@ let test_newton_quadratic_one_step () =
   let n = 6 in
   let p = random_spd st n in
   let q = random_vec st n in
-  let r = Newton.minimize (quad_bowl_oracle p q) (Vec.zeros n) in
-  check_bool "converged" true (r.Newton.outcome = Newton.Converged);
+  let r = Barrier_reference.minimize (quad_bowl_oracle p q) (Vec.zeros n) in
+  check_bool "converged" true
+    (r.Barrier_reference.outcome = Barrier_reference.Converged);
   (* optimum solves P x = -q *)
   let expect = Chol.solve p (Vec.neg q) in
-  check_bool "argmin" true (Vec.approx_equal ~tol:1e-6 r.Newton.x expect);
-  check_bool "few iterations" true (r.Newton.iterations <= 3)
+  check_bool "argmin" true
+    (Vec.approx_equal ~tol:1e-6 r.Barrier_reference.x expect);
+  check_bool "few iterations" true (r.Barrier_reference.iterations <= 3)
 
 let test_newton_respects_domain () =
   (* minimize -log(x) + x on x > 0: optimum at x = 1. *)
   let oracle =
     {
-      Newton.value =
+      Barrier_reference.value =
         (fun x -> if x.(0) <= 0.0 then None else Some (x.(0) -. log x.(0)));
       grad_hess_into =
         (fun x ~g ~h ->
           g.(0) <- 1.0 -. (1.0 /. x.(0));
           Mat.set h 0 0 (1.0 /. (x.(0) *. x.(0))));
-      max_step = None;
     }
   in
-  let r = Newton.minimize oracle [| 0.01 |] in
-  check_bool "converged" true (r.Newton.outcome = Newton.Converged);
-  check_float 1e-6 "optimum" 1.0 r.Newton.x.(0)
+  let r = Barrier_reference.minimize oracle [| 0.01 |] in
+  check_bool "converged" true
+    (r.Barrier_reference.outcome = Barrier_reference.Converged);
+  check_float 1e-6 "optimum" 1.0 r.Barrier_reference.x.(0)
 
 let test_newton_rejects_bad_start () =
   let oracle =
     {
-      Newton.value = (fun x -> if x.(0) <= 0.0 then None else Some x.(0));
+      Barrier_reference.value =
+        (fun x -> if x.(0) <= 0.0 then None else Some x.(0));
       grad_hess_into =
         (fun _ ~g ~h ->
           g.(0) <- 1.0;
           Mat.set h 0 0 1.0);
-      max_step = None;
     }
   in
   check_bool "raises" true
-    (match Newton.minimize oracle [| -1.0 |] with
+    (match Barrier_reference.minimize oracle [| -1.0 |] with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Barrier on problems with known solutions *)
+(* The reference barrier on problems with known solutions *)
 
 (* The box [lo <= x_i <= hi] as two [q(x) <= 0] rows. *)
 let box_rows n i ~lo ~hi =
@@ -154,11 +157,11 @@ let test_barrier_box_lp () =
       (List.concat_map (fun i -> box_rows n i ~lo:0.0 ~hi:1.0) [ 0; 1 ])
   in
   let p =
-    { Barrier.objective = Quad.affine [| 1.0; 1.0 |] 0.0; constraints }
+    { Conic.objective = Quad.affine [| 1.0; 1.0 |] 0.0; constraints }
   in
-  let r = Barrier.solve p [| 0.5; 0.5 |] in
-  check_float 1e-5 "value" 0.0 r.Barrier.objective_value;
-  check_bool "near corner" true (Vec.norm_inf r.Barrier.x < 1e-4)
+  let r = Barrier_reference.solve p [| 0.5; 0.5 |] in
+  check_float 1e-5 "value" 0.0 r.Barrier_reference.objective_value;
+  check_bool "near corner" true (Vec.norm_inf r.Barrier_reference.x < 1e-4)
 
 let test_barrier_projection () =
   (* minimize ||x - (2,2)||^2 s.t. x0 + x1 <= 2: projection (1,1). *)
@@ -168,20 +171,24 @@ let test_barrier_projection () =
       (Quad.square_of_affine [| 0.0; 1.0 |] (-2.0))
   in
   let constraints = [| Quad.affine [| 1.0; 1.0 |] (-2.0) |] in
-  let r = Barrier.solve { Barrier.objective = obj; constraints } [| 0.0; 0.0 |] in
+  let r =
+    Barrier_reference.solve { Conic.objective = obj; constraints } [| 0.0; 0.0 |]
+  in
   check_bool "projection" true
-    (Vec.approx_equal ~tol:1e-4 r.Barrier.x [| 1.0; 1.0 |]);
+    (Vec.approx_equal ~tol:1e-4 r.Barrier_reference.x [| 1.0; 1.0 |]);
   (* The dual of the active constraint must be ~2 (from KKT:
      2(x0-2) + lambda = 0 at x0=1). *)
-  check_float 1e-3 "dual" 2.0 r.Barrier.dual.(0)
+  check_float 1e-3 "dual" 2.0 r.Barrier_reference.dual.(0)
 
 let test_barrier_inactive_constraint () =
   (* minimize (x-1)^2 s.t. x <= 100: unconstrained optimum x=1. *)
   let obj = Quad.square_of_affine [| 1.0 |] (-1.0) in
   let constraints = [| Quad.affine [| 1.0 |] (-100.0) |] in
-  let r = Barrier.solve { Barrier.objective = obj; constraints } [| 0.0 |] in
-  check_float 1e-5 "optimum" 1.0 r.Barrier.x.(0);
-  check_bool "dual tiny" true (r.Barrier.dual.(0) < 1e-4)
+  let r =
+    Barrier_reference.solve { Conic.objective = obj; constraints } [| 0.0 |]
+  in
+  check_float 1e-5 "optimum" 1.0 r.Barrier_reference.x.(0);
+  check_bool "dual tiny" true (r.Barrier_reference.dual.(0) < 1e-4)
 
 let test_barrier_quadratic_constraint () =
   (* minimize x0 + x1 s.t. x0^2 + x1^2 <= 1: optimum (-1/sqrt2, -1/sqrt2),
@@ -189,61 +196,30 @@ let test_barrier_quadratic_constraint () =
   let obj = Quad.affine [| 1.0; 1.0 |] 0.0 in
   let ball = Quad.quadratic (Mat.of_diag [| 2.0; 2.0 |]) (Vec.zeros 2) (-1.0) in
   let r =
-    Barrier.solve { Barrier.objective = obj; constraints = [| ball |] }
+    Barrier_reference.solve { Conic.objective = obj; constraints = [| ball |] }
       [| 0.0; 0.0 |]
   in
-  check_float 1e-4 "value" (-.sqrt 2.0) r.Barrier.objective_value;
+  check_float 1e-4 "value" (-.sqrt 2.0) r.Barrier_reference.objective_value;
   let s = -1.0 /. sqrt 2.0 in
-  check_bool "argmin" true (Vec.approx_equal ~tol:1e-4 r.Barrier.x [| s; s |])
+  check_bool "argmin" true
+    (Vec.approx_equal ~tol:1e-4 r.Barrier_reference.x [| s; s |])
 
 let test_barrier_rejects_infeasible_start () =
   let constraints = [| Quad.affine [| 1.0 |] 0.0 |] in
-  let p = { Barrier.objective = Quad.affine [| 1.0 |] 0.0; constraints } in
+  let p = { Conic.objective = Quad.affine [| 1.0 |] 0.0; constraints } in
   check_bool "raises" true
-    (match Barrier.solve p [| 1.0 |] with
+    (match Barrier_reference.solve p [| 1.0 |] with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
 let test_barrier_unconstrained () =
   let obj = Quad.square_of_affine [| 1.0 |] (-3.0) in
-  let r = Barrier.solve { Barrier.objective = obj; constraints = [||] } [| 0.0 |] in
-  check_float 1e-6 "optimum" 3.0 r.Barrier.x.(0)
-
-(* ------------------------------------------------------------------ *)
-(* Compiled backend: the packed-Jacobian oracle must match a naive
-   barrier oracle computed straight from the Quad definitions, and the
-   two barrier backends must reach the same optimum. *)
-
-let quad_hess f n =
-  let h = Mat.zeros n n in
-  Quad.add_scaled_hess_upper_into f 1.0 ~dst:h;
-  Mat.mirror_upper h;
-  h
-
-(* Naive t*f0 - sum log(-f_j) oracle, allocating freely. *)
-let naive_barrier_value ~t obj constraints x =
-  if Array.exists (fun f -> Quad.eval f x >= 0.0) constraints then None
-  else
-    Some
-      (Array.fold_left
-         (fun acc f -> acc -. log (-.Quad.eval f x))
-         (t *. Quad.eval obj x)
-         constraints)
-
-let naive_barrier_grad_hess ~t obj constraints x =
-  let n = Vec.dim x in
-  let g = Vec.scale t (Quad.grad obj x) in
-  let h = ref (Mat.scale t (quad_hess obj n)) in
-  Array.iter
-    (fun f ->
-      let fv = Quad.eval f x in
-      let gf = Quad.grad f x in
-      Vec.axpy_into ~dst:g (-1.0 /. fv) gf;
-      let h' = Mat.add !h (Mat.scale (-1.0 /. fv) (quad_hess f n)) in
-      Mat.add_outer_into h' (1.0 /. (fv *. fv)) gf;
-      h := h')
-    constraints;
-  (g, !h)
+  let r =
+    Barrier_reference.solve
+      { Conic.objective = obj; constraints = [||] }
+      [| 0.0 |]
+  in
+  check_float 1e-6 "optimum" 3.0 r.Barrier_reference.x.(0)
 
 (* Random QCQP, strictly feasible at the origin: box rows, a few extra
    affine rows, and one or two quadratic balls. *)
@@ -274,8 +250,6 @@ let random_qcqp st n =
   in
   (obj, Array.concat [ boxes; extra; balls ])
 
-let rel_close tol a b = Float.abs (a -. b) <= tol *. Float.max 1.0 (Float.abs b)
-
 (* Shared generator for the randomized solver tests: a dimension and a
    PRNG seed. *)
 let qp_gen =
@@ -284,170 +258,20 @@ let qp_gen =
     let* seed = int_range 0 1_000_000 in
     return (n, seed))
 
-let prop_compiled_oracle_matches_naive =
-  QCheck2.Test.make
-    ~name:"compiled: oracle matches naive barrier to 1e-10" ~count:60 qp_gen
-    (fun (n, seed) ->
-      let st = mk_rand seed in
-      let obj, constraints = random_qcqp st n in
-      let c = Compiled.make ~objective:obj ~constraints in
-      let ws = Compiled.workspace c in
-      let g = Vec.zeros n and h = Mat.zeros n n in
-      let ok = ref true in
-      (* The origin is strictly feasible by construction; other sample
-         points are used only when they are. *)
-      let points =
-        Vec.zeros n
-        :: List.filteri
-             (fun _ x -> Compiled.is_strictly_feasible c ws x)
-             (List.init 5 (fun _ ->
-                  Vec.init n (fun _ -> Random.State.float st 0.6 -. 0.3)))
-      in
-      List.iter
-        (fun x ->
-          List.iter
-            (fun t ->
-              (match
-                 ( Compiled.value c ws ~t x,
-                   naive_barrier_value ~t obj constraints x )
-               with
-              | Some a, Some b -> if not (rel_close 1e-10 a b) then ok := false
-              | None, None -> ()
-              | _ -> ok := false);
-              Compiled.grad_hess_into c ws ~t x ~g ~h;
-              let g', h' = naive_barrier_grad_hess ~t obj constraints x in
-              for i = 0 to n - 1 do
-                if not (rel_close 1e-10 g.(i) g'.(i)) then ok := false;
-                for j = 0 to n - 1 do
-                  if not (rel_close 1e-10 (Mat.get h i j) (Mat.get h' i j))
-                  then ok := false
-                done
-              done)
-            [ 1.0; 100.0; 1e6 ])
-        points;
-      !ok)
-
-let prop_compiled_max_step_is_the_wall =
-  QCheck2.Test.make ~name:"compiled: max_step is the feasibility wall"
-    ~count:100 qp_gen (fun (n, seed) ->
-      let st = mk_rand seed in
-      let obj, constraints = random_qcqp st n in
-      let c = Compiled.make ~objective:obj ~constraints in
-      let ws = Compiled.workspace c in
-      let x = Vec.zeros n in
-      let d = random_vec st n in
-      let s = Compiled.max_step c ws x d in
-      if s = infinity then
-        (* Recession direction: any step stays feasible. *)
-        Compiled.is_strictly_feasible c ws (Vec.axpy 1e6 d x)
-      else
-        s > 0.0
-        && Compiled.is_strictly_feasible c ws (Vec.axpy (0.99 *. s) d x)
-        && not (Compiled.is_strictly_feasible c ws (Vec.axpy (1.01 *. s) d x)))
-
-let prop_compiled_backend_same_optimum =
-  QCheck2.Test.make ~name:"barrier: both backends reach the same optimum"
-    ~count:40 qp_gen (fun (n, seed) ->
-      let st = mk_rand seed in
-      let obj, constraints = random_qcqp st n in
-      let p = { Barrier.objective = obj; constraints } in
-      let rc = Barrier.solve ~backend:`Compiled p (Vec.zeros n) in
-      let rr = Barrier.solve ~backend:`Reference p (Vec.zeros n) in
-      rel_close 1e-6 rc.Barrier.objective_value rr.Barrier.objective_value
-      && Vec.approx_equal ~tol:1e-4 rc.Barrier.x rr.Barrier.x
-      && Vec.approx_equal ~tol:1e-4 rc.Barrier.dual rr.Barrier.dual)
-
-let test_compiled_partition () =
-  let st = mk_rand 71 in
-  let n = 4 in
-  let obj, constraints = random_qcqp st n in
-  let c = Compiled.make ~objective:obj ~constraints in
-  check_int "dim" n (Compiled.dim c);
-  check_int "constraint count" (Array.length constraints)
-    (Compiled.n_constraints c);
-  check_int "affine count"
-    (Array.length (Array.of_seq
-       (Seq.filter Quad.is_affine (Array.to_seq constraints))))
-    (Compiled.n_affine c);
-  (* Original order preserved. *)
-  let x = random_vec st n in
-  Array.iteri
-    (fun j f ->
-      check_float 1e-12 "order preserved" (Quad.eval f x)
-        (Quad.eval (Compiled.constraints c).(j) x))
-    constraints
-
-let test_compiled_with_constant () =
-  let n = 3 in
-  let obj = Quad.affine [| 1.0; 1.0; 1.0 |] 0.0 in
-  let base = Quad.add_constant (Quad.linear_coord n 0 1.0) (-1.0) in
-  let others =
-    Array.init n (fun i -> Quad.add_constant (Quad.linear_coord n i (-1.0)) (-1.0))
-  in
-  let constraints = Array.append [| base |] others in
-  let c = Compiled.make ~objective:obj ~constraints in
-  let ws = Compiled.workspace c in
-  (* Replace the first row's constant: must equal compiling the edited
-     problem from scratch, and must not disturb the original. *)
-  let c' = Compiled.with_constant c ~index:0 (-2.0) in
-  let edited =
-    Array.append [| Quad.add_constant (Quad.linear_coord n 0 1.0) (-2.0) |] others
-  in
-  let fresh = Compiled.make ~objective:obj ~constraints:edited in
-  let ws' = Compiled.workspace c' in
-  let wsf = Compiled.workspace fresh in
-  let g1 = Vec.zeros n and h1 = Mat.zeros n n in
-  let g2 = Vec.zeros n and h2 = Mat.zeros n n in
-  List.iter
-    (fun x ->
-      (match (Compiled.value c' ws' ~t:10.0 x, Compiled.value fresh wsf ~t:10.0 x) with
-      | Some a, Some b -> check_float 1e-12 "value matches fresh" b a
-      | None, None -> ()
-      | _ -> Alcotest.fail "feasibility disagrees");
-      if Compiled.is_strictly_feasible c' ws' x then begin
-        Compiled.grad_hess_into c' ws' ~t:10.0 x ~g:g1 ~h:h1;
-        Compiled.grad_hess_into fresh wsf ~t:10.0 x ~g:g2 ~h:h2;
-        check_bool "grad matches fresh" true
-          (Vec.approx_equal ~tol:1e-12 g1 g2);
-        check_bool "hess matches fresh" true
-          (Mat.approx_equal ~tol:1e-12 h1 h2)
-      end)
-    [ [| 0.5; 0.0; 0.0 |]; [| 1.5; 0.2; -0.3 |]; [| -0.5; 0.5; 0.5 |] ];
-  (* The original is untouched (the Jacobian is shared, offsets are
-     not): x0 = 1.5 violates the original x0 <= 1 but satisfies the
-     relaxed x0 <= 2. *)
-  check_bool "original still x0 <= 1" true
-    (Compiled.value c ws ~t:10.0 [| 1.5; 0.2; -0.3 |] = None);
-  check_bool "copy relaxed to x0 <= 2" true
-    (Compiled.value c' ws' ~t:10.0 [| 1.5; 0.2; -0.3 |] <> None);
-  (* Replacing the constant of a quadratic constraint is rejected. *)
-  let ball =
-    Quad.quadratic (Mat.scale 2.0 (Mat.identity n)) (Vec.zeros n) (-1.0)
-  in
-  let cq = Compiled.make ~objective:obj ~constraints:[| ball |] in
-  check_bool "quadratic index rejected" true
-    (match Compiled.with_constant cq ~index:0 (-2.0) with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
 let test_barrier_stats () =
   (* The instrumentation counters must be populated and consistent. *)
   let st = mk_rand 73 in
   let obj, constraints = random_qcqp st 3 in
-  let p = { Barrier.objective = obj; constraints } in
-  let r = Barrier.solve p (Vec.zeros 3) in
-  let s = r.Barrier.stats in
-  check_bool "centerings > 0" true (s.Barrier.centering_steps > 0);
-  check_bool "newton > 0" true (s.Barrier.newton_iterations > 0);
+  let p = { Conic.objective = obj; constraints } in
+  let r = Barrier_reference.solve p (Vec.zeros 3) in
+  let s = r.Barrier_reference.stats in
+  check_bool "centerings > 0" true (s.Barrier_reference.centering_steps > 0);
+  check_bool "newton > 0" true (s.Barrier_reference.newton_iterations > 0);
   check_bool "factorizations >= newton" true
-    (s.Barrier.factorizations >= s.Barrier.newton_iterations);
-  check_int "outer matches stats" r.Barrier.outer_iterations
-    s.Barrier.centering_steps;
-  check_int "newton matches stats" r.Barrier.newton_iterations
-    s.Barrier.newton_iterations
+    (s.Barrier_reference.factorizations >= s.Barrier_reference.newton_iterations)
 
 (* ------------------------------------------------------------------ *)
-(* Phase 1 and two-phase Solve *)
+(* The reference's phase I and two-phase driver *)
 
 let test_phase1_finds_point () =
   (* Feasible set: 1 <= x <= 2, start from 0 (infeasible). *)
@@ -455,45 +279,51 @@ let test_phase1_finds_point () =
     [| Quad.affine [| -1.0 |] 1.0 (* 1 - x <= 0 *);
        Quad.affine [| 1.0 |] (-2.0) (* x - 2 <= 0 *) |]
   in
-  match Phase1.find constraints [| 0.0 |] with
-  | Phase1.Strictly_feasible x ->
+  match Barrier_reference.phase1 constraints [| 0.0 |] with
+  | Barrier_reference.Strictly_feasible x ->
       check_bool "inside" true (x.(0) > 1.0 && x.(0) < 2.0)
-  | Phase1.Infeasible _ -> Alcotest.fail "expected feasible"
+  | Barrier_reference.Infeasible _ -> Alcotest.fail "expected feasible"
 
 let test_phase1_detects_infeasible () =
   (* x <= 0 and x >= 1 simultaneously. *)
   let constraints =
     [| Quad.affine [| 1.0 |] 0.0; Quad.affine [| -1.0 |] 1.0 |]
   in
-  match Phase1.find constraints [| 0.5 |] with
-  | Phase1.Strictly_feasible _ -> Alcotest.fail "expected infeasible"
-  | Phase1.Infeasible worst -> check_bool "worst >= 0" true (worst >= -1e-6)
+  match Barrier_reference.phase1 constraints [| 0.5 |] with
+  | Barrier_reference.Strictly_feasible _ -> Alcotest.fail "expected infeasible"
+  | Barrier_reference.Infeasible worst ->
+      check_bool "worst >= 0" true (worst >= -1e-6)
 
 let test_phase1_short_circuit () =
   (* Already strictly feasible: returns the same point. *)
   let constraints = [| Quad.affine [| 1.0 |] (-10.0) |] in
-  match Phase1.find constraints [| 0.0 |] with
-  | Phase1.Strictly_feasible x -> check_float 1e-12 "same point" 0.0 x.(0)
-  | Phase1.Infeasible _ -> Alcotest.fail "expected feasible"
+  match Barrier_reference.phase1 constraints [| 0.0 |] with
+  | Barrier_reference.Strictly_feasible x ->
+      check_float 1e-12 "same point" 0.0 x.(0)
+  | Barrier_reference.Infeasible _ -> Alcotest.fail "expected feasible"
 
 let test_solve_end_to_end () =
   (* minimize (x-5)^2 s.t. x <= 3, from an infeasible start: optimum 3. *)
   let obj = Quad.square_of_affine [| 1.0 |] (-5.0) in
   let constraints = [| Quad.affine [| 1.0 |] (-3.0) |] in
-  match Solve.solve { Barrier.objective = obj; constraints } ~start:[| 10.0 |] with
-  | Solve.Optimal s ->
-      check_float 1e-4 "optimum" 3.0 s.Solve.x.(0);
-      check_bool "kkt" true (Kkt.max_residual (Lazy.force s.Solve.kkt) < 1e-3)
-  | Solve.Infeasible _ -> Alcotest.fail "expected optimal"
+  let p = { Conic.objective = obj; constraints } in
+  match Barrier_reference.two_phase ~start:[| 10.0 |] p with
+  | Barrier_reference.Optimal s ->
+      check_float 1e-4 "optimum" 3.0 s.Barrier_reference.x.(0);
+      check_bool "kkt" true
+        (Kkt.max_residual
+           (Kkt.residuals p s.Barrier_reference.x s.Barrier_reference.dual)
+        < 1e-3)
+  | Barrier_reference.Unreachable _ -> Alcotest.fail "expected optimal"
 
 let test_solve_reports_infeasible () =
   let obj = Quad.affine [| 1.0 |] 0.0 in
   let constraints =
     [| Quad.affine [| 1.0 |] 0.0; Quad.affine [| -1.0 |] 1.0 |]
   in
-  match Solve.solve { Barrier.objective = obj; constraints } with
-  | Solve.Optimal _ -> Alcotest.fail "expected infeasible"
-  | Solve.Infeasible _ -> ()
+  match Barrier_reference.two_phase { Conic.objective = obj; constraints } with
+  | Barrier_reference.Optimal _ -> Alcotest.fail "expected infeasible"
+  | Barrier_reference.Unreachable _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Conic *)
@@ -563,7 +393,7 @@ let test_conic_dual_infeasible_certificate () =
   | st -> Alcotest.failf "expected dual infeasible, got %a" Conic.pp_status st
 
 (* minimize x0 s.t. x0^2 <= x1, x1 <= 2 — a rank-one quadratic plus an
-   affine row, exactly the shape [Conic.of_barrier] accepts.  Optimum
+   affine row, exactly the shape [Conic.of_problem] accepts.  Optimum
    x = (-sqrt 2, 2), value -sqrt 2. *)
 let epigraph_problem () =
   let obj = Quad.affine [| 1.0; 0.0 |] 0.0 in
@@ -575,25 +405,23 @@ let epigraph_problem () =
       Quad.affine [| 0.0; 1.0 |] (-2.0);
     |]
   in
-  { Barrier.objective = obj; constraints }
+  { Conic.objective = obj; constraints }
 
 let test_conic_of_barrier_agreement () =
   let p = epigraph_problem () in
   let conic =
-    match Conic.solve (Conic.of_barrier p) with
+    match Conic.solve (Conic.of_problem p) with
     | Conic.Optimal s -> s
     | st -> Alcotest.failf "conic: expected optimal, got %a" Conic.pp_status st
   in
   check_float 1e-6 "conic value" (-.sqrt 2.0) conic.Conic.objective_value;
-  match Solve.solve p ~start:[| 0.0; 1.0 |] with
-  | Solve.Optimal b ->
-      check_bool "argmin agrees with barrier" true
-        (Vec.approx_equal ~tol:1e-5 conic.Conic.x b.Solve.x)
-  | Solve.Infeasible _ -> Alcotest.fail "barrier: expected optimal"
+  let b = Barrier_reference.solve p [| 0.0; 1.0 |] in
+  check_bool "argmin agrees with barrier" true
+    (Vec.approx_equal ~tol:1e-5 conic.Conic.x b.Barrier_reference.x)
 
 let test_conic_constraint_duals () =
   let p = epigraph_problem () in
-  let t = Conic.of_barrier p in
+  let t = Conic.of_problem p in
   let s =
     match Conic.solve t with
     | Conic.Optimal s -> s
@@ -611,9 +439,53 @@ let test_conic_constraint_duals () =
        false
      with Invalid_argument _ -> true)
 
+(* Re-targeting one affine constant must equal packing the edited
+   problem from scratch, and must leave the original instance alone:
+   maximize x0 under x0 <= 1 (index 0) and -x_i <= 1, then move the
+   first bound to x0 <= 2. *)
+let test_conic_with_constraint_constant () =
+  let n = 3 in
+  let objective = Quad.linear_coord n 0 (-1.0) in
+  let others =
+    Array.init n (fun i ->
+        Quad.add_constant (Quad.linear_coord n i (-1.0)) (-1.0))
+  in
+  let bound c = Quad.add_constant (Quad.linear_coord n 0 1.0) c in
+  let t =
+    Conic.of_problem
+      { Conic.objective; constraints = Array.append [| bound (-1.0) |] others }
+  in
+  let edited = Conic.with_constraint_constant t ~index:0 (-2.0) in
+  let fresh =
+    Conic.of_problem
+      { Conic.objective; constraints = Array.append [| bound (-2.0) |] others }
+  in
+  let optimum inst =
+    match Conic.solve inst with
+    | Conic.Optimal s -> s
+    | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st
+  in
+  let e = optimum edited and f = optimum fresh in
+  check_float 1e-6 "re-targeted optimum" (-2.0) e.Conic.objective_value;
+  check_bool "as packing the edited problem" true
+    (Vec.approx_equal ~tol:1e-9 e.Conic.x f.Conic.x);
+  check_float 1e-6 "the original still has x0 <= 1" (-1.0)
+    (optimum t).Conic.objective_value;
+  let rejected f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  check_bool "a quadratic constraint's constant is rejected" true
+    (rejected (fun () ->
+         Conic.with_constraint_constant
+           (Conic.of_problem (epigraph_problem ()))
+           ~index:0 1.0));
+  check_bool "raw instances have no constraint order" true
+    (rejected (fun () ->
+         Conic.with_constraint_constant (box_lp_conic ()) ~index:0 1.0))
+
 let test_conic_warm_start_and_stats () =
   let p = epigraph_problem () in
-  let t = Conic.of_barrier p in
+  let t = Conic.of_problem p in
   let stats = ref Conic.stats_zero in
   let cold =
     match Conic.solve ~stats_into:stats t with
@@ -641,7 +513,7 @@ let test_conic_warm_start_and_stats () =
   check_int "outcomes accumulate" 2 !stats.Conic.optimal
 
 let test_conic_workspace_reuse () =
-  let t = Conic.of_barrier (epigraph_problem ()) in
+  let t = Conic.of_problem (epigraph_problem ()) in
   let ws = Conic.make_workspace t in
   let solve_with inst =
     match Conic.solve ~ws inst with
@@ -665,13 +537,13 @@ let working_set_problem () =
   let p = epigraph_problem () in
   {
     p with
-    Barrier.constraints =
-      Array.append p.Barrier.constraints
+    Conic.constraints =
+      Array.append p.Conic.constraints
         [| Quad.affine [| 0.0; 1.0 |] (-3.0); Quad.affine [| -1.0; 0.0 |] (-1.0) |];
   }
 
 let test_conic_working_set () =
-  let t = Conic.of_barrier (working_set_problem ()) in
+  let t = Conic.of_problem (working_set_problem ()) in
   let ws = Conic.make_workspace t in
   let solve () =
     match Conic.solve ~ws t with
@@ -786,7 +658,7 @@ let test_conic_iteration_allocation () =
     [ (40.0, 6e8); (60.0, 4e8); (85.0, 2e8) ]
 
 (* ------------------------------------------------------------------ *)
-(* Linprog *)
+(* LPs through the reference barrier *)
 
 let test_linprog_known () =
   (* minimize -x0 - 2 x1 s.t. x0 + x1 <= 1, x >= 0.
@@ -795,52 +667,56 @@ let test_linprog_known () =
     Mat.of_rows [| [| 1.0; 1.0 |]; [| -1.0; 0.0 |]; [| 0.0; -1.0 |] |]
   in
   match
-    Linprog.solve ~c:[| -1.0; -2.0 |] ~a ~b:[| 1.0; 0.0; 0.0 |] ()
+    Barrier_reference.linprog ~c:[| -1.0; -2.0 |] ~a ~b:[| 1.0; 0.0; 0.0 |]
   with
-  | Linprog.Optimal { x; objective_value; _ } ->
+  | Barrier_reference.Optimal { Barrier_reference.x; objective_value; _ } ->
       check_float 1e-4 "value" (-2.0) objective_value;
       check_bool "vertex" true (Vec.approx_equal ~tol:1e-3 x [| 0.0; 1.0 |])
-  | Linprog.Infeasible _ -> Alcotest.fail "expected optimal"
+  | Barrier_reference.Unreachable _ -> Alcotest.fail "expected optimal"
 
 let test_linprog_infeasible () =
   let a = Mat.of_rows [| [| 1.0 |]; [| -1.0 |] |] in
-  match Linprog.solve ~c:[| 1.0 |] ~a ~b:[| -1.0; -1.0 |] () with
-  | Linprog.Optimal _ -> Alcotest.fail "expected infeasible"
-  | Linprog.Infeasible _ -> ()
+  match Barrier_reference.linprog ~c:[| 1.0 |] ~a ~b:[| -1.0; -1.0 |] with
+  | Barrier_reference.Optimal _ -> Alcotest.fail "expected infeasible"
+  | Barrier_reference.Unreachable _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Simplex *)
+(* The simplex reference *)
 
 let test_simplex_known () =
   (* max x0 + 2 x1 s.t. x0 + x1 <= 4, x1 <= 2, x >= 0: optimum (2,2),
      value -6 for the minimization form. *)
   let a = Mat.of_rows [| [| 1.0; 1.0 |]; [| 0.0; 1.0 |] |] in
-  match Simplex.solve ~c:[| -1.0; -2.0 |] ~a ~b:[| 4.0; 2.0 |] with
-  | Simplex.Optimal { x; objective_value } ->
+  match Simplex_reference.solve ~c:[| -1.0; -2.0 |] ~a ~b:[| 4.0; 2.0 |] with
+  | Simplex_reference.Optimal { x; objective_value } ->
       check_float 1e-9 "value" (-6.0) objective_value;
       check_bool "vertex" true (Vec.approx_equal ~tol:1e-9 x [| 2.0; 2.0 |])
-  | Simplex.Unbounded | Simplex.Infeasible -> Alcotest.fail "expected optimal"
+  | Simplex_reference.Unbounded | Simplex_reference.Infeasible ->
+      Alcotest.fail "expected optimal"
 
 let test_simplex_two_phase () =
   (* min x s.t. x >= 1 (written -x <= -1), x >= 0: needs phase 1. *)
   let a = Mat.of_rows [| [| -1.0 |] |] in
-  match Simplex.solve ~c:[| 1.0 |] ~a ~b:[| -1.0 |] with
-  | Simplex.Optimal { x; objective_value } ->
+  match Simplex_reference.solve ~c:[| 1.0 |] ~a ~b:[| -1.0 |] with
+  | Simplex_reference.Optimal { x; objective_value } ->
       check_float 1e-9 "value" 1.0 objective_value;
       check_float 1e-9 "x" 1.0 x.(0)
-  | Simplex.Unbounded | Simplex.Infeasible -> Alcotest.fail "expected optimal"
+  | Simplex_reference.Unbounded | Simplex_reference.Infeasible ->
+      Alcotest.fail "expected optimal"
 
 let test_simplex_infeasible () =
   (* x <= 1 and x >= 2 simultaneously. *)
   let a = Mat.of_rows [| [| 1.0 |]; [| -1.0 |] |] in
   check_bool "infeasible" true
-    (Simplex.solve ~c:[| 0.0 |] ~a ~b:[| 1.0; -2.0 |] = Simplex.Infeasible)
+    (Simplex_reference.solve ~c:[| 0.0 |] ~a ~b:[| 1.0; -2.0 |]
+    = Simplex_reference.Infeasible)
 
 let test_simplex_unbounded () =
   (* min -x0 with only x0 - x1 <= 1: x0 can grow with x1. *)
   let a = Mat.of_rows [| [| 1.0; -1.0 |] |] in
   check_bool "unbounded" true
-    (Simplex.solve ~c:[| -1.0; 0.0 |] ~a ~b:[| 1.0 |] = Simplex.Unbounded)
+    (Simplex_reference.solve ~c:[| -1.0; 0.0 |] ~a ~b:[| 1.0 |]
+    = Simplex_reference.Unbounded)
 
 let test_simplex_degenerate () =
   (* Degenerate vertex (redundant constraints through the optimum):
@@ -849,10 +725,13 @@ let test_simplex_degenerate () =
     Mat.of_rows
       [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |]; [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |]
   in
-  match Simplex.solve ~c:[| -1.0; -1.0 |] ~a ~b:[| 1.0; 1.0; 1.0; 1.0 |] with
-  | Simplex.Optimal { objective_value; _ } ->
+  match
+    Simplex_reference.solve ~c:[| -1.0; -1.0 |] ~a ~b:[| 1.0; 1.0; 1.0; 1.0 |]
+  with
+  | Simplex_reference.Optimal { objective_value; _ } ->
       check_float 1e-9 "value" (-1.0) objective_value
-  | Simplex.Unbounded | Simplex.Infeasible -> Alcotest.fail "expected optimal"
+  | Simplex_reference.Unbounded | Simplex_reference.Infeasible ->
+      Alcotest.fail "expected optimal"
 
 (* ------------------------------------------------------------------ *)
 (* Property tests *)
@@ -871,15 +750,15 @@ let random_box_qp st n =
         else Quad.add_constant (Quad.linear_coord n i 1.0) (-1.0)
         (* x_i - 1 <= 0 *))
   in
-  { Barrier.objective = obj; constraints }
+  { Conic.objective = obj; constraints }
 
 let prop_barrier_kkt =
   QCheck2.Test.make ~name:"barrier: KKT residuals small on random QPs"
     ~count:60 qp_gen (fun (n, seed) ->
       let st = mk_rand seed in
       let p = random_box_qp st n in
-      let r = Barrier.solve p (Vec.zeros n) in
-      let kkt = Kkt.residuals p r.Barrier.x r.Barrier.dual in
+      let r = Barrier_reference.solve p (Vec.zeros n) in
+      let kkt = Kkt.residuals p r.Barrier_reference.x r.Barrier_reference.dual in
       Kkt.max_residual kkt < 1e-4)
 
 let prop_barrier_beats_random_feasible =
@@ -888,11 +767,13 @@ let prop_barrier_beats_random_feasible =
     (fun (n, seed) ->
       let st = mk_rand seed in
       let p = random_box_qp st n in
-      let r = Barrier.solve p (Vec.zeros n) in
+      let r = Barrier_reference.solve p (Vec.zeros n) in
       let ok = ref true in
       for _ = 1 to 20 do
         let y = Vec.init n (fun _ -> Random.State.float st 1.8 -. 0.9) in
-        if Quad.eval p.Barrier.objective y < r.Barrier.objective_value -. 1e-5
+        if
+          Quad.eval p.Conic.objective y
+          < r.Barrier_reference.objective_value -. 1e-5
         then ok := false
       done;
       !ok)
@@ -909,47 +790,66 @@ let prop_phase1_consistent =
            Quad.add_constant (Quad.linear_coord 1 0 1.0) (-.b)
            (* x - b <= 0 *) |]
       in
-      match Phase1.find constraints [| 0.0 |] with
-      | Phase1.Strictly_feasible x -> a < b && x.(0) > a && x.(0) < b
-      | Phase1.Infeasible _ -> a > b)
+      match Barrier_reference.phase1 constraints [| 0.0 |] with
+      | Barrier_reference.Strictly_feasible x -> a < b && x.(0) > a && x.(0) < b
+      | Barrier_reference.Infeasible _ -> a > b)
 
-(* The strongest solver evidence available: two algorithmically
-   independent LP solvers (tableau simplex vs log-barrier IPM) agree on
-   random feasible bounded instances. *)
+(* A random feasible, bounded LP in both forms: for the simplex
+   ([A x <= b] with [x >= 0] implicit, plus the box x <= 3) and as
+   inequality rows with [x >= 0] explicit, for the interior-point
+   solvers. *)
+let random_lp st n =
+  let m_rows = 1 + Random.State.int st 5 in
+  let a0 = Mat.init m_rows n (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
+  let b0 = Vec.init m_rows (fun _ -> 0.5 +. Random.State.float st 1.5) in
+  let c = random_vec st n in
+  let box = Mat.init n n (fun i j -> if i = j then 1.0 else 0.0) in
+  let a_simplex =
+    Mat.init (m_rows + n) n (fun i j ->
+        if i < m_rows then Mat.get a0 i j else Mat.get box (i - m_rows) j)
+  in
+  let b_simplex = Vec.concat b0 (Vec.create n 3.0) in
+  let a_rows =
+    Mat.init (m_rows + (2 * n)) n (fun i j ->
+        if i < m_rows then Mat.get a0 i j
+        else if i < m_rows + n then Mat.get box (i - m_rows) j
+        else if i - m_rows - n = j then -1.0
+        else 0.0)
+  in
+  (c, (a_simplex, b_simplex), (a_rows, Vec.concat b_simplex (Vec.zeros n)))
+
+(* The strongest solver evidence available: algorithmically independent
+   LP solvers (tableau simplex against an interior-point method) agree
+   on random feasible bounded instances. *)
 let prop_simplex_matches_barrier =
   QCheck2.Test.make ~name:"simplex and barrier agree on random LPs"
     ~count:40 qp_gen (fun (n, seed) ->
-      let st = mk_rand seed in
-      let m_rows = 1 + Random.State.int st 5 in
-      let a0 =
-        Mat.init m_rows n (fun _ _ -> Random.State.float st 2.0 -. 1.0)
-      in
-      let b0 = Vec.init m_rows (fun _ -> 0.5 +. Random.State.float st 1.5) in
-      let c = random_vec st n in
-      (* Box x <= 3 keeps both solvers bounded; x >= 0 is implicit for
-         the simplex and explicit rows for the barrier. *)
-      let box = Mat.init n n (fun i j -> if i = j then 1.0 else 0.0) in
-      let a_simplex =
-        Mat.init (m_rows + n) n (fun i j ->
-            if i < m_rows then Mat.get a0 i j else Mat.get box (i - m_rows) j)
-      in
-      let b_simplex = Vec.concat b0 (Vec.create n 3.0) in
-      let a_barrier =
-        Mat.init (m_rows + (2 * n)) n (fun i j ->
-            if i < m_rows then Mat.get a0 i j
-            else if i < m_rows + n then Mat.get box (i - m_rows) j
-            else if i - m_rows - n = j then -1.0
-            else 0.0)
-      in
-      let b_barrier = Vec.concat b_simplex (Vec.zeros n) in
+      let c, (a_s, b_s), (a, b) = random_lp (mk_rand seed) n in
       match
-        ( Simplex.solve ~c ~a:a_simplex ~b:b_simplex,
-          Linprog.solve ~c ~a:a_barrier ~b:b_barrier () )
+        ( Simplex_reference.solve ~c ~a:a_s ~b:b_s,
+          Barrier_reference.linprog ~c ~a ~b )
       with
-      | ( Simplex.Optimal { objective_value = sv; _ },
-          Linprog.Optimal { objective_value = lv; _ } ) ->
+      | ( Simplex_reference.Optimal { objective_value = sv; _ },
+          Barrier_reference.Optimal
+            { Barrier_reference.objective_value = lv; _ } ) ->
           Float.abs (sv -. lv) < 1e-3 *. Float.max 1.0 (Float.abs sv)
-      | Simplex.Infeasible, Linprog.Infeasible _ -> true
+      | Simplex_reference.Infeasible, Barrier_reference.Unreachable _ -> true
+      | _, _ -> false)
+
+(* The same LPs through the conic solver, [A x <= b] as one orthant
+   block.  The objective must match to 10x the conic's relative gap
+   tolerance. *)
+let prop_simplex_matches_conic =
+  QCheck2.Test.make ~name:"simplex and conic agree on random LPs"
+    ~count:40 qp_gen (fun (n, seed) ->
+      let c, (a_s, b_s), (a, b) = random_lp (mk_rand seed) n in
+      let t = Conic.make ~c ~g:a ~h:b ~cones:[| Cone.Nonneg (Mat.rows a) |] () in
+      let tol = 10.0 *. Conic.default_options.Conic.gap_rel_tol in
+      match (Simplex_reference.solve ~c ~a:a_s ~b:b_s, Conic.solve t) with
+      | Simplex_reference.Optimal { objective_value = sv; _ }, Conic.Optimal s ->
+          Float.abs (sv -. s.Conic.objective_value)
+          < tol *. Float.max 1.0 (Float.abs sv)
+      | Simplex_reference.Infeasible, Conic.Primal_infeasible _ -> true
       | _, _ -> false)
 
 (* A least-squares-with-box problem through the two-phase driver,
@@ -969,19 +869,20 @@ let test_solve_box_least_squares () =
       (List.concat_map (fun i -> box_rows n i ~lo:0.0 ~hi:1.0)
          (List.init n Fun.id))
   in
-  match Solve.solve { Barrier.objective; constraints } ~start:(Vec.create n 0.5) with
-  | Solve.Optimal s ->
+  match
+    Barrier_reference.two_phase ~start:(Vec.create n 0.5)
+      { Conic.objective; constraints }
+  with
+  | Barrier_reference.Optimal s ->
       check_bool "projection" true
-        (Vec.approx_equal ~tol:1e-4 s.Solve.x (Vec.create n 1.0))
-  | Solve.Infeasible _ -> Alcotest.fail "expected optimal"
+        (Vec.approx_equal ~tol:1e-4 s.Barrier_reference.x (Vec.create n 1.0))
+  | Barrier_reference.Unreachable _ -> Alcotest.fail "expected optimal"
 
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_barrier_kkt; prop_barrier_beats_random_feasible;
       prop_phase1_consistent; prop_simplex_matches_barrier;
-      prop_compiled_oracle_matches_naive;
-      prop_compiled_max_step_is_the_wall;
-      prop_compiled_backend_same_optimum ]
+      prop_simplex_matches_conic ]
 
 let () =
   Alcotest.run "convex"
@@ -1020,11 +921,6 @@ let () =
           Alcotest.test_case "unconstrained" `Quick test_barrier_unconstrained;
           Alcotest.test_case "work counters" `Quick test_barrier_stats;
         ] );
-      ( "compiled",
-        [
-          Alcotest.test_case "partition" `Quick test_compiled_partition;
-          Alcotest.test_case "with_constant" `Quick test_compiled_with_constant;
-        ] );
       ( "phase1",
         [
           Alcotest.test_case "finds point" `Quick test_phase1_finds_point;
@@ -1052,6 +948,8 @@ let () =
             test_conic_of_barrier_agreement;
           Alcotest.test_case "constraint duals" `Quick
             test_conic_constraint_duals;
+          Alcotest.test_case "with_constraint_constant" `Quick
+            test_conic_with_constraint_constant;
           Alcotest.test_case "warm start and stats" `Quick
             test_conic_warm_start_and_stats;
           Alcotest.test_case "workspace reuse" `Quick

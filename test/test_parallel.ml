@@ -149,60 +149,42 @@ let test_warm_start_direct () =
             true
             (peak <= fast_spec.Protemp.Spec.tmax +. 1e-9))
 
-(* The compiled barrier backend must produce the same table as the
-   reference Quad-walking oracle (to 1e-6 of full scale — the two walk
-   different floating-point paths to the same optimum), and the
-   reference table must pass the same thermal audit.  Every cell is a
-   barrier solve of its own. *)
-let test_sweep_backends_agree () =
-  let m = Lazy.force machine in
-  let run backend =
+(* Conic against the dense log-barrier of test/barrier_reference.ml.
+   The two solvers must agree on the verdict and on the optimum — the
+   mean frequency, pinned by the binding throughput floor and the
+   strictly convex power objective — to 1e-6 fmax.  The per-core split
+   sits in a nearly flat valley (cores couple only through the shared
+   floor and thermal rows), where two independent algorithms land
+   within 1e-4 fmax of each other.  The conic table is the one
+   Dense_table fills; the barrier solves every cell on its own, from
+   the start hint or the frontier climb. *)
+let solver_spec =
+  { Protemp.Spec.default with Protemp.Spec.constraint_stride = 4 }
+
+let solvers_agree ~machine ~tstarts ~ftargets =
+  let conic =
+    Protemp.Dense_table.to_table ~domains:1
+      (Protemp.Dense_table.create ~machine ~spec:solver_spec ~tstarts
+         ~ftargets ())
+  in
+  let barrier =
     Protemp.Table.make ~tstarts ~ftargets
       (Array.map
          (fun tstart ->
            Array.map
              (fun ftarget ->
-               match
-                 Protemp.Model.solve ~solver:`Barrier ~backend
-                   (Protemp.Model.build ~machine:m ~spec:fast_spec ~tstart
-                      ~ftarget)
-               with
-               | Protemp.Model.Feasible s ->
-                   Protemp.Table.Frequencies s.Protemp.Model.frequencies
-               | Protemp.Model.Infeasible -> Protemp.Table.Infeasible)
+               let built =
+                 Protemp.Model.build ~machine ~spec:solver_spec ~tstart ~ftarget
+               in
+               match Barrier_reference.solve_model built with
+               | Some r ->
+                   Protemp.Table.Frequencies
+                     (Barrier_reference.frequencies built r.Barrier_reference.x)
+               | None -> Protemp.Table.Infeasible)
              ftargets)
          tstarts)
   in
-  let reference = run `Reference and compiled = run `Compiled in
-  check_bool "tables agree to 1e-6 fmax" true
-    (tables_equal ~tol:(1e-6 *. m.Sim.Machine.fmax) reference compiled);
-  let audit =
-    Protemp.Guarantee.audit_table ~machine:m ~spec:fast_spec reference
-  in
-  check_bool "cells checked" true (audit.Protemp.Guarantee.cells_checked > 0);
-  check_bool
-    (Printf.sprintf "reference margin %.4f >= 0"
-       audit.Protemp.Guarantee.worst_margin)
-    true
-    (audit.Protemp.Guarantee.worst_margin >= -1e-9)
-
-(* Conic against barrier.  The two solvers must agree on the optimum
-   — the mean frequency, pinned by the binding throughput floor and
-   the strictly convex power objective — to 1e-6 fmax.  The per-core
-   split sits in a nearly flat valley (cores couple only through the
-   shared floor and thermal rows), where two independent algorithms
-   land within 1e-4 fmax of each other. *)
-let solver_spec =
-  { Protemp.Spec.default with Protemp.Spec.constraint_stride = 4 }
-
-let solvers_agree ~machine ~tstarts ~ftargets =
-  let sweep solver =
-    Protemp.Dense_table.to_table ~domains:1
-      (Protemp.Dense_table.create ~solver ~machine ~spec:solver_spec ~tstarts
-         ~ftargets ())
-  in
   let fmax = machine.Sim.Machine.fmax in
-  let conic = sweep `Conic and barrier = sweep `Barrier in
   check_bool "conic and barrier tables agree" true
     (tables_equal ~mean_tol:(1e-6 *. fmax) ~tol:(1e-4 *. fmax) barrier conic);
   (conic, barrier)
@@ -224,8 +206,8 @@ let test_solvers_agree_quickstart () =
       Alcotest.fail "quickstart cell expected feasible"
 
 (* The same agreement on the asymmetric big.LITTLE machine, where
-   per-core frequency bounds and power laws flow through both solver
-   backends: every stored frequency stays under its own core's
+   per-core frequency bounds and power laws flow through both
+   solvers: every stored frequency stays under its own core's
    ceiling, and the grid is not trivially all-infeasible. *)
 let test_solvers_agree_biglittle () =
   let m = Sim.Machine.biglittle () in
@@ -257,6 +239,40 @@ let test_solvers_agree_biglittle () =
     [ conic; barrier ];
   check_bool "some cell feasible" true (!feasible > 0)
 
+(* The Fig. 9/10 frontier (one conic solve on every row) against the
+   barrier's, per core, on both platforms: the frontier has no floor,
+   so the per-core split is pinned by the thermal rows alone. *)
+let test_solvers_agree_frontier () =
+  List.iter
+    (fun (machine, spec) ->
+      let fmax = machine.Sim.Machine.fmax in
+      List.iter
+        (fun tstart ->
+          let built = Protemp.Model.build_frontier ~machine ~spec ~tstart in
+          match
+            ( Protemp.Model.solve_frontier built,
+              Barrier_reference.solve_frontier built )
+          with
+          | Protemp.Model.Feasible s, Some r ->
+              let f = Barrier_reference.frequencies built r.Barrier_reference.x in
+              Array.iteri
+                (fun c hz ->
+                  check_bool
+                    (Printf.sprintf "%.0f C core %d: %.1f against %.1f Hz" tstart
+                       c hz f.(c))
+                    true
+                    (Float.abs (hz -. f.(c)) <= 1e-6 *. fmax))
+                s.Protemp.Model.frequencies
+          | Protemp.Model.Infeasible, None -> ()
+          | _, _ -> Alcotest.failf "%.0f C: the verdicts differ" tstart)
+        [ 27.0; 57.0; 87.0; 110.0 ])
+    [
+      (Lazy.force machine, solver_spec);
+      ( Lazy.force machine,
+        { solver_spec with Protemp.Spec.variant = Protemp.Spec.Uniform } );
+      (Sim.Machine.biglittle (), solver_spec);
+    ]
+
 (* The aggregated work counters are a pure function of the grid — the
    same whichever domain count fills it. *)
 let test_sweep_stats_domain_invariant () =
@@ -270,18 +286,7 @@ let test_sweep_stats_domain_invariant () =
   in
   let n1, s1 = run 1 and n4, s4 = run 4 in
   check_int "solves" n1 n4;
-  let b1 = s1.Protemp.Dense_table.barrier
-  and b4 = s4.Protemp.Dense_table.barrier in
-  check_int "centerings" b1.Convex.Barrier.centering_steps
-    b4.Convex.Barrier.centering_steps;
-  check_int "newton" b1.Convex.Barrier.newton_iterations
-    b4.Convex.Barrier.newton_iterations;
-  check_int "backtracks" b1.Convex.Barrier.backtracks
-    b4.Convex.Barrier.backtracks;
-  check_int "factorizations" b1.Convex.Barrier.factorizations
-    b4.Convex.Barrier.factorizations;
-  let c1 = s1.Protemp.Dense_table.conic
-  and c4 = s4.Protemp.Dense_table.conic in
+  let c1 = s1 and c4 = s4 in
   check_int "conic iterations" c1.Convex.Conic.iterations
     c4.Convex.Conic.iterations;
   check_int "conic factorizations" c1.Convex.Conic.factorizations
@@ -307,8 +312,7 @@ let test_seeded_sweep_no_costlier_than_cold () =
   let dt = Protemp.Dense_table.create ~machine ~spec ~tstarts ~ftargets () in
   ignore (Protemp.Dense_table.fill ~domains:1 dt);
   let seeded =
-    (Protemp.Dense_table.solver_stats dt).Protemp.Dense_table.conic
-      .Convex.Conic.factorizations
+    (Protemp.Dense_table.solver_stats dt).Convex.Conic.factorizations
   in
   let cold = ref Convex.Conic.stats_zero in
   Array.iter
@@ -371,13 +375,14 @@ let () =
           Alcotest.test_case "warm-started cells keep the guarantee" `Slow
             test_sweep_warm_started_cells_keep_guarantee;
           Alcotest.test_case "warm start direct" `Slow test_warm_start_direct;
-          Alcotest.test_case "backends agree" `Slow test_sweep_backends_agree;
           Alcotest.test_case "solvers agree (niagara)" `Slow
             test_solvers_agree_niagara;
           Alcotest.test_case "solvers agree (quickstart cell)" `Slow
             test_solvers_agree_quickstart;
           Alcotest.test_case "solvers agree (big.LITTLE)" `Slow
             test_solvers_agree_biglittle;
+          Alcotest.test_case "solvers agree (frontier)" `Slow
+            test_solvers_agree_frontier;
           Alcotest.test_case "stats domain-count invariant" `Slow
             test_sweep_stats_domain_invariant;
           Alcotest.test_case "seeded sweep no costlier than cold" `Slow

@@ -981,13 +981,13 @@ let biglittle = lazy (Sim.Machine.biglittle ())
 (* Thermal rows are what follows the power-law and box rows (five per
    frequency variable) and the floor, in a spec without gradient. *)
 let emitted_thermal_rows (built : Protemp.Model.built) =
-  Array.length built.Protemp.Model.problem.Convex.Barrier.constraints
+  Array.length (Lazy.force built.Protemp.Model.problem).Convex.Conic.constraints
   - ((5 * built.Protemp.Model.layout.Protemp.Model.n_f) + 1)
 
-let holds (problem : Convex.Barrier.problem) x =
+let holds (problem : Convex.Conic.problem) x =
   Array.for_all
     (fun c -> Convex.Quad.eval c x <= 0.0)
-    problem.Convex.Barrier.constraints
+    problem.Convex.Conic.constraints
 
 let prop_filter_keeps_feasible_set =
   QCheck2.Test.make
@@ -1013,8 +1013,8 @@ let prop_filter_keeps_feasible_set =
           x.(layout.Protemp.Model.f_offset + j) <- u *. Float.min 1.0 (sqrt p);
           x.(layout.Protemp.Model.p_offset + j) <- p)
         point;
-      holds built.Protemp.Model.problem x
-      = holds reference.Protemp.Model.problem x)
+      holds (Lazy.force built.Protemp.Model.problem) x
+      = holds (Lazy.force reference.Protemp.Model.problem) x)
 
 let test_filter_pinned_counts () =
   let m = Lazy.force machine in
@@ -1044,7 +1044,7 @@ let all_rows_solve (built : Protemp.Model.built) =
     }
   in
   Convex.Conic.solve ~options
-    (Convex.Conic.of_barrier built.Protemp.Model.problem)
+    (Convex.Conic.of_problem (Lazy.force built.Protemp.Model.problem))
 
 (* The filtered model, solved by [Model.solve] on its working set,
    against the all-rows solve of the unfiltered reference. *)
@@ -1152,7 +1152,9 @@ let prop_working_set =
           | Protemp.Model.Infeasible -> None
       in
       let built = Protemp.Model.instantiate prepared ~ftarget:(frac *. fmax) in
-      let rows = built.Protemp.Model.problem.Convex.Barrier.constraints in
+      let rows =
+        (Lazy.force built.Protemp.Model.problem).Convex.Conic.constraints
+      in
       let o = Convex.Conic.default_options in
       match (Protemp.Model.solve ?start built, all_rows_solve built) with
       | Protemp.Model.Infeasible, Convex.Conic.Primal_infeasible _ -> true
@@ -1180,7 +1182,9 @@ let prop_working_set =
           in
           let accepted = 100.0 *. o.Convex.Conic.feas_tol *. h_max in
           let k =
-            Convex.Kkt.residuals built.Protemp.Model.problem x raw.Convex.Solve.dual
+            Convex.Kkt.residuals
+              (Lazy.force built.Protemp.Model.problem)
+              x raw.Convex.Solve.dual
           in
           if
             Float.abs (obj -. ref_obj) > 2e-6 *. Float.max 1.0 (Float.abs obj)
@@ -1211,6 +1215,74 @@ let prop_working_set =
           QCheck2.Test.fail_reportf "verdicts differ: all-rows %a"
             Convex.Conic.pp_status st)
 
+(* The stall path of [Model.solve]: a working set that ends without a
+   certificate is re-solved once, cold, on every row.  Four Niagara
+   gradient-cap cells (stride 4) on which the working-set solve stalls
+   from a cold start: a former fallback to the log-barrier path
+   answered [Infeasible] on each, because no start it tried satisfied
+   the 20 C cap.  The all-rows solve finds their optimum. *)
+let test_stall_path_serves_optimum () =
+  let machine = Lazy.force machine in
+  let spec = working_set_spec ~big:false ~variant:2 ~stride:4 in
+  List.iter
+    (fun (tstart, ftarget) ->
+      let built = Protemp.Model.build ~machine ~spec ~tstart ~ftarget in
+      let stats = ref Convex.Conic.stats_zero in
+      let label = Printf.sprintf "%g C, %g MHz" tstart (ftarget /. 1e6) in
+      match
+        (Protemp.Model.solve ~conic_stats_into:stats built, all_rows_solve built)
+      with
+      | Protemp.Model.Feasible s, Convex.Conic.Optimal r ->
+          let obj = s.Protemp.Model.raw.Convex.Solve.objective_value in
+          let ref_obj = r.Convex.Conic.objective_value in
+          check_bool
+            (Printf.sprintf "%s: objective %.10g, all-rows %.10g" label obj
+               ref_obj)
+            true
+            (Float.abs (obj -. ref_obj) <= 2e-6 *. Float.max 1.0 (Float.abs obj));
+          check_int (label ^ ": one outcome, optimal") 1
+            !stats.Convex.Conic.optimal;
+          check_int (label ^ ": no unknown") 0 !stats.Convex.Conic.unknown
+      | Protemp.Model.Infeasible, _ ->
+          Alcotest.failf "%s: reported infeasible" label
+      | _, st -> Alcotest.failf "%s: all-rows %a" label Convex.Conic.pp_status st)
+    [ (67.26, 736.3e6); (67.28, 735.4e6); (67.32, 731.8e6); (67.42075, 736.98e6) ]
+
+(* A cell of the table.niagara grid (row 98 and column 74 of its
+   100 x 100 axes, stride 4) on which both the working set and the
+   all-rows solve end without a certificate.  It is served as
+   infeasible and counted as [unknown], and it is: the conic frontier
+   of its row lies below its floor. *)
+let test_stall_path_uncertified_cell () =
+  let machine = Lazy.force machine in
+  let spec = working_set_spec ~big:false ~variant:0 ~stride:4 in
+  let axis lo hi n i =
+    lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1))
+  in
+  let tstart = axis 27.0 100.0 100 98 and ftarget = axis 1e8 1e9 100 74 in
+  let stats = ref Convex.Conic.stats_zero in
+  (match
+     Protemp.Model.solve ~conic_stats_into:stats
+       (Protemp.Model.build ~machine ~spec ~tstart ~ftarget)
+   with
+  | Protemp.Model.Infeasible -> ()
+  | Protemp.Model.Feasible _ -> Alcotest.fail "expected infeasible");
+  check_int "counted as unknown" 1 !stats.Convex.Conic.unknown;
+  check_int "and as nothing else" 0
+    (!stats.Convex.Conic.optimal + !stats.Convex.Conic.primal_infeasible
+   + !stats.Convex.Conic.dual_infeasible);
+  match
+    Protemp.Model.solve_frontier
+      (Protemp.Model.build_frontier ~machine ~spec ~tstart)
+  with
+  | Protemp.Model.Feasible s ->
+      let mean = Vec.mean s.Protemp.Model.frequencies in
+      check_bool
+        (Printf.sprintf "frontier %.6f MHz below the %.6f MHz floor" (mean /. 1e6)
+           (ftarget /. 1e6))
+        true (mean < ftarget)
+  | Protemp.Model.Infeasible -> Alcotest.fail "the row's frontier is feasible"
+
 (* Core-column recurrence: [Model.prepare] builds the thermal rows from
    the core columns of A^k alone; test/model_reference.ml still forms
    every A^k with [Mat.matmul]. *)
@@ -1237,7 +1309,7 @@ let check_prepare_matches_oracle name ~machine ~spec ~tstart =
     Model_reference.build ~filter:true ~machine ~spec ~tstart ~ftarget:5e8 ()
   in
   let rows (b : Protemp.Model.built) =
-    b.Protemp.Model.problem.Convex.Barrier.constraints
+    (Lazy.force b.Protemp.Model.problem).Convex.Conic.constraints
   in
   let label = Printf.sprintf "%s at %.0f C" name tstart in
   check_int (label ^ ": rows") (Array.length (rows reference))
@@ -1527,6 +1599,13 @@ let () =
         [
           Alcotest.test_case "pinned counts" `Quick test_filter_pinned_counts;
           Alcotest.test_case "same optimum" `Slow test_filter_same_optimum;
+        ] );
+      ( "stall_path",
+        [
+          Alcotest.test_case "gradient-cap cells served" `Quick
+            test_stall_path_serves_optimum;
+          Alcotest.test_case "uncertified cell infeasible" `Quick
+            test_stall_path_uncertified_cell;
         ] );
       ( "prepare",
         [
