@@ -52,21 +52,6 @@ let scale c f =
 let sub f g = add f (scale (-1.0) g)
 let add_constant f c = { f with r = f.r +. c }
 
-let extend f n' =
-  if n' < f.n then invalid_arg "Quad.extend: cannot shrink";
-  if n' = f.n then f
-  else
-    let q = Vec.zeros n' in
-    Array.blit f.q 0 q 0 f.n;
-    let p =
-      match f.p with
-      | None -> None
-      | Some p ->
-          Some
-            (Mat.init n' n' (fun i j ->
-                 if i < f.n && j < f.n then Mat.get p i j else 0.0))
-    in
-    { n = n'; p; q; r = f.r }
 let is_affine f = f.p = None
 
 let eval f x =
@@ -83,27 +68,6 @@ let grad f x =
   match f.p with
   | None -> Vec.copy f.q
   | Some p -> Vec.add (Mat.mul_vec p x) f.q
-
-let grad_into f x ~dst =
-  if Vec.dim x <> f.n then invalid_arg "Quad.grad_into: dimension mismatch";
-  if Vec.dim dst <> f.n then invalid_arg "Quad.grad_into: bad destination";
-  match f.p with
-  | None -> Vec.blit ~src:f.q ~dst
-  | Some p ->
-      Mat.mul_vec_into p x ~dst;
-      Vec.add_into ~dst f.q
-
-let add_scaled_hess_upper_into f c ~dst =
-  match f.p with
-  | None -> ()
-  | Some p ->
-      if Mat.rows dst <> f.n || Mat.cols dst <> f.n then
-        invalid_arg "Quad.add_scaled_hess_upper_into: bad destination";
-      for i = 0 to f.n - 1 do
-        for j = i to f.n - 1 do
-          Mat.set dst i j (Mat.get dst i j +. (c *. Mat.get p i j))
-        done
-      done
 
 let hess f =
   match f.p with None -> Mat.zeros f.n f.n | Some p -> Mat.copy p

@@ -35,11 +35,6 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 val add_constant : t -> float -> t
 
-val extend : t -> int -> t
-(** [extend f n'] embeds [f] into [R^n'] (with [n' >= dim f]); the new
-    trailing coordinates do not appear in the function.  Affine
-    functions stay affine. *)
-
 (** {1 Queries} *)
 
 val dim : t -> int
@@ -49,14 +44,6 @@ val is_affine : t -> bool
 val eval : t -> Vec.t -> float
 
 val grad : t -> Vec.t -> Vec.t
-
-val grad_into : t -> Vec.t -> dst:Vec.t -> unit
-(** {!grad} written into [dst] ([dst] must not alias [x]). *)
-
-val add_scaled_hess_upper_into : t -> float -> dst:Mat.t -> unit
-(** [add_scaled_hess_upper_into f c ~dst] updates
-    [dst := dst + c * P] on the upper triangle only ([P] is symmetric);
-    a no-op for affine functions.  Pair with {!Mat.mirror_upper}. *)
 
 val hess : t -> Mat.t
 (** The (constant) Hessian [P]; the zero matrix for affine functions. *)

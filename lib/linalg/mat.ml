@@ -137,49 +137,6 @@ let gemv_into ?(trans = false) ?(alpha = 1.0) ?(beta = 0.0) a x ~dst =
     done
   end
 
-(* dst (upper triangle) += A^T diag(d) A, accumulated two rows of A at
-   a time so each pass over the n x n destination amortizes twice the
-   row data, replacing m rank-one updates. *)
-let syrk_scaled_into a d ~dst =
-  let m = a.rows and n = a.cols in
-  if Vec.dim d <> m then invalid_arg "Mat.syrk_scaled_into: weight mismatch";
-  if dst.rows <> n || dst.cols <> n then
-    invalid_arg "Mat.syrk_scaled_into: bad destination";
-  let ad = a.data and hd = dst.data in
-  let i = ref 0 in
-  while !i + 1 < m do
-    let i0 = !i in
-    let b0 = i0 * n and b1 = (i0 + 1) * n in
-    let d0 = d.(i0) and d1 = d.(i0 + 1) in
-    for j = 0 to n - 1 do
-      let c0 = d0 *. ad.(b0 + j) and c1 = d1 *. ad.(b1 + j) in
-      if c0 <> 0.0 || c1 <> 0.0 then begin (* lint: float-equality exact-zero skip, hot kernel *)
-        let hbase = j * n in
-        for k = j to n - 1 do
-          hd.(hbase + k) <-
-            hd.(hbase + k) +. (c0 *. ad.(b0 + k)) +. (c1 *. ad.(b1 + k))
-        done
-      end
-    done;
-    i := i0 + 2
-  done;
-  (* Odd-row tail, written out inline: a local [rank1] helper would be
-     a closure allocation, and this function is alloc-free-listed. *)
-  if !i < m then begin
-    let i0 = !i in
-    let base = i0 * n in
-    let di = d.(i0) in
-    for j = 0 to n - 1 do
-      let c = di *. ad.(base + j) in
-      if c <> 0.0 then begin (* lint: float-equality exact-zero skip, hot kernel *)
-        let hbase = j * n in
-        for k = j to n - 1 do
-          hd.(hbase + k) <- hd.(hbase + k) +. (c *. ad.(base + k))
-        done
-      end
-    done
-  end
-
 let mul_vec_into a x ~dst =
   if a.cols <> Vec.dim x then
     invalid_arg "Mat.mul_vec_into: dimension mismatch";
@@ -214,41 +171,6 @@ let tmul_vec a x =
 
 let outer x y =
   init (Vec.dim x) (Vec.dim y) (fun i j -> x.(i) *. y.(j))
-
-let add_outer_into a c x =
-  let n = Vec.dim x in
-  if a.rows <> n || a.cols <> n then
-    invalid_arg "Mat.add_outer_into: dimension mismatch";
-  for i = 0 to n - 1 do
-    let cxi = c *. x.(i) in
-    if cxi <> 0.0 then (* lint: float-equality exact-zero skip, hot kernel *)
-      let base = i * n in
-      for j = 0 to n - 1 do
-        a.data.(base + j) <- a.data.(base + j) +. (cxi *. x.(j))
-      done
-  done
-
-let add_outer_upper_into a c x =
-  let n = Vec.dim x in
-  if a.rows <> n || a.cols <> n then
-    invalid_arg "Mat.add_outer_upper_into: dimension mismatch";
-  for i = 0 to n - 1 do
-    let cxi = c *. x.(i) in
-    if cxi <> 0.0 then (* lint: float-equality exact-zero skip, hot kernel *)
-      let base = i * n in
-      for j = i to n - 1 do
-        a.data.(base + j) <- a.data.(base + j) +. (cxi *. x.(j))
-      done
-  done
-
-let mirror_upper a =
-  if not (a.rows = a.cols) then invalid_arg "Mat.mirror_upper: not square";
-  let n = a.rows in
-  for i = 1 to n - 1 do
-    for j = 0 to i - 1 do
-      a.data.((i * n) + j) <- a.data.((j * n) + i)
-    done
-  done
 
 let add_into ~dst b =
   check_same_shape "add_into" dst b;

@@ -64,13 +64,6 @@ val gemv_into :
     [alpha = 1.0], [beta = 0.0] (plain overwrite; [dst]'s prior
     contents are then ignored entirely).  [dst] must not alias [x]. *)
 
-val syrk_scaled_into : t -> Vec.t -> dst:t -> unit
-(** [syrk_scaled_into a d ~dst] updates
-    [dst := dst + a^T * diag(d) * a] on the {e upper triangle only}
-    (pair with {!mirror_upper}).  [d] has one weight per row of [a].
-    Rows are processed in pairs so the destination traffic is halved
-    relative to [Vec.dim d] rank-one updates. *)
-
 val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec a x] is [a * x]. *)
 
@@ -84,19 +77,6 @@ val tmul_vec : t -> Vec.t -> Vec.t
 
 val outer : Vec.t -> Vec.t -> t
 (** [outer x y] is the rank-one matrix [x * y^T]. *)
-
-val add_outer_into : t -> float -> Vec.t -> unit
-(** [add_outer_into a c x] updates [a := a + c * x * x^T] in place.
-    [a] must be square with dimension [Vec.dim x]. *)
-
-val add_outer_upper_into : t -> float -> Vec.t -> unit
-(** Like {!add_outer_into} but touches only the upper triangle
-    (including the diagonal); pair with {!mirror_upper} after
-    accumulating many rank-one terms — half the work of the full
-    update. *)
-
-val mirror_upper : t -> unit
-(** Copy the strict upper triangle onto the lower one in place. *)
 
 val add_into : dst:t -> t -> unit
 (** [add_into ~dst b] updates [dst := dst + b] in place. *)

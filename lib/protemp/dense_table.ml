@@ -23,6 +23,7 @@ type t = {
   mutable n_solves : int;
   mutable n_warm_hits : int;
   mutable n_pruned : int;
+  mutable n_closed_form : int;
   mutable conic_work : Convex.Conic.stats;
 }
 
@@ -58,6 +59,7 @@ let create ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets () =
     n_solves = 0;
     n_warm_hits = 0;
     n_pruned = 0;
+    n_closed_form = 0;
     conic_work = Convex.Conic.stats_zero;
   }
 
@@ -87,16 +89,17 @@ let prune_bound t i =
   !b
 
 (* A row's solver state, created on first use: its prepared context
-   and one conic workspace for the whole row.  The
-   per-column instances share their structure (only the
-   throughput-floor constant moves), and reallocating the solver state
-   per cell is measurable against sub-millisecond solves.  Model.solve
-   keeps each cell's working set of thermal rows in the workspace,
-   which grows only to the largest working set the row solves, a few
-   dozen rows against the hundreds of the full problem.  [cell] keeps
-   the state in [t]; a [fill] worker keeps it local to its row.  The
-   refs are written only when the state is created, so a row's solves
-   leave no long-lived garbage behind. *)
+   and one conic workspace for the whole row.  The per-column
+   instances share their structure (only the throughput-floor constant
+   moves), and the prepared context carries the floor-only closed
+   form's per-row data, so most cells cost one pass over the thermal
+   rows and no interior-point iteration.  Model.solve keeps each
+   cell's working set of thermal rows in the workspace (the closed
+   form's check writes it too), which grows only to the largest
+   working set the row solves.  [cell] keeps the state in [t]; a
+   [fill] worker keeps it local to its row.  The refs are written only
+   when the state is created, so a row's solves leave no long-lived
+   garbage behind. *)
 let row_state t i j prepared ws =
   let p =
     match !prepared with
@@ -147,15 +150,18 @@ let neighbour_seed t i j =
   consider i (j + 1);
   !best
 
-(* [conic] accumulates the solve's work counters. *)
+(* [conic] accumulates the solve's work counters; the flag is whether
+   the floor-only closed form settled the cell. *)
 let solve_cell t ~prepared ~ws ~seed ~conic j =
   let built = Model.instantiate prepared ~ftarget:t.ftargets.(j) in
   match
     Model.solve ~conic_stats_into:conic ~conic_ws:ws ?start:seed built
   with
   | Model.Feasible s ->
-      (Table.Frequencies s.Model.frequencies, Some s.Model.raw.Convex.Solve.x)
-  | Model.Infeasible -> (Table.Infeasible, None)
+      ( Table.Frequencies s.Model.frequencies,
+        Some s.Model.raw.Convex.Solve.x,
+        s.Model.settled_by = `Closed_form )
+  | Model.Infeasible -> (Table.Infeasible, None, false)
 
 (* A row with every cell memoized never solves again: drop its solver
    contexts, which dominate a filled grid's live memory (DESIGN.md
@@ -192,8 +198,9 @@ let cell t i j =
         | Some _ -> t.n_warm_hits <- t.n_warm_hits + 1
         | None -> ());
         let conic = ref t.conic_work in
-        let c, s = solve_cell t ~prepared ~ws ~seed ~conic j in
+        let c, s, closed = solve_cell t ~prepared ~ws ~seed ~conic j in
         t.conic_work <- !conic;
+        if closed then t.n_closed_form <- t.n_closed_form + 1;
         t.cells.(i).(j) <- Some c;
         t.seeds.(i).(j) <- s;
         (match c with
@@ -228,7 +235,7 @@ let run_row (t : t) ~bound0 i =
   let bound = ref (Stdlib.min bound0 !frontier_i) in
   let warm = ref None in
   let n_new = ref 0 and solves = ref 0 and warm_hits = ref 0 in
-  let pruned = ref 0 and feasible = ref 0 in
+  let pruned = ref 0 and feasible = ref 0 and closed_form = ref 0 in
   for j = 0 to cols - 1 do
     match cells.(j) with
     | Some (Table.Frequencies _) -> warm := seeds.(j)
@@ -244,9 +251,10 @@ let run_row (t : t) ~bound0 i =
           let p, w = row_state t i j prepared ws in
           incr solves;
           (match !warm with Some _ -> incr warm_hits | None -> ());
-          let c, s =
+          let c, s, closed =
             solve_cell t ~prepared:p ~ws:w ~seed:!warm ~conic j
           in
+          if closed then incr closed_form;
           cells.(j) <- Some c;
           seeds.(j) <- s;
           match c with
@@ -259,7 +267,7 @@ let run_row (t : t) ~bound0 i =
         end
   done;
   ( cells, seeds, !frontier_i, !n_new, !solves, !warm_hits, !pruned,
-    !feasible, !conic )
+    !feasible, !closed_form, !conic )
 
 let fill ?domains (t : t) =
   let domains =
@@ -277,13 +285,14 @@ let fill ?domains (t : t) =
   let acc = ref { cells = 0; solves = 0; warm_hits = 0; pruned = 0; feasible = 0 } in
   Array.iteri
     (fun i (cells, seeds, frontier_i, n_new, solves, warm_hits, pruned,
-            feasible, conic) ->
+            feasible, closed_form, conic) ->
       t.cells.(i) <- cells;
       t.seeds.(i) <- seeds;
       t.prepared.(i) <- None;
       t.conic_ws.(i) <- None;
       t.frontier.(i) <- frontier_i;
       t.conic_work <- Convex.Conic.stats_add t.conic_work conic;
+      t.n_closed_form <- t.n_closed_form + closed_form;
       acc :=
         {
           cells = !acc.cells + n_new;
@@ -314,6 +323,7 @@ let stats (t : t) =
   }
 
 let solver_stats t = t.conic_work
+let closed_form_cells t = t.n_closed_form
 
 (* ------------------------------------------------------------------ *)
 (* Lookups *)

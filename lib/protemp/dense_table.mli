@@ -6,8 +6,9 @@
     the 100x100+ grids a production deployment wants per floorplan
     per power-law revision: [create ... |> to_table].  A {!t} is a
     memoized grid over [(tstart, ftarget)], each cell the solution of
-    the Eq. 3 program ({!Model}): {!cell} solves lazily through the
-    conic solver on a working set seeded by a solved neighbour, a
+    the Eq. 3 program ({!Model}): {!cell} solves lazily through
+    {!Model.solve} (the floor-only closed form when no thermal row
+    binds, else the conic solver on a working set), a
     certified-infeasible cell prunes everything hotter {e and} faster
     through the monotone feasibility frontier, and {!fill} fans the
     remaining cells across {!Parallel.Pool} with domain-count-invariant
@@ -94,6 +95,12 @@ val solver_stats : t -> Convex.Conic.stats
     ({!cell} calls included), with one certificate outcome per cell
     solve ({!Model.solve}).  {!fill} merges its rows in row order,
     so the counters do not depend on the domain count. *)
+
+val closed_form_cells : t -> int
+(** Cells {!Model.solve} settled by the floor-only closed form, with
+    no interior-point iteration, over the whole life of [t] ({!cell}
+    calls included).  A subset of the feasible solved cells; {!fill}
+    merges its rows in row order, like {!solver_stats}. *)
 
 val lookup :
   t ->

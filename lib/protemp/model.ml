@@ -11,6 +11,26 @@ type layout = {
   bounds_offset : int option;
 }
 
+(* The floor-only relaxation of a cell: minimize [sum_j w_j phat_j]
+   subject to the power laws [fhat_j^2 <= phat_j], the boxes and the
+   throughput floor [sum_j c_j fhat_j >= F], with no thermal row.  Its
+   optimum is [fhat_j = min (f_box, lambda c_j / (2 w_j))],
+   [phat_j = fhat_j^2], where the floor's multiplier [lambda] meets the
+   floor exactly; core [j] saturates once [lambda] passes its
+   breakpoint [2 w_j f_box / c_j].  Everything but [F] depends on the
+   machine and the spec alone, so a {!prepared} computes it once:
+   [order] lists the variables by ascending breakpoint, and [rest.(k)]
+   is [sum c^2 / (2 w)] over [order.(k ..)] (0 at [k = n]), so a cell
+   walks the breakpoints without re-summing. *)
+type floor_only = {
+  c : float array;  (* floor coefficient per frequency variable *)
+  w : float array;  (* objective coefficient per power variable *)
+  breakpoint : float array;
+  order : int array;
+  rest : float array;
+  capacity : float;  (* [sum_j c_j f_box], the largest floor the boxes allow *)
+}
+
 type built = {
   problem : Convex.Conic.problem Lazy.t;
   layout : layout;
@@ -20,6 +40,7 @@ type built = {
   steps : int;
   machine : Sim.Machine.t;
   conic : Convex.Conic.t Lazy.t;
+  floor_only : floor_only option;
 }
 
 (* The normal-equations matrix G' W^-2 G of the conic form couples
@@ -88,6 +109,24 @@ let p_box = 1.005
    on the box rows) of binding. *)
 let implied_margin = 1e-6
 
+let floor_only_of layout ~total_f_coeffs ~objective_coeffs =
+  let n = layout.n_f in
+  let c = Array.init n (fun j -> -.total_f_coeffs.(layout.f_offset + j)) in
+  let w = Array.init n (fun j -> objective_coeffs.(layout.p_offset + j)) in
+  let breakpoint = Array.init n (fun j -> 2.0 *. w.(j) *. f_box /. c.(j)) in
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b -> Float.compare breakpoint.(a) breakpoint.(b))
+    order;
+  let rest = Array.make (n + 1) 0.0 in
+  for k = n - 1 downto 0 do
+    let j = order.(k) in
+    rest.(k) <- rest.(k + 1) +. (c.(j) *. c.(j) /. (2.0 *. w.(j)))
+  done;
+  let capacity = ref 0.0 in
+  Array.iter (fun cj -> capacity := !capacity +. (cj *. f_box)) c;
+  { c; w; breakpoint; order; rest; capacity = !capacity }
+
 let box_implies_row ~tmax ~base q =
   let worst = ref base in
   for i = 0 to Array.length q - 1 do
@@ -123,6 +162,7 @@ type prepared = {
   p_machine : Sim.Machine.t;
   p_t0 : Vec.t;
   p_steps : int;
+  p_floor_only : floor_only option;
   (* Conic form with a floor constant of 0; {!instantiate} re-offsets
      the floor row per [ftarget] without re-packing G. *)
   p_conic : Convex.Conic.t Lazy.t;
@@ -285,20 +325,25 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
      normalized power, exactly 1.0 on a single-class platform — plus
      the weighted spread (Eq. 3/5). *)
   let pref = Array.fold_left Float.max 0.0 pmax in
-  let power_objective =
-    let q = Vec.zeros dim in
-    for j = 0 to layout.n_p - 1 do
-      q.(layout.p_offset + j) <-
-        (match spec.Spec.variant with
-        | Spec.Variable -> pmax.(j) /. pref
-        | Spec.Uniform -> float_of_int n_cores)
-    done;
-    (match (layout.bounds_offset, spec.Spec.gradient) with
-    | Some off, Some g ->
-        q.(off) <- g.Spec.weight;
-        q.(off + 1) <- -.g.Spec.weight
-    | None, _ | _, None -> ());
-    Quad.affine q 0.0
+  let objective_coeffs = Vec.zeros dim in
+  for j = 0 to layout.n_p - 1 do
+    objective_coeffs.(layout.p_offset + j) <-
+      (match spec.Spec.variant with
+      | Spec.Variable -> pmax.(j) /. pref
+      | Spec.Uniform -> float_of_int n_cores)
+  done;
+  (match (layout.bounds_offset, spec.Spec.gradient) with
+  | Some off, Some g ->
+      objective_coeffs.(off) <- g.Spec.weight;
+      objective_coeffs.(off + 1) <- -.g.Spec.weight
+  | None, _ | _, None -> ());
+  let power_objective = Quad.affine objective_coeffs 0.0 in
+  (* The gradient variant's objective couples the thermal rows through
+     its spread term, so it has no floor-only closed form. *)
+  let floor_only =
+    match spec.Spec.gradient with
+    | None -> Some (floor_only_of layout ~total_f_coeffs ~objective_coeffs)
+    | Some _ -> None
   in
   let pre_floor = Array.of_list (List.rev !pre) in
   let post_floor = Array.of_list (List.rev !post) in
@@ -312,6 +357,7 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
     p_machine = machine;
     p_t0 = Vec.copy t0;
     p_steps = steps;
+    p_floor_only = floor_only;
     p_conic =
       lazy
         (Convex.Conic.of_problem
@@ -332,12 +378,19 @@ let prepare ~machine ~spec ~tstart =
 let prepare_with_profile ~machine ~spec ~t0 =
   prepare_internal ~machine ~spec ~t0
 
+(* The throughput floor [sum_j c_j fhat_j >= F] has the constant
+   [F = n_cores ftarget / fmax]. *)
+let floor_constant ~layout ~machine ftarget =
+  float_of_int layout.n_cores *. (ftarget /. machine.Sim.Machine.fmax)
+
 let instantiate p ~ftarget =
   let fmax = p.p_machine.Sim.Machine.fmax in
   (* Written so that a NaN target fails too. *)
   if not (ftarget >= 0.0 && ftarget <= fmax) then
     invalid_arg "Model.build: ftarget outside [0, fmax]";
-  let floor_const = float_of_int p.p_layout.n_cores *. (ftarget /. fmax) in
+  let floor_const =
+    floor_constant ~layout:p.p_layout ~machine:p.p_machine ftarget
+  in
   let floor = Quad.affine p.total_f_coeffs floor_const in
   {
     problem =
@@ -358,6 +411,7 @@ let instantiate p ~ftarget =
         (Convex.Conic.with_constraint_constant
            (Lazy.force p.p_conic)
            ~index:(Array.length p.pre_floor) floor_const);
+    floor_only = p.p_floor_only;
   }
 
 (* The frontier problem: maximize the total frequency under the same
@@ -378,6 +432,7 @@ let frontier_of_prepared p =
     steps = p.p_steps;
     machine = p.p_machine;
     conic = lazy (Convex.Conic.of_problem problem);
+    floor_only = None;
   }
 
 let build ~machine ~spec ~tstart ~ftarget =
@@ -398,6 +453,7 @@ type solution = {
   total_power : float;
   gradient_spread : float option;
   raw : Convex.Solve.solution;
+  settled_by : [ `Closed_form | `Interior_point ];
 }
 
 type outcome = Feasible of solution | Infeasible
@@ -408,7 +464,7 @@ let expand built per_var =
   | Spec.Variable -> Vec.copy per_var
   | Spec.Uniform -> Vec.create built.layout.n_cores per_var.(0)
 
-let solution_of_x built (raw : Convex.Solve.solution) =
+let solution_of_x built ~settled_by (raw : Convex.Solve.solution) =
   let layout = built.layout in
   let x = raw.Convex.Solve.x in
   let core_fmax = built.machine.Sim.Machine.core_fmax in
@@ -438,6 +494,7 @@ let solution_of_x built (raw : Convex.Solve.solution) =
     total_power = Vec.sum core_powers;
     gradient_spread;
     raw;
+    settled_by;
   }
 
 (* [s] has the full instance's shape, so the dual is zero on every row
@@ -464,7 +521,9 @@ let raw_of_conic built t (s : Convex.Conic.solution) =
 let outcome_of built t (status : Convex.Conic.status) =
   match status with
   | Convex.Conic.Optimal s ->
-      Feasible (solution_of_x built (raw_of_conic built t s))
+      Feasible
+        (solution_of_x built ~settled_by:`Interior_point
+           (raw_of_conic built t s))
   | Convex.Conic.Primal_infeasible _ | Convex.Conic.Dual_infeasible _
   | Convex.Conic.Unknown _ ->
       Infeasible
@@ -516,10 +575,18 @@ let seed_slack = 1e-6
    later round's seed is this cell's own optimum on a smaller set, and
    it stays warm.
 
-   A round that stalls ([Unknown], or a dual-infeasibility certificate
-   a bounded cell cannot have) is retried once, cold, on every row;
-   its status is the call's.  Work counters add up over every solve;
-   the outcome counters count the call once, by its final status. *)
+   The first working set is the thermal rows the floor-only optimum
+   violates when the cell has that closed form, else the rows that
+   bind at [start].  A run that stalls ([Unknown], or a
+   dual-infeasibility certificate a bounded cell cannot have) from the
+   violated rows is run again from the rows [start] picks: on a cell
+   just past the frontier the floor-only optimum violates hundreds of
+   rows, and the embedding started cold on all of them can stall where
+   the same rows, admitted round by round, end in a certificate
+   (DESIGN.md 6r).  A run that stalls from the rows [start] picks is
+   retried once, cold, on every row; the last status is the call's.
+   Work counters add up over every solve; the outcome counters count
+   the call once, by its final status. *)
 let count_outcome (status : Convex.Conic.status) (s : Convex.Conic.stats) =
   let s =
     {
@@ -536,6 +603,80 @@ let count_outcome (status : Convex.Conic.status) (s : Convex.Conic.stats) =
   | Convex.Conic.Dual_infeasible _ -> { s with dual_infeasible = 1 }
   | Convex.Conic.Unknown _ -> { s with unknown = 1 }
 
+(* The optimum of the floor-only relaxation, as [raw] with its exact
+   dual, or [None] when the floor exceeds what the boxes allow (the
+   conic method then certifies the cell infeasible).  The breakpoint
+   walk saturates variables in ascending breakpoint order while the
+   multiplier that meets the floor on the rest passes their
+   breakpoint; that multiplier only grows along the walk, so every
+   saturated variable's box dual [lambda c_j - 2 w_j f_box] is
+   positive.  If every variable saturates the floor equals the
+   capacity, and [lambda] is the last breakpoint.
+
+   The dual has the full instance's shape: [w_j] on each power law,
+   the box dual on each saturated variable's upper frequency box,
+   [lambda] on the floor, zero everywhere else. *)
+let floor_only_raw built t =
+  match built.floor_only with
+  | None -> None
+  | Some fo ->
+      let layout = built.layout in
+      let floor = floor_constant ~layout ~machine:built.machine built.ftarget in
+      if not (floor <= fo.capacity) then None
+      else begin
+        let n = layout.n_f in
+        let rec walk k sat =
+          if k = n then (k, fo.breakpoint.(fo.order.(n - 1)))
+          else
+            let lambda = (floor -. sat) /. fo.rest.(k) in
+            let j = fo.order.(k) in
+            if lambda <= fo.breakpoint.(j) then (k, lambda)
+            else walk (k + 1) (sat +. (fo.c.(j) *. f_box))
+        in
+        let saturated, lambda = walk 0 0.0 in
+        let x = Vec.zeros layout.dim in
+        let dual = Vec.zeros (Convex.Conic.n_constraints t) in
+        let objective = ref 0.0 in
+        Array.iteri
+          (fun k j ->
+            let fhat =
+              if k < saturated then begin
+                dual.((5 * j) + 2) <-
+                  (lambda *. fo.c.(j)) -. (2.0 *. fo.w.(j) *. f_box);
+                f_box
+              end
+              else Float.min f_box (lambda *. fo.c.(j) /. (2.0 *. fo.w.(j)))
+            in
+            x.(layout.f_offset + j) <- fhat;
+            x.(layout.p_offset + j) <- fhat *. fhat;
+            dual.(5 * j) <- fo.w.(j))
+          fo.order;
+        for j = 0 to layout.n_p - 1 do
+          objective := !objective +. (fo.w.(j) *. x.(layout.p_offset + j))
+        done;
+        dual.(5 * n) <- lambda;
+        Some
+          {
+            Convex.Solve.x;
+            objective_value = !objective;
+            dual;
+            gap = 0.0;
+            kkt =
+              lazy (Convex.Kkt.residuals (Lazy.force built.problem) x dual);
+            iterations = 0;
+          }
+      end
+
+(* A cell the floor-only optimum settles counts as one optimal solve
+   with no interior-point work. *)
+let closed_form_stats = { Convex.Conic.stats_zero with optimal = 1 }
+
+(* The floor-only relaxation settles a cell when its optimum satisfies
+   every thermal row: it is then feasible for the cell, and as the
+   relaxation's objective is strictly convex in [fhat], it is the
+   cell's unique optimum.  One {!Convex.Conic.admit} pass makes the
+   check and leaves exactly the violated rows in the working set,
+   which the conic rounds then start from. *)
 let solve ?conic_stats_into ?conic_ws ?start built =
   let t = Lazy.force built.conic in
   let options = conic_options built in
@@ -545,11 +686,11 @@ let solve ?conic_stats_into ?conic_ws ?start built =
     | None -> Convex.Conic.make_workspace ~kkt:options.Convex.Conic.kkt t
   in
   let first, last = optional_rows built t in
-  Convex.Conic.restrict ws t ~first ~last;
-  (match start with
-  | Some x when Vec.dim x = built.layout.dim ->
-      ignore (Convex.Conic.admit ws t x ~above:(-.seed_slack))
-  | Some _ | None -> ());
+  let record stats =
+    match conic_stats_into with
+    | Some acc -> acc := Convex.Conic.stats_add !acc stats
+    | None -> ()
+  in
   let stats = ref Convex.Conic.stats_zero in
   let rec round warm =
     match Convex.Conic.solve ~options ?warm ~stats_into:stats ~ws t with
@@ -558,18 +699,40 @@ let solve ?conic_stats_into ?conic_ws ?start built =
         round (Some s.Convex.Conic.x)
     | status -> status
   in
-  let status =
-    match round None with
-    | (Convex.Conic.Optimal _ | Convex.Conic.Primal_infeasible _) as status ->
-        status
-    | Convex.Conic.Dual_infeasible _ | Convex.Conic.Unknown _ ->
-        Convex.Conic.restrict ws t ~first:0 ~last:0;
-        Convex.Conic.solve ~options ~stats_into:stats ~ws t
+  let from_start () =
+    Convex.Conic.restrict ws t ~first ~last;
+    (match start with
+    | Some x when Vec.dim x = built.layout.dim ->
+        ignore (Convex.Conic.admit ws t x ~above:(-.seed_slack))
+    | Some _ | None -> ());
+    round None
   in
-  (match conic_stats_into with
-  | Some acc -> acc := Convex.Conic.stats_add !acc (count_outcome status !stats)
-  | None -> ());
-  outcome_of built t status
+  let stalled = function
+    | Convex.Conic.Optimal _ | Convex.Conic.Primal_infeasible _ -> false
+    | Convex.Conic.Dual_infeasible _ | Convex.Conic.Unknown _ -> true
+  in
+  Convex.Conic.restrict ws t ~first ~last;
+  match floor_only_raw built t with
+  | Some raw when Convex.Conic.admit ws t raw.Convex.Solve.x ~above:0.0 = 0 ->
+      record closed_form_stats;
+      Feasible (solution_of_x built ~settled_by:`Closed_form raw)
+  | closed_form ->
+      let status =
+        match closed_form with
+        | Some _ ->
+            let status = round None in
+            if stalled status then from_start () else status
+        | None -> from_start ()
+      in
+      let status =
+        if stalled status then begin
+          Convex.Conic.restrict ws t ~first:0 ~last:0;
+          Convex.Conic.solve ~options ~stats_into:stats ~ws t
+        end
+        else status
+      in
+      record (count_outcome status !stats);
+      outcome_of built t status
 
 let predicted_peak built frequencies =
   let machine = built.machine in

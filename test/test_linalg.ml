@@ -119,25 +119,23 @@ let test_mat_identity_pow () =
 let test_mat_outer () =
   let m = Mat.outer [| 1.0; 2.0 |] [| 3.0; 4.0 |] in
   check_bool "outer" true
-    (Mat.approx_equal m (Mat.of_rows [| [| 3.0; 4.0 |]; [| 6.0; 8.0 |] |]));
-  let a = Mat.zeros 2 2 in
-  Mat.add_outer_into a 2.0 [| 1.0; 1.0 |];
-  check_bool "add_outer_into" true
-    (Mat.approx_equal a (Mat.of_rows [| [| 2.0; 2.0 |]; [| 2.0; 2.0 |] |]))
+    (Mat.approx_equal m (Mat.of_rows [| [| 3.0; 4.0 |]; [| 6.0; 8.0 |] |]))
 
 let test_mat_upper_accumulation () =
-  (* Accumulating rank-ones in the upper triangle and mirroring must
-     equal the full-update path. *)
+  (* The barrier oracle's kernels (test/barrier_reference.ml):
+     accumulating rank-ones in the upper triangle and mirroring must
+     equal the sum of the full outer products. *)
   let st = mk_rand 53 in
   let n = 5 in
-  let full = Mat.zeros n n and upper = Mat.zeros n n in
+  let full = ref (Mat.zeros n n) and upper = Mat.zeros n n in
   for _ = 1 to 10 do
     let x = random_vec st n in
     let c = Random.State.float st 2.0 in
-    Mat.add_outer_into full c x;
-    Mat.add_outer_upper_into upper c x
+    full := Mat.add !full (Mat.scale c (Mat.outer x x));
+    Barrier_reference.add_outer_upper_into upper c x
   done;
-  Mat.mirror_upper upper;
+  Barrier_reference.mirror_upper upper;
+  let full = !full in
   check_bool "matches full update" true (Mat.approx_equal ~tol:1e-12 full upper)
 
 let test_mat_gemv_into () =
@@ -163,43 +161,6 @@ let test_mat_gemv_into () =
   Mat.gemv_into a x ~dst;
   check_bool "beta=0 ignores dst" true
     (Vec.approx_equal ~tol:1e-12 dst (Mat.mul_vec a x))
-
-(* Naive A^T diag(d) A for checking the blocked kernel. *)
-let naive_atda a d =
-  let m = Mat.rows a and n = Mat.cols a in
-  Mat.init n n (fun i j ->
-      let s = ref 0.0 in
-      for r = 0 to m - 1 do
-        s := !s +. (d.(r) *. Mat.get a r i *. Mat.get a r j)
-      done;
-      !s)
-
-let test_mat_syrk_scaled_into () =
-  let st = mk_rand 61 in
-  (* Odd and even row counts both exercised (the kernel processes rows
-     in pairs, with a tail row when the count is odd). *)
-  List.iter
-    (fun m ->
-      let a = random_mat st m 4 in
-      let d = random_vec st m in
-      let dst = Mat.zeros 4 4 in
-      Mat.syrk_scaled_into a d ~dst;
-      Mat.mirror_upper dst;
-      check_bool
-        (Printf.sprintf "matches naive (m=%d)" m)
-        true
-        (Mat.approx_equal ~tol:1e-12 dst (naive_atda a d)))
-    [ 1; 4; 5 ];
-  (* Accumulation: two calls add both contributions. *)
-  let a1 = random_mat st 3 4 and a2 = random_mat st 5 4 in
-  let d1 = random_vec st 3 and d2 = random_vec st 5 in
-  let dst = Mat.zeros 4 4 in
-  Mat.syrk_scaled_into a1 d1 ~dst;
-  Mat.syrk_scaled_into a2 d2 ~dst;
-  Mat.mirror_upper dst;
-  check_bool "accumulates" true
-    (Mat.approx_equal ~tol:1e-12 dst
-       (Mat.add (naive_atda a1 d1) (naive_atda a2 d2)))
 
 let test_mat_symmetry () =
   let st = mk_rand 11 in
@@ -860,8 +821,6 @@ let () =
           Alcotest.test_case "upper-triangle accumulation" `Quick
             test_mat_upper_accumulation;
           Alcotest.test_case "gemv_into" `Quick test_mat_gemv_into;
-          Alcotest.test_case "syrk_scaled_into" `Quick
-            test_mat_syrk_scaled_into;
           Alcotest.test_case "symmetry" `Quick test_mat_symmetry;
         ] );
       ( "lu",

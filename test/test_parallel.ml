@@ -299,7 +299,9 @@ let test_sweep_stats_domain_invariant () =
    neighbours' optima may take no more conic factorizations than the
    same grid solved cold (820 against 841 when the gate went in; 907
    against 841 while a seed also set the interior-point iterate,
-   DESIGN.md 6p).  The cold reference walks each row like the fill
+   DESIGN.md 6p; 180 against 180 since the floor-only closed form,
+   which leaves the seed only a stalled run's retry set, DESIGN.md
+   6r).  The cold reference walks each row like the fill
    does — one prepared context per row, nothing above the row's first
    infeasible column — but never passes a seed. *)
 let test_seeded_sweep_no_costlier_than_cold () =

@@ -1098,13 +1098,12 @@ let test_filter_same_optimum () =
       (biglittle, 90.0, 7.1e8);
     ]
 
-(* Working set: [Model.solve] against the all-rows oracle on random
-   cells of every variant, cold or warm from the cell one column down.
+(* [Model.solve]'s outcome on [built] against the all-rows oracle.
    The two must reach the same verdict and objective.  The thermal and
-   gradient rows — the ones the working set may leave out — must hold
-   at the returned point to 1e-7 (in units of tmax), and the returned
-   dual, zero off the working set, must be a KKT certificate for the
-   full problem.
+   gradient rows — the ones the working set may leave out, and the
+   ones the floor-only closed form ignores — must hold at the returned
+   point to 1e-7 (in units of tmax), and the returned dual, zero off
+   the working set, must be a KKT certificate for the full problem.
 
    The rows that are always in the set (box, floor) get the bound the
    conic itself accepts a solution at, the same for the oracle: a
@@ -1115,6 +1114,66 @@ let test_filter_same_optimum () =
    of [Kkt.residuals] also carries the epigraph lift's complementarity
    defect (about 3e-4 at worst for the oracle on these cells), so it
    gets the 1e-3 the barrier's KKT tests use. *)
+let agrees_with_all_rows (built : Protemp.Model.built) outcome =
+  let rows =
+    (Lazy.force built.Protemp.Model.problem).Convex.Conic.constraints
+  in
+  let o = Convex.Conic.default_options in
+  match (outcome, all_rows_solve built) with
+  | Protemp.Model.Infeasible, Convex.Conic.Primal_infeasible _ -> true
+  | Protemp.Model.Feasible s, Convex.Conic.Optimal r ->
+      let raw = s.Protemp.Model.raw in
+      let x = raw.Convex.Solve.x in
+      let obj = raw.Convex.Solve.objective_value in
+      let ref_obj = r.Convex.Conic.objective_value in
+      (* Thermal and gradient rows follow the power-law and box rows
+         (five per frequency variable) and the floor. *)
+      let first_post = (5 * built.Protemp.Model.layout.Protemp.Model.n_f) + 1 in
+      let worst ~from =
+        let w = ref neg_infinity in
+        Array.iteri
+          (fun j c ->
+            if j >= from && Convex.Quad.is_affine c then
+              w := Float.max !w (Convex.Quad.eval c x))
+          rows;
+        !w
+      in
+      let h_max =
+        Array.fold_left
+          (fun acc c -> Float.max acc (Float.abs (Convex.Quad.constant_part c)))
+          1.0 rows
+      in
+      let accepted = 100.0 *. o.Convex.Conic.feas_tol *. h_max in
+      let k =
+        Convex.Kkt.residuals
+          (Lazy.force built.Protemp.Model.problem)
+          x raw.Convex.Solve.dual
+      in
+      if Float.abs (obj -. ref_obj) > 2e-6 *. Float.max 1.0 (Float.abs obj) then
+        QCheck2.Test.fail_reportf "objective %.12g, all-rows %.12g" obj ref_obj
+      else if worst ~from:first_post > 1e-7 then
+        QCheck2.Test.fail_reportf "a thermal or gradient row is at %.3g"
+          (worst ~from:first_post)
+      else if worst ~from:0 > accepted then
+        QCheck2.Test.fail_reportf "an affine row is at %.3g > %.3g"
+          (worst ~from:0) accepted
+      else if
+        not
+          (k.Convex.Kkt.primal_infeasibility <= accepted
+          && k.Convex.Kkt.dual_infeasibility <= 0.0
+          && k.Convex.Kkt.complementarity
+             <= 100.0 *. o.Convex.Conic.gap_rel_tol
+                *. Float.max 1.0 (Float.abs obj)
+          && k.Convex.Kkt.stationarity <= 1e-3)
+      then QCheck2.Test.fail_reportf "KKT residuals: %a" Convex.Kkt.pp k
+      else true
+  | _, (Convex.Conic.Unknown _ | Convex.Conic.Dual_infeasible _) ->
+      (* The oracle stalled and has no verdict to compare with. *)
+      QCheck2.assume_fail ()
+  | Protemp.Model.Feasible _, st | Protemp.Model.Infeasible, st ->
+      QCheck2.Test.fail_reportf "verdicts differ: all-rows %a"
+        Convex.Conic.pp_status st
+
 let working_set_spec ~big ~variant ~stride =
   let d = { Protemp.Spec.default with Protemp.Spec.constraint_stride = stride } in
   match variant with
@@ -1124,6 +1183,8 @@ let working_set_spec ~big ~variant ~stride =
   | 2 -> Protemp.Spec.with_gradient ~weight:0.5 ~cap:20.0 d
   | _ -> Protemp.Spec.with_gradient ~weight:0.5 d
 
+(* Working set: random cells of every variant, cold or warm from the
+   cell one column down. *)
 let prop_working_set =
   QCheck2.Test.make ~name:"working_set: same optimum as the all-rows solve"
     ~count:40
@@ -1152,68 +1213,144 @@ let prop_working_set =
           | Protemp.Model.Infeasible -> None
       in
       let built = Protemp.Model.instantiate prepared ~ftarget:(frac *. fmax) in
-      let rows =
-        (Lazy.force built.Protemp.Model.problem).Convex.Conic.constraints
+      agrees_with_all_rows built (Protemp.Model.solve ?start built))
+
+(* Closed form: random cells of the variants without a gradient term,
+   where [Model.solve] first forms the floor-only optimum and serves it
+   when no thermal row is violated.  The cell must agree with the
+   all-rows oracle whichever way it was settled; hot cells and high
+   targets violate rows and go to the conic method, and big.LITTLE's
+   little cores saturate their box at high targets, so the draw covers
+   the row check and the box duals. *)
+let prop_closed_form =
+  QCheck2.Test.make ~name:"closed_form: same optimum as the all-rows solve"
+    ~count:60
+    ~print:(fun (big, uniform, stride, tstart, frac) ->
+      Printf.sprintf "%s %s stride %d tstart %.3f ftarget %.4f fmax"
+        (if big then "biglittle" else "niagara")
+        (if uniform && not big then "uniform" else "variable")
+        stride tstart frac)
+    QCheck2.Gen.(
+      tup5 bool bool (oneofl [ 1; 4 ]) (float_range 27.0 100.0)
+        (float_range 0.05 1.0))
+    (fun (big, uniform, stride, tstart, frac) ->
+      let machine = Lazy.force (if big then biglittle else machine) in
+      let spec =
+        working_set_spec ~big ~variant:(if uniform then 1 else 0) ~stride
       in
-      let o = Convex.Conic.default_options in
-      match (Protemp.Model.solve ?start built, all_rows_solve built) with
-      | Protemp.Model.Infeasible, Convex.Conic.Primal_infeasible _ -> true
-      | Protemp.Model.Feasible s, Convex.Conic.Optimal r ->
-          let raw = s.Protemp.Model.raw in
-          let x = raw.Convex.Solve.x in
-          let obj = raw.Convex.Solve.objective_value in
-          let ref_obj = r.Convex.Conic.objective_value in
-          (* Thermal and gradient rows follow the power-law and box rows
-             (five per frequency variable) and the floor. *)
-          let first_post = (5 * built.Protemp.Model.layout.Protemp.Model.n_f) + 1 in
-          let worst ~from =
-            let w = ref neg_infinity in
-            Array.iteri
-              (fun j c ->
-                if j >= from && Convex.Quad.is_affine c then
-                  w := Float.max !w (Convex.Quad.eval c x))
-              rows;
-            !w
-          in
-          let h_max =
-            Array.fold_left
-              (fun acc c -> Float.max acc (Float.abs (Convex.Quad.constant_part c)))
-              1.0 rows
-          in
-          let accepted = 100.0 *. o.Convex.Conic.feas_tol *. h_max in
-          let k =
-            Convex.Kkt.residuals
-              (Lazy.force built.Protemp.Model.problem)
-              x raw.Convex.Solve.dual
-          in
-          if
-            Float.abs (obj -. ref_obj) > 2e-6 *. Float.max 1.0 (Float.abs obj)
-          then
-            QCheck2.Test.fail_reportf "objective %.12g, all-rows %.12g" obj
-              ref_obj
-          else if worst ~from:first_post > 1e-7 then
-            QCheck2.Test.fail_reportf "a thermal or gradient row is at %.3g"
-              (worst ~from:first_post)
-          else if worst ~from:0 > accepted then
-            QCheck2.Test.fail_reportf "an affine row is at %.3g > %.3g"
-              (worst ~from:0) accepted
-          else if
-            not
-              (k.Convex.Kkt.primal_infeasibility <= accepted
-              && k.Convex.Kkt.dual_infeasibility <= 0.0
-              && k.Convex.Kkt.complementarity
-                 <= 100.0 *. o.Convex.Conic.gap_rel_tol
-                    *. Float.max 1.0 (Float.abs obj)
-              && k.Convex.Kkt.stationarity <= 1e-3)
-          then
-            QCheck2.Test.fail_reportf "KKT residuals: %a" Convex.Kkt.pp k
-          else true
-      | _, (Convex.Conic.Unknown _ | Convex.Conic.Dual_infeasible _) ->
-          (* The oracle stalled and has no verdict to compare with. *)
-          QCheck2.assume_fail ()
-      | Protemp.Model.Feasible _, st | Protemp.Model.Infeasible, st ->
-          QCheck2.Test.fail_reportf "verdicts differ: all-rows %a"
-            Convex.Conic.pp_status st)
+      let built =
+        Protemp.Model.build ~machine ~spec ~tstart
+          ~ftarget:(frac *. machine.Sim.Machine.fmax)
+      in
+      agrees_with_all_rows built (Protemp.Model.solve built))
+
+(* Settled in closed form: the optimum is served with no interior-point
+   iteration, counted as one optimal solve. *)
+let closed_form_solution ~machine ~spec ~tstart ~ftarget =
+  let stats = ref Convex.Conic.stats_zero in
+  match
+    Protemp.Model.solve ~conic_stats_into:stats
+      (Protemp.Model.build ~machine ~spec ~tstart ~ftarget)
+  with
+  | Protemp.Model.Infeasible -> Alcotest.fail "expected feasible"
+  | Protemp.Model.Feasible s ->
+      check_bool "settled in closed form" true
+        (s.Protemp.Model.settled_by = `Closed_form);
+      check_int "no iteration" 0 s.Protemp.Model.raw.Convex.Solve.iterations;
+      check_int "no conic iteration counted" 0 !stats.Convex.Conic.iterations;
+      check_int "one optimal outcome" 1 !stats.Convex.Conic.optimal;
+      s
+
+(* big.LITTLE at 27 C and 700 MHz: the little cores (600 MHz ceiling,
+   0.3 of the big cores' peak power) are the cheaper throughput, so the
+   floor-only optimum runs them at their box and the big cores above
+   700 MHz.  Their upper-box duals carry the difference between the
+   floor's price and their marginal power, and must be >= 0 (positive
+   here); every other box dual is zero.  The floor is met to rounding
+   in normalized units (the reported frequencies clamp the little
+   cores back to their ceiling). *)
+let test_closed_form_saturated_little_cores () =
+  let machine = Lazy.force biglittle in
+  let ftarget = 7e8 in
+  let s =
+    closed_form_solution ~machine ~spec:fast_spec ~tstart:27.0 ~ftarget
+  in
+  let raw = s.Protemp.Model.raw in
+  let x = raw.Convex.Solve.x and dual = raw.Convex.Solve.dual in
+  let n = machine.Sim.Machine.n_cores in
+  let core_fmax = machine.Sim.Machine.core_fmax in
+  let fref = machine.Sim.Machine.fmax in
+  let served = ref 0.0 and saturated = ref 0 in
+  for j = 0 to n - 1 do
+    let box = dual.((5 * j) + 2) in
+    check_bool
+      (Printf.sprintf "core %d box dual %g >= 0" j box)
+      true (box >= 0.0);
+    if core_fmax.(j) < fref then begin
+      incr saturated;
+      check_float 0.0
+        (Printf.sprintf "little core %d at its box" j)
+        1.002 x.(j);
+      check_bool
+        (Printf.sprintf "little core %d box dual > 0" j)
+        true (box > 0.0)
+    end
+    else check_float 0.0 (Printf.sprintf "big core %d box dual" j) 0.0 box;
+    served := !served +. (core_fmax.(j) /. fref *. x.(j))
+  done;
+  check_int "four little cores saturate" 4 !saturated;
+  let floor = float_of_int n *. (ftarget /. fref) in
+  check_bool
+    (Printf.sprintf "floor %.17g met by %.17g" floor !served)
+    true
+    (Float.abs (!served -. floor) <= 1e-12 *. floor);
+  let k = Lazy.force raw.Convex.Solve.kkt in
+  check_bool
+    (Format.asprintf "exact KKT certificate: %a" Convex.Kkt.pp k)
+    true
+    (Convex.Kkt.max_residual k <= 1e-12)
+
+(* A cell on which [prop_working_set] failed about one run in twenty
+   (Niagara, uniform, stride 1, 54 C, 0.8286 and 0.8287 fmax): its
+   conic optimum carried a stationarity of 1.001e-3, above the
+   property's 1e-3.  The floor-only optimum passes every thermal row
+   there, so it is now settled in closed form with an exact dual. *)
+let test_closed_form_pinned_working_set_cell () =
+  let machine = Lazy.force machine in
+  let spec = working_set_spec ~big:false ~variant:1 ~stride:1 in
+  List.iter
+    (fun frac ->
+      let s =
+        closed_form_solution ~machine ~spec ~tstart:54.0
+          ~ftarget:(frac *. machine.Sim.Machine.fmax)
+      in
+      let k = Lazy.force s.Protemp.Model.raw.Convex.Solve.kkt in
+      check_bool
+        (Format.asprintf "%.4f fmax: %a" frac Convex.Kkt.pp k)
+        true
+        (k.Convex.Kkt.stationarity <= 1e-3))
+    [ 0.8286; 0.8287 ]
+
+(* The gradient variant has no closed form: its grids must be the ones
+   the conic working-set path built before the closed form existed,
+   byte for byte.  The golden CSV was written by that code (the CLI's
+   [table --gradient 0.5 --stride 4] over these axes). *)
+let test_gradient_grid_golden () =
+  let machine = Lazy.force machine in
+  let spec = Protemp.Spec.with_gradient ~weight:0.5 fast_spec in
+  let dense =
+    Protemp.Dense_table.create ~machine ~spec
+      ~tstarts:[| 27.0; 45.0; 60.0; 75.0; 90.0; 100.0 |]
+      ~ftargets:[| 150e6; 350e6; 550e6; 700e6; 800e6; 950e6 |]
+      ()
+  in
+  let csv = Protemp.Table.to_csv (Protemp.Dense_table.to_table dense) in
+  let golden =
+    In_channel.with_open_bin "gradient_grid.golden" In_channel.input_all
+  in
+  check_bool "gradient grid byte-identical to the golden" true (csv = golden);
+  check_int "no cell in closed form" 0
+    (Protemp.Dense_table.closed_form_cells dense)
 
 (* The stall path of [Model.solve]: a working set that ends without a
    certificate is re-solved once, cold, on every row.  Four Niagara
@@ -1505,6 +1642,7 @@ let props =
       prop_table_csv_roundtrip_exact;
       prop_filter_keeps_feasible_set;
       prop_working_set;
+      prop_closed_form;
     ]
 
 let () =
@@ -1599,6 +1737,15 @@ let () =
         [
           Alcotest.test_case "pinned counts" `Quick test_filter_pinned_counts;
           Alcotest.test_case "same optimum" `Slow test_filter_same_optimum;
+        ] );
+      ( "closed_form",
+        [
+          Alcotest.test_case "saturated little cores" `Quick
+            test_closed_form_saturated_little_cores;
+          Alcotest.test_case "pinned working-set cell" `Quick
+            test_closed_form_pinned_working_set_cell;
+          Alcotest.test_case "gradient grid golden" `Quick
+            test_gradient_grid_golden;
         ] );
       ( "stall_path",
         [
