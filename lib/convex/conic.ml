@@ -1,8 +1,9 @@
 open Linalg
 
-(* Internal form: the cone rows are permuted so every orthant row comes
-   first, followed by the rotated-quadratic blocks mapped onto the
-   standard second-order cone by the self-inverse orthogonal rotation
+(* Internal form: the orthant rows come first, one per affine
+   constraint in constraint order, followed by one rotated-quadratic
+   block per quadratic constraint, mapped onto the standard
+   second-order cone by the self-inverse orthogonal rotation
 
      T = [ 1/r2  1/r2  0 ]
          [ 1/r2 -1/r2  0 ]          r2 = sqrt 2
@@ -28,22 +29,20 @@ type problem = { objective : Quad.t; constraints : Quad.t array }
 
 type duals_entry = Dual_orth of int | Dual_soc of int
 
+(* The caller's rows (those of [solution.s] and [solution.z]) are in
+   the same order; they differ from the internal ones only by the
+   rotation T, so SOC block [k] sits at rows [mo + 3k] on both sides. *)
 type t = {
   n : int;  (* primal dimension *)
-  p : int;  (* equality rows *)
   mo : int;  (* orthant rows *)
   nsoc : int;  (* second-order blocks (3 rows each) *)
   c : Vec.t;
-  a : Mat.t;  (* p x n *)
-  b : Vec.t;
   gdata : float array;  (* truncated rows, packed contiguously *)
   goff : int array;  (* q + 1 row offsets into gdata *)
   glo : int array;  (* first stored column of each row *)
   hi : Vec.t;  (* q, internal row order *)
-  orth_ext : int array;  (* external row of internal orthant row i *)
-  soc_ext : int array;  (* external offset of internal block k *)
-  (* of_problem bookkeeping; [||] for make-built instances *)
-  duals_map : duals_entry array;
+  orth_ext : int array;  (* caller's row of internal orthant row i *)
+  duals_map : duals_entry array;  (* constraint -> its cone row(s) *)
   obj_const : float;
 }
 
@@ -85,76 +84,6 @@ let pack_rows rows =
     Array.blit rows.(i) 0 gdata goff.(i) (Array.length rows.(i))
   done;
   (gdata, goff)
-
-let count_cones cones =
-  Array.fold_left
-    (fun (mo, nsoc) c ->
-      match c with
-      | Cone.Nonneg d -> (mo + Cone.dim (Cone.Nonneg d), nsoc)
-      | Cone.Epi_square -> (mo, nsoc + 1))
-    (0, 0) cones
-
-let make ?a ?b ~c ~g ~h ~cones () =
-  let n = Vec.dim c in
-  let a = match a with Some a -> a | None -> Mat.zeros 0 n in
-  let b = match b with Some b -> b | None -> Vec.zeros 0 in
-  let p = Mat.rows a in
-  if Mat.cols a <> n then invalid_arg "Conic.make: A column mismatch";
-  if Vec.dim b <> p then invalid_arg "Conic.make: b dimension mismatch";
-  if Mat.cols g <> n then invalid_arg "Conic.make: G column mismatch";
-  let mo, nsoc = count_cones cones in
-  let q = mo + (3 * nsoc) in
-  if Mat.rows g <> q then invalid_arg "Conic.make: G row mismatch";
-  if Vec.dim h <> q then invalid_arg "Conic.make: h dimension mismatch";
-  let grows = Array.make q [||] and glo = Array.make q 0 in
-  let hi = Vec.zeros q in
-  let orth_ext = Array.make mo 0 and soc_ext = Array.make nsoc 0 in
-  let full = Vec.zeros n in
-  let store i =
-    let row, lo = truncate_row full in
-    grows.(i) <- row;
-    glo.(i) <- lo
-  in
-  let io = ref 0 and is = ref 0 and ext = ref 0 in
-  Array.iter
-    (fun cone ->
-      match cone with
-      | Cone.Nonneg d ->
-          for k = 0 to d - 1 do
-            let e = !ext + k and i = !io + k in
-            orth_ext.(i) <- e;
-            hi.(i) <- h.(e);
-            for j = 0 to n - 1 do
-              full.(j) <- Mat.get g e j
-            done;
-            store i
-          done;
-          io := !io + d;
-          ext := !ext + d
-      | Cone.Epi_square ->
-          let e = !ext and r0 = mo + (3 * !is) in
-          soc_ext.(!is) <- e;
-          hi.(r0) <- inv_sqrt2 *. (h.(e) +. h.(e + 1));
-          hi.(r0 + 1) <- inv_sqrt2 *. (h.(e) -. h.(e + 1));
-          hi.(r0 + 2) <- h.(e + 2);
-          for j = 0 to n - 1 do
-            full.(j) <- inv_sqrt2 *. (Mat.get g e j +. Mat.get g (e + 1) j)
-          done;
-          store r0;
-          for j = 0 to n - 1 do
-            full.(j) <- inv_sqrt2 *. (Mat.get g e j -. Mat.get g (e + 1) j)
-          done;
-          store (r0 + 1);
-          for j = 0 to n - 1 do
-            full.(j) <- Mat.get g (e + 2) j
-          done;
-          store (r0 + 2);
-          incr is;
-          ext := !ext + 3)
-    cones;
-  let gdata, goff = pack_rows grows in
-  { n; p; mo; nsoc; c = Vec.copy c; a; b = Vec.copy b; gdata; goff;
-    glo; hi; orth_ext; soc_ext; duals_map = [||]; obj_const = 0.0 }
 
 (* Recover a from P = 2 a a^T (the Hessian of a rank-one quadratic
    constraint); [Invalid_argument] when P is not of that form. *)
@@ -198,7 +127,6 @@ let of_problem (bp : problem) =
   let grows = Array.make q [||] and glo = Array.make q 0 in
   let hi = Vec.zeros q in
   let orth_ext = Array.init mo (fun i -> i) in
-  let soc_ext = Array.init nsoc (fun k -> mo + (3 * k)) in
   let duals_map = Array.make m (Dual_orth 0) in
   let full = Vec.zeros n in
   let store i =
@@ -246,16 +174,13 @@ let of_problem (bp : problem) =
     cons;
   let gdata, goff = pack_rows grows in
   {
-    n; p = 0; mo; nsoc;
+    n; mo; nsoc;
     c = Quad.linear_part bp.objective;
-    a = Mat.zeros 0 n; b = Vec.zeros 0;
-    gdata; goff; glo; hi; orth_ext; soc_ext; duals_map;
+    gdata; goff; glo; hi; orth_ext; duals_map;
     obj_const = Quad.constant_part bp.objective;
   }
 
 let with_constraint_constant t ~index value =
-  if Array.length t.duals_map = 0 then
-    invalid_arg "Conic.with_constraint_constant: not an of_problem instance";
   if index < 0 || index >= Array.length t.duals_map then
     invalid_arg "Conic.with_constraint_constant: index out of range";
   match t.duals_map.(index) with
@@ -475,9 +400,8 @@ let g_syrk t d ~marr =
       done
   done
 
-(* The value G_i x - h_i of row [i] at [x]: on an of_problem instance,
-   orthant row i is the i-th affine constraint and this is its value
-   q'x + r.  Inlined, so the float it returns is never boxed. *)
+(* The value G_i x - h_i of row [i] at [x]: orthant row i is the i-th
+   affine constraint and this is its value q'x + r.  Inlined, so the float it returns is never boxed. *)
 let[@inline] row_value t i x =
   let gd = t.gdata and s = t.goff.(i) and e = t.goff.(i + 1) in
   let sh = t.glo.(i) - s in
@@ -488,24 +412,21 @@ let[@inline] row_value t i x =
   !acc -. t.hi.(i)
 
 (* ------------------------------------------------------------------ *)
-(* Options, stats                                                     *)
+(* Tolerances, stats                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type kkt = [ `Dense | `Blocks of int array ]
+let feas_tol = 1e-7
+let gap_abs_tol = 1e-8
+let gap_rel_tol = 1e-6
+let max_iter = 100
 
-type options = {
-  feas_tol : float;
-  gap_abs_tol : float;
-  gap_rel_tol : float;
-  max_iter : int;
-  step_frac : float;
-  warm_mu : float;
-  kkt : kkt;
-}
+(* Fraction-to-boundary step scaling. *)
+let step_frac = 0.98
 
-let default_options =
-  { feas_tol = 1e-7; gap_abs_tol = 1e-8; gap_rel_tol = 1e-6;
-    max_iter = 100; step_frac = 0.98; warm_mu = 0.003; kkt = `Dense }
+(* Initial complementarity of a warm start (a cold one starts at 1):
+   small, because the seed is this instance's optimum on fewer rows
+   and so already near-optimal. *)
+let warm_mu = 0.003
 
 type stats = {
   iterations : int;
@@ -539,7 +460,6 @@ let stats_add a b =
 
 type solution = {
   x : Vec.t;
-  y : Vec.t;
   s : Vec.t;
   z : Vec.t;
   objective_value : float;
@@ -549,15 +469,13 @@ type solution = {
 
 type status =
   | Optimal of solution
-  | Primal_infeasible of { y : Vec.t; z : Vec.t }
+  | Primal_infeasible of { z : Vec.t }
   | Dual_infeasible of { x : Vec.t }
   | Unknown of solution
 
 (* ------------------------------------------------------------------ *)
 (* Per-solve workspace                                                *)
 (* ------------------------------------------------------------------ *)
-
-type kkt_fact = Fact_dense of Chol.t | Fact_blocks of Block_tridiag.t
 
 type ws = {
   mutable t : t;
@@ -567,14 +485,12 @@ type ws = {
   mutable cap : int;
   (* iterate (internal row order) *)
   x : Vec.t;
-  y : Vec.t;
   mutable z : Vec.t;
   mutable s : Vec.t;
   mutable tau : float;
   mutable kappa : float;
   (* residuals *)
   rx : Vec.t;
-  ry : Vec.t;
   mutable rz : Vec.t;
   mutable rt : float;
   mutable mu : float;
@@ -592,25 +508,18 @@ type ws = {
   (* KKT *)
   marr : float array;  (* flat n x n accumulator for G' W^-2 G *)
   m_mat : Mat.t;
-  fact : kkt_fact;
+  fact : Block_tridiag.t;
   bvec : Vec.t;  (* n: SOC rank-one row G_k' (J wbar) *)
   (* per-iteration precomputations for the tau recovery *)
   mutable w2h : Vec.t;  (* W^-2 h *)
   gw2h : Vec.t;  (* G' W^-2 h *)
   mutable gu1x : Vec.t;  (* G u1x *)
-  mutable cbh1 : float;  (* c'u1x + b'u1y + h'u1z *)
-  (* equality (Schur) path, used only when p > 0 *)
-  schur : Mat.t;
-  schur_fact : Chol.t;
-  minva : Vec.t array;  (* p rows: M^-1 A' columns *)
-  (* u1 = K3^-1 (-c, b, h), x/y components only *)
+  mutable cbh1 : float;  (* c'u1x + h'u1z *)
+  (* u1 = K2^-1 (-c, h), x component only *)
   u1x : Vec.t;
-  u1y : Vec.t;
   (* u2 and the search direction *)
   u2x : Vec.t;
-  u2y : Vec.t;
   dx : Vec.t;
-  dy : Vec.t;
   mutable dz : Vec.t;
   mutable ds : Vec.t;
   mutable dtau : float;
@@ -622,18 +531,15 @@ type ws = {
   mutable dkappa_a : float;
   (* RHS and scratch *)
   rhsn : Vec.t;
-  byv : Vec.t;
   mutable bzv : Vec.t;
   mutable dst_s : Vec.t;  (* lambda \ rhs5 *)
   tmp_n : Vec.t;
   mutable tmp_q : Vec.t;
   mutable tmp_q2 : Vec.t;
-  tmp_p : Vec.t;
   ref_n : Vec.t;
   cor_n : Vec.t;
   (* best iterate seen so far (by residual/gap merit) *)
   best_x : Vec.t;
-  best_y : Vec.t;
   mutable best_s : Vec.t;
   mutable best_z : Vec.t;
   mutable best_tau : float;
@@ -642,7 +548,6 @@ type ws = {
   mutable stall_count : int;
   (* problem norms for the stopping tests *)
   mutable norm_c : float;
-  mutable norm_b : float;
   mutable norm_h : float;
   (* Working set.  [full] is the instance handed to the current solve;
      [t] is [full] itself, or its restriction to the working set packed
@@ -659,24 +564,23 @@ type ws = {
   mutable w_orth_ext : int array;
 }
 
-(* A workspace for [t] with room for [cap] cone rows. *)
-let make_ws t options ~cap =
-  let n = t.n and p = t.p in
-  let q = cap in
-  let fact =
-    match options.kkt with
-    | `Dense -> Fact_dense (Chol.preallocate n)
-    | `Blocks sizes ->
-        if Array.fold_left ( + ) 0 sizes <> n then
-          invalid_arg "Conic.solve: block sizes do not sum to dim";
-        Fact_blocks (Block_tridiag.preallocate sizes)
-  in
+type workspace = ws
+
+(* A workspace starts with no row capacity: its first solve sizes it
+   for that solve's working set.  The norms and cross-iteration
+   scalars are set by every solve's [rebind_ws]. *)
+let make_workspace ?kkt t =
+  let n = t.n in
+  let sizes = match kkt with Some (`Blocks sizes) -> sizes | None -> [| n |] in
+  if Array.fold_left ( + ) 0 sizes <> n then
+    invalid_arg "Conic.make_workspace: block sizes do not sum to dim";
+  let q = 0 in
   {
     t;
-    cap;
-    x = Vec.zeros n; y = Vec.zeros p; z = Vec.zeros q; s = Vec.zeros q;
+    cap = q;
+    x = Vec.zeros n; z = Vec.zeros q; s = Vec.zeros q;
     tau = 1.0; kappa = 1.0;
-    rx = Vec.zeros n; ry = Vec.zeros p; rz = Vec.zeros q;
+    rx = Vec.zeros n; rz = Vec.zeros q;
     rt = 0.0; mu = 1.0; norm_rz = 0.0; gap_sz = 0.0; hz_dot = 0.0;
     refine_passes = 1;
     w_o = Vec.zeros q; w2inv_o = Vec.zeros q;
@@ -684,31 +588,26 @@ let make_ws t options ~cap =
     wbar = Vec.zeros (3 * t.nsoc); eta = Vec.zeros t.nsoc;
     lam = Vec.zeros q;
     marr = Array.make (n * n) 0.0;
-    m_mat = Mat.zeros n n; fact; bvec = Vec.zeros n;
+    m_mat = Mat.zeros n n;
+    fact = Block_tridiag.preallocate sizes;
+    bvec = Vec.zeros n;
     w2h = Vec.zeros q; gw2h = Vec.zeros n; gu1x = Vec.zeros q;
     cbh1 = 0.0;
-    schur = Mat.zeros p p;
-    schur_fact = Chol.preallocate (max 1 p);
-    minva = Array.init p (fun _ -> Vec.zeros n);
-    u1x = Vec.zeros n; u1y = Vec.zeros p;
-    u2x = Vec.zeros n; u2y = Vec.zeros p;
-    dx = Vec.zeros n; dy = Vec.zeros p; dz = Vec.zeros q;
-    ds = Vec.zeros q;
+    u1x = Vec.zeros n; u2x = Vec.zeros n;
+    dx = Vec.zeros n; dz = Vec.zeros q; ds = Vec.zeros q;
     dtau = 0.0; dkappa = 0.0;
     dsa = Vec.zeros q; dza = Vec.zeros q;
     dtau_a = 0.0; dkappa_a = 0.0;
-    rhsn = Vec.zeros n; byv = Vec.zeros p; bzv = Vec.zeros q;
+    rhsn = Vec.zeros n; bzv = Vec.zeros q;
     dst_s = Vec.zeros q;
     tmp_n = Vec.zeros n; tmp_q = Vec.zeros q; tmp_q2 = Vec.zeros q;
-    tmp_p = Vec.zeros p;
     ref_n = Vec.zeros n; cor_n = Vec.zeros n;
-    best_x = Vec.zeros n; best_y = Vec.zeros p;
+    best_x = Vec.zeros n;
     best_s = Vec.zeros q; best_z = Vec.zeros q;
     best_tau = 1.0; best_kappa = 1.0; best_merit = infinity;
     stall_count = 0;
-    norm_c = (if n = 0 then 0.0 else Vec.norm_inf t.c);
-    norm_b = (if p = 0 then 0.0 else Vec.norm_inf t.b);
-    norm_h = (if n_rows t = 0 then 0.0 else Vec.norm_inf t.hi);
+    norm_c = 0.0;
+    norm_h = 0.0;
     full = t;
     opt_lo = 0;
     opt_hi = 0;
@@ -720,13 +619,6 @@ let make_ws t options ~cap =
     w_hi = Vec.zeros q;
     w_orth_ext = Array.make q 0;
   }
-
-type workspace = ws
-
-(* A workspace starts with no row capacity: its first solve sizes it
-   for that solve's working set. *)
-let make_workspace ?(kkt = `Dense) t =
-  make_ws t { default_options with kkt } ~cap:0
 
 (* Make room for [rows] cone rows.  Called before a solve, when every
    row-shaped array is about to be overwritten, so nothing is copied.
@@ -794,7 +686,7 @@ let pack_working_set st t =
   st.w_goff.(!mo + (3 * t.nsoc)) <- !nz;
   !mo
 
-let same_shape a b = a.n = b.n && a.p = b.p && a.mo = b.mo && a.nsoc = b.nsoc
+let same_shape a b = a.n = b.n && a.mo = b.mo && a.nsoc = b.nsoc
 
 let norm_inf_rows v q =
   let m = ref 0.0 in
@@ -831,7 +723,6 @@ let rebind_ws st t =
   end;
   let t = st.t in
   st.norm_c <- (if t.n = 0 then 0.0 else Vec.norm_inf t.c);
-  st.norm_b <- (if t.p = 0 then 0.0 else Vec.norm_inf t.b);
   st.norm_h <- norm_inf_rows t.hi (n_rows t);
   st.refine_passes <- 1;
   st.mu <- 1.0;
@@ -844,9 +735,9 @@ let rebind_ws st t =
 (* Scaling and Jordan-algebra kernels (internal row order)            *)
 (* ------------------------------------------------------------------ *)
 
-(* dst := W u.  Orthant: diag(w_o); SOC block: eta * Wbar with
-   Wbar v = (wb0 v0 + wb' v', v' + wb (v0 + (wb' v')/(1 + wb0))).
-   Safe when dst == u (components are read into locals first). *)
+(* W u, inlined wherever it is applied: orthant diag(w_o); SOC block
+   eta * Wbar with
+   Wbar v = (wb0 v0 + wb' v', v' + wb (v0 + (wb' v')/(1 + wb0))). *)
 (* dst := W^-2 u.  Orthant: diag(z/s); SOC: with v = J wbar,
    (Wbar^2)^-1 = 2 v v' - J, so dst = eta^-2 (2 v (v'u) - J u).
    Safe when dst == u. *)
@@ -1043,90 +934,40 @@ let assemble_m st =
     done
   done
 
-let factorize_m st =
-  match st.fact with
-  | Fact_dense f ->
-      let _jitter, tries = Chol.factorize_jittered_into f st.m_mat in
-      tries
-  | Fact_blocks f ->
-      let _jitter, tries = Block_tridiag.factorize_jittered_into f st.m_mat in
-      tries
-
-let solve_m st v ~dst =
-  match st.fact with
-  | Fact_dense f -> Chol.solve_factorized_into f v ~dst
-  | Fact_blocks f -> Block_tridiag.solve_factorized_into f v ~dst
-
-(* Schur complement S = A M^-1 A' for the equality rows; factorized
-   once per iteration (only when p > 0). *)
-let build_schur st =
-  let t = st.t in
-  for i = 0 to t.p - 1 do
-    for j = 0 to t.n - 1 do
-      st.tmp_n.(j) <- Mat.get t.a i j
-    done;
-    solve_m st st.tmp_n ~dst:st.minva.(i)
-  done;
-  for i = 0 to t.p - 1 do
-    for j = 0 to t.p - 1 do
-      let acc = ref 0.0 in
-      for l = 0 to t.n - 1 do
-        acc := !acc +. (Mat.get t.a i l *. st.minva.(j).(l))
-      done;
-      Mat.set st.schur i j !acc
-    done
-  done;
-  let _jitter, tries = Chol.factorize_jittered_into st.schur_fact st.schur in
-  tries
-
-(* Solve the (x, y) block of K3 (ox, oy, oz) = (r1, r2, r3), where
-     K3 = [ 0  A'  G' ; A  0  0 ; G  0  -W^2 ],
-   given the pre-assembled normal-equations RHS
+(* Solve K2 (ox, oz) = (r1, r3), where
+     K2 = [ 0  G' ; G  -W^2 ],
+   for ox, given the pre-assembled normal-equations RHS
      rhsn = r1 + G' W^-2 r3
-   (M ox + A' oy = rhsn, A ox = r2; Schur when p > 0).  oz is never
-   materialized here: directions recover dz from the final dx, and
-   the tau recovery accumulates h'oz elementwise.  [r1 = r1s * r1v]
-   and [r3] are the original first- and third-block RHS, needed for
-   iterative refinement against the {e true} residual
+   (M ox = rhsn).  oz is never materialized here: directions recover
+   dz from the final dx, and the tau recovery accumulates h'oz
+   elementwise.  [r1 = r1s * r1v] and [r3] are the original first- and
+   second-block RHS, needed for iterative refinement against the
+   {e true} residual
      r1 - G' W^-2 (G ox - r3):
    the difference (G ox - r3) is formed elementwise before the W^-2
    amplification, so this catches both the O(wbar0^2 eps) error in
    the assembled M and the cancellation incurred assembling rhsn —
    either alone destabilizes the last decades of mu. *)
-let solve_xy st ~r1s ~r1v ~r3 ~r2 ~ox ~oy =
+let solve_x st ~r1s ~r1v ~r3 ~ox =
   let t = st.t in
-  if t.p = 0 then begin
-    solve_m st st.rhsn ~dst:ox;
-    for _pass = 1 to st.refine_passes do
-      g_mulvec t ox ~dst:st.tmp_q2;
-      let q = t.mo + (3 * t.nsoc) in
-      let tq2 = st.tmp_q2 in
-      for j = 0 to q - 1 do
-        Array.unsafe_set tq2 j (Array.unsafe_get tq2 j -. Array.unsafe_get r3 j)
-      done;
-      g_tmulvec_w2inv st st.tmp_q2 ~dst:st.ref_n;
-      for j = 0 to t.n - 1 do
-        st.ref_n.(j) <- (r1s *. r1v.(j)) -. st.ref_n.(j)
-      done;
-      solve_m st st.ref_n ~dst:st.cor_n;
-      Vec.axpy_into ~dst:ox 1.0 st.cor_n
-    done
-  end
-  else begin
-    ignore r1s;
-    ignore r1v;
-    ignore r3;
-    solve_m st st.rhsn ~dst:st.tmp_n;
-    Mat.gemv_into t.a st.tmp_n ~dst:st.tmp_p;
-    Vec.axpy_into ~dst:st.tmp_p (-1.0) r2;
-    Chol.solve_factorized_into st.schur_fact st.tmp_p ~dst:oy;
-    Vec.blit ~src:st.rhsn ~dst:ox;
-    Mat.gemv_into ~trans:true ~alpha:(-1.0) ~beta:1.0 t.a oy ~dst:ox;
-    solve_m st ox ~dst:ox
-  end
+  Block_tridiag.solve_factorized_into st.fact st.rhsn ~dst:ox;
+  for _pass = 1 to st.refine_passes do
+    g_mulvec t ox ~dst:st.tmp_q2;
+    let q = t.mo + (3 * t.nsoc) in
+    let tq2 = st.tmp_q2 in
+    for j = 0 to q - 1 do
+      Array.unsafe_set tq2 j (Array.unsafe_get tq2 j -. Array.unsafe_get r3 j)
+    done;
+    g_tmulvec_w2inv st st.tmp_q2 ~dst:st.ref_n;
+    for j = 0 to t.n - 1 do
+      st.ref_n.(j) <- (r1s *. r1v.(j)) -. st.ref_n.(j)
+    done;
+    Block_tridiag.solve_factorized_into st.fact st.ref_n ~dst:st.cor_n;
+    Vec.axpy_into ~dst:ox 1.0 st.cor_n
+  done
 
 (* Per-iteration precomputations once the factorization is ready:
-   W^-2 h, G'W^-2 h, and u1 = K3^-1 (-c, b, h), whose
+   W^-2 h, G'W^-2 h, and u1 = K2^-1 (-c, h), whose
    normal-equations RHS is exactly gw2h - c.  G u1x is kept so that
    h'u1z = sum_j w2h_j ((G u1x)_j - h_j) is accumulated elementwise
    — differencing the two large dots gw2h'u1x and h'W^-2 h instead
@@ -1139,36 +980,27 @@ let prepare_tau_recovery st =
   for j = 0 to t.n - 1 do
     st.rhsn.(j) <- st.gw2h.(j) -. t.c.(j)
   done;
-  solve_xy st ~r1s:(-1.0) ~r1v:t.c ~r3:t.hi ~r2:t.b ~ox:st.u1x
-    ~oy:st.u1y;
+  solve_x st ~r1s:(-1.0) ~r1v:t.c ~r3:t.hi ~ox:st.u1x;
   g_mulvec t st.u1x ~dst:st.gu1x;
   let q = t.mo + (3 * t.nsoc) in
   let hz1 = ref 0.0 in
   for j = 0 to q - 1 do
     hz1 := !hz1 +. (st.w2h.(j) *. (st.gu1x.(j) -. t.hi.(j)))
   done;
-  st.cbh1 <-
-    Vec.dot t.c st.u1x
-    +. (if t.p = 0 then 0.0 else Vec.dot t.b st.u1y)
-    +. !hz1
+  st.cbh1 <- Vec.dot t.c st.u1x +. !hz1
 
 (* ------------------------------------------------------------------ *)
 (* Residuals, step lengths                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* HSDE residuals at the current iterate:
-     rx = A'y + G'z + c tau        rz = G x + s - h tau
-     ry = A x - b tau              rt = c'x + b'y + h'z + kappa
+     rx = G'z + c tau        rz = G x + s - h tau
+     rt = c'x + h'z + kappa
    and the complementarity measure mu = (s'z + tau kappa)/(deg + 1). *)
 let compute_residuals st =
   let t = st.t in
   g_tmulvec t st.z ~dst:st.rx;
-  if t.p > 0 then Mat.gemv_into ~trans:true ~beta:1.0 t.a st.y ~dst:st.rx;
   Vec.axpy_into ~dst:st.rx st.tau t.c;
-  if t.p > 0 then begin
-    Mat.gemv_into t.a st.x ~dst:st.ry;
-    Vec.axpy_into ~dst:st.ry (-.st.tau) t.b
-  end;
   g_mulvec t st.x ~dst:st.rz;
   (* One fused pass: assemble rz and pick up |rz|_inf, h'z and s'z
      along the way (the stopping tests and rt/mu reuse them). *)
@@ -1190,10 +1022,7 @@ let compute_residuals st =
   st.norm_rz <- !nrz;
   st.gap_sz <- !sz;
   st.hz_dot <- !hz;
-  st.rt <-
-    Vec.dot t.c st.x
-    +. (if t.p = 0 then 0.0 else Vec.dot t.b st.y)
-    +. !hz +. st.kappa;
+  st.rt <- Vec.dot t.c st.x +. !hz +. st.kappa;
   let deg = float_of_int (t.mo + t.nsoc) in
   st.mu <- (!sz +. (st.tau *. st.kappa)) /. (deg +. 1.0)
 
@@ -1256,10 +1085,10 @@ let max_step st =
 (* Predictor / corrector steps (hot kernels; see lint.manifest)       *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared tail of both steps.  On entry: rhsn/byv hold the (x, y) RHS,
+(* Shared tail of both steps.  On entry: rhsn holds the x RHS,
    bzv the z RHS of the Newton system, dst_s the scaled
    complementarity direction lambda \ rhs5, and (bt, btk) the tau and
-   tau-kappa RHS.  Solves for (u2x, u2y), recovers dtau from the
+   tau-kappa RHS.  Solves for u2x, recovers dtau from the
    precomputed u1/tau quantities, combines dx = u2x + dtau u1x, and
    reconstructs dz = W^-2 (G dx - bzv - dtau h) and
    ds = W (dst_s - W dz); W dz and W^-1 ds land in dza/dsa, which is
@@ -1267,18 +1096,13 @@ let max_step st =
 let recover_direction st ~r1s ~bt ~btk =
   let t = st.t in
   let q = t.mo + (3 * t.nsoc) in
-  solve_xy st ~r1s ~r1v:st.rx ~r3:st.bzv ~r2:st.byv ~ox:st.u2x
-    ~oy:st.u2y;
+  solve_x st ~r1s ~r1v:st.rx ~r3:st.bzv ~ox:st.u2x;
   g_mulvec t st.u2x ~dst:st.tmp_q2;
   let hz2 = ref 0.0 in
   for j = 0 to q - 1 do
     hz2 := !hz2 +. (st.w2h.(j) *. (st.tmp_q2.(j) -. st.bzv.(j)))
   done;
-  let c2 =
-    Vec.dot t.c st.u2x
-    +. (if t.p = 0 then 0.0 else Vec.dot t.b st.u2y)
-    +. !hz2
-  in
+  let c2 = Vec.dot t.c st.u2x +. !hz2 in
   let dtau =
     (bt -. (btk /. st.tau) -. c2) /. (st.cbh1 -. (st.kappa /. st.tau))
   in
@@ -1286,9 +1110,6 @@ let recover_direction st ~r1s ~bt ~btk =
   st.dkappa <- (btk -. (st.kappa *. dtau)) /. st.tau;
   for j = 0 to t.n - 1 do
     st.dx.(j) <- st.u2x.(j) +. (dtau *. st.u1x.(j))
-  done;
-  for j = 0 to t.p - 1 do
-    st.dy.(j) <- st.u2y.(j) +. (dtau *. st.u1y.(j))
   done;
   (* Reconstruct dz = W^-2 (G dx - bzv - dtau h), dza = W dz,
      dsa = dst_s - dza and ds = W dsa in a single fused pass over the
@@ -1369,9 +1190,6 @@ let predictor_step st =
     st.dst_s.(j) <- -.st.lam.(j);
     st.bzv.(j) <- st.s.(j) -. st.rz.(j)
   done;
-  for j = 0 to t.p - 1 do
-    st.byv.(j) <- -.st.ry.(j)
-  done;
   g_tmulvec_w2inv st st.bzv ~dst:st.rhsn;
   Vec.axpy_into ~dst:st.rhsn (-1.0) st.rx;
   recover_direction st ~r1s:(-1.0) ~bt:(-.st.rt)
@@ -1435,9 +1253,6 @@ let corrector_step st ~sigma =
     bzv.(r0 + 1) <- (-.sc *. rz.(r0 + 1)) -. (e *. (u1 +. (wb1 *. f)));
     bzv.(r0 + 2) <- (-.sc *. rz.(r0 + 2)) -. (e *. (u2 +. (wb2 *. f)))
   done;
-  for j = 0 to t.p - 1 do
-    st.byv.(j) <- -.sc *. st.ry.(j)
-  done;
   g_tmulvec_w2inv st st.bzv ~dst:st.rhsn;
   Vec.axpy_into ~dst:st.rhsn (-.sc) st.rx;
   let btk =
@@ -1452,11 +1267,10 @@ let corrector_step st ~sigma =
 
 (* Cold start: the canonical central point of each cone (internal
    form: all-ones orthant, (1, 0, 0) per SOC block) for both s and z,
-   x = y = 0, tau = kappa = 1 — so mu = 1 exactly. *)
+   x = 0, tau = kappa = 1 — so mu = 1 exactly. *)
 let init_cold st =
   let t = st.t in
   Vec.fill st.x 0.0;
-  Vec.fill st.y 0.0;
   for i = 0 to t.mo - 1 do
     st.s.(i) <- 1.0;
     st.z.(i) <- 1.0
@@ -1472,26 +1286,11 @@ let init_cold st =
 (* Warm start from a primal seed: s = h - G x pushed strictly inside
    the cone, z on the central path at mu0 = warm_mu (per cone
    z = -(mu0/nu') grad F(s), normalized so s'z = mu0 per cone), and
-   kappa = mu0 so the complementarity measure starts at mu0 < 1.
-
-   With a dual seed (a neighbouring solve's constraint multipliers,
-   in the of_problem constraint order), z is rebuilt from it instead
-   of placed on the central path: an orthant row takes the seed
-   multiplier floored at mu0 / s_i (so inactive rows still sit on the
-   central path at mu0 rather than contributing huge s_i z_i
-   products; a row outside the working set has no dual to seed), and
-   an Epi_square block's full dual is pinned by
-   complementarity — z = 2 lam (v, u, -w) up to the internal rotation
-   — from its single seed multiplier lam and the lift values already
-   in s.  The pair then starts (approximately) complementary and
-   stationary for the instance the seed came from; that pays off when
-   the active set carries over, and loses a few iterations to the
-   central-path dual when it does not (the thermal sweep's moving
-   floor is the latter case, so the table fill seeds the primal only). *)
-let init_warm st seed ~dual ~mu0 =
+   kappa = mu0 so the complementarity measure starts at mu0 < 1. *)
+let init_warm st seed =
   let t = st.t in
+  let mu0 = warm_mu in
   Vec.blit ~src:seed ~dst:st.x;
-  Vec.fill st.y 0.0;
   g_mulvec t st.x ~dst:st.s;
   let q = t.mo + (3 * t.nsoc) in
   for j = 0 to q - 1 do
@@ -1507,43 +1306,17 @@ let init_warm st seed ~dual ~mu0 =
     let nrm = sqrt ((s1 *. s1) +. (s2 *. s2)) in
     if st.s.(r0) < nrm +. margin then st.s.(r0) <- nrm +. margin
   done;
-  (match dual with
-  | Some lam ->
-      Array.iteri
-        (fun j dm ->
-          let l = lam.(j) in
-          match dm with
-          | Dual_orth i ->
-              let i = st.sub_row.(i) in
-              if i >= 0 then st.z.(i) <- Float.max l (mu0 /. st.s.(i))
-          | Dual_soc k ->
-              let r0 = t.mo + (3 * k) in
-              let s0 = st.s.(r0) and s1 = st.s.(r0 + 1) in
-              let u = inv_sqrt2 *. (s0 +. s1) and w = st.s.(r0 + 2) in
-              let l = Float.max l 0.0 in
-              let z0 = inv_sqrt2 *. l *. (1.0 +. (2.0 *. u)) in
-              let z1 = inv_sqrt2 *. l *. (1.0 -. (2.0 *. u)) in
-              let z2 = -2.0 *. l *. w in
-              let nrm = sqrt ((z1 *. z1) +. (z2 *. z2)) in
-              let z0 =
-                Float.max z0 (nrm +. (mu0 /. s0))
-              in
-              st.z.(r0) <- z0;
-              st.z.(r0 + 1) <- z1;
-              st.z.(r0 + 2) <- z2)
-        t.duals_map
-  | None ->
-      for i = 0 to t.mo - 1 do
-        st.z.(i) <- mu0 /. st.s.(i)
-      done;
-      for k = 0 to t.nsoc - 1 do
-        let r0 = t.mo + (3 * k) in
-        let s0 = st.s.(r0) and s1 = st.s.(r0 + 1) and s2 = st.s.(r0 + 2) in
-        let rho = (s0 *. s0) -. (s1 *. s1) -. (s2 *. s2) in
-        st.z.(r0) <- mu0 *. s0 /. rho;
-        st.z.(r0 + 1) <- -.mu0 *. s1 /. rho;
-        st.z.(r0 + 2) <- -.mu0 *. s2 /. rho
-      done);
+  for i = 0 to t.mo - 1 do
+    st.z.(i) <- mu0 /. st.s.(i)
+  done;
+  for k = 0 to t.nsoc - 1 do
+    let r0 = t.mo + (3 * k) in
+    let s0 = st.s.(r0) and s1 = st.s.(r0 + 1) and s2 = st.s.(r0 + 2) in
+    let rho = (s0 *. s0) -. (s1 *. s1) -. (s2 *. s2) in
+    st.z.(r0) <- mu0 *. s0 /. rho;
+    st.z.(r0 + 1) <- -.mu0 *. s1 /. rho;
+    st.z.(r0 + 2) <- -.mu0 *. s2 /. rho
+  done;
   st.tau <- 1.0;
   st.kappa <- mu0
 
@@ -1567,7 +1340,7 @@ let extract_solution st ~iterations =
     z.(e) <- st.z.(i) *. inv_tau
   done;
   for k = 0 to t.nsoc - 1 do
-    let r0 = t.mo + (3 * k) and e = t.soc_ext.(k) in
+    let r0 = t.mo + (3 * k) and e = full.mo + (3 * k) in
     s.(e) <- inv_sqrt2 *. (st.s.(r0) +. st.s.(r0 + 1)) *. inv_tau;
     s.(e + 1) <- inv_sqrt2 *. (st.s.(r0) -. st.s.(r0 + 1)) *. inv_tau;
     s.(e + 2) <- st.s.(r0 + 2) *. inv_tau;
@@ -1581,7 +1354,6 @@ let extract_solution st ~iterations =
   done;
   {
     x;
-    y = Vec.scale inv_tau st.y;
     s;
     z;
     objective_value = (Vec.dot t.c st.x *. inv_tau) +. t.obj_const;
@@ -1592,14 +1364,9 @@ let extract_solution st ~iterations =
 (* Convergence and certificate tests on the current residuals; also
    tracks the best iterate seen so far so that a destabilized endgame
    (the scalings blow up as mu -> 0) can fall back to it. *)
-let check_termination ?(tol_scale = 1.0) st options ~iterations =
+let check_termination ?(tol_scale = 1.0) st ~iterations =
   let t = st.t in
-  let pres_y =
-    if t.p = 0 then 0.0
-    else Vec.norm_inf st.ry /. Float.max 1.0 st.norm_b
-  in
-  let pres_z = st.norm_rz /. Float.max 1.0 st.norm_h in
-  let pres = Float.max pres_y pres_z /. st.tau in
+  let pres = st.norm_rz /. Float.max 1.0 st.norm_h /. st.tau in
   let dres =
     Vec.norm_inf st.rx /. (Float.max 1.0 st.norm_c *. st.tau)
   in
@@ -1611,10 +1378,10 @@ let check_termination ?(tol_scale = 1.0) st options ~iterations =
      tau-normalized) stops improving long before the certificate is
      clean, so the stall guard must watch whichever of the three
      convergence channels is actually making progress. *)
-  let hz = (if t.p = 0 then 0.0 else Vec.dot t.b st.y) +. st.hz_dot in
+  let hz = st.hz_dot in
   let pinf_res =
     if hz < 0.0 then begin
-      (* A'y + G'z = rx - c tau *)
+      (* G'z = rx - c tau *)
       Vec.blit ~src:st.rx ~dst:st.tmp_n;
       Vec.axpy_into ~dst:st.tmp_n (-.st.tau) t.c;
       Vec.norm_inf st.tmp_n /. (Float.max 1.0 st.norm_c *. -.hz)
@@ -1624,21 +1391,12 @@ let check_termination ?(tol_scale = 1.0) st options ~iterations =
   let cx = Vec.dot t.c st.x in
   let dinf_res =
     if cx < 0.0 then begin
-      let ax =
-        if t.p = 0 then 0.0
-        else begin
-          (* A x = ry + b tau *)
-          Vec.blit ~src:st.ry ~dst:st.tmp_p;
-          Vec.axpy_into ~dst:st.tmp_p st.tau t.b;
-          Vec.norm_inf st.tmp_p
-        end
-      in
       (* G x + s = rz + h tau *)
       let gxs = ref 0.0 in
       for j = 0 to n_rows t - 1 do
         gxs := Float.max !gxs (Float.abs (st.rz.(j) +. (st.tau *. t.hi.(j))))
       done;
-      Float.max ax !gxs /. (Float.max 1.0 st.norm_h *. -.cx)
+      !gxs /. (Float.max 1.0 st.norm_h *. -.cx)
     end
     else infinity
   in
@@ -1651,35 +1409,28 @@ let check_termination ?(tol_scale = 1.0) st options ~iterations =
     st.stall_count <- 0;
     st.best_merit <- merit;
     Vec.blit ~src:st.x ~dst:st.best_x;
-    Vec.blit ~src:st.y ~dst:st.best_y;
     Vec.blit ~src:st.s ~dst:st.best_s;
     Vec.blit ~src:st.z ~dst:st.best_z;
     st.best_tau <- st.tau;
     st.best_kappa <- st.kappa
   end
   else if st.mu < 1e-6 then st.stall_count <- st.stall_count + 1;
-  let feas_tol = tol_scale *. options.feas_tol in
+  let feas_tol = tol_scale *. feas_tol in
   if
     pres <= feas_tol && dres <= feas_tol
-    && (gap_abs <= tol_scale *. options.gap_abs_tol
-       || relgap <= tol_scale *. options.gap_rel_tol)
+    && (gap_abs <= tol_scale *. gap_abs_tol
+       || relgap <= tol_scale *. gap_rel_tol)
   then Some (Optimal (extract_solution st ~iterations))
   else if pinf_res <= feas_tol then begin
-    (* Primal-infeasibility certificate: (y, z) with z in K*,
-       A'y + G'z ~ 0, normalized to b'y + h'z = -1. *)
+    (* Primal-infeasibility certificate: z in K* with G'z ~ 0,
+       normalized to h'z = -1. *)
     let sc = -1.0 /. hz in
     let sol = extract_solution st ~iterations in
-    Some
-      (Primal_infeasible
-         {
-           y = Vec.scale (sc *. st.tau) sol.y;
-           z = Vec.scale (sc *. st.tau) sol.z;
-         })
+    Some (Primal_infeasible { z = Vec.scale (sc *. st.tau) sol.z })
   end
   else if dinf_res <= feas_tol then
     (* Dual-infeasibility certificate (unbounded primal ray): x with
-       A x ~ 0 and G x + s ~ 0 (so -G x in K), normalized to
-       c'x = -1. *)
+       G x + s ~ 0 (so -G x in K), normalized to c'x = -1. *)
     Some (Dual_infeasible { x = Vec.scale (-1.0 /. cx) st.x })
   else None
 
@@ -1687,17 +1438,16 @@ let check_termination ?(tol_scale = 1.0) st options ~iterations =
    optimal if it meets the tolerances relaxed by 100x (the endgame
    often overshoots into numerical noise one step after an acceptable
    iterate); otherwise report Unknown with that iterate. *)
-let finish_unknown st options ~iterations =
+let finish_unknown st ~iterations =
   if st.best_merit < infinity then begin
     Vec.blit ~src:st.best_x ~dst:st.x;
-    Vec.blit ~src:st.best_y ~dst:st.y;
     Vec.blit ~src:st.best_s ~dst:st.s;
     Vec.blit ~src:st.best_z ~dst:st.z;
     st.tau <- st.best_tau;
     st.kappa <- st.best_kappa
   end;
   compute_residuals st;
-  match check_termination ~tol_scale:100.0 st options ~iterations with
+  match check_termination ~tol_scale:100.0 st ~iterations with
   | Some status -> status
   | None -> Unknown (extract_solution st ~iterations)
 
@@ -1705,12 +1455,10 @@ let finish_unknown st options ~iterations =
 (* Working set                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The affine constraints [first, last) of an of_problem instance are
-   the orthant rows [i0, i0 + last - first): of_problem emits orthant
-   rows in constraint order. *)
+(* The affine constraints [first, last) are the orthant rows
+   [i0, i0 + last - first): of_problem emits orthant rows in
+   constraint order. *)
 let restrict ws t ~first ~last =
-  if Array.length t.duals_map = 0 then
-    invalid_arg "Conic.restrict: not an of_problem instance";
   if not (same_shape ws.full t) then
     invalid_arg "Conic.restrict: workspace shape mismatch";
   if first < 0 || last > Array.length t.duals_map then
@@ -1759,7 +1507,6 @@ let take_step st alpha =
   let t = st.t in
   let q = t.mo + (3 * t.nsoc) in
   Vec.axpy_into ~dst:st.x alpha st.dx;
-  if t.p > 0 then Vec.axpy_into ~dst:st.y alpha st.dy;
   let s = st.s and z = st.z and ds = st.ds and dz = st.dz in
   for j = 0 to q - 1 do
     Array.unsafe_set z j
@@ -1770,39 +1517,29 @@ let take_step st alpha =
   st.tau <- st.tau +. (alpha *. st.dtau);
   st.kappa <- st.kappa +. (alpha *. st.dkappa)
 
-let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
-  let st =
-    match ws with
-    | Some st ->
-        rebind_ws st t;
-        st
-    | None -> make_ws t options ~cap:(n_rows t)
-  in
+let solve ?warm ?stats_into ?ws t =
+  let st = match ws with Some st -> st | None -> make_workspace t in
+  rebind_ws st t;
   let iterations = ref 0 in
   let predictor_steps = ref 0 and corrector_steps = ref 0 in
   let factorizations = ref 0 and jitter_retries = ref 0 in
   let warm_active = ref false in
   (match warm with
   | Some seed when Vec.dim seed = t.n ->
-      let dual =
-        match warm_dual with
-        | Some lam when Vec.dim lam = Array.length t.duals_map -> Some lam
-        | _ -> None
-      in
-      init_warm st seed ~dual ~mu0:options.warm_mu;
+      init_warm st seed;
       warm_active := true
   | _ -> init_cold st);
-  (* Warm-start rescue: a seed can be arbitrarily misleading (the
-     canonical case is the sweep column just past the feasibility
-     boundary, warm-started from the last feasible optimum), and an
-     aggressive warm_mu leaves no centrality headroom to recover from
-     one.  Rather than surfacing Unknown — which sends Model.solve to
-     an all-rows retry, and a cell it cannot certify to Infeasible —
-     restart the same
-     solve from the cold central point the moment a warm iterate
-     stalls (or degenerates: vanishing step, non-finite mu), and only
-     then let the usual give-up paths apply.  Iteration counters keep
-     accumulating across the restart, so stats stay honest. *)
+  (* Warm-start rescue.  A warm start is a working-set round seeded
+     from this cell's own optimum on fewer rows, and the rows admitted
+     since can make that seed a poor one: a newly binding row can move
+     the optimum far, and the small warm_mu leaves no centrality
+     headroom to recover.  Rather than surfacing Unknown — which sends
+     Model.solve to its retries, and a cell it cannot certify to
+     Infeasible — restart the same solve from the cold central point
+     the moment a warm iterate stalls (or degenerates: vanishing step,
+     non-finite mu), and only then let the usual give-up paths apply.
+     Iteration counters keep accumulating across the restart, so stats
+     stay honest. *)
   let restart_cold () =
     init_cold st;
     st.best_merit <- infinity;
@@ -1818,17 +1555,17 @@ let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
        let give_up () =
          (* The relaxed re-check can still promote the best iterate to
             Optimal; a warm start is rescued only when it cannot. *)
-         match finish_unknown st options ~iterations:!iterations with
-         | Unknown _ when !warm_active && !iterations < options.max_iter ->
+         match finish_unknown st ~iterations:!iterations with
+         | Unknown _ when !warm_active && !iterations < max_iter ->
              restart_cold ()
          | status -> result := Some status
        in
        if not (Float.is_finite st.mu) then give_up ()
        else
-         match check_termination st options ~iterations:!iterations with
+         match check_termination st ~iterations:!iterations with
          | Some status -> result := Some status
          | None ->
-             if !iterations >= options.max_iter || st.stall_count >= 2 then
+             if !iterations >= max_iter || st.stall_count >= 2 then
                give_up ()
              else begin
                incr iterations;
@@ -1842,14 +1579,11 @@ let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
                   else 0);
                compute_scaling st;
                assemble_m st;
-               let tries = factorize_m st in
+               let _jitter, tries =
+                 Block_tridiag.factorize_jittered_into st.fact st.m_mat
+               in
                incr factorizations;
                jitter_retries := !jitter_retries + tries - 1;
-               if t.p > 0 then begin
-                 let stries = build_schur st in
-                 incr factorizations;
-                 jitter_retries := !jitter_retries + stries - 1
-               end;
                prepare_tau_recovery st;
                let alpha_aff = predictor_step st in
                incr predictor_steps;
@@ -1860,14 +1594,14 @@ let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
                in
                let alpha_max = corrector_step st ~sigma in
                incr corrector_steps;
-               let alpha = Float.min (options.step_frac *. alpha_max) 1.0 in
+               let alpha = Float.min (step_frac *. alpha_max) 1.0 in
                if alpha < 1e-10 || not (Float.is_finite alpha) then
                  give_up ()
                else take_step st alpha
              end
      done
    with Chol.Not_positive_definite _ ->
-     result := Some (finish_unknown st options ~iterations:!iterations));
+     result := Some (finish_unknown st ~iterations:!iterations));
   let status =
     match !result with Some s -> s | None -> assert false
   in
@@ -1894,13 +1628,10 @@ let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
   status
 
 let constraint_duals t (sol : solution) =
-  let m = Array.length t.duals_map in
-  if m = 0 then
-    invalid_arg "Conic.constraint_duals: not an of_problem instance";
-  Vec.init m (fun j ->
+  Vec.init (Array.length t.duals_map) (fun j ->
       match t.duals_map.(j) with
       | Dual_orth i -> sol.z.(t.orth_ext.(i))
-      | Dual_soc k -> sol.z.(t.soc_ext.(k)))
+      | Dual_soc k -> sol.z.(t.mo + (3 * k)))
 
 let pp_status fmt = function
   | Optimal s ->

@@ -528,15 +528,12 @@ let outcome_of built t (status : Convex.Conic.status) =
   | Convex.Conic.Unknown _ ->
       Infeasible
 
-let conic_options built =
-  {
-    Convex.Conic.default_options with
-    Convex.Conic.kkt = `Blocks (conic_blocks built.layout);
-  }
+let conic_workspace built t =
+  Convex.Conic.make_workspace ~kkt:(`Blocks (conic_blocks built.layout)) t
 
 let solve_frontier built =
   let t = Lazy.force built.conic in
-  outcome_of built t (Convex.Conic.solve ~options:(conic_options built) t)
+  outcome_of built t (Convex.Conic.solve ~ws:(conic_workspace built t) t)
 
 (* The rows a conic solve may leave out of its working set: the
    thermal and gradient rows after the floor, which prepare_internal
@@ -679,11 +676,8 @@ let closed_form_stats = { Convex.Conic.stats_zero with optimal = 1 }
    which the conic rounds then start from. *)
 let solve ?conic_stats_into ?conic_ws ?start built =
   let t = Lazy.force built.conic in
-  let options = conic_options built in
   let ws =
-    match conic_ws with
-    | Some ws -> ws
-    | None -> Convex.Conic.make_workspace ~kkt:options.Convex.Conic.kkt t
+    match conic_ws with Some ws -> ws | None -> conic_workspace built t
   in
   let first, last = optional_rows built t in
   let record stats =
@@ -693,7 +687,7 @@ let solve ?conic_stats_into ?conic_ws ?start built =
   in
   let stats = ref Convex.Conic.stats_zero in
   let rec round warm =
-    match Convex.Conic.solve ~options ?warm ~stats_into:stats ~ws t with
+    match Convex.Conic.solve ?warm ~stats_into:stats ~ws t with
     | Convex.Conic.Optimal s
       when Convex.Conic.admit ws t s.Convex.Conic.x ~above:0.0 > 0 ->
         round (Some s.Convex.Conic.x)
@@ -727,7 +721,7 @@ let solve ?conic_stats_into ?conic_ws ?start built =
       let status =
         if stalled status then begin
           Convex.Conic.restrict ws t ~first:0 ~last:0;
-          Convex.Conic.solve ~options ~stats_into:stats ~ws t
+          Convex.Conic.solve ~stats_into:stats ~ws t
         end
         else status
       in

@@ -328,15 +328,25 @@ let test_solve_reports_infeasible () =
 (* ------------------------------------------------------------------ *)
 (* Conic *)
 
-(* minimize x0 + x1 s.t. 0 <= x <= 1 in raw conic form:
-   s = h - Gx >= 0 with G = [-I; I], h = [0; 0; 1; 1]. *)
+(* An LP as a {!Conic.problem}: minimize c'x s.t. q_i'x + r_i <= 0,
+   each row an affine [Quad], packed by [of_problem] into the orthant
+   rows s = h - Gx >= 0 with G's rows q_i and h_i = -r_i. *)
+let lp_conic ~c rows =
+  Conic.of_problem
+    {
+      Conic.objective = Quad.affine c 0.0;
+      constraints = Array.map (fun (q, r) -> Quad.affine q r) rows;
+    }
+
+(* minimize x0 + x1 s.t. 0 <= x <= 1: G = [-I; I], h = [0; 0; 1; 1]. *)
 let box_lp_conic () =
-  let g =
-    Mat.of_rows
-      [| [| -1.0; 0.0 |]; [| 0.0; -1.0 |]; [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |]
-  in
-  Conic.make ~c:[| 1.0; 1.0 |] ~g ~h:[| 0.0; 0.0; 1.0; 1.0 |]
-    ~cones:[| Cone.Nonneg 4 |] ()
+  lp_conic ~c:[| 1.0; 1.0 |]
+    [|
+      ([| -1.0; 0.0 |], 0.0);
+      ([| 0.0; -1.0 |], 0.0);
+      ([| 1.0; 0.0 |], -1.0);
+      ([| 0.0; 1.0 |], -1.0);
+    |]
 
 let test_conic_box_lp () =
   match Conic.solve (box_lp_conic ()) with
@@ -350,30 +360,13 @@ let test_conic_box_lp () =
       check_float 1e-5 "dual of x1 >= 0" 1.0 s.Conic.z.(1)
   | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st
 
-let test_conic_equality_rows () =
-  (* minimize x0 s.t. x0 + x1 = 1, x >= 0: optimum (0, 1). *)
-  let t =
-    Conic.make ~a:(Mat.of_rows [| [| 1.0; 1.0 |] |]) ~b:[| 1.0 |]
-      ~c:[| 1.0; 0.0 |]
-      ~g:(Mat.of_rows [| [| -1.0; 0.0 |]; [| 0.0; -1.0 |] |])
-      ~h:[| 0.0; 0.0 |] ~cones:[| Cone.Nonneg 2 |] ()
-  in
-  match Conic.solve t with
-  | Conic.Optimal s ->
-      check_bool "argmin" true
-        (Vec.approx_equal ~tol:1e-6 s.Conic.x [| 0.0; 1.0 |])
-  | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st
-
 let test_conic_primal_infeasible_certificate () =
   (* x <= 0 and x >= 1 cannot hold together.  The certificate must be
-     a separating hyperplane: z in K*, G'z ~ 0, h'z = -1. *)
-  let t =
-    Conic.make ~c:[| 1.0 |]
-      ~g:(Mat.of_rows [| [| 1.0 |]; [| -1.0 |] |])
-      ~h:[| 0.0; -1.0 |] ~cones:[| Cone.Nonneg 2 |] ()
-  in
+     a separating hyperplane: z in K*, G'z ~ 0, h'z = -1, with
+     G = [1; -1] and h = [0; -1]. *)
+  let t = lp_conic ~c:[| 1.0 |] [| ([| 1.0 |], 0.0); ([| -1.0 |], 1.0) |] in
   match Conic.solve t with
-  | Conic.Primal_infeasible { z; _ } ->
+  | Conic.Primal_infeasible { z } ->
       check_bool "z in dual cone" true (Vec.min z >= -1e-9);
       check_float 1e-6 "G'z ~ 0" 0.0 (Float.abs (z.(0) -. z.(1)));
       check_float 1e-6 "h'z = -1" (-1.0) (-.z.(1))
@@ -381,11 +374,8 @@ let test_conic_primal_infeasible_certificate () =
 
 let test_conic_dual_infeasible_certificate () =
   (* minimize -x s.t. x >= 0 is unbounded below.  The certificate is
-     an improving ray: c'x = -1 with -Gx in K. *)
-  let t =
-    Conic.make ~c:[| -1.0 |] ~g:(Mat.of_rows [| [| -1.0 |] |]) ~h:[| 0.0 |]
-      ~cones:[| Cone.Nonneg 1 |] ()
-  in
+     an improving ray: c'x = -1 with -Gx in K, G = [-1]. *)
+  let t = lp_conic ~c:[| -1.0 |] [| ([| -1.0 |], 0.0) |] in
   match Conic.solve t with
   | Conic.Dual_infeasible { x } ->
       check_float 1e-6 "c'x = -1" (-1.0) (-.x.(0));
@@ -432,12 +422,7 @@ let test_conic_constraint_duals () =
   (* KKT stationarity: 1 + lambda0 * 2 x0 = 0 at x0 = -sqrt 2, and the
      x1 column gives -lambda0 + lambda1 = 0. *)
   check_float 1e-4 "epigraph multiplier" (1.0 /. (2.0 *. sqrt 2.0)) duals.(0);
-  check_float 1e-4 "affine multiplier" duals.(0) duals.(1);
-  check_bool "raw instances have no mapping" true
-    (try
-       ignore (Conic.constraint_duals (box_lp_conic ()) s);
-       false
-     with Invalid_argument _ -> true)
+  check_float 1e-4 "affine multiplier" duals.(0) duals.(1)
 
 (* Re-targeting one affine constant must equal packing the edited
    problem from scratch, and must leave the original instance alone:
@@ -478,10 +463,7 @@ let test_conic_with_constraint_constant () =
     (rejected (fun () ->
          Conic.with_constraint_constant
            (Conic.of_problem (epigraph_problem ()))
-           ~index:0 1.0));
-  check_bool "raw instances have no constraint order" true
-    (rejected (fun () ->
-         Conic.with_constraint_constant (box_lp_conic ()) ~index:0 1.0))
+           ~index:0 1.0))
 
 let test_conic_warm_start_and_stats () =
   let p = epigraph_problem () in
@@ -498,13 +480,10 @@ let test_conic_warm_start_and_stats () =
     !stats.Conic.factorizations;
   check_int "optimal outcome counted" 1 !stats.Conic.optimal;
   (* Re-target the affine bound slightly and warm-start from the
-     neighbouring optimum, as the sweep does column to column. *)
+     first instance's optimum. *)
   let t' = Conic.with_constraint_constant t ~index:1 (-2.1) in
   let warm =
-    match
-      Conic.solve ~stats_into:stats ~warm:cold.Conic.x
-        ~warm_dual:(Conic.constraint_duals t cold) t'
-    with
+    match Conic.solve ~stats_into:stats ~warm:cold.Conic.x t' with
     | Conic.Optimal s -> s
     | st -> Alcotest.failf "warm: expected optimal, got %a" Conic.pp_status st
   in
@@ -595,10 +574,6 @@ let test_conic_working_set () =
     (rejected (fun () -> Conic.restrict ws t ~first:0 ~last:2));
   check_bool "range out of bounds" true
     (rejected (fun () -> Conic.restrict ws t ~first:2 ~last:5));
-  check_bool "raw instances have no constraint order" true
-    (rejected (fun () ->
-         let b = box_lp_conic () in
-         Conic.restrict (Conic.make_workspace b) b ~first:0 ~last:1));
   check_bool "point dimension" true
     (rejected (fun () -> Conic.admit ws t [| 0.0 |] ~above:0.0))
 
@@ -606,7 +581,7 @@ let test_conic_working_set () =
    lint sees syntactic allocation sites only, not a float boxed across
    a call.  Workspace solves of fixed Niagara cells (all rows, stride
    4); the second solve of each cell is counted, after the first has
-   sized the workspace.  The solution record (x, y, s, z, two boxed
+   sized the workspace.  The solution record (x, s, z, two boxed
    floats, the record and its constructor) is subtracted, and what is
    left, per-solve set-up included, is charged to the iterations.
    Measured 74-78 words an iteration on these cells (the float fields
@@ -640,8 +615,8 @@ let test_conic_iteration_allocation () =
             if Vec.dim v = 0 || Vec.dim v > 256 then 0 else Vec.dim v + 1
           in
           let record =
-            block s.Conic.x + block s.Conic.y + block s.Conic.s + block s.Conic.z
-            + (2 * 2) + 8 + 2
+            block s.Conic.x + block s.Conic.s + block s.Conic.z
+            + (2 * 2) + 7 + 2
           in
           let per_iteration =
             (words -. float_of_int record) /. float_of_int s.Conic.iterations
@@ -836,15 +811,17 @@ let prop_simplex_matches_barrier =
       | Simplex_reference.Infeasible, Barrier_reference.Unreachable _ -> true
       | _, _ -> false)
 
-(* The same LPs through the conic solver, [A x <= b] as one orthant
-   block.  The objective must match to 10x the conic's relative gap
-   tolerance. *)
+(* The same LPs through the conic solver, each row of [A x <= b] an
+   affine constraint.  The objective must match to 10x the conic's
+   relative gap tolerance. *)
 let prop_simplex_matches_conic =
   QCheck2.Test.make ~name:"simplex and conic agree on random LPs"
     ~count:40 qp_gen (fun (n, seed) ->
       let c, (a_s, b_s), (a, b) = random_lp (mk_rand seed) n in
-      let t = Conic.make ~c ~g:a ~h:b ~cones:[| Cone.Nonneg (Mat.rows a) |] () in
-      let tol = 10.0 *. Conic.default_options.Conic.gap_rel_tol in
+      let t =
+        lp_conic ~c (Array.init (Mat.rows a) (fun i -> (Mat.row a i, -.b.(i))))
+      in
+      let tol = 10.0 *. Conic.gap_rel_tol in
       match (Simplex_reference.solve ~c ~a:a_s ~b:b_s, Conic.solve t) with
       | Simplex_reference.Optimal { objective_value = sv; _ }, Conic.Optimal s ->
           Float.abs (sv -. s.Conic.objective_value)
@@ -939,7 +916,6 @@ let () =
       ( "conic",
         [
           Alcotest.test_case "box LP" `Quick test_conic_box_lp;
-          Alcotest.test_case "equality rows" `Quick test_conic_equality_rows;
           Alcotest.test_case "primal-infeasible certificate" `Quick
             test_conic_primal_infeasible_certificate;
           Alcotest.test_case "dual-infeasible certificate" `Quick

@@ -434,22 +434,47 @@ let random_block_banded st sizes =
   done;
   m
 
+(* Three inputs: a four-block partition; the one-block partition
+   [| n |], which is how the conic solver factorizes an instance
+   without a partition; and a one-block matrix with a zero first row
+   and column, which fails the bare attempt and needs jitter (its
+   right-hand side is zero there, so the solution stays O(1)).  Each
+   must reproduce the dense Cholesky's solution, and its jitter and
+   attempt count exactly. *)
 let test_block_tridiag_matches_dense () =
   let st = mk_rand 53 in
+  let against_chol label sizes a b =
+    let n = Mat.rows a in
+    let fac = Block_tridiag.preallocate sizes in
+    check_int (label ^ ": dim") n (Block_tridiag.dim fac);
+    let jitter, tries = Block_tridiag.factorize_jittered_into fac a in
+    let chol = Chol.preallocate n in
+    let chol_jitter, chol_tries = Chol.factorize_jittered_into chol a in
+    check_bool (label ^ ": Chol's jitter") true (Float.equal chol_jitter jitter);
+    check_int (label ^ ": Chol's attempts") chol_tries tries;
+    let x = Vec.zeros n in
+    Block_tridiag.solve_factorized_into fac b ~dst:x;
+    check_bool (label ^ ": matches dense cholesky") true
+      (Vec.approx_equal ~tol:1e-10 x (Chol.solve_factorized chol b));
+    (jitter, tries)
+  in
   let sizes = [| 3; 4; 2; 3 |] in
   let a = random_block_banded st sizes in
   let n = Mat.rows a in
-  let fac = Block_tridiag.preallocate sizes in
-  check_int "dim" n (Block_tridiag.dim fac);
-  let jitter, tries = Block_tridiag.factorize_jittered_into fac a in
+  let jitter, tries = against_chol "four blocks" sizes a (random_vec st n) in
   check_float "no jitter needed" 0.0 jitter;
   check_int "one attempt" 1 tries;
+  let a = random_block_banded st [| n |] in
+  ignore (against_chol "one block" [| n |] a (random_vec st n));
+  for k = 0 to n - 1 do
+    Mat.set a 0 k 0.0;
+    Mat.set a k 0 0.0
+  done;
   let b = random_vec st n in
-  let x = Vec.zeros n in
-  Block_tridiag.solve_factorized_into fac b ~dst:x;
-  let x_dense = Chol.solve a b in
-  check_bool "matches dense cholesky" true
-    (Vec.approx_equal ~tol:1e-10 x x_dense)
+  b.(0) <- 0.0;
+  let jitter, tries = against_chol "one block, jittered" [| n |] a b in
+  check_bool "jitter applied" true (jitter > 0.0);
+  check_bool "retried" true (tries > 1)
 
 let test_block_tridiag_scalar_blocks () =
   (* All-scalar partition degenerates to an ordinary tridiagonal

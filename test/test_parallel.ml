@@ -297,13 +297,17 @@ let test_sweep_stats_domain_invariant () =
 (* The warm/cold work gate: on the default 9x10 axes of the CLI's
    table command, at stride 2, a fill whose cells are seeded from their
    neighbours' optima may take no more conic factorizations than the
-   same grid solved cold (820 against 841 when the gate went in; 907
-   against 841 while a seed also set the interior-point iterate,
-   DESIGN.md 6p; 180 against 180 since the floor-only closed form,
-   which leaves the seed only a stalled run's retry set, DESIGN.md
-   6r).  The cold reference walks each row like the fill
-   does — one prepared context per row, nothing above the row's first
-   infeasible column — but never passes a seed. *)
+   same grid solved cold.  Since the floor-only closed form (DESIGN.md
+   6r) a seed only picks a stalled run's retry set, no cell of this
+   grid stalls, and both sides take 180 factorizations (820 against
+   841 when the gate went in; 907 against 841 while a seed also set
+   the interior-point iterate, DESIGN.md 6p).  What it still guards is
+   that a seed never adds work, as one that set the iterate again
+   would on the cells the closed form does not settle.  test_protemp's
+   stall_path case "seed picks the retry set" pins the seed's one job.
+   The cold reference walks each row like the fill does — one prepared
+   context per row, nothing above the row's first infeasible column —
+   but never passes a seed. *)
 let test_seeded_sweep_no_costlier_than_cold () =
   let machine = Lazy.force machine in
   let spec = { Protemp.Spec.default with Protemp.Spec.constraint_stride = 2 } in

@@ -1036,15 +1036,13 @@ let test_filter_pinned_counts () =
    at once, with no working set — what [Model.solve] computed before it
    solved on the rows that bind. *)
 let all_rows_solve (built : Protemp.Model.built) =
-  let options =
-    {
-      Convex.Conic.default_options with
-      Convex.Conic.kkt =
-        `Blocks (Protemp.Model.conic_blocks built.Protemp.Model.layout);
-    }
+  let t = Convex.Conic.of_problem (Lazy.force built.Protemp.Model.problem) in
+  let ws =
+    Convex.Conic.make_workspace
+      ~kkt:(`Blocks (Protemp.Model.conic_blocks built.Protemp.Model.layout))
+      t
   in
-  Convex.Conic.solve ~options
-    (Convex.Conic.of_problem (Lazy.force built.Protemp.Model.problem))
+  Convex.Conic.solve ~ws t
 
 (* The filtered model, solved by [Model.solve] on its working set,
    against the all-rows solve of the unfiltered reference. *)
@@ -1118,7 +1116,6 @@ let agrees_with_all_rows (built : Protemp.Model.built) outcome =
   let rows =
     (Lazy.force built.Protemp.Model.problem).Convex.Conic.constraints
   in
-  let o = Convex.Conic.default_options in
   match (outcome, all_rows_solve built) with
   | Protemp.Model.Infeasible, Convex.Conic.Primal_infeasible _ -> true
   | Protemp.Model.Feasible s, Convex.Conic.Optimal r ->
@@ -1143,7 +1140,7 @@ let agrees_with_all_rows (built : Protemp.Model.built) outcome =
           (fun acc c -> Float.max acc (Float.abs (Convex.Quad.constant_part c)))
           1.0 rows
       in
-      let accepted = 100.0 *. o.Convex.Conic.feas_tol *. h_max in
+      let accepted = 100.0 *. Convex.Conic.feas_tol *. h_max in
       let k =
         Convex.Kkt.residuals
           (Lazy.force built.Protemp.Model.problem)
@@ -1162,7 +1159,7 @@ let agrees_with_all_rows (built : Protemp.Model.built) outcome =
           (k.Convex.Kkt.primal_infeasibility <= accepted
           && k.Convex.Kkt.dual_infeasibility <= 0.0
           && k.Convex.Kkt.complementarity
-             <= 100.0 *. o.Convex.Conic.gap_rel_tol
+             <= 100.0 *. Convex.Conic.gap_rel_tol
                 *. Float.max 1.0 (Float.abs obj)
           && k.Convex.Kkt.stationarity <= 1e-3)
       then QCheck2.Test.fail_reportf "KKT residuals: %a" Convex.Kkt.pp k
@@ -1384,6 +1381,49 @@ let test_stall_path_serves_optimum () =
           Alcotest.failf "%s: reported infeasible" label
       | _, st -> Alcotest.failf "%s: all-rows %a" label Convex.Conic.pp_status st)
     [ (67.26, 736.3e6); (67.28, 735.4e6); (67.32, 731.8e6); (67.42075, 736.98e6) ]
+
+(* The seed's one job since the floor-only closed form: it picks the
+   retry set of a stalled run.  One-row fills on table.niagara's axes
+   (27-100 C x 100-1000 MHz, 100 x 100, stride 4, margin 0): at rows
+   54 and 99 the first infeasible column, (66.82 C, 900 MHz) and
+   (100 C, 736.4 MHz), violates hundreds of thermal rows at its
+   floor-only optimum, and the run started cold on all of them
+   stalls.  Re-run from the rows the previous column's optimum binds,
+   it ends in a primal-infeasibility certificate; without that re-run
+   both cells end [Unknown] (their rows' frontiers are 899.92 and
+   732.92 MHz).  test_parallel's seeded-vs-cold gate guards the rest. *)
+let test_stall_path_seed_picks_retry_set () =
+  let machine = Lazy.force machine in
+  let spec = working_set_spec ~big:false ~variant:0 ~stride:4 in
+  let axis lo hi n i =
+    lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1))
+  in
+  let ftargets = Array.init 100 (axis 1e8 1e9 100) in
+  List.iter
+    (fun (row, col) ->
+      let tstart = axis 27.0 100.0 100 row in
+      let label =
+        Printf.sprintf "row %d (%.2f C), column %d (%.1f MHz)" row tstart col
+          (ftargets.(col) /. 1e6)
+      in
+      let dt =
+        Protemp.Dense_table.create ~machine ~spec ~tstarts:[| tstart |]
+          ~ftargets ()
+      in
+      ignore (Protemp.Dense_table.fill ~domains:1 dt);
+      let infeasible j =
+        match Protemp.Dense_table.cell dt 0 j with
+        | Protemp.Table.Infeasible -> true
+        | Protemp.Table.Frequencies _ -> false
+      in
+      check_bool (label ^ ": the column before is feasible") false
+        (infeasible (col - 1));
+      check_bool (label ^ ": infeasible") true (infeasible col);
+      let stats = Protemp.Dense_table.solver_stats dt in
+      check_int (label ^ ": no unknown") 0 stats.Convex.Conic.unknown;
+      check_int (label ^ ": one certificate") 1
+        stats.Convex.Conic.primal_infeasible)
+    [ (54, 88); (99, 70) ]
 
 (* A cell of the table.niagara grid (row 98 and column 74 of its
    100 x 100 axes, stride 4) on which both the working set and the
@@ -1753,6 +1793,8 @@ let () =
             test_stall_path_serves_optimum;
           Alcotest.test_case "uncertified cell infeasible" `Quick
             test_stall_path_uncertified_cell;
+          Alcotest.test_case "seed picks the retry set" `Quick
+            test_stall_path_seed_picks_retry_set;
         ] );
       ( "prepare",
         [
