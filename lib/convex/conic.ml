@@ -1,8 +1,8 @@
 open Linalg
 
-(* Internal form: the orthant rows come first, one per affine
-   constraint in constraint order, followed by one rotated-quadratic
-   block per quadratic constraint, mapped onto the standard
+(* Internal form: the orthant rows come first, then the second-order
+   blocks, three rows each.  A caller writes a rotated-quadratic block
+   [(u, v, w)], [2 u v >= w^2], already mapped onto the standard
    second-order cone by the self-inverse orthogonal rotation
 
      T = [ 1/r2  1/r2  0 ]
@@ -12,7 +12,7 @@ open Linalg
    so the solver only ever scales orthant coordinates and standard
    SOC_3 blocks.  T is symmetric and orthogonal, so slacks and duals
    transform identically and inner products are preserved; solutions
-   are rotated back to the caller's row order on exit.
+   are rotated back to [(u, v, w)] on exit.
 
    G is stored as truncated sparse rows: row i keeps only the columns
    [glo.(i), glo.(i) + len_i).  The thermal models' rows are tiny
@@ -24,10 +24,6 @@ open Linalg
    per-iteration target. *)
 
 let inv_sqrt2 = 1.0 /. sqrt 2.0
-
-type problem = { objective : Quad.t; constraints : Quad.t array }
-
-type duals_entry = Dual_orth of int | Dual_soc of int
 
 (* The caller's rows (those of [solution.s] and [solution.z]) are in
    the same order; they differ from the internal ones only by the
@@ -42,34 +38,14 @@ type t = {
   glo : int array;  (* first stored column of each row *)
   hi : Vec.t;  (* q, internal row order *)
   orth_ext : int array;  (* caller's row of internal orthant row i *)
-  duals_map : duals_entry array;  (* constraint -> its cone row(s) *)
-  obj_const : float;
 }
 
 let dim t = t.n
 let n_rows t = t.mo + (3 * t.nsoc)
-let n_constraints t = Array.length t.duals_map
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Truncate a dense row to its nonzero stripe. *)
-let truncate_row full =
-  let n = Array.length full in
-  let lo = ref 0 in
-  (* Structural-zero detection at build time wants exact equality. *)
-  while !lo < n && full.(!lo) = 0.0 do (* lint: float-equality structural zero *)
-    incr lo
-  done;
-  if !lo = n then ([||], 0)
-  else begin
-    let hi = ref (n - 1) in
-    while full.(!hi) = 0.0 do (* lint: float-equality structural zero *)
-      decr hi
-    done;
-    (Array.sub full !lo (!hi - !lo + 1), !lo)
-  end
 
 (* Pack an array of truncated rows into one contiguous buffer; the
    row-pointer layout keeps every G kernel a single linear sweep. *)
@@ -77,119 +53,39 @@ let pack_rows rows =
   let q = Array.length rows in
   let goff = Array.make (q + 1) 0 in
   for i = 0 to q - 1 do
-    goff.(i + 1) <- goff.(i) + Array.length rows.(i)
+    goff.(i + 1) <- goff.(i) + Array.length (snd rows.(i))
   done;
   let gdata = Array.make (max 1 goff.(q)) 0.0 in
   for i = 0 to q - 1 do
-    Array.blit rows.(i) 0 gdata goff.(i) (Array.length rows.(i))
+    let row = snd rows.(i) in
+    Array.blit row 0 gdata goff.(i) (Array.length row)
   done;
   (gdata, goff)
 
-(* Recover a from P = 2 a a^T (the Hessian of a rank-one quadratic
-   constraint); [Invalid_argument] when P is not of that form. *)
-let rank_one_factor pmat =
-  let n = Mat.rows pmat in
-  let imax = ref 0 in
-  for i = 1 to n - 1 do
-    if Mat.get pmat i i > Mat.get pmat !imax !imax then imax := i
-  done;
-  let dmax = Mat.get pmat !imax !imax in
-  if dmax <= 0.0 then
-    invalid_arg "Conic.of_problem: quadratic constraint with no curvature";
-  let av = Vec.zeros n in
-  let ai = sqrt (dmax /. 2.0) in
-  av.(!imax) <- ai;
-  for j = 0 to n - 1 do
-    if j <> !imax then av.(j) <- Mat.get pmat !imax j /. (2.0 *. ai)
-  done;
-  let tol = 1e-7 *. (1.0 +. dmax) in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if abs_float (Mat.get pmat i j -. (2.0 *. av.(i) *. av.(j))) > tol
-      then
-        invalid_arg "Conic.of_problem: quadratic constraint is not rank-one"
-    done
-  done;
-  av
-
-let of_problem (bp : problem) =
-  if not (Quad.is_affine bp.objective) then
-    invalid_arg "Conic.of_problem: objective is not affine";
-  let n = Quad.dim bp.objective in
-  let cons = bp.constraints in
-  let m = Array.length cons in
-  let mo = ref 0 and nsoc = ref 0 in
+let make ~c ~n_orthant ~g ~h =
+  let n = Vec.dim c and q = Array.length g in
+  if
+    Vec.dim h <> q || n_orthant < 0 || n_orthant > q
+    || (q - n_orthant) mod 3 <> 0
+  then invalid_arg "Conic.make: row counts do not match the cones";
   Array.iter
-    (fun cj -> if Quad.is_affine cj then incr mo else incr nsoc)
-    cons;
-  let mo = !mo and nsoc = !nsoc in
-  let q = mo + (3 * nsoc) in
-  let grows = Array.make q [||] and glo = Array.make q 0 in
-  let hi = Vec.zeros q in
-  let orth_ext = Array.init mo (fun i -> i) in
-  let duals_map = Array.make m (Dual_orth 0) in
-  let full = Vec.zeros n in
-  let store i =
-    let row, lo = truncate_row full in
-    grows.(i) <- row;
-    glo.(i) <- lo
-  in
-  let io = ref 0 and is = ref 0 in
-  Array.iteri
-    (fun j cj ->
-      let qv = Quad.linear_part cj and r = Quad.constant_part cj in
-      if Quad.is_affine cj then begin
-        (* q'x + r <= 0  <=>  (-r) - q'x >= 0 *)
-        let i = !io in
-        duals_map.(j) <- Dual_orth i;
-        hi.(i) <- -.r;
-        Array.blit qv 0 full 0 n;
-        store i;
-        incr io
-      end
-      else begin
-        (* (a'x)^2 + q'x + r <= 0, lifted to the rotated cone
-           (u, v, w) = (-q'x - r, 1/2, a'x): external rows
-           u: (G = q, h = -r), v: (G = 0, h = 1/2), w: (G = -a, h = 0),
-           stored here already rotated by T onto SOC_3 (under which
-           the u and v rows both become q/sqrt2). *)
-        let av = rank_one_factor (Quad.hess cj) in
-        let k = !is in
-        duals_map.(j) <- Dual_soc k;
-        let r0 = mo + (3 * k) in
-        hi.(r0) <- inv_sqrt2 *. (-.r +. 0.5);
-        hi.(r0 + 1) <- inv_sqrt2 *. (-.r -. 0.5);
-        hi.(r0 + 2) <- 0.0;
-        for jj = 0 to n - 1 do
-          full.(jj) <- inv_sqrt2 *. qv.(jj)
-        done;
-        store r0;
-        store (r0 + 1);
-        for jj = 0 to n - 1 do
-          full.(jj) <- -.av.(jj)
-        done;
-        store (r0 + 2);
-        incr is
-      end)
-    cons;
-  let gdata, goff = pack_rows grows in
+    (fun (lo, row) ->
+      if lo < 0 || lo + Array.length row > n then
+        invalid_arg "Conic.make: a row leaves the columns")
+    g;
+  let gdata, goff = pack_rows g in
   {
-    n; mo; nsoc;
-    c = Quad.linear_part bp.objective;
-    gdata; goff; glo; hi; orth_ext; duals_map;
-    obj_const = Quad.constant_part bp.objective;
+    n; mo = n_orthant; nsoc = (q - n_orthant) / 3; c;
+    gdata; goff; glo = Array.map fst g; hi = h;
+    orth_ext = Array.init n_orthant Fun.id;
   }
 
-let with_constraint_constant t ~index value =
-  if index < 0 || index >= Array.length t.duals_map then
-    invalid_arg "Conic.with_constraint_constant: index out of range";
-  match t.duals_map.(index) with
-  | Dual_soc _ ->
-      invalid_arg "Conic.with_constraint_constant: constraint is not affine"
-  | Dual_orth i ->
-      let hi = Vec.copy t.hi in
-      hi.(i) <- -.value;
-      { t with hi }
+let with_constant t ~row value =
+  if row < 0 || row >= t.mo then
+    invalid_arg "Conic.with_constant: not an orthant row";
+  let hi = Vec.copy t.hi in
+  hi.(row) <- value;
+  { t with hi }
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-row kernels                                                 *)
@@ -400,8 +296,8 @@ let g_syrk t d ~marr =
       done
   done
 
-(* The value G_i x - h_i of row [i] at [x]: orthant row i is the i-th
-   affine constraint and this is its value q'x + r.  Inlined, so the float it returns is never boxed. *)
+(* The value G_i x - h_i of orthant row [i] at [x], which holds when it
+   is <= 0.  Inlined, so the float it returns is never boxed. *)
 let[@inline] row_value t i x =
   let gd = t.gdata and s = t.goff.(i) and e = t.goff.(i + 1) in
   let sh = t.glo.(i) - s in
@@ -1356,7 +1252,7 @@ let extract_solution st ~iterations =
     x;
     s;
     z;
-    objective_value = (Vec.dot t.c st.x *. inv_tau) +. t.obj_const;
+    objective_value = Vec.dot t.c st.x *. inv_tau;
     gap = !gap *. inv_tau *. inv_tau;
     iterations;
   }
@@ -1455,32 +1351,20 @@ let finish_unknown st ~iterations =
 (* Working set                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The affine constraints [first, last) are the orthant rows
-   [i0, i0 + last - first): of_problem emits orthant rows in
-   constraint order. *)
 let restrict ws t ~first ~last =
   if not (same_shape ws.full t) then
     invalid_arg "Conic.restrict: workspace shape mismatch";
-  if first < 0 || last > Array.length t.duals_map then
-    invalid_arg "Conic.restrict: range out of bounds";
+  if first < 0 || last > t.mo then
+    invalid_arg "Conic.restrict: range outside the orthant rows";
   Bytes.fill ws.in_set 0 t.mo '\001';
   if first >= last then begin
     ws.opt_lo <- 0;
     ws.opt_hi <- 0
   end
   else begin
-    let orth j =
-      match t.duals_map.(j) with
-      | Dual_orth i -> i
-      | Dual_soc _ -> invalid_arg "Conic.restrict: constraint is not affine"
-    in
-    for j = first to last - 1 do
-      ignore (orth j)
-    done;
-    let i0 = orth first in
-    ws.opt_lo <- i0;
-    ws.opt_hi <- i0 + (last - first);
-    Bytes.fill ws.in_set i0 (last - first) '\000'
+    ws.opt_lo <- first;
+    ws.opt_hi <- last;
+    Bytes.fill ws.in_set first (last - first) '\000'
   end
 
 (* The working-set update, in one pass over the optional rows outside
@@ -1626,12 +1510,6 @@ let solve ?warm ?stats_into ?ws t =
             jitter_retries = !jitter_retries;
           });
   status
-
-let constraint_duals t (sol : solution) =
-  Vec.init (Array.length t.duals_map) (fun j ->
-      match t.duals_map.(j) with
-      | Dual_orth i -> sol.z.(t.orth_ext.(i))
-      | Dual_soc k -> sol.z.(t.mo + (3 * k)))
 
 let pp_status fmt = function
   | Optimal s ->

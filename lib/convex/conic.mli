@@ -9,15 +9,15 @@
                                                            z in K*
     v}
 
-    that {!of_problem} packs from a {!problem}: [K] is a product of
-    nonnegative orthant rows (the affine constraints) and one
-    rotated-quadratic cone per rank-one quadratic constraint (the
-    power-law epigraphs of the thermal models), which the solver maps
-    onto the standard second-order cone.  A Mehrotra-style
-    predictor-corrector method runs on the homogeneous self-dual
-    embedding with Nesterov-Todd scaling.  No strictly feasible
-    starting point is required, and every solve that terminates on
-    its own ends with either an optimum or an exact {e certificate}:
+    as {!make} receives it: [K] is a product of nonnegative orthant
+    rows and rotated-quadratic cones [{(u, v, w) : 2 u v >= w^2,
+    u, v >= 0}] — in the thermal models, the affine box, floor and
+    thermal rows and one power-law epigraph per core.  A
+    Mehrotra-style predictor-corrector method runs on the homogeneous
+    self-dual embedding with Nesterov-Todd scaling.  No strictly
+    feasible starting point is required, and every solve that
+    terminates on its own ends with either an optimum or an exact
+    {e certificate}:
 
     - {e primal infeasible}: [z] with [z in K*], [G'z ~ 0] and
       [h'z = -1] — a separating hyperplane proving no [x] satisfies
@@ -47,38 +47,30 @@ type t
 (** An immutable problem instance.  Safe to share across solves and
     domains; all mutable state lives in a {!workspace}. *)
 
-type problem = { objective : Quad.t; constraints : Quad.t array }
-(** A convex program [minimize objective(x) subject to
-    constraints_j(x) <= 0], every function a {!Quad.t} of one
-    dimension.  This is the form the thermal models are built in;
-    {!of_problem} packs it into cone rows. *)
+val make :
+  c:Vec.t -> n_orthant:int -> g:(int * float array) array -> h:Vec.t -> t
+(** [make ~c ~n_orthant ~g ~h] is the instance [minimize c'x subject
+    to h - G x in K] over [x] of dimension [Vec.dim c].  Row [i] of
+    [G] is zero outside one stripe, [g.(i) = (lo, coeffs)]:
+    [G_(i, lo + k) = coeffs.(k)].  The first [n_orthant] rows are
+    orthant rows [h_i - G_i x >= 0]; the rest come in threes, one
+    rotated-quadratic block each, written already rotated onto the
+    standard cone [s0 >= |(s1, s2)|] by [T (u, v, w) = ((u + v)/sqrt 2,
+    (u - v)/sqrt 2, w)].  A {!solution} reports [s] and [z] in
+    [(u, v, w)].  [c], the stripes and [h] are not copied: the caller
+    must not change them afterwards.  [Invalid_argument] when [h] does
+    not have one entry per row, the cone rows do not come in threes
+    or a stripe leaves the columns. *)
 
-val of_problem : problem -> t
-(** Convert a {!problem} whose objective is affine and whose
-    non-affine constraints are rank-one quadratics
-    [(a'x)^2 + q'x + r <= 0] — exactly the shape of the thermal
-    models (affine thermal/box/floor rows plus per-core power-law
-    epigraphs).  Affine rows become orthant rows; each rank-one
-    quadratic becomes one rotated-quadratic block
-    [{(u, v, w) : 2 u v >= w^2, u, v >= 0}] via the lift
-    [(u, v, w) = (-q'x - r, 1/2, a'x)].  Retains the constraint-row
-    mapping so {!constraint_duals} can report multipliers in the
-    original constraint order.  [Invalid_argument] when the objective
-    is not affine or a quadratic constraint is not rank-one. *)
-
-val with_constraint_constant : t -> index:int -> float -> t
-(** Replace the constant term of the affine constraint [index] (in
-    the original constraint order), sharing everything but the
-    orthant offset vector, so a table row packs [G] once and
-    re-targets the throughput floor per cell.  [Invalid_argument] if
-    [index] is out of range or the constraint is not affine. *)
+val with_constant : t -> row:int -> float -> t
+(** [with_constant t ~row h_row] is [t] with orthant row [row]'s
+    constant set to [h_row], sharing everything but [h], so a table
+    row packs [G] once and re-targets the throughput floor per cell.
+    [Invalid_argument] unless [row] is an orthant row. *)
 
 val dim : t -> int
 val n_rows : t -> int
 (** Total cone rows (the dimension of [s] and [z]). *)
-
-val n_constraints : t -> int
-(** Constraints of the {!problem} the instance came from. *)
 
 val feas_tol : float
 (** Residual tolerance of an optimum or a certificate, relative to
@@ -131,15 +123,14 @@ type workspace
 (** Preallocated solver state (iterate, scalings, KKT factors), the
     dominant per-solve allocation when solves take a few
     milliseconds, plus a {e working set}: the subset of the
-    instance's constraints a {!solve} on the workspace takes part in
-    (see {!restrict}).  A new workspace's working set is every
-    constraint. *)
+    instance's rows a {!solve} on the workspace takes part in (see
+    {!restrict}).  A new workspace's working set is every row. *)
 
 val make_workspace : ?kkt:[ `Blocks of int array ] -> t -> workspace
 (** [make_workspace ?kkt t] preallocates a workspace reusable across
     {!solve} calls on [t] or any structurally identical instance (same
     dimensions and cone layout — e.g. the sweep's per-column
-    {!with_constraint_constant} re-targets).  Its row buffers grow on
+    {!with_constant} re-targets).  Its row buffers grow on
     demand to the largest working set solved on it, so every working
     set of [t] is solved in place.  [kkt] is the variable partition
     the normal equations are factorized under (sizes must sum to
@@ -161,24 +152,17 @@ val solve :
     is one for [t] as it stands. *)
 
 val restrict : workspace -> t -> first:int -> last:int -> unit
-(** [restrict ws t ~first ~last] makes the affine constraints
-    [first .. last - 1] of [t] optional:
-    the working set of [ws] becomes every other constraint, and an
-    optional one enters only through {!admit}.  [first >= last]
-    restores the full instance.  [Invalid_argument] if [t] does not
-    have the workspace's shape, the range is out of bounds, or it
-    holds a quadratic constraint. *)
+(** [restrict ws t ~first ~last] makes the orthant rows
+    [first .. last - 1] of [t] optional: the working set of [ws]
+    becomes every other row, and an optional one enters only through
+    {!admit}.  [first >= last] restores the full instance.
+    [Invalid_argument] if [t] does not have the workspace's shape or
+    the range leaves the orthant rows. *)
 
 val admit : workspace -> t -> Vec.t -> above:float -> int
-(** [admit ws t x ~above] evaluates every affine constraint of [t] at
-    [x] ([q'x + r], one pass over the packed rows) and adds to the
-    working set each optional constraint whose value is not [<= above]
-    — a NaN value included.  Returns how many joined.  Allocates
-    nothing. *)
-
-val constraint_duals : t -> solution -> Vec.t
-(** Multipliers of the original {!problem} constraints (the
-    orthant dual for affine rows, the epigraph block's [u] dual for
-    rank-one quadratic rows). *)
+(** [admit ws t x ~above] evaluates every optional orthant row of [t]
+    at [x] ([G_i x - h_i], one pass over the packed rows) and adds to
+    the working set each one whose value is not [<= above] — a NaN
+    value included.  Returns how many joined.  Allocates nothing. *)
 
 val pp_status : Format.formatter -> status -> unit

@@ -5,6 +5,5 @@ type solution = {
   objective_value : float;
   dual : Vec.t;
   gap : float;
-  kkt : Kkt.residuals Lazy.t;
   iterations : int;
 }

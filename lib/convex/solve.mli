@@ -1,6 +1,7 @@
 (** The solution record of one Eq. 3 solve, as [Protemp.Model]
-    reports it: the primal optimum, its multipliers in the original
-    {!Conic.problem} constraint order, and a lazy KKT audit. *)
+    reports it: the primal optimum and its multipliers, one per
+    constraint of Eq. 3 as written — power laws, boxes, floor, thermal
+    and gradient rows, in [Protemp.Model]'s row layout. *)
 
 open Linalg
 
@@ -8,11 +9,8 @@ type solution = {
   x : Vec.t;
   objective_value : float;
   dual : Vec.t;
-      (** One multiplier per constraint ({!Conic.constraint_duals}). *)
+      (** One multiplier per constraint: the orthant dual of an affine
+          row, the [u] dual of a power law's cone block. *)
   gap : float;  (** Complementarity gap of the conic optimum. *)
-  kkt : Kkt.residuals Lazy.t;
-      (** KKT residual audit of [(x, dual)], computed on first force —
-          sweep-style callers that only read frequencies never pay for
-          it. *)
   iterations : int;  (** Interior-point iterations of the last round. *)
 }

@@ -1,5 +1,4 @@
 open Linalg
-open Convex
 
 type layout = {
   dim : int;
@@ -32,7 +31,6 @@ type floor_only = {
 }
 
 type built = {
-  problem : Convex.Conic.problem Lazy.t;
   layout : layout;
   spec : Spec.t;
   initial_temperatures : Vec.t;
@@ -67,6 +65,40 @@ let make_layout (spec : Spec.t) ~n_cores =
     n_p;
     bounds_offset = (if with_grad then Some base else None);
   }
+
+(* Row layout.  Eq. 3 as written — the order of [raw.dual] — has, per
+   frequency variable [j], its power law at [5 j] and its four box rows
+   ([fhat >= 0], [fhat <= f_box], [phat >= 0], [phat <= p_box]) after
+   it; then the throughput floor at [5 n_f] (a frontier instance has
+   none); then the thermal and gradient rows.  The conic instance
+   keeps that order for its orthant rows and moves each power law to a
+   cone block after them, so a box row of variable [j] is orthant row
+   [i - j - 1] of constraint [i], and every row from the floor on is
+   [n_f] rows earlier than its constraint. *)
+let per_variable = 5
+let power_law_index j = per_variable * j
+let upper_f_box_index j = power_law_index j + 2
+let floor_index layout = per_variable * layout.n_f
+let first_thermal_index layout = floor_index layout + 1
+
+(* The orthant row of constraint [i], which is not a power law. *)
+let orthant_row layout i =
+  if i >= floor_index layout then i - layout.n_f
+  else i - (i / per_variable) - 1
+
+(* An instance's orthant rows (every row but the power laws' cone
+   blocks, three rows each), and Eq. 3's constraints. *)
+let n_orthant layout t = Convex.Conic.n_rows t - (3 * layout.n_f)
+let constraint_count layout t = n_orthant layout t + layout.n_f
+
+(* The cone dual [z] of an instance in constraint order: the orthant
+   dual of an affine row, the [u] dual of a power law's block. *)
+let raw_dual layout t (z : Vec.t) =
+  let mo = n_orthant layout t in
+  Vec.init (constraint_count layout t) (fun i ->
+      if i < floor_index layout && i mod per_variable = 0 then
+        z.(mo + (3 * (i / per_variable)))
+      else z.(orthant_row layout i))
 
 (* Affine coefficient of normalized core power j on the temperature of
    node [node] at step [k] is  S_k[node, core_j] * b[core_j] * pmax,
@@ -135,40 +167,52 @@ let box_implies_row ~tmax ~base q =
   done;
   !worst < tmax *. (1.0 -. implied_margin)
 
-(* Everything in the models of Eqs. 3-5 except the throughput floor
-   (and the choice of objective) depends only on [(machine, spec, t0)]
-   — the base trajectory and every thermal, power-law, box and
-   gradient row are shared by all [ftarget] columns of a table row
-   (the core-column sums S_k depend on the machine and window alone,
-   and are shared by every row).  [prepared] is that shared
-   context, computed once; {!instantiate} then builds one [ftarget]
-   instance by splicing in the single floor constraint.
+(* The stripe of a dense row that the conic instance stores: the
+   entries from its first to its last nonzero one, and the column it
+   starts at. *)
+let stripe full =
+  let n = Array.length full in
+  let lo = ref 0 in
+  (* Structural-zero detection at build time wants exact equality. *)
+  while !lo < n && full.(!lo) = 0.0 do (* lint: float-equality structural zero *)
+    incr lo
+  done;
+  if !lo = n then (0, [||])
+  else begin
+    let hi = ref (n - 1) in
+    while full.(!hi) = 0.0 do (* lint: float-equality structural zero *)
+      decr hi
+    done;
+    (!lo, Array.sub full !lo (!hi - !lo + 1))
+  end
 
-   - [pre_floor]: power-law and box rows (the constraints the original
-     single-shot construction emits before the floor);
-   - [post_floor]: thermal and gradient rows (emitted after it).
-
-   Keeping the original emission order means an instantiated problem
-   is identical, constraint for constraint, to what a from-scratch
-   build produces.  The shared [Quad.t] rows are never mutated by the
-   solver, so cells — and domains — may share them freely. *)
+(* Everything in the models of Eqs. 3-5 except the throughput floor's
+   constant depends only on [(machine, spec, t0)] — the base
+   trajectory and every thermal, power-law, box and gradient row are
+   shared by all [ftarget] columns of a table row (the core-column sums
+   S_k depend on the machine and window alone, and are shared by every
+   row).  [prepared] is that shared context, written once into conic
+   rows with a floor constant of 0; {!instantiate} then re-targets the
+   floor row per [ftarget] without re-packing G.  The instance is never
+   mutated by the solver, so cells — and domains — may share it
+   freely. *)
 type prepared = {
-  pre_floor : Quad.t array;
-  post_floor : Quad.t array;
-  total_f_coeffs : Vec.t;
-  power_objective : Quad.t;
   p_layout : layout;
   p_spec : Spec.t;
   p_machine : Sim.Machine.t;
   p_t0 : Vec.t;
   p_steps : int;
   p_floor_only : floor_only option;
-  (* Conic form with a floor constant of 0; {!instantiate} re-offsets
-     the floor row per [ftarget] without re-packing G. *)
-  p_conic : Convex.Conic.t Lazy.t;
+  p_conic : Convex.Conic.t;
 }
 
-let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
+(* The Eq. 3 instance from [t0], written straight into conic rows
+   [h - G x in K] in the row layout above: the box rows, the floor
+   (left out of a [frontier] instance, which maximizes the total
+   frequency instead of minimizing power), the thermal and gradient
+   rows, then one rotated-quadratic block per power law.  Each
+   constant is [-r] of the row's [q'x + r <= 0] form. *)
+let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~frontier =
   Spec.validate spec;
   (* Per-core normalization: variable j is stated in units of its own
      core's ceiling, [fhat_j = f_j / core_fmax.(j)] and
@@ -201,28 +245,30 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
   let core_nodes = machine.Sim.Machine.core_nodes in
   let layout = make_layout spec ~n_cores in
   let dim = layout.dim in
-  let pre = ref [] in
-  let add_pre c = pre := c :: !pre in
-  (* Power law and box constraints. *)
+  let g = ref [] and h = ref [] and n_orthant = ref 0 in
+  let emit row hi =
+    g := row :: !g;
+    h := hi :: !h
+  in
+  let orthant row hi =
+    emit row hi;
+    incr n_orthant
+  in
+  (* Box rows. *)
   for j = 0 to layout.n_f - 1 do
-    let f_var = Quad.linear_coord dim (layout.f_offset + j) 1.0 in
-    let p_var = Quad.linear_coord dim (layout.p_offset + j) 1.0 in
-    (* f^2 - p <= 0 *)
-    add_pre
-      (Quad.add
-         (Quad.square_of_affine (Quad.linear_part f_var) 0.0)
-         (Quad.scale (-1.0) p_var));
-    add_pre (Quad.scale (-1.0) f_var);
-    add_pre (Quad.add_constant f_var (-.f_box));
-    add_pre (Quad.scale (-1.0) p_var);
-    add_pre (Quad.add_constant p_var (-.p_box))
+    let f = layout.f_offset + j and p = layout.p_offset + j in
+    orthant (f, [| -1.0 |]) 0.0;
+    orthant (f, [| 1.0 |]) f_box;
+    orthant (p, [| -1.0 |]) 0.0;
+    orthant (p, [| 1.0 |]) p_box
   done;
   (* Throughput direction: sum over cores of f, in units of the chip
      reference frequency — coefficient [core_fmax.(j) / fref] per
      normalized variable, which is exactly -1.0 on a single-class
      platform ([x /. x = 1.0] for finite positive x).  In the uniform
-     variant the single f counts n_cores times.  The floor constraint
-     itself is per-[ftarget] and built in {!instantiate}. *)
+     variant the single f counts n_cores times.  The floor row
+     [total_f_coeffs . fhat + F <= 0] gets its constant per [ftarget]
+     in {!instantiate}. *)
   let total_f_coeffs =
     let q = Vec.zeros dim in
     (match spec.Spec.variant with
@@ -233,20 +279,20 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
     | Spec.Uniform -> q.(layout.f_offset) <- -.float_of_int n_cores);
     q
   in
+  if not frontier then orthant (stripe total_f_coeffs) 0.0;
   if Vec.dim t0 <> n_nodes then
     invalid_arg "Model.build: initial temperature profile length mismatch";
   if not (Array.for_all Float.is_finite t0) then
     invalid_arg "Model.build: non-finite start temperature";
-  (* Thermal constraints.  The base trajectory — the window with zero
-     core power (fixed non-core power only) from [t0] — is stepped in
-     two ping-pong vectors, with [Transient.simulate]'s arithmetic, and
+  (* Thermal rows.  The base trajectory — the window with zero core
+     power (fixed non-core power only) from [t0] — is stepped in two
+     ping-pong vectors, with [Transient.simulate]'s arithmetic, and
      read only at the stride points: the full (steps + 1) x n_nodes
      trajectory is never stored.  At each stride point one scratch [q]
      is refilled per node from the machine's window response; only
-     the rows emitted are allocated, and the gradient variant keeps a
-     copy of [q] for the core nodes. *)
-  let post = ref [] in
-  let add c = post := c :: !post in
+     the rows emitted are allocated, as stripes cut from the scratch
+     [full], and the gradient variant keeps a copy of [q] for the core
+     nodes. *)
   let response =
     Sim.Machine.window_response machine ~steps
       ~stride:spec.Spec.constraint_stride
@@ -256,7 +302,13 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
   let b = thermal.Thermal.Rc_model.injection in
   let fixed_power = machine.Sim.Machine.fixed_power in
   let grad_rows = ref [] in
-  let q = Vec.zeros dim in
+  let q = Vec.zeros dim and full = Vec.zeros dim in
+  (* [full := a q], in [Vec.scale]'s [a *. q_i] order. *)
+  let scaled a q =
+    for i = 0 to dim - 1 do
+      full.(i) <- a *. q.(i)
+    done
+  in
   let t = ref (Vec.copy t0) and next = ref (Vec.zeros n_nodes) in
   let r = ref 0 in
   for k = 1 to steps do
@@ -276,9 +328,10 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
            constraint family has O(1) coefficients (the interior-point
            normal equations are ill-conditioned otherwise).  Rows the
            power box already implies are left out. *)
-        if not (box_implies_row ~tmax ~base q) then
-          add
-            (Quad.affine (Vec.scale (1.0 /. tmax) q) ((base -. tmax) /. tmax));
+        if not (box_implies_row ~tmax ~base q) then begin
+          scaled (1.0 /. tmax) q;
+          orthant (stripe full) (-.((base -. tmax) /. tmax))
+        end;
         (* Gradient bookkeeping (core nodes only). *)
         if
           layout.bounds_offset <> None
@@ -291,35 +344,37 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
   (* Gradient variant: t_{k,i}/tmax in [l, u] for all core rows, plus
      bounds keeping the spread term bounded, and the optional hard cap. *)
   (match (layout.bounds_offset, spec.Spec.gradient) with
-  | Some off, Some g ->
+  | Some off, Some gr ->
       let u = off and l = off + 1 in
       List.iter
         (fun (q, base) ->
           (* q.p/tmax + base/tmax - u <= 0 *)
-          let qu = Vec.scale (1.0 /. tmax) q in
-          qu.(u) <- -1.0;
-          add (Quad.affine qu (base /. tmax));
+          scaled (1.0 /. tmax) q;
+          full.(u) <- -1.0;
+          orthant (stripe full) (-.(base /. tmax));
           (* l - q.p/tmax - base/tmax <= 0 *)
-          let ql = Vec.scale (-1.0 /. tmax) q in
-          ql.(l) <- 1.0;
-          add (Quad.affine ql (-.base /. tmax)))
+          scaled (-1.0 /. tmax) q;
+          full.(l) <- 1.0;
+          orthant (stripe full) (base /. tmax))
         !grad_rows;
       (* 0 <= l, u <= 2, l <= u *)
-      add (Quad.linear_coord dim l (-1.0));
-      add (Quad.add_constant (Quad.linear_coord dim u 1.0) (-2.0));
-      let l_le_u = Vec.zeros dim in
-      l_le_u.(l) <- 1.0;
-      l_le_u.(u) <- -1.0;
-      add (Quad.affine l_le_u 0.0);
-      (match g.Spec.cap with
-      | Some cap ->
-          let spread = Vec.zeros dim in
-          spread.(u) <- 1.0;
-          spread.(l) <- -1.0;
-          add (Quad.affine spread (-.cap /. tmax))
+      orthant (l, [| -1.0 |]) (-0.0);
+      orthant (u, [| 1.0 |]) 2.0;
+      orthant (u, [| -1.0; 1.0 |]) (-0.0);
+      (match gr.Spec.cap with
+      | Some cap -> orthant (u, [| 1.0; -1.0 |]) (cap /. tmax)
       | None -> ())
   | None, None -> ()
   | Some _, None | None, Some _ -> assert false);
+  (* Power laws [fhat^2 <= phat]: the rotated-quadratic block
+     [(u, v, w) = (phat, 1/2, fhat)], written rotated by T. *)
+  let inv_sqrt2 = 1.0 /. sqrt 2.0 in
+  for j = 0 to layout.n_f - 1 do
+    let p = layout.p_offset + j in
+    emit (p, [| -.inv_sqrt2 |]) (inv_sqrt2 *. 0.5);
+    emit (p, [| -.inv_sqrt2 |]) (inv_sqrt2 *. -0.5);
+    emit (layout.f_offset + j, [| -1.0 |]) 0.0
+  done;
   (* Objective of the power problem: total power in units of the
      largest per-core pmax — coefficient [pmax.(j) / pref] per
      normalized power, exactly 1.0 on a single-class platform — plus
@@ -333,25 +388,19 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
       | Spec.Uniform -> float_of_int n_cores)
   done;
   (match (layout.bounds_offset, spec.Spec.gradient) with
-  | Some off, Some g ->
-      objective_coeffs.(off) <- g.Spec.weight;
-      objective_coeffs.(off + 1) <- -.g.Spec.weight
+  | Some off, Some gr ->
+      objective_coeffs.(off) <- gr.Spec.weight;
+      objective_coeffs.(off + 1) <- -.gr.Spec.weight
   | None, _ | _, None -> ());
-  let power_objective = Quad.affine objective_coeffs 0.0 in
   (* The gradient variant's objective couples the thermal rows through
      its spread term, so it has no floor-only closed form. *)
   let floor_only =
     match spec.Spec.gradient with
-    | None -> Some (floor_only_of layout ~total_f_coeffs ~objective_coeffs)
-    | Some _ -> None
+    | None when not frontier ->
+        Some (floor_only_of layout ~total_f_coeffs ~objective_coeffs)
+    | None | Some _ -> None
   in
-  let pre_floor = Array.of_list (List.rev !pre) in
-  let post_floor = Array.of_list (List.rev !post) in
   {
-    pre_floor;
-    post_floor;
-    total_f_coeffs;
-    power_objective;
     p_layout = layout;
     p_spec = spec;
     p_machine = machine;
@@ -359,14 +408,11 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
     p_steps = steps;
     p_floor_only = floor_only;
     p_conic =
-      lazy
-        (Convex.Conic.of_problem
-           {
-             Convex.Conic.objective = power_objective;
-             constraints =
-               Array.concat
-                 [ pre_floor; [| Quad.affine total_f_coeffs 0.0 |]; post_floor ];
-           });
+      Convex.Conic.make
+        ~c:(if frontier then total_f_coeffs else objective_coeffs)
+        ~n_orthant:!n_orthant
+        ~g:(Array.of_list (List.rev !g))
+        ~h:(Array.of_list (List.rev !h));
   }
 
 let uniform_t0 machine tstart =
@@ -374,14 +420,27 @@ let uniform_t0 machine tstart =
 
 let prepare ~machine ~spec ~tstart =
   prepare_internal ~machine ~spec ~t0:(uniform_t0 machine tstart)
+    ~frontier:false
 
 let prepare_with_profile ~machine ~spec ~t0 =
-  prepare_internal ~machine ~spec ~t0
+  prepare_internal ~machine ~spec ~t0 ~frontier:false
 
 (* The throughput floor [sum_j c_j fhat_j >= F] has the constant
    [F = n_cores ftarget / fmax]. *)
 let floor_constant ~layout ~machine ftarget =
   float_of_int layout.n_cores *. (ftarget /. machine.Sim.Machine.fmax)
+
+let built_of p ~ftarget conic =
+  {
+    layout = p.p_layout;
+    spec = p.p_spec;
+    initial_temperatures = p.p_t0;
+    ftarget;
+    steps = p.p_steps;
+    machine = p.p_machine;
+    conic;
+    floor_only = p.p_floor_only;
+  }
 
 let instantiate p ~ftarget =
   let fmax = p.p_machine.Sim.Machine.fmax in
@@ -391,61 +450,28 @@ let instantiate p ~ftarget =
   let floor_const =
     floor_constant ~layout:p.p_layout ~machine:p.p_machine ftarget
   in
-  let floor = Quad.affine p.total_f_coeffs floor_const in
-  {
-    problem =
-      lazy
-        {
-          Convex.Conic.objective = p.power_objective;
-          constraints =
-            Array.concat [ p.pre_floor; [| floor |]; p.post_floor ];
-        };
-    layout = p.p_layout;
-    spec = p.p_spec;
-    initial_temperatures = p.p_t0;
-    ftarget;
-    steps = p.p_steps;
-    machine = p.p_machine;
-    conic =
-      lazy
-        (Convex.Conic.with_constraint_constant
-           (Lazy.force p.p_conic)
-           ~index:(Array.length p.pre_floor) floor_const);
-    floor_only = p.p_floor_only;
-  }
+  built_of p ~ftarget
+    (lazy
+      (Convex.Conic.with_constant p.p_conic
+         ~row:(orthant_row p.p_layout (floor_index p.p_layout))
+         (-.floor_const)))
 
 (* The frontier problem: maximize the total frequency under the same
    envelope, with no floor. *)
-let frontier_of_prepared p =
-  let problem =
-    {
-      Convex.Conic.objective = Quad.affine p.total_f_coeffs 0.0;
-      constraints = Array.append p.pre_floor p.post_floor;
-    }
-  in
-  {
-    problem = Lazy.from_val problem;
-    layout = p.p_layout;
-    spec = p.p_spec;
-    initial_temperatures = p.p_t0;
-    ftarget = 0.0;
-    steps = p.p_steps;
-    machine = p.p_machine;
-    conic = lazy (Convex.Conic.of_problem problem);
-    floor_only = None;
-  }
+let frontier ~machine ~spec ~t0 =
+  let p = prepare_internal ~machine ~spec ~t0 ~frontier:true in
+  built_of p ~ftarget:0.0 (Lazy.from_val p.p_conic)
 
 let build ~machine ~spec ~tstart ~ftarget =
   instantiate (prepare ~machine ~spec ~tstart) ~ftarget
 
 let build_frontier ~machine ~spec ~tstart =
-  frontier_of_prepared (prepare ~machine ~spec ~tstart)
+  frontier ~machine ~spec ~t0:(uniform_t0 machine tstart)
 
 let build_with_profile ~machine ~spec ~t0 ~ftarget =
   instantiate (prepare_with_profile ~machine ~spec ~t0) ~ftarget
 
-let build_frontier_with_profile ~machine ~spec ~t0 =
-  frontier_of_prepared (prepare_with_profile ~machine ~spec ~t0)
+let build_frontier_with_profile ~machine ~spec ~t0 = frontier ~machine ~spec ~t0
 
 type solution = {
   frequencies : Vec.t;
@@ -500,15 +526,11 @@ let solution_of_x built ~settled_by (raw : Convex.Solve.solution) =
 (* [s] has the full instance's shape, so the dual is zero on every row
    a working set left out. *)
 let raw_of_conic built t (s : Convex.Conic.solution) =
-  let dual = Convex.Conic.constraint_duals t s in
   {
     Convex.Solve.x = s.Convex.Conic.x;
     objective_value = s.Convex.Conic.objective_value;
-    dual;
+    dual = raw_dual built.layout t s.Convex.Conic.z;
     gap = s.Convex.Conic.gap;
-    kkt =
-      lazy
-        (Convex.Kkt.residuals (Lazy.force built.problem) s.Convex.Conic.x dual);
     iterations = s.Convex.Conic.iterations;
   }
 
@@ -535,21 +557,20 @@ let solve_frontier built =
   let t = Lazy.force built.conic in
   outcome_of built t (Convex.Conic.solve ~ws:(conic_workspace built t) t)
 
-(* The rows a conic solve may leave out of its working set: the
-   thermal and gradient rows after the floor, which prepare_internal
-   emits at [5 n_f + 1] (one power law and four box rows per frequency
-   variable, then the floor).  The gradient variant's last three rows
-   (0 <= l, u <= 2, l <= u), four with the cap, always stay in: without
-   them the spread term of the objective is unbounded below. *)
+(* The orthant rows a conic solve may leave out of its working set:
+   the thermal and gradient rows after the floor.  The gradient
+   variant's last three rows (0 <= l, u <= 2, l <= u), four with the
+   cap, always stay in: without them the spread term of the objective
+   is unbounded below. *)
 let optional_rows built t =
-  let m = Convex.Conic.n_constraints t in
   let tail =
     match built.spec.Spec.gradient with
     | None -> 0
     | Some { Spec.cap = None; _ } -> 3
     | Some { Spec.cap = Some _; _ } -> 4
   in
-  ((5 * built.layout.n_f) + 1, m - tail)
+  ( orthant_row built.layout (first_thermal_index built.layout),
+    n_orthant built.layout t - tail )
 
 (* An optional row within this much of binding at the seed, in units
    of tmax (1e-4 C at tmax = 100 C), starts in the working set: the
@@ -632,13 +653,13 @@ let floor_only_raw built t =
         in
         let saturated, lambda = walk 0 0.0 in
         let x = Vec.zeros layout.dim in
-        let dual = Vec.zeros (Convex.Conic.n_constraints t) in
+        let dual = Vec.zeros (constraint_count layout t) in
         let objective = ref 0.0 in
         Array.iteri
           (fun k j ->
             let fhat =
               if k < saturated then begin
-                dual.((5 * j) + 2) <-
+                dual.(upper_f_box_index j) <-
                   (lambda *. fo.c.(j)) -. (2.0 *. fo.w.(j) *. f_box);
                 f_box
               end
@@ -646,20 +667,18 @@ let floor_only_raw built t =
             in
             x.(layout.f_offset + j) <- fhat;
             x.(layout.p_offset + j) <- fhat *. fhat;
-            dual.(5 * j) <- fo.w.(j))
+            dual.(power_law_index j) <- fo.w.(j))
           fo.order;
         for j = 0 to layout.n_p - 1 do
           objective := !objective +. (fo.w.(j) *. x.(layout.p_offset + j))
         done;
-        dual.(5 * n) <- lambda;
+        dual.(floor_index layout) <- lambda;
         Some
           {
             Convex.Solve.x;
             objective_value = !objective;
             dual;
             gap = 0.0;
-            kkt =
-              lazy (Convex.Kkt.residuals (Lazy.force built.problem) x dual);
             iterations = 0;
           }
       end

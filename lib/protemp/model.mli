@@ -49,7 +49,13 @@
     constraint generation until the optimum satisfies every row.
 
     Variables are normalized ([f/fmax], [p/pmax], [t/tmax]) so the
-    solver operates on a well-conditioned unit box. *)
+    solver operates on a well-conditioned unit box.  The program is
+    written straight into the form {!Convex.Conic} solves,
+    [h - G x in K]: each affine row an orthant row, stored as the
+    stripe of its nonzero columns, and each power law
+    [fhat^2 <= phat] a rotated-quadratic block [(phat, 1/2, fhat)].
+    The multipliers of a solution come back in the constraint order
+    of Eq. 3 as written ({!floor_index}). *)
 
 open Linalg
 
@@ -72,12 +78,6 @@ type floor_only
     optimum from it in closed form. *)
 
 type built = {
-  problem : Convex.Conic.problem Lazy.t;
-      (** The instance, one {!Convex.Quad.t} per constraint: power-law
-          and box rows, the throughput floor, then the thermal and
-          gradient rows.  No solve reads it — {!solve} works on [conic]
-          — so it is formed only when forced, by the KKT audit of
-          [raw.kkt] or by a caller. *)
   layout : layout;
   spec : Spec.t;
   initial_temperatures : Vec.t;
@@ -87,11 +87,12 @@ type built = {
   steps : int;  (** Thermal steps in the window ([m] in the paper). *)
   machine : Sim.Machine.t;
   conic : Convex.Conic.t Lazy.t;
-      (** Conic (orthant + epigraph) form of [problem], the one form
-          {!solve} and {!solve_frontier} read.  Instances made from
-          one {!prepared} context share the packed cone matrix — only
-          the throughput-floor offset differs — so a sweep row
-          converts once. *)
+      (** The instance in conic form, [h - G x in K], the one form
+          {!solve} and {!solve_frontier} read: the box rows, the
+          throughput floor, the thermal and gradient rows, then one
+          rotated-quadratic block per power law.  Instances made from
+          one {!prepared} context share [G] — only the floor's
+          constant differs — so a sweep row writes it once. *)
   floor_only : floor_only option;
       (** Shared by every instance of one {!prepared} context; [None]
           for the gradient variant, whose spread term couples the
@@ -99,23 +100,40 @@ type built = {
           instance. *)
 }
 
+(** {2 Row layout}
+
+    The constraints of Eq. 3 as written, the order of
+    [solution.raw.dual]: per frequency variable [j], its power law and
+    four box rows ([fhat >= 0], [fhat <= f_box], [phat >= 0],
+    [phat <= p_box]); then the throughput floor (absent from a
+    frontier instance); then the thermal rows and, in the gradient
+    variant, the gradient rows. *)
+
+val upper_f_box_index : int -> int
+(** The constraint [fhat_j <= f_box] of frequency variable [j]. *)
+
+val floor_index : layout -> int
+(** The throughput floor, after every power-law and box row. *)
+
+val first_thermal_index : layout -> int
+(** The first thermal row of an instance with a floor. *)
+
 val conic_blocks : layout -> int array
 (** The variable partition under which the conic normal equations are
     block-tridiagonal: [(n_f, n_p)] plus the two gradient bounds when
     present.  Pass as [`Blocks] to {!Convex.Conic}. *)
 
 type prepared
-(** The [(machine, spec, t0)]-dependent part of a model: the base
-    trajectory and every constraint except the throughput floor.
+(** The [(machine, spec, t0)]-dependent part of a model: its conic
+    instance with every row but the throughput floor's constant.
     Building it costs one pass of the base trajectory over the window
     (stepped in two vectors, never stored whole), one pass over the
     machine's shared {!Sim.Machine.window_response} (computed on the
     machine's first prepare at that window and stride, and read by
-    every later one) and the rows it emits — nearly all of a
-    {!build}, whose solver forms are lazy; each further
-    {!instantiate} at a new [ftarget] is then almost free.  The
-    offline sweep prepares once per table row and instantiates once
-    per column. *)
+    every later one) and the rows it writes — nearly all of a
+    {!build}; each further {!instantiate} at a new [ftarget] is then
+    almost free.  The offline sweep prepares once per table row and
+    instantiates once per column. *)
 
 val prepare :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> prepared
@@ -128,13 +146,10 @@ val prepare_with_profile :
     length or a non-finite entry. *)
 
 val instantiate : prepared -> ftarget:float -> built
-(** Splice the throughput floor for [ftarget] into the prepared
-    context.  The result is identical, constraint for constraint, to
-    the corresponding {!build}.  Raises [Invalid_argument] for
-    [ftarget] outside [[0, fmax]], NaN included. *)
-
-val frontier_of_prepared : prepared -> built
-(** The {!build_frontier} instance of a prepared context. *)
+(** Set the throughput floor's constant for [ftarget] in the prepared
+    context.  The result is identical, row for row, to the
+    corresponding {!build}.  Raises [Invalid_argument] for [ftarget]
+    outside [[0, fmax]], NaN included. *)
 
 val build :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> ftarget:float ->
@@ -213,7 +228,7 @@ val solve :
     that optimum, until none is violated.  The working-set problem is
     a relaxation, so its final optimum is the cell's optimum and
     [raw.dual], zero on the rows left out, is a KKT certificate for
-    the full [problem]; an infeasible working set proves the cell
+    the full instance; an infeasible working set proves the cell
     infeasible.
 
     A run from the violated rows that ends without a certificate

@@ -18,7 +18,6 @@
    phase1, solve and linprog cases. *)
 
 open Linalg
-open Convex
 
 (* ------------------------------------------------------------------ *)
 (* Kernels of the barrier's oracle: the gradient of a [Quad.t] written
@@ -171,14 +170,14 @@ type result = {
   stats : stats;
 }
 
-let is_strictly_feasible (p : Conic.problem) x =
-  Array.for_all (fun c -> Quad.eval c x < 0.0) p.Conic.constraints
+let is_strictly_feasible (p : Quad.problem) x =
+  Array.for_all (fun c -> Quad.eval c x < 0.0) p.Quad.constraints
 
 (* [t f0 - sum log(-f_j)], with
      grad = t grad_f0 + sum grad_f_j / (-f_j)
      hess = t P0 + sum [grad_f_j grad_f_j' / f_j^2 + P_j / (-f_j)]. *)
-let centering (p : Conic.problem) t =
-  let gj = Vec.zeros (Quad.dim p.Conic.objective) in
+let centering (p : Quad.problem) t =
+  let gj = Vec.zeros (Quad.dim p.Quad.objective) in
   {
     value =
       (fun x ->
@@ -187,14 +186,14 @@ let centering (p : Conic.problem) t =
           Some
             (Array.fold_left
                (fun acc c -> acc -. log (-.Quad.eval c x))
-               (t *. Quad.eval p.Conic.objective x)
-               p.Conic.constraints));
+               (t *. Quad.eval p.Quad.objective x)
+               p.Quad.constraints));
     grad_hess_into =
       (fun x ~g ~h ->
-        quad_grad_into p.Conic.objective x ~dst:g;
+        quad_grad_into p.Quad.objective x ~dst:g;
         Vec.scale_into ~dst:g t;
         Mat.fill h 0.0;
-        add_scaled_hess_upper_into p.Conic.objective t ~dst:h;
+        add_scaled_hess_upper_into p.Quad.objective t ~dst:h;
         Array.iter
           (fun c ->
             let inv = -1.0 /. Quad.eval c x in
@@ -202,7 +201,7 @@ let centering (p : Conic.problem) t =
             Vec.axpy_into ~dst:g inv gj;
             add_outer_upper_into h (inv *. inv) gj;
             add_scaled_hess_upper_into c inv ~dst:h)
-          p.Conic.constraints;
+          p.Quad.constraints;
         mirror_upper h);
   }
 
@@ -210,10 +209,10 @@ let centering (p : Conic.problem) t =
    thermal rows along a curved wall, long steps realize their
    pessimistic Newton bound per centering.  [stop_early] is checked
    after each centering. *)
-let solve ?(gap_tol = 1e-7) ?(t0 = 1.0) ?stop_early (p : Conic.problem) x0 =
+let solve ?(gap_tol = 1e-7) ?(t0 = 1.0) ?stop_early (p : Quad.problem) x0 =
   if not (is_strictly_feasible p x0) then
     invalid_arg "Barrier_reference.solve: start not strictly feasible";
-  let m = float_of_int (Array.length p.Conic.constraints) in
+  let m = float_of_int (Array.length p.Quad.constraints) in
   let newton = ref 0 and factorizations = ref 0 in
   let rec outer t x k =
     let r = minimize ~tol:1e-9 ~max_iter:500 (centering p t) x in
@@ -223,11 +222,11 @@ let solve ?(gap_tol = 1e-7) ?(t0 = 1.0) ?stop_early (p : Conic.problem) x0 =
     if stop || m /. t <= gap_tol || k >= 120 then
       {
         x = r.x;
-        objective_value = Quad.eval p.Conic.objective r.x;
+        objective_value = Quad.eval p.Quad.objective r.x;
         dual =
           Array.map
             (fun c -> 1.0 /. (t *. -.Quad.eval c r.x))
-            p.Conic.constraints;
+            p.Quad.constraints;
         gap = m /. t;
         stats =
           {
@@ -269,7 +268,7 @@ let phase1 ?(gap_tol = 1e-7) ?(margin = 1e-8) constraints x0 =
     in
     let p =
       {
-        Conic.objective = Quad.add (Quad.linear_coord n' n 1.0) proximal;
+        Quad.objective = Quad.add (Quad.linear_coord n' n 1.0) proximal;
         constraints =
           Array.append
             (Array.map
@@ -281,7 +280,7 @@ let phase1 ?(gap_tol = 1e-7) ?(margin = 1e-8) constraints x0 =
     let s0 = worst_row constraints x0 +. 1.0 in
     let t0 =
       Float.max 1.0
-        (float_of_int (Array.length p.Conic.constraints) /. (s0 +. 1.0))
+        (float_of_int (Array.length p.Quad.constraints) /. (s0 +. 1.0))
     in
     let r =
       solve ~gap_tol ~t0 ~stop_early:(fun y -> y.(n) < -.margin) p
@@ -297,15 +296,15 @@ type status = Optimal of result | Unreachable of float
 (* Phase I (to a loose gap: only its sign matters) from [start], or the
    origin, unless that is already strictly feasible; then the barrier
    method. *)
-let two_phase ?start (p : Conic.problem) =
+let two_phase ?start (p : Quad.problem) =
   let x0 =
     match start with
     | Some x -> Vec.copy x
-    | None -> Vec.zeros (Quad.dim p.Conic.objective)
+    | None -> Vec.zeros (Quad.dim p.Quad.objective)
   in
   match
     if is_strictly_feasible p x0 then Strictly_feasible x0
-    else phase1 ~gap_tol:1e-3 p.Conic.constraints x0
+    else phase1 ~gap_tol:1e-3 p.Quad.constraints x0
   with
   | Strictly_feasible x -> Optimal (solve p x)
   | Infeasible worst -> Unreachable worst
@@ -314,7 +313,7 @@ let two_phase ?start (p : Conic.problem) =
 let linprog ~c ~a ~b =
   two_phase
     {
-      Conic.objective = Quad.affine c 0.0;
+      Quad.objective = Quad.affine c 0.0;
       constraints =
         Array.init (Mat.rows a) (fun i -> Quad.affine (Mat.row a i) (-.b.(i)));
     }
@@ -366,19 +365,19 @@ let trivial_start (built : Protemp.Model.built) =
   done;
   with_gradient_bounds layout x
 
-(* The throughput floor is the row after the five power-law and box
-   rows of each frequency variable: [c'x + F <= 0], with [-c'x] the
-   total frequency in units of the chip's fmax. *)
+(* The throughput floor is the row after the power-law and box rows:
+   [c'x + F <= 0], with [-c'x] the total frequency in units of the
+   chip's fmax. *)
 let floor_index (built : Protemp.Model.built) =
-  5 * built.Protemp.Model.layout.Protemp.Model.n_f
+  Protemp.Model.floor_index built.Protemp.Model.layout
 
 (* The floor-free companion of a cell: maximize the total frequency
    under the same envelope. *)
 let frontier_problem (built : Protemp.Model.built) =
-  let rows = (Lazy.force built.Protemp.Model.problem).Conic.constraints in
+  let rows = (Model_reference.problem ~filter:true built).Quad.constraints in
   let k = floor_index built in
   {
-    Conic.objective = Quad.affine (Quad.linear_part rows.(k)) 0.0;
+    Quad.objective = Quad.affine (Quad.linear_part rows.(k)) 0.0;
     constraints =
       Array.append (Array.sub rows 0 k)
         (Array.sub rows (k + 1) (Array.length rows - k - 1));
@@ -390,8 +389,8 @@ let frontier_problem (built : Protemp.Model.built) =
    start.  [None] when neither exists: the cell is infeasible, or
    feasible only on its boundary. *)
 let solve_model (built : Protemp.Model.built) =
-  let p = Lazy.force built.Protemp.Model.problem in
-  let floor = p.Conic.constraints.(floor_index built) in
+  let p = Model_reference.problem ~filter:true built in
+  let floor = p.Quad.constraints.(floor_index built) in
   let hint = start_hint built in
   let start =
     if is_strictly_feasible p hint then Some hint
@@ -409,7 +408,7 @@ let solve_model (built : Protemp.Model.built) =
 (* A frontier instance ([Protemp.Model.build_frontier]) from the
    trivial start. *)
 let solve_frontier (built : Protemp.Model.built) =
-  let p = Lazy.force built.Protemp.Model.problem in
+  let p = Model_reference.frontier ~filter:true built in
   let triv = trivial_start built in
   if is_strictly_feasible p triv then Some (solve p triv) else None
 

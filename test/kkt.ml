@@ -7,17 +7,17 @@ type residuals = {
   complementarity : float;
 }
 
-let residuals (p : Conic.problem) x lambda =
-  let m = Array.length p.Conic.constraints in
+let residuals (p : Quad.problem) x lambda =
+  let m = Array.length p.Quad.constraints in
   if Vec.dim lambda <> m then invalid_arg "Kkt.residuals: bad dual length";
-  let grad_l = Quad.grad p.Conic.objective x in
+  let grad_l = Quad.grad p.Quad.objective x in
   Array.iteri
     (fun j c -> Vec.axpy_into ~dst:grad_l lambda.(j) (Quad.grad c x))
-    p.Conic.constraints;
+    p.Quad.constraints;
   let primal =
     Array.fold_left
       (fun acc c -> Float.max acc (Quad.eval c x))
-      0.0 p.Conic.constraints
+      0.0 p.Quad.constraints
   in
   let dual =
     Array.fold_left (fun acc l -> Float.max acc (-.l)) 0.0 lambda
@@ -27,7 +27,7 @@ let residuals (p : Conic.problem) x lambda =
     Array.iteri
       (fun j c ->
         acc := Float.max !acc (Float.abs (lambda.(j) *. Quad.eval c x)))
-      p.Conic.constraints;
+      p.Quad.constraints;
     !acc
   in
   {

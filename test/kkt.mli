@@ -4,9 +4,11 @@
     [lambda], the residuals measure stationarity
     [||grad f0 + sum lambda_j grad f_j||], primal feasibility
     [max_j f_j(x)]+, dual feasibility [max_j (-lambda_j)]+ and
-    complementary slackness [max_j |lambda_j f_j(x)|].  They audit a
-    {!Conic} optimum against the {!Conic.problem} it came from, with
-    the duals of {!Conic.constraint_duals}. *)
+    complementary slackness [max_j |lambda_j f_j(x)|].  They audit an
+    optimum against the {!Quad.problem} it solves: a conic optimum
+    with the duals of [Conic_reference.constraint_duals], or an Eq. 3
+    solution of [Protemp.Model] against [Model_reference]'s statement
+    of its instance. *)
 
 open Linalg
 
@@ -17,7 +19,7 @@ type residuals = {
   complementarity : float;
 }
 
-val residuals : Conic.problem -> Vec.t -> Vec.t -> residuals
+val residuals : Quad.problem -> Vec.t -> Vec.t -> residuals
 (** [residuals p x lambda]. *)
 
 val max_residual : residuals -> float

@@ -1,15 +1,17 @@
-(* The Eq. 3 builder before the thermal-row filter and the core-column
-   recurrence, kept as the oracle for their tests (the same role
-   [Policy_reference] plays for the placement scans): it forms the
-   full matrix powers A^k with [Mat.matmul] and emits one thermal row
-   for every node at every constrained step, whether or not the power
-   box already implies it.  Everything else — layout, machine, window
-   — is taken from {!Protemp.Model.build}, and the constraint order is
-   the model's: power-law and box rows, the throughput floor, then the
-   thermal and gradient rows. *)
+(* The Eq. 3 builder before the thermal-row filter, the core-column
+   recurrence and the direct conic rows, kept as the oracle for their
+   tests (the same role [Policy_reference] plays for the placement
+   scans): it states every constraint as a [Quad.t], forms the full
+   matrix powers A^k with [Mat.matmul] and emits one thermal row for
+   every node at every constrained step, whether or not the power box
+   already implies it.  The layout, machine and window are taken from
+   a {!Protemp.Model.built}, and the constraint order is the model's
+   (see [Protemp.Model.floor_index]): power-law and box rows, the
+   throughput floor, then the thermal and gradient rows.
+   [Conic_reference.of_problem] packs what it builds into the rows the
+   model writes itself. *)
 
 open Linalg
-open Convex
 
 let f_box = 1.002
 let p_box = 1.005
@@ -133,24 +135,66 @@ let rows ~filter (built : Protemp.Model.built) =
   | Some _, None | None, Some _ -> assert false);
   (Array.of_list (List.rev !pre), Array.of_list (List.rev !post))
 
-(* [Model.build]'s instance with its rows rebuilt by the reference:
-   by default unfiltered, every thermal row restored.  The floor row
-   is the model's own (it sits right after the power-law and box rows
-   in both). *)
-let build ?(filter = false) ~machine ~spec ~tstart ~ftarget () =
-  let built = Protemp.Model.build ~machine ~spec ~tstart ~ftarget in
+(* The throughput direction (the sum of the frequencies in units of
+   the chip's fmax, negated) and the power objective of [built]. *)
+let total_f_coeffs (built : Protemp.Model.built) =
+  let layout = built.Protemp.Model.layout in
+  let machine = built.Protemp.Model.machine in
+  let q = Vec.zeros layout.Protemp.Model.dim in
+  (match built.Protemp.Model.spec.Protemp.Spec.variant with
+  | Protemp.Spec.Variable ->
+      for j = 0 to layout.Protemp.Model.n_f - 1 do
+        q.(layout.Protemp.Model.f_offset + j) <-
+          -.(machine.Sim.Machine.core_fmax.(j) /. machine.Sim.Machine.fmax)
+      done
+  | Protemp.Spec.Uniform ->
+      q.(layout.Protemp.Model.f_offset) <-
+        -.float_of_int layout.Protemp.Model.n_cores);
+  q
+
+let power_objective (built : Protemp.Model.built) =
+  let layout = built.Protemp.Model.layout in
+  let spec = built.Protemp.Model.spec in
+  let pmax = built.Protemp.Model.machine.Sim.Machine.core_pmax in
+  let pref = Array.fold_left Float.max 0.0 pmax in
+  let q = Vec.zeros layout.Protemp.Model.dim in
+  for j = 0 to layout.Protemp.Model.n_p - 1 do
+    q.(layout.Protemp.Model.p_offset + j) <-
+      (match spec.Protemp.Spec.variant with
+      | Protemp.Spec.Variable -> pmax.(j) /. pref
+      | Protemp.Spec.Uniform -> float_of_int layout.Protemp.Model.n_cores)
+  done;
+  (match (layout.Protemp.Model.bounds_offset, spec.Protemp.Spec.gradient) with
+  | Some off, Some g ->
+      q.(off) <- g.Protemp.Spec.weight;
+      q.(off + 1) <- -.g.Protemp.Spec.weight
+  | None, _ | _, None -> ());
+  Quad.affine q 0.0
+
+(* The cell [built] ([Protemp.Model.build] or [instantiate]) stated
+   from scratch: by default unfiltered, every thermal row restored;
+   with [~filter:true], row for row the model's own instance. *)
+let problem ?(filter = false) (built : Protemp.Model.built) =
   let pre, post = rows ~filter built in
-  let model = Lazy.force built.Protemp.Model.problem in
-  let problem =
-    {
-      Conic.objective = model.Conic.objective;
-      constraints =
-        Array.concat
-          [ pre; [| model.Conic.constraints.(Array.length pre) |]; post ];
-    }
+  let floor =
+    Quad.affine (total_f_coeffs built)
+      (float_of_int built.Protemp.Model.layout.Protemp.Model.n_cores
+      *. (built.Protemp.Model.ftarget
+         /. built.Protemp.Model.machine.Sim.Machine.fmax))
   in
   {
-    built with
-    Protemp.Model.problem = Lazy.from_val problem;
-    conic = lazy (Conic.of_problem problem);
+    Quad.objective = power_objective built;
+    constraints = Array.concat [ pre; [| floor |]; post ];
   }
+
+(* The frontier instance [built] ([Protemp.Model.build_frontier]):
+   maximize the total frequency under the same rows, with no floor. *)
+let frontier ?(filter = false) (built : Protemp.Model.built) =
+  let pre, post = rows ~filter built in
+  {
+    Quad.objective = Quad.affine (total_f_coeffs built) 0.0;
+    constraints = Array.append pre post;
+  }
+
+let build ?filter ~machine ~spec ~tstart ~ftarget () =
+  problem ?filter (Protemp.Model.build ~machine ~spec ~tstart ~ftarget)

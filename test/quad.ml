@@ -6,7 +6,6 @@ open Linalg
 type t = { n : int; p : Mat.t option; q : Vec.t; r : float }
 
 let affine q r = { n = Vec.dim q; p = None; q = Vec.copy q; r }
-let constant n r = { n; p = None; q = Vec.zeros n; r }
 
 let linear_coord n i c =
   if i < 0 || i >= n then invalid_arg "Quad.linear_coord: index out of range";
@@ -87,7 +86,4 @@ let hess_is_psd ?(tol = 1e-9) f =
 let linear_part f = Vec.copy f.q
 let constant_part f = f.r
 
-let pp ppf f =
-  match f.p with
-  | None -> Format.fprintf ppf "affine(q=%a, r=%g)" Vec.pp f.q f.r
-  | Some _ -> Format.fprintf ppf "quadratic(n=%d, q=%a, r=%g)" f.n Vec.pp f.q f.r
+type problem = { objective : t; constraints : t array }

@@ -1,10 +1,12 @@
-(** Quadratic functions in standard form.
+(** Quadratic functions in standard form: the test oracles' statement
+    of a convex program.
 
     A value represents [f(x) = 1/2 x^T P x + q^T x + r] over [R^n],
     with [P] symmetric (possibly absent, meaning the function is
-    affine).  Problems are posed directly in this form and collected
-    in a {!Conic.problem}, which {!Conic.of_problem} packs into cone
-    rows. *)
+    affine).  The reference solvers and builders pose programs in
+    this form ({!problem}); [Conic_reference.of_problem] packs one
+    into the rows [Convex.Conic.make] takes, and {!Kkt} audits a
+    solution against it. *)
 
 open Linalg
 
@@ -14,9 +16,6 @@ type t
 
 val affine : Vec.t -> float -> t
 (** [affine q r] is [q^T x + r]. *)
-
-val constant : int -> float -> t
-(** [constant n r] is the constant function [r] on [R^n]. *)
 
 val linear_coord : int -> int -> float -> t
 (** [linear_coord n i c] is [c * x_i]. *)
@@ -57,4 +56,8 @@ val linear_part : t -> Vec.t
 
 val constant_part : t -> float
 
-val pp : Format.formatter -> t -> unit
+(** {1 Programs} *)
+
+type problem = { objective : t; constraints : t array }
+(** [minimize objective(x) subject to constraints_j(x) <= 0], every
+    function of one dimension. *)

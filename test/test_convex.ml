@@ -157,7 +157,7 @@ let test_barrier_box_lp () =
       (List.concat_map (fun i -> box_rows n i ~lo:0.0 ~hi:1.0) [ 0; 1 ])
   in
   let p =
-    { Conic.objective = Quad.affine [| 1.0; 1.0 |] 0.0; constraints }
+    { Quad.objective = Quad.affine [| 1.0; 1.0 |] 0.0; constraints }
   in
   let r = Barrier_reference.solve p [| 0.5; 0.5 |] in
   check_float 1e-5 "value" 0.0 r.Barrier_reference.objective_value;
@@ -172,7 +172,7 @@ let test_barrier_projection () =
   in
   let constraints = [| Quad.affine [| 1.0; 1.0 |] (-2.0) |] in
   let r =
-    Barrier_reference.solve { Conic.objective = obj; constraints } [| 0.0; 0.0 |]
+    Barrier_reference.solve { Quad.objective = obj; constraints } [| 0.0; 0.0 |]
   in
   check_bool "projection" true
     (Vec.approx_equal ~tol:1e-4 r.Barrier_reference.x [| 1.0; 1.0 |]);
@@ -185,7 +185,7 @@ let test_barrier_inactive_constraint () =
   let obj = Quad.square_of_affine [| 1.0 |] (-1.0) in
   let constraints = [| Quad.affine [| 1.0 |] (-100.0) |] in
   let r =
-    Barrier_reference.solve { Conic.objective = obj; constraints } [| 0.0 |]
+    Barrier_reference.solve { Quad.objective = obj; constraints } [| 0.0 |]
   in
   check_float 1e-5 "optimum" 1.0 r.Barrier_reference.x.(0);
   check_bool "dual tiny" true (r.Barrier_reference.dual.(0) < 1e-4)
@@ -196,7 +196,7 @@ let test_barrier_quadratic_constraint () =
   let obj = Quad.affine [| 1.0; 1.0 |] 0.0 in
   let ball = Quad.quadratic (Mat.of_diag [| 2.0; 2.0 |]) (Vec.zeros 2) (-1.0) in
   let r =
-    Barrier_reference.solve { Conic.objective = obj; constraints = [| ball |] }
+    Barrier_reference.solve { Quad.objective = obj; constraints = [| ball |] }
       [| 0.0; 0.0 |]
   in
   check_float 1e-4 "value" (-.sqrt 2.0) r.Barrier_reference.objective_value;
@@ -206,7 +206,7 @@ let test_barrier_quadratic_constraint () =
 
 let test_barrier_rejects_infeasible_start () =
   let constraints = [| Quad.affine [| 1.0 |] 0.0 |] in
-  let p = { Conic.objective = Quad.affine [| 1.0 |] 0.0; constraints } in
+  let p = { Quad.objective = Quad.affine [| 1.0 |] 0.0; constraints } in
   check_bool "raises" true
     (match Barrier_reference.solve p [| 1.0 |] with
     | _ -> false
@@ -216,7 +216,7 @@ let test_barrier_unconstrained () =
   let obj = Quad.square_of_affine [| 1.0 |] (-3.0) in
   let r =
     Barrier_reference.solve
-      { Conic.objective = obj; constraints = [||] }
+      { Quad.objective = obj; constraints = [||] }
       [| 0.0 |]
   in
   check_float 1e-6 "optimum" 3.0 r.Barrier_reference.x.(0)
@@ -262,7 +262,7 @@ let test_barrier_stats () =
   (* The instrumentation counters must be populated and consistent. *)
   let st = mk_rand 73 in
   let obj, constraints = random_qcqp st 3 in
-  let p = { Conic.objective = obj; constraints } in
+  let p = { Quad.objective = obj; constraints } in
   let r = Barrier_reference.solve p (Vec.zeros 3) in
   let s = r.Barrier_reference.stats in
   check_bool "centerings > 0" true (s.Barrier_reference.centering_steps > 0);
@@ -306,7 +306,7 @@ let test_solve_end_to_end () =
   (* minimize (x-5)^2 s.t. x <= 3, from an infeasible start: optimum 3. *)
   let obj = Quad.square_of_affine [| 1.0 |] (-5.0) in
   let constraints = [| Quad.affine [| 1.0 |] (-3.0) |] in
-  let p = { Conic.objective = obj; constraints } in
+  let p = { Quad.objective = obj; constraints } in
   match Barrier_reference.two_phase ~start:[| 10.0 |] p with
   | Barrier_reference.Optimal s ->
       check_float 1e-4 "optimum" 3.0 s.Barrier_reference.x.(0);
@@ -321,20 +321,20 @@ let test_solve_reports_infeasible () =
   let constraints =
     [| Quad.affine [| 1.0 |] 0.0; Quad.affine [| -1.0 |] 1.0 |]
   in
-  match Barrier_reference.two_phase { Conic.objective = obj; constraints } with
+  match Barrier_reference.two_phase { Quad.objective = obj; constraints } with
   | Barrier_reference.Optimal _ -> Alcotest.fail "expected infeasible"
   | Barrier_reference.Unreachable _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Conic *)
 
-(* An LP as a {!Conic.problem}: minimize c'x s.t. q_i'x + r_i <= 0,
+(* An LP as a {!Quad.problem}: minimize c'x s.t. q_i'x + r_i <= 0,
    each row an affine [Quad], packed by [of_problem] into the orthant
    rows s = h - Gx >= 0 with G's rows q_i and h_i = -r_i. *)
 let lp_conic ~c rows =
-  Conic.of_problem
+  Conic_reference.of_problem
     {
-      Conic.objective = Quad.affine c 0.0;
+      Quad.objective = Quad.affine c 0.0;
       constraints = Array.map (fun (q, r) -> Quad.affine q r) rows;
     }
 
@@ -383,7 +383,7 @@ let test_conic_dual_infeasible_certificate () =
   | st -> Alcotest.failf "expected dual infeasible, got %a" Conic.pp_status st
 
 (* minimize x0 s.t. x0^2 <= x1, x1 <= 2 — a rank-one quadratic plus an
-   affine row, exactly the shape [Conic.of_problem] accepts.  Optimum
+   affine row, exactly the shape [Conic_reference.of_problem] accepts.  Optimum
    x = (-sqrt 2, 2), value -sqrt 2. *)
 let epigraph_problem () =
   let obj = Quad.affine [| 1.0; 0.0 |] 0.0 in
@@ -395,12 +395,12 @@ let epigraph_problem () =
       Quad.affine [| 0.0; 1.0 |] (-2.0);
     |]
   in
-  { Conic.objective = obj; constraints }
+  { Quad.objective = obj; constraints }
 
 let test_conic_of_barrier_agreement () =
   let p = epigraph_problem () in
   let conic =
-    match Conic.solve (Conic.of_problem p) with
+    match Conic.solve (Conic_reference.of_problem p) with
     | Conic.Optimal s -> s
     | st -> Alcotest.failf "conic: expected optimal, got %a" Conic.pp_status st
   in
@@ -411,24 +411,24 @@ let test_conic_of_barrier_agreement () =
 
 let test_conic_constraint_duals () =
   let p = epigraph_problem () in
-  let t = Conic.of_problem p in
+  let t = Conic_reference.of_problem p in
   let s =
     match Conic.solve t with
     | Conic.Optimal s -> s
     | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st
   in
-  let duals = Conic.constraint_duals t s in
+  let duals = Conic_reference.constraint_duals p s in
   check_int "one dual per constraint" 2 (Vec.dim duals);
   (* KKT stationarity: 1 + lambda0 * 2 x0 = 0 at x0 = -sqrt 2, and the
      x1 column gives -lambda0 + lambda1 = 0. *)
   check_float 1e-4 "epigraph multiplier" (1.0 /. (2.0 *. sqrt 2.0)) duals.(0);
   check_float 1e-4 "affine multiplier" duals.(0) duals.(1)
 
-(* Re-targeting one affine constant must equal packing the edited
-   problem from scratch, and must leave the original instance alone:
-   maximize x0 under x0 <= 1 (index 0) and -x_i <= 1, then move the
-   first bound to x0 <= 2. *)
-let test_conic_with_constraint_constant () =
+(* Re-targeting one orthant row's constant must equal packing the
+   edited problem from scratch, and must leave the original instance
+   alone: maximize x0 under x0 <= 1 (orthant row 0) and -x_i <= 1, then
+   move the first bound to x0 <= 2. *)
+let test_conic_with_constant () =
   let n = 3 in
   let objective = Quad.linear_coord n 0 (-1.0) in
   let others =
@@ -436,14 +436,14 @@ let test_conic_with_constraint_constant () =
         Quad.add_constant (Quad.linear_coord n i (-1.0)) (-1.0))
   in
   let bound c = Quad.add_constant (Quad.linear_coord n 0 1.0) c in
-  let t =
-    Conic.of_problem
-      { Conic.objective; constraints = Array.append [| bound (-1.0) |] others }
+  let p = { Quad.objective; constraints = Array.append [| bound (-1.0) |] others } in
+  let t = Conic_reference.of_problem p in
+  let edited =
+    Conic.with_constant t ~row:(Option.get (Conic_reference.orthant_row p 0)) 2.0
   in
-  let edited = Conic.with_constraint_constant t ~index:0 (-2.0) in
   let fresh =
-    Conic.of_problem
-      { Conic.objective; constraints = Array.append [| bound (-2.0) |] others }
+    Conic_reference.of_problem
+      { Quad.objective; constraints = Array.append [| bound (-2.0) |] others }
   in
   let optimum inst =
     match Conic.solve inst with
@@ -459,15 +459,16 @@ let test_conic_with_constraint_constant () =
   let rejected f =
     match f () with _ -> false | exception Invalid_argument _ -> true
   in
-  check_bool "a quadratic constraint's constant is rejected" true
+  (* The epigraph problem packs one orthant row, then its cone block. *)
+  check_bool "a cone row's constant is rejected" true
     (rejected (fun () ->
-         Conic.with_constraint_constant
-           (Conic.of_problem (epigraph_problem ()))
-           ~index:0 1.0))
+         Conic.with_constant
+           (Conic_reference.of_problem (epigraph_problem ()))
+           ~row:1 1.0))
 
 let test_conic_warm_start_and_stats () =
   let p = epigraph_problem () in
-  let t = Conic.of_problem p in
+  let t = Conic_reference.of_problem p in
   let stats = ref Conic.stats_zero in
   let cold =
     match Conic.solve ~stats_into:stats t with
@@ -481,7 +482,7 @@ let test_conic_warm_start_and_stats () =
   check_int "optimal outcome counted" 1 !stats.Conic.optimal;
   (* Re-target the affine bound slightly and warm-start from the
      first instance's optimum. *)
-  let t' = Conic.with_constraint_constant t ~index:1 (-2.1) in
+  let t' = Conic.with_constant t ~row:0 2.1 in
   let warm =
     match Conic.solve ~stats_into:stats ~warm:cold.Conic.x t' with
     | Conic.Optimal s -> s
@@ -492,7 +493,7 @@ let test_conic_warm_start_and_stats () =
   check_int "outcomes accumulate" 2 !stats.Conic.optimal
 
 let test_conic_workspace_reuse () =
-  let t = Conic.of_problem (epigraph_problem ()) in
+  let t = Conic_reference.of_problem (epigraph_problem ()) in
   let ws = Conic.make_workspace t in
   let solve_with inst =
     match Conic.solve ~ws inst with
@@ -501,7 +502,7 @@ let test_conic_workspace_reuse () =
   in
   check_float 1e-6 "first solve" (-.sqrt 2.0) (solve_with t);
   check_float 1e-6 "re-targeted reuse" (-.sqrt 3.0)
-    (solve_with (Conic.with_constraint_constant t ~index:1 (-3.0)));
+    (solve_with (Conic.with_constant t ~row:0 3.0));
   check_float 1e-6 "back to the first instance" (-.sqrt 2.0) (solve_with t);
   check_bool "shape mismatch rejected" true
     (try
@@ -516,13 +517,14 @@ let working_set_problem () =
   let p = epigraph_problem () in
   {
     p with
-    Conic.constraints =
-      Array.append p.Conic.constraints
+    Quad.constraints =
+      Array.append p.Quad.constraints
         [| Quad.affine [| 0.0; 1.0 |] (-3.0); Quad.affine [| -1.0; 0.0 |] (-1.0) |];
   }
 
 let test_conic_working_set () =
-  let t = Conic.of_problem (working_set_problem ()) in
+  let p = working_set_problem () in
+  let t = Conic_reference.of_problem p in
   let ws = Conic.make_workspace t in
   let solve () =
     match Conic.solve ~ws t with
@@ -530,11 +532,11 @@ let test_conic_working_set () =
     | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st
   in
   (* Constraints 2 and 3 (orthant rows 1 and 2) become optional. *)
-  Conic.restrict ws t ~first:2 ~last:4;
+  Conic.restrict ws t ~first:1 ~last:3;
   let relaxed = solve () in
   check_float 1e-6 "the relaxation's optimum" (-.sqrt 2.0)
     relaxed.Conic.objective_value;
-  let duals = Conic.constraint_duals t relaxed in
+  let duals = Conic_reference.constraint_duals p relaxed in
   check_int "duals of the full shape" 4 (Vec.dim duals);
   check_float 0.0 "no dual off the set" 0.0 duals.(2);
   check_float 0.0 "no dual off the set" 0.0 duals.(3);
@@ -556,12 +558,12 @@ let test_conic_working_set () =
         final.Conic.objective_value
   | st -> Alcotest.failf "all rows: expected optimal, got %a" Conic.pp_status st);
   check_float 0.0 "the slack row stays out" 0.0
-    (Conic.constraint_duals t final).(2);
+    (Conic_reference.constraint_duals p final).(2);
   (* A row whose value is NaN is not known to hold: it joins. *)
-  Conic.restrict ws t ~first:2 ~last:4;
+  Conic.restrict ws t ~first:1 ~last:3;
   check_int "NaN rows join" 2
     (Conic.admit ws t [| Float.nan; Float.nan |] ~above:0.0);
-  Conic.restrict ws t ~first:2 ~last:4;
+  Conic.restrict ws t ~first:1 ~last:3;
   check_int "a seed threshold admits rows within it" 1
     (Conic.admit ws t [| -0.95; 1.0 |] ~above:(-0.1));
   Conic.restrict ws t ~first:0 ~last:0;
@@ -570,10 +572,10 @@ let test_conic_working_set () =
   let rejected f =
     match f () with _ -> false | exception Invalid_argument _ -> true
   in
-  check_bool "a quadratic row cannot be optional" true
-    (rejected (fun () -> Conic.restrict ws t ~first:0 ~last:2));
+  check_bool "a cone row cannot be optional" true
+    (rejected (fun () -> Conic.restrict ws t ~first:1 ~last:4));
   check_bool "range out of bounds" true
-    (rejected (fun () -> Conic.restrict ws t ~first:2 ~last:5));
+    (rejected (fun () -> Conic.restrict ws t ~first:(-1) ~last:2));
   check_bool "point dimension" true
     (rejected (fun () -> Conic.admit ws t [| 0.0 |] ~above:0.0))
 
@@ -725,7 +727,7 @@ let random_box_qp st n =
         else Quad.add_constant (Quad.linear_coord n i 1.0) (-1.0)
         (* x_i - 1 <= 0 *))
   in
-  { Conic.objective = obj; constraints }
+  { Quad.objective = obj; constraints }
 
 let prop_barrier_kkt =
   QCheck2.Test.make ~name:"barrier: KKT residuals small on random QPs"
@@ -747,7 +749,7 @@ let prop_barrier_beats_random_feasible =
       for _ = 1 to 20 do
         let y = Vec.init n (fun _ -> Random.State.float st 1.8 -. 0.9) in
         if
-          Quad.eval p.Conic.objective y
+          Quad.eval p.Quad.objective y
           < r.Barrier_reference.objective_value -. 1e-5
         then ok := false
       done;
@@ -848,7 +850,7 @@ let test_solve_box_least_squares () =
   in
   match
     Barrier_reference.two_phase ~start:(Vec.create n 0.5)
-      { Conic.objective; constraints }
+      { Quad.objective; constraints }
   with
   | Barrier_reference.Optimal s ->
       check_bool "projection" true
@@ -924,8 +926,7 @@ let () =
             test_conic_of_barrier_agreement;
           Alcotest.test_case "constraint duals" `Quick
             test_conic_constraint_duals;
-          Alcotest.test_case "with_constraint_constant" `Quick
-            test_conic_with_constraint_constant;
+          Alcotest.test_case "with_constant" `Quick test_conic_with_constant;
           Alcotest.test_case "warm start and stats" `Quick
             test_conic_warm_start_and_stats;
           Alcotest.test_case "workspace reuse" `Quick

@@ -978,16 +978,14 @@ let prop_table_lookup_semantics =
 
 let biglittle = lazy (Sim.Machine.biglittle ())
 
-(* Thermal rows are what follows the power-law and box rows (five per
-   frequency variable) and the floor, in a spec without gradient. *)
-let emitted_thermal_rows (built : Protemp.Model.built) =
-  Array.length (Lazy.force built.Protemp.Model.problem).Convex.Conic.constraints
-  - ((5 * built.Protemp.Model.layout.Protemp.Model.n_f) + 1)
+(* Thermal rows are what follows the power-law and box rows and the
+   floor, in a spec without gradient: of [n] constraints in all, in a
+   reference problem or in the dual of a solved cell. *)
+let thermal_rows (built : Protemp.Model.built) n =
+  n - Protemp.Model.first_thermal_index built.Protemp.Model.layout
 
-let holds (problem : Convex.Conic.problem) x =
-  Array.for_all
-    (fun c -> Convex.Quad.eval c x <= 0.0)
-    problem.Convex.Conic.constraints
+let holds (problem : Quad.problem) x =
+  Array.for_all (fun c -> Quad.eval c x <= 0.0) problem.Quad.constraints
 
 let prop_filter_keeps_feasible_set =
   QCheck2.Test.make
@@ -1001,9 +999,6 @@ let prop_filter_keeps_feasible_set =
       let built =
         Protemp.Model.build ~machine ~spec:fast_spec ~tstart ~ftarget:1e8
       in
-      let reference =
-        Model_reference.build ~machine ~spec:fast_spec ~tstart ~ftarget:1e8 ()
-      in
       let layout = built.Protemp.Model.layout in
       let x = Vec.zeros layout.Protemp.Model.dim in
       (* Points on the power law's feasible side ([fhat <= sqrt phat]),
@@ -1013,8 +1008,10 @@ let prop_filter_keeps_feasible_set =
           x.(layout.Protemp.Model.f_offset + j) <- u *. Float.min 1.0 (sqrt p);
           x.(layout.Protemp.Model.p_offset + j) <- p)
         point;
-      holds (Lazy.force built.Protemp.Model.problem) x
-      = holds (Lazy.force reference.Protemp.Model.problem) x)
+      (* The filtered reference is the model's instance row for row
+         (prop_conic_rows_bit_identical). *)
+      holds (Model_reference.problem ~filter:true built) x
+      = holds (Model_reference.problem built) x)
 
 let test_filter_pinned_counts () =
   let m = Lazy.force machine in
@@ -1024,19 +1021,23 @@ let test_filter_pinned_counts () =
         Protemp.Model.build ~machine:m ~spec:fast_spec ~tstart ~ftarget:5e8
       in
       check_int "reference rows" 1071
-        (emitted_thermal_rows
-           (Model_reference.build ~machine:m ~spec:fast_spec ~tstart
-              ~ftarget:5e8 ()));
-      check_int
-        (Printf.sprintf "rows kept at %.0f C" tstart)
-        kept (emitted_thermal_rows built))
+        (thermal_rows built
+           (Array.length (Model_reference.problem built).Quad.constraints));
+      match Protemp.Model.solve built with
+      | Protemp.Model.Feasible s ->
+          check_int
+            (Printf.sprintf "rows kept at %.0f C" tstart)
+            kept
+            (thermal_rows built
+               (Array.length s.Protemp.Model.raw.Convex.Solve.dual))
+      | Protemp.Model.Infeasible -> Alcotest.fail "expected feasible")
     [ (27.0, 144); (100.0, 504) ]
 
-(* The all-rows oracle: one conic solve of every row of [built.problem]
-   at once, with no working set — what [Model.solve] computed before it
-   solved on the rows that bind. *)
-let all_rows_solve (built : Protemp.Model.built) =
-  let t = Convex.Conic.of_problem (Lazy.force built.Protemp.Model.problem) in
+(* The all-rows oracle: one conic solve of every row of [problem], an
+   instance of [built]'s layout, at once, with no working set — what
+   [Model.solve] computed before it solved on the rows that bind. *)
+let all_rows_solve (built : Protemp.Model.built) problem =
+  let t = Conic_reference.of_problem problem in
   let ws =
     Convex.Conic.make_workspace
       ~kkt:(`Blocks (Protemp.Model.conic_blocks built.Protemp.Model.layout))
@@ -1050,19 +1051,14 @@ let test_filter_same_optimum () =
   List.iter
     (fun (machine, tstart, ftarget) ->
       let machine = Lazy.force machine in
+      let built = Protemp.Model.build ~machine ~spec:fast_spec ~tstart ~ftarget in
       let s =
-        match
-          Protemp.Model.solve
-            (Protemp.Model.build ~machine ~spec:fast_spec ~tstart ~ftarget)
-        with
+        match Protemp.Model.solve built with
         | Protemp.Model.Feasible s -> s
         | Protemp.Model.Infeasible -> Alcotest.fail "expected feasible"
       in
-      let reference =
-        Model_reference.build ~machine ~spec:fast_spec ~tstart ~ftarget ()
-      in
       let r =
-        match all_rows_solve reference with
+        match all_rows_solve built (Model_reference.problem built) with
         | Convex.Conic.Optimal r -> r.Convex.Conic.objective_value
         | st ->
             Alcotest.failf "all-rows reference: %a" Convex.Conic.pp_status st
@@ -1113,39 +1109,34 @@ let test_filter_same_optimum () =
    defect (about 3e-4 at worst for the oracle on these cells), so it
    gets the 1e-3 the barrier's KKT tests use. *)
 let agrees_with_all_rows (built : Protemp.Model.built) outcome =
-  let rows =
-    (Lazy.force built.Protemp.Model.problem).Convex.Conic.constraints
-  in
-  match (outcome, all_rows_solve built) with
+  let problem = Model_reference.problem ~filter:true built in
+  let rows = problem.Quad.constraints in
+  match (outcome, all_rows_solve built problem) with
   | Protemp.Model.Infeasible, Convex.Conic.Primal_infeasible _ -> true
   | Protemp.Model.Feasible s, Convex.Conic.Optimal r ->
       let raw = s.Protemp.Model.raw in
       let x = raw.Convex.Solve.x in
       let obj = raw.Convex.Solve.objective_value in
       let ref_obj = r.Convex.Conic.objective_value in
-      (* Thermal and gradient rows follow the power-law and box rows
-         (five per frequency variable) and the floor. *)
-      let first_post = (5 * built.Protemp.Model.layout.Protemp.Model.n_f) + 1 in
+      let first_post =
+        Protemp.Model.first_thermal_index built.Protemp.Model.layout
+      in
       let worst ~from =
         let w = ref neg_infinity in
         Array.iteri
           (fun j c ->
-            if j >= from && Convex.Quad.is_affine c then
-              w := Float.max !w (Convex.Quad.eval c x))
+            if j >= from && Quad.is_affine c then
+              w := Float.max !w (Quad.eval c x))
           rows;
         !w
       in
       let h_max =
         Array.fold_left
-          (fun acc c -> Float.max acc (Float.abs (Convex.Quad.constant_part c)))
+          (fun acc c -> Float.max acc (Float.abs (Quad.constant_part c)))
           1.0 rows
       in
       let accepted = 100.0 *. Convex.Conic.feas_tol *. h_max in
-      let k =
-        Convex.Kkt.residuals
-          (Lazy.force built.Protemp.Model.problem)
-          x raw.Convex.Solve.dual
-      in
+      let k = Kkt.residuals problem x raw.Convex.Solve.dual in
       if Float.abs (obj -. ref_obj) > 2e-6 *. Float.max 1.0 (Float.abs obj) then
         QCheck2.Test.fail_reportf "objective %.12g, all-rows %.12g" obj ref_obj
       else if worst ~from:first_post > 1e-7 then
@@ -1156,13 +1147,13 @@ let agrees_with_all_rows (built : Protemp.Model.built) outcome =
           (worst ~from:0) accepted
       else if
         not
-          (k.Convex.Kkt.primal_infeasibility <= accepted
-          && k.Convex.Kkt.dual_infeasibility <= 0.0
-          && k.Convex.Kkt.complementarity
+          (k.Kkt.primal_infeasibility <= accepted
+          && k.Kkt.dual_infeasibility <= 0.0
+          && k.Kkt.complementarity
              <= 100.0 *. Convex.Conic.gap_rel_tol
                 *. Float.max 1.0 (Float.abs obj)
-          && k.Convex.Kkt.stationarity <= 1e-3)
-      then QCheck2.Test.fail_reportf "KKT residuals: %a" Convex.Kkt.pp k
+          && k.Kkt.stationarity <= 1e-3)
+      then QCheck2.Test.fail_reportf "KKT residuals: %a" Kkt.pp k
       else true
   | _, (Convex.Conic.Unknown _ | Convex.Conic.Dual_infeasible _) ->
       (* The oracle stalled and has no verdict to compare with. *)
@@ -1279,7 +1270,7 @@ let test_closed_form_saturated_little_cores () =
   let fref = machine.Sim.Machine.fmax in
   let served = ref 0.0 and saturated = ref 0 in
   for j = 0 to n - 1 do
-    let box = dual.((5 * j) + 2) in
+    let box = dual.(Protemp.Model.upper_f_box_index j) in
     check_bool
       (Printf.sprintf "core %d box dual %g >= 0" j box)
       true (box >= 0.0);
@@ -1301,11 +1292,16 @@ let test_closed_form_saturated_little_cores () =
     (Printf.sprintf "floor %.17g met by %.17g" floor !served)
     true
     (Float.abs (!served -. floor) <= 1e-12 *. floor);
-  let k = Lazy.force raw.Convex.Solve.kkt in
+  let k =
+    Kkt.residuals
+      (Model_reference.build ~filter:true ~machine ~spec:fast_spec
+         ~tstart:27.0 ~ftarget ())
+      x dual
+  in
   check_bool
-    (Format.asprintf "exact KKT certificate: %a" Convex.Kkt.pp k)
+    (Format.asprintf "exact KKT certificate: %a" Kkt.pp k)
     true
-    (Convex.Kkt.max_residual k <= 1e-12)
+    (Kkt.max_residual k <= 1e-12)
 
 (* A cell on which [prop_working_set] failed about one run in twenty
    (Niagara, uniform, stride 1, 54 C, 0.8286 and 0.8287 fmax): its
@@ -1317,15 +1313,21 @@ let test_closed_form_pinned_working_set_cell () =
   let spec = working_set_spec ~big:false ~variant:1 ~stride:1 in
   List.iter
     (fun frac ->
-      let s =
-        closed_form_solution ~machine ~spec ~tstart:54.0
-          ~ftarget:(frac *. machine.Sim.Machine.fmax)
+      let ftarget = frac *. machine.Sim.Machine.fmax in
+      let raw =
+        (closed_form_solution ~machine ~spec ~tstart:54.0 ~ftarget)
+          .Protemp.Model.raw
       in
-      let k = Lazy.force s.Protemp.Model.raw.Convex.Solve.kkt in
+      let k =
+        Kkt.residuals
+          (Model_reference.build ~filter:true ~machine ~spec ~tstart:54.0
+             ~ftarget ())
+          raw.Convex.Solve.x raw.Convex.Solve.dual
+      in
       check_bool
-        (Format.asprintf "%.4f fmax: %a" frac Convex.Kkt.pp k)
+        (Format.asprintf "%.4f fmax: %a" frac Kkt.pp k)
         true
-        (k.Convex.Kkt.stationarity <= 1e-3))
+        (k.Kkt.stationarity <= 1e-3))
     [ 0.8286; 0.8287 ]
 
 (* The gradient variant has no closed form: its grids must be the ones
@@ -1364,7 +1366,8 @@ let test_stall_path_serves_optimum () =
       let stats = ref Convex.Conic.stats_zero in
       let label = Printf.sprintf "%g C, %g MHz" tstart (ftarget /. 1e6) in
       match
-        (Protemp.Model.solve ~conic_stats_into:stats built, all_rows_solve built)
+        ( Protemp.Model.solve ~conic_stats_into:stats built,
+          all_rows_solve built (Model_reference.problem ~filter:true built) )
       with
       | Protemp.Model.Feasible s, Convex.Conic.Optimal r ->
           let obj = s.Protemp.Model.raw.Convex.Solve.objective_value in
@@ -1466,36 +1469,80 @@ let test_stall_path_uncertified_cell () =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let same_row a b =
-  let open Convex.Quad in
-  dim a = dim b
-  && is_affine a = is_affine b
-  && Array.for_all2 same_bits (Mat.data (hess a)) (Mat.data (hess b))
-  && Array.for_all2 same_bits (linear_part a) (linear_part b)
-  && same_bits (constant_part a) (constant_part b)
+let same_vec a b = Vec.dim a = Vec.dim b && Array.for_all2 same_bits a b
 
-(* [Model.prepare]'s rows at [tstart] against the matmul oracle's,
-   bit for bit. *)
+(* Two cold solves agree bit for bit: status, x, s, z and iterations. *)
+let same_solve (a : Convex.Conic.status) (b : Convex.Conic.status) =
+  match (a, b) with
+  | Convex.Conic.Optimal a, Convex.Conic.Optimal b
+  | Convex.Conic.Unknown a, Convex.Conic.Unknown b ->
+      same_vec a.Convex.Conic.x b.Convex.Conic.x
+      && same_vec a.Convex.Conic.s b.Convex.Conic.s
+      && same_vec a.Convex.Conic.z b.Convex.Conic.z
+      && a.Convex.Conic.iterations = b.Convex.Conic.iterations
+  | Convex.Conic.Primal_infeasible a, Convex.Conic.Primal_infeasible b ->
+      same_vec a.z b.z
+  | Convex.Conic.Dual_infeasible a, Convex.Conic.Dual_infeasible b ->
+      same_vec a.x b.x
+  | _ -> false
+
+(* The conic instance [Model] writes for [built] against the
+   reference's statement of it, packed by the test-side [of_problem]:
+   the same shape, and cold solves identical bit for bit. *)
+let same_instance (built : Protemp.Model.built) problem =
+  let t = Lazy.force built.Protemp.Model.conic in
+  let reference = Conic_reference.of_problem problem in
+  Convex.Conic.dim t = Convex.Conic.dim reference
+  && Convex.Conic.n_rows t = Convex.Conic.n_rows reference
+  && same_solve (Convex.Conic.solve t) (Convex.Conic.solve reference)
+
+(* [Model.prepare]'s instance at [tstart] against the matmul oracle's
+   rows, bit for bit. *)
 let check_prepare_matches_oracle name ~machine ~spec ~tstart =
   let built =
     Protemp.Model.instantiate
       (Protemp.Model.prepare ~machine ~spec ~tstart)
       ~ftarget:5e8
   in
-  let reference =
-    Model_reference.build ~filter:true ~machine ~spec ~tstart ~ftarget:5e8 ()
-  in
-  let rows (b : Protemp.Model.built) =
-    (Lazy.force b.Protemp.Model.problem).Convex.Conic.constraints
-  in
-  let label = Printf.sprintf "%s at %.0f C" name tstart in
-  check_int (label ^ ": rows") (Array.length (rows reference))
-    (Array.length (rows built));
-  Array.iteri
-    (fun i r ->
-      if not (same_row r (rows reference).(i)) then
-        Alcotest.failf "%s: row %d differs from the matmul oracle" label i)
-    (rows built)
+  if not (same_instance built (Model_reference.problem ~filter:true built))
+  then
+    Alcotest.failf "%s at %.0f C: the instance differs from the matmul oracle"
+      name tstart
+
+(* Every variant on both platforms, cells at random start temperatures
+   and targets, their frontiers and cells built from a start profile. *)
+let prop_conic_rows_bit_identical =
+  QCheck2.Test.make
+    ~name:"model: conic rows bit-identical to the packed reference"
+    ~count:30
+    ~print:(fun (big, variant, stride, tstart, frac) ->
+      Printf.sprintf "%s variant %d stride %d tstart %.3f ftarget %.4f fmax"
+        (if big then "biglittle" else "niagara")
+        variant stride tstart frac)
+    QCheck2.Gen.(
+      tup5 bool (int_range 0 3) (oneofl [ 1; 4 ]) (float_range 27.0 100.0)
+        (float_range 0.0 1.0))
+    (fun (big, variant, stride, tstart, frac) ->
+      let machine = Lazy.force (if big then biglittle else machine) in
+      let spec = working_set_spec ~big ~variant ~stride in
+      let ftarget = frac *. machine.Sim.Machine.fmax in
+      let t0 =
+        Vec.init machine.Sim.Machine.n_nodes (fun i ->
+            tstart -. float_of_int (i mod 5))
+      in
+      let check label built problem =
+        same_instance built problem
+        || QCheck2.Test.fail_reportf "%s: differs from the reference" label
+      in
+      let cell = Protemp.Model.build ~machine ~spec ~tstart ~ftarget in
+      let frontier = Protemp.Model.build_frontier ~machine ~spec ~tstart in
+      let profile =
+        Protemp.Model.build_with_profile ~machine ~spec ~t0 ~ftarget
+      in
+      check "cell" cell (Model_reference.problem ~filter:true cell)
+      && check "frontier" frontier
+           (Model_reference.frontier ~filter:true frontier)
+      && check "profile" profile (Model_reference.problem ~filter:true profile))
 
 let with_stride n spec = { spec with Protemp.Spec.constraint_stride = n }
 let gradient_spec = Protemp.Spec.with_gradient ~weight:0.5 ~cap:20.0
@@ -1681,6 +1728,7 @@ let props =
       prop_table_lookup_semantics;
       prop_table_csv_roundtrip_exact;
       prop_filter_keeps_feasible_set;
+      prop_conic_rows_bit_identical;
       prop_working_set;
       prop_closed_form;
     ]
