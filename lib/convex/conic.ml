@@ -93,12 +93,14 @@ let with_constant t ~row value =
 
 (* The three G kernels below account for the bulk of a solve (every
    iteration walks the nnz row pack around fifteen times), so they
-   use unchecked array access — the only place in the library that
-   does.  The indices are safe by construction of pack_rows (and of
-   pack_working_set, which copies whole rows of such a pack): for row
-   [i < n_rows t], [gdata]/[goff] entries lie in
-   [goff.(i), goff.(i+1)) within [0, nnz), and the column window
-   [glo.(i), glo.(i) + len) lies within [0, n).
+   use unchecked array access, as {!admit}'s row pass below does and
+   as the hot loops of nine other modules do ([Mat], [Block_tridiag],
+   [Rc_model], [Sim]'s [Chip], [Machine], [Policy], [Probe] and
+   [Stats], [Fleet]'s [Cluster]).  The indices are safe by
+   construction of pack_rows (and of pack_working_set, which copies
+   whole rows of such a pack): for row [i < n_rows t], [gdata]/[goff]
+   entries lie in [goff.(i), goff.(i+1)) within [0, nnz), and the
+   column window [glo.(i), glo.(i) + len) lies within [0, n).
 
    Each kernel special-cases rows of exactly eight entries with a
    hand-unrolled body.  In the thermal models the per-node
@@ -306,6 +308,21 @@ let[@inline] row_value t i x =
     acc := !acc +. (gd.(k) *. x.(sh + k))
   done;
   !acc -. t.hi.(i)
+
+(* [G_i x] for a row of exactly eight entries starting at pack offset
+   [s] and column [l], unrolled but in {!row_value}'s order — the
+   left-to-right sum from [0.0], not {!g_mulvec}'s tree — so it has
+   the same bits.  The caller guarantees the eight entries lie in [gd]
+   and [x]. *)
+let[@inline] row_dot8 gd s x l =
+  (((((((0.0 +. (Array.unsafe_get gd s *. Array.unsafe_get x l))
+        +. (Array.unsafe_get gd (s + 1) *. Array.unsafe_get x (l + 1)))
+       +. (Array.unsafe_get gd (s + 2) *. Array.unsafe_get x (l + 2)))
+      +. (Array.unsafe_get gd (s + 3) *. Array.unsafe_get x (l + 3)))
+     +. (Array.unsafe_get gd (s + 4) *. Array.unsafe_get x (l + 4)))
+    +. (Array.unsafe_get gd (s + 5) *. Array.unsafe_get x (l + 5)))
+   +. (Array.unsafe_get gd (s + 6) *. Array.unsafe_get x (l + 6)))
+  +. (Array.unsafe_get gd (s + 7) *. Array.unsafe_get x (l + 7))
 
 (* ------------------------------------------------------------------ *)
 (* Tolerances, stats                                                  *)
@@ -1369,16 +1386,32 @@ let restrict ws t ~first ~last =
 
 (* The working-set update, in one pass over the optional rows outside
    the set: each whose value at [x] is not <= above — a NaN value
-   included — joins it. *)
+   included — joins it.  The thermal rows, almost all of the optional
+   ones, have eight entries; those go through {!row_dot8}, whose
+   straight-line body lets consecutive rows' add chains overlap, and
+   every other length through {!row_value}.  Both sum in the same
+   order, so each decision is the one-row loop's.  [x] has [t.n]
+   entries (checked), so every row's stripe lies within it. *)
 let admit ws t x ~above =
   if not (same_shape ws.full t) then
     invalid_arg "Conic.admit: workspace shape mismatch";
   if Vec.dim x <> t.n then invalid_arg "Conic.admit: point dimension mismatch";
+  let gd = t.gdata and off = t.goff and lo = t.glo and hi = t.hi in
   let added = ref 0 in
   for i = ws.opt_lo to ws.opt_hi - 1 do
-    if Bytes.get ws.in_set i = '\000' && not (row_value t i x <= above) then begin
-      Bytes.set ws.in_set i '\001';
-      incr added
+    if Bytes.get ws.in_set i = '\000' then begin
+      let s = Array.unsafe_get off i in
+      let violated =
+        if Array.unsafe_get off (i + 1) - s = 8 then
+          not
+            (row_dot8 gd s x (Array.unsafe_get lo i) -. Array.unsafe_get hi i
+            <= above)
+        else not (row_value t i x <= above)
+      in
+      if violated then begin
+        Bytes.set ws.in_set i '\001';
+        incr added
+      end
     end
   done;
   !added

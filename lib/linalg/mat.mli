@@ -69,7 +69,18 @@ val mul_vec : t -> Vec.t -> Vec.t
 
 val mul_vec_into : t -> Vec.t -> dst:Vec.t -> unit
 (** Like {!mul_vec} but writes into [dst] (which must not alias the
-    input vector). *)
+    input vector).  Allocates nothing.
+
+    Summation order, guaranteed: every entry is the left-to-right sum
+    [(((0.0 + a_i0 x_0) + a_i1 x_1) + ...) + a_i(n-1) x_(n-1)], one
+    rounded product and one rounded add per column, with no
+    reassociation and no fused multiply-add — the same bits as a naive
+    one-row loop, whatever the row count or the kernel's blocking.
+    [Rc_model.step_temperature_into] inherits it, and
+    [Protemp.Model]'s base trajectory, [Protemp.Guarantee]'s window
+    peaks and the compiled stepper's bit-identity to the dense step
+    all rely on it.  {!mul_vec} and {!gemv_into} (with [trans = false],
+    before [alpha] and [beta]) sum in the same order. *)
 
 val tmul_vec : t -> Vec.t -> Vec.t
 (** [tmul_vec a x] is [transpose a * x], without forming the

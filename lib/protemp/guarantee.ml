@@ -12,10 +12,7 @@ let window_peak ~machine ~dfs_period ~tstart ~frequencies =
       ~busy:(Array.make machine.Sim.Machine.n_cores true)
   in
   let t0 = Vec.create machine.Sim.Machine.n_nodes tstart in
-  let traj =
-    Thermal.Transient.simulate thermal ~t0 ~steps ~power:(fun _ -> power)
-  in
-  Thermal.Transient.peak traj
+  Thermal.Transient.peak_const thermal ~t0 ~steps power
 
 let uniform_table ~machine ~(spec : Spec.t) ?(margin = 0.0) ~tstarts ~ftargets
     () =

@@ -159,9 +159,13 @@ let floor_only_of layout ~total_f_coeffs ~objective_coeffs =
   Array.iter (fun cj -> capacity := !capacity +. (cj *. f_box)) c;
   { c; w; breakpoint; order; rest; capacity = !capacity }
 
-let box_implies_row ~tmax ~base q =
+(* [q] is nonzero only on the power columns [p_offset, p_offset + n_p)
+   (the scratch row {!row_coefficients} fills), so the walk starts and
+   ends there: the zeros it skips were never added, and the add chain
+   is the full row's. *)
+let box_implies_row ~tmax ~base ~p_offset ~n_p q =
   let worst = ref base in
-  for i = 0 to Array.length q - 1 do
+  for i = p_offset to p_offset + n_p - 1 do
     let c = q.(i) in
     if c > 0.0 then worst := !worst +. (c *. p_box)
   done;
@@ -302,6 +306,11 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~frontier =
   let b = thermal.Thermal.Rc_model.injection in
   let fixed_power = machine.Sim.Machine.fixed_power in
   let grad_rows = ref [] in
+  (* The nodes whose rows the gradient variant keeps: the core nodes,
+     and none without a gradient term. *)
+  let grad_node = Array.make n_nodes false in
+  if layout.bounds_offset <> None then
+    Array.iter (fun cn -> grad_node.(cn) <- true) core_nodes;
   let q = Vec.zeros dim and full = Vec.zeros dim in
   (* [full := a q], in [Vec.scale]'s [a *. q_i] order. *)
   let scaled a q =
@@ -328,15 +337,16 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~frontier =
            constraint family has O(1) coefficients (the interior-point
            normal equations are ill-conditioned otherwise).  Rows the
            power box already implies are left out. *)
-        if not (box_implies_row ~tmax ~base q) then begin
+        if
+          not
+            (box_implies_row ~tmax ~base ~p_offset:layout.p_offset
+               ~n_p:layout.n_p q)
+        then begin
           scaled (1.0 /. tmax) q;
           orthant (stripe full) (-.((base -. tmax) /. tmax))
         end;
         (* Gradient bookkeeping (core nodes only). *)
-        if
-          layout.bounds_offset <> None
-          && Array.exists (fun cn -> cn = node) core_nodes
-        then grad_rows := (Vec.copy q, base) :: !grad_rows
+        if grad_node.(node) then grad_rows := (Vec.copy q, base) :: !grad_rows
       done;
       incr r
     end
@@ -755,10 +765,5 @@ let predicted_peak built frequencies =
     Sim.Machine.power_vector machine ~frequencies
       ~busy:(Array.make machine.Sim.Machine.n_cores true)
   in
-  let thermal = machine.Sim.Machine.thermal in
-  let t0 = built.initial_temperatures in
-  let traj =
-    Thermal.Transient.simulate thermal ~t0 ~steps:built.steps ~power:(fun _ ->
-        power)
-  in
-  Thermal.Transient.peak traj
+  Thermal.Transient.peak_const machine.Sim.Machine.thermal
+    ~t0:built.initial_temperatures ~steps:built.steps power

@@ -127,13 +127,17 @@ type prepared
 (** The [(machine, spec, t0)]-dependent part of a model: its conic
     instance with every row but the throughput floor's constant.
     Building it costs one pass of the base trajectory over the window
-    (stepped in two vectors, never stored whole), one pass over the
-    machine's shared {!Sim.Machine.window_response} (computed on the
-    machine's first prepare at that window and stride, and read by
-    every later one) and the rows it writes — nearly all of a
+    (stepped in two vectors, never stored whole, through
+    {!Linalg.Mat.mul_vec_into}, whose fixed summation order keeps the
+    base's bits), one pass over the machine's shared
+    {!Sim.Machine.window_response} (computed on the machine's first
+    prepare at that window and stride, and read by every later one)
+    with one box-implication test per stride point and node, over the
+    power columns alone, and the rows it writes — nearly all of a
     {!build}; each further {!instantiate} at a new [ftarget] is then
-    almost free.  The offline sweep prepares once per table row and
-    instantiates once per column. *)
+    almost free.  The stepping is the largest part, about half of a
+    stride-4 prepare on big.LITTLE (DESIGN.md §6s).  The offline sweep
+    prepares once per table row and instantiates once per column. *)
 
 val prepare :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> prepared

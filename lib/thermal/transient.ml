@@ -38,6 +38,31 @@ let peak traj =
   done;
   !best
 
+let peak_const (d : Rc_model.discrete) ~t0 ~steps p =
+  let n = Mat.rows d.Rc_model.step in
+  if Vec.dim t0 <> n then invalid_arg "Transient.peak_const: bad t0";
+  if steps < 0 then invalid_arg "Transient.peak_const: negative steps";
+  (* {!simulate}'s steps in the same two buffers, and {!peak}'s running
+     max in the same order (row [t0] first, then each step's nodes in
+     index order), with no trajectory kept. *)
+  let best = ref neg_infinity in
+  for i = 0 to n - 1 do
+    best := Float.max !best t0.(i)
+  done;
+  let t = ref (Vec.copy t0) in
+  let next = ref (Vec.zeros n) in
+  for _ = 1 to steps do
+    Rc_model.step_temperature_into d !t p ~dst:!next;
+    let tmp = !t in
+    t := !next;
+    next := tmp;
+    let cur = !t in
+    for i = 0 to n - 1 do
+      best := Float.max !best cur.(i)
+    done
+  done;
+  !best
+
 let node_series traj i = Mat.col traj.temperatures i
 
 (* --- exact integration ------------------------------------------- *)

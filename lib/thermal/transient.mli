@@ -27,6 +27,13 @@ val simulate_const :
 val peak : trajectory -> float
 (** Highest temperature over all nodes and times. *)
 
+val peak_const :
+  Rc_model.discrete -> t0:Vec.t -> steps:int -> Vec.t -> float
+(** [peak_const d ~t0 ~steps p] is [peak (simulate_const d ~t0 ~steps
+    p)], bit for bit, without the trajectory: it steps in two vectors
+    and keeps a running maximum, so it allocates two vectors whatever
+    [steps] is. *)
+
 val node_series : trajectory -> int -> Vec.t
 (** The time series of one node. *)
 

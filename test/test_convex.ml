@@ -857,9 +857,103 @@ let test_solve_box_least_squares () =
         (Vec.approx_equal ~tol:1e-4 s.Barrier_reference.x (Vec.create n 1.0))
   | Barrier_reference.Unreachable _ -> Alcotest.fail "expected optimal"
 
+(* [Conic.admit] against a per-row reference on random packed
+   instances: orthant rows with stripes of 1-12 entries (eight, the
+   unrolled length, in a third of them), coefficients of many
+   magnitudes (so a reassociated sum rounds differently) and some rows
+   with a NaN coefficient or constant.  The reference value of a row is
+   the left-to-right sum from 0.0 of its products, minus [h_i].  Each
+   row is checked alone at [above] = its reference value and the floats
+   either side of it, so a kernel whose value is off by one ulp flips a
+   decision; then passes over random windows at a random [above] must
+   admit the same rows, in the same count — the decision of row [k] is
+   read off the counts of the windows ending before and after it.  A
+   pass allocates nothing. *)
+let prop_admit_matches_rows =
+  QCheck2.Test.make ~name:"conic: admit decides each row as the one-row sum"
+    ~count:200 QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = mk_rand seed in
+      let value () =
+        (Random.State.float st 2.0 -. 1.0)
+        *. Float.pow 10.0 (float_of_int (Random.State.int st 7 - 3))
+      in
+      let n = 12 + Random.State.int st 9 in
+      let m = 1 + Random.State.int st 40 in
+      let g =
+        Array.init m (fun _ ->
+            let len =
+              if Random.State.int st 3 = 0 then 8 else 1 + Random.State.int st 12
+            in
+            let lo = Random.State.int st (n - len + 1) in
+            let row = Array.init len (fun _ -> value ()) in
+            if Random.State.int st 10 = 0 then
+              row.(Random.State.int st len) <- Float.nan;
+            (lo, row))
+      in
+      let h =
+        Vec.init m (fun _ ->
+            if Random.State.int st 20 = 0 then Float.nan else value ())
+      in
+      let x = Vec.init n (fun _ -> value ()) in
+      let t = Conic.make ~c:(Vec.zeros n) ~n_orthant:m ~g ~h in
+      let ws = Conic.make_workspace t in
+      let reference =
+        Array.mapi
+          (fun i (lo, row) ->
+            let acc = ref 0.0 in
+            Array.iteri (fun k gk -> acc := !acc +. (gk *. x.(lo + k))) row;
+            !acc -. h.(i))
+          g
+      in
+      let joins i above = not (reference.(i) <= above) in
+      let admitted first last above =
+        Conic.restrict ws t ~first ~last;
+        Conic.admit ws t x ~above
+      in
+      let row_ok i =
+        let v = reference.(i) in
+        let aboves =
+          if Float.is_nan v then [ 0.0; value () ]
+          else [ Float.pred v; v; Float.succ v; value () ]
+        in
+        List.for_all
+          (fun above ->
+            admitted i (i + 1) above = (if joins i above then 1 else 0))
+          aboves
+      in
+      let window_ok () =
+        let first = Random.State.int st m in
+        let last = first + 1 + Random.State.int st (m - first) in
+        let above =
+          let v = reference.(first + Random.State.int st (last - first)) in
+          if Float.is_nan v then value () else v
+        in
+        let expected = ref 0 and same_rows = ref true and before = ref 0 in
+        for k = first to last - 1 do
+          let through_k = admitted first (k + 1) above in
+          let joined = through_k - !before in
+          if joined <> (if joins k above then 1 else 0) then
+            same_rows := false;
+          if joins k above then incr expected;
+          before := through_k
+        done;
+        !same_rows && admitted first last above = !expected
+      in
+      let allocation_free () =
+        Conic.restrict ws t ~first:0 ~last:m;
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Conic.admit ws t x ~above:0.0));
+        Gc.minor_words () -. w0 = 0.0
+      in
+      List.for_all row_ok (List.init m Fun.id)
+      && List.for_all (fun _ -> window_ok ()) [ 1; 2; 3 ]
+      && allocation_free ())
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_barrier_kkt; prop_barrier_beats_random_feasible;
+    [ prop_admit_matches_rows;
+      prop_barrier_kkt; prop_barrier_beats_random_feasible;
       prop_phase1_consistent; prop_simplex_matches_barrier;
       prop_simplex_matches_conic ]
 

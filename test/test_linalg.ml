@@ -814,9 +814,52 @@ let prop_sparse_cg_spd =
       Vec.dist2 (Sparse.mul_vec s r.Sparse.solution) b
       <= 1e-6 *. Float.max 1.0 (Vec.norm2 b))
 
+(* [Mat.mul_vec_into] against the one-row, one-accumulator loop, bit
+   for bit: every entry must be the left-to-right sum from 0.0 that
+   mat.mli guarantees, whatever blocking the kernel uses.  Shapes run
+   over 0-37 in both dimensions, so every row count mod 4 and mod 8
+   occurs, and the entries are ordinary values of many magnitudes (so
+   a reassociated sum rounds differently), in half of the cases mixed
+   with signed zeros, subnormals, infinities and NaN. *)
+let special_floats =
+  [| 0.0; -0.0; Float.min_float /. 8.0; -.(Float.min_float *. 0.75);
+     Float.infinity; Float.neg_infinity; Float.nan |]
+
+let bit_test_float ~specials st =
+  if specials && Random.State.int st 16 = 0 then
+    special_floats.(Random.State.int st (Array.length special_floats))
+  else
+    (Random.State.float st 2.0 -. 1.0)
+    *. Float.pow 10.0 (float_of_int (Random.State.int st 9 - 4))
+
+let naive_mul_vec a x =
+  Array.init (Mat.rows a) (fun i ->
+      let acc = ref 0.0 in
+      for j = 0 to Mat.cols a - 1 do
+        acc := !acc +. (Mat.get a i j *. x.(j))
+      done;
+      !acc)
+
+let prop_mul_vec_into_bits =
+  QCheck2.Test.make ~name:"mat: mul_vec_into bit-identical to the one-row loop"
+    ~count:500
+    QCheck2.Gen.(triple (int_range 0 37) (int_range 0 37) (int_range 0 1_000_000))
+    (fun (rows, cols, seed) ->
+      let st = mk_rand seed in
+      let specials = Random.State.bool st in
+      let a = Mat.init rows cols (fun _ _ -> bit_test_float ~specials st) in
+      let x = Vec.init cols (fun _ -> bit_test_float ~specials st) in
+      let dst = Vec.create rows Float.nan in
+      Mat.mul_vec_into a x ~dst;
+      let expected = naive_mul_vec a x in
+      Array.for_all2
+        (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+        dst expected)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_mul_vec_into_bits;
       prop_lu_solve_residual;
       prop_chol_matches_lu;
       prop_expm_inverse;

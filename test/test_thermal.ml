@@ -210,6 +210,30 @@ let test_transient_peak_and_series () =
   check_bool "cooling monotone" true
     (series.(100) < series.(50) && series.(50) < series.(0))
 
+(* The trajectory-free peak is the stored trajectory's, bit for bit:
+   Niagara's 17-node network (four-row blocks plus a remainder in the
+   dense step), uneven start profiles and powers, windows of 0, 1 and
+   250 steps. *)
+let test_transient_peak_const_bits () =
+  let fp = Niagara.floorplan () in
+  let m = Rc_model.build fp in
+  let d = Rc_model.discretize m ~dt:(0.5 *. Rc_model.max_monotone_dt m) in
+  let n = Rc_model.size m in
+  let st = Random.State.make [| 2026 |] in
+  List.iter
+    (fun steps ->
+      for _ = 1 to 4 do
+        let t0 = Vec.init n (fun _ -> 27.0 +. Random.State.float st 80.0) in
+        let p = Vec.init n (fun _ -> Random.State.float st 4.0) in
+        let expected = Transient.peak (Transient.simulate_const d ~t0 ~steps p) in
+        let got = Transient.peak_const d ~t0 ~steps p in
+        check_bool
+          (Printf.sprintf "%d steps: %h = %h" steps got expected)
+          true
+          (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float expected))
+      done)
+    [ 0; 1; 250 ]
+
 let test_exact_matches_euler_small_dt () =
   (* With a small step, Euler and the exact propagator agree. *)
   let m = Rc_model.build (two_block ()) in
@@ -569,6 +593,8 @@ let () =
             test_transient_converges_to_steady;
           Alcotest.test_case "peak and series" `Quick
             test_transient_peak_and_series;
+          Alcotest.test_case "peak without a trajectory" `Quick
+            test_transient_peak_const_bits;
           Alcotest.test_case "exact matches euler" `Quick
             test_exact_matches_euler_small_dt;
           Alcotest.test_case "exact long step" `Quick
