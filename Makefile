@@ -1,4 +1,4 @@
-.PHONY: ci build test lint bench-compare clean
+.PHONY: ci build test lint bench-compare same-output clean
 
 # Everything the tier-1 gate runs: full build, then `dune runtest`,
 # which runs
@@ -54,6 +54,15 @@ lint-baseline:
 #   make bench-compare W=fleet.serve SEEDS="2008 2009 2010"
 bench-compare:
 	bash scripts/bench-compare.sh "$(REV)" "$(W)" "$(SEEDS)"
+
+# Check that the working tree computes what REV (default HEAD)
+# computes, byte for byte: scripts/same-output.sh builds REV in a
+# temporary git worktree outside the repository, runs its %.17g driver
+# (scripts/same-output/) and the CLI's solve, frontier and table on
+# both trees, and exits non-zero on any difference.
+#   make same-output REV=HEAD~1
+same-output:
+	bash scripts/same-output.sh "$(REV)"
 
 clean:
 	dune clean

@@ -47,36 +47,29 @@ let n_rows t = t.mo + (3 * t.nsoc)
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Pack an array of truncated rows into one contiguous buffer; the
-   row-pointer layout keeps every G kernel a single linear sweep. *)
-let pack_rows rows =
-  let q = Array.length rows in
-  let goff = Array.make (q + 1) 0 in
-  for i = 0 to q - 1 do
-    goff.(i + 1) <- goff.(i) + Array.length (snd rows.(i))
-  done;
-  let gdata = Array.make (max 1 goff.(q)) 0.0 in
-  for i = 0 to q - 1 do
-    let row = snd rows.(i) in
-    Array.blit row 0 gdata goff.(i) (Array.length row)
-  done;
-  (gdata, goff)
-
-let make ~c ~n_orthant ~g ~h =
-  let n = Vec.dim c and q = Array.length g in
+(* [gdata], [goff] and [glo] become the instance's own, so they are
+   checked here: the row-pointer layout keeps every G kernel a single
+   linear sweep, and the kernels read it unchecked. *)
+let make ~c ~n_orthant ~glo ~goff ~gdata ~h =
+  let n = Vec.dim c and q = Array.length glo in
   if
     Vec.dim h <> q || n_orthant < 0 || n_orthant > q
     || (q - n_orthant) mod 3 <> 0
   then invalid_arg "Conic.make: row counts do not match the cones";
-  Array.iter
-    (fun (lo, row) ->
-      if lo < 0 || lo + Array.length row > n then
-        invalid_arg "Conic.make: a row leaves the columns")
-    g;
-  let gdata, goff = pack_rows g in
+  if
+    Array.length goff <> q + 1
+    || goff.(0) <> 0
+    || goff.(q) > Array.length gdata
+  then invalid_arg "Conic.make: row offsets do not match the rows";
+  for i = 0 to q - 1 do
+    let len = goff.(i + 1) - goff.(i) in
+    if len < 0 then invalid_arg "Conic.make: row offsets do not match the rows";
+    if glo.(i) < 0 || glo.(i) + len > n then
+      invalid_arg "Conic.make: a row leaves the columns"
+  done;
   {
     n; mo = n_orthant; nsoc = (q - n_orthant) / 3; c;
-    gdata; goff; glo = Array.map fst g; hi = h;
+    gdata; goff; glo; hi = h;
     orth_ext = Array.init n_orthant Fun.id;
   }
 
@@ -97,7 +90,7 @@ let with_constant t ~row value =
    as the hot loops of nine other modules do ([Mat], [Block_tridiag],
    [Rc_model], [Sim]'s [Chip], [Machine], [Policy], [Probe] and
    [Stats], [Fleet]'s [Cluster]).  The indices are safe by
-   construction of pack_rows (and of pack_working_set, which copies
+   construction of make's checks (and of pack_working_set, which copies
    whole rows of such a pack): for row [i < n_rows t], [gdata]/[goff]
    entries lie in [goff.(i), goff.(i+1)) within [0, nnz), and the
    column window [glo.(i), glo.(i) + len) lies within [0, n).

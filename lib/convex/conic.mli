@@ -48,19 +48,29 @@ type t
     domains; all mutable state lives in a {!workspace}. *)
 
 val make :
-  c:Vec.t -> n_orthant:int -> g:(int * float array) array -> h:Vec.t -> t
-(** [make ~c ~n_orthant ~g ~h] is the instance [minimize c'x subject
-    to h - G x in K] over [x] of dimension [Vec.dim c].  Row [i] of
-    [G] is zero outside one stripe, [g.(i) = (lo, coeffs)]:
-    [G_(i, lo + k) = coeffs.(k)].  The first [n_orthant] rows are
-    orthant rows [h_i - G_i x >= 0]; the rest come in threes, one
-    rotated-quadratic block each, written already rotated onto the
-    standard cone [s0 >= |(s1, s2)|] by [T (u, v, w) = ((u + v)/sqrt 2,
-    (u - v)/sqrt 2, w)].  A {!solution} reports [s] and [z] in
-    [(u, v, w)].  [c], the stripes and [h] are not copied: the caller
-    must not change them afterwards.  [Invalid_argument] when [h] does
-    not have one entry per row, the cone rows do not come in threes
-    or a stripe leaves the columns. *)
+  c:Vec.t ->
+  n_orthant:int ->
+  glo:int array ->
+  goff:int array ->
+  gdata:float array ->
+  h:Vec.t ->
+  t
+(** [make ~c ~n_orthant ~glo ~goff ~gdata ~h] is the instance
+    [minimize c'x subject to h - G x in K] over [x] of dimension
+    [Vec.dim c], with [G] given packed: row [i] is zero outside one
+    stripe of [goff.(i + 1) - goff.(i)] columns from column [glo.(i)],
+    whose coefficients are [gdata.(goff.(i) ..)]:
+    [G_(i, glo.(i) + k) = gdata.(goff.(i) + k)].  The first
+    [n_orthant] rows are orthant rows [h_i - G_i x >= 0]; the rest
+    come in threes, one rotated-quadratic block each, written already
+    rotated onto the standard cone [s0 >= |(s1, s2)|] by
+    [T (u, v, w) = ((u + v)/sqrt 2, (u - v)/sqrt 2, w)].  A
+    {!solution} reports [s] and [z] in [(u, v, w)].  [c], the packed
+    arrays and [h] are not copied: the caller must not change them
+    afterwards.  [Invalid_argument] when [h] does not have one entry
+    per row, the cone rows do not come in threes, [goff] is not [q + 1]
+    nondecreasing offsets from 0 within [gdata] ([q] the length of
+    [glo]) or a stripe leaves the columns. *)
 
 val with_constant : t -> row:int -> float -> t
 (** [with_constant t ~row h_row] is [t] with orthant row [row]'s

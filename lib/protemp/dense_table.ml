@@ -100,7 +100,7 @@ let prune_bound t i =
    [fill] worker keeps it local to its row.  The refs are written only
    when the state is created, so a row's solves leave no long-lived
    garbage behind. *)
-let row_state t i j prepared ws =
+let row_state t i prepared ws =
   let p =
     match !prepared with
     | Some p -> p
@@ -115,12 +115,7 @@ let row_state t i j prepared ws =
     match !ws with
     | Some w -> w
     | None ->
-        let built = Model.instantiate p ~ftarget:t.ftargets.(j) in
-        let w =
-          Convex.Conic.make_workspace
-            ~kkt:(`Blocks (Model.conic_blocks built.Model.layout))
-            (Lazy.force built.Model.conic)
-        in
+        let w = Model.workspace p in
         ws := Some w;
         w
   in
@@ -189,7 +184,7 @@ let cell t i j =
       end
       else begin
         let p = ref t.prepared.(i) and w = ref t.conic_ws.(i) in
-        let prepared, ws = row_state t i j p w in
+        let prepared, ws = row_state t i p w in
         t.prepared.(i) <- !p;
         t.conic_ws.(i) <- !w;
         let seed = neighbour_seed t i j in
@@ -248,7 +243,7 @@ let run_row (t : t) ~bound0 i =
           if j < !frontier_i then frontier_i := j
         end
         else begin
-          let p, w = row_state t i j prepared ws in
+          let p, w = row_state t i prepared ws in
           incr solves;
           (match !warm with Some _ -> incr warm_hits | None -> ());
           let c, s, closed =

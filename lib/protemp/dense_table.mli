@@ -19,6 +19,30 @@
     lookups are never less safe than discrete ones.  (DESIGN.md
     section 6h.)
 
+    {b Served throughput.}  A feasible cell [(tstart, ftarget)] holds
+    the frequencies [f_j] of the optimum of Eq. 3, each clamped to its
+    core's ceiling [core_fmax_j].  They meet the throughput floor
+    [sum_j f_j >= n ftarget] ([n] the core count) up to a shortfall
+    bounded by
+
+    {v
+      n ftarget - sum_j f_j
+        <= (f_box - 1 + eps) sum_j core_fmax_j + eps fmax,
+      eps = 100 Convex.Conic.feas_tol max(2, n)
+    v}
+
+    The first term is the clamp: the model's box lets each normalized
+    frequency reach {!Model.f_box} [= 1.002], and the served value is
+    cut back to 1.  [eps] is the largest floor or box residual, in
+    units of [fmax], of an interior-point optimum that
+    {!Convex.Conic} accepts (its tolerance relaxed 100x for a stalled
+    endgame, relative to [max(1, |h|_inf)] and [|h|_inf <= max(2, n)]
+    on a feasible cell); a cell settled in closed form meets the floor
+    up to rounding.  On the benchmark's grids at stride 4 the worst
+    shortfall is 4.80 MHz of the 13.4 MHz bound on big.LITTLE (150x8,
+    at 27 C and 614.29 MHz) and 572 Hz of 16.7 MHz on Niagara
+    (100x100); test_dense_table gates both grids.
+
     A row holds its solver state (its {!Model.prepared} context and
     conic workspace) only while it has a cell left to solve: once every
     cell of the row is memoized, by {!fill} or by {!cell} calls, the

@@ -103,25 +103,25 @@ let raw_dual layout t (z : Vec.t) =
 (* Affine coefficient of normalized core power j on the temperature of
    node [node] at step [k] is  S_k[node, core_j] * b[core_j] * pmax,
    where S_k = sum_{l<k} A^l.  The core columns of S_k at the stride
-   points depend only on the machine and the window, so they come
-   from the machine's shared {!Sim.Machine.window_response}; a row's
-   prepare only scales them.  [row_coefficients] writes the
-   coefficients of the normalized core powers on one node at one
-   stride point into [q], whose [sums] entries start at [off]; the
-   entries of [q] it does not write keep their value. *)
+   points depend only on the machine and the window: they are
+   {!Sim.Machine.window_response}, which a machine's row sets are built
+   from.
+   [row_coefficients] writes the coefficients of the normalized core
+   powers on one node at one stride point into [q] (one per power
+   variable), whose [sums] entries start at [off]. *)
 let row_coefficients ~(variant : Spec.variant) ~sums ~off ~b ~pmax
-    ~core_nodes ~p_offset q =
+    ~core_nodes q =
   match variant with
   | Spec.Variable ->
       for j = 0 to Array.length core_nodes - 1 do
-        q.(p_offset + j) <- sums.(off + j) *. b.(core_nodes.(j)) *. pmax.(j)
+        q.(j) <- sums.(off + j) *. b.(core_nodes.(j)) *. pmax.(j)
       done
   | Spec.Uniform ->
       let acc = ref 0.0 in
       for j = 0 to Array.length core_nodes - 1 do
         acc := !acc +. (sums.(off + j) *. b.(core_nodes.(j)))
       done;
-      q.(p_offset) <- !acc *. pmax.(0)
+      q.(0) <- !acc *. pmax.(0)
 
 (* Upper ends of the normalized boxes [0 <= fhat <= f_box] and
    [0 <= phat <= p_box].  They are relaxed a fraction of a percent so
@@ -159,47 +159,257 @@ let floor_only_of layout ~total_f_coeffs ~objective_coeffs =
   Array.iter (fun cj -> capacity := !capacity +. (cj *. f_box)) c;
   { c; w; breakpoint; order; rest; capacity = !capacity }
 
-(* [q] is nonzero only on the power columns [p_offset, p_offset + n_p)
-   (the scratch row {!row_coefficients} fills), so the walk starts and
-   ends there: the zeros it skips were never added, and the add chain
-   is the full row's. *)
-let box_implies_row ~tmax ~base ~p_offset ~n_p q =
-  let worst = ref base in
-  for i = p_offset to p_offset + n_p - 1 do
-    let c = q.(i) in
-    if c > 0.0 then worst := !worst +. (c *. p_box)
-  done;
-  !worst < tmax *. (1.0 -. implied_margin)
-
-(* The stripe of a dense row that the conic instance stores: the
+(* The stripe the conic instance stores of a row whose entry [k] is
+   [row.(k)] in column [first + k] and which is zero outside them: the
    entries from its first to its last nonzero one, and the column it
    starts at. *)
-let stripe full =
-  let n = Array.length full in
+let stripe ~first row =
+  let n = Array.length row in
   let lo = ref 0 in
   (* Structural-zero detection at build time wants exact equality. *)
-  while !lo < n && full.(!lo) = 0.0 do (* lint: float-equality structural zero *)
+  while !lo < n && row.(!lo) = 0.0 do (* lint: float-equality structural zero *)
     incr lo
   done;
   if !lo = n then (0, [||])
   else begin
     let hi = ref (n - 1) in
-    while full.(!hi) = 0.0 do (* lint: float-equality structural zero *)
+    while row.(!hi) = 0.0 do (* lint: float-equality structural zero *)
       decr hi
     done;
-    (!lo, Array.sub full !lo (!hi - !lo + 1))
+    (first + !lo, Array.sub row !lo (!hi - !lo + 1))
   end
+
+(* Rows packed back to back: row [i] is [data.(off.(i) ..
+   off.(i + 1) - 1)]. *)
+let pack_data rows =
+  let n = Array.length rows in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun i row -> off.(i + 1) <- off.(i) + Array.length row) rows;
+  let data = Array.make off.(n) 0.0 in
+  Array.iteri
+    (fun i row -> Array.blit row 0 data off.(i) (Array.length row))
+    rows;
+  (off, data)
+
+(* Stripes packed in the layout {!Convex.Conic.make} takes: row [i]'s
+   entries are [data.(off.(i) ..)], the first in column [lo.(i)]. *)
+type packed = { lo : int array; off : int array; data : float array }
+
+let pack stripes =
+  let off, data = pack_data (Array.map snd stripes) in
+  { lo = Array.map fst stripes; off; data }
+
+(* Eq. 3's thermal and gradient rows for one machine, window, stride,
+   variant, [tmax] and gradient switch: everything in them but their
+   constants, which are the base trajectory's and so depend on the
+   start profile.  Thermal row [r * n_nodes + node] is the one of
+   [node] at stride point [ks.(r)], with coefficients [q] on the
+   normalized powers:
+   - [lift.(lift_off.(idx) ..)] are the terms [q_j * p_box] of its
+     positive coefficients, in column order: the summands of the
+     box-implication test;
+   - [thermal] holds its coefficients [(1/tmax) q], cut by {!stripe}.
+   [gradient] holds the gradient rows in emission order, from the last
+   stride point and the last core node back: per (stride point, core
+   node) the [u] row [(1/tmax) q - u], then the [l] row
+   [l - (1/tmax) q], each cut by {!stripe} from a dense row (so a zero
+   coefficient inside an [l] row's stripe is [(-1/tmax) 0 = -0.0]).
+   Pair [k]'s constants read the base of thermal row
+   [gradient_base.(k)].  [stepper] steps the base. *)
+type thermal_rows = {
+  key_steps : int;
+  key_stride : int;
+  key_variant : Spec.variant;
+  key_tmax : float;
+  key_gradient : bool;
+  ks : int array;
+  stepper : Thermal.Rc_model.stepper;
+  lift_off : int array;
+  lift : float array;
+  thermal : packed;
+  gradient : packed;
+  gradient_base : int array;
+}
+
+type Sim.Machine.slot += Thermal_rows of thermal_rows
+
+(* The rows of [layout] (which fixes the variant and the gradient
+   switch), each with the entries and the stripe it had when a prepare
+   wrote it from a dense row: a zero power coefficient [q_j] scales to
+   a zero of [q_j]'s sign times the scale's, and the stripes trim zeros
+   of either sign from both ends.  [q] holds the [n_p] power
+   coefficients of one row; a row's other columns are zero, except the
+   gradient bounds' [u] and [l], which follow the power columns. *)
+let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
+  let stride = spec.Spec.constraint_stride and tmax = spec.Spec.tmax in
+  let response = Sim.Machine.window_response machine ~steps ~stride in
+  let ks = response.Sim.Machine.ks and sums = response.Sim.Machine.sums in
+  let n_nodes = machine.Sim.Machine.n_nodes in
+  let n_cores = machine.Sim.Machine.n_cores in
+  let core_nodes = machine.Sim.Machine.core_nodes in
+  let thermal_model = machine.Sim.Machine.thermal in
+  let b = thermal_model.Thermal.Rc_model.injection in
+  let pmax = machine.Sim.Machine.core_pmax in
+  let n_p = layout.n_p and first = layout.p_offset in
+  let q = Vec.zeros n_p in
+  let is_core = Array.make n_nodes false in
+  Array.iter (fun cn -> is_core.(cn) <- true) core_nodes;
+  let n_rows = Array.length ks * n_nodes in
+  let lift = Array.make n_rows [||] in
+  let thermal = Array.make n_rows (0, [||]) in
+  let gradient = ref [] and gradient_base = ref [] in
+  for r = 0 to Array.length ks - 1 do
+    for node = 0 to n_nodes - 1 do
+      let idx = (r * n_nodes) + node in
+      row_coefficients ~variant:spec.Spec.variant ~sums ~off:(idx * n_cores)
+        ~b ~pmax ~core_nodes q;
+      let terms = ref [] in
+      for j = n_p - 1 downto 0 do
+        if q.(j) > 0.0 then terms := (q.(j) *. p_box) :: !terms
+      done;
+      lift.(idx) <- Array.of_list !terms;
+      (* base + q.p <= tmax, stated in units of tmax so every
+         constraint family has O(1) coefficients (the interior-point
+         normal equations are ill-conditioned otherwise). *)
+      let scaled a j = a *. q.(j) in
+      thermal.(idx) <-
+        stripe ~first (Array.init n_p (scaled (1.0 /. tmax)));
+      (* Gradient variant: t_{k,i}/tmax in [l, u] on every core node. *)
+      match layout.bounds_offset with
+      | Some u when is_core.(node) ->
+          assert (u = first + n_p);
+          (* q.p/tmax + base/tmax - u <= 0 *)
+          let u_row =
+            Array.init (n_p + 1) (fun j ->
+                if j < n_p then scaled (1.0 /. tmax) j else -1.0)
+          in
+          (* l - q.p/tmax - base/tmax <= 0; its [u] entry is
+             [(-1/tmax) 0 = -0.0]. *)
+          let l_row =
+            Array.init (n_p + 2) (fun j ->
+                if j < n_p then scaled (-1.0 /. tmax) j
+                else if j = n_p then -0.0
+                else 1.0)
+          in
+          gradient :=
+            stripe ~first u_row :: stripe ~first l_row :: !gradient;
+          gradient_base := idx :: !gradient_base
+      | Some _ | None -> ()
+    done
+  done;
+  (* Both lists run from the last pair back: the emission order. *)
+  let gradient = Array.of_list !gradient in
+  let lift_off, lift = pack_data lift in
+  Thermal_rows
+    {
+      key_steps = steps;
+      key_stride = stride;
+      key_variant = spec.Spec.variant;
+      key_tmax = tmax;
+      key_gradient = layout.bounds_offset <> None;
+      ks;
+      stepper = Thermal.Rc_model.compile_stepper thermal_model;
+      lift_off;
+      lift;
+      thermal = pack thermal;
+      gradient = pack gradient;
+      gradient_base = Array.of_list !gradient_base;
+    }
+
+(* The machine's rows for [spec], computed on the first request and
+   kept in the machine's cache.  The key is everything the rows read
+   besides the machine: the window, the stride, the variant, [tmax]
+   and whether there is a gradient term. *)
+let thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
+  let gradient = layout.bounds_offset <> None in
+  Sim.Machine.cached machine
+    ~find:(function
+      | Thermal_rows rows
+        when rows.key_steps = steps
+             && rows.key_stride = spec.Spec.constraint_stride
+             && rows.key_variant = spec.Spec.variant
+             && Float.equal rows.key_tmax spec.Spec.tmax
+             && rows.key_gradient = gradient ->
+          Some rows
+      | _ -> None)
+    ~compute:(fun () -> compute_thermal_rows machine ~spec ~layout ~steps)
+
+(* The per-prepare pass: step the base trajectory — the window with
+   zero core power (fixed non-core power only) from [t0] — in the two
+   vectors [a] and [b] on the compiled stepper, record it at each
+   stride point in [bases], and run the box-implication test on every
+   thermal row there.  The kept rows' indices go to [kept], in row
+   order; returns how many there are.  A row is kept unless
+   [base + sum_j max(q_j, 0) * p_box], summed in column order from
+   [base], stays below [limit].  [a] holds [t0] on entry. *)
+let filter_rows rows ~fixed_power ~steps ~n_nodes ~limit ~a ~b ~bases ~kept =
+  let ks = rows.ks and stepper = rows.stepper in
+  let lift = rows.lift and lift_off = rows.lift_off in
+  let r = ref 0 and n_kept = ref 0 in
+  for k = 1 to steps do
+    let src = if k land 1 = 1 then a else b in
+    let dst = if k land 1 = 1 then b else a in
+    Thermal.Rc_model.stepper_step_into stepper src fixed_power ~dst;
+    (* The last stride point is [steps], so [r] runs past the end of
+       [ks] only as the loop ends. *)
+    if ks.(!r) = k then begin
+      for node = 0 to n_nodes - 1 do
+        let idx = (!r * n_nodes) + node in
+        let base = dst.(node) in
+        bases.(idx) <- base;
+        let worst = ref base in
+        for i = lift_off.(idx) to lift_off.(idx + 1) - 1 do
+          worst := !worst +. lift.(i)
+        done;
+        if not (!worst < limit) then begin
+          kept.(!n_kept) <- idx;
+          incr n_kept
+        end
+      done;
+      incr r
+    end
+  done;
+  !n_kept
+
+(* Copy the kept thermal rows into the instance's packed arrays from
+   row [row] and entry [nz] on, each with the constant
+   [-((base - tmax)/tmax)]; then every gradient row, with the
+   constants [-(base/tmax)] and [base/tmax] of its pair. *)
+let copy_rows rows ~kept ~n_kept ~bases ~tmax ~row ~nz ~glo ~goff ~gdata ~h =
+  let src = rows.thermal in
+  let nz = ref nz in
+  for k = 0 to n_kept - 1 do
+    let idx = kept.(k) in
+    let s = src.off.(idx) in
+    let len = src.off.(idx + 1) - s in
+    Array.blit src.data s gdata !nz len;
+    nz := !nz + len;
+    glo.(row + k) <- src.lo.(idx);
+    goff.(row + k + 1) <- !nz;
+    h.(row + k) <- -.((bases.(idx) -. tmax) /. tmax)
+  done;
+  let grad = rows.gradient and row = row + n_kept in
+  Array.blit grad.data 0 gdata !nz (Array.length grad.data);
+  for i = 0 to Array.length grad.lo - 1 do
+    glo.(row + i) <- grad.lo.(i);
+    goff.(row + i + 1) <- !nz + grad.off.(i + 1)
+  done;
+  for pair = 0 to Array.length rows.gradient_base - 1 do
+    let base = bases.(rows.gradient_base.(pair)) in
+    h.(row + (2 * pair)) <- -.(base /. tmax);
+    h.(row + (2 * pair) + 1) <- base /. tmax
+  done
 
 (* Everything in the models of Eqs. 3-5 except the throughput floor's
    constant depends only on [(machine, spec, t0)] — the base
    trajectory and every thermal, power-law, box and gradient row are
-   shared by all [ftarget] columns of a table row (the core-column sums
-   S_k depend on the machine and window alone, and are shared by every
-   row).  [prepared] is that shared context, written once into conic
-   rows with a floor constant of 0; {!instantiate} then re-targets the
-   floor row per [ftarget] without re-packing G.  The instance is never
-   mutated by the solver, so cells — and domains — may share it
-   freely. *)
+   shared by all [ftarget] columns of a table row (the thermal and
+   gradient rows' coefficients depend on the machine and the spec
+   alone, and are shared by every row).  [prepared] is that shared
+   context, written once into conic rows with a floor constant of 0;
+   {!instantiate} then re-targets the floor row per [ftarget] without
+   re-packing G.  The instance is never mutated by the solver, so
+   cells — and domains — may share it freely. *)
 type prepared = {
   p_layout : layout;
   p_spec : Spec.t;
@@ -210,12 +420,13 @@ type prepared = {
   p_conic : Convex.Conic.t;
 }
 
-(* The Eq. 3 instance from [t0], written straight into conic rows
-   [h - G x in K] in the row layout above: the box rows, the floor
-   (left out of a [frontier] instance, which maximizes the total
-   frequency instead of minimizing power), the thermal and gradient
-   rows, then one rotated-quadratic block per power law.  Each
-   constant is [-r] of the row's [q'x + r <= 0] form. *)
+(* The Eq. 3 instance from [t0], written straight into packed conic
+   rows [h - G x in K] in the row layout above: the box rows, the
+   floor (left out of a [frontier] instance, which maximizes the total
+   frequency instead of minimizing power), the kept thermal rows and
+   the gradient rows (copied from the machine's {!thermal_rows}), the
+   gradient bounds, then one rotated-quadratic block per power law.
+   Each constant is [-r] of the row's [q'x + r <= 0] form. *)
 let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~frontier =
   Spec.validate spec;
   (* Per-core normalization: variable j is stated in units of its own
@@ -240,32 +451,13 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~frontier =
   let pmax = machine.Sim.Machine.core_pmax in
   let core_fmax = machine.Sim.Machine.core_fmax in
   let fref = machine.Sim.Machine.fmax in
-  let thermal = machine.Sim.Machine.thermal in
-  let dt = thermal.Thermal.Rc_model.dt in
+  let dt = machine.Sim.Machine.thermal.Thermal.Rc_model.dt in
   let steps = int_of_float (Float.round (spec.Spec.dfs_period /. dt)) in
   if steps < 1 then invalid_arg "Model.build: window below one thermal step";
   let n_nodes = machine.Sim.Machine.n_nodes in
   let n_cores = machine.Sim.Machine.n_cores in
-  let core_nodes = machine.Sim.Machine.core_nodes in
   let layout = make_layout spec ~n_cores in
   let dim = layout.dim in
-  let g = ref [] and h = ref [] and n_orthant = ref 0 in
-  let emit row hi =
-    g := row :: !g;
-    h := hi :: !h
-  in
-  let orthant row hi =
-    emit row hi;
-    incr n_orthant
-  in
-  (* Box rows. *)
-  for j = 0 to layout.n_f - 1 do
-    let f = layout.f_offset + j and p = layout.p_offset + j in
-    orthant (f, [| -1.0 |]) 0.0;
-    orthant (f, [| 1.0 |]) f_box;
-    orthant (p, [| -1.0 |]) 0.0;
-    orthant (p, [| 1.0 |]) p_box
-  done;
   (* Throughput direction: sum over cores of f, in units of the chip
      reference frequency — coefficient [core_fmax.(j) / fref] per
      normalized variable, which is exactly -1.0 on a single-class
@@ -283,107 +475,97 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~frontier =
     | Spec.Uniform -> q.(layout.f_offset) <- -.float_of_int n_cores);
     q
   in
-  if not frontier then orthant (stripe total_f_coeffs) 0.0;
   if Vec.dim t0 <> n_nodes then
     invalid_arg "Model.build: initial temperature profile length mismatch";
   if not (Array.for_all Float.is_finite t0) then
     invalid_arg "Model.build: non-finite start temperature";
-  (* Thermal rows.  The base trajectory — the window with zero core
-     power (fixed non-core power only) from [t0] — is stepped in two
-     ping-pong vectors, with [Transient.simulate]'s arithmetic, and
-     read only at the stride points: the full (steps + 1) x n_nodes
-     trajectory is never stored.  At each stride point one scratch [q]
-     is refilled per node from the machine's window response; only
-     the rows emitted are allocated, as stripes cut from the scratch
-     [full], and the gradient variant keeps a copy of [q] for the core
-     nodes. *)
-  let response =
-    Sim.Machine.window_response machine ~steps
-      ~stride:spec.Spec.constraint_stride
-  in
-  let ks = response.Sim.Machine.ks and sums = response.Sim.Machine.sums in
+  (* Thermal rows: the base is stepped from [t0] and read only at the
+     stride points, where [filter_rows] picks the rows the box does
+     not imply.  The CSR stepper sums each node's products in the
+     dense step's order and skips only exact zeros, so on a finite
+     [t0] the base is [Transient.simulate]'s, bit for bit. *)
   let tmax = spec.Spec.tmax in
-  let b = thermal.Thermal.Rc_model.injection in
-  let fixed_power = machine.Sim.Machine.fixed_power in
-  let grad_rows = ref [] in
-  (* The nodes whose rows the gradient variant keeps: the core nodes,
-     and none without a gradient term. *)
-  let grad_node = Array.make n_nodes false in
-  if layout.bounds_offset <> None then
-    Array.iter (fun cn -> grad_node.(cn) <- true) core_nodes;
-  let q = Vec.zeros dim and full = Vec.zeros dim in
-  (* [full := a q], in [Vec.scale]'s [a *. q_i] order. *)
-  let scaled a q =
-    for i = 0 to dim - 1 do
-      full.(i) <- a *. q.(i)
-    done
+  let rows = thermal_rows machine ~spec ~layout ~steps in
+  let bases = Array.make (Array.length rows.ks * n_nodes) 0.0 in
+  let kept = Array.make (Array.length bases) 0 in
+  let n_kept =
+    filter_rows rows ~fixed_power:machine.Sim.Machine.fixed_power ~steps
+      ~n_nodes
+      ~limit:(tmax *. (1.0 -. implied_margin))
+      ~a:(Vec.copy t0) ~b:(Vec.zeros n_nodes) ~bases ~kept
   in
-  let t = ref (Vec.copy t0) and next = ref (Vec.zeros n_nodes) in
-  let r = ref 0 in
-  for k = 1 to steps do
-    Thermal.Rc_model.step_temperature_into thermal !t fixed_power ~dst:!next;
-    let prev = !t in
-    t := !next;
-    next := prev;
-    (* The last stride point is [steps], so [r] runs past the end of
-       [ks] only as the loop ends. *)
-    if ks.(!r) = k then begin
-      for node = 0 to n_nodes - 1 do
-        row_coefficients ~variant:spec.Spec.variant ~sums
-          ~off:(((!r * n_nodes) + node) * n_cores)
-          ~b ~pmax ~core_nodes ~p_offset:layout.p_offset q;
-        let base = !t.(node) in
-        (* base + q.p <= tmax, stated in units of tmax so every
-           constraint family has O(1) coefficients (the interior-point
-           normal equations are ill-conditioned otherwise).  Rows the
-           power box already implies are left out. *)
-        if
-          not
-            (box_implies_row ~tmax ~base ~p_offset:layout.p_offset
-               ~n_p:layout.n_p q)
-        then begin
-          scaled (1.0 /. tmax) q;
-          orthant (stripe full) (-.((base -. tmax) /. tmax))
-        end;
-        (* Gradient bookkeeping (core nodes only). *)
-        if grad_node.(node) then grad_rows := (Vec.copy q, base) :: !grad_rows
-      done;
-      incr r
-    end
+  let kept_nnz = ref 0 in
+  let off = rows.thermal.off in
+  for k = 0 to n_kept - 1 do
+    kept_nnz := !kept_nnz + off.(kept.(k) + 1) - off.(kept.(k))
   done;
-  (* Gradient variant: t_{k,i}/tmax in [l, u] for all core rows, plus
-     bounds keeping the spread term bounded, and the optional hard cap. *)
-  (match (layout.bounds_offset, spec.Spec.gradient) with
-  | Some off, Some gr ->
-      let u = off and l = off + 1 in
-      List.iter
-        (fun (q, base) ->
-          (* q.p/tmax + base/tmax - u <= 0 *)
-          scaled (1.0 /. tmax) q;
-          full.(u) <- -1.0;
-          orthant (stripe full) (-.(base /. tmax));
-          (* l - q.p/tmax - base/tmax <= 0 *)
-          scaled (-1.0 /. tmax) q;
-          full.(l) <- 1.0;
-          orthant (stripe full) (base /. tmax))
-        !grad_rows;
-      (* 0 <= l, u <= 2, l <= u *)
-      orthant (l, [| -1.0 |]) (-0.0);
-      orthant (u, [| 1.0 |]) 2.0;
-      orthant (u, [| -1.0; 1.0 |]) (-0.0);
-      (match gr.Spec.cap with
-      | Some cap -> orthant (u, [| 1.0; -1.0 |]) (cap /. tmax)
-      | None -> ())
-  | None, None -> ()
-  | Some _, None | None, Some _ -> assert false);
+  let floor_lo, floor_row =
+    if frontier then (0, [||]) else stripe ~first:0 total_f_coeffs
+  in
+  (* Gradient variant: after its rows, bounds keeping the spread term
+     bounded, and the optional hard cap. *)
+  let bound_rows =
+    match (layout.bounds_offset, spec.Spec.gradient) with
+    | Some off, Some gr ->
+        let u = off and l = off + 1 in
+        (* 0 <= l, u <= 2, l <= u *)
+        [
+          (l, [| -1.0 |], -0.0);
+          (u, [| 1.0 |], 2.0);
+          (u, [| -1.0; 1.0 |], -0.0);
+        ]
+        @ (match gr.Spec.cap with
+          | Some cap -> [ (u, [| 1.0; -1.0 |], cap /. tmax) ]
+          | None -> [])
+    | None, None -> []
+    | Some _, None | None, Some _ -> assert false
+  in
+  let n_grad = Array.length rows.gradient.lo in
+  let n_orthant =
+    (4 * layout.n_f)
+    + (if frontier then 0 else 1)
+    + n_kept + n_grad + List.length bound_rows
+  in
+  let n_rows = n_orthant + (3 * layout.n_f) in
+  let nnz =
+    (4 * layout.n_f) + Array.length floor_row + !kept_nnz
+    + Array.length rows.gradient.data
+    + List.fold_left (fun acc (_, c, _) -> acc + Array.length c) 0 bound_rows
+    + (3 * layout.n_f)
+  in
+  let glo = Array.make n_rows 0 and goff = Array.make (n_rows + 1) 0 in
+  let gdata = Array.make (max 1 nnz) 0.0 and h = Array.make n_rows 0.0 in
+  let row = ref 0 and nz = ref 0 in
+  let put lo coeffs hi =
+    glo.(!row) <- lo;
+    Array.blit coeffs 0 gdata !nz (Array.length coeffs);
+    nz := !nz + Array.length coeffs;
+    h.(!row) <- hi;
+    incr row;
+    goff.(!row) <- !nz
+  in
+  (* Box rows. *)
+  for j = 0 to layout.n_f - 1 do
+    let f = layout.f_offset + j and p = layout.p_offset + j in
+    put f [| -1.0 |] 0.0;
+    put f [| 1.0 |] f_box;
+    put p [| -1.0 |] 0.0;
+    put p [| 1.0 |] p_box
+  done;
+  if not frontier then put floor_lo floor_row 0.0;
+  copy_rows rows ~kept ~n_kept ~bases ~tmax ~row:!row ~nz:!nz ~glo ~goff
+    ~gdata ~h;
+  row := !row + n_kept + n_grad;
+  nz := goff.(!row);
+  List.iter (fun (lo, coeffs, hi) -> put lo coeffs hi) bound_rows;
   (* Power laws [fhat^2 <= phat]: the rotated-quadratic block
      [(u, v, w) = (phat, 1/2, fhat)], written rotated by T. *)
   let inv_sqrt2 = 1.0 /. sqrt 2.0 in
   for j = 0 to layout.n_f - 1 do
     let p = layout.p_offset + j in
-    emit (p, [| -.inv_sqrt2 |]) (inv_sqrt2 *. 0.5);
-    emit (p, [| -.inv_sqrt2 |]) (inv_sqrt2 *. -0.5);
-    emit (layout.f_offset + j, [| -1.0 |]) 0.0
+    put p [| -.inv_sqrt2 |] (inv_sqrt2 *. 0.5);
+    put p [| -.inv_sqrt2 |] (inv_sqrt2 *. -0.5);
+    put (layout.f_offset + j) [| -1.0 |] 0.0
   done;
   (* Objective of the power problem: total power in units of the
      largest per-core pmax — coefficient [pmax.(j) / pref] per
@@ -420,9 +602,7 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~frontier =
     p_conic =
       Convex.Conic.make
         ~c:(if frontier then total_f_coeffs else objective_coeffs)
-        ~n_orthant:!n_orthant
-        ~g:(Array.of_list (List.rev !g))
-        ~h:(Array.of_list (List.rev !h));
+        ~n_orthant ~glo ~goff ~gdata ~h;
   }
 
 let uniform_t0 machine tstart =
@@ -560,12 +740,16 @@ let outcome_of built t (status : Convex.Conic.status) =
   | Convex.Conic.Unknown _ ->
       Infeasible
 
-let conic_workspace built t =
-  Convex.Conic.make_workspace ~kkt:(`Blocks (conic_blocks built.layout)) t
+(* A workspace for an instance of [layout], factorizing under
+   {!conic_blocks}. *)
+let layout_workspace layout t =
+  Convex.Conic.make_workspace ~kkt:(`Blocks (conic_blocks layout)) t
+
+let workspace p = layout_workspace p.p_layout p.p_conic
 
 let solve_frontier built =
   let t = Lazy.force built.conic in
-  outcome_of built t (Convex.Conic.solve ~ws:(conic_workspace built t) t)
+  outcome_of built t (Convex.Conic.solve ~ws:(layout_workspace built.layout t) t)
 
 (* The orthant rows a conic solve may leave out of its working set:
    the thermal and gradient rows after the floor.  The gradient
@@ -706,7 +890,7 @@ let closed_form_stats = { Convex.Conic.stats_zero with optimal = 1 }
 let solve ?conic_stats_into ?conic_ws ?start built =
   let t = Lazy.force built.conic in
   let ws =
-    match conic_ws with Some ws -> ws | None -> conic_workspace built t
+    match conic_ws with Some ws -> ws | None -> layout_workspace built.layout t
   in
   let first, last = optional_rows built t in
   let record stats =

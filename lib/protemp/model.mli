@@ -23,13 +23,17 @@
     coefficient of core [j]'s power on node [i] at step [k] is
     [S_k[i, core_j] b_j] with [S_k = sum_{l<k} A^l]; only those
     [n_cores] columns are ever read.  They depend on the machine, the
-    window and the stride but not on the start temperature, so they
-    are the machine's {!Sim.Machine.window_response}: computed once
-    per [(machine, steps, stride)] by a recurrence on the core columns
-    alone and shared by every row, every domain and every caller.  A
-    {!prepare} only scales them, in one scratch row per (step, node),
-    in the same floating-point order as the matrix-power
-    construction, to which every coefficient is bit-identical.
+    window and the stride but not on the start temperature: they are
+    the machine's {!Sim.Machine.window_response}, computed by a
+    recurrence on the core columns alone.  Nor do the thermal and
+    gradient rows built from them, scaled by [1/tmax] and cut to the
+    stripes the conic instance stores: they are computed once per
+    machine, window, stride, variant, [tmax] and gradient switch, kept
+    in the machine's cache ({!Sim.Machine.cached}) and shared by every
+    row, every domain and every caller.
+    A {!prepare} only steps the base trajectory and copies the rows it
+    keeps.  Every coefficient is bit-identical to the matrix-power
+    construction.
     The gradient term is encoded with two auxiliary variables
     [u >= t_{k,i}/tmax >= l] ranging over all steps and cores, so
     [u - l] bounds the spread across the whole window; this dominates
@@ -100,6 +104,15 @@ type built = {
           instance. *)
 }
 
+val f_box : float
+(** The upper end [1.002] of each normalized frequency box
+    [0 <= f_j / core_fmax_j <= f_box]: relaxed a fraction of a percent
+    above 1 so that a demand of exactly fmax keeps a strict interior
+    for the interior-point method.  A served solution clamps each
+    frequency back to its core's ceiling, so it may fall short of the
+    throughput floor by up to [(f_box - 1) sum_j core_fmax_j]
+    ({!Dense_table} states the bound). *)
+
 (** {2 Row layout}
 
     The constraints of Eq. 3 as written, the order of
@@ -127,17 +140,21 @@ type prepared
 (** The [(machine, spec, t0)]-dependent part of a model: its conic
     instance with every row but the throughput floor's constant.
     Building it costs one pass of the base trajectory over the window
-    (stepped in two vectors, never stored whole, through
-    {!Linalg.Mat.mul_vec_into}, whose fixed summation order keeps the
-    base's bits), one pass over the machine's shared
-    {!Sim.Machine.window_response} (computed on the machine's first
-    prepare at that window and stride, and read by every later one)
-    with one box-implication test per stride point and node, over the
-    power columns alone, and the rows it writes — nearly all of a
-    {!build}; each further {!instantiate} at a new [ftarget] is then
-    almost free.  The stepping is the largest part, about half of a
-    stride-4 prepare on big.LITTLE (DESIGN.md §6s).  The offline sweep
-    prepares once per table row and instantiates once per column. *)
+    (stepped in two vectors, never stored whole, on the machine's
+    compiled CSR stepper {!Thermal.Rc_model.stepper_step_into}, whose
+    summation order keeps the dense step's bits), one box-implication
+    test per stride point and node from that base, and a copy of the
+    rows it keeps, with their constants, into the instance's packed
+    arrays — nearly all of a {!build}; each further {!instantiate} at
+    a new [ftarget] is then almost free.  The rows themselves come
+    from the machine's cache: the first prepare of a machine at a
+    given window, stride, variant, [tmax] and gradient switch builds
+    them (from the machine's {!Sim.Machine.window_response}), and
+    every later one, from any domain, reads them.  A warm prepare
+    allocates the instance's packed arrays, two step vectors and two
+    scratch arrays of one entry per (stride point, node); nothing per
+    kept row.  The offline sweep prepares once
+    per table row and instantiates once per column (DESIGN.md §6t). *)
 
 val prepare :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> prepared
@@ -148,6 +165,12 @@ val prepare_with_profile :
   machine:Sim.Machine.t -> spec:Spec.t -> t0:Vec.t -> prepared
 (** Like {!prepare}; raises [Invalid_argument] when [t0] has the wrong
     length or a non-finite entry. *)
+
+val workspace : prepared -> Convex.Conic.workspace
+(** A conic workspace shaped for every instance {!instantiate} makes
+    from the context, factorizing under {!conic_blocks}: the one a
+    table row reuses across its cells as {!solve}'s [conic_ws], and the
+    one {!solve} makes for itself without it. *)
 
 val instantiate : prepared -> ftarget:float -> built
 (** Set the throughput floor's constant for [ftarget] in the prepared
@@ -249,8 +272,8 @@ val solve :
     reported infeasible without a certificate, and a cell settled in
     closed form counts as [optimal] with no iteration.  [conic_ws] is
     the solver workspace the rounds run in (and the closed-form check
-    reads its working set): one made by {!Convex.Conic.make_workspace}
-    for any instance of the same prepared row holds the working set
+    reads its working set): one made by {!workspace} for the
+    instance's prepared context holds the working set
     and grows to the largest one solved, so a sweep row reuses it
     across its cells; without it each call makes its own. *)
 

@@ -12,7 +12,12 @@
 open Linalg
 
 type cell =
-  | Frequencies of Vec.t  (** Per-core frequencies, Hz. *)
+  | Frequencies of Vec.t
+      (** Per-core frequencies, Hz.  A cell built by {!Dense_table}
+          meets its throughput floor [n ftarget] up to the shortfall
+          bound stated there: each frequency is clamped to its core's
+          ceiling, while the model lets it reach [Model.f_box] times
+          it. *)
   | Infeasible
 
 type t

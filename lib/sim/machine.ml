@@ -7,7 +7,8 @@ type window_response = {
   sums : float array;
 }
 
-type response_cache = window_response list Atomic.t
+type slot = ..
+type cache = slot list Atomic.t
 
 type t = {
   thermal : Thermal.Rc_model.discrete;
@@ -21,7 +22,7 @@ type t = {
   core_pmax : float array;
   core_exponent : float array;
   core_idle : float array;
-  responses : response_cache;
+  cache : cache;
 }
 
 let make_platform ~thermal ~core_nodes ~fixed_power ~platform () =
@@ -49,7 +50,7 @@ let make_platform ~thermal ~core_nodes ~fixed_power ~platform () =
     core_pmax = Platform.core_pmax platform;
     core_exponent = Platform.core_exponent platform;
     core_idle = Platform.core_idle_activity platform;
-    responses = Atomic.make [];
+    cache = Atomic.make [];
   }
 
 let make ?(idle_activity = 0.3) ~thermal ~core_nodes ~fixed_power ~fmax
@@ -250,24 +251,32 @@ let compute_response m ~steps ~stride =
   { steps; stride; ks; sums }
 
 (* Computed without a lock and published with [compare_and_set]: a
-   domain that loses the race finds the winner's response in the list
-   and drops its own, which is identical bit for bit, so what a
-   caller reads never depends on which domain computed it. *)
-let window_response m ~steps ~stride =
-  if steps < 1 then invalid_arg "Machine.window_response: steps below 1";
-  if stride < 1 then invalid_arg "Machine.window_response: stride below 1";
-  let find = List.find_opt (fun r -> r.steps = steps && r.stride = stride) in
-  match find (Atomic.get m.responses) with
-  | Some r -> r
+   domain that loses the race finds the winner's slot in the list and
+   drops its own, which is identical bit for bit, so what a caller
+   reads never depends on which domain computed it. *)
+let cached m ~find ~compute =
+  match List.find_map find (Atomic.get m.cache) with
+  | Some v -> v
   | None ->
-      let fresh = compute_response m ~steps ~stride in
+      let fresh = compute () in
+      let value =
+        match find fresh with
+        | Some v -> v
+        | None -> invalid_arg "Machine.cached: the new slot does not match"
+      in
       let rec publish () =
-        let seen = Atomic.get m.responses in
-        match find seen with
-        | Some r -> r
+        let seen = Atomic.get m.cache in
+        match List.find_map find seen with
+        | Some v -> v
         | None ->
-            if Atomic.compare_and_set m.responses seen (fresh :: seen) then
-              fresh
+            if Atomic.compare_and_set m.cache seen (fresh :: seen) then value
             else publish ()
       in
       publish ()
+
+let cached_slots m = List.length (Atomic.get m.cache)
+
+let window_response m ~steps ~stride =
+  if steps < 1 then invalid_arg "Machine.window_response: steps below 1";
+  if stride < 1 then invalid_arg "Machine.window_response: stride below 1";
+  compute_response m ~steps ~stride

@@ -8,12 +8,14 @@
     are derived from the platform once at construction so the
     stepping hot path never chases the class indirection.
 
-    A machine also carries its {!window_response}s: the thermal
-    network's response to core power over a control window, computed
-    once per window shape and shared by every model built on the
+    A machine also carries a cache ({!cached}) of what a library built
+    on it derives from the machine alone and reuses, such as
+    [Protemp.Model]'s Eq. 3 thermal rows, which it builds from the
+    machine's {!window_response}.  Each entry is computed once and
+    shared by every caller and every domain, and is freed with the
     machine.  The type is [private] so that a machine is only ever
     made by {!make} or {!make_platform}: a copy with another thermal
-    model or power law could otherwise carry a response that no
+    model or power law could otherwise carry cached data that no
     longer matches it. *)
 
 open Linalg
@@ -27,8 +29,7 @@ type window_response = {
   sums : float array;
       (** The core columns of [S_k = sum_{l<k} A^l] ([A] the step
           matrix) at each stride point, flat: [S_{ks.(r)}[i, core_j]]
-          is at [((r * n_nodes) + i) * n_cores + j].  Shared by every
-          caller, so never written to. *)
+          is at [((r * n_nodes) + i) * n_cores + j]. *)
 }
 (** The response of the thermal network to core power over a window:
     holding the core powers [p] for [k] steps from a start profile
@@ -36,9 +37,14 @@ type window_response = {
     temperature ([b] the injection vector).  For Niagara at stride 4
     that is [63 x 17 x 8] floats, 69 kB. *)
 
-type response_cache
-(** The responses computed so far for a machine, keyed on
-    [(steps, stride)]; see {!window_response}. *)
+type slot = ..
+(** One entry of a machine's {!cache}.  The extensible variant lets a
+    library built on the machine keep its own per-machine data there:
+    it adds a constructor ([type Sim.Machine.slot += ...]) and reads
+    it back through {!cached}. *)
+
+type cache
+(** The slots computed so far for a machine; see {!cached}. *)
 
 type t = private {
   thermal : Thermal.Rc_model.discrete;
@@ -60,8 +66,7 @@ type t = private {
           convex model's all-cores-busy assumption stays an upper
           bound (this is what makes the Pro-Temp guarantee carry over
           to the simulation). *)
-  responses : response_cache;
-      (** The {!window_response}s computed so far; starts empty. *)
+  cache : cache;  (** The {!slot}s computed so far; starts empty. *)
 }
 
 val make :
@@ -102,18 +107,34 @@ val biglittle : unit -> t
     power-law exponents. *)
 
 val window_response : t -> steps:int -> stride:int -> window_response
-(** The machine's response over a [steps]-step window at [stride],
-    computed on the first request and shared by every later one, from
-    any domain: the same [(steps, stride)] returns the physically
-    same record.  Its core columns come from a recurrence on the core
-    columns alone ([X_0] the unit columns at the core nodes,
-    [X_k = A X_{k-1}], [S_k += X_{k-1}]), never from full [n x n]
-    powers, and sum in [Mat.matmul]'s order, so every entry is
-    bit-identical to the matrix-power construction.  A domain that
-    computes a response concurrently with another publishes it with
-    [Atomic.compare_and_set]; the loser drops its copy, which is
-    identical bit for bit.  Raises [Invalid_argument] when [steps] or
-    [stride] is below 1. *)
+(** The machine's response over a [steps]-step window at [stride].
+    Its core columns come from a recurrence on the core columns alone
+    ([X_0] the unit columns at the core nodes, [X_k = A X_{k-1}],
+    [S_k += X_{k-1}]), never from full [n x n] powers, and sum in
+    [Mat.matmul]'s order, so every entry is bit-identical to the
+    matrix-power construction.  Computed on every call and not
+    cached: its one library caller, [Protemp.Model], builds its row
+    sets from it and caches those ({!cached}), and keeping the
+    response beside them measured 1.6–2.3 MB more peak RSS on the
+    benchmark's 100x100 Niagara build (DESIGN.md §6t).  Raises
+    [Invalid_argument] when [steps] or [stride] is below 1. *)
+
+val cached : t -> find:(slot -> 'a option) -> compute:(unit -> slot) -> 'a
+(** [cached m ~find ~compute] is the value [find] reads from the first
+    slot of [m]'s cache it accepts.  When no slot is accepted,
+    [compute ()] makes one, which is published with
+    [Atomic.compare_and_set] on the cache: no lock is taken, and a
+    domain that loses a race to publish finds the winner's slot and
+    drops its own.  So [compute] must be a function of the machine and
+    of what [find] matches on alone, and a caller then reads the same
+    value whichever domain computed it.  The key [find] matches must
+    cover everything the slot's content reads.  Raises
+    [Invalid_argument] if [find] does not accept the slot [compute]
+    made; nothing is published then. *)
+
+val cached_slots : t -> int
+(** How many slots [m]'s cache holds: one per value {!cached} has
+    published. *)
 
 val core_power : t -> core:int -> frequency:float -> busy:bool -> float
 (** Power of core [core] at [frequency]:

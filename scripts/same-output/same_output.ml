@@ -1,0 +1,136 @@
+(* Prints, at %.17g, what the library computes for a fixed set of Eq. 3
+   instances: solves, frontiers and profile solves (every field of the
+   solution, duals included) and whole tables, on Niagara and
+   big.LITTLE, for the variable, uniform, gradient and capped-gradient
+   variants at strides 1 and 4 and margins 0 and 5 C.  Two builds that
+   print the same bytes compute the same bits.  Run by
+   scripts/same-output.sh on the working tree and on a git revision:
+
+     dune exec scripts/same-output/same_output.exe > out.txt *)
+
+let pr = Printf.printf
+
+let vec label v =
+  pr "  %s" label;
+  Array.iter (pr " %.17g") v;
+  pr "\n"
+
+let outcome label = function
+  | Protemp.Model.Infeasible -> pr "%s infeasible\n" label
+  | Protemp.Model.Feasible s ->
+      pr "%s %s objective %.17g gap %.17g iterations %d total power %.17g\n"
+        label
+        (match s.Protemp.Model.settled_by with
+        | `Closed_form -> "closed-form"
+        | `Interior_point -> "interior-point")
+        s.Protemp.Model.raw.Convex.Solve.objective_value
+        s.Protemp.Model.raw.Convex.Solve.gap
+        s.Protemp.Model.raw.Convex.Solve.iterations
+        s.Protemp.Model.total_power;
+      vec "f" s.Protemp.Model.frequencies;
+      vec "p" s.Protemp.Model.core_powers;
+      vec "x" s.Protemp.Model.raw.Convex.Solve.x;
+      vec "dual" s.Protemp.Model.raw.Convex.Solve.dual;
+      Option.iter (pr "  spread %.17g\n") s.Protemp.Model.gradient_spread
+
+let axis lo hi n =
+  Array.init n (fun i ->
+      lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
+
+let table label ~machine ~spec ~margin ~tstarts ~ftargets =
+  let dense =
+    Protemp.Dense_table.create ~margin ~machine ~spec ~tstarts ~ftargets ()
+  in
+  let stats = Protemp.Dense_table.fill ~domains:1 dense in
+  let solver = Protemp.Dense_table.solver_stats dense in
+  pr "table %s: %d cells, %d solves, %d warm, %d closed form, %d pruned, \
+      %d feasible, %d iterations, %d unknown\n"
+    label stats.Protemp.Dense_table.cells stats.Protemp.Dense_table.solves
+    stats.Protemp.Dense_table.warm_hits
+    (Protemp.Dense_table.closed_form_cells dense)
+    stats.Protemp.Dense_table.pruned stats.Protemp.Dense_table.feasible
+    solver.Convex.Conic.iterations solver.Convex.Conic.unknown;
+  print_string
+    (Protemp.Table.to_csv (Protemp.Dense_table.to_table ~domains:1 dense))
+
+let () =
+  let d = Protemp.Spec.default in
+  let variants ~single_class =
+    [
+      ("variable", d);
+      ("gradient", Protemp.Spec.with_gradient ~weight:0.5 d);
+      ("capped-gradient", Protemp.Spec.with_gradient ~weight:0.5 ~cap:20.0 d);
+    ]
+    @
+    if single_class then
+      [ ("uniform", { d with Protemp.Spec.variant = Protemp.Spec.Uniform }) ]
+    else []
+  in
+  List.iter
+    (fun (name, machine) ->
+      let fmax = machine.Sim.Machine.fmax in
+      let single_class =
+        Sim.Platform.single_class machine.Sim.Machine.platform
+      in
+      List.iter
+        (fun (variant, spec) ->
+          List.iter
+            (fun stride ->
+              List.iter
+                (fun margin ->
+                  let spec =
+                    Protemp.Spec.guard_band ~margin
+                      { spec with Protemp.Spec.constraint_stride = stride }
+                  in
+                  let label =
+                    Printf.sprintf "%s %s stride %d margin %.0f" name variant
+                      stride margin
+                  in
+                  List.iter
+                    (fun tstart ->
+                      List.iter
+                        (fun frac ->
+                          let ftarget = frac *. fmax in
+                          outcome
+                            (Printf.sprintf "%s solve %.17g %.17g" label tstart
+                               ftarget)
+                            (Protemp.Model.solve
+                               (Protemp.Model.build ~machine ~spec ~tstart
+                                  ~ftarget));
+                          let t0 =
+                            Array.init machine.Sim.Machine.n_nodes (fun i ->
+                                tstart -. float_of_int (i mod 5))
+                          in
+                          outcome
+                            (Printf.sprintf "%s profile %.17g %.17g" label
+                               tstart ftarget)
+                            (Protemp.Model.solve
+                               (Protemp.Model.build_with_profile ~machine ~spec
+                                  ~t0 ~ftarget)))
+                        [ 0.3; 0.6; 0.9 ];
+                      outcome
+                        (Printf.sprintf "%s frontier %.17g" label tstart)
+                        (Protemp.Model.solve_frontier
+                           (Protemp.Model.build_frontier ~machine ~spec ~tstart)))
+                    [ 27.0; 50.0; 70.0; 85.0; 95.0 ];
+                  (* The table takes the margin itself. *)
+                  let spec =
+                    { spec with Protemp.Spec.tmax = d.Protemp.Spec.tmax }
+                  in
+                  table label ~machine ~spec ~margin
+                    ~tstarts:(axis 27.0 100.0 8)
+                    ~ftargets:(axis (0.1 *. fmax) (0.9 *. fmax) 6))
+                [ 0.0; 5.0 ])
+            [ 1; 4 ])
+        (variants ~single_class))
+    [
+      ("niagara", Sim.Machine.niagara ()); ("biglittle", Sim.Machine.biglittle ());
+    ];
+  (* The benchmark's three grids at stride 4. *)
+  let spec = { d with Protemp.Spec.constraint_stride = 4 } in
+  table "niagara 100x100" ~machine:(Sim.Machine.niagara ()) ~spec ~margin:0.0
+    ~tstarts:(axis 27.0 100.0 100) ~ftargets:(axis 1e8 1e9 100);
+  table "biglittle 150x8" ~machine:(Sim.Machine.biglittle ()) ~spec
+    ~margin:0.0 ~tstarts:(axis 27.0 100.0 150) ~ftargets:(axis 1e8 7e8 8);
+  table "niagara margin 5 74x9" ~machine:(Sim.Machine.niagara ()) ~spec
+    ~margin:5.0 ~tstarts:(axis 27.0 100.0 74) ~ftargets:(axis 1e8 9e8 9)

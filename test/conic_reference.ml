@@ -2,7 +2,9 @@
    [Convex.Conic.make]: the general packer the library used before
    [Protemp.Model] wrote Eq. 3's rows itself, kept as the oracle those
    rows are checked against (test_protemp's bit-identity property) and
-   as the way the conic tests state small problems.
+   as the way the conic tests state small problems.  [make] takes the
+   rows as an array of stripes and packs them into the contiguous
+   buffer [Convex.Conic.make] reads.
 
    Affine constraints [q'x + r <= 0] become orthant rows, in
    constraint order: [h = -r], [G] row [q].  Each rank-one quadratic
@@ -32,6 +34,27 @@ let truncate_row full =
     done;
     (!lo, Array.sub full !lo (!hi - !lo + 1))
   end
+
+(* Pack an array of truncated rows [(lo, coeffs)] into one contiguous
+   buffer with [q + 1] row offsets. *)
+let pack_rows rows =
+  let q = Array.length rows in
+  let goff = Array.make (q + 1) 0 in
+  for i = 0 to q - 1 do
+    goff.(i + 1) <- goff.(i) + Array.length (snd rows.(i))
+  done;
+  let gdata = Array.make (max 1 goff.(q)) 0.0 in
+  for i = 0 to q - 1 do
+    let row = snd rows.(i) in
+    Array.blit row 0 gdata goff.(i) (Array.length row)
+  done;
+  (gdata, goff)
+
+(* [Convex.Conic.make] from stripes: row [i] is [g.(i) = (lo, coeffs)],
+   [G_(i, lo + k) = coeffs.(k)]. *)
+let make ~c ~n_orthant ~g ~h =
+  let gdata, goff = pack_rows g in
+  Conic.make ~c ~n_orthant ~glo:(Array.map fst g) ~goff ~gdata ~h
 
 (* Recover a from P = 2 a a^T (the Hessian of a rank-one quadratic
    constraint); [Invalid_argument] when P is not of that form. *)
@@ -100,7 +123,7 @@ let of_problem (p : Quad.problem) =
       quadratic
   in
   let rows = Array.of_list (orthant @ blocks) in
-  Conic.make
+  make
     ~c:(Quad.linear_part p.Quad.objective)
     ~n_orthant:(List.length affine) ~g:(Array.map fst rows)
     ~h:(Array.map snd rows)

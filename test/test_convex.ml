@@ -466,6 +466,33 @@ let test_conic_with_constant () =
            (Conic_reference.of_problem (epigraph_problem ()))
            ~row:1 1.0))
 
+(* [Conic.make] takes [G] packed and checks every index its unchecked
+   kernels will read: the orthant rows [x0 <= 1], [x1 <= 2] and
+   [-x0 - x1 <= 0] over two columns, in every broken variant. *)
+let test_conic_make_validation () =
+  let make ?(glo = [| 0; 1; 0 |]) ?(goff = [| 0; 1; 2; 4 |])
+      ?(gdata = [| 1.0; 1.0; -1.0; -1.0 |]) ?(h = [| 1.0; 2.0; 0.0 |])
+      ?(n_orthant = 3) () =
+    Conic.make ~c:(Vec.of_list [ -1.0; -1.0 ]) ~n_orthant ~glo ~goff ~gdata ~h
+  in
+  let rejected label f =
+    check_bool label true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  (match Conic.solve (make ()) with
+  | Conic.Optimal s ->
+      check_float 1e-6 "the valid instance" (-3.0) s.Conic.objective_value
+  | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st);
+  rejected "one constant short" (fun () -> make ~h:[| 1.0; 2.0 |] ());
+  rejected "cone rows not in threes" (fun () -> make ~n_orthant:2 ());
+  rejected "offsets one short" (fun () -> make ~goff:[| 0; 1; 2 |] ());
+  rejected "offsets not from 0" (fun () -> make ~goff:[| 1; 1; 2; 4 |] ());
+  rejected "decreasing offsets" (fun () -> make ~goff:[| 0; 2; 1; 4 |] ());
+  rejected "offsets past the data" (fun () -> make ~goff:[| 0; 1; 2; 5 |] ());
+  rejected "a stripe before column 0" (fun () -> make ~glo:[| -1; 1; 0 |] ());
+  rejected "a stripe past the last column" (fun () ->
+      make ~glo:[| 0; 1; 1 |] ())
+
 let test_conic_warm_start_and_stats () =
   let p = epigraph_problem () in
   let t = Conic_reference.of_problem p in
@@ -896,7 +923,7 @@ let prop_admit_matches_rows =
             if Random.State.int st 20 = 0 then Float.nan else value ())
       in
       let x = Vec.init n (fun _ -> value ()) in
-      let t = Conic.make ~c:(Vec.zeros n) ~n_orthant:m ~g ~h in
+      let t = Conic_reference.make ~c:(Vec.zeros n) ~n_orthant:m ~g ~h in
       let ws = Conic.make_workspace t in
       let reference =
         Array.mapi
@@ -1028,6 +1055,8 @@ let () =
           Alcotest.test_case "working set" `Quick test_conic_working_set;
           Alcotest.test_case "iteration allocation" `Quick
             test_conic_iteration_allocation;
+          Alcotest.test_case "packed make validation" `Quick
+            test_conic_make_validation;
         ] );
       ( "linprog",
         [

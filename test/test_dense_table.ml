@@ -13,6 +13,10 @@ let check_int = Alcotest.(check int)
 let machine = lazy (Sim.Machine.niagara ())
 let fast_spec = { Protemp.Spec.default with Protemp.Spec.constraint_stride = 4 }
 
+let axis lo hi n =
+  Array.init n (fun i ->
+      lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
+
 (* A cool, mostly-feasible grid: exercises warm starts and
    interpolation without fighting the thermal cap. *)
 let cool_tstarts = [| 60.0; 80.0; 95.0 |]
@@ -202,19 +206,67 @@ let test_audit_certifies_grid () =
     true
     (a.Protemp.Guarantee.worst_margin >= 0.0)
 
+(* The served floor.  A feasible cell's optimum meets the throughput
+   floor [sum_j fhat_j core_fmax_j >= n ftarget] over the model's box
+   [fhat_j <= f_box], and the served vector clamps each [fhat_j] to 1,
+   so a core can lose at most [(f_box - 1) core_fmax_j]; an
+   interior-point optimum may also miss the floor and the box rows by
+   its accepted residual, at most [100 feas_tol max(1, |h|_inf)] in
+   units of fmax, where [|h|_inf <= n_cores] on these grids.  The
+   bound that Dense_table.mli states is the sum. *)
+let floor_shortfall_bound machine =
+  let n = machine.Sim.Machine.n_cores in
+  let eps =
+    100.0 *. Convex.Conic.feas_tol *. Float.max 2.0 (float_of_int n)
+  in
+  let sum_fmax = Array.fold_left ( +. ) 0.0 machine.Sim.Machine.core_fmax in
+  ((Protemp.Model.f_box -. 1.0 +. eps) *. sum_fmax)
+  +. (eps *. machine.Sim.Machine.fmax)
+
+let test_served_floor_bound () =
+  List.iter
+    (fun (name, machine, tstarts, ftargets) ->
+      let dt = D.create ~machine ~spec:fast_spec ~tstarts ~ftargets () in
+      let table = D.to_table ~domains:1 dt in
+      let bound = floor_shortfall_bound machine in
+      let n = float_of_int machine.Sim.Machine.n_cores in
+      let worst = ref neg_infinity and feasible = ref 0 in
+      Array.iteri
+        (fun i _ ->
+          Array.iteri
+            (fun j ftarget ->
+              match Protemp.Table.cell table i j with
+              | Protemp.Table.Infeasible -> ()
+              | Protemp.Table.Frequencies f ->
+                  incr feasible;
+                  worst := Float.max !worst ((n *. ftarget) -. Vec.sum f))
+            ftargets)
+        tstarts;
+      check_bool (name ^ ": feasible cells") true (!feasible > 0);
+      check_bool
+        (Printf.sprintf "%s: worst shortfall %.6g Hz <= bound %.6g Hz" name
+           !worst bound)
+        true (!worst <= bound))
+    [
+      ( "big.LITTLE 150x8",
+        Sim.Machine.biglittle (),
+        axis 27.0 100.0 150,
+        axis 1e8 7e8 8 );
+      ( "Niagara 100x100",
+        Lazy.force machine,
+        axis 27.0 100.0 100,
+        axis 1e8 1e9 100 );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Solver-state release *)
 
 (* Words a table holds beyond its machine.  The machine is shared with
-   every caller, and its window-response cache grows on the first
-   prepare, so it is measured at the same moment and taken out. *)
+   every caller, and its cache of row sets grows on the first prepare,
+   so it is measured at the same moment and taken out. *)
 let table_words dt =
   Obj.reachable_words (Obj.repr dt)
   - Obj.reachable_words (Obj.repr (Lazy.force machine))
-
-let axis lo hi n =
-  Array.init n (fun i ->
-      lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
 
 (* The serving grid of the fleet benchmark's smoke: margin 5, 19x9. *)
 let served_dense () =
@@ -351,6 +403,8 @@ let () =
             test_lookup_beyond_grid_clamps;
           Alcotest.test_case "whole-grid audit" `Slow test_audit_certifies_grid;
           QCheck_alcotest.to_alcotest prop_interpolation_never_less_safe;
+          Alcotest.test_case "served floor within the stated bound" `Slow
+            test_served_floor_bound;
         ] );
       ( "release",
         [

@@ -1496,6 +1496,17 @@ let same_instance (built : Protemp.Model.built) problem =
   && Convex.Conic.n_rows t = Convex.Conic.n_rows reference
   && same_solve (Convex.Conic.solve t) (Convex.Conic.solve reference)
 
+(* The three instance kinds [Model] writes from one machine and spec:
+   a cell, the frontier and a cell from a non-uniform start profile. *)
+let instances ~machine ~spec ~tstart ~ftarget =
+  let t0 =
+    Vec.init machine.Sim.Machine.n_nodes (fun i ->
+        tstart -. float_of_int (i mod 5))
+  in
+  ( Protemp.Model.build ~machine ~spec ~tstart ~ftarget,
+    Protemp.Model.build_frontier ~machine ~spec ~tstart,
+    Protemp.Model.build_with_profile ~machine ~spec ~t0 ~ftarget )
+
 (* [Model.prepare]'s instance at [tstart] against the matmul oracle's
    rows, bit for bit. *)
 let check_prepare_matches_oracle name ~machine ~spec ~tstart =
@@ -1509,36 +1520,32 @@ let check_prepare_matches_oracle name ~machine ~spec ~tstart =
     Alcotest.failf "%s at %.0f C: the instance differs from the matmul oracle"
       name tstart
 
-(* Every variant on both platforms, cells at random start temperatures
-   and targets, their frontiers and cells built from a start profile. *)
+(* Every variant on both platforms at [tmax] and at a 5 C guard band,
+   cells at random start temperatures and targets, their frontiers and
+   cells built from a start profile. *)
 let prop_conic_rows_bit_identical =
   QCheck2.Test.make
     ~name:"model: conic rows bit-identical to the packed reference"
     ~count:30
-    ~print:(fun (big, variant, stride, tstart, frac) ->
-      Printf.sprintf "%s variant %d stride %d tstart %.3f ftarget %.4f fmax"
+    ~print:(fun (big, variant, stride, margin, tstart, frac) ->
+      Printf.sprintf
+        "%s variant %d stride %d margin %.0f tstart %.3f ftarget %.4f fmax"
         (if big then "biglittle" else "niagara")
-        variant stride tstart frac)
+        variant stride margin tstart frac)
     QCheck2.Gen.(
-      tup5 bool (int_range 0 3) (oneofl [ 1; 4 ]) (float_range 27.0 100.0)
-        (float_range 0.0 1.0))
-    (fun (big, variant, stride, tstart, frac) ->
+      tup6 bool (int_range 0 3) (oneofl [ 1; 4 ]) (oneofl [ 0.0; 5.0 ])
+        (float_range 27.0 100.0) (float_range 0.0 1.0))
+    (fun (big, variant, stride, margin, tstart, frac) ->
       let machine = Lazy.force (if big then biglittle else machine) in
-      let spec = working_set_spec ~big ~variant ~stride in
-      let ftarget = frac *. machine.Sim.Machine.fmax in
-      let t0 =
-        Vec.init machine.Sim.Machine.n_nodes (fun i ->
-            tstart -. float_of_int (i mod 5))
+      let spec =
+        Protemp.Spec.guard_band ~margin (working_set_spec ~big ~variant ~stride)
       in
+      let ftarget = frac *. machine.Sim.Machine.fmax in
       let check label built problem =
         same_instance built problem
         || QCheck2.Test.fail_reportf "%s: differs from the reference" label
       in
-      let cell = Protemp.Model.build ~machine ~spec ~tstart ~ftarget in
-      let frontier = Protemp.Model.build_frontier ~machine ~spec ~tstart in
-      let profile =
-        Protemp.Model.build_with_profile ~machine ~spec ~t0 ~ftarget
-      in
+      let cell, frontier, profile = instances ~machine ~spec ~tstart ~ftarget in
       check "cell" cell (Model_reference.problem ~filter:true cell)
       && check "frontier" frontier
            (Model_reference.frontier ~filter:true frontier)
@@ -1569,10 +1576,13 @@ let test_prepare_bit_identical () =
       ("biglittle gradient stride 1", big, gradient_spec d);
     ]
 
-(* The window response is computed once per (machine, steps, stride)
-   and shared: a second request returns the very same record, while
-   another stride, another window or another machine gets its own. *)
-let test_window_response_shared () =
+(* The window response of a (machine, steps, stride): the stride points
+   of its window, and sums that are a function of the machine's data
+   alone — bit for bit the same on every request and on a second
+   machine of the same model, and other sums on another model.  The
+   response itself is not cached; the row sets built from it are
+   (see "fresh machine rows published once"). *)
+let test_window_response_shape () =
   let niagara = Sim.Machine.niagara () and big = Sim.Machine.biglittle () in
   let dt = niagara.Sim.Machine.thermal.Thermal.Rc_model.dt in
   let steps_of period = int_of_float (Float.round (period /. dt)) in
@@ -1580,56 +1590,65 @@ let test_window_response_shared () =
   let response m ~steps ~stride =
     Sim.Machine.window_response m ~steps ~stride
   in
+  let same (a : Sim.Machine.window_response) (b : Sim.Machine.window_response)
+      =
+    a.Sim.Machine.ks = b.Sim.Machine.ks
+    && Array.length a.Sim.Machine.sums = Array.length b.Sim.Machine.sums
+    && Array.for_all2 same_bits a.Sim.Machine.sums b.Sim.Machine.sums
+  in
   let r = response niagara ~steps ~stride:4 in
-  check_bool "a second request returns the same record" true
-    (r == response niagara ~steps ~stride:4);
-  let other_stride = response niagara ~steps ~stride:1 in
-  check_bool "another stride: another record" true (other_stride != r);
+  check_bool "a second request: the same bits" true
+    (same r (response niagara ~steps ~stride:4));
   check_int "stride 1 keeps every step" steps
-    (Array.length other_stride.Sim.Machine.ks);
+    (Array.length (response niagara ~steps ~stride:1).Sim.Machine.ks);
   check_int "stride 4 keeps every 4th step and the last" 63
     (Array.length r.Sim.Machine.ks);
   let other_window = response niagara ~steps:(steps_of 0.05) ~stride:4 in
-  check_bool "another dfs_period: another record" true (other_window != r);
   check_int "a half window ends at its own last step" (steps_of 0.05)
     other_window.Sim.Machine.ks.(Array.length other_window.Sim.Machine.ks - 1);
-  let other_machine = response big ~steps ~stride:4 in
-  check_bool "another machine: another record" true (other_machine != r);
   check_bool "another machine: other sums" false
-    (Array.length other_machine.Sim.Machine.sums
-     = Array.length r.Sim.Machine.sums
-    && Array.for_all2 same_bits other_machine.Sim.Machine.sums
-         r.Sim.Machine.sums);
-  check_bool "the first record is still the one served" true
-    (r == response niagara ~steps ~stride:4);
-  check_bool "another stride is served from the cache too" true
-    (other_stride == response niagara ~steps ~stride:1);
-  (* A second Niagara instance computes its own copy, bit for bit the
-     same: the response is a function of the machine's data alone. *)
-  let fresh = response (Sim.Machine.niagara ()) ~steps ~stride:4 in
-  check_bool "a fresh machine computes its own record" true (fresh != r);
-  check_bool "the same stride points" true
-    (fresh.Sim.Machine.ks = r.Sim.Machine.ks);
-  check_bool "bit-identical sums" true
-    (Array.for_all2 same_bits fresh.Sim.Machine.sums r.Sim.Machine.sums)
+    (same r (response big ~steps ~stride:4));
+  check_bool "a fresh machine of the model: the same bits" true
+    (same r (response (Sim.Machine.niagara ()) ~steps ~stride:4));
+  check_int "nothing is cached" 0 (Sim.Machine.cached_slots niagara)
 
-(* With both responses warm, prepares that alternate between two
-   machines must each read their own machine's response: every row
-   stays bit-identical to the oracle, for every variant at stride 1
-   and 4. *)
+(* With the machines' rows warm, prepares that alternate between two
+   machines must each read their own machine's rows for their own
+   spec: every cell, frontier and profile instance stays bit-identical
+   to the oracle, for every variant (the gradient one with and without
+   its cap) at stride 1 and 4, at [tmax] and at a 5 C guard band. *)
 let test_prepare_alternating_machines () =
   let niagara = Lazy.force machine and big = Lazy.force biglittle in
   let d = Protemp.Spec.default in
+  let uncapped = Protemp.Spec.with_gradient ~weight:0.5 d in
+  let check name ~machine ~spec =
+    let cell, frontier, profile =
+      instances ~machine ~spec ~tstart:60.0 ~ftarget:5e8
+    in
+    List.iter
+      (fun (kind, built, problem) ->
+        if not (same_instance built problem) then
+          Alcotest.failf "%s %s: the instance differs from the matmul oracle"
+            name kind)
+      [
+        ("cell", cell, Model_reference.problem ~filter:true cell);
+        ("frontier", frontier, Model_reference.frontier ~filter:true frontier);
+        ("profile", profile, Model_reference.problem ~filter:true profile);
+      ]
+  in
   List.iter
-    (fun stride ->
+    (fun (stride, margin) ->
       List.iter
         (fun pair ->
           for round = 1 to 2 do
             List.iter
               (fun (name, machine, spec) ->
-                check_prepare_matches_oracle
-                  (Printf.sprintf "%s stride %d, round %d" name stride round)
-                  ~machine ~spec:(with_stride stride spec) ~tstart:60.0)
+                check
+                  (Printf.sprintf "%s stride %d margin %.0f, round %d" name
+                     stride margin round)
+                  ~machine
+                  ~spec:
+                    (Protemp.Spec.guard_band ~margin (with_stride stride spec)))
               pair
           done)
         [
@@ -1640,6 +1659,10 @@ let test_prepare_alternating_machines () =
             ("niagara gradient", niagara, gradient_spec d);
             ("biglittle gradient", big, gradient_spec d);
           ];
+          [
+            ("niagara uncapped gradient", niagara, uncapped);
+            ("biglittle uncapped gradient", big, uncapped);
+          ];
           (* The uniform variant needs a single-class platform, so
              big.LITTLE's variable rows alternate with it. *)
           [
@@ -1647,7 +1670,48 @@ let test_prepare_alternating_machines () =
             ("biglittle variable", big, d);
           ];
         ])
-    [ 1; 4 ]
+    [ (1, 0.0); (4, 0.0); (1, 5.0); (4, 5.0) ]
+
+(* A fresh machine's first prepares, made at once from two domains,
+   race to build its rows: the loser's copy is dropped, so the machine
+   ends with one row set, as a one-domain run does, and the instances
+   are bit for bit the one-domain ones. *)
+let test_rows_published_once () =
+  let spec = gradient_spec (with_stride 4 Protemp.Spec.default) in
+  let tstarts = [| 45.0; 60.0; 75.0; 90.0 |] in
+  let run domains =
+    let machine = Sim.Machine.niagara () in
+    let ready = Atomic.make 0 in
+    let work k () =
+      Atomic.incr ready;
+      while Atomic.get ready < domains do
+        Domain.cpu_relax ()
+      done;
+      List.init (Array.length tstarts / domains) (fun i ->
+          let tstart = tstarts.((k * (Array.length tstarts / domains)) + i) in
+          Protemp.Model.build ~machine ~spec ~tstart ~ftarget:5e8)
+    in
+    let builts =
+      if domains = 1 then work 0 ()
+      else
+        List.concat_map Domain.join
+          (List.init domains (fun k -> Domain.spawn (work k)))
+    in
+    check_int
+      (Printf.sprintf "%d domain(s): one row set" domains)
+      1
+      (Sim.Machine.cached_slots machine);
+    builts
+  in
+  let one = run 1 and two = run 2 in
+  List.iter2
+    (fun (a : Protemp.Model.built) (b : Protemp.Model.built) ->
+      let ta = Lazy.force a.Protemp.Model.conic
+      and tb = Lazy.force b.Protemp.Model.conic in
+      check_bool "2 domains: the 1-domain instance" true
+        (Convex.Conic.n_rows ta = Convex.Conic.n_rows tb
+        && same_solve (Convex.Conic.solve ta) (Convex.Conic.solve tb)))
+    one two
 
 (* Two domains filling rows of a fresh machine race to compute its
    response; the loser's copy is dropped, and the grid is byte for
@@ -1686,8 +1750,9 @@ let test_prepare_allocation_flat () =
   let t0 = Vec.create machine.Sim.Machine.n_nodes 60.0 in
   (* One constrained step (the window's end) and a tmax no row can
      reach, so every window emits the same rows — none.  With the
-     machine's response warm, what is left of a prepare is the base
-     trajectory's step loop, which stores nothing per step. *)
+     machine's rows warm (the first of the five runs builds them), what
+     is left of a prepare is the base trajectory's step loop, which
+     stores nothing per step. *)
   let prepared steps =
     let spec =
       {
@@ -1850,12 +1915,14 @@ let () =
             test_prepare_bit_identical;
           Alcotest.test_case "allocation flat in window length" `Quick
             test_prepare_allocation_flat;
-          Alcotest.test_case "window response shared" `Quick
-            test_window_response_shared;
+          Alcotest.test_case "window response shape" `Quick
+            test_window_response_shape;
           Alcotest.test_case "alternating machines bit-identical" `Quick
             test_prepare_alternating_machines;
           Alcotest.test_case "fresh machine, 1 vs 2 domains" `Quick
             test_fill_fresh_machine_domains;
+          Alcotest.test_case "fresh machine rows published once" `Quick
+            test_rows_published_once;
         ] );
       ( "guarantee",
         [
