@@ -48,6 +48,18 @@ let finite =
   in
   Arg.conv ~docv:"FLOAT" (parse, Arg.conv_printer Arg.float)
 
+(* Likewise a domain count below 1 is a usage error, not a run
+   silently clamped to one domain. *)
+let domain_count =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "%S is not a positive domain count" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
 let platform =
   Arg.(
     value
@@ -173,7 +185,7 @@ let table_cmd =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some domain_count) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Solve table rows on N domains (default: PROTEMP_DOMAINS or the \
@@ -500,7 +512,7 @@ let campaign_cmd =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some domain_count) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Run grid cells on N domains (default: PROTEMP_DOMAINS or the \
@@ -711,7 +723,7 @@ let fleet_cmd =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some domain_count) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Advance chips on N domains (default: PROTEMP_DOMAINS or the \

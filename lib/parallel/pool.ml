@@ -148,4 +148,8 @@ let map_rows t f n =
           results
   end
 
-let map ?domains f n = with_pool ?domains (fun t -> map_rows t f n)
+(* Capped at the task count: no worker for a task that does not
+   exist. *)
+let map ?domains f n =
+  let domains = Option.value domains ~default:(default_domains ()) in
+  with_pool ~domains:(Stdlib.min n domains) (fun t -> map_rows t f n)

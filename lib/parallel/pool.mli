@@ -44,4 +44,5 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
     afterwards, also on exceptions. *)
 
 val map : ?domains:int -> (int -> 'a) -> int -> 'a array
-(** One-shot {!map_rows} on a transient pool. *)
+(** One-shot {!map_rows} on a transient pool of [min domains n]
+    domains: no worker is spawned for a task that does not exist. *)

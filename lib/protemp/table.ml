@@ -189,6 +189,17 @@ let of_csv text =
       seen.(i).(j) <- true;
       cells.(i).(j) <- c)
     parsed;
+  (* A dropped line must not read back as an infeasible cell. *)
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j present ->
+          if not present then
+            failwith
+              (Printf.sprintf "Table.of_csv: missing cell (%.17g, %.17g)"
+                 tstarts.(i) ftargets.(j)))
+        row)
+    seen;
   make ~tstarts ~ftargets cells
 
 let pp ppf t =

@@ -63,7 +63,11 @@ val to_csv : t -> string
 val of_csv : string -> t
 (** Inverse of {!to_csv} (axes are matched exactly — no rounding
     tolerance).  Raises [Failure] on malformed input, a non-finite
-    axis value or a duplicated [(tstart, ftarget)] cell,
-    [Invalid_argument] when the parsed cells fail {!make}'s checks. *)
+    axis value, a duplicated [(tstart, ftarget)] cell or a missing
+    one, [Invalid_argument] when the parsed cells fail {!make}'s
+    checks.  The axes are read from the lines themselves, so a missing
+    cell is caught only while its [tstart] and its [ftarget] each
+    appear on some other line: a CSV without a whole row or a whole
+    column parses as the smaller table. *)
 
 val pp : Format.formatter -> t -> unit

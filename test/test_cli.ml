@@ -1,7 +1,7 @@
 (* Tests for the command line's handling of untrusted numeric flags:
    NaN, infinities and out-of-range guard bands must end the run with a
    usage error and no output file, never with an all-infeasible table
-   and exit status 0. *)
+   and exit status 0; a domain count below 1 is a usage error too. *)
 
 (* The CLI sits in ../bin next to this executable in the build tree
    (test/dune lists it as a dependency). *)
@@ -32,6 +32,35 @@ let rejects name args () =
   Alcotest.(check int) (name ^ ": usage error") 124 status;
   Alcotest.(check bool) (name ^ ": no table written") false written
 
+(* Exit status of the CLI on [args] and its standard error. *)
+let run_stderr args =
+  let err = Filename.temp_file "protemp_cli" ".err" in
+  let cmd =
+    String.concat " " (List.map Filename.quote (cli :: args))
+    ^ " > /dev/null 2> " ^ Filename.quote err
+  in
+  let status = Sys.command cmd in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (status, text)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* [--domains] below 1 on each command that takes it: a usage error
+   that names the flag's value, before any work starts. *)
+let rejects_domains command value () =
+  let status, err = run_stderr [ command; "--domains=" ^ value ] in
+  Alcotest.(check int) "usage error" 124 status;
+  Alcotest.(check bool)
+    (Printf.sprintf "names the bad count: %s" err)
+    true
+    (contains ~sub:"is not a positive domain count" err)
+
 let test_accepts_finite_margin () =
   let status, written = run ([ "table"; "--margin"; "2" ] @ small) in
   Alcotest.(check int) "exit status" 0 status;
@@ -57,4 +86,15 @@ let () =
           Alcotest.test_case "finite margin accepted" `Quick
             test_accepts_finite_margin;
         ] );
+      ( "domains",
+        List.concat_map
+          (fun command ->
+            List.map
+              (fun value ->
+                Alcotest.test_case
+                  (Printf.sprintf "%s --domains=%s" command value)
+                  `Quick
+                  (rejects_domains command value))
+              [ "0"; "-1" ])
+          [ "table"; "campaign"; "fleet" ] );
     ]

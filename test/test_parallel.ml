@@ -38,6 +38,18 @@ let test_pool_edge_sizes () =
   check_bool "clamped" true
     (Parallel.Pool.map ~domains:0 (fun i -> i) 3 = [| 0; 1; 2 |])
 
+(* More domains than tasks: the pool is capped at the task count, and
+   the results are the same array as a sequential loop's. *)
+let test_pool_more_domains_than_tasks () =
+  List.iter
+    (fun (domains, n) ->
+      check_bool
+        (Printf.sprintf "%d domains, %d tasks" domains n)
+        true
+        (Parallel.Pool.map ~domains (fun i -> (i * 7) + 1) n
+        = Array.init n (fun i -> (i * 7) + 1)))
+    [ (2, 1); (3, 2); (4, 3) ]
+
 let test_pool_propagates_first_exception () =
   match
     Parallel.Pool.map ~domains:4
@@ -367,6 +379,8 @@ let () =
           Alcotest.test_case "reuse across batches" `Quick
             test_pool_reuse_across_batches;
           Alcotest.test_case "edge sizes" `Quick test_pool_edge_sizes;
+          Alcotest.test_case "more domains than tasks" `Quick
+            test_pool_more_domains_than_tasks;
           Alcotest.test_case "first exception wins" `Quick
             test_pool_propagates_first_exception;
           Alcotest.test_case "sequential fallback" `Quick

@@ -222,6 +222,24 @@ let test_table_csv_rejects_duplicates () =
     | _ -> false
     | exception Failure _ -> true)
 
+(* A dropped line of a table of at least 2x2 leaves its row and its
+   column on other lines, so the hole is detectable: it must fail
+   closed, never read back as an infeasible cell. *)
+let test_table_csv_rejects_missing_cell () =
+  let lines =
+    String.split_on_char '\n' (Protemp.Table.to_csv (synthetic_table ()))
+    |> List.filter (fun l -> l <> "")
+  in
+  List.iteri
+    (fun k _ ->
+      let csv = String.concat "\n" (List.filteri (fun k' _ -> k' <> k) lines) in
+      check_bool (Printf.sprintf "line %d dropped" k) true
+        (match Protemp.Table.of_csv csv with
+        | _ -> false
+        | exception Failure m ->
+            String.starts_with ~prefix:"Table.of_csv: missing cell" m))
+    lines
+
 (* An infinite cell would be clamped to the core's ceiling and run it
    flat out; a NaN axis value matches no exact lookup.  Both kinds of
    input fail closed, in [make] and through [of_csv]. *)
@@ -1413,9 +1431,9 @@ let test_stall_path_seed_picks_retry_set () =
         Protemp.Dense_table.create ~machine ~spec ~tstarts:[| tstart |]
           ~ftargets ()
       in
-      ignore (Protemp.Dense_table.fill ~domains:1 dt);
+      let table = Protemp.Dense_table.to_table ~domains:1 dt in
       let infeasible j =
-        match Protemp.Dense_table.cell dt 0 j with
+        match Protemp.Table.cell table 0 j with
         | Protemp.Table.Infeasible -> true
         | Protemp.Table.Frequencies _ -> false
       in
@@ -1824,6 +1842,8 @@ let () =
           Alcotest.test_case "csv roundtrip" `Quick test_table_csv_roundtrip;
           Alcotest.test_case "csv rejects duplicates" `Quick
             test_table_csv_rejects_duplicates;
+          Alcotest.test_case "csv rejects a missing cell" `Quick
+            test_table_csv_rejects_missing_cell;
           Alcotest.test_case "cell dimension validation" `Quick
             test_table_make_validates_cell_dimensions;
           Alcotest.test_case "non-finite input rejected" `Quick
