@@ -48,17 +48,39 @@ let finite =
   in
   Arg.conv ~docv:"FLOAT" (parse, Arg.conv_printer Arg.float)
 
-(* Likewise a domain count below 1 is a usage error, not a run
-   silently clamped to one domain. *)
-let domain_count =
+(* Finite and within a range: a negative noise magnitude or penalty,
+   or a routing window that is not positive, is a usage error too, not
+   an exception from the library. *)
+let finite_where ok what =
+  let parse s =
+    match Arg.conv_parser finite s with
+    | Ok x when ok x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"FLOAT" (parse, Arg.conv_printer finite)
+
+let non_negative = finite_where (fun x -> x >= 0.0) "a non-negative number"
+
+(* Likewise a count below 1 (domains, tasks, chips, ladder levels,
+   staleness, stride) is a usage error, not a run silently clamped to
+   one domain or an exception from the library. *)
+let positive what =
   let parse s =
     match Arg.conv_parser Arg.int s with
     | Ok n when n >= 1 -> Ok n
-    | Ok _ ->
-        Error (`Msg (Printf.sprintf "%S is not a positive domain count" s))
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a positive %s" s what))
     | Error _ as e -> e
   in
   Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
+let domain_count = positive "domain count"
+
+let mix_doc = "web, multimedia, compute or mix."
+
+(* Workload names, checked at parse time. *)
+let mix =
+  Arg.enum (List.map (fun m -> (m.Workload.Mix.name, m)) Workload.Mix.all)
 
 let platform =
   Arg.(
@@ -82,7 +104,7 @@ let gradient =
 
 let stride =
   Arg.(
-    value & opt int 1
+    value & opt (positive "stride") 1
     & info [ "stride" ] ~docv:"N"
         ~doc:"Enforce the thermal cap every N-th step (1 = the paper).")
 
@@ -127,7 +149,9 @@ let solve_cmd =
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve one Eq. 3/5 design point.")
-    Term.(const run $ platform $ uniform $ gradient $ stride $ tstart $ ftarget)
+    Term.(
+      map Result.ok
+        (const run $ platform $ uniform $ gradient $ stride $ tstart $ ftarget))
 
 (* ----- frontier ----- *)
 
@@ -151,7 +175,9 @@ let frontier_cmd =
   Cmd.v
     (Cmd.info "frontier"
        ~doc:"Maximum supportable frequency from a starting temperature.")
-    Term.(const run $ platform $ uniform $ gradient $ stride $ tstart)
+    Term.(
+      map Result.ok
+        (const run $ platform $ uniform $ gradient $ stride $ tstart))
 
 (* ----- table ----- *)
 
@@ -232,8 +258,9 @@ let table_cmd =
     (Cmd.info "table"
        ~doc:"Build the Phase-1 table (one Eq. 3 solve per cell) and store it.")
     Term.(
-      const run $ platform $ uniform $ gradient $ stride $ tstarts $ ftargets
-      $ domains $ margin $ out_file)
+      map Result.ok
+        (const run $ platform $ uniform $ gradient $ stride $ tstarts
+       $ ftargets $ domains $ margin $ out_file))
 
 (* ----- validate ----- *)
 
@@ -243,17 +270,28 @@ let table_file =
     & opt (some file) None
     & info [ "table" ] ~docv:"FILE" ~doc:"Table CSV produced by 'table'.")
 
+(* A table file that cannot be read or parsed is an [Error] that ends
+   the run with one line, "protemp: FILE: REASON", and exit status 123
+   (see the [Cmd.eval_result'] below); never an uncaught exception. *)
 let load_table file =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  Protemp.Table.of_csv s
+  match
+    Protemp.Table.of_csv (In_channel.with_open_bin file In_channel.input_all)
+  with
+  | table -> Ok table
+  | exception (Sys_error reason | Failure reason | Invalid_argument reason) ->
+      Error (Printf.sprintf "%s: %s" file reason)
+
+let load_table_opt = function
+  | None -> Ok None
+  | Some file -> Result.map Option.some (load_table file)
+
+let ( let* ) = Result.bind
+let ( let+ ) r f = Result.map f r
 
 let validate_cmd =
   let run platform stride table_file =
+    let+ table = load_table table_file in
     let spec = spec_of ~uniform:false ~gradient:None ~stride in
-    let table = load_table table_file in
     let audit =
       Protemp.Guarantee.audit_table ~machine:(machine_of platform) ~spec table
     in
@@ -296,7 +334,7 @@ let simulate_cmd =
   let ladder =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (positive "ladder size")) None
       & info [ "ladder" ] ~docv:"LEVELS"
           ~doc:"Quantize the table onto a discrete DVFS ladder.")
   in
@@ -311,11 +349,15 @@ let simulate_cmd =
   in
   let mix =
     Arg.(
-      value & opt string "mix"
-      & info [ "mix" ] ~docv:"NAME" ~doc:"web, multimedia, compute or mix.")
+      value
+      & opt mix Workload.Mix.paper_mix
+      & info [ "mix" ] ~docv:"NAME" ~doc:mix_doc)
   in
   let tasks =
-    Arg.(value & opt int 20000 & info [ "tasks" ] ~docv:"N" ~doc:"Trace size.")
+    Arg.(
+      value
+      & opt (positive "task count") 20000
+      & info [ "tasks" ] ~docv:"N" ~doc:"Trace size.")
   in
   let seed =
     Arg.(value & opt int 2008 & info [ "seed" ] ~docv:"N" ~doc:"Trace seed.")
@@ -327,17 +369,26 @@ let simulate_cmd =
           ~doc:"Use the efficient (coolest-first) task assignment.")
   in
   let margin =
-    Arg.(
-      value & opt finite 0.0
-      & info [ "margin" ] ~docv:"C"
-          ~doc:
-            "Guard band in degrees C (online only): solve against tmax - \
-             margin so bounded sensor faults cannot break the cap.")
+    (* The guard band the online controller will apply, checked here. *)
+    let check margin =
+      match Protemp.Spec.guard_band ~margin Protemp.Spec.default with
+      | _ -> Ok margin
+      | exception Invalid_argument msg -> Error (`Msg msg)
+    in
+    Term.(
+      cli_parse_result
+        (const check
+        $ Arg.(
+            value & opt finite 0.0
+            & info [ "margin" ] ~docv:"C"
+                ~doc:
+                  "Guard band in degrees C (online only): solve against tmax \
+                   - margin so bounded sensor faults cannot break the cap.")))
   in
   let sensor_noise =
     Arg.(
       value
-      & opt (some finite) None
+      & opt (some non_negative) None
       & info [ "sensor-noise" ] ~docv:"MAG"
           ~doc:
             "Inject uniform [-MAG, +MAG] degrees C sensor noise on every \
@@ -346,7 +397,7 @@ let simulate_cmd =
   let stale =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (positive "staleness")) None
       & info [ "stale" ] ~docv:"N"
           ~doc:"The controller sees temperatures N decisions old.")
   in
@@ -374,19 +425,42 @@ let simulate_cmd =
   let actuator_levels =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (positive "ladder size")) None
       & info [ "actuator-levels" ] ~docv:"N"
           ~doc:
             "Quantize decided frequencies through a uniform N-level DVFS \
              ladder (actuator-side; contrast with --ladder, which quantizes \
              the table itself).")
   in
-  let run platform controller table_file mix tasks seed coolest ladder
-      migration margin sensor_noise stale stuck_core stuck_at fault_seed
+  (* pro-temp without a table, and a stuck sensor on a core the chip
+     does not have, are usage errors. *)
+  let controller =
+    let check controller table =
+      match (controller, table) with
+      | `Pro, None -> Error (`Msg "--controller pro-temp needs --table")
+      | c, _ -> Ok (c, table)
+    in
+    Term.(cli_parse_result (const check $ controller $ table_file))
+  in
+  let machine =
+    let check platform core =
+      let machine = machine_of platform in
+      let n = machine.Sim.Machine.n_cores in
+      match core with
+      | Some c when c < 0 || c >= n ->
+          Error
+            (`Msg
+              (Printf.sprintf "--stuck-core %d: the chip has cores 0 to %d" c
+                 (n - 1)))
+      | Some _ | None -> Ok (machine, core)
+    in
+    Term.(cli_parse_result (const check $ platform $ stuck_core))
+  in
+  let run (machine, stuck_core) (controller, table_file) mix tasks seed
+      coolest ladder migration margin sensor_noise stale stuck_at fault_seed
       actuator_levels =
-    let machine = machine_of platform in
-    let load_quantized f =
-      let t = load_table f in
+    let+ table = load_table_opt table_file in
+    let quantized t =
       match ladder with
       | None -> t
       | Some levels ->
@@ -403,15 +477,14 @@ let simulate_cmd =
           let spec =
             { Protemp.Spec.default with Protemp.Spec.constraint_stride = 8 }
           in
-          let fallback = Option.map load_quantized table_file in
+          let fallback = Option.map quantized table in
           let t = Protemp.Online.create ?fallback ~margin ~machine ~spec () in
           online := Some t;
           Protemp.Online.controller t
       | `Integral -> Sim.Policy.integral_feedback ()
-      | `Pro -> (
-          match table_file with
-          | None -> failwith "pro-temp needs --table"
-          | Some f -> Protemp.Controller.create ~table:(load_quantized f))
+      | `Pro ->
+          (* [controller] rejects pro-temp without --table. *)
+          Protemp.Controller.create ~table:(quantized (Option.get table))
     in
     let faults =
       List.concat
@@ -442,10 +515,6 @@ let simulate_cmd =
         ]
     in
     let ctrl = Sim.Fault.wrap ~faults ctrl in
-    let mix =
-      try Workload.Mix.by_name mix
-      with Not_found -> failwith ("unknown mix " ^ mix)
-    in
     let trace =
       Workload.Trace.generate ~seed:(Int64.of_int seed) ~n_tasks:tasks mix
     in
@@ -480,9 +549,9 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a trace under a controller.")
     Term.(
-      const run $ platform $ controller $ table_file $ mix $ tasks $ seed
-      $ coolest $ ladder $ migration $ margin $ sensor_noise $ stale
-      $ stuck_core $ stuck_at $ fault_seed $ actuator_levels)
+      const run $ machine $ controller $ mix $ tasks $ seed $ coolest $ ladder
+      $ migration $ margin $ sensor_noise $ stale $ stuck_at $ fault_seed
+      $ actuator_levels)
 
 (* ----- campaign ----- *)
 
@@ -497,13 +566,13 @@ let campaign_cmd =
   let mixes =
     Arg.(
       value
-      & opt (list string) [ "mix" ]
+      & opt (list mix) [ Workload.Mix.paper_mix ]
       & info [ "mixes" ] ~docv:"NAME1,NAME2,..."
-          ~doc:"Workload scenarios: web, multimedia, compute or mix.")
+          ~doc:("Workload scenarios: " ^ mix_doc))
   in
   let tasks =
     Arg.(
-      value & opt int 20000
+      value & opt (positive "task count") 20000
       & info [ "tasks" ] ~docv:"N" ~doc:"Tasks per scenario trace.")
   in
   let seed =
@@ -530,7 +599,7 @@ let campaign_cmd =
   let noise_axis =
     Arg.(
       value
-      & opt (list finite) []
+      & opt (list non_negative) []
       & info [ "sensor-noise" ] ~docv:"MAG1,MAG2,..."
           ~doc:
             "Add fault-axis coordinates with uniform sensor noise of these \
@@ -539,7 +608,7 @@ let campaign_cmd =
   let stale_axis =
     Arg.(
       value
-      & opt (list int) []
+      & opt (list (positive "staleness")) []
       & info [ "stale" ] ~docv:"N1,N2,..."
           ~doc:
             "Add fault-axis coordinates where observations are N decisions \
@@ -560,6 +629,8 @@ let campaign_cmd =
   in
   let run platform table_file guarded_table_file mixes tasks seed domains
       noise_axis stale_axis fault_seed online =
+    let* table = load_table_opt table_file in
+    let+ guarded_table = load_table_opt guarded_table_file in
     let machine = machine_of platform in
     let fmax = machine.Sim.Machine.fmax in
     let controllers =
@@ -568,15 +639,13 @@ let campaign_cmd =
         ("basic-dfs", fun () -> Protemp.Basic_dfs.create ~fmax ());
         ("integral", fun () -> Sim.Policy.integral_feedback ());
       ]
-      @ (match table_file with
+      @ (match table with
         | None -> []
-        | Some f ->
-            let table = load_table f in
+        | Some table ->
             [ ("pro-temp", fun () -> Protemp.Controller.create ~table) ])
-      @ (match guarded_table_file with
+      @ (match guarded_table with
         | None -> []
-        | Some f ->
-            let table = load_table f in
+        | Some table ->
             [ ("pro-temp-guarded", fun () -> Protemp.Controller.create ~table) ])
       @
       if not online then []
@@ -588,12 +657,11 @@ let campaign_cmd =
         let spec =
           { Protemp.Spec.default with Protemp.Spec.constraint_stride = 8 }
         in
-        let fallback = Option.map load_table table_file in
         [
           ( "online",
             fun () ->
               Protemp.Online.controller
-                (Protemp.Online.create ?fallback ~machine ~spec ()) );
+                (Protemp.Online.create ?fallback:table ~machine ~spec ()) );
         ]
     in
     let faults =
@@ -614,13 +682,9 @@ let campaign_cmd =
     let faults = if faults = [] then [] else ("none", []) :: faults in
     let scenarios =
       List.map
-        (fun name ->
-          let mix =
-            try Workload.Mix.by_name name
-            with Not_found -> failwith ("unknown mix " ^ name)
-          in
-          Sim.Campaign.scenario ~seed:(Int64.of_int seed) ~n_tasks:tasks ~name
-            mix)
+        (fun mix ->
+          Sim.Campaign.scenario ~seed:(Int64.of_int seed) ~n_tasks:tasks
+            ~name:mix.Workload.Mix.name mix)
         mixes
     in
     let spec =
@@ -664,15 +728,22 @@ let campaign_cmd =
 
 let fleet_cmd =
   let chips =
-    Arg.(value & opt int 4 & info [ "chips" ] ~docv:"N" ~doc:"Fleet size.")
+    Arg.(
+      value
+      & opt (positive "fleet size") 4
+      & info [ "chips" ] ~docv:"N" ~doc:"Fleet size.")
   in
   let tasks =
-    Arg.(value & opt int 20000 & info [ "tasks" ] ~docv:"N" ~doc:"Trace size.")
+    Arg.(
+      value
+      & opt (positive "task count") 20000
+      & info [ "tasks" ] ~docv:"N" ~doc:"Trace size.")
   in
   let mix =
     Arg.(
-      value & opt string "mix"
-      & info [ "mix" ] ~docv:"NAME" ~doc:"web, multimedia, compute or mix.")
+      value
+      & opt mix Workload.Mix.paper_mix
+      & info [ "mix" ] ~docv:"NAME" ~doc:mix_doc)
   in
   let seed =
     Arg.(value & opt int 2008 & info [ "seed" ] ~docv:"N" ~doc:"Trace seed.")
@@ -680,7 +751,7 @@ let fleet_cmd =
   let trace_cores =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (positive "core count")) None
       & info [ "trace-cores" ] ~docv:"N"
           ~doc:
             "Scale the trace's offered load to N cores (default: the whole \
@@ -703,7 +774,7 @@ let fleet_cmd =
   in
   let penalty =
     Arg.(
-      value & opt finite 50.0
+      value & opt non_negative 50.0
       & info [ "penalty" ] ~docv:"C_PER_S"
           ~doc:
             "Shadow warming per second of routed work, so one window's tasks \
@@ -711,7 +782,7 @@ let fleet_cmd =
   in
   let window =
     Arg.(
-      value & opt finite 0.1
+      value & opt (finite_where (fun x -> x > 0.0) "a positive number") 0.1
       & info [ "window" ] ~docv:"SECONDS" ~doc:"Routing window length.")
   in
   let migrate =
@@ -740,11 +811,8 @@ let fleet_cmd =
   in
   let run platform chips tasks mix seed trace_cores balancer guard penalty
       window migrate domains table_file =
+    let+ table = load_table_opt table_file in
     let machine = machine_of platform in
-    let mix =
-      try Workload.Mix.by_name mix
-      with Not_found -> failwith ("unknown mix " ^ mix)
-    in
     let n_cores =
       match trace_cores with
       | Some n -> n
@@ -755,11 +823,9 @@ let fleet_cmd =
         ~n_tasks:tasks mix
     in
     let controller =
-      match table_file with
+      match table with
       | None -> fun () -> Sim.Policy.workload_following ~fmax:machine.Sim.Machine.fmax
-      | Some f ->
-          let table = load_table f in
-          fun () -> Protemp.Controller.create ~table
+      | Some table -> fun () -> Protemp.Controller.create ~table
     in
     let chip _ =
       Fleet.Chip.create ~machine ~controller:(controller ())
@@ -917,12 +983,17 @@ let lint_cmd =
           mli-coverage, units-of-measure and cross-domain-capture \
           invariants over the repository sources.")
     Term.(
-      const run $ json $ manifest $ units $ baseline $ update_baseline
-      $ no_typed $ root)
+      map Result.ok
+        (const run $ json $ manifest $ units $ baseline $ update_baseline
+       $ no_typed $ root))
 
 let () =
   let doc = "Pro-Temp: convex-optimization thermal control of multi-cores" in
   let info = Cmd.info "protemp" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval' (Cmd.group info
-                     [ solve_cmd; frontier_cmd; table_cmd; validate_cmd;
-                       simulate_cmd; campaign_cmd; fleet_cmd; lint_cmd ]))
+  (* A command's [Error] (an unreadable table file) exits 123; usage
+     errors keep 124. *)
+  exit
+    (Cmd.eval_result'
+       (Cmd.group info
+          [ solve_cmd; frontier_cmd; table_cmd; validate_cmd; simulate_cmd;
+            campaign_cmd; fleet_cmd; lint_cmd ]))

@@ -32,7 +32,9 @@ let () =
         s.Protemp.Model.raw.Convex.Solve.gap;
       (* Double-check the guarantee against the thermal simulator. *)
       let peak =
-        Protemp.Model.predicted_peak built s.Protemp.Model.frequencies
+        Protemp.Guarantee.window_peak ~machine
+          ~dfs_period:spec.Protemp.Spec.dfs_period ~tstart:85.0
+          ~frequencies:s.Protemp.Model.frequencies
       in
       Printf.printf "Simulated window peak: %.2f C (cap %.0f C)\n" peak
         spec.Protemp.Spec.tmax);

@@ -55,8 +55,6 @@ let expm a =
   done;
   !e
 
-let expm_action a v = Mat.mul_vec (expm a) v
-
 (* phi_1 via the block-matrix trick: expm [[A, I]; [0, 0]] has phi_1(A)
    in its upper-right block. *)
 let phi1 a =

@@ -8,10 +8,6 @@ val expm : Mat.t -> Mat.t
 (** [expm a] is [e^a] for a square matrix, via [6/6] Padé with
     scaling-and-squaring. *)
 
-val expm_action : Mat.t -> Vec.t -> Vec.t
-(** [expm_action a v] is [e^a * v] (currently computes [expm a]
-    first; a dedicated Krylov routine is future work). *)
-
 val phi1 : Mat.t -> Mat.t
 (** [phi1 a] is the phi-function [phi_1(a) = a^{-1}(e^a - I)], extended
     continuously at singular [a] by its Taylor series.  With it, the

@@ -103,81 +103,18 @@ let matmul a b =
 
 let fill m x = Array.fill m.data 0 (Array.length m.data) x
 
-let gemv_into ?(trans = false) ?(alpha = 1.0) ?(beta = 0.0) a x ~dst =
-  let m = a.rows and n = a.cols in
-  let data = a.data in
-  if trans then begin
-    if Vec.dim x <> m then invalid_arg "Mat.gemv_into: dimension mismatch";
-    if Vec.dim dst <> n then invalid_arg "Mat.gemv_into: bad destination";
-    if beta = 0.0 then Vec.fill dst 0.0 (* lint: float-equality exact dispatch on the blas-style default *)
-    else if beta <> 1.0 then Vec.scale_into ~dst beta; (* lint: float-equality exact dispatch on the blas-style default *)
-    for i = 0 to m - 1 do
-      let xi = alpha *. x.(i) in
-      if xi <> 0.0 then begin (* lint: float-equality exact-zero skip, hot kernel *)
-        let base = i * n in
-        for j = 0 to n - 1 do
-          dst.(j) <- dst.(j) +. (xi *. data.(base + j))
-        done
-      end
-    done
-  end
-  else begin
-    if Vec.dim x <> n then invalid_arg "Mat.gemv_into: dimension mismatch";
-    if Vec.dim dst <> m then invalid_arg "Mat.gemv_into: bad destination";
-    for i = 0 to m - 1 do
-      let acc = ref 0.0 in
-      let base = i * n in
-      for j = 0 to n - 1 do
-        acc := !acc +. (data.(base + j) *. x.(j))
-      done;
-      dst.(i) <-
-        (* lint: float-equality exact dispatch on the blas-style default *)
-        (if beta = 0.0 then alpha *. !acc
-         else (alpha *. !acc) +. (beta *. dst.(i)))
-    done
-  end
-
 let mul_vec_into a x ~dst =
   if a.cols <> Vec.dim x then
     invalid_arg "Mat.mul_vec_into: dimension mismatch";
   if a.rows <> Vec.dim dst then
     invalid_arg "Mat.mul_vec_into: bad destination";
-  (* Each row is one chain of dependent adds, so a single accumulator
-     waits on the add latency at every entry.  Four rows per pass over
-     [x] run four independent chains side by side; each keeps its own
-     left-to-right sum from [0.0], so every entry has the same bits as
-     the one-row loop below, which sums the remainder rows.  The
-     dimensions are checked above, so the unchecked accesses stay
-     within [data] (rows * cols entries), [x] and [dst]. *)
-  let n = a.cols and data = a.data in
-  let quads = a.rows / 4 in
-  for r = 0 to quads - 1 do
-    let i = 4 * r in
-    let b0 = i * n in
-    let b1 = b0 + n in
-    let b2 = b1 + n in
-    let b3 = b2 + n in
-    let acc0 = ref 0.0 and acc1 = ref 0.0 in
-    let acc2 = ref 0.0 and acc3 = ref 0.0 in
-    for j = 0 to n - 1 do
-      let xj = Array.unsafe_get x j in
-      acc0 := !acc0 +. (Array.unsafe_get data (b0 + j) *. xj);
-      acc1 := !acc1 +. (Array.unsafe_get data (b1 + j) *. xj);
-      acc2 := !acc2 +. (Array.unsafe_get data (b2 + j) *. xj);
-      acc3 := !acc3 +. (Array.unsafe_get data (b3 + j) *. xj)
-    done;
-    Array.unsafe_set dst i !acc0;
-    Array.unsafe_set dst (i + 1) !acc1;
-    Array.unsafe_set dst (i + 2) !acc2;
-    Array.unsafe_set dst (i + 3) !acc3
-  done;
-  for i = 4 * quads to a.rows - 1 do
+  for i = 0 to a.rows - 1 do
     let acc = ref 0.0 in
-    let base = i * n in
-    for j = 0 to n - 1 do
-      acc := !acc +. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
+    let base = i * a.cols in
+    for j = 0 to a.cols - 1 do
+      acc := !acc +. (a.data.(base + j) *. x.(j))
     done;
-    Array.unsafe_set dst i !acc
+    dst.(i) <- !acc
   done
 
 let mul_vec a x =

@@ -55,15 +55,6 @@ val matmul : t -> t -> t
 val fill : t -> float -> unit
 (** Set every entry to the given value in place. *)
 
-val gemv_into :
-  ?trans:bool -> ?alpha:float -> ?beta:float -> t -> Vec.t -> dst:Vec.t -> unit
-(** [gemv_into ~trans ~alpha ~beta a x ~dst] updates
-    [dst := alpha * op(a) * x + beta * dst] in place, where [op] is the
-    identity ([trans = false], the default) or the transpose
-    ([trans = true], computed without forming it).  Defaults
-    [alpha = 1.0], [beta = 0.0] (plain overwrite; [dst]'s prior
-    contents are then ignored entirely).  [dst] must not alias [x]. *)
-
 val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec a x] is [a * x]. *)
 
@@ -74,13 +65,10 @@ val mul_vec_into : t -> Vec.t -> dst:Vec.t -> unit
     Summation order, guaranteed: every entry is the left-to-right sum
     [(((0.0 + a_i0 x_0) + a_i1 x_1) + ...) + a_i(n-1) x_(n-1)], one
     rounded product and one rounded add per column, with no
-    reassociation and no fused multiply-add — the same bits as a naive
-    one-row loop, whatever the row count or the kernel's blocking.
-    [Rc_model.step_temperature_into] inherits it, and
-    [Protemp.Model]'s base trajectory, [Protemp.Guarantee]'s window
-    peaks and the compiled stepper's bit-identity to the dense step
-    all rely on it.  {!mul_vec} and {!gemv_into} (with [trans = false],
-    before [alpha] and [beta]) sum in the same order. *)
+    reassociation and no fused multiply-add.
+    [Thermal.Rc_model.step_temperature] inherits it, and the compiled
+    stepper's bit-identity to that dense step rests on it.  {!mul_vec}
+    sums in the same order. *)
 
 val tmul_vec : t -> Vec.t -> Vec.t
 (** [tmul_vec a x] is [transpose a * x], without forming the

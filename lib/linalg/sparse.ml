@@ -94,16 +94,6 @@ let transpose m =
   iter_entries m (fun i j v -> trips := { row = j; col = i; value = v } :: !trips);
   of_triplets ~rows:m.cols ~cols:m.rows !trips
 
-let scale c m = { m with values = Array.map (fun v -> c *. v) m.values }
-
-let is_symmetric ?(tol = 1e-9) m =
-  m.rows = m.cols
-  &&
-  let ok = ref true in
-  iter_entries m (fun i j v ->
-      if Float.abs (v -. get m j i) > tol then ok := false);
-  !ok
-
 type cg_result = {
   solution : Vec.t;
   iterations : int;

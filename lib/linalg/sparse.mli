@@ -26,10 +26,6 @@ val to_dense : t -> Mat.t
 
 val transpose : t -> t
 
-val scale : float -> t -> t
-
-val is_symmetric : ?tol:float -> t -> bool
-
 type cg_result = {
   solution : Vec.t;
   iterations : int;

@@ -31,10 +31,6 @@ let linspace a b n =
 let to_list = Array.to_list
 let map = Array.map
 
-let map2 f x y =
-  check_same_dim "map2" x y;
-  Array.init (dim x) (fun i -> f x.(i) y.(i))
-
 let add x y =
   check_same_dim "add" x y;
   Array.init (dim x) (fun i -> x.(i) +. y.(i))

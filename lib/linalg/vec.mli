@@ -80,8 +80,6 @@ val argmin : t -> int
 
 val map : (float -> float) -> t -> t
 
-val map2 : (float -> float -> float) -> t -> t -> t
-
 val concat : t -> t -> t
 
 val slice : t -> int -> int -> t

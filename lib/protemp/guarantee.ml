@@ -1,9 +1,7 @@
 open Linalg
 
 let window_peak ~machine ~dfs_period ~tstart ~frequencies =
-  let thermal = machine.Sim.Machine.thermal in
-  let dt = thermal.Thermal.Rc_model.dt in
-  let steps = int_of_float (Float.round (dfs_period /. dt)) in
+  let steps = Sim.Machine.window_steps machine ~period:dfs_period in
   if steps < 1 then invalid_arg "Guarantee.window_peak: window too short";
   if Vec.dim frequencies <> machine.Sim.Machine.n_cores then
     invalid_arg "Guarantee.window_peak: need one frequency per core";
@@ -12,7 +10,7 @@ let window_peak ~machine ~dfs_period ~tstart ~frequencies =
       ~busy:(Array.make machine.Sim.Machine.n_cores true)
   in
   let t0 = Vec.create machine.Sim.Machine.n_nodes tstart in
-  Thermal.Transient.peak_const thermal ~t0 ~steps power
+  Thermal.Transient.peak_const machine.Sim.Machine.thermal ~t0 ~steps power
 
 let uniform_table ~machine ~(spec : Spec.t) ?(margin = 0.0) ~tstarts ~ftargets
     () =

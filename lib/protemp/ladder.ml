@@ -20,26 +20,9 @@ let uniform ~fmax ~levels =
 
 let levels t = Array.copy t.levels
 
-let floor t f =
-  (* Largest level <= f, by binary search. *)
-  let n = Array.length t.levels in
-  if n = 0 || f < t.levels.(0) then 0.0
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if t.levels.(mid) <= f then lo := mid else hi := mid - 1
-    done;
-    t.levels.(!lo)
-  end
+let floor t f = Sim.Fault.ladder_floor t.levels f
 
-let quantize_down t v = Vec.map (floor t) v
-
-(* Shared by the uniform and per-core quantizers: [floor_of c f] is
-   the ladder floor for core [c].  The re-labelling rule below works
-   in absolute Hz, so it is independent of which ladder produced each
-   entry. *)
-let requantize ~floor_of table =
+let quantize_table t table =
   let tstarts = Table.tstarts table in
   let ftargets = Table.ftargets table in
   let n_cols = Array.length ftargets in
@@ -52,7 +35,7 @@ let requantize ~floor_of table =
         match Table.cell table i j with
         | Table.Infeasible -> ()
         | Table.Frequencies f ->
-            let q = Vec.init (Vec.dim f) (fun c -> floor_of c f.(c)) in
+            let q = Vec.map (floor t) f in
             let sum = Vec.sum q in
             let n = float_of_int (Vec.dim q) in
             (* The highest column whose throughput promise the
@@ -81,17 +64,3 @@ let requantize ~floor_of table =
       done)
     tstarts;
   Table.make ~tstarts ~ftargets cells
-
-let quantize_table t table = requantize ~floor_of:(fun _ f -> floor t f) table
-
-let uniform_per_core ~core_fmax ~levels =
-  if Array.length core_fmax = 0 then
-    invalid_arg "Ladder.uniform_per_core: no cores";
-  Array.map (fun fm -> uniform ~fmax:fm ~levels) core_fmax
-
-let quantize_table_per_core ladders table =
-  (match Table.core_count table with
-  | Some n when n <> Array.length ladders ->
-      invalid_arg "Ladder.quantize_table_per_core: one ladder per core"
-  | Some _ | None -> ());
-  requantize ~floor_of:(fun c f -> floor ladders.(c) f) table

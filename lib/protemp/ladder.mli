@@ -8,8 +8,6 @@
     to one ladder step of delivered throughput below the column's
     nominal target. *)
 
-open Linalg
-
 type t
 
 val make : float list -> t
@@ -28,15 +26,6 @@ val floor : t -> float -> float
 (** The largest level at or below the given frequency; [0.0] (core
     off) when even the lowest level is above it. *)
 
-val quantize_down : t -> Vec.t -> Vec.t
-(** Per-core {!floor}. *)
-
-val uniform_per_core : core_fmax:float array -> levels:int -> t array
-(** One {!uniform} ladder per core, each topping out at that core's
-    ceiling — the natural discrete points of an asymmetric platform
-    (a 600 MHz little core quantizes onto its own scale, not the big
-    cores').  Pass [Sim.Machine.core_fmax]. *)
-
 val quantize_table : t -> Table.t -> Table.t
 (** Round every feasible cell's frequencies down onto the ladder,
     then re-label each quantized vector to the highest [ftarget]
@@ -50,9 +39,3 @@ val quantize_table : t -> Table.t -> Table.t
     stored vector is elementwise at most some source cell of the same
     row, so the thermal guarantee carries over unchanged; the result
     drives {!Controller.create} as before. *)
-
-val quantize_table_per_core : t array -> Table.t -> Table.t
-(** {!quantize_table} with a distinct ladder per core (index order =
-    table core order); the re-labelling rule is identical and works
-    in absolute Hz.  Raises [Invalid_argument] when the table's core
-    count does not match the ladder count. *)

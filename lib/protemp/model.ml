@@ -451,8 +451,7 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~frontier =
   let pmax = machine.Sim.Machine.core_pmax in
   let core_fmax = machine.Sim.Machine.core_fmax in
   let fref = machine.Sim.Machine.fmax in
-  let dt = machine.Sim.Machine.thermal.Thermal.Rc_model.dt in
-  let steps = int_of_float (Float.round (spec.Spec.dfs_period /. dt)) in
+  let steps = Sim.Machine.window_steps machine ~period:spec.Spec.dfs_period in
   if steps < 1 then invalid_arg "Model.build: window below one thermal step";
   let n_nodes = machine.Sim.Machine.n_nodes in
   let n_cores = machine.Sim.Machine.n_cores in
@@ -660,8 +659,6 @@ let build_frontier ~machine ~spec ~tstart =
 
 let build_with_profile ~machine ~spec ~t0 ~ftarget =
   instantiate (prepare_with_profile ~machine ~spec ~t0) ~ftarget
-
-let build_frontier_with_profile ~machine ~spec ~t0 = frontier ~machine ~spec ~t0
 
 type solution = {
   frequencies : Vec.t;
@@ -940,14 +937,3 @@ let solve ?conic_stats_into ?conic_ws ?start built =
       in
       record (count_outcome status !stats);
       outcome_of built t status
-
-let predicted_peak built frequencies =
-  let machine = built.machine in
-  if Vec.dim frequencies <> machine.Sim.Machine.n_cores then
-    invalid_arg "Model.predicted_peak: need one frequency per core";
-  let power =
-    Sim.Machine.power_vector machine ~frequencies
-      ~busy:(Array.make machine.Sim.Machine.n_cores true)
-  in
-  Thermal.Transient.peak_const machine.Sim.Machine.thermal
-    ~t0:built.initial_temperatures ~steps:built.steps power

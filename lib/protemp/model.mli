@@ -197,9 +197,6 @@ val build_with_profile :
 (** Like {!build} but from a full per-node temperature profile, for
     controllers that re-solve online with measured temperatures. *)
 
-val build_frontier_with_profile :
-  machine:Sim.Machine.t -> spec:Spec.t -> t0:Vec.t -> built
-
 type solution = {
   frequencies : Vec.t;  (** Per-core, Hz (expanded for uniform). *)
   core_powers : Vec.t;  (** Per-core, W. *)
@@ -283,9 +280,3 @@ val solve_frontier : built -> outcome
     supportable total.  A primal-infeasibility certificate — the start
     temperature is already outside the envelope — and a solve that
     ends without a certificate are both [Infeasible]. *)
-
-val predicted_peak : built -> Vec.t -> float
-(** Peak temperature over the window (any node, any step) when the
-    cores run busy at the given per-core frequencies from [tstart] —
-    i.e. what the model believes; used to verify solutions against the
-    simulator. *)

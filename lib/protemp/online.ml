@@ -2,15 +2,6 @@ open Linalg
 
 type counts = { solved : int; fallbacks : int; stops : int }
 
-let zero_counts = { solved = 0; fallbacks = 0; stops = 0 }
-
-let add_counts a b =
-  {
-    solved = a.solved + b.solved;
-    fallbacks = a.fallbacks + b.fallbacks;
-    stops = a.stops + b.stops;
-  }
-
 let sub_counts a b =
   {
     solved = a.solved - b.solved;

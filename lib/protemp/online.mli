@@ -44,9 +44,6 @@ type counts = {
   stops : int;  (** Safe stops (no solve, no table entry). *)
 }
 
-val zero_counts : counts
-val add_counts : counts -> counts -> counts
-
 type t
 (** One controller instance with its decision counters. *)
 

@@ -98,10 +98,10 @@ let create ?(config = default_config) ?(probes = []) ~machine ~controller
   let thermal = machine.Machine.thermal in
   let dt = thermal.Thermal.Rc_model.dt in
   let steps_per_epoch =
-    let s = int_of_float (Float.round (config.dfs_period /. dt)) in
-    if s < 1 then invalid_arg "Chip.create: dfs_period below the thermal step";
-    s
+    Machine.window_steps machine ~period:config.dfs_period
   in
+  if steps_per_epoch < 1 then
+    invalid_arg "Chip.create: dfs_period below the thermal step";
   let n_cores = machine.Machine.n_cores in
   let n_nodes = machine.Machine.n_nodes in
   let t0 =

@@ -39,9 +39,7 @@ let name = function
   | Quantized_actuator { levels } ->
       Printf.sprintf "ladder%d" (Array.length levels)
 
-(* Largest level <= f (0 when below the lowest), by binary search —
-   the same rule as [Protemp.Ladder.floor], restated here because the
-   dependency points the other way (protemp is built on sim). *)
+(* Largest level <= f (0 when below the lowest), by binary search. *)
 let ladder_floor levels f =
   let n = Array.length levels in
   if f < levels.(0) then 0.0
@@ -83,14 +81,16 @@ let instantiate = function
       {
         corrupt =
           (fun ~time:_ temps ->
-            if core < Vec.dim temps then begin
-              (match !frozen with
-              | None -> frozen := Some temps.(core)
-              | Some _ -> ());
-              match !frozen with
-              | Some r -> temps.(core) <- r
-              | None -> ()
-            end);
+            if core >= Vec.dim temps then
+              invalid_arg
+                (Printf.sprintf "Fault.stuck_sensor: core %d of a %d-core chip"
+                   core (Vec.dim temps));
+            (match !frozen with
+            | None -> frozen := Some temps.(core)
+            | Some _ -> ());
+            match !frozen with
+            | Some r -> temps.(core) <- r
+            | None -> ());
         actuate = nothing_to_actuate;
       }
   | Stale_observation { epochs } ->

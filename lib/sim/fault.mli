@@ -43,7 +43,10 @@ val sensor_noise : ?seed:int64 -> magnitude:float -> unit -> t
     negative magnitude. *)
 
 val stuck_sensor : ?reading:float -> core:int -> unit -> t
-(** Raises [Invalid_argument] on a negative core index. *)
+(** Raises [Invalid_argument] on a negative core index.  A core at or
+    beyond the observed chip's core count is rejected when the
+    wrapped controller first decides ({!wrap}): a fault on a core that
+    does not exist is an error, never a run without the fault. *)
 
 val stale_observation : epochs:int -> t
 (** Raises [Invalid_argument] unless [epochs >= 1]. *)
@@ -51,6 +54,12 @@ val stale_observation : epochs:int -> t
 val quantized_actuator : levels:float array -> t
 (** Raises [Invalid_argument] on an empty, unsorted or non-positive
     ladder. *)
+
+val ladder_floor : float array -> float -> float
+(** [ladder_floor levels f] is the largest entry of the ascending,
+    non-empty [levels] at or below [f], and [0.0] (core off) when
+    [f] is below them all — the floor {!Quantized_actuator} applies,
+    and [Protemp.Ladder.floor]'s.  Allocation-free. *)
 
 val name : t -> string
 (** A short label ("noise2.0C", "stuck3@85.0C", "stale2",

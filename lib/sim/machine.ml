@@ -182,6 +182,9 @@ let core_temperatures_into m t ~dst =
     Array.unsafe_set dst c (Array.unsafe_get t (Array.unsafe_get core_nodes c))
   done
 
+let window_steps m ~period =
+  int_of_float (Float.round (period /. m.thermal.Thermal.Rc_model.dt))
+
 (* The window response: the coefficient of core [j]'s power on node
    [i] at step [k] of a window is [S_k[i, core_j] b_j] with
    [S_k = sum_{l<k} A^l].  Only the core columns of [S_k] are ever

@@ -106,6 +106,14 @@ val biglittle : unit -> t
     two core classes with different ceilings, peak powers and
     power-law exponents. *)
 
+val window_steps : t -> period:float -> int
+(** The thermal steps in one control window of [period] seconds:
+    [round (period / dt)].  The one rule by which the simulated chip
+    ([Chip]) steps an epoch and [Protemp.Model] and
+    [Protemp.Guarantee] size the window they certify, so the window
+    the table promises is the window the chip runs.  Each caller
+    rejects a result below 1 itself. *)
+
 val window_response : t -> steps:int -> stride:int -> window_response
 (** The machine's response over a [steps]-step window at [stride].
     Its core columns come from a recurrence on the core columns alone

@@ -44,7 +44,6 @@ let homogeneous ?(class_name = "core") ?(idle_activity = 0.3) ?(exponent = 2.0)
 let n_cores t = Array.length t.assignment
 let n_classes t = Array.length t.classes
 let single_class t = Array.length t.classes = 1
-let class_of t core = t.classes.(t.assignment.(core))
 
 let core_fmax t = Array.map (fun k -> t.classes.(k).fmax) t.assignment
 let core_pmax t = Array.map (fun k -> t.classes.(k).pmax) t.assignment
@@ -55,8 +54,4 @@ let core_idle_activity t =
 
 let max_fmax t =
   Array.fold_left (fun acc k -> Float.max acc t.classes.(k).fmax) 0.0
-    t.assignment
-
-let max_pmax t =
-  Array.fold_left (fun acc k -> Float.max acc t.classes.(k).pmax) 0.0
     t.assignment

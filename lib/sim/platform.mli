@@ -55,9 +55,6 @@ val single_class : t -> bool
 (** [true] iff exactly one class exists — the degenerate case that
     must match the homogeneous code path bit for bit. *)
 
-val class_of : t -> int -> cls
-(** The class of a core index. *)
-
 val core_fmax : t -> float array
 (** Per-core frequency ceilings, flattened in core order.  Fresh
     array on every call; the remaining accessors below behave the
@@ -70,6 +67,3 @@ val core_idle_activity : t -> float array
 val max_fmax : t -> float
 (** Largest per-core ceiling — the chip's reference frequency: the
     unit in which throughput targets and queued work are stated. *)
-
-val max_pmax : t -> float
-(** Largest per-core peak power — the model's power normalizer. *)

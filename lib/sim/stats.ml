@@ -190,19 +190,6 @@ let record_power s ~dt power =
   if power < 0.0 then invalid_arg "Stats.record_power: negative power";
   s.acc.energy <- s.acc.energy +. (power *. dt)
 
-let record_power_vector s ~dt p =
-  (* Summing here instead of taking a float argument keeps the step
-     loop free of the boxed return a [Vec.sum] call would allocate.
-     The ascending-index sum matches [Vec.sum]'s fold order, so the
-     accumulated energy is bit-identical to
-     [record_power ~dt (Vec.sum p)]. *)
-  let total = ref 0.0 in
-  for i = 0 to Vec.dim p - 1 do
-    total := !total +. Array.unsafe_get p i
-  done;
-  if !total < 0.0 then invalid_arg "Stats.record_power_vector: negative power";
-  s.acc.energy <- s.acc.energy +. (!total *. dt)
-
 let record_energy s j =
   if j < 0.0 then invalid_arg "Stats.record_energy: negative energy";
   s.acc.energy <- s.acc.energy +. j

@@ -33,11 +33,6 @@ val record_step_nodes :
 val record_power : t -> dt:float -> float -> unit
 (** Accumulate the chip power drawn over one step (Watts). *)
 
-val record_power_vector : t -> dt:float -> Vec.t -> unit
-(** [record_power_vector s ~dt p] equals
-    [record_power s ~dt (Vec.sum p)] bit-for-bit, but sums internally
-    so the caller's step loop stays allocation-free. *)
-
 val record_energy : t -> float -> unit
 (** Add already-integrated Joules in one call.  A loop that keeps the
     running sum [e += power*dt] in a local (unboxed) accumulator and

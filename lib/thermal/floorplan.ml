@@ -126,12 +126,3 @@ let bounding_box fp =
         Float.max ymax (b.y +. b.height) ))
     (infinity, infinity, neg_infinity, neg_infinity)
     fp.blocks
-
-let pp ppf fp =
-  Format.fprintf ppf "@[<v>";
-  Array.iter
-    (fun b ->
-      Format.fprintf ppf "%-12s (%.1f, %.1f) %.1fx%.1f mm@," b.name
-        (b.x *. 1e3) (b.y *. 1e3) (b.width *. 1e3) (b.height *. 1e3))
-    fp.blocks;
-  Format.fprintf ppf "@]"

@@ -65,5 +65,3 @@ val total_area : t -> float
 
 val bounding_box : t -> float * float * float * float
 (** [(xmin, ymin, xmax, ymax)]. *)
-
-val pp : Format.formatter -> t -> unit

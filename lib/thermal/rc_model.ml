@@ -146,18 +146,14 @@ let discretize m ~dt =
   in
   { step; injection; drive; dt; ambient = m.prm.ambient }
 
-let step_temperature_into d t p ~dst =
+let step_temperature d t p =
   let n = Mat.rows d.step in
   if Vec.dim t <> n || Vec.dim p <> n then
     invalid_arg "Rc_model.step_temperature: dimension mismatch";
-  Mat.mul_vec_into d.step t ~dst;
+  let dst = Mat.mul_vec d.step t in
   for i = 0 to n - 1 do
     dst.(i) <- dst.(i) +. (d.injection.(i) *. p.(i)) +. d.drive.(i)
-  done
-
-let step_temperature d t p =
-  let dst = Vec.zeros (Mat.rows d.step) in
-  step_temperature_into d t p ~dst;
+  done;
   dst
 
 type stepper = {
@@ -167,7 +163,6 @@ type stepper = {
   vals : float array;
   s_injection : float array;
   s_drive : float array;
-  s_dt : float;
   injp : float array;
       (* cached injection.(i) *. p.(i) for the last loaded power *)
 }
@@ -191,7 +186,7 @@ let compile_stepper d =
        the surviving terms in the same order as the dense matvec, and
        the skipped products are exact zeros added to a nonnegative
        accumulator, so the result is bit-for-bit identical to
-       [step_temperature_into]. *)
+       [step_temperature]. *)
     for j = 0 to n - 1 do
       let a = Mat.get d.step i j in
       (* Bit-exact: the sparsity pattern must drop only true zeros. *)
@@ -210,11 +205,8 @@ let compile_stepper d =
     vals;
     s_injection = Vec.copy d.injection;
     s_drive = Vec.copy d.drive;
-    s_dt = d.dt;
     injp = Array.make n 0.0;
   }
-
-let stepper_dt s = s.s_dt
 
 let stepper_load_power s p =
   if Vec.dim p <> s.n then
@@ -248,7 +240,7 @@ let stepper_step_loaded_into s t ~dst =
         +. Array.unsafe_get vals k
            *. Array.unsafe_get t (Array.unsafe_get cols k)
     done;
-    (* Same association as [step_temperature_into]:
+    (* Same association as [step_temperature]:
        (acc + injection*p) + drive, with the product precomputed by
        {!stepper_load_power} — bit-identical. *)
     Array.unsafe_set dst i

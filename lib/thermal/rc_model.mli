@@ -82,12 +82,12 @@ val discretize : t -> dt:float -> discrete
     included) or exceeds {!max_monotone_dt}. *)
 
 val step_temperature : discrete -> Vec.t -> Vec.t -> Vec.t
-(** [step_temperature d t p] is one application of the recurrence. *)
-
-val step_temperature_into : discrete -> Vec.t -> Vec.t -> dst:Vec.t -> unit
-(** Like {!step_temperature} but writes into [dst], which must not
-    alias the input temperature vector.  Lets step loops run
-    allocation-free with two ping-pong buffers. *)
+(** [step_temperature d t p] is one application of the recurrence,
+    written out on the dense [A]: [A t] summed row by row from [0.0]
+    in column order ({!Linalg.Mat.mul_vec}), then
+    [+ b_i p_i + c_i].  It is the reference the compiled stepper
+    below is held to; every Eq. 1 step loop in the library,
+    {!Transient}'s included, runs on a {!stepper}. *)
 
 val discrete_steady_state : discrete -> Vec.t -> Vec.t
 (** Fixed point of the recurrence under constant [p]; equals
@@ -105,17 +105,17 @@ type stepper
 
 val compile_stepper : discrete -> stepper
 (** One-time compilation of the recurrence into CSR form.  Nonzeros
-    are stored in ascending column order per row, so
-    {!stepper_step_into} produces results bit-for-bit identical to
-    {!step_temperature_into} (the products it skips are exact
-    zeros). *)
-
-val stepper_dt : stepper -> float
+    are stored in ascending column order per row, so on finite
+    temperatures {!stepper_step_into} produces results bit-for-bit
+    identical to {!step_temperature}: the products it skips are
+    exact zeros, which leave a sum unchanged.  (A non-finite
+    temperature differs: the dense step multiplies it by the zeros
+    and spreads a NaN, the stepper never reads it there.) *)
 
 val stepper_step_into : stepper -> Vec.t -> Vec.t -> dst:Vec.t -> unit
-(** Like {!step_temperature_into} on the compiled form; performs no
-    heap allocation.  [dst] must not alias the input temperature
-    vector. *)
+(** {!step_temperature} on the compiled form, written into [dst];
+    performs no heap allocation.  [dst] must not alias the input
+    temperature vector. *)
 
 val stepper_load_power : stepper -> Vec.t -> unit
 (** Cache the power vector's injection products inside the stepper.

@@ -8,13 +8,14 @@ let simulate (d : Rc_model.discrete) ~t0 ~steps ~power =
   if steps < 0 then invalid_arg "Transient.simulate: negative steps";
   let temperatures = Mat.zeros (steps + 1) n in
   (* Ping-pong between two buffers: the step loop allocates nothing. *)
+  let stepper = Rc_model.compile_stepper d in
   let t = ref (Vec.copy t0) in
   let next = ref (Vec.zeros n) in
   for i = 0 to n - 1 do
     Mat.set temperatures 0 i t0.(i)
   done;
   for k = 1 to steps do
-    Rc_model.step_temperature_into d !t (power (k - 1)) ~dst:!next;
+    Rc_model.stepper_step_into stepper !t (power (k - 1)) ~dst:!next;
     let tmp = !t in
     t := !next;
     next := tmp;
@@ -44,7 +45,10 @@ let peak_const (d : Rc_model.discrete) ~t0 ~steps p =
   if steps < 0 then invalid_arg "Transient.peak_const: negative steps";
   (* {!simulate}'s steps in the same two buffers, and {!peak}'s running
      max in the same order (row [t0] first, then each step's nodes in
-     index order), with no trajectory kept. *)
+     index order), with no trajectory kept.  The power is constant, so
+     its injection products are loaded once. *)
+  let stepper = Rc_model.compile_stepper d in
+  Rc_model.stepper_load_power stepper p;
   let best = ref neg_infinity in
   for i = 0 to n - 1 do
     best := Float.max !best t0.(i)
@@ -52,7 +56,7 @@ let peak_const (d : Rc_model.discrete) ~t0 ~steps p =
   let t = ref (Vec.copy t0) in
   let next = ref (Vec.zeros n) in
   for _ = 1 to steps do
-    Rc_model.step_temperature_into d !t p ~dst:!next;
+    Rc_model.stepper_step_loaded_into stepper !t ~dst:!next;
     let tmp = !t in
     t := !next;
     next := tmp;

@@ -19,7 +19,10 @@ val simulate :
   Rc_model.discrete -> t0:Vec.t -> steps:int -> power:(int -> Vec.t) ->
   trajectory
 (** [simulate d ~t0 ~steps ~power] iterates Eq. 1; [power k] is the
-    power vector applied during step [k] (from [t_k] to [t_{k+1}]). *)
+    power vector applied during step [k] (from [t_k] to [t_{k+1}]).
+    It steps on a {!Rc_model.stepper} compiled once per call, so on
+    finite inputs every entry is bit-identical to iterating
+    {!Rc_model.step_temperature}. *)
 
 val simulate_const :
   Rc_model.discrete -> t0:Vec.t -> steps:int -> Vec.t -> trajectory
@@ -31,8 +34,8 @@ val peak_const :
   Rc_model.discrete -> t0:Vec.t -> steps:int -> Vec.t -> float
 (** [peak_const d ~t0 ~steps p] is [peak (simulate_const d ~t0 ~steps
     p)], bit for bit, without the trajectory: it steps in two vectors
-    and keeps a running maximum, so it allocates two vectors whatever
-    [steps] is. *)
+    and keeps a running maximum, so it allocates two vectors and one
+    compiled stepper whatever [steps] is. *)
 
 val node_series : trajectory -> int -> Vec.t
 (** The time series of one node. *)

@@ -13,7 +13,3 @@ let service_time task ~frequency ~fmax =
   task.work *. fmax /. frequency
 
 let compare_by_arrival t1 t2 = Float.compare t1.arrival t2.arrival
-
-let pp ppf t =
-  Format.fprintf ppf "task %d (%s, %.2f ms work, arrives %.3f s)" t.id
-    (benchmark_name t.benchmark) (t.work *. 1e3) t.arrival

@@ -21,5 +21,3 @@ val service_time : t -> frequency:float -> fmax:float -> float
     non-positive frequency (a stopped core makes no progress). *)
 
 val compare_by_arrival : t -> t -> int
-
-val pp : Format.formatter -> t -> unit

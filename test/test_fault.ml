@@ -108,6 +108,23 @@ let test_stuck_sensor () =
       check_float 0.0 "other cores live" 51.0 b.(1)
   | _ -> Alcotest.fail "expected two observations"
 
+(* A stuck sensor on a core the chip does not have is an error at the
+   first decision, never a run without the fault. *)
+let test_stuck_sensor_out_of_range () =
+  let c, seen = spy (Vec.create 8 1e8) in
+  let w = Sim.Fault.wrap ~faults:[ Sim.Fault.stuck_sensor ~core:99 () ] c in
+  let temps = List.init 8 (fun i -> 40.0 +. float_of_int i) in
+  check_bool "core 99 of 8 rejected" true
+    (match w.Sim.Policy.decide (obs temps) with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check_bool "controller never consulted" true (seen () = []);
+  let w = Sim.Fault.wrap ~faults:[ Sim.Fault.stuck_sensor ~core:8 () ] c in
+  check_bool "core 8 of 8 rejected" true
+    (match w.Sim.Policy.decide (obs temps) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_stale_observation () =
   let c, seen = spy (Vec.create 2 1e8) in
   let w = Sim.Fault.wrap ~faults:[ Sim.Fault.stale_observation ~epochs:2 ] c in
@@ -215,6 +232,8 @@ let () =
             test_empty_wrap_is_identity;
           Alcotest.test_case "wrapped name" `Quick test_wrapped_name;
           Alcotest.test_case "stuck sensor" `Quick test_stuck_sensor;
+          Alcotest.test_case "stuck sensor beyond the chip" `Quick
+            test_stuck_sensor_out_of_range;
           Alcotest.test_case "stale observation" `Quick test_stale_observation;
           Alcotest.test_case "quantized actuator" `Quick
             test_quantized_actuator;

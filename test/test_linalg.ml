@@ -138,30 +138,6 @@ let test_mat_upper_accumulation () =
   let full = !full in
   check_bool "matches full update" true (Mat.approx_equal ~tol:1e-12 full upper)
 
-let test_mat_gemv_into () =
-  let st = mk_rand 59 in
-  let a = random_mat st 4 6 in
-  let x = random_vec st 6 and y = random_vec st 4 in
-  let dst = Vec.zeros 4 in
-  Mat.gemv_into a x ~dst;
-  check_bool "plain overwrite" true
-    (Vec.approx_equal ~tol:1e-12 dst (Mat.mul_vec a x));
-  let dst_t = Vec.zeros 6 in
-  Mat.gemv_into ~trans:true a y ~dst:dst_t;
-  check_bool "transposed" true
-    (Vec.approx_equal ~tol:1e-12 dst_t (Mat.tmul_vec a y));
-  (* alpha/beta accumulate: dst := alpha A x + beta dst0. *)
-  let dst0 = random_vec st 4 in
-  let dst = Vec.copy dst0 in
-  Mat.gemv_into ~alpha:2.5 ~beta:(-0.5) a x ~dst;
-  let expect = Vec.axpy 2.5 (Mat.mul_vec a x) (Vec.scale (-0.5) dst0) in
-  check_bool "alpha/beta" true (Vec.approx_equal ~tol:1e-12 dst expect);
-  (* beta = 0 must ignore garbage in dst, including NaN. *)
-  let dst = Vec.init 4 (fun _ -> Float.nan) in
-  Mat.gemv_into a x ~dst;
-  check_bool "beta=0 ignores dst" true
-    (Vec.approx_equal ~tol:1e-12 dst (Mat.mul_vec a x))
-
 let test_mat_symmetry () =
   let st = mk_rand 11 in
   let a = random_mat st 5 5 in
@@ -888,7 +864,6 @@ let () =
           Alcotest.test_case "outer products" `Quick test_mat_outer;
           Alcotest.test_case "upper-triangle accumulation" `Quick
             test_mat_upper_accumulation;
-          Alcotest.test_case "gemv_into" `Quick test_mat_gemv_into;
           Alcotest.test_case "symmetry" `Quick test_mat_symmetry;
         ] );
       ( "lu",

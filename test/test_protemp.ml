@@ -376,7 +376,9 @@ let test_model_easy_instance () =
       (* p = 8 * 4W * 0.4^2 = 5.12 W *)
       check_float 0.05 "power law" 5.12 s.Protemp.Model.total_power;
       check_bool "peak within cap" true
-        (Protemp.Model.predicted_peak built s.Protemp.Model.frequencies
+        (Protemp.Guarantee.window_peak ~machine:m
+           ~dfs_period:fast_spec.Protemp.Spec.dfs_period ~tstart:40.0
+           ~frequencies:s.Protemp.Model.frequencies
         <= fast_spec.Protemp.Spec.tmax +. 1e-6)
 
 let test_model_infeasible_when_too_hot () =
@@ -617,6 +619,83 @@ let test_guarantee_window_peak_cooling () =
       ~frequencies:(Vec.zeros 8)
   in
   check_float 1e-9 "peak is start" 95.0 peak
+
+(* One window length: [Model.build]'s [steps], a simulated chip's
+   epoch (steps between DFS boundaries, counted by a probe) and
+   [Guarantee.window_peak] all take [Sim.Machine.window_steps], also
+   for periods that are not a whole number of thermal steps; each
+   still rejects a window below one step. *)
+let test_window_steps_shared () =
+  let m = Lazy.force machine in
+  let thermal = m.Sim.Machine.thermal in
+  let dt = thermal.Thermal.Rc_model.dt in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let chip period probes =
+    Sim.Chip.create
+      ~config:{ Sim.Chip.default_config with Sim.Chip.dfs_period = period }
+      ~probes ~machine:m
+      ~controller:(Protemp.No_tc.create ~fmax:m.Sim.Machine.fmax)
+      ~assignment:Sim.Policy.first_idle ()
+  in
+  check_bool "0.1002 s is not a whole number of steps" false
+    (Float.is_integer (0.1002 /. dt));
+  List.iter
+    (fun period ->
+      let steps = Sim.Machine.window_steps m ~period in
+      let name what = Printf.sprintf "%s at %g s" what period in
+      check_int (name "round (period / dt)")
+        (int_of_float (Float.round (period /. dt)))
+        steps;
+      let spec = { fast_spec with Protemp.Spec.dfs_period = period } in
+      let built =
+        Protemp.Model.build ~machine:m ~spec ~tstart:60.0 ~ftarget:5e8
+      in
+      check_int (name "model window") steps built.Protemp.Model.steps;
+      let n = ref 0 and marks = ref [] in
+      let probe =
+        Sim.Probe.make
+          ~on_step:(fun _ -> incr n)
+          ~on_epoch:(fun _ -> marks := !n :: !marks)
+          "count"
+      in
+      Sim.Chip.advance (chip period [ probe ]) ~until:(3.5 *. period);
+      (match !marks with
+      | last :: before :: _ ->
+          check_int (name "chip epoch") steps (last - before)
+      | _ -> Alcotest.fail (name "expected two DFS boundaries"));
+      (* The certified window is [steps] steps long: its peak is the
+         peak of exactly that many steps, bit for bit. *)
+      let frequencies = Vec.create m.Sim.Machine.n_cores 9e8 in
+      let power =
+        Sim.Machine.power_vector m ~frequencies
+          ~busy:(Array.make m.Sim.Machine.n_cores true)
+      in
+      let t0 = Vec.create m.Sim.Machine.n_nodes 60.0 in
+      check_bool (name "guarantee window") true
+        (Int64.equal
+           (Int64.bits_of_float
+              (Protemp.Guarantee.window_peak ~machine:m ~dfs_period:period
+                 ~tstart:60.0 ~frequencies))
+           (Int64.bits_of_float
+              (Thermal.Transient.peak_const thermal ~t0 ~steps power))))
+    (* 0.1002 s is 250.49999... steps and 0.1003 s 250.75: rounding,
+       not truncation or ceiling, sets each window. *)
+    [ 0.1; 0.1002; 0.1003 ];
+  let short = 0.25 *. dt in
+  check_int "below one step" 0 (Sim.Machine.window_steps m ~period:short);
+  check_bool "model rejects" true
+    (raises (fun () ->
+         Protemp.Model.build ~machine:m
+           ~spec:{ fast_spec with Protemp.Spec.dfs_period = short }
+           ~tstart:60.0 ~ftarget:5e8));
+  check_bool "chip rejects" true (raises (fun () -> chip short []));
+  check_bool "guarantee rejects" true
+    (raises (fun () ->
+         Protemp.Guarantee.window_peak ~machine:m ~dfs_period:short
+           ~tstart:60.0
+           ~frequencies:(Vec.zeros m.Sim.Machine.n_cores)))
 
 let test_guarantee_audit_table () =
   let m = Lazy.force machine in
@@ -1948,6 +2027,8 @@ let () =
         [
           Alcotest.test_case "window peak cooling" `Quick
             test_guarantee_window_peak_cooling;
+          Alcotest.test_case "one window length" `Quick
+            test_window_steps_shared;
           Alcotest.test_case "margin validation" `Quick
             test_guarantee_margin_validation;
           Alcotest.test_case "table audit" `Slow test_guarantee_audit_table;

@@ -271,7 +271,7 @@ let test_in_place_steps_match_allocating () =
   check_bool "exact step" true (Vec.approx_equal ~tol:0.0 expected dst);
   let d = Rc_model.discretize m ~dt:(0.5 *. Rc_model.max_monotone_dt m) in
   let expected = Rc_model.step_temperature d t p_nodes in
-  Rc_model.step_temperature_into d t p_nodes ~dst;
+  Rc_model.stepper_step_into (Rc_model.compile_stepper d) t p_nodes ~dst;
   check_bool "euler step" true (Vec.approx_equal ~tol:0.0 expected dst)
 
 (* ------------------------------------------------------------------ *)
@@ -548,10 +548,46 @@ let prop_euler_bounded_by_steady =
       done;
       !ok)
 
+(* [Transient]'s loops step on a compiled stepper; on finite inputs
+   they must equal Eq. 1 iterated on the dense step matrix
+   ([Rc_model.step_temperature]) bit for bit: every trajectory entry
+   of [simulate_const] and [peak_const]'s running maximum, on both
+   platforms. *)
+let platforms = lazy [| Sim.Machine.niagara (); Sim.Machine.biglittle () |]
+
+let prop_transient_matches_dense =
+  QCheck2.Test.make
+    ~name:"transient: stepper loops bit-identical to the dense Eq. 1"
+    ~count:40
+    QCheck2.Gen.(
+      triple (int_range 0 1) (int_range 0 300) (int_range 0 1_000_000))
+    (fun (platform, steps, seed) ->
+      let st = Random.State.make [| seed |] in
+      let m = (Lazy.force platforms).(platform) in
+      let d = m.Sim.Machine.thermal in
+      let n = m.Sim.Machine.n_nodes in
+      let t0 = Vec.init n (fun _ -> Random.State.float st 140.0 -. 20.0) in
+      let p = Vec.init n (fun _ -> Random.State.float st 12.0) in
+      let same a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      let traj = Transient.simulate_const d ~t0 ~steps p in
+      let ok = ref true and t = ref t0 and best = ref neg_infinity in
+      for k = 0 to steps do
+        if k > 0 then t := Rc_model.step_temperature d !t p;
+        Array.iteri
+          (fun i x ->
+            if not (same x (Mat.get traj.Transient.temperatures k i)) then
+              ok := false;
+            best := Float.max !best x)
+          !t
+      done;
+      !ok && same !best (Transient.peak_const d ~t0 ~steps p))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_monotone_in_power; prop_steady_above_ambient;
-      prop_euler_bounded_by_steady ]
+      prop_euler_bounded_by_steady; prop_transient_matches_dense ]
 
 let () =
   Alcotest.run "thermal"
