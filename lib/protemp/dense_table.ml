@@ -10,6 +10,7 @@ type grid = {
 type filled = {
   table : Table.t;
   closed_form : int;
+  frontier_verdicts : int;
   conic : Convex.Conic.stats;
 }
 
@@ -53,6 +54,7 @@ type row = {
   cells : Table.cell array;
   feasible : int;  (* the row's first infeasible column, or its width *)
   closed_form : int;
+  frontier_verdict : bool;  (* a ladder tangent refuted that column *)
   conic : Convex.Conic.stats;
 }
 
@@ -61,7 +63,10 @@ type row = {
    previous feasible column's optimum, up to the first infeasible
    column (infeasibility is monotone in [ftarget]).  The instances
    share their structure (only the floor's constant moves), so most
-   cells cost one closed-form pass over the thermal rows.  A pure
+   cells cost one closed-form pass over the thermal rows, and most
+   first infeasible columns one evaluation of a frontier tangent
+   ({!Model.solve}); such a refutation is the one outcome counted
+   primal-infeasible with no iteration.  A pure
    function of the grid and [i]: a fill is bit-identical at any domain
    count. *)
 let run_row g i =
@@ -73,11 +78,16 @@ let run_row g i =
   let cells = Array.make cols Table.Infeasible in
   let conic = ref Convex.Conic.stats_zero and closed_form = ref 0 in
   let rec solve_from j start =
-    if j = cols then j
+    if j = cols then (j, false)
     else
       let built = Model.instantiate prepared ~ftarget:g.ftargets.(j) in
+      let before = !conic in
       match Model.solve ~conic_stats_into:conic ~conic_ws ?start built with
-      | Model.Infeasible -> j
+      | Model.Infeasible ->
+          let after = !conic in
+          ( j,
+            after.primal_infeasible > before.primal_infeasible
+            && after.iterations = before.iterations )
       | Model.Feasible s ->
           cells.(j) <- Table.Frequencies s.Model.frequencies;
           (match s.Model.settled_by with
@@ -85,8 +95,14 @@ let run_row g i =
           | `Interior_point -> ());
           solve_from (j + 1) (Some s.Model.raw.Convex.Solve.x)
   in
-  let feasible = solve_from 0 None in
-  { cells; feasible; closed_form = !closed_form; conic = !conic }
+  let feasible, frontier_verdict = solve_from 0 None in
+  {
+    cells;
+    feasible;
+    closed_form = !closed_form;
+    frontier_verdict;
+    conic = !conic;
+  }
 
 let no_cells =
   { cells = 0; solves = 0; warm_hits = 0; pruned = 0; feasible = 0 }
@@ -104,9 +120,9 @@ let fill ?domains t =
          domain count either.  Every row solves its columns up to and
          including the first infeasible one, and each solve after the
          first is seeded. *)
-      let stats, closed_form, conic =
+      let stats, closed_form, frontier_verdicts, conic =
         Array.fold_left
-          (fun ((s : fill_stats), closed_form, conic) (r : row) ->
+          (fun ((s : fill_stats), closed_form, verdicts, conic) (r : row) ->
             let solves = Stdlib.min cols (r.feasible + 1) in
             ( {
                 cells = s.cells + cols;
@@ -116,15 +132,16 @@ let fill ?domains t =
                 feasible = s.feasible + r.feasible;
               },
               closed_form + r.closed_form,
+              (if r.frontier_verdict then verdicts + 1 else verdicts),
               Convex.Conic.stats_add conic r.conic ))
-          (no_cells, 0, Convex.Conic.stats_zero)
+          (no_cells, 0, 0, Convex.Conic.stats_zero)
           rows
       in
       let table =
         Table.make ~tstarts:g.tstarts ~ftargets:g.ftargets
           (Array.map (fun (r : row) -> r.cells) rows)
       in
-      t.filled <- Some { table; closed_form; conic };
+      t.filled <- Some { table; closed_form; frontier_verdicts; conic };
       stats
 
 let solver_stats t =
@@ -132,6 +149,9 @@ let solver_stats t =
 
 let closed_form_cells t =
   match t.filled with Some f -> f.closed_form | None -> 0
+
+let frontier_verdicts t =
+  match t.filled with Some f -> f.frontier_verdicts | None -> 0
 
 let rec to_table ?domains t =
   match t.filled with

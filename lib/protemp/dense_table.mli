@@ -83,6 +83,13 @@ val closed_form_cells : t -> int
     no interior-point iteration; zero before {!fill}.  A subset of the
     feasible cells. *)
 
+val frontier_verdicts : t -> int
+(** Rows whose first infeasible cell {!Model.solve} refuted with a
+    cached frontier tangent, with no interior-point run: the cells its
+    solver stats count as primal-infeasible with no iteration; zero
+    before {!fill}.  A cell refuted by its own start's frontier after a
+    stalled run is not among them (its stats carry the iterations). *)
+
 val to_table : ?domains:int -> t -> Table.t
 (** {!fill} (if needed) and the grid as an immutable {!Table.t} — the
     hand-off point to {!Table_store.write}.  The table is built once

@@ -30,17 +30,6 @@ type floor_only = {
   capacity : float;  (* [sum_j c_j f_box], the largest floor the boxes allow *)
 }
 
-type built = {
-  layout : layout;
-  spec : Spec.t;
-  initial_temperatures : Vec.t;
-  ftarget : float;
-  steps : int;
-  machine : Sim.Machine.t;
-  conic : Convex.Conic.t Lazy.t;
-  floor_only : floor_only option;
-}
-
 (* The normal-equations matrix G' W^-2 G of the conic form couples
    variables only through shared constraint rows; in the models'
    (frequency, power, gradient-bound) variable order that coupling is
@@ -415,9 +404,31 @@ type prepared = {
   p_spec : Spec.t;
   p_machine : Sim.Machine.t;
   p_t0 : Vec.t;
+  p_tstart : float option;  (* a cell's uniform start, for the ladder *)
   p_steps : int;
   p_floor_only : floor_only option;
   p_conic : Convex.Conic.t;
+  p_rows : thermal_rows;
+  p_bases : float array;  (* every thermal row's base, kept or not *)
+  p_kept : int array;
+      (* a frontier instance's kept rows, [p_n_kept] of them, in row
+         order; empty for a cell, which has no use for them *)
+  p_n_kept : int;
+  p_g : packed;  (* [p_conic]'s G, h and c, which it shares *)
+  p_h : Vec.t;
+  p_c : Vec.t;
+}
+
+type built = {
+  layout : layout;
+  spec : Spec.t;
+  initial_temperatures : Vec.t;
+  ftarget : float;
+  steps : int;
+  machine : Sim.Machine.t;
+  conic : Convex.Conic.t Lazy.t;
+  floor_only : floor_only option;
+  context : prepared;
 }
 
 (* The Eq. 3 instance from [t0], written straight into packed conic
@@ -427,7 +438,7 @@ type prepared = {
    the gradient rows (copied from the machine's {!thermal_rows}), the
    gradient bounds, then one rotated-quadratic block per power law.
    Each constant is [-r] of the row's [q'x + r <= 0] form. *)
-let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~frontier =
+let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~tstart ~frontier =
   Spec.validate spec;
   (* Per-core normalization: variable j is stated in units of its own
      core's ceiling, [fhat_j = f_j / core_fmax.(j)] and
@@ -591,17 +602,24 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~frontier =
         Some (floor_only_of layout ~total_f_coeffs ~objective_coeffs)
     | None | Some _ -> None
   in
+  let c = if frontier then total_f_coeffs else objective_coeffs in
   {
     p_layout = layout;
     p_spec = spec;
     p_machine = machine;
     p_t0 = Vec.copy t0;
+    p_tstart = tstart;
     p_steps = steps;
     p_floor_only = floor_only;
-    p_conic =
-      Convex.Conic.make
-        ~c:(if frontier then total_f_coeffs else objective_coeffs)
-        ~n_orthant ~glo ~goff ~gdata ~h;
+    p_conic = Convex.Conic.make ~c ~n_orthant ~glo ~goff ~gdata ~h;
+    p_rows = rows;
+    p_bases = bases;
+    (* A cell has no use for [kept] past its prepare. *)
+    p_kept = (if frontier then kept else [||]);
+    p_n_kept = n_kept;
+    p_g = { lo = glo; off = goff; data = gdata };
+    p_h = h;
+    p_c = c;
   }
 
 let uniform_t0 machine tstart =
@@ -609,14 +627,15 @@ let uniform_t0 machine tstart =
 
 let prepare ~machine ~spec ~tstart =
   prepare_internal ~machine ~spec ~t0:(uniform_t0 machine tstart)
-    ~frontier:false
+    ~tstart:(Some tstart) ~frontier:false
 
 let prepare_with_profile ~machine ~spec ~t0 =
-  prepare_internal ~machine ~spec ~t0 ~frontier:false
+  prepare_internal ~machine ~spec ~t0 ~tstart:None ~frontier:false
 
 (* The throughput floor [sum_j c_j fhat_j >= F] has the constant
-   [F = n_cores ftarget / fmax]. *)
-let floor_constant ~layout ~machine ftarget =
+   [F = n_cores ftarget / fmax].  Inlined, so that {!tangent_refutes}
+   keeps it unboxed. *)
+let[@inline] floor_constant ~layout ~machine ftarget =
   float_of_int layout.n_cores *. (ftarget /. machine.Sim.Machine.fmax)
 
 let built_of p ~ftarget conic =
@@ -629,6 +648,7 @@ let built_of p ~ftarget conic =
     machine = p.p_machine;
     conic;
     floor_only = p.p_floor_only;
+    context = p;
   }
 
 let instantiate p ~ftarget =
@@ -648,7 +668,7 @@ let instantiate p ~ftarget =
 (* The frontier problem: maximize the total frequency under the same
    envelope, with no floor. *)
 let frontier ~machine ~spec ~t0 =
-  let p = prepare_internal ~machine ~spec ~t0 ~frontier:true in
+  let p = prepare_internal ~machine ~spec ~t0 ~tstart:None ~frontier:true in
   built_of p ~ftarget:0.0 (Lazy.from_val p.p_conic)
 
 let build ~machine ~spec ~tstart ~ftarget =
@@ -748,6 +768,270 @@ let solve_frontier built =
   let t = Lazy.force built.conic in
   outcome_of built t (Convex.Conic.solve ~ws:(layout_workspace built.layout t) t)
 
+(* Frontier tangents.  The frontier program at a start [t0] is
+   [minimize c'x subject to h(t0) - G x in K], and [-c'x] is the
+   cell floor's left-hand side [sum_j c_j fhat_j].  Only [h] moves
+   with the start, and only on the thermal rows.  For any [z in K*]
+   and any feasible [x], [z'(h - G x) >= 0]; with [r = G'z + c] that
+   is [-c'x <= h'z - r'x], and as every feasible [x] lies in the
+   boxes [0 <= x_j <= box_j],
+
+     F*(t0) <= h(t0)'z + sum_j max(0, -r_j) box_j
+
+   (the safe dual bound of Neumaier and Shcherbina, Math. Prog. 99,
+   2004): one dual, taken at one start, bounds the frontier of every
+   start, however far [z] is from optimal there, because the residual
+   is charged over the box.  Rows a start's filter dropped are implied
+   by its box, so the bound holds for the filtered instance too.  A
+   [tangent] is that bound with everything but the thermal rows folded
+   into [constant]: the bound at a start is [constant] plus
+   [sum_k weight_k h_k(t0)] over the rows in [support] (ids into a
+   prepared context's [p_bases]).  [magnitude] is the sum of the
+   absolute values of [constant]'s terms, and [rounding] the factor
+   [gamma_N] that bounds, with the evaluation's own magnitude, the
+   rounding error of the whole computation. *)
+type tangent = {
+  constant : float;
+  magnitude : float;
+  support : int array;
+  weight : float array;
+  rounding : float;
+}
+
+(* A tangent drops the thermal entries of its dual below this fraction
+   of the largest ({!tangent_of}). *)
+let sparse_drop = 1e-4
+
+(* [gamma_n = n u / (1 - n u)], [u] the unit roundoff: a sum of [n]
+   products computed in floating point is within [gamma_n] times the
+   sum of their absolute values of the exact sum (Higham, Accuracy and
+   Stability of Numerical Algorithms, 2nd ed., Sec. 3.1). *)
+let gamma n =
+  let nu = float_of_int n *. (epsilon_float /. 2.0) in
+  nu /. (1.0 -. nu)
+
+(* The tangent of the frontier instance [p] (no floor, no gradient
+   term) from the cone dual [z] of a solve on it, as {!Convex.Conic}
+   reports it: an orthant entry is clipped at 0; a power law's block,
+   reported in [(u, v, w)], is rotated by T into the stored coordinates
+   and projected there onto the second-order cone (the same as
+   projecting onto the rotated cone first), then its first entry is
+   lifted over [hypot]'s rounding, so that [z in K*] holds exactly;
+   the thermal entries below [sparse_drop] of the largest are set to
+   0.  The residual [r = c + G'z] is formed over the instance's packed
+   stripes, with a bound on its rounding error from the absolute
+   values of its terms, and the charge uses that bound, so it never
+   falls short.  [None] when anything is not finite. *)
+let tangent_of p (z : Vec.t) =
+  let layout = p.p_layout in
+  assert (p.p_floor_only = None && layout.bounds_offset = None);
+  let h = p.p_h and c = p.p_c and g = p.p_g in
+  let n_rows = Array.length h and dim = Array.length c in
+  let mo = n_rows - (3 * layout.n_f) in
+  let zs = Array.make n_rows 0.0 in
+  for i = 0 to mo - 1 do
+    if z.(i) > 0.0 then zs.(i) <- z.(i)
+  done;
+  let inv_sqrt2 = 1.0 /. sqrt 2.0 in
+  for k = 0 to layout.n_f - 1 do
+    let e = mo + (3 * k) in
+    let s0 = inv_sqrt2 *. (z.(e) +. z.(e + 1))
+    and s1 = inv_sqrt2 *. (z.(e) -. z.(e + 1))
+    and s2 = z.(e + 2) in
+    let norm = Float.hypot s1 s2 in
+    let s0, s1, s2 =
+      if norm <= s0 then (s0, s1, s2)
+      else if norm <= -.s0 then (0.0, 0.0, 0.0)
+      else
+        let t = 0.5 *. (s0 +. norm) in
+        (t, t *. (s1 /. norm), t *. (s2 /. norm))
+    in
+    zs.(e) <-
+      Float.max s0 (Float.hypot s1 s2 *. (1.0 +. (4.0 *. epsilon_float)));
+    zs.(e + 1) <- s1;
+    zs.(e + 2) <- s2
+  done;
+  (* A thermal row of the frontier instance follows the box rows. *)
+  let first_thermal = 4 * layout.n_f in
+  let last_thermal = first_thermal + p.p_n_kept in
+  (* An interior-point dual is positive on every row, but off the rows
+     that bind it is 1e-5 to 1e-9 of the binding ones (one per core on
+     Niagara, about 1).  Those entries are dropped before [r] is
+     formed, so the charge takes their part and the bound stays safe.
+     At the ladder's own starts on Niagara the bound loosens by at most
+     3e-6 (of about 7), and the tangent keeps a handful of rows instead
+     of every kept one: long-lived arrays of every kept row, one pair
+     per ladder point, moved chip.trace's peak RSS by +11 % (heap
+     layout, not heap size). *)
+  let largest = ref 0.0 in
+  for i = first_thermal to last_thermal - 1 do
+    largest := Float.max !largest zs.(i)
+  done;
+  for i = first_thermal to last_thermal - 1 do
+    if zs.(i) < sparse_drop *. !largest then zs.(i) <- 0.0
+  done;
+  let r = Array.copy c and scale = Array.map Float.abs c in
+  for i = 0 to n_rows - 1 do
+    let zi = zs.(i) and first = g.off.(i) in
+    for e = first to g.off.(i + 1) - 1 do
+      let col = g.lo.(i) + e - first in
+      let v = g.data.(e) *. zi in
+      r.(col) <- r.(col) +. v;
+      scale.(col) <- scale.(col) +. Float.abs v
+    done
+  done;
+  let constant = ref 0.0 and magnitude = ref 0.0 in
+  let add v =
+    constant := !constant +. v;
+    magnitude := !magnitude +. Float.abs v
+  in
+  for i = 0 to n_rows - 1 do
+    if i < first_thermal || i >= last_thermal then add (zs.(i) *. h.(i))
+  done;
+  let r_rounding = gamma (n_rows + 3) in
+  for j = 0 to dim - 1 do
+    let box = if j < layout.p_offset then f_box else p_box in
+    add (box *. Float.max 0.0 ((r_rounding *. scale.(j)) -. r.(j)))
+  done;
+  let support = ref [] in
+  for i = last_thermal - 1 downto first_thermal do
+    if zs.(i) > 0.0 then
+      support := (p.p_kept.(i - first_thermal), zs.(i)) :: !support
+  done;
+  let support = Array.of_list !support in
+  if
+    Float.is_finite !constant && Float.is_finite !magnitude
+    && Array.for_all (fun (_, w) -> Float.is_finite w) support
+  then
+    Some
+      {
+        constant = !constant;
+        magnitude = !magnitude;
+        support = Array.map fst support;
+        weight = Array.map snd support;
+        rounding = gamma (n_rows + dim + Array.length support + 8);
+      }
+  else None
+
+let tangent built z =
+  let p = built.context in
+  (* Without a gradient term only a frontier instance has no floor-only
+     relaxation. *)
+  if not (p.p_floor_only = None && built.layout.bounds_offset = None) then
+    invalid_arg "Model.tangent: not a frontier instance without gradient";
+  if Vec.dim z <> Array.length p.p_h then
+    invalid_arg "Model.tangent: dual length mismatch";
+  tangent_of p z
+
+(* Whether [tg] refutes [built]'s floor: the floor exceeds the bound
+   at [built]'s start by more than the rounding allowance.  Every
+   thermal constant is written as {!copy_rows} writes it, from the
+   context's bases, which hold every row, kept or not. *)
+let tangent_refutes tg built =
+  let bases = built.context.p_bases and tmax = built.spec.Spec.tmax in
+  let support = tg.support and weight = tg.weight in
+  let bound = ref tg.constant and magnitude = ref tg.magnitude in
+  for i = 0 to Array.length support - 1 do
+    let v = weight.(i) *. -.((bases.(support.(i)) -. tmax) /. tmax) in
+    bound := !bound +. v;
+    magnitude := !magnitude +. Float.abs v
+  done;
+  floor_constant ~layout:built.layout ~machine:built.machine built.ftarget
+  > !bound +. (tg.rounding *. !magnitude)
+
+(* The tangent of the frontier at one start, from a solve on every row;
+   [None] unless the solve ends optimal. *)
+let solved_tangent ?stats_into p =
+  match Convex.Conic.solve ?stats_into ~ws:(workspace p) p.p_conic with
+  | Convex.Conic.Optimal s -> tangent_of p s.Convex.Conic.z
+  | Convex.Conic.Primal_infeasible _ | Convex.Conic.Dual_infeasible _
+  | Convex.Conic.Unknown _ ->
+      None
+
+(* The ladder: [ladder_points] uniform starts, evenly spaced from the
+   machine's ambient temperature to [tmax], each with the tangent of
+   its frontier, solved on first request and kept in the machine's
+   cache under the thermal rows it was built from (physically the
+   machine's one row set for the spec's key) and its index.  A
+   function of the machine and the spec, not of a table's grid, so
+   every grid over the machine shares it. *)
+let ladder_points = 16
+
+type Sim.Machine.slot +=
+  | Frontier_tangent of {
+      rows : thermal_rows;
+      point : int;
+      tangent : tangent option;
+    }
+
+let ladder_ends built =
+  ( built.machine.Sim.Machine.thermal.Thermal.Rc_model.ambient,
+    built.spec.Spec.tmax )
+
+let frontier_tangent built ~point =
+  if point < 0 || point >= ladder_points then
+    invalid_arg "Model.frontier_tangent: point outside the ladder";
+  match built.layout.bounds_offset with
+  | Some _ -> None
+  | None ->
+      let rows = built.context.p_rows in
+      Sim.Machine.cached built.machine
+        ~find:(function
+          | Frontier_tangent s when s.rows == rows && s.point = point ->
+              Some s.tangent
+          | _ -> None)
+        ~compute:(fun () ->
+          let lo, hi = ladder_ends built in
+          let tstart =
+            lo +. ((hi -. lo) *. float_of_int point
+                   /. float_of_int (ladder_points - 1))
+          in
+          let p =
+            prepare_internal ~machine:built.machine ~spec:built.spec
+              ~t0:(uniform_t0 built.machine tstart) ~tstart:None
+              ~frontier:true
+          in
+          Frontier_tangent { rows; point; tangent = solved_tangent p })
+
+(* A uniform start's verdict from the two ladder tangents that bracket
+   it (the nearest two when it lies outside the ladder).  Either
+   bounds the frontier; the frontier is concave in the start, so the
+   bracketing ones are the tightest. *)
+let ladder_refutes built =
+  match (built.context.p_tstart, built.layout.bounds_offset) with
+  | Some tstart, None ->
+      let lo, hi = ladder_ends built in
+      hi > lo
+      &&
+      let pos =
+        (tstart -. lo) /. (hi -. lo) *. float_of_int (ladder_points - 1)
+      in
+      let below =
+        if pos <= 0.0 then 0
+        else Stdlib.min (ladder_points - 2) (int_of_float pos)
+      in
+      let refutes point =
+        match frontier_tangent built ~point with
+        | Some tg -> tangent_refutes tg built
+        | None -> false
+      in
+      refutes below || refutes (below + 1)
+  | Some _, Some _ | None, _ -> false
+
+(* A stalled cell's verdict from its own start's frontier, whose bound
+   is the frontier itself up to the solver's tolerance. *)
+let own_frontier_refutes ~stats built =
+  match built.layout.bounds_offset with
+  | Some _ -> false
+  | None -> (
+      let p =
+        prepare_internal ~machine:built.machine ~spec:built.spec
+          ~t0:built.initial_temperatures ~tstart:None ~frontier:true
+      in
+      match solved_tangent ~stats_into:stats p with
+      | Some tg -> tangent_refutes tg built
+      | None -> false)
+
 (* The orthant rows a conic solve may leave out of its working set:
    the thermal and gradient rows after the floor.  The gradient
    variant's last three rows (0 <= l, u <= 2, l <= u), four with the
@@ -794,9 +1078,18 @@ let seed_slack = 1e-6
    the same rows, admitted round by round, end in a certificate
    (DESIGN.md 6r).  A run that stalls from the rows [start] picks is
    retried once, cold, on every row; the last status is the call's.
+
+   A cell whose closed form fails is first checked against the two
+   ladder tangents that bracket a uniform start, and refuted with no
+   conic run when its floor exceeds their bound.  A stalled run from
+   the rows [start] picks is checked against the frontier of the
+   cell's own start before the all-rows retry.  A refutation carries
+   the tangent's dual with a unit weight on the floor row, a Farkas
+   ray, and counts as a primal-infeasibility outcome.
+
    Work counters add up over every solve; the outcome counters count
    the call once, by its final status. *)
-let count_outcome (status : Convex.Conic.status) (s : Convex.Conic.stats) =
+let count_outcome outcome (s : Convex.Conic.stats) =
   let s =
     {
       s with
@@ -806,11 +1099,17 @@ let count_outcome (status : Convex.Conic.status) (s : Convex.Conic.stats) =
       unknown = 0;
     }
   in
-  match status with
-  | Convex.Conic.Optimal _ -> { s with optimal = 1 }
-  | Convex.Conic.Primal_infeasible _ -> { s with primal_infeasible = 1 }
-  | Convex.Conic.Dual_infeasible _ -> { s with dual_infeasible = 1 }
-  | Convex.Conic.Unknown _ -> { s with unknown = 1 }
+  match outcome with
+  | `Optimal -> { s with optimal = 1 }
+  | `Primal_infeasible -> { s with primal_infeasible = 1 }
+  | `Dual_infeasible -> { s with dual_infeasible = 1 }
+  | `Unknown -> { s with unknown = 1 }
+
+let outcome_class : Convex.Conic.status -> _ = function
+  | Convex.Conic.Optimal _ -> `Optimal
+  | Convex.Conic.Primal_infeasible _ -> `Primal_infeasible
+  | Convex.Conic.Dual_infeasible _ -> `Dual_infeasible
+  | Convex.Conic.Unknown _ -> `Unknown
 
 (* The optimum of the floor-only relaxation, as [raw] with its exact
    dual, or [None] when the floor exceeds what the boxes allow (the
@@ -875,8 +1174,10 @@ let floor_only_raw built t =
       end
 
 (* A cell the floor-only optimum settles counts as one optimal solve
-   with no interior-point work. *)
-let closed_form_stats = { Convex.Conic.stats_zero with optimal = 1 }
+   with no interior-point work, and a cell a ladder tangent refutes as
+   one primal-infeasibility outcome with none. *)
+let closed_form_stats = count_outcome `Optimal Convex.Conic.stats_zero
+let ladder_stats = count_outcome `Primal_infeasible Convex.Conic.stats_zero
 
 (* The floor-only relaxation settles a cell when its optimum satisfies
    every thermal row: it is then feasible for the cell, and as the
@@ -920,6 +1221,9 @@ let solve ?conic_stats_into ?conic_ws ?start built =
   | Some raw when Convex.Conic.admit ws t raw.Convex.Solve.x ~above:0.0 = 0 ->
       record closed_form_stats;
       Feasible (solution_of_x built ~settled_by:`Closed_form raw)
+  | _ when ladder_refutes built ->
+      record ladder_stats;
+      Infeasible
   | closed_form ->
       let status =
         match closed_form with
@@ -928,12 +1232,17 @@ let solve ?conic_stats_into ?conic_ws ?start built =
             if stalled status then from_start () else status
         | None -> from_start ()
       in
-      let status =
-        if stalled status then begin
-          Convex.Conic.restrict ws t ~first:0 ~last:0;
-          Convex.Conic.solve ~stats_into:stats ~ws t
-        end
-        else status
-      in
-      record (count_outcome status !stats);
-      outcome_of built t status
+      if stalled status && own_frontier_refutes ~stats built then begin
+        record (count_outcome `Primal_infeasible !stats);
+        Infeasible
+      end
+      else
+        let status =
+          if stalled status then begin
+            Convex.Conic.restrict ws t ~first:0 ~last:0;
+            Convex.Conic.solve ~stats_into:stats ~ws t
+          end
+          else status
+        in
+        record (count_outcome (outcome_class status) !stats);
+        outcome_of built t status

@@ -81,6 +81,26 @@ type floor_only
     saturate their frequency box.  {!solve} forms the relaxation's
     optimum from it in closed form. *)
 
+type prepared
+(** The [(machine, spec, t0)]-dependent part of a model: its conic
+    instance with every row but the throughput floor's constant.
+    Building it costs one pass of the base trajectory over the window
+    (stepped in two vectors, never stored whole, on the machine's
+    compiled CSR stepper {!Thermal.Rc_model.stepper_step_into}, whose
+    summation order keeps the dense step's bits), one box-implication
+    test per stride point and node from that base, and a copy of the
+    rows it keeps, with their constants, into the instance's packed
+    arrays — nearly all of a {!build}; each further {!instantiate} at
+    a new [ftarget] is then almost free.  The rows themselves come
+    from the machine's cache: the first prepare of a machine at a
+    given window, stride, variant, [tmax] and gradient switch builds
+    them (from the machine's {!Sim.Machine.window_response}), and
+    every later one, from any domain, reads them.  A warm prepare
+    allocates the instance's packed arrays, two step vectors and two
+    scratch arrays of one entry per (stride point, node); nothing per
+    kept row.  The offline sweep prepares once
+    per table row and instantiates once per column (DESIGN.md §6t). *)
+
 type built = {
   layout : layout;
   spec : Spec.t;
@@ -102,6 +122,9 @@ type built = {
           for the gradient variant, whose spread term couples the
           objective to the thermal rows, and for a frontier
           instance. *)
+  context : prepared;
+      (** The context the instance was made from: {!solve}'s frontier
+          bound reads its start ({!tangent_refutes}). *)
 }
 
 val f_box : float
@@ -135,26 +158,6 @@ val conic_blocks : layout -> int array
 (** The variable partition under which the conic normal equations are
     block-tridiagonal: [(n_f, n_p)] plus the two gradient bounds when
     present.  Pass as [`Blocks] to {!Convex.Conic}. *)
-
-type prepared
-(** The [(machine, spec, t0)]-dependent part of a model: its conic
-    instance with every row but the throughput floor's constant.
-    Building it costs one pass of the base trajectory over the window
-    (stepped in two vectors, never stored whole, on the machine's
-    compiled CSR stepper {!Thermal.Rc_model.stepper_step_into}, whose
-    summation order keeps the dense step's bits), one box-implication
-    test per stride point and node from that base, and a copy of the
-    rows it keeps, with their constants, into the instance's packed
-    arrays — nearly all of a {!build}; each further {!instantiate} at
-    a new [ftarget] is then almost free.  The rows themselves come
-    from the machine's cache: the first prepare of a machine at a
-    given window, stride, variant, [tmax] and gradient switch builds
-    them (from the machine's {!Sim.Machine.window_response}), and
-    every later one, from any domain, reads them.  A warm prepare
-    allocates the instance's packed arrays, two step vectors and two
-    scratch arrays of one entry per (stride point, node); nothing per
-    kept row.  The offline sweep prepares once
-    per table row and instantiates once per column (DESIGN.md §6t). *)
 
 val prepare :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> prepared
@@ -235,6 +238,18 @@ val solve :
     benchmark's Niagara grid that settles 97.7 % of the feasible
     cells.
 
+    {b Frontier bound second.}  A cell whose closed form fails, from a
+    uniform start ({!build}, {!prepare}) and without a gradient term,
+    is checked against the two {!frontier_tangent}s of the machine's
+    ladder that bracket its start (the nearest two outside it).  Each
+    is a safe upper bound on the frontier of every start, so when the
+    cell's floor exceeds either one by more than its rounding
+    allowance ({!tangent_refutes}) the cell is infeasible: it is
+    reported [Infeasible] with no conic run.  The ladder is solved on
+    first use and cached in the machine.  On the benchmark's Niagara
+    grid the bound settles 98 of the 100 first infeasible cells of
+    its rows.
+
     {b Otherwise, the conic method} ({!Convex.Conic}, the primal-dual
     predictor-corrector on the homogeneous self-dual embedding, with
     the block-tridiagonal factorization from {!conic_blocks}).  No
@@ -258,7 +273,11 @@ val solve :
     A run from the violated rows that ends without a certificate
     ([Unknown], or a dual-infeasibility certificate, which a bounded
     cell cannot have) is run again from the rows [start] picks; a run
-    from those that ends without one is retried once, cold, on every
+    from those that ends without one is checked against the frontier
+    of the cell's own start (one conic solve on every row of the
+    frontier instance, whose tangent bounds the frontier there to the
+    solver's tolerance), and refuted like a ladder verdict when the
+    floor exceeds it; otherwise it is retried once, cold, on every
     row.  An optimum of the last solve is served; anything else is
     reported [Infeasible] — the thermally safe verdict, under which a
     table falls back to a lower column.
@@ -266,8 +285,12 @@ val solve :
     [conic_stats_into] accumulates the work counters of every solve
     the call makes, while its certificate-outcome fields count the
     call once, by its final status: [unknown] counts the cells
-    reported infeasible without a certificate, and a cell settled in
-    closed form counts as [optimal] with no iteration.  [conic_ws] is
+    reported infeasible without a certificate, a cell settled in
+    closed form counts as [optimal] with no iteration, and a cell a
+    ladder tangent refutes as [primal_infeasible] with no iteration
+    (the tangent's dual with a unit weight on the floor row is a
+    Farkas ray).  The ladder's own solves are the machine's work and
+    are counted nowhere.  [conic_ws] is
     the solver workspace the rounds run in (and the closed-form check
     reads its working set): one made by {!workspace} for the
     instance's prepared context holds the working set
@@ -280,3 +303,53 @@ val solve_frontier : built -> outcome
     supportable total.  A primal-infeasibility certificate — the start
     temperature is already outside the envelope — and a solve that
     ends without a certificate are both [Infeasible]. *)
+
+(** {2 Frontier tangents} *)
+
+val ladder_points : int
+(** The ladder's size [K = 16]: uniform starts spaced evenly from the
+    machine's ambient temperature to the spec's [tmax]. *)
+
+type tangent
+(** A safe upper bound on the frontier of every start, affine in the
+    thermal rows' constants: from the cone dual [z] of the frontier
+    at one start, with [r = G'z + c],
+    [F*(t0) <= h(t0)'z + sum_j max(0, -r_j) box_j], which weak duality
+    gives for any [z in K*] because every feasible point lies in the
+    boxes (the safe bound of Neumaier and Shcherbina, Math. Prog. 99,
+    2004).  [z] is made to lie in [K*] exactly (orthant entries
+    clipped, each power law's block projected onto its cone), so the
+    bound holds at every start however far [z] is from that start's
+    optimum. *)
+
+val tangent : built -> Vec.t -> tangent option
+(** [tangent frontier z] is the tangent of a {!build_frontier}
+    instance from a cone dual [z] of it, in the layout
+    {!Convex.Conic.solution} reports: orthant entries are clipped at 0,
+    each power law's block, reported in [(u, v, w)], is rotated into
+    the stored coordinates and projected onto its cone there, and the
+    thermal entries below [1e-4] of the largest are dropped before the
+    residual is charged, so any [z] of the right length, optimal or
+    not, gives a safe bound, kept on a few rows.
+    [None] when the bound is not finite.  Raises [Invalid_argument]
+    for an instance with a floor or a gradient term, or a [z] of
+    another length. *)
+
+val frontier_tangent : built -> point:int -> tangent option
+(** The tangent at ladder point [point] for [built]'s machine and
+    spec: the frontier solved from the uniform start
+    [ambient + (tmax - ambient) point / (K - 1)], on the first request
+    from any domain, and kept in the machine's cache
+    ({!Sim.Machine.cached}) under the machine's thermal rows for the
+    spec and [point]; every later request reads it.  [None] when that
+    frontier does not end optimal, and for a spec with a gradient
+    term.  Raises [Invalid_argument] unless [0 <= point < K]. *)
+
+val tangent_refutes : tangent -> built -> bool
+(** Whether the cell's floor [n_cores ftarget / fmax] exceeds the
+    tangent's bound at [built]'s start by more than
+    [gamma_N m], where [m] is the sum of the absolute values of the
+    bound's terms and [gamma_N = N u / (1 - N u)] bounds the rounding
+    of its [N] operations ([u] the unit roundoff).  When it does, the
+    cell is infeasible.  One pass over the tangent's support; it
+    allocates nothing. *)

@@ -43,11 +43,12 @@ let table label ~machine ~spec ~margin ~tstarts ~ftargets =
   in
   let stats = Protemp.Dense_table.fill ~domains:1 dense in
   let solver = Protemp.Dense_table.solver_stats dense in
-  pr "table %s: %d cells, %d solves, %d warm, %d closed form, %d pruned, \
-      %d feasible, %d iterations, %d unknown\n"
+  pr "table %s: %d cells, %d solves, %d warm, %d closed form, %d frontier \
+      verdicts, %d pruned, %d feasible, %d iterations, %d unknown\n"
     label stats.Protemp.Dense_table.cells stats.Protemp.Dense_table.solves
     stats.Protemp.Dense_table.warm_hits
     (Protemp.Dense_table.closed_form_cells dense)
+    (Protemp.Dense_table.frontier_verdicts dense)
     stats.Protemp.Dense_table.pruned stats.Protemp.Dense_table.feasible
     solver.Convex.Conic.iterations solver.Convex.Conic.unknown;
   print_string

@@ -193,9 +193,18 @@ let floor_shortfall_bound machine =
   ((Protemp.Model.f_box -. 1.0 +. eps) *. sum_fmax)
   +. (eps *. machine.Sim.Machine.fmax)
 
+(* The same grids also gate the frontier verdicts: no cell ends
+   without a certificate, the ladder's tangents refute 98 of the 100
+   first infeasible cells of Niagara's rows and 6 of the 7 of
+   big.LITTLE's (the fill goldens stay 8923/8823/1077/8823 and
+   1200/1050/0/1193), and a fresh machine filled at 1 and at 2
+   domains gives the same table, byte for byte, the same counters and
+   the same cache: its thermal rows and each ladder point it used,
+   published once whichever domain asked first. *)
 let test_served_floor_bound () =
   List.iter
-    (fun (name, machine, tstarts, ftargets) ->
+    (fun (name, machine_of, tstarts, ftargets, verdicts) ->
+      let machine = machine_of () in
       let dt = D.create ~machine ~spec:fast_spec ~tstarts ~ftargets () in
       let table = D.to_table ~domains:1 dt in
       let bound = floor_shortfall_bound machine in
@@ -216,16 +225,42 @@ let test_served_floor_bound () =
       check_bool
         (Printf.sprintf "%s: worst shortfall %.6g Hz <= bound %.6g Hz" name
            !worst bound)
-        true (!worst <= bound))
+        true (!worst <= bound);
+      check_int (name ^ ": no unknown") 0
+        (D.solver_stats dt).Convex.Conic.unknown;
+      check_int (name ^ ": frontier verdicts") verdicts
+        (D.frontier_verdicts dt);
+      let fresh domains =
+        let machine = machine_of () in
+        let dt = D.create ~machine ~spec:fast_spec ~tstarts ~ftargets () in
+        let stats = D.fill ~domains dt in
+        ( Protemp.Table.to_csv (D.to_table dt),
+          ( stats,
+            D.closed_form_cells dt,
+            D.frontier_verdicts dt,
+            D.solver_stats dt ),
+          Sim.Machine.cached_slots machine )
+      in
+      let csv1, counts1, slots1 = fresh 1 and csv2, counts2, slots2 = fresh 2 in
+      check_bool (name ^ ": a second machine at 1 domain, the same table") true
+        (csv1 = Protemp.Table.to_csv table);
+      check_bool (name ^ ": 2 domains, the same table") true (csv1 = csv2);
+      check_bool (name ^ ": 2 domains, the same counters") true
+        (counts1 = counts2);
+      check_int
+        (Printf.sprintf "%s: 2 domains, the same cache (%d slots)" name slots1)
+        slots1 slots2)
     [
       ( "big.LITTLE 150x8",
-        Sim.Machine.biglittle (),
+        Sim.Machine.biglittle,
         axis 27.0 100.0 150,
-        axis 1e8 7e8 8 );
+        axis 1e8 7e8 8,
+        6 );
       ( "Niagara 100x100",
-        Lazy.force machine,
+        Sim.Machine.niagara,
         axis 27.0 100.0 100,
-        axis 1e8 1e9 100 );
+        axis 1e8 1e9 100,
+        98 );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -242,7 +277,7 @@ let words_beyond_table dt =
 
 (* A filled grid keeps its table and nothing that grows with it: no
    solver state, seeds or memo.  What is left is the grid's records,
-   its spec and the fill's counters (32 words), the same on a 3x3 grid
+   its spec and the fill's counters (33 words), the same on a 3x3 grid
    and on the fleet benchmark's 19x9 serving grid (margin 5). *)
 let test_filled_grid_holds_only_its_table () =
   let beyond dt =

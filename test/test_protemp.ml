@@ -1483,54 +1483,64 @@ let test_stall_path_serves_optimum () =
     [ (67.26, 736.3e6); (67.28, 735.4e6); (67.32, 731.8e6); (67.42075, 736.98e6) ]
 
 (* The seed's one job since the floor-only closed form: it picks the
-   retry set of a stalled run.  One-row fills on table.niagara's axes
-   (27-100 C x 100-1000 MHz, 100 x 100, stride 4, margin 0): at rows
-   54 and 99 the first infeasible column, (66.82 C, 900 MHz) and
-   (100 C, 736.4 MHz), violates hundreds of thermal rows at its
-   floor-only optimum, and the run started cold on all of them
-   stalls.  Re-run from the rows the previous column's optimum binds,
-   it ends in a primal-infeasibility certificate; without that re-run
-   both cells end [Unknown] (their rows' frontiers are 899.92 and
-   732.92 MHz).  test_parallel's seeded-vs-cold gate guards the rest. *)
+   retry set of a stalled run.  A start given as a profile gets no
+   frontier ladder, so its cells still reach that retry.  On
+   table.niagara's axes (27-100 C x 100-1000 MHz, 100 x 100, stride 4,
+   margin 0) the cell at row 54 and column 88, (66.82 C, 900 MHz),
+   violates hundreds of thermal rows at its floor-only optimum, and
+   the run started cold on all of them stalls.  Posed from the uniform
+   profile at 66.82 C and seeded with column 87's optimum, the re-run
+   from the rows that optimum binds ends in a primal-infeasibility
+   certificate.  Without the seed the re-run starts from no optional
+   row and stalls too, and the call falls through to the frontier of
+   the cell's own start (its row's frontier is 899.92 MHz), which
+   refutes the floor after more iterations; without the re-run both
+   calls take that same path and cost the same.  test_parallel's
+   seeded-vs-cold gate guards the rest. *)
 let test_stall_path_seed_picks_retry_set () =
   let machine = Lazy.force machine in
   let spec = working_set_spec ~big:false ~variant:0 ~stride:4 in
   let axis lo hi n i =
     lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1))
   in
-  let ftargets = Array.init 100 (axis 1e8 1e9 100) in
-  List.iter
-    (fun (row, col) ->
-      let tstart = axis 27.0 100.0 100 row in
-      let label =
-        Printf.sprintf "row %d (%.2f C), column %d (%.1f MHz)" row tstart col
-          (ftargets.(col) /. 1e6)
-      in
-      let dt =
-        Protemp.Dense_table.create ~machine ~spec ~tstarts:[| tstart |]
-          ~ftargets ()
-      in
-      let table = Protemp.Dense_table.to_table ~domains:1 dt in
-      let infeasible j =
-        match Protemp.Table.cell table 0 j with
-        | Protemp.Table.Infeasible -> true
-        | Protemp.Table.Frequencies _ -> false
-      in
-      check_bool (label ^ ": the column before is feasible") false
-        (infeasible (col - 1));
-      check_bool (label ^ ": infeasible") true (infeasible col);
-      let stats = Protemp.Dense_table.solver_stats dt in
-      check_int (label ^ ": no unknown") 0 stats.Convex.Conic.unknown;
-      check_int (label ^ ": one certificate") 1
-        stats.Convex.Conic.primal_infeasible)
-    [ (54, 88); (99, 70) ]
+  let t0 = Vec.create machine.Sim.Machine.n_nodes (axis 27.0 100.0 100 54) in
+  let cell col =
+    Protemp.Model.build_with_profile ~machine ~spec ~t0
+      ~ftarget:(axis 1e8 1e9 100 col)
+  in
+  let seed =
+    match Protemp.Model.solve (cell 87) with
+    | Protemp.Model.Feasible s -> s.Protemp.Model.raw.Convex.Solve.x
+    | Protemp.Model.Infeasible -> Alcotest.fail "column 87 is feasible"
+  in
+  let solve label start =
+    let stats = ref Convex.Conic.stats_zero in
+    (match Protemp.Model.solve ~conic_stats_into:stats ?start (cell 88) with
+    | Protemp.Model.Infeasible -> ()
+    | Protemp.Model.Feasible _ -> Alcotest.failf "%s: served" label);
+    check_int (label ^ ": no unknown") 0 !stats.Convex.Conic.unknown;
+    check_int (label ^ ": one certificate") 1
+      !stats.Convex.Conic.primal_infeasible;
+    !stats.Convex.Conic.iterations
+  in
+  let seeded = solve "seeded" (Some seed) and cold = solve "no seed" None in
+  check_bool
+    (Printf.sprintf
+       "the seeded retry settles it in %d iterations, fewer than the %d \
+        of the path through the own frontier"
+       seeded cold)
+    true (seeded < cold)
 
 (* A cell of the table.niagara grid (row 98 and column 74 of its
-   100 x 100 axes, stride 4) on which both the working set and the
-   all-rows solve end without a certificate.  It is served as
-   infeasible and counted as [unknown], and it is: the conic frontier
-   of its row lies below its floor. *)
-let test_stall_path_uncertified_cell () =
+   100 x 100 axes, stride 4; 99.26 C, 772.73 MHz) on which both the
+   working set and the re-run from the seed's rows end without a
+   certificate, and which lies too close to its row's frontier for the
+   ladder's tangents to refute (its floor is 9.4e-5 above the
+   frontier; the ladder's are at 95.13 and 100 C).  The frontier of its
+   own start refutes it: it is served as infeasible, counted as one
+   primal-infeasibility outcome after the conic runs, and the frontier
+   lies below its floor. *)
+let test_stall_path_own_frontier () =
   let machine = Lazy.force machine in
   let spec = working_set_spec ~big:false ~variant:0 ~stride:4 in
   let axis lo hi n i =
@@ -1544,10 +1554,12 @@ let test_stall_path_uncertified_cell () =
    with
   | Protemp.Model.Infeasible -> ()
   | Protemp.Model.Feasible _ -> Alcotest.fail "expected infeasible");
-  check_int "counted as unknown" 1 !stats.Convex.Conic.unknown;
-  check_int "and as nothing else" 0
-    (!stats.Convex.Conic.optimal + !stats.Convex.Conic.primal_infeasible
-   + !stats.Convex.Conic.dual_infeasible);
+  check_int "no unknown" 0 !stats.Convex.Conic.unknown;
+  check_int "one certificate" 1 !stats.Convex.Conic.primal_infeasible;
+  check_int "and nothing else" 0
+    (!stats.Convex.Conic.optimal + !stats.Convex.Conic.dual_infeasible);
+  check_bool "after conic runs, not by the ladder" true
+    (!stats.Convex.Conic.iterations > 0);
   match
     Protemp.Model.solve_frontier
       (Protemp.Model.build_frontier ~machine ~spec ~tstart)
@@ -1883,6 +1895,149 @@ let test_prepare_allocation_flat () =
         [ 250; 1000 ])
     [ ("prepare words", prepared); ("response words", response) ]
 
+(* Frontier tangents.  A tangent is a safe upper bound on the frontier
+   of every start, whatever dual it is built from: the frontier [F] at
+   a random start must not lie above the bound by more than the
+   frontier solve's gap tolerance, both for the ladder's own tangent at
+   a random point and for one built from a perturbed dual of the
+   frontier at another random start.  The perturbation scales the dual
+   down (so [G'z + c] is far from 0 and the residual charge carries the
+   bound), pushes some orthant entries below zero (the clip) and
+   replaces some power-law blocks [(u, v, w)] by points far outside
+   their cone (the projection).  The refutation is read through
+   {!Protemp.Model.tangent_refutes} on a cell whose floor is [F] less
+   the tolerance.  And no cell near the frontier that [Model.solve]
+   refutes with a ladder tangent (one primal-infeasibility outcome, no
+   iteration) is optimal under the all-rows solve. *)
+let perturbed_dual rng ~n_cones (z : Vec.t) =
+  let scale = Float.max 1.0 (Vec.norm_inf z) in
+  let alpha = Random.State.float rng 1.0 in
+  let n = Vec.dim z in
+  let mo = n - (3 * n_cones) in
+  let z' =
+    Vec.init n (fun i ->
+        if i < mo && Random.State.int rng 4 = 0 then
+          -.scale *. Random.State.float rng 1.0
+        else alpha *. z.(i))
+  in
+  for k = 0 to n_cones - 1 do
+    if Random.State.int rng 4 = 0 then begin
+      let e = mo + (3 * k) in
+      z'.(e) <- 0.01 *. Random.State.float rng 1.0;
+      z'.(e + 1) <- 0.01 *. Random.State.float rng 1.0;
+      z'.(e + 2) <- scale *. (Random.State.float rng 2.0 -. 1.0)
+    end
+  done;
+  z'
+
+let prop_frontier_tangent_sound =
+  QCheck2.Test.make
+    ~name:"model: frontier tangents bound the frontier of every start"
+    ~count:40
+    ~print:(fun ((big, uniform, stride, margin), (tstart, point, t_dual, seed, u))
+           ->
+      Printf.sprintf
+        "%s %s stride %d margin %.0f tstart %.3f point %d dual from %.3f \
+         seed %d ftarget %+.4f"
+        (if big then "biglittle" else "niagara")
+        (if uniform && not big then "uniform" else "variable")
+        stride margin tstart point t_dual seed u)
+    QCheck2.Gen.(
+      pair
+        (tup4 bool bool (oneofl [ 1; 4 ]) (oneofl [ 0.0; 5.0 ]))
+        (tup5 (float_range 20.0 105.0)
+           (int_range 0 (Protemp.Model.ladder_points - 1))
+           (float_range 20.0 105.0) int (float_range (-0.03) 0.03)))
+    (fun ((big, uniform, stride, margin), (tstart, point, t_dual, seed, u)) ->
+      let machine = Lazy.force (if big then biglittle else machine) in
+      let spec =
+        Protemp.Spec.guard_band ~margin
+          (working_set_spec ~big ~variant:(if uniform then 1 else 0) ~stride)
+      in
+      let fmax = machine.Sim.Machine.fmax in
+      let n = float_of_int machine.Sim.Machine.n_cores in
+      let cell floor =
+        Protemp.Model.build ~machine ~spec ~tstart
+          ~ftarget:(Float.min fmax (Float.max 0.0 (floor /. n *. fmax)))
+      in
+      let frontier =
+        match
+          Protemp.Model.solve_frontier
+            (Protemp.Model.build_frontier ~machine ~spec ~tstart)
+        with
+        | Protemp.Model.Feasible s ->
+            Some (-.s.Protemp.Model.raw.Convex.Solve.objective_value)
+        | Protemp.Model.Infeasible -> None
+      in
+      (match frontier with
+      | None -> ()
+      | Some f ->
+          let below =
+            cell (f -. (Convex.Conic.gap_rel_tol *. Float.max 1.0 f))
+          in
+          let sound name = function
+            | Some tg when Protemp.Model.tangent_refutes tg below ->
+                QCheck2.Test.fail_reportf
+                  "%s tangent refutes a floor below the frontier %.9g" name f
+            | Some _ | None -> ()
+          in
+          sound "the ladder's" (Protemp.Model.frontier_tangent below ~point);
+          let other =
+            Protemp.Model.build_frontier ~machine ~spec ~tstart:t_dual
+          in
+          let t = Lazy.force other.Protemp.Model.conic in
+          let ws =
+            Convex.Conic.make_workspace
+              ~kkt:
+                (`Blocks
+                  (Protemp.Model.conic_blocks other.Protemp.Model.layout))
+              t
+          in
+          match Convex.Conic.solve ~ws t with
+          | Convex.Conic.Optimal s ->
+              let rng = Random.State.make [| seed |] in
+              sound "a perturbed dual's"
+                (Protemp.Model.tangent other
+                   (perturbed_dual rng
+                      ~n_cones:other.Protemp.Model.layout.Protemp.Model.n_f
+                      s.Convex.Conic.z))
+          | _ -> ());
+      let near = cell (Option.value frontier ~default:n *. (1.0 +. u)) in
+      let stats = ref Convex.Conic.stats_zero in
+      (match Protemp.Model.solve ~conic_stats_into:stats near with
+      | Protemp.Model.Infeasible
+        when !stats.Convex.Conic.primal_infeasible = 1
+             && !stats.Convex.Conic.iterations = 0 -> (
+          match all_rows_solve near (Model_reference.problem near) with
+          | Convex.Conic.Optimal _ ->
+              QCheck2.Test.fail_reportf
+                "a cell the ladder refutes is optimal on every row"
+          | _ -> ())
+      | Protemp.Model.Infeasible | Protemp.Model.Feasible _ -> ());
+      true)
+
+(* The per-cell evaluation of a tangent, the one call a first
+   infeasible cell now costs, allocates nothing (lint.manifest lists
+   it too). *)
+let test_tangent_refutes_allocation_free () =
+  let machine = Lazy.force machine in
+  let built =
+    Protemp.Model.build ~machine ~spec:fast_spec ~tstart:66.0 ~ftarget:9.5e8
+  in
+  match Protemp.Model.frontier_tangent built ~point:8 with
+  | None -> Alcotest.fail "the ladder point has a tangent"
+  | Some tg ->
+      let evaluations = 1000 and refuted = ref true in
+      ignore (Protemp.Model.tangent_refutes tg built);
+      let before = Gc.minor_words () in
+      for _ = 1 to evaluations do
+        refuted := Protemp.Model.tangent_refutes tg built && !refuted
+      done;
+      let words = Gc.minor_words () -. before in
+      check_bool "950 MHz at 66 C is refuted" true !refuted;
+      check_float 0.0 "minor words per evaluation" 0.0
+        (words /. float_of_int evaluations)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1893,6 +2048,7 @@ let props =
       prop_conic_rows_bit_identical;
       prop_working_set;
       prop_closed_form;
+      prop_frontier_tangent_sound;
     ]
 
 let () =
@@ -2003,10 +2159,15 @@ let () =
         [
           Alcotest.test_case "gradient-cap cells served" `Quick
             test_stall_path_serves_optimum;
-          Alcotest.test_case "uncertified cell infeasible" `Quick
-            test_stall_path_uncertified_cell;
+          Alcotest.test_case "settled by its own frontier" `Quick
+            test_stall_path_own_frontier;
           Alcotest.test_case "seed picks the retry set" `Quick
             test_stall_path_seed_picks_retry_set;
+        ] );
+      ( "tangent",
+        [
+          Alcotest.test_case "evaluation allocates nothing" `Quick
+            test_tangent_refutes_allocation_free;
         ] );
       ( "prepare",
         [
