@@ -391,33 +391,6 @@ let s51 () =
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md Sec. 7). *)
 
-let abl_euler_vs_expm () =
-  section "Ablation — explicit Euler (paper's Eq. 1) vs exact expm transient";
-  let model = Thermal.Niagara.model () in
-  let fp = Thermal.Niagara.floorplan () in
-  let p =
-    Thermal.Niagara.power_vector fp
-      ~core_power:(Vec.create 8 Thermal.Niagara.core_pmax)
-  in
-  let t0 = Vec.create (Thermal.Floorplan.size fp) 27.0 in
-  let exact =
-    let prop = Thermal.Transient.exact_propagator model ~dt:0.1 in
-    Thermal.Transient.exact_step prop t0 p
-  in
-  Printf.printf "  %10s %14s\n" "dt (ms)" "max |err| (C)";
-  List.iter
-    (fun dt ->
-      let d = Thermal.Rc_model.discretize model ~dt in
-      let steps = int_of_float (Float.round (0.1 /. dt)) in
-      let traj = Thermal.Transient.simulate_const d ~t0 ~steps p in
-      let final = Mat.row traj.Thermal.Transient.temperatures steps in
-      Printf.printf "  %10.1f %14.4f\n" (dt *. 1e3)
-        (Vec.norm_inf (Vec.sub final exact)))
-    [ 0.4e-3; 2e-3; 10e-3 ];
-  Printf.printf
-    "  (paper's 0.4 ms step is ~exact; the monotone limit here is %.1f ms)\n%!"
-    (Thermal.Rc_model.max_monotone_dt model *. 1e3)
-
 let abl_stride () =
   section "Ablation — thermal-constraint stride vs solve cost and margin";
   Printf.printf "  %8s %12s %10s %14s\n" "stride" "constraints" "time (s)"
@@ -540,35 +513,6 @@ let abl_migration () =
   claim "migration rescues tasks stranded on a dead core"
     (r_on.Sim.Engine.unfinished = 0 && r_off.Sim.Engine.unfinished > 0)
 
-let abl_sparse_scaling () =
-  section "Ablation — dense LU vs sparse CG on fine-grained meshes";
-  Printf.printf "  %8s %12s %12s %8s\n" "mesh" "dense (ms)" "cg (ms)" "iters";
-  List.iter
-    (fun n ->
-      let fp =
-        Thermal.Floorplan.grid ~rows:n ~cols:n ~cell_width:0.5e-3
-          ~cell_height:0.5e-3 ()
-      in
-      let m = Thermal.Rc_model.build fp in
-      (* A hotspot pattern: uniform power would have a constant
-         solution that CG finds in one step. *)
-      let p =
-        Vec.init (n * n) (fun i ->
-            if i = (n * n / 2) + (n / 2) then 2.0 else 0.02)
-      in
-      let t0 = Unix.gettimeofday () in
-      let dense = Thermal.Rc_model.steady_state m p in
-      let t_dense = Unix.gettimeofday () -. t0 in
-      let t0 = Unix.gettimeofday () in
-      let sparse, iters = Thermal.Rc_model.steady_state_cg m p in
-      let t_cg = Unix.gettimeofday () -. t0 in
-      let agree = Vec.dist2 dense sparse < 1e-4 *. Vec.norm2 dense in
-      Printf.printf "  %4dx%-4d %12.2f %12.2f %8d%s\n" n n (t_dense *. 1e3)
-        (t_cg *. 1e3) iters
-        (if agree then "" else "  (MISMATCH)"))
-    [ 8; 16; 24; 32 ];
-  Printf.printf "%!"
-
 let abl_online_vs_table () =
   section "Ablation — table-driven Pro-Temp vs online (MPC) re-solving";
   let trace =
@@ -623,12 +567,10 @@ let () =
   fig9 ();
   fig10 ();
   fig11 ();
-  abl_euler_vs_expm ();
   abl_stride ();
   abl_table_resolution ();
   abl_discrete_ladder ();
   abl_migration ();
-  abl_sparse_scaling ();
   abl_online_vs_table ();
   Printf.printf "\n%d of %d paper claims pass.\n" (!claims - !failed) !claims;
   if !failed > 0 then exit 1

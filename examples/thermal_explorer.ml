@@ -1,16 +1,13 @@
-(* A tour of the thermal substrate on its own: floorplans, steady
-   states, transients, validation against the 3-layer model, and the
-   sparse solvers on a fine mesh.
+(* The thermal substrate on its own: the calibrated Niagara model's
+   steady state with every core at full power, block by block,
+   hottest first.
 
    Run with:  dune exec examples/thermal_explorer.exe *)
 
 open Linalg
 
-let heading s = Printf.printf "\n--- %s ---\n" s
-
 let () =
-  (* 1. The calibrated Niagara platform: who runs hot at full load? *)
-  heading "Niagara steady state at full load";
+  print_endline "--- Niagara steady state at full load ---";
   let fp = Thermal.Niagara.floorplan () in
   let model = Thermal.Niagara.model () in
   let p_full =
@@ -24,101 +21,4 @@ let () =
       steady
   in
   Array.sort (fun (_, a) (_, b) -> Float.compare b a) named;
-  Array.iter (fun (n, t) -> Printf.printf "  %-6s %6.1f C\n" n t) named;
-
-  (* 2. A transient: full power from ambient, watched at 10 ms ticks,
-     against the exact matrix-exponential solution. *)
-  heading "Transient: Euler (0.4 ms) vs exact expm, hottest core";
-  let dt = Thermal.Niagara.dt in
-  let d = Thermal.Rc_model.discretize model ~dt in
-  let t0 = Vec.create (Thermal.Floorplan.size fp) 27.0 in
-  let hot = Thermal.Floorplan.index_of fp "P2" in
-  let euler = Thermal.Transient.simulate_const d ~t0 ~steps:250 p_full in
-  let prop = Thermal.Transient.exact_propagator model ~dt:0.01 in
-  let exact =
-    Thermal.Transient.exact_simulate prop ~t0 ~steps:10 ~power:(fun _ -> p_full)
-  in
-  Printf.printf "  %8s %10s %10s\n" "t (ms)" "euler" "exact";
-  for k = 0 to 10 do
-    Printf.printf "  %8d %10.3f %10.3f\n" (k * 10)
-      (Mat.get euler.Thermal.Transient.temperatures (k * 25) hot)
-      (Mat.get exact.Thermal.Transient.temperatures k hot)
-  done;
-
-  (* 3. Cross-validation: the single-layer RC model against the
-     independent 3-layer HotSpot-style stack. *)
-  heading "Cross-validation vs the 3-layer model";
-  let hs = Thermal.Hotspot3l.build fp in
-  let t_hs = Thermal.Hotspot3l.die_steady_state hs p_full in
-  let rc_prm =
-    {
-      Thermal.Rc_model.default_params with
-      Thermal.Rc_model.vertical_conductance_per_area =
-        Thermal.Hotspot3l.effective_vertical_conductance_per_area
-          Thermal.Hotspot3l.default_params;
-    }
-  in
-  let rc = Thermal.Rc_model.build ~params:rc_prm fp in
-  let t_rc = Thermal.Rc_model.steady_state rc p_full in
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun i t ->
-      let rel = Float.abs (t_rc.(i) -. t) /. (t -. 27.0) in
-      worst := Float.max !worst rel)
-    t_hs;
-  Printf.printf
-    "  worst relative temperature-rise difference across %d blocks: %.1f%%\n"
-    (Thermal.Floorplan.size fp) (100.0 *. !worst);
-
-  (* 4. A fine-grained mesh with a hotspot, solved sparsely. *)
-  heading "24x24 mesh hotspot, sparse CG";
-  let n = 24 in
-  let mesh =
-    Thermal.Floorplan.grid ~rows:n ~cols:n ~cell_width:0.5e-3
-      ~cell_height:0.5e-3 ()
-  in
-  let mm = Thermal.Rc_model.build mesh in
-  let p =
-    Vec.init (n * n) (fun i ->
-        if i = (n * n / 2) + (n / 2) then 3.0 else 0.01)
-  in
-  let t, iters = Thermal.Rc_model.steady_state_cg mm p in
-  Printf.printf "  hottest cell %.1f C, mean %.1f C (CG: %d iterations)\n"
-    (Vec.max t) (Vec.mean t) iters;
-  (* A coarse heat map, sampled every 4th cell. *)
-  for r = 0 to (n - 1) / 4 do
-    Printf.printf "  ";
-    for c = 0 to (n - 1) / 4 do
-      let v = t.((r * 4 * n) + (c * 4)) in
-      let chars = " .:-=+*#%@" in
-      let idx =
-        Stdlib.min 9
-          (int_of_float
-             (10.0 *. (v -. Vec.min t) /. (Vec.max t -. Vec.min t +. 1e-9)))
-      in
-      print_char chars.[idx]
-    done;
-    print_newline ()
-  done;
-
-  (* 5. Identify the Eq. 1 coefficients back from a noisy-free trace
-     (what one would do against real sensor logs). *)
-  heading "System identification from a trace";
-  let d2 = Thermal.Rc_model.discretize model ~dt in
-  let st = Random.State.make [| 42 |] in
-  let steps = 120 in
-  let powers =
-    Mat.init steps (Thermal.Floorplan.size fp) (fun _ j ->
-        Random.State.float st (if j < 4 then 2.0 else 4.0))
-  in
-  let traj =
-    Thermal.Transient.simulate d2 ~t0 ~steps ~power:(fun k -> Mat.row powers k)
-  in
-  let fit =
-    Thermal.Calibrate.fit_discrete ~temperatures:traj.Thermal.Transient.temperatures
-      ~powers
-  in
-  Printf.printf "  recovered step-matrix error (Frobenius): %.2e\n"
-    (Mat.norm_fro (Mat.sub fit.Thermal.Calibrate.step d2.Thermal.Rc_model.step));
-  Printf.printf "  worst one-step prediction residual: %.2e C\n"
-    fit.Thermal.Calibrate.max_residual
+  Array.iter (fun (n, t) -> Printf.printf "  %-6s %6.1f C\n" n t) named

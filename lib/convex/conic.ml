@@ -783,8 +783,8 @@ let compute_scaling st =
    the leading row, +eta^-2 on the rest, the "-J" part of
    (Wbar^2)^-1), then a rank-one correction 2 eta^-2 b b' per SOC
    block with b = G_k' (J wbar), supported on the union stripe of the
-   block's rows.  The lower triangle of m_mat is what {!Chol} and
-   {!Block_tridiag} read, so the copy-out transposes. *)
+   block's rows.  The lower triangle of m_mat is what
+   {!Block_tridiag} reads, so the copy-out transposes. *)
 let assemble_m st =
   let t = st.t in
   let n = t.n in
@@ -1510,7 +1510,7 @@ let solve ?warm ?stats_into ?ws t =
                else take_step st alpha
              end
      done
-   with Chol.Not_positive_definite _ ->
+   with Block_tridiag.Not_positive_definite _ ->
      result := Some (finish_unknown st ~iterations:!iterations));
   let status =
     match !result with Some s -> s | None -> assert false

@@ -65,7 +65,7 @@ val run :
     must be constructed fresh inside this callback) and serves the
     trace through them.  Every chip must share [n_cores] and [tmax]
     (enforced by the stats merge).  [domains] sizes the pool as in
-    {!Parallel.Pool.create}; the result is bit-identical for any
+    {!Parallel.Pool.with_pool}; the result is bit-identical for any
     value.  Leftover held tasks are force-routed to the
     most-headroom chip at the end of the stream, so every task is
     eventually submitted.  Raises [Invalid_argument] on [n_chips <= 0],

@@ -12,6 +12,8 @@
    prefix offsets, so the clips are O(1) array reads in the inner
    loops. *)
 
+exception Not_positive_definite of int
+
 type t = {
   bt_sizes : int array;
   bt_off : int array;  (* length K+1; bt_off.(K) = n *)
@@ -44,8 +46,6 @@ let preallocate sizes =
 
 let dim t = Array.length t.bt_blk
 
-let sizes t = Array.copy t.bt_sizes
-
 let factor t =
   let n = dim t in
   Mat.init n n (fun i j -> t.bt_l.((i * n) + j))
@@ -60,7 +60,7 @@ let check_input name t a =
 
    Only already-written entries of the factor are read, so a
    half-finished factor from a failed attempt never leaks into the
-   next one (same contract as Chol.factorize_attempt_into). *)
+   next one. *)
 let attempt t ~jitter a =
   let n = Array.length t.bt_blk in
   let l = t.bt_l and off = t.bt_off and blk = t.bt_blk in
@@ -80,7 +80,7 @@ let attempt t ~jitter a =
       done;
       if i = j then begin
         (* lint: alloc-free the exception payload allocates only on the abandoned attempt *)
-        if !acc <= 0.0 then raise (Chol.Not_positive_definite i);
+        if !acc <= 0.0 then raise (Not_positive_definite i);
         Array.unsafe_set l (ri + i) (sqrt !acc)
       end
       else Array.unsafe_set l (ri + j) (!acc /. Array.unsafe_get l (rj + j))
@@ -91,11 +91,11 @@ let factorize_attempt_into t ~jitter a =
   check_input "factorize_attempt_into" t a;
   attempt t ~jitter a
 
-let factorize_jittered_into ?initial ?(growth = 10.0) ?(max_tries = 20) t a =
+let factorize_jittered_into t a =
   check_input "factorize_jittered_into" t a;
   match attempt t ~jitter:0.0 a with
   | () -> (0.0, 1)
-  | exception Chol.Not_positive_definite _ ->
+  | exception Not_positive_definite _ ->
       let n = dim t in
       let diag_scale =
         let acc = ref 1.0 in
@@ -104,18 +104,15 @@ let factorize_jittered_into ?initial ?(growth = 10.0) ?(max_tries = 20) t a =
         done;
         !acc
       in
-      let initial =
-        match initial with Some x -> x | None -> 1e-10 *. diag_scale
-      in
       let rec retry jitter tries =
-        if tries > max_tries then raise (Chol.Not_positive_definite (-1))
+        if tries > 20 then raise (Not_positive_definite (-1))
         else
           match attempt t ~jitter a with
           | () -> (jitter, tries + 1)
-          | exception Chol.Not_positive_definite _ ->
-              retry (jitter *. growth) (tries + 1)
+          | exception Not_positive_definite _ ->
+              retry (jitter *. 10.0) (tries + 1)
       in
-      retry initial 1
+      retry (1e-10 *. diag_scale) 1
 
 let solve_factorized_into t b ~dst =
   let n = Array.length t.bt_blk in

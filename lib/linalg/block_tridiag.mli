@@ -1,7 +1,7 @@
 (** Cholesky factorization of block-tridiagonal SPD matrices.
 
-    Generalizes {!Tridiag} (scalar blocks, Thomas algorithm) to an
-    arbitrary partition of the index range into K contiguous blocks:
+    A Cholesky factorization for an arbitrary partition of the index
+    range into K contiguous blocks:
     the matrix may couple index [i] to index [j] only when their
     blocks are equal or adjacent.  The Cholesky factor of such a
     matrix fills in nothing outside the block band, so both the
@@ -17,12 +17,17 @@
 
     The input is a plain dense {!Mat.t}; only in-band entries of its
     lower triangle are read, so the caller may assemble into a dense
-    buffer with any garbage outside the band.  Jitter and retry
-    semantics mirror {!Chol} (including {!Chol.Not_positive_definite}
-    on failure), and the factor is preallocated for the solver's
+    buffer with any garbage outside the band.  A matrix that is only
+    positive semidefinite up to rounding is factorized with a small
+    diagonal jitter (see {!factorize_jittered_into}), and the factor
+    is preallocated for the solver's
     allocation-free hot path: it is a flat row-major array, the
     dimensions are checked once per call and the inner loops run
     without bounds checks. *)
+
+exception Not_positive_definite of int
+(** Raised when a diagonal pivot is non-positive; the payload is the
+    offending index, or [-1] when every jittered retry failed. *)
 
 type t
 (** A preallocated block-tridiagonal factor workspace. *)
@@ -36,9 +41,6 @@ val preallocate : int array -> t
 val dim : t -> int
 (** Total dimension [sum sizes]. *)
 
-val sizes : t -> int array
-(** The block partition (a copy). *)
-
 val factor : t -> Mat.t
 (** A copy of the factor [L]: its in-band lower entries, zero
     elsewhere.  Meaningful after a successful factorization. *)
@@ -47,16 +49,18 @@ val factorize_attempt_into : t -> jitter:float -> Mat.t -> unit
 (** One factorization attempt of [a + jitter*I] into the preallocated
     factor, reading only in-band entries of [a]'s lower triangle.
     [a] must be {!dim} x {!dim} ([Invalid_argument] otherwise).
-    Raises {!Chol.Not_positive_definite} on a failed pivot, leaving
+    Raises {!Not_positive_definite} on a failed pivot, leaving
     the factor's contents unspecified.  Allocation-free. *)
 
-val factorize_jittered_into :
-  ?initial:float -> ?growth:float -> ?max_tries:int -> t -> Mat.t -> float * int
-(** Same retry schedule and return convention as
-    {!Chol.factorize_jittered_into}: returns the jitter that succeeded
-    ([0.0] if none was needed) and the number of attempts ([1] for a
-    clean first factorization; each extra attempt is a jitter
-    retry). *)
+val factorize_jittered_into : t -> Mat.t -> float * int
+(** [factorize_jittered_into f a] factorizes [a] into [f]; when a
+    pivot fails it retries with [a + jitter*I], the jitter starting at
+    [1e-10] times the largest diagonal magnitude (at least 1) and
+    growing tenfold per retry, for at most 20 retries.  Returns the
+    jitter that succeeded ([0.0] if none was needed) and the number
+    of attempts ([1] for a clean first factorization; each extra
+    attempt is a jitter retry).  Raises {!Not_positive_definite} when
+    every retry fails. *)
 
 val solve_factorized_into : t -> Vec.t -> dst:Vec.t -> unit
 (** Solve [A x = b] from the factor, writing into [dst] ([dst] may be

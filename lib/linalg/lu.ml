@@ -2,18 +2,15 @@ exception Singular of int
 
 (* Doolittle LU with partial pivoting.  [lu] stores L (unit diagonal,
    strictly lower part) and U (upper part) packed in one matrix; [perm]
-   records the row exchanges; [sign] tracks the permutation parity for
-   the determinant. *)
-type t = { lu : Mat.t; perm : int array; sign : float }
+   records the row exchanges. *)
+type t = { lu : Mat.t; perm : int array }
 
-let factorize ?pivot_tol a =
+let factorize a =
   if not (Mat.is_square a) then invalid_arg "Lu.factorize: not square";
   let n = Mat.rows a in
-  let scale = Float.max 1.0 (Mat.norm_inf a) in
-  let tol = match pivot_tol with Some t -> t | None -> 1e-13 *. scale in
+  let tol = 1e-13 *. Float.max 1.0 (Mat.norm_inf a) in
   let lu = Mat.copy a in
   let perm = Array.init n (fun i -> i) in
-  let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* Find the pivot row. *)
     let piv = ref k in
@@ -30,8 +27,7 @@ let factorize ?pivot_tol a =
       done;
       let t = perm.(k) in
       perm.(k) <- perm.(!piv);
-      perm.(!piv) <- t;
-      sign := -. !sign
+      perm.(!piv) <- t
     end;
     let pivot = Mat.get lu k k in
     for i = k + 1 to n - 1 do
@@ -44,7 +40,7 @@ let factorize ?pivot_tol a =
         done
     done
   done;
-  { lu; perm; sign = !sign }
+  { lu; perm }
 
 let solve_factorized f b =
   let n = Mat.rows f.lu in
@@ -70,26 +66,3 @@ let solve_factorized f b =
   x
 
 let solve a b = solve_factorized (factorize a) b
-
-let solve_many a bs =
-  let f = factorize a in
-  List.map (solve_factorized f) bs
-
-let inverse a =
-  let n = Mat.rows a in
-  let f = factorize a in
-  let cols = List.init n (fun j -> solve_factorized f (Vec.basis n j)) in
-  let inv = Mat.zeros n n in
-  List.iteri (fun j c -> Array.iteri (fun i x -> Mat.set inv i j x) c) cols;
-  inv
-
-let det a =
-  match factorize a with
-  | f ->
-      let n = Mat.rows a in
-      let acc = ref f.sign in
-      for i = 0 to n - 1 do
-        acc := !acc *. Mat.get f.lu i i
-      done;
-      !acc
-  | exception Singular _ -> 0.0

@@ -8,21 +8,13 @@ exception Singular of int
 type t
 (** A factorization [P*A = L*U] of a square matrix [A]. *)
 
-val factorize : ?pivot_tol:float -> Mat.t -> t
+val factorize : Mat.t -> t
 (** Factorize a square matrix.  Raises {!Singular} if a pivot has
-    absolute value below [pivot_tol] (default [1e-13] scaled by the
-    matrix infinity norm). *)
+    absolute value at most [1e-13] times the matrix infinity norm
+    (or [1e-13] for a norm below 1). *)
 
 val solve_factorized : t -> Vec.t -> Vec.t
 (** Solve [A x = b] reusing a factorization. *)
 
 val solve : Mat.t -> Vec.t -> Vec.t
 (** One-shot [A x = b]. *)
-
-val solve_many : Mat.t -> Vec.t list -> Vec.t list
-(** Solve against several right-hand sides with one factorization. *)
-
-val inverse : Mat.t -> Mat.t
-
-val det : Mat.t -> float
-(** Determinant via the factorization; [0.0] for singular input. *)

@@ -201,10 +201,3 @@ let approx_equal ?(tol = 1e-9) a b =
     if Float.abs (a.data.(k) -. b.data.(k)) > tol then ok := false
   done;
   !ok
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "%a@," Vec.pp (row m i)
-  done;
-  Format.fprintf ppf "@]"

@@ -9,9 +9,6 @@ type t
 
 (** {1 Construction} *)
 
-val create : int -> int -> float -> t
-(** [create rows cols x] is a [rows] x [cols] matrix filled with [x]. *)
-
 val zeros : int -> int -> t
 
 val identity : int -> t
@@ -102,5 +99,3 @@ val symmetrize : t -> t
 (** [(a + a^T) / 2]. *)
 
 val approx_equal : ?tol:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -28,7 +28,6 @@ let linspace a b n =
   let step = (b -. a) /. float_of_int (n - 1) in
   init n (fun i -> a +. (float_of_int i *. step))
 
-let to_list = Array.to_list
 let map = Array.map
 
 let add x y =
@@ -141,10 +140,3 @@ let approx_equal ?(tol = 1e-9) x y =
     if Float.abs (x.(i) -. y.(i)) > tol then ok := false
   done;
   !ok
-
-let pp ppf v =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf x -> Format.fprintf ppf "%g" x))
-    (to_list v)

@@ -32,8 +32,6 @@ val linspace : float -> float -> int -> t
 
 val dim : t -> int
 
-val to_list : t -> float list
-
 (** {1 Pure arithmetic} *)
 
 val add : t -> t -> t
@@ -104,5 +102,3 @@ val axpy_into : dst:t -> float -> t -> unit
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Entrywise comparison within absolute tolerance [tol]
     (default [1e-9]).  Vectors of different lengths are unequal. *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,10 +23,6 @@ val parse_domains : string -> int option
     value: [Some n] for a positive integer, [None] otherwise.
     Exposed for testing. *)
 
-val create : ?domains:int -> unit -> t
-(** [create ~domains ()] starts a pool of the given size (default
-    {!default_domains}).  Sizes below 1 are clamped to 1. *)
-
 val size : t -> int
 
 val map_rows : t -> (int -> 'a) -> int -> 'a array
@@ -36,12 +32,10 @@ val map_rows : t -> (int -> 'a) -> int -> 'a array
     submission order) is re-raised after the batch drains.  Must not
     be called from two domains at once on the same pool. *)
 
-val shutdown : t -> unit
-(** Joins the worker domains.  Idempotent.  The pool must be idle. *)
-
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] on a fresh pool and shuts it down
-    afterwards, also on exceptions. *)
+(** [with_pool ~domains f] runs [f] on a fresh pool of the given size
+    (default {!default_domains}; sizes below 1 are clamped to 1) and
+    joins its worker domains afterwards, also on exceptions. *)
 
 val map : ?domains:int -> (int -> 'a) -> int -> 'a array
 (** One-shot {!map_rows} on a transient pool of [min domains n]

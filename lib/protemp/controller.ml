@@ -1,7 +1,5 @@
 open Linalg
 
-let name = "pro-temp"
-
 let of_store ~store =
   (* The store is shared (one mmap, page-cache-backed pages) and the
      lookup buffer is per-controller, so a fleet of chips can all poll
@@ -10,7 +8,7 @@ let of_store ~store =
      the buffer across epochs keeps every table hit allocation-free. *)
   let buf = Vec.zeros (Table_store.n_cores store) in
   {
-    Sim.Policy.controller_name = name;
+    Sim.Policy.controller_name = "pro-temp";
     decide =
       (fun obs ->
         let n = Vec.dim obs.Sim.Policy.core_temperatures in

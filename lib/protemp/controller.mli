@@ -16,6 +16,3 @@ val of_store : store:Table_store.t -> Sim.Policy.controller
 val create : table:Table.t -> Sim.Policy.controller
 (** {!of_store} on {!Table_store.of_table}[ table]: the image is built
     once, and one table can drive many runs. *)
-
-val name : string
-(** "pro-temp". *)

@@ -39,9 +39,6 @@ let create ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets () =
   let tstarts = Array.copy tstarts and ftargets = Array.copy ftargets in
   { grid = { machine; spec; tstarts; ftargets }; filled = None }
 
-let tstarts t = Array.copy t.grid.tstarts
-let ftargets t = Array.copy t.grid.ftargets
-
 type fill_stats = {
   cells : int;
   solves : int;

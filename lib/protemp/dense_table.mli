@@ -49,9 +49,6 @@ val create :
     writes its result into [t]: call it from one domain (it
     parallelizes internally), then share the exported table. *)
 
-val tstarts : t -> float array
-val ftargets : t -> float array
-
 type fill_stats = {
   cells : int;  (** Cells this {!fill} materialized. *)
   solves : int;  (** Solver invocations among them. *)

@@ -98,19 +98,6 @@ let core_count t =
     t.cells;
   !n
 
-let feasible_frontier t =
-  Array.mapi
-    (fun i tstart ->
-      let best = ref None in
-      Array.iteri
-        (fun j c ->
-          match c with
-          | Frequencies _ -> best := Some t.ftargets.(j)
-          | Infeasible -> ())
-        t.cells.(i);
-      (tstart, !best))
-    t.tstarts
-
 (* %.17g round-trips every finite double exactly through
    float_of_string, so of_csv can use exact axis matching: %.6g used
    to round nearby tstarts/ftargets onto the same printed value and

@@ -50,10 +50,6 @@ val core_count : t -> int option
 (** Number of cores per feasible cell ([Table.make] enforces it is
     uniform); [None] when every cell is infeasible. *)
 
-val feasible_frontier : t -> (float * float option) array
-(** Per row: the largest feasible [ftarget] ([None] if none) — the
-    data behind Fig. 9. *)
-
 val to_csv : t -> string
 (** One line per cell: [tstart,ftarget,f1,...,fn] or
     [tstart,ftarget,infeasible].  Values are printed with [%.17g], so

@@ -89,15 +89,6 @@ val core_fmax : t -> float array
 (** Per-core frequency ceilings recorded at write time; all zeros
     when the writer did not know the platform.  Fresh copy. *)
 
-val infeasible_bit : t -> int -> int -> bool
-(** Bitmap test for cell [(i, j)] (unchecked indices: callers
-    validate).  No allocation. *)
-
-val cell_into : t -> int -> int -> into:Vec.t -> bool
-(** Copy cell [(i, j)] into [into] ([false] = infeasible, [into]
-    untouched).  Raises [Invalid_argument] on an out-of-range index or
-    a core-count mismatch.  No allocation. *)
-
 val lookup_into : t -> temperature:float -> required:float -> into:Vec.t -> bool
 (** The paper's run-time rule, served from the image: covering row
     ({!Table.covering}), round the requirement up to the starting

@@ -170,7 +170,6 @@ let create ?(config = default_config) ?(probes = []) ~machine ~controller
       };
   }
 
-let time t = float_of_int t.step *. t.dt
 let tmax t = t.tmax
 let stats t = t.stats
 let n_cores t = t.n_cores

@@ -100,9 +100,6 @@ val take_queued : t -> max:int -> (float * float) array
     ascending arrival order — the fleet's migration primitive.
     Already-running tasks are never taken. *)
 
-val time : t -> float
-(** Current clock, seconds ([steps * dt]). *)
-
 val max_core_temperature : t -> float
 (** Hottest core right now — the fleet balancer's routing signal.
     Allocation-free (lint.manifest). *)

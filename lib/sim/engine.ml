@@ -31,14 +31,3 @@ let run ?(config = default_config) ?(probes = []) machine controller
     migrations = Chip.migrations chip;
     wall_clock = Unix.gettimeofday () -. started;
   }
-
-(* Convenience for the common "give me the paper's time series"
-   shape: a run with a recorder and a frequency-log probe attached. *)
-let run_recorded ?config machine controller assignment trace =
-  let rec_probe, series = Probe.recorder () in
-  let log_probe, frequency_log = Probe.frequency_log () in
-  let result =
-    run ?config ~probes:[ rec_probe; log_probe ] machine controller assignment
-      trace
-  in
-  (result, series (), frequency_log ())

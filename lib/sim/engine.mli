@@ -7,8 +7,6 @@
     and its validation of controller output live in {!Chip}; this
     module adds the whole-run result. *)
 
-open Linalg
-
 type config = Chip.config = {
   dfs_period : float;
   tmax : float;
@@ -49,14 +47,3 @@ val run :
     at every DFS boundary with what the controller saw and decided,
     each step callback after every thermal step, and finish callbacks
     once at the end, in probe order. *)
-
-val run_recorded :
-  ?config:config ->
-  Machine.t ->
-  Policy.controller ->
-  Policy.assignment ->
-  Workload.Trace.t ->
-  result * Probe.sample array * (float * Vec.t) array
-(** {!run} with a {!Probe.recorder} and a {!Probe.frequency_log}
-    attached: the per-epoch temperature series and controller
-    decisions that the paper's time-series figures plot. *)

@@ -33,12 +33,12 @@ let make ~classes ~assignment =
     assignment;
   { classes = Array.copy classes; assignment = Array.copy assignment }
 
-let homogeneous ?(class_name = "core") ?(idle_activity = 0.3) ?(exponent = 2.0)
-    ~n_cores ~fmax ~pmax () =
+let homogeneous ?(idle_activity = 0.3) ~n_cores ~fmax ~pmax () =
   if n_cores < 1 then
     invalid_arg "Platform.homogeneous: need at least one core";
   make
-    ~classes:[| { class_name; fmax; pmax; exponent; idle_activity } |]
+    ~classes:
+      [| { class_name = "core"; fmax; pmax; exponent = 2.0; idle_activity } |]
     ~assignment:(Array.make n_cores 0)
 
 let n_cores t = Array.length t.assignment

@@ -37,16 +37,10 @@ val make : classes:cls array -> assignment:int array -> t
     Arrays are copied. *)
 
 val homogeneous :
-  ?class_name:string ->
-  ?idle_activity:float ->
-  ?exponent:float ->
-  n_cores:int ->
-  fmax:float ->
-  pmax:float ->
-  unit ->
-  t
-(** One class shared by [n_cores] cores — the paper's homogeneous
-    machine.  [idle_activity] defaults to 0.3, [exponent] to 2. *)
+  ?idle_activity:float -> n_cores:int -> fmax:float -> pmax:float -> unit -> t
+(** One class, named ["core"], shared by [n_cores] cores — the paper's
+    homogeneous machine, with the quadratic power law of its Eq. 2
+    (exponent 2).  [idle_activity] defaults to 0.3. *)
 
 val n_cores : t -> int
 val n_classes : t -> int

@@ -73,30 +73,6 @@ let cool_headroom ~threshold =
         if core_temperatures.(c) < threshold then Some c else None);
   }
 
-let prefer_class ~cls =
-  {
-    assignment_name = Printf.sprintf "class%d-first" cls;
-    choose =
-      (fun ~idle ~(core_classes : int array) ~(core_temperatures : Vec.t) ->
-        (* One pass finds both the coldest candidate of class [cls] and
-           the coldest overall, the fallback when no candidate is of
-           that class. *)
-        let best = ref (-1) and best_cls = ref (-1) in
-        for k = 0 to Array.length idle - 1 do
-          if Array.unsafe_get idle k then begin
-            if !best < 0 || core_temperatures.(k) < core_temperatures.(!best)
-            then best := k;
-            if
-              core_classes.(k) = cls
-              && (!best_cls < 0
-                 || core_temperatures.(k) < core_temperatures.(!best_cls))
-            then best_cls := k
-          end
-        done;
-        if !best < 0 then invalid_arg "Policy: no idle core";
-        Some (if !best_cls >= 0 then !best_cls else !best));
-  }
-
 let clamp ~fmax f = Float.min fmax (Float.max 0.0 f)
 
 let fixed_frequency ~fmax f =

@@ -72,12 +72,6 @@ val cool_headroom : threshold:float -> assignment
     [threshold]; otherwise hold the task so the hot cores get a
     breather. *)
 
-val prefer_class : cls:int -> assignment
-(** Heterogeneity-aware: dispatch to the coldest idle core of
-    platform class [cls] when one is idle, else the coldest idle
-    core overall.  [prefer_class ~cls:1] on the big.LITTLE platform
-    keeps work on the cool little cores until they are all busy. *)
-
 val fixed_frequency : fmax:float -> float -> controller
 (** A controller that always answers the same frequency on all cores
     (clamped to [[0, fmax]]); useful for tests and warm-up phases. *)

@@ -59,8 +59,8 @@ let frequency_log () =
   in
   (probe, fun () -> Array.of_list (List.rev !acc))
 
-let stats ?bands ~n_cores ~tmax () =
-  let s = Stats.create ?bands ~n_cores ~tmax () in
+let stats ~n_cores ~tmax () =
+  let s = Stats.create ~n_cores ~tmax () in
   let probe =
     make "stats"
       ~on_step:(fun v ->

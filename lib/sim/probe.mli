@@ -64,9 +64,9 @@ val frequency_log : unit -> t * (unit -> (float * Vec.t) array)
 (** Per-epoch controller decisions (copied), in time order — the old
     [result.frequency_log]. *)
 
-val stats : ?bands:Stats.band list -> n_cores:int -> tmax:float -> unit -> t * Stats.t
+val stats : n_cores:int -> tmax:float -> unit -> t * Stats.t
 (** An independent {!Stats.t} fed from the step stream — e.g. to
-    score a run against a second threshold or band set.  Thermal and
+    score a run against a second threshold.  Thermal and
     energy figures match the engine's own statistics bit-for-bit;
     scheduling figures (waiting, dispatch counts) stay zero because
     probes only see the thermal stream. *)

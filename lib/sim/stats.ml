@@ -2,6 +2,7 @@ open Linalg
 
 type band = { lo : float; hi : float }
 
+(* The paper's Fig. 6 categories: <80, 80-90, 90-100, >100 C. *)
 let paper_bands =
   [
     { lo = neg_infinity; hi = 80.0 };
@@ -61,11 +62,12 @@ type t = {
   mutable completed : int;
 }
 
-let create ?(bands = paper_bands) ~n_cores ~tmax () =
+let create ~n_cores ~tmax () =
   if n_cores <= 0 then invalid_arg "Stats.create: non-positive cores";
   (* A violation is [hottest > tmax], which a NaN threshold never
      satisfies: the guarantee would pass whatever the temperatures. *)
   if not (Float.is_finite tmax) then invalid_arg "Stats.create: non-finite tmax";
+  let bands = paper_bands in
   {
     bands = Array.of_list bands;
     band_lo = Array.of_list (List.map (fun b -> b.lo) bands);
@@ -280,18 +282,8 @@ let merge_into ~into s =
      stats created with identical configuration. *)
   if not (Float.equal into.tmax s.tmax) then
     invalid_arg "Stats.merge_into: tmax mismatch";
-  let n_bands = Array.length into.band_lo in
-  if n_bands <> Array.length s.band_lo then
-    invalid_arg "Stats.merge_into: band mismatch";
-  for b = 0 to n_bands - 1 do
-    (* Exact comparison is intended: band edges must match exactly. *)
-    if
-      not
-        (Float.equal into.band_lo.(b) s.band_lo.(b)
-        && Float.equal into.band_hi.(b) s.band_hi.(b))
-    then invalid_arg "Stats.merge_into: band mismatch"
-  done;
-  for b = 0 to n_bands - 1 do
+  (* Every [t] carries the paper's bands, so the band arrays line up. *)
+  for b = 0 to Array.length into.band_time - 1 do
     into.band_time.(b) <- into.band_time.(b) +. s.band_time.(b)
   done;
   for b = 0 to hist_buckets - 1 do

@@ -9,15 +9,13 @@ open Linalg
 
 type band = { lo : float; hi : float }
 
-val paper_bands : band list
-(** [<80], [80-90], [90-100], [>100] degrees Celsius. *)
-
 type t
 
-val create : ?bands:band list -> n_cores:int -> tmax:float -> unit -> t
-(** Raises [Invalid_argument] on [n_cores <= 0] or a non-finite
-    [tmax]: a violation is [hottest > tmax], which no temperature
-    satisfies against NaN. *)
+val create : n_cores:int -> tmax:float -> unit -> t
+(** Residency is kept in the paper's four bands: [<80], [80-90],
+    [90-100] and [>100] degrees Celsius.  Raises [Invalid_argument]
+    on [n_cores <= 0] or a non-finite [tmax]: a violation is
+    [hottest > tmax], which no temperature satisfies against NaN. *)
 
 (** {1 Recording (used by the engine)} *)
 
@@ -98,7 +96,7 @@ val merge_into : into:t -> t -> unit
     were scheduled across domains (float addition is order-sensitive,
     so the *merge* order is what must be pinned — the
     domain-count-invariance tests rely on this).  Both sides must
-    share configuration ([n_cores], [tmax], bands) or
+    share configuration ([n_cores] and [tmax]) or
     [Invalid_argument] is raised. *)
 
 val completed : t -> int

@@ -22,50 +22,32 @@ type core_class = {
   idle_activity : float;  (** Idle dynamic-power fraction. *)
 }
 
-val big : core_class
-(** 1 GHz, 5 W, exponent 2, idle activity 0.3. *)
-
-val little : core_class
-(** 600 MHz, 1.5 W, exponent 3, idle activity 0.2. *)
-
 val classes : unit -> core_class array
-(** [[| big; little |]] (fresh array). *)
+(** The two classes, big then little (fresh array): big is 1 GHz,
+    5 W, exponent 2, idle activity 0.3; little is 600 MHz, 1.5 W,
+    exponent 3, idle activity 0.2. *)
 
 val class_assignment : unit -> int array
 (** Class index per core: B1-B4 then L1-L4, i.e.
     [[| 0;0;0;0; 1;1;1;1 |]] (fresh array). *)
 
-val target_peak : float
-(** Calibration anchor: hottest steady-state node with every core at
-    its class [pmax] (122 degrees Celsius, as for {!Niagara}). *)
-
 val dt : float
 (** Thermal integration step, seconds (0.4e-3). *)
-
-val n_cores : int
-(** 8. *)
 
 val floorplan : unit -> Floorplan.t
 (** 18 blocks: 4 big cores, 4 little cores, 6 L2 banks, an SRAM bank
     filling the top-east area the narrow little cores free up, 2 L2
     buffers and the crossbar. *)
 
-val params : unit -> Rc_model.params
-(** Calibrated parameters (computed once, then cached). *)
-
 val model : unit -> Rc_model.t
+(** The calibrated network: the package conductance is tuned once
+    (then cached) so the hottest steady-state node with every core at
+    its class [pmax] sits at 122 degrees Celsius, as for
+    {!Niagara}. *)
 
 val fixed_power : Floorplan.t -> Vec.t
 (** Static power of the non-core blocks (cores are zero here); same
     per-kind budget as {!Niagara.fixed_power}. *)
-
-val core_pmax : unit -> Vec.t
-(** Per-core peak dynamic power in core order (the full-load
-    calibration vector). *)
-
-val power_vector : Floorplan.t -> core_power:Vec.t -> Vec.t
-(** Embed 8 per-core powers into a full node power vector, adding the
-    fixed non-core power. *)
 
 val core_nodes : Floorplan.t -> int array
 (** Node indices of B1..B4, L1..L4, in that order. *)

@@ -4,11 +4,13 @@ let peak_steady params floorplan power =
   let model = Rc_model.build ~params floorplan in
   Vec.max (Rc_model.steady_state model power)
 
-let tune_vertical_conductance ?(lo = 1e2) ?(hi = 1e6) ?(tol = 1e-2) ~params
-    ~floorplan ~power target_peak =
+let tune_vertical_conductance ~params ~floorplan ~power target_peak =
   let with_g g = { params with Rc_model.vertical_conductance_per_area = g } in
   let peak g = peak_steady (with_g g) floorplan power in
-  (* Peak temperature decreases monotonically in the conductance. *)
+  (* Peak temperature decreases monotonically in the conductance; the
+     bisection runs on [1e2, 1e6] W/(K m^2) and stops within 0.01
+     degrees of the target. *)
+  let lo = 1e2 and hi = 1e6 in
   if peak lo < target_peak then
     invalid_arg "Calibrate.tune_vertical_conductance: target too hot";
   if peak hi > target_peak then
@@ -16,49 +18,8 @@ let tune_vertical_conductance ?(lo = 1e2) ?(hi = 1e6) ?(tol = 1e-2) ~params
   let rec go lo hi =
     let mid = sqrt (lo *. hi) in
     let t = peak mid in
-    if Float.abs (t -. target_peak) <= tol then with_g mid
+    if Float.abs (t -. target_peak) <= 1e-2 then with_g mid
     else if t > target_peak then go mid hi
     else go lo mid
   in
   go lo hi
-
-type fitted = {
-  step : Mat.t;
-  injection : Vec.t;
-  drive : Vec.t;
-  max_residual : float;
-}
-
-let fit_discrete ~temperatures ~powers =
-  let samples = Mat.rows powers in
-  let n = Mat.cols temperatures in
-  if Mat.cols powers <> n then
-    invalid_arg "Calibrate.fit_discrete: power/temperature width mismatch";
-  if Mat.rows temperatures <> samples + 1 then
-    invalid_arg "Calibrate.fit_discrete: need one more temperature row";
-  if samples < n + 2 then
-    invalid_arg "Calibrate.fit_discrete: not enough samples";
-  let step = Mat.zeros n n in
-  let injection = Vec.zeros n in
-  let drive = Vec.zeros n in
-  let max_residual = ref 0.0 in
-  (* One regression per node: unknowns are the node's row of A, its
-     b_i, and its c_i. *)
-  for i = 0 to n - 1 do
-    let design =
-      Mat.init samples (n + 2) (fun k j ->
-          if j < n then Mat.get temperatures k j
-          else if j = n then Mat.get powers k i
-          else 1.0)
-    in
-    let target = Vec.init samples (fun k -> Mat.get temperatures (k + 1) i) in
-    let coeffs = Qr.solve_least_squares design target in
-    for j = 0 to n - 1 do
-      Mat.set step i j coeffs.(j)
-    done;
-    injection.(i) <- coeffs.(n);
-    drive.(i) <- coeffs.(n + 1);
-    let residual = Qr.residual_norm design coeffs target in
-    max_residual := Float.max !max_residual residual
-  done;
-  { step; injection; drive; max_residual = !max_residual }

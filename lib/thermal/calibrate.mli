@@ -1,44 +1,19 @@
-(** Thermal model calibration and identification.
-
-    Two tools:
-    - {!tune_vertical_conductance} adjusts the package conductance so
-      a reference workload hits a target peak steady temperature —
-      how we anchor the Niagara model's absolute numbers; and
-    - {!fit_discrete} identifies the paper's Eq. 1 coefficients
-      [(a_ij, b_i)] from a temperature/power trace by per-row least
-      squares (QR), the route one would take against real sensor
-      logs. *)
+(** Thermal model calibration: {!tune_vertical_conductance} adjusts
+    the package conductance so a reference workload hits a target
+    peak steady temperature — how the Niagara and big.LITTLE models
+    anchor their absolute numbers. *)
 
 open Linalg
 
 val tune_vertical_conductance :
-  ?lo:float ->
-  ?hi:float ->
-  ?tol:float ->
   params:Rc_model.params ->
   floorplan:Floorplan.t ->
   power:Vec.t ->
   float ->
   Rc_model.params
 (** [tune_vertical_conductance ~params ~floorplan ~power target_peak]
-    bisects [vertical_conductance_per_area] in [[lo, hi]] (defaults
-    [1e2, 1e6]) until the hottest steady-state node temperature under
-    [power] is within [tol] (default 0.01 degrees) of [target_peak].
-    Raises [Invalid_argument] when the target is outside the
-    achievable bracket. *)
-
-type fitted = {
-  step : Mat.t;  (** Identified [A]. *)
-  injection : Vec.t;  (** Identified [b]. *)
-  drive : Vec.t;  (** Identified ambient forcing [c]. *)
-  max_residual : float;
-      (** Worst per-sample prediction error of the fit. *)
-}
-
-val fit_discrete :
-  temperatures:Mat.t -> powers:Mat.t -> fitted
-(** [fit_discrete ~temperatures ~powers] fits
-    [t_{k+1,i} = sum_j A_ij t_{k,j} + b_i p_{k,i} + c_i] by least
-    squares.  [temperatures] is [(K+1) x n], [powers] is [K x n]; the
-    trace must be exciting enough for the regression to be full rank
-    (e.g. varying powers), otherwise [Qr.Rank_deficient] is raised. *)
+    bisects [vertical_conductance_per_area] geometrically in
+    [[1e2, 1e6]] W/(K m^2) until the hottest steady-state node
+    temperature under [power] is within 0.01 degrees of
+    [target_peak].  Raises [Invalid_argument] when the target is
+    outside the achievable bracket. *)

@@ -71,24 +71,6 @@ let make block_list =
   done;
   { blocks; by_name }
 
-let grid ?(kind = fun _ _ -> Core) ~rows ~cols ~cell_width ~cell_height () =
-  if rows < 1 || cols < 1 then invalid_arg "Floorplan.grid: empty grid";
-  let cells =
-    List.concat
-      (List.init rows (fun r ->
-           List.init cols (fun c ->
-               {
-                 name = Printf.sprintf "R%dC%d" r c;
-                 kind = kind r c;
-                 x = float_of_int c *. cell_width;
-                 y = float_of_int r *. cell_height;
-                 width = cell_width;
-                 height = cell_height;
-               })))
-  in
-  make cells
-
-let blocks fp = Array.copy fp.blocks
 let size fp = Array.length fp.blocks
 let index_of fp name = Hashtbl.find fp.by_name name
 

@@ -24,19 +24,6 @@ val make : block list -> t
     overlap (beyond a tiny tolerance), a block has non-positive
     dimensions, or two blocks share a name. *)
 
-val grid :
-  ?kind:(int -> int -> kind) ->
-  rows:int ->
-  cols:int ->
-  cell_width:float ->
-  cell_height:float ->
-  unit ->
-  t
-(** A regular [rows x cols] mesh of blocks named ["R<r>C<c>"], for
-    fine-grained thermal studies (where the sparse solvers earn their
-    keep).  [kind] defaults to every cell being a [Core]. *)
-
-val blocks : t -> block array
 val size : t -> int
 
 val index_of : t -> string -> int
@@ -45,8 +32,6 @@ val index_of : t -> string -> int
 val block_of : t -> int -> block
 
 val area : block -> float
-
-val center : block -> float * float
 
 val center_distance : block -> block -> float
 

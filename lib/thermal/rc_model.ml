@@ -59,7 +59,6 @@ let build ?(params = default_params) fp =
   { fp; prm = params; lateral; g_amb; cap }
 
 let size m = Floorplan.size m.fp
-let floorplan m = m.fp
 let params m = m.prm
 let conductance m i j = Mat.get m.lateral i j
 let ambient_conductance m i = m.g_amb.(i)
@@ -80,31 +79,6 @@ let steady_state m p =
   let g = conductance_matrix m in
   let rhs = Vec.init n (fun i -> p.(i) +. (m.g_amb.(i) *. m.prm.ambient)) in
   Lu.solve g rhs
-
-let conductance_sparse m =
-  let n = size m in
-  let trips = ref [] in
-  for i = 0 to n - 1 do
-    let diag = ref (m.g_amb.(i)) in
-    for j = 0 to n - 1 do
-      let g = Mat.get m.lateral i j in
-      if g > 0.0 then begin
-        diag := !diag +. g;
-        trips := { Sparse.row = i; col = j; value = -.g } :: !trips
-      end
-    done;
-    trips := { Sparse.row = i; col = i; value = !diag } :: !trips
-  done;
-  Sparse.of_triplets ~rows:n ~cols:n !trips
-
-let steady_state_cg ?(tol = 1e-10) m p =
-  let n = size m in
-  if Vec.dim p <> n then invalid_arg "Rc_model.steady_state_cg: bad power";
-  let g = conductance_sparse m in
-  let rhs = Vec.init n (fun i -> p.(i) +. (m.g_amb.(i) *. m.prm.ambient)) in
-  let r = Sparse.cg ~tol g rhs in
-  if not r.Sparse.converged then failwith "Rc_model.steady_state_cg: stalled";
-  (r.Sparse.solution, r.Sparse.iterations)
 
 type discrete = {
   step : Mat.t;

@@ -36,7 +36,6 @@ type t
 val build : ?params:params -> Floorplan.t -> t
 
 val size : t -> int
-val floorplan : t -> Floorplan.t
 val params : t -> params
 
 val conductance : t -> int -> int -> float
@@ -48,18 +47,10 @@ val capacitance : t -> int -> float
 
 val steady_state : t -> Vec.t -> Vec.t
 (** [steady_state m p] is the equilibrium temperature vector under
-    constant power [p] (length = number of blocks). *)
-
-val conductance_sparse : t -> Sparse.t
-(** The (SPD) conductance matrix in CSR form: the Laplacian of the
-    lateral network plus the ambient conductances on the diagonal. *)
-
-val steady_state_cg : ?tol:float -> t -> Vec.t -> Vec.t * int
-(** Like {!steady_state} but via conjugate gradients on the sparse
-    matrix — the right tool for fine-grained meshes
-    ({!Floorplan.grid}) where dense LU is cubic.  Returns the
-    temperatures and the CG iteration count; raises [Failure] if CG
-    stalls. *)
+    constant power [p] (length = number of blocks), by dense LU on
+    the conductance matrix.  It is the library's one steady-state
+    solver: the platforms have tens of nodes, where the dense solve
+    is immediate. *)
 
 (** {1 Discrete-time form (the paper's Eq. 1)} *)
 

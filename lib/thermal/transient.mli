@@ -1,12 +1,6 @@
-(** Transient thermal simulation.
-
-    Two integrators over the same RC network:
-    - {!simulate}: the paper's explicit-Euler recurrence (Eq. 1),
-      which is what both the Pro-Temp offline models and the run-time
-      simulator use; and
-    - {!exact_propagator}/{!exact_step}: the exact solution of the
-      continuous system via the matrix exponential, used as the ground
-      truth in the Euler-accuracy ablation. *)
+(** Transient thermal simulation: the paper's explicit-Euler
+    recurrence (Eq. 1) over the RC network, which is what both the
+    Pro-Temp offline models and the run-time simulator use. *)
 
 open Linalg
 
@@ -39,23 +33,3 @@ val peak_const :
 
 val node_series : trajectory -> int -> Vec.t
 (** The time series of one node. *)
-
-(** {1 Exact integration} *)
-
-type propagator
-(** Precomputed [e^{dt A_c}] and input response for one step size. *)
-
-val exact_propagator : Rc_model.t -> dt:float -> propagator
-
-val exact_step : propagator -> Vec.t -> Vec.t -> Vec.t
-(** [exact_step prop t p]: the exact temperature after [dt] under
-    constant power [p], from temperature [t]. *)
-
-val exact_step_into :
-  propagator -> Vec.t -> Vec.t -> scratch:Vec.t -> dst:Vec.t -> unit
-(** In-place {!exact_step}: writes the result into [dst] using
-    [scratch] as workspace.  [dst] and [scratch] must be distinct and
-    must not alias the input temperature vector. *)
-
-val exact_simulate :
-  propagator -> t0:Vec.t -> steps:int -> power:(int -> Vec.t) -> trajectory

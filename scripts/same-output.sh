@@ -13,9 +13,12 @@
 #     and every table of a fixed set: Niagara and big.LITTLE; the
 #     variable, uniform, gradient and capped-gradient variants;
 #     strides 1 and 4; margins 0 and 5 C; plus the benchmark's three
-#     grids with their fill and solver counters.  The working tree's
-#     copy of the driver is built in both trees, so REV needs only
-#     the library calls it makes;
+#     grids with their fill and solver counters.  Both trees run the
+#     same driver source: the working tree's driver when it builds
+#     against REV, otherwise REV's own driver, built against REV and
+#     against a copy of the working tree (a driver that prints a
+#     counter REV lacks does not build there).  The script says which
+#     driver it used;
 #   - the CLI's `solve`, `frontier` and `table` on both platforms for
 #     the same variants, strides and margins: their printed output and
 #     the tables' %.17g CSVs.
@@ -39,14 +42,47 @@ trap cleanup EXIT
 trap 'exit 130' INT TERM
 
 git -C "$repo" worktree add --detach --quiet "$base" "$base_rev"
+
+build() {
+  DUNE_CACHE=disabled dune build --root "$1" --display quiet \
+    ./bin/protemp_cli.exe ./scripts/same-output/same_output.exe
+}
+
+# The driver both trees run: the working tree's when it builds against
+# REV, else REV's own, which then also builds against a copy of the
+# working tree (the working tree itself is left untouched).
+change="$repo"
 rm -rf "$base/scripts/same-output"
 mkdir -p "$base/scripts"
 cp -R "$repo/scripts/same-output" "$base/scripts/same-output"
-for tree in "$base" "$repo"; do
-  echo "building $tree" >&2
-  DUNE_CACHE=disabled dune build --root "$tree" --display quiet \
-    ./bin/protemp_cli.exe ./scripts/same-output/same_output.exe 1>&2
-done
+echo "building $base" >&2
+if build "$base" >"$tmp/driver-build.log" 2>&1; then
+  echo "driver: the working tree's scripts/same-output" >&2
+else
+  rm -rf "$base/scripts/same-output"
+  if ! git -C "$base" checkout --quiet "$base_rev" -- scripts/same-output \
+    2>/dev/null; then
+    cat "$tmp/driver-build.log" >&2
+    echo "the working tree's driver does not build at $rev, which has no" \
+      "driver of its own" >&2
+    exit 2
+  fi
+  echo "driver: $rev's scripts/same-output (the working tree's does not" \
+    "build there; see $tmp/driver-build.log)" >&2
+  build "$base" 1>&2
+  change="$tmp/change"
+  mkdir -p "$change"
+  # Tracked and untracked, non-ignored files as they are on disk.
+  git -C "$repo" ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' f; do
+      if [ -e "$repo/$f" ]; then printf '%s\0' "$f"; fi
+    done |
+    tar -C "$repo" --null -T - -cf - | tar -C "$change" -xf -
+  rm -rf "$change/scripts/same-output"
+  cp -R "$base/scripts/same-output" "$change/scripts/same-output"
+fi
+echo "building $change" >&2
+build "$change" 1>&2
 
 # All outputs of one tree go to $tmp/out-<side>/, one file per
 # command.
@@ -99,7 +135,7 @@ run_tree() {
 }
 
 run_tree base "$base"
-run_tree change "$repo"
+run_tree change "$change"
 
 differ=0
 compared=0

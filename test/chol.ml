@@ -1,3 +1,5 @@
+open Linalg
+
 exception Not_positive_definite of int
 
 type t = { l : Mat.t }

@@ -1,9 +1,12 @@
 (** Cholesky factorization of symmetric positive-definite matrices.
 
-    Used by the conic interior-point solver for its scaled normal
-    equations (SPD inside the cone) and by the thermal steady-state
-    solver.  A jittered variant handles matrices that are only
-    positive semidefinite up to rounding. *)
+    The dense reference for {!Linalg.Block_tridiag}, the factorization
+    the conic solver runs, and the factorization inside the barrier
+    and quadratic oracles ({!Barrier_reference}, {!Quad}).  A jittered
+    variant handles matrices that are only positive semidefinite up to
+    rounding. *)
+
+open Linalg
 
 exception Not_positive_definite of int
 (** Raised when a diagonal pivot is non-positive; the payload is the

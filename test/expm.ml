@@ -1,3 +1,5 @@
+open Linalg
+
 (* Scaling-and-squaring with a diagonal Padé approximant, following
    Moler & Van Loan's "nineteen dubious ways", method 3.  The [6/6]
    approximant with ||A/2^s|| <= 0.5 gives ~1e-14 relative accuracy,

@@ -1,8 +1,11 @@
 (** Matrix exponential by scaling-and-squaring with Padé approximation.
 
-    Used to compute the exact transient response of the linear thermal
-    system [dT/dt = A T + B p] for the ablation study against the
-    paper's explicit-Euler recurrence. *)
+    Used by {!Transient_reference} to compute the exact transient
+    response of the linear thermal system [dT/dt = A T + B p], the
+    ground truth the paper's explicit-Euler recurrence is checked
+    against. *)
+
+open Linalg
 
 val expm : Mat.t -> Mat.t
 (** [expm a] is [e^a] for a square matrix, via [6/6] Padé with

@@ -1,4 +1,5 @@
 open Linalg
+open Thermal
 
 type params = {
   die_thickness : float;

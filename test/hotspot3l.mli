@@ -11,6 +11,7 @@
     {!effective_vertical_conductance_per_area}). *)
 
 open Linalg
+open Thermal
 
 type params = {
   die_thickness : float;

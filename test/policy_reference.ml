@@ -28,12 +28,6 @@ let cool_headroom ~threshold ~idle ~core_classes:_
   let c = coldest ~idle ~core_temperatures in
   if core_temperatures.(c) < threshold then Some c else None
 
-let prefer_class ~cls ~idle ~(core_classes : int array)
-    ~(core_temperatures : Vec.t) =
-  match List.filter (fun c -> core_classes.(c) = cls) idle with
-  | [] -> Some (coldest ~idle ~core_temperatures)
-  | preferred -> Some (coldest ~idle:preferred ~core_temperatures)
-
 (* Stateful like [Fleet.Balancer.round_robin]: build one per sequence. *)
 let round_robin () =
   let next = ref 0 in

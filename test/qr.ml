@@ -1,3 +1,5 @@
+open Linalg
+
 exception Rank_deficient of int
 
 (* Householder QR.  [qr] holds R in its upper triangle and the

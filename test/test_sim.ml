@@ -157,22 +157,21 @@ let gen_policy_case =
       array_size (return n)
         (oneof [ oneofa temperature_pool; float_range 20.0 110.0 ])
     in
-    let* cls = int_range 0 2 in
     let+ threshold = oneofa [| 50.0; 85.0; 90.0; Float.nan; infinity |] in
-    (mask, classes, temps, cls, threshold))
+    (mask, classes, temps, threshold))
 
-let print_policy_case (mask, classes, temps, cls, threshold) =
-  Printf.sprintf "mask=[%s] classes=[%s] temps=[%s] cls=%d threshold=%g"
+let print_policy_case (mask, classes, temps, threshold) =
+  Printf.sprintf "mask=[%s] classes=[%s] temps=[%s] threshold=%g"
     (String.concat ";"
        (Array.to_list (Array.map (fun b -> if b then "1" else "0") mask)))
     (String.concat ";" (Array.to_list (Array.map string_of_int classes)))
     (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") temps)))
-    cls threshold
+    threshold
 
 let prop_mask_policies_match_reference =
   QCheck2.Test.make ~name:"policy: mask choice equals the list reference"
     ~count:500 ~print:print_policy_case gen_policy_case
-    (fun (mask, core_classes, core_temperatures, cls, threshold) ->
+    (fun (mask, core_classes, core_temperatures, threshold) ->
       let idle = Policy_reference.list_of_mask mask in
       let agree (p : Sim.Policy.assignment) reference =
         p.Sim.Policy.choose ~idle:mask ~core_classes ~core_temperatures
@@ -182,8 +181,7 @@ let prop_mask_policies_match_reference =
       && agree Sim.Policy.coolest_first Policy_reference.coolest_first
       && agree
            (Sim.Policy.cool_headroom ~threshold)
-           (Policy_reference.cool_headroom ~threshold)
-      && agree (Sim.Policy.prefer_class ~cls) (Policy_reference.prefer_class ~cls))
+           (Policy_reference.cool_headroom ~threshold))
 
 let prop_round_robin_matches_reference =
   QCheck2.Test.make
@@ -332,10 +330,12 @@ let test_engine_zero_frequency_never_finishes () =
 let test_engine_series_recorded () =
   let m = Lazy.force machine in
   let trace = small_trace 500 in
-  let _, series, frequency_log =
-    Sim.Engine.run_recorded m (Lazy.force fast_controller)
-      Sim.Policy.first_idle trace
-  in
+  let rec_probe, series = Sim.Probe.recorder () in
+  let log_probe, frequency_log = Sim.Probe.frequency_log () in
+  ignore
+    (Sim.Engine.run ~probes:[ rec_probe; log_probe ] m
+       (Lazy.force fast_controller) Sim.Policy.first_idle trace);
+  let series = series () and frequency_log = frequency_log () in
   check_bool "series non-empty" true (Array.length series > 0);
   check_bool "one sample per epoch" true
     (Array.length series = Array.length frequency_log);

@@ -1,6 +1,8 @@
 (* Tests for the thermal substrate: floorplan geometry, RC network
-   extraction, transient integration (Euler vs exact), the HotSpot-
-   style validation model, calibration and the Niagara platform. *)
+   extraction, transient integration (Euler against the exact
+   propagator of Transient_reference), the HotSpot-style validation
+   model (Hotspot3l), calibration, system identification
+   (Calibrate_reference) and the Niagara platform. *)
 
 open Linalg
 open Thermal
@@ -239,24 +241,56 @@ let test_exact_matches_euler_small_dt () =
   let m = Rc_model.build (two_block ()) in
   let dt = 0.01 *. Rc_model.max_monotone_dt m in
   let d = Rc_model.discretize m ~dt in
-  let prop = Transient.exact_propagator m ~dt in
+  let prop = Transient_reference.exact_propagator m ~dt in
   let p = [| 1.0; 0.0 |] in
   let t0 = Vec.create 2 27.0 in
   let euler = Transient.simulate_const d ~t0 ~steps:500 p in
   let exact =
-    Transient.exact_simulate prop ~t0 ~steps:500 ~power:(fun _ -> p)
+    Transient_reference.exact_simulate prop ~t0 ~steps:500 ~power:(fun _ -> p)
   in
   let e_final = Mat.row euler.Transient.temperatures 500 in
   let x_final = Mat.row exact.Transient.temperatures 500 in
   check_bool "close" true (Vec.approx_equal ~tol:0.05 e_final x_final)
+
+let test_euler_error_at_paper_step () =
+  (* Niagara from 27 C with every core at its peak power for 0.1 s:
+     Euler at the paper's 0.4 ms step lands within 0.1 C of the exact
+     solution, and the error grows with the step. *)
+  let fp = Niagara.floorplan () in
+  let m = Niagara.model () in
+  let p =
+    Niagara.power_vector fp
+      ~core_power:(Vec.create Niagara.n_cores Niagara.core_pmax)
+  in
+  let t0 = Vec.create (Floorplan.size fp) 27.0 in
+  let exact =
+    Transient_reference.exact_step
+      (Transient_reference.exact_propagator m ~dt:0.1)
+      t0 p
+  in
+  let error dt =
+    let d = Rc_model.discretize m ~dt in
+    let steps = int_of_float (Float.round (0.1 /. dt)) in
+    let traj = Transient.simulate_const d ~t0 ~steps p in
+    Vec.norm_inf (Vec.sub (Mat.row traj.Transient.temperatures steps) exact)
+  in
+  let e_paper = error Niagara.dt and e_2ms = error 2e-3
+  and e_10ms = error 10e-3 in
+  check_bool (Printf.sprintf "0.4 ms error %.4f C <= 0.1 C" e_paper) true
+    (e_paper <= 0.1);
+  check_bool
+    (Printf.sprintf "error grows with dt: %.4f < %.4f < %.4f" e_paper e_2ms
+       e_10ms)
+    true
+    (e_paper < e_2ms && e_2ms < e_10ms)
 
 let test_exact_step_reaches_steady () =
   (* One huge exact step lands on the steady state. *)
   let m = Rc_model.build (two_block ()) in
   let p_nodes = [| 1.0; 0.2 |] in
   let steady = Rc_model.steady_state m p_nodes in
-  let prop = Transient.exact_propagator m ~dt:1000.0 in
-  let t = Transient.exact_step prop (Vec.create 2 27.0) p_nodes in
+  let prop = Transient_reference.exact_propagator m ~dt:1000.0 in
+  let t = Transient_reference.exact_step prop (Vec.create 2 27.0) p_nodes in
   check_bool "steady" true (Vec.approx_equal ~tol:1e-6 t steady)
 
 let test_in_place_steps_match_allocating () =
@@ -264,10 +298,10 @@ let test_in_place_steps_match_allocating () =
   let m = Rc_model.build (two_block ()) in
   let p_nodes = [| 0.8; 0.3 |] in
   let t = [| 40.0; 35.0 |] in
-  let prop = Transient.exact_propagator m ~dt:0.05 in
-  let expected = Transient.exact_step prop t p_nodes in
+  let prop = Transient_reference.exact_propagator m ~dt:0.05 in
+  let expected = Transient_reference.exact_step prop t p_nodes in
   let dst = Vec.zeros 2 and scratch = Vec.zeros 2 in
-  Transient.exact_step_into prop t p_nodes ~scratch ~dst;
+  Transient_reference.exact_step_into prop t p_nodes ~scratch ~dst;
   check_bool "exact step" true (Vec.approx_equal ~tol:0.0 expected dst);
   let d = Rc_model.discretize m ~dt:(0.5 *. Rc_model.max_monotone_dt m) in
   let expected = Rc_model.step_temperature d t p_nodes in
@@ -391,14 +425,17 @@ let test_fit_discrete_recovers_model () =
         Mat.row powers k)
   in
   let fit =
-    Calibrate.fit_discrete ~temperatures:traj.Transient.temperatures ~powers
+    Calibrate_reference.fit_discrete
+      ~temperatures:traj.Transient.temperatures ~powers
   in
   check_bool "A recovered" true
-    (Mat.approx_equal ~tol:1e-6 fit.Calibrate.step d.Rc_model.step);
+    (Mat.approx_equal ~tol:1e-6 fit.Calibrate_reference.step d.Rc_model.step);
   check_bool "b recovered" true
-    (Vec.approx_equal ~tol:1e-6 fit.Calibrate.injection d.Rc_model.injection);
+    (Vec.approx_equal ~tol:1e-6 fit.Calibrate_reference.injection
+       d.Rc_model.injection);
   check_bool "c recovered" true
-    (Vec.approx_equal ~tol:1e-4 fit.Calibrate.drive d.Rc_model.drive)
+    (Vec.approx_equal ~tol:1e-4 fit.Calibrate_reference.drive
+       d.Rc_model.drive)
 
 (* ------------------------------------------------------------------ *)
 (* Niagara *)
@@ -471,27 +508,6 @@ let test_niagara_fixed_power_share () =
   let fixed = Vec.sum (Niagara.fixed_power fp) in
   let cores = float_of_int Niagara.n_cores *. Niagara.core_pmax in
   check_float 0.02 "share" 0.30 (fixed /. cores)
-
-let test_grid_floorplan () =
-  let fp = Floorplan.grid ~rows:3 ~cols:4 ~cell_width:1e-3 ~cell_height:1e-3 () in
-  check_int "12 cells" 12 (Floorplan.size fp);
-  (* an interior cell has 4 neighbours, a corner 2 *)
-  let count name = List.length (Floorplan.neighbours fp (Floorplan.index_of fp name)) in
-  check_int "interior" 4 (count "R1C1");
-  check_int "corner" 2 (count "R0C0");
-  check_int "edge" 3 (count "R0C1")
-
-let test_sparse_steady_matches_dense () =
-  (* On a 6x6 grid mesh, conjugate gradients on the sparse conductance
-     matrix must agree with the dense LU solve. *)
-  let fp = Floorplan.grid ~rows:6 ~cols:6 ~cell_width:1e-3 ~cell_height:1e-3 () in
-  let m = Rc_model.build fp in
-  let st = Random.State.make [| 5 |] in
-  let p = Vec.init 36 (fun _ -> Random.State.float st 0.5) in
-  let dense = Rc_model.steady_state m p in
-  let sparse, iters = Rc_model.steady_state_cg m p in
-  check_bool "agree" true (Vec.approx_equal ~tol:1e-6 dense sparse);
-  check_bool "few iterations" true (iters <= 360)
 
 (* ------------------------------------------------------------------ *)
 (* Property tests *)
@@ -635,6 +651,8 @@ let () =
             test_exact_matches_euler_small_dt;
           Alcotest.test_case "exact long step" `Quick
             test_exact_step_reaches_steady;
+          Alcotest.test_case "euler error at the paper's step" `Quick
+            test_euler_error_at_paper_step;
           Alcotest.test_case "in-place steps match" `Quick
             test_in_place_steps_match_allocating;
         ] );
@@ -674,12 +692,6 @@ let () =
           Alcotest.test_case "dt stable" `Quick test_niagara_dt_stable;
           Alcotest.test_case "fixed power share" `Quick
             test_niagara_fixed_power_share;
-        ] );
-      ( "grid",
-        [
-          Alcotest.test_case "mesh construction" `Quick test_grid_floorplan;
-          Alcotest.test_case "sparse steady state" `Quick
-            test_sparse_steady_matches_dense;
         ] );
       ("properties", props);
     ]

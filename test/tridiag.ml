@@ -1,3 +1,5 @@
+open Linalg
+
 exception Singular of int
 
 let check_dims name ~lower ~diag ~upper n =

@@ -1,7 +1,10 @@
 (** Tridiagonal systems (Thomas algorithm).
 
-    Used by the 3-layer HotSpot-style validation model, whose vertical
-    heat path per block is a small tridiagonal chain. *)
+    Used by the 3-layer HotSpot-style validation model ({!Hotspot3l}),
+    whose vertical heat path per block is a small tridiagonal chain,
+    and as the scalar-block reference for {!Linalg.Block_tridiag}. *)
+
+open Linalg
 
 exception Singular of int
 
