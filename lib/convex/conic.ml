@@ -1377,37 +1377,50 @@ let restrict ws t ~first ~last =
     Bytes.fill ws.in_set first (last - first) '\000'
   end
 
-(* The working-set update, in one pass over the optional rows outside
-   the set: each whose value at [x] is not <= above — a NaN value
-   included — joins it.  The thermal rows, almost all of the optional
-   ones, have eight entries; those go through {!row_dot8}, whose
+(* Whether orthant row [i]'s value at [x] is not <= above — a NaN
+   value included.  The thermal rows, almost all of the optional ones,
+   have eight entries; those go through {!row_dot8}, whose
    straight-line body lets consecutive rows' add chains overlap, and
    every other length through {!row_value}.  Both sum in the same
-   order, so each decision is the one-row loop's.  [x] has [t.n]
-   entries (checked), so every row's stripe lies within it. *)
+   order, so each decision is the one-row loop's.  The caller checks
+   that [x] has [t.n] entries, so every row's stripe lies within it.
+   Inlined, so [above] is never boxed. *)
+let[@inline] row_exceeds t i x ~above =
+  let off = t.goff in
+  let s = Array.unsafe_get off i in
+  if Array.unsafe_get off (i + 1) - s = 8 then
+    not
+      (row_dot8 t.gdata s x (Array.unsafe_get t.glo i)
+       -. Array.unsafe_get t.hi i
+      <= above)
+  else not (row_value t i x <= above)
+
+(* The working-set update, in one pass over the optional rows outside
+   the set: each that {!row_exceeds} [above] at [x] joins it. *)
 let admit ws t x ~above =
   if not (same_shape ws.full t) then
     invalid_arg "Conic.admit: workspace shape mismatch";
   if Vec.dim x <> t.n then invalid_arg "Conic.admit: point dimension mismatch";
-  let gd = t.gdata and off = t.goff and lo = t.glo and hi = t.hi in
   let added = ref 0 in
   for i = ws.opt_lo to ws.opt_hi - 1 do
-    if Bytes.get ws.in_set i = '\000' then begin
-      let s = Array.unsafe_get off i in
-      let violated =
-        if Array.unsafe_get off (i + 1) - s = 8 then
-          not
-            (row_dot8 gd s x (Array.unsafe_get lo i) -. Array.unsafe_get hi i
-            <= above)
-        else not (row_value t i x <= above)
-      in
-      if violated then begin
-        Bytes.set ws.in_set i '\001';
-        incr added
-      end
+    if Bytes.get ws.in_set i = '\000' && row_exceeds t i x ~above then begin
+      Bytes.set ws.in_set i '\001';
+      incr added
     end
   done;
   !added
+
+(* {!admit}'s decision at [above = 0] over a range, with no workspace:
+   it stops at the first row that does not hold. *)
+let holds t x ~first ~last =
+  if Vec.dim x <> t.n then invalid_arg "Conic.holds: point dimension mismatch";
+  if first < 0 || last > t.mo then
+    invalid_arg "Conic.holds: range outside the orthant rows";
+  let i = ref first in
+  while !i < last && not (row_exceeds t !i x ~above:0.0) do
+    incr i
+  done;
+  !i >= last
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                          *)

@@ -175,4 +175,14 @@ val admit : workspace -> t -> Vec.t -> above:float -> int
     the working set each one whose value is not [<= above] — a NaN
     value included.  Returns how many joined.  Allocates nothing. *)
 
+val holds : t -> Vec.t -> first:int -> last:int -> bool
+(** [holds t x ~first ~last] is whether every orthant row of [t] in
+    [first .. last - 1] holds at [x] ([G_i x - h_i <= 0]; a NaN value
+    does not hold), decided row by row exactly as {!admit} at
+    [above = 0] decides it: after [restrict ws t ~first ~last],
+    [holds t x ~first ~last] iff [admit ws t x ~above:0.0 = 0].  It
+    needs no workspace, stops at the first row that fails and
+    allocates nothing.  [Invalid_argument] if [x] does not have
+    {!dim} entries or the range leaves the orthant rows. *)
+
 val pp_status : Format.formatter -> status -> unit

@@ -55,42 +55,53 @@ type row = {
   conic : Convex.Conic.stats;
 }
 
-(* One row of the table: prepare the row once, then solve its columns
-   left to right in one conic workspace, each solve seeded with the
-   previous feasible column's optimum, up to the first infeasible
-   column (infeasibility is monotone in [ftarget]).  The instances
-   share their structure (only the floor's constant moves), so most
-   cells cost one closed-form pass over the thermal rows, and most
-   first infeasible columns one evaluation of a frontier tangent
-   ({!Model.solve}); such a refutation is the one outcome counted
-   primal-infeasible with no iteration.  A pure
-   function of the grid and [i]: a fill is bit-identical at any domain
-   count. *)
-let run_row g i =
+(* One row of the table: prepare the row once, then settle its
+   columns left to right up to the first infeasible one (infeasibility
+   is monotone in [ftarget]).  A cell whose column holds on the row
+   ({!Model.column_holds}, {!Model.solve}'s own closed-form decision)
+   is served a fresh copy of the column's frequencies, with no
+   instance, dual or solution record, and counted as {!Model.solve}
+   counts it: one optimal outcome with no iteration.  Every other cell
+   is instantiated and solved in the row's one conic workspace, made
+   when the first such cell comes, and most first infeasible columns
+   cost one evaluation of a frontier tangent; such a refutation is the
+   one outcome counted primal-infeasible with no iteration.  Each cell
+   is seeded with the previous feasible column's optimum (a column's
+   point when it settled that cell).  A pure function of the grid, its
+   columns and [i]: a fill is bit-identical at any domain count. *)
+let run_row g columns i =
   let cols = Array.length g.ftargets in
   let prepared =
     Model.prepare ~machine:g.machine ~spec:g.spec ~tstart:g.tstarts.(i)
   in
-  let conic_ws = Model.workspace prepared in
+  let conic_ws = lazy (Model.workspace prepared) in
   let cells = Array.make cols Table.Infeasible in
   let conic = ref Convex.Conic.stats_zero and closed_form = ref 0 in
   let rec solve_from j start =
     if j = cols then (j, false)
     else
-      let built = Model.instantiate prepared ~ftarget:g.ftargets.(j) in
-      let before = !conic in
-      match Model.solve ~conic_stats_into:conic ~conic_ws ?start built with
-      | Model.Infeasible ->
-          let after = !conic in
-          ( j,
-            after.primal_infeasible > before.primal_infeasible
-            && after.iterations = before.iterations )
-      | Model.Feasible s ->
-          cells.(j) <- Table.Frequencies s.Model.frequencies;
-          (match s.Model.settled_by with
-          | `Closed_form -> incr closed_form
-          | `Interior_point -> ());
-          solve_from (j + 1) (Some s.Model.raw.Convex.Solve.x)
+      match columns.(j) with
+      | Some col when Model.column_holds prepared col ->
+          cells.(j) <- Table.Frequencies (Model.column_frequencies col);
+          incr closed_form;
+          solve_from (j + 1) (Some (Model.column_x col))
+      | Some _ | None -> (
+          let built = Model.instantiate prepared ~ftarget:g.ftargets.(j) in
+          let before = !conic in
+          match
+            Model.solve ~conic_stats_into:conic ~conic_ws:(Lazy.force conic_ws)
+              ?start built
+          with
+          | Model.Infeasible ->
+              let after = !conic in
+              ( j,
+                after.primal_infeasible > before.primal_infeasible
+                && after.iterations = before.iterations )
+          | Model.Feasible s ->
+              (* The column failed here, and so did {!Model.solve}'s
+                 own closed form: an interior-point optimum. *)
+              cells.(j) <- Table.Frequencies s.Model.frequencies;
+              solve_from (j + 1) (Some s.Model.raw.Convex.Solve.x))
   in
   let feasible, frontier_verdict = solve_from 0 None in
   {
@@ -98,7 +109,7 @@ let run_row g i =
     feasible;
     closed_form = !closed_form;
     frontier_verdict;
-    conic = !conic;
+    conic = { !conic with optimal = !conic.optimal + !closed_form };
   }
 
 let no_cells =
@@ -110,8 +121,16 @@ let fill ?domains t =
   | None ->
       let g = t.grid in
       let cols = Array.length g.ftargets in
+      (* The columns are computed here, on the calling domain, so an
+         [ftarget] outside [[0, fmax]] fails before any row is solved;
+         they are dropped with the fill. *)
+      let columns =
+        Array.map
+          (fun ftarget -> Model.column ~machine:g.machine ~spec:g.spec ~ftarget)
+          g.ftargets
+      in
       let rows =
-        Parallel.Pool.map ?domains (run_row g) (Array.length g.tstarts)
+        Parallel.Pool.map ?domains (run_row g columns) (Array.length g.tstarts)
       in
       (* Merged in row order, so the counters do not depend on the
          domain count either.  Every row solves its columns up to and

@@ -51,8 +51,13 @@ val create :
 
 type fill_stats = {
   cells : int;  (** Cells this {!fill} materialized. *)
-  solves : int;  (** Solver invocations among them. *)
-  warm_hits : int;  (** Solves seeded from the previous column's optimum. *)
+  solves : int;
+      (** Cells settled among them, by their column or by
+          {!Model.solve}: each row's columns up to and including its
+          first infeasible one. *)
+  warm_hits : int;
+      (** Settled cells seeded from the previous column's optimum:
+          every one but the first of each row. *)
   pruned : int;
       (** Cells after a row's first infeasible column: infeasible, no
           solve. *)
@@ -60,25 +65,35 @@ type fill_stats = {
 }
 
 val fill : ?domains:int -> t -> fill_stats
-(** Solve every cell, once.  Rows are fanned across a
-    {!Parallel.Pool} ([domains] defaults to
-    {!Parallel.Pool.default_domains}).  A row solves its columns left
-    to right in one conic workspace, each solve seeded from the
-    previous feasible column, and stops at its first infeasible
+(** Solve every cell, once.  The grid's {!Model.column}s (one
+    floor-only optimum per [ftarget]) are computed first, on the
+    calling domain, and dropped when the fill returns; then rows are
+    fanned across a {!Parallel.Pool} ([domains] defaults to
+    {!Parallel.Pool.default_domains}).  A row prepares its instance
+    once and settles its columns left to right: a cell whose column
+    holds on the row ({!Model.column_holds}) is served a copy of the
+    column's frequencies with no instance or solve record; any other
+    is instantiated and solved in the row's one conic workspace, made
+    at its first such cell.  Each cell is seeded from the previous
+    feasible column, and the row stops at its first infeasible
     column: infeasibility is monotone in [ftarget], so the rest are
-    pruned.  The grid is bit-identical at any domain count.  A second
+    pruned.  Every cell and counter is what {!Model.solve} gives for
+    it, and the grid is bit-identical at any domain count.  Raises
+    [Invalid_argument], before any row is solved and with [t] left
+    unfilled, when an [ftarget] lies outside [[0, fmax]].  A second
     [fill] materializes nothing and returns zero counts. *)
 
 val solver_stats : t -> Convex.Conic.stats
 (** Solver work counters of the {!fill}, with one certificate outcome
-    per cell solve ({!Model.solve}); zero before it.  Rows are merged
+    per cell solve ({!Model.solve}; a cell its column settles counts
+    as one optimal outcome with no iteration); zero before it.  Rows are merged
     in row order, so the counters do not depend on the domain
     count. *)
 
 val closed_form_cells : t -> int
-(** Cells {!Model.solve} settled by the floor-only closed form, with
-    no interior-point iteration; zero before {!fill}.  A subset of the
-    feasible cells. *)
+(** Cells settled by the floor-only closed form (their column held),
+    with no interior-point iteration; zero before {!fill}.  A subset
+    of the feasible cells. *)
 
 val frontier_verdicts : t -> int
 (** Rows whose first infeasible cell {!Model.solve} refuted with a

@@ -431,14 +431,9 @@ type built = {
   context : prepared;
 }
 
-(* The Eq. 3 instance from [t0], written straight into packed conic
-   rows [h - G x in K] in the row layout above: the box rows, the
-   floor (left out of a [frontier] instance, which maximizes the total
-   frequency instead of minimizing power), the kept thermal rows and
-   the gradient rows (copied from the machine's {!thermal_rows}), the
-   gradient bounds, then one rotated-quadratic block per power law.
-   Each constant is [-r] of the row's [q'x + r <= 0] form. *)
-let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~tstart ~frontier =
+(* What a model of [spec] on [machine] needs of both, checked once
+   per prepare and per column. *)
+let validate ~machine ~(spec : Spec.t) =
   Spec.validate spec;
   (* Per-core normalization: variable j is stated in units of its own
      core's ceiling, [fhat_j = f_j / core_fmax.(j)] and
@@ -454,37 +449,79 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~tstart ~frontier =
           "Model: power exponent below 2 (the quadratic surrogate would \
            under-estimate power)")
     machine.Sim.Machine.core_exponent;
-  (match spec.Spec.variant with
+  match spec.Spec.variant with
   | Spec.Uniform
     when not (Sim.Platform.single_class machine.Sim.Machine.platform) ->
       invalid_arg "Model: the uniform variant needs a single-class platform"
-  | Spec.Uniform | Spec.Variable -> ());
-  let pmax = machine.Sim.Machine.core_pmax in
+  | Spec.Uniform | Spec.Variable -> ()
+
+(* Throughput direction: sum over cores of f, in units of the chip
+   reference frequency — coefficient [core_fmax.(j) / fref] per
+   normalized variable, which is exactly -1.0 on a single-class
+   platform ([x /. x = 1.0] for finite positive x).  In the uniform
+   variant the single f counts n_cores times.  The floor row
+   [total_f_coeffs . fhat + F <= 0] gets its constant per [ftarget]
+   in {!instantiate}. *)
+let total_f_coeffs ~machine ~(spec : Spec.t) layout =
   let core_fmax = machine.Sim.Machine.core_fmax in
   let fref = machine.Sim.Machine.fmax in
+  let q = Vec.zeros layout.dim in
+  (match spec.Spec.variant with
+  | Spec.Variable ->
+      for j = 0 to layout.n_f - 1 do
+        q.(layout.f_offset + j) <- -.(core_fmax.(j) /. fref)
+      done
+  | Spec.Uniform -> q.(layout.f_offset) <- -.float_of_int layout.n_cores);
+  q
+
+(* Objective of the power problem: total power in units of the largest
+   per-core pmax — coefficient [pmax.(j) / pref] per normalized power,
+   exactly 1.0 on a single-class platform — plus the weighted spread
+   (Eq. 3/5). *)
+let objective_coeffs ~machine ~(spec : Spec.t) layout =
+  let pmax = machine.Sim.Machine.core_pmax in
+  let pref = Array.fold_left Float.max 0.0 pmax in
+  let q = Vec.zeros layout.dim in
+  for j = 0 to layout.n_p - 1 do
+    q.(layout.p_offset + j) <-
+      (match spec.Spec.variant with
+      | Spec.Variable -> pmax.(j) /. pref
+      | Spec.Uniform -> float_of_int layout.n_cores)
+  done;
+  (match (layout.bounds_offset, spec.Spec.gradient) with
+  | Some off, Some gr ->
+      q.(off) <- gr.Spec.weight;
+      q.(off + 1) <- -.gr.Spec.weight
+  | None, _ | _, None -> ());
+  q
+
+(* The floor-only relaxation of a cell of [spec] on [machine].  The
+   gradient variant's objective couples the thermal rows through its
+   spread term, so it has no floor-only closed form. *)
+let floor_only_data ~machine ~(spec : Spec.t) layout =
+  match spec.Spec.gradient with
+  | None ->
+      Some
+        (floor_only_of layout
+           ~total_f_coeffs:(total_f_coeffs ~machine ~spec layout)
+           ~objective_coeffs:(objective_coeffs ~machine ~spec layout))
+  | Some _ -> None
+
+(* The Eq. 3 instance from [t0], written straight into packed conic
+   rows [h - G x in K] in the row layout above: the box rows, the
+   floor (left out of a [frontier] instance, which maximizes the total
+   frequency instead of minimizing power), the kept thermal rows and
+   the gradient rows (copied from the machine's {!thermal_rows}), the
+   gradient bounds, then one rotated-quadratic block per power law.
+   Each constant is [-r] of the row's [q'x + r <= 0] form. *)
+let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~tstart ~frontier =
+  validate ~machine ~spec;
   let steps = Sim.Machine.window_steps machine ~period:spec.Spec.dfs_period in
   if steps < 1 then invalid_arg "Model.build: window below one thermal step";
   let n_nodes = machine.Sim.Machine.n_nodes in
   let n_cores = machine.Sim.Machine.n_cores in
   let layout = make_layout spec ~n_cores in
-  let dim = layout.dim in
-  (* Throughput direction: sum over cores of f, in units of the chip
-     reference frequency — coefficient [core_fmax.(j) / fref] per
-     normalized variable, which is exactly -1.0 on a single-class
-     platform ([x /. x = 1.0] for finite positive x).  In the uniform
-     variant the single f counts n_cores times.  The floor row
-     [total_f_coeffs . fhat + F <= 0] gets its constant per [ftarget]
-     in {!instantiate}. *)
-  let total_f_coeffs =
-    let q = Vec.zeros dim in
-    (match spec.Spec.variant with
-    | Spec.Variable ->
-        for j = 0 to layout.n_f - 1 do
-          q.(layout.f_offset + j) <- -.(core_fmax.(j) /. fref)
-        done
-    | Spec.Uniform -> q.(layout.f_offset) <- -.float_of_int n_cores);
-    q
-  in
+  let total_f_coeffs = total_f_coeffs ~machine ~spec layout in
   if Vec.dim t0 <> n_nodes then
     invalid_arg "Model.build: initial temperature profile length mismatch";
   if not (Array.for_all Float.is_finite t0) then
@@ -577,32 +614,12 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~tstart ~frontier =
     put p [| -.inv_sqrt2 |] (inv_sqrt2 *. -0.5);
     put (layout.f_offset + j) [| -1.0 |] 0.0
   done;
-  (* Objective of the power problem: total power in units of the
-     largest per-core pmax — coefficient [pmax.(j) / pref] per
-     normalized power, exactly 1.0 on a single-class platform — plus
-     the weighted spread (Eq. 3/5). *)
-  let pref = Array.fold_left Float.max 0.0 pmax in
-  let objective_coeffs = Vec.zeros dim in
-  for j = 0 to layout.n_p - 1 do
-    objective_coeffs.(layout.p_offset + j) <-
-      (match spec.Spec.variant with
-      | Spec.Variable -> pmax.(j) /. pref
-      | Spec.Uniform -> float_of_int n_cores)
-  done;
-  (match (layout.bounds_offset, spec.Spec.gradient) with
-  | Some off, Some gr ->
-      objective_coeffs.(off) <- gr.Spec.weight;
-      objective_coeffs.(off + 1) <- -.gr.Spec.weight
-  | None, _ | _, None -> ());
-  (* The gradient variant's objective couples the thermal rows through
-     its spread term, so it has no floor-only closed form. *)
   let floor_only =
-    match spec.Spec.gradient with
-    | None when not frontier ->
-        Some (floor_only_of layout ~total_f_coeffs ~objective_coeffs)
-    | None | Some _ -> None
+    if frontier then None else floor_only_data ~machine ~spec layout
   in
-  let c = if frontier then total_f_coeffs else objective_coeffs in
+  let c =
+    if frontier then total_f_coeffs else objective_coeffs ~machine ~spec layout
+  in
   {
     p_layout = layout;
     p_spec = spec;
@@ -651,11 +668,13 @@ let built_of p ~ftarget conic =
     context = p;
   }
 
+(* Written so that a NaN target fails too. *)
+let check_ftarget ~machine ftarget =
+  if not (ftarget >= 0.0 && ftarget <= machine.Sim.Machine.fmax) then
+    invalid_arg "Model.build: ftarget outside [0, fmax]"
+
 let instantiate p ~ftarget =
-  let fmax = p.p_machine.Sim.Machine.fmax in
-  (* Written so that a NaN target fails too. *)
-  if not (ftarget >= 0.0 && ftarget <= fmax) then
-    invalid_arg "Model.build: ftarget outside [0, fmax]";
+  check_ftarget ~machine:p.p_machine ftarget;
   let floor_const =
     floor_constant ~layout:p.p_layout ~machine:p.p_machine ftarget
   in
@@ -691,30 +710,39 @@ type solution = {
 
 type outcome = Feasible of solution | Infeasible
 
-let expand built per_var =
-  (* Uniform solutions carry one value for all cores. *)
-  match built.spec.Spec.variant with
-  | Spec.Variable -> Vec.copy per_var
-  | Spec.Uniform -> Vec.create built.layout.n_cores per_var.(0)
+(* The per-core values of [n] normalized variables of [x] from
+   [offset], clamped to [0, 1] (a uniform solution carries one value
+   for all cores) and scaled by [scale], multiply order as
+   [Vec.scale]'s [a *. x_i] so a single-class platform is
+   bit-identical. *)
+let per_core ~layout ~(variant : Spec.variant) ~scale x ~offset ~n =
+  let clamped =
+    Vec.map (fun a -> Float.min 1.0 (Float.max 0.0 a)) (Vec.slice x offset n)
+  in
+  let per_core =
+    match variant with
+    | Spec.Variable -> clamped
+    | Spec.Uniform -> Vec.create layout.n_cores clamped.(0)
+  in
+  Vec.init layout.n_cores (fun j -> scale.(j) *. per_core.(j))
+
+(* The frequencies a solution [x] serves, in Hz. *)
+let served_frequencies ~layout ~variant ~machine x =
+  per_core ~layout ~variant ~scale:machine.Sim.Machine.core_fmax x
+    ~offset:layout.f_offset ~n:layout.n_f
 
 let solution_of_x built ~settled_by (raw : Convex.Solve.solution) =
-  let layout = built.layout in
+  let layout = built.layout and variant = built.spec.Spec.variant in
   let x = raw.Convex.Solve.x in
-  let core_fmax = built.machine.Sim.Machine.core_fmax in
-  let core_pmax = built.machine.Sim.Machine.core_pmax in
-  let clamp1 v = Vec.map (fun a -> Float.min 1.0 (Float.max 0.0 a)) v in
-  let fhat = expand built (clamp1 (Vec.slice x layout.f_offset layout.n_f)) in
-  let phat = expand built (clamp1 (Vec.slice x layout.p_offset layout.n_p)) in
-  (* Per-core denormalization, multiply order as [Vec.scale]'s
-     [a *. x_i] so a single-class platform is bit-identical.  The
-     reported powers are the certified (model) powers: for an
+  (* The reported powers are the certified (model) powers: for an
      exponent above 2 the true power is lower, so they remain a safe
      over-estimate. *)
   let frequencies =
-    Vec.init layout.n_cores (fun j -> core_fmax.(j) *. fhat.(j))
+    served_frequencies ~layout ~variant ~machine:built.machine x
   in
   let core_powers =
-    Vec.init layout.n_cores (fun j -> core_pmax.(j) *. phat.(j))
+    per_core ~layout ~variant ~scale:built.machine.Sim.Machine.core_pmax x
+      ~offset:layout.p_offset ~n:layout.n_p
   in
   let gradient_spread =
     Option.map
@@ -1032,21 +1060,6 @@ let own_frontier_refutes ~stats built =
       | Some tg -> tangent_refutes tg built
       | None -> false)
 
-(* The orthant rows a conic solve may leave out of its working set:
-   the thermal and gradient rows after the floor.  The gradient
-   variant's last three rows (0 <= l, u <= 2, l <= u), four with the
-   cap, always stay in: without them the spread term of the objective
-   is unbounded below. *)
-let optional_rows built t =
-  let tail =
-    match built.spec.Spec.gradient with
-    | None -> 0
-    | Some { Spec.cap = None; _ } -> 3
-    | Some { Spec.cap = Some _; _ } -> 4
-  in
-  ( orthant_row built.layout (first_thermal_index built.layout),
-    n_orthant built.layout t - tail )
-
 (* An optional row within this much of binding at the seed, in units
    of tmax (1e-4 C at tmax = 100 C), starts in the working set: the
    rows that bind at the neighbour's optimum, up to the solver's
@@ -1111,67 +1124,134 @@ let outcome_class : Convex.Conic.status -> _ = function
   | Convex.Conic.Dual_infeasible _ -> `Dual_infeasible
   | Convex.Conic.Unknown _ -> `Unknown
 
-(* The optimum of the floor-only relaxation, as [raw] with its exact
-   dual, or [None] when the floor exceeds what the boxes allow (the
-   conic method then certifies the cell infeasible).  The breakpoint
-   walk saturates variables in ascending breakpoint order while the
+(* A column: the optimum of the floor-only relaxation at one
+   [ftarget], which depends on the machine, the variant and [ftarget]
+   alone, with the frequencies it serves.  The breakpoint walk
+   saturates variables in ascending breakpoint order while the
    multiplier that meets the floor on the rest passes their
    breakpoint; that multiplier only grows along the walk, so every
    saturated variable's box dual [lambda c_j - 2 w_j f_box] is
    positive.  If every variable saturates the floor equals the
-   capacity, and [lambda] is the last breakpoint.
+   capacity, and [lambda] is the last breakpoint.  [None] when the
+   floor exceeds what the boxes allow (the conic method then
+   certifies the cell infeasible). *)
+type column = {
+  col_machine : Sim.Machine.t;
+  col_floor_only : floor_only;
+  col_x : Vec.t;
+  col_frequencies : Vec.t;
+  col_lambda : float;
+  col_saturated : int;  (* the first [col_saturated] of [fo.order] *)
+}
 
-   The dual has the full instance's shape: [w_j] on each power law,
-   the box dual on each saturated variable's upper frequency box,
-   [lambda] on the floor, zero everywhere else. *)
-let floor_only_raw built t =
-  match built.floor_only with
-  | None -> None
-  | Some fo ->
-      let layout = built.layout in
-      let floor = floor_constant ~layout ~machine:built.machine built.ftarget in
-      if not (floor <= fo.capacity) then None
-      else begin
-        let n = layout.n_f in
-        let rec walk k sat =
-          if k = n then (k, fo.breakpoint.(fo.order.(n - 1)))
-          else
-            let lambda = (floor -. sat) /. fo.rest.(k) in
-            let j = fo.order.(k) in
-            if lambda <= fo.breakpoint.(j) then (k, lambda)
-            else walk (k + 1) (sat +. (fo.c.(j) *. f_box))
+let column_of fo ~layout ~variant ~machine ~ftarget =
+  let floor = floor_constant ~layout ~machine ftarget in
+  if not (floor <= fo.capacity) then None
+  else begin
+    let n = layout.n_f in
+    let rec walk k sat =
+      if k = n then (k, fo.breakpoint.(fo.order.(n - 1)))
+      else
+        let lambda = (floor -. sat) /. fo.rest.(k) in
+        let j = fo.order.(k) in
+        if lambda <= fo.breakpoint.(j) then (k, lambda)
+        else walk (k + 1) (sat +. (fo.c.(j) *. f_box))
+    in
+    let saturated, lambda = walk 0 0.0 in
+    let x = Vec.zeros layout.dim in
+    Array.iteri
+      (fun k j ->
+        let fhat =
+          if k < saturated then f_box
+          else Float.min f_box (lambda *. fo.c.(j) /. (2.0 *. fo.w.(j)))
         in
-        let saturated, lambda = walk 0 0.0 in
-        let x = Vec.zeros layout.dim in
-        let dual = Vec.zeros (constraint_count layout t) in
-        let objective = ref 0.0 in
-        Array.iteri
-          (fun k j ->
-            let fhat =
-              if k < saturated then begin
-                dual.(upper_f_box_index j) <-
-                  (lambda *. fo.c.(j)) -. (2.0 *. fo.w.(j) *. f_box);
-                f_box
-              end
-              else Float.min f_box (lambda *. fo.c.(j) /. (2.0 *. fo.w.(j)))
-            in
-            x.(layout.f_offset + j) <- fhat;
-            x.(layout.p_offset + j) <- fhat *. fhat;
-            dual.(power_law_index j) <- fo.w.(j))
-          fo.order;
-        for j = 0 to layout.n_p - 1 do
-          objective := !objective +. (fo.w.(j) *. x.(layout.p_offset + j))
-        done;
-        dual.(floor_index layout) <- lambda;
-        Some
-          {
-            Convex.Solve.x;
-            objective_value = !objective;
-            dual;
-            gap = 0.0;
-            iterations = 0;
-          }
-      end
+        x.(layout.f_offset + j) <- fhat;
+        x.(layout.p_offset + j) <- fhat *. fhat)
+      fo.order;
+    Some
+      {
+        col_machine = machine;
+        col_floor_only = fo;
+        col_x = x;
+        col_frequencies = served_frequencies ~layout ~variant ~machine x;
+        col_lambda = lambda;
+        col_saturated = saturated;
+      }
+  end
+
+let column ~machine ~spec ~ftarget =
+  check_ftarget ~machine ftarget;
+  validate ~machine ~spec;
+  let layout = make_layout spec ~n_cores:machine.Sim.Machine.n_cores in
+  Option.bind (floor_only_data ~machine ~spec layout) (fun fo ->
+      column_of fo ~layout ~variant:spec.Spec.variant ~machine ~ftarget)
+
+let column_frequencies col = Vec.copy col.col_frequencies
+let column_x col = col.col_x
+
+(* The orthant rows a conic solve may leave out of its working set:
+   the thermal and gradient rows after the floor.  The gradient
+   variant's last three rows (0 <= l, u <= 2, l <= u), four with the
+   cap, always stay in: without them the spread term of the objective
+   is unbounded below. *)
+let first_optional layout = orthant_row layout (first_thermal_index layout)
+
+let last_optional layout (spec : Spec.t) t =
+  let tail =
+    match spec.Spec.gradient with
+    | None -> 0
+    | Some { Spec.cap = None; _ } -> 3
+    | Some { Spec.cap = Some _; _ } -> 4
+  in
+  n_orthant layout t - tail
+
+(* The floor-only relaxation settles a cell when its optimum satisfies
+   every optional row: it is then feasible for the cell, and as the
+   relaxation's objective is strictly convex in [fhat], it is the
+   cell's unique optimum.  Only the floor's constant depends on
+   [ftarget], and the floor is not an optional row, so the check reads
+   a prepared context's instance as well as any of its cells'. *)
+let settles layout spec t col =
+  Convex.Conic.holds t col.col_x ~first:(first_optional layout)
+    ~last:(last_optional layout spec t)
+
+(* A column of another variant has another dimension, which
+   {!Convex.Conic.holds} refuses. *)
+let column_holds p col =
+  if col.col_machine != p.p_machine then
+    invalid_arg "Model.column_holds: a column of another machine";
+  match p.p_floor_only with
+  | None -> invalid_arg "Model.column_holds: no floor-only relaxation"
+  | Some _ -> settles p.p_layout p.p_spec p.p_conic col
+
+(* The cell's optimum from its column, which it takes over (its [x] is
+   the solution's), as [raw] with its exact dual, of the full
+   instance's shape: [w_j] on each power law, the box dual on each
+   saturated variable's upper frequency box, [lambda] on the floor,
+   zero everywhere else. *)
+let closed_form_raw built t col =
+  let fo = col.col_floor_only and layout = built.layout in
+  let x = col.col_x and lambda = col.col_lambda in
+  let dual = Vec.zeros (constraint_count layout t) in
+  Array.iteri
+    (fun k j ->
+      if k < col.col_saturated then
+        dual.(upper_f_box_index j) <-
+          (lambda *. fo.c.(j)) -. (2.0 *. fo.w.(j) *. f_box);
+      dual.(power_law_index j) <- fo.w.(j))
+    fo.order;
+  let objective = ref 0.0 in
+  for j = 0 to layout.n_p - 1 do
+    objective := !objective +. (fo.w.(j) *. x.(layout.p_offset + j))
+  done;
+  dual.(floor_index layout) <- lambda;
+  {
+    Convex.Solve.x;
+    objective_value = !objective;
+    dual;
+    gap = 0.0;
+    iterations = 0;
+  }
 
 (* A cell the floor-only optimum settles counts as one optimal solve
    with no interior-point work, and a cell a ladder tangent refutes as
@@ -1179,55 +1259,66 @@ let floor_only_raw built t =
 let closed_form_stats = count_outcome `Optimal Convex.Conic.stats_zero
 let ladder_stats = count_outcome `Primal_infeasible Convex.Conic.stats_zero
 
-(* The floor-only relaxation settles a cell when its optimum satisfies
-   every thermal row: it is then feasible for the cell, and as the
-   relaxation's objective is strictly convex in [fhat], it is the
-   cell's unique optimum.  One {!Convex.Conic.admit} pass makes the
-   check and leaves exactly the violated rows in the working set,
-   which the conic rounds then start from. *)
+(* A cell is settled in closed form when its column {!settles} it;
+   only after that check fails is a workspace made (unless the caller
+   passed one) and the column's violated rows admitted as the first
+   working set, which the conic rounds then start from. *)
 let solve ?conic_stats_into ?conic_ws ?start built =
   let t = Lazy.force built.conic in
-  let ws =
-    match conic_ws with Some ws -> ws | None -> layout_workspace built.layout t
-  in
-  let first, last = optional_rows built t in
+  let first = first_optional built.layout
+  and last = last_optional built.layout built.spec t in
   let record stats =
     match conic_stats_into with
     | Some acc -> acc := Convex.Conic.stats_add !acc stats
     | None -> ()
   in
-  let stats = ref Convex.Conic.stats_zero in
-  let rec round warm =
-    match Convex.Conic.solve ?warm ~stats_into:stats ~ws t with
-    | Convex.Conic.Optimal s
-      when Convex.Conic.admit ws t s.Convex.Conic.x ~above:0.0 > 0 ->
-        round (Some s.Convex.Conic.x)
-    | status -> status
+  let column =
+    match built.floor_only with
+    | Some fo ->
+        column_of fo ~layout:built.layout ~variant:built.spec.Spec.variant
+          ~machine:built.machine ~ftarget:built.ftarget
+    | None -> None
   in
-  let from_start () =
-    Convex.Conic.restrict ws t ~first ~last;
-    (match start with
-    | Some x when Vec.dim x = built.layout.dim ->
-        ignore (Convex.Conic.admit ws t x ~above:(-.seed_slack))
-    | Some _ | None -> ());
-    round None
-  in
-  let stalled = function
-    | Convex.Conic.Optimal _ | Convex.Conic.Primal_infeasible _ -> false
-    | Convex.Conic.Dual_infeasible _ | Convex.Conic.Unknown _ -> true
-  in
-  Convex.Conic.restrict ws t ~first ~last;
-  match floor_only_raw built t with
-  | Some raw when Convex.Conic.admit ws t raw.Convex.Solve.x ~above:0.0 = 0 ->
+  match column with
+  | Some col when settles built.layout built.spec t col ->
       record closed_form_stats;
-      Feasible (solution_of_x built ~settled_by:`Closed_form raw)
+      Feasible
+        (solution_of_x built ~settled_by:`Closed_form
+           (closed_form_raw built t col))
   | _ when ladder_refutes built ->
       record ladder_stats;
       Infeasible
-  | closed_form ->
+  | column ->
+      let ws =
+        match conic_ws with
+        | Some ws -> ws
+        | None -> layout_workspace built.layout t
+      in
+      let stats = ref Convex.Conic.stats_zero in
+      let rec round warm =
+        match Convex.Conic.solve ?warm ~stats_into:stats ~ws t with
+        | Convex.Conic.Optimal s
+          when Convex.Conic.admit ws t s.Convex.Conic.x ~above:0.0 > 0 ->
+            round (Some s.Convex.Conic.x)
+        | status -> status
+      in
+      let from_start () =
+        Convex.Conic.restrict ws t ~first ~last;
+        (match start with
+        | Some x when Vec.dim x = built.layout.dim ->
+            ignore (Convex.Conic.admit ws t x ~above:(-.seed_slack))
+        | Some _ | None -> ());
+        round None
+      in
+      let stalled = function
+        | Convex.Conic.Optimal _ | Convex.Conic.Primal_infeasible _ -> false
+        | Convex.Conic.Dual_infeasible _ | Convex.Conic.Unknown _ -> true
+      in
       let status =
-        match closed_form with
-        | Some _ ->
+        match column with
+        | Some col ->
+            Convex.Conic.restrict ws t ~first ~last;
+            ignore (Convex.Conic.admit ws t col.col_x ~above:0.0);
             let status = round None in
             if stalled status then from_start () else status
         | None -> from_start ()

@@ -98,8 +98,9 @@ type prepared
     every later one, from any domain, reads them.  A warm prepare
     allocates the instance's packed arrays, two step vectors and two
     scratch arrays of one entry per (stride point, node); nothing per
-    kept row.  The offline sweep prepares once
-    per table row and instantiates once per column (DESIGN.md §6t). *)
+    kept row.  The offline sweep prepares once per table row and
+    instantiates once per cell its {!column} does not settle
+    ({!column_holds}; DESIGN.md §6t, §6y). *)
 
 type built = {
   layout : layout;
@@ -227,16 +228,18 @@ val solve :
     optimum: [fhat_j = min (f_box, lambda c_j / (2 w_j))],
     [phat_j = fhat_j^2], with [c_j] and [w_j] core [j]'s floor and
     objective coefficients and [lambda] the floor's multiplier, found
-    by walking the sorted saturation breakpoints.  Every thermal row is
-    evaluated there in one pass.  If none is violated the point is
-    feasible for the cell, and since the relaxation's objective is
-    strictly convex in [fhat] it is the cell's unique optimum: it is
-    served with [settled_by = `Closed_form], [raw.iterations = 0],
-    [raw.gap = 0] and an exact [raw.dual] ([lambda] on the floor,
-    [w_j] on each power law, [lambda c_j - 2 w_j f_box] on the upper
-    frequency box of each saturated variable, zero elsewhere).  On the
-    benchmark's Niagara grid that settles 97.7 % of the feasible
-    cells.
+    by walking the sorted saturation breakpoints: the cell's
+    {!column}.  Every thermal row is evaluated there in one
+    {!Convex.Conic.holds} pass, the check {!column_holds} makes.  If
+    none is violated the point is feasible for the cell, and since the
+    relaxation's objective is strictly convex in [fhat] it is the
+    cell's unique optimum: it is served with
+    [settled_by = `Closed_form], [raw.iterations = 0], [raw.gap = 0]
+    and an exact [raw.dual] ([lambda] on the floor, [w_j] on each
+    power law, [lambda c_j - 2 w_j f_box] on the upper frequency box
+    of each saturated variable, zero elsewhere), and no workspace is
+    made or touched.  On the benchmark's Niagara grid that settles
+    97.7 % of the feasible cells.
 
     {b Frontier bound second.}  A cell whose closed form fails, from a
     uniform start ({!build}, {!prepare}) and without a gradient term,
@@ -260,7 +263,9 @@ val solve :
     optimum violates — or, for the gradient variant (and a floor above
     what the boxes allow), the thermal and gradient rows that bind at
     [start] (when given; within 1e-6 tmax of binding), none without
-    it.  The first solve starts from the conic's cold central point
+    it.  The violated rows join the set through one
+    {!Convex.Conic.admit} pass, made only once the closed-form check
+    has failed.  The first solve starts from the conic's cold central point
     either way.  Points of the wrong dimension are ignored.  After
     each solve every row is evaluated at the optimum in one pass; the
     violated ones join the set and the cell is re-solved warm from
@@ -291,11 +296,51 @@ val solve :
     (the tangent's dual with a unit weight on the floor row is a
     Farkas ray).  The ladder's own solves are the machine's work and
     are counted nowhere.  [conic_ws] is
-    the solver workspace the rounds run in (and the closed-form check
-    reads its working set): one made by {!workspace} for the
-    instance's prepared context holds the working set
+    the solver workspace the rounds run in: one made by {!workspace}
+    for the instance's prepared context holds the working set
     and grows to the largest one solved, so a sweep row reuses it
-    across its cells; without it each call makes its own. *)
+    across its cells; without it each call that reaches the conic
+    method makes its own (a cell settled in closed form or by a ladder
+    tangent needs none). *)
+
+(** {2 Columns}
+
+    The closed form of {!solve} depends on [ftarget] alone, so a table
+    computes it once per column and checks it per cell, without
+    instantiating the cell. *)
+
+type column
+(** The floor-only optimum of every cell of one [ftarget], with the
+    frequencies it serves. *)
+
+val column :
+  machine:Sim.Machine.t -> spec:Spec.t -> ftarget:float -> column option
+(** The column of [ftarget]: a function of the machine, the spec and
+    [ftarget] alone (no {!prepare}), bit-identical to the point
+    {!solve} forms for any cell at [ftarget].  [None] for a spec with
+    a gradient term (no closed form) and when the floor exceeds what
+    the frequency boxes allow.  Raises [Invalid_argument] as
+    {!instantiate} does for [ftarget] outside [[0, fmax]], NaN
+    included, and as {!prepare} does for an invalid spec. *)
+
+val column_holds : prepared -> column -> bool
+(** Whether the column's point satisfies every optional row of the
+    prepared context (its thermal rows; {!Convex.Conic.holds}): then
+    it is the optimum of the context's cell at the column's [ftarget],
+    and {!solve} would serve it with [settled_by = `Closed_form] and
+    the frequencies {!column_frequencies} returns.  The decision is
+    {!solve}'s own.  Allocates nothing.  Raises [Invalid_argument] for
+    a context of another machine or variant, or one without a
+    floor-only relaxation (a gradient term, a frontier). *)
+
+val column_frequencies : column -> Vec.t
+(** A fresh copy of the served frequencies (Hz, per core), equal to
+    the [frequencies] of the {!solve} solution the column settles. *)
+
+val column_x : column -> Vec.t
+(** The column's point, equal to that solution's [raw.x]: the seed
+    ([?start]) of the next cell of a row.  The column's own vector,
+    not a copy; do not mutate it. *)
 
 val solve_frontier : built -> outcome
 (** Solve a {!build_frontier} instance: one conic solve on every row.

@@ -604,7 +604,26 @@ let test_conic_working_set () =
   check_bool "range out of bounds" true
     (rejected (fun () -> Conic.restrict ws t ~first:(-1) ~last:2));
   check_bool "point dimension" true
-    (rejected (fun () -> Conic.admit ws t [| 0.0 |] ~above:0.0))
+    (rejected (fun () -> Conic.admit ws t [| 0.0 |] ~above:0.0));
+  (* [holds] decides the optional rows as [admit] does, with no
+     workspace: the relaxed optimum violates orthant row 2. *)
+  check_bool "holds: the violated row" false
+    (Conic.holds t relaxed.Conic.x ~first:1 ~last:3);
+  check_bool "holds: the rows it meets" true
+    (Conic.holds t relaxed.Conic.x ~first:1 ~last:2);
+  check_bool "holds: an empty range" true
+    (Conic.holds t relaxed.Conic.x ~first:2 ~last:2);
+  check_bool "holds: a NaN row does not hold" false
+    (Conic.holds t [| Float.nan; Float.nan |] ~first:1 ~last:2);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Conic.holds t relaxed.Conic.x ~first:0 ~last:3));
+  check_float 0.0 "holds allocates nothing" 0.0 (Gc.minor_words () -. w0);
+  check_bool "holds: a cone row is not in range" true
+    (rejected (fun () -> Conic.holds t relaxed.Conic.x ~first:1 ~last:4));
+  check_bool "holds: range out of bounds" true
+    (rejected (fun () -> Conic.holds t relaxed.Conic.x ~first:(-1) ~last:2));
+  check_bool "holds: point dimension" true
+    (rejected (fun () -> Conic.holds t [| 0.0 |] ~first:1 ~last:3))
 
 (* The conic loop's allocation, measured at run time: the alloc-free
    lint sees syntactic allocation sites only, not a float boxed across
@@ -977,9 +996,71 @@ let prop_admit_matches_rows =
       && List.for_all (fun _ -> window_ok ()) [ 1; 2; 3 ]
       && allocation_free ())
 
+(* [Conic.holds] against [admit] after [restrict] on random packed
+   instances (rows of 1-12 entries, eight in a third of them).  Most
+   rows hold with room to spare, some are placed exactly on the point
+   ([h_i] set to the row's computed [G_i x], a value of exactly 0,
+   which holds), some are violated, and the point may carry NaN
+   entries, so every window holds, fails on a bound or fails on a NaN
+   in turn.  On every window [holds] is true exactly when [admit]
+   adds no row, and it allocates nothing. *)
+let prop_holds_matches_admit =
+  QCheck2.Test.make ~name:"conic: holds iff admit adds no row" ~count:200
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = mk_rand seed in
+      let value () =
+        (Random.State.float st 2.0 -. 1.0)
+        *. Float.pow 10.0 (float_of_int (Random.State.int st 7 - 3))
+      in
+      let n = 12 + Random.State.int st 9 in
+      let m = 1 + Random.State.int st 30 in
+      let g =
+        Array.init m (fun _ ->
+            let len =
+              if Random.State.int st 3 = 0 then 8 else 1 + Random.State.int st 12
+            in
+            let lo = Random.State.int st (n - len + 1) in
+            (lo, Array.init len (fun _ -> value ())))
+      in
+      let x =
+        Vec.init n (fun _ ->
+            if Random.State.int st 40 = 0 then Float.nan else value ())
+      in
+      let h =
+        Vec.init m (fun i ->
+            let lo, row = g.(i) in
+            let acc = ref 0.0 in
+            Array.iteri (fun k gk -> acc := !acc +. (gk *. x.(lo + k))) row;
+            match Random.State.int st 10 with
+            | 0 -> !acc -. Float.abs (value ()) -. 1e-3
+            | 1 | 2 -> !acc
+            | _ -> !acc +. Float.abs (value ()))
+      in
+      let t = Conic_reference.make ~c:(Vec.zeros n) ~n_orthant:m ~g ~h in
+      let ws = Conic.make_workspace t in
+      let agrees first last =
+        Conic.restrict ws t ~first ~last;
+        Conic.holds t x ~first ~last = (Conic.admit ws t x ~above:0.0 = 0)
+      in
+      let windows =
+        List.init 8 (fun _ ->
+            let first = Random.State.int st m in
+            (first, first + 1 + Random.State.int st (m - first)))
+      in
+      let allocation_free () =
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Conic.holds t x ~first:0 ~last:m));
+        Gc.minor_words () -. w0 = 0.0
+      in
+      List.for_all (fun i -> agrees i (i + 1)) (List.init m Fun.id)
+      && List.for_all (fun (first, last) -> agrees first last) windows
+      && agrees 0 m && agrees 0 0
+      && allocation_free ())
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_admit_matches_rows;
+    [ prop_admit_matches_rows; prop_holds_matches_admit;
       prop_barrier_kkt; prop_barrier_beats_random_feasible;
       prop_phase1_consistent; prop_simplex_matches_barrier;
       prop_simplex_matches_conic ]

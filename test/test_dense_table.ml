@@ -164,6 +164,184 @@ let prop_fill_matches_cold_cells =
         tstarts;
       true)
 
+(* The fill against a replay of its rows through the per-cell calls:
+   per row one prepare and one conic workspace, then per column
+   [instantiate] and [Model.solve] seeded with the previous feasible
+   column's optimum, up to the first infeasible column — the fill
+   before columns settled cells without an instance.  Random grids on
+   both platforms, the variable and uniform variants and the gradient
+   variant (which has no column), margin 0 or 5, stride 1 or 4.  The
+   tables must agree byte for byte in [%.17g] CSV, and so must the
+   closed-form count, the frontier verdicts and the solver counters.
+   No two served cells share a frequency vector: a cell must own the
+   vector it is served. *)
+type replayed = {
+  csv : string;
+  closed_form : int;
+  verdicts : int;
+  conic : Convex.Conic.stats;
+}
+
+let replay ~machine ~spec ~tstarts ~ftargets =
+  let cols = Array.length ftargets in
+  let conic = ref Convex.Conic.stats_zero in
+  let closed_form = ref 0 and verdicts = ref 0 in
+  let row tstart =
+    let prepared = Protemp.Model.prepare ~machine ~spec ~tstart in
+    let conic_ws = Protemp.Model.workspace prepared in
+    let cells = Array.make cols Protemp.Table.Infeasible in
+    let rec go j start =
+      if j < cols then begin
+        let built = Protemp.Model.instantiate prepared ~ftarget:ftargets.(j) in
+        let before = !conic in
+        match
+          Protemp.Model.solve ~conic_stats_into:conic ~conic_ws ?start built
+        with
+        | Protemp.Model.Infeasible ->
+            if
+              !conic.Convex.Conic.primal_infeasible
+              > before.Convex.Conic.primal_infeasible
+              && !conic.Convex.Conic.iterations = before.Convex.Conic.iterations
+            then incr verdicts
+        | Protemp.Model.Feasible s ->
+            cells.(j) <- Protemp.Table.Frequencies s.Protemp.Model.frequencies;
+            (match s.Protemp.Model.settled_by with
+            | `Closed_form -> incr closed_form
+            | `Interior_point -> ());
+            go (j + 1) (Some s.Protemp.Model.raw.Convex.Solve.x)
+      end
+    in
+    go 0 None;
+    cells
+  in
+  let table =
+    Protemp.Table.make ~tstarts ~ftargets (Array.map row tstarts)
+  in
+  {
+    csv = Protemp.Table.to_csv table;
+    closed_form = !closed_form;
+    verdicts = !verdicts;
+    conic = !conic;
+  }
+
+let gen_replay_grid =
+  let open QCheck2.Gen in
+  let axis n lo hi =
+    map
+      (fun xs -> Array.of_list (List.sort_uniq Float.compare xs))
+      (list_size (return n) (float_range lo hi))
+  in
+  let* big = bool in
+  let* variant =
+    if big then oneofl [ `Variable; `Gradient ]
+    else oneofl [ `Variable; `Uniform; `Gradient ]
+  in
+  let* stride = oneofl [ 1; 4 ] in
+  let* margin = oneofl [ 0.0; 5.0 ] in
+  let* rows = int_range 2 4 in
+  let* cols = int_range 2 6 in
+  let* tstarts = axis rows 27.0 100.0 in
+  let+ fractions = axis cols 0.05 1.0 in
+  (big, variant, stride, margin, tstarts, fractions)
+
+let print_replay_grid (big, variant, stride, margin, tstarts, fractions) =
+  let floats a =
+    String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") a))
+  in
+  Printf.sprintf "%s %s, stride %d, margin %g, tstarts [%s], ftargets [%s] x fmax"
+    (if big then "big.LITTLE" else "Niagara")
+    (match variant with
+    | `Variable -> "variable"
+    | `Uniform -> "uniform"
+    | `Gradient -> "gradient")
+    stride margin (floats tstarts) (floats fractions)
+
+let prop_fill_matches_replay =
+  QCheck2.Test.make ~name:"equals per-cell replay" ~count:40
+    ~print:print_replay_grid gen_replay_grid
+    (fun (big, variant, stride, margin, tstarts, fractions) ->
+      let machine =
+        if big then Sim.Machine.biglittle () else Sim.Machine.niagara ()
+      in
+      let spec =
+        let s = { Protemp.Spec.default with Protemp.Spec.constraint_stride = stride } in
+        match variant with
+        | `Variable -> s
+        | `Uniform -> { s with Protemp.Spec.variant = Protemp.Spec.Uniform }
+        | `Gradient -> Protemp.Spec.with_gradient ~weight:0.5 s
+      in
+      let ftargets =
+        Array.map (fun x -> x *. machine.Sim.Machine.fmax) fractions
+      in
+      let dt = D.create ~margin ~machine ~spec ~tstarts ~ftargets () in
+      let table = D.to_table ~domains:2 dt in
+      let r =
+        replay ~machine ~spec:(Protemp.Spec.guard_band ~margin spec) ~tstarts
+          ~ftargets
+      in
+      let vectors =
+        List.concat_map
+          (fun i ->
+            List.filter_map
+              (fun j ->
+                match Protemp.Table.cell table i j with
+                | Protemp.Table.Frequencies f -> Some f
+                | Protemp.Table.Infeasible -> None)
+              (List.init (Array.length ftargets) Fun.id))
+          (List.init (Array.length tstarts) Fun.id)
+      in
+      let rec owned = function
+        | [] -> true
+        | f :: rest -> List.for_all (fun g -> f != g) rest && owned rest
+      in
+      if not (String.equal (Protemp.Table.to_csv table) r.csv) then
+        QCheck2.Test.fail_report "the tables differ";
+      if D.closed_form_cells dt <> r.closed_form then
+        QCheck2.Test.fail_reportf "closed-form cells %d, replay %d"
+          (D.closed_form_cells dt) r.closed_form;
+      if D.frontier_verdicts dt <> r.verdicts then
+        QCheck2.Test.fail_reportf "frontier verdicts %d, replay %d"
+          (D.frontier_verdicts dt) r.verdicts;
+      if D.solver_stats dt <> r.conic then
+        QCheck2.Test.fail_report "solver counters differ";
+      if not (owned vectors) then
+        QCheck2.Test.fail_report "two cells share a frequency vector";
+      true)
+
+(* An [ftarget] outside [0, fmax] fails the fill before any row is
+   solved, also where no row would reach that column (every row of a
+   start at tmax is infeasible from its first column), and the grid
+   stays unfilled: no cell, counter or table. *)
+let test_fill_fails_closed () =
+  let m = Lazy.force machine in
+  let fmax = m.Sim.Machine.fmax in
+  List.iter
+    (fun (name, spec, tstarts, ftargets) ->
+      let dt = D.create ~machine:m ~spec ~tstarts ~ftargets () in
+      let raises f =
+        match f () with _ -> false | exception Invalid_argument _ -> true
+      in
+      check_bool (name ^ ": fill raises") true
+        (raises (fun () -> D.fill ~domains:2 dt));
+      check_int (name ^ ": no closed-form cell") 0 (D.closed_form_cells dt);
+      check_int (name ^ ": no verdict") 0 (D.frontier_verdicts dt);
+      check_bool (name ^ ": no solve counted") true
+        (D.solver_stats dt = Convex.Conic.stats_zero);
+      check_bool (name ^ ": no table") true
+        (raises (fun () -> D.to_table ~domains:1 dt)))
+    [
+      ("above fmax", fast_spec, cool_tstarts, [| 2e8; 5e8; 1.5 *. fmax |]);
+      ("negative", fast_spec, cool_tstarts, [| -1e8; 5e8 |]);
+      ( "beyond every row's first infeasible column",
+        fast_spec,
+        [| 100.0 |],
+        [| 0.9 *. fmax; 2.0 *. fmax |] );
+      ( "gradient variant",
+        Protemp.Spec.with_gradient ~weight:0.5 fast_spec,
+        cool_tstarts,
+        [| 2e8; 1.5 *. fmax |] );
+    ]
+
 let test_audit_certifies_grid () =
   let a =
     Protemp.Guarantee.audit_table ~machine:(Lazy.force machine)
@@ -306,6 +484,8 @@ let () =
           Alcotest.test_case "domain invariance" `Slow
             test_fill_domain_invariance;
           QCheck_alcotest.to_alcotest prop_fill_matches_cold_cells;
+          QCheck_alcotest.to_alcotest prop_fill_matches_replay;
+          Alcotest.test_case "fails closed" `Quick test_fill_fails_closed;
         ] );
       ( "serving",
         [

@@ -1347,6 +1347,100 @@ let closed_form_solution ~machine ~spec ~tstart ~ftarget =
    here); every other box dual is zero.  The floor is met to rounding
    in normalized units (the reported frequencies clamp the little
    cores back to their ceiling). *)
+(* A column is the point {!Protemp.Model.solve} settles a cell with:
+   on cool and hot rows of both platforms and both variants the check
+   holds exactly when [solve] reports [`Closed_form], and then the
+   column's point and frequencies are the solution's, bit for bit.
+   An [ftarget] outside [0, fmax] raises as [instantiate] does, the
+   gradient variant has no column, a context of another machine is
+   refused, and the check allocates nothing. *)
+let test_column_is_closed_form () =
+  let bits a b =
+    Vec.dim a = Vec.dim b
+    && Array.for_all2
+         (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+         a b
+  in
+  let uniform = { fast_spec with Protemp.Spec.variant = Protemp.Spec.Uniform } in
+  let settled = ref 0 and solved = ref 0 in
+  List.iter
+    (fun (name, machine, spec) ->
+      let fmax = machine.Sim.Machine.fmax in
+      List.iter
+        (fun tstart ->
+          let p = Protemp.Model.prepare ~machine ~spec ~tstart in
+          List.iter
+            (fun fraction ->
+              let ftarget = fraction *. fmax in
+              let label =
+                Printf.sprintf "%s at %g C, %g fmax" name tstart fraction
+              in
+              let outcome =
+                Protemp.Model.solve (Protemp.Model.instantiate p ~ftarget)
+              in
+              match
+                (Protemp.Model.column ~machine ~spec ~ftarget, outcome)
+              with
+              | Some col, Protemp.Model.Feasible s
+                when s.Protemp.Model.settled_by = `Closed_form ->
+                  incr settled;
+                  check_bool (label ^ ": holds") true
+                    (Protemp.Model.column_holds p col);
+                  check_bool (label ^ ": the solution's point") true
+                    (bits (Protemp.Model.column_x col)
+                       s.Protemp.Model.raw.Convex.Solve.x);
+                  check_bool (label ^ ": the solution's frequencies") true
+                    (bits
+                       (Protemp.Model.column_frequencies col)
+                       s.Protemp.Model.frequencies)
+              | Some col, _ ->
+                  incr solved;
+                  check_bool (label ^ ": does not hold") false
+                    (Protemp.Model.column_holds p col)
+              | None, _ -> incr solved)
+            [ 0.1; 0.5; 0.8; 0.95; 1.0 ])
+        [ 27.0; 70.0; 95.0 ])
+    [
+      ("Niagara", Lazy.force machine, fast_spec);
+      ("Niagara uniform", Lazy.force machine, uniform);
+      ("big.LITTLE", Lazy.force biglittle, fast_spec);
+    ];
+  check_bool "both outcomes met" true (!settled > 0 && !solved > 0);
+  let m = Lazy.force machine in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun ftarget ->
+      check_bool (Printf.sprintf "ftarget %h raises" ftarget) true
+        (raises (fun () ->
+             Protemp.Model.column ~machine:m ~spec:fast_spec ~ftarget)))
+    [ Float.nan; -1.0; 1.5 *. m.Sim.Machine.fmax ];
+  check_bool "gradient variant: no column" true
+    (Option.is_none
+       (Protemp.Model.column ~machine:m
+          ~spec:(Protemp.Spec.with_gradient fast_spec)
+          ~ftarget:5e8));
+  let col =
+    Option.get (Protemp.Model.column ~machine:m ~spec:fast_spec ~ftarget:5e8)
+  in
+  check_bool "another machine's context" true
+    (raises (fun () ->
+         Protemp.Model.column_holds
+           (Protemp.Model.prepare ~machine:(Sim.Machine.niagara ())
+              ~spec:fast_spec ~tstart:60.0)
+           col));
+  check_bool "a fresh copy each time" true
+    (Protemp.Model.column_frequencies col
+    != Protemp.Model.column_frequencies col);
+  let p = Protemp.Model.prepare ~machine:m ~spec:fast_spec ~tstart:95.0 in
+  ignore (Protemp.Model.column_holds p col);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Protemp.Model.column_holds p col))
+  done;
+  check_float 0.0 "the check allocates nothing" 0.0 (Gc.minor_words () -. w0)
+
 let test_closed_form_saturated_little_cores () =
   let machine = Lazy.force biglittle in
   let ftarget = 7e8 in
@@ -2142,6 +2236,8 @@ let () =
         [
           Alcotest.test_case "saturated little cores" `Quick
             test_closed_form_saturated_little_cores;
+          Alcotest.test_case "column is the closed form" `Quick
+            test_column_is_closed_form;
           Alcotest.test_case "pinned working-set cell" `Quick
             test_closed_form_pinned_working_set_cell;
           Alcotest.test_case "gradient grid golden" `Quick
