@@ -35,6 +35,10 @@ let create ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets () =
   if not (finite_increasing ftargets) then
     invalid_arg
       "Dense_table.create: ftargets not finite and strictly increasing";
+  (* Written so that a NaN target fails too. *)
+  let fmax = machine.Sim.Machine.fmax in
+  if not (Array.for_all (fun f -> f >= 0.0 && f <= fmax) ftargets) then
+    invalid_arg "Dense_table.create: ftarget outside [0, fmax]";
   Spec.validate spec;
   let tstarts = Array.copy tstarts and ftargets = Array.copy ftargets in
   { grid = { machine; spec; tstarts; ftargets }; filled = None }
@@ -121,9 +125,9 @@ let fill ?domains t =
   | None ->
       let g = t.grid in
       let cols = Array.length g.ftargets in
-      (* The columns are computed here, on the calling domain, so an
-         [ftarget] outside [[0, fmax]] fails before any row is solved;
-         they are dropped with the fill. *)
+      (* The columns are computed here, on the calling domain, so a
+         grid the model refuses (its spec on this machine) fails before
+         any row is solved; they are dropped with the fill. *)
       let columns =
         Array.map
           (fun ftarget -> Model.column ~machine:g.machine ~spec:g.spec ~ftarget)

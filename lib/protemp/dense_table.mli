@@ -44,8 +44,9 @@ val create :
 (** An empty grid.  [margin] (default [0.0]) tightens the spec's
     [tmax] once through {!Spec.guard_band}, so every cell is solved
     against the guard-banded envelope.  Raises [Invalid_argument] on a
-    margin {!Spec.guard_band} rejects, or when an axis is empty, holds
-    a non-finite value, or is not strictly increasing.  {!fill}
+    margin {!Spec.guard_band} rejects, when an axis is empty, holds
+    a non-finite value, or is not strictly increasing, and for an
+    [ftarget] outside [[0, fmax]] of the machine, NaN included.  {!fill}
     writes its result into [t]: call it from one domain (it
     parallelizes internally), then share the exported table. *)
 
@@ -80,7 +81,8 @@ val fill : ?domains:int -> t -> fill_stats
     pruned.  Every cell and counter is what {!Model.solve} gives for
     it, and the grid is bit-identical at any domain count.  Raises
     [Invalid_argument], before any row is solved and with [t] left
-    unfilled, when an [ftarget] lies outside [[0, fmax]].  A second
+    unfilled, when {!Model} refuses the spec on the machine (the
+    uniform variant on a platform of several core classes).  A second
     [fill] materializes nothing and returns zero counts. *)
 
 val solver_stats : t -> Convex.Conic.stats

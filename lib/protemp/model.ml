@@ -194,9 +194,12 @@ let pack stripes =
    start profile.  Thermal row [r * n_nodes + node] is the one of
    [node] at stride point [ks.(r)], with coefficients [q] on the
    normalized powers:
-   - [lift.(lift_off.(idx) ..)] are the terms [q_j * p_box] of its
-     positive coefficients, in column order: the summands of the
-     box-implication test;
+   - [threshold.(idx)] is [tmax (1 - implied_margin)] less
+     [sum_j max(q_j, 0) p_box] (summed in column order): the row is
+     implied by the box unless its base reaches it;
+   - [unit_response.(idx)] and [fixed_response.(idx)] are [a_k] and
+     [c_k] of its node: the base of a uniform start [tstart] is
+     [tstart a_k + c_k] (see {!affine_bases});
    - [thermal] holds its coefficients [(1/tmax) q], cut by {!stripe}.
    [gradient] holds the gradient rows in emission order, from the last
    stride point and the last core node back: per (stride point, core
@@ -204,7 +207,7 @@ let pack stripes =
    [l - (1/tmax) q], each cut by {!stripe} from a dense row (so a zero
    coefficient inside an [l] row's stripe is [(-1/tmax) 0 = -0.0]).
    Pair [k]'s constants read the base of thermal row
-   [gradient_base.(k)].  [stepper] steps the base. *)
+   [gradient_base.(k)].  [stepper] steps the base of a start profile. *)
 type thermal_rows = {
   key_steps : int;
   key_stride : int;
@@ -213,8 +216,9 @@ type thermal_rows = {
   key_gradient : bool;
   ks : int array;
   stepper : Thermal.Rc_model.stepper;
-  lift_off : int array;
-  lift : float array;
+  threshold : float array;
+  unit_response : float array;
+  fixed_response : float array;
   thermal : packed;
   gradient : packed;
   gradient_base : int array;
@@ -222,13 +226,38 @@ type thermal_rows = {
 
 type Sim.Machine.slot += Thermal_rows of thermal_rows
 
+(* Step [t0] over the window on [stepper] under the constant [power],
+   in the two vectors [a] (which holds [t0] on entry) and [b], and
+   record the temperatures at each stride point [ks.(r)] in
+   [dst.(r * n_nodes ..)]. *)
+let stride_points stepper ~power ~ks ~steps ~n_nodes ~a ~b ~dst =
+  let r = ref 0 in
+  for k = 1 to steps do
+    let src = if k land 1 = 1 then a else b in
+    let next = if k land 1 = 1 then b else a in
+    Thermal.Rc_model.stepper_step_into stepper src power ~dst:next;
+    (* The last stride point is [steps], so [r] runs past the end of
+       [ks] only as the loop ends. *)
+    if ks.(!r) = k then begin
+      Array.blit next 0 dst (!r * n_nodes) n_nodes;
+      incr r
+    end
+  done
+
 (* The rows of [layout] (which fixes the variant and the gradient
    switch), each with the entries and the stripe it had when a prepare
    wrote it from a dense row: a zero power coefficient [q_j] scales to
    a zero of [q_j]'s sign times the scale's, and the stripes trim zeros
    of either sign from both ends.  [q] holds the [n_p] power
    coefficients of one row; a row's other columns are zero, except the
-   gradient bounds' [u] and [l], which follow the power columns. *)
+   gradient bounds' [u] and [l], which follow the power columns.
+
+   A uniform start is [tstart 1], and the window holds the power, so
+   its base at step [k] is [A^k (tstart 1) + sum_{l<k} A^l d] with [d]
+   the fixed power's injection plus the ambient drive:
+   [tstart a_k + c_k], with [a_k = A^k 1] (the recurrence with no
+   drive and no power, from ones) and [c_k] the base from zero (the
+   machine's stepper under its fixed power, from zeros). *)
 let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
   let stride = spec.Spec.constraint_stride and tmax = spec.Spec.tmax in
   let response = Sim.Machine.window_response machine ~steps ~stride in
@@ -244,7 +273,8 @@ let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
   let is_core = Array.make n_nodes false in
   Array.iter (fun cn -> is_core.(cn) <- true) core_nodes;
   let n_rows = Array.length ks * n_nodes in
-  let lift = Array.make n_rows [||] in
+  let limit = tmax *. (1.0 -. implied_margin) in
+  let threshold = Array.make n_rows 0.0 in
   let thermal = Array.make n_rows (0, [||]) in
   let gradient = ref [] and gradient_base = ref [] in
   for r = 0 to Array.length ks - 1 do
@@ -252,11 +282,11 @@ let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
       let idx = (r * n_nodes) + node in
       row_coefficients ~variant:spec.Spec.variant ~sums ~off:(idx * n_cores)
         ~b ~pmax ~core_nodes q;
-      let terms = ref [] in
-      for j = n_p - 1 downto 0 do
-        if q.(j) > 0.0 then terms := (q.(j) *. p_box) :: !terms
+      let lift = ref 0.0 in
+      for j = 0 to n_p - 1 do
+        if q.(j) > 0.0 then lift := !lift +. (q.(j) *. p_box)
       done;
-      lift.(idx) <- Array.of_list !terms;
+      threshold.(idx) <- limit -. !lift;
       (* base + q.p <= tmax, stated in units of tmax so every
          constraint family has O(1) coefficients (the interior-point
          normal equations are ill-conditioned otherwise). *)
@@ -288,7 +318,17 @@ let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
   done;
   (* Both lists run from the last pair back: the emission order. *)
   let gradient = Array.of_list !gradient in
-  let lift_off, lift = pack_data lift in
+  let stepper = Thermal.Rc_model.compile_stepper thermal_model in
+  let response_of stepper ~power ~t0 =
+    let dst = Array.make n_rows 0.0 in
+    stride_points stepper ~power ~ks ~steps ~n_nodes ~a:(Vec.create n_nodes t0)
+      ~b:(Vec.zeros n_nodes) ~dst;
+    dst
+  in
+  let homogeneous =
+    Thermal.Rc_model.compile_stepper
+      { thermal_model with Thermal.Rc_model.drive = Vec.zeros n_nodes }
+  in
   Thermal_rows
     {
       key_steps = steps;
@@ -297,9 +337,12 @@ let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
       key_tmax = tmax;
       key_gradient = layout.bounds_offset <> None;
       ks;
-      stepper = Thermal.Rc_model.compile_stepper thermal_model;
-      lift_off;
-      lift;
+      stepper;
+      threshold;
+      unit_response =
+        response_of homogeneous ~power:(Vec.zeros n_nodes) ~t0:1.0;
+      fixed_response =
+        response_of stepper ~power:machine.Sim.Machine.fixed_power ~t0:0.0;
       thermal = pack thermal;
       gradient = pack gradient;
       gradient_base = Array.of_list !gradient_base;
@@ -323,39 +366,25 @@ let thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
       | _ -> None)
     ~compute:(fun () -> compute_thermal_rows machine ~spec ~layout ~steps)
 
-(* The per-prepare pass: step the base trajectory — the window with
-   zero core power (fixed non-core power only) from [t0] — in the two
-   vectors [a] and [b] on the compiled stepper, record it at each
-   stride point in [bases], and run the box-implication test on every
-   thermal row there.  The kept rows' indices go to [kept], in row
-   order; returns how many there are.  A row is kept unless
-   [base + sum_j max(q_j, 0) * p_box], summed in column order from
-   [base], stays below [limit].  [a] holds [t0] on entry. *)
-let filter_rows rows ~fixed_power ~steps ~n_nodes ~limit ~a ~b ~bases ~kept =
-  let ks = rows.ks and stepper = rows.stepper in
-  let lift = rows.lift and lift_off = rows.lift_off in
-  let r = ref 0 and n_kept = ref 0 in
-  for k = 1 to steps do
-    let src = if k land 1 = 1 then a else b in
-    let dst = if k land 1 = 1 then b else a in
-    Thermal.Rc_model.stepper_step_into stepper src fixed_power ~dst;
-    (* The last stride point is [steps], so [r] runs past the end of
-       [ks] only as the loop ends. *)
-    if ks.(!r) = k then begin
-      for node = 0 to n_nodes - 1 do
-        let idx = (!r * n_nodes) + node in
-        let base = dst.(node) in
-        bases.(idx) <- base;
-        let worst = ref base in
-        for i = lift_off.(idx) to lift_off.(idx + 1) - 1 do
-          worst := !worst +. lift.(i)
-        done;
-        if not (!worst < limit) then begin
-          kept.(!n_kept) <- idx;
-          incr n_kept
-        end
-      done;
-      incr r
+(* Every thermal row's base from the uniform start [tstart]:
+   [tstart a_k + c_k], with no step. *)
+let affine_bases rows ~tstart ~bases =
+  let a = rows.unit_response and c = rows.fixed_response in
+  for i = 0 to Array.length bases - 1 do
+    bases.(i) <- (tstart *. a.(i)) +. c.(i)
+  done
+
+(* The box-implication test of every thermal row, one compare each: a
+   row is kept unless its base lies below its threshold (a NaN base is
+   kept).  The kept rows' indices go to [kept], in row order; returns
+   how many there are. *)
+let filter_rows rows ~bases ~kept =
+  let threshold = rows.threshold in
+  let n_kept = ref 0 in
+  for idx = 0 to Array.length bases - 1 do
+    if not (bases.(idx) < threshold.(idx)) then begin
+      kept.(!n_kept) <- idx;
+      incr n_kept
     end
   done;
   !n_kept
@@ -514,7 +543,7 @@ let floor_only_data ~machine ~(spec : Spec.t) layout =
    the gradient rows (copied from the machine's {!thermal_rows}), the
    gradient bounds, then one rotated-quadratic block per power law.
    Each constant is [-r] of the row's [q'x + r <= 0] form. *)
-let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~tstart ~frontier =
+let prepare_internal ~machine ~(spec : Spec.t) ~start ~frontier =
   validate ~machine ~spec;
   let steps = Sim.Machine.window_steps machine ~period:spec.Spec.dfs_period in
   if steps < 1 then invalid_arg "Model.build: window below one thermal step";
@@ -522,25 +551,32 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~tstart ~frontier =
   let n_cores = machine.Sim.Machine.n_cores in
   let layout = make_layout spec ~n_cores in
   let total_f_coeffs = total_f_coeffs ~machine ~spec layout in
+  let t0 =
+    match start with
+    | `Uniform tstart -> Vec.create n_nodes tstart
+    | `Profile t0 -> t0
+  in
   if Vec.dim t0 <> n_nodes then
     invalid_arg "Model.build: initial temperature profile length mismatch";
   if not (Array.for_all Float.is_finite t0) then
     invalid_arg "Model.build: non-finite start temperature";
-  (* Thermal rows: the base is stepped from [t0] and read only at the
-     stride points, where [filter_rows] picks the rows the box does
-     not imply.  The CSR stepper sums each node's products in the
-     dense step's order and skips only exact zeros, so on a finite
-     [t0] the base is [Transient.simulate]'s, bit for bit. *)
+  (* Thermal rows: the base at every stride point, affine in a uniform
+     start and stepped from a profile, then [filter_rows] picks the
+     rows the box does not imply.  The CSR stepper sums each node's
+     products in the dense step's order and skips only exact zeros, so
+     on a finite [t0] a profile's base is [Transient.simulate]'s, bit
+     for bit. *)
   let tmax = spec.Spec.tmax in
   let rows = thermal_rows machine ~spec ~layout ~steps in
   let bases = Array.make (Array.length rows.ks * n_nodes) 0.0 in
+  (match start with
+  | `Uniform tstart -> affine_bases rows ~tstart ~bases
+  | `Profile t0 ->
+      stride_points rows.stepper ~power:machine.Sim.Machine.fixed_power
+        ~ks:rows.ks ~steps ~n_nodes ~a:(Vec.copy t0) ~b:(Vec.zeros n_nodes)
+        ~dst:bases);
   let kept = Array.make (Array.length bases) 0 in
-  let n_kept =
-    filter_rows rows ~fixed_power:machine.Sim.Machine.fixed_power ~steps
-      ~n_nodes
-      ~limit:(tmax *. (1.0 -. implied_margin))
-      ~a:(Vec.copy t0) ~b:(Vec.zeros n_nodes) ~bases ~kept
-  in
+  let n_kept = filter_rows rows ~bases ~kept in
   let kept_nnz = ref 0 in
   let off = rows.thermal.off in
   for k = 0 to n_kept - 1 do
@@ -625,7 +661,10 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~tstart ~frontier =
     p_spec = spec;
     p_machine = machine;
     p_t0 = Vec.copy t0;
-    p_tstart = tstart;
+    p_tstart =
+      (match start with
+      | `Uniform tstart when not frontier -> Some tstart
+      | `Uniform _ | `Profile _ -> None);
     p_steps = steps;
     p_floor_only = floor_only;
     p_conic = Convex.Conic.make ~c ~n_orthant ~glo ~goff ~gdata ~h;
@@ -639,15 +678,11 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 ~tstart ~frontier =
     p_c = c;
   }
 
-let uniform_t0 machine tstart =
-  Vec.create machine.Sim.Machine.n_nodes tstart
-
 let prepare ~machine ~spec ~tstart =
-  prepare_internal ~machine ~spec ~t0:(uniform_t0 machine tstart)
-    ~tstart:(Some tstart) ~frontier:false
+  prepare_internal ~machine ~spec ~start:(`Uniform tstart) ~frontier:false
 
 let prepare_with_profile ~machine ~spec ~t0 =
-  prepare_internal ~machine ~spec ~t0 ~tstart:None ~frontier:false
+  prepare_internal ~machine ~spec ~start:(`Profile t0) ~frontier:false
 
 (* The throughput floor [sum_j c_j fhat_j >= F] has the constant
    [F = n_cores ftarget / fmax].  Inlined, so that {!tangent_refutes}
@@ -686,15 +721,15 @@ let instantiate p ~ftarget =
 
 (* The frontier problem: maximize the total frequency under the same
    envelope, with no floor. *)
-let frontier ~machine ~spec ~t0 =
-  let p = prepare_internal ~machine ~spec ~t0 ~tstart:None ~frontier:true in
+let frontier ~machine ~spec ~start =
+  let p = prepare_internal ~machine ~spec ~start ~frontier:true in
   built_of p ~ftarget:0.0 (Lazy.from_val p.p_conic)
 
 let build ~machine ~spec ~tstart ~ftarget =
   instantiate (prepare ~machine ~spec ~tstart) ~ftarget
 
 let build_frontier ~machine ~spec ~tstart =
-  frontier ~machine ~spec ~t0:(uniform_t0 machine tstart)
+  frontier ~machine ~spec ~start:(`Uniform tstart)
 
 let build_with_profile ~machine ~spec ~t0 ~ftarget =
   instantiate (prepare_with_profile ~machine ~spec ~t0) ~ftarget
@@ -1016,8 +1051,7 @@ let frontier_tangent built ~point =
           in
           let p =
             prepare_internal ~machine:built.machine ~spec:built.spec
-              ~t0:(uniform_t0 built.machine tstart) ~tstart:None
-              ~frontier:true
+              ~start:(`Uniform tstart) ~frontier:true
           in
           Frontier_tangent { rows; point; tangent = solved_tangent p })
 
@@ -1052,9 +1086,14 @@ let own_frontier_refutes ~stats built =
   match built.layout.bounds_offset with
   | Some _ -> false
   | None -> (
+      let start =
+        match built.context.p_tstart with
+        | Some tstart -> `Uniform tstart
+        | None -> `Profile built.initial_temperatures
+      in
       let p =
-        prepare_internal ~machine:built.machine ~spec:built.spec
-          ~t0:built.initial_temperatures ~tstart:None ~frontier:true
+        prepare_internal ~machine:built.machine ~spec:built.spec ~start
+          ~frontier:true
       in
       match solved_tangent ~stats_into:stats p with
       | Some tg -> tangent_refutes tg built

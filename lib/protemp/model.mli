@@ -31,9 +31,16 @@
     machine, window, stride, variant, [tmax] and gradient switch, kept
     in the machine's cache ({!Sim.Machine.cached}) and shared by every
     row, every domain and every caller.
-    A {!prepare} only steps the base trajectory and copies the rows it
-    keeps.  Every coefficient is bit-identical to the matrix-power
-    construction.
+    Neither does a uniform start's base trajectory, up to one scalar:
+    the window holds the power, so the base of [tstart] at step [k] is
+    [tstart a_k + c_k], with [a_k = A^k 1] and [c_k] the base from
+    zero, both kept with the rows.  A {!prepare} writes every row's
+    base from them with no step (a {!prepare_with_profile} steps it),
+    keeps the rows whose base reaches their threshold and copies them.
+    Every coefficient is bit-identical to the matrix-power
+    construction; a uniform start's constants differ from those of
+    the stepped base by rounding only, within a bound derived from
+    the recurrence (DESIGN.md §6z).
     The gradient term is encoded with two auxiliary variables
     [u >= t_{k,i}/tmax >= l] ranging over all steps and cores, so
     [u - l] bounds the spread across the whole window; this dominates
@@ -44,9 +51,11 @@
     A thermal row is emitted only when some point of the power box
     [0 <= p_i/pmax <= 1.005] could reach [tmax] on it (to a relative
     margin of 1e-6): every other row is implied by the box rows, which
-    stay in the problem, so the feasible set is unchanged.  At stride 4
-    on the Niagara model that keeps 144 of 1071 thermal rows at 27 C
-    and 504 at 100 C.  {!solve} goes further, because at the optimum
+    stay in the problem, so the feasible set is unchanged.  The test
+    is one compare per row, of its base against its threshold
+    [tmax (1 - 1e-6) - sum_j max(q_j, 0) 1.005], kept with the rows.
+    At stride 4 on the Niagara model that keeps 144 of 1071 thermal
+    rows at 27 C and 504 at 100 C.  {!solve} goes further, because at the optimum
     only a few of them bind, and usually none: it first tries the
     closed-form optimum of the throughput floor alone against every
     row, and otherwise solves on a working set of the rows, grown by
@@ -84,23 +93,28 @@ type floor_only
 type prepared
 (** The [(machine, spec, t0)]-dependent part of a model: its conic
     instance with every row but the throughput floor's constant.
-    Building it costs one pass of the base trajectory over the window
-    (stepped in two vectors, never stored whole, on the machine's
-    compiled CSR stepper {!Thermal.Rc_model.stepper_step_into}, whose
-    summation order keeps the dense step's bits), one box-implication
-    test per stride point and node from that base, and a copy of the
-    rows it keeps, with their constants, into the instance's packed
-    arrays — nearly all of a {!build}; each further {!instantiate} at
-    a new [ftarget] is then almost free.  The rows themselves come
-    from the machine's cache: the first prepare of a machine at a
-    given window, stride, variant, [tmax] and gradient switch builds
-    them (from the machine's {!Sim.Machine.window_response}), and
-    every later one, from any domain, reads them.  A warm prepare
-    allocates the instance's packed arrays, two step vectors and two
-    scratch arrays of one entry per (stride point, node); nothing per
-    kept row.  The offline sweep prepares once per table row and
-    instantiates once per cell its {!column} does not settle
-    ({!column_holds}; DESIGN.md §6t, §6y). *)
+    Building it costs one pass that writes the base of every thermal
+    row, one threshold compare per row and a copy of the rows it
+    keeps, with their constants, into the instance's packed arrays —
+    nearly all of a {!build}; each further {!instantiate} at a new
+    [ftarget] is then almost free.  A uniform start ({!prepare},
+    {!build_frontier}) writes each base as [tstart a_k + c_k] from the
+    machine's rows, with no step; a start profile
+    ({!prepare_with_profile}) steps its base over the window in two
+    vectors on the machine's compiled CSR stepper
+    {!Thermal.Rc_model.stepper_step_into}, whose summation order
+    keeps the dense step's bits.  The rows themselves, with their
+    thresholds, [a_k] and [c_k], come from the machine's cache: the
+    first prepare of a machine at a given window, stride, variant,
+    [tmax] and gradient switch builds them (from the machine's
+    {!Sim.Machine.window_response}, and [a_k] and [c_k] by stepping
+    once), and every later one, from any domain, reads them.  A warm
+    uniform prepare allocates the instance's packed arrays and two
+    scratch arrays of one entry per (stride point, node); a profile's
+    also its two step vectors; nothing per kept row.  The offline
+    sweep prepares once per table row and instantiates once per cell
+    its {!column} does not settle ({!column_holds}; DESIGN.md §6t,
+    §6y, §6z). *)
 
 type built = {
   layout : layout;

@@ -137,6 +137,8 @@ let () =
             [ "--stride"; "8"; "--tstarts"; "50"; "--ftargets"; "300,inf" ];
           Alcotest.test_case "finite margin accepted" `Quick
             test_accepts_finite_margin;
+          case "ftarget above fmax"
+            [ "--stride"; "8"; "--tstarts"; "50"; "--ftargets"; "300,2000" ];
         ] );
       ( "domains",
         List.concat_map

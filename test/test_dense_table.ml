@@ -308,30 +308,26 @@ let prop_fill_matches_replay =
         QCheck2.Test.fail_report "two cells share a frequency vector";
       true)
 
-(* An [ftarget] outside [0, fmax] fails the fill before any row is
-   solved, also where no row would reach that column (every row of a
-   start at tmax is infeasible from its first column), and the grid
-   stays unfilled: no cell, counter or table. *)
+(* A grid fails closed.  An [ftarget] outside [0, fmax], NaN included,
+   is refused when the grid is made, also where no row would reach
+   that column (every row of a start at tmax is infeasible from its
+   first column).  A grid the model refuses as a whole (the uniform
+   variant on a platform of two core classes) fails its fill before
+   any row is solved, and stays unfilled: no cell, counter or table. *)
 let test_fill_fails_closed () =
   let m = Lazy.force machine in
   let fmax = m.Sim.Machine.fmax in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
   List.iter
     (fun (name, spec, tstarts, ftargets) ->
-      let dt = D.create ~machine:m ~spec ~tstarts ~ftargets () in
-      let raises f =
-        match f () with _ -> false | exception Invalid_argument _ -> true
-      in
-      check_bool (name ^ ": fill raises") true
-        (raises (fun () -> D.fill ~domains:2 dt));
-      check_int (name ^ ": no closed-form cell") 0 (D.closed_form_cells dt);
-      check_int (name ^ ": no verdict") 0 (D.frontier_verdicts dt);
-      check_bool (name ^ ": no solve counted") true
-        (D.solver_stats dt = Convex.Conic.stats_zero);
-      check_bool (name ^ ": no table") true
-        (raises (fun () -> D.to_table ~domains:1 dt)))
+      check_bool (name ^ ": create raises") true
+        (raises (fun () -> D.create ~machine:m ~spec ~tstarts ~ftargets ())))
     [
       ("above fmax", fast_spec, cool_tstarts, [| 2e8; 5e8; 1.5 *. fmax |]);
       ("negative", fast_spec, cool_tstarts, [| -1e8; 5e8 |]);
+      ("nan", fast_spec, cool_tstarts, [| 2e8; Float.nan |]);
       ( "beyond every row's first infeasible column",
         fast_spec,
         [| 100.0 |],
@@ -340,7 +336,21 @@ let test_fill_fails_closed () =
         Protemp.Spec.with_gradient ~weight:0.5 fast_spec,
         cool_tstarts,
         [| 2e8; 1.5 *. fmax |] );
-    ]
+    ];
+  let name = "uniform on big.LITTLE" in
+  let dt =
+    D.create ~machine:(Sim.Machine.biglittle ())
+      ~spec:{ fast_spec with Protemp.Spec.variant = Protemp.Spec.Uniform }
+      ~tstarts:cool_tstarts ~ftargets:[| 2e8; 5e8 |] ()
+  in
+  check_bool (name ^ ": fill raises") true
+    (raises (fun () -> D.fill ~domains:2 dt));
+  check_int (name ^ ": no closed-form cell") 0 (D.closed_form_cells dt);
+  check_int (name ^ ": no verdict") 0 (D.frontier_verdicts dt);
+  check_bool (name ^ ": no solve counted") true
+    (D.solver_stats dt = Convex.Conic.stats_zero);
+  check_bool (name ^ ": no table") true
+    (raises (fun () -> D.to_table ~domains:1 dt))
 
 let test_audit_certifies_grid () =
   let a =

@@ -1098,9 +1098,9 @@ let prop_filter_keeps_feasible_set =
           x.(layout.Protemp.Model.f_offset + j) <- u *. Float.min 1.0 (sqrt p);
           x.(layout.Protemp.Model.p_offset + j) <- p)
         point;
-      (* The filtered reference is the model's instance row for row
-         (prop_conic_rows_bit_identical). *)
-      holds (Model_reference.problem ~filter:true built) x
+      (* The filtered reference from the affine base is the model's
+         instance row for row (prop_conic_rows_bit_identical). *)
+      holds (Model_reference.problem ~filter:true ~base:`Affine built) x
       = holds (Model_reference.problem built) x)
 
 let test_filter_pinned_counts () =
@@ -1515,9 +1515,12 @@ let test_closed_form_pinned_working_set_cell () =
     [ 0.8286; 0.8287 ]
 
 (* The gradient variant has no closed form: its grids must be the ones
-   the conic working-set path built before the closed form existed,
-   byte for byte.  The golden CSV was written by that code (the CLI's
-   [table --gradient 0.5 --stride 4] over these axes). *)
+   the conic working-set path builds, byte for byte.  The golden CSV
+   was written by the CLI's [table --gradient 0.5 --stride 4] over
+   these axes, last when the thermal constants of a uniform start
+   became affine in it (DESIGN.md 6z): every entry moved by at most
+   2.6e-5 relative, interior-point digits, and the infeasible cells
+   stayed the same. *)
 let test_gradient_grid_golden () =
   let machine = Lazy.force machine in
   let spec = Protemp.Spec.with_gradient ~weight:0.5 fast_spec in
@@ -1703,22 +1706,101 @@ let instances ~machine ~spec ~tstart ~ftarget =
     Protemp.Model.build_frontier ~machine ~spec ~tstart,
     Protemp.Model.build_with_profile ~machine ~spec ~t0 ~ftarget )
 
+(* A uniform start's instance against the matmul oracle.  The model
+   writes its thermal and gradient constants from the affine base
+   [tstart a_k + c_k] (DESIGN.md 6z), so the instance must be
+   - bit for bit the oracle's from that base: [G], its stripes, the
+     cone layout, [c] and every constant give identical cold solves;
+   - the oracle's from the stepped base, up to the bound on the two
+     bases ([Model_reference.base_bounds]): the same kept rows, except
+     a row whose stepped base lies within the bound of its threshold,
+     and every thermal and gradient constant, of every row, kept or
+     not, within that bound carried through [(base - tmax)/tmax] or
+     [base/tmax].
+   [state] is [Model_reference.problem] or [frontier].  Returns the
+   number of rows whose stepped base lies within the bound of their
+   threshold, or the first check that fails. *)
+let uniform_instance_check (built : Protemp.Model.built) state =
+  let affine = ref [] and stepped = ref [] in
+  let instance = state ~report:affine ~filter:true ~base:`Affine built in
+  ignore (state ~report:stepped ~filter:true ~base:`Stepped built);
+  let bounds = Model_reference.base_bounds built in
+  let near (r : Model_reference.thermal_row) =
+    Float.abs (r.base -. r.threshold) <= bounds.(r.k)
+  in
+  let n_near = List.length (List.filter near !stepped) in
+  let tmax = built.Protemp.Model.spec.Protemp.Spec.tmax in
+  let largest traj =
+    let m = ref 0.0 in
+    for k = 0 to Mat.rows traj - 1 do
+      for i = 0 to Mat.cols traj - 1 do
+        m := Float.max !m (Float.abs (Mat.get traj k i))
+      done
+    done;
+    !m
+  in
+  let magnitude =
+    Float.max
+      (largest (Model_reference.base_trajectory ~base:`Affine built))
+      (largest (Model_reference.base_trajectory ~base:`Stepped built))
+  in
+  let constant_bound =
+    (Array.fold_left Float.max 0.0 bounds
+    +. (Model_reference.gamma 2 *. 2.0 *. (magnitude +. tmax)))
+    /. tmax
+  in
+  let constants base =
+    Array.map Quad.constant_part
+      (state ~report:(ref []) ~filter:false ~base built).Quad.constraints
+  in
+  let ca = constants `Affine and cs = constants `Stepped in
+  if not (same_instance built instance) then
+    Error "differs from the oracle's instance from the affine base"
+  else if
+    not
+      (List.for_all2
+         (fun (a : Model_reference.thermal_row) s ->
+           a.kept = s.Model_reference.kept || near s)
+         !affine !stepped)
+  then Error "a row away from its threshold is kept from one base only"
+  else
+    match
+      List.find_opt
+        (fun i -> not (Float.abs (ca.(i) -. cs.(i)) <= constant_bound))
+        (List.init (Array.length ca) Fun.id)
+    with
+    | Some i ->
+        Error
+          (Printf.sprintf "constant %d: %.17g vs %.17g, bound %.3g" i ca.(i)
+             cs.(i) constant_bound)
+    | None -> Ok n_near
+
+let problem_state ~report ~filter ~base built =
+  Model_reference.problem ~report ~filter ~base built
+
+let frontier_state ~report ~filter ~base built =
+  Model_reference.frontier ~report ~filter ~base built
+
 (* [Model.prepare]'s instance at [tstart] against the matmul oracle's
-   rows, bit for bit. *)
+   rows (uniform_instance_check), with no row near its threshold. *)
 let check_prepare_matches_oracle name ~machine ~spec ~tstart =
   let built =
     Protemp.Model.instantiate
       (Protemp.Model.prepare ~machine ~spec ~tstart)
       ~ftarget:5e8
   in
-  if not (same_instance built (Model_reference.problem ~filter:true built))
-  then
-    Alcotest.failf "%s at %.0f C: the instance differs from the matmul oracle"
-      name tstart
+  match uniform_instance_check built problem_state with
+  | Ok near ->
+      check_int
+        (Printf.sprintf "%s at %.0f C: rows within the bound of their threshold"
+           name tstart)
+        0 near
+  | Error msg -> Alcotest.failf "%s at %.0f C: %s" name tstart msg
 
 (* Every variant on both platforms at [tmax] and at a 5 C guard band,
-   cells at random start temperatures and targets, their frontiers and
-   cells built from a start profile. *)
+   cells at random start temperatures and targets and their frontiers
+   against the oracle (uniform_instance_check), and cells built from a
+   start profile, whose base is stepped, bit for bit. *)
 let prop_conic_rows_bit_identical =
   QCheck2.Test.make
     ~name:"model: conic rows bit-identical to the packed reference"
@@ -1737,15 +1819,17 @@ let prop_conic_rows_bit_identical =
         Protemp.Spec.guard_band ~margin (working_set_spec ~big ~variant ~stride)
       in
       let ftarget = frac *. machine.Sim.Machine.fmax in
-      let check label built problem =
-        same_instance built problem
-        || QCheck2.Test.fail_reportf "%s: differs from the reference" label
+      let check label built state =
+        match uniform_instance_check built state with
+        | Ok _ -> true
+        | Error msg -> QCheck2.Test.fail_reportf "%s: %s" label msg
       in
       let cell, frontier, profile = instances ~machine ~spec ~tstart ~ftarget in
-      check "cell" cell (Model_reference.problem ~filter:true cell)
-      && check "frontier" frontier
-           (Model_reference.frontier ~filter:true frontier)
-      && check "profile" profile (Model_reference.problem ~filter:true profile))
+      check "cell" cell problem_state
+      && check "frontier" frontier frontier_state
+      && (same_instance profile
+            (Model_reference.problem ~filter:true ~base:`Stepped profile)
+         || QCheck2.Test.fail_reportf "profile: differs from the reference"))
 
 let with_stride n spec = { spec with Protemp.Spec.constraint_stride = n }
 let gradient_spec = Protemp.Spec.with_gradient ~weight:0.5 ~cap:20.0
@@ -1810,9 +1894,11 @@ let test_window_response_shape () =
 
 (* With the machines' rows warm, prepares that alternate between two
    machines must each read their own machine's rows for their own
-   spec: every cell, frontier and profile instance stays bit-identical
-   to the oracle, for every variant (the gradient one with and without
-   its cap) at stride 1 and 4, at [tmax] and at a 5 C guard band. *)
+   spec: every cell and frontier instance matches the oracle
+   (uniform_instance_check, no row near its threshold) and every
+   profile instance stays bit-identical to it, for every variant (the
+   gradient one with and without its cap) at stride 1 and 4, at [tmax]
+   and at a 5 C guard band. *)
 let test_prepare_alternating_machines () =
   let niagara = Lazy.force machine and big = Lazy.force biglittle in
   let d = Protemp.Spec.default in
@@ -1822,15 +1908,22 @@ let test_prepare_alternating_machines () =
       instances ~machine ~spec ~tstart:60.0 ~ftarget:5e8
     in
     List.iter
-      (fun (kind, built, problem) ->
-        if not (same_instance built problem) then
-          Alcotest.failf "%s %s: the instance differs from the matmul oracle"
-            name kind)
-      [
-        ("cell", cell, Model_reference.problem ~filter:true cell);
-        ("frontier", frontier, Model_reference.frontier ~filter:true frontier);
-        ("profile", profile, Model_reference.problem ~filter:true profile);
-      ]
+      (fun (kind, built, state) ->
+        match uniform_instance_check built state with
+        | Ok near ->
+            check_int
+              (Printf.sprintf "%s %s: rows within the bound of their threshold"
+                 name kind)
+              0 near
+        | Error msg -> Alcotest.failf "%s %s: %s" name kind msg)
+      [ ("cell", cell, problem_state); ("frontier", frontier, frontier_state) ];
+    if
+      not
+        (same_instance profile
+           (Model_reference.problem ~filter:true ~base:`Stepped profile))
+    then
+      Alcotest.failf "%s profile: the instance differs from the matmul oracle"
+        name
   in
   List.iter
     (fun (stride, margin) ->
@@ -1940,15 +2033,18 @@ let allocated_words f =
   in
   List.fold_left Float.min infinity (List.init 5 (fun _ -> once ()))
 
-let test_prepare_allocation_flat () =
+(* One constrained step (the window's end) and a tmax no row can
+   reach, so every window emits the same rows — none.  With the
+   machine's rows warm (the first of the five runs builds them), what
+   is left of a profile's prepare is the base trajectory's step loop,
+   which stores nothing per step, and of a uniform start's prepare the
+   affine base at the one stride point, which takes no step at all.
+   Storing the trajectory costs n_nodes + 1 words a step, forming A^k
+   with [Mat.matmul] ~1400 and one boxed float a step would add ~2900
+   words by 1000 steps. *)
+let check_prepare_flat name prepare =
   let machine = Lazy.force machine in
   let dt = machine.Sim.Machine.thermal.Thermal.Rc_model.dt in
-  let t0 = Vec.create machine.Sim.Machine.n_nodes 60.0 in
-  (* One constrained step (the window's end) and a tmax no row can
-     reach, so every window emits the same rows — none.  With the
-     machine's rows warm (the first of the five runs builds them), what
-     is left of a prepare is the base trajectory's step loop, which
-     stores nothing per step. *)
   let prepared steps =
     let spec =
       {
@@ -1958,9 +2054,20 @@ let test_prepare_allocation_flat () =
         constraint_stride = 1_000_000;
       }
     in
-    allocated_words (fun () ->
-        Protemp.Model.prepare_with_profile ~machine ~spec ~t0)
+    allocated_words (fun () -> prepare ~machine ~spec)
   in
+  let short = prepared 50 in
+  List.iter
+    (fun steps ->
+      check_float 64.0
+        (Printf.sprintf "%s, %d vs 50 steps" name steps)
+        short (prepared steps))
+    [ 250; 1000 ]
+
+let test_prepare_allocation_flat () =
+  let t0 = Vec.create (Lazy.force machine).Sim.Machine.n_nodes 60.0 in
+  check_prepare_flat "prepare words" (fun ~machine ~spec ->
+      Protemp.Model.prepare_with_profile ~machine ~spec ~t0);
   (* The response itself, on a fresh machine every time: the
      recurrence allocates its buffers once, plus one snapshot. *)
   let response steps =
@@ -1968,19 +2075,54 @@ let test_prepare_allocation_flat () =
         Sim.Machine.window_response (Sim.Machine.niagara ()) ~steps
           ~stride:1_000_000)
   in
-  (* Storing the trajectory costs n_nodes + 1 words a step, forming
-     A^k with [Mat.matmul] ~1400 and one boxed float a step would add
-     ~2900 words by 1000 steps. *)
+  let short = response 50 in
   List.iter
-    (fun (name, words) ->
-      let short = words 50 in
-      List.iter
-        (fun steps ->
-          check_float 64.0
-            (Printf.sprintf "%s, %d vs 50 steps" name steps)
-            short (words steps))
-        [ 250; 1000 ])
-    [ ("prepare words", prepared); ("response words", response) ]
+    (fun steps ->
+      check_float 64.0
+        (Printf.sprintf "response words, %d vs 50 steps" steps)
+        short (response steps))
+    [ 250; 1000 ]
+
+let test_uniform_prepare_allocation_flat () =
+  check_prepare_flat "uniform prepare words" (fun ~machine ~spec ->
+      Protemp.Model.prepare ~machine ~spec ~tstart:60.0)
+
+(* The affine base of a uniform start against the base stepped from
+   it, on both platforms at strides 1 and 4 and margins 0 and 5: at
+   every stride point and node they lie within the bound derived in
+   [Model_reference.base_bounds], and every [a_k] is positive. *)
+let prop_affine_base_within_bound =
+  QCheck2.Test.make ~name:"model: affine base within bound" ~count:40
+    ~print:(fun (big, stride, margin, tstart) ->
+      Printf.sprintf "%s stride %d margin %.0f tstart %.17g"
+        (if big then "biglittle" else "niagara")
+        stride margin tstart)
+    QCheck2.Gen.(
+      quad bool (oneofl [ 1; 4 ]) (oneofl [ 0.0; 5.0 ]) (float_range 27.0 100.0))
+    (fun (big, stride, margin, tstart) ->
+      let machine = Lazy.force (if big then biglittle else machine) in
+      let spec =
+        Protemp.Spec.guard_band ~margin (with_stride stride Protemp.Spec.default)
+      in
+      let built = Protemp.Model.build ~machine ~spec ~tstart ~ftarget:5e8 in
+      let affine = Model_reference.base_trajectory ~base:`Affine built
+      and stepped = Model_reference.base_trajectory ~base:`Stepped built
+      and a, _ = Model_reference.affine_parts built
+      and bounds = Model_reference.base_bounds built in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun node ->
+              let d = Mat.get affine k node -. Mat.get stepped k node in
+              (Float.abs d <= bounds.(k)
+              || QCheck2.Test.fail_reportf
+                   "step %d node %d: |affine - stepped| = %.3g > %.3g" k node
+                   (Float.abs d) bounds.(k))
+              && (Mat.get a k node > 0.0
+                 || QCheck2.Test.fail_reportf "a_%d at node %d is %.17g" k
+                      node (Mat.get a k node)))
+            (List.init machine.Sim.Machine.n_nodes Fun.id))
+        (Model_reference.stride_steps ~steps:built.Protemp.Model.steps ~stride))
 
 (* Frontier tangents.  A tangent is a safe upper bound on the frontier
    of every start, whatever dual it is built from: the frontier [F] at
@@ -2136,6 +2278,7 @@ let props =
       prop_working_set;
       prop_closed_form;
       prop_frontier_tangent_sound;
+      prop_affine_base_within_bound;
     ]
 
 let () =
@@ -2271,6 +2414,8 @@ let () =
             test_fill_fresh_machine_domains;
           Alcotest.test_case "fresh machine rows published once" `Quick
             test_rows_published_once;
+          Alcotest.test_case "uniform prepare allocation flat" `Quick
+            test_uniform_prepare_allocation_flat;
         ] );
       ( "guarantee",
         [
