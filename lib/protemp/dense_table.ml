@@ -59,61 +59,78 @@ type row = {
   conic : Convex.Conic.stats;
 }
 
-(* One row of the table: prepare the row once, then settle its
-   columns left to right up to the first infeasible one (infeasibility
-   is monotone in [ftarget]).  A cell whose column holds on the row
-   ({!Model.column_holds}, {!Model.solve}'s own closed-form decision)
-   is served a fresh copy of the column's frequencies, with no
-   instance, dual or solution record, and counted as {!Model.solve}
-   counts it: one optimal outcome with no iteration.  Every other cell
-   is instantiated and solved in the row's one conic workspace, made
-   when the first such cell comes, and most first infeasible columns
-   cost one evaluation of a frontier tangent; such a refutation is the
-   one outcome counted primal-infeasible with no iteration.  Each cell
-   is seeded with the previous feasible column's optimum (a column's
-   point when it settled that cell).  A pure function of the grid, its
-   columns and [i]: a fill is bit-identical at any domain count. *)
+(* One row of the table, its columns left to right up to the first
+   infeasible one (infeasibility is monotone in [ftarget]).  A cell
+   whose column holds on the row ({!Model.column_holds},
+   {!Model.solve}'s own closed-form decision) is served a fresh copy
+   of the column's frequencies, with no instance, dual or solution
+   record, and counted as {!Model.solve} counts it: one optimal
+   outcome with no iteration.  When the last column holds
+   ({!Model.row_closed}, decided from the machine's rows) every column
+   does, and the row is never prepared.  Otherwise the row is
+   prepared once and its leading columns that hold are found
+   ({!Model.closed_prefix}: one bisection where closed form is
+   monotone along the row, a scan otherwise).  Every later cell is
+   instantiated and solved in the row's one conic workspace, made
+   when the first such cell comes; most first infeasible columns cost
+   one evaluation of a frontier tangent, the one outcome counted
+   primal-infeasible with no iteration.  Each cell is seeded with the
+   previous feasible column's optimum (a column's point when it
+   settled that cell).  A pure function of the grid, its columns and
+   [i]: a fill is bit-identical at any domain count. *)
 let run_row g columns i =
-  let cols = Array.length g.ftargets in
-  let prepared =
-    Model.prepare ~machine:g.machine ~spec:g.spec ~tstart:g.tstarts.(i)
-  in
-  let conic_ws = lazy (Model.workspace prepared) in
-  let cells = Array.make cols Table.Infeasible in
-  let conic = ref Convex.Conic.stats_zero and closed_form = ref 0 in
-  let rec solve_from j start =
-    if j = cols then (j, false)
+  let cols = Array.length g.ftargets and tstart = g.tstarts.(i) in
+  let closed, prepared =
+    if Model.row_closed columns ~tstart then (cols, None)
     else
-      match columns.(j) with
-      | Some col when Model.column_holds prepared col ->
-          cells.(j) <- Table.Frequencies (Model.column_frequencies col);
-          incr closed_form;
-          solve_from (j + 1) (Some (Model.column_x col))
-      | Some _ | None -> (
-          let built = Model.instantiate prepared ~ftarget:g.ftargets.(j) in
-          let before = !conic in
-          match
-            Model.solve ~conic_stats_into:conic ~conic_ws:(Lazy.force conic_ws)
-              ?start built
-          with
-          | Model.Infeasible ->
-              let after = !conic in
-              ( j,
-                after.primal_infeasible > before.primal_infeasible
-                && after.iterations = before.iterations )
-          | Model.Feasible s ->
-              (* The column failed here, and so did {!Model.solve}'s
-                 own closed form: an interior-point optimum. *)
-              cells.(j) <- Table.Frequencies s.Model.frequencies;
-              solve_from (j + 1) (Some s.Model.raw.Convex.Solve.x))
+      let p = Model.prepare ~machine:g.machine ~spec:g.spec ~tstart in
+      (Model.closed_prefix columns p, Some p)
   in
-  let feasible, frontier_verdict = solve_from 0 None in
+  let cells = Array.make cols Table.Infeasible in
+  let start = ref None in
+  for j = 0 to closed - 1 do
+    let col = Option.get (Model.column_at columns j) in
+    cells.(j) <- Table.Frequencies (Model.column_frequencies col);
+    start := Some (Model.column_x col)
+  done;
+  let conic = ref Convex.Conic.stats_zero and closed_form = ref closed in
+  let feasible, frontier_verdict =
+    match prepared with
+    | None -> (cols, false)
+    | Some prepared ->
+        let conic_ws = lazy (Model.workspace prepared) in
+        let rec solve_from j start =
+          if j = cols then (j, false)
+          else
+            let built = Model.instantiate prepared ~ftarget:g.ftargets.(j) in
+            let before = !conic in
+            match
+              Model.solve ~conic_stats_into:conic
+                ~conic_ws:(Lazy.force conic_ws) ?start built
+            with
+            | Model.Infeasible ->
+                let after = !conic in
+                ( j,
+                  after.primal_infeasible > before.primal_infeasible
+                  && after.iterations = before.iterations )
+            | Model.Feasible s ->
+                (* An interior-point optimum, or, past a column that
+                   does not hold where closed form is not monotone, a
+                   closed form {!Model.solve} finds itself. *)
+                (match s.Model.settled_by with
+                | `Closed_form -> incr closed_form
+                | `Interior_point -> ());
+                cells.(j) <- Table.Frequencies s.Model.frequencies;
+                solve_from (j + 1) (Some s.Model.raw.Convex.Solve.x)
+        in
+        solve_from closed !start
+  in
   {
     cells;
     feasible;
     closed_form = !closed_form;
     frontier_verdict;
-    conic = { !conic with optimal = !conic.optimal + !closed_form };
+    conic = { !conic with optimal = !conic.optimal + closed };
   }
 
 let no_cells =
@@ -128,11 +145,7 @@ let fill ?domains t =
       (* The columns are computed here, on the calling domain, so a
          grid the model refuses (its spec on this machine) fails before
          any row is solved; they are dropped with the fill. *)
-      let columns =
-        Array.map
-          (fun ftarget -> Model.column ~machine:g.machine ~spec:g.spec ~ftarget)
-          g.ftargets
-      in
+      let columns = Model.columns ~machine:g.machine ~spec:g.spec g.ftargets in
       let rows =
         Parallel.Pool.map ?domains (run_row g columns) (Array.length g.tstarts)
       in

@@ -66,17 +66,21 @@ type fill_stats = {
 }
 
 val fill : ?domains:int -> t -> fill_stats
-(** Solve every cell, once.  The grid's {!Model.column}s (one
-    floor-only optimum per [ftarget]) are computed first, on the
-    calling domain, and dropped when the fill returns; then rows are
-    fanned across a {!Parallel.Pool} ([domains] defaults to
-    {!Parallel.Pool.default_domains}).  A row prepares its instance
-    once and settles its columns left to right: a cell whose column
-    holds on the row ({!Model.column_holds}) is served a copy of the
-    column's frequencies with no instance or solve record; any other
-    is instantiated and solved in the row's one conic workspace, made
-    at its first such cell.  Each cell is seeded from the previous
-    feasible column, and the row stops at its first infeasible
+(** Solve every cell, once.  The grid's {!Model.columns} (one
+    floor-only optimum per [ftarget], with the machine's thermal rows)
+    are computed first, on the calling domain, and dropped when the
+    fill returns; then rows are fanned across a {!Parallel.Pool}
+    ([domains] defaults to {!Parallel.Pool.default_domains}).  A
+    cell whose column holds on its row ({!Model.column_holds}) is
+    served a copy of the column's frequencies with no instance or
+    solve record.  A row whose last column holds
+    ({!Model.row_closed}, with no instance) is served so whole and
+    never prepared; any other row prepares its instance once, finds
+    the cells its columns settle ({!Model.closed_prefix}), and
+    instantiates and solves every later cell in the
+    row's one conic workspace, made at its first such cell.  Each
+    cell is seeded from the previous feasible column, and the row
+    stops at its first infeasible
     column: infeasibility is monotone in [ftarget], so the rest are
     pruned.  Every cell and counter is what {!Model.solve} gives for
     it, and the grid is bit-identical at any domain count.  Raises

@@ -207,7 +207,10 @@ let pack stripes =
    [l - (1/tmax) q], each cut by {!stripe} from a dense row (so a zero
    coefficient inside an [l] row's stripe is [(-1/tmax) 0 = -0.0]).
    Pair [k]'s constants read the base of thermal row
-   [gradient_base.(k)].  [stepper] steps the base of a start profile. *)
+   [gradient_base.(k)].  [stepper] steps the base of a start profile.
+   [nonnegative] is whether every stored thermal coefficient is >= 0
+   (a NaN is not), which makes a row's value at a column's point
+   monotone in the point's powers (see {!closed_prefix}). *)
 type thermal_rows = {
   key_steps : int;
   key_stride : int;
@@ -222,6 +225,7 @@ type thermal_rows = {
   thermal : packed;
   gradient : packed;
   gradient_base : int array;
+  nonnegative : bool;
 }
 
 type Sim.Machine.slot += Thermal_rows of thermal_rows
@@ -329,6 +333,7 @@ let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
     Thermal.Rc_model.compile_stepper
       { thermal_model with Thermal.Rc_model.drive = Vec.zeros n_nodes }
   in
+  let thermal = pack thermal in
   Thermal_rows
     {
       key_steps = steps;
@@ -343,9 +348,10 @@ let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
         response_of homogeneous ~power:(Vec.zeros n_nodes) ~t0:1.0;
       fixed_response =
         response_of stepper ~power:machine.Sim.Machine.fixed_power ~t0:0.0;
-      thermal = pack thermal;
+      thermal;
       gradient = pack gradient;
       gradient_base = Array.of_list !gradient_base;
+      nonnegative = Array.for_all (fun q -> q >= 0.0) thermal.data;
     }
 
 (* The machine's rows for [spec], computed on the first request and
@@ -536,6 +542,14 @@ let floor_only_data ~machine ~(spec : Spec.t) layout =
            ~objective_coeffs:(objective_coeffs ~machine ~spec layout))
   | Some _ -> None
 
+(* The window's thermal steps and the variables' layout of a model of
+   [spec] on [machine], which are checked first. *)
+let window ~machine ~(spec : Spec.t) =
+  validate ~machine ~spec;
+  let steps = Sim.Machine.window_steps machine ~period:spec.Spec.dfs_period in
+  if steps < 1 then invalid_arg "Model.build: window below one thermal step";
+  (steps, make_layout spec ~n_cores:machine.Sim.Machine.n_cores)
+
 (* The Eq. 3 instance from [t0], written straight into packed conic
    rows [h - G x in K] in the row layout above: the box rows, the
    floor (left out of a [frontier] instance, which maximizes the total
@@ -544,12 +558,8 @@ let floor_only_data ~machine ~(spec : Spec.t) layout =
    gradient bounds, then one rotated-quadratic block per power law.
    Each constant is [-r] of the row's [q'x + r <= 0] form. *)
 let prepare_internal ~machine ~(spec : Spec.t) ~start ~frontier =
-  validate ~machine ~spec;
-  let steps = Sim.Machine.window_steps machine ~period:spec.Spec.dfs_period in
-  if steps < 1 then invalid_arg "Model.build: window below one thermal step";
+  let steps, layout = window ~machine ~spec in
   let n_nodes = machine.Sim.Machine.n_nodes in
-  let n_cores = machine.Sim.Machine.n_cores in
-  let layout = make_layout spec ~n_cores in
   let total_f_coeffs = total_f_coeffs ~machine ~spec layout in
   let t0 =
     match start with
@@ -1262,6 +1272,132 @@ let column_holds p col =
   match p.p_floor_only with
   | None -> invalid_arg "Model.column_holds: no floor-only relaxation"
   | Some _ -> settles p.p_layout p.p_spec p.p_conic col
+
+(* A table's columns, one per [ftarget], with the machine's rows for
+   the spec (read here, on the calling domain) and whether a row's
+   closed-form cells can be searched.  Closed form is monotone along a
+   row when every thermal coefficient is >= 0 and each column's powers
+   are at least the previous column's: rounded multiplication by a
+   coefficient >= 0 and rounded addition are monotone, so the computed
+   value of a row at a column's point cannot fall from one column to
+   the next, and a row that a column violates the next violates too.
+   A [None] column settles nothing, so it may only follow every
+   [Some]. *)
+type columns = {
+  cs : column option array;
+  cs_machine : Sim.Machine.t;
+  cs_layout : layout;
+  cs_tmax : float;
+  cs_rows : thermal_rows;
+  cs_searchable : bool;
+}
+
+(* Whether each column's power components are at least the previous
+   column's (a NaN fails), with [None] only after every [Some]. *)
+let ascending layout cs =
+  let powers_le a b =
+    let ok = ref true in
+    for j = layout.p_offset to layout.p_offset + layout.n_p - 1 do
+      if not (a.col_x.(j) <= b.col_x.(j)) then ok := false
+    done;
+    !ok
+  in
+  let ok = ref true in
+  for j = 1 to Array.length cs - 1 do
+    match (cs.(j - 1), cs.(j)) with
+    | Some a, Some b -> if not (powers_le a b) then ok := false
+    | None, Some _ -> ok := false
+    | _, None -> ()
+  done;
+  !ok
+
+let columns ~machine ~spec ftargets =
+  let cs = Array.map (fun ftarget -> column ~machine ~spec ~ftarget) ftargets in
+  let steps, layout = window ~machine ~spec in
+  let rows = thermal_rows machine ~spec ~layout ~steps in
+  {
+    cs;
+    cs_machine = machine;
+    cs_layout = layout;
+    cs_tmax = spec.Spec.tmax;
+    cs_rows = rows;
+    cs_searchable = rows.nonnegative && ascending layout cs;
+  }
+
+let column_at t j = t.cs.(j)
+let searchable t = t.cs_searchable
+
+(* {!column_holds} of the uniform start [tstart]'s prepared context,
+   computed without one: per thermal row, in row order, the float
+   operations of {!affine_bases}, {!filter_rows} and {!copy_rows}
+   ([tstart a_k + c_k], the threshold compare, [-((base - tmax) /
+   tmax)]), then {!Convex.Conic.holds}' left-to-right sum from [0.0]
+   over the row's stripe, so each verdict has the same bits. *)
+let column_holds_at t ~tstart col =
+  if col.col_machine != t.cs_machine then
+    invalid_arg "Model.column_holds_at: a column of another machine";
+  if Vec.dim col.col_x <> t.cs_layout.dim then
+    invalid_arg "Model.column_holds_at: a column of another variant";
+  if not (Float.is_finite tstart) then
+    invalid_arg "Model.column_holds_at: non-finite start temperature";
+  let rows = t.cs_rows and x = col.col_x in
+  let a = rows.unit_response and c = rows.fixed_response in
+  let threshold = rows.threshold and g = rows.thermal in
+  let tmax = t.cs_tmax in
+  let n = Array.length threshold in
+  let i = ref 0 in
+  let ok = ref true in
+  while !ok && !i < n do
+    let idx = !i in
+    let base = (tstart *. a.(idx)) +. c.(idx) in
+    if not (base < threshold.(idx)) then begin
+      let s = g.off.(idx) and e = g.off.(idx + 1) in
+      let shift = g.lo.(idx) - s in
+      let acc = ref 0.0 in
+      for k = s to e - 1 do
+        acc := !acc +. (g.data.(k) *. x.(shift + k))
+      done;
+      let h = -.((base -. tmax) /. tmax) in
+      if not (!acc -. h <= 0.0) then ok := false
+    end;
+    incr i
+  done;
+  !ok
+
+(* With [None] only as a suffix, the last column holds only if every
+   [Some] column does and there is no [None]. *)
+let row_closed t ~tstart =
+  let n = Array.length t.cs in
+  t.cs_searchable && n > 0
+  &&
+  match t.cs.(n - 1) with
+  | Some last -> column_holds_at t ~tstart last
+  | None -> false
+
+(* Holding is a prefix of the columns when they are searchable and the
+   context's rows are >= 0: the first column that does not hold is
+   then found by bisection.  Otherwise each column is checked in
+   turn. *)
+let closed_prefix t p =
+  let n = Array.length t.cs in
+  let holds j =
+    match t.cs.(j) with Some col -> column_holds p col | None -> false
+  in
+  if t.cs_searchable && p.p_rows.nonnegative then begin
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = !lo + ((!hi - !lo) / 2) in
+      if holds mid then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
+  else begin
+    let j = ref 0 in
+    while !j < n && holds !j do
+      incr j
+    done;
+    !j
+  end
 
 (* The cell's optimum from its column, which it takes over (its [x] is
    the solution's), as [raw] with its exact dual, of the full

@@ -112,9 +112,9 @@ type prepared
     uniform prepare allocates the instance's packed arrays and two
     scratch arrays of one entry per (stride point, node); a profile's
     also its two step vectors; nothing per kept row.  The offline
-    sweep prepares once per table row and instantiates once per cell
-    its {!column} does not settle ({!column_holds}; DESIGN.md §6t,
-    §6y, §6z). *)
+    sweep prepares only the rows that have a cell their {!column} does
+    not settle ({!row_closed}), and instantiates once per such cell
+    ({!closed_prefix}; DESIGN.md §6t, §6y, §6z, §6za). *)
 
 type built = {
   layout : layout;
@@ -320,8 +320,10 @@ val solve :
 (** {2 Columns}
 
     The closed form of {!solve} depends on [ftarget] alone, so a table
-    computes it once per column and checks it per cell, without
-    instantiating the cell. *)
+    computes it once per column and checks it without instantiating
+    the cell: on the row's prepared context ({!column_holds}), or for
+    a row's last column with no context at all
+    ({!column_holds_at}). *)
 
 type column
 (** The floor-only optimum of every cell of one [ftarget], with the
@@ -346,6 +348,55 @@ val column_holds : prepared -> column -> bool
     {!solve}'s own.  Allocates nothing.  Raises [Invalid_argument] for
     a context of another machine or variant, or one without a
     floor-only relaxation (a gradient term, a frontier). *)
+
+type columns
+(** A table's columns, one per [ftarget], with the machine's thermal
+    rows for the spec, so that a row can settle its closed-form cells
+    as a whole.  Closed form is monotone along a row when the columns
+    are {!searchable}: a row that one column's point violates, the
+    next column's violates too, since every thermal coefficient is
+    [>= 0], the powers rise from column to column, and rounded
+    multiplication and addition are monotone (DESIGN.md §6za). *)
+
+val columns : machine:Sim.Machine.t -> spec:Spec.t -> float array -> columns
+(** The {!column} of each [ftarget], in the given order, with the
+    machine's rows for [spec], built now if this is their first
+    request.  Verifies the two conditions of {!searchable} once.
+    Raises [Invalid_argument] as {!column} does for each [ftarget] and
+    as {!prepare} does for the spec. *)
+
+val column_at : columns -> int -> column option
+(** The {!column} of the [j]th [ftarget]. *)
+
+val searchable : columns -> bool
+(** Whether every thermal coefficient of the rows is [>= 0] (checked
+    once per row set, when the machine builds it) and each column's
+    power components are at least the previous column's, with [None]
+    only after every [Some]. *)
+
+val column_holds_at : columns -> tstart:float -> column -> bool
+(** [column_holds (prepare ~machine ~spec ~tstart) col], bit for bit,
+    for the columns' machine and spec, with no context: per thermal
+    row it repeats the prepare's float operations in its order (the
+    base [tstart a_k + c_k], the threshold compare, the constant
+    [-((base - tmax) / tmax)]) and {!Convex.Conic.holds}' sum over the
+    row.  Allocates nothing.  Raises [Invalid_argument] for a column
+    of another machine or variant, and for a [tstart] that is not
+    finite, as {!prepare} does. *)
+
+val row_closed : columns -> tstart:float -> bool
+(** Whether every column settles its cell of the uniform start
+    [tstart]: the columns are {!searchable}, none is [None], and the
+    last holds there ({!column_holds_at}).  [false] says nothing of
+    the other columns. *)
+
+val closed_prefix : columns -> prepared -> int
+(** The number of leading columns that hold on the context
+    ({!column_holds}; a [None] column does not).  Where the columns
+    are {!searchable} and the context's thermal coefficients are
+    [>= 0], holding is a prefix property and the first column that
+    does not hold is found by bisection, [ceil (log2 (n + 1))]
+    checks; otherwise the columns are checked in turn. *)
 
 val column_frequencies : column -> Vec.t
 (** A fresh copy of the served frequencies (Hz, per core), equal to

@@ -180,6 +180,7 @@ type replayed = {
   closed_form : int;
   verdicts : int;
   conic : Convex.Conic.stats;
+  row_closed : int array;  (* each row's cells settled in closed form *)
 }
 
 let replay ~machine ~spec ~tstarts ~ftargets =
@@ -187,6 +188,7 @@ let replay ~machine ~spec ~tstarts ~ftargets =
   let conic = ref Convex.Conic.stats_zero in
   let closed_form = ref 0 and verdicts = ref 0 in
   let row tstart =
+    let before = !closed_form in
     let prepared = Protemp.Model.prepare ~machine ~spec ~tstart in
     let conic_ws = Protemp.Model.workspace prepared in
     let cells = Array.make cols Protemp.Table.Infeasible in
@@ -212,16 +214,16 @@ let replay ~machine ~spec ~tstarts ~ftargets =
       end
     in
     go 0 None;
-    cells
+    (cells, !closed_form - before)
   in
-  let table =
-    Protemp.Table.make ~tstarts ~ftargets (Array.map row tstarts)
-  in
+  let rows = Array.map row tstarts in
+  let table = Protemp.Table.make ~tstarts ~ftargets (Array.map fst rows) in
   {
     csv = Protemp.Table.to_csv table;
     closed_form = !closed_form;
     verdicts = !verdicts;
     conic = !conic;
+    row_closed = Array.map snd rows;
   }
 
 let gen_replay_grid =
@@ -238,10 +240,16 @@ let gen_replay_grid =
   in
   let* stride = oneofl [ 1; 4 ] in
   let* margin = oneofl [ 0.0; 5.0 ] in
-  let* rows = int_range 2 4 in
-  let* cols = int_range 2 6 in
-  let* tstarts = axis rows 27.0 100.0 in
-  let+ fractions = axis cols 0.05 1.0 in
+  let* cool = float_range 27.0 50.0 in
+  let* hot = float_range 90.0 100.0 in
+  let* others = list_size (int_range 0 2) (float_range 27.0 100.0) in
+  let tstarts =
+    Array.of_list (List.sort_uniq Float.compare (cool :: hot :: others))
+  in
+  let* cols = int_range 2 (if variant = `Gradient then 6 else 24) in
+  let* lo = float_range 0.05 0.9 in
+  let* hi = float_range lo 1.0 in
+  let+ fractions = axis cols lo hi in
   (big, variant, stride, margin, tstarts, fractions)
 
 let print_replay_grid (big, variant, stride, margin, tstarts, fractions) =
@@ -255,6 +263,14 @@ let print_replay_grid (big, variant, stride, margin, tstarts, fractions) =
     | `Uniform -> "uniform"
     | `Gradient -> "gradient")
     stride margin (floats tstarts) (floats fractions)
+
+(* The shapes of the rows of grids with columns (not the gradient
+   variant) drawn by the property: every cell settled in closed form
+   (the fill prepares no such row), a closed-form prefix the fill
+   bisects for, and none. *)
+let whole_rows = ref 0
+let searched_rows = ref 0
+let open_rows = ref 0
 
 let prop_fill_matches_replay =
   QCheck2.Test.make ~name:"equals per-cell replay" ~count:40
@@ -306,7 +322,30 @@ let prop_fill_matches_replay =
         QCheck2.Test.fail_report "solver counters differ";
       if not (owned vectors) then
         QCheck2.Test.fail_report "two cells share a frequency vector";
+      if variant <> `Gradient then
+        Array.iter
+          (fun closed ->
+            incr
+              (if closed = Array.length ftargets then whole_rows
+               else if closed > 0 then searched_rows
+               else open_rows))
+          r.row_closed;
       true)
+
+(* The property, with a check that it drew every row shape. *)
+let fill_matches_replay =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_fill_matches_replay in
+  ( name,
+    speed,
+    fun () ->
+      whole_rows := 0;
+      searched_rows := 0;
+      open_rows := 0;
+      run ();
+      Printf.printf "rows: %d whole, %d searched, %d open\n" !whole_rows
+        !searched_rows !open_rows;
+      check_bool "every row shape drawn" true
+        (!whole_rows > 0 && !searched_rows > 0 && !open_rows > 0) )
 
 (* A grid fails closed.  An [ftarget] outside [0, fmax], NaN included,
    is refused when the grid is made, also where no row would reach
@@ -451,6 +490,58 @@ let test_served_floor_bound () =
         98 );
     ]
 
+(* Rows whose every cell is settled in closed form: big.LITTLE from 27
+   to 60 C under the benchmark's eight ftargets.  The fill decides them
+   from the machine's rows with no instance, so
+   - a fresh machine filled at 1 and at 2 domains gives the same table,
+     byte for byte, and publishes one row set either way (and no ladder
+     point: no cell needs a frontier);
+   - a row allocates less than one {!Protemp.Model.prepare} of it: a
+     fill that prepared every row again would allocate more. *)
+let allocated_words f =
+  let once () =
+    let minor0, promoted0, major0 = Gc.counters () in
+    ignore (Sys.opaque_identity (f ()));
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  List.fold_left Float.min infinity (List.init 5 (fun _ -> once ()))
+
+let test_closed_rows_not_prepared () =
+  let tstarts = axis 27.0 60.0 34 and ftargets = axis 1e8 7e8 8 in
+  let cells = Array.length tstarts * Array.length ftargets in
+  let filled machine domains =
+    let dt = D.create ~machine ~spec:fast_spec ~tstarts ~ftargets () in
+    ignore (D.fill ~domains dt);
+    dt
+  in
+  let fresh domains =
+    let machine = Sim.Machine.biglittle () in
+    let dt = filled machine domains in
+    check_int
+      (Printf.sprintf "%d domain(s): every cell in closed form" domains)
+      cells (D.closed_form_cells dt);
+    check_int
+      (Printf.sprintf "%d domain(s): one row set" domains)
+      1
+      (Sim.Machine.cached_slots machine);
+    Protemp.Table.to_csv (D.to_table dt)
+  in
+  Alcotest.(check string) "2 domains = 1 domain" (fresh 1) (fresh 2);
+  let machine = Sim.Machine.biglittle () in
+  ignore (filled machine 1);
+  let per_row =
+    allocated_words (fun () -> filled machine 1)
+    /. float_of_int (Array.length tstarts)
+  in
+  let prepare =
+    allocated_words (fun () ->
+        Protemp.Model.prepare ~machine ~spec:fast_spec ~tstart:tstarts.(0))
+  in
+  check_bool
+    (Printf.sprintf "%.0f words a row < %.0f words a prepare" per_row prepare)
+    true (per_row < prepare)
+
 (* ------------------------------------------------------------------ *)
 (* What a filled grid holds *)
 
@@ -494,8 +585,10 @@ let () =
           Alcotest.test_case "domain invariance" `Slow
             test_fill_domain_invariance;
           QCheck_alcotest.to_alcotest prop_fill_matches_cold_cells;
-          QCheck_alcotest.to_alcotest prop_fill_matches_replay;
+          fill_matches_replay;
           Alcotest.test_case "fails closed" `Quick test_fill_fails_closed;
+          Alcotest.test_case "closed rows are not prepared" `Quick
+            test_closed_rows_not_prepared;
         ] );
       ( "serving",
         [

@@ -2002,9 +2002,11 @@ let test_rows_published_once () =
         && same_solve (Convex.Conic.solve ta) (Convex.Conic.solve tb)))
     one two
 
-(* Two domains filling rows of a fresh machine race to compute its
-   response; the loser's copy is dropped, and the grid is byte for
-   byte the one-domain grid. *)
+(* A fresh machine's rows are built on the calling domain, with the
+   fill's columns; two domains filling its rows then race for what the
+   machine caches on first use past them, its ladder tangents.  The
+   loser's copy is dropped, and the grid is byte for byte the
+   one-domain grid. *)
 let test_fill_fresh_machine_domains () =
   let csv domains =
     let machine = Sim.Machine.niagara () in
@@ -2123,6 +2125,204 @@ let prop_affine_base_within_bound =
                       node (Mat.get a k node)))
             (List.init machine.Sim.Machine.n_nodes Fun.id))
         (Model_reference.stride_steps ~steps:built.Protemp.Model.steps ~stride))
+
+(* Every thermal coefficient of both machines' rows, at strides 1 and
+   4, is >= 0, which makes closed form monotone along a table row
+   ({!Protemp.Model.searchable}, which checks the model's own rows).
+   The coefficients are read from the matmul oracle, whose rows are the
+   model's bit for bit. *)
+let test_thermal_coefficients_nonnegative () =
+  List.iter
+    (fun (name, machine) ->
+      List.iter
+        (fun stride ->
+          let spec = with_stride stride Protemp.Spec.default in
+          let label = Printf.sprintf "%s stride %d" name stride in
+          let built =
+            Protemp.Model.build ~machine ~spec ~tstart:60.0 ~ftarget:1e8
+          in
+          let constraints =
+            (Model_reference.problem ~filter:false built).Quad.constraints
+          in
+          let first =
+            Protemp.Model.first_thermal_index built.Protemp.Model.layout
+          in
+          let least = ref infinity and least_nonzero = ref infinity in
+          for i = first to Array.length constraints - 1 do
+            Array.iter
+              (fun q ->
+                least := Float.min !least q;
+                if q <> 0.0 then least_nonzero := Float.min !least_nonzero q)
+              (Quad.linear_part constraints.(i))
+          done;
+          check_bool
+            (Printf.sprintf "%s: least coefficient %.3g (nonzero %.3g) >= 0"
+               label !least !least_nonzero)
+            true (!least >= 0.0);
+          check_bool (label ^ ": searchable") true
+            (Protemp.Model.searchable
+               (Protemp.Model.columns ~machine ~spec
+                  [| 1e8; 3e8; 5e8; 7e8 |])))
+        [ 1; 4 ])
+    [ ("niagara", Lazy.force machine); ("biglittle", Lazy.force biglittle) ]
+
+(* The closed-form check with no instance is the check on the prepared
+   row, bit for bit: on both platforms, the variable variant and
+   Niagara's uniform one, strides 1 and 4 and margins 0 and 5, at a
+   random start and column.  The verdict flips once as the start
+   rises; it is bisected over the floats in [0, 200] to the two
+   adjacent starts where it flips, and both, with their neighbours one
+   ulp away, must agree with the prepared check too. *)
+let prop_column_holds_at =
+  QCheck2.Test.make ~name:"model: column check without an instance" ~count:60
+    ~print:(fun (platform, stride, margin, tstart, fraction) ->
+      Printf.sprintf "%s stride %d margin %.0f tstart %h ftarget %h fmax"
+        platform stride margin tstart fraction)
+    QCheck2.Gen.(
+      let* platform = oneofl [ "niagara"; "niagara uniform"; "biglittle" ] in
+      let* stride = oneofl [ 1; 4 ] in
+      let* margin = oneofl [ 0.0; 5.0 ] in
+      let* tstart = float_range 27.0 100.0 in
+      let+ fraction = float_range 0.05 1.0 in
+      (platform, stride, margin, tstart, fraction))
+    (fun (platform, stride, margin, tstart, fraction) ->
+      let machine =
+        Lazy.force (if platform = "biglittle" then biglittle else machine)
+      in
+      let spec =
+        let s = with_stride stride Protemp.Spec.default in
+        Protemp.Spec.guard_band ~margin
+          (if platform = "niagara uniform" then uniform_spec s else s)
+      in
+      let cs =
+        Protemp.Model.columns ~machine ~spec
+          [| fraction *. machine.Sim.Machine.fmax |]
+      in
+      match Protemp.Model.column_at cs 0 with
+      | None -> true
+      | Some col ->
+          let at tstart = Protemp.Model.column_holds_at cs ~tstart col in
+          let agrees tstart =
+            let prepared =
+              Protemp.Model.column_holds
+                (Protemp.Model.prepare ~machine ~spec ~tstart)
+                col
+            in
+            Bool.equal (at tstart) prepared
+            || QCheck2.Test.fail_reportf "at %h: %b without an instance" tstart
+                 (at tstart)
+          in
+          let bits = Int64.bits_of_float and of_bits = Int64.float_of_bits in
+          let rec bisect lo hi =
+            if Int64.sub hi lo <= 1L then (of_bits lo, of_bits hi)
+            else
+              let mid = Int64.add lo (Int64.div (Int64.sub hi lo) 2L) in
+              if at (of_bits mid) then bisect mid hi else bisect lo mid
+          in
+          agrees tstart
+          &&
+          if at 0.0 && not (at 200.0) then
+            let last, first = bisect (bits 0.0) (bits 200.0) in
+            List.for_all agrees
+              [ Float.pred last; last; first; Float.succ first ]
+          else true)
+
+(* The check allocates nothing, whether it passes every row or stops
+   at a violated one, and refuses a column of another machine or
+   variant and a start that is not finite, as {!Protemp.Model.prepare}
+   and {!Protemp.Model.column_holds} do. *)
+let test_column_holds_at_contract () =
+  let m = Lazy.force machine in
+  let cs = Protemp.Model.columns ~machine:m ~spec:fast_spec [| 9e8 |] in
+  let col = Option.get (Protemp.Model.column_at cs 0) in
+  List.iter
+    (fun (tstart, holds) ->
+      check_bool (Printf.sprintf "at %g C" tstart) holds
+        (Protemp.Model.column_holds_at cs ~tstart col);
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 100 do
+        ignore
+          (Sys.opaque_identity (Protemp.Model.column_holds_at cs ~tstart col))
+      done;
+      check_float 0.0
+        (Printf.sprintf "at %g C: allocates nothing" tstart)
+        0.0
+        (Gc.minor_words () -. w0))
+    [ (27.0, true); (95.0, false) ];
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let column_of ~machine ~spec =
+    Option.get
+      (Protemp.Model.column_at
+         (Protemp.Model.columns ~machine ~spec [| 5e8 |])
+         0)
+  in
+  List.iter
+    (fun (name, other) ->
+      check_bool name true
+        (raises (fun () ->
+             Protemp.Model.column_holds_at cs ~tstart:60.0 other)))
+    [
+      ( "another machine's column",
+        column_of ~machine:(Sim.Machine.niagara ()) ~spec:fast_spec );
+      ( "another variant's column",
+        column_of ~machine:m ~spec:(uniform_spec fast_spec) );
+    ];
+  List.iter
+    (fun tstart ->
+      check_bool (Printf.sprintf "start %h" tstart) true
+        (raises (fun () -> Protemp.Model.column_holds_at cs ~tstart col)))
+    [ Float.nan; Float.infinity ]
+
+(* Columns that are not monotone along a row are not searchable, and
+   their closed-form prefix is found by checking each column in turn:
+   it equals the scan on every row, also where a column holds after
+   one that does not (where bisection would be wrong).  Descending and
+   unsorted ftargets on Niagara, and a big.LITTLE ftarget above what
+   its boxes allow (no column) before one they do.  Ascending columns
+   are searchable, and their bisected prefix equals the scan too. *)
+let test_closed_prefix_fallback () =
+  let niagara = Lazy.force machine and big = Lazy.force biglittle in
+  let held_after_failure = ref false in
+  List.iter
+    (fun (name, machine, ftargets, searchable) ->
+      let cs = Protemp.Model.columns ~machine ~spec:fast_spec ftargets in
+      check_bool (name ^ ": searchable") searchable
+        (Protemp.Model.searchable cs);
+      List.iter
+        (fun tstart ->
+          let label = Printf.sprintf "%s at %g C" name tstart in
+          let p = Protemp.Model.prepare ~machine ~spec:fast_spec ~tstart in
+          let holds =
+            Array.init (Array.length ftargets) (fun j ->
+                match Protemp.Model.column_at cs j with
+                | Some col -> Protemp.Model.column_holds p col
+                | None -> false)
+          in
+          let scan = ref 0 in
+          while !scan < Array.length holds && holds.(!scan) do
+            incr scan
+          done;
+          let rest = Array.sub holds !scan (Array.length holds - !scan) in
+          if Array.exists Fun.id rest then held_after_failure := true;
+          check_int (label ^ ": the scan's prefix") !scan
+            (Protemp.Model.closed_prefix cs p);
+          check_bool (label ^ ": a whole row only if searchable") 
+            (searchable && !scan = Array.length ftargets)
+            (Protemp.Model.row_closed cs ~tstart))
+        [ 27.0; 50.0; 70.0; 85.0; 95.0 ])
+    [
+      ("Niagara descending", niagara, [| 9.5e8; 9e8; 6e8; 3e8; 1e8 |], false);
+      ("Niagara unsorted", niagara, [| 1e8; 9.5e8; 2e8; 9e8; 5e8 |], false);
+      ( "big.LITTLE no column first",
+        big,
+        [| big.Sim.Machine.fmax; 1e8; 3e8 |],
+        false );
+      ("Niagara ascending", niagara, [| 1e8; 3e8; 6e8; 9e8; 9.5e8 |], true);
+      ("big.LITTLE ascending", big, [| 1e8; 3e8; 5e8; 6e8; 7e8 |], true);
+    ];
+  check_bool "a column held after one that did not" true !held_after_failure
 
 (* Frontier tangents.  A tangent is a safe upper bound on the frontier
    of every start, whatever dual it is built from: the frontier [F] at
@@ -2279,6 +2479,7 @@ let props =
       prop_closed_form;
       prop_frontier_tangent_sound;
       prop_affine_base_within_bound;
+      prop_column_holds_at;
     ]
 
 let () =
@@ -2381,6 +2582,10 @@ let () =
             test_closed_form_saturated_little_cores;
           Alcotest.test_case "column is the closed form" `Quick
             test_column_is_closed_form;
+          Alcotest.test_case "column check contract" `Quick
+            test_column_holds_at_contract;
+          Alcotest.test_case "closed prefix fallback" `Quick
+            test_closed_prefix_fallback;
           Alcotest.test_case "pinned working-set cell" `Quick
             test_closed_form_pinned_working_set_cell;
           Alcotest.test_case "gradient grid golden" `Quick
@@ -2416,6 +2621,8 @@ let () =
             test_rows_published_once;
           Alcotest.test_case "uniform prepare allocation flat" `Quick
             test_uniform_prepare_allocation_flat;
+          Alcotest.test_case "thermal coefficients non-negative" `Quick
+            test_thermal_coefficients_nonnegative;
         ] );
       ( "guarantee",
         [
