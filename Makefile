@@ -46,8 +46,9 @@ lint-baseline:
 # Benchmark this working tree against REV (default HEAD) with the
 # end-to-end harness in benchmark/: W names the workloads, SEEDS the
 # trace seeds; unset ones take the defaults in scripts/bench-compare.sh.
-# Each run lasts the harness's own default length.  REV builds in a
-# temporary git worktree outside the repository; the two trees
+# Each run lasts the harness's own default length.  REV builds from a
+# `git archive` of it in a temporary directory outside the repository
+# (no git worktree); the two trees
 # alternate seed by seed, flipping which runs first, and
 # `protemp_bench.exe compare` prints the verdicts.  Result files stay
 # in a temporary directory.
@@ -56,8 +57,9 @@ bench-compare:
 	bash scripts/bench-compare.sh "$(REV)" "$(W)" "$(SEEDS)"
 
 # Check that the working tree computes what REV (default HEAD)
-# computes, byte for byte: scripts/same-output.sh builds REV in a
-# temporary git worktree outside the repository, runs its %.17g driver
+# computes, byte for byte: scripts/same-output.sh builds REV from a
+# `git archive` of it in a temporary directory outside the repository
+# (no git worktree), runs its %.17g driver
 # (scripts/same-output/) and the CLI's solve, frontier and table on
 # both trees, and exits non-zero on any difference.
 #   make same-output REV=HEAD~1

@@ -37,7 +37,7 @@ type t = {
   goff : int array;  (* q + 1 row offsets into gdata *)
   glo : int array;  (* first stored column of each row *)
   hi : Vec.t;  (* q, internal row order *)
-  orth_ext : int array;  (* caller's row of internal orthant row i *)
+  orth_ext : int array;  (* solution entry of internal orthant row i *)
 }
 
 let dim t = t.n
@@ -79,6 +79,11 @@ let with_constant t ~row value =
   let hi = Vec.copy t.hi in
   hi.(row) <- value;
   { t with hi }
+
+let with_constants t h =
+  if Vec.dim h <> n_rows t then
+    invalid_arg "Conic.with_constants: not one constant per row";
+  { t with hi = h }
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-row kernels                                                 *)
@@ -457,12 +462,19 @@ type ws = {
   mutable norm_h : float;
   (* Working set.  [full] is the instance handed to the current solve;
      [t] is [full] itself, or its restriction to the working set packed
-     into the [w_*] buffers ([cap] rows, [w_gdata] grown likewise). *)
+     into the [w_*] buffers ([cap] rows, [w_gdata] grown likewise).
+     The orthant rows of [full] that take part are [part.(0 ..
+     n_part - 1)], ascending; the candidates among them are [part.(k)]
+     for [cand_lo <= k < cand_hi], and every other one is always in the
+     set.  No row outside [part] is read.  A new workspace names every
+     row ([n_part = mo], no candidate), which reads no [part], so
+     [part] is sized by the first {!restrict}. *)
   mutable full : t;
-  mutable opt_lo : int;  (* orthant rows [opt_lo, opt_hi) are optional *)
-  mutable opt_hi : int;
+  mutable part : int array;
+  mutable n_part : int;
+  mutable cand_lo : int;
+  mutable cand_hi : int;
   in_set : Bytes.t;  (* per orthant row of [full]: '\001' if in the set *)
-  sub_row : int array;  (* orthant row of [full] -> row of [t], or -1 *)
   mutable w_gdata : float array;
   mutable w_goff : int array;
   mutable w_glo : int array;
@@ -515,10 +527,11 @@ let make_workspace ?kkt t =
     norm_c = 0.0;
     norm_h = 0.0;
     full = t;
-    opt_lo = 0;
-    opt_hi = 0;
+    part = [||];
+    n_part = t.mo;
+    cand_lo = 0;
+    cand_hi = 0;
     in_set = Bytes.make t.mo '\001';
-    sub_row = Array.init t.mo (fun i -> i);
     w_gdata = [||];
     w_goff = Array.make (q + 1) 0;
     w_glo = Array.make q 0;
@@ -557,7 +570,8 @@ let reserve_rows st rows =
 let working_set_size st t =
   let rows = ref (3 * t.nsoc) in
   let nnz = ref (t.goff.(n_rows t) - t.goff.(t.mo)) in
-  for i = 0 to t.mo - 1 do
+  for k = 0 to st.n_part - 1 do
+    let i = st.part.(k) in
     if Bytes.get st.in_set i <> '\000' then begin
       incr rows;
       nnz := !nnz + t.goff.(i + 1) - t.goff.(i)
@@ -565,29 +579,34 @@ let working_set_size st t =
   done;
   (!rows, !nnz)
 
+(* Copy row [i] of [t] to row [r] of the workspace's buffers, from
+   entry [nz] on; returns the entry after it. *)
+let pack_row st t i r nz =
+  let s = t.goff.(i) in
+  let len = t.goff.(i + 1) - s in
+  Array.blit t.gdata s st.w_gdata nz len;
+  st.w_goff.(r) <- nz;
+  st.w_glo.(r) <- t.glo.(i);
+  st.w_hi.(r) <- t.hi.(i);
+  nz + len
+
 (* Pack the working-set restriction of [t] into the workspace's
    buffers: the member orthant rows in order, then every SOC block,
-   each row's stripe copied as is.  Returns the restriction's orthant
-   row count and records where each orthant row of [t] went. *)
+   each row's stripe copied as is; a member's solution entry is its
+   place among the rows that take part.  Returns the restriction's
+   orthant row count. *)
 let pack_working_set st t =
   let mo = ref 0 and nz = ref 0 in
-  for i = 0 to n_rows t - 1 do
-    if i >= t.mo || Bytes.unsafe_get st.in_set i <> '\000' then begin
-      let r = !mo + (if i < t.mo then 0 else i - t.mo) in
-      let s = t.goff.(i) in
-      let len = t.goff.(i + 1) - s in
-      Array.blit t.gdata s st.w_gdata !nz len;
-      st.w_goff.(r) <- !nz;
-      st.w_glo.(r) <- t.glo.(i);
-      st.w_hi.(r) <- t.hi.(i);
-      nz := !nz + len;
-      if i < t.mo then begin
-        st.w_orth_ext.(r) <- t.orth_ext.(i);
-        st.sub_row.(i) <- r;
-        incr mo
-      end
+  for k = 0 to st.n_part - 1 do
+    let i = Array.unsafe_get st.part k in
+    if Bytes.unsafe_get st.in_set i <> '\000' then begin
+      nz := pack_row st t i !mo !nz;
+      st.w_orth_ext.(!mo) <- k;
+      incr mo
     end
-    else st.sub_row.(i) <- -1
+  done;
+  for i = t.mo to n_rows t - 1 do
+    nz := pack_row st t i (!mo + i - t.mo) !nz
   done;
   st.w_goff.(!mo + (3 * t.nsoc)) <- !nz;
   !mo
@@ -610,7 +629,7 @@ let rebind_ws st t =
   if not (same_shape st.full t) then
     invalid_arg "Conic.solve: workspace shape mismatch";
   st.full <- t;
-  if st.opt_lo < st.opt_hi then begin
+  if st.n_part < t.mo || st.cand_lo < st.cand_hi then begin
     let rows, nnz = working_set_size st t in
     reserve_rows st rows;
     if nnz > Array.length st.w_gdata then
@@ -622,9 +641,6 @@ let rebind_ws st t =
   end
   else begin
     reserve_rows st (n_rows t);
-    for i = 0 to t.mo - 1 do
-      st.sub_row.(i) <- i
-    done;
     st.t <- t
   end;
   let t = st.t in
@@ -1228,25 +1244,26 @@ let init_warm st seed =
 
 (* Rotate the internal slack/dual back to the caller's row order and
    tau-normalize everything into a solution record.  The record has
-   the shape of the full instance: an orthant row outside the working
+   one entry per row that takes part: a candidate outside the working
    set gets a zero dual and its true slack h - G x. *)
 let extract_solution st ~iterations =
   let t = st.t and full = st.full in
   let q = n_rows t in
   let inv_tau = 1.0 /. st.tau in
   let x = Vec.scale inv_tau st.x in
-  let s = Vec.zeros (n_rows full) and z = Vec.zeros (n_rows full) in
-  if t != full then
-    for i = 0 to full.mo - 1 do
-      if st.sub_row.(i) < 0 then s.(full.orth_ext.(i)) <- -.row_value full i x
-    done;
+  let s = Vec.zeros (st.n_part + (3 * t.nsoc)) in
+  let z = Vec.zeros (st.n_part + (3 * t.nsoc)) in
+  for k = st.cand_lo to st.cand_hi - 1 do
+    let i = st.part.(k) in
+    if Bytes.get st.in_set i = '\000' then s.(k) <- -.row_value full i x
+  done;
   for i = 0 to t.mo - 1 do
     let e = t.orth_ext.(i) in
     s.(e) <- st.s.(i) *. inv_tau;
     z.(e) <- st.z.(i) *. inv_tau
   done;
   for k = 0 to t.nsoc - 1 do
-    let r0 = t.mo + (3 * k) and e = full.mo + (3 * k) in
+    let r0 = t.mo + (3 * k) and e = st.n_part + (3 * k) in
     s.(e) <- inv_sqrt2 *. (st.s.(r0) +. st.s.(r0 + 1)) *. inv_tau;
     s.(e + 1) <- inv_sqrt2 *. (st.s.(r0) -. st.s.(r0 + 1)) *. inv_tau;
     s.(e + 2) <- st.s.(r0 + 2) *. inv_tau;
@@ -1361,21 +1378,25 @@ let finish_unknown st ~iterations =
 (* Working set                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let restrict ws t ~first ~last =
+let restrict ws t ~rows ~n ~first ~last =
   if not (same_shape ws.full t) then
     invalid_arg "Conic.restrict: workspace shape mismatch";
-  if first < 0 || last > t.mo then
-    invalid_arg "Conic.restrict: range outside the orthant rows";
-  Bytes.fill ws.in_set 0 t.mo '\001';
-  if first >= last then begin
-    ws.opt_lo <- 0;
-    ws.opt_hi <- 0
-  end
-  else begin
-    ws.opt_lo <- first;
-    ws.opt_hi <- last;
-    Bytes.fill ws.in_set first (last - first) '\000'
-  end
+  if n < 0 || n > Array.length rows || n > t.mo then
+    invalid_arg "Conic.restrict: more rows than the instance has";
+  let first, last = if first >= last then (0, 0) else (first, last) in
+  if first < 0 || last > n then
+    invalid_arg "Conic.restrict: candidates outside the rows";
+  if Array.length ws.part < n then ws.part <- Array.make n 0;
+  for k = 0 to n - 1 do
+    let i = rows.(k) in
+    if i < 0 || i >= t.mo || (k > 0 && i <= rows.(k - 1)) then
+      invalid_arg "Conic.restrict: not ascending orthant rows";
+    ws.part.(k) <- i;
+    Bytes.set ws.in_set i (if k >= first && k < last then '\000' else '\001')
+  done;
+  ws.n_part <- n;
+  ws.cand_lo <- first;
+  ws.cand_hi <- last
 
 (* Whether orthant row [i]'s value at [x] is not <= above — a NaN
    value included.  The thermal rows, almost all of the optional ones,
@@ -1395,14 +1416,17 @@ let[@inline] row_exceeds t i x ~above =
       <= above)
   else not (row_value t i x <= above)
 
-(* The working-set update, in one pass over the optional rows outside
-   the set: each that {!row_exceeds} [above] at [x] joins it. *)
+(* The working-set update, in one pass over the candidates outside
+   the set: each that {!row_exceeds} [above] at [x] joins it.
+   {!restrict} checked every candidate against the workspace's shape,
+   which [t] has. *)
 let admit ws t x ~above =
   if not (same_shape ws.full t) then
     invalid_arg "Conic.admit: workspace shape mismatch";
   if Vec.dim x <> t.n then invalid_arg "Conic.admit: point dimension mismatch";
   let added = ref 0 in
-  for i = ws.opt_lo to ws.opt_hi - 1 do
+  for k = ws.cand_lo to ws.cand_hi - 1 do
+    let i = Array.unsafe_get ws.part k in
     if Bytes.get ws.in_set i = '\000' && row_exceeds t i x ~above then begin
       Bytes.set ws.in_set i '\001';
       incr added
@@ -1410,17 +1434,22 @@ let admit ws t x ~above =
   done;
   !added
 
-(* {!admit}'s decision at [above = 0] over a range, with no workspace:
-   it stops at the first row that does not hold. *)
-let holds t x ~first ~last =
+(* {!admit}'s decision at [above = 0] over the candidates
+   [rows.(first .. last - 1)], with no workspace, in one pass that
+   checks each row before it reads it and stops at the first row that
+   does not hold. *)
+let holds t x ~rows ~first ~last =
   if Vec.dim x <> t.n then invalid_arg "Conic.holds: point dimension mismatch";
-  if first < 0 || last > t.mo then
-    invalid_arg "Conic.holds: range outside the orthant rows";
-  let i = ref first in
-  while !i < last && not (row_exceeds t !i x ~above:0.0) do
-    incr i
+  if first < 0 || last > Array.length rows then
+    invalid_arg "Conic.holds: candidates outside the rows";
+  let k = ref first and ok = ref true in
+  while !ok && !k < last do
+    let i = rows.(!k) in
+    if i < 0 || i >= t.mo then invalid_arg "Conic.holds: not an orthant row";
+    if row_exceeds t i x ~above:0.0 then ok := false;
+    incr k
   done;
-  !i >= last
+  !ok
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                          *)

@@ -78,6 +78,11 @@ val with_constant : t -> row:int -> float -> t
     row packs [G] once and re-targets the throughput floor per cell.
     [Invalid_argument] unless [row] is an orthant row. *)
 
+val with_constants : t -> Vec.t -> t
+(** [with_constants t h] is [t] with the constants [h] (one per row,
+    in {!make}'s order, not copied), sharing [G] and [c].
+    [Invalid_argument] unless [h] has one entry per row. *)
+
 val dim : t -> int
 val n_rows : t -> int
 (** Total cone rows (the dimension of [s] and [z]). *)
@@ -109,8 +114,11 @@ val stats_add : stats -> stats -> stats
 
 type solution = {
   x : Vec.t;
-  s : Vec.t;  (** Cone slack [h - G x], in the caller's row order. *)
-  z : Vec.t;  (** Cone dual, in the caller's row order. *)
+  s : Vec.t;
+      (** Cone slack [h - G x], one entry per row that takes part
+          (every row, unless {!restrict} named fewer): the orthant
+          rows in order, then the cone rows. *)
+  z : Vec.t;  (** Cone dual, in [s]'s order. *)
   objective_value : float;
   gap : float;  (** Complementarity gap [s'z]. *)
   iterations : int;
@@ -155,34 +163,41 @@ val solve :
     [stats_into] accumulates work counters across solves.  [ws]
     reuses a preallocated {!workspace} instead of making a one-block
     one ([Invalid_argument] on shape mismatch), and solves [t] restricted
-    to the workspace's working set: the result then has the shape of
-    [t], with a zero dual ([z]) and the true slack [h - G x] ([s]) on
-    every row outside the set — so an optimum that satisfies those
-    rows is an optimum of [t], and a primal-infeasibility certificate
-    is one for [t] as it stands. *)
+    to the workspace's working set: the result then has one entry per
+    row that takes part, with a zero dual ([z]) and the true slack
+    [h - G x] ([s]) on every candidate outside the set — so an optimum
+    that satisfies the candidates is an optimum of [t] on the rows
+    that take part, and a primal-infeasibility certificate is one for
+    them. *)
 
-val restrict : workspace -> t -> first:int -> last:int -> unit
-(** [restrict ws t ~first ~last] makes the orthant rows
-    [first .. last - 1] of [t] optional: the working set of [ws]
-    becomes every other row, and an optional one enters only through
-    {!admit}.  [first >= last] restores the full instance.
-    [Invalid_argument] if [t] does not have the workspace's shape or
-    the range leaves the orthant rows. *)
+val restrict :
+  workspace -> t -> rows:int array -> n:int -> first:int -> last:int -> unit
+(** [restrict ws t ~rows ~n ~first ~last] names the orthant rows of [t]
+    that take part in a solve on [ws]: [rows.(0 .. n - 1)], strictly
+    ascending (every cone row takes part).  The {e candidates}
+    [rows.(first .. last - 1)] enter the working set only through
+    {!admit}; every other row named is always in it ([first >= last]:
+    every row named).  No {!solve}, {!admit} or solution on [ws] reads
+    a row that is not named.  [Invalid_argument] if [t] does not have
+    the workspace's shape, [rows] are not ascending orthant rows of [t]
+    or the candidates leave them. *)
 
 val admit : workspace -> t -> Vec.t -> above:float -> int
-(** [admit ws t x ~above] evaluates every optional orthant row of [t]
-    at [x] ([G_i x - h_i], one pass over the packed rows) and adds to
-    the working set each one whose value is not [<= above] — a NaN
+(** [admit ws t x ~above] evaluates every candidate of [ws] outside
+    the working set at [x] ([G_i x - h_i], one pass over their packed
+    rows) and adds each one whose value is not [<= above] — a NaN
     value included.  Returns how many joined.  Allocates nothing. *)
 
-val holds : t -> Vec.t -> first:int -> last:int -> bool
-(** [holds t x ~first ~last] is whether every orthant row of [t] in
-    [first .. last - 1] holds at [x] ([G_i x - h_i <= 0]; a NaN value
-    does not hold), decided row by row exactly as {!admit} at
-    [above = 0] decides it: after [restrict ws t ~first ~last],
-    [holds t x ~first ~last] iff [admit ws t x ~above:0.0 = 0].  It
-    needs no workspace, stops at the first row that fails and
-    allocates nothing.  [Invalid_argument] if [x] does not have
-    {!dim} entries or the range leaves the orthant rows. *)
+val holds : t -> Vec.t -> rows:int array -> first:int -> last:int -> bool
+(** [holds t x ~rows ~first ~last] is whether every orthant row
+    [rows.(first .. last - 1)] of [t] holds at [x]
+    ([G_i x - h_i <= 0]; a NaN value does not hold), decided row by
+    row exactly as {!admit} at [above = 0] decides it: after
+    [restrict ws t ~rows ~n ~first ~last], [holds t x ~rows ~first
+    ~last] iff [admit ws t x ~above:0.0 = 0].  It needs no workspace,
+    stops at the first row that fails and allocates nothing.
+    [Invalid_argument] if [x] does not have {!dim} entries, the range
+    leaves [rows] or a row it reads (one up to the first that fails)
+    is not an orthant row. *)
 
 val pp_status : Format.formatter -> status -> unit

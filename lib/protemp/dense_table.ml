@@ -60,18 +60,17 @@ type row = {
 }
 
 (* One row of the table, its columns left to right up to the first
-   infeasible one (infeasibility is monotone in [ftarget]).  A cell
-   whose column holds on the row ({!Model.column_holds},
-   {!Model.solve}'s own closed-form decision) is served a fresh copy
-   of the column's frequencies, with no instance, dual or solution
-   record, and counted as {!Model.solve} counts it: one optimal
-   outcome with no iteration.  When the last column holds
-   ({!Model.row_closed}, decided from the machine's rows) every column
-   does, and the row is never prepared.  Otherwise the row is
-   prepared once and its leading columns that hold are found
-   ({!Model.closed_prefix}: one bisection where closed form is
-   monotone along the row, a scan otherwise).  Every later cell is
-   instantiated and solved in the row's one conic workspace, made
+   infeasible one (infeasibility is monotone in [ftarget]).  The row's
+   leading columns that hold ({!Model.closed_prefix}, decided from the
+   machine's rows with {!Model.solve}'s own closed-form check: one
+   check when the last column holds, a bisection where closed form is
+   monotone along the row, a scan otherwise) are each served a fresh
+   copy of the column's frequencies, with no instance, dual or
+   solution record, and counted as {!Model.solve} counts them: one
+   optimal outcome with no iteration.  A row they fill is never
+   prepared.  Otherwise the row is prepared once (the start
+   {!Model.closed_prefix} checked its columns on), and every later
+   cell is instantiated and solved in the row's one conic workspace, made
    when the first such cell comes; most first infeasible columns cost
    one evaluation of a frontier tangent, the one outcome counted
    primal-infeasible with no iteration.  Each cell is seeded with the
@@ -80,12 +79,7 @@ type row = {
    [i]: a fill is bit-identical at any domain count. *)
 let run_row g columns i =
   let cols = Array.length g.ftargets and tstart = g.tstarts.(i) in
-  let closed, prepared =
-    if Model.row_closed columns ~tstart then (cols, None)
-    else
-      let p = Model.prepare ~machine:g.machine ~spec:g.spec ~tstart in
-      (Model.closed_prefix columns p, Some p)
-  in
+  let closed, prepared = Model.closed_prefix columns ~tstart in
   let cells = Array.make cols Table.Infeasible in
   let start = ref None in
   for j = 0 to closed - 1 do
@@ -114,9 +108,9 @@ let run_row g columns i =
                   after.primal_infeasible > before.primal_infeasible
                   && after.iterations = before.iterations )
             | Model.Feasible s ->
-                (* An interior-point optimum, or, past a column that
-                   does not hold where closed form is not monotone, a
-                   closed form {!Model.solve} finds itself. *)
+                (* An interior-point optimum, or, past a column that does
+                   not hold where closed form is not monotone, a closed
+                   form {!Model.solve} finds itself. *)
                 (match s.Model.settled_by with
                 | `Closed_form -> incr closed_form
                 | `Interior_point -> ());

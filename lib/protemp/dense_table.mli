@@ -70,15 +70,13 @@ val fill : ?domains:int -> t -> fill_stats
     floor-only optimum per [ftarget], with the machine's thermal rows)
     are computed first, on the calling domain, and dropped when the
     fill returns; then rows are fanned across a {!Parallel.Pool}
-    ([domains] defaults to {!Parallel.Pool.default_domains}).  A
-    cell whose column holds on its row ({!Model.column_holds}) is
-    served a copy of the column's frequencies with no instance or
-    solve record.  A row whose last column holds
-    ({!Model.row_closed}, with no instance) is served so whole and
-    never prepared; any other row prepares its instance once, finds
-    the cells its columns settle ({!Model.closed_prefix}), and
-    instantiates and solves every later cell in the
-    row's one conic workspace, made at its first such cell.  Each
+    ([domains] defaults to {!Parallel.Pool.default_domains}).  The
+    leading cells of a row whose column holds there
+    ({!Model.closed_prefix}, with no instance) are each served a copy
+    of the column's frequencies with no instance or solve record; a
+    row they fill is never prepared.  Any other row prepares its start
+    once and instantiates and solves every later cell in the row's one
+    conic workspace, made at its first such cell.  Each
     cell is seeded from the previous feasible column, and the row
     stops at its first infeasible
     column: infeasibility is monotone in [ftarget], so the rest are

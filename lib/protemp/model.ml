@@ -58,36 +58,23 @@ let make_layout (spec : Spec.t) ~n_cores =
 (* Row layout.  Eq. 3 as written — the order of [raw.dual] — has, per
    frequency variable [j], its power law at [5 j] and its four box rows
    ([fhat >= 0], [fhat <= f_box], [phat >= 0], [phat <= p_box]) after
-   it; then the throughput floor at [5 n_f] (a frontier instance has
-   none); then the thermal and gradient rows.  The conic instance
-   keeps that order for its orthant rows and moves each power law to a
-   cone block after them, so a box row of variable [j] is orthant row
-   [i - j - 1] of constraint [i], and every row from the floor on is
-   [n_f] rows earlier than its constraint. *)
+   it; then the throughput floor at [5 n_f] (a frontier has none); then
+   the thermal and gradient rows that take part.  The orthant rows of
+   the conic instance that take part keep that order, and each power
+   law moves to a cone block after them, so a box row of variable [j]
+   is the [(i - j - 1)]th row taking part of constraint [i], and every
+   row from the floor on is [n_f] rows earlier than its constraint. *)
 let per_variable = 5
 let power_law_index j = per_variable * j
 let upper_f_box_index j = power_law_index j + 2
 let floor_index layout = per_variable * layout.n_f
 let first_thermal_index layout = floor_index layout + 1
 
-(* The orthant row of constraint [i], which is not a power law. *)
+(* Where constraint [i], which is not a power law, comes among the
+   orthant rows that take part. *)
 let orthant_row layout i =
   if i >= floor_index layout then i - layout.n_f
   else i - (i / per_variable) - 1
-
-(* An instance's orthant rows (every row but the power laws' cone
-   blocks, three rows each), and Eq. 3's constraints. *)
-let n_orthant layout t = Convex.Conic.n_rows t - (3 * layout.n_f)
-let constraint_count layout t = n_orthant layout t + layout.n_f
-
-(* The cone dual [z] of an instance in constraint order: the orthant
-   dual of an affine row, the [u] dual of a power law's block. *)
-let raw_dual layout t (z : Vec.t) =
-  let mo = n_orthant layout t in
-  Vec.init (constraint_count layout t) (fun i ->
-      if i < floor_index layout && i mod per_variable = 0 then
-        z.(mo + (3 * (i / per_variable)))
-      else z.(orthant_row layout i))
 
 (* Affine coefficient of normalized core power j on the temperature of
    node [node] at step [k] is  S_k[node, core_j] * b[core_j] * pmax,
@@ -188,44 +175,133 @@ let pack stripes =
   let off, data = pack_data (Array.map snd stripes) in
   { lo = Array.map fst stripes; off; data }
 
-(* Eq. 3's thermal and gradient rows for one machine, window, stride,
-   variant, [tmax] and gradient switch: everything in them but their
-   constants, which are the base trajectory's and so depend on the
-   start profile.  Thermal row [r * n_nodes + node] is the one of
-   [node] at stride point [ks.(r)], with coefficients [q] on the
-   normalized powers:
+(* What a model of [spec] on [machine] needs of both, checked once
+   per prepare and per column. *)
+let validate ~machine ~(spec : Spec.t) =
+  Spec.validate spec;
+  (* Per-core normalization: variable j is stated in units of its own
+     core's ceiling, [fhat_j = f_j / core_fmax.(j)] and
+     [phat_j = p_j / core_pmax.(j)], so the box and power-law rows
+     keep O(1) coefficients on any platform.  The quadratic surrogate
+     [fhat^2 <= phat] over-states the true power [fhat^e] on [0, 1]
+     only when [e >= 2]; a smaller exponent would silently void the
+     thermal guarantee, so it is rejected here. *)
+  Array.iter
+    (fun e ->
+      if e < 2.0 then
+        invalid_arg
+          "Model: power exponent below 2 (the quadratic surrogate would \
+           under-estimate power)")
+    machine.Sim.Machine.core_exponent;
+  match spec.Spec.variant with
+  | Spec.Uniform
+    when not (Sim.Platform.single_class machine.Sim.Machine.platform) ->
+      invalid_arg "Model: the uniform variant needs a single-class platform"
+  | Spec.Uniform | Spec.Variable -> ()
+
+(* Throughput direction: sum over cores of f, in units of the chip
+   reference frequency — coefficient [core_fmax.(j) / fref] per
+   normalized variable, which is exactly -1.0 on a single-class
+   platform ([x /. x = 1.0] for finite positive x).  In the uniform
+   variant the single f counts n_cores times.  The floor row
+   [total_f_coeffs . fhat + F <= 0] gets its constant per [ftarget]
+   in {!instantiate}. *)
+let total_f_coeffs ~machine ~(spec : Spec.t) layout =
+  let core_fmax = machine.Sim.Machine.core_fmax in
+  let fref = machine.Sim.Machine.fmax in
+  let q = Vec.zeros layout.dim in
+  (match spec.Spec.variant with
+  | Spec.Variable ->
+      for j = 0 to layout.n_f - 1 do
+        q.(layout.f_offset + j) <- -.(core_fmax.(j) /. fref)
+      done
+  | Spec.Uniform -> q.(layout.f_offset) <- -.float_of_int layout.n_cores);
+  q
+
+(* Objective of the power problem: total power in units of the largest
+   per-core pmax — coefficient [pmax.(j) / pref] per normalized power,
+   exactly 1.0 on a single-class platform — plus the weighted spread
+   (Eq. 3/5). *)
+let objective_coeffs ~machine ~(spec : Spec.t) layout =
+  let pmax = machine.Sim.Machine.core_pmax in
+  let pref = Array.fold_left Float.max 0.0 pmax in
+  let q = Vec.zeros layout.dim in
+  for j = 0 to layout.n_p - 1 do
+    q.(layout.p_offset + j) <-
+      (match spec.Spec.variant with
+      | Spec.Variable -> pmax.(j) /. pref
+      | Spec.Uniform -> float_of_int layout.n_cores)
+  done;
+  (match (layout.bounds_offset, spec.Spec.gradient) with
+  | Some off, Some gr ->
+      q.(off) <- gr.Spec.weight;
+      q.(off + 1) <- -.gr.Spec.weight
+  | None, _ | _, None -> ());
+  q
+
+(* The window's thermal steps and the variables' layout of a model of
+   [spec] on [machine], which are checked first. *)
+let window ~machine ~(spec : Spec.t) =
+  validate ~machine ~spec;
+  let steps = Sim.Machine.window_steps machine ~period:spec.Spec.dfs_period in
+  if steps < 1 then invalid_arg "Model.build: window below one thermal step";
+  (steps, make_layout spec ~n_cores:machine.Sim.Machine.n_cores)
+
+(* Eq. 3 for one machine, window, stride, variant, [tmax] and gradient
+   term: everything in it but the constants of its thermal and gradient
+   rows and the floor's, which depend on the start and on [ftarget].
+   Thermal row [idx = r * n_nodes + node] is the one of [node] at
+   stride point [ks.(r)], with coefficients [q] on the normalized
+   powers:
    - [threshold.(idx)] is [tmax (1 - implied_margin)] less
      [sum_j max(q_j, 0) p_box] (summed in column order): the row is
      implied by the box unless its base reaches it;
    - [unit_response.(idx)] and [fixed_response.(idx)] are [a_k] and
      [c_k] of its node: the base of a uniform start [tstart] is
-     [tstart a_k + c_k] (see {!affine_bases});
-   - [thermal] holds its coefficients [(1/tmax) q], cut by {!stripe}.
-   [gradient] holds the gradient rows in emission order, from the last
-   stride point and the last core node back: per (stride point, core
-   node) the [u] row [(1/tmax) q - u], then the [l] row
-   [l - (1/tmax) q], each cut by {!stripe} from a dense row (so a zero
-   coefficient inside an [l] row's stripe is [(-1/tmax) 0 = -0.0]).
-   Pair [k]'s constants read the base of thermal row
-   [gradient_base.(k)].  [stepper] steps the base of a start profile.
-   [nonnegative] is whether every stored thermal coefficient is >= 0
-   (a NaN is not), which makes a row's value at a column's point
-   monotone in the point's powers (see {!closed_prefix}). *)
+     [tstart a_k + c_k] (see {!affine_bases}).
+   [cell] is the instance [h - G x in K] in the row layout above, with
+   every thermal row, implied or not: the box rows, the floor, thermal
+   row [idx] at orthant row [first_thermal + idx] (its coefficients
+   [(1/tmax) q], cut by {!stripe}), the gradient rows, the gradient
+   bounds, then one rotated-quadratic block per power law.  The
+   gradient rows come in emission order, from the last stride point
+   and the last core node back: per (stride point, core node) the [u]
+   row [(1/tmax) q - u], then the [l] row [l - (1/tmax) q], each cut by
+   {!stripe} from a dense row (so a zero coefficient inside an [l]
+   row's stripe is [(-1/tmax) 0 = -0.0]); pair [k]'s constants read the
+   base of thermal row [gradient_base.(k)].  [frontier] shares [cell]'s
+   [G] and constants and maximizes the total frequency ([frontier_c])
+   instead; its floor row never takes part.  [g] and [h0] are the two
+   instances' packed [G] and constants (0 on every thermal, gradient
+   and floor row, which a start and a cell write).  [stepper] steps the
+   base of a start profile.  [nonnegative] is whether every stored
+   thermal coefficient is >= 0 (a NaN is not), which makes a row's
+   value at a column's point monotone in the point's powers (see
+   {!closed_prefix}).  [floor_only] is the cell's floor-only
+   relaxation: [None] with a gradient term, whose spread term couples
+   the objective to the thermal rows. *)
 type thermal_rows = {
   key_steps : int;
   key_stride : int;
   key_variant : Spec.variant;
   key_tmax : float;
-  key_gradient : bool;
+  key_gradient : Spec.gradient option;
   ks : int array;
   stepper : Thermal.Rc_model.stepper;
   threshold : float array;
   unit_response : float array;
   fixed_response : float array;
-  thermal : packed;
-  gradient : packed;
   gradient_base : int array;
   nonnegative : bool;
+  first_thermal : int;
+  first_bound : int;
+  n_orthant : int;
+  g : packed;
+  h0 : float array;
+  cell : Convex.Conic.t;
+  frontier : Convex.Conic.t;
+  frontier_c : Vec.t;
+  floor_only : floor_only option;
 }
 
 type Sim.Machine.slot += Thermal_rows of thermal_rows
@@ -233,8 +309,8 @@ type Sim.Machine.slot += Thermal_rows of thermal_rows
 (* Step [t0] over the window on [stepper] under the constant [power],
    in the two vectors [a] (which holds [t0] on entry) and [b], and
    record the temperatures at each stride point [ks.(r)] in
-   [dst.(r * n_nodes ..)]. *)
-let stride_points stepper ~power ~ks ~steps ~n_nodes ~a ~b ~dst =
+   [dst.(off + r * n_nodes ..)]. *)
+let stride_points stepper ~power ~ks ~steps ~n_nodes ~a ~b ~dst ~off =
   let r = ref 0 in
   for k = 1 to steps do
     let src = if k land 1 = 1 then a else b in
@@ -243,7 +319,7 @@ let stride_points stepper ~power ~ks ~steps ~n_nodes ~a ~b ~dst =
     (* The last stride point is [steps], so [r] runs past the end of
        [ks] only as the loop ends. *)
     if ks.(!r) = k then begin
-      Array.blit next 0 dst (!r * n_nodes) n_nodes;
+      Array.blit next 0 dst (off + (!r * n_nodes)) n_nodes;
       incr r
     end
   done
@@ -326,275 +402,26 @@ let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
   let response_of stepper ~power ~t0 =
     let dst = Array.make n_rows 0.0 in
     stride_points stepper ~power ~ks ~steps ~n_nodes ~a:(Vec.create n_nodes t0)
-      ~b:(Vec.zeros n_nodes) ~dst;
+      ~b:(Vec.zeros n_nodes) ~dst ~off:0;
     dst
   in
   let homogeneous =
     Thermal.Rc_model.compile_stepper
       { thermal_model with Thermal.Rc_model.drive = Vec.zeros n_nodes }
   in
-  let thermal = pack thermal in
-  Thermal_rows
-    {
-      key_steps = steps;
-      key_stride = stride;
-      key_variant = spec.Spec.variant;
-      key_tmax = tmax;
-      key_gradient = layout.bounds_offset <> None;
-      ks;
-      stepper;
-      threshold;
-      unit_response =
-        response_of homogeneous ~power:(Vec.zeros n_nodes) ~t0:1.0;
-      fixed_response =
-        response_of stepper ~power:machine.Sim.Machine.fixed_power ~t0:0.0;
-      thermal;
-      gradient = pack gradient;
-      gradient_base = Array.of_list !gradient_base;
-      nonnegative = Array.for_all (fun q -> q >= 0.0) thermal.data;
-    }
-
-(* The machine's rows for [spec], computed on the first request and
-   kept in the machine's cache.  The key is everything the rows read
-   besides the machine: the window, the stride, the variant, [tmax]
-   and whether there is a gradient term. *)
-let thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
-  let gradient = layout.bounds_offset <> None in
-  Sim.Machine.cached machine
-    ~find:(function
-      | Thermal_rows rows
-        when rows.key_steps = steps
-             && rows.key_stride = spec.Spec.constraint_stride
-             && rows.key_variant = spec.Spec.variant
-             && Float.equal rows.key_tmax spec.Spec.tmax
-             && rows.key_gradient = gradient ->
-          Some rows
-      | _ -> None)
-    ~compute:(fun () -> compute_thermal_rows machine ~spec ~layout ~steps)
-
-(* Every thermal row's base from the uniform start [tstart]:
-   [tstart a_k + c_k], with no step. *)
-let affine_bases rows ~tstart ~bases =
-  let a = rows.unit_response and c = rows.fixed_response in
-  for i = 0 to Array.length bases - 1 do
-    bases.(i) <- (tstart *. a.(i)) +. c.(i)
-  done
-
-(* The box-implication test of every thermal row, one compare each: a
-   row is kept unless its base lies below its threshold (a NaN base is
-   kept).  The kept rows' indices go to [kept], in row order; returns
-   how many there are. *)
-let filter_rows rows ~bases ~kept =
-  let threshold = rows.threshold in
-  let n_kept = ref 0 in
-  for idx = 0 to Array.length bases - 1 do
-    if not (bases.(idx) < threshold.(idx)) then begin
-      kept.(!n_kept) <- idx;
-      incr n_kept
-    end
-  done;
-  !n_kept
-
-(* Copy the kept thermal rows into the instance's packed arrays from
-   row [row] and entry [nz] on, each with the constant
-   [-((base - tmax)/tmax)]; then every gradient row, with the
-   constants [-(base/tmax)] and [base/tmax] of its pair. *)
-let copy_rows rows ~kept ~n_kept ~bases ~tmax ~row ~nz ~glo ~goff ~gdata ~h =
-  let src = rows.thermal in
-  let nz = ref nz in
-  for k = 0 to n_kept - 1 do
-    let idx = kept.(k) in
-    let s = src.off.(idx) in
-    let len = src.off.(idx + 1) - s in
-    Array.blit src.data s gdata !nz len;
-    nz := !nz + len;
-    glo.(row + k) <- src.lo.(idx);
-    goff.(row + k + 1) <- !nz;
-    h.(row + k) <- -.((bases.(idx) -. tmax) /. tmax)
-  done;
-  let grad = rows.gradient and row = row + n_kept in
-  Array.blit grad.data 0 gdata !nz (Array.length grad.data);
-  for i = 0 to Array.length grad.lo - 1 do
-    glo.(row + i) <- grad.lo.(i);
-    goff.(row + i + 1) <- !nz + grad.off.(i + 1)
-  done;
-  for pair = 0 to Array.length rows.gradient_base - 1 do
-    let base = bases.(rows.gradient_base.(pair)) in
-    h.(row + (2 * pair)) <- -.(base /. tmax);
-    h.(row + (2 * pair) + 1) <- base /. tmax
-  done
-
-(* Everything in the models of Eqs. 3-5 except the throughput floor's
-   constant depends only on [(machine, spec, t0)] — the base
-   trajectory and every thermal, power-law, box and gradient row are
-   shared by all [ftarget] columns of a table row (the thermal and
-   gradient rows' coefficients depend on the machine and the spec
-   alone, and are shared by every row).  [prepared] is that shared
-   context, written once into conic rows with a floor constant of 0;
-   {!instantiate} then re-targets the floor row per [ftarget] without
-   re-packing G.  The instance is never mutated by the solver, so
-   cells — and domains — may share it freely. *)
-type prepared = {
-  p_layout : layout;
-  p_spec : Spec.t;
-  p_machine : Sim.Machine.t;
-  p_t0 : Vec.t;
-  p_tstart : float option;  (* a cell's uniform start, for the ladder *)
-  p_steps : int;
-  p_floor_only : floor_only option;
-  p_conic : Convex.Conic.t;
-  p_rows : thermal_rows;
-  p_bases : float array;  (* every thermal row's base, kept or not *)
-  p_kept : int array;
-      (* a frontier instance's kept rows, [p_n_kept] of them, in row
-         order; empty for a cell, which has no use for them *)
-  p_n_kept : int;
-  p_g : packed;  (* [p_conic]'s G, h and c, which it shares *)
-  p_h : Vec.t;
-  p_c : Vec.t;
-}
-
-type built = {
-  layout : layout;
-  spec : Spec.t;
-  initial_temperatures : Vec.t;
-  ftarget : float;
-  steps : int;
-  machine : Sim.Machine.t;
-  conic : Convex.Conic.t Lazy.t;
-  floor_only : floor_only option;
-  context : prepared;
-}
-
-(* What a model of [spec] on [machine] needs of both, checked once
-   per prepare and per column. *)
-let validate ~machine ~(spec : Spec.t) =
-  Spec.validate spec;
-  (* Per-core normalization: variable j is stated in units of its own
-     core's ceiling, [fhat_j = f_j / core_fmax.(j)] and
-     [phat_j = p_j / core_pmax.(j)], so the box and power-law rows
-     keep O(1) coefficients on any platform.  The quadratic surrogate
-     [fhat^2 <= phat] over-states the true power [fhat^e] on [0, 1]
-     only when [e >= 2]; a smaller exponent would silently void the
-     thermal guarantee, so it is rejected here. *)
-  Array.iter
-    (fun e ->
-      if e < 2.0 then
-        invalid_arg
-          "Model: power exponent below 2 (the quadratic surrogate would \
-           under-estimate power)")
-    machine.Sim.Machine.core_exponent;
-  match spec.Spec.variant with
-  | Spec.Uniform
-    when not (Sim.Platform.single_class machine.Sim.Machine.platform) ->
-      invalid_arg "Model: the uniform variant needs a single-class platform"
-  | Spec.Uniform | Spec.Variable -> ()
-
-(* Throughput direction: sum over cores of f, in units of the chip
-   reference frequency — coefficient [core_fmax.(j) / fref] per
-   normalized variable, which is exactly -1.0 on a single-class
-   platform ([x /. x = 1.0] for finite positive x).  In the uniform
-   variant the single f counts n_cores times.  The floor row
-   [total_f_coeffs . fhat + F <= 0] gets its constant per [ftarget]
-   in {!instantiate}. *)
-let total_f_coeffs ~machine ~(spec : Spec.t) layout =
-  let core_fmax = machine.Sim.Machine.core_fmax in
-  let fref = machine.Sim.Machine.fmax in
-  let q = Vec.zeros layout.dim in
-  (match spec.Spec.variant with
-  | Spec.Variable ->
-      for j = 0 to layout.n_f - 1 do
-        q.(layout.f_offset + j) <- -.(core_fmax.(j) /. fref)
-      done
-  | Spec.Uniform -> q.(layout.f_offset) <- -.float_of_int layout.n_cores);
-  q
-
-(* Objective of the power problem: total power in units of the largest
-   per-core pmax — coefficient [pmax.(j) / pref] per normalized power,
-   exactly 1.0 on a single-class platform — plus the weighted spread
-   (Eq. 3/5). *)
-let objective_coeffs ~machine ~(spec : Spec.t) layout =
-  let pmax = machine.Sim.Machine.core_pmax in
-  let pref = Array.fold_left Float.max 0.0 pmax in
-  let q = Vec.zeros layout.dim in
-  for j = 0 to layout.n_p - 1 do
-    q.(layout.p_offset + j) <-
-      (match spec.Spec.variant with
-      | Spec.Variable -> pmax.(j) /. pref
-      | Spec.Uniform -> float_of_int layout.n_cores)
-  done;
-  (match (layout.bounds_offset, spec.Spec.gradient) with
-  | Some off, Some gr ->
-      q.(off) <- gr.Spec.weight;
-      q.(off + 1) <- -.gr.Spec.weight
-  | None, _ | _, None -> ());
-  q
-
-(* The floor-only relaxation of a cell of [spec] on [machine].  The
-   gradient variant's objective couples the thermal rows through its
-   spread term, so it has no floor-only closed form. *)
-let floor_only_data ~machine ~(spec : Spec.t) layout =
-  match spec.Spec.gradient with
-  | None ->
-      Some
-        (floor_only_of layout
-           ~total_f_coeffs:(total_f_coeffs ~machine ~spec layout)
-           ~objective_coeffs:(objective_coeffs ~machine ~spec layout))
-  | Some _ -> None
-
-(* The window's thermal steps and the variables' layout of a model of
-   [spec] on [machine], which are checked first. *)
-let window ~machine ~(spec : Spec.t) =
-  validate ~machine ~spec;
-  let steps = Sim.Machine.window_steps machine ~period:spec.Spec.dfs_period in
-  if steps < 1 then invalid_arg "Model.build: window below one thermal step";
-  (steps, make_layout spec ~n_cores:machine.Sim.Machine.n_cores)
-
-(* The Eq. 3 instance from [t0], written straight into packed conic
-   rows [h - G x in K] in the row layout above: the box rows, the
-   floor (left out of a [frontier] instance, which maximizes the total
-   frequency instead of minimizing power), the kept thermal rows and
-   the gradient rows (copied from the machine's {!thermal_rows}), the
-   gradient bounds, then one rotated-quadratic block per power law.
-   Each constant is [-r] of the row's [q'x + r <= 0] form. *)
-let prepare_internal ~machine ~(spec : Spec.t) ~start ~frontier =
-  let steps, layout = window ~machine ~spec in
-  let n_nodes = machine.Sim.Machine.n_nodes in
-  let total_f_coeffs = total_f_coeffs ~machine ~spec layout in
-  let t0 =
-    match start with
-    | `Uniform tstart -> Vec.create n_nodes tstart
-    | `Profile t0 -> t0
+  (* The rows with no start-dependent constant, each [(lo, coeffs, h)]
+     with [-r] of its [q'x + r <= 0] form as [h]. *)
+  let box =
+    Array.init (4 * layout.n_f) (fun i ->
+        let f = layout.f_offset + (i / 4) and p = layout.p_offset + (i / 4) in
+        match i mod 4 with
+        | 0 -> (f, [| -1.0 |], 0.0)
+        | 1 -> (f, [| 1.0 |], f_box)
+        | 2 -> (p, [| -1.0 |], 0.0)
+        | _ -> (p, [| 1.0 |], p_box))
   in
-  if Vec.dim t0 <> n_nodes then
-    invalid_arg "Model.build: initial temperature profile length mismatch";
-  if not (Array.for_all Float.is_finite t0) then
-    invalid_arg "Model.build: non-finite start temperature";
-  (* Thermal rows: the base at every stride point, affine in a uniform
-     start and stepped from a profile, then [filter_rows] picks the
-     rows the box does not imply.  The CSR stepper sums each node's
-     products in the dense step's order and skips only exact zeros, so
-     on a finite [t0] a profile's base is [Transient.simulate]'s, bit
-     for bit. *)
-  let tmax = spec.Spec.tmax in
-  let rows = thermal_rows machine ~spec ~layout ~steps in
-  let bases = Array.make (Array.length rows.ks * n_nodes) 0.0 in
-  (match start with
-  | `Uniform tstart -> affine_bases rows ~tstart ~bases
-  | `Profile t0 ->
-      stride_points rows.stepper ~power:machine.Sim.Machine.fixed_power
-        ~ks:rows.ks ~steps ~n_nodes ~a:(Vec.copy t0) ~b:(Vec.zeros n_nodes)
-        ~dst:bases);
-  let kept = Array.make (Array.length bases) 0 in
-  let n_kept = filter_rows rows ~bases ~kept in
-  let kept_nnz = ref 0 in
-  let off = rows.thermal.off in
-  for k = 0 to n_kept - 1 do
-    kept_nnz := !kept_nnz + off.(kept.(k) + 1) - off.(kept.(k))
-  done;
-  let floor_lo, floor_row =
-    if frontier then (0, [||]) else stripe ~first:0 total_f_coeffs
-  in
+  let total_f = total_f_coeffs ~machine ~spec layout in
+  let floor_lo, floor_row = stripe ~first:0 total_f in
   (* Gradient variant: after its rows, bounds keeping the spread term
      bounded, and the optional hard cap. *)
   let bound_rows =
@@ -613,59 +440,212 @@ let prepare_internal ~machine ~(spec : Spec.t) ~start ~frontier =
     | None, None -> []
     | Some _, None | None, Some _ -> assert false
   in
-  let n_grad = Array.length rows.gradient.lo in
-  let n_orthant =
-    (4 * layout.n_f)
-    + (if frontier then 0 else 1)
-    + n_kept + n_grad + List.length bound_rows
-  in
-  let n_rows = n_orthant + (3 * layout.n_f) in
-  let nnz =
-    (4 * layout.n_f) + Array.length floor_row + !kept_nnz
-    + Array.length rows.gradient.data
-    + List.fold_left (fun acc (_, c, _) -> acc + Array.length c) 0 bound_rows
-    + (3 * layout.n_f)
-  in
-  let glo = Array.make n_rows 0 and goff = Array.make (n_rows + 1) 0 in
-  let gdata = Array.make (max 1 nnz) 0.0 and h = Array.make n_rows 0.0 in
-  let row = ref 0 and nz = ref 0 in
-  let put lo coeffs hi =
-    glo.(!row) <- lo;
-    Array.blit coeffs 0 gdata !nz (Array.length coeffs);
-    nz := !nz + Array.length coeffs;
-    h.(!row) <- hi;
-    incr row;
-    goff.(!row) <- !nz
-  in
-  (* Box rows. *)
-  for j = 0 to layout.n_f - 1 do
-    let f = layout.f_offset + j and p = layout.p_offset + j in
-    put f [| -1.0 |] 0.0;
-    put f [| 1.0 |] f_box;
-    put p [| -1.0 |] 0.0;
-    put p [| 1.0 |] p_box
-  done;
-  if not frontier then put floor_lo floor_row 0.0;
-  copy_rows rows ~kept ~n_kept ~bases ~tmax ~row:!row ~nz:!nz ~glo ~goff
-    ~gdata ~h;
-  row := !row + n_kept + n_grad;
-  nz := goff.(!row);
-  List.iter (fun (lo, coeffs, hi) -> put lo coeffs hi) bound_rows;
   (* Power laws [fhat^2 <= phat]: the rotated-quadratic block
      [(u, v, w) = (phat, 1/2, fhat)], written rotated by T. *)
   let inv_sqrt2 = 1.0 /. sqrt 2.0 in
-  for j = 0 to layout.n_f - 1 do
-    let p = layout.p_offset + j in
-    put p [| -.inv_sqrt2 |] (inv_sqrt2 *. 0.5);
-    put p [| -.inv_sqrt2 |] (inv_sqrt2 *. -0.5);
-    put (layout.f_offset + j) [| -1.0 |] 0.0
+  let power_laws =
+    Array.init (3 * layout.n_f) (fun i ->
+        let p = layout.p_offset + (i / 3) in
+        match i mod 3 with
+        | 0 -> (p, [| -.inv_sqrt2 |], inv_sqrt2 *. 0.5)
+        | 1 -> (p, [| -.inv_sqrt2 |], inv_sqrt2 *. -0.5)
+        | _ -> (layout.f_offset + (i / 3), [| -1.0 |], 0.0))
+  in
+  let unset (lo, row) = (lo, row, 0.0) in
+  let all =
+    Array.concat
+      [
+        box;
+        [| (floor_lo, floor_row, 0.0) |];
+        Array.map unset thermal;
+        Array.map unset gradient;
+        Array.of_list bound_rows;
+        power_laws;
+      ]
+  in
+  let g = pack (Array.map (fun (lo, row, _) -> (lo, row)) all) in
+  let h0 = Array.map (fun (_, _, h) -> h) all in
+  let n_orthant = Array.length all - Array.length power_laws in
+  let instance c =
+    Convex.Conic.make ~c ~n_orthant ~glo:g.lo ~goff:g.off ~gdata:g.data ~h:h0
+  in
+  let objective = objective_coeffs ~machine ~spec layout in
+  Thermal_rows
+    {
+      key_steps = steps;
+      key_stride = stride;
+      key_variant = spec.Spec.variant;
+      key_tmax = tmax;
+      key_gradient = spec.Spec.gradient;
+      ks;
+      stepper;
+      threshold;
+      unit_response =
+        response_of homogeneous ~power:(Vec.zeros n_nodes) ~t0:1.0;
+      fixed_response =
+        response_of stepper ~power:machine.Sim.Machine.fixed_power ~t0:0.0;
+      gradient_base = Array.of_list !gradient_base;
+      nonnegative =
+        Array.for_all
+          (fun (_, row) -> Array.for_all (fun q -> q >= 0.0) row)
+          thermal;
+      first_thermal = Array.length box + 1;
+      first_bound = n_orthant - List.length bound_rows;
+      n_orthant;
+      g;
+      h0;
+      cell = instance objective;
+      frontier = instance total_f;
+      frontier_c = total_f;
+      floor_only =
+        (match spec.Spec.gradient with
+        | None ->
+            Some
+              (floor_only_of layout ~total_f_coeffs:total_f
+                 ~objective_coeffs:objective)
+        | Some _ -> None);
+    }
+
+(* The machine's rows for [spec], computed on the first request and
+   kept in the machine's cache.  The key is everything the rows read
+   besides the machine: the window, the stride, the variant, [tmax]
+   and the gradient term. *)
+let thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
+  let same_gradient (a : Spec.gradient) (b : Spec.gradient) =
+    Float.equal a.Spec.weight b.Spec.weight
+    && Option.equal Float.equal a.Spec.cap b.Spec.cap
+  in
+  Sim.Machine.cached machine
+    ~find:(function
+      | Thermal_rows rows
+        when rows.key_steps = steps
+             && rows.key_stride = spec.Spec.constraint_stride
+             && rows.key_variant = spec.Spec.variant
+             && Float.equal rows.key_tmax spec.Spec.tmax
+             && Option.equal same_gradient rows.key_gradient
+                  spec.Spec.gradient ->
+          Some rows
+      | _ -> None)
+    ~compute:(fun () -> compute_thermal_rows machine ~spec ~layout ~steps)
+
+(* A start's operations on thermal row [idx], for {!write_constants}
+   and {!column_holds_at}: a uniform start's base, whether the box
+   implies the row (a NaN base is kept) and the row's constant.
+   Inlined, so no float is boxed. *)
+let[@inline] affine_base ~a ~c ~tstart idx = (tstart *. a.(idx)) +. c.(idx)
+let[@inline] implied ~(threshold : float array) idx base =
+  base < threshold.(idx)
+let[@inline] thermal_constant ~tmax base = -.((base -. tmax) /. tmax)
+
+(* Every thermal row's base from the uniform start [tstart] into [h]
+   at the row's constant. *)
+let affine_bases rows ~tstart ~h =
+  let a = rows.unit_response and c = rows.fixed_response in
+  for idx = 0 to Array.length a - 1 do
+    h.(rows.first_thermal + idx) <- affine_base ~a ~c ~tstart idx
+  done
+
+(* A start's constants and rows from its bases, which [h] holds at the
+   thermal rows' constants: into [h], every gradient pair's constants
+   [-(base/tmax)] and [base/tmax], then every thermal row's
+   [-((base - tmax)/tmax)] in place of its base; into [part], the
+   orthant rows that take part, ascending: the first [fixed] (the box
+   rows, then the floor unless the start is a frontier's), the thermal
+   rows the box does not imply, then every gradient row and bound.
+   Returns how many rows take part. *)
+let write_constants rows ~fixed ~tmax ~h ~part =
+  let first = rows.first_thermal and threshold = rows.threshold in
+  let grad = first + Array.length threshold in
+  for pair = 0 to Array.length rows.gradient_base - 1 do
+    let base = h.(first + rows.gradient_base.(pair)) in
+    h.(grad + (2 * pair)) <- -.(base /. tmax);
+    h.(grad + (2 * pair) + 1) <- base /. tmax
   done;
-  let floor_only =
-    if frontier then None else floor_only_data ~machine ~spec layout
+  for i = 0 to fixed - 1 do
+    part.(i) <- i
+  done;
+  let n = ref fixed in
+  for idx = 0 to Array.length threshold - 1 do
+    let base = h.(first + idx) in
+    h.(first + idx) <- thermal_constant ~tmax base;
+    if not (implied ~threshold idx base) then begin
+      part.(!n) <- first + idx;
+      incr n
+    end
+  done;
+  for i = grad to rows.n_orthant - 1 do
+    part.(!n) <- i;
+    incr n
+  done;
+  !n
+
+(* Everything in the models of Eqs. 3-5 except the throughput floor's
+   constant depends only on [(machine, spec, t0)], and of that only the
+   constants: [G] and [c] are the machine's {!thermal_rows}' instance.
+   [prepared] is a start: its constants, with a floor constant of 0,
+   and the orthant rows that take part, [p_part.(0 .. p_n_part - 1)];
+   the candidates of a working set among them are
+   [p_part.(p_first .. p_last - 1)], the kept thermal rows and the
+   gradient rows.  {!instantiate} then re-targets the floor row per
+   [ftarget].  Nothing is mutated after the start, so cells — and
+   domains — may share it freely. *)
+type prepared = {
+  p_layout : layout;
+  p_spec : Spec.t;
+  p_machine : Sim.Machine.t;
+  p_t0 : Vec.t;
+  p_tstart : float option;  (* a cell's uniform start, for the ladder *)
+  p_steps : int;
+  p_frontier : bool;
+  p_rows : thermal_rows;
+  p_conic : Convex.Conic.t;  (* the rows' instance with [p_h] *)
+  p_h : float array;
+  p_part : int array;
+  p_n_part : int;
+  p_first : int;
+  p_last : int;
+}
+
+type built = {
+  layout : layout;
+  spec : Spec.t;
+  initial_temperatures : Vec.t;
+  ftarget : float;
+  steps : int;
+  machine : Sim.Machine.t;
+  conic : Convex.Conic.t Lazy.t;
+  context : prepared;
+}
+
+(* A start from [t0]: its bases, affine in a uniform start and stepped
+   from a profile, then {!write_constants}.  The CSR stepper sums each
+   node's products in the dense step's order and skips only exact
+   zeros, so on a finite [t0] a profile's base is
+   [Transient.simulate]'s, bit for bit.  A [frontier] start (which
+   maximizes the total frequency instead of minimizing power) leaves
+   the floor out. *)
+let prepare_internal ~machine ~(spec : Spec.t) ~start ~frontier =
+  let steps, layout = window ~machine ~spec in
+  let n_nodes = machine.Sim.Machine.n_nodes in
+  let t0 =
+    match start with
+    | `Uniform tstart -> Vec.create n_nodes tstart
+    | `Profile t0 -> t0
   in
-  let c =
-    if frontier then total_f_coeffs else objective_coeffs ~machine ~spec layout
-  in
+  if Vec.dim t0 <> n_nodes then
+    invalid_arg "Model.build: initial temperature profile length mismatch";
+  if not (Array.for_all Float.is_finite t0) then
+    invalid_arg "Model.build: non-finite start temperature";
+  let rows = thermal_rows machine ~spec ~layout ~steps in
+  let h = Array.copy rows.h0 and part = Array.make rows.n_orthant 0 in
+  (match start with
+  | `Uniform tstart -> affine_bases rows ~tstart ~h
+  | `Profile t0 ->
+      stride_points rows.stepper ~power:machine.Sim.Machine.fixed_power
+        ~ks:rows.ks ~steps ~n_nodes ~a:(Vec.copy t0) ~b:(Vec.zeros n_nodes)
+        ~dst:h ~off:rows.first_thermal);
+  let fixed = if frontier then rows.first_thermal - 1 else rows.first_thermal in
+  let n_part = write_constants rows ~fixed ~tmax:spec.Spec.tmax ~h ~part in
   {
     p_layout = layout;
     p_spec = spec;
@@ -676,16 +656,17 @@ let prepare_internal ~machine ~(spec : Spec.t) ~start ~frontier =
       | `Uniform tstart when not frontier -> Some tstart
       | `Uniform _ | `Profile _ -> None);
     p_steps = steps;
-    p_floor_only = floor_only;
-    p_conic = Convex.Conic.make ~c ~n_orthant ~glo ~goff ~gdata ~h;
+    p_frontier = frontier;
     p_rows = rows;
-    p_bases = bases;
-    (* A cell has no use for [kept] past its prepare. *)
-    p_kept = (if frontier then kept else [||]);
-    p_n_kept = n_kept;
-    p_g = { lo = glo; off = goff; data = gdata };
+    p_conic =
+      Convex.Conic.with_constants
+        (if frontier then rows.frontier else rows.cell)
+        h;
     p_h = h;
-    p_c = c;
+    p_part = part;
+    p_n_part = n_part;
+    p_first = fixed;
+    p_last = n_part - (rows.n_orthant - rows.first_bound);
   }
 
 let prepare ~machine ~spec ~tstart =
@@ -709,7 +690,6 @@ let built_of p ~ftarget conic =
     steps = p.p_steps;
     machine = p.p_machine;
     conic;
-    floor_only = p.p_floor_only;
     context = p;
   }
 
@@ -803,13 +783,27 @@ let solution_of_x built ~settled_by (raw : Convex.Solve.solution) =
     settled_by;
   }
 
-(* [s] has the full instance's shape, so the dual is zero on every row
-   a working set left out. *)
-let raw_of_conic built t (s : Convex.Conic.solution) =
+(* Eq. 3's constraints on the rows of [p] that take part: the order
+   of [raw.dual]. *)
+let constraint_count p = p.p_n_part + p.p_layout.n_f
+
+(* The cone dual [z] of a solve on [p]'s rows in constraint order:
+   the orthant dual of an affine row, the [u] dual of a power law's
+   block. *)
+let raw_dual p (z : Vec.t) =
+  let layout = p.p_layout and mo = p.p_n_part in
+  Vec.init (constraint_count p) (fun i ->
+      if i < floor_index layout && i mod per_variable = 0 then
+        z.(mo + (3 * (i / per_variable)))
+      else z.(orthant_row layout i))
+
+(* [s] has one entry per row that takes part, and the dual is zero on
+   every row a working set left out. *)
+let raw_of_conic built (s : Convex.Conic.solution) =
   {
     Convex.Solve.x = s.Convex.Conic.x;
     objective_value = s.Convex.Conic.objective_value;
-    dual = raw_dual built.layout t s.Convex.Conic.z;
+    dual = raw_dual built.context s.Convex.Conic.z;
     gap = s.Convex.Conic.gap;
     iterations = s.Convex.Conic.iterations;
   }
@@ -820,26 +814,33 @@ let raw_of_conic built t (s : Convex.Conic.solution) =
    bounded on the box), and [Unknown] proves nothing either way, so
    both take the thermally safe verdict: the controller then falls
    back to a lower column. *)
-let outcome_of built t (status : Convex.Conic.status) =
+let outcome_of built (status : Convex.Conic.status) =
   match status with
   | Convex.Conic.Optimal s ->
       Feasible
         (solution_of_x built ~settled_by:`Interior_point
-           (raw_of_conic built t s))
+           (raw_of_conic built s))
   | Convex.Conic.Primal_infeasible _ | Convex.Conic.Dual_infeasible _
   | Convex.Conic.Unknown _ ->
       Infeasible
 
-(* A workspace for an instance of [layout], factorizing under
-   {!conic_blocks}. *)
-let layout_workspace layout t =
-  Convex.Conic.make_workspace ~kkt:(`Blocks (conic_blocks layout)) t
+(* A workspace for every instance of [p]'s machine and spec,
+   factorizing under {!conic_blocks}. *)
+let workspace p =
+  Convex.Conic.make_workspace ~kkt:(`Blocks (conic_blocks p.p_layout)) p.p_conic
 
-let workspace p = layout_workspace p.p_layout p.p_conic
+let conic_rows built = Array.sub built.context.p_part 0 built.context.p_n_part
+
+(* One solve of [t], an instance of [p], on every row of [p] that takes
+   part. *)
+let solve_on_every_row ?stats_into ~ws p t =
+  Convex.Conic.restrict ws t ~rows:p.p_part ~n:p.p_n_part ~first:0 ~last:0;
+  Convex.Conic.solve ?stats_into ~ws t
 
 let solve_frontier built =
-  let t = Lazy.force built.conic in
-  outcome_of built t (Convex.Conic.solve ~ws:(layout_workspace built.layout t) t)
+  let p = built.context in
+  outcome_of built
+    (solve_on_every_row ~ws:(workspace p) p (Lazy.force built.conic))
 
 (* Frontier tangents.  The frontier program at a start [t0] is
    [minimize c'x subject to h(t0) - G x in K], and [-c'x] is the
@@ -854,12 +855,13 @@ let solve_frontier built =
    (the safe dual bound of Neumaier and Shcherbina, Math. Prog. 99,
    2004): one dual, taken at one start, bounds the frontier of every
    start, however far [z] is from optimal there, because the residual
-   is charged over the box.  Rows a start's filter dropped are implied
-   by its box, so the bound holds for the filtered instance too.  A
+   is charged over the box.  Rows that do not take part at a start are
+   implied by its box, so the bound holds on the rows that do too.  A
    [tangent] is that bound with everything but the thermal rows folded
    into [constant]: the bound at a start is [constant] plus
-   [sum_k weight_k h_k(t0)] over the rows in [support] (ids into a
-   prepared context's [p_bases]).  [magnitude] is the sum of the
+   [sum_k weight_k h_k(t0)] over the rows in [support] (orthant rows of
+   the machine's instance, whose constant a start writes whether or not
+   the row takes part).  [magnitude] is the sum of the
    absolute values of [constant]'s terms, and [rounding] the factor
    [gamma_N] that bounds, with the evaluation's own magnitude, the
    rounding error of the whole computation. *)
@@ -897,10 +899,13 @@ let gamma n =
    falls short.  [None] when anything is not finite. *)
 let tangent_of p (z : Vec.t) =
   let layout = p.p_layout in
-  assert (p.p_floor_only = None && layout.bounds_offset = None);
-  let h = p.p_h and c = p.p_c and g = p.p_g in
-  let n_rows = Array.length h and dim = Array.length c in
-  let mo = n_rows - (3 * layout.n_f) in
+  assert (p.p_frontier && layout.bounds_offset = None);
+  let h = p.p_h and c = p.p_rows.frontier_c and g = p.p_rows.g in
+  (* Row [i] of the frontier on the rows that take part: the orthant
+     rows in [p_part], then the cone rows. *)
+  let mo = p.p_n_part and mo_full = p.p_rows.n_orthant in
+  let row i = if i < mo then p.p_part.(i) else mo_full + (i - mo) in
+  let n_rows = mo + (3 * layout.n_f) and dim = Array.length c in
   let zs = Array.make n_rows 0.0 in
   for i = 0 to mo - 1 do
     if z.(i) > 0.0 then zs.(i) <- z.(i)
@@ -924,9 +929,8 @@ let tangent_of p (z : Vec.t) =
     zs.(e + 1) <- s1;
     zs.(e + 2) <- s2
   done;
-  (* A thermal row of the frontier instance follows the box rows. *)
-  let first_thermal = 4 * layout.n_f in
-  let last_thermal = first_thermal + p.p_n_kept in
+  (* A thermal row of the frontier follows the box rows. *)
+  let first_thermal = p.p_first and last_thermal = p.p_last in
   (* An interior-point dual is positive on every row, but off the rows
      that bind it is 1e-5 to 1e-9 of the binding ones (one per core on
      Niagara, about 1).  Those entries are dropped before [r] is
@@ -945,9 +949,10 @@ let tangent_of p (z : Vec.t) =
   done;
   let r = Array.copy c and scale = Array.map Float.abs c in
   for i = 0 to n_rows - 1 do
-    let zi = zs.(i) and first = g.off.(i) in
-    for e = first to g.off.(i + 1) - 1 do
-      let col = g.lo.(i) + e - first in
+    let zi = zs.(i) and gi = row i in
+    let first = g.off.(gi) in
+    for e = first to g.off.(gi + 1) - 1 do
+      let col = g.lo.(gi) + e - first in
       let v = g.data.(e) *. zi in
       r.(col) <- r.(col) +. v;
       scale.(col) <- scale.(col) +. Float.abs v
@@ -959,7 +964,7 @@ let tangent_of p (z : Vec.t) =
     magnitude := !magnitude +. Float.abs v
   in
   for i = 0 to n_rows - 1 do
-    if i < first_thermal || i >= last_thermal then add (zs.(i) *. h.(i))
+    if i < first_thermal || i >= last_thermal then add (zs.(i) *. h.(row i))
   done;
   let r_rounding = gamma (n_rows + 3) in
   for j = 0 to dim - 1 do
@@ -969,7 +974,7 @@ let tangent_of p (z : Vec.t) =
   let support = ref [] in
   for i = last_thermal - 1 downto first_thermal do
     if zs.(i) > 0.0 then
-      support := (p.p_kept.(i - first_thermal), zs.(i)) :: !support
+      support := (p.p_part.(i), zs.(i)) :: !support
   done;
   let support = Array.of_list !support in
   if
@@ -988,24 +993,22 @@ let tangent_of p (z : Vec.t) =
 
 let tangent built z =
   let p = built.context in
-  (* Without a gradient term only a frontier instance has no floor-only
-     relaxation. *)
-  if not (p.p_floor_only = None && built.layout.bounds_offset = None) then
+  if not (p.p_frontier && built.layout.bounds_offset = None) then
     invalid_arg "Model.tangent: not a frontier instance without gradient";
-  if Vec.dim z <> Array.length p.p_h then
+  if Vec.dim z <> p.p_n_part + (3 * p.p_layout.n_f) then
     invalid_arg "Model.tangent: dual length mismatch";
   tangent_of p z
 
 (* Whether [tg] refutes [built]'s floor: the floor exceeds the bound
-   at [built]'s start by more than the rounding allowance.  Every
-   thermal constant is written as {!copy_rows} writes it, from the
-   context's bases, which hold every row, kept or not. *)
+   at [built]'s start by more than the rounding allowance.  The start
+   wrote every thermal row's constant, whether or not the row takes
+   part. *)
 let tangent_refutes tg built =
-  let bases = built.context.p_bases and tmax = built.spec.Spec.tmax in
+  let h = built.context.p_h in
   let support = tg.support and weight = tg.weight in
   let bound = ref tg.constant and magnitude = ref tg.magnitude in
   for i = 0 to Array.length support - 1 do
-    let v = weight.(i) *. -.((bases.(support.(i)) -. tmax) /. tmax) in
+    let v = weight.(i) *. h.(support.(i)) in
     bound := !bound +. v;
     magnitude := !magnitude +. Float.abs v
   done;
@@ -1015,7 +1018,7 @@ let tangent_refutes tg built =
 (* The tangent of the frontier at one start, from a solve on every row;
    [None] unless the solve ends optimal. *)
 let solved_tangent ?stats_into p =
-  match Convex.Conic.solve ?stats_into ~ws:(workspace p) p.p_conic with
+  match solve_on_every_row ?stats_into ~ws:(workspace p) p p.p_conic with
   | Convex.Conic.Optimal s -> tangent_of p s.Convex.Conic.z
   | Convex.Conic.Primal_infeasible _ | Convex.Conic.Dual_infeasible _
   | Convex.Conic.Unknown _ ->
@@ -1228,50 +1231,8 @@ let column_of fo ~layout ~variant ~machine ~ftarget =
       }
   end
 
-let column ~machine ~spec ~ftarget =
-  check_ftarget ~machine ftarget;
-  validate ~machine ~spec;
-  let layout = make_layout spec ~n_cores:machine.Sim.Machine.n_cores in
-  Option.bind (floor_only_data ~machine ~spec layout) (fun fo ->
-      column_of fo ~layout ~variant:spec.Spec.variant ~machine ~ftarget)
-
 let column_frequencies col = Vec.copy col.col_frequencies
 let column_x col = col.col_x
-
-(* The orthant rows a conic solve may leave out of its working set:
-   the thermal and gradient rows after the floor.  The gradient
-   variant's last three rows (0 <= l, u <= 2, l <= u), four with the
-   cap, always stay in: without them the spread term of the objective
-   is unbounded below. *)
-let first_optional layout = orthant_row layout (first_thermal_index layout)
-
-let last_optional layout (spec : Spec.t) t =
-  let tail =
-    match spec.Spec.gradient with
-    | None -> 0
-    | Some { Spec.cap = None; _ } -> 3
-    | Some { Spec.cap = Some _; _ } -> 4
-  in
-  n_orthant layout t - tail
-
-(* The floor-only relaxation settles a cell when its optimum satisfies
-   every optional row: it is then feasible for the cell, and as the
-   relaxation's objective is strictly convex in [fhat], it is the
-   cell's unique optimum.  Only the floor's constant depends on
-   [ftarget], and the floor is not an optional row, so the check reads
-   a prepared context's instance as well as any of its cells'. *)
-let settles layout spec t col =
-  Convex.Conic.holds t col.col_x ~first:(first_optional layout)
-    ~last:(last_optional layout spec t)
-
-(* A column of another variant has another dimension, which
-   {!Convex.Conic.holds} refuses. *)
-let column_holds p col =
-  if col.col_machine != p.p_machine then
-    invalid_arg "Model.column_holds: a column of another machine";
-  match p.p_floor_only with
-  | None -> invalid_arg "Model.column_holds: no floor-only relaxation"
-  | Some _ -> settles p.p_layout p.p_spec p.p_conic col
 
 (* A table's columns, one per [ftarget], with the machine's rows for
    the spec (read here, on the calling domain) and whether a row's
@@ -1287,7 +1248,7 @@ type columns = {
   cs : column option array;
   cs_machine : Sim.Machine.t;
   cs_layout : layout;
-  cs_tmax : float;
+  cs_spec : Spec.t;
   cs_rows : thermal_rows;
   cs_searchable : bool;
 }
@@ -1311,15 +1272,22 @@ let ascending layout cs =
   done;
   !ok
 
-let columns ~machine ~spec ftargets =
-  let cs = Array.map (fun ftarget -> column ~machine ~spec ~ftarget) ftargets in
+let columns ~machine ~(spec : Spec.t) ftargets =
+  Array.iter (check_ftarget ~machine) ftargets;
   let steps, layout = window ~machine ~spec in
   let rows = thermal_rows machine ~spec ~layout ~steps in
+  let cs =
+    Array.map
+      (fun ftarget ->
+        Option.bind rows.floor_only (fun fo ->
+            column_of fo ~layout ~variant:spec.Spec.variant ~machine ~ftarget))
+      ftargets
+  in
   {
     cs;
     cs_machine = machine;
     cs_layout = layout;
-    cs_tmax = spec.Spec.tmax;
+    cs_spec = spec;
     cs_rows = rows;
     cs_searchable = rows.nonnegative && ascending layout cs;
   }
@@ -1327,12 +1295,12 @@ let columns ~machine ~spec ftargets =
 let column_at t j = t.cs.(j)
 let searchable t = t.cs_searchable
 
-(* {!column_holds} of the uniform start [tstart]'s prepared context,
-   computed without one: per thermal row, in row order, the float
-   operations of {!affine_bases}, {!filter_rows} and {!copy_rows}
-   ([tstart a_k + c_k], the threshold compare, [-((base - tmax) /
-   tmax)]), then {!Convex.Conic.holds}' left-to-right sum from [0.0]
-   over the row's stripe, so each verdict has the same bits. *)
+(* Whether the column settles the cell of the uniform start [tstart],
+   with no start: per thermal row, in row order, a start's float
+   operations ({!affine_base}, {!implied}, {!thermal_constant}), then
+   {!Convex.Conic.holds}' left-to-right sum from [0.0] over the row's
+   stripe, so each verdict has the bits of {!solve}'s own check on the
+   start's rows. *)
 let column_holds_at t ~tstart col =
   if col.col_machine != t.cs_machine then
     invalid_arg "Model.column_holds_at: a column of another machine";
@@ -1340,74 +1308,80 @@ let column_holds_at t ~tstart col =
     invalid_arg "Model.column_holds_at: a column of another variant";
   if not (Float.is_finite tstart) then
     invalid_arg "Model.column_holds_at: non-finite start temperature";
-  let rows = t.cs_rows and x = col.col_x in
+  let rows = t.cs_rows and x = col.col_x and tmax = t.cs_spec.Spec.tmax in
   let a = rows.unit_response and c = rows.fixed_response in
-  let threshold = rows.threshold and g = rows.thermal in
-  let tmax = t.cs_tmax in
+  let threshold = rows.threshold and g = rows.g in
+  let first = rows.first_thermal in
   let n = Array.length threshold in
   let i = ref 0 in
   let ok = ref true in
   while !ok && !i < n do
     let idx = !i in
-    let base = (tstart *. a.(idx)) +. c.(idx) in
-    if not (base < threshold.(idx)) then begin
-      let s = g.off.(idx) and e = g.off.(idx + 1) in
-      let shift = g.lo.(idx) - s in
-      let acc = ref 0.0 in
+    let base = affine_base ~a ~c ~tstart idx in
+    if not (implied ~threshold idx base) then begin
+      let s = g.off.(first + idx) and e = g.off.(first + idx + 1) in
+      let shift = g.lo.(first + idx) - s in
+      let dot = ref 0.0 in
       for k = s to e - 1 do
-        acc := !acc +. (g.data.(k) *. x.(shift + k))
+        dot := !dot +. (g.data.(k) *. x.(shift + k))
       done;
-      let h = -.((base -. tmax) /. tmax) in
-      if not (!acc -. h <= 0.0) then ok := false
+      if not (!dot -. thermal_constant ~tmax base <= 0.0) then ok := false
     end;
     incr i
   done;
   !ok
 
-(* With [None] only as a suffix, the last column holds only if every
-   [Some] column does and there is no [None]. *)
-let row_closed t ~tstart =
-  let n = Array.length t.cs in
-  t.cs_searchable && n > 0
-  &&
-  match t.cs.(n - 1) with
-  | Some last -> column_holds_at t ~tstart last
-  | None -> false
+(* {!solve}'s closed-form check of [col] on the start [p]: the column's
+   point against the start's candidates, the thermal rows it keeps. *)
+let start_holds p col =
+  Convex.Conic.holds p.p_conic col.col_x ~rows:p.p_part ~first:p.p_first
+    ~last:p.p_last
 
-(* Holding is a prefix of the columns when they are searchable and the
-   context's rows are >= 0: the first column that does not hold is
-   then found by bisection.  Otherwise each column is checked in
-   turn. *)
-let closed_prefix t p =
+(* Holding is a prefix of the columns when they are searchable: the
+   last column is checked first ({!column_holds_at}), and when it holds
+   so does every other.  Otherwise the row's start is prepared, and
+   each column is checked on it with {!solve}'s own check: by bisection
+   below the last column when searchable, in turn when not. *)
+let closed_prefix t ~tstart =
   let n = Array.length t.cs in
-  let holds j =
-    match t.cs.(j) with Some col -> column_holds p col | None -> false
+  let last_closes () =
+    match t.cs.(n - 1) with
+    | Some col -> column_holds_at t ~tstart col
+    | None -> false
   in
-  if t.cs_searchable && p.p_rows.nonnegative then begin
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = !lo + ((!hi - !lo) / 2) in
-      if holds mid then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  end
+  if t.cs_searchable && n > 0 && last_closes () then (n, None)
   else begin
-    let j = ref 0 in
-    while !j < n && holds !j do
-      incr j
-    done;
-    !j
+    let p = prepare ~machine:t.cs_machine ~spec:t.cs_spec ~tstart in
+    let holds j = Option.fold ~none:false ~some:(start_holds p) t.cs.(j) in
+    let closed =
+      if t.cs_searchable then begin
+        let lo = ref 0 and hi = ref (n - 1) in
+        while !lo < !hi do
+          let mid = !lo + ((!hi - !lo) / 2) in
+          if holds mid then lo := mid + 1 else hi := mid
+        done;
+        !lo
+      end
+      else begin
+        let j = ref 0 in
+        while !j < n && holds !j do
+          incr j
+        done;
+        !j
+      end
+    in
+    (closed, if closed = n then None else Some p)
   end
 
 (* The cell's optimum from its column, which it takes over (its [x] is
-   the solution's), as [raw] with its exact dual, of the full
-   instance's shape: [w_j] on each power law, the box dual on each
+   the solution's), as [raw] with its exact dual, over every row that
+   takes part: [w_j] on each power law, the box dual on each
    saturated variable's upper frequency box, [lambda] on the floor,
    zero everywhere else. *)
-let closed_form_raw built t col =
+let closed_form_raw built col =
   let fo = col.col_floor_only and layout = built.layout in
   let x = col.col_x and lambda = col.col_lambda in
-  let dual = Vec.zeros (constraint_count layout t) in
+  let dual = Vec.zeros (constraint_count built.context) in
   Array.iteri
     (fun k j ->
       if k < col.col_saturated then
@@ -1434,40 +1408,41 @@ let closed_form_raw built t col =
 let closed_form_stats = count_outcome `Optimal Convex.Conic.stats_zero
 let ladder_stats = count_outcome `Primal_infeasible Convex.Conic.stats_zero
 
-(* A cell is settled in closed form when its column {!settles} it;
-   only after that check fails is a workspace made (unless the caller
-   passed one) and the column's violated rows admitted as the first
-   working set, which the conic rounds then start from. *)
+(* A cell is settled in closed form when its column holds on the
+   candidates of its start's rows (its kept thermal rows, which the
+   start's instance states as the cell's does); only after that check
+   and the ladder's fail is the cell's instance made, a workspace made
+   (unless the caller passed one) and the column's violated rows
+   admitted as the first working set, which the conic rounds then
+   start from. *)
 let solve ?conic_stats_into ?conic_ws ?start built =
-  let t = Lazy.force built.conic in
-  let first = first_optional built.layout
-  and last = last_optional built.layout built.spec t in
+  let p = built.context in
   let record stats =
     match conic_stats_into with
     | Some acc -> acc := Convex.Conic.stats_add !acc stats
     | None -> ()
   in
   let column =
-    match built.floor_only with
-    | Some fo ->
+    match p.p_rows.floor_only with
+    | Some fo when not p.p_frontier ->
         column_of fo ~layout:built.layout ~variant:built.spec.Spec.variant
           ~machine:built.machine ~ftarget:built.ftarget
-    | None -> None
+    | Some _ | None -> None
   in
   match column with
-  | Some col when settles built.layout built.spec t col ->
+  | Some col when start_holds p col ->
       record closed_form_stats;
       Feasible
-        (solution_of_x built ~settled_by:`Closed_form
-           (closed_form_raw built t col))
+        (solution_of_x built ~settled_by:`Closed_form (closed_form_raw built col))
   | _ when ladder_refutes built ->
       record ladder_stats;
       Infeasible
   | column ->
+      let t = Lazy.force built.conic in
       let ws =
         match conic_ws with
         | Some ws -> ws
-        | None -> layout_workspace built.layout t
+        | None -> workspace p
       in
       let stats = ref Convex.Conic.stats_zero in
       let rec round warm =
@@ -1477,8 +1452,12 @@ let solve ?conic_stats_into ?conic_ws ?start built =
             round (Some s.Convex.Conic.x)
         | status -> status
       in
+      let restrict () =
+        Convex.Conic.restrict ws t ~rows:p.p_part ~n:p.p_n_part
+          ~first:p.p_first ~last:p.p_last
+      in
       let from_start () =
-        Convex.Conic.restrict ws t ~first ~last;
+        restrict ();
         (match start with
         | Some x when Vec.dim x = built.layout.dim ->
             ignore (Convex.Conic.admit ws t x ~above:(-.seed_slack))
@@ -1492,7 +1471,7 @@ let solve ?conic_stats_into ?conic_ws ?start built =
       let status =
         match column with
         | Some col ->
-            Convex.Conic.restrict ws t ~first ~last;
+            restrict ();
             ignore (Convex.Conic.admit ws t col.col_x ~above:0.0);
             let status = round None in
             if stalled status then from_start () else status
@@ -1504,11 +1483,8 @@ let solve ?conic_stats_into ?conic_ws ?start built =
       end
       else
         let status =
-          if stalled status then begin
-            Convex.Conic.restrict ws t ~first:0 ~last:0;
-            Convex.Conic.solve ~stats_into:stats ~ws t
-          end
+          if stalled status then solve_on_every_row ~stats_into:stats ~ws p t
           else status
         in
         record (count_outcome (outcome_class status) !stats);
-        outcome_of built t status
+        outcome_of built status

@@ -34,9 +34,11 @@
     Neither does a uniform start's base trajectory, up to one scalar:
     the window holds the power, so the base of [tstart] at step [k] is
     [tstart a_k + c_k], with [a_k = A^k 1] and [c_k] the base from
-    zero, both kept with the rows.  A {!prepare} writes every row's
-    base from them with no step (a {!prepare_with_profile} steps it),
-    keeps the rows whose base reaches their threshold and copies them.
+    zero, both kept with the rows.  So is the conic instance itself,
+    with every thermal row: a {!prepare} writes every row's base from
+    them with no step (a {!prepare_with_profile} steps it), then the
+    rows' constants, and names the rows whose base reaches their
+    threshold; it copies no row.
     Every coefficient is bit-identical to the matrix-power
     construction; a uniform start's constants differ from those of
     the stepped base by rounding only, within a bound derived from
@@ -48,18 +50,18 @@
     over-approximation — while needing O(mn) instead of O(mn^2)
     constraints.
 
-    A thermal row is emitted only when some point of the power box
-    [0 <= p_i/pmax <= 1.005] could reach [tmax] on it (to a relative
-    margin of 1e-6): every other row is implied by the box rows, which
-    stay in the problem, so the feasible set is unchanged.  The test
-    is one compare per row, of its base against its threshold
+    A thermal row takes part in a solve only when some point of the
+    power box [0 <= p_i/pmax <= 1.005] could reach [tmax] on it (to a
+    relative margin of 1e-6): every other row is implied by the box
+    rows, which stay in the problem, so the feasible set is unchanged.
+    The test is one compare per row, of its base against its threshold
     [tmax (1 - 1e-6) - sum_j max(q_j, 0) 1.005], kept with the rows.
     At stride 4 on the Niagara model that keeps 144 of 1071 thermal
-    rows at 27 C and 504 at 100 C.  {!solve} goes further, because at the optimum
-    only a few of them bind, and usually none: it first tries the
-    closed-form optimum of the throughput floor alone against every
-    row, and otherwise solves on a working set of the rows, grown by
-    constraint generation until the optimum satisfies every row.
+    rows at 27 C and 504 at 100 C.  {!solve} goes further, because at
+    the optimum only a few of them bind, and usually none: it first
+    tries the closed-form optimum of the throughput floor alone against
+    every row, and otherwise solves on a working set of the rows, grown
+    by constraint generation until the optimum satisfies every row.
 
     Variables are normalized ([f/fmax], [p/pmax], [t/tmax]) so the
     solver operates on a well-conditioned unit box.  The program is
@@ -83,38 +85,24 @@ type layout = {
       (** Index of [(u, l)] when the gradient term is enabled. *)
 }
 
-type floor_only
-(** The data of a cell's floor-only relaxation (its thermal rows
-    dropped) that does not depend on [ftarget]: per-variable floor and
-    objective coefficients and the order in which the variables
-    saturate their frequency box.  {!solve} forms the relaxation's
-    optimum from it in closed form. *)
-
 type prepared
-(** The [(machine, spec, t0)]-dependent part of a model: its conic
-    instance with every row but the throughput floor's constant.
-    Building it costs one pass that writes the base of every thermal
-    row, one threshold compare per row and a copy of the rows it
-    keeps, with their constants, into the instance's packed arrays —
-    nearly all of a {!build}; each further {!instantiate} at a new
-    [ftarget] is then almost free.  A uniform start ({!prepare},
-    {!build_frontier}) writes each base as [tstart a_k + c_k] from the
-    machine's rows, with no step; a start profile
-    ({!prepare_with_profile}) steps its base over the window in two
-    vectors on the machine's compiled CSR stepper
-    {!Thermal.Rc_model.stepper_step_into}, whose summation order
-    keeps the dense step's bits.  The rows themselves, with their
-    thresholds, [a_k] and [c_k], come from the machine's cache: the
-    first prepare of a machine at a given window, stride, variant,
-    [tmax] and gradient switch builds them (from the machine's
+(** The [(machine, spec, t0)]-dependent part of a model: a {e start}.
+    [G] and [c] are the machine's one instance for the spec, with
+    every thermal row, built on the first start at a given window,
+    stride, variant, [tmax] and gradient term (from the machine's
     {!Sim.Machine.window_response}, and [a_k] and [c_k] by stepping
-    once), and every later one, from any domain, reads them.  A warm
-    uniform prepare allocates the instance's packed arrays and two
-    scratch arrays of one entry per (stride point, node); a profile's
-    also its two step vectors; nothing per kept row.  The offline
-    sweep prepares only the rows that have a cell their {!column} does
-    not settle ({!row_closed}), and instantiates once per such cell
-    ({!closed_prefix}; DESIGN.md §6t, §6y, §6z, §6za). *)
+    once) and kept in the machine's cache, from which every later
+    start, on any domain, reads it.  A start writes only the constants
+    (a floor constant of 0) and names the orthant rows that take part:
+    one pass writes every thermal row's base — [tstart a_k + c_k] for a
+    uniform start ({!prepare}, {!build_frontier}), stepped over the
+    window on the machine's CSR stepper for a profile
+    ({!prepare_with_profile}), which keeps the dense step's bits — and
+    one writes every constant with one threshold compare per row.  It
+    copies no row and allocates the same words however many rows take
+    part; each {!instantiate} is then almost free.  The offline sweep
+    prepares only the rows that have a cell their column does not
+    settle ({!closed_prefix}; DESIGN.md §6t, §6y, §6z, §6za, §6zb). *)
 
 type built = {
   layout : layout;
@@ -128,15 +116,12 @@ type built = {
   conic : Convex.Conic.t Lazy.t;
       (** The instance in conic form, [h - G x in K], the one form
           {!solve} and {!solve_frontier} read: the box rows, the
-          throughput floor, the thermal and gradient rows, then one
-          rotated-quadratic block per power law.  Instances made from
-          one {!prepared} context share [G] — only the floor's
-          constant differs — so a sweep row writes it once. *)
-  floor_only : floor_only option;
-      (** Shared by every instance of one {!prepared} context; [None]
-          for the gradient variant, whose spread term couples the
-          objective to the thermal rows, and for a frontier
-          instance. *)
+          throughput floor, every thermal row, the gradient rows and
+          bounds, then one rotated-quadratic block per power law.
+          Every instance of a machine and spec shares [G] (a
+          frontier's floor row never takes part); {!solve} and
+          {!solve_frontier} solve it on the rows that do
+          ({!conic_rows}). *)
   context : prepared;
       (** The context the instance was made from: {!solve}'s frontier
           bound reads its start ({!tangent_refutes}). *)
@@ -169,6 +154,15 @@ val floor_index : layout -> int
 val first_thermal_index : layout -> int
 (** The first thermal row of an instance with a floor. *)
 
+val conic_rows : built -> int array
+(** The orthant rows of [built.conic] that take part in {!solve} and
+    {!solve_frontier}, ascending: the box rows, the floor (not in a
+    frontier), the thermal rows the power box does not imply at the
+    start, the gradient rows and bounds.  A conic solve on them
+    ({!Convex.Conic.restrict}) reports [s] and [z] in this order, with
+    the power laws after them; so does [raw.dual], with each power law
+    before its box rows.  A fresh array. *)
+
 val conic_blocks : layout -> int array
 (** The variable partition under which the conic normal equations are
     block-tridiagonal: [(n_f, n_p)] plus the two gradient bounds when
@@ -185,8 +179,8 @@ val prepare_with_profile :
     length or a non-finite entry. *)
 
 val workspace : prepared -> Convex.Conic.workspace
-(** A conic workspace shaped for every instance {!instantiate} makes
-    from the context, factorizing under {!conic_blocks}: the one a
+(** A conic workspace shaped for every instance of the context's
+    machine and spec, factorizing under {!conic_blocks}: the one a
     table row reuses across its cells as {!solve}'s [conic_ws], and the
     one {!solve} makes for itself without it. *)
 
@@ -243,8 +237,9 @@ val solve :
     [phat_j = fhat_j^2], with [c_j] and [w_j] core [j]'s floor and
     objective coefficients and [lambda] the floor's multiplier, found
     by walking the sorted saturation breakpoints: the cell's
-    {!column}.  Every thermal row is evaluated there in one
-    {!Convex.Conic.holds} pass, the check {!column_holds} makes.  If
+    {!type-column}.  Every thermal row that takes part is evaluated
+    there in one {!Convex.Conic.holds} pass, the check
+    {!closed_prefix} makes on a table row's start.  If
     none is violated the point is feasible for the cell, and since the
     relaxation's objective is strictly convex in [fhat] it is the
     cell's unique optimum: it is served with
@@ -272,7 +267,8 @@ val solve :
     the block-tridiagonal factorization from {!conic_blocks}).  No
     feasible point is needed: an infeasible cell ends with a
     primal-infeasibility certificate.  It runs on a {e working set} of
-    rows: the box rows, the power-law cones, the throughput floor and
+    the rows that take part ({!conic_rows}; an implied row is never
+    evaluated): the box rows, the power-law cones, the throughput floor and
     the gradient bounds always, plus the thermal rows the floor-only
     optimum violates — or, for the gradient variant (and a floor above
     what the boxes allow), the thermal and gradient rows that bind at
@@ -294,10 +290,10 @@ val solve :
     cell cannot have) is run again from the rows [start] picks; a run
     from those that ends without one is checked against the frontier
     of the cell's own start (one conic solve on every row of the
-    frontier instance, whose tangent bounds the frontier there to the
-    solver's tolerance), and refuted like a ladder verdict when the
-    floor exceeds it; otherwise it is retried once, cold, on every
-    row.  An optimum of the last solve is served; anything else is
+    frontier that takes part, whose tangent bounds the frontier there
+    to the solver's tolerance), and refuted like a ladder verdict when
+    the floor exceeds it; otherwise it is retried once, cold, on every
+    row that takes part.  An optimum of the last solve is served; anything else is
     reported [Infeasible] — the thermally safe verdict, under which a
     table falls back to a lower column.
 
@@ -321,33 +317,14 @@ val solve :
 
     The closed form of {!solve} depends on [ftarget] alone, so a table
     computes it once per column and checks it without instantiating
-    the cell: on the row's prepared context ({!column_holds}), or for
-    a row's last column with no context at all
+    the cell, or preparing its row, from the machine's rows
     ({!column_holds_at}). *)
 
 type column
 (** The floor-only optimum of every cell of one [ftarget], with the
-    frequencies it serves. *)
-
-val column :
-  machine:Sim.Machine.t -> spec:Spec.t -> ftarget:float -> column option
-(** The column of [ftarget]: a function of the machine, the spec and
-    [ftarget] alone (no {!prepare}), bit-identical to the point
-    {!solve} forms for any cell at [ftarget].  [None] for a spec with
-    a gradient term (no closed form) and when the floor exceeds what
-    the frequency boxes allow.  Raises [Invalid_argument] as
-    {!instantiate} does for [ftarget] outside [[0, fmax]], NaN
-    included, and as {!prepare} does for an invalid spec. *)
-
-val column_holds : prepared -> column -> bool
-(** Whether the column's point satisfies every optional row of the
-    prepared context (its thermal rows; {!Convex.Conic.holds}): then
-    it is the optimum of the context's cell at the column's [ftarget],
-    and {!solve} would serve it with [settled_by = `Closed_form] and
-    the frequencies {!column_frequencies} returns.  The decision is
-    {!solve}'s own.  Allocates nothing.  Raises [Invalid_argument] for
-    a context of another machine or variant, or one without a
-    floor-only relaxation (a gradient term, a frontier). *)
+    frequencies it serves: a function of the machine, the spec and
+    [ftarget] alone, bit-identical to the point {!solve} forms for any
+    cell at [ftarget]. *)
 
 type columns
 (** A table's columns, one per [ftarget], with the machine's thermal
@@ -359,14 +336,17 @@ type columns
     multiplication and addition are monotone (DESIGN.md §6za). *)
 
 val columns : machine:Sim.Machine.t -> spec:Spec.t -> float array -> columns
-(** The {!column} of each [ftarget], in the given order, with the
-    machine's rows for [spec], built now if this is their first
-    request.  Verifies the two conditions of {!searchable} once.
-    Raises [Invalid_argument] as {!column} does for each [ftarget] and
-    as {!prepare} does for the spec. *)
+(** The {!type-column} of each [ftarget], in the given order, with the
+    machine's rows for [spec] (and the floor-only relaxation's data
+    kept with them), built now if this is their first request.
+    Verifies the two conditions of {!searchable} once.  Raises
+    [Invalid_argument] as {!instantiate} does for an [ftarget] outside
+    [[0, fmax]], NaN included, and as {!prepare} does for the spec. *)
 
 val column_at : columns -> int -> column option
-(** The {!column} of the [j]th [ftarget]. *)
+(** The column of the [j]th [ftarget]: [None] for a spec with a
+    gradient term (no closed form) and when the floor exceeds what the
+    frequency boxes allow. *)
 
 val searchable : columns -> bool
 (** Whether every thermal coefficient of the rows is [>= 0] (checked
@@ -375,28 +355,29 @@ val searchable : columns -> bool
     only after every [Some]. *)
 
 val column_holds_at : columns -> tstart:float -> column -> bool
-(** [column_holds (prepare ~machine ~spec ~tstart) col], bit for bit,
-    for the columns' machine and spec, with no context: per thermal
-    row it repeats the prepare's float operations in its order (the
-    base [tstart a_k + c_k], the threshold compare, the constant
-    [-((base - tmax) / tmax)]) and {!Convex.Conic.holds}' sum over the
-    row.  Allocates nothing.  Raises [Invalid_argument] for a column
-    of another machine or variant, and for a [tstart] that is not
-    finite, as {!prepare} does. *)
+(** Whether the column's point satisfies every thermal row that takes
+    part at the uniform start [tstart], for the columns' machine and
+    spec: then it is the optimum of that start's cell at the column's
+    [ftarget], and {!solve} would serve it with
+    [settled_by = `Closed_form] and the frequencies
+    {!column_frequencies} returns.  {!closed_prefix}'s check of a
+    row's last column, with no start: per thermal row, a start's own
+    float operations (the base, the threshold compare, the constant),
+    then {!Convex.Conic.holds}' sum over the row, so its verdict is
+    {!solve}'s, bit for bit.  Allocates nothing.  Raises
+    [Invalid_argument] for a column of another machine or variant, and
+    for a [tstart] that is not finite, as {!prepare} does. *)
 
-val row_closed : columns -> tstart:float -> bool
-(** Whether every column settles its cell of the uniform start
-    [tstart]: the columns are {!searchable}, none is [None], and the
-    last holds there ({!column_holds_at}).  [false] says nothing of
-    the other columns. *)
-
-val closed_prefix : columns -> prepared -> int
-(** The number of leading columns that hold on the context
-    ({!column_holds}; a [None] column does not).  Where the columns
-    are {!searchable} and the context's thermal coefficients are
-    [>= 0], holding is a prefix property and the first column that
-    does not hold is found by bisection, [ceil (log2 (n + 1))]
-    checks; otherwise the columns are checked in turn. *)
+val closed_prefix : columns -> tstart:float -> int * prepared option
+(** The number of leading columns that hold at the uniform start
+    [tstart] (a [None] column does not), and the row's start unless
+    every column holds.  Where the columns are {!searchable}, the last
+    column is checked first ({!column_holds_at}): a row it holds on is
+    closed by that one check, with no start.  Otherwise the row is
+    prepared and its columns are checked on the start with {!solve}'s
+    own check: by bisection below the last, [ceil (log2 n)] checks, or
+    in turn where they are not searchable.  Raises [Invalid_argument]
+    for a [tstart] that is not finite, as {!prepare} does. *)
 
 val column_frequencies : column -> Vec.t
 (** A fresh copy of the served frequencies (Hz, per core), equal to
@@ -408,7 +389,8 @@ val column_x : column -> Vec.t
     not a copy; do not mutate it. *)
 
 val solve_frontier : built -> outcome
-(** Solve a {!build_frontier} instance: one conic solve on every row.
+(** Solve a {!build_frontier} instance: one conic solve on every row
+    that takes part.
     The returned solution's [frequencies] sum to the maximal
     supportable total.  A primal-infeasibility certificate — the start
     temperature is already outside the envelope — and a solve that
@@ -435,7 +417,9 @@ type tangent
 val tangent : built -> Vec.t -> tangent option
 (** [tangent frontier z] is the tangent of a {!build_frontier}
     instance from a cone dual [z] of it, in the layout
-    {!Convex.Conic.solution} reports: orthant entries are clipped at 0,
+    {!Convex.Conic.solution} reports for a solve of [frontier.conic] on
+    its rows that take part ({!conic_rows}): orthant entries are
+    clipped at 0,
     each power law's block, reported in [(u, v, w)], is rotated into
     the stored coordinates and projected onto its cone there, and the
     thermal entries below [1e-4] of the largest are dropped before the

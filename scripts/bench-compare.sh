@@ -8,14 +8,19 @@
 # fleet.serve, seeds 2008-2017.  Every run lasts protemp_bench's
 # default length, the benchmark's run_seconds, on both sides.
 #
-# REV is checked out into a temporary git worktree outside the
-# repository and both trees build benchmark/protemp_bench.exe from
-# source.  For every workload and seed the two trees run one after
-# the other, and which tree goes first flips from seed to seed, so a
-# slow spell of a shared host lands on both sides.  Then
+# REV is unpacked from `git archive` into a temporary directory
+# outside the repository and both trees build
+# benchmark/protemp_bench.exe from source.  An archive, not a
+# `git worktree`: it writes nothing into the repository's .git (no
+# worktree entry to prune, no lock left by an interrupted run), so the
+# script also runs from a checkout whose .git it may not write.  For
+# every workload and seed the two trees run one after the other, and
+# which tree goes first flips from seed to seed, so a slow spell of a
+# shared host lands on both sides.  Then
 # `protemp_bench.exe compare` prints medians, quartiles, deltas and
-# verdicts.  The worktree is removed at exit; the result files stay in
-# the temporary directory printed at the end, never in the repository.
+# verdicts.  The unpacked tree is removed at exit; the result files
+# stay in the temporary directory printed at the end, never in the
+# repository.
 set -euo pipefail
 rev=${1:-HEAD}
 workloads=${2:-fleet.serve}
@@ -28,13 +33,13 @@ base="$tmp/base"
 results="$tmp/results"
 mkdir -p "$results"
 cleanup() {
-  git -C "$repo" worktree remove --force "$base" >/dev/null 2>&1 || true
-  git -C "$repo" worktree prune >/dev/null 2>&1 || true
+  rm -rf "$base"
 }
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
-git -C "$repo" worktree add --detach --quiet "$base" "$base_rev"
+mkdir -p "$base"
+git -C "$repo" archive "$base_rev" | tar -C "$base" -xf -
 for tree in "$base" "$repo"; do
   echo "building $tree" >&2
   DUNE_CACHE=disabled dune build --root "$tree" --display quiet \

@@ -5,9 +5,13 @@
 #   scripts/same-output.sh [REV]
 #   (usually through `make same-output REV=<rev>`; REV defaults to HEAD)
 #
-# REV is checked out into a temporary git worktree outside the
-# repository, as scripts/bench-compare.sh does, and both trees build
-# from source.  On each tree the script runs
+# REV is unpacked from `git archive` into a temporary directory
+# outside the repository, as scripts/bench-compare.sh does, and both
+# trees build from source.  An archive, not a `git worktree`: it
+# writes nothing into the repository's .git (no worktree entry to
+# prune, no lock left by an interrupted run), so the script also runs
+# from a checkout whose .git it may not write.  On each tree the
+# script runs
 #   - the driver scripts/same-output/same_output.exe, which prints at
 #     %.17g every solve, frontier and profile solve (duals included)
 #     and every table of a fixed set: Niagara and big.LITTLE; the
@@ -34,14 +38,13 @@ tmp=$(mktemp -d "${TMPDIR:-/tmp}/protemp-same-output.XXXXXX")
 base="$tmp/base"
 keep=1
 cleanup() {
-  git -C "$repo" worktree remove --force "$base" >/dev/null 2>&1 || true
-  git -C "$repo" worktree prune >/dev/null 2>&1 || true
   if [ "$keep" = 0 ]; then rm -rf "$tmp"; fi
 }
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
-git -C "$repo" worktree add --detach --quiet "$base" "$base_rev"
+mkdir -p "$base"
+git -C "$repo" archive "$base_rev" | tar -C "$base" -xf -
 
 build() {
   DUNE_CACHE=disabled dune build --root "$1" --display quiet \
@@ -60,8 +63,9 @@ if build "$base" >"$tmp/driver-build.log" 2>&1; then
   echo "driver: the working tree's scripts/same-output" >&2
 else
   rm -rf "$base/scripts/same-output"
-  if ! git -C "$base" checkout --quiet "$base_rev" -- scripts/same-output \
-    2>/dev/null; then
+  if ! git -C "$repo" archive "$base_rev" scripts/same-output 2>/dev/null |
+    tar -C "$base" -xf - 2>/dev/null ||
+    [ ! -d "$base/scripts/same-output" ]; then
     cat "$tmp/driver-build.log" >&2
     echo "the working tree's driver does not build at $rev, which has no" \
       "driver of its own" >&2

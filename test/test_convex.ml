@@ -558,8 +558,9 @@ let test_conic_working_set () =
     | Conic.Optimal s -> s
     | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st
   in
-  (* Constraints 2 and 3 (orthant rows 1 and 2) become optional. *)
-  Conic.restrict ws t ~first:1 ~last:3;
+  (* Constraints 2 and 3 (orthant rows 1 and 2) become candidates. *)
+  let every = [| 0; 1; 2 |] in
+  Conic.restrict ws t ~rows:every ~n:3 ~first:1 ~last:3;
   let relaxed = solve () in
   check_float 1e-6 "the relaxation's optimum" (-.sqrt 2.0)
     relaxed.Conic.objective_value;
@@ -587,43 +588,77 @@ let test_conic_working_set () =
   check_float 0.0 "the slack row stays out" 0.0
     (Conic_reference.constraint_duals p final).(2);
   (* A row whose value is NaN is not known to hold: it joins. *)
-  Conic.restrict ws t ~first:1 ~last:3;
+  Conic.restrict ws t ~rows:every ~n:3 ~first:1 ~last:3;
   check_int "NaN rows join" 2
     (Conic.admit ws t [| Float.nan; Float.nan |] ~above:0.0);
-  Conic.restrict ws t ~first:1 ~last:3;
+  Conic.restrict ws t ~rows:every ~n:3 ~first:1 ~last:3;
   check_int "a seed threshold admits rows within it" 1
     (Conic.admit ws t [| -0.95; 1.0 |] ~above:(-0.1));
-  Conic.restrict ws t ~first:0 ~last:0;
+  Conic.restrict ws t ~rows:every ~n:3 ~first:0 ~last:0;
   check_float 1e-6 "an empty range restores the full problem" (-1.0)
     (solve ()).Conic.objective_value;
+  (* Orthant row 2 left out of the rows: it does not take part, so the
+     NaN point is read on row 1 alone, and the solve is the
+     relaxation's, reported on rows 0 and 1 and the cone block. *)
+  Conic.restrict ws t ~rows:[| 0; 1; 2 |] ~n:2 ~first:1 ~last:2;
+  check_int "a row that does not take part is never read" 1
+    (Conic.admit ws t [| Float.nan; Float.nan |] ~above:0.0);
+  let left_out = solve () in
+  check_float 1e-6 "without row 2, the relaxation's optimum" (-.sqrt 2.0)
+    left_out.Conic.objective_value;
+  check_int "a slack per row that takes part" (Conic.n_rows t - 1)
+    (Vec.dim left_out.Conic.s);
+  check_int "a dual per row that takes part" (Conic.n_rows t - 1)
+    (Vec.dim left_out.Conic.z);
+  check_float 1e-6 "the cone block's slack after row 1"
+    relaxed.Conic.s.(3) left_out.Conic.s.(2);
   let rejected f =
     match f () with _ -> false | exception Invalid_argument _ -> true
   in
-  check_bool "a cone row cannot be optional" true
-    (rejected (fun () -> Conic.restrict ws t ~first:1 ~last:4));
+  check_bool "a cone row cannot be named" true
+    (rejected (fun () ->
+         Conic.restrict ws t ~rows:[| 0; 1; 2; 3 |] ~n:4 ~first:1 ~last:4));
   check_bool "range out of bounds" true
-    (rejected (fun () -> Conic.restrict ws t ~first:(-1) ~last:2));
+    (rejected (fun () -> Conic.restrict ws t ~rows:every ~n:3 ~first:(-1) ~last:2));
+  check_bool "candidates past the rows" true
+    (rejected (fun () -> Conic.restrict ws t ~rows:every ~n:2 ~first:1 ~last:3));
+  check_bool "rows not ascending" true
+    (rejected (fun () ->
+         Conic.restrict ws t ~rows:[| 0; 2; 1 |] ~n:3 ~first:1 ~last:3));
   check_bool "point dimension" true
     (rejected (fun () -> Conic.admit ws t [| 0.0 |] ~above:0.0));
   (* [holds] decides the optional rows as [admit] does, with no
      workspace: the relaxed optimum violates orthant row 2. *)
   check_bool "holds: the violated row" false
-    (Conic.holds t relaxed.Conic.x ~first:1 ~last:3);
+    (Conic.holds t relaxed.Conic.x ~rows:every ~first:1 ~last:3);
   check_bool "holds: the rows it meets" true
-    (Conic.holds t relaxed.Conic.x ~first:1 ~last:2);
+    (Conic.holds t relaxed.Conic.x ~rows:every ~first:1 ~last:2);
   check_bool "holds: an empty range" true
-    (Conic.holds t relaxed.Conic.x ~first:2 ~last:2);
+    (Conic.holds t relaxed.Conic.x ~rows:every ~first:2 ~last:2);
+  check_bool "holds: a row not named is not read" true
+    (Conic.holds t relaxed.Conic.x ~rows:[| 0; 1 |] ~first:0 ~last:2);
   check_bool "holds: a NaN row does not hold" false
-    (Conic.holds t [| Float.nan; Float.nan |] ~first:1 ~last:2);
+    (Conic.holds t [| Float.nan; Float.nan |] ~rows:every ~first:1 ~last:2);
   let w0 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Conic.holds t relaxed.Conic.x ~first:0 ~last:3));
+  ignore
+    (Sys.opaque_identity
+       (Conic.holds t relaxed.Conic.x ~rows:every ~first:0 ~last:3));
   check_float 0.0 "holds allocates nothing" 0.0 (Gc.minor_words () -. w0);
-  check_bool "holds: a cone row is not in range" true
-    (rejected (fun () -> Conic.holds t relaxed.Conic.x ~first:1 ~last:4));
+  (* A row is checked as it is read: row 1 holds, so the cone row after
+     it is read; after the violated row 2, [holds] reads no further. *)
+  check_bool "holds: a cone row is not an orthant row" true
+    (rejected (fun () ->
+         Conic.holds t relaxed.Conic.x ~rows:[| 0; 1; 3 |] ~first:1 ~last:3));
+  check_bool "holds: no row read after the violated one" false
+    (Conic.holds t relaxed.Conic.x ~rows:[| 0; 1; 2; 3 |] ~first:1 ~last:4);
   check_bool "holds: range out of bounds" true
-    (rejected (fun () -> Conic.holds t relaxed.Conic.x ~first:(-1) ~last:2));
+    (rejected (fun () ->
+         Conic.holds t relaxed.Conic.x ~rows:every ~first:(-1) ~last:2));
+  check_bool "holds: range past the rows" true
+    (rejected (fun () ->
+         Conic.holds t relaxed.Conic.x ~rows:every ~first:1 ~last:4));
   check_bool "holds: point dimension" true
-    (rejected (fun () -> Conic.holds t [| 0.0 |] ~first:1 ~last:3))
+    (rejected (fun () -> Conic.holds t [| 0.0 |] ~rows:every ~first:1 ~last:3))
 
 (* The conic loop's allocation, measured at run time: the alloc-free
    lint sees syntactic allocation sites only, not a float boxed across
@@ -953,8 +988,9 @@ let prop_admit_matches_rows =
           g
       in
       let joins i above = not (reference.(i) <= above) in
+      let every = Array.init m Fun.id in
       let admitted first last above =
-        Conic.restrict ws t ~first ~last;
+        Conic.restrict ws t ~rows:every ~n:m ~first ~last;
         Conic.admit ws t x ~above
       in
       let row_ok i =
@@ -987,7 +1023,7 @@ let prop_admit_matches_rows =
         !same_rows && admitted first last above = !expected
       in
       let allocation_free () =
-        Conic.restrict ws t ~first:0 ~last:m;
+        Conic.restrict ws t ~rows:every ~n:m ~first:0 ~last:m;
         let w0 = Gc.minor_words () in
         ignore (Sys.opaque_identity (Conic.admit ws t x ~above:0.0));
         Gc.minor_words () -. w0 = 0.0
@@ -1039,9 +1075,11 @@ let prop_holds_matches_admit =
       in
       let t = Conic_reference.make ~c:(Vec.zeros n) ~n_orthant:m ~g ~h in
       let ws = Conic.make_workspace t in
+      let every = Array.init m Fun.id in
       let agrees first last =
-        Conic.restrict ws t ~first ~last;
-        Conic.holds t x ~first ~last = (Conic.admit ws t x ~above:0.0 = 0)
+        Conic.restrict ws t ~rows:every ~n:m ~first ~last;
+        Conic.holds t x ~rows:every ~first ~last
+        = (Conic.admit ws t x ~above:0.0 = 0)
       in
       let windows =
         List.init 8 (fun _ ->
@@ -1050,7 +1088,8 @@ let prop_holds_matches_admit =
       in
       let allocation_free () =
         let w0 = Gc.minor_words () in
-        ignore (Sys.opaque_identity (Conic.holds t x ~first:0 ~last:m));
+        ignore
+          (Sys.opaque_identity (Conic.holds t x ~rows:every ~first:0 ~last:m));
         Gc.minor_words () -. w0 = 0.0
       in
       List.for_all (fun i -> agrees i (i + 1)) (List.init m Fun.id)

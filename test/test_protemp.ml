@@ -1074,6 +1074,19 @@ let biglittle = lazy (Sim.Machine.biglittle ())
 let thermal_rows (built : Protemp.Model.built) n =
   n - Protemp.Model.first_thermal_index built.Protemp.Model.layout
 
+(* [Model.solve]'s closed-form check of [col] on the cell [built]:
+   {!Convex.Conic.holds} over the thermal rows that take part in
+   [built.conic], every one of its rows after the floor. *)
+let start_holds (built : Protemp.Model.built) col =
+  let layout = built.Protemp.Model.layout in
+  let rows = Protemp.Model.conic_rows built in
+  Convex.Conic.holds
+    (Lazy.force built.Protemp.Model.conic)
+    (Protemp.Model.column_x col) ~rows
+    ~first:
+      (Protemp.Model.first_thermal_index layout - layout.Protemp.Model.n_f)
+    ~last:(Array.length rows)
+
 let holds (problem : Quad.problem) x =
   Array.for_all (fun c -> Quad.eval c x <= 0.0) problem.Quad.constraints
 
@@ -1347,12 +1360,16 @@ let closed_form_solution ~machine ~spec ~tstart ~ftarget =
    here); every other box dual is zero.  The floor is met to rounding
    in normalized units (the reported frequencies clamp the little
    cores back to their ceiling). *)
+(* The column of one [ftarget]. *)
+let column ~machine ~spec ~ftarget =
+  Protemp.Model.column_at (Protemp.Model.columns ~machine ~spec [| ftarget |]) 0
+
 (* A column is the point {!Protemp.Model.solve} settles a cell with:
    on cool and hot rows of both platforms and both variants the check
    holds exactly when [solve] reports [`Closed_form], and then the
    column's point and frequencies are the solution's, bit for bit.
    An [ftarget] outside [0, fmax] raises as [instantiate] does, the
-   gradient variant has no column, a context of another machine is
+   gradient variant has no column, columns of another machine are
    refused, and the check allocates nothing. *)
 let test_column_is_closed_form () =
   let bits a b =
@@ -1375,17 +1392,21 @@ let test_column_is_closed_form () =
               let label =
                 Printf.sprintf "%s at %g C, %g fmax" name tstart fraction
               in
+              let column_holds col =
+                Protemp.Model.column_holds_at
+                  (Protemp.Model.columns ~machine ~spec [| ftarget |])
+                  ~tstart col
+              in
               let outcome =
                 Protemp.Model.solve (Protemp.Model.instantiate p ~ftarget)
               in
               match
-                (Protemp.Model.column ~machine ~spec ~ftarget, outcome)
+                (column ~machine ~spec ~ftarget, outcome)
               with
               | Some col, Protemp.Model.Feasible s
                 when s.Protemp.Model.settled_by = `Closed_form ->
                   incr settled;
-                  check_bool (label ^ ": holds") true
-                    (Protemp.Model.column_holds p col);
+                  check_bool (label ^ ": holds") true (column_holds col);
                   check_bool (label ^ ": the solution's point") true
                     (bits (Protemp.Model.column_x col)
                        s.Protemp.Model.raw.Convex.Solve.x);
@@ -1396,7 +1417,7 @@ let test_column_is_closed_form () =
               | Some col, _ ->
                   incr solved;
                   check_bool (label ^ ": does not hold") false
-                    (Protemp.Model.column_holds p col)
+                    (column_holds col)
               | None, _ -> incr solved)
             [ 0.1; 0.5; 0.8; 0.95; 1.0 ])
         [ 27.0; 70.0; 95.0 ])
@@ -1413,31 +1434,28 @@ let test_column_is_closed_form () =
   List.iter
     (fun ftarget ->
       check_bool (Printf.sprintf "ftarget %h raises" ftarget) true
-        (raises (fun () ->
-             Protemp.Model.column ~machine:m ~spec:fast_spec ~ftarget)))
+        (raises (fun () -> column ~machine:m ~spec:fast_spec ~ftarget)))
     [ Float.nan; -1.0; 1.5 *. m.Sim.Machine.fmax ];
   check_bool "gradient variant: no column" true
     (Option.is_none
-       (Protemp.Model.column ~machine:m
-          ~spec:(Protemp.Spec.with_gradient fast_spec)
+       (column ~machine:m ~spec:(Protemp.Spec.with_gradient fast_spec)
           ~ftarget:5e8));
-  let col =
-    Option.get (Protemp.Model.column ~machine:m ~spec:fast_spec ~ftarget:5e8)
-  in
-  check_bool "another machine's context" true
+  let col = Option.get (column ~machine:m ~spec:fast_spec ~ftarget:5e8) in
+  check_bool "another machine's columns" true
     (raises (fun () ->
-         Protemp.Model.column_holds
-           (Protemp.Model.prepare ~machine:(Sim.Machine.niagara ())
-              ~spec:fast_spec ~tstart:60.0)
-           col));
+         Protemp.Model.column_holds_at
+           (Protemp.Model.columns ~machine:(Sim.Machine.niagara ())
+              ~spec:fast_spec [| 5e8 |])
+           ~tstart:60.0 col));
   check_bool "a fresh copy each time" true
     (Protemp.Model.column_frequencies col
     != Protemp.Model.column_frequencies col);
-  let p = Protemp.Model.prepare ~machine:m ~spec:fast_spec ~tstart:95.0 in
-  ignore (Protemp.Model.column_holds p col);
+  let cs = Protemp.Model.columns ~machine:m ~spec:fast_spec [| 5e8 |] in
+  ignore (Protemp.Model.column_holds_at cs ~tstart:95.0 col);
   let w0 = Gc.minor_words () in
   for _ = 1 to 100 do
-    ignore (Sys.opaque_identity (Protemp.Model.column_holds p col))
+    ignore
+      (Sys.opaque_identity (Protemp.Model.column_holds_at cs ~tstart:95.0 col))
   done;
   check_float 0.0 "the check allocates nothing" 0.0 (Gc.minor_words () -. w0)
 
@@ -1687,13 +1705,22 @@ let same_solve (a : Convex.Conic.status) (b : Convex.Conic.status) =
 
 (* The conic instance [Model] writes for [built] against the
    reference's statement of it, packed by the test-side [of_problem]:
-   the same shape, and cold solves identical bit for bit. *)
+   the rows of [built.conic] that take part, in order and with the
+   power laws after them, are the reference's rows with the same
+   constants.  So the shapes agree, and a cold solve of the model's
+   instance on those rows alone is the reference's cold solve bit for
+   bit. *)
 let same_instance (built : Protemp.Model.built) problem =
   let t = Lazy.force built.Protemp.Model.conic in
   let reference = Conic_reference.of_problem problem in
+  let rows = Protemp.Model.conic_rows built in
+  let n = Array.length rows in
+  let ws = Convex.Conic.make_workspace t in
+  Convex.Conic.restrict ws t ~rows ~n ~first:0 ~last:0;
   Convex.Conic.dim t = Convex.Conic.dim reference
-  && Convex.Conic.n_rows t = Convex.Conic.n_rows reference
-  && same_solve (Convex.Conic.solve t) (Convex.Conic.solve reference)
+  && n + (3 * built.Protemp.Model.layout.Protemp.Model.n_f)
+     = Convex.Conic.n_rows reference
+  && same_solve (Convex.Conic.solve ~ws t) (Convex.Conic.solve reference)
 
 (* The three instance kinds [Model] writes from one machine and spec:
    a cell, the frontier and a cell from a non-uniform start profile. *)
@@ -2089,6 +2116,26 @@ let test_uniform_prepare_allocation_flat () =
   check_prepare_flat "uniform prepare words" (fun ~machine ~spec ->
       Protemp.Model.prepare ~machine ~spec ~tstart:60.0)
 
+(* A start writes its constants and names the rows that take part; it
+   copies none.  On Niagara at stride 4 a prepare at 27 C keeps 144 of
+   the 1071 thermal rows and one at 100 C keeps 504, and both allocate
+   the same words (with the machine's rows warm: the first of the five
+   runs builds them). *)
+let test_start_copies_no_row () =
+  let machine = Lazy.force machine in
+  let start tstart = Protemp.Model.prepare ~machine ~spec:fast_spec ~tstart in
+  let kept tstart =
+    let built = Protemp.Model.instantiate (start tstart) ~ftarget:5e8 in
+    let layout = built.Protemp.Model.layout in
+    Array.length (Protemp.Model.conic_rows built)
+    - (Protemp.Model.first_thermal_index layout - layout.Protemp.Model.n_f)
+  in
+  check_int "rows kept at 27 C" 144 (kept 27.0);
+  check_int "rows kept at 100 C" 504 (kept 100.0);
+  let words tstart = allocated_words (fun () -> start tstart) in
+  check_float 0.0 "the same words at 27 C and 100 C" (words 27.0)
+    (words 100.0)
+
 (* The affine base of a uniform start against the base stepped from
    it, on both platforms at strides 1 and 4 and margins 0 and 5: at
    every stride point and node they lie within the bound derived in
@@ -2166,13 +2213,14 @@ let test_thermal_coefficients_nonnegative () =
         [ 1; 4 ])
     [ ("niagara", Lazy.force machine); ("biglittle", Lazy.force biglittle) ]
 
-(* The closed-form check with no instance is the check on the prepared
-   row, bit for bit: on both platforms, the variable variant and
-   Niagara's uniform one, strides 1 and 4 and margins 0 and 5, at a
-   random start and column.  The verdict flips once as the start
-   rises; it is bisected over the floats in [0, 200] to the two
-   adjacent starts where it flips, and both, with their neighbours one
-   ulp away, must agree with the prepared check too. *)
+(* The closed-form check with no instance is {!Protemp.Model.solve}'s
+   check on the rows that take part at the start ([start_holds]), bit
+   for bit: on both platforms, the variable variant and Niagara's
+   uniform one, strides 1 and 4 and margins 0 and 5, at a random start
+   and column.  The verdict flips once as the start rises; it is
+   bisected over the floats in [0, 200] to the two adjacent starts
+   where it flips, and both, with their neighbours one ulp away, must
+   agree with the check on the start's rows too. *)
 let prop_column_holds_at =
   QCheck2.Test.make ~name:"model: column check without an instance" ~count:60
     ~print:(fun (platform, stride, margin, tstart, fraction) ->
@@ -2204,8 +2252,10 @@ let prop_column_holds_at =
           let at tstart = Protemp.Model.column_holds_at cs ~tstart col in
           let agrees tstart =
             let prepared =
-              Protemp.Model.column_holds
-                (Protemp.Model.prepare ~machine ~spec ~tstart)
+              start_holds
+                (Protemp.Model.instantiate
+                   (Protemp.Model.prepare ~machine ~spec ~tstart)
+                   ~ftarget:(fraction *. machine.Sim.Machine.fmax))
                 col
             in
             Bool.equal (at tstart) prepared
@@ -2230,7 +2280,7 @@ let prop_column_holds_at =
 (* The check allocates nothing, whether it passes every row or stops
    at a violated one, and refuses a column of another machine or
    variant and a start that is not finite, as {!Protemp.Model.prepare}
-   and {!Protemp.Model.column_holds} do. *)
+   does. *)
 let test_column_holds_at_contract () =
   let m = Lazy.force machine in
   let cs = Protemp.Model.columns ~machine:m ~spec:fast_spec [| 9e8 |] in
@@ -2277,7 +2327,8 @@ let test_column_holds_at_contract () =
 
 (* Columns that are not monotone along a row are not searchable, and
    their closed-form prefix is found by checking each column in turn:
-   it equals the scan on every row, also where a column holds after
+   it equals a scan of the check on the start's rows ([start_holds])
+   on every row, also where a column holds after
    one that does not (where bisection would be wrong).  Descending and
    unsorted ftargets on Niagara, and a big.LITTLE ftarget above what
    its boxes allow (no column) before one they do.  Ascending columns
@@ -2297,7 +2348,10 @@ let test_closed_prefix_fallback () =
           let holds =
             Array.init (Array.length ftargets) (fun j ->
                 match Protemp.Model.column_at cs j with
-                | Some col -> Protemp.Model.column_holds p col
+                | Some col ->
+                    start_holds
+                      (Protemp.Model.instantiate p ~ftarget:ftargets.(j))
+                      col
                 | None -> false)
           in
           let scan = ref 0 in
@@ -2306,11 +2360,12 @@ let test_closed_prefix_fallback () =
           done;
           let rest = Array.sub holds !scan (Array.length holds - !scan) in
           if Array.exists Fun.id rest then held_after_failure := true;
-          check_int (label ^ ": the scan's prefix") !scan
-            (Protemp.Model.closed_prefix cs p);
-          check_bool (label ^ ": a whole row only if searchable") 
-            (searchable && !scan = Array.length ftargets)
-            (Protemp.Model.row_closed cs ~tstart))
+          let closed, start = Protemp.Model.closed_prefix cs ~tstart in
+          check_int (label ^ ": the scan's prefix") !scan closed;
+          check_bool
+            (label ^ ": a start iff a column is left")
+            (closed < Array.length ftargets)
+            (Option.is_some start))
         [ 27.0; 50.0; 70.0; 85.0; 95.0 ])
     [
       ("Niagara descending", niagara, [| 9.5e8; 9e8; 6e8; 3e8; 1e8 |], false);
@@ -2422,6 +2477,9 @@ let prop_frontier_tangent_sound =
                   (Protemp.Model.conic_blocks other.Protemp.Model.layout))
               t
           in
+          let rows = Protemp.Model.conic_rows other in
+          Convex.Conic.restrict ws t ~rows ~n:(Array.length rows) ~first:0
+            ~last:0;
           match Convex.Conic.solve ~ws t with
           | Convex.Conic.Optimal s ->
               let rng = Random.State.make [| seed |] in
@@ -2621,6 +2679,8 @@ let () =
             test_rows_published_once;
           Alcotest.test_case "uniform prepare allocation flat" `Quick
             test_uniform_prepare_allocation_flat;
+          Alcotest.test_case "a start copies no row" `Quick
+            test_start_copies_no_row;
           Alcotest.test_case "thermal coefficients non-negative" `Quick
             test_thermal_coefficients_nonnegative;
         ] );
