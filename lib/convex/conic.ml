@@ -341,8 +341,6 @@ let warm_mu = 0.003
 
 type stats = {
   iterations : int;
-  predictor_steps : int;
-  corrector_steps : int;
   factorizations : int;
   jitter_retries : int;
   optimal : int;
@@ -352,15 +350,12 @@ type stats = {
 }
 
 let stats_zero =
-  { iterations = 0; predictor_steps = 0; corrector_steps = 0;
-    factorizations = 0; jitter_retries = 0; optimal = 0;
+  { iterations = 0; factorizations = 0; jitter_retries = 0; optimal = 0;
     primal_infeasible = 0; dual_infeasible = 0; unknown = 0 }
 
 let stats_add a b =
   {
     iterations = a.iterations + b.iterations;
-    predictor_steps = a.predictor_steps + b.predictor_steps;
-    corrector_steps = a.corrector_steps + b.corrector_steps;
     factorizations = a.factorizations + b.factorizations;
     jitter_retries = a.jitter_retries + b.jitter_retries;
     optimal = a.optimal + b.optimal;
@@ -1473,7 +1468,6 @@ let solve ?warm ?stats_into ?ws t =
   let st = match ws with Some st -> st | None -> make_workspace t in
   rebind_ws st t;
   let iterations = ref 0 in
-  let predictor_steps = ref 0 and corrector_steps = ref 0 in
   let factorizations = ref 0 and jitter_retries = ref 0 in
   let warm_active = ref false in
   (match warm with
@@ -1538,14 +1532,12 @@ let solve ?warm ?stats_into ?ws t =
                jitter_retries := !jitter_retries + tries - 1;
                prepare_tau_recovery st;
                let alpha_aff = predictor_step st in
-               incr predictor_steps;
                let sigma =
                  let v = 1.0 -. alpha_aff in
                  let s3 = v *. v *. v in
                  if s3 < 0.0 then 0.0 else if s3 > 1.0 then 1.0 else s3
                in
                let alpha_max = corrector_step st ~sigma in
-               incr corrector_steps;
                let alpha = Float.min (step_frac *. alpha_max) 1.0 in
                if alpha < 1e-10 || not (Float.is_finite alpha) then
                  give_up ()
@@ -1572,8 +1564,6 @@ let solve ?warm ?stats_into ?ws t =
           {
             outcome with
             iterations = !iterations;
-            predictor_steps = !predictor_steps;
-            corrector_steps = !corrector_steps;
             factorizations = !factorizations;
             jitter_retries = !jitter_retries;
           });

@@ -98,8 +98,6 @@ val gap_rel_tol : float
 
 type stats = {
   iterations : int;
-  predictor_steps : int;
-  corrector_steps : int;
   factorizations : int;
       (** One scaled normal-equations factorization per iteration. *)
   jitter_retries : int;

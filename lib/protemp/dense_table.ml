@@ -60,26 +60,35 @@ type row = {
 }
 
 (* One row of the table, its columns left to right up to the first
-   infeasible one (infeasibility is monotone in [ftarget]).  The row's
-   leading columns that hold ({!Model.closed_prefix}, decided from the
-   machine's rows with {!Model.solve}'s own closed-form check: one
-   check when the last column holds, a bisection where closed form is
-   monotone along the row, a scan otherwise) are each served a fresh
-   copy of the column's frequencies, with no instance, dual or
-   solution record, and counted as {!Model.solve} counts them: one
-   optimal outcome with no iteration.  A row they fill is never
-   prepared.  Otherwise the row is prepared once (the start
-   {!Model.closed_prefix} checked its columns on), and every later
-   cell is instantiated and solved in the row's one conic workspace, made
-   when the first such cell comes; most first infeasible columns cost
-   one evaluation of a frontier tangent, the one outcome counted
-   primal-infeasible with no iteration.  Each cell is seeded with the
-   previous feasible column's optimum (a column's point when it
-   settled that cell).  A pure function of the grid, its columns and
-   [i]: a fill is bit-identical at any domain count. *)
-let run_row g columns i =
-  let cols = Array.length g.ftargets and tstart = g.tstarts.(i) in
-  let closed, prepared = Model.closed_prefix columns ~tstart in
+   infeasible one (infeasibility is monotone in [ftarget]).  A row
+   below [closed_rows] ({!Model.closed_rows}: every column holds
+   there) is served a fresh copy of each column's frequencies, with no
+   start, check, instance, dual or solution record, and counted as
+   {!Model.solve} counts a closed-form cell: one optimal outcome with
+   no iteration.  Any other row is prepared once (the first of them
+   takes the start [first_open] the search made for it), its leading
+   columns that hold are found on that start and served the same way
+   ({!Model.closed_prefix}), and every later cell is instantiated and
+   solved in the row's one conic workspace, made when the first such
+   cell comes; most first infeasible columns cost one evaluation of a
+   frontier tangent, the one outcome counted primal-infeasible with no
+   iteration.  Each cell is seeded with the previous feasible column's
+   optimum (a column's point when it settled that cell).  A pure
+   function of the grid, its columns, the closed rows and [i]: a fill
+   is bit-identical at any domain count. *)
+let run_row g columns (closed_rows, first_open) i =
+  let cols = Array.length g.ftargets in
+  let closed, prepared =
+    if i < closed_rows then (cols, None)
+    else
+      let p =
+        match first_open with
+        | Some p when i = closed_rows -> p
+        | Some _ | None ->
+            Model.prepare ~machine:g.machine ~spec:g.spec ~tstart:g.tstarts.(i)
+      in
+      (Model.closed_prefix columns p, Some p)
+  in
   let cells = Array.make cols Table.Infeasible in
   let start = ref None in
   for j = 0 to closed - 1 do
@@ -108,9 +117,9 @@ let run_row g columns i =
                   after.primal_infeasible > before.primal_infeasible
                   && after.iterations = before.iterations )
             | Model.Feasible s ->
-                (* An interior-point optimum, or, past a column that does
-                   not hold where closed form is not monotone, a closed
-                   form {!Model.solve} finds itself. *)
+                (* An interior-point optimum, or, where the columns
+                   are not searchable, a closed form {!Model.solve}
+                   finds itself. *)
                 (match s.Model.settled_by with
                 | `Closed_form -> incr closed_form
                 | `Interior_point -> ());
@@ -136,12 +145,16 @@ let fill ?domains t =
   | None ->
       let g = t.grid in
       let cols = Array.length g.ftargets in
-      (* The columns are computed here, on the calling domain, so a
-         grid the model refuses (its spec on this machine) fails before
-         any row is solved; they are dropped with the fill. *)
+      (* The columns and the closed rows are found here, on the
+         calling domain, so a grid the model refuses (its spec on this
+         machine) fails before any row is solved; they are dropped
+         with the fill. *)
       let columns = Model.columns ~machine:g.machine ~spec:g.spec g.ftargets in
+      let closed_rows = Model.closed_rows columns g.tstarts in
       let rows =
-        Parallel.Pool.map ?domains (run_row g columns) (Array.length g.tstarts)
+        Parallel.Pool.map ?domains
+          (run_row g columns closed_rows)
+          (Array.length g.tstarts)
       in
       (* Merged in row order, so the counters do not depend on the
          domain count either.  Every row solves its columns up to and

@@ -68,15 +68,17 @@ type fill_stats = {
 val fill : ?domains:int -> t -> fill_stats
 (** Solve every cell, once.  The grid's {!Model.columns} (one
     floor-only optimum per [ftarget], with the machine's thermal rows)
-    are computed first, on the calling domain, and dropped when the
-    fill returns; then rows are fanned across a {!Parallel.Pool}
-    ([domains] defaults to {!Parallel.Pool.default_domains}).  The
-    leading cells of a row whose column holds there
-    ({!Model.closed_prefix}, with no instance) are each served a copy
-    of the column's frequencies with no instance or solve record; a
-    row they fill is never prepared.  Any other row prepares its start
-    once and instantiates and solves every later cell in the row's one
-    conic workspace, made at its first such cell.  Each
+    and its {!Model.closed_rows} (the leading rows every column holds
+    on, found by bisection over the starts) are computed first, on the
+    calling domain, and dropped when the fill returns; then rows are
+    fanned across a {!Parallel.Pool} ([domains] defaults to
+    {!Parallel.Pool.default_domains}).  A closed row is served a copy
+    of each column's frequencies with no start, check, instance or
+    solve record.  Any other row prepares its start once, serves the
+    leading columns that hold there the same way
+    ({!Model.closed_prefix}), and instantiates and solves every later
+    cell in the row's one conic workspace, made at its first such
+    cell.  Each
     cell is seeded from the previous feasible column, and the row
     stops at its first infeasible
     column: infeasibility is monotone in [ftarget], so the rest are

@@ -275,11 +275,11 @@ let window ~machine ~(spec : Spec.t) =
    instances' packed [G] and constants (0 on every thermal, gradient
    and floor row, which a start and a cell write).  [stepper] steps the
    base of a start profile.  [nonnegative] is whether every stored
-   thermal coefficient is >= 0 (a NaN is not), which makes a row's
-   value at a column's point monotone in the point's powers (see
-   {!closed_prefix}).  [floor_only] is the cell's floor-only
-   relaxation: [None] with a gradient term, whose spread term couples
-   the objective to the thermal rows. *)
+   thermal coefficient and every [a_k] is >= 0 (a NaN is not), which
+   makes a row's value at a column's point monotone in the point's
+   powers and in a uniform start (see {!columns}).  [floor_only] is
+   the cell's floor-only relaxation: [None] with a gradient term,
+   whose spread term couples the objective to the thermal rows. *)
 type thermal_rows = {
   key_steps : int;
   key_stride : int;
@@ -470,6 +470,9 @@ let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
     Convex.Conic.make ~c ~n_orthant ~glo:g.lo ~goff:g.off ~gdata:g.data ~h:h0
   in
   let objective = objective_coeffs ~machine ~spec layout in
+  let unit_response =
+    response_of homogeneous ~power:(Vec.zeros n_nodes) ~t0:1.0
+  in
   Thermal_rows
     {
       key_steps = steps;
@@ -480,15 +483,15 @@ let compute_thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
       ks;
       stepper;
       threshold;
-      unit_response =
-        response_of homogeneous ~power:(Vec.zeros n_nodes) ~t0:1.0;
+      unit_response;
       fixed_response =
         response_of stepper ~power:machine.Sim.Machine.fixed_power ~t0:0.0;
       gradient_base = Array.of_list !gradient_base;
       nonnegative =
-        Array.for_all
-          (fun (_, row) -> Array.for_all (fun q -> q >= 0.0) row)
-          thermal;
+        Array.for_all (fun a -> a >= 0.0) unit_response
+        && Array.for_all
+             (fun (_, row) -> Array.for_all (fun q -> q >= 0.0) row)
+             thermal;
       first_thermal = Array.length box + 1;
       first_bound = n_orthant - List.length bound_rows;
       n_orthant;
@@ -528,21 +531,12 @@ let thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
       | _ -> None)
     ~compute:(fun () -> compute_thermal_rows machine ~spec ~layout ~steps)
 
-(* A start's operations on thermal row [idx], for {!write_constants}
-   and {!column_holds_at}: a uniform start's base, whether the box
-   implies the row (a NaN base is kept) and the row's constant.
-   Inlined, so no float is boxed. *)
-let[@inline] affine_base ~a ~c ~tstart idx = (tstart *. a.(idx)) +. c.(idx)
-let[@inline] implied ~(threshold : float array) idx base =
-  base < threshold.(idx)
-let[@inline] thermal_constant ~tmax base = -.((base -. tmax) /. tmax)
-
 (* Every thermal row's base from the uniform start [tstart] into [h]
    at the row's constant. *)
 let affine_bases rows ~tstart ~h =
   let a = rows.unit_response and c = rows.fixed_response in
   for idx = 0 to Array.length a - 1 do
-    h.(rows.first_thermal + idx) <- affine_base ~a ~c ~tstart idx
+    h.(rows.first_thermal + idx) <- (tstart *. a.(idx)) +. c.(idx)
   done
 
 (* A start's constants and rows from its bases, which [h] holds at the
@@ -551,7 +545,8 @@ let affine_bases rows ~tstart ~h =
    [-((base - tmax)/tmax)] in place of its base; into [part], the
    orthant rows that take part, ascending: the first [fixed] (the box
    rows, then the floor unless the start is a frontier's), the thermal
-   rows the box does not imply, then every gradient row and bound.
+   rows the box does not imply (a NaN base is kept), then every
+   gradient row and bound.
    Returns how many rows take part. *)
 let write_constants rows ~fixed ~tmax ~h ~part =
   let first = rows.first_thermal and threshold = rows.threshold in
@@ -567,8 +562,8 @@ let write_constants rows ~fixed ~tmax ~h ~part =
   let n = ref fixed in
   for idx = 0 to Array.length threshold - 1 do
     let base = h.(first + idx) in
-    h.(first + idx) <- thermal_constant ~tmax base;
-    if not (implied ~threshold idx base) then begin
+    h.(first + idx) <- -.((base -. tmax) /. tmax);
+    if not (base < threshold.(idx)) then begin
       part.(!n) <- first + idx;
       incr n
     end
@@ -1234,22 +1229,24 @@ let column_of fo ~layout ~variant ~machine ~ftarget =
 let column_frequencies col = Vec.copy col.col_frequencies
 let column_x col = col.col_x
 
-(* A table's columns, one per [ftarget], with the machine's rows for
-   the spec (read here, on the calling domain) and whether a row's
-   closed-form cells can be searched.  Closed form is monotone along a
-   row when every thermal coefficient is >= 0 and each column's powers
-   are at least the previous column's: rounded multiplication by a
-   coefficient >= 0 and rounded addition are monotone, so the computed
-   value of a row at a column's point cannot fall from one column to
-   the next, and a row that a column violates the next violates too.
-   A [None] column settles nothing, so it may only follow every
-   [Some]. *)
+(* A table's columns, one per [ftarget], from the machine's rows for
+   the spec (read here, on the calling domain), and whether a table's
+   closed-form cells can be searched: they can when every thermal
+   coefficient and every [a_k] is >= 0 and each column's powers are at
+   least the previous column's.  Rounded multiplication by a factor
+   >= 0, rounded addition and division by [tmax > 0] are monotone, so
+   the computed value of a row at a column's point cannot fall from
+   one column to the next, nor as a uniform start rises: its base
+   [tstart a_k + c_k] does not fall, so its constant does not rise, and
+   a row the box implies at a start it implies at every cooler one.  A
+   row that a column violates, the next column and every hotter start
+   violate too, so the cells the closed form settles are a prefix of
+   each row and of each column.  A [None] column settles nothing, so
+   it may only follow every [Some]. *)
 type columns = {
   cs : column option array;
   cs_machine : Sim.Machine.t;
-  cs_layout : layout;
   cs_spec : Spec.t;
-  cs_rows : thermal_rows;
   cs_searchable : bool;
 }
 
@@ -1286,50 +1283,12 @@ let columns ~machine ~(spec : Spec.t) ftargets =
   {
     cs;
     cs_machine = machine;
-    cs_layout = layout;
     cs_spec = spec;
-    cs_rows = rows;
     cs_searchable = rows.nonnegative && ascending layout cs;
   }
 
 let column_at t j = t.cs.(j)
 let searchable t = t.cs_searchable
-
-(* Whether the column settles the cell of the uniform start [tstart],
-   with no start: per thermal row, in row order, a start's float
-   operations ({!affine_base}, {!implied}, {!thermal_constant}), then
-   {!Convex.Conic.holds}' left-to-right sum from [0.0] over the row's
-   stripe, so each verdict has the bits of {!solve}'s own check on the
-   start's rows. *)
-let column_holds_at t ~tstart col =
-  if col.col_machine != t.cs_machine then
-    invalid_arg "Model.column_holds_at: a column of another machine";
-  if Vec.dim col.col_x <> t.cs_layout.dim then
-    invalid_arg "Model.column_holds_at: a column of another variant";
-  if not (Float.is_finite tstart) then
-    invalid_arg "Model.column_holds_at: non-finite start temperature";
-  let rows = t.cs_rows and x = col.col_x and tmax = t.cs_spec.Spec.tmax in
-  let a = rows.unit_response and c = rows.fixed_response in
-  let threshold = rows.threshold and g = rows.g in
-  let first = rows.first_thermal in
-  let n = Array.length threshold in
-  let i = ref 0 in
-  let ok = ref true in
-  while !ok && !i < n do
-    let idx = !i in
-    let base = affine_base ~a ~c ~tstart idx in
-    if not (implied ~threshold idx base) then begin
-      let s = g.off.(first + idx) and e = g.off.(first + idx + 1) in
-      let shift = g.lo.(first + idx) - s in
-      let dot = ref 0.0 in
-      for k = s to e - 1 do
-        dot := !dot +. (g.data.(k) *. x.(shift + k))
-      done;
-      if not (!dot -. thermal_constant ~tmax base <= 0.0) then ok := false
-    end;
-    incr i
-  done;
-  !ok
 
 (* {!solve}'s closed-form check of [col] on the start [p]: the column's
    point against the start's candidates, the thermal rows it keeps. *)
@@ -1337,41 +1296,47 @@ let start_holds p col =
   Convex.Conic.holds p.p_conic col.col_x ~rows:p.p_part ~first:p.p_first
     ~last:p.p_last
 
-(* Holding is a prefix of the columns when they are searchable: the
-   last column is checked first ({!column_holds_at}), and when it holds
-   so does every other.  Otherwise the row's start is prepared, and
-   each column is checked on it with {!solve}'s own check: by bisection
-   below the last column when searchable, in turn when not. *)
-let closed_prefix t ~tstart =
-  let n = Array.length t.cs in
-  let last_closes () =
-    match t.cs.(n - 1) with
-    | Some col -> column_holds_at t ~tstart col
-    | None -> false
-  in
-  if t.cs_searchable && n > 0 && last_closes () then (n, None)
-  else begin
-    let p = prepare ~machine:t.cs_machine ~spec:t.cs_spec ~tstart in
-    let holds j = Option.fold ~none:false ~some:(start_holds p) t.cs.(j) in
-    let closed =
-      if t.cs_searchable then begin
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !lo < !hi do
-          let mid = !lo + ((!hi - !lo) / 2) in
-          if holds mid then lo := mid + 1 else hi := mid
-        done;
-        !lo
-      end
-      else begin
-        let j = ref 0 in
-        while !j < n && holds !j do
-          incr j
-        done;
-        !j
-      end
-    in
-    (closed, if closed = n then None else Some p)
-  end
+(* The first index in [[lo, hi]] where [holds] fails, for a [holds]
+   that is true on a prefix of [[lo, hi)] ([hi] is never checked). *)
+let bisect holds ~lo ~hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if holds mid then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The coolest start is checked first, so a grid whose last column
+   fails everywhere pays one start; otherwise the hotter ones are
+   bisected.  The last start a check rejects is the first open row's:
+   a bisection lowers its upper end only on a failed check, and no
+   check fails when every row is closed. *)
+let closed_rows t tstarts =
+  let m = Array.length tstarts and n = Array.length t.cs in
+  for i = 1 to m - 1 do
+    if not (tstarts.(i - 1) <= tstarts.(i)) then
+      invalid_arg "Model.closed_rows: tstarts not ascending"
+  done;
+  match if t.cs_searchable && n > 0 then t.cs.(n - 1) else None with
+  | None -> (0, None)
+  | Some col ->
+      let failed = ref None in
+      let holds i =
+        let p =
+          prepare ~machine:t.cs_machine ~spec:t.cs_spec ~tstart:tstarts.(i)
+        in
+        let ok = start_holds p col in
+        if not ok then failed := Some p;
+        ok
+      in
+      let r = if m = 0 || not (holds 0) then 0 else bisect holds ~lo:1 ~hi:m in
+      (r, !failed)
+
+let closed_prefix t p =
+  if p.p_machine != t.cs_machine || p.p_spec <> t.cs_spec || p.p_frontier
+  then invalid_arg "Model.closed_prefix: a start of another machine or spec";
+  let holds j = Option.fold ~none:false ~some:(start_holds p) t.cs.(j) in
+  if t.cs_searchable then bisect holds ~lo:0 ~hi:(Array.length t.cs) else 0
 
 (* The cell's optimum from its column, which it takes over (its [x] is
    the solution's), as [raw] with its exact dual, over every row that

@@ -102,7 +102,8 @@ type prepared
     copies no row and allocates the same words however many rows take
     part; each {!instantiate} is then almost free.  The offline sweep
     prepares only the rows that have a cell their column does not
-    settle ({!closed_prefix}; DESIGN.md §6t, §6y, §6z, §6za, §6zb). *)
+    settle ({!closed_prefix}), and a few starts to find those rows
+    ({!closed_rows}; DESIGN.md §6t, §6y, §6z, §6za, §6zb, §6zc). *)
 
 type built = {
   layout : layout;
@@ -238,8 +239,8 @@ val solve :
     objective coefficients and [lambda] the floor's multiplier, found
     by walking the sorted saturation breakpoints: the cell's
     {!type-column}.  Every thermal row that takes part is evaluated
-    there in one {!Convex.Conic.holds} pass, the check
-    {!closed_prefix} makes on a table row's start.  If
+    there in one {!Convex.Conic.holds} pass, the check {!closed_rows}
+    and {!closed_prefix} make on a table row's start.  If
     none is violated the point is feasible for the cell, and since the
     relaxation's objective is strictly convex in [fhat] it is the
     cell's unique optimum: it is served with
@@ -316,9 +317,9 @@ val solve :
 (** {2 Columns}
 
     The closed form of {!solve} depends on [ftarget] alone, so a table
-    computes it once per column and checks it without instantiating
-    the cell, or preparing its row, from the machine's rows
-    ({!column_holds_at}). *)
+    computes it once per column.  A table row checks it on the row's
+    start ({!closed_prefix}), and the rows that all its columns settle
+    take no start at all ({!closed_rows}). *)
 
 type column
 (** The floor-only optimum of every cell of one [ftarget], with the
@@ -327,19 +328,23 @@ type column
     cell at [ftarget]. *)
 
 type columns
-(** A table's columns, one per [ftarget], with the machine's thermal
-    rows for the spec, so that a row can settle its closed-form cells
-    as a whole.  Closed form is monotone along a row when the columns
-    are {!searchable}: a row that one column's point violates, the
-    next column's violates too, since every thermal coefficient is
-    [>= 0], the powers rise from column to column, and rounded
-    multiplication and addition are monotone (DESIGN.md §6za). *)
+(** A table's columns, one per [ftarget], for a machine and spec, so
+    that a table can settle its closed-form cells as a whole.  When
+    the columns are {!searchable}, the cells the closed form settles
+    are a prefix of each row and of each column: a row that one
+    column's point violates, the next column's violates too, and so
+    does every hotter uniform start.  Every
+    thermal coefficient and every [a_k] is [>= 0], the powers rise
+    from column to column, and rounded multiplication, addition and
+    division are monotone, so a row's computed value at a column's
+    point does not fall as the column or the start rises (DESIGN.md
+    §6za, §6zc). *)
 
 val columns : machine:Sim.Machine.t -> spec:Spec.t -> float array -> columns
 (** The {!type-column} of each [ftarget], in the given order, with the
     machine's rows for [spec] (and the floor-only relaxation's data
     kept with them), built now if this is their first request.
-    Verifies the two conditions of {!searchable} once.  Raises
+    Verifies the conditions of {!searchable} once.  Raises
     [Invalid_argument] as {!instantiate} does for an [ftarget] outside
     [[0, fmax]], NaN included, and as {!prepare} does for the spec. *)
 
@@ -349,35 +354,37 @@ val column_at : columns -> int -> column option
     frequency boxes allow. *)
 
 val searchable : columns -> bool
-(** Whether every thermal coefficient of the rows is [>= 0] (checked
-    once per row set, when the machine builds it) and each column's
-    power components are at least the previous column's, with [None]
-    only after every [Some]. *)
+(** Whether every thermal coefficient of the rows and every [a_k =
+    A^k 1] at their stride points is [>= 0], NaN failing (checked once
+    per row set, when the machine builds it), and each column's power
+    components are at least the previous column's, with [None] only
+    after every [Some].  [Rc_model.discretize] keeps the step matrix
+    [A] elementwise [>= 0], so only a hand-built
+    [Thermal.Rc_model.discrete] fails the first condition. *)
 
-val column_holds_at : columns -> tstart:float -> column -> bool
-(** Whether the column's point satisfies every thermal row that takes
-    part at the uniform start [tstart], for the columns' machine and
-    spec: then it is the optimum of that start's cell at the column's
-    [ftarget], and {!solve} would serve it with
-    [settled_by = `Closed_form] and the frequencies
-    {!column_frequencies} returns.  {!closed_prefix}'s check of a
-    row's last column, with no start: per thermal row, a start's own
-    float operations (the base, the threshold compare, the constant),
-    then {!Convex.Conic.holds}' sum over the row, so its verdict is
-    {!solve}'s, bit for bit.  Allocates nothing.  Raises
-    [Invalid_argument] for a column of another machine or variant, and
-    for a [tstart] that is not finite, as {!prepare} does. *)
+val closed_rows : columns -> float array -> int * prepared option
+(** The number [r] of leading uniform starts of the ascending
+    [tstarts] at which the last column holds, and so every column:
+    {!solve} serves each of their cells in closed form, with the
+    column's frequencies.  With it, the start of row [r] when the
+    search prepared it: always when [r] is below the number of starts,
+    the columns are {!searchable} and the last is not [None]; [None]
+    otherwise.  [r] is 0 where the columns are not searchable.  The
+    coolest start is checked first, so a grid whose last column fails
+    on every start costs one check; otherwise the hotter starts are
+    bisected, about [log2 m] more.  Each check prepares the start and
+    makes {!solve}'s own closed-form check on it, bit for bit.  Raises
+    [Invalid_argument] when [tstarts] is not ascending (a NaN is not)
+    and, as {!prepare} does, on a start that is not finite. *)
 
-val closed_prefix : columns -> tstart:float -> int * prepared option
-(** The number of leading columns that hold at the uniform start
-    [tstart] (a [None] column does not), and the row's start unless
-    every column holds.  Where the columns are {!searchable}, the last
-    column is checked first ({!column_holds_at}): a row it holds on is
-    closed by that one check, with no start.  Otherwise the row is
-    prepared and its columns are checked on the start with {!solve}'s
-    own check: by bisection below the last, [ceil (log2 n)] checks, or
-    in turn where they are not searchable.  Raises [Invalid_argument]
-    for a [tstart] that is not finite, as {!prepare} does. *)
+val closed_prefix : columns -> prepared -> int
+(** The number of leading columns that hold on a start of the
+    columns' machine and spec (a [None] column does not), by
+    bisection with {!solve}'s own check.  0 where the columns are not
+    {!searchable}: {!solve} then settles the row's closed-form cells
+    itself, with the same bits and counters.  Raises
+    [Invalid_argument] for a start of another machine or spec and for
+    a frontier's start. *)
 
 val column_frequencies : column -> Vec.t
 (** A fresh copy of the served frequencies (Hz, per core), equal to

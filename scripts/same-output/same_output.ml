@@ -2,7 +2,8 @@
    instances: solves, frontiers and profile solves (every field of the
    solution, duals included) and whole tables, on Niagara and
    big.LITTLE, for the variable, uniform, gradient and capped-gradient
-   variants at strides 1 and 4 and margins 0 and 5 C.  Two builds that
+   variants at strides 1 and 4 and margins 0 and 5 C, and one table on
+   a Niagara whose step matrix has a negative entry.  Two builds that
    print the same bytes compute the same bits.  Run by
    scripts/same-output.sh on the working tree and on a git revision:
 
@@ -134,4 +135,21 @@ let () =
   table "biglittle 150x8" ~machine:(Sim.Machine.biglittle ()) ~spec
     ~margin:0.0 ~tstarts:(axis 27.0 100.0 150) ~ftargets:(axis 1e8 7e8 8);
   table "niagara margin 5 74x9" ~machine:(Sim.Machine.niagara ()) ~spec
-    ~margin:5.0 ~tstarts:(axis 27.0 100.0 74) ~ftargets:(axis 1e8 9e8 9)
+    ~margin:5.0 ~tstarts:(axis 27.0 100.0 74) ~ftargets:(axis 1e8 9e8 9);
+  (* Niagara with one negative step entry, its first node's
+     self-coupling: [a_1] is negative there, so at stride 1 the columns
+     are not searchable, every row is prepared and [Model.solve]
+     settles the closed-form cells itself. *)
+  let niagara = Sim.Machine.niagara () in
+  let thermal = niagara.Sim.Machine.thermal in
+  let step = Linalg.Mat.copy thermal.Thermal.Rc_model.step in
+  Linalg.Mat.set step 0 0 (-0.01);
+  let machine =
+    Sim.Machine.make_platform
+      ~thermal:{ thermal with Thermal.Rc_model.step }
+      ~core_nodes:niagara.Sim.Machine.core_nodes
+      ~fixed_power:niagara.Sim.Machine.fixed_power
+      ~platform:niagara.Sim.Machine.platform ()
+  in
+  table "niagara negative step 8x6" ~machine ~spec:d ~margin:0.0
+    ~tstarts:(axis 27.0 100.0 8) ~ftargets:(axis 1e8 9e8 6)

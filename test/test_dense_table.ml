@@ -490,9 +490,48 @@ let test_served_floor_bound () =
         98 );
     ]
 
+(* Niagara with one negative step entry: the first node's (not a
+   core's) self-coupling at -0.01.  Its [a_1] is then negative, while
+   every thermal coefficient at stride 1 stays >= 0 (at stride 4 every
+   [a_k] is >= 0 again).  Only a hand-built
+   {!Thermal.Rc_model.discrete} can have one: [discretize] refuses a
+   step that makes [A] negative anywhere. *)
+let negative_step_machine () =
+  let m = Sim.Machine.niagara () in
+  let d = m.Sim.Machine.thermal in
+  let step = Mat.copy d.Thermal.Rc_model.step in
+  Mat.set step 0 0 (-0.01);
+  Sim.Machine.make_platform
+    ~thermal:{ d with Thermal.Rc_model.step }
+    ~core_nodes:m.Sim.Machine.core_nodes
+    ~fixed_power:m.Sim.Machine.fixed_power ~platform:m.Sim.Machine.platform ()
+
+(* Its columns are not searchable, so no row is closed and no row's
+   prefix is searched: every row is prepared, and {!Protemp.Model.solve}
+   settles its closed-form cells itself.  The fill equals the per-cell
+   replay bit for bit, with the same closed-form count (some), frontier
+   verdicts and solver counters. *)
+let test_not_searchable_fallback () =
+  let machine = negative_step_machine () in
+  let spec = { Protemp.Spec.default with Protemp.Spec.constraint_stride = 1 } in
+  let tstarts = axis 27.0 100.0 8 and ftargets = axis 1e8 9e8 6 in
+  check_bool "not searchable" false
+    (Protemp.Model.searchable (Protemp.Model.columns ~machine ~spec ftargets));
+  let dt = D.create ~machine ~spec ~tstarts ~ftargets () in
+  ignore (D.fill ~domains:1 dt);
+  let r = replay ~machine ~spec ~tstarts ~ftargets in
+  Alcotest.(check string)
+    "the replay's table" r.csv
+    (Protemp.Table.to_csv (D.to_table dt));
+  check_int "the replay's closed-form cells" r.closed_form
+    (D.closed_form_cells dt);
+  check_bool "closed-form cells" true (r.closed_form > 0);
+  check_int "the replay's frontier verdicts" r.verdicts (D.frontier_verdicts dt);
+  check_bool "the replay's solver counters" true (D.solver_stats dt = r.conic)
+
 (* Rows whose every cell is settled in closed form: big.LITTLE from 27
-   to 60 C under the benchmark's eight ftargets.  The fill decides them
-   from the machine's rows with no instance, so
+   to 60 C under the benchmark's eight ftargets.  The fill finds them
+   by a bisection over the starts and serves them with no start, so
    - a fresh machine filled at 1 and at 2 domains gives the same table,
      byte for byte, and publishes one row set either way (and no ladder
      point: no cell needs a frontier);
@@ -589,6 +628,8 @@ let () =
           Alcotest.test_case "fails closed" `Quick test_fill_fails_closed;
           Alcotest.test_case "closed rows are not prepared" `Quick
             test_closed_rows_not_prepared;
+          Alcotest.test_case "not searchable falls back" `Quick
+            test_not_searchable_fallback;
         ] );
       ( "serving",
         [

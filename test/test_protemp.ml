@@ -1369,8 +1369,8 @@ let column ~machine ~spec ~ftarget =
    holds exactly when [solve] reports [`Closed_form], and then the
    column's point and frequencies are the solution's, bit for bit.
    An [ftarget] outside [0, fmax] raises as [instantiate] does, the
-   gradient variant has no column, columns of another machine are
-   refused, and the check allocates nothing. *)
+   gradient variant has no column, and the check on a start's rows
+   ({!Convex.Conic.holds}) allocates nothing. *)
 let test_column_is_closed_form () =
   let bits a b =
     Vec.dim a = Vec.dim b
@@ -1392,14 +1392,9 @@ let test_column_is_closed_form () =
               let label =
                 Printf.sprintf "%s at %g C, %g fmax" name tstart fraction
               in
-              let column_holds col =
-                Protemp.Model.column_holds_at
-                  (Protemp.Model.columns ~machine ~spec [| ftarget |])
-                  ~tstart col
-              in
-              let outcome =
-                Protemp.Model.solve (Protemp.Model.instantiate p ~ftarget)
-              in
+              let built = Protemp.Model.instantiate p ~ftarget in
+              let column_holds col = start_holds built col in
+              let outcome = Protemp.Model.solve built in
               match
                 (column ~machine ~spec ~ftarget, outcome)
               with
@@ -1441,21 +1436,27 @@ let test_column_is_closed_form () =
        (column ~machine:m ~spec:(Protemp.Spec.with_gradient fast_spec)
           ~ftarget:5e8));
   let col = Option.get (column ~machine:m ~spec:fast_spec ~ftarget:5e8) in
-  check_bool "another machine's columns" true
-    (raises (fun () ->
-         Protemp.Model.column_holds_at
-           (Protemp.Model.columns ~machine:(Sim.Machine.niagara ())
-              ~spec:fast_spec [| 5e8 |])
-           ~tstart:60.0 col));
   check_bool "a fresh copy each time" true
     (Protemp.Model.column_frequencies col
     != Protemp.Model.column_frequencies col);
-  let cs = Protemp.Model.columns ~machine:m ~spec:fast_spec [| 5e8 |] in
-  ignore (Protemp.Model.column_holds_at cs ~tstart:95.0 col);
+  let built =
+    Protemp.Model.instantiate
+      (Protemp.Model.prepare ~machine:m ~spec:fast_spec ~tstart:95.0)
+      ~ftarget:5e8
+  in
+  let t = Lazy.force built.Protemp.Model.conic in
+  let rows = Protemp.Model.conic_rows built and x = Protemp.Model.column_x col in
+  let first =
+    Protemp.Model.first_thermal_index built.Protemp.Model.layout
+    - built.Protemp.Model.layout.Protemp.Model.n_f
+  in
+  let check () =
+    Convex.Conic.holds t x ~rows ~first ~last:(Array.length rows)
+  in
+  ignore (check ());
   let w0 = Gc.minor_words () in
   for _ = 1 to 100 do
-    ignore
-      (Sys.opaque_identity (Protemp.Model.column_holds_at cs ~tstart:95.0 col))
+    ignore (Sys.opaque_identity (check ()))
   done;
   check_float 0.0 "the check allocates nothing" 0.0 (Gc.minor_words () -. w0)
 
@@ -2213,27 +2214,32 @@ let test_thermal_coefficients_nonnegative () =
         [ 1; 4 ])
     [ ("niagara", Lazy.force machine); ("biglittle", Lazy.force biglittle) ]
 
-(* The closed-form check with no instance is {!Protemp.Model.solve}'s
-   check on the rows that take part at the start ([start_holds]), bit
-   for bit: on both platforms, the variable variant and Niagara's
-   uniform one, strides 1 and 4 and margins 0 and 5, at a random start
-   and column.  The verdict flips once as the start rises; it is
-   bisected over the floats in [0, 200] to the two adjacent starts
-   where it flips, and both, with their neighbours one ulp away, must
-   agree with the check on the start's rows too. *)
-let prop_column_holds_at =
-  QCheck2.Test.make ~name:"model: column check without an instance" ~count:60
-    ~print:(fun (platform, stride, margin, tstart, fraction) ->
-      Printf.sprintf "%s stride %d margin %.0f tstart %h ftarget %h fmax"
-        platform stride margin tstart fraction)
+(* The rows whose last column holds on their own start ([start_holds],
+   {!Protemp.Model.solve}'s check) are a prefix of ascending starts,
+   and {!Protemp.Model.closed_rows} returns its length: on both
+   platforms, the variable variant and Niagara's uniform one, strides
+   1 and 4 and margins 0 and 5, over random ascending starts (ties
+   included) and a random pair of ascending columns; with it comes the
+   start of the first open row, exactly when there is one and the last
+   column is not [None].  [prefix_shapes]
+   counts the grids drawn with no, some and every start closed. *)
+let prefix_shapes = Array.make 3 0
+
+let prop_closed_rows =
+  QCheck2.Test.make ~name:"model: closed rows are a prefix of the starts"
+    ~count:40
+    ~print:(fun (platform, stride, margin, tstarts, fraction) ->
+      Printf.sprintf "%s stride %d margin %.0f ftarget %h fmax tstarts %s"
+        platform stride margin fraction
+        (String.concat " " (List.map (Printf.sprintf "%h") tstarts)))
     QCheck2.Gen.(
       let* platform = oneofl [ "niagara"; "niagara uniform"; "biglittle" ] in
       let* stride = oneofl [ 1; 4 ] in
       let* margin = oneofl [ 0.0; 5.0 ] in
-      let* tstart = float_range 27.0 100.0 in
+      let* tstarts = list_size (int_range 1 12) (float_range 27.0 100.0) in
       let+ fraction = float_range 0.05 1.0 in
-      (platform, stride, margin, tstart, fraction))
-    (fun (platform, stride, margin, tstart, fraction) ->
+      (platform, stride, margin, List.sort Float.compare tstarts, fraction))
+    (fun (platform, stride, margin, tstarts, fraction) ->
       let machine =
         Lazy.force (if platform = "biglittle" then biglittle else machine)
       in
@@ -2242,106 +2248,74 @@ let prop_column_holds_at =
         Protemp.Spec.guard_band ~margin
           (if platform = "niagara uniform" then uniform_spec s else s)
       in
+      let ftarget = fraction *. machine.Sim.Machine.fmax in
       let cs =
-        Protemp.Model.columns ~machine ~spec
-          [| fraction *. machine.Sim.Machine.fmax |]
+        Protemp.Model.columns ~machine ~spec [| 0.5 *. ftarget; ftarget |]
       in
-      match Protemp.Model.column_at cs 0 with
-      | None -> true
-      | Some col ->
-          let at tstart = Protemp.Model.column_holds_at cs ~tstart col in
-          let agrees tstart =
-            let prepared =
-              start_holds
-                (Protemp.Model.instantiate
-                   (Protemp.Model.prepare ~machine ~spec ~tstart)
-                   ~ftarget:(fraction *. machine.Sim.Machine.fmax))
-                col
-            in
-            Bool.equal (at tstart) prepared
-            || QCheck2.Test.fail_reportf "at %h: %b without an instance" tstart
-                 (at tstart)
-          in
-          let bits = Int64.bits_of_float and of_bits = Int64.float_of_bits in
-          let rec bisect lo hi =
-            if Int64.sub hi lo <= 1L then (of_bits lo, of_bits hi)
-            else
-              let mid = Int64.add lo (Int64.div (Int64.sub hi lo) 2L) in
-              if at (of_bits mid) then bisect mid hi else bisect lo mid
-          in
-          agrees tstart
-          &&
-          if at 0.0 && not (at 200.0) then
-            let last, first = bisect (bits 0.0) (bits 200.0) in
-            List.for_all agrees
-              [ Float.pred last; last; first; Float.succ first ]
-          else true)
-
-(* The check allocates nothing, whether it passes every row or stops
-   at a violated one, and refuses a column of another machine or
-   variant and a start that is not finite, as {!Protemp.Model.prepare}
-   does. *)
-let test_column_holds_at_contract () =
-  let m = Lazy.force machine in
-  let cs = Protemp.Model.columns ~machine:m ~spec:fast_spec [| 9e8 |] in
-  let col = Option.get (Protemp.Model.column_at cs 0) in
-  List.iter
-    (fun (tstart, holds) ->
-      check_bool (Printf.sprintf "at %g C" tstart) holds
-        (Protemp.Model.column_holds_at cs ~tstart col);
-      let w0 = Gc.minor_words () in
-      for _ = 1 to 100 do
-        ignore
-          (Sys.opaque_identity (Protemp.Model.column_holds_at cs ~tstart col))
+      let tstarts = Array.of_list tstarts in
+      let holds =
+        match Protemp.Model.column_at cs 1 with
+        | None -> Array.map (fun _ -> false) tstarts
+        | Some col ->
+            Array.map
+              (fun tstart ->
+                start_holds
+                  (Protemp.Model.instantiate
+                     (Protemp.Model.prepare ~machine ~spec ~tstart)
+                     ~ftarget)
+                  col)
+              tstarts
+      in
+      let prefix = ref 0 in
+      while !prefix < Array.length holds && holds.(!prefix) do
+        incr prefix
       done;
-      check_float 0.0
-        (Printf.sprintf "at %g C: allocates nothing" tstart)
-        0.0
-        (Gc.minor_words () -. w0))
-    [ (27.0, true); (95.0, false) ];
-  let raises f =
-    match f () with _ -> false | exception Invalid_argument _ -> true
-  in
-  let column_of ~machine ~spec =
-    Option.get
-      (Protemp.Model.column_at
-         (Protemp.Model.columns ~machine ~spec [| 5e8 |])
-         0)
-  in
-  List.iter
-    (fun (name, other) ->
-      check_bool name true
-        (raises (fun () ->
-             Protemp.Model.column_holds_at cs ~tstart:60.0 other)))
-    [
-      ( "another machine's column",
-        column_of ~machine:(Sim.Machine.niagara ()) ~spec:fast_spec );
-      ( "another variant's column",
-        column_of ~machine:m ~spec:(uniform_spec fast_spec) );
-    ];
-  List.iter
-    (fun tstart ->
-      check_bool (Printf.sprintf "start %h" tstart) true
-        (raises (fun () -> Protemp.Model.column_holds_at cs ~tstart col)))
-    [ Float.nan; Float.infinity ]
+      let rest = Array.sub holds !prefix (Array.length holds - !prefix) in
+      let closed, first_open = Protemp.Model.closed_rows cs tstarts in
+      let shape =
+        if !prefix = 0 then 0 else if !prefix < Array.length holds then 1 else 2
+      in
+      prefix_shapes.(shape) <- prefix_shapes.(shape) + 1;
+      (Protemp.Model.searchable cs
+      || QCheck2.Test.fail_report "columns not searchable")
+      && (not (Array.exists Fun.id rest)
+         || QCheck2.Test.fail_reportf "a start holds after row %d" !prefix)
+      && (closed = !prefix
+         || QCheck2.Test.fail_reportf "closed_rows %d, prefix %d" closed
+              !prefix)
+      &&
+      match first_open with
+      | None ->
+          closed = Array.length tstarts
+          || Option.is_none (Protemp.Model.column_at cs 1)
+          || QCheck2.Test.fail_reportf "no start for row %d" closed
+      | Some p ->
+          closed < Array.length tstarts
+          && (Protemp.Model.instantiate p ~ftarget)
+               .Protemp.Model.initial_temperatures.(0)
+             = tstarts.(closed)
+          || QCheck2.Test.fail_reportf "not the start of row %d" closed)
 
 (* Columns that are not monotone along a row are not searchable, and
-   their closed-form prefix is found by checking each column in turn:
-   it equals a scan of the check on the start's rows ([start_holds])
-   on every row, also where a column holds after
+   their closed prefix is 0: {!Protemp.Model.solve} settles each of
+   the row's closed-form cells itself, also where a column holds after
    one that does not (where bisection would be wrong).  Descending and
    unsorted ftargets on Niagara, and a big.LITTLE ftarget above what
    its boxes allow (no column) before one they do.  Ascending columns
-   are searchable, and their bisected prefix equals the scan too. *)
+   are searchable, and their bisected prefix equals a scan of the
+   check on the start's rows ([start_holds]), every column included.
+   Not searchable columns close no row, and a start of another
+   machine or spec, or a frontier's, is refused. *)
 let test_closed_prefix_fallback () =
   let niagara = Lazy.force machine and big = Lazy.force biglittle in
+  let tstarts = [| 27.0; 50.0; 70.0; 85.0; 95.0 |] in
   let held_after_failure = ref false in
   List.iter
     (fun (name, machine, ftargets, searchable) ->
       let cs = Protemp.Model.columns ~machine ~spec:fast_spec ftargets in
       check_bool (name ^ ": searchable") searchable
         (Protemp.Model.searchable cs);
-      List.iter
+      Array.iter
         (fun tstart ->
           let label = Printf.sprintf "%s at %g C" name tstart in
           let p = Protemp.Model.prepare ~machine ~spec:fast_spec ~tstart in
@@ -2360,13 +2334,14 @@ let test_closed_prefix_fallback () =
           done;
           let rest = Array.sub holds !scan (Array.length holds - !scan) in
           if Array.exists Fun.id rest then held_after_failure := true;
-          let closed, start = Protemp.Model.closed_prefix cs ~tstart in
-          check_int (label ^ ": the scan's prefix") !scan closed;
-          check_bool
-            (label ^ ": a start iff a column is left")
-            (closed < Array.length ftargets)
-            (Option.is_some start))
-        [ 27.0; 50.0; 70.0; 85.0; 95.0 ])
+          check_int
+            (label ^ if searchable then ": the scan's prefix" else ": none")
+            (if searchable then !scan else 0)
+            (Protemp.Model.closed_prefix cs p))
+        tstarts;
+      if not searchable then
+        check_bool (name ^ ": no closed row") true
+          (Protemp.Model.closed_rows cs tstarts = (0, None)))
     [
       ("Niagara descending", niagara, [| 9.5e8; 9e8; 6e8; 3e8; 1e8 |], false);
       ("Niagara unsorted", niagara, [| 1e8; 9.5e8; 2e8; 9e8; 5e8 |], false);
@@ -2377,7 +2352,26 @@ let test_closed_prefix_fallback () =
       ("Niagara ascending", niagara, [| 1e8; 3e8; 6e8; 9e8; 9.5e8 |], true);
       ("big.LITTLE ascending", big, [| 1e8; 3e8; 5e8; 6e8; 7e8 |], true);
     ];
-  check_bool "a column held after one that did not" true !held_after_failure
+  check_bool "a column held after one that did not" true !held_after_failure;
+  let cs = Protemp.Model.columns ~machine:niagara ~spec:fast_spec [| 5e8 |] in
+  List.iter
+    (fun (name, p) ->
+      check_bool name true
+        (match Protemp.Model.closed_prefix cs p with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ( "another machine's start",
+        Protemp.Model.prepare ~machine:(Sim.Machine.niagara ()) ~spec:fast_spec
+          ~tstart:60.0 );
+      ( "another spec's start",
+        Protemp.Model.prepare ~machine:niagara ~spec:(with_stride 1 fast_spec)
+          ~tstart:60.0 );
+      ( "a frontier's start",
+        (Protemp.Model.build_frontier ~machine:niagara ~spec:fast_spec
+           ~tstart:60.0)
+          .Protemp.Model.context );
+    ]
 
 (* Frontier tangents.  A tangent is a safe upper bound on the frontier
    of every start, whatever dual it is built from: the frontier [F] at
@@ -2537,7 +2531,16 @@ let props =
       prop_closed_form;
       prop_frontier_tangent_sound;
       prop_affine_base_within_bound;
-      prop_column_holds_at;
+    ]
+  @ [
+      (let name, speed, run = QCheck_alcotest.to_alcotest prop_closed_rows in
+       ( name,
+         speed,
+         fun () ->
+           Array.fill prefix_shapes 0 3 0;
+           run ();
+           check_bool "no, some and every start closed all drawn" true
+             (Array.for_all (fun n -> n > 0) prefix_shapes) ));
     ]
 
 let () =
@@ -2640,8 +2643,6 @@ let () =
             test_closed_form_saturated_little_cores;
           Alcotest.test_case "column is the closed form" `Quick
             test_column_is_closed_form;
-          Alcotest.test_case "column check contract" `Quick
-            test_column_holds_at_contract;
           Alcotest.test_case "closed prefix fallback" `Quick
             test_closed_prefix_fallback;
           Alcotest.test_case "pinned working-set cell" `Quick
