@@ -241,10 +241,11 @@ let table_cmd =
         let s = Protemp.Dense_table.fill ?domains dense in
         Printf.eprintf
           "%d cells: %d solved (%d warm-seeded, %d in closed form, %d by \
-           frontier bound), %d pruned, %d feasible\n%!"
+           active set, %d by frontier bound), %d pruned, %d feasible\n%!"
           s.Protemp.Dense_table.cells s.Protemp.Dense_table.solves
           s.Protemp.Dense_table.warm_hits
           (Protemp.Dense_table.closed_form_cells dense)
+          (Protemp.Dense_table.active_set_cells dense)
           (Protemp.Dense_table.frontier_verdicts dense)
           s.Protemp.Dense_table.pruned s.Protemp.Dense_table.feasible;
         let table = Protemp.Dense_table.to_table dense in

@@ -1393,23 +1393,22 @@ let restrict ws t ~rows ~n ~first ~last =
   ws.cand_lo <- first;
   ws.cand_hi <- last
 
-(* Whether orthant row [i]'s value at [x] is not <= above — a NaN
-   value included.  The thermal rows, almost all of the optional ones,
-   have eight entries; those go through {!row_dot8}, whose
+(* Orthant row [i]'s value at [x], and whether it is not <= above — a
+   NaN value included.  The thermal rows, almost all of the optional
+   ones, have eight entries; those go through {!row_dot8}, whose
    straight-line body lets consecutive rows' add chains overlap, and
    every other length through {!row_value}.  Both sum in the same
-   order, so each decision is the one-row loop's.  The caller checks
+   order, so each value is the one-row loop's.  The caller checks
    that [x] has [t.n] entries, so every row's stripe lies within it.
-   Inlined, so [above] is never boxed. *)
-let[@inline] row_exceeds t i x ~above =
+   Inlined, so neither the value nor [above] is ever boxed. *)
+let[@inline] row_level t i x =
   let off = t.goff in
   let s = Array.unsafe_get off i in
   if Array.unsafe_get off (i + 1) - s = 8 then
-    not
-      (row_dot8 t.gdata s x (Array.unsafe_get t.glo i)
-       -. Array.unsafe_get t.hi i
-      <= above)
-  else not (row_value t i x <= above)
+    row_dot8 t.gdata s x (Array.unsafe_get t.glo i) -. Array.unsafe_get t.hi i
+  else row_value t i x
+
+let[@inline] row_exceeds t i x ~above = not (row_level t i x <= above)
 
 (* The working-set update, in one pass over the candidates outside
    the set: each that {!row_exceeds} [above] at [x] joins it.
@@ -1445,6 +1444,42 @@ let holds t x ~rows ~first ~last =
     incr k
   done;
   !ok
+
+(* The same row decision, for a caller that guesses a working set of
+   its own: the candidates that bind within [-above], and the most
+   violated one. *)
+let check_candidates name t x ~rows ~first ~last =
+  if Vec.dim x <> t.n then invalid_arg (name ^ ": point dimension mismatch");
+  if first < 0 || last > Array.length rows then
+    invalid_arg (name ^ ": candidates outside the rows")
+
+let binding t x ~rows ~first ~last ~above ~into =
+  check_candidates "Conic.binding" t x ~rows ~first ~last;
+  let n = ref 0 in
+  for k = first to last - 1 do
+    let i = rows.(k) in
+    if i < 0 || i >= t.mo then invalid_arg "Conic.binding: not an orthant row";
+    if !n < Array.length into && row_exceeds t i x ~above then begin
+      into.(!n) <- k;
+      incr n
+    end
+  done;
+  !n
+
+let most_violated t x ~rows ~first ~last =
+  check_candidates "Conic.most_violated" t x ~rows ~first ~last;
+  let worst = ref (-1) and level = ref 0.0 in
+  for k = first to last - 1 do
+    let i = rows.(k) in
+    if i < 0 || i >= t.mo then
+      invalid_arg "Conic.most_violated: not an orthant row";
+    let v = row_level t i x in
+    if (not (v <= 0.0)) && (!worst < 0 || v > !level) then begin
+      worst := k;
+      level := v
+    end
+  done;
+  !worst
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                          *)

@@ -198,4 +198,30 @@ val holds : t -> Vec.t -> rows:int array -> first:int -> last:int -> bool
     leaves [rows] or a row it reads (one up to the first that fails)
     is not an orthant row. *)
 
+val binding :
+  t ->
+  Vec.t ->
+  rows:int array ->
+  first:int ->
+  last:int ->
+  above:float ->
+  into:int array ->
+  int
+(** [binding t x ~rows ~first ~last ~above ~into] writes into [into],
+    ascending, the positions [k] in [[first, last)] whose orthant row
+    [rows.(k)] has a value at [x] that is not [<= above] (a NaN value
+    included), the decision {!admit} makes; it stops writing when
+    [into] is full and returns how many it wrote.  With [above] below
+    0 these are the rows that bind at [x] within [-above].  Allocates
+    nothing.  [Invalid_argument] as {!holds}. *)
+
+val most_violated :
+  t -> Vec.t -> rows:int array -> first:int -> last:int -> int
+(** [most_violated t x ~rows ~first ~last] is the position [k] in
+    [[first, last)] whose orthant row [rows.(k)] has the largest value
+    [G_i x - h_i > 0] at [x] (the first of equal ones; a NaN value
+    counts as violated), or [-1] when every row holds: [-1] exactly
+    when [holds t x ~rows ~first ~last].  Allocates nothing.
+    [Invalid_argument] as {!holds}. *)
+
 val pp_status : Format.formatter -> status -> unit

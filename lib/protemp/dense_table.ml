@@ -10,6 +10,7 @@ type grid = {
 type filled = {
   table : Table.t;
   closed_form : int;
+  active_set : int;
   frontier_verdicts : int;
   conic : Convex.Conic.stats;
 }
@@ -55,6 +56,7 @@ type row = {
   cells : Table.cell array;
   feasible : int;  (* the row's first infeasible column, or its width *)
   closed_form : int;
+  active_set : int;
   frontier_verdict : bool;  (* a ladder tangent refuted that column *)
   conic : Convex.Conic.stats;
 }
@@ -97,6 +99,7 @@ let run_row g columns (closed_rows, first_open) i =
     start := Some (Model.column_x col)
   done;
   let conic = ref Convex.Conic.stats_zero and closed_form = ref closed in
+  let active_set = ref 0 in
   let feasible, frontier_verdict =
     match prepared with
     | None -> (cols, false)
@@ -117,11 +120,12 @@ let run_row g columns (closed_rows, first_open) i =
                   after.primal_infeasible > before.primal_infeasible
                   && after.iterations = before.iterations )
             | Model.Feasible s ->
-                (* An interior-point optimum, or, where the columns
-                   are not searchable, a closed form {!Model.solve}
-                   finds itself. *)
+                (* An active-set or interior-point optimum, or, where
+                   the columns are not searchable, a closed form
+                   {!Model.solve} finds itself. *)
                 (match s.Model.settled_by with
                 | `Closed_form -> incr closed_form
+                | `Active_set -> incr active_set
                 | `Interior_point -> ());
                 cells.(j) <- Table.Frequencies s.Model.frequencies;
                 solve_from (j + 1) (Some s.Model.raw.Convex.Solve.x)
@@ -132,6 +136,7 @@ let run_row g columns (closed_rows, first_open) i =
     cells;
     feasible;
     closed_form = !closed_form;
+    active_set = !active_set;
     frontier_verdict;
     conic = { !conic with optimal = !conic.optimal + closed };
   }
@@ -160,9 +165,10 @@ let fill ?domains t =
          domain count either.  Every row solves its columns up to and
          including the first infeasible one, and each solve after the
          first is seeded. *)
-      let stats, closed_form, frontier_verdicts, conic =
+      let stats, (closed_form, active_set), frontier_verdicts, conic =
         Array.fold_left
-          (fun ((s : fill_stats), closed_form, verdicts, conic) (r : row) ->
+          (fun ((s : fill_stats), (closed_form, active_set), verdicts, conic)
+               (r : row) ->
             let solves = Stdlib.min cols (r.feasible + 1) in
             ( {
                 cells = s.cells + cols;
@@ -171,17 +177,18 @@ let fill ?domains t =
                 pruned = s.pruned + cols - solves;
                 feasible = s.feasible + r.feasible;
               },
-              closed_form + r.closed_form,
+              (closed_form + r.closed_form, active_set + r.active_set),
               (if r.frontier_verdict then verdicts + 1 else verdicts),
               Convex.Conic.stats_add conic r.conic ))
-          (no_cells, 0, 0, Convex.Conic.stats_zero)
+          (no_cells, (0, 0), 0, Convex.Conic.stats_zero)
           rows
       in
       let table =
         Table.make ~tstarts:g.tstarts ~ftargets:g.ftargets
           (Array.map (fun (r : row) -> r.cells) rows)
       in
-      t.filled <- Some { table; closed_form; frontier_verdicts; conic };
+      t.filled <-
+        Some { table; closed_form; active_set; frontier_verdicts; conic };
       stats
 
 let solver_stats t =
@@ -189,6 +196,9 @@ let solver_stats t =
 
 let closed_form_cells t =
   match t.filled with Some f -> f.closed_form | None -> 0
+
+let active_set_cells t =
+  match t.filled with Some f -> f.active_set | None -> 0
 
 let frontier_verdicts t =
   match t.filled with Some f -> f.frontier_verdicts | None -> 0

@@ -101,6 +101,12 @@ val closed_form_cells : t -> int
     with no interior-point iteration; zero before {!fill}.  A subset
     of the feasible cells. *)
 
+val active_set_cells : t -> int
+(** Cells {!Model.solve} settled by its active-set step (a KKT point
+    from a few binding thermal rows), with no interior-point
+    iteration; zero before {!fill}.  A subset of the feasible cells,
+    disjoint from {!closed_form_cells}. *)
+
 val frontier_verdicts : t -> int
 (** Rows whose first infeasible cell {!Model.solve} refuted with a
     cached frontier tangent, with no interior-point run: the cells its

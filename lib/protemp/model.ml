@@ -725,7 +725,7 @@ type solution = {
   total_power : float;
   gradient_spread : float option;
   raw : Convex.Solve.solution;
-  settled_by : [ `Closed_form | `Interior_point ];
+  settled_by : [ `Closed_form | `Active_set | `Interior_point ];
 }
 
 type outcome = Feasible of solution | Infeasible
@@ -1141,7 +1141,10 @@ let seed_slack = 1e-6
 
    A cell whose closed form fails is first checked against the two
    ladder tangents that bracket a uniform start, and refuted with no
-   conic run when its floor exceeds their bound.  A stalled run from
+   conic run when its floor exceeds their bound; a cell they do not
+   refute tries the active-set step ({!active_set}) before any conic
+   run, and only a cell the step does not settle reaches the working
+   set.  A stalled run from
    the rows [start] picks is checked against the frontier of the
    cell's own start before the all-rows retry.  A refutation carries
    the tangent's dual with a unit weight on the floor row, a Farkas
@@ -1307,10 +1310,12 @@ let bisect holds ~lo ~hi =
   !lo
 
 (* The coolest start is checked first, so a grid whose last column
-   fails everywhere pays one start; otherwise the hotter ones are
+   fails everywhere pays one start, then the hottest, so a grid whose
+   every row closes pays two; otherwise the starts between them are
    bisected.  The last start a check rejects is the first open row's:
-   a bisection lowers its upper end only on a failed check, and no
-   check fails when every row is closed. *)
+   the hottest start's check fails before the bisection starts, a
+   bisection lowers its upper end only on a failed check, and no check
+   fails when every row is closed. *)
 let closed_rows t tstarts =
   let m = Array.length tstarts and n = Array.length t.cs in
   for i = 1 to m - 1 do
@@ -1329,7 +1334,11 @@ let closed_rows t tstarts =
         if not ok then failed := Some p;
         ok
       in
-      let r = if m = 0 || not (holds 0) then 0 else bisect holds ~lo:1 ~hi:m in
+      let r =
+        if m = 0 || not (holds 0) then 0
+        else if m = 1 || holds (m - 1) then m
+        else bisect holds ~lo:1 ~hi:(m - 1)
+      in
       (r, !failed)
 
 let closed_prefix t p =
@@ -1367,17 +1376,326 @@ let closed_form_raw built col =
     iterations = 0;
   }
 
-(* A cell the floor-only optimum settles counts as one optimal solve
-   with no interior-point work, and a cell a ladder tangent refutes as
-   one primal-infeasibility outcome with none. *)
+(* The active-set step (DESIGN.md 6zd): a cell whose closed form fails
+   but whose optimum has a few binding thermal rows [A].  With the
+   power laws tight ([phat_j = fhat_j^2]) and the rows' power
+   coefficients [g_kj], stationarity gives
+
+     fhat_j = min (f_box, lambda c_j / (2 W_j)),
+     W_j = w_j + sum_{k in A} mu_k g_kj,
+
+   and [lambda] and [mu_A] solve [|A| + 1] equations: the floor
+   [sum_j c_j fhat_j = F] and each row of [A] at [active_aim] inside
+   its constant.  These are the gradient of the concave dual function
+   set to zero, so their Jacobian in [(lambda, -mu)] is
+   [sum_j v_j v_j' / (2 W_j)] over the unsaturated variables, with
+   [v_j = (c_j, 2 g_kj fhat_j ...)]: symmetric positive definite while
+   the unsaturated variables outnumber the rows of [A], and factorized
+   by Cholesky.  Newton steps are damped by halving until the squared
+   residual falls by a fraction of the step.  On the benchmark's grids
+   a set that Newton solves takes 2 to 16 steps, none halved more than
+   4 times; a set with no solution near the guess (rows of the wrong
+   stride point) makes tiny steps, so [active_newton] steps and
+   [active_halvings] halvings bound what a cell the step cannot settle
+   costs before the conic method takes it.
+
+   A row of [A] is aimed [active_aim] (in units of tmax, 1e-10 C at
+   tmax = 100 C) inside its constant, and Newton ends once each row's
+   residual is within [active_tol] of that aim and the floor's within
+   [active_tol max(1, F)]: each row of [A] then ends with a slack in
+   [[active_aim - active_tol, active_aim + active_tol]], above 0 by
+   far more than the rounding of its value, so the exact check passes
+   on it. *)
+let active_aim = 1e-12
+let active_tol = 1e-13
+let active_newton = 20
+let active_halvings = 8
+let active_changes = 16
+
+(* The cell's optimum from the active set, as [raw] with its exact dual
+   ([w_j + sum_k mu_k g_kj] on each power law, the box dual on each
+   saturated variable's upper frequency box, [lambda] on the floor,
+   [mu_k] on each row of [A], zero elsewhere), or [None].  The guess
+   is a function of the cell and [start] alone: the candidates that
+   bind at [start] within {!seed_slack}, else the one the column's
+   point violates most; then, while the set changes at most
+   [active_changes] times, rows whose [mu] is negative leave it, and
+   the most violated row at the point joins it while it has fewer rows
+   than unsaturated variables.  The point is accepted only where every
+   candidate holds ({!Convex.Conic.holds}, the closed form's check),
+   [lambda > 0], every [mu >= 0], every [W_j > 0] and every saturated
+   variable's box dual [lambda c_j - 2 W_j f_box >= 0]. *)
+let active_set ?start built col =
+  let p = built.context and layout = built.layout in
+  let fo = col.col_floor_only and n = layout.n_f in
+  let cap = n - 1 in
+  if cap < 1 then None
+  else begin
+    let g = p.p_rows.g and h = p.p_h and t = p.p_conic in
+    let rows = p.p_part and first = p.p_first and last = p.p_last in
+    let f_off = layout.f_offset and p_off = layout.p_offset in
+    let floor = floor_constant ~layout ~machine:built.machine built.ftarget in
+    let floor_scale = Float.max 1.0 floor in
+    let set = Array.make cap 0 and size = ref 0 in
+    let gd = Array.make (cap * n) 0.0 in
+    let mu = Array.make cap 0.0 and mu0 = Array.make cap 0.0 in
+    let lambda = ref col.col_lambda and w = Array.make n 0.0 in
+    let r = Array.make (cap + 1) 0.0 and d = Array.make (cap + 1) 0.0 in
+    let jac = Array.make ((cap + 1) * (cap + 1)) 0.0 in
+    let x = Vec.zeros layout.dim in
+    (* Row [k] of the set: its dense power coefficients. *)
+    let load k =
+      let o = rows.(set.(k)) in
+      Array.fill gd (k * n) n 0.0;
+      for e = g.off.(o) to g.off.(o + 1) - 1 do
+        gd.((k * n) + g.lo.(o) + e - g.off.(o) - p_off) <- g.data.(e)
+      done
+    in
+    (* [W], the point and the residuals at [(lambda, mu)]; returns the
+       squared residual, the floor's scaled by [floor_scale].  A row's
+       value is summed as {!Convex.Conic.holds} sums it. *)
+    let eval () =
+      for j = 0 to n - 1 do
+        let wj = ref fo.w.(j) in
+        for k = 0 to !size - 1 do
+          wj := !wj +. (mu.(k) *. gd.((k * n) + j))
+        done;
+        w.(j) <- !wj;
+        let f =
+          if !wj > 0.0 then
+            Float.min f_box (!lambda *. fo.c.(j) /. (2.0 *. !wj))
+          else f_box
+        in
+        x.(f_off + j) <- f;
+        x.(p_off + j) <- f *. f
+      done;
+      let served = ref 0.0 in
+      for j = 0 to n - 1 do
+        served := !served +. (fo.c.(j) *. x.(f_off + j))
+      done;
+      r.(0) <- !served -. floor;
+      let scaled = r.(0) /. floor_scale in
+      let phi = ref (scaled *. scaled) in
+      for k = 0 to !size - 1 do
+        let o = rows.(set.(k)) in
+        let v = ref 0.0 in
+        for e = g.off.(o) to g.off.(o + 1) - 1 do
+          v := !v +. (g.data.(e) *. x.(g.lo.(o) + e - g.off.(o)))
+        done;
+        r.(k + 1) <- !v -. h.(o) +. active_aim;
+        phi := !phi +. (r.(k + 1) *. r.(k + 1))
+      done;
+      !phi
+    in
+    let converged () =
+      let ok = ref (Float.abs r.(0) <= active_tol *. floor_scale) in
+      for k = 1 to !size do
+        if not (Float.abs r.(k) <= active_tol) then ok := false
+      done;
+      !ok
+    in
+    (* The Newton step solving [J d = -r], into [d], by a Cholesky
+       factor of [J] in place in [jac]'s lower triangle; [false] on a
+       pivot below 1e-12 of its entry (a singular [J]). *)
+    let direction () =
+      let m = !size + 1 in
+      Array.fill jac 0 (m * m) 0.0;
+      let entry a j =
+        if a = 0 then fo.c.(j) else 2.0 *. gd.(((a - 1) * n) + j) *. x.(f_off + j)
+      in
+      for j = 0 to n - 1 do
+        if w.(j) > 0.0 && x.(f_off + j) < f_box then
+          for a = 0 to m - 1 do
+            let va = entry a j /. (2.0 *. w.(j)) in
+            for b = 0 to a do
+              jac.((a * m) + b) <- jac.((a * m) + b) +. (va *. entry b j)
+            done
+          done
+      done;
+      let ok = ref true in
+      for a = 0 to m - 1 do
+        for b = 0 to a do
+          let s = ref jac.((a * m) + b) in
+          for k = 0 to b - 1 do
+            s := !s -. (jac.((a * m) + k) *. jac.((b * m) + k))
+          done;
+          if a <> b then jac.((a * m) + b) <- !s /. jac.((b * m) + b)
+          else if !s > 1e-12 *. jac.((a * m) + a) then
+            jac.((a * m) + a) <- sqrt !s
+          else ok := false
+        done
+      done;
+      !ok
+      && begin
+           for a = 0 to m - 1 do
+             let s = ref (-.r.(a)) in
+             for k = 0 to a - 1 do
+               s := !s -. (jac.((a * m) + k) *. d.(k))
+             done;
+             d.(a) <- !s /. jac.((a * m) + a)
+           done;
+           for a = m - 1 downto 0 do
+             let s = ref d.(a) in
+             for k = a + 1 to m - 1 do
+               s := !s -. (jac.((k * m) + a) *. d.(k))
+             done;
+             d.(a) <- !s /. jac.((a * m) + a)
+           done;
+           true
+         end
+    in
+    (* Newton on the set from the current [(lambda, mu)]. *)
+    let newton () =
+      let rec iterate it phi =
+        if converged () then true
+        else if it = active_newton || not (direction ()) then false
+        else begin
+          let lambda0 = !lambda in
+          Array.blit mu 0 mu0 0 !size;
+          let rec search step tries =
+            lambda := lambda0 +. (step *. d.(0));
+            for k = 0 to !size - 1 do
+              mu.(k) <- mu0.(k) -. (step *. d.(k + 1))
+            done;
+            let trial = if !lambda > 0.0 then eval () else nan in
+            if trial <= (1.0 -. (1e-4 *. step)) *. phi then Some trial
+            else if tries = 0 then None
+            else search (0.5 *. step) (tries - 1)
+          in
+          match search 1.0 active_halvings with
+          | Some phi -> iterate (it + 1) phi
+          | None ->
+              lambda := lambda0;
+              Array.blit mu0 0 mu 0 !size;
+              ignore (eval ());
+              converged ()
+        end
+      in
+      iterate 0 (eval ())
+    in
+    (* The last Newton solution whose multipliers were all >= 0: after
+       a drop, Newton restarts from it (a row not in it at 0), not from
+       the point that pushed a multiplier below 0. *)
+    let good_set = Array.make cap 0 and good_mu = Array.make cap 0.0 in
+    let good_size = ref 0 and good_lambda = ref col.col_lambda in
+    let keep_good () =
+      good_size := !size;
+      good_lambda := !lambda;
+      Array.blit set 0 good_set 0 !size;
+      Array.blit mu 0 good_mu 0 !size
+    in
+    let drop_negative () =
+      let kept = ref 0 in
+      for k = 0 to !size - 1 do
+        if mu.(k) >= 0.0 then begin
+          set.(!kept) <- set.(k);
+          incr kept
+        end
+      done;
+      let dropped = !kept < !size in
+      size := !kept;
+      if dropped then begin
+        lambda := !good_lambda;
+        for k = 0 to !size - 1 do
+          load k;
+          mu.(k) <- 0.0;
+          for i = 0 to !good_size - 1 do
+            if good_set.(i) = set.(k) then mu.(k) <- good_mu.(i)
+          done
+        done
+      end;
+      dropped
+    in
+    let dual_feasible () =
+      let ok = ref (!lambda > 0.0) in
+      for k = 0 to !size - 1 do
+        if not (mu.(k) >= 0.0) then ok := false
+      done;
+      for j = 0 to n - 1 do
+        if
+          not
+            (w.(j) > 0.0
+            && (x.(f_off + j) < f_box
+               || (!lambda *. fo.c.(j)) -. (2.0 *. w.(j) *. f_box) >= 0.0))
+        then ok := false
+      done;
+      !ok
+    in
+    (* A row of the set is never the most violated one: Newton left it
+       inside its constant, by the value {!Convex.Conic.holds} reads. *)
+    let rec settle changes =
+      if changes > active_changes || not (newton ()) then false
+      else if drop_negative () then settle (changes + 1)
+      else begin
+        keep_good ();
+        if Convex.Conic.holds t x ~rows ~first ~last then dual_feasible ()
+        else if !size = cap then false
+        else begin
+          set.(!size) <- Convex.Conic.most_violated t x ~rows ~first ~last;
+          mu.(!size) <- 0.0;
+          load !size;
+          incr size;
+          settle (changes + 1)
+        end
+      end
+    in
+    (match start with
+    | Some s when Vec.dim s = layout.dim ->
+        size :=
+          Convex.Conic.binding t s ~rows ~first ~last ~above:(-.seed_slack)
+            ~into:set
+    | Some _ | None -> ());
+    if !size = 0 then begin
+      let k = Convex.Conic.most_violated t col.col_x ~rows ~first ~last in
+      if k >= 0 then begin
+        set.(0) <- k;
+        size := 1
+      end
+    end;
+    for k = 0 to !size - 1 do
+      load k
+    done;
+    if not (settle 0) then None
+    else begin
+      let dual = Vec.zeros (constraint_count p) in
+      let objective = ref 0.0 in
+      for j = 0 to n - 1 do
+        dual.(power_law_index j) <- w.(j);
+        if not (x.(f_off + j) < f_box) then
+          dual.(upper_f_box_index j) <-
+            (!lambda *. fo.c.(j)) -. (2.0 *. w.(j) *. f_box);
+        objective := !objective +. (fo.w.(j) *. x.(p_off + j))
+      done;
+      dual.(floor_index layout) <- !lambda;
+      (* A candidate at position [k] of the rows that take part is
+         constraint [k + n_f] (see {!orthant_row}). *)
+      for k = 0 to !size - 1 do
+        dual.(set.(k) + n) <- mu.(k)
+      done;
+      Some
+        {
+          Convex.Solve.x;
+          objective_value = !objective;
+          dual;
+          gap = 0.0;
+          iterations = 0;
+        }
+    end
+  end
+
+(* A cell the floor-only optimum or the active-set step settles counts
+   as one optimal solve with no interior-point work, and a cell a
+   ladder tangent refutes as one primal-infeasibility outcome with
+   none. *)
 let closed_form_stats = count_outcome `Optimal Convex.Conic.stats_zero
 let ladder_stats = count_outcome `Primal_infeasible Convex.Conic.stats_zero
 
 (* A cell is settled in closed form when its column holds on the
    candidates of its start's rows (its kept thermal rows, which the
-   start's instance states as the cell's does); only after that check
-   and the ladder's fail is the cell's instance made, a workspace made
-   (unless the caller passed one) and the column's violated rows
+   start's instance states as the cell's does), and by the active-set
+   step when that check and the ladder's fail and the step finds a KKT
+   point; only after all three is the cell's instance made, a workspace
+   made (unless the caller passed one) and the column's violated rows
    admitted as the first working set, which the conic rounds then
    start from. *)
 let solve ?conic_stats_into ?conic_ws ?start built =
@@ -1402,7 +1720,12 @@ let solve ?conic_stats_into ?conic_ws ?start built =
   | _ when ladder_refutes built ->
       record ladder_stats;
       Infeasible
-  | column ->
+  | column -> (
+      match Option.bind column (active_set ?start built) with
+      | Some raw ->
+          record closed_form_stats;
+          Feasible (solution_of_x built ~settled_by:`Active_set raw)
+      | None ->
       let t = Lazy.force built.conic in
       let ws =
         match conic_ws with
@@ -1452,4 +1775,4 @@ let solve ?conic_stats_into ?conic_ws ?start built =
           else status
         in
         record (count_outcome (outcome_class status) !stats);
-        outcome_of built status
+        outcome_of built status)

@@ -21,8 +21,14 @@ let outcome label = function
   | Protemp.Model.Feasible s ->
       pr "%s %s objective %.17g gap %.17g iterations %d total power %.17g\n"
         label
-        (match s.Protemp.Model.settled_by with
+        (* Coerced, so that the driver also builds against a library
+           without the active-set step. *)
+        (match
+           (s.Protemp.Model.settled_by
+             :> [ `Closed_form | `Active_set | `Interior_point ])
+         with
         | `Closed_form -> "closed-form"
+        | `Active_set -> "active-set"
         | `Interior_point -> "interior-point")
         s.Protemp.Model.raw.Convex.Solve.objective_value
         s.Protemp.Model.raw.Convex.Solve.gap

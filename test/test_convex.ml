@@ -658,7 +658,45 @@ let test_conic_working_set () =
     (rejected (fun () ->
          Conic.holds t relaxed.Conic.x ~rows:every ~first:1 ~last:4));
   check_bool "holds: point dimension" true
-    (rejected (fun () -> Conic.holds t [| 0.0 |] ~rows:every ~first:1 ~last:3))
+    (rejected (fun () -> Conic.holds t [| 0.0 |] ~rows:every ~first:1 ~last:3));
+  (* [most_violated] is -1 exactly where [holds] is true, and otherwise
+     names the row with the largest value; [binding] lists the rows
+     whose value is not <= [above], as [admit] picks them.  At the
+     relaxed optimum orthant row 1 ([x1 <= 3]) holds and row 2 is at
+     sqrt 2 - 1. *)
+  check_int "most violated: row 2" 2
+    (Conic.most_violated t relaxed.Conic.x ~rows:every ~first:1 ~last:3);
+  check_int "most violated: none among the rows that hold" (-1)
+    (Conic.most_violated t relaxed.Conic.x ~rows:every ~first:1 ~last:2);
+  check_int "most violated: a NaN row" 1
+    (Conic.most_violated t [| Float.nan; Float.nan |] ~rows:every ~first:1
+       ~last:3);
+  let into = Array.make 2 0 in
+  check_int "binding within 100: both rows" 2
+    (Conic.binding t relaxed.Conic.x ~rows:every ~first:1 ~last:3
+       ~above:(-100.0) ~into);
+  check_bool "binding: positions, ascending" true (into = [| 1; 2 |]);
+  check_int "binding at 0: the violated row" 1
+    (Conic.binding t relaxed.Conic.x ~rows:every ~first:1 ~last:3 ~above:0.0
+       ~into);
+  check_int "binding: into holds one" 1
+    (Conic.binding t relaxed.Conic.x ~rows:every ~first:1 ~last:3
+       ~above:(-100.0) ~into:(Array.make 1 0));
+  let w0 = Gc.minor_words () in
+  ignore
+    (Sys.opaque_identity
+       (Conic.most_violated t relaxed.Conic.x ~rows:every ~first:0 ~last:3
+       + Conic.binding t relaxed.Conic.x ~rows:every ~first:0 ~last:3
+           ~above:(-100.0) ~into));
+  check_float 0.0 "the scans allocate nothing" 0.0 (Gc.minor_words () -. w0);
+  check_bool "most violated: a cone row is not an orthant row" true
+    (rejected (fun () ->
+         Conic.most_violated t relaxed.Conic.x ~rows:[| 0; 1; 3 |] ~first:1
+           ~last:3));
+  check_bool "binding: range past the rows" true
+    (rejected (fun () ->
+         Conic.binding t relaxed.Conic.x ~rows:every ~first:1 ~last:4
+           ~above:0.0 ~into))
 
 (* The conic loop's allocation, measured at run time: the alloc-free
    lint sees syntactic allocation sites only, not a float boxed across

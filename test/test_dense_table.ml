@@ -172,12 +172,14 @@ let prop_fill_matches_cold_cells =
    both platforms, the variable and uniform variants and the gradient
    variant (which has no column), margin 0 or 5, stride 1 or 4.  The
    tables must agree byte for byte in [%.17g] CSV, and so must the
-   closed-form count, the frontier verdicts and the solver counters.
+   closed-form and active-set counts, the frontier verdicts and the
+   solver counters.
    No two served cells share a frequency vector: a cell must own the
    vector it is served. *)
 type replayed = {
   csv : string;
   closed_form : int;
+  active_set : int;
   verdicts : int;
   conic : Convex.Conic.stats;
   row_closed : int array;  (* each row's cells settled in closed form *)
@@ -186,7 +188,7 @@ type replayed = {
 let replay ~machine ~spec ~tstarts ~ftargets =
   let cols = Array.length ftargets in
   let conic = ref Convex.Conic.stats_zero in
-  let closed_form = ref 0 and verdicts = ref 0 in
+  let closed_form = ref 0 and active_set = ref 0 and verdicts = ref 0 in
   let row tstart =
     let before = !closed_form in
     let prepared = Protemp.Model.prepare ~machine ~spec ~tstart in
@@ -209,6 +211,7 @@ let replay ~machine ~spec ~tstarts ~ftargets =
             cells.(j) <- Protemp.Table.Frequencies s.Protemp.Model.frequencies;
             (match s.Protemp.Model.settled_by with
             | `Closed_form -> incr closed_form
+            | `Active_set -> incr active_set
             | `Interior_point -> ());
             go (j + 1) (Some s.Protemp.Model.raw.Convex.Solve.x)
       end
@@ -221,6 +224,7 @@ let replay ~machine ~spec ~tstarts ~ftargets =
   {
     csv = Protemp.Table.to_csv table;
     closed_form = !closed_form;
+    active_set = !active_set;
     verdicts = !verdicts;
     conic = !conic;
     row_closed = Array.map snd rows;
@@ -315,6 +319,9 @@ let prop_fill_matches_replay =
       if D.closed_form_cells dt <> r.closed_form then
         QCheck2.Test.fail_reportf "closed-form cells %d, replay %d"
           (D.closed_form_cells dt) r.closed_form;
+      if D.active_set_cells dt <> r.active_set then
+        QCheck2.Test.fail_reportf "active-set cells %d, replay %d"
+          (D.active_set_cells dt) r.active_set;
       if D.frontier_verdicts dt <> r.verdicts then
         QCheck2.Test.fail_reportf "frontier verdicts %d, replay %d"
           (D.frontier_verdicts dt) r.verdicts;
@@ -531,12 +538,16 @@ let test_not_searchable_fallback () =
 
 (* Rows whose every cell is settled in closed form: big.LITTLE from 27
    to 60 C under the benchmark's eight ftargets.  The fill finds them
-   by a bisection over the starts and serves them with no start, so
+   from the coolest and the hottest start ({!Protemp.Model.closed_rows}
+   checks the hottest before it bisects) and serves them with no start,
+   so
    - a fresh machine filled at 1 and at 2 domains gives the same table,
      byte for byte, and publishes one row set either way (and no ladder
      point: no cell needs a frontier);
    - a row allocates less than one {!Protemp.Model.prepare} of it: a
-     fill that prepared every row again would allocate more. *)
+     fill that prepared every row again would allocate more;
+   - finding the closed rows allocates less than three prepares: the
+     two checks, where a bisection of the 34 starts would make six. *)
 let allocated_words f =
   let once () =
     let minor0, promoted0, major0 = Gc.counters () in
@@ -579,7 +590,18 @@ let test_closed_rows_not_prepared () =
   in
   check_bool
     (Printf.sprintf "%.0f words a row < %.0f words a prepare" per_row prepare)
-    true (per_row < prepare)
+    true (per_row < prepare);
+  let columns = Protemp.Model.columns ~machine ~spec:fast_spec ftargets in
+  check_int "every row closed" (Array.length tstarts)
+    (fst (Protemp.Model.closed_rows columns tstarts));
+  let search =
+    allocated_words (fun () -> Protemp.Model.closed_rows columns tstarts)
+  in
+  check_bool
+    (Printf.sprintf "closed rows in %.0f words < three prepares (%.0f)" search
+       (3.0 *. prepare))
+    true
+    (search < 3.0 *. prepare)
 
 (* ------------------------------------------------------------------ *)
 (* What a filled grid holds *)

@@ -2222,8 +2222,11 @@ let test_thermal_coefficients_nonnegative () =
    included) and a random pair of ascending columns; with it comes the
    start of the first open row, exactly when there is one and the last
    column is not [None].  [prefix_shapes]
-   counts the grids drawn with no, some and every start closed. *)
-let prefix_shapes = Array.make 3 0
+   counts the grids drawn with no, some and every start closed, the
+   last split at three starts: from three on, every start closed is
+   decided by the hottest start's check, with starts between it and
+   the coolest left unchecked. *)
+let prefix_shapes = Array.make 4 0
 
 let prop_closed_rows =
   QCheck2.Test.make ~name:"model: closed rows are a prefix of the starts"
@@ -2273,7 +2276,10 @@ let prop_closed_rows =
       let rest = Array.sub holds !prefix (Array.length holds - !prefix) in
       let closed, first_open = Protemp.Model.closed_rows cs tstarts in
       let shape =
-        if !prefix = 0 then 0 else if !prefix < Array.length holds then 1 else 2
+        if !prefix = 0 then 0
+        else if !prefix < Array.length holds then 1
+        else if !prefix < 3 then 2
+        else 3
       in
       prefix_shapes.(shape) <- prefix_shapes.(shape) + 1;
       (Protemp.Model.searchable cs
@@ -2295,6 +2301,114 @@ let prop_closed_rows =
                .Protemp.Model.initial_temperatures.(0)
              = tstarts.(closed)
           || QCheck2.Test.fail_reportf "not the start of row %d" closed)
+
+(* Every cell {!Protemp.Model.solve} settles by its active-set step is
+   a KKT point of the full problem as [Model_reference] states it (the
+   rows that take part, with the model's affine constants), checked on
+   the problem data, not on the solver's own residuals.  Rows are drawn
+   from the benchmark's Niagara 100x100, big.LITTLE 150x8 and Niagara
+   margin-5 74x9 grids and a Niagara uniform 60x60 grid (stride 4; the
+   uniform variant has no active-set step), and each is replayed as a
+   fill replays it: every cell up to its first infeasible one, seeded
+   with the previous cell's point.  The bounds:
+   - every thermal row holds exactly ([<= 0]): the step aims its
+     binding rows 1e-12 tmax inside, far above rounding;
+   - every other row (boxes, power laws, floor) within 1e-12: the
+     floor is met to Newton's 1e-13 max(1, F) and the power laws to
+     the rounding of [fhat^2];
+   - every dual [>= 0] exactly ([z] in the dual cone of the orthant
+     rows, and each power law's [W_j >= 0]);
+   - stationarity [G'z + c] within 1e-12: the dual is formed from the
+     point's own multipliers, so only rounding is left;
+   - complementary slackness within 1e-10: a binding row's slack is at
+     most 1.1e-12 (aim plus Newton's tolerance) and its multiplier
+     below 100 on these grids.
+   [active_set_drawn] counts the cells checked; the test fails unless
+   some were drawn. *)
+let active_set_drawn = ref 0
+
+let active_set_grids =
+  let axis lo hi n =
+    Array.init n (fun i ->
+        lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
+  in
+  [|
+    ("niagara 100x100", machine, fast_spec, axis 27.0 100.0 100, axis 1e8 1e9 100);
+    ( "biglittle 150x8",
+      biglittle,
+      fast_spec,
+      axis 27.0 100.0 150,
+      axis 1e8 7e8 8 );
+    ( "niagara margin 5 74x9",
+      machine,
+      Protemp.Spec.guard_band ~margin:5.0 fast_spec,
+      axis 27.0 100.0 74,
+      axis 1e8 9e8 9 );
+    ( "niagara uniform 60x60",
+      machine,
+      uniform_spec fast_spec,
+      axis 27.0 100.0 60,
+      axis 1e8 1e9 60 );
+  |]
+
+let active_set_kkt (built : Protemp.Model.built) (raw : Convex.Solve.solution) =
+  let problem = Model_reference.problem ~filter:true ~base:`Affine built in
+  let first_thermal =
+    Protemp.Model.first_thermal_index built.Protemp.Model.layout
+  in
+  let worst ~thermal =
+    let w = ref neg_infinity in
+    Array.iteri
+      (fun i c ->
+        if (i >= first_thermal) = thermal then
+          w := Float.max !w (Quad.eval c raw.Convex.Solve.x))
+      problem.Quad.constraints;
+    !w
+  in
+  let k = Kkt.residuals problem raw.Convex.Solve.x raw.Convex.Solve.dual in
+  if not (worst ~thermal:true <= 0.0) then
+    QCheck2.Test.fail_reportf "a thermal row is at %.3g" (worst ~thermal:true)
+  else if not (worst ~thermal:false <= 1e-12) then
+    QCheck2.Test.fail_reportf "a box, power-law or floor row is at %.3g"
+      (worst ~thermal:false)
+  else if
+    not
+      (k.Kkt.dual_infeasibility <= 0.0
+      && k.Kkt.stationarity <= 1e-12
+      && k.Kkt.complementarity <= 1e-10)
+  then QCheck2.Test.fail_reportf "KKT residuals: %a" Kkt.pp k
+  else true
+
+let prop_active_set_kkt =
+  QCheck2.Test.make ~name:"active_set: every settled cell is a KKT point"
+    ~count:40
+    ~print:(fun (g, row) ->
+      let name, _, _, tstarts, _ = active_set_grids.(g) in
+      Printf.sprintf "%s row %d (%g C)" name row tstarts.(row))
+    QCheck2.Gen.(
+      let* g = int_bound (Array.length active_set_grids - 1) in
+      let _, _, _, tstarts, _ = active_set_grids.(g) in
+      let+ row = int_bound (Array.length tstarts - 1) in
+      (g, row))
+    (fun (g, row) ->
+      let _, machine, spec, tstarts, ftargets = active_set_grids.(g) in
+      let machine = Lazy.force machine in
+      let p = Protemp.Model.prepare ~machine ~spec ~tstart:tstarts.(row) in
+      let rec go j start =
+        j = Array.length ftargets
+        ||
+        let built = Protemp.Model.instantiate p ~ftarget:ftargets.(j) in
+        match Protemp.Model.solve ?start built with
+        | Protemp.Model.Infeasible -> true
+        | Protemp.Model.Feasible s ->
+            let raw = s.Protemp.Model.raw in
+            (match s.Protemp.Model.settled_by with
+            | `Active_set -> incr active_set_drawn
+            | `Closed_form | `Interior_point -> ());
+            (s.Protemp.Model.settled_by <> `Active_set || active_set_kkt built raw)
+            && go (j + 1) (Some raw.Convex.Solve.x)
+      in
+      go 0 None)
 
 (* Columns that are not monotone along a row are not searchable, and
    their closed prefix is 0: {!Protemp.Model.solve} settles each of
@@ -2537,10 +2651,23 @@ let props =
        ( name,
          speed,
          fun () ->
-           Array.fill prefix_shapes 0 3 0;
+           Array.fill prefix_shapes 0 4 0;
            run ();
-           check_bool "no, some and every start closed all drawn" true
+           check_bool
+             "no, some and every start closed (of fewer than three and of \
+              three or more) all drawn"
+             true
              (Array.for_all (fun n -> n > 0) prefix_shapes) ));
+      (let name, speed, run = QCheck_alcotest.to_alcotest prop_active_set_kkt in
+       ( name,
+         speed,
+         fun () ->
+           active_set_drawn := 0;
+           run ();
+           check_bool
+             (Printf.sprintf "%d cells settled by the active set drawn"
+                !active_set_drawn)
+             true (!active_set_drawn > 0) ));
     ]
 
 let () =
