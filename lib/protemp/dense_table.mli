@@ -66,21 +66,20 @@ type fill_stats = {
 }
 
 val fill : ?domains:int -> t -> fill_stats
-(** Solve every cell, once.  The grid's {!Model.columns} (one
-    floor-only optimum per [ftarget], with the machine's thermal rows)
-    and its {!Model.closed_rows} (the leading rows every column holds
-    on, found by bisection over the starts) are computed first, on the
-    calling domain, and dropped when the fill returns; then rows are
-    fanned across a {!Parallel.Pool} ([domains] defaults to
-    {!Parallel.Pool.default_domains}).  A closed row is served a copy
-    of each column's frequencies with no start, check, instance or
-    solve record.  Any other row prepares its start once, serves the
-    leading columns that hold there the same way
-    ({!Model.closed_prefix}), and instantiates and solves every later
-    cell in the row's one conic workspace, made at its first such
-    cell.  Each
-    cell is seeded from the previous feasible column, and the row
-    stops at its first infeasible
+(** Solve every cell, once.  {!Model.rows} takes the grid's
+    {!Model.columns} (one floor-only optimum per [ftarget], with the
+    machine's thermal rows) and finds its {!Model.closed_rows} (the
+    leading rows every column holds on, by bisection over the starts)
+    on the calling domain; the rows it then settles are fanned across
+    a {!Parallel.Pool} ([domains] defaults to
+    {!Parallel.Pool.default_domains}), and their counts are merged
+    here.  A closed row is served a copy of each column's frequencies
+    with no start, check, instance or solve record.  Any other row
+    prepares its start once, serves the leading columns that hold
+    there the same way, and settles every later cell as
+    {!Model.solve} does, making its one conic workspace only if a cell
+    reaches the conic method.  Each cell is seeded from the previous
+    feasible column, and the row stops at its first infeasible
     column: infeasibility is monotone in [ftarget], so the rest are
     pruned.  Every cell and counter is what {!Model.solve} gives for
     it, and the grid is bit-identical at any domain count.  Raises

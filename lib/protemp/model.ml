@@ -1186,12 +1186,11 @@ let outcome_class : Convex.Conic.status -> _ = function
    floor exceeds what the boxes allow (the conic method then
    certifies the cell infeasible). *)
 type column = {
-  col_machine : Sim.Machine.t;
   col_floor_only : floor_only;
   col_x : Vec.t;
   col_frequencies : Vec.t;
   col_lambda : float;
-  col_saturated : int;  (* the first [col_saturated] of [fo.order] *)
+  col_saturated : bool array;  (* per variable: saturated by the walk *)
 }
 
 let column_of fo ~layout ~variant ~machine ~ftarget =
@@ -1207,12 +1206,13 @@ let column_of fo ~layout ~variant ~machine ~ftarget =
         if lambda <= fo.breakpoint.(j) then (k, lambda)
         else walk (k + 1) (sat +. (fo.c.(j) *. f_box))
     in
-    let saturated, lambda = walk 0 0.0 in
-    let x = Vec.zeros layout.dim in
+    let walked, lambda = walk 0 0.0 in
+    let x = Vec.zeros layout.dim and saturated = Array.make n false in
     Array.iteri
       (fun k j ->
+        saturated.(j) <- k < walked;
         let fhat =
-          if k < saturated then f_box
+          if saturated.(j) then f_box
           else Float.min f_box (lambda *. fo.c.(j) /. (2.0 *. fo.w.(j)))
         in
         x.(layout.f_offset + j) <- fhat;
@@ -1220,7 +1220,6 @@ let column_of fo ~layout ~variant ~machine ~ftarget =
       fo.order;
     Some
       {
-        col_machine = machine;
         col_floor_only = fo;
         col_x = x;
         col_frequencies = served_frequencies ~layout ~variant ~machine x;
@@ -1228,9 +1227,6 @@ let column_of fo ~layout ~variant ~machine ~ftarget =
         col_saturated = saturated;
       }
   end
-
-let column_frequencies col = Vec.copy col.col_frequencies
-let column_x col = col.col_x
 
 (* A table's columns, one per [ftarget], from the machine's rows for
    the spec (read here, on the calling domain), and whether a table's
@@ -1248,6 +1244,7 @@ let column_x col = col.col_x
    it may only follow every [Some]. *)
 type columns = {
   cs : column option array;
+  cs_ftargets : float array;
   cs_machine : Sim.Machine.t;
   cs_spec : Spec.t;
   cs_searchable : bool;
@@ -1285,12 +1282,12 @@ let columns ~machine ~(spec : Spec.t) ftargets =
   in
   {
     cs;
+    cs_ftargets = Array.copy ftargets;
     cs_machine = machine;
     cs_spec = spec;
     cs_searchable = rows.nonnegative && ascending layout cs;
   }
 
-let column_at t j = t.cs.(j)
 let searchable t = t.cs_searchable
 
 (* {!solve}'s closed-form check of [col] on the start [p]: the column's
@@ -1341,33 +1338,30 @@ let closed_rows t tstarts =
       in
       (r, !failed)
 
-let closed_prefix t p =
-  if p.p_machine != t.cs_machine || p.p_spec <> t.cs_spec || p.p_frontier
-  then invalid_arg "Model.closed_prefix: a start of another machine or spec";
-  let holds j = Option.fold ~none:false ~some:(start_holds p) t.cs.(j) in
-  if t.cs_searchable then bisect holds ~lo:0 ~hi:(Array.length t.cs) else 0
-
-(* The cell's optimum from its column, which it takes over (its [x] is
-   the solution's), as [raw] with its exact dual, over every row that
-   takes part: [w_j] on each power law, the box dual on each
-   saturated variable's upper frequency box, [lambda] on the floor,
-   zero everywhere else. *)
-let closed_form_raw built col =
-  let fo = col.col_floor_only and layout = built.layout in
-  let x = col.col_x and lambda = col.col_lambda in
+(* A KKT point of the cell as [raw], with its exact dual over every
+   row that takes part: [W_j] on each power law, the box dual
+   [lambda c_j - 2 W_j f_box] on the upper frequency box of each
+   variable [saturated] names, [lambda] on the floor, [mu_k] on each
+   row [set.(k)] of [A], zero everywhere else.  The closed form is the
+   case [A] empty and [W = w], its saturated variables those of the
+   column's walk. *)
+let kkt_raw built fo ~x ~lambda ~w ~saturated ~set ~mu ~size =
+  let layout = built.layout in
   let dual = Vec.zeros (constraint_count built.context) in
-  Array.iteri
-    (fun k j ->
-      if k < col.col_saturated then
-        dual.(upper_f_box_index j) <-
-          (lambda *. fo.c.(j)) -. (2.0 *. fo.w.(j) *. f_box);
-      dual.(power_law_index j) <- fo.w.(j))
-    fo.order;
   let objective = ref 0.0 in
-  for j = 0 to layout.n_p - 1 do
+  for j = 0 to layout.n_f - 1 do
+    dual.(power_law_index j) <- w.(j);
+    if saturated j then
+      dual.(upper_f_box_index j) <-
+        (lambda *. fo.c.(j)) -. (2.0 *. w.(j) *. f_box);
     objective := !objective +. (fo.w.(j) *. x.(layout.p_offset + j))
   done;
   dual.(floor_index layout) <- lambda;
+  (* A candidate at position [k] of the rows that take part is
+     constraint [k + n_f] (see {!orthant_row}). *)
+  for k = 0 to size - 1 do
+    dual.(set.(k) + layout.n_f) <- mu.(k)
+  done;
   {
     Convex.Solve.x;
     objective_value = !objective;
@@ -1656,31 +1650,11 @@ let active_set ?start built col =
       load k
     done;
     if not (settle 0) then None
-    else begin
-      let dual = Vec.zeros (constraint_count p) in
-      let objective = ref 0.0 in
-      for j = 0 to n - 1 do
-        dual.(power_law_index j) <- w.(j);
-        if not (x.(f_off + j) < f_box) then
-          dual.(upper_f_box_index j) <-
-            (!lambda *. fo.c.(j)) -. (2.0 *. w.(j) *. f_box);
-        objective := !objective +. (fo.w.(j) *. x.(p_off + j))
-      done;
-      dual.(floor_index layout) <- !lambda;
-      (* A candidate at position [k] of the rows that take part is
-         constraint [k + n_f] (see {!orthant_row}). *)
-      for k = 0 to !size - 1 do
-        dual.(set.(k) + n) <- mu.(k)
-      done;
+    else
       Some
-        {
-          Convex.Solve.x;
-          objective_value = !objective;
-          dual;
-          gap = 0.0;
-          iterations = 0;
-        }
-    end
+        (kkt_raw built fo ~x ~lambda:!lambda ~w
+           ~saturated:(fun j -> not (x.(f_off + j) < f_box))
+           ~set ~mu ~size:!size)
   end
 
 (* A cell the floor-only optimum or the active-set step settles counts
@@ -1690,48 +1664,47 @@ let active_set ?start built col =
 let closed_form_stats = count_outcome `Optimal Convex.Conic.stats_zero
 let ladder_stats = count_outcome `Primal_infeasible Convex.Conic.stats_zero
 
-(* A cell is settled in closed form when its column holds on the
+(* How a cell ends: [Refuted] is a ladder tangent's verdict, which
+   {!solve} reports [Infeasible] and a table row counts. *)
+type settled = Outcome of outcome | Refuted
+
+(* A cell is settled in closed form when [column] holds on the
    candidates of its start's rows (its kept thermal rows, which the
-   start's instance states as the cell's does), and by the active-set
-   step when that check and the ladder's fail and the step finds a KKT
-   point; only after all three is the cell's instance made, a workspace
-   made (unless the caller passed one) and the column's violated rows
-   admitted as the first working set, which the conic rounds then
-   start from. *)
-let solve ?conic_stats_into ?conic_ws ?start built =
+   start's instance states as the cell's does) — checked only where
+   [checked] — and by the active-set step when that check and the
+   ladder's fail and the step finds a KKT point; only after all three
+   is the cell's instance made, the workspace [ws] forced and the
+   column's violated rows admitted as the first working set, which the
+   conic rounds then start from. *)
+let settle_cell ?conic_stats_into ~ws ?start ~checked built column =
   let p = built.context in
   let record stats =
     match conic_stats_into with
     | Some acc -> acc := Convex.Conic.stats_add !acc stats
     | None -> ()
   in
-  let column =
-    match p.p_rows.floor_only with
-    | Some fo when not p.p_frontier ->
-        column_of fo ~layout:built.layout ~variant:built.spec.Spec.variant
-          ~machine:built.machine ~ftarget:built.ftarget
-    | Some _ | None -> None
-  in
   match column with
-  | Some col when start_holds p col ->
+  | Some col when checked && start_holds p col ->
       record closed_form_stats;
-      Feasible
-        (solution_of_x built ~settled_by:`Closed_form (closed_form_raw built col))
+      (* The cell takes over the column's [x]. *)
+      let fo = col.col_floor_only in
+      Outcome
+        (Feasible
+           (solution_of_x built ~settled_by:`Closed_form
+              (kkt_raw built fo ~x:col.col_x ~lambda:col.col_lambda ~w:fo.w
+                 ~saturated:(Array.get col.col_saturated) ~set:[||] ~mu:[||]
+                 ~size:0)))
   | _ when ladder_refutes built ->
       record ladder_stats;
-      Infeasible
+      Refuted
   | column -> (
       match Option.bind column (active_set ?start built) with
       | Some raw ->
           record closed_form_stats;
-          Feasible (solution_of_x built ~settled_by:`Active_set raw)
+          Outcome (Feasible (solution_of_x built ~settled_by:`Active_set raw))
       | None ->
       let t = Lazy.force built.conic in
-      let ws =
-        match conic_ws with
-        | Some ws -> ws
-        | None -> workspace p
-      in
+      let ws = Lazy.force ws in
       let stats = ref Convex.Conic.stats_zero in
       let rec round warm =
         match Convex.Conic.solve ?warm ~stats_into:stats ~ws t with
@@ -1767,7 +1740,7 @@ let solve ?conic_stats_into ?conic_ws ?start built =
       in
       if stalled status && own_frontier_refutes ~stats built then begin
         record (count_outcome `Primal_infeasible !stats);
-        Infeasible
+        Outcome Infeasible
       end
       else
         let status =
@@ -1775,4 +1748,98 @@ let solve ?conic_stats_into ?conic_ws ?start built =
           else status
         in
         record (count_outcome (outcome_class status) !stats);
-        outcome_of built status)
+        Outcome (outcome_of built status))
+
+let solve ?conic_stats_into ?conic_ws ?start built =
+  let p = built.context in
+  let column =
+    match p.p_rows.floor_only with
+    | Some fo when not p.p_frontier ->
+        column_of fo ~layout:built.layout ~variant:built.spec.Spec.variant
+          ~machine:built.machine ~ftarget:built.ftarget
+    | Some _ | None -> None
+  in
+  let ws =
+    match conic_ws with
+    | Some ws -> Lazy.from_val ws
+    | None -> lazy (workspace p)
+  in
+  match
+    settle_cell ?conic_stats_into ~ws ?start ~checked:true built column
+  with
+  | Outcome outcome -> outcome
+  | Refuted -> Infeasible
+
+type row = {
+  cells : Table.cell array;
+  feasible : int;
+  closed_form : int;
+  active_set : int;
+  frontier_verdict : bool;
+  conic : Convex.Conic.stats;
+}
+
+(* A closed row is served copies of its columns' frequencies and
+   takes no start.  Any other row takes its start (the first open row
+   the one {!closed_rows} made), bisects its closed prefix on it where
+   the columns are searchable, and settles every later cell from its
+   column: where the columns are searchable the bisection has shown
+   that the column fails there, so its check is not repeated.  Each
+   cell is seeded with the previous feasible column's point, and the
+   row's one workspace is made when a cell first reaches the conic
+   method. *)
+let rows t tstarts =
+  let closed, first_open = closed_rows t tstarts in
+  let n = Array.length t.cs in
+  fun i ->
+    let p =
+      lazy
+        (match first_open with
+        | Some p when i = closed -> p
+        | Some _ | None ->
+            prepare ~machine:t.cs_machine ~spec:t.cs_spec ~tstart:tstarts.(i))
+    in
+    let holds j =
+      Option.fold ~none:false ~some:(start_holds (Lazy.force p)) t.cs.(j)
+    in
+    let prefix =
+      if i < closed then n
+      else if t.cs_searchable then bisect holds ~lo:0 ~hi:n
+      else 0
+    in
+    let cells = Array.make n Table.Infeasible and start = ref None in
+    for j = 0 to prefix - 1 do
+      let col = Option.get t.cs.(j) in
+      cells.(j) <- Table.Frequencies (Vec.copy col.col_frequencies);
+      start := Some col.col_x
+    done;
+    let conic = ref Convex.Conic.stats_zero and closed_form = ref prefix in
+    let active_set = ref 0 and ws = lazy (workspace (Lazy.force p)) in
+    let rec from j start =
+      if j = n then (j, false)
+      else
+        match
+          settle_cell ~conic_stats_into:conic ~ws ?start
+            ~checked:(not t.cs_searchable)
+            (instantiate (Lazy.force p) ~ftarget:t.cs_ftargets.(j))
+            t.cs.(j)
+        with
+        | Refuted -> (j, true)
+        | Outcome Infeasible -> (j, false)
+        | Outcome (Feasible s) ->
+            (match s.settled_by with
+            | `Closed_form -> incr closed_form
+            | `Active_set -> incr active_set
+            | `Interior_point -> ());
+            cells.(j) <- Table.Frequencies s.frequencies;
+            from (j + 1) (Some s.raw.Convex.Solve.x)
+    in
+    let feasible, frontier_verdict = from prefix !start in
+    {
+      cells;
+      feasible;
+      closed_form = !closed_form;
+      active_set = !active_set;
+      frontier_verdict;
+      conic = { !conic with optimal = !conic.optimal + prefix };
+    }

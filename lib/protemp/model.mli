@@ -102,9 +102,9 @@ type prepared
     ({!prepare_with_profile}), which keeps the dense step's bits — and
     one writes every constant with one threshold compare per row.  It
     copies no row and allocates the same words however many rows take
-    part; each {!instantiate} is then almost free.  The offline sweep
-    prepares only the rows that have a cell their column does not
-    settle ({!closed_prefix}), and a few starts to find those rows
+    part; each {!instantiate} is then almost free.  A table
+    ({!rows}) prepares only the rows that have a cell their column
+    does not settle, and a few starts to find those rows
     ({!closed_rows}; DESIGN.md §6t, §6y, §6z, §6za, §6zb, §6zc). *)
 
 type built = {
@@ -181,12 +181,6 @@ val prepare_with_profile :
 (** Like {!prepare}; raises [Invalid_argument] when [t0] has the wrong
     length or a non-finite entry. *)
 
-val workspace : prepared -> Convex.Conic.workspace
-(** A conic workspace shaped for every instance of the context's
-    machine and spec, factorizing under {!conic_blocks}: the one a
-    table row reuses across its cells as {!solve}'s [conic_ws], and the
-    one {!solve} makes for itself without it. *)
-
 val instantiate : prepared -> ftarget:float -> built
 (** Set the throughput floor's constant for [ftarget] in the prepared
     context.  The result is identical, row for row, to the
@@ -240,10 +234,10 @@ val solve :
     optimum: [fhat_j = min (f_box, lambda c_j / (2 w_j))],
     [phat_j = fhat_j^2], with [c_j] and [w_j] core [j]'s floor and
     objective coefficients and [lambda] the floor's multiplier, found
-    by walking the sorted saturation breakpoints: the cell's
-    {!type-column}.  Every thermal row that takes part is evaluated
+    by walking the sorted saturation breakpoints: the cell's column
+    ({!columns}).  Every thermal row that takes part is evaluated
     there in one {!Convex.Conic.holds} pass, the check {!closed_rows}
-    and {!closed_prefix} make on a table row's start.  If
+    and {!rows} make on a table row's start.  If
     none is violated the point is feasible for the cell, and since the
     relaxation's objective is strictly convex in [fhat] it is the
     cell's unique optimum: it is served with
@@ -340,51 +334,41 @@ val solve :
     (the tangent's dual with a unit weight on the floor row is a
     Farkas ray).  The ladder's own solves are the machine's work and
     are counted nowhere.  [conic_ws] is
-    the solver workspace the rounds run in: one made by {!workspace}
-    for the instance's prepared context holds the working set
-    and grows to the largest one solved, so a sweep row reuses it
-    across its cells; without it each call that reaches the conic
-    method makes its own (a cell settled in closed form, by the active
-    set or by a ladder tangent needs none). *)
+    the solver workspace the rounds run in, made by
+    {!Convex.Conic.make_workspace} for the instance's [conic] under
+    {!conic_blocks}: it holds the working set and grows to the largest
+    one solved, so cells of one machine and spec may share it; without
+    it each call that reaches the conic method makes its own (a cell
+    settled in closed form, by the active set or by a ladder tangent
+    needs none). *)
 
-(** {2 Columns}
+(** {2 Table rows}
 
     The closed form of {!solve} depends on [ftarget] alone, so a table
-    computes it once per column.  A table row checks it on the row's
-    start ({!closed_prefix}), and the rows that all its columns settle
-    take no start at all ({!closed_rows}). *)
-
-type column
-(** The floor-only optimum of every cell of one [ftarget], with the
-    frequencies it serves: a function of the machine, the spec and
-    [ftarget] alone, bit-identical to the point {!solve} forms for any
-    cell at [ftarget]. *)
+    computes it once per column and settles its rows from them. *)
 
 type columns
-(** A table's columns, one per [ftarget], for a machine and spec, so
-    that a table can settle its closed-form cells as a whole.  When
-    the columns are {!searchable}, the cells the closed form settles
-    are a prefix of each row and of each column: a row that one
-    column's point violates, the next column's violates too, and so
-    does every hotter uniform start.  Every
-    thermal coefficient and every [a_k] is [>= 0], the powers rise
-    from column to column, and rounded multiplication, addition and
-    division are monotone, so a row's computed value at a column's
-    point does not fall as the column or the start rises (DESIGN.md
-    §6za, §6zc). *)
+(** A table's columns, one per [ftarget], for a machine and spec: the
+    floor-only optimum of every cell of each [ftarget], with the
+    frequencies it serves, bit-identical to the point {!solve} forms
+    for any cell at it ([None] for a spec with a gradient term, which
+    has no closed form, and when the floor exceeds what the frequency
+    boxes allow).  When the columns are {!searchable}, the cells the
+    closed form settles are a prefix of each row and of each column: a
+    row that one column's point violates, the next column's violates
+    too, and so does every hotter uniform start.  Every thermal
+    coefficient and every [a_k] is [>= 0], the powers rise from column
+    to column, and rounded multiplication, addition and division are
+    monotone, so a row's computed value at a column's point does not
+    fall as the column or the start rises (DESIGN.md §6za, §6zc). *)
 
 val columns : machine:Sim.Machine.t -> spec:Spec.t -> float array -> columns
-(** The {!type-column} of each [ftarget], in the given order, with the
+(** The columns of the given [ftargets], in that order, with the
     machine's rows for [spec] (and the floor-only relaxation's data
     kept with them), built now if this is their first request.
     Verifies the conditions of {!searchable} once.  Raises
     [Invalid_argument] as {!instantiate} does for an [ftarget] outside
     [[0, fmax]], NaN included, and as {!prepare} does for the spec. *)
-
-val column_at : columns -> int -> column option
-(** The column of the [j]th [ftarget]: [None] for a spec with a
-    gradient term (no closed form) and when the floor exceeds what the
-    frequency boxes allow. *)
 
 val searchable : columns -> bool
 (** Whether every thermal coefficient of the rows and every [a_k =
@@ -411,23 +395,35 @@ val closed_rows : columns -> float array -> int * prepared option
     [Invalid_argument] when [tstarts] is not ascending (a NaN is not)
     and, as {!prepare} does, on a start that is not finite. *)
 
-val closed_prefix : columns -> prepared -> int
-(** The number of leading columns that hold on a start of the
-    columns' machine and spec (a [None] column does not), by
-    bisection with {!solve}'s own check.  0 where the columns are not
-    {!searchable}: {!solve} then settles the row's closed-form cells
-    itself, with the same bits and counters.  Raises
-    [Invalid_argument] for a start of another machine or spec and for
-    a frontier's start. *)
+type row = {
+  cells : Table.cell array;  (** One per column. *)
+  feasible : int;  (** The row's first infeasible column, or its width. *)
+  closed_form : int;  (** Cells settled in closed form. *)
+  active_set : int;  (** Cells settled by the active-set step. *)
+  frontier_verdict : bool;
+      (** A ladder tangent refuted the first infeasible column. *)
+  conic : Convex.Conic.stats;
+      (** {!solve}'s counters of the row's cells, a cell served from
+          its column counted as one optimal outcome with no
+          iteration. *)
+}
 
-val column_frequencies : column -> Vec.t
-(** A fresh copy of the served frequencies (Hz, per core), equal to
-    the [frequencies] of the {!solve} solution the column settles. *)
-
-val column_x : column -> Vec.t
-(** The column's point, equal to that solution's [raw.x]: the seed
-    ([?start]) of the next cell of a row.  The column's own vector,
-    not a copy; do not mutate it. *)
+val rows : columns -> float array -> int -> row
+(** [rows columns tstarts] finds the {!closed_rows} of the uniform
+    starts [tstarts] on the calling domain and returns the function
+    that settles row [i], left to right up to and including its first
+    infeasible cell (infeasibility is monotone in [ftarget]; the rest
+    stay [Infeasible]).  A closed row is served a fresh copy of each
+    column's frequencies, with no start.  Any other row prepares its
+    start (the first takes the one the search made), serves the
+    leading columns that hold there the same way, found by bisection
+    where the columns are {!searchable}, and settles each later cell
+    as {!solve} does, seeded with the previous feasible column's
+    point, checking no column the bisection has shown to fail; its
+    conic workspace is made when a cell first reaches the conic
+    method.  Every cell and counter is what {!solve} gives, and the
+    function is pure in [i], so rows may be settled on any domain.
+    Raises [Invalid_argument] as {!closed_rows} does. *)
 
 val solve_frontier : built -> outcome
 (** Solve a {!build_frontier} instance: one conic solve on every row

@@ -50,11 +50,13 @@ let table label ~machine ~spec ~margin ~tstarts ~ftargets =
   in
   let stats = Protemp.Dense_table.fill ~domains:1 dense in
   let solver = Protemp.Dense_table.solver_stats dense in
-  pr "table %s: %d cells, %d solves, %d warm, %d closed form, %d frontier \
-      verdicts, %d pruned, %d feasible, %d iterations, %d unknown\n"
+  pr "table %s: %d cells, %d solves, %d warm, %d closed form, %d active \
+      set, %d frontier verdicts, %d pruned, %d feasible, %d iterations, %d \
+      unknown\n"
     label stats.Protemp.Dense_table.cells stats.Protemp.Dense_table.solves
     stats.Protemp.Dense_table.warm_hits
     (Protemp.Dense_table.closed_form_cells dense)
+    (Protemp.Dense_table.active_set_cells dense)
     (Protemp.Dense_table.frontier_verdicts dense)
     stats.Protemp.Dense_table.pruned stats.Protemp.Dense_table.feasible
     solver.Convex.Conic.iterations solver.Convex.Conic.unknown;
@@ -144,8 +146,8 @@ let () =
     ~margin:5.0 ~tstarts:(axis 27.0 100.0 74) ~ftargets:(axis 1e8 9e8 9);
   (* Niagara with one negative step entry, its first node's
      self-coupling: [a_1] is negative there, so at stride 1 the columns
-     are not searchable, every row is prepared and [Model.solve]
-     settles the closed-form cells itself. *)
+     are not searchable, every row is prepared and checks every cell's
+     column on its start, as [Model.solve] does. *)
   let niagara = Sim.Machine.niagara () in
   let thermal = niagara.Sim.Machine.thermal in
   let step = Linalg.Mat.copy thermal.Thermal.Rc_model.step in

@@ -698,6 +698,72 @@ let test_conic_working_set () =
          Conic.binding t relaxed.Conic.x ~rows:every ~first:1 ~last:4
            ~above:0.0 ~into))
 
+(* A workspace reused across solves gives the bits a fresh one gives:
+   the same status, iteration count, [x] and [z], bit for bit, after
+   working-set rounds ([restrict], [admit] and a warm re-solve), a row
+   left out, a re-targeted constant ({!Conic.with_constant}) and a
+   second instance of the same shape, in one dense block and under a
+   block partition.  A table row's one workspace, and a replay of the
+   row that makes one per cell, rely on it. *)
+let test_conic_workspace_reuse_bits () =
+  let p = working_set_problem () in
+  let t = Conic_reference.of_problem p in
+  (* x1 <= 2.5 and x0 >= -0.5: the cut still binds. *)
+  let other =
+    Conic_reference.of_problem
+      {
+        p with
+        Quad.constraints =
+          Array.append
+            (Array.sub p.Quad.constraints 0 2)
+            [|
+              Quad.affine [| 0.0; 1.0 |] (-2.5);
+              Quad.affine [| -1.0; 0.0 |] (-0.5);
+            |];
+      }
+  in
+  let rounds t ws =
+    Conic.restrict ws t ~rows:[| 0; 1; 2 |] ~n:3 ~first:1 ~last:3;
+    let first = Conic.solve ~ws t in
+    match first with
+    | Conic.Optimal s ->
+        check_int "the cut joins" 1 (Conic.admit ws t s.Conic.x ~above:0.0);
+        [ first; Conic.solve ~warm:s.Conic.x ~ws t ]
+    | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st
+  in
+  let on rows n t ws =
+    Conic.restrict ws t ~rows ~n ~first:0 ~last:0;
+    [ Conic.solve ~ws t ]
+  in
+  let cases =
+    [
+      ("working-set rounds", rounds t);
+      ("a row left out", on [| 0; 1; 2 |] 2 t);
+      ("a re-targeted constant", on [| 0; 1; 2 |] 3 (Conic.with_constant t ~row:0 3.0));
+      ("a second instance", rounds other);
+      ("the first instance again", rounds t);
+    ]
+  in
+  let bits v = Array.map Int64.bits_of_float v in
+  let fingerprint = function
+    | Conic.Optimal s -> ("optimal", s.Conic.iterations, bits s.Conic.x, bits s.Conic.z)
+    | Conic.Unknown s -> ("unknown", s.Conic.iterations, bits s.Conic.x, bits s.Conic.z)
+    | Conic.Primal_infeasible { z } -> ("primal infeasible", 0, [||], bits z)
+    | Conic.Dual_infeasible { x } -> ("dual infeasible", 0, bits x, [||])
+  in
+  List.iter
+    (fun (partition, kkt) ->
+      let reused = Conic.make_workspace ?kkt t in
+      List.iter
+        (fun (name, case) ->
+          let fresh = List.map fingerprint (case (Conic.make_workspace ?kkt t)) in
+          check_bool
+            (Printf.sprintf "%s, %s: the fresh workspace's bits" name partition)
+            true
+            (List.map fingerprint (case reused) = fresh))
+        cases)
+    [ ("one block", None); ("two blocks", Some (`Blocks [| 1; 1 |])) ]
+
 (* The conic loop's allocation, measured at run time: the alloc-free
    lint sees syntactic allocation sites only, not a float boxed across
    a call.  Workspace solves of fixed Niagara cells (all rows, stride
@@ -1210,6 +1276,8 @@ let () =
             test_conic_warm_start_and_stats;
           Alcotest.test_case "workspace reuse" `Quick
             test_conic_workspace_reuse;
+          Alcotest.test_case "reused workspace bit for bit" `Quick
+            test_conic_workspace_reuse_bits;
           Alcotest.test_case "working set" `Quick test_conic_working_set;
           Alcotest.test_case "iteration allocation" `Quick
             test_conic_iteration_allocation;

@@ -165,10 +165,13 @@ let prop_fill_matches_cold_cells =
       true)
 
 (* The fill against a replay of its rows through the per-cell calls:
-   per row one prepare and one conic workspace, then per column
-   [instantiate] and [Model.solve] seeded with the previous feasible
-   column's optimum, up to the first infeasible column — the fill
-   before columns settled cells without an instance.  Random grids on
+   per row one prepare, then per column [instantiate] and [Model.solve]
+   (each making its own workspace when it needs one) seeded with the
+   previous feasible column's optimum, up to the first infeasible
+   column — the fill before columns settled cells without an instance.
+   The replay infers each frontier verdict from the solver counters (a
+   primal-infeasibility outcome with no iteration), the oracle for the
+   verdict a row reports.  Random grids on
    both platforms, the variable and uniform variants and the gradient
    variant (which has no column), margin 0 or 5, stride 1 or 4.  The
    tables must agree byte for byte in [%.17g] CSV, and so must the
@@ -192,14 +195,13 @@ let replay ~machine ~spec ~tstarts ~ftargets =
   let row tstart =
     let before = !closed_form in
     let prepared = Protemp.Model.prepare ~machine ~spec ~tstart in
-    let conic_ws = Protemp.Model.workspace prepared in
     let cells = Array.make cols Protemp.Table.Infeasible in
     let rec go j start =
       if j < cols then begin
         let built = Protemp.Model.instantiate prepared ~ftarget:ftargets.(j) in
         let before = !conic in
         match
-          Protemp.Model.solve ~conic_stats_into:conic ~conic_ws ?start built
+          Protemp.Model.solve ~conic_stats_into:conic ?start built
         with
         | Protemp.Model.Infeasible ->
             if
@@ -616,8 +618,8 @@ let words_beyond_table dt =
   - Obj.reachable_words (Obj.repr (Lazy.force machine))
 
 (* A filled grid keeps its table and nothing that grows with it: no
-   solver state, seeds or memo.  What is left is the grid's records,
-   its spec and the fill's counters (33 words), the same on a 3x3 grid
+   solver state, seeds or memo.  What is left is the grid's record,
+   its spec and the fill's counters (30 words), the same on a 3x3 grid
    and on the fleet benchmark's 19x9 serving grid (margin 5). *)
 let test_filled_grid_holds_only_its_table () =
   let beyond dt =

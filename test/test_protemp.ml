@@ -1074,18 +1074,14 @@ let biglittle = lazy (Sim.Machine.biglittle ())
 let thermal_rows (built : Protemp.Model.built) n =
   n - Protemp.Model.first_thermal_index built.Protemp.Model.layout
 
-(* [Model.solve]'s closed-form check of [col] on the cell [built]:
-   {!Convex.Conic.holds} over the thermal rows that take part in
-   [built.conic], every one of its rows after the floor. *)
-let start_holds (built : Protemp.Model.built) col =
-  let layout = built.Protemp.Model.layout in
-  let rows = Protemp.Model.conic_rows built in
-  Convex.Conic.holds
-    (Lazy.force built.Protemp.Model.conic)
-    (Protemp.Model.column_x col) ~rows
-    ~first:
-      (Protemp.Model.first_thermal_index layout - layout.Protemp.Model.n_f)
-    ~last:(Array.length rows)
+(* Whether {!Protemp.Model.solve} settles the cell in closed form: its
+   first check, the column's point against the thermal rows that take
+   part, holds on the cell's start.  Seed-free, so the cell is solved
+   cold. *)
+let closes built =
+  match Protemp.Model.solve built with
+  | Protemp.Model.Feasible s -> s.Protemp.Model.settled_by = `Closed_form
+  | Protemp.Model.Infeasible -> false
 
 let holds (problem : Quad.problem) x =
   Array.for_all (fun c -> Quad.eval c x <= 0.0) problem.Quad.constraints
@@ -1360,16 +1356,15 @@ let closed_form_solution ~machine ~spec ~tstart ~ftarget =
    here); every other box dual is zero.  The floor is met to rounding
    in normalized units (the reported frequencies clamp the little
    cores back to their ceiling). *)
-(* The column of one [ftarget]. *)
-let column ~machine ~spec ~ftarget =
-  Protemp.Model.column_at (Protemp.Model.columns ~machine ~spec [| ftarget |]) 0
-
-(* A column is the point {!Protemp.Model.solve} settles a cell with:
-   on cool and hot rows of both platforms and both variants the check
-   holds exactly when [solve] reports [`Closed_form], and then the
-   column's point and frequencies are the solution's, bit for bit.
-   An [ftarget] outside [0, fmax] raises as [instantiate] does, the
-   gradient variant has no column, and the check on a start's rows
+(* A cell's closed form is its column's: on cool and hot starts of
+   both platforms and both variants, every cell {!Protemp.Model.solve}
+   settles in closed form at one [ftarget] has the same point and
+   frequencies, bit for bit, whatever its start, and the row of
+   {!Protemp.Model.rows} over those starts serves exactly those cells
+   in closed form, with the same frequencies, each cell a vector of its
+   own.  An [ftarget] outside [0, fmax] raises in
+   {!Protemp.Model.columns} as [instantiate] does, the gradient variant
+   settles no cell in closed form, and the check on a start's rows
    ({!Convex.Conic.holds}) allocates nothing. *)
 let test_column_is_closed_form () =
   let bits a b =
@@ -1379,43 +1374,55 @@ let test_column_is_closed_form () =
          a b
   in
   let uniform = { fast_spec with Protemp.Spec.variant = Protemp.Spec.Uniform } in
+  let tstarts = [| 27.0; 70.0; 95.0 |] in
+  let fractions = [| 0.1; 0.5; 0.8; 0.95; 1.0 |] in
   let settled = ref 0 and solved = ref 0 in
   List.iter
     (fun (name, machine, spec) ->
-      let fmax = machine.Sim.Machine.fmax in
-      List.iter
-        (fun tstart ->
+      let ftargets =
+        Array.map (fun f -> f *. machine.Sim.Machine.fmax) fractions
+      in
+      let row =
+        Protemp.Model.rows (Protemp.Model.columns ~machine ~spec ftargets) tstarts
+      in
+      (* The first closed-form solution of each column. *)
+      let column = Array.make (Array.length ftargets) None in
+      Array.iteri
+        (fun i tstart ->
           let p = Protemp.Model.prepare ~machine ~spec ~tstart in
-          List.iter
-            (fun fraction ->
-              let ftarget = fraction *. fmax in
+          let r = row i and closed = ref 0 in
+          Array.iteri
+            (fun j ftarget ->
               let label =
-                Printf.sprintf "%s at %g C, %g fmax" name tstart fraction
+                Printf.sprintf "%s at %g C, %g fmax" name tstart fractions.(j)
               in
-              let built = Protemp.Model.instantiate p ~ftarget in
-              let column_holds col = start_holds built col in
-              let outcome = Protemp.Model.solve built in
-              match
-                (column ~machine ~spec ~ftarget, outcome)
-              with
-              | Some col, Protemp.Model.Feasible s
+              match Protemp.Model.solve (Protemp.Model.instantiate p ~ftarget) with
+              | Protemp.Model.Feasible s
                 when s.Protemp.Model.settled_by = `Closed_form ->
                   incr settled;
-                  check_bool (label ^ ": holds") true (column_holds col);
-                  check_bool (label ^ ": the solution's point") true
-                    (bits (Protemp.Model.column_x col)
+                  incr closed;
+                  let first = Option.value column.(j) ~default:s in
+                  column.(j) <- Some first;
+                  check_bool (label ^ ": the column's point") true
+                    (bits first.Protemp.Model.raw.Convex.Solve.x
                        s.Protemp.Model.raw.Convex.Solve.x);
-                  check_bool (label ^ ": the solution's frequencies") true
-                    (bits
-                       (Protemp.Model.column_frequencies col)
-                       s.Protemp.Model.frequencies)
-              | Some col, _ ->
-                  incr solved;
-                  check_bool (label ^ ": does not hold") false
-                    (column_holds col)
-              | None, _ -> incr solved)
-            [ 0.1; 0.5; 0.8; 0.95; 1.0 ])
-        [ 27.0; 70.0; 95.0 ])
+                  check_bool (label ^ ": the column's frequencies") true
+                    (bits first.Protemp.Model.frequencies
+                       s.Protemp.Model.frequencies);
+                  check_bool (label ^ ": served by the row") true
+                    (match r.Protemp.Model.cells.(j) with
+                    | Protemp.Table.Frequencies f ->
+                        bits f s.Protemp.Model.frequencies
+                    | Protemp.Table.Infeasible -> false)
+              | _ -> incr solved)
+            ftargets;
+          check_int (name ^ ": the row's closed-form cells") !closed
+            r.Protemp.Model.closed_form;
+          match ((row i).Protemp.Model.cells.(0), r.Protemp.Model.cells.(0)) with
+          | Protemp.Table.Frequencies a, Protemp.Table.Frequencies b ->
+              check_bool (name ^ ": a vector of its own") true (a != b)
+          | _ -> ())
+        tstarts)
     [
       ("Niagara", Lazy.force machine, fast_spec);
       ("Niagara uniform", Lazy.force machine, uniform);
@@ -1429,23 +1436,26 @@ let test_column_is_closed_form () =
   List.iter
     (fun ftarget ->
       check_bool (Printf.sprintf "ftarget %h raises" ftarget) true
-        (raises (fun () -> column ~machine:m ~spec:fast_spec ~ftarget)))
+        (raises (fun () ->
+             Protemp.Model.columns ~machine:m ~spec:fast_spec [| ftarget |])))
     [ Float.nan; -1.0; 1.5 *. m.Sim.Machine.fmax ];
-  check_bool "gradient variant: no column" true
-    (Option.is_none
-       (column ~machine:m ~spec:(Protemp.Spec.with_gradient fast_spec)
-          ~ftarget:5e8));
-  let col = Option.get (column ~machine:m ~spec:fast_spec ~ftarget:5e8) in
-  check_bool "a fresh copy each time" true
-    (Protemp.Model.column_frequencies col
-    != Protemp.Model.column_frequencies col);
+  check_bool "gradient variant: no closed form" false
+    (closes
+       (Protemp.Model.build ~machine:m
+          ~spec:(Protemp.Spec.with_gradient fast_spec)
+          ~tstart:27.0 ~ftarget:1e8));
+  let x =
+    (closed_form_solution ~machine:m ~spec:fast_spec ~tstart:27.0
+       ~ftarget:5e8)
+      .Protemp.Model.raw.Convex.Solve.x
+  in
   let built =
     Protemp.Model.instantiate
       (Protemp.Model.prepare ~machine:m ~spec:fast_spec ~tstart:95.0)
       ~ftarget:5e8
   in
   let t = Lazy.force built.Protemp.Model.conic in
-  let rows = Protemp.Model.conic_rows built and x = Protemp.Model.column_x col in
+  let rows = Protemp.Model.conic_rows built in
   let first =
     Protemp.Model.first_thermal_index built.Protemp.Model.layout
     - built.Protemp.Model.layout.Protemp.Model.n_f
@@ -2214,14 +2224,15 @@ let test_thermal_coefficients_nonnegative () =
         [ 1; 4 ])
     [ ("niagara", Lazy.force machine); ("biglittle", Lazy.force biglittle) ]
 
-(* The rows whose last column holds on their own start ([start_holds],
+(* The rows whose last column holds on their own start ([closes],
    {!Protemp.Model.solve}'s check) are a prefix of ascending starts,
    and {!Protemp.Model.closed_rows} returns its length: on both
    platforms, the variable variant and Niagara's uniform one, strides
    1 and 4 and margins 0 and 5, over random ascending starts (ties
    included) and a random pair of ascending columns; with it comes the
-   start of the first open row, exactly when there is one and the last
-   column is not [None].  [prefix_shapes]
+   start of the first open row whenever there is one and its last cell
+   is feasible (a floor above what the boxes allow has no column, and
+   no start).  [prefix_shapes]
    counts the grids drawn with no, some and every start closed, the
    last split at three starts: from three on, every start closed is
    decided by the hottest start's check, with starts between it and
@@ -2256,19 +2267,8 @@ let prop_closed_rows =
         Protemp.Model.columns ~machine ~spec [| 0.5 *. ftarget; ftarget |]
       in
       let tstarts = Array.of_list tstarts in
-      let holds =
-        match Protemp.Model.column_at cs 1 with
-        | None -> Array.map (fun _ -> false) tstarts
-        | Some col ->
-            Array.map
-              (fun tstart ->
-                start_holds
-                  (Protemp.Model.instantiate
-                     (Protemp.Model.prepare ~machine ~spec ~tstart)
-                     ~ftarget)
-                  col)
-              tstarts
-      in
+      let cell tstart = Protemp.Model.build ~machine ~spec ~tstart ~ftarget in
+      let holds = Array.map (fun tstart -> closes (cell tstart)) tstarts in
       let prefix = ref 0 in
       while !prefix < Array.length holds && holds.(!prefix) do
         incr prefix
@@ -2293,7 +2293,7 @@ let prop_closed_rows =
       match first_open with
       | None ->
           closed = Array.length tstarts
-          || Option.is_none (Protemp.Model.column_at cs 1)
+          || Protemp.Model.solve (cell tstarts.(closed)) = Protemp.Model.Infeasible
           || QCheck2.Test.fail_reportf "no start for row %d" closed
       | Some p ->
           closed < Array.length tstarts
@@ -2411,15 +2411,17 @@ let prop_active_set_kkt =
       go 0 None)
 
 (* Columns that are not monotone along a row are not searchable, and
-   their closed prefix is 0: {!Protemp.Model.solve} settles each of
-   the row's closed-form cells itself, also where a column holds after
+   a row of {!Protemp.Model.rows} then checks every cell itself: it
+   settles in closed form exactly the cells {!Protemp.Model.solve}
+   does up to its first infeasible one, also where a column holds after
    one that does not (where bisection would be wrong).  Descending and
-   unsorted ftargets on Niagara, and a big.LITTLE ftarget above what
-   its boxes allow (no column) before one they do.  Ascending columns
-   are searchable, and their bisected prefix equals a scan of the
-   check on the start's rows ([start_holds]), every column included.
-   Not searchable columns close no row, and a start of another
-   machine or spec, or a frontier's, is refused. *)
+   unsorted ftargets on Niagara (9.4e8 fails its closed form but is
+   feasible at 27 C, so a cell after it closes within the row), and a
+   big.LITTLE ftarget above what its boxes allow (no column) before
+   ones they do.  Ascending columns
+   are searchable, and the row's closed-form cells are then the
+   leading cells [solve] settles in closed form ([closes]), every
+   column included.  Not searchable columns close no row. *)
 let test_closed_prefix_fallback () =
   let niagara = Lazy.force machine and big = Lazy.force biglittle in
   let tstarts = [| 27.0; 50.0; 70.0; 85.0; 95.0 |] in
@@ -2429,36 +2431,37 @@ let test_closed_prefix_fallback () =
       let cs = Protemp.Model.columns ~machine ~spec:fast_spec ftargets in
       check_bool (name ^ ": searchable") searchable
         (Protemp.Model.searchable cs);
-      Array.iter
-        (fun tstart ->
+      let row = Protemp.Model.rows cs tstarts in
+      Array.iteri
+        (fun i tstart ->
           let label = Printf.sprintf "%s at %g C" name tstart in
-          let p = Protemp.Model.prepare ~machine ~spec:fast_spec ~tstart in
+          let r = row i in
+          let feasible = r.Protemp.Model.feasible in
           let holds =
-            Array.init (Array.length ftargets) (fun j ->
-                match Protemp.Model.column_at cs j with
-                | Some col ->
-                    start_holds
-                      (Protemp.Model.instantiate p ~ftarget:ftargets.(j))
-                      col
-                | None -> false)
+            Array.init feasible (fun j ->
+                closes
+                  (Protemp.Model.build ~machine ~spec:fast_spec ~tstart
+                     ~ftarget:ftargets.(j)))
           in
           let scan = ref 0 in
-          while !scan < Array.length holds && holds.(!scan) do
+          while !scan < feasible && holds.(!scan) do
             incr scan
           done;
-          let rest = Array.sub holds !scan (Array.length holds - !scan) in
+          let rest = Array.sub holds !scan (feasible - !scan) in
           if Array.exists Fun.id rest then held_after_failure := true;
+          check_bool (label ^ ": a prefix") true
+            (not (searchable && Array.exists Fun.id rest));
           check_int
-            (label ^ if searchable then ": the scan's prefix" else ": none")
-            (if searchable then !scan else 0)
-            (Protemp.Model.closed_prefix cs p))
+            (label ^ ": the cells solve settles in closed form")
+            (Array.fold_left (fun n h -> if h then n + 1 else n) 0 holds)
+            r.Protemp.Model.closed_form)
         tstarts;
       if not searchable then
         check_bool (name ^ ": no closed row") true
           (Protemp.Model.closed_rows cs tstarts = (0, None)))
     [
-      ("Niagara descending", niagara, [| 9.5e8; 9e8; 6e8; 3e8; 1e8 |], false);
-      ("Niagara unsorted", niagara, [| 1e8; 9.5e8; 2e8; 9e8; 5e8 |], false);
+      ("Niagara descending", niagara, [| 9.4e8; 9e8; 6e8; 3e8; 1e8 |], false);
+      ("Niagara unsorted", niagara, [| 1e8; 9.4e8; 2e8; 9e8; 5e8 |], false);
       ( "big.LITTLE no column first",
         big,
         [| big.Sim.Machine.fmax; 1e8; 3e8 |],
@@ -2466,26 +2469,7 @@ let test_closed_prefix_fallback () =
       ("Niagara ascending", niagara, [| 1e8; 3e8; 6e8; 9e8; 9.5e8 |], true);
       ("big.LITTLE ascending", big, [| 1e8; 3e8; 5e8; 6e8; 7e8 |], true);
     ];
-  check_bool "a column held after one that did not" true !held_after_failure;
-  let cs = Protemp.Model.columns ~machine:niagara ~spec:fast_spec [| 5e8 |] in
-  List.iter
-    (fun (name, p) ->
-      check_bool name true
-        (match Protemp.Model.closed_prefix cs p with
-        | _ -> false
-        | exception Invalid_argument _ -> true))
-    [
-      ( "another machine's start",
-        Protemp.Model.prepare ~machine:(Sim.Machine.niagara ()) ~spec:fast_spec
-          ~tstart:60.0 );
-      ( "another spec's start",
-        Protemp.Model.prepare ~machine:niagara ~spec:(with_stride 1 fast_spec)
-          ~tstart:60.0 );
-      ( "a frontier's start",
-        (Protemp.Model.build_frontier ~machine:niagara ~spec:fast_spec
-           ~tstart:60.0)
-          .Protemp.Model.context );
-    ]
+  check_bool "a column held after one that did not" true !held_after_failure
 
 (* Frontier tangents.  A tangent is a safe upper bound on the frontier
    of every start, whatever dual it is built from: the frontier [F] at
