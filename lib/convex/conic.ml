@@ -38,6 +38,13 @@ type t = {
   glo : int array;  (* first stored column of each row *)
   hi : Vec.t;  (* q, internal row order *)
   orth_ext : int array;  (* solution entry of internal orthant row i *)
+  (* The row set: the orthant rows that take part, [part.(0 .. n_part -
+     1)], ascending, and among them the candidates [part.(cand_lo ..
+     cand_hi - 1)].  Checked where it is set, read unchecked after. *)
+  part : int array;
+  n_part : int;
+  cand_lo : int;
+  cand_hi : int;
 }
 
 let dim t = t.n
@@ -67,10 +74,11 @@ let make ~c ~n_orthant ~glo ~goff ~gdata ~h =
     if glo.(i) < 0 || glo.(i) + len > n then
       invalid_arg "Conic.make: a row leaves the columns"
   done;
+  let every = Array.init n_orthant Fun.id in
   {
     n; mo = n_orthant; nsoc = (q - n_orthant) / 3; c;
     gdata; goff; glo; hi = h;
-    orth_ext = Array.init n_orthant Fun.id;
+    orth_ext = every; part = every; n_part = n_orthant; cand_lo = 0; cand_hi = 0;
   }
 
 let with_constant t ~row value =
@@ -80,10 +88,41 @@ let with_constant t ~row value =
   hi.(row) <- value;
   { t with hi }
 
-let with_constants t h =
+(* The row list becomes the instance's own, so it is checked here, as
+   [make] checks the pack. *)
+let with_rows t h ~rows ~n ~first ~last =
   if Vec.dim h <> n_rows t then
-    invalid_arg "Conic.with_constants: not one constant per row";
-  { t with hi = h }
+    invalid_arg "Conic.with_rows: not one constant per row";
+  if n < 0 || n > Array.length rows || n > t.mo then
+    invalid_arg "Conic.with_rows: more rows than the instance has";
+  if first < 0 || first > last || last > n then
+    invalid_arg "Conic.with_rows: candidates outside the rows";
+  for k = 0 to n - 1 do
+    let i = rows.(k) in
+    if i < 0 || i >= t.mo || (k > 0 && i <= rows.(k - 1)) then
+      invalid_arg "Conic.with_rows: not ascending orthant rows"
+  done;
+  { t with hi = h; part = rows; n_part = n; cand_lo = first; cand_hi = last }
+
+let without_candidates t =
+  if t.cand_lo = t.cand_hi then t else { t with cand_lo = 0; cand_hi = 0 }
+
+let n_part t = t.n_part
+
+let row t k =
+  if k < 0 || k >= t.n_part then invalid_arg "Conic.row: not a row that takes part";
+  Array.unsafe_get t.part k
+
+(* Whether [a] and [b] name the same rows and candidates: at once when
+   they share the row list, as a start's instances do. *)
+let rec same_from a b k =
+  k = a.n_part
+  || Array.unsafe_get a.part k = Array.unsafe_get b.part k
+     && same_from a b (k + 1)
+
+let same_rows a b =
+  a.n_part = b.n_part && a.cand_lo = b.cand_lo && a.cand_hi = b.cand_hi
+  && (a.part == b.part || same_from a b 0)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-row kernels                                                 *)
@@ -455,20 +494,13 @@ type ws = {
   (* problem norms for the stopping tests *)
   mutable norm_c : float;
   mutable norm_h : float;
-  (* Working set.  [full] is the instance handed to the current solve;
-     [t] is [full] itself, or its restriction to the working set packed
-     into the [w_*] buffers ([cap] rows, [w_gdata] grown likewise).
-     The orthant rows of [full] that take part are [part.(0 ..
-     n_part - 1)], ascending; the candidates among them are [part.(k)]
-     for [cand_lo <= k < cand_hi], and every other one is always in the
-     set.  No row outside [part] is read.  A new workspace names every
-     row ([n_part = mo], no candidate), which reads no [part], so
-     [part] is sized by the first {!restrict}. *)
+  (* Working set.  [full] is the instance the set was last restricted
+     for, or the one handed to the current solve, which names the same
+     rows; [t] is [full] itself, or its restriction to the working set
+     packed into the [w_*] buffers ([cap] rows, [w_gdata] grown
+     likewise).  Every row [full] names that is not a candidate is
+     always in the set; no row it does not name is read. *)
   mutable full : t;
-  mutable part : int array;
-  mutable n_part : int;
-  mutable cand_lo : int;
-  mutable cand_hi : int;
   in_set : Bytes.t;  (* per orthant row of [full]: '\001' if in the set *)
   mutable w_gdata : float array;
   mutable w_goff : int array;
@@ -522,10 +554,6 @@ let make_workspace ?kkt t =
     norm_c = 0.0;
     norm_h = 0.0;
     full = t;
-    part = [||];
-    n_part = t.mo;
-    cand_lo = 0;
-    cand_hi = 0;
     in_set = Bytes.make t.mo '\001';
     w_gdata = [||];
     w_goff = Array.make (q + 1) 0;
@@ -565,8 +593,8 @@ let reserve_rows st rows =
 let working_set_size st t =
   let rows = ref (3 * t.nsoc) in
   let nnz = ref (t.goff.(n_rows t) - t.goff.(t.mo)) in
-  for k = 0 to st.n_part - 1 do
-    let i = st.part.(k) in
+  for k = 0 to t.n_part - 1 do
+    let i = Array.unsafe_get t.part k in
     if Bytes.get st.in_set i <> '\000' then begin
       incr rows;
       nnz := !nnz + t.goff.(i + 1) - t.goff.(i)
@@ -592,8 +620,8 @@ let pack_row st t i r nz =
    orthant row count. *)
 let pack_working_set st t =
   let mo = ref 0 and nz = ref 0 in
-  for k = 0 to st.n_part - 1 do
-    let i = Array.unsafe_get st.part k in
+  for k = 0 to t.n_part - 1 do
+    let i = Array.unsafe_get t.part k in
     if Bytes.unsafe_get st.in_set i <> '\000' then begin
       nz := pack_row st t i !mo !nz;
       st.w_orth_ext.(!mo) <- k;
@@ -623,8 +651,10 @@ let norm_inf_rows v q =
 let rebind_ws st t =
   if not (same_shape st.full t) then
     invalid_arg "Conic.solve: workspace shape mismatch";
+  if not (same_rows st.full t) then
+    invalid_arg "Conic.solve: workspace restricted for another row set";
   st.full <- t;
-  if st.n_part < t.mo || st.cand_lo < st.cand_hi then begin
+  if t.n_part < t.mo || t.cand_lo < t.cand_hi then begin
     let rows, nnz = working_set_size st t in
     reserve_rows st rows;
     if nnz > Array.length st.w_gdata then
@@ -1246,10 +1276,10 @@ let extract_solution st ~iterations =
   let q = n_rows t in
   let inv_tau = 1.0 /. st.tau in
   let x = Vec.scale inv_tau st.x in
-  let s = Vec.zeros (st.n_part + (3 * t.nsoc)) in
-  let z = Vec.zeros (st.n_part + (3 * t.nsoc)) in
-  for k = st.cand_lo to st.cand_hi - 1 do
-    let i = st.part.(k) in
+  let s = Vec.zeros (full.n_part + (3 * t.nsoc)) in
+  let z = Vec.zeros (full.n_part + (3 * t.nsoc)) in
+  for k = full.cand_lo to full.cand_hi - 1 do
+    let i = Array.unsafe_get full.part k in
     if Bytes.get st.in_set i = '\000' then s.(k) <- -.row_value full i x
   done;
   for i = 0 to t.mo - 1 do
@@ -1258,7 +1288,7 @@ let extract_solution st ~iterations =
     z.(e) <- st.z.(i) *. inv_tau
   done;
   for k = 0 to t.nsoc - 1 do
-    let r0 = t.mo + (3 * k) and e = st.n_part + (3 * k) in
+    let r0 = t.mo + (3 * k) and e = full.n_part + (3 * k) in
     s.(e) <- inv_sqrt2 *. (st.s.(r0) +. st.s.(r0 + 1)) *. inv_tau;
     s.(e + 1) <- inv_sqrt2 *. (st.s.(r0) -. st.s.(r0 + 1)) *. inv_tau;
     s.(e + 2) <- st.s.(r0 + 2) *. inv_tau;
@@ -1373,25 +1403,16 @@ let finish_unknown st ~iterations =
 (* Working set                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let restrict ws t ~rows ~n ~first ~last =
+(* [t] checked its rows where they were set, against its own shape,
+   which the workspace has. *)
+let restrict ws t =
   if not (same_shape ws.full t) then
     invalid_arg "Conic.restrict: workspace shape mismatch";
-  if n < 0 || n > Array.length rows || n > t.mo then
-    invalid_arg "Conic.restrict: more rows than the instance has";
-  let first, last = if first >= last then (0, 0) else (first, last) in
-  if first < 0 || last > n then
-    invalid_arg "Conic.restrict: candidates outside the rows";
-  if Array.length ws.part < n then ws.part <- Array.make n 0;
-  for k = 0 to n - 1 do
-    let i = rows.(k) in
-    if i < 0 || i >= t.mo || (k > 0 && i <= rows.(k - 1)) then
-      invalid_arg "Conic.restrict: not ascending orthant rows";
-    ws.part.(k) <- i;
-    Bytes.set ws.in_set i (if k >= first && k < last then '\000' else '\001')
-  done;
-  ws.n_part <- n;
-  ws.cand_lo <- first;
-  ws.cand_hi <- last
+  ws.full <- t;
+  for k = 0 to t.n_part - 1 do
+    Bytes.unsafe_set ws.in_set (Array.unsafe_get t.part k)
+      (if k >= t.cand_lo && k < t.cand_hi then '\000' else '\001')
+  done
 
 (* Orthant row [i]'s value at [x], and whether it is not <= above — a
    NaN value included.  The thermal rows, almost all of the optional
@@ -1411,69 +1432,55 @@ let[@inline] row_level t i x =
 let[@inline] row_exceeds t i x ~above = not (row_level t i x <= above)
 
 (* The working-set update, in one pass over the candidates outside
-   the set: each that {!row_exceeds} [above] at [x] joins it.
-   {!restrict} checked every candidate against the workspace's shape,
-   which [t] has. *)
+   the set: each that {!row_exceeds} [above] at [x] joins it. *)
 let admit ws t x ~above =
   if not (same_shape ws.full t) then
     invalid_arg "Conic.admit: workspace shape mismatch";
+  if not (same_rows ws.full t) then
+    invalid_arg "Conic.admit: workspace restricted for another row set";
   if Vec.dim x <> t.n then invalid_arg "Conic.admit: point dimension mismatch";
   let added = ref 0 in
-  for k = ws.cand_lo to ws.cand_hi - 1 do
-    let i = Array.unsafe_get ws.part k in
-    if Bytes.get ws.in_set i = '\000' && row_exceeds t i x ~above then begin
-      Bytes.set ws.in_set i '\001';
+  for k = t.cand_lo to t.cand_hi - 1 do
+    let i = Array.unsafe_get t.part k in
+    if Bytes.unsafe_get ws.in_set i = '\000' && row_exceeds t i x ~above then begin
+      Bytes.unsafe_set ws.in_set i '\001';
       incr added
     end
   done;
   !added
 
-(* {!admit}'s decision at [above = 0] over the candidates
-   [rows.(first .. last - 1)], with no workspace, in one pass that
-   checks each row before it reads it and stops at the first row that
-   does not hold. *)
-let holds t x ~rows ~first ~last =
+(* {!admit}'s decision at [above = 0] over the candidates, with no
+   workspace, stopping at the first row that does not hold; then the
+   same decision for a caller that guesses a working set of its own:
+   the candidates that bind within [-above], and the most violated
+   one. *)
+let holds t x =
   if Vec.dim x <> t.n then invalid_arg "Conic.holds: point dimension mismatch";
-  if first < 0 || last > Array.length rows then
-    invalid_arg "Conic.holds: candidates outside the rows";
-  let k = ref first and ok = ref true in
-  while !ok && !k < last do
-    let i = rows.(!k) in
-    if i < 0 || i >= t.mo then invalid_arg "Conic.holds: not an orthant row";
-    if row_exceeds t i x ~above:0.0 then ok := false;
+  let k = ref t.cand_lo and ok = ref true in
+  while !ok && !k < t.cand_hi do
+    if row_exceeds t (Array.unsafe_get t.part !k) x ~above:0.0 then ok := false;
     incr k
   done;
   !ok
 
-(* The same row decision, for a caller that guesses a working set of
-   its own: the candidates that bind within [-above], and the most
-   violated one. *)
-let check_candidates name t x ~rows ~first ~last =
-  if Vec.dim x <> t.n then invalid_arg (name ^ ": point dimension mismatch");
-  if first < 0 || last > Array.length rows then
-    invalid_arg (name ^ ": candidates outside the rows")
-
-let binding t x ~rows ~first ~last ~above ~into =
-  check_candidates "Conic.binding" t x ~rows ~first ~last;
+let binding t x ~above ~into =
+  if Vec.dim x <> t.n then invalid_arg "Conic.binding: point dimension mismatch";
   let n = ref 0 in
-  for k = first to last - 1 do
-    let i = rows.(k) in
-    if i < 0 || i >= t.mo then invalid_arg "Conic.binding: not an orthant row";
-    if !n < Array.length into && row_exceeds t i x ~above then begin
+  for k = t.cand_lo to t.cand_hi - 1 do
+    if !n < Array.length into && row_exceeds t (Array.unsafe_get t.part k) x ~above
+    then begin
       into.(!n) <- k;
       incr n
     end
   done;
   !n
 
-let most_violated t x ~rows ~first ~last =
-  check_candidates "Conic.most_violated" t x ~rows ~first ~last;
+let most_violated t x =
+  if Vec.dim x <> t.n then
+    invalid_arg "Conic.most_violated: point dimension mismatch";
   let worst = ref (-1) and level = ref 0.0 in
-  for k = first to last - 1 do
-    let i = rows.(k) in
-    if i < 0 || i >= t.mo then
-      invalid_arg "Conic.most_violated: not an orthant row";
-    let v = row_level t i x in
+  for k = t.cand_lo to t.cand_hi - 1 do
+    let v = row_level t (Array.unsafe_get t.part k) x in
     if (not (v <= 0.0)) && (!worst < 0 || v > !level) then begin
       worst := k;
       level := v

@@ -32,6 +32,10 @@
     models' (frequency, power, gradient-bound) order) it skips every
     out-of-band entry, and without one it is a single dense block.
 
+    An instance names its rows ({!with_rows}): the orthant rows that
+    take part and the {e candidates} among them, which a solve takes
+    only once {!admit} finds them violated.  The list is checked once.
+
     A warm start seeds [x] from a given point: the slack is rebuilt
     as [h - G x] pushed to a margin inside the cone, and the dual is
     placed on the central path at a reduced [mu].  The one caller
@@ -67,25 +71,42 @@ val make :
     [T (u, v, w) = ((u + v)/sqrt 2, (u - v)/sqrt 2, w)].  A
     {!solution} reports [s] and [z] in [(u, v, w)].  [c], the packed
     arrays and [h] are not copied: the caller must not change them
-    afterwards.  [Invalid_argument] when [h] does not have one entry
-    per row, the cone rows do not come in threes, [goff] is not [q + 1]
+    afterwards.  Every row takes part; none is a candidate.
+    [Invalid_argument] when [h] does not have one entry per row, the
+    cone rows do not come in threes, [goff] is not [q + 1]
     nondecreasing offsets from 0 within [gdata] ([q] the length of
     [glo]) or a stripe leaves the columns. *)
 
 val with_constant : t -> row:int -> float -> t
 (** [with_constant t ~row h_row] is [t] with orthant row [row]'s
-    constant set to [h_row], sharing everything but [h], so a table
-    row packs [G] once and re-targets the throughput floor per cell.
-    [Invalid_argument] unless [row] is an orthant row. *)
+    constant set to [h_row], sharing everything but [h] (its rows
+    included), so a table row packs [G] once and re-targets the
+    throughput floor per cell.  [Invalid_argument] unless [row] is an
+    orthant row. *)
 
-val with_constants : t -> Vec.t -> t
-(** [with_constants t h] is [t] with the constants [h] (one per row,
-    in {!make}'s order, not copied), sharing [G] and [c].
-    [Invalid_argument] unless [h] has one entry per row. *)
+val with_rows :
+  t -> Vec.t -> rows:int array -> n:int -> first:int -> last:int -> t
+(** [with_rows t h ~rows ~n ~first ~last] is [t] with the constants [h]
+    (one per row, in {!make}'s order, not copied), in which the orthant
+    rows [rows.(0 .. n - 1)] (not copied) take part, with the
+    candidates [rows.(first .. last - 1)], and every cone row.  No call
+    reads a row it does not name.  [Invalid_argument] unless [h] has
+    one entry per row, [rows] are strictly ascending orthant rows and
+    [0 <= first <= last <= n]. *)
+
+val without_candidates : t -> t
+(** [t] with no candidate: every row it names is in every working set. *)
+
+val n_part : t -> int
+(** How many orthant rows take part ([s] and [z]'s orthant entries). *)
+
+val row : t -> int -> int
+(** [row t k] is the orthant row at position [k] of those that take
+    part.  [Invalid_argument] unless [0 <= k < n_part t]. *)
 
 val dim : t -> int
 val n_rows : t -> int
-(** Total cone rows (the dimension of [s] and [z]). *)
+(** Total cone rows, one constant each, whether they take part or not. *)
 
 val feas_tol : float
 (** Residual tolerance of an optimum or a certificate, relative to
@@ -113,9 +134,8 @@ val stats_add : stats -> stats -> stats
 type solution = {
   x : Vec.t;
   s : Vec.t;
-      (** Cone slack [h - G x], one entry per row that takes part
-          (every row, unless {!restrict} named fewer): the orthant
-          rows in order, then the cone rows. *)
+      (** Cone slack [h - G x], one entry per row that takes part:
+          the orthant rows in order, then the cone rows. *)
   z : Vec.t;  (** Cone dual, in [s]'s order. *)
   objective_value : float;
   gap : float;  (** Complementarity gap [s'z]. *)
@@ -138,21 +158,20 @@ type status =
 type workspace
 (** Preallocated solver state (iterate, scalings, KKT factors), the
     dominant per-solve allocation when solves take a few
-    milliseconds, plus a {e working set}: the subset of the
-    instance's rows a {!solve} on the workspace takes part in (see
-    {!restrict}).  A new workspace's working set is every row. *)
+    milliseconds, plus a {e working set}: the rows of one instance's
+    row set that a {!solve} on it takes part in ({!restrict}), at
+    first every row of the instance it was made for. *)
 
 val make_workspace : ?kkt:[ `Blocks of int array ] -> t -> workspace
-(** [make_workspace ?kkt t] preallocates a workspace reusable across
-    {!solve} calls on [t] or any structurally identical instance (same
-    dimensions and cone layout — e.g. the sweep's per-column
-    {!with_constant} re-targets).  Its row buffers grow on
-    demand to the largest working set solved on it, so every working
-    set of [t] is solved in place.  [kkt] is the variable partition
-    the normal equations are factorized under (sizes must sum to
-    {!dim}; [Invalid_argument] otherwise); without it the whole
-    matrix is one block.  A workspace serves one solve at a time:
-    share instances across domains, not workspaces. *)
+(** [make_workspace ?kkt t] preallocates a workspace for [t],
+    reusable across {!solve} calls on any instance of [t]'s dimensions
+    and cone layout once restricted for it ([t]'s {!with_constant}
+    re-targets share its rows).  Its row buffers grow
+    on demand to the largest working set solved on it.  [kkt] is the
+    variable partition the normal equations are factorized under
+    (sizes must sum to {!dim}; [Invalid_argument] otherwise); without
+    it the whole matrix is one block.  A workspace serves one solve at
+    a time: share instances across domains, not workspaces. *)
 
 val solve :
   ?warm:Vec.t -> ?stats_into:stats ref -> ?ws:workspace -> t -> status
@@ -160,68 +179,48 @@ val solve :
     the instance's optimum on a smaller working set.
     [stats_into] accumulates work counters across solves.  [ws]
     reuses a preallocated {!workspace} instead of making a one-block
-    one ([Invalid_argument] on shape mismatch), and solves [t] restricted
-    to the workspace's working set: the result then has one entry per
-    row that takes part, with a zero dual ([z]) and the true slack
-    [h - G x] ([s]) on every candidate outside the set — so an optimum
-    that satisfies the candidates is an optimum of [t] on the rows
-    that take part, and a primal-infeasibility certificate is one for
-    them. *)
+    one, and solves [t] restricted to the workspace's working set: the
+    result then has one entry per row that takes part, with a zero
+    dual ([z]) and the true slack [h - G x] ([s]) on every candidate
+    outside the set — so an optimum that satisfies the candidates is
+    an optimum of [t] on the rows that take part, and a
+    primal-infeasibility certificate is one for them.
+    [Invalid_argument] on shape mismatch, or when [ws] was last
+    restricted for other rows than [t]'s. *)
 
-val restrict :
-  workspace -> t -> rows:int array -> n:int -> first:int -> last:int -> unit
-(** [restrict ws t ~rows ~n ~first ~last] names the orthant rows of [t]
-    that take part in a solve on [ws]: [rows.(0 .. n - 1)], strictly
-    ascending (every cone row takes part).  The {e candidates}
-    [rows.(first .. last - 1)] enter the working set only through
-    {!admit}; every other row named is always in it ([first >= last]:
-    every row named).  No {!solve}, {!admit} or solution on [ws] reads
-    a row that is not named.  [Invalid_argument] if [t] does not have
-    the workspace's shape, [rows] are not ascending orthant rows of [t]
-    or the candidates leave them. *)
+val restrict : workspace -> t -> unit
+(** [restrict ws t] resets the working set of [ws] to the rows [t]
+    names that are not candidates.  [Invalid_argument] if [t] does not
+    have the workspace's shape. *)
 
 val admit : workspace -> t -> Vec.t -> above:float -> int
-(** [admit ws t x ~above] evaluates every candidate of [ws] outside
-    the working set at [x] ([G_i x - h_i], one pass over their packed
+(** [admit ws t x ~above] evaluates every candidate of [t] outside the
+    working set at [x] ([G_i x - h_i], one pass over their packed
     rows) and adds each one whose value is not [<= above] — a NaN
-    value included.  Returns how many joined.  Allocates nothing. *)
+    value included.  Returns how many joined.  Allocates nothing.
+    [Invalid_argument] as {!solve}, or if [x] does not have {!dim}
+    entries. *)
 
-val holds : t -> Vec.t -> rows:int array -> first:int -> last:int -> bool
-(** [holds t x ~rows ~first ~last] is whether every orthant row
-    [rows.(first .. last - 1)] of [t] holds at [x]
-    ([G_i x - h_i <= 0]; a NaN value does not hold), decided row by
-    row exactly as {!admit} at [above = 0] decides it: after
-    [restrict ws t ~rows ~n ~first ~last], [holds t x ~rows ~first
-    ~last] iff [admit ws t x ~above:0.0 = 0].  It needs no workspace,
-    stops at the first row that fails and allocates nothing.
-    [Invalid_argument] if [x] does not have {!dim} entries, the range
-    leaves [rows] or a row it reads (one up to the first that fails)
-    is not an orthant row. *)
+val holds : t -> Vec.t -> bool
+(** Whether every candidate of [t] holds at [x] ([G_i x - h_i <= 0]; a
+    NaN value does not), decided row by row as {!admit} at [above = 0]
+    decides it: after [restrict ws t], [holds t x] iff
+    [admit ws t x ~above:0.0 = 0].  It needs no workspace, stops at the
+    first row that fails and allocates nothing.  [Invalid_argument] if
+    [x] does not have {!dim} entries; so do the two scans below. *)
 
-val binding :
-  t ->
-  Vec.t ->
-  rows:int array ->
-  first:int ->
-  last:int ->
-  above:float ->
-  into:int array ->
-  int
-(** [binding t x ~rows ~first ~last ~above ~into] writes into [into],
-    ascending, the positions [k] in [[first, last)] whose orthant row
-    [rows.(k)] has a value at [x] that is not [<= above] (a NaN value
-    included), the decision {!admit} makes; it stops writing when
-    [into] is full and returns how many it wrote.  With [above] below
-    0 these are the rows that bind at [x] within [-above].  Allocates
-    nothing.  [Invalid_argument] as {!holds}. *)
+val binding : t -> Vec.t -> above:float -> into:int array -> int
+(** [binding t x ~above ~into] writes into [into], ascending, the
+    positions of the candidates whose value at [x] is not [<= above]
+    (a NaN value included), the decision {!admit} makes; it stops
+    writing when [into] is full and returns how many it wrote.  With
+    [above] below 0 these are the rows that bind at [x] within
+    [-above].  Allocates nothing. *)
 
-val most_violated :
-  t -> Vec.t -> rows:int array -> first:int -> last:int -> int
-(** [most_violated t x ~rows ~first ~last] is the position [k] in
-    [[first, last)] whose orthant row [rows.(k)] has the largest value
+val most_violated : t -> Vec.t -> int
+(** The position of the candidate with the largest value
     [G_i x - h_i > 0] at [x] (the first of equal ones; a NaN value
-    counts as violated), or [-1] when every row holds: [-1] exactly
-    when [holds t x ~rows ~first ~last].  Allocates nothing.
-    [Invalid_argument] as {!holds}. *)
+    counts as violated), or [-1] exactly when {!holds}.  Allocates
+    nothing. *)
 
 val pp_status : Format.formatter -> status -> unit

@@ -65,15 +65,24 @@ let mutability ~mutable_records env ty =
                 | _ -> None)))
   | _ -> None
 
-(* Free variables of [expr0]: idents used but not bound within it.
-   Same-file function bindings among them are opened up in turn
-   ([binding_tbl] maps ident unique-names to their defining
-   expression), with a visited set against recursion; [via] remembers
-   the first helper on the path for the message. *)
+(* The values [expr0] captures, as [(key, name, type, env, via)]: the
+   idents it uses but does not bind, opening same-file function
+   bindings among them in turn ([binding_tbl] maps ident unique-names
+   to their defining expression), with a visited set against
+   recursion; [via] remembers the first helper on the path for the
+   message.  A function literal is opened as code.  Any other binding
+   runs where it is defined, so only what its value keeps crosses: an
+   application keeps its function and its arguments, a function-typed
+   one opened likewise, any other as the value it computes, judged by
+   its type. *)
 let free_vars ~binding_tbl expr0 =
   let used = Hashtbl.create 16 in
   let bound = Hashtbl.create 16 in
   let visited = Hashtbl.create 4 in
+  let use key name e via =
+    if not (Hashtbl.mem used key) then
+      Hashtbl.replace used key (name, e.exp_type, e.exp_env, via)
+  in
   let analyze ~via e =
     let it =
       {
@@ -83,9 +92,8 @@ let free_vars ~binding_tbl expr0 =
             (match ce.exp_desc with
             | Texp_ident (Path.Pident id, _, _) ->
                 let key = Ident.unique_name id in
-                if (not (Hashtbl.mem bound key)) && not (Hashtbl.mem used key)
-                then
-                  Hashtbl.replace used key (id, ce.exp_type, ce.exp_env, via)
+                if not (Hashtbl.mem bound key) then
+                  use key (Ident.name id) ce via
             | Texp_for (id, _, _, _, _, _) ->
                 Hashtbl.replace bound (Ident.unique_name id) ()
             | Texp_function { param; _ } ->
@@ -105,39 +113,55 @@ let free_vars ~binding_tbl expr0 =
     in
     it.expr it e
   in
+  let rec kept ~via e =
+    match e.exp_desc with
+    | Texp_apply (f, args) ->
+        kept ~via f;
+        List.iter (function _, Some a -> value ~via a | _, None -> ()) args
+    | _ -> analyze ~via e
+  and value ~via a =
+    match a.exp_desc with
+    | Texp_apply _ when is_arrow a.exp_type -> kept ~via a
+    | Texp_ident _ -> analyze ~via a
+    | _ when is_arrow a.exp_type -> analyze ~via a
+    | _ ->
+        let line = Checker.line_of a.exp_loc in
+        use (Printf.sprintf "value %d:%d" line (Checker.col_of a.exp_loc))
+          (Printf.sprintf "the value at line %d" line) a via
+  in
   analyze ~via:None expr0;
   let rec close () =
     let todo =
       Hashtbl.fold
-        (fun key (id, ty, _env, via) acc ->
+        (fun key (name, ty, _env, via) acc ->
           if
             is_arrow ty
             && (not (Hashtbl.mem visited key))
             && Hashtbl.mem binding_tbl key
-          then (key, id, via) :: acc
+          then (key, name, via) :: acc
           else acc)
         used []
     in
     if todo <> [] then begin
       List.iter
-        (fun (key, id, via) ->
+        (fun (key, name, via) ->
           Hashtbl.replace visited key ();
-          let via =
-            Some (match via with None -> Ident.name id | Some v -> v)
-          in
-          analyze ~via (Hashtbl.find binding_tbl key))
+          let via = Some (Option.value via ~default:name) in
+          let e = Hashtbl.find binding_tbl key in
+          match e.exp_desc with
+          | Texp_function _ -> analyze ~via e
+          | _ -> kept ~via e)
         todo;
       close ()
     end
   in
   close ();
   Hashtbl.fold
-    (fun key (id, ty, env, via) acc ->
+    (fun key (name, ty, env, via) acc ->
       if is_arrow ty || Hashtbl.mem visited key then acc
-      else (id, ty, env, via) :: acc)
+      else (key, name, ty, env, via) :: acc)
     used []
-  |> List.sort (fun (a, _, _, _) (b, _, _, _) ->
-         String.compare (Ident.unique_name a) (Ident.unique_name b))
+  |> List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> String.compare a b)
 
 let check ~(emit : Checker.emit) (src : Typed_checker.source) =
   let str = src.Typed_checker.str in
@@ -196,10 +220,10 @@ let check ~(emit : Checker.emit) (src : Typed_checker.source) =
               let line = Checker.line_of e.exp_loc in
               let col = Checker.col_of e.exp_loc in
               List.iter
-                (fun (id, ty, env, via) ->
+                (fun (key, name, ty, env, via) ->
                   match mutability ~mutable_records env ty with
                   | Some kind ->
-                      let key = (line, Ident.unique_name id) in
+                      let key = (line, key) in
                       if not (Hashtbl.mem reported key) then begin
                         Hashtbl.replace reported key ();
                         let via_s =
@@ -212,7 +236,7 @@ let check ~(emit : Checker.emit) (src : Typed_checker.source) =
                              "closure crossing domains via %s captures %s \
                               '%s'%s; share it through Atomic or message \
                               passing, or keep it domain-local"
-                             callee kind (Ident.name id) via_s)
+                             callee kind name via_s)
                       end
                   | None -> ())
                 (free_vars ~binding_tbl closure)

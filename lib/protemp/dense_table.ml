@@ -16,21 +16,13 @@ type t = {
   mutable filled : filled option;
 }
 
-(* Finite and strictly increasing; written so that a NaN fails. *)
-let finite_increasing (a : float array) =
-  let ok = ref (Array.for_all Float.is_finite a) in
-  for i = 1 to Array.length a - 1 do
-    if not (a.(i) > a.(i - 1)) then ok := false
-  done;
-  !ok
-
 let create ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets () =
   let spec = Spec.guard_band ~margin spec in
   if Array.length tstarts = 0 || Array.length ftargets = 0 then
     invalid_arg "Dense_table.create: empty axis";
-  if not (finite_increasing tstarts) then
+  if not (Table.finite_increasing tstarts) then
     invalid_arg "Dense_table.create: tstarts not finite and strictly increasing";
-  if not (finite_increasing ftargets) then
+  if not (Table.finite_increasing ftargets) then
     invalid_arg
       "Dense_table.create: ftargets not finite and strictly increasing";
   (* Written so that a NaN target fails too. *)

@@ -577,11 +577,11 @@ let write_constants rows ~fixed ~tmax ~h ~part =
 (* Everything in the models of Eqs. 3-5 except the throughput floor's
    constant depends only on [(machine, spec, t0)], and of that only the
    constants: [G] and [c] are the machine's {!thermal_rows}' instance.
-   [prepared] is a start: its constants, with a floor constant of 0,
-   and the orthant rows that take part, [p_part.(0 .. p_n_part - 1)];
-   the candidates of a working set among them are
-   [p_part.(p_first .. p_last - 1)], the kept thermal rows and the
-   gradient rows.  {!instantiate} then re-targets the floor row per
+   [prepared] is a start: its instance [p_conic] holds its constants,
+   with a floor constant of 0, and its rows: the orthant rows that take
+   part, with the kept thermal rows and the gradient rows as the
+   candidates of a working set (a frontier, solved on every row it
+   keeps, has none).  {!instantiate} then re-targets the floor row per
    [ftarget].  Nothing is mutated after the start, so cells — and
    domains — may share it freely. *)
 type prepared = {
@@ -595,10 +595,6 @@ type prepared = {
   p_rows : thermal_rows;
   p_conic : Convex.Conic.t;  (* the rows' instance with [p_h] *)
   p_h : float array;
-  p_part : int array;
-  p_n_part : int;
-  p_first : int;
-  p_last : int;
 }
 
 type built = {
@@ -640,7 +636,8 @@ let prepare_internal ~machine ~(spec : Spec.t) ~start ~frontier =
         ~ks:rows.ks ~steps ~n_nodes ~a:(Vec.copy t0) ~b:(Vec.zeros n_nodes)
         ~dst:h ~off:rows.first_thermal);
   let fixed = if frontier then rows.first_thermal - 1 else rows.first_thermal in
-  let n_part = write_constants rows ~fixed ~tmax:spec.Spec.tmax ~h ~part in
+  let n = write_constants rows ~fixed ~tmax:spec.Spec.tmax ~h ~part in
+  let last = if frontier then fixed else n - (rows.n_orthant - rows.first_bound) in
   {
     p_layout = layout;
     p_spec = spec;
@@ -654,14 +651,10 @@ let prepare_internal ~machine ~(spec : Spec.t) ~start ~frontier =
     p_frontier = frontier;
     p_rows = rows;
     p_conic =
-      Convex.Conic.with_constants
+      Convex.Conic.with_rows
         (if frontier then rows.frontier else rows.cell)
-        h;
+        h ~rows:part ~n ~first:fixed ~last;
     p_h = h;
-    p_part = part;
-    p_n_part = n_part;
-    p_first = fixed;
-    p_last = n_part - (rows.n_orthant - rows.first_bound);
   }
 
 let prepare ~machine ~spec ~tstart =
@@ -730,26 +723,20 @@ type solution = {
 
 type outcome = Feasible of solution | Infeasible
 
-(* The per-core values of [n] normalized variables of [x] from
+(* The per-core values of the normalized variables of [x] from
    [offset], clamped to [0, 1] (a uniform solution carries one value
-   for all cores) and scaled by [scale], multiply order as
-   [Vec.scale]'s [a *. x_i] so a single-class platform is
+   for all cores) and scaled by [scale], in one pass, multiply order
+   as [Vec.scale]'s [a *. x_i] so a single-class platform is
    bit-identical. *)
-let per_core ~layout ~(variant : Spec.variant) ~scale x ~offset ~n =
-  let clamped =
-    Vec.map (fun a -> Float.min 1.0 (Float.max 0.0 a)) (Vec.slice x offset n)
-  in
-  let per_core =
-    match variant with
-    | Spec.Variable -> clamped
-    | Spec.Uniform -> Vec.create layout.n_cores clamped.(0)
-  in
-  Vec.init layout.n_cores (fun j -> scale.(j) *. per_core.(j))
+let per_core ~layout ~(variant : Spec.variant) ~scale x ~offset =
+  Vec.init layout.n_cores (fun j ->
+      let v = match variant with Spec.Variable -> j | Spec.Uniform -> 0 in
+      scale.(j) *. Float.min 1.0 (Float.max 0.0 x.(offset + v)))
 
 (* The frequencies a solution [x] serves, in Hz. *)
 let served_frequencies ~layout ~variant ~machine x =
   per_core ~layout ~variant ~scale:machine.Sim.Machine.core_fmax x
-    ~offset:layout.f_offset ~n:layout.n_f
+    ~offset:layout.f_offset
 
 let solution_of_x built ~settled_by (raw : Convex.Solve.solution) =
   let layout = built.layout and variant = built.spec.Spec.variant in
@@ -762,7 +749,7 @@ let solution_of_x built ~settled_by (raw : Convex.Solve.solution) =
   in
   let core_powers =
     per_core ~layout ~variant ~scale:built.machine.Sim.Machine.core_pmax x
-      ~offset:layout.p_offset ~n:layout.n_p
+      ~offset:layout.p_offset
   in
   let gradient_spread =
     Option.map
@@ -780,13 +767,13 @@ let solution_of_x built ~settled_by (raw : Convex.Solve.solution) =
 
 (* Eq. 3's constraints on the rows of [p] that take part: the order
    of [raw.dual]. *)
-let constraint_count p = p.p_n_part + p.p_layout.n_f
+let constraint_count p = Convex.Conic.n_part p.p_conic + p.p_layout.n_f
 
 (* The cone dual [z] of a solve on [p]'s rows in constraint order:
    the orthant dual of an affine row, the [u] dual of a power law's
    block. *)
 let raw_dual p (z : Vec.t) =
-  let layout = p.p_layout and mo = p.p_n_part in
+  let layout = p.p_layout and mo = Convex.Conic.n_part p.p_conic in
   Vec.init (constraint_count p) (fun i ->
       if i < floor_index layout && i mod per_variable = 0 then
         z.(mo + (3 * (i / per_variable)))
@@ -824,18 +811,15 @@ let outcome_of built (status : Convex.Conic.status) =
 let workspace p =
   Convex.Conic.make_workspace ~kkt:(`Blocks (conic_blocks p.p_layout)) p.p_conic
 
-let conic_rows built = Array.sub built.context.p_part 0 built.context.p_n_part
-
-(* One solve of [t], an instance of [p], on every row of [p] that takes
-   part. *)
-let solve_on_every_row ?stats_into ~ws p t =
-  Convex.Conic.restrict ws t ~rows:p.p_part ~n:p.p_n_part ~first:0 ~last:0;
+(* One solve of [t] on every row it names. *)
+let solve_on_every_row ?stats_into ~ws t =
+  let t = Convex.Conic.without_candidates t in
+  Convex.Conic.restrict ws t;
   Convex.Conic.solve ?stats_into ~ws t
 
 let solve_frontier built =
-  let p = built.context in
   outcome_of built
-    (solve_on_every_row ~ws:(workspace p) p (Lazy.force built.conic))
+    (solve_on_every_row ~ws:(workspace built.context) (Lazy.force built.conic))
 
 (* Frontier tangents.  The frontier program at a start [t0] is
    [minimize c'x subject to h(t0) - G x in K], and [-c'x] is the
@@ -897,9 +881,10 @@ let tangent_of p (z : Vec.t) =
   assert (p.p_frontier && layout.bounds_offset = None);
   let h = p.p_h and c = p.p_rows.frontier_c and g = p.p_rows.g in
   (* Row [i] of the frontier on the rows that take part: the orthant
-     rows in [p_part], then the cone rows. *)
-  let mo = p.p_n_part and mo_full = p.p_rows.n_orthant in
-  let row i = if i < mo then p.p_part.(i) else mo_full + (i - mo) in
+     rows its instance names, then the cone rows. *)
+  let t = p.p_conic in
+  let mo = Convex.Conic.n_part t and mo_full = p.p_rows.n_orthant in
+  let row i = if i < mo then Convex.Conic.row t i else mo_full + (i - mo) in
   let n_rows = mo + (3 * layout.n_f) and dim = Array.length c in
   let zs = Array.make n_rows 0.0 in
   for i = 0 to mo - 1 do
@@ -924,8 +909,9 @@ let tangent_of p (z : Vec.t) =
     zs.(e + 1) <- s1;
     zs.(e + 2) <- s2
   done;
-  (* A thermal row of the frontier follows the box rows. *)
-  let first_thermal = p.p_first and last_thermal = p.p_last in
+  (* The frontier keeps its box rows, then its thermal rows: it has no
+     floor and, without a gradient term, no gradient rows. *)
+  let first_thermal = p.p_rows.first_thermal - 1 and last_thermal = mo in
   (* An interior-point dual is positive on every row, but off the rows
      that bind it is 1e-5 to 1e-9 of the binding ones (one per core on
      Niagara, about 1).  Those entries are dropped before [r] is
@@ -969,7 +955,7 @@ let tangent_of p (z : Vec.t) =
   let support = ref [] in
   for i = last_thermal - 1 downto first_thermal do
     if zs.(i) > 0.0 then
-      support := (p.p_part.(i), zs.(i)) :: !support
+      support := (row i, zs.(i)) :: !support
   done;
   let support = Array.of_list !support in
   if
@@ -990,7 +976,7 @@ let tangent built z =
   let p = built.context in
   if not (p.p_frontier && built.layout.bounds_offset = None) then
     invalid_arg "Model.tangent: not a frontier instance without gradient";
-  if Vec.dim z <> p.p_n_part + (3 * p.p_layout.n_f) then
+  if Vec.dim z <> Convex.Conic.n_part p.p_conic + (3 * p.p_layout.n_f) then
     invalid_arg "Model.tangent: dual length mismatch";
   tangent_of p z
 
@@ -1013,7 +999,7 @@ let tangent_refutes tg built =
 (* The tangent of the frontier at one start, from a solve on every row;
    [None] unless the solve ends optimal. *)
 let solved_tangent ?stats_into p =
-  match solve_on_every_row ?stats_into ~ws:(workspace p) p p.p_conic with
+  match solve_on_every_row ?stats_into ~ws:(workspace p) p.p_conic with
   | Convex.Conic.Optimal s -> tangent_of p s.Convex.Conic.z
   | Convex.Conic.Primal_infeasible _ | Convex.Conic.Dual_infeasible _
   | Convex.Conic.Unknown _ ->
@@ -1292,9 +1278,7 @@ let searchable t = t.cs_searchable
 
 (* {!solve}'s closed-form check of [col] on the start [p]: the column's
    point against the start's candidates, the thermal rows it keeps. *)
-let start_holds p col =
-  Convex.Conic.holds p.p_conic col.col_x ~rows:p.p_part ~first:p.p_first
-    ~last:p.p_last
+let start_holds p col = Convex.Conic.holds p.p_conic col.col_x
 
 (* The first index in [[lo, hi]] where [holds] fails, for a [holds]
    that is true on a prefix of [[lo, hi)] ([hi] is never checked). *)
@@ -1426,7 +1410,6 @@ let active_set ?start built col =
   if cap < 1 then None
   else begin
     let g = p.p_rows.g and h = p.p_h and t = p.p_conic in
-    let rows = p.p_part and first = p.p_first and last = p.p_last in
     let f_off = layout.f_offset and p_off = layout.p_offset in
     let floor = floor_constant ~layout ~machine:built.machine built.ftarget in
     let floor_scale = Float.max 1.0 floor in
@@ -1439,7 +1422,7 @@ let active_set ?start built col =
     let x = Vec.zeros layout.dim in
     (* Row [k] of the set: its dense power coefficients. *)
     let load k =
-      let o = rows.(set.(k)) in
+      let o = Convex.Conic.row t set.(k) in
       Array.fill gd (k * n) n 0.0;
       for e = g.off.(o) to g.off.(o + 1) - 1 do
         gd.((k * n) + g.lo.(o) + e - g.off.(o) - p_off) <- g.data.(e)
@@ -1471,7 +1454,7 @@ let active_set ?start built col =
       let scaled = r.(0) /. floor_scale in
       let phi = ref (scaled *. scaled) in
       for k = 0 to !size - 1 do
-        let o = rows.(set.(k)) in
+        let o = Convex.Conic.row t set.(k) in
         let v = ref 0.0 in
         for e = g.off.(o) to g.off.(o + 1) - 1 do
           v := !v +. (g.data.(e) *. x.(g.lo.(o) + e - g.off.(o)))
@@ -1622,10 +1605,10 @@ let active_set ?start built col =
       else if drop_negative () then settle (changes + 1)
       else begin
         keep_good ();
-        if Convex.Conic.holds t x ~rows ~first ~last then dual_feasible ()
+        if Convex.Conic.holds t x then dual_feasible ()
         else if !size = cap then false
         else begin
-          set.(!size) <- Convex.Conic.most_violated t x ~rows ~first ~last;
+          set.(!size) <- Convex.Conic.most_violated t x;
           mu.(!size) <- 0.0;
           load !size;
           incr size;
@@ -1635,12 +1618,10 @@ let active_set ?start built col =
     in
     (match start with
     | Some s when Vec.dim s = layout.dim ->
-        size :=
-          Convex.Conic.binding t s ~rows ~first ~last ~above:(-.seed_slack)
-            ~into:set
+        size := Convex.Conic.binding t s ~above:(-.seed_slack) ~into:set
     | Some _ | None -> ());
     if !size = 0 then begin
-      let k = Convex.Conic.most_violated t col.col_x ~rows ~first ~last in
+      let k = Convex.Conic.most_violated t col.col_x in
       if k >= 0 then begin
         set.(0) <- k;
         size := 1
@@ -1713,12 +1694,8 @@ let settle_cell ?conic_stats_into ~ws ?start ~checked built column =
             round (Some s.Convex.Conic.x)
         | status -> status
       in
-      let restrict () =
-        Convex.Conic.restrict ws t ~rows:p.p_part ~n:p.p_n_part
-          ~first:p.p_first ~last:p.p_last
-      in
       let from_start () =
-        restrict ();
+        Convex.Conic.restrict ws t;
         (match start with
         | Some x when Vec.dim x = built.layout.dim ->
             ignore (Convex.Conic.admit ws t x ~above:(-.seed_slack))
@@ -1732,7 +1709,7 @@ let settle_cell ?conic_stats_into ~ws ?start ~checked built column =
       let status =
         match column with
         | Some col ->
-            restrict ();
+            Convex.Conic.restrict ws t;
             ignore (Convex.Conic.admit ws t col.col_x ~above:0.0);
             let status = round None in
             if stalled status then from_start () else status
@@ -1744,7 +1721,7 @@ let settle_cell ?conic_stats_into ~ws ?start ~checked built column =
       end
       else
         let status =
-          if stalled status then solve_on_every_row ~stats_into:stats ~ws p t
+          if stalled status then solve_on_every_row ~stats_into:stats ~ws t
           else status
         in
         record (count_outcome (outcome_class status) !stats);

@@ -94,9 +94,11 @@ type prepared
     stride, variant, [tmax] and gradient term (from the machine's
     {!Sim.Machine.window_response}, and [a_k] and [c_k] by stepping
     once) and kept in the machine's cache, from which every later
-    start, on any domain, reads it.  A start writes only the constants
-    (a floor constant of 0) and names the orthant rows that take part:
-    one pass writes every thermal row's base — [tstart a_k + c_k] for a
+    start, on any domain, reads it.  A start is its own instance of
+    them ({!Convex.Conic.with_rows}): the constants (a floor constant
+    of 0) and the orthant rows that take part, with the kept thermal
+    and gradient rows as candidates (a frontier has none).  One pass
+    writes every thermal row's base — [tstart a_k + c_k] for a
     uniform start ({!prepare}, {!build_frontier}), stepped over the
     window on the machine's CSR stepper for a profile
     ({!prepare_with_profile}), which keeps the dense step's bits — and
@@ -122,9 +124,9 @@ type built = {
           throughput floor, every thermal row, the gradient rows and
           bounds, then one rotated-quadratic block per power law.
           Every instance of a machine and spec shares [G] (a
-          frontier's floor row never takes part); {!solve} and
-          {!solve_frontier} solve it on the rows that do
-          ({!conic_rows}). *)
+          frontier's floor row never takes part); the instance names
+          the rows that do ({!Convex.Conic.row}), which {!solve} and
+          {!solve_frontier} solve it on. *)
   context : prepared;
       (** The context the instance was made from: {!solve}'s frontier
           bound reads its start ({!tangent_refutes}). *)
@@ -156,15 +158,6 @@ val floor_index : layout -> int
 
 val first_thermal_index : layout -> int
 (** The first thermal row of an instance with a floor. *)
-
-val conic_rows : built -> int array
-(** The orthant rows of [built.conic] that take part in {!solve} and
-    {!solve_frontier}, ascending: the box rows, the floor (not in a
-    frontier), the thermal rows the power box does not imply at the
-    start, the gradient rows and bounds.  A conic solve on them
-    ({!Convex.Conic.restrict}) reports [s] and [z] in this order, with
-    the power laws after them; so does [raw.dual], with each power law
-    before its box rows.  A fresh array. *)
 
 val conic_blocks : layout -> int array
 (** The variable partition under which the conic normal equations are
@@ -294,7 +287,9 @@ val solve :
     the block-tridiagonal factorization from {!conic_blocks}).  No
     feasible point is needed: an infeasible cell ends with a
     primal-infeasibility certificate.  It runs on a {e working set} of
-    the rows that take part ({!conic_rows}; an implied row is never
+    the rows that take part (those [built.conic] names: the box rows,
+    the floor, the thermal rows the power box does not imply at the
+    start and the gradient rows and bounds; an implied row is never
     evaluated): the box rows, the power-law cones, the throughput floor and
     the gradient bounds always, plus the thermal rows the floor-only
     optimum violates — or, for the gradient variant (and a floor above
@@ -455,8 +450,7 @@ val tangent : built -> Vec.t -> tangent option
 (** [tangent frontier z] is the tangent of a {!build_frontier}
     instance from a cone dual [z] of it, in the layout
     {!Convex.Conic.solution} reports for a solve of [frontier.conic] on
-    its rows that take part ({!conic_rows}): orthant entries are
-    clipped at 0,
+    the rows it names: orthant entries are clipped at 0,
     each power law's block, reported in [(u, v, w)], is rotated into
     the stored coordinates and projected onto its cone there, and the
     thermal entries below [1e-4] of the largest are dropped before the

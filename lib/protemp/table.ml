@@ -8,23 +8,21 @@ type t = {
   cells : cell array array;
 }
 
-let strictly_increasing (a : float array) =
-  let ok = ref true in
+(* Written so that a NaN fails. *)
+let finite_increasing (a : float array) =
+  let ok = ref (Array.for_all Float.is_finite a) in
   for i = 1 to Array.length a - 1 do
-    if a.(i) <= a.(i - 1) then ok := false
+    if not (a.(i) > a.(i - 1)) then ok := false
   done;
   !ok
 
 let make ~tstarts ~ftargets cells =
   if Array.length tstarts = 0 || Array.length ftargets = 0 then
     invalid_arg "Table.make: empty axis";
-  if not (Array.for_all Float.is_finite tstarts
-          && Array.for_all Float.is_finite ftargets)
-  then invalid_arg "Table.make: non-finite axis value";
-  if not (strictly_increasing tstarts) then
-    invalid_arg "Table.make: tstarts not strictly increasing";
-  if not (strictly_increasing ftargets) then
-    invalid_arg "Table.make: ftargets not strictly increasing";
+  if not (finite_increasing tstarts) then
+    invalid_arg "Table.make: tstarts not finite and strictly increasing";
+  if not (finite_increasing ftargets) then
+    invalid_arg "Table.make: ftargets not finite and strictly increasing";
   if Array.length cells <> Array.length tstarts then
     invalid_arg "Table.make: row count mismatch";
   Array.iter

@@ -22,6 +22,10 @@ type cell =
 
 type t
 
+val finite_increasing : float array -> bool
+(** The axis rule: every entry finite and each above the one before
+    (a NaN fails). *)
+
 val make :
   tstarts:float array -> ftargets:float array -> cell array array -> t
 (** [tstarts] and [ftargets] must be finite and strictly increasing;

@@ -109,13 +109,6 @@ let u32_le bytes off =
   lor (Char.code (Bigarray.Array1.get bytes (off + 2)) lsl 16)
   lor (Char.code (Bigarray.Array1.get bytes (off + 3)) lsl 24)
 
-let strictly_increasing (a : float array) =
-  let ok = ref true in
-  for i = 1 to Array.length a - 1 do
-    if a.(i) <= a.(i - 1) then ok := false
-  done;
-  !ok
-
 (* Bit [(i * cols) + j] of the bitmap, set when the cell is
    infeasible; the image check and the lookups share it. *)
 let infeasible_bit t i j =
@@ -166,13 +159,10 @@ let of_image where ~size bytes_view ~float_view =
     Array.init n_cores (fun c ->
         Bigarray.Array1.get view (1 + n_rows + n_cols + c))
   in
-  if not (Array.for_all Float.is_finite tstarts
-          && Array.for_all Float.is_finite ftargets)
-  then corrupt where "non-finite axis value";
-  if not (strictly_increasing tstarts) then
-    corrupt where "tstart axis not strictly increasing";
-  if not (strictly_increasing ftargets) then
-    corrupt where "ftarget axis not strictly increasing";
+  if not (Table.finite_increasing tstarts) then
+    corrupt where "tstart axis not finite and strictly increasing";
+  if not (Table.finite_increasing ftargets) then
+    corrupt where "ftarget axis not finite and strictly increasing";
   if not (Array.for_all valid_frequency core_fmax) then
     corrupt where "non-finite or negative per-core fmax";
   let t =

@@ -94,7 +94,8 @@ let orthant_row (p : Quad.problem) j =
     Some !i
   end
 
-let of_problem (p : Quad.problem) =
+(* The instance of [p] and its constants. *)
+let packed (p : Quad.problem) =
   if not (Quad.is_affine p.Quad.objective) then
     invalid_arg "of_problem: objective is not affine";
   if Quad.constant_part p.Quad.objective <> 0.0 then
@@ -123,10 +124,19 @@ let of_problem (p : Quad.problem) =
       quadratic
   in
   let rows = Array.of_list (orthant @ blocks) in
-  make
-    ~c:(Quad.linear_part p.Quad.objective)
-    ~n_orthant:(List.length affine) ~g:(Array.map fst rows)
-    ~h:(Array.map snd rows)
+  let h = Array.map snd rows in
+  ( make
+      ~c:(Quad.linear_part p.Quad.objective)
+      ~n_orthant:(List.length affine) ~g:(Array.map fst rows) ~h,
+    h )
+
+let of_problem p = fst (packed p)
+
+(* [of_problem p] in which the orthant rows [rows.(0 .. n - 1)] take
+   part, with the candidates [rows.(first .. last - 1)]. *)
+let with_rows p ~rows ~n ~first ~last =
+  let t, h = packed p in
+  Conic.with_rows t h ~rows ~n ~first ~last
 
 (* Multipliers of the constraints of [p] from a solution of its
    packed instance: the orthant dual of an affine row, the epigraph

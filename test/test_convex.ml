@@ -549,19 +549,29 @@ let working_set_problem () =
         [| Quad.affine [| 0.0; 1.0 |] (-3.0); Quad.affine [| -1.0; 0.0 |] (-1.0) |];
   }
 
+(* The working-set problem naming [rows.(0 .. n - 1)] (every orthant
+   row by default), with the candidates [rows.(first .. last - 1)]. *)
+let named ?(rows = [| 0; 1; 2 |]) n ~first ~last =
+  Conic_reference.with_rows (working_set_problem ()) ~rows ~n ~first ~last
+
+let rejected f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
 let test_conic_working_set () =
   let p = working_set_problem () in
   let t = Conic_reference.of_problem p in
-  let ws = Conic.make_workspace t in
-  let solve () =
+  (* Constraints 2 and 3 (orthant rows 1 and 2) are the candidates. *)
+  let cand = named 3 ~first:1 ~last:3 in
+  let ws = Conic.make_workspace cand in
+  let solve t =
     match Conic.solve ~ws t with
     | Conic.Optimal s -> s
     | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st
   in
-  (* Constraints 2 and 3 (orthant rows 1 and 2) become candidates. *)
-  let every = [| 0; 1; 2 |] in
-  Conic.restrict ws t ~rows:every ~n:3 ~first:1 ~last:3;
-  let relaxed = solve () in
+  check_float 1e-6 "a new workspace takes every row named" (-1.0)
+    (solve cand).Conic.objective_value;
+  Conic.restrict ws cand;
+  let relaxed = solve cand in
   check_float 1e-6 "the relaxation's optimum" (-.sqrt 2.0)
     relaxed.Conic.objective_value;
   let duals = Conic_reference.constraint_duals p relaxed in
@@ -571,13 +581,13 @@ let test_conic_working_set () =
   check_float 1e-6 "true slack off the set" (1.0 -. sqrt 2.0)
     relaxed.Conic.s.(2);
   check_int "the violated row joins" 1
-    (Conic.admit ws t relaxed.Conic.x ~above:0.0);
-  check_int "once" 0 (Conic.admit ws t relaxed.Conic.x ~above:0.0);
+    (Conic.admit ws cand relaxed.Conic.x ~above:0.0);
+  check_int "once" 0 (Conic.admit ws cand relaxed.Conic.x ~above:0.0);
   let w0 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Conic.admit ws t relaxed.Conic.x ~above:0.0));
+  ignore (Sys.opaque_identity (Conic.admit ws cand relaxed.Conic.x ~above:0.0));
   check_float 0.0 "the row-value pass allocates nothing" 0.0
     (Gc.minor_words () -. w0);
-  let final = solve () in
+  let final = solve cand in
   check_float 1e-6 "the full problem's optimum" (-1.0)
     final.Conic.objective_value;
   (match Conic.solve t with
@@ -588,129 +598,131 @@ let test_conic_working_set () =
   check_float 0.0 "the slack row stays out" 0.0
     (Conic_reference.constraint_duals p final).(2);
   (* A row whose value is NaN is not known to hold: it joins. *)
-  Conic.restrict ws t ~rows:every ~n:3 ~first:1 ~last:3;
+  Conic.restrict ws cand;
   check_int "NaN rows join" 2
-    (Conic.admit ws t [| Float.nan; Float.nan |] ~above:0.0);
-  Conic.restrict ws t ~rows:every ~n:3 ~first:1 ~last:3;
+    (Conic.admit ws cand [| Float.nan; Float.nan |] ~above:0.0);
+  Conic.restrict ws cand;
   check_int "a seed threshold admits rows within it" 1
-    (Conic.admit ws t [| -0.95; 1.0 |] ~above:(-0.1));
-  Conic.restrict ws t ~rows:every ~n:3 ~first:0 ~last:0;
-  check_float 1e-6 "an empty range restores the full problem" (-1.0)
-    (solve ()).Conic.objective_value;
+    (Conic.admit ws cand [| -0.95; 1.0 |] ~above:(-0.1));
+  let every = Conic.without_candidates cand in
+  Conic.restrict ws every;
+  check_float 1e-6 "no candidate: the full problem" (-1.0)
+    (solve every).Conic.objective_value;
   (* Orthant row 2 left out of the rows: it does not take part, so the
      NaN point is read on row 1 alone, and the solve is the
      relaxation's, reported on rows 0 and 1 and the cone block. *)
-  Conic.restrict ws t ~rows:[| 0; 1; 2 |] ~n:2 ~first:1 ~last:2;
+  let left = named 2 ~first:1 ~last:2 in
+  Conic.restrict ws left;
   check_int "a row that does not take part is never read" 1
-    (Conic.admit ws t [| Float.nan; Float.nan |] ~above:0.0);
-  let left_out = solve () in
+    (Conic.admit ws left [| Float.nan; Float.nan |] ~above:0.0);
+  let left_out = solve left in
   check_float 1e-6 "without row 2, the relaxation's optimum" (-.sqrt 2.0)
     left_out.Conic.objective_value;
+  check_int "two rows take part" 2 (Conic.n_part left);
+  check_int "position 1 is row 1" 1 (Conic.row left 1);
+  check_bool "no position 2" true (rejected (fun () -> Conic.row left 2));
   check_int "a slack per row that takes part" (Conic.n_rows t - 1)
     (Vec.dim left_out.Conic.s);
   check_int "a dual per row that takes part" (Conic.n_rows t - 1)
     (Vec.dim left_out.Conic.z);
   check_float 1e-6 "the cone block's slack after row 1"
     relaxed.Conic.s.(3) left_out.Conic.s.(2);
-  let rejected f =
-    match f () with _ -> false | exception Invalid_argument _ -> true
+  (* The workspace is restricted for [left]'s rows: another row set is
+     refused until it is restricted for that one.  The same rows listed
+     anew, and a re-targeted constant, are the same row set. *)
+  check_bool "solve: another row set" true
+    (rejected (fun () -> Conic.solve ~ws cand));
+  check_bool "admit: another row set" true
+    (rejected (fun () -> Conic.admit ws cand relaxed.Conic.x ~above:0.0));
+  check_int "the same rows listed anew, row 1 already in" 0
+    (Conic.admit ws (named 2 ~first:1 ~last:2) [| Float.nan; Float.nan |]
+       ~above:0.0);
+  Conic.restrict ws cand;
+  check_float 1e-6 "restricted again, a re-targeted constant" (-.sqrt 3.0)
+    (solve (Conic.with_constant cand ~row:0 3.0)).Conic.objective_value;
+  (* The rows are checked once, where the instance names them. *)
+  let h = Array.make (Conic.n_rows t) 0.0 in
+  let with_rows ?(h = h) rows n ~first ~last () =
+    Conic.with_rows t h ~rows ~n ~first ~last
   in
   check_bool "a cone row cannot be named" true
-    (rejected (fun () ->
-         Conic.restrict ws t ~rows:[| 0; 1; 2; 3 |] ~n:4 ~first:1 ~last:4));
-  check_bool "range out of bounds" true
-    (rejected (fun () -> Conic.restrict ws t ~rows:every ~n:3 ~first:(-1) ~last:2));
-  check_bool "candidates past the rows" true
-    (rejected (fun () -> Conic.restrict ws t ~rows:every ~n:2 ~first:1 ~last:3));
+    (rejected (with_rows [| 0; 1; 3 |] 3 ~first:1 ~last:3));
+  check_bool "more rows than the instance has" true
+    (rejected (with_rows [| 0; 1; 2; 3 |] 4 ~first:1 ~last:4));
+  check_bool "more rows than listed" true
+    (rejected (with_rows [| 0; 1 |] 3 ~first:0 ~last:0));
   check_bool "rows not ascending" true
-    (rejected (fun () ->
-         Conic.restrict ws t ~rows:[| 0; 2; 1 |] ~n:3 ~first:1 ~last:3));
+    (rejected (with_rows [| 0; 2; 1 |] 3 ~first:1 ~last:3));
+  check_bool "range before the rows" true
+    (rejected (with_rows [| 0; 1; 2 |] 3 ~first:(-1) ~last:2));
+  check_bool "candidates past the rows" true
+    (rejected (with_rows [| 0; 1; 2 |] 2 ~first:1 ~last:3));
+  check_bool "a reversed range" true
+    (rejected (with_rows [| 0; 1; 2 |] 3 ~first:2 ~last:1));
+  check_bool "one constant per row" true
+    (rejected (with_rows ~h:[| 0.0 |] [| 0; 1; 2 |] 3 ~first:0 ~last:0));
   check_bool "point dimension" true
-    (rejected (fun () -> Conic.admit ws t [| 0.0 |] ~above:0.0));
-  (* [holds] decides the optional rows as [admit] does, with no
+    (rejected (fun () -> Conic.admit ws cand [| 0.0 |] ~above:0.0));
+  (* [holds] decides the candidates as [admit] does, with no
      workspace: the relaxed optimum violates orthant row 2. *)
-  check_bool "holds: the violated row" false
-    (Conic.holds t relaxed.Conic.x ~rows:every ~first:1 ~last:3);
-  check_bool "holds: the rows it meets" true
-    (Conic.holds t relaxed.Conic.x ~rows:every ~first:1 ~last:2);
-  check_bool "holds: an empty range" true
-    (Conic.holds t relaxed.Conic.x ~rows:every ~first:2 ~last:2);
+  let row1 = named 3 ~first:1 ~last:2 in
+  check_bool "holds: the violated row" false (Conic.holds cand relaxed.Conic.x);
+  check_bool "holds: the rows it meets" true (Conic.holds row1 relaxed.Conic.x);
+  check_bool "holds: no candidate" true
+    (Conic.holds (named 3 ~first:2 ~last:2) relaxed.Conic.x);
   check_bool "holds: a row not named is not read" true
-    (Conic.holds t relaxed.Conic.x ~rows:[| 0; 1 |] ~first:0 ~last:2);
+    (Conic.holds (named ~rows:[| 0; 1 |] 2 ~first:0 ~last:2) relaxed.Conic.x);
   check_bool "holds: a NaN row does not hold" false
-    (Conic.holds t [| Float.nan; Float.nan |] ~rows:every ~first:1 ~last:2);
+    (Conic.holds row1 [| Float.nan; Float.nan |]);
+  let all = named 3 ~first:0 ~last:3 in
   let w0 = Gc.minor_words () in
-  ignore
-    (Sys.opaque_identity
-       (Conic.holds t relaxed.Conic.x ~rows:every ~first:0 ~last:3));
+  ignore (Sys.opaque_identity (Conic.holds all relaxed.Conic.x));
   check_float 0.0 "holds allocates nothing" 0.0 (Gc.minor_words () -. w0);
-  (* A row is checked as it is read: row 1 holds, so the cone row after
-     it is read; after the violated row 2, [holds] reads no further. *)
-  check_bool "holds: a cone row is not an orthant row" true
-    (rejected (fun () ->
-         Conic.holds t relaxed.Conic.x ~rows:[| 0; 1; 3 |] ~first:1 ~last:3));
-  check_bool "holds: no row read after the violated one" false
-    (Conic.holds t relaxed.Conic.x ~rows:[| 0; 1; 2; 3 |] ~first:1 ~last:4);
-  check_bool "holds: range out of bounds" true
-    (rejected (fun () ->
-         Conic.holds t relaxed.Conic.x ~rows:every ~first:(-1) ~last:2));
-  check_bool "holds: range past the rows" true
-    (rejected (fun () ->
-         Conic.holds t relaxed.Conic.x ~rows:every ~first:1 ~last:4));
   check_bool "holds: point dimension" true
-    (rejected (fun () -> Conic.holds t [| 0.0 |] ~rows:every ~first:1 ~last:3));
+    (rejected (fun () -> Conic.holds cand [| 0.0 |]));
   (* [most_violated] is -1 exactly where [holds] is true, and otherwise
      names the row with the largest value; [binding] lists the rows
      whose value is not <= [above], as [admit] picks them.  At the
      relaxed optimum orthant row 1 ([x1 <= 3]) holds and row 2 is at
      sqrt 2 - 1. *)
-  check_int "most violated: row 2" 2
-    (Conic.most_violated t relaxed.Conic.x ~rows:every ~first:1 ~last:3);
+  check_int "most violated: row 2" 2 (Conic.most_violated cand relaxed.Conic.x);
   check_int "most violated: none among the rows that hold" (-1)
-    (Conic.most_violated t relaxed.Conic.x ~rows:every ~first:1 ~last:2);
+    (Conic.most_violated row1 relaxed.Conic.x);
   check_int "most violated: a NaN row" 1
-    (Conic.most_violated t [| Float.nan; Float.nan |] ~rows:every ~first:1
-       ~last:3);
+    (Conic.most_violated cand [| Float.nan; Float.nan |]);
   let into = Array.make 2 0 in
   check_int "binding within 100: both rows" 2
-    (Conic.binding t relaxed.Conic.x ~rows:every ~first:1 ~last:3
-       ~above:(-100.0) ~into);
+    (Conic.binding cand relaxed.Conic.x ~above:(-100.0) ~into);
   check_bool "binding: positions, ascending" true (into = [| 1; 2 |]);
   check_int "binding at 0: the violated row" 1
-    (Conic.binding t relaxed.Conic.x ~rows:every ~first:1 ~last:3 ~above:0.0
-       ~into);
+    (Conic.binding cand relaxed.Conic.x ~above:0.0 ~into);
   check_int "binding: into holds one" 1
-    (Conic.binding t relaxed.Conic.x ~rows:every ~first:1 ~last:3
-       ~above:(-100.0) ~into:(Array.make 1 0));
+    (Conic.binding cand relaxed.Conic.x ~above:(-100.0) ~into:(Array.make 1 0));
   let w0 = Gc.minor_words () in
   ignore
     (Sys.opaque_identity
-       (Conic.most_violated t relaxed.Conic.x ~rows:every ~first:0 ~last:3
-       + Conic.binding t relaxed.Conic.x ~rows:every ~first:0 ~last:3
-           ~above:(-100.0) ~into));
+       (Conic.most_violated all relaxed.Conic.x
+       + Conic.binding all relaxed.Conic.x ~above:(-100.0) ~into));
   check_float 0.0 "the scans allocate nothing" 0.0 (Gc.minor_words () -. w0);
-  check_bool "most violated: a cone row is not an orthant row" true
-    (rejected (fun () ->
-         Conic.most_violated t relaxed.Conic.x ~rows:[| 0; 1; 3 |] ~first:1
-           ~last:3));
-  check_bool "binding: range past the rows" true
-    (rejected (fun () ->
-         Conic.binding t relaxed.Conic.x ~rows:every ~first:1 ~last:4
-           ~above:0.0 ~into))
+  check_bool "the scans: point dimension" true
+    (rejected (fun () -> Conic.most_violated cand [| 0.0 |])
+    && rejected (fun () -> Conic.binding cand [| 0.0 |] ~above:0.0 ~into))
 
 (* A workspace reused across solves gives the bits a fresh one gives:
    the same status, iteration count, [x] and [z], bit for bit, after
    working-set rounds ([restrict], [admit] and a warm re-solve), a row
-   left out, a re-targeted constant ({!Conic.with_constant}) and a
-   second instance of the same shape, in one dense block and under a
-   block partition.  A table row's one workspace, and a replay of the
-   row that makes one per cell, rely on it. *)
+   left out, a re-targeted constant ({!Conic.with_constant}, before
+   and after the rounds of its rows) and a second instance of the same
+   shape, in one dense block and under a block partition.  A table
+   row's one workspace, and a replay of the row that makes one per
+   cell, rely on it. *)
 let test_conic_workspace_reuse_bits () =
   let p = working_set_problem () in
   let t = Conic_reference.of_problem p in
+  let rows = [| 0; 1; 2 |] in
   (* x1 <= 2.5 and x0 >= -0.5: the cut still binds. *)
   let other =
-    Conic_reference.of_problem
+    Conic_reference.with_rows ~rows ~n:3 ~first:1 ~last:3
       {
         p with
         Quad.constraints =
@@ -722,8 +734,9 @@ let test_conic_workspace_reuse_bits () =
             |];
       }
   in
+  let cand = named 3 ~first:1 ~last:3 in
   let rounds t ws =
-    Conic.restrict ws t ~rows:[| 0; 1; 2 |] ~n:3 ~first:1 ~last:3;
+    Conic.restrict ws t;
     let first = Conic.solve ~ws t in
     match first with
     | Conic.Optimal s ->
@@ -731,17 +744,22 @@ let test_conic_workspace_reuse_bits () =
         [ first; Conic.solve ~warm:s.Conic.x ~ws t ]
     | st -> Alcotest.failf "expected optimal, got %a" Conic.pp_status st
   in
-  let on rows n t ws =
-    Conic.restrict ws t ~rows ~n ~first:0 ~last:0;
+  let once t ws =
+    Conic.restrict ws t;
     [ Conic.solve ~ws t ]
+  in
+  let retarget ws =
+    let rounds = rounds cand ws in
+    rounds @ [ Conic.solve ~ws (Conic.with_constant cand ~row:0 3.0) ]
   in
   let cases =
     [
-      ("working-set rounds", rounds t);
-      ("a row left out", on [| 0; 1; 2 |] 2 t);
-      ("a re-targeted constant", on [| 0; 1; 2 |] 3 (Conic.with_constant t ~row:0 3.0));
+      ("working-set rounds", rounds cand);
+      ("a row left out", once (named 2 ~first:0 ~last:0));
+      ("a re-targeted constant", once (Conic.with_constant t ~row:0 3.0));
+      ("a re-target after rounds", retarget);
       ("a second instance", rounds other);
-      ("the first instance again", rounds t);
+      ("the first instance again", rounds cand);
     ]
   in
   let bits v = Array.map Int64.bits_of_float v in
@@ -766,8 +784,8 @@ let test_conic_workspace_reuse_bits () =
 
 (* The conic loop's allocation, measured at run time: the alloc-free
    lint sees syntactic allocation sites only, not a float boxed across
-   a call.  Workspace solves of fixed Niagara cells (all rows, stride
-   4); the second solve of each cell is counted, after the first has
+   a call.  Workspace solves of fixed Niagara cells (every row their
+   start keeps, as a new workspace takes, stride 4); the second solve of each cell is counted, after the first has
    sized the workspace.  The solution record (x, s, z, two boxed
    floats, the record and its constructor) is subtracted, and what is
    left, per-solve set-up included, is charged to the iterations.
@@ -1093,8 +1111,10 @@ let prop_admit_matches_rows =
       in
       let joins i above = not (reference.(i) <= above) in
       let every = Array.init m Fun.id in
+      let named first last = Conic.with_rows t h ~rows:every ~n:m ~first ~last in
       let admitted first last above =
-        Conic.restrict ws t ~rows:every ~n:m ~first ~last;
+        let t = named first last in
+        Conic.restrict ws t;
         Conic.admit ws t x ~above
       in
       let row_ok i =
@@ -1127,7 +1147,8 @@ let prop_admit_matches_rows =
         !same_rows && admitted first last above = !expected
       in
       let allocation_free () =
-        Conic.restrict ws t ~rows:every ~n:m ~first:0 ~last:m;
+        let t = named 0 m in
+        Conic.restrict ws t;
         let w0 = Gc.minor_words () in
         ignore (Sys.opaque_identity (Conic.admit ws t x ~above:0.0));
         Gc.minor_words () -. w0 = 0.0
@@ -1137,7 +1158,8 @@ let prop_admit_matches_rows =
       && allocation_free ())
 
 (* [Conic.holds] against [admit] after [restrict] on random packed
-   instances (rows of 1-12 entries, eight in a third of them).  Most
+   instances naming their rows (rows of 1-12 entries, eight in a third
+   of them).  Most
    rows hold with room to spare, some are placed exactly on the point
    ([h_i] set to the row's computed [G_i x], a value of exactly 0,
    which holds), some are violated, and the point may carry NaN
@@ -1180,10 +1202,11 @@ let prop_holds_matches_admit =
       let t = Conic_reference.make ~c:(Vec.zeros n) ~n_orthant:m ~g ~h in
       let ws = Conic.make_workspace t in
       let every = Array.init m Fun.id in
+      let named first last = Conic.with_rows t h ~rows:every ~n:m ~first ~last in
       let agrees first last =
-        Conic.restrict ws t ~rows:every ~n:m ~first ~last;
-        Conic.holds t x ~rows:every ~first ~last
-        = (Conic.admit ws t x ~above:0.0 = 0)
+        let t = named first last in
+        Conic.restrict ws t;
+        Conic.holds t x = (Conic.admit ws t x ~above:0.0 = 0)
       in
       let windows =
         List.init 8 (fun _ ->
@@ -1191,9 +1214,9 @@ let prop_holds_matches_admit =
             (first, first + 1 + Random.State.int st (m - first)))
       in
       let allocation_free () =
+        let t = named 0 m in
         let w0 = Gc.minor_words () in
-        ignore
-          (Sys.opaque_identity (Conic.holds t x ~rows:every ~first:0 ~last:m));
+        ignore (Sys.opaque_identity (Conic.holds t x));
         Gc.minor_words () -. w0 = 0.0
       in
       List.for_all (fun i -> agrees i (i + 1)) (List.init m Fun.id)

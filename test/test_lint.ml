@@ -401,6 +401,49 @@ let test_capture_clean_closure () =
         let scale = 2.0\n\
         let rows n = Parallel.Pool.map_rows (fun i -> float_of_int i *. scale) n\n")
 
+(* A binding that is not a function literal runs on the calling
+   domain, so what crosses is what its value keeps.  The first [row]
+   keeps columns computed from [t]'s fields and one of those fields,
+   never [t]; the second is a partial application that keeps [t]. *)
+let capture_fill body =
+  "module Parallel = struct\n\
+  \  module Pool = struct let map f n = Array.init n f end\n\
+   end\n\
+   module Model = struct\n\
+  \  let columns ~scale fs = Array.map (fun f -> f *. scale) fs\n\
+  \  let rows cs tstarts i = cs.(0) +. tstarts.(i)\n\
+   end\n\
+   type t = { scale : float; tstarts : float array; ftargets : float array;\n\
+  \          mutable filled : bool }\n\
+   let run_row t i = t.tstarts.(i) *. t.scale\n\
+   let fill t =\n\
+  \  let row = " ^ body ^ " in\n\
+  \  Parallel.Pool.map row (Array.length t.tstarts)\n"
+
+let test_capture_applied_binding () =
+  check_counts ~msg:"values read from a mutable record's fields" []
+    (lint ~path:"lib/cap_fields.ml" ~typed:`Infer
+       (capture_fill
+          "Model.rows (Model.columns ~scale:t.scale t.ftargets) t.tstarts"));
+  let findings =
+    lint ~path:"lib/cap_partial.ml" ~typed:`Infer (capture_fill "run_row t")
+  in
+  check_counts ~msg:"a partial application keeps the record"
+    [ ("capture", 1) ] findings;
+  Alcotest.(check bool) "it names the record and the binding" true
+    (List.exists
+       (fun f ->
+         let m = f.Lint.Finding.message in
+         let has s =
+           let n = String.length s in
+           let rec at i =
+             i + n <= String.length m && (String.sub m i n = s || at (i + 1))
+           in
+           at 0
+         in
+         has "'t'" && has "'row'")
+       findings)
+
 let test_capture_atomic_is_sanctioned () =
   check_counts ~msg:"Atomic counters may cross domains" []
     (lint ~path:"lib/cap_atomic.ml" ~typed:`Infer
@@ -556,6 +599,8 @@ let () =
           Alcotest.test_case "seeded fixture" `Quick test_capture_seeded_fixture;
           Alcotest.test_case "immutable capture is clean" `Quick
             test_capture_clean_closure;
+          Alcotest.test_case "an applied binding keeps its values" `Quick
+            test_capture_applied_binding;
           Alcotest.test_case "atomic is sanctioned" `Quick
             test_capture_atomic_is_sanctioned;
         ] );

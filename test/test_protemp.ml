@@ -1455,14 +1455,7 @@ let test_column_is_closed_form () =
       ~ftarget:5e8
   in
   let t = Lazy.force built.Protemp.Model.conic in
-  let rows = Protemp.Model.conic_rows built in
-  let first =
-    Protemp.Model.first_thermal_index built.Protemp.Model.layout
-    - built.Protemp.Model.layout.Protemp.Model.n_f
-  in
-  let check () =
-    Convex.Conic.holds t x ~rows ~first ~last:(Array.length rows)
-  in
+  let check () = Convex.Conic.holds t x in
   ignore (check ());
   let w0 = Gc.minor_words () in
   for _ = 1 to 100 do
@@ -1724,14 +1717,10 @@ let same_solve (a : Convex.Conic.status) (b : Convex.Conic.status) =
 let same_instance (built : Protemp.Model.built) problem =
   let t = Lazy.force built.Protemp.Model.conic in
   let reference = Conic_reference.of_problem problem in
-  let rows = Protemp.Model.conic_rows built in
-  let n = Array.length rows in
-  let ws = Convex.Conic.make_workspace t in
-  Convex.Conic.restrict ws t ~rows ~n ~first:0 ~last:0;
   Convex.Conic.dim t = Convex.Conic.dim reference
-  && n + (3 * built.Protemp.Model.layout.Protemp.Model.n_f)
+  && Convex.Conic.n_part t + (3 * built.Protemp.Model.layout.Protemp.Model.n_f)
      = Convex.Conic.n_rows reference
-  && same_solve (Convex.Conic.solve ~ws t) (Convex.Conic.solve reference)
+  && same_solve (Convex.Conic.solve t) (Convex.Conic.solve reference)
 
 (* The three instance kinds [Model] writes from one machine and spec:
    a cell, the frontier and a cell from a non-uniform start profile. *)
@@ -2138,7 +2127,7 @@ let test_start_copies_no_row () =
   let kept tstart =
     let built = Protemp.Model.instantiate (start tstart) ~ftarget:5e8 in
     let layout = built.Protemp.Model.layout in
-    Array.length (Protemp.Model.conic_rows built)
+    Convex.Conic.n_part (Lazy.force built.Protemp.Model.conic)
     - (Protemp.Model.first_thermal_index layout - layout.Protemp.Model.n_f)
   in
   check_int "rows kept at 27 C" 144 (kept 27.0);
@@ -2569,9 +2558,6 @@ let prop_frontier_tangent_sound =
                   (Protemp.Model.conic_blocks other.Protemp.Model.layout))
               t
           in
-          let rows = Protemp.Model.conic_rows other in
-          Convex.Conic.restrict ws t ~rows ~n:(Array.length rows) ~first:0
-            ~last:0;
           match Convex.Conic.solve ~ws t with
           | Convex.Conic.Optimal s ->
               let rng = Random.State.make [| seed |] in
