@@ -1598,17 +1598,20 @@ let active_set ?start built col =
       done;
       !ok
     in
-    (* A row of the set is never the most violated one: Newton left it
-       inside its constant, by the value {!Convex.Conic.holds} reads. *)
+    (* One candidate scan a round: [most_violated] is [-1] exactly
+       where {!Convex.Conic.holds} passes.  A row of the set is never
+       the most violated one: Newton left it inside its constant, by
+       the value that scan reads. *)
     let rec settle changes =
       if changes > active_changes || not (newton ()) then false
       else if drop_negative () then settle (changes + 1)
       else begin
         keep_good ();
-        if Convex.Conic.holds t x then dual_feasible ()
+        let worst = Convex.Conic.most_violated t x in
+        if worst < 0 then dual_feasible ()
         else if !size = cap then false
         else begin
-          set.(!size) <- Convex.Conic.most_violated t x;
+          set.(!size) <- worst;
           mu.(!size) <- 0.0;
           load !size;
           incr size;
