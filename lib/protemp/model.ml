@@ -1354,291 +1354,488 @@ let kkt_raw built fo ~x ~lambda ~w ~saturated ~set ~mu ~size =
     iterations = 0;
   }
 
-(* The active-set step (DESIGN.md 6zd): a cell whose closed form fails
-   but whose optimum has a few binding thermal rows [A].  With the
-   power laws tight ([phat_j = fhat_j^2]) and the rows' power
-   coefficients [g_kj], stationarity gives
+(* The active-set step (DESIGN.md 6zd, 6zg): a cell whose closed form
+   fails but whose optimum binds a few thermal rows.  With the power
+   laws tight ([phat_j = fhat_j^2]), the rows' power coefficients
+   [g_kj], a floor multiplier [lambda > 0] and multipliers [mu_k >= 0]
+   on the rows of a set [S], the Lagrangian is separable and its
+   minimum over the boxes is at
 
      fhat_j = min (f_box, lambda c_j / (2 W_j)),
-     W_j = w_j + sum_{k in A} mu_k g_kj,
+     W_j = w_j + sum_{k in S} mu_k g_kj.
 
-   and [lambda] and [mu_A] solve [|A| + 1] equations: the floor
-   [sum_j c_j fhat_j = F] and each row of [A] at [active_aim] inside
-   its constant.  These are the gradient of the concave dual function
-   set to zero, so their Jacobian in [(lambda, -mu)] is
-   [sum_j v_j v_j' / (2 W_j)] over the unsaturated variables, with
-   [v_j = (c_j, 2 g_kj fhat_j ...)]: symmetric positive definite while
-   the unsaturated variables outnumber the rows of [A], and factorized
-   by Cholesky.  Newton steps are damped by halving until the squared
-   residual falls by a fraction of the step.  On the benchmark's grids
-   a set that Newton solves takes 2 to 16 steps, none halved more than
-   4 times; a set with no solution near the guess (rows of the wrong
-   stride point) makes tiny steps, so [active_newton] steps and
-   [active_halvings] halvings bound what a cell the step cannot settle
-   costs before the conic method takes it.
+   Its value there is the dual function
 
-   A row of [A] is aimed [active_aim] (in units of tmax, 1e-10 C at
-   tmax = 100 C) inside its constant, and Newton ends once each row's
-   residual is within [active_tol] of that aim and the floor's within
-   [active_tol max(1, F)]: each row of [A] then ends with a slack in
-   [[active_aim - active_tol, active_aim + active_tol]], above 0 by
-   far more than the rounding of its value, so the exact check passes
-   on it. *)
+     D = sum_j (W_j fhat_j^2 - lambda c_j fhat_j) + lambda F
+         - sum_{k in S} mu_k (h_k - active_aim),
+
+   concave, with gradient [F - sum_j c_j fhat_j] in [lambda] and row
+   [k]'s value less its aimed constant in [mu_k]: a row of [S] is aimed
+   [active_aim] (in units of tmax, 1e-10 C at tmax = 100 C) inside its
+   constant.  The step is a dual active-set method in the manner of
+   Goldfarb and Idnani.  It maximizes [D] over [(lambda, mu_S)] by
+   Newton steps, whose system in [(lambda, -mu)] has the matrix
+   [J = sum_j v_j v_j' / (2 W_j)] over the variables below their box,
+   [v_j = (c_j, 2 g_kj fhat_j ...)], factorized by Cholesky in place;
+   and it changes [S] or the boxes only at a breakpoint:
+   - a round whose point meets the floor and every row of [S] (within
+     [active_tol] of the aim, the floor's scaled by [max(1, F)]) adds
+     the candidate the point violates most, at [mu = 0], or accepts the
+     point when none is violated;
+   - a ratio test stops a step where a multiplier of [S] reaches 0, and
+     that row leaves [S], so every iterate keeps [mu >= 0];
+   - the same test stops a step where a variable's box dual
+     [beta_j = lambda c_j - 2 f_box W_j] changes sign, and the variable
+     reaches or leaves [f_box] there, so [J] never carries a variable
+     held at its box ([beta_j] is linear in [(lambda, mu)], and a
+     Newton direction crosses [beta_j = 0] the same way from either
+     side of it, so no variable flips back and forth);
+   - where [J] is singular because [S] has as many rows as there are
+     free variables, [D] is linear along its null vector, and a step
+     along it, uphill, to the first breakpoint drops a row (or moves a
+     box) instead of failing.
+   A Newton step of length [t] is accepted when [D] rises by [1e-4 t]
+   of its slope, or the squared residual falls by [1e-4 t] of itself
+   (near the optimum [D]'s rise is below its rounding), halving at
+   most [active_halvings] times.  At most [active_steps] steps and
+   [active_changes] changes bound what a cell the step cannot settle
+   costs before the conic method takes it.  The scratch (the set, its
+   dense coefficients, [(lambda, mu)], the direction, the residuals,
+   [J] and the point) is sized once per call from the variable count.
+
+   Newton ends once each row's residual is within [active_tol] of its
+   aim and the floor's within [active_tol max(1, F)]: each row of [S]
+   then ends with a slack in [[active_aim - active_tol, active_aim +
+   active_tol]], above 0 by far more than the rounding of its value,
+   so the exact check passes on it. *)
 let active_aim = 1e-12
 let active_tol = 1e-13
-let active_newton = 20
+let active_steps = 40
 let active_halvings = 8
-let active_changes = 16
+let active_changes = 24
 
-(* The cell's optimum from the active set, as [raw] with its exact dual
-   ([w_j + sum_k mu_k g_kj] on each power law, the box dual on each
-   saturated variable's upper frequency box, [lambda] on the floor,
-   [mu_k] on each row of [A], zero elsewhere), or [None].  The guess
-   is a function of the cell and [start] alone: the candidates that
-   bind at [start] within {!seed_slack}, else the one the column's
-   point violates most; then, while the set changes at most
-   [active_changes] times, rows whose [mu] is negative leave it, and
-   the most violated row at the point joins it while it has fewer rows
-   than unsaturated variables.  The point is accepted only where every
-   candidate holds ({!Convex.Conic.holds}, the closed form's check),
-   [lambda > 0], every [mu >= 0], every [W_j > 0] and every saturated
-   variable's box dual [lambda c_j - 2 W_j f_box >= 0]. *)
+(* The step's state: the set [S] ([set], positions among the start's
+   rows, at most [n]) and the dense power coefficients of its rows
+   ([gd], row [k] at [k n]); [y] is [lambda] then [mu_S], [y0] the
+   iterate a step leaves from and [dir] its direction in
+   [(lambda, -mu)]; [r] the floor's residual, then each row's; [w] is
+   [W]; [held] marks the variables at [f_box]; [v] holds [D], the
+   squared residual and a step's length. *)
+type dual = {
+  d_fo : floor_only;
+  d_t : Convex.Conic.t;
+  d_g : packed;
+  d_h : float array;
+  d_f_off : int;
+  d_p_off : int;
+  d_n : int;
+  d_floor : float;
+  d_set : int array;
+  mutable d_size : int;
+  d_gd : float array;
+  d_y : float array;
+  d_y0 : float array;
+  d_dir : float array;
+  d_r : float array;
+  d_w : float array;
+  d_held : Bytes.t;
+  d_jac : float array;
+  d_x : Vec.t;
+  d_v : float array;
+}
+
+(* Row [k] of the set: its dense power coefficients. *)
+let dual_load d k =
+  let g = d.d_g and n = d.d_n in
+  let o = Convex.Conic.row d.d_t d.d_set.(k) in
+  Array.fill d.d_gd (k * n) n 0.0;
+  for e = g.off.(o) to g.off.(o + 1) - 1 do
+    d.d_gd.((k * n) + g.lo.(o) + e - g.off.(o) - d.d_p_off) <- g.data.(e)
+  done
+
+(* [W], the point, the residuals, [D] (into [v.(0)]) and the squared
+   residual (into [v.(1)]) at [y]; [false] where a [W_j] is not > 0,
+   which only a negative row coefficient allows.  A row's value is
+   summed as {!Convex.Conic.holds} sums it. *)
+let dual_eval d =
+  let n = d.d_n and fo = d.d_fo and x = d.d_x and y = d.d_y in
+  let f_off = d.d_f_off and g = d.d_g in
+  let ok = ref true and value = ref 0.0 and served = ref 0.0 in
+  for j = 0 to n - 1 do
+    let wj = ref fo.w.(j) in
+    for k = 0 to d.d_size - 1 do
+      wj := !wj +. (y.(k + 1) *. d.d_gd.((k * n) + j))
+    done;
+    d.d_w.(j) <- !wj;
+    if not (!wj > 0.0) then ok := false;
+    let f =
+      if Bytes.get d.d_held j <> '\000' then f_box
+      else Float.min f_box (y.(0) *. fo.c.(j) /. (2.0 *. !wj))
+    in
+    x.(f_off + j) <- f;
+    x.(d.d_p_off + j) <- f *. f;
+    served := !served +. (fo.c.(j) *. f);
+    value := !value +. (((!wj *. f) -. (y.(0) *. fo.c.(j))) *. f)
+  done;
+  d.d_r.(0) <- !served -. d.d_floor;
+  let scaled = d.d_r.(0) /. Float.max 1.0 d.d_floor in
+  let phi = ref (scaled *. scaled) in
+  value := !value +. (y.(0) *. d.d_floor);
+  for k = 0 to d.d_size - 1 do
+    let o = Convex.Conic.row d.d_t d.d_set.(k) in
+    let s = ref 0.0 in
+    for e = g.off.(o) to g.off.(o + 1) - 1 do
+      s := !s +. (g.data.(e) *. x.(g.lo.(o) + e - g.off.(o)))
+    done;
+    d.d_r.(k + 1) <- !s -. d.d_h.(o) +. active_aim;
+    value := !value -. (y.(k + 1) *. (d.d_h.(o) -. active_aim));
+    phi := !phi +. (d.d_r.(k + 1) *. d.d_r.(k + 1))
+  done;
+  d.d_v.(0) <- !value;
+  d.d_v.(1) <- !phi;
+  !ok
+
+let dual_converged d =
+  let ok = ref (Float.abs d.d_r.(0) <= active_tol *. Float.max 1.0 d.d_floor) in
+  for k = 1 to d.d_size do
+    if not (Float.abs d.d_r.(k) <= active_tol) then ok := false
+  done;
+  !ok
+
+(* [J] on the floor and the [m - 1] rows of the set, over the variables
+   below their box at the point [x] holds, factorized in place in
+   [jac]'s lower triangle.  Returns the first pivot at or below 1e-12
+   of its entry (where [J] is singular), or [m]. *)
+let dual_factor d m =
+  let n = d.d_n and jac = d.d_jac and c = d.d_fo.c in
+  Array.fill jac 0 (m * m) 0.0;
+  for j = 0 to n - 1 do
+    if Bytes.get d.d_held j = '\000' then begin
+      let f2 = 2.0 *. d.d_x.(d.d_f_off + j) and w2 = 2.0 *. d.d_w.(j) in
+      for a = 0 to m - 1 do
+        let va = if a = 0 then c.(j) else f2 *. d.d_gd.(((a - 1) * n) + j) in
+        let va = va /. w2 in
+        for b = 0 to a do
+          let vb = if b = 0 then c.(j) else f2 *. d.d_gd.(((b - 1) * n) + j) in
+          jac.((a * m) + b) <- jac.((a * m) + b) +. (va *. vb)
+        done
+      done
+    end
+  done;
+  let failed = ref m and a = ref 0 in
+  while !failed = m && !a < m do
+    let a' = !a in
+    for b = 0 to a' do
+      let s = ref jac.((a' * m) + b) in
+      for k = 0 to b - 1 do
+        s := !s -. (jac.((a' * m) + k) *. jac.((b * m) + k))
+      done;
+      if b < a' then jac.((a' * m) + b) <- !s /. jac.((b * m) + b)
+      else if !s > 1e-12 *. jac.((a' * m) + a') then
+        jac.((a' * m) + a') <- sqrt !s
+      else failed := a'
+    done;
+    incr a
+  done;
+  !failed
+
+(* The Newton direction, [J dir = -r], from [dual_factor]'s factor. *)
+let dual_newton d m =
+  let jac = d.d_jac and dir = d.d_dir in
+  for a = 0 to m - 1 do
+    let s = ref (-.d.d_r.(a)) in
+    for k = 0 to a - 1 do
+      s := !s -. (jac.((a * m) + k) *. dir.(k))
+    done;
+    dir.(a) <- !s /. jac.((a * m) + a)
+  done;
+  for a = m - 1 downto 0 do
+    let s = ref dir.(a) in
+    for k = a + 1 to m - 1 do
+      s := !s -. (jac.((k * m) + a) *. dir.(k))
+    done;
+    dir.(a) <- !s /. jac.((a * m) + a)
+  done
+
+(* The null vector of [J] when only its last pivot failed: with
+   [J = [[J11, j]; [j', _]]] and [J11 = L L'], the factor holds
+   [L^-1 j] in the last row, and [dir = (J11^-1 j, -1)]. *)
+let dual_null d m =
+  let jac = d.d_jac and dir = d.d_dir and l = m - 1 in
+  for a = l - 1 downto 0 do
+    let s = ref jac.((l * m) + a) in
+    for k = a + 1 to l - 1 do
+      s := !s -. (jac.((k * m) + a) *. dir.(k))
+    done;
+    dir.(a) <- !s /. jac.((a * m) + a)
+  done;
+  dir.(l) <- -1.0
+
+(* The slope of [D] along [dir], into [v.(2)]: [-r . dir]. *)
+let dual_slope d m =
+  let s = ref 0.0 in
+  for a = 0 to m - 1 do
+    s := !s -. (d.d_r.(a) *. d.d_dir.(a))
+  done;
+  d.d_v.(2) <- !s
+
+(* The ratio test: the longest step [t <= cap] along [dir] before a
+   multiplier of the set reaches 0 or a variable's box dual changes
+   sign the way that moves it across [f_box], into [v.(2)].  Returns
+   the breakpoint: the row's position in the set, [-2 - j] for variable
+   [j], or [-1] when [cap] comes first. *)
+let dual_ratio d ~cap =
+  let n = d.d_n and dir = d.d_dir and y = d.d_y and c = d.d_fo.c in
+  let best = ref cap and breakpoint = ref (-1) in
+  for k = 1 to d.d_size do
+    if dir.(k) > 0.0 && y.(k) /. dir.(k) < !best then begin
+      best := y.(k) /. dir.(k);
+      breakpoint := k - 1
+    end
+  done;
+  for j = 0 to n - 1 do
+    let dw = ref 0.0 in
+    for k = 0 to d.d_size - 1 do
+      dw := !dw -. (dir.(k + 1) *. d.d_gd.((k * n) + j))
+    done;
+    let beta = (y.(0) *. c.(j)) -. (2.0 *. f_box *. d.d_w.(j)) in
+    let dbeta = (dir.(0) *. c.(j)) -. (2.0 *. f_box *. !dw) in
+    let held = Bytes.get d.d_held j <> '\000' in
+    if
+      ((held && dbeta < 0.0) || ((not held) && dbeta > 0.0))
+      && Float.max 0.0 (-.beta /. dbeta) < !best
+    then begin
+      best := Float.max 0.0 (-.beta /. dbeta);
+      breakpoint := -2 - j
+    end
+  done;
+  d.d_v.(2) <- !best;
+  !breakpoint
+
+(* [y = y0 + t dir], in [(lambda, -mu)]. *)
+let dual_move d t =
+  d.d_y.(0) <- d.d_y0.(0) +. (t *. d.d_dir.(0));
+  for k = 1 to d.d_size do
+    d.d_y.(k) <- d.d_y0.(k) -. (t *. d.d_dir.(k))
+  done
+
+(* The change at breakpoint [b] of {!dual_ratio}: row [b] leaves the
+   set, or variable [-2 - b] reaches or leaves its box. *)
+let dual_change d b =
+  if b >= 0 then begin
+    let n = d.d_n in
+    for k = b to d.d_size - 2 do
+      d.d_set.(k) <- d.d_set.(k + 1);
+      d.d_y.(k + 1) <- d.d_y.(k + 2);
+      Array.blit d.d_gd ((k + 1) * n) d.d_gd (k * n) n
+    done;
+    d.d_size <- d.d_size - 1
+  end
+  else
+    let j = -2 - b in
+    Bytes.set d.d_held j (if Bytes.get d.d_held j = '\000' then '\001' else '\000')
+
+(* Candidate [k] joins the set at [mu = 0]. *)
+let dual_add d k =
+  d.d_set.(d.d_size) <- k;
+  d.d_y.(d.d_size + 1) <- 0.0;
+  dual_load d d.d_size;
+  d.d_size <- d.d_size + 1
+
+(* The variables at their box where the point [x] holds puts them. *)
+let dual_hold d =
+  for j = 0 to d.d_n - 1 do
+    Bytes.set d.d_held j
+      (if d.d_x.(d.d_f_off + j) < f_box then '\000' else '\001')
+  done
+
+(* [(lambda, -mu_S)] into [dir] from a start [s] at which the set's
+   rows bind: on its variables strictly inside their box, stationarity
+   [lambda c_j - sum_k mu_k 2 g_kj fhat_j = 2 w_j fhat_j] is linear, and
+   it is solved in least squares weighted by [1 / (2 w_j)], through the
+   normal equations, whose matrix is [J] at [W = w] and the start's
+   point.  Exact when [s] is a KKT point with these rows, as the
+   previous cell of a table row is.  [false] where the equations are
+   singular. *)
+let dual_recover d s =
+  let n = d.d_n and m = d.d_size + 1 and c = d.d_fo.c in
+  Array.fill d.d_r 0 m 0.0;
+  for j = 0 to n - 1 do
+    let f = s.(d.d_f_off + j) in
+    d.d_x.(d.d_f_off + j) <- f;
+    d.d_w.(j) <- d.d_fo.w.(j);
+    let inside = f > 0.0 && f < f_box in
+    Bytes.set d.d_held j (if inside then '\000' else '\001');
+    if inside then begin
+      d.d_r.(0) <- d.d_r.(0) -. (c.(j) *. f);
+      for k = 1 to m - 1 do
+        d.d_r.(k) <- d.d_r.(k) -. (2.0 *. f *. d.d_gd.(((k - 1) * n) + j) *. f)
+      done
+    end
+  done;
+  dual_factor d m = m
+  && begin
+       dual_newton d m;
+       true
+     end
+
+(* [lambda > 0], every [mu >= 0], every [W_j > 0] and every variable at
+   its box with a box dual [lambda c_j - 2 W_j f_box >= 0]. *)
+let dual_feasible d =
+  let y = d.d_y and c = d.d_fo.c in
+  let ok = ref (y.(0) > 0.0) in
+  for k = 1 to d.d_size do
+    if not (y.(k) >= 0.0) then ok := false
+  done;
+  for j = 0 to d.d_n - 1 do
+    if
+      not
+        (d.d_w.(j) > 0.0
+        && (d.d_x.(d.d_f_off + j) < f_box
+           || (y.(0) *. c.(j)) -. (2.0 *. d.d_w.(j) *. f_box) >= 0.0))
+    then ok := false
+  done;
+  !ok
+
+(* The cell's optimum by the dual step, as [raw] with its exact dual
+   ([W_j] on each power law, the box dual on each variable at its box,
+   [lambda] on the floor, [mu_k] on each row of the set, zero
+   elsewhere), or [None].  It is a function of the cell and [start]
+   alone: it starts from the [(lambda, mu)] {!dual_recover} finds for
+   the candidates that bind at [start] within {!seed_slack}, less the
+   rows whose [mu] is not positive, and from the closed form ([S]
+   empty, the column's [lambda]) where there is no start, none binds,
+   the equations are singular or [lambda] is not positive.  The point
+   is accepted only where no candidate is violated (the one scan
+   {!Convex.Conic.most_violated} of a round, [-1] exactly where
+   {!Convex.Conic.holds} passes) and {!dual_feasible}. *)
 let active_set ?start built col =
   let p = built.context and layout = built.layout in
-  let fo = col.col_floor_only and n = layout.n_f in
-  let cap = n - 1 in
-  if cap < 1 then None
+  let n = layout.n_f in
+  if n < 2 then None
   else begin
-    let g = p.p_rows.g and h = p.p_h and t = p.p_conic in
-    let f_off = layout.f_offset and p_off = layout.p_offset in
-    let floor = floor_constant ~layout ~machine:built.machine built.ftarget in
-    let floor_scale = Float.max 1.0 floor in
-    let set = Array.make cap 0 and size = ref 0 in
-    let gd = Array.make (cap * n) 0.0 in
-    let mu = Array.make cap 0.0 and mu0 = Array.make cap 0.0 in
-    let lambda = ref col.col_lambda and w = Array.make n 0.0 in
-    let r = Array.make (cap + 1) 0.0 and d = Array.make (cap + 1) 0.0 in
-    let jac = Array.make ((cap + 1) * (cap + 1)) 0.0 in
-    let x = Vec.zeros layout.dim in
-    (* Row [k] of the set: its dense power coefficients. *)
-    let load k =
-      let o = Convex.Conic.row t set.(k) in
-      Array.fill gd (k * n) n 0.0;
-      for e = g.off.(o) to g.off.(o + 1) - 1 do
-        gd.((k * n) + g.lo.(o) + e - g.off.(o) - p_off) <- g.data.(e)
-      done
-    in
-    (* [W], the point and the residuals at [(lambda, mu)]; returns the
-       squared residual, the floor's scaled by [floor_scale].  A row's
-       value is summed as {!Convex.Conic.holds} sums it. *)
-    let eval () =
-      for j = 0 to n - 1 do
-        let wj = ref fo.w.(j) in
-        for k = 0 to !size - 1 do
-          wj := !wj +. (mu.(k) *. gd.((k * n) + j))
-        done;
-        w.(j) <- !wj;
-        let f =
-          if !wj > 0.0 then
-            Float.min f_box (!lambda *. fo.c.(j) /. (2.0 *. !wj))
-          else f_box
-        in
-        x.(f_off + j) <- f;
-        x.(p_off + j) <- f *. f
-      done;
-      let served = ref 0.0 in
-      for j = 0 to n - 1 do
-        served := !served +. (fo.c.(j) *. x.(f_off + j))
-      done;
-      r.(0) <- !served -. floor;
-      let scaled = r.(0) /. floor_scale in
-      let phi = ref (scaled *. scaled) in
-      for k = 0 to !size - 1 do
-        let o = Convex.Conic.row t set.(k) in
-        let v = ref 0.0 in
-        for e = g.off.(o) to g.off.(o + 1) - 1 do
-          v := !v +. (g.data.(e) *. x.(g.lo.(o) + e - g.off.(o)))
-        done;
-        r.(k + 1) <- !v -. h.(o) +. active_aim;
-        phi := !phi +. (r.(k + 1) *. r.(k + 1))
-      done;
-      !phi
-    in
-    let converged () =
-      let ok = ref (Float.abs r.(0) <= active_tol *. floor_scale) in
-      for k = 1 to !size do
-        if not (Float.abs r.(k) <= active_tol) then ok := false
-      done;
-      !ok
-    in
-    (* The Newton step solving [J d = -r], into [d], by a Cholesky
-       factor of [J] in place in [jac]'s lower triangle; [false] on a
-       pivot below 1e-12 of its entry (a singular [J]). *)
-    let direction () =
-      let m = !size + 1 in
-      Array.fill jac 0 (m * m) 0.0;
-      let entry a j =
-        if a = 0 then fo.c.(j) else 2.0 *. gd.(((a - 1) * n) + j) *. x.(f_off + j)
-      in
-      for j = 0 to n - 1 do
-        if w.(j) > 0.0 && x.(f_off + j) < f_box then
-          for a = 0 to m - 1 do
-            let va = entry a j /. (2.0 *. w.(j)) in
-            for b = 0 to a do
-              jac.((a * m) + b) <- jac.((a * m) + b) +. (va *. entry b j)
-            done
-          done
-      done;
-      let ok = ref true in
-      for a = 0 to m - 1 do
-        for b = 0 to a do
-          let s = ref jac.((a * m) + b) in
-          for k = 0 to b - 1 do
-            s := !s -. (jac.((a * m) + k) *. jac.((b * m) + k))
-          done;
-          if a <> b then jac.((a * m) + b) <- !s /. jac.((b * m) + b)
-          else if !s > 1e-12 *. jac.((a * m) + a) then
-            jac.((a * m) + a) <- sqrt !s
-          else ok := false
-        done
-      done;
-      !ok
-      && begin
-           for a = 0 to m - 1 do
-             let s = ref (-.r.(a)) in
-             for k = 0 to a - 1 do
-               s := !s -. (jac.((a * m) + k) *. d.(k))
-             done;
-             d.(a) <- !s /. jac.((a * m) + a)
-           done;
-           for a = m - 1 downto 0 do
-             let s = ref d.(a) in
-             for k = a + 1 to m - 1 do
-               s := !s -. (jac.((k * m) + a) *. d.(k))
-             done;
-             d.(a) <- !s /. jac.((a * m) + a)
-           done;
-           true
-         end
-    in
-    (* Newton on the set from the current [(lambda, mu)]. *)
-    let newton () =
-      let rec iterate it phi =
-        if converged () then true
-        else if it = active_newton || not (direction ()) then false
-        else begin
-          let lambda0 = !lambda in
-          Array.blit mu 0 mu0 0 !size;
-          let rec search step tries =
-            lambda := lambda0 +. (step *. d.(0));
-            for k = 0 to !size - 1 do
-              mu.(k) <- mu0.(k) -. (step *. d.(k + 1))
-            done;
-            let trial = if !lambda > 0.0 then eval () else nan in
-            if trial <= (1.0 -. (1e-4 *. step)) *. phi then Some trial
-            else if tries = 0 then None
-            else search (0.5 *. step) (tries - 1)
-          in
-          match search 1.0 active_halvings with
-          | Some phi -> iterate (it + 1) phi
-          | None ->
-              lambda := lambda0;
-              Array.blit mu0 0 mu 0 !size;
-              ignore (eval ());
-              converged ()
-        end
-      in
-      iterate 0 (eval ())
-    in
-    (* The last Newton solution whose multipliers were all >= 0: after
-       a drop, Newton restarts from it (a row not in it at 0), not from
-       the point that pushed a multiplier below 0. *)
-    let good_set = Array.make cap 0 and good_mu = Array.make cap 0.0 in
-    let good_size = ref 0 and good_lambda = ref col.col_lambda in
-    let keep_good () =
-      good_size := !size;
-      good_lambda := !lambda;
-      Array.blit set 0 good_set 0 !size;
-      Array.blit mu 0 good_mu 0 !size
-    in
-    let drop_negative () =
-      let kept = ref 0 in
-      for k = 0 to !size - 1 do
-        if mu.(k) >= 0.0 then begin
-          set.(!kept) <- set.(k);
-          incr kept
-        end
-      done;
-      let dropped = !kept < !size in
-      size := !kept;
-      if dropped then begin
-        lambda := !good_lambda;
-        for k = 0 to !size - 1 do
-          load k;
-          mu.(k) <- 0.0;
-          for i = 0 to !good_size - 1 do
-            if good_set.(i) = set.(k) then mu.(k) <- good_mu.(i)
-          done
-        done
-      end;
-      dropped
-    in
-    let dual_feasible () =
-      let ok = ref (!lambda > 0.0) in
-      for k = 0 to !size - 1 do
-        if not (mu.(k) >= 0.0) then ok := false
-      done;
-      for j = 0 to n - 1 do
-        if
-          not
-            (w.(j) > 0.0
-            && (x.(f_off + j) < f_box
-               || (!lambda *. fo.c.(j)) -. (2.0 *. w.(j) *. f_box) >= 0.0))
-        then ok := false
-      done;
-      !ok
-    in
-    (* One candidate scan a round: [most_violated] is [-1] exactly
-       where {!Convex.Conic.holds} passes.  A row of the set is never
-       the most violated one: Newton left it inside its constant, by
-       the value that scan reads. *)
-    let rec settle changes =
-      if changes > active_changes || not (newton ()) then false
-      else if drop_negative () then settle (changes + 1)
-      else begin
-        keep_good ();
-        let worst = Convex.Conic.most_violated t x in
-        if worst < 0 then dual_feasible ()
-        else if !size = cap then false
-        else begin
-          set.(!size) <- worst;
-          mu.(!size) <- 0.0;
-          load !size;
-          incr size;
-          settle (changes + 1)
-        end
-      end
+    let d =
+      {
+        d_fo = col.col_floor_only;
+        d_t = p.p_conic;
+        d_g = p.p_rows.g;
+        d_h = p.p_h;
+        d_f_off = layout.f_offset;
+        d_p_off = layout.p_offset;
+        d_n = n;
+        d_floor = floor_constant ~layout ~machine:built.machine built.ftarget;
+        d_set = Array.make n 0;
+        d_size = 0;
+        d_gd = Array.make (n * n) 0.0;
+        d_y = Array.make (n + 1) 0.0;
+        d_y0 = Array.make (n + 1) 0.0;
+        d_dir = Array.make (n + 1) 0.0;
+        d_r = Array.make (n + 1) 0.0;
+        d_w = Array.make n 0.0;
+        d_held = Bytes.make n '\000';
+        d_jac = Array.make ((n + 1) * (n + 1)) 0.0;
+        d_x = Vec.zeros layout.dim;
+        d_v = Array.make 3 0.0;
+      }
     in
     (match start with
     | Some s when Vec.dim s = layout.dim ->
-        size := Convex.Conic.binding t s ~above:(-.seed_slack) ~into:set
+        d.d_size <- Convex.Conic.binding d.d_t s ~above:(-.seed_slack) ~into:d.d_set
     | Some _ | None -> ());
-    if !size = 0 then begin
-      let k = Convex.Conic.most_violated t col.col_x in
-      if k >= 0 then begin
-        set.(0) <- k;
-        size := 1
-      end
-    end;
-    for k = 0 to !size - 1 do
-      load k
+    for k = 0 to d.d_size - 1 do
+      dual_load d k
     done;
-    if not (settle 0) then None
+    let recovered =
+      d.d_size > 0
+      && dual_recover d (Option.get start)
+      && d.d_dir.(0) > 0.0
+    in
+    if recovered then begin
+      d.d_y.(0) <- d.d_dir.(0);
+      for k = 1 to d.d_size do
+        d.d_y.(k) <- -.d.d_dir.(k)
+      done;
+      let k = ref 0 in
+      while !k < d.d_size do
+        if d.d_y.(!k + 1) > 0.0 then incr k else dual_change d !k
+      done
+    end
+    else begin
+      d.d_size <- 0;
+      d.d_y.(0) <- col.col_lambda
+    end;
+    Bytes.fill d.d_held 0 n '\000';
+    ignore (dual_eval d);
+    dual_hold d;
+    (* A round starts at an evaluated point. *)
+    let rec round steps changes =
+      if changes > active_changes then false
+      else if dual_converged d then begin
+        let worst = Convex.Conic.most_violated d.d_t d.d_x in
+        if worst < 0 then dual_feasible d
+        else if d.d_size = n then false
+        else begin
+          dual_add d worst;
+          dual_eval d && round steps (changes + 1)
+        end
+      end
+      else if steps = active_steps then false
+      else begin
+        let m = d.d_size + 1 in
+        let pivot = dual_factor d m in
+        Array.blit d.d_y 0 d.d_y0 0 m;
+        if pivot = m then begin
+          let value = d.d_v.(0) and phi = d.d_v.(1) in
+          dual_newton d m;
+          dual_slope d m;
+          let slope = d.d_v.(2) in
+          let b = dual_ratio d ~cap:1.0 in
+          let rec search t tries =
+            dual_move d t;
+            if
+              d.d_y.(0) > 0.0
+              && dual_eval d
+              && (d.d_v.(0) >= value +. (1e-4 *. t *. slope)
+                 || d.d_v.(1) <= (1.0 -. (1e-4 *. t)) *. phi)
+            then
+              if tries = active_halvings && b <> -1 then begin
+                dual_change d b;
+                dual_eval d && round (steps + 1) (changes + 1)
+              end
+              else round (steps + 1) changes
+            else tries > 0 && search (0.5 *. t) (tries - 1)
+          in
+          search d.d_v.(2) active_halvings
+        end
+        else if pivot = m - 1 then begin
+          (* [D] is linear along the null vector: step uphill to the
+             first breakpoint, where a row leaves or a box moves. *)
+          dual_null d m;
+          dual_slope d m;
+          if d.d_v.(2) < 0.0 then
+            for a = 0 to m - 1 do
+              d.d_dir.(a) <- -.d.d_dir.(a)
+            done;
+          let uphill = Float.abs d.d_v.(2) > 0.0 in
+          let b = dual_ratio d ~cap:infinity in
+          let t = d.d_v.(2) in
+          uphill && b <> -1
+          && (d.d_dir.(0) >= 0.0 || t < d.d_y.(0) /. -.d.d_dir.(0))
+          && begin
+               dual_move d t;
+               dual_change d b;
+               dual_eval d && round (steps + 1) (changes + 1)
+             end
+        end
+        else false
+      end
+    in
+    if not (dual_eval d && round 0 0) then None
     else
       Some
-        (kkt_raw built fo ~x ~lambda:!lambda ~w
-           ~saturated:(fun j -> not (x.(f_off + j) < f_box))
-           ~set ~mu ~size:!size)
+        (kkt_raw built col.col_floor_only ~x:d.d_x ~lambda:d.d_y.(0) ~w:d.d_w
+           ~saturated:(fun j -> not (d.d_x.(d.d_f_off + j) < f_box))
+           ~set:d.d_set ~mu:(Array.sub d.d_y 1 d.d_size) ~size:d.d_size)
   end
 
 (* A cell the floor-only optimum or the active-set step settles counts
