@@ -1410,9 +1410,9 @@ let kkt_raw built fo ~x ~lambda ~w ~saturated ~set ~mu ~size =
    so the exact check passes on it. *)
 let active_aim = 1e-12
 let active_tol = 1e-13
-let active_steps = 40
+let active_steps = 80
 let active_halvings = 8
-let active_changes = 24
+let active_changes = 48
 
 (* The step's state: the set [S] ([set], positions among the start's
    rows, at most [n]) and the dense power coefficients of its rows
@@ -1798,6 +1798,7 @@ let active_set ?start built col =
               && (d.d_v.(0) >= value +. (1e-4 *. t *. slope)
                  || d.d_v.(1) <= (1.0 -. (1e-4 *. t)) *. phi)
             then
+              (* An unhalved step ends at the breakpoint, if any. *)
               if tries = active_halvings && b <> -1 then begin
                 dual_change d b;
                 dual_eval d && round (steps + 1) (changes + 1)

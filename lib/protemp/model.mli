@@ -60,8 +60,8 @@
     rows at 27 C and 504 at 100 C.  {!solve} goes further, because at
     the optimum only a few of them bind, and usually none: it first
     tries the closed-form optimum of the throughput floor alone against
-    every row, then the optimum with a few guessed rows binding (a
-    small Newton solve, served only at a KKT point), and otherwise
+    every row, then the optimum with a few rows binding, found by a
+    dual active-set method (served only at a KKT point), and otherwise
     solves on a working set of the rows, grown by constraint
     generation until the optimum satisfies every row.
 
@@ -255,32 +255,44 @@ val solve :
 
     {b Active set third.}  A cell whose closed form fails and which
     the ladder does not refute, from any start of the variable
-    variant without a gradient term, is tried with a few binding
-    thermal rows [A] (DESIGN.md §6zd).  With the power laws tight,
-    stationarity gives
-    [fhat_j = min (f_box, lambda c_j / (2 (w_j + sum_{k in A} mu_k q_kj)))]
-    ([q_kj] row [k]'s power coefficients), and [lambda] and [mu_A]
-    solve [|A| + 1] equations, the floor and each row of [A] at
-    [1e-12 tmax] inside its constant, by a damped Newton solve on a
-    dense [(|A| + 1)]-square system.  The first guess is the
-    candidates that bind at [start] within [1e-6 tmax] (the rows of
-    the row's previous cell), else the row the column's point
-    violates most; a row whose [mu] turns negative leaves the set, the
-    row the point violates most joins it while the set has fewer rows
-    than variables, and at most 16 changes are made.  The point is
-    served only when it is a KKT point: every candidate holds
-    ({!Convex.Conic.holds}, the closed form's check), [lambda > 0],
-    every [mu >= 0], every power law's dual
-    [w_j + sum_k mu_k q_kj > 0] and every saturated variable's box
-    dual [>= 0].  It is then the cell's optimum (to the [1e-12 tmax]
-    aim), served with [settled_by = `Active_set],
+    variant without a gradient term, is settled by a dual active-set
+    method in the manner of Goldfarb and Idnani (DESIGN.md §6zd,
+    §6zg).  With the power laws tight, a floor multiplier
+    [lambda > 0] and multipliers [mu_k >= 0] on a set [S] of thermal
+    rows, the Lagrangian's minimum over the boxes is at
+    [fhat_j = min (f_box, lambda c_j / (2 (w_j + sum_{k in S} mu_k q_kj)))]
+    ([q_kj] row [k]'s power coefficients), and its value is the dual
+    function, concave in [(lambda, mu_S)].  The step maximizes it by
+    Newton steps on a dense [(|S| + 1)]-square system over the cores
+    below their box, each row of [S] aimed [1e-12 tmax] inside its
+    constant, and keeps [lambda > 0] and [mu >= 0] at every iterate: a
+    ratio test stops a step where a multiplier reaches 0 (the row
+    leaves [S]) or where a core's box dual changes sign (the core
+    reaches or leaves [f_box]); where [S] has as many rows as there are
+    free cores it steps along the dual function's flat direction to
+    the next such breakpoint; once the floor and every row of [S] are
+    met the candidate the point violates most joins [S], or, when none
+    is violated, the point is accepted.  It starts from the
+    multipliers of the candidates that bind at [start] within
+    [1e-6 tmax], recovered from stationarity at [start] (exact at the
+    row's previous cell), less those not positive, and from the closed
+    form ([S] empty) where nothing binds or there is no start.  At most
+    80 steps and 48 set changes bound a cell it cannot settle.  The
+    point is served only when it is a KKT point: no candidate is
+    violated ({!Convex.Conic.most_violated} is [-1], exactly where
+    {!Convex.Conic.holds}, the closed form's check, passes),
+    [lambda > 0], every [mu >= 0], every power law's dual
+    [w_j + sum_k mu_k q_kj > 0] and every variable at its box with a
+    box dual [>= 0].  It is then the cell's optimum (to the
+    [1e-12 tmax] aim), served with [settled_by = `Active_set],
     [raw.iterations = 0], [raw.gap = 0] and an exact [raw.dual]
     ([lambda] on the floor, each power law's dual, the box duals,
-    [mu_k] on each row of [A], zero elsewhere).  It is a function of
-    the cell and [start] alone.  On the benchmark's Niagara grid it
-    settles 204 of the 206 feasible cells the closed form does not.
-    The uniform variant (one variable, no room for a binding row) and
-    the gradient variant skip it.
+    [mu_k] on each row of [S], zero elsewhere).  It is a function of
+    the cell and [start] alone.  On the benchmark's three
+    variable-variant grids it settles every feasible cell the closed
+    form does not (206 on Niagara's, 6 on big.LITTLE's, 12 on the
+    margin-5 grid's).  The uniform variant (one variable, no room for
+    a binding row) and the gradient variant skip it.
 
     {b Otherwise, the conic method} ({!Convex.Conic}, the primal-dual
     predictor-corrector on the homogeneous self-dual embedding, with

@@ -9,18 +9,22 @@
 # default length, the benchmark's run_seconds, on both sides.
 #
 # REV is unpacked from `git archive` into a temporary directory
-# outside the repository and both trees build
-# benchmark/protemp_bench.exe from source.  An archive, not a
-# `git worktree`: it writes nothing into the repository's .git (no
-# worktree entry to prune, no lock left by an interrupted run), so the
-# script also runs from a checkout whose .git it may not write.  For
-# every workload and seed the two trees run one after the other, and
-# which tree goes first flips from seed to seed, so a slow spell of a
-# shared host lands on both sides.  Then
-# `protemp_bench.exe compare` prints medians, quartiles, deltas and
-# verdicts.  The unpacked tree is removed at exit; the result files
-# stay in the temporary directory printed at the end, never in the
-# repository.
+# outside the repository, and the working tree (its tracked and
+# untracked files, not the ignored ones) is copied beside it as it
+# stands; both build benchmark/protemp_bench.exe from source.  An
+# archive, not a `git worktree`: it writes nothing into the
+# repository's .git (no worktree entry to prune, no lock left by an
+# interrupted run), so the script also runs from a checkout whose .git
+# it may not write.  The two trees sit in directories whose names have
+# the same length, and the two sides' result files too: a run's peak
+# RSS follows the length of its path and of its argv, so a side run
+# from a longer path would read as using more memory.  For every
+# workload and seed the two trees run one after the other, and which
+# tree goes first flips from seed to seed, so a slow spell of a shared
+# host lands on both sides.  Then `protemp_bench.exe compare` prints
+# medians, quartiles, deltas and verdicts.  The two trees are removed
+# at exit; the result files stay in the temporary directory printed at
+# the end, never in the repository.
 set -euo pipefail
 rev=${1:-HEAD}
 workloads=${2:-fleet.serve}
@@ -29,25 +33,34 @@ seeds=${3:-2008 2009 2010 2011 2012 2013 2014 2015 2016 2017}
 repo=$(git rev-parse --show-toplevel)
 base_rev=$(git -C "$repo" rev-parse --verify "$rev^{commit}")
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/protemp-bench-compare.XXXXXX")
+# Equal-length names: the parent's tree and the working tree's copy.
 base="$tmp/base"
+work="$tmp/work"
 results="$tmp/results"
 mkdir -p "$results"
 cleanup() {
-  rm -rf "$base"
+  rm -rf "$base" "$work"
 }
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
-mkdir -p "$base"
+mkdir -p "$base" "$work"
 git -C "$repo" archive "$base_rev" | tar -C "$base" -xf -
-for tree in "$base" "$repo"; do
+# Tracked files deleted from the working tree are left out.
+git -C "$repo" ls-files -z --cached --others --exclude-standard \
+  | (cd "$repo" && while IFS= read -r -d '' f; do
+       if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+     done | tar --null -T - -cf -) \
+  | tar -C "$work" -xf -
+for tree in "$base" "$work"; do
   echo "building $tree" >&2
   DUNE_CACHE=disabled dune build --root "$tree" --display quiet \
     ./benchmark/protemp_bench.exe 1>&2
 done
 
 # One untraced run; the human-readable report goes to a log file.  The
-# pair number keeps repeated seeds apart.
+# pair number keeps repeated seeds apart; the side names [base] and
+# [work] have the same length.
 run() {
   local side=$1 tree=$2 workload=$3 seed=$4
   local name="$results/$side-$workload-$seed-$pair"
@@ -68,10 +81,10 @@ for workload in $workloads; do
     pair=$((pair + 1))
     if [ "$first" = base ]; then
       run base "$base" "$workload" "$seed"
-      run change "$repo" "$workload" "$seed"
-      first=change
+      run work "$work" "$workload" "$seed"
+      first=work
     else
-      run change "$repo" "$workload" "$seed"
+      run work "$work" "$workload" "$seed"
       run base "$base" "$workload" "$seed"
       first=base
     fi
@@ -80,6 +93,6 @@ done
 
 echo "base: $rev ($base_rev); change: working tree of $repo" >&2
 echo "results: $results" >&2
-"$repo/_build/default/benchmark/protemp_bench.exe" compare \
-  --benchmark "$repo/BENCHMARK.json" \
-  --base "$results"/base-*.json --change "$results"/change-*.json
+"$work/_build/default/benchmark/protemp_bench.exe" compare \
+  --benchmark "$work/BENCHMARK.json" \
+  --base "$results"/base-*.json --change "$results"/work-*.json

@@ -178,7 +178,11 @@ let prop_fill_matches_cold_cells =
    closed-form and active-set counts, the frontier verdicts and the
    solver counters.
    No two served cells share a frequency vector: a cell must own the
-   vector it is served. *)
+   vector it is served.  A big.LITTLE grid also takes a row in
+   [98.5, 100] C and a column in [0.55, 0.65] fmax, where the
+   active-set step settles cells at margin 0 (its sets change most
+   there, boxes included): the property fails unless some row at or
+   above 96.5 C settles a cell by the step. *)
 type replayed = {
   csv : string;
   closed_form : int;
@@ -186,6 +190,7 @@ type replayed = {
   verdicts : int;
   conic : Convex.Conic.stats;
   row_closed : int array;  (* each row's cells settled in closed form *)
+  row_active : int array;  (* each row's cells settled by the active set *)
 }
 
 let replay ~machine ~spec ~tstarts ~ftargets =
@@ -193,7 +198,7 @@ let replay ~machine ~spec ~tstarts ~ftargets =
   let conic = ref Convex.Conic.stats_zero in
   let closed_form = ref 0 and active_set = ref 0 and verdicts = ref 0 in
   let row tstart =
-    let before = !closed_form in
+    let before = !closed_form and before_active = !active_set in
     let prepared = Protemp.Model.prepare ~machine ~spec ~tstart in
     let cells = Array.make cols Protemp.Table.Infeasible in
     let rec go j start =
@@ -219,25 +224,36 @@ let replay ~machine ~spec ~tstarts ~ftargets =
       end
     in
     go 0 None;
-    (cells, !closed_form - before)
+    (cells, !closed_form - before, !active_set - before_active)
   in
   let rows = Array.map row tstarts in
-  let table = Protemp.Table.make ~tstarts ~ftargets (Array.map fst rows) in
+  let table =
+    Protemp.Table.make ~tstarts ~ftargets (Array.map (fun (c, _, _) -> c) rows)
+  in
   {
     csv = Protemp.Table.to_csv table;
     closed_form = !closed_form;
     active_set = !active_set;
     verdicts = !verdicts;
     conic = !conic;
-    row_closed = Array.map snd rows;
+    row_closed = Array.map (fun (_, c, _) -> c) rows;
+    row_active = Array.map (fun (_, _, a) -> a) rows;
   }
+
+(* [QCheck2.Gen.float_range lo hi] draws [lo + x], [x] uniform in
+   [[0, hi - lo]], but its shrinker takes [lo] for an origin inside
+   [[0, hi - lo]] and raises once [lo > hi - lo], so a failing grid is
+   reported as that exception.  This draws the same values and shrinks
+   towards [lo]. *)
+let float_between lo hi =
+  QCheck2.Gen.(map (fun x -> lo +. x) (float_bound_inclusive (hi -. lo)))
 
 let gen_replay_grid =
   let open QCheck2.Gen in
   let axis n lo hi =
     map
       (fun xs -> Array.of_list (List.sort_uniq Float.compare xs))
-      (list_size (return n) (float_range lo hi))
+      (list_size (return n) (float_between lo hi))
   in
   let* big = bool in
   let* variant =
@@ -246,16 +262,29 @@ let gen_replay_grid =
   in
   let* stride = oneofl [ 1; 4 ] in
   let* margin = oneofl [ 0.0; 5.0 ] in
-  let* cool = float_range 27.0 50.0 in
-  let* hot = float_range 90.0 100.0 in
-  let* others = list_size (int_range 0 2) (float_range 27.0 100.0) in
+  let* cool = float_between 27.0 50.0 in
+  let* hot = float_between 90.0 100.0 in
+  let* others = list_size (int_range 0 2) (float_between 27.0 100.0) in
+  let* hotter =
+    if big then map Option.some (float_between 98.5 100.0) else return None
+  in
   let tstarts =
-    Array.of_list (List.sort_uniq Float.compare (cool :: hot :: others))
+    Array.of_list
+      (List.sort_uniq Float.compare
+         (cool :: hot :: (Option.to_list hotter @ others)))
   in
   let* cols = int_range 2 (if variant = `Gradient then 6 else 24) in
-  let* lo = float_range 0.05 0.9 in
-  let* hi = float_range lo 1.0 in
-  let+ fractions = axis cols lo hi in
+  let* lo = float_between 0.05 0.9 in
+  let* hi = float_between lo 1.0 in
+  let* fractions = axis cols lo hi in
+  let+ near_frontier =
+    if big then map Option.some (float_between 0.55 0.65) else return None
+  in
+  let fractions =
+    Array.of_list
+      (List.sort_uniq Float.compare
+         (Option.to_list near_frontier @ Array.to_list fractions))
+  in
   (big, variant, stride, margin, tstarts, fractions)
 
 let print_replay_grid (big, variant, stride, margin, tstarts, fractions) =
@@ -277,6 +306,10 @@ let print_replay_grid (big, variant, stride, margin, tstarts, fractions) =
 let whole_rows = ref 0
 let searched_rows = ref 0
 let open_rows = ref 0
+
+(* big.LITTLE variable-variant rows at or above 96.5 C with a cell
+   settled by the active set. *)
+let hot_biglittle_rows = ref 0
 
 let prop_fill_matches_replay =
   QCheck2.Test.make ~name:"equals per-cell replay" ~count:40
@@ -339,6 +372,11 @@ let prop_fill_matches_replay =
                else if closed > 0 then searched_rows
                else open_rows))
           r.row_closed;
+      if big && variant = `Variable then
+        Array.iteri
+          (fun i active ->
+            if tstarts.(i) >= 96.5 && active > 0 then incr hot_biglittle_rows)
+          r.row_active;
       true)
 
 (* The property, with a check that it drew every row shape. *)
@@ -350,11 +388,16 @@ let fill_matches_replay =
       whole_rows := 0;
       searched_rows := 0;
       open_rows := 0;
+      hot_biglittle_rows := 0;
       run ();
-      Printf.printf "rows: %d whole, %d searched, %d open\n" !whole_rows
-        !searched_rows !open_rows;
+      Printf.printf
+        "rows: %d whole, %d searched, %d open; %d big.LITTLE rows at or \
+         above 96.5 C with an active-set cell\n"
+        !whole_rows !searched_rows !open_rows !hot_biglittle_rows;
       check_bool "every row shape drawn" true
-        (!whole_rows > 0 && !searched_rows > 0 && !open_rows > 0) )
+        (!whole_rows > 0 && !searched_rows > 0 && !open_rows > 0);
+      check_bool "a hot big.LITTLE row settled by the active set drawn" true
+        (!hot_biglittle_rows > 0) )
 
 (* A grid fails closed.  An [ftarget] outside [0, fmax], NaN included,
    is refused when the grid is made, also where no row would reach
@@ -497,6 +540,48 @@ let test_served_floor_bound () =
         axis 27.0 100.0 100,
         axis 1e8 1e9 100,
         98 );
+    ]
+
+(* Every feasible cell of the benchmark's three variable-variant grids
+   (stride 4) is settled in closed form or by the active-set step: no
+   feasible cell reaches the interior-point method, which only the
+   first infeasible cells a ladder tangent does not refute may still
+   run.  The closed-form counts are the ones the fill goldens pin. *)
+let test_no_interior_point_cell () =
+  List.iter
+    (fun (name, machine_of, margin, tstarts, ftargets, closed_form) ->
+      let dt =
+        D.create ~margin ~machine:(machine_of ()) ~spec:fast_spec ~tstarts
+          ~ftargets ()
+      in
+      let stats = D.fill ~domains:1 dt in
+      check_int (name ^ ": closed-form cells") closed_form
+        (D.closed_form_cells dt);
+      check_int
+        (Printf.sprintf "%s: feasible cells (%d) less closed-form and \
+                         active-set ones (%d)"
+           name stats.D.feasible (D.active_set_cells dt))
+        0
+        (stats.D.feasible - D.closed_form_cells dt - D.active_set_cells dt))
+    [
+      ( "Niagara 100x100",
+        Sim.Machine.niagara,
+        0.0,
+        axis 27.0 100.0 100,
+        axis 1e8 1e9 100,
+        8617 );
+      ( "big.LITTLE 150x8",
+        Sim.Machine.biglittle,
+        0.0,
+        axis 27.0 100.0 150,
+        axis 1e8 7e8 8,
+        1187 );
+      ( "Niagara margin-5 74x9",
+        Sim.Machine.niagara,
+        5.0,
+        axis 27.0 100.0 74,
+        axis 1e8 9e8 9,
+        549 );
     ]
 
 (* Niagara with one negative step entry: the first node's (not a
@@ -660,6 +745,8 @@ let () =
           Alcotest.test_case "whole-grid audit" `Slow test_audit_certifies_grid;
           Alcotest.test_case "served floor within the stated bound" `Slow
             test_served_floor_bound;
+          Alcotest.test_case "no feasible interior-point cell" `Slow
+            test_no_interior_point_cell;
         ] );
       ( "release",
         [

@@ -313,8 +313,15 @@ let test_run_repo_seeded_violation () =
 (* typed pass: units of measure and cross-domain capture, on the
    committed fixture files (test/fixtures/, declared as dune deps) *)
 
+(* Beside this executable in the build tree, where test/dune's deps put
+   them, so a run from any directory finds them. *)
 let read_fixture name =
-  let ic = open_in_bin (Filename.concat "fixtures" name) in
+  let ic =
+    open_in_bin
+      (List.fold_left Filename.concat
+         (Filename.dirname Sys.executable_name)
+         [ "fixtures"; name ])
+  in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))

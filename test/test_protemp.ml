@@ -1554,7 +1554,10 @@ let test_gradient_grid_golden () =
   in
   let csv = Protemp.Table.to_csv (Protemp.Dense_table.to_table dense) in
   let golden =
-    In_channel.with_open_bin "gradient_grid.golden" In_channel.input_all
+    (* Beside this executable in the build tree (a test/dune dep). *)
+    In_channel.with_open_bin
+      (Filename.concat (Filename.dirname Sys.executable_name) "gradient_grid.golden")
+      In_channel.input_all
   in
   check_bool "gradient grid byte-identical to the golden" true (csv = golden);
   check_int "no cell in closed form" 0
@@ -2313,8 +2316,18 @@ let prop_closed_rows =
      most 1.1e-12 (aim plus Newton's tolerance) and its multiplier
      below 100 on these grids.
    [active_set_drawn] counts the cells checked; the test fails unless
-   some were drawn. *)
+   some were drawn, among them a big.LITTLE cell at or above 96.5 C
+   (where the step's sets change most) and a cell accepted after a
+   variable reached or left its box during the step.  Half the draws
+   take one of a grid's hottest sixteenth of rows, where the step's
+   cells are.  A cell's box pattern (its variables at [f_box]) that
+   differs from both the one the step can start from — its start's,
+   from which the step recovers its multipliers, and its column's
+   closed form's (the cell at 27 C, where every column closes) — shows
+   such a move. *)
 let active_set_drawn = ref 0
+let active_set_hot_biglittle = ref 0
+let active_set_box_moved = ref 0
 
 let active_set_grids =
   let axis lo hi n =
@@ -2370,19 +2383,29 @@ let active_set_kkt (built : Protemp.Model.built) (raw : Convex.Solve.solution) =
 
 let prop_active_set_kkt =
   QCheck2.Test.make ~name:"active_set: every settled cell is a KKT point"
-    ~count:40
+    ~count:100
     ~print:(fun (g, row) ->
       let name, _, _, tstarts, _ = active_set_grids.(g) in
       Printf.sprintf "%s row %d (%g C)" name row tstarts.(row))
     QCheck2.Gen.(
       let* g = int_bound (Array.length active_set_grids - 1) in
       let _, _, _, tstarts, _ = active_set_grids.(g) in
-      let+ row = int_bound (Array.length tstarts - 1) in
+      let n = Array.length tstarts in
+      let* hot = bool in
+      let+ row =
+        if hot then int_range (n - 1 - (n / 16)) (n - 1) else int_bound (n - 1)
+      in
       (g, row))
     (fun (g, row) ->
-      let _, machine, spec, tstarts, ftargets = active_set_grids.(g) in
+      let name, machine, spec, tstarts, ftargets = active_set_grids.(g) in
       let machine = Lazy.force machine in
       let p = Protemp.Model.prepare ~machine ~spec ~tstart:tstarts.(row) in
+      let cool = Protemp.Model.prepare ~machine ~spec ~tstart:27.0 in
+      let at_box (built : Protemp.Model.built) x =
+        let l = built.Protemp.Model.layout in
+        List.init l.Protemp.Model.n_f (fun j ->
+            not (x.(l.Protemp.Model.f_offset + j) < Protemp.Model.f_box))
+      in
       let rec go j start =
         j = Array.length ftargets
         ||
@@ -2392,7 +2415,25 @@ let prop_active_set_kkt =
         | Protemp.Model.Feasible s ->
             let raw = s.Protemp.Model.raw in
             (match s.Protemp.Model.settled_by with
-            | `Active_set -> incr active_set_drawn
+            | `Active_set ->
+                incr active_set_drawn;
+                if name = "biglittle 150x8" && tstarts.(row) >= 96.5 then
+                  incr active_set_hot_biglittle;
+                let column =
+                  match
+                    Protemp.Model.solve
+                      (Protemp.Model.instantiate cool ~ftarget:ftargets.(j))
+                  with
+                  | Protemp.Model.Feasible c
+                    when c.Protemp.Model.settled_by = `Closed_form ->
+                      Some (at_box built c.Protemp.Model.raw.Convex.Solve.x)
+                  | Protemp.Model.Feasible _ | Protemp.Model.Infeasible -> None
+                in
+                let moved = at_box built raw.Convex.Solve.x in
+                if
+                  column <> None && column <> Some moved
+                  && Option.map (at_box built) start <> Some moved
+                then incr active_set_box_moved
             | `Closed_form | `Interior_point -> ());
             (s.Protemp.Model.settled_by <> `Active_set || active_set_kkt built raw)
             && go (j + 1) (Some raw.Convex.Solve.x)
@@ -2633,11 +2674,19 @@ let props =
          speed,
          fun () ->
            active_set_drawn := 0;
+           active_set_hot_biglittle := 0;
+           active_set_box_moved := 0;
            run ();
            check_bool
-             (Printf.sprintf "%d cells settled by the active set drawn"
-                !active_set_drawn)
-             true (!active_set_drawn > 0) ));
+             (Printf.sprintf
+                "%d cells settled by the active set drawn, %d of them \
+                 big.LITTLE at or above 96.5 C, %d after a box move"
+                !active_set_drawn !active_set_hot_biglittle
+                !active_set_box_moved)
+             true
+             (!active_set_drawn > 0
+             && !active_set_hot_biglittle > 0
+             && !active_set_box_moved > 0) ));
     ]
 
 let () =

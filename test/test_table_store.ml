@@ -137,7 +137,13 @@ let test_golden_header () =
     (fun i c ->
       if i < 32 then Buffer.add_string hex (Printf.sprintf "%02x" (Char.code c)))
     image;
-  let ic = open_in "table_store_header.golden" in
+  (* Beside this executable in the build tree (a test/dune dep). *)
+  let ic =
+    open_in
+      (Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "table_store_header.golden")
+  in
   let golden = String.trim (input_line ic) in
   close_in ic;
   check_string "committed golden header (format version 2)" golden
