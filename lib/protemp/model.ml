@@ -1495,6 +1495,8 @@ let dual_eval d =
   d.d_v.(1) <- !phi;
   !ok
 
+(* The floor met within [active_tol max(1, F)], every row of the set
+   within [active_tol] of its aim. *)
 let dual_converged d =
   let ok = ref (Float.abs d.d_r.(0) <= active_tol *. Float.max 1.0 d.d_floor) in
   for k = 1 to d.d_size do
