@@ -68,13 +68,14 @@ type fill_stats = {
 val fill : ?domains:int -> t -> fill_stats
 (** Solve every cell, once.  {!Model.rows} takes the grid's
     {!Model.columns} (one floor-only optimum per [ftarget], with the
-    machine's thermal rows) and finds its {!Model.closed_rows} (the
-    leading rows every column holds on, by bisection over the starts)
-    on the calling domain; the rows it then settles are fanned across
-    a {!Parallel.Pool} ([domains] defaults to
-    {!Parallel.Pool.default_domains}), and their counts are merged
-    here.  A closed row is served a copy of each column's frequencies
-    with no start, check, instance or solve record.  Any other row
+    machine's thermal rows) and finds its closed rows (the leading
+    rows every column holds on, in one pass over the thermal rows at
+    the last column's point, with no start) on the calling domain; the
+    rows it then settles are fanned across a {!Parallel.Pool}
+    ([domains] defaults to {!Parallel.Pool.default_domains}), and
+    their counts are merged here.  A closed row is served a copy of
+    each column's frequencies with no start, check, instance or solve
+    record.  Any other row
     prepares its start once, serves the leading columns that hold
     there the same way, and settles every later cell as
     {!Model.solve} does, making its one conic workspace only if a cell

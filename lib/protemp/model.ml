@@ -175,6 +175,16 @@ let pack stripes =
   let off, data = pack_data (Array.map snd stripes) in
   { lo = Array.map fst stripes; off; data }
 
+(* Row [o]'s value [G_o x], summed left to right from 0 as
+   {!Convex.Conic.holds} sums it, so it has the same bits.  Inlined,
+   so the float is never boxed. *)
+let[@inline] row_sum g o x =
+  let s = ref 0.0 in
+  for e = g.off.(o) to g.off.(o + 1) - 1 do
+    s := !s +. (g.data.(e) *. x.(g.lo.(o) + e - g.off.(o)))
+  done;
+  !s
+
 (* What a model of [spec] on [machine] needs of both, checked once
    per prepare and per column. *)
 let validate ~machine ~(spec : Spec.t) =
@@ -531,12 +541,22 @@ let thermal_rows machine ~(spec : Spec.t) ~layout ~steps =
       | _ -> None)
     ~compute:(fun () -> compute_thermal_rows machine ~spec ~layout ~steps)
 
+(* A start's arithmetic on thermal row [idx], shared by its writers
+   below and the closed-row pass: the row's base from the uniform
+   start [tstart], [tstart a_k + c_k]; whether the power box implies
+   the row at [base] (a NaN base is not implied); its constant at
+   [base], [-((base - tmax)/tmax)]. *)
+let[@inline] affine_base rows ~tstart idx =
+  (tstart *. rows.unit_response.(idx)) +. rows.fixed_response.(idx)
+
+let[@inline] implied rows idx base = base < rows.threshold.(idx)
+let[@inline] thermal_constant ~tmax base = -.((base -. tmax) /. tmax)
+
 (* Every thermal row's base from the uniform start [tstart] into [h]
    at the row's constant. *)
 let affine_bases rows ~tstart ~h =
-  let a = rows.unit_response and c = rows.fixed_response in
-  for idx = 0 to Array.length a - 1 do
-    h.(rows.first_thermal + idx) <- (tstart *. a.(idx)) +. c.(idx)
+  for idx = 0 to Array.length rows.unit_response - 1 do
+    h.(rows.first_thermal + idx) <- affine_base rows ~tstart idx
   done
 
 (* A start's constants and rows from its bases, which [h] holds at the
@@ -549,8 +569,8 @@ let affine_bases rows ~tstart ~h =
    gradient row and bound.
    Returns how many rows take part. *)
 let write_constants rows ~fixed ~tmax ~h ~part =
-  let first = rows.first_thermal and threshold = rows.threshold in
-  let grad = first + Array.length threshold in
+  let first = rows.first_thermal in
+  let grad = first + Array.length rows.threshold in
   for pair = 0 to Array.length rows.gradient_base - 1 do
     let base = h.(first + rows.gradient_base.(pair)) in
     h.(grad + (2 * pair)) <- -.(base /. tmax);
@@ -560,10 +580,10 @@ let write_constants rows ~fixed ~tmax ~h ~part =
     part.(i) <- i
   done;
   let n = ref fixed in
-  for idx = 0 to Array.length threshold - 1 do
+  for idx = 0 to Array.length rows.threshold - 1 do
     let base = h.(first + idx) in
-    h.(first + idx) <- -.((base -. tmax) /. tmax);
-    if not (base < threshold.(idx)) then begin
+    h.(first + idx) <- thermal_constant ~tmax base;
+    if not (implied rows idx base) then begin
       part.(!n) <- first + idx;
       incr n
     end
@@ -1233,6 +1253,7 @@ type columns = {
   cs_ftargets : float array;
   cs_machine : Sim.Machine.t;
   cs_spec : Spec.t;
+  cs_rows : thermal_rows;
   cs_searchable : bool;
 }
 
@@ -1271,6 +1292,7 @@ let columns ~machine ~(spec : Spec.t) ftargets =
     cs_ftargets = Array.copy ftargets;
     cs_machine = machine;
     cs_spec = spec;
+    cs_rows = rows;
     cs_searchable = rows.nonnegative && ascending layout cs;
   }
 
@@ -1290,37 +1312,53 @@ let bisect holds ~lo ~hi =
   done;
   !lo
 
-(* The coolest start is checked first, so a grid whose last column
-   fails everywhere pays one start, then the hottest, so a grid whose
-   every row closes pays two; otherwise the starts between them are
-   bisected.  The last start a check rejects is the first open row's:
-   the hottest start's check fails before the bisection starts, a
-   bisection lowers its upper end only on a failed check, and no check
-   fails when every row is closed. *)
+(* Whether thermal row [idx] fails the column point [x] at the uniform
+   start [tstart], as {!start_holds} decides it on that start's
+   candidates: the box does not imply the row and its value exceeds
+   its constant, both from the start's base and constant. *)
+let[@inline] row_fails rows ~tmax ~tstart idx x =
+  let base = affine_base rows ~tstart idx in
+  (not (implied rows idx base))
+  && not
+       (row_sum rows.g (rows.first_thermal + idx) x
+        -. thermal_constant ~tmax base
+        <= 0.0)
+
+(* The closed rows in one pass over the thermal rows (DESIGN.md 6zh):
+   [r] starts at the number of starts, each row is checked at start
+   [r - 1], and a row that fails there lowers [r] to the first start it
+   fails at, found by bisection over [[0, r - 1)] (written out, not
+   {!bisect}, so that no closure is allocated); the pass stops once
+   [r] is 0.  A row that fails at a start fails at every hotter one
+   where the columns are searchable, so [r] ends at the first start
+   some row fails at.  Every start is checked first, as the pass reads
+   them out of order. *)
 let closed_rows t tstarts =
   let m = Array.length tstarts and n = Array.length t.cs in
-  for i = 1 to m - 1 do
-    if not (tstarts.(i - 1) <= tstarts.(i)) then
-      invalid_arg "Model.closed_rows: tstarts not ascending"
+  for i = 0 to m - 1 do
+    if not (Float.is_finite tstarts.(i)) then
+      invalid_arg "Model.rows: non-finite tstart";
+    if i > 0 && not (tstarts.(i - 1) <= tstarts.(i)) then
+      invalid_arg "Model.rows: tstarts not ascending"
   done;
   match if t.cs_searchable && n > 0 then t.cs.(n - 1) else None with
-  | None -> (0, None)
+  | None -> 0
   | Some col ->
-      let failed = ref None in
-      let holds i =
-        let p =
-          prepare ~machine:t.cs_machine ~spec:t.cs_spec ~tstart:tstarts.(i)
-        in
-        let ok = start_holds p col in
-        if not ok then failed := Some p;
-        ok
-      in
-      let r =
-        if m = 0 || not (holds 0) then 0
-        else if m = 1 || holds (m - 1) then m
-        else bisect holds ~lo:1 ~hi:(m - 1)
-      in
-      (r, !failed)
+      let rows = t.cs_rows and tmax = t.cs_spec.Spec.tmax and x = col.col_x in
+      let r = ref m and idx = ref 0 in
+      while !r > 0 && !idx < Array.length rows.threshold do
+        if row_fails rows ~tmax ~tstart:tstarts.(!r - 1) !idx x then begin
+          let lo = ref 0 and hi = ref (!r - 1) in
+          while !lo < !hi do
+            let mid = !lo + ((!hi - !lo) / 2) in
+            if row_fails rows ~tmax ~tstart:tstarts.(mid) !idx x then hi := mid
+            else lo := mid + 1
+          done;
+          r := !lo
+        end;
+        incr idx
+      done;
+      !r
 
 (* A KKT point of the cell as [raw], with its exact dual over every
    row that takes part: [W_j] on each power law, the box dual
@@ -1483,11 +1521,7 @@ let dual_eval d =
   value := !value +. (y.(0) *. d.d_floor);
   for k = 0 to d.d_size - 1 do
     let o = Convex.Conic.row d.d_t d.d_set.(k) in
-    let s = ref 0.0 in
-    for e = g.off.(o) to g.off.(o + 1) - 1 do
-      s := !s +. (g.data.(e) *. x.(g.lo.(o) + e - g.off.(o)))
-    done;
-    d.d_r.(k + 1) <- !s -. d.d_h.(o) +. active_aim;
+    d.d_r.(k + 1) <- row_sum g o x -. d.d_h.(o) +. active_aim;
     value := !value -. (y.(k + 1) *. (d.d_h.(o) -. active_aim));
     phi := !phi +. (d.d_r.(k + 1) *. d.d_r.(k + 1))
   done;
@@ -1960,24 +1994,19 @@ type row = {
 }
 
 (* A closed row is served copies of its columns' frequencies and
-   takes no start.  Any other row takes its start (the first open row
-   the one {!closed_rows} made), bisects its closed prefix on it where
-   the columns are searchable, and settles every later cell from its
-   column: where the columns are searchable the bisection has shown
-   that the column fails there, so its check is not repeated.  Each
-   cell is seeded with the previous feasible column's point, and the
-   row's one workspace is made when a cell first reaches the conic
-   method. *)
+   takes no start.  Any other row prepares its start, bisects its
+   closed prefix on it where the columns are searchable, and settles
+   every later cell from its column: where the columns are searchable
+   the bisection has shown that the column fails there, so its check
+   is not repeated.  Each cell is seeded with the previous feasible
+   column's point, and the row's one workspace is made when a cell
+   first reaches the conic method. *)
 let rows t tstarts =
-  let closed, first_open = closed_rows t tstarts in
+  let closed = closed_rows t tstarts in
   let n = Array.length t.cs in
   fun i ->
     let p =
-      lazy
-        (match first_open with
-        | Some p when i = closed -> p
-        | Some _ | None ->
-            prepare ~machine:t.cs_machine ~spec:t.cs_spec ~tstart:tstarts.(i))
+      lazy (prepare ~machine:t.cs_machine ~spec:t.cs_spec ~tstart:tstarts.(i))
     in
     let holds j =
       Option.fold ~none:false ~some:(start_holds (Lazy.force p)) t.cs.(j)

@@ -106,8 +106,8 @@ type prepared
     copies no row and allocates the same words however many rows take
     part; each {!instantiate} is then almost free.  A table
     ({!rows}) prepares only the rows that have a cell their column
-    does not settle, and a few starts to find those rows
-    ({!closed_rows}; DESIGN.md §6t, §6y, §6z, §6za, §6zb, §6zc). *)
+    does not settle, and finds those rows with no start (DESIGN.md
+    §6t, §6y, §6z, §6za, §6zb, §6zh). *)
 
 type built = {
   layout : layout;
@@ -229,8 +229,8 @@ val solve :
     objective coefficients and [lambda] the floor's multiplier, found
     by walking the sorted saturation breakpoints: the cell's column
     ({!columns}).  Every thermal row that takes part is evaluated
-    there in one {!Convex.Conic.holds} pass, the check {!closed_rows}
-    and {!rows} make on a table row's start.  If
+    there in one {!Convex.Conic.holds} pass, the check {!rows} makes
+    on a table row's start and, row by row, in its closed-row pass.  If
     none is violated the point is feasible for the cell, and since the
     relaxation's objective is strictly convex in [fhat] it is the
     cell's unique optimum: it is served with
@@ -386,22 +386,6 @@ val searchable : columns -> bool
     [A] elementwise [>= 0], so only a hand-built
     [Thermal.Rc_model.discrete] fails the first condition. *)
 
-val closed_rows : columns -> float array -> int * prepared option
-(** The number [r] of leading uniform starts of the ascending
-    [tstarts] at which the last column holds, and so every column:
-    {!solve} serves each of their cells in closed form, with the
-    column's frequencies.  With it, the start of row [r] when the
-    search prepared it: always when [r] is below the number of starts,
-    the columns are {!searchable} and the last is not [None]; [None]
-    otherwise.  [r] is 0 where the columns are not searchable.  The
-    coolest start is checked first, so a grid whose last column fails
-    on every start costs one check, then the hottest, so a grid whose
-    every start holds costs two; otherwise the starts between them are
-    bisected, about [log2 m] more.  Each check prepares the start and
-    makes {!solve}'s own closed-form check on it, bit for bit.  Raises
-    [Invalid_argument] when [tstarts] is not ascending (a NaN is not)
-    and, as {!prepare} does, on a start that is not finite. *)
-
 type row = {
   cells : Table.cell array;  (** One per column. *)
   feasible : int;  (** The row's first infeasible column, or its width. *)
@@ -416,21 +400,30 @@ type row = {
 }
 
 val rows : columns -> float array -> int -> row
-(** [rows columns tstarts] finds the {!closed_rows} of the uniform
-    starts [tstarts] on the calling domain and returns the function
-    that settles row [i], left to right up to and including its first
-    infeasible cell (infeasibility is monotone in [ftarget]; the rest
-    stay [Infeasible]).  A closed row is served a fresh copy of each
-    column's frequencies, with no start.  Any other row prepares its
-    start (the first takes the one the search made), serves the
-    leading columns that hold there the same way, found by bisection
-    where the columns are {!searchable}, and settles each later cell
-    as {!solve} does, seeded with the previous feasible column's
-    point, checking no column the bisection has shown to fail; its
-    conic workspace is made when a cell first reaches the conic
-    method.  Every cell and counter is what {!solve} gives, and the
+(** [rows columns tstarts] finds, on the calling domain, the closed
+    rows of the ascending uniform starts [tstarts]: the number [r] of
+    leading starts at which the last column holds, and so every
+    column, where the columns are {!searchable} (0 otherwise).  It
+    finds them in one pass over the machine's thermal rows at the last
+    column's point, with no start and no allocation: each row is
+    checked at start [r - 1], and one that fails there is bisected
+    over the cooler starts for the first it fails at, which becomes
+    [r].  Each check is {!solve}'s own closed-form check of that row on
+    that start, bit for bit (DESIGN.md §6zh).  [rows] then returns the
+    function that settles row [i], left to right up to and including
+    its first infeasible cell (infeasibility is monotone in [ftarget];
+    the rest stay [Infeasible]).  A closed row is served a fresh copy
+    of each column's frequencies, with no start.  Any other row
+    prepares its start, serves the leading columns that hold there the
+    same way, found by bisection where the columns are {!searchable},
+    and settles each later cell as {!solve} does, seeded with the
+    previous feasible column's point, checking no column the bisection
+    has shown to fail; its conic workspace is made when a cell first
+    reaches the conic method.  So a fill prepares exactly its open
+    rows.  Every cell and counter is what {!solve} gives, and the
     function is pure in [i], so rows may be settled on any domain.
-    Raises [Invalid_argument] as {!closed_rows} does. *)
+    Raises [Invalid_argument] before any row is read when a start is
+    not finite (NaN or infinite) or [tstarts] is not ascending. *)
 
 val solve_frontier : built -> outcome
 (** Solve a {!build_frontier} instance: one conic solve on every row

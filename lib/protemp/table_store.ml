@@ -30,10 +30,8 @@ let file_bytes ~rows ~cols ~cores =
 (* What every served frequency and every recorded ceiling must be. *)
 let valid_frequency f = Float.is_finite f && f >= 0.0
 
-let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
-let add_f64 buf x = Buffer.add_int64_le buf (Int64.bits_of_float x)
-
-let serialize ?core_fmax table =
+(* The image, written in place into one buffer of {!file_bytes}. *)
+let image ?core_fmax table =
   let tstarts = Table.tstarts table in
   let ftargets = Table.ftargets table in
   let rows = Array.length tstarts and cols = Array.length ftargets in
@@ -48,40 +46,43 @@ let serialize ?core_fmax table =
           invalid_arg "Table_store.serialize: non-finite or negative core fmax";
         a
   in
-  let buf = Buffer.create (file_bytes ~rows ~cols ~cores) in
-  Buffer.add_string buf magic;
-  add_u32 buf version;
-  add_u32 buf rows;
-  add_u32 buf cols;
-  add_u32 buf cores;
-  add_u32 buf 0;
-  add_f64 buf sentinel;
-  Array.iter (add_f64 buf) tstarts;
-  Array.iter (add_f64 buf) ftargets;
-  Array.iter (add_f64 buf) core_fmax;
-  let bitmap = Bytes.make (bitmap_bytes ~rows ~cols) '\000' in
+  (* Zeroed, so the reserved header word, an infeasible cell's floats
+     and the bitmap's clear bits need no write. *)
+  let buf = Bytes.make (file_bytes ~rows ~cols ~cores) '\000' in
+  Bytes.blit_string magic 0 buf 0 4;
+  List.iteri
+    (fun k v -> Bytes.set_int32_le buf (4 + (4 * k)) (Int32.of_int v))
+    [ version; rows; cols; cores ];
+  let pos = ref (header_bytes - 8) in
+  let f64 x =
+    Bytes.set_int64_le buf !pos (Int64.bits_of_float x);
+    pos := !pos + 8
+  in
+  f64 sentinel;
+  Array.iter f64 tstarts;
+  Array.iter f64 ftargets;
+  Array.iter f64 core_fmax;
+  let bitmap = Bytes.length buf - bitmap_bytes ~rows ~cols in
   for i = 0 to rows - 1 do
     for j = 0 to cols - 1 do
       match Table.cell table i j with
-      | Table.Frequencies f -> Array.iter (add_f64 buf) f
+      | Table.Frequencies f -> Array.iter f64 f
       | Table.Infeasible ->
-          for _ = 1 to cores do
-            add_f64 buf 0.0
-          done;
+          pos := !pos + (8 * cores);
           let k = (i * cols) + j in
-          Bytes.set bitmap (k lsr 3)
-            (Char.chr
-               (Char.code (Bytes.get bitmap (k lsr 3)) lor (1 lsl (k land 7))))
+          let at = bitmap + (k lsr 3) in
+          Bytes.set_uint8 buf at (Bytes.get_uint8 buf at lor (1 lsl (k land 7)))
     done
   done;
-  Buffer.add_bytes buf bitmap;
-  Buffer.contents buf
+  buf
+
+let serialize ?core_fmax table =
+  Bytes.unsafe_to_string (image ?core_fmax table)
 
 let write ?core_fmax table path =
+  let buf = image ?core_fmax table in
   let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (serialize ?core_fmax table))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc buf)
 
 (* ------------------------------------------------------------------ *)
 (* Reading *)

@@ -54,7 +54,8 @@ val serialize : ?core_fmax:float array -> Table.t -> string
 
 val write : ?core_fmax:float array -> Table.t -> string -> unit
 (** [write table path] writes {!serialize}'s image atomically enough
-    for the tests (truncate + write). *)
+    for the tests (truncate + write): the image is built in one buffer
+    of the file's size and output once. *)
 
 type t
 (** A read-only mapped image.  Safe to share across domains: all

@@ -17,7 +17,8 @@
 #     and every table of a fixed set: Niagara and big.LITTLE; the
 #     variable, uniform, gradient and capped-gradient variants;
 #     strides 1 and 4; margins 0 and 5 C; plus the benchmark's three
-#     grids and one grid on a Niagara whose step matrix has a negative
+#     grids, its two table builds in their 10 interleaved row blocks,
+#     and one grid on a Niagara whose step matrix has a negative
 #     entry, with their fill and solver counters.  Both trees run the
 #     same driver source: the working tree's driver when it builds
 #     against REV, otherwise REV's own driver, built against REV and

@@ -2,10 +2,12 @@
    instances: solves, frontiers and profile solves (every field of the
    solution, duals included) and whole tables, on Niagara and
    big.LITTLE, for the variable, uniform, gradient and capped-gradient
-   variants at strides 1 and 4 and margins 0 and 5 C, and one table on
-   a Niagara whose step matrix has a negative entry.  Two builds that
-   print the same bytes compute the same bits.  Run by
-   scripts/same-output.sh on the working tree and on a git revision:
+   variants at strides 1 and 4 and margins 0 and 5 C, the benchmark's
+   grids whole and, for its two table builds, in its 10 interleaved
+   row blocks, and one table on a Niagara whose step matrix has a
+   negative entry.  Two builds that print the same bytes compute the
+   same bits.  Run by scripts/same-output.sh on the working tree and
+   on a git revision:
 
      dune exec scripts/same-output/same_output.exe > out.txt *)
 
@@ -144,6 +146,29 @@ let () =
     ~margin:0.0 ~tstarts:(axis 27.0 100.0 150) ~ftargets:(axis 1e8 7e8 8);
   table "niagara margin 5 74x9" ~machine:(Sim.Machine.niagara ()) ~spec
     ~margin:5.0 ~tstarts:(axis 27.0 100.0 74) ~ftargets:(axis 1e8 9e8 9);
+  (* The benchmark's table builds: 10 interleaved row blocks, block k
+     holding rows k, k + 10, ..., each filled on its own. *)
+  List.iter
+    (fun (name, machine, tstarts, ftargets) ->
+      for k = 0 to 9 do
+        table
+          (Printf.sprintf "%s block %d of 10" name k)
+          ~machine ~spec ~margin:0.0
+          ~tstarts:
+            (Array.of_list
+               (List.filteri (fun i _ -> i mod 10 = k) (Array.to_list tstarts)))
+          ~ftargets
+      done)
+    [
+      ( "niagara 100x100",
+        Sim.Machine.niagara (),
+        axis 27.0 100.0 100,
+        axis 1e8 1e9 100 );
+      ( "biglittle 150x8",
+        Sim.Machine.biglittle (),
+        axis 27.0 100.0 150,
+        axis 1e8 7e8 8 );
+    ];
   (* Niagara with one negative step entry, its first node's
      self-coupling: [a_1] is negative there, so at stride 1 the columns
      are not searchable, every row is prepared and checks every cell's

@@ -624,17 +624,16 @@ let test_not_searchable_fallback () =
   check_bool "the replay's solver counters" true (D.solver_stats dt = r.conic)
 
 (* Rows whose every cell is settled in closed form: big.LITTLE from 27
-   to 60 C under the benchmark's eight ftargets.  The fill finds them
-   from the coolest and the hottest start ({!Protemp.Model.closed_rows}
-   checks the hottest before it bisects) and serves them with no start,
-   so
+   to 60 C under the benchmark's eight ftargets.  {!Protemp.Model.rows}
+   finds them in one pass over the thermal rows at the last column's
+   point, with no start, and serves them with none, so
    - a fresh machine filled at 1 and at 2 domains gives the same table,
      byte for byte, and publishes one row set either way (and no ladder
      point: no cell needs a frontier);
    - a row allocates less than one {!Protemp.Model.prepare} of it: a
      fill that prepared every row again would allocate more;
-   - finding the closed rows allocates less than three prepares: the
-     two checks, where a bisection of the 34 starts would make six. *)
+   - every row is closed, and finding the closed rows allocates less
+     than one prepare: the search prepares no start. *)
 let allocated_words f =
   let once () =
     let minor0, promoted0, major0 = Gc.counters () in
@@ -679,16 +678,22 @@ let test_closed_rows_not_prepared () =
     (Printf.sprintf "%.0f words a row < %.0f words a prepare" per_row prepare)
     true (per_row < prepare);
   let columns = Protemp.Model.columns ~machine ~spec:fast_spec ftargets in
-  check_int "every row closed" (Array.length tstarts)
-    (fst (Protemp.Model.closed_rows columns tstarts));
+  let row = Protemp.Model.rows columns tstarts in
+  let closed = ref 0 in
+  while
+    !closed < Array.length tstarts
+    && (row !closed).Protemp.Model.closed_form = Array.length ftargets
+  do
+    incr closed
+  done;
+  check_int "every row closed" (Array.length tstarts) !closed;
   let search =
-    allocated_words (fun () -> Protemp.Model.closed_rows columns tstarts)
+    allocated_words (fun () -> Protemp.Model.rows columns tstarts)
   in
   check_bool
-    (Printf.sprintf "closed rows in %.0f words < three prepares (%.0f)" search
-       (3.0 *. prepare))
-    true
-    (search < 3.0 *. prepare)
+    (Printf.sprintf "closed rows in %.0f words < one prepare (%.0f)" search
+       prepare)
+    true (search < prepare)
 
 (* ------------------------------------------------------------------ *)
 (* What a filled grid holds *)

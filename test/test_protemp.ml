@@ -9,6 +9,7 @@ let check_float tol = Alcotest.(check (float tol))
 let check_int = Alcotest.(check int)
 
 let machine = lazy (Sim.Machine.niagara ())
+let biglittle = lazy (Sim.Machine.biglittle ())
 
 (* A cheaper spec for solver-bound unit tests: same window, thermal
    cap enforced every 4th step (the audit below confirms the guarantee
@@ -472,6 +473,37 @@ let test_model_rejects_non_finite () =
         (rejected (fun () ->
              Protemp.Model.prepare_with_profile ~machine:m ~spec:fast_spec ~t0)))
     [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* A table's starts are checked before any row is read, at any
+     position, searchable columns or not, and the refusal names the
+     non-finite start. *)
+  let big = Lazy.force biglittle in
+  List.iter
+    (fun (name, machine, ftargets) ->
+      let cs = Protemp.Model.columns ~machine ~spec:fast_spec ftargets in
+      List.iter
+        (fun x ->
+          for at = 0 to 2 do
+            let tstarts = [| 27.0; 30.0; 33.0 |] in
+            tstarts.(at) <- x;
+            check_bool
+              (Printf.sprintf "%s: rows with %h at %d" name x at)
+              true
+              (match ignore (Protemp.Model.rows cs tstarts : int -> _) with
+              | () -> false
+              | exception Invalid_argument msg ->
+                  msg = "Model.rows: non-finite tstart")
+          done)
+        [ Float.nan; Float.infinity; Float.neg_infinity ])
+    [
+      ("Niagara", m, [| 1e8; 3e8 |]);
+      ("big.LITTLE", big, [| 1e8; 7e8 |]);
+      ("Niagara descending", m, [| 3e8; 1e8 |]);
+    ];
+  let cs = Protemp.Model.columns ~machine:big ~spec:fast_spec [| 1e8; 7e8 |] in
+  check_bool "tied starts are ascending" true
+    (match ignore (Protemp.Model.rows cs [| 27.0; 27.0; 33.0 |] : int -> _) with
+    | () -> true
+    | exception Invalid_argument _ -> false);
   let p = Protemp.Model.prepare ~machine:m ~spec:fast_spec ~tstart:40.0 in
   check_bool "nan ftarget" true
     (rejected (fun () -> Protemp.Model.instantiate p ~ftarget:Float.nan));
@@ -1065,8 +1097,6 @@ let prop_table_lookup_semantics =
 (* Thermal-row filter: the model leaves out the Eq. 3 rows the power
    box already implies; test/model_reference.ml is the builder that
    emits them all. *)
-
-let biglittle = lazy (Sim.Machine.biglittle ())
 
 (* Thermal rows are what follows the power-law and box rows and the
    floor, in a spec without gradient: of [n] constraints in all, in a
@@ -2216,36 +2246,98 @@ let test_thermal_coefficients_nonnegative () =
         [ 1; 4 ])
     [ ("niagara", Lazy.force machine); ("biglittle", Lazy.force biglittle) ]
 
+(* The closed rows of {!Protemp.Model.rows} over the [cols] columns
+   [cs] of [machine] and [spec]: the leading rows whose every cell it
+   settles in closed form with no start, which shows as fewer words
+   than one {!Protemp.Model.prepare}.  A row that is prepared may
+   settle every cell in closed form too, but not in so few words. *)
+let closed_rows ~machine ~spec ~cols cs tstarts =
+  let prepare =
+    allocated_words (fun () ->
+        Protemp.Model.prepare ~machine ~spec ~tstart:tstarts.(0))
+  in
+  let row = Protemp.Model.rows cs tstarts and r = ref 0 in
+  let closed i =
+    (row i).Protemp.Model.closed_form = cols
+    && allocated_words (fun () -> row i) < prepare
+  in
+  while !r < Array.length tstarts && closed !r do
+    incr r
+  done;
+  !r
+
 (* The rows whose last column holds on their own start ([closes],
    {!Protemp.Model.solve}'s check) are a prefix of ascending starts,
-   and {!Protemp.Model.closed_rows} returns its length: on both
-   platforms, the variable variant and Niagara's uniform one, strides
-   1 and 4 and margins 0 and 5, over random ascending starts (ties
-   included) and a random pair of ascending columns; with it comes the
-   start of the first open row whenever there is one and its last cell
-   is feasible (a floor above what the boxes allow has no column, and
-   no start).  [prefix_shapes]
-   counts the grids drawn with no, some and every start closed, the
-   last split at three starts: from three on, every start closed is
-   decided by the hottest start's check, with starts between it and
-   the coolest left unchecked. *)
-let prefix_shapes = Array.make 4 0
+   and {!Protemp.Model.rows} closes exactly that prefix.  Two kinds of
+   draw:
+   - on both platforms, the variable variant and Niagara's uniform one,
+     strides 1 and 4 and margins 0 and 5, random ascending starts (ties
+     included) and a random pair of ascending columns; [prefix_shapes]
+     counts those drawn with no, some and every start closed;
+   - the benchmark's row blocks at stride 4: every 10th start of the
+     150-start big.LITTLE axis under its 8 ftargets, or of the margin-5
+     74-start Niagara axis under its 9, from a random offset (the
+     first two big.LITTLE offsets, whose blocks close every row, drawn
+     more often); [block_shapes] counts those drawn with no, some and
+     every start closed.
+   The case fails unless every shape of the first kind, and blocks
+   with some and with every start closed, were drawn. *)
+let prefix_shapes = Array.make 3 0
+let block_shapes = Array.make 3 0
+
+(* The benchmark's axes: [n] evenly spaced values from [lo] to [hi]. *)
+let axis lo hi n =
+  Array.init n (fun i ->
+      lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
+
+type closed_columns = Fraction of float | Ftargets of float array
 
 let prop_closed_rows =
   QCheck2.Test.make ~name:"model: closed rows are a prefix of the starts"
-    ~count:40
-    ~print:(fun (platform, stride, margin, tstarts, fraction) ->
-      Printf.sprintf "%s stride %d margin %.0f ftarget %h fmax tstarts %s"
-        platform stride margin fraction
+    ~count:80
+    ~print:(fun (platform, stride, margin, tstarts, columns) ->
+      Printf.sprintf "%s stride %d margin %.0f %s tstarts %s" platform stride
+        margin
+        (match columns with
+        | Fraction f -> Printf.sprintf "ftarget %h fmax" f
+        | Ftargets a ->
+            "ftargets "
+            ^ String.concat " "
+                (Array.to_list (Array.map (Printf.sprintf "%h") a)))
         (String.concat " " (List.map (Printf.sprintf "%h") tstarts)))
     QCheck2.Gen.(
-      let* platform = oneofl [ "niagara"; "niagara uniform"; "biglittle" ] in
-      let* stride = oneofl [ 1; 4 ] in
-      let* margin = oneofl [ 0.0; 5.0 ] in
-      let* tstarts = list_size (int_range 1 12) (float_range 27.0 100.0) in
-      let+ fraction = float_range 0.05 1.0 in
-      (platform, stride, margin, List.sort Float.compare tstarts, fraction))
-    (fun (platform, stride, margin, tstarts, fraction) ->
+      let random =
+        let* platform = oneofl [ "niagara"; "niagara uniform"; "biglittle" ] in
+        let* stride = oneofl [ 1; 4 ] in
+        let* margin = oneofl [ 0.0; 5.0 ] in
+        let* tstarts = list_size (int_range 1 12) (float_range 27.0 100.0) in
+        let+ fraction = float_range 0.05 1.0 in
+        ( platform,
+          stride,
+          margin,
+          List.sort Float.compare tstarts,
+          Fraction fraction )
+      in
+      let block =
+        let* big = bool in
+        let+ offset =
+          if big then frequency [ (1, int_range 0 1); (3, int_range 0 9) ]
+          else int_range 0 9
+        in
+        let rows = if big then 150 else 74 in
+        let starts = axis 27.0 100.0 rows in
+        ( (if big then "biglittle" else "niagara"),
+          4,
+          (if big then 0.0 else 5.0),
+          List.filter_map
+            (fun i -> if i mod 10 = offset then Some starts.(i) else None)
+            (List.init rows Fun.id),
+          Ftargets
+            (if big then axis 1e8 7e8 8
+             else axis 1e8 9e8 9) )
+      in
+      frequency [ (1, random); (1, block) ])
+    (fun (platform, stride, margin, tstarts, columns) ->
       let machine =
         Lazy.force (if platform = "biglittle" then biglittle else machine)
       in
@@ -2254,45 +2346,46 @@ let prop_closed_rows =
         Protemp.Spec.guard_band ~margin
           (if platform = "niagara uniform" then uniform_spec s else s)
       in
-      let ftarget = fraction *. machine.Sim.Machine.fmax in
-      let cs =
-        Protemp.Model.columns ~machine ~spec [| 0.5 *. ftarget; ftarget |]
+      let ftargets =
+        match columns with
+        | Fraction f ->
+            let ftarget = f *. machine.Sim.Machine.fmax in
+            [| 0.5 *. ftarget; ftarget |]
+        | Ftargets a -> a
       in
+      let cols = Array.length ftargets in
+      let cs = Protemp.Model.columns ~machine ~spec ftargets in
       let tstarts = Array.of_list tstarts in
-      let cell tstart = Protemp.Model.build ~machine ~spec ~tstart ~ftarget in
-      let holds = Array.map (fun tstart -> closes (cell tstart)) tstarts in
+      let holds =
+        Array.map
+          (fun tstart ->
+            closes
+              (Protemp.Model.build ~machine ~spec ~tstart
+                 ~ftarget:ftargets.(cols - 1)))
+          tstarts
+      in
       let prefix = ref 0 in
       while !prefix < Array.length holds && holds.(!prefix) do
         incr prefix
       done;
       let rest = Array.sub holds !prefix (Array.length holds - !prefix) in
-      let closed, first_open = Protemp.Model.closed_rows cs tstarts in
-      let shape =
-        if !prefix = 0 then 0
-        else if !prefix < Array.length holds then 1
-        else if !prefix < 3 then 2
-        else 3
+      let closed = closed_rows ~machine ~spec ~cols cs tstarts in
+      let shapes =
+        match columns with
+        | Fraction _ -> prefix_shapes
+        | Ftargets _ -> block_shapes
       in
-      prefix_shapes.(shape) <- prefix_shapes.(shape) + 1;
+      let shape =
+        if !prefix = 0 then 0 else if !prefix < Array.length holds then 1 else 2
+      in
+      shapes.(shape) <- shapes.(shape) + 1;
       (Protemp.Model.searchable cs
       || QCheck2.Test.fail_report "columns not searchable")
       && (not (Array.exists Fun.id rest)
          || QCheck2.Test.fail_reportf "a start holds after row %d" !prefix)
       && (closed = !prefix
-         || QCheck2.Test.fail_reportf "closed_rows %d, prefix %d" closed
-              !prefix)
-      &&
-      match first_open with
-      | None ->
-          closed = Array.length tstarts
-          || Protemp.Model.solve (cell tstarts.(closed)) = Protemp.Model.Infeasible
-          || QCheck2.Test.fail_reportf "no start for row %d" closed
-      | Some p ->
-          closed < Array.length tstarts
-          && (Protemp.Model.instantiate p ~ftarget)
-               .Protemp.Model.initial_temperatures.(0)
-             = tstarts.(closed)
-          || QCheck2.Test.fail_reportf "not the start of row %d" closed)
+         || QCheck2.Test.fail_reportf "closed rows %d, prefix %d" closed !prefix
+         ))
 
 (* Every cell {!Protemp.Model.solve} settles by its active-set step is
    a KKT point of the full problem as [Model_reference] states it (the
@@ -2487,8 +2580,9 @@ let test_closed_prefix_fallback () =
             r.Protemp.Model.closed_form)
         tstarts;
       if not searchable then
-        check_bool (name ^ ": no closed row") true
-          (Protemp.Model.closed_rows cs tstarts = (0, None)))
+        check_int (name ^ ": no closed row") 0
+          (closed_rows ~machine ~spec:fast_spec ~cols:(Array.length ftargets)
+             cs tstarts))
     [
       ("Niagara descending", niagara, [| 9.4e8; 9e8; 6e8; 3e8; 1e8 |], false);
       ("Niagara unsorted", niagara, [| 1e8; 9.4e8; 2e8; 9e8; 5e8 |], false);
@@ -2500,6 +2594,54 @@ let test_closed_prefix_fallback () =
       ("big.LITTLE ascending", big, [| 1e8; 3e8; 5e8; 6e8; 7e8 |], true);
     ];
   check_bool "a column held after one that did not" true !held_after_failure
+
+(* Where a column stops closing, to the last float: for each column
+   that closes at 27 C and not at 150 C, on both platforms at margins 0
+   and 5, the last start [lo] whose cell {!Protemp.Model.solve} settles
+   in closed form is found by bisection over the floats, and
+   {!Protemp.Model.rows} must close the row of [lo] and not that of the
+   next float.  At ftarget 0 the column's point is 0, and at [lo] the
+   hottest row's base is [tmax] exactly: its value equals its
+   constant, which holds. *)
+let test_closed_rows_at_the_float_boundary () =
+  let boundaries = ref 0 in
+  List.iter
+    (fun (name, machine, ftargets) ->
+      List.iter
+        (fun margin ->
+          let spec = Protemp.Spec.guard_band ~margin fast_spec in
+          Array.iter
+            (fun ftarget ->
+              let closes_at tstart =
+                closes (Protemp.Model.build ~machine ~spec ~tstart ~ftarget)
+              in
+              if closes_at 27.0 && not (closes_at 150.0) then begin
+                let lo = ref (Int64.bits_of_float 27.0)
+                and hi = ref (Int64.bits_of_float 150.0) in
+                while Int64.sub !hi !lo > 1L do
+                  let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
+                  if closes_at (Int64.float_of_bits mid) then lo := mid
+                  else hi := mid
+                done;
+                incr boundaries;
+                let lo = Int64.float_of_bits !lo in
+                check_int
+                  (Printf.sprintf "%s margin %.0f at %g Hz: closes at %h, not \
+                                   at the next float"
+                     name margin ftarget lo)
+                  1
+                  (closed_rows ~machine ~spec ~cols:1
+                     (Protemp.Model.columns ~machine ~spec [| ftarget |])
+                     [| lo; Int64.float_of_bits !hi |])
+              end)
+            ftargets)
+        [ 0.0; 5.0 ])
+    [
+      ("Niagara", Lazy.force machine, [| 0.0; 4e8; 6e8; 8e8; 9e8 |]);
+      ("big.LITTLE", Lazy.force biglittle, [| 0.0; 3e8; 5e8; 7e8 |]);
+    ];
+  check_bool (Printf.sprintf "%d boundaries >= 12" !boundaries) true
+    (!boundaries >= 12)
 
 (* Frontier tangents.  A tangent is a safe upper bound on the frontier
    of every start, whatever dual it is built from: the frontier [F] at
@@ -2662,13 +2804,14 @@ let props =
        ( name,
          speed,
          fun () ->
-           Array.fill prefix_shapes 0 4 0;
+           Array.fill prefix_shapes 0 3 0;
+           Array.fill block_shapes 0 3 0;
            run ();
-           check_bool
-             "no, some and every start closed (of fewer than three and of \
-              three or more) all drawn"
+           check_bool "no, some and every start closed all drawn" true
+             (Array.for_all (fun n -> n > 0) prefix_shapes);
+           check_bool "blocks with some and with every start closed drawn"
              true
-             (Array.for_all (fun n -> n > 0) prefix_shapes) ));
+             (block_shapes.(1) > 0 && block_shapes.(2) > 0) ));
       (let name, speed, run = QCheck_alcotest.to_alcotest prop_active_set_kkt in
        ( name,
          speed,
@@ -2791,6 +2934,8 @@ let () =
             test_column_is_closed_form;
           Alcotest.test_case "closed prefix fallback" `Quick
             test_closed_prefix_fallback;
+          Alcotest.test_case "closed rows at the float boundary" `Quick
+            test_closed_rows_at_the_float_boundary;
           Alcotest.test_case "pinned working-set cell" `Quick
             test_closed_form_pinned_working_set_cell;
           Alcotest.test_case "gradient grid golden" `Quick

@@ -149,6 +149,31 @@ let test_golden_header () =
   check_string "committed golden header (format version 2)" golden
     (Buffer.contents hex)
 
+(* The whole canonical image, pinned by its MD5 (computed with the
+   one-float-at-a-time writer this replaced): with the unknown
+   platform's zero ceilings and with recorded ones, from {!serialize}
+   and from the file {!write} leaves. *)
+let test_golden_image () =
+  let table = canonical_table () in
+  List.iter
+    (fun (label, core_fmax, digest) ->
+      check_string (label ^ ": serialize") digest
+        (Digest.to_hex
+           (Digest.string (Protemp.Table_store.serialize ?core_fmax table)));
+      let path = Filename.temp_file "protemp_store" ".ptbl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Protemp.Table_store.write ?core_fmax table path;
+          check_string (label ^ ": write") digest
+            (Digest.to_hex (Digest.file path))))
+    [
+      ("unknown platform", None, "4e8d3e34f28bb039fc1191a06e193f25");
+      ( "recorded ceilings",
+        Some [| 1e9; 1.2e9 |],
+        "d3202c117fb551e7e90dfbe214679c93" );
+    ]
+
 let test_rejects_truncated () =
   let image = Protemp.Table_store.serialize (canonical_table ()) in
   (* Truncated header. *)
@@ -518,6 +543,7 @@ let () =
           Alcotest.test_case "core_fmax round-trip" `Quick
             test_core_fmax_roundtrip;
           Alcotest.test_case "golden header" `Quick test_golden_header;
+          Alcotest.test_case "golden image" `Quick test_golden_image;
         ] );
       ( "validation",
         [
